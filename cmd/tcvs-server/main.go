@@ -42,7 +42,7 @@ import (
 	"trustedcvs/internal/core/proto1"
 	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/driver"
-	"trustedcvs/internal/fault"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
@@ -191,7 +191,7 @@ func main() {
 			log.Printf("op journal: replayed %d acked op(s) and %d content push(es) past the snapshot; head now %d, root %s",
 				applied, pushed, honest.DB().Ctr(), honest.DB().Root().Short())
 		}
-		journal, err = server.OpenOpJournal(*auditWAL, fault.OS, *epochLen)
+		journal, err = server.OpenOpJournal(*auditWAL, durable.OS, *epochLen)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -467,7 +467,7 @@ func saveState(path string, srv server.Server, store *cvs.Store, sessions *trans
 	if cerr != nil {
 		return 0, cerr
 	}
-	return ctr, server.WriteSnapshotFile(fault.OS, path, func(w io.Writer) error {
+	return ctr, durable.WriteFileAtomic(durable.OS, path, true, func(w io.Writer) error {
 		return server.EncodeP2Snapshot(w, snap)
 	})
 }

@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -37,6 +38,7 @@ import (
 	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/driver"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/workspace"
@@ -94,7 +96,7 @@ func run() error {
 			return err
 		}
 		client = driver.NewP2(u, conn, bc, *users)
-		save = func() error { return saveUser(*stateFile, u.MarshalState) }
+		save = func() error { return saveUser(ownerOnly{durable.OS}, *stateFile, u.MarshalState) }
 	case "1":
 		signers, ring, err := sig.DeterministicSigners(*users, *seed)
 		if err != nil {
@@ -108,7 +110,7 @@ func run() error {
 			return err
 		}
 		client = driver.NewP1(u, conn, bc, *users)
-		save = func() error { return saveUser(*stateFile, u.MarshalState) }
+		save = func() error { return saveUser(ownerOnly{durable.OS}, *stateFile, u.MarshalState) }
 	default:
 		return fmt.Errorf("unsupported -proto %q (protocol 3 runs have no CLI; see examples/epochs)", *proto)
 	}
@@ -498,12 +500,27 @@ func loadUser1(path string, signer *sig.Signer, ring *sig.Ring, k uint64) (*prot
 	return proto1.RestoreUser(signer, ring, data)
 }
 
-func saveUser(path string, marshal func() ([]byte, error)) error {
+// ownerOnly is a filesystem whose files are created 0600: the state
+// file is this user's private memory of the repository.
+type ownerOnly struct{ durable.FS }
+
+func (ownerOnly) Create(name string) (durable.File, error) {
+	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+}
+
+// saveUser replaces the state file atomically. A crash mid-save must
+// leave the previous state loadable: a user who lost it could only
+// restart from genesis, and every later answer would then look like a
+// rollback by the server.
+func saveUser(fs durable.FS, path string, marshal func() ([]byte, error)) error {
 	data, err := marshal()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o600)
+	return durable.WriteFileAtomic(fs, path, false, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 func shortHash(d digest.Digest) string { return d.Short() }

@@ -59,7 +59,7 @@ import (
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/digest"
-	"trustedcvs/internal/fault"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wal"
@@ -134,8 +134,8 @@ type Config struct {
 	// the right cut.
 	WALDir string
 	// WALFS is the filesystem the journal writes through (nil =
-	// fault.OS); tests interpose fault.FaultyFS crash schedules here.
-	WALFS fault.FS
+	// durable.OS); tests interpose fault.FaultyFS crash schedules here.
+	WALFS durable.FS
 	// Brownout, when > 1, arms brownout degradation: under sustained
 	// queue pressure the admission window WaitAdmissible enforces
 	// widens one epoch at a time, up to Brownout epochs, and decays
@@ -201,6 +201,10 @@ type Auditor struct {
 	highWater int
 	degraded  uint64
 	noQuorum  uint64
+	// chainHits/chainMisses mirror user.ChainStats as of the last
+	// audited batch; the worker publishes them so Stats never reads
+	// the user state machine it is mutating.
+	chainHits, chainMisses uint64
 
 	// Brownout state (gate-guarded). stretch is the admission-window
 	// allowance in epochs (1 = normal, ≤ brownoutMax); hot/cool count
@@ -218,7 +222,7 @@ type Auditor struct {
 	// sealState, lastCkpt) or set once before the worker starts.
 	wal          *wal.WAL
 	walDir       string
-	walFS        fault.FS
+	walFS        durable.FS
 	walErr       error
 	degradedSync bool
 	recovering   bool
@@ -598,13 +602,13 @@ type Stats struct {
 	Brownouts  uint64
 }
 
-// Stats returns a snapshot of the auditor's counters. The chain
-// counters are read from the user state machine, so call only when the
-// worker is quiesced (drained or stopped) for exact values.
+// Stats returns a snapshot of the auditor's counters; safe to call
+// while the auditor runs. The chain counters are the worker's
+// publication as of the last audited batch (the user state machine is
+// the worker's alone), so they are exact whenever Audited is.
 func (a *Auditor) Stats() Stats {
 	a.lockGate()
 	defer a.unlockGate()
-	hits, misses := a.user.ChainStats()
 	dur := DurabilityVolatile
 	switch {
 	case a.degradedSync:
@@ -617,7 +621,7 @@ func (a *Auditor) Stats() Stats {
 		Batches: a.batches, MaxBatch: a.maxBatch,
 		QueueCap: cap(a.ch), HighWater: a.highWater, Degraded: a.degraded,
 		Epochs:    uint64(a.completed + 1),
-		ChainHits: hits, ChainMisses: misses,
+		ChainHits: a.chainHits, ChainMisses: a.chainMisses,
 		Durability: dur, Replayed: a.replayed,
 		Stretch: int(a.stretch), MaxStretch: int(a.maxStretch), Brownouts: a.brownouts,
 	}
@@ -719,6 +723,7 @@ func (a *Auditor) run() {
 		}
 		a.lockGate()
 		a.audited += uint64(len(batch))
+		a.chainHits, a.chainMisses = a.user.ChainStats()
 		a.batches++
 		if len(batch) > a.maxBatch {
 			a.maxBatch = len(batch)

@@ -413,3 +413,63 @@ func TestReportIdempotence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStatsSafeWhileAuditing polls Stats from another goroutine while
+// the worker verifies a chained epoch workload (run under -race: Stats
+// used to read the replay-chain counters straight out of the user
+// state machine the worker was mutating), then checks the published
+// counters are exact once the queue has drained.
+func TestStatsSafeWhileAuditing(t *testing.T) {
+	db := vdb.New(0)
+	srv := proto2.NewServer(db)
+	u := proto2.NewUser(1, db.Root(), 1<<20)
+
+	var aud *Auditor
+	a, err := New(Config{User: u, Epoch: 8, Users: 1, Publish: loopback(&aud), Chain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aud = a
+	defer a.Stop()
+
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = a.Stats()
+			}
+		}
+	}()
+	const ops = 200
+	for i := 0; i < ops; i++ {
+		if err := a.WaitAdmissible(); err != nil {
+			t.Fatalf("op %d: WaitAdmissible: %v", i, err)
+		}
+		op := put(fmt.Sprintf("k%d", i), "v")
+		resp, err := srv.HandleOp(u.Request(op))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Submit(Record{Op: op, Resp: resp}); err != nil {
+			t.Fatalf("op %d: Submit: %v", i, err)
+		}
+		a.NoteEpoch(resp.Ctr + 1)
+	}
+	if err := a.WaitDrained(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-polled
+	st := a.Stats()
+	if st.Audited != ops || st.ChainHits+st.ChainMisses == 0 || st.ChainHits+st.ChainMisses > ops {
+		t.Fatalf("drained stats: %+v", st)
+	}
+	hits, misses := u.ChainStats() // the worker is idle: safe to read directly
+	if st.ChainHits != hits || st.ChainMisses != misses {
+		t.Fatalf("published chain counters (%d, %d) lag the user's (%d, %d)", st.ChainHits, st.ChainMisses, hits, misses)
+	}
+}

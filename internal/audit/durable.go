@@ -38,7 +38,7 @@ import (
 	"errors"
 	"fmt"
 
-	"trustedcvs/internal/fault"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/wal"
 )
 
@@ -153,7 +153,7 @@ func (a *Auditor) claimedG(r Record) uint64 {
 // initDurable arms the journal: load the cursor, decode every frame
 // past it for re-verification, repair and reopen the journal for
 // appending. Called from New before the worker starts.
-func (a *Auditor) initDurable(dir string, fs fault.FS) error {
+func (a *Auditor) initDurable(dir string, fs durable.FS) error {
 	cur, err := LoadCursor(dir)
 	if err != nil {
 		return err

@@ -24,13 +24,9 @@ import (
 // verifies every response) hammer one server concurrently, and we
 // report throughput and latency percentiles per client count.
 //
-// The "P2-seed" scheme is the control: the same Protocol II server
-// behind the seed transport — one global handler lock and the seed's
-// self-contained per-message codec (fresh gob streams, double-write
-// framing). The pipelined/streaming rows beat it because the ordered
-// section no longer contains VO construction or codec work, and
-// because gob type descriptors cross each connection once instead of
-// once per message.
+// The checked-in BENCH_E13.json also holds P2-seed rows this code
+// cannot produce: the frozen control run of the deleted seed transport
+// (see EXPERIMENTS.md).
 
 // E13Config parameterizes RunE13.
 type E13Config struct {
@@ -64,9 +60,6 @@ type E13Data struct {
 	DBSize      int        `json:"db_size"`
 	OpsPerPoint int        `json:"ops_per_point"`
 	Points      []E13Point `json:"points"`
-	// SpeedupAt16 is pipelined Protocol II throughput over the seed
-	// baseline at 16 concurrent clients — the PR's acceptance number.
-	SpeedupAt16 float64 `json:"p2_speedup_vs_seed_at_16_clients"`
 }
 
 // WriteJSON writes the result in the checked-in BENCH_E13.json format.
@@ -83,11 +76,9 @@ type e13Client interface {
 }
 
 // e13Scheme wires up one measured configuration: a fresh server
-// handler, a per-client user factory, and the matching dialer.
+// handler and a per-client user factory.
 type e13Scheme struct {
 	name  string
-	opts  transport.Options
-	dial  func(addr string) (transport.Caller, error)
 	setup func(size, nClients int) (transport.Handler, func(id int) e13Client)
 }
 
@@ -268,12 +259,10 @@ func p3Setup(size, nClients int) (transport.Handler, func(int) e13Client) {
 
 func e13Schemes() []e13Scheme {
 	return []e13Scheme{
-		{name: "trusted", dial: transport.Dial, setup: trustedSetup},
-		{name: "P1", dial: transport.Dial, setup: p1Setup},
-		{name: "P2", dial: transport.Dial, setup: p2Setup},
-		{name: "P2-seed", dial: transport.DialCompat, setup: p2Setup,
-			opts: transport.Options{Serial: true, CompatCodec: true}},
-		{name: "P3", dial: transport.Dial, setup: p3Setup},
+		{name: "trusted", setup: trustedSetup},
+		{name: "P1", setup: p1Setup},
+		{name: "P2", setup: p2Setup},
+		{name: "P3", setup: p3Setup},
 	}
 }
 
@@ -289,7 +278,7 @@ type e13ClientResult struct {
 // stress test asserts these form a gap-free permutation).
 func e13Run(s e13Scheme, size, nClients, totalOps int) ([]e13ClientResult, time.Duration, error) {
 	handler, newClient := s.setup(size, nClients)
-	srv, err := transport.ListenOpts("127.0.0.1:0", handler, s.opts)
+	srv, err := transport.Listen("127.0.0.1:0", handler)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -300,7 +289,7 @@ func e13Run(s e13Scheme, size, nClients, totalOps int) ([]e13ClientResult, time.
 	callers := make([]transport.Caller, nClients)
 	clients := make([]e13Client, nClients)
 	for i := 0; i < nClients; i++ {
-		c, err := s.dial(srv.Addr())
+		c, err := transport.Dial(srv.Addr())
 		if err != nil {
 			return nil, 0, err
 		}
@@ -394,7 +383,6 @@ func e13Point(s e13Scheme, cfg E13Config, nClients int) (E13Point, error) {
 // RunE13 runs the full experiment.
 func RunE13(cfg E13Config) (*E13Data, error) {
 	d := &E13Data{DBSize: cfg.DBSize, OpsPerPoint: cfg.OpsPerPoint}
-	throughput := map[string]float64{} // "scheme/clients" -> ops/s
 	for _, s := range e13Schemes() {
 		for _, n := range cfg.ClientCounts {
 			p, err := e13Point(s, cfg, n)
@@ -402,11 +390,7 @@ func RunE13(cfg E13Config) (*E13Data, error) {
 				return nil, fmt.Errorf("E13 %s/%d: %w", s.name, n, err)
 			}
 			d.Points = append(d.Points, p)
-			throughput[fmt.Sprintf("%s/%d", s.name, n)] = p.OpsPerSec
 		}
-	}
-	if seed, ok := throughput["P2-seed/16"]; ok && seed > 0 {
-		d.SpeedupAt16 = throughput["P2/16"] / seed
 	}
 	return d, nil
 }
@@ -425,7 +409,7 @@ func E13() *Table {
 func (d *E13Data) Table() *Table {
 	t := &Table{
 		ID:       "E13",
-		Title:    "Concurrency: TCP throughput and latency vs client count, pipelined vs seed transport",
+		Title:    "Concurrency: TCP throughput and latency vs client count",
 		PaperRef: "Desideratum 3 (workload preservation) under concurrent clients; DESIGN.md \"Concurrency model\"",
 		Columns:  []string{"scheme", "clients", "ops/s", "p50-us", "p99-us"},
 	}
@@ -433,9 +417,7 @@ func (d *E13Data) Table() *Table {
 		t.AddRow(p.Scheme, p.Clients, int(p.OpsPerSec), fmt.Sprintf("%.0f", p.P50Micros), fmt.Sprintf("%.0f", p.P99Micros))
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("P2 pipelined vs seed transport at 16 clients: %.2fx throughput (db %d keys, %d ops/point)",
-			d.SpeedupAt16, d.DBSize, d.OpsPerPoint),
-		"P2-seed is the same Protocol II server behind the seed transport: one global handler lock, self-contained per-message gob frames, double-write framing",
+		fmt.Sprintf("db %d keys, %d ops/point", d.DBSize, d.OpsPerPoint),
 		"Protocol I's admission gate (one un-acked op globally) caps its concurrency benefit — the blocking third message the paper removes in Protocol II")
 	return t
 }

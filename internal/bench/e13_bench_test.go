@@ -4,9 +4,8 @@ import "testing"
 
 // BenchmarkE13 exposes the E13 measurement to `go test -bench`: each
 // sub-benchmark runs one scheme with 16 concurrent TCP clients and
-// b.N total operations. The interesting output is the ops/s metric;
-// compare P2 against P2-seed for the pipelined-vs-seed speedup (the
-// full sweep with latency percentiles is `tcvs-bench -e E13`).
+// b.N total operations. The interesting output is the ops/s metric
+// (the full sweep with latency percentiles is `tcvs-bench -e E13`).
 func BenchmarkE13(b *testing.B) {
 	for _, s := range e13Schemes() {
 		b.Run(s.name+"/c=16", func(b *testing.B) {

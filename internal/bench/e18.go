@@ -17,6 +17,7 @@ import (
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/driver"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/fault"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
@@ -249,7 +250,7 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 		if err != nil {
 			return nil, err
 		}
-		var fs fault.FS
+		var fs durable.FS
 		if faulty && i == 0 {
 			fs = ffs
 		}

@@ -10,7 +10,7 @@ import (
 	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
-	"trustedcvs/internal/fault"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
@@ -53,7 +53,7 @@ func NewP2Epoch(user *proto2.User, conn transport.Caller, bc broadcast.Channel, 
 // Resume needs the TCP broadcast hub (its full-history replay
 // re-delivers peer epoch reports); the in-process Hub keeps no
 // history. fs overrides the journal's filesystem (nil = the real one).
-func NewP2EpochWAL(user *proto2.User, conn transport.Caller, bc broadcast.Channel, nUsers int, epochLen uint64, queue int, walDir string, fs fault.FS) (*Client, error) {
+func NewP2EpochWAL(user *proto2.User, conn transport.Caller, bc broadcast.Channel, nUsers int, epochLen uint64, queue int, walDir string, fs durable.FS) (*Client, error) {
 	if walDir != "" {
 		cur, err := audit.LoadCursor(walDir)
 		if err != nil {

@@ -12,6 +12,7 @@ import (
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/cvs"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/fault"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
@@ -51,7 +52,7 @@ func newRecoveryEnv(t *testing.T) *recoveryEnv {
 
 // client starts (or restarts) user id with a durable audit journal.
 // fs overrides the journal filesystem (nil = real).
-func (e *recoveryEnv) client(id, users int, epochLen uint64, fs fault.FS) *Client {
+func (e *recoveryEnv) client(id, users int, epochLen uint64, fs durable.FS) *Client {
 	e.t.Helper()
 	conn, err := transport.Dial(e.ts.Addr())
 	if err != nil {

@@ -234,35 +234,3 @@ func TestFaultyFSCrashBeforeRename(t *testing.T) {
 		t.Fatalf("post-crash Create must fail with ErrCrashed, got %v", err)
 	}
 }
-
-func TestOSFSRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "f")
-	f, err := OS.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := OS.Rename(path, path+".2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := OS.SyncDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := OS.Exists(path + ".2")
-	if err != nil || !ok {
-		t.Fatalf("Exists(%s) = %v, %v", path+".2", ok, err)
-	}
-	ok, err = OS.Exists(path)
-	if err != nil || ok {
-		t.Fatalf("Exists(%s) = %v, %v; want false", path, ok, err)
-	}
-}

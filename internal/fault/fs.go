@@ -3,81 +3,24 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
+
+	"trustedcvs/internal/durable"
 )
-
-// File is the write side of one checkpoint file: what an atomic
-// write-sync-rename persistence path actually needs.
-type File interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
-
-// FS abstracts the handful of filesystem operations the crash-safe
-// checkpoint path performs, so tests can interpose torn writes and
-// crashes at every step. OS is the real implementation.
-type FS interface {
-	Create(name string) (File, error)
-	Rename(oldname, newname string) error
-	Remove(name string) error
-	Exists(name string) (bool, error)
-	// SyncDir fsyncs the directory itself — without it, a rename can
-	// be lost on power failure even though the file data was synced.
-	SyncDir(dir string) error
-}
-
-// OS is the passthrough FS backed by package os.
-var OS FS = osFS{}
-
-type osFS struct{}
-
-func (osFS) Create(name string) (File, error) { return os.Create(name) }
-func (osFS) Rename(o, n string) error         { return os.Rename(o, n) }
-func (osFS) Remove(name string) error         { return os.Remove(name) }
-
-func (osFS) Exists(name string) (bool, error) {
-	_, err := os.Stat(name)
-	if err == nil {
-		return true, nil
-	}
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	return false, err
-}
-
-func (osFS) SyncDir(dir string) error {
-	if dir == "" {
-		dir = "."
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
 
 // ErrCrashed is returned by every FaultyFS operation after the
 // simulated crash point: the process is "dead", nothing it does from
 // then on reaches the disk.
 var ErrCrashed = errors.New("fault: filesystem crashed")
 
-// FaultyFS wraps an FS and injects persistence faults at exact
+// FaultyFS wraps a durable.FS and injects persistence faults at exact
 // operation indices (1-based, counted per operation type). The
 // dangerous property it simulates: everything before the crash point
 // really happened on the inner FS, nothing after it does — so a test
 // can "reboot" by reading the directory back with the plain OS FS and
 // observing exactly the torn state a power cut would leave.
 type FaultyFS struct {
-	Inner FS
+	Inner durable.FS
 
 	// ShortWriteAt makes the Nth Write persist only half its bytes
 	// while reporting full success — a lying disk / torn page. The FS
@@ -127,16 +70,16 @@ func (f *FaultyFS) dead() bool {
 	return f.crashed
 }
 
-func (f *FaultyFS) inner() FS {
+func (f *FaultyFS) inner() durable.FS {
 	if f.Inner != nil {
 		return f.Inner
 	}
-	return OS
+	return durable.OS
 }
 
 // Create opens a faulty file handle unless this is the scheduled
 // crash point.
-func (f *FaultyFS) Create(name string) (File, error) {
+func (f *FaultyFS) Create(name string) (durable.File, error) {
 	f.mu.Lock()
 	if f.crashed {
 		f.mu.Unlock()
@@ -208,7 +151,7 @@ func (f *FaultyFS) SyncDir(dir string) error {
 
 type faultyFile struct {
 	fs    *FaultyFS
-	inner File
+	inner durable.File
 }
 
 func (w *faultyFile) Write(p []byte) (int, error) {
@@ -268,7 +211,3 @@ func (w *faultyFile) Close() error {
 	}
 	return err
 }
-
-// Dir returns the directory of path for SyncDir, mirroring
-// filepath.Dir so persistence code need not import path/filepath.
-func Dir(path string) string { return filepath.Dir(path) }

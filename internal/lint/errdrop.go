@@ -87,7 +87,7 @@ func runErrDrop(m *Module) []Diag {
 }
 
 // collectBoundMethods indexes variables bound to a droppable function
-// or method value within one file (f := enc.Encode; v := wire.Read).
+// or method value within one file (f := enc.Encode; v := dec.Decode).
 func collectBoundMethods(info *types.Info, f *ast.File) map[types.Object]*types.Func {
 	bound := make(map[types.Object]*types.Func)
 	record := func(lhs ast.Expr, rhs ast.Expr) {

@@ -380,14 +380,11 @@ func defaultSlowCalls(modPath string) map[string]bool {
 	for _, f := range []string{
 		"%s/internal/vdb.EncodeAnswer",
 		"%s/internal/vdb.DecodeAnswer",
-		"%s/internal/wire.Write",
-		"%s/internal/wire.Read",
 		"(*%s/internal/wire.Encoder).Encode",
 		"(*%s/internal/wire.Encoder).EncodeBudget",
 		"(*%s/internal/wire.Decoder).Decode",
 		"(*%s/internal/wire.Conn).Call",
 		"(*%s/internal/wire.Conn).CallBudget",
-		"(*%s/internal/wire.LegacyConn).Call",
 		"(*%s/internal/sig.Signer).Sign",
 		"(*%s/internal/sig.Ring).Verify",
 		// Fault-injection hooks delay, drop, or kill: consulting one

@@ -6,13 +6,13 @@ import (
 )
 
 // passSyncDiscipline enforces the crash-durability ordering convention
-// on the repo's durability paths (internal/wal, internal/server,
-// cmd/tcvs-server): publishing a durable artifact must be preceded by
+// on the repo's durability paths (internal/durable, internal/wal,
+// internal/server, cmd/tcvs-server): publishing a durable artifact must be preceded by
 // an fsync of the data it makes reachable. Concretely, two publishing
 // sinks are checked:
 //
-//   - a Rename call (the tmp→rename-into-place pattern everywhere in
-//     scope): the renamed bytes must have been synced first, or a crash
+//   - a Rename call (the tmp→rename-into-place pattern, today only
+//     durable.WriteFileAtomic): the renamed bytes must have been synced first, or a crash
 //     can land the new name on a file whose content is still in the
 //     page cache — the checksummed-snapshot and cursor formats detect
 //     the torn result, but the previous good generation is already
@@ -38,7 +38,7 @@ var passSyncDiscipline = &Pass{
 	Run:  runSyncDiscipline,
 }
 
-var syncDisciplineScope = []string{"internal/wal", "internal/server", "cmd/tcvs-server"}
+var syncDisciplineScope = []string{"internal/durable", "internal/wal", "internal/server", "cmd/tcvs-server"}
 
 func runSyncDiscipline(m *Module) []Diag {
 	syncs := syncSummaries(m)

@@ -5,7 +5,7 @@
 // credited; a vetted exception under an ignore directive is silent.
 package wal
 
-// File is a miniature of the real fault.File surface.
+// File is a miniature of the real durable.File surface.
 type File struct{}
 
 // Write buffers p.
@@ -17,7 +17,7 @@ func (f *File) Sync() error { return nil }
 // Close releases the handle.
 func (f *File) Close() error { return nil }
 
-// FS is a miniature of the real fault.FS surface.
+// FS is a miniature of the real durable.FS surface.
 type FS struct{}
 
 // Create makes a new file.

@@ -42,10 +42,8 @@ func verifyflowSpec(modPath string) *flowSpec {
 		pass: nameVerifyFlow,
 		sources: map[string]sourceSpec{
 			// Wire decodes: everything a Decoder yields came from the peer.
-			q("(*%s/internal/wire.Decoder).Decode"):  {srcResults, "a wire decode"},
-			q("%s/internal/wire.Read"):               {srcResults, "a legacy wire read"},
-			q("(*%s/internal/wire.Conn).Call"):       {srcResults, "a wire RPC reply"},
-			q("(*%s/internal/wire.LegacyConn).Call"): {srcResults, "a wire RPC reply"},
+			q("(*%s/internal/wire.Decoder).Decode"): {srcResults, "a wire decode"},
+			q("(*%s/internal/wire.Conn).Call"):      {srcResults, "a wire RPC reply"},
 			// Transport replies: the server's answer before verification.
 			q("(%s/internal/transport.Caller).Call"):           {srcResults, "a transport RPC reply"},
 			q("(*%s/internal/transport.ResilientClient).Call"): {srcResults, "a transport RPC reply"},
@@ -105,7 +103,7 @@ func verifyflowSpec(modPath string) *flowSpec {
 			q("(*%s/internal/core.EpochBackup).Verify"):     true,
 			q("(*%s/internal/forensics.Commitment).Verify"): true,
 			q("(*%s/internal/forensics.Evidence).Verify"):   true,
-			q("%s/internal/server.readChecksummed"):         true,
+			q("%s/internal/durable.ReadEnvelope"):           true,
 			// The Protocol II user-side verifiers ARE the paper's VO
 			// check: every response leg is verified against the pinned
 			// registers before its answer is surfaced.

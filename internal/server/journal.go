@@ -9,7 +9,7 @@ import (
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/cvs"
-	"trustedcvs/internal/fault"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/wal"
 )
 
@@ -66,7 +66,7 @@ type OpJournal struct {
 // epochLen aligns fsync batching and truncation with the deployment's
 // audit epochs (0 = DefaultJournalEpoch). fs is the filesystem to
 // journal through (nil = the real one).
-func OpenOpJournal(dir string, fs fault.FS, epochLen uint64) (*OpJournal, error) {
+func OpenOpJournal(dir string, fs durable.FS, epochLen uint64) (*OpJournal, error) {
 	if epochLen == 0 {
 		epochLen = DefaultJournalEpoch
 	}

@@ -9,6 +9,8 @@ import (
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/cvs"
+	"trustedcvs/internal/digest"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/rcs"
 	"trustedcvs/internal/vdb"
 )
@@ -60,7 +62,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		if _, _, err := LoadP2(bytes.NewReader(b)); err == nil {
 			// Only a verifiable frame may load; spot-check that what
 			// loaded really carries the footer-protected payload.
-			if payload, perr := readChecksummed(bytes.NewReader(b)); perr != nil {
+			if payload, perr := durable.ReadEnvelope(bytes.NewReader(b), snapMagic, digest.DomainSnapshot, maxSnapshotBytes); perr != nil {
 				t.Fatalf("LoadP2 accepted input that fails frame verification: %v", perr)
 			} else if len(payload) == 0 {
 				t.Fatal("LoadP2 accepted an empty payload")

@@ -2,86 +2,62 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/core/proto3"
 	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/digest"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
 )
 
-// Snapshots are framed so a loader can tell a good checkpoint from a
-// torn or rotted one before trusting a single byte of it:
+// Snapshots travel in the durable envelope (durable.WriteEnvelope):
 //
 //	magic "TCVSSNAP1\n" | 8-byte big-endian payload length |
-//	gob payload | 32-byte digest footer
+//	gob payload | 32-byte digest.DomainSnapshot footer
 //
-// The footer is the domain-separated hash of the payload. A crash mid
-// write leaves a file that fails the length or footer check; recovery
-// then falls back to the previous generation instead of silently
-// restoring garbage — which, for this system, would not just corrupt
-// data but raise deviation alarms on every running client.
+// A crash mid write leaves a file that fails the length or footer
+// check; recovery then falls back to the previous generation instead
+// of silently restoring garbage — which, for this system, would not
+// just corrupt data but raise deviation alarms on every running
+// client.
 const snapMagic = "TCVSSNAP1\n"
 
-// maxSnapshotBytes bounds the declared payload length so a corrupt
-// header cannot demand an absurd allocation before the footer check
-// gets a chance to reject it.
+// maxSnapshotBytes bounds the payload length a snapshot header may
+// declare.
 const maxSnapshotBytes = 1 << 30
 
-// writeChecksummed frames one gob-encoded payload.
-func writeChecksummed(w io.Writer, payload []byte) error {
-	if _, err := io.WriteString(w, snapMagic); err != nil {
-		return fmt.Errorf("server: write snapshot magic: %w", err)
+// ErrNoSnapshot reports that no snapshot generation exists on disk at
+// all — a first boot, as opposed to a boot over corrupt checkpoints.
+var ErrNoSnapshot = errors.New("server: no snapshot on disk")
+
+// encodeSnapshot gob-encodes snap into the checksummed envelope.
+func encodeSnapshot(w io.Writer, snap any) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		return fmt.Errorf("server: encode snapshot: %w", err)
 	}
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(payload)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("server: write snapshot length: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("server: write snapshot payload: %w", err)
-	}
-	sum := digest.OfBytes(digest.DomainSnapshot, payload)
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("server: write snapshot footer: %w", err)
-	}
-	return nil
+	return durable.WriteEnvelope(w, snapMagic, digest.DomainSnapshot, buf.Bytes())
 }
 
-// readChecksummed reads one framed payload and verifies its footer.
-func readChecksummed(r io.Reader) ([]byte, error) {
-	header := make([]byte, len(snapMagic)+8)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("server: snapshot header: %w", err)
+// decodeSnapshot verifies one snapshot envelope and gob-decodes its
+// payload into snap.
+func decodeSnapshot(r io.Reader, snap any) error {
+	payload, err := durable.ReadEnvelope(r, snapMagic, digest.DomainSnapshot, maxSnapshotBytes)
+	if err != nil {
+		return fmt.Errorf("server: snapshot: %w", err)
 	}
-	if string(header[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("server: bad snapshot magic %q", header[:len(snapMagic)])
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(snap); err != nil {
+		return fmt.Errorf("server: decode snapshot: %w", err)
 	}
-	n := binary.BigEndian.Uint64(header[len(snapMagic):])
-	if n > maxSnapshotBytes {
-		return nil, fmt.Errorf("server: snapshot declares implausible payload length %d", n)
-	}
-	// Copy rather than pre-allocate n bytes: a corrupt length field must
-	// not buy a giant allocation backed by nothing.
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		return nil, fmt.Errorf("server: snapshot payload truncated: %w", err)
-	}
-	payload := buf.Bytes()
-	var footer digest.Digest
-	if _, err := io.ReadFull(r, footer[:]); err != nil {
-		return nil, fmt.Errorf("server: snapshot footer truncated: %w", err)
-	}
-	if sum := digest.OfBytes(digest.DomainSnapshot, payload); sum != footer {
-		return nil, fmt.Errorf("server: snapshot checksum mismatch: footer %s, payload hashes to %s", footer.Short(), sum.Short())
-	}
-	return payload, nil
+	return nil
 }
 
 // P2Snapshot bundles everything a Protocol II deployment needs to
@@ -136,24 +112,16 @@ func CheckpointP2(srv Server, store *cvs.Store) (*P2Snapshot, error) {
 	}, nil
 }
 
-// EncodeP2Snapshot writes snap in the checksummed frame.
+// EncodeP2Snapshot writes snap in the checksummed envelope.
 func EncodeP2Snapshot(w io.Writer, snap *P2Snapshot) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return fmt.Errorf("server: encode snapshot: %w", err)
-	}
-	return writeChecksummed(w, buf.Bytes())
+	return encodeSnapshot(w, snap)
 }
 
-// DecodeP2Snapshot reads and verifies one framed Protocol II snapshot.
+// DecodeP2Snapshot reads and verifies one Protocol II snapshot.
 func DecodeP2Snapshot(r io.Reader) (*P2Snapshot, error) {
-	payload, err := readChecksummed(r)
-	if err != nil {
-		return nil, err
-	}
 	var snap P2Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("server: decode snapshot: %w", err)
+	if err := decodeSnapshot(r, &snap); err != nil {
+		return nil, err
 	}
 	return &snap, nil
 }
@@ -204,6 +172,37 @@ func LoadP2(r io.Reader) (Server, *cvs.Store, error) {
 	return RestoreP2(snap)
 }
 
+// LoadP2Auto loads the newest verifiable Protocol II snapshot
+// generation: path first, then path+".1" if the current file is
+// missing (crash between rotate and install) or fails verification
+// (torn or rotted write). It returns the snapshot and the file it came
+// from; the error wraps ErrNoSnapshot when no generation exists at
+// all, and otherwise carries per-generation diagnostics.
+func LoadP2Auto(path string) (*P2Snapshot, string, error) {
+	var errs []error
+	missing := 0
+	for _, cand := range []string{path, durable.PrevPath(path)} {
+		f, err := os.Open(cand)
+		if err != nil {
+			if os.IsNotExist(err) {
+				missing++
+			}
+			errs = append(errs, err)
+			continue
+		}
+		snap, derr := DecodeP2Snapshot(f)
+		f.Close()
+		if derr == nil {
+			return snap, cand, nil
+		}
+		errs = append(errs, fmt.Errorf("%s: %w", cand, derr))
+	}
+	if missing == 2 {
+		return nil, "", fmt.Errorf("%w: %s", ErrNoSnapshot, path)
+	}
+	return nil, "", fmt.Errorf("server: no loadable snapshot generation: %w", errors.Join(errs...))
+}
+
 // P3Snapshot bundles a Protocol III deployment's full state: the
 // database, the epoch machinery (including stored signed backups), and
 // the content store.
@@ -224,27 +223,18 @@ func SaveP3(w io.Writer, srv Server, store *cvs.Store) error {
 		return err
 	}
 	dbAt, state := p3srv.inner.Checkpoint()
-	snap := &P3Snapshot{
+	return encodeSnapshot(w, &P3Snapshot{
 		DB:    dbAt.Snapshot(),
 		State: state,
 		Store: storeSnap,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return fmt.Errorf("server: encode snapshot: %w", err)
-	}
-	return writeChecksummed(w, buf.Bytes())
+	})
 }
 
 // LoadP3 restores a Protocol III server and content store.
 func LoadP3(r io.Reader) (Server, *cvs.Store, error) {
-	payload, err := readChecksummed(r)
-	if err != nil {
-		return nil, nil, err
-	}
 	var snap P3Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, nil, fmt.Errorf("server: decode snapshot: %w", err)
+	if err := decodeSnapshot(r, &snap); err != nil {
+		return nil, nil, err
 	}
 	db, err := vdb.RestoreDB(snap.DB)
 	if err != nil {

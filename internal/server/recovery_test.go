@@ -12,6 +12,8 @@ import (
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/cvs"
+	"trustedcvs/internal/digest"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/fault"
 	"trustedcvs/internal/rcs"
 	"trustedcvs/internal/sig"
@@ -103,9 +105,9 @@ func TestLoadP3RejectsCorruptSnapshots(t *testing.T) {
 	}
 }
 
-func writeGen(t *testing.T, fs fault.FS, path string, srv Server, store *cvs.Store) error {
+func writeGen(t *testing.T, fs durable.FS, path string, srv Server, store *cvs.Store) error {
 	t.Helper()
-	return WriteSnapshotFile(fs, path, func(w io.Writer) error {
+	return durable.WriteFileAtomic(fs, path, true, func(w io.Writer) error {
 		return SaveP2(w, srv, store)
 	})
 }
@@ -119,13 +121,13 @@ func TestWriteSnapshotFileRotatesAndAutoLoads(t *testing.T) {
 	}
 
 	srv, store, _ := p2WithHistory(t, 2)
-	if err := writeGen(t, fault.OS, path, srv, store); err != nil {
+	if err := writeGen(t, durable.OS, path, srv, store); err != nil {
 		t.Fatal(err)
 	}
 	gen1Root := srv.DB().Root()
 
 	srv2, store2, _ := p2WithHistory(t, 5)
-	if err := writeGen(t, fault.OS, path, srv2, store2); err != nil {
+	if err := writeGen(t, durable.OS, path, srv2, store2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,7 +160,7 @@ func TestWriteSnapshotFileRotatesAndAutoLoads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fallback load: %v", err)
 	}
-	if from != prevGeneration(path) {
+	if from != durable.PrevPath(path) {
 		t.Fatalf("loaded from %s, want previous generation", from)
 	}
 	restored, _, err = RestoreP2(snap)
@@ -170,35 +172,19 @@ func TestWriteSnapshotFileRotatesAndAutoLoads(t *testing.T) {
 	}
 }
 
-// TestWriteSnapshotFileCrashWindows walks the crash points of the
-// write-sync-rotate-rename-syncdir sequence and checks that a reboot
-// (plain OS reads over what actually hit the "disk") always recovers a
-// verifiable generation — or reports a clean first-boot.
+// TestWriteSnapshotFileCrashWindows covers the snapshot-specific half
+// of crash recovery: when a crash (or a lying disk) leaves the current
+// generation missing or unverifiable, LoadP2Auto falls back to the
+// rotated previous one and restores the exact pre-crash root. The
+// crash points of the replace sequence itself are enumerated once, in
+// internal/durable's TestWriteFileAtomicCrashPoints.
 func TestWriteSnapshotFileCrashWindows(t *testing.T) {
 	srv, store, _ := p2WithHistory(t, 2)
 	srvNew, storeNew, _ := p2WithHistory(t, 6)
 
-	t.Run("crash before first install", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "state.snap")
-		ffs := &fault.FaultyFS{CrashAtRename: 1}
-		if err := writeGen(t, ffs, path, srv, store); !errors.Is(err, fault.ErrCrashed) {
-			t.Fatalf("want simulated crash, got %v", err)
-		}
-		if _, _, err := LoadP2Auto(path); !errors.Is(err, ErrNoSnapshot) {
-			t.Fatalf("nothing was ever installed: want ErrNoSnapshot, got %v", err)
-		}
-		// Reboot: a clean retry succeeds over the leftover temp file.
-		if err := writeGen(t, fault.OS, path, srv, store); err != nil {
-			t.Fatal(err)
-		}
-		if _, from, err := LoadP2Auto(path); err != nil || from != path {
-			t.Fatalf("post-reboot load: %s %v", from, err)
-		}
-	})
-
 	t.Run("crash between rotate and install", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "state.snap")
-		if err := writeGen(t, fault.OS, path, srv, store); err != nil {
+		if err := writeGen(t, durable.OS, path, srv, store); err != nil {
 			t.Fatal(err)
 		}
 		// Rename #1 rotates the good generation aside, rename #2 would
@@ -211,7 +197,7 @@ func TestWriteSnapshotFileCrashWindows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recovery after rotate-window crash: %v", err)
 		}
-		if from != prevGeneration(path) {
+		if from != durable.PrevPath(path) {
 			t.Fatalf("loaded from %s, want rotated previous generation", from)
 		}
 		restored, _, err := RestoreP2(snap)
@@ -225,11 +211,11 @@ func TestWriteSnapshotFileCrashWindows(t *testing.T) {
 
 	t.Run("torn write is caught at load", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "state.snap")
-		if err := writeGen(t, fault.OS, path, srv, store); err != nil {
+		if err := writeGen(t, durable.OS, path, srv, store); err != nil {
 			t.Fatal(err)
 		}
 		// The lying disk: the payload write persists half its bytes but
-		// reports success, so WriteSnapshotFile completes "cleanly".
+		// reports success, so the write completes "cleanly".
 		// Writes: 1 magic, 2 length, 3 payload, 4 footer.
 		ffs := &fault.FaultyFS{ShortWriteAt: 3}
 		if err := writeGen(t, ffs, path, srvNew, storeNew); err != nil {
@@ -239,7 +225,7 @@ func TestWriteSnapshotFileCrashWindows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recovery after torn write: %v", err)
 		}
-		if from != prevGeneration(path) {
+		if from != durable.PrevPath(path) {
 			t.Fatalf("loaded from %s, want fallback to previous generation", from)
 		}
 		restored, _, err := RestoreP2(snap)
@@ -248,21 +234,6 @@ func TestWriteSnapshotFileCrashWindows(t *testing.T) {
 		}
 		if restored.DB().Root() != srv.DB().Root() {
 			t.Fatal("recovered generation is not the last durable state")
-		}
-	})
-
-	t.Run("crash before data sync", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "state.snap")
-		if err := writeGen(t, fault.OS, path, srv, store); err != nil {
-			t.Fatal(err)
-		}
-		ffs := &fault.FaultyFS{CrashAtSync: 1}
-		if err := writeGen(t, ffs, path, srvNew, storeNew); !errors.Is(err, fault.ErrCrashed) {
-			t.Fatalf("want simulated crash, got %v", err)
-		}
-		// The install never happened; the old generation is untouched.
-		if _, from, err := LoadP2Auto(path); err != nil || from != path {
-			t.Fatalf("old generation must survive: %s %v", from, err)
 		}
 	})
 }
@@ -327,7 +298,7 @@ func TestForestCrashRecoveryTornWrite(t *testing.T) {
 
 	// The durable generation.
 	path := filepath.Join(t.TempDir(), "state.snap")
-	if err := writeGen(t, fault.OS, path, srv, store); err != nil {
+	if err := writeGen(t, durable.OS, path, srv, store); err != nil {
 		t.Fatal(err)
 	}
 	wantHeads := db.Heads()
@@ -348,7 +319,7 @@ func TestForestCrashRecoveryTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery after torn checkpoint: %v", err)
 	}
-	if from != prevGeneration(path) {
+	if from != durable.PrevPath(path) {
 		t.Fatalf("loaded from %s, want fallback to previous generation", from)
 	}
 	restored, _, err := RestoreP2(snap)
@@ -411,5 +382,52 @@ func TestForestCrashRecoveryTornWrite(t *testing.T) {
 	}
 	if de.Class != core.TornTransaction {
 		t.Fatalf("detected class %v, want %v", de.Class, core.TornTransaction)
+	}
+}
+
+// TestSnapshotGoldenBytes pins the snapshot's on-disk format: the
+// checked-in file was written by the pre-durable WriteSnapshotFile
+// over p2WithHistory(3). It must still load to the same root, and its
+// payload framed and installed today must match it byte for byte. (The
+// gob payload itself is not re-encoded for the comparison: gob numbers
+// types in the order a process first encodes them, so its bytes depend
+// on which tests ran earlier in this binary.)
+func TestSnapshotGoldenBytes(t *testing.T) {
+	goldenPath := filepath.Join("testdata", "golden", "p2-snapshot-3commits.snap")
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _, _ := p2WithHistory(t, 3)
+
+	snap, from, err := LoadP2Auto(goldenPath)
+	if err != nil || from != goldenPath {
+		t.Fatalf("golden snapshot: LoadP2Auto = (%s, %v)", from, err)
+	}
+	restored, _, err := RestoreP2(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.DB().Root() != srv.DB().Root() {
+		t.Fatal("golden snapshot restored to a different root")
+	}
+
+	payload, err := durable.ReadEnvelope(bytes.NewReader(golden), snapMagic, digest.DomainSnapshot, maxSnapshotBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "state.snap")
+	err = durable.WriteFileAtomic(durable.OS, path, true, func(w io.Writer) error {
+		return durable.WriteEnvelope(w, snapMagic, digest.DomainSnapshot, payload)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, golden) {
+		t.Fatalf("snapshot framing changed: wrote %d bytes, golden has %d", len(written), len(golden))
 	}
 }

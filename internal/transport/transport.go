@@ -25,22 +25,12 @@ type Caller interface {
 // concurrently (one goroutine per connection, bounded by
 // Options.MaxConcurrent); the protocol servers synchronize internally
 // around their ordered sections, so the transport imposes no global
-// lock of its own. Options.Serial restores the seed's one-big-lock
-// behavior for baseline measurements.
+// lock of its own.
 type Handler func(req any) (any, error)
 
 // Options tunes a Server. The zero value is the production
-// configuration: pipelined handler, streaming codec, default
-// concurrency bound.
+// configuration: pipelined handler, default concurrency bound.
 type Options struct {
-	// Serial wraps every handler invocation in one global mutex,
-	// reproducing the seed transport's fully serialized hot path. Used
-	// by E13 as its baseline and by tests that need determinism.
-	Serial bool
-	// CompatCodec serves the seed's self-contained per-message codec
-	// instead of the streaming codec. Clients must dial with
-	// DialCompat. Used by E13's seed-compat baseline.
-	CompatCodec bool
 	// MaxConcurrent bounds in-flight handler invocations across all
 	// connections (0 = DefaultMaxConcurrent). Decode and encode happen
 	// on the connection goroutines outside this bound; the bound keeps
@@ -124,8 +114,6 @@ type Server struct {
 	handler Handler
 	opts    Options
 	sem     chan struct{} // bounds in-flight handler calls
-
-	serialMu sync.Mutex // only taken when opts.Serial
 
 	mu       sync.Mutex // guards conns, draining, inflight
 	conns    map[net.Conn]struct{}
@@ -227,14 +215,7 @@ func (s *Server) acceptLoop() {
 		go func() {
 			defer s.wg.Done()
 			defer s.untrack(conn)
-			rw := s.withDeadlines(conn)
-			if s.opts.CompatCodec {
-				// The seed codec has no budget header; requests arrive
-				// deadline-free, exactly as before.
-				_ = wire.ServeLegacy(rw, s.dispatch)
-				return
-			}
-			_ = wire.ServeBudget(rw, s.dispatchBudget)
+			_ = wire.Serve(s.withDeadlines(conn), s.dispatch)
 		}()
 	}
 }
@@ -281,23 +262,17 @@ func (d *deadlineConn) Write(p []byte) (int, error) {
 }
 
 // dispatch runs one request through the handler under the concurrency
-// bound (and, in Serial mode, the global baseline lock). Session
-// envelopes route through the dedupe table when configured. During a
-// graceful shutdown's drain window new requests are refused while
-// in-flight ones complete.
-func (s *Server) dispatch(req any) (any, error) {
-	return s.dispatchBudget(req, 0)
-}
-
-// dispatchBudget is dispatch with the request's propagated deadline
-// budget (0 = none), anchored at decode time. Ordering is the whole
-// point here: the session cache is consulted *before* admission (a
+// bound, with the request's propagated deadline budget (0 = none)
+// anchored at decode time. Session envelopes route through the dedupe
+// table when configured. During a graceful shutdown's drain window new
+// requests are refused while in-flight ones complete. Ordering is the
+// whole point here: the session cache is consulted *before* admission (a
 // retry of an already-applied op must replay its cached response, not
 // risk a shed that would falsely report "refused" for applied work),
 // and admission runs *before* the handler (a shed op never touches
 // protocol state). Typed refusals are never cached (see
 // SessionTable.Dispatch), so the combination keeps refusals atomic.
-func (s *Server) dispatchBudget(req any, budget time.Duration) (any, error) {
+func (s *Server) dispatch(req any, budget time.Duration) (any, error) {
 	if err := s.beginReq(); err != nil {
 		return nil, err
 	}
@@ -354,10 +329,6 @@ func (s *Server) admitAndHandle(req any, deadline time.Time) (any, error) {
 }
 
 func (s *Server) handleOne(req any, deadline time.Time) (any, error) {
-	if s.opts.Serial {
-		s.serialMu.Lock()
-		defer s.serialMu.Unlock()
-	}
 	if s.opts.HandlerDeadline != nil {
 		return s.opts.HandlerDeadline(req, deadline)
 	}
@@ -453,22 +424,11 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Dial connects to a transport server using the streaming codec (the
-// server default).
+// Dial connects to a transport server.
 func Dial(addr string) (Caller, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	return wire.NewConn(conn), nil
-}
-
-// DialCompat connects using the seed's self-contained per-message
-// codec, for servers started with Options.CompatCodec.
-func DialCompat(addr string) (Caller, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	return wire.NewLegacyConn(conn), nil
 }

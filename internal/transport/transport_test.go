@@ -54,57 +54,10 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSerialModeSerializesHandler(t *testing.T) {
-	var mu sync.Mutex
-	inFlight, maxInFlight := 0, 0
-	srv, err := ListenOpts("127.0.0.1:0", func(req any) (any, error) {
-		mu.Lock()
-		inFlight++
-		if inFlight > maxInFlight {
-			maxInFlight = inFlight
-		}
-		mu.Unlock()
-		defer func() {
-			mu.Lock()
-			inFlight--
-			mu.Unlock()
-		}()
-		return echoHandler(req)
-	}, Options{Serial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := Dial(srv.Addr())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			for i := 0; i < 50; i++ {
-				if _, err := c.Call(&core.SyncRequest{Round: 1}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if maxInFlight != 1 {
-		t.Fatalf("handler ran %d-way concurrent; Serial mode must serialize", maxInFlight)
-	}
-}
-
 // TestPipelinedHandlerOverlaps proves the default server really does
 // invoke the handler from multiple connections at once: two calls
 // rendezvous inside the handler, which is impossible under a global
-// handler lock (the seed behavior, now Options.Serial).
+// handler lock.
 func TestPipelinedHandlerOverlaps(t *testing.T) {
 	arrived := make(chan struct{}, 2)
 	proceed := make(chan struct{})
@@ -196,28 +149,6 @@ func TestMaxConcurrentBounds(t *testing.T) {
 	wg.Wait()
 	if maxInFlight != 1 {
 		t.Fatalf("MaxConcurrent=1 allowed %d in flight", maxInFlight)
-	}
-}
-
-func TestCompatCodecRoundTrip(t *testing.T) {
-	srv, err := ListenOpts("127.0.0.1:0", echoHandler, Options{Serial: true, CompatCodec: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialCompat(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := uint64(1); i <= 5; i++ {
-		resp, err := c.Call(&core.SyncRequest{Round: i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.(*core.SyncRequest).Round != 2*i {
-			t.Fatalf("round %d: %+v", i, resp)
-		}
 	}
 }
 

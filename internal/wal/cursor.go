@@ -1,22 +1,23 @@
 package wal
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"trustedcvs/internal/digest"
-	"trustedcvs/internal/fault"
+	"trustedcvs/internal/durable"
 )
 
 // The cursor file records the journal owner's durable resume point —
 // for the audit pipeline, the newest closed epoch plus the user state
-// at its boundary cut. It is written with the full atomic litany
-// (tmp, write, sync, rename, dir sync) so a crash mid-update leaves
-// either the old cursor or the new one, never a torn hybrid, and its
-// payload carries its own checksum footer so rot is detected on read.
+// at its boundary cut. It is replaced atomically
+// (durable.WriteFileAtomic) so a crash mid-update leaves either the
+// old cursor or the new one, never a torn hybrid, and it travels in
+// the checksummed durable envelope so rot is detected on read.
 
 // cursorMagic heads the cursor file.
 const cursorMagic = "TCVSCUR1\n"
@@ -27,39 +28,12 @@ const cursorFile = "cursor"
 // WriteCursor durably replaces the journal's cursor with payload.
 // Safe to call while the WAL is open; the cursor is a separate file
 // and never collides with a segment name.
-func WriteCursor(fs fault.FS, dir string, payload []byte) error {
-	if fs == nil {
-		fs = fault.OS
-	}
-	buf := make([]byte, len(cursorMagic)+8+len(payload)+digest.Size)
-	n := copy(buf, cursorMagic)
-	binary.BigEndian.PutUint64(buf[n:], uint64(len(payload)))
-	n += 8
-	n += copy(buf[n:], payload)
-	sum := digest.OfBytes(digest.DomainWALCursor, payload)
-	copy(buf[n:], sum[:])
-
-	tmp := filepath.Join(dir, cursorFile+".tmp")
-	f, err := fs.Create(tmp)
+func WriteCursor(fs durable.FS, dir string, payload []byte) error {
+	err := durable.WriteFileAtomic(fs, filepath.Join(dir, cursorFile), false, func(w io.Writer) error {
+		return durable.WriteEnvelope(w, cursorMagic, digest.DomainWALCursor, payload)
+	})
 	if err != nil {
-		return fmt.Errorf("wal: create cursor tmp: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		_ = f.Close()
 		return fmt.Errorf("wal: write cursor: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("wal: sync cursor: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: close cursor: %w", err)
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, cursorFile)); err != nil {
-		return fmt.Errorf("wal: install cursor: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("wal: sync cursor dir: %w", err)
 	}
 	return nil
 }
@@ -75,19 +49,13 @@ func ReadCursor(dir string) (payload []byte, ok bool, err error) {
 		}
 		return nil, false, fmt.Errorf("wal: read cursor: %w", err)
 	}
-	if len(data) < len(cursorMagic)+8+digest.Size || string(data[:len(cursorMagic)]) != cursorMagic {
-		return nil, false, errors.New("wal: cursor: bad magic or truncated")
+	r := bytes.NewReader(data)
+	payload, err = durable.ReadEnvelope(r, cursorMagic, digest.DomainWALCursor, maxFrameBytes)
+	if err != nil {
+		return nil, false, fmt.Errorf("wal: cursor: %w", err)
 	}
-	rest := data[len(cursorMagic):]
-	n := binary.BigEndian.Uint64(rest[:8])
-	if n > maxFrameBytes || uint64(len(rest)-8) != n+digest.Size {
-		return nil, false, fmt.Errorf("wal: cursor: bad length %d", n)
+	if r.Len() != 0 {
+		return nil, false, errors.New("wal: cursor: trailing bytes after footer")
 	}
-	payload = rest[8 : 8+n]
-	var footer digest.Digest
-	copy(footer[:], rest[8+n:])
-	if digest.OfBytes(digest.DomainWALCursor, payload) != footer {
-		return nil, false, errors.New("wal: cursor: checksum mismatch")
-	}
-	return append([]byte(nil), payload...), true, nil
+	return payload, true, nil
 }

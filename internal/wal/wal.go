@@ -17,8 +17,8 @@
 //	8-byte big-endian payload length | 8-byte big-endian epoch |
 //	payload | 32-byte digest footer
 //
-// following the checksummed-framing convention of the server snapshots
-// (server/atomic.go): the footer is the domain-separated hash
+// following the checksummed-framing convention of the durable envelope
+// (internal/durable): the footer is the domain-separated hash
 // (digest.DomainWALFrame) of epoch and payload, so a torn or rotted
 // frame is detected before a byte of it is trusted. Replay stops at
 // the first frame of the final segment that fails its length or footer
@@ -58,7 +58,7 @@ import (
 	"sync"
 
 	"trustedcvs/internal/digest"
-	"trustedcvs/internal/fault"
+	"trustedcvs/internal/durable"
 )
 
 // segMagic heads every segment file.
@@ -94,10 +94,10 @@ const (
 type Options struct {
 	// Dir is the journal directory (required; created if missing).
 	Dir string
-	// FS is the filesystem the journal writes through (nil = fault.OS).
-	// Tests interpose fault.FaultyFS here to crash at exact append,
-	// rotate, and truncate points.
-	FS fault.FS
+	// FS is the filesystem the journal writes through (nil =
+	// durable.OS). Tests interpose fault.FaultyFS here to crash at
+	// exact append, rotate, and truncate points.
+	FS durable.FS
 	// Sync is the durability policy (default SyncEachAppend).
 	Sync SyncPolicy
 }
@@ -113,7 +113,7 @@ type segment struct {
 // audit pipeline does) must serialize their own appends — the journal
 // preserves arrival order, it does not invent one.
 type WAL struct {
-	fs     fault.FS
+	fs     durable.FS
 	dir    string
 	policy SyncPolicy
 
@@ -121,7 +121,7 @@ type WAL struct {
 	// the active file happen under it (appends are small and the file
 	// is buffered by the OS); syncs do not — see the group-commit path.
 	mu       sync.Mutex
-	active   fault.File
+	active   durable.File
 	seq      uint64 // active segment sequence number
 	frames   uint64 // frames written to the active segment
 	lastEp   uint64 // epoch of the newest frame in the active segment
@@ -186,7 +186,7 @@ func Open(opts Options) (*WAL, error) {
 	}
 	fs := opts.FS
 	if fs == nil {
-		fs = fault.OS
+		fs = durable.OS
 	}
 	w := &WAL{fs: fs, dir: opts.Dir, policy: opts.Sync}
 

@@ -1,12 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/fault"
 )
 
@@ -374,7 +376,7 @@ func TestCursorRoundTrip(t *testing.T) {
 		t.Fatalf("empty dir cursor: ok=%v err=%v", ok, err)
 	}
 	for _, payload := range [][]byte{[]byte("first"), []byte("second longer payload")} {
-		if err := WriteCursor(fault.OS, dir, payload); err != nil {
+		if err := WriteCursor(durable.OS, dir, payload); err != nil {
 			t.Fatalf("WriteCursor: %v", err)
 		}
 		got, ok, err := ReadCursor(dir)
@@ -384,26 +386,9 @@ func TestCursorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCursorCrashLeavesOldCursor(t *testing.T) {
-	dir := t.TempDir()
-	if err := WriteCursor(fault.OS, dir, []byte("v1")); err != nil {
-		t.Fatalf("WriteCursor: %v", err)
-	}
-	// Crash before the rename: the temp file exists, the install never
-	// happened — reboot must still read v1.
-	ffs := &fault.FaultyFS{CrashAtRename: 1}
-	if err := WriteCursor(ffs, dir, []byte("v2")); !errors.Is(err, fault.ErrCrashed) {
-		t.Fatalf("WriteCursor = %v, want ErrCrashed", err)
-	}
-	got, ok, err := ReadCursor(dir)
-	if err != nil || !ok || string(got) != "v1" {
-		t.Fatalf("ReadCursor after crash = (%q, %v, %v), want v1", got, ok, err)
-	}
-}
-
 func TestCursorChecksumRejectsRot(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteCursor(fault.OS, dir, []byte("payload")); err != nil {
+	if err := WriteCursor(durable.OS, dir, []byte("payload")); err != nil {
 		t.Fatalf("WriteCursor: %v", err)
 	}
 	path := filepath.Join(dir, cursorFile)
@@ -417,5 +402,41 @@ func TestCursorChecksumRejectsRot(t *testing.T) {
 	}
 	if _, ok, err := ReadCursor(dir); err == nil || ok {
 		t.Fatalf("rotted cursor accepted: ok=%v err=%v", ok, err)
+	}
+	data[len(cursorMagic)+8] ^= 0x01
+	if err := os.WriteFile(path, append(data, 0), 0o666); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if _, ok, err := ReadCursor(dir); err == nil || ok {
+		t.Fatalf("cursor with trailing bytes accepted: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestCursorGoldenBytes pins the cursor's on-disk format: the checked-
+// in file was written by the pre-durable WriteCursor, must still load,
+// and a cursor written today must match it byte for byte.
+func TestCursorGoldenBytes(t *testing.T) {
+	const payload = "golden cursor payload: epoch 7, boundary-cut state"
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden", cursorFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, cursorFile), golden, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := ReadCursor(dir)
+	if err != nil || !ok || string(got) != payload {
+		t.Fatalf("golden cursor: ReadCursor = (%q, %v, %v)", got, ok, err)
+	}
+	if err := WriteCursor(durable.OS, dir, []byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(filepath.Join(dir, cursorFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, golden) {
+		t.Fatalf("cursor bytes changed:\n got %q\nwant %q", written, golden)
 	}
 }

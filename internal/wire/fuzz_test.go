@@ -10,29 +10,9 @@ import (
 	"trustedcvs/internal/vdb"
 )
 
-// TestQuickReadNeverPanicsOnGarbage: the server is untrusted and owns
-// the wire — arbitrary bytes must produce errors, never panics or
-// giant allocations.
-func TestQuickReadNeverPanicsOnGarbage(t *testing.T) {
-	f := func(seed int64) (ok bool) {
-		defer func() {
-			if recover() != nil {
-				ok = false
-			}
-		}()
-		rng := rand.New(rand.NewSource(seed))
-		b := make([]byte, rng.Intn(512))
-		rng.Read(b)
-		_, _ = Read(bytes.NewReader(b))
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickStreamingDecodeNeverPanicsOnGarbage: the streaming decoder
-// faces the same untrusted wire as the legacy one.
+// TestQuickStreamingDecodeNeverPanicsOnGarbage: the server is untrusted
+// and owns the wire — arbitrary bytes must produce errors, never panics
+// or giant allocations.
 func TestQuickStreamingDecodeNeverPanicsOnGarbage(t *testing.T) {
 	f := func(seed int64) (ok bool) {
 		defer func() {
@@ -57,7 +37,7 @@ func TestQuickStreamingDecodeNeverPanicsOnGarbage(t *testing.T) {
 }
 
 // TestQuickBitflippedFramesNeverPanic: take real protocol frames, flip
-// random bits, and confirm Read either errors or returns a decodable
+// random bits, and confirm Decode either errors or returns a decodable
 // value — never panics.
 func TestQuickBitflippedFramesNeverPanic(t *testing.T) {
 	db := vdb.New(0)
@@ -66,7 +46,7 @@ func TestQuickBitflippedFramesNeverPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var frame bytes.Buffer
-	if err := Write(&frame, &core.OpResponseII{Answer: ans, VO: vo, Ctr: 0, Last: 7}); err != nil {
+	if err := NewEncoder(&frame).Encode(&core.OpResponseII{Answer: ans, VO: vo, Ctr: 0, Last: 7}); err != nil {
 		t.Fatal(err)
 	}
 	orig := frame.Bytes()
@@ -82,7 +62,7 @@ func TestQuickBitflippedFramesNeverPanic(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(4); i++ {
 			b[rng.Intn(len(b))] ^= 1 << rng.Intn(8)
 		}
-		msg, err := Read(bytes.NewReader(b))
+		msg, err := decodeFrame(b)
 		if err != nil {
 			return true
 		}
@@ -116,7 +96,7 @@ func TestQuickHostileVOReplayNeverPanics(t *testing.T) {
 	}
 	// Serialize once; mutations happen on fresh decodes.
 	var frame bytes.Buffer
-	if err := Write(&frame, &core.OpResponseII{Answer: ans, VO: vo}); err != nil {
+	if err := NewEncoder(&frame).Encode(&core.OpResponseII{Answer: ans, VO: vo}); err != nil {
 		t.Fatal(err)
 	}
 	orig := frame.Bytes()
@@ -135,7 +115,7 @@ func TestQuickHostileVOReplayNeverPanics(t *testing.T) {
 				b[4+rng.Intn(len(b)-4)] ^= byte(1 + rng.Intn(255))
 			}
 		}
-		msg, err := Read(bytes.NewReader(b))
+		msg, err := decodeFrame(b)
 		if err != nil {
 			return true
 		}

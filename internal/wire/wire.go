@@ -3,25 +3,14 @@
 // limit protecting against hostile peers (the server is untrusted,
 // after all).
 //
-// Two codec modes share the same [4-byte big-endian length][gob bytes]
-// frame format:
-//
-//   - Streaming (Encoder/Decoder, the default for Conn, Serve and the
-//     broadcast hub): one persistent gob stream per connection
-//     direction, so type descriptors cross the wire once per
-//     connection instead of once per message — and, just as
-//     important, decoder engines are compiled once per connection
-//     instead of once per message. Each frame is assembled into a
-//     reused per-connection buffer and written header+body in a
-//     single syscall.
-//   - Self-contained (Write/Read, the seed codec): every frame is an
-//     independent gob stream. Readers never depend on connection
-//     history — what E13's seed-compat baseline measures.
-//
-// The two modes do not interoperate on one connection: a persistent
-// decoder rejects the duplicate type descriptors that self-contained
-// frames resend. Both ends of a connection must agree (see
-// transport.Options).
+// Every connection (Conn, Serve, the broadcast hub) runs the streaming
+// codec (Encoder/Decoder): frames are [4-byte big-endian length][gob
+// bytes] over one persistent gob stream per connection direction, so
+// type descriptors cross the wire once per connection instead of once
+// per message — and, just as important, decoder engines are compiled
+// once per connection instead of once per message. Each frame is
+// assembled into a reused per-connection buffer and written
+// header+body in a single syscall.
 package wire
 
 import (
@@ -50,8 +39,6 @@ const MaxMessage = 16 << 20
 // a pre-budget reader fails its length check loudly instead of
 // misparsing. When the flag is set, a 4-byte big-endian budget in
 // microseconds follows the length word (see Encoder.EncodeBudget).
-// The self-contained seed codec (Write/Read/CompatCodec) never emits
-// or accepts the flag: budgets are a streaming-mode extension.
 const budgetFlag = 1 << 31
 
 // maxBudgetUS caps an encoded budget at what fits in 32 bits of
@@ -159,107 +146,21 @@ func init() {
 	gob.Register(&SessionRequest{})
 }
 
-// bufPool recycles frame-assembly buffers for the self-contained path
-// (Write, Size), which has no connection to hang state off.
-var bufPool = sync.Pool{
-	New: func() any { return new(bytes.Buffer) },
-}
-
-// maxPooledBuf caps the capacity of buffers returned to the pool so a
-// single giant content blob does not pin memory forever.
+// maxPooledBuf caps the capacity of a frame-assembly buffer an Encoder
+// keeps between messages so a single giant content blob does not pin
+// memory forever.
 const maxPooledBuf = 1 << 20
-
-func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
-
-func putBuf(b *bytes.Buffer) {
-	if b.Cap() <= maxPooledBuf {
-		b.Reset()
-		bufPool.Put(b)
-	}
-}
-
-// frame prefixes buf's content (assembled after a 4-byte placeholder)
-// with its length and writes the whole thing with one Write call.
-func frame(w io.Writer, buf *bytes.Buffer) error {
-	body := buf.Len() - 4
-	if body > MaxMessage {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, body)
-	}
-	binary.BigEndian.PutUint32(buf.Bytes()[:4], uint32(body))
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
-}
 
 var hdrPlaceholder [8]byte
 
-// Write frames and writes one self-contained message: the frame is a
-// complete gob stream carrying its own type descriptors.
-func Write(w io.Writer, msg any) error {
-	buf := getBuf()
-	defer putBuf(buf)
-	buf.Reset()
-	buf.Write(hdrPlaceholder[:4])
-	if err := gob.NewEncoder(buf).Encode(&envelope{Payload: msg}); err != nil {
-		return fmt.Errorf("wire: encode %T: %w", msg, err)
-	}
-	return frame(w, buf)
-}
-
-// writeSeed reproduces the seed codec's write path exactly — fresh
-// buffer, fresh gob stream, header and body written separately (two
-// syscalls) — so E13's baseline measures the seed, not a partially
-// optimized hybrid. Production self-contained writes use Write.
-func writeSeed(w io.Writer, msg any) error {
+// Size returns the encoded size of msg as the first frame of a fresh
+// connection, type descriptors included — used by experiments that
+// report wire bytes (VO sizes, sync traffic). It is deliberately a
+// per-message figure that does not depend on what else a connection
+// has carried.
+func Size(msg any) (int, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&envelope{Payload: msg}); err != nil {
-		return fmt.Errorf("wire: encode %T: %w", msg, err)
-	}
-	if buf.Len() > MaxMessage {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, buf.Len())
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("wire: write body: %w", err)
-	}
-	return nil
-}
-
-// Read reads one self-contained framed message.
-func Read(r io.Reader) (any, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF passes through for clean shutdown
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxMessage {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("wire: read body: %w", err)
-	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("wire: decode: %w", err)
-	}
-	return env.Payload, nil
-}
-
-// Size returns the self-contained encoded frame size of msg — used by
-// experiments that report wire bytes (VO sizes, sync traffic). It
-// deliberately measures the seed codec: a per-message figure that does
-// not depend on what else a connection has carried.
-func Size(msg any) (int, error) {
-	buf := getBuf()
-	defer putBuf(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(&envelope{Payload: msg}); err != nil {
 		return 0, err
 	}
 	return buf.Len() + 4, nil
@@ -445,8 +346,7 @@ type Conn struct {
 }
 
 // NewConn wraps a stream with the streaming codec. If rw also
-// implements io.Closer, Close closes it. The peer must serve the same
-// codec (wire.Serve / transport default).
+// implements io.Closer, Close closes it.
 func NewConn(rw io.ReadWriter) *Conn {
 	c, _ := rw.(io.Closer)
 	return &Conn{enc: NewEncoder(rw), dec: NewDecoder(rw), c: c}
@@ -486,63 +386,14 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// LegacyConn is Conn over the seed's self-contained per-message codec.
-// It exists for the E13 baseline and for peers that must remain
-// stateless per message.
-type LegacyConn struct {
-	mu sync.Mutex
-	rw io.ReadWriter
-	c  io.Closer
-}
-
-// NewLegacyConn wraps a stream with the self-contained codec. The peer
-// must serve the same codec (wire.ServeLegacy / transport compat mode).
-func NewLegacyConn(rw io.ReadWriter) *LegacyConn {
-	c, _ := rw.(io.Closer)
-	return &LegacyConn{rw: rw, c: c}
-}
-
-// Call sends req and waits for the reply, one self-contained gob
-// stream per frame, using the seed's exact write path.
-func (c *LegacyConn) Call(req any) (any, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := writeSeed(c.rw, req); err != nil {
-		return nil, err
-	}
-	resp, err := Read(c.rw)
-	if err != nil {
-		return nil, err
-	}
-	if e, ok := resp.(*ErrorReply); ok {
-		return nil, remoteError(e)
-	}
-	return resp, nil
-}
-
-// Close closes the underlying stream when possible.
-func (c *LegacyConn) Close() error {
-	if c.c != nil {
-		return c.c.Close()
-	}
-	return nil
-}
-
-// Serve answers requests on a stream until it closes, using the
-// streaming codec: each incoming message is passed to handler and the
-// result (or an ErrorReply) written back. Returns nil on clean EOF.
-func Serve(rw io.ReadWriter, handler func(any) (any, error)) error {
-	return ServeBudget(rw, func(req any, _ time.Duration) (any, error) {
-		return handler(req)
-	})
-}
-
-// ServeBudget is Serve with deadline propagation: the handler receives
-// the budget carried in each request's frame header (0 if none),
-// anchored at decode time. Typed refusals (ErrDeadlineExceeded,
-// ErrOverloaded) returned by the handler cross the wire as coded
-// ErrorReplies so the client can match them with errors.Is.
-func ServeBudget(rw io.ReadWriter, handler func(req any, budget time.Duration) (any, error)) error {
+// Serve answers requests on a stream until it closes: each incoming
+// message is passed to handler along with the deadline budget carried
+// in its frame header (0 if none), anchored at decode time, and the
+// result (or an ErrorReply) is written back. Typed refusals
+// (ErrDeadlineExceeded, ErrOverloaded) returned by the handler cross
+// the wire as coded ErrorReplies so the client can match them with
+// errors.Is. Returns nil on clean EOF.
+func Serve(rw io.ReadWriter, handler func(req any, budget time.Duration) (any, error)) error {
 	enc, dec := NewEncoder(rw), NewDecoder(rw)
 	for {
 		req, err := dec.Decode()
@@ -557,27 +408,6 @@ func ServeBudget(rw io.ReadWriter, handler func(req any, budget time.Duration) (
 			resp = &ErrorReply{Msg: err.Error(), Code: ErrCode(err)}
 		}
 		if err := enc.Encode(resp); err != nil {
-			return err
-		}
-	}
-}
-
-// ServeLegacy is Serve over the seed's self-contained codec, for peers
-// using NewLegacyConn (E13 baseline, compat tests).
-func ServeLegacy(rw io.ReadWriter, handler func(any) (any, error)) error {
-	for {
-		req, err := Read(rw)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		resp, err := handler(req)
-		if err != nil {
-			resp = &ErrorReply{Msg: err.Error()}
-		}
-		if err := writeSeed(rw, resp); err != nil {
 			return err
 		}
 	}

@@ -9,79 +9,37 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/merkle"
 	"trustedcvs/internal/vdb"
 )
 
-func TestRoundTripProtocolMessages(t *testing.T) {
-	// Build a real response with a real VO to prove the whole message
-	// set survives the codec.
-	db := vdb.New(0)
-	op := &vdb.WriteOp{Puts: []vdb.KV{{Key: "a", Val: []byte("1")}}}
-	ans, vo, err := db.Apply(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs := []any{
-		&core.OpRequest{User: 3, Op: op},
-		&core.OpResponseII{Answer: ans, VO: vo, Ctr: 0, Last: 7},
-		&core.SyncRequest{From: 1, Round: 2},
-		core.SyncReportI{User: 1, LCtr: 5, GCtr: 9},
-		&core.PushContentRequest{Path: "f", Rev: 1, Content: []byte("data")},
-		&core.OKResponse{},
-	}
-	var buf bytes.Buffer
-	for _, m := range msgs {
-		if err := Write(&buf, m); err != nil {
-			t.Fatalf("Write(%T): %v", m, err)
-		}
-	}
-	for _, want := range msgs {
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("Read for %T: %v", want, err)
-		}
-		if _, ok := got.(*core.OpResponseII); ok {
-			resp := got.(*core.OpResponseII)
-			// Replay the VO to prove it survived intact.
-			if _, err := vdb.Verify(op, resp.Answer, resp.VO, merkle.New(0).RootDigest()); err != nil {
-				t.Fatalf("VO did not survive the wire: %v", err)
-			}
-		}
-	}
-	if buf.Len() != 0 {
-		t.Fatal("trailing bytes after reads")
-	}
-}
-
-func TestReadEOF(t *testing.T) {
-	if _, err := Read(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
-		t.Fatalf("want EOF, got %v", err)
-	}
+// decodeFrame decodes the first message of b as a fresh connection
+// would see it.
+func decodeFrame(b []byte) (any, error) {
+	return NewDecoder(bytes.NewReader(b)).Decode()
 }
 
 func TestSizeLimit(t *testing.T) {
 	big := &core.PushContentRequest{Content: make([]byte, MaxMessage+1)}
-	if err := Write(io.Discard, big); !errors.Is(err, ErrTooLarge) {
+	if err := NewEncoder(io.Discard).Encode(big); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("want ErrTooLarge, got %v", err)
 	}
 	// A hostile header claiming a giant body must be rejected before
 	// allocation.
-	r := bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := Read(r); !errors.Is(err, ErrTooLarge) {
+	if _, err := decodeFrame([]byte{0x7F, 0xFF, 0xFF, 0xFF}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("want ErrTooLarge for hostile header, got %v", err)
 	}
 }
 
 func TestTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, &core.OKResponse{}); err != nil {
+	if err := NewEncoder(&buf).Encode(&core.OKResponse{}); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
+	if _, err := decodeFrame(buf.Bytes()[:buf.Len()-2]); err == nil {
 		t.Fatal("truncated body must error")
 	}
 }
@@ -104,7 +62,7 @@ func TestConnServeOverPipe(t *testing.T) {
 	cli, srv := net.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		done <- Serve(srv, func(req any) (any, error) {
+		done <- Serve(srv, func(req any, _ time.Duration) (any, error) {
 			if r, ok := req.(*core.SyncRequest); ok {
 				return &core.SyncRequest{From: r.From, Round: r.Round + 1}, nil
 			}
@@ -122,30 +80,6 @@ func TestConnServeOverPipe(t *testing.T) {
 	// Server-side errors come back as errors.
 	if _, err := conn.Call(&core.OKResponse{}); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want boom error, got %v", err)
-	}
-	conn.Close()
-	if err := <-done; err != nil && !errors.Is(err, io.ErrClosedPipe) {
-		t.Fatalf("serve exit: %v", err)
-	}
-}
-
-func TestLegacyConnServeOverPipe(t *testing.T) {
-	cli, srv := net.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		done <- ServeLegacy(srv, func(req any) (any, error) {
-			return req, nil
-		})
-	}()
-	conn := NewLegacyConn(cli)
-	for i := uint64(0); i < 3; i++ {
-		resp, err := conn.Call(&core.SyncRequest{From: 1, Round: i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := resp.(*core.SyncRequest); r.Round != i {
-			t.Fatalf("resp: %+v", r)
-		}
 	}
 	conn.Close()
 	if err := <-done; err != nil && !errors.Is(err, io.ErrClosedPipe) {
@@ -205,6 +139,9 @@ func TestStreamingRoundTrip(t *testing.T) {
 		&core.OpRequest{User: 3, Op: op},
 		&core.OpResponseII{Answer: ans, VO: vo, Ctr: 0, Last: 7},
 		&core.OpResponseII{Answer: ans, VO: vo, Ctr: 1, Last: 8},
+		&core.SyncRequest{From: 1, Round: 2},
+		core.SyncReportI{User: 1, LCtr: 5, GCtr: 9},
+		&core.PushContentRequest{Path: "f", Rev: 1, Content: []byte("data")},
 		&core.OKResponse{},
 	}
 	for _, m := range msgs {
@@ -270,11 +207,3 @@ func TestEncoderPoisonedAfterError(t *testing.T) {
 }
 
 type unregistered struct{ X int }
-
-func TestWriteUnregisteredType(t *testing.T) {
-	// Not gob-registered: Write must fail cleanly, not panic.
-	if err := Write(io.Discard, unregistered{X: 1}); err == nil {
-		t.Fatal("want encode error for unregistered type")
-	}
-	_ = gob.Encoder{}
-}

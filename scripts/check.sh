@@ -23,6 +23,16 @@ fi
 
 go vet ./...
 go build ./...
+# Production binaries and the library must not link the fault-injection
+# harness: the filesystem seam lives in internal/durable.
+if go list -deps . ./cmd/tcvs ./cmd/tcvs-server ./cmd/tcvs-attack | grep internal/fault; then
+    echo "production code imports internal/fault" >&2
+    exit 1
+fi
+# The benchmark is a nested module root go vet/test ./... skip; an
+# internal/* signature change that breaks benchmark/layers.go fails here.
+go -C benchmark vet .
+go -C benchmark test .
 go run ./cmd/tcvs-lint -time ./...
 go test -race ./...
 # The full race run above already includes the fault and witness
@@ -42,8 +52,9 @@ go test -race ./...
 # refusals before any state is touched, breaker probe storms bounded
 # under 64-client concurrency, sheds never journaled and never audit
 # obligations, degrade-to-sync sticky under concurrent shedding, and
-# the E21 sweep's CI-scale run (E21).
-go test -race -run 'Fault|Resilient|Resume|Recovery|Witness|E14|E15|Forest|Torn|E16|Audit|Epoch|E17|WAL|E18|Overload|Shed|Breaker|E21' ./internal/fault ./internal/transport ./internal/broadcast ./internal/server ./internal/witness ./internal/bench ./internal/core/proto2 ./internal/audit ./internal/driver ./internal/wal .
+# the E21 sweep's CI-scale run (E21) — and the one atomic file replace
+# walked through every crash point (internal/durable).
+go test -race -run 'Fault|Resilient|Resume|Recovery|Witness|E14|E15|Forest|Torn|E16|Audit|Epoch|E17|WAL|E18|Overload|Shed|Breaker|E21|Atomic' ./internal/fault ./internal/durable ./internal/transport ./internal/broadcast ./internal/server ./internal/witness ./internal/bench ./internal/core/proto2 ./internal/audit ./internal/driver ./internal/wal .
 
 go test -run='^$' -fuzz='^FuzzFrameDecode$' -fuzztime=10s ./internal/wire
 go test -run='^$' -fuzz='^FuzzVOVerify$' -fuzztime=10s ./internal/merkle

@@ -7,6 +7,7 @@ import (
 
 	"trustedcvs/internal/adversary"
 	"trustedcvs/internal/audit"
+	"trustedcvs/internal/backoff"
 	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core/proto1"
 	"trustedcvs/internal/core/proto2"
@@ -232,12 +233,12 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	dial := func() (transport.Caller, error) { return transport.NewInproc(handler), nil }
 	join := func() (broadcast.Channel, error) { return c.localHub().Join(), nil }
+	hubDials := 0 // non-resumable TCP hub channels opened
 	if cfg.Network {
 		var topts transport.Options
 		if cfg.Overload != nil {
 			topts.Admission = transport.NewAdmission(*cfg.Overload)
 			topts.Classify = driver.Classify
-			topts.HandlerDeadline = driver.NewDeadlineHandler(srv, store)
 		}
 		ts, err := transport.ListenOpts("127.0.0.1:0", handler, topts)
 		if err != nil {
@@ -251,7 +252,10 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.tcpHub = hs
 		dial = func() (transport.Caller, error) { return transport.Dial(ts.Addr()) }
-		join = func() (broadcast.Channel, error) { return broadcast.DialHub(hs.Addr()) }
+		join = func() (broadcast.Channel, error) {
+			hubDials++
+			return broadcast.DialHub(hs.Addr())
+		}
 		if cfg.AuditWALRoot != "" {
 			// Durable clients need the resumable channel: a restarted
 			// client's fresh session replays the hub's entire report
@@ -336,10 +340,21 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.clients = append(c.clients, dc)
 		c.repos = append(c.repos, cvs.NewClient(dc, dc, fmt.Sprintf("user%d", i), nil))
 	}
-	if cfg.Network {
-		// Give the TCP hub a beat to register every subscriber before
-		// any sync traffic flows.
-		time.Sleep(50 * time.Millisecond)
+	// A non-resumable hub channel gets no replay: a sync report
+	// published before a peer's connection is accepted would be lost
+	// and the round would hang. Wait until the hub has registered every
+	// one of them before any sync traffic flows. (Resumable channels
+	// replay the hub's log; Protocol III joins none.)
+	if hubDials > 0 {
+		deadline := time.Now().Add(10 * time.Second)
+		poll := backoff.Poll(time.Millisecond)
+		for c.tcpHub.Stats().Conns < hubDials {
+			if time.Now().After(deadline) {
+				c.Close()
+				return nil, fmt.Errorf("trustedcvs: hub registered %d of %d subscribers", c.tcpHub.Stats().Conns, hubDials)
+			}
+			poll.Sleep()
+		}
 	}
 	return c, nil
 }

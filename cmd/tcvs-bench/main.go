@@ -1,18 +1,13 @@
-// Command tcvs-bench regenerates the experiment tables E1–E18 (see
-// DESIGN.md §2 for the mapping to the paper's figures, theorems and
-// design claims, and EXPERIMENTS.md for recorded results).
+// Command tcvs-bench regenerates the experiment tables (see DESIGN.md
+// §2 for the mapping to the paper's figures, theorems and design
+// claims, and EXPERIMENTS.md for recorded results). The experiments
+// come from internal/bench's registry; -h lists their ids.
 //
 // Usage:
 //
 //	tcvs-bench            # run everything
 //	tcvs-bench -e E2      # one experiment
-//	tcvs-bench -e E13     # concurrency benchmark; also writes BENCH_E13.json
-//	tcvs-bench -e E14     # fault/recovery experiment; writes BENCH_E14.json
-//	tcvs-bench -e E15     # witness replication/failover; writes BENCH_E15.json
-//	tcvs-bench -e E16     # Merkle forest scaling sweep; writes BENCH_E16.json
-//	tcvs-bench -e E17     # epoch-batched async audit; writes BENCH_E17.json
-//	tcvs-bench -e E18     # crash-durable audit matrix; writes BENCH_E18.json
-//	tcvs-bench -e E21     # overload protection sweep; writes BENCH_E21.json
+//	tcvs-bench -e E13     # a recorded one (E13 onward): also writes BENCH_E13.json
 //
 // Experiments that record a BENCH_<ID>.json refuse to overwrite an
 // existing record unless -force is given: checked-in records are the
@@ -21,84 +16,67 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"trustedcvs/internal/bench"
 )
 
 func main() {
-	var e = flag.String("e", "all", "experiment to run: E1..E18, E21 or all")
-	var out = flag.String("o", "", "output path for E13–E21's JSON record (default BENCH_<ID>.json)")
+	ids := strings.Join(bench.All(), ", ")
+	var e = flag.String("e", "all", "experiment to run: all, or one of "+ids)
+	var out = flag.String("o", "", "output path for a recorded experiment's JSON (default BENCH_<ID>.json)")
 	var force = flag.Bool("force", false, "overwrite an existing BENCH_<ID>.json record")
 	flag.Parse()
 
 	if *e == "all" {
-		for _, t := range bench.All() {
-			t.Render(os.Stdout)
+		for _, id := range bench.All() {
+			run, _, _ := bench.ByID(id)
+			render(id, run, io.Discard)
 		}
 		return
 	}
-	// E13–E18 run through their Run functions so the raw data can be
-	// recorded alongside the rendered table.
-	if *e == "E13" || *e == "E14" || *e == "E15" || *e == "E16" || *e == "E17" || *e == "E18" || *e == "E21" {
-		path := *out
-		if path == "" {
-			path = fmt.Sprintf("BENCH_%s.json", *e)
-		}
-		// Refuse to clobber an existing record before burning minutes on
-		// the measurement.
-		if !*force {
-			if _, err := os.Stat(path); err == nil {
-				fmt.Fprintf(os.Stderr, "%s exists; re-run with -force to overwrite it\n", path)
-				os.Exit(1)
-			}
-		}
-		var d interface {
-			Table() *bench.Table
-			WriteJSON(w io.Writer) error
-		}
-		var err error
-		switch *e {
-		case "E13":
-			d, err = bench.RunE13(bench.DefaultE13Config())
-		case "E14":
-			d, err = bench.RunE14(bench.DefaultE14Config())
-		case "E15":
-			d, err = bench.RunE15(bench.DefaultE15Config())
-		case "E16":
-			d, err = bench.RunE16(bench.DefaultE16Config())
-		case "E17":
-			d, err = bench.RunE17(bench.DefaultE17Config())
-		case "E21":
-			d, err = bench.RunE21(bench.DefaultE21Config())
-		default:
-			d, err = bench.RunE18(bench.DefaultE18Config())
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", *e, err)
-			os.Exit(1)
-		}
-		d.Table().Render(os.Stdout)
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", *e, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := d.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", *e, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", path)
-		return
-	}
-	run, ok := bench.ByID(*e)
+	run, recorded, ok := bench.ByID(*e)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want E1..E18, E21 or all)\n", *e)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want all, or one of %s)\n", *e, ids)
 		os.Exit(2)
 	}
-	run().Render(os.Stdout)
+	if !recorded {
+		render(*e, run, io.Discard)
+		return
+	}
+	path := *out
+	if path == "" {
+		path = fmt.Sprintf("BENCH_%s.json", *e)
+	}
+	// Refuse to clobber an existing record before burning minutes on
+	// the measurement.
+	if !*force {
+		if _, err := os.Stat(path); err == nil {
+			fmt.Fprintf(os.Stderr, "%s exists; re-run with -force to overwrite it\n", path)
+			os.Exit(1)
+		}
+	}
+	var record bytes.Buffer
+	render(*e, run, &record)
+	if err := os.WriteFile(path, record.Bytes(), 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", *e, err)
+		os.Exit(1)
+	}
+	fmt.Printf("\nwrote %s\n", path)
+}
+
+// render runs one experiment, its record going to w, and prints the
+// table.
+func render(id string, run func(io.Writer) (*bench.Table, error), w io.Writer) {
+	t, err := run(w)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
+		os.Exit(1)
+	}
+	t.Render(os.Stdout)
 }

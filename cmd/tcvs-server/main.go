@@ -297,10 +297,6 @@ func main() {
 			Target: *overloadTarget, QueueDepth: *overloadQueue,
 		})
 		topts.Classify = driver.Classify
-		// WrapDeadline sits atop the fully decorated handler chain
-		// (journal recorder included), so an expired request is refused
-		// before any layer of it runs.
-		topts.HandlerDeadline = driver.WrapDeadline(handler)
 		armed := topts.Admission.Options()
 		log.Printf("overload protection armed (target %v, queue %d, limit %d..%d)",
 			armed.Target, armed.QueueDepth, armed.MinLimit, armed.MaxLimit)

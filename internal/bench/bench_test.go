@@ -159,11 +159,11 @@ func TestRenderAndRegistry(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"} {
-		if _, ok := ByID(id); !ok {
+		if _, _, ok := ByID(id); !ok {
 			t.Errorf("ByID(%s) missing", id)
 		}
 	}
-	if _, ok := ByID("E99"); ok {
+	if _, _, ok := ByID("E99"); ok {
 		t.Error("ByID should reject unknown ids")
 	}
 }

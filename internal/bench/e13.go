@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"trustedcvs/internal/backoff"
@@ -46,12 +42,9 @@ func DefaultE13Config() E13Config {
 
 // E13Point is one measured (scheme, client count) cell.
 type E13Point struct {
-	Scheme    string  `json:"scheme"`
-	Clients   int     `json:"clients"`
-	Ops       int     `json:"ops"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Micros float64 `json:"p50_us"`
-	P99Micros float64 `json:"p99_us"`
+	Scheme  string `json:"scheme"`
+	Clients int    `json:"clients"`
+	loadPoint
 }
 
 // E13Data is the full experiment result, serialized to BENCH_E13.json
@@ -62,24 +55,16 @@ type E13Data struct {
 	Points      []E13Point `json:"points"`
 }
 
-// WriteJSON writes the result in the checked-in BENCH_E13.json format.
-func (d *E13Data) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
 // e13Client performs one verified operation over a connection and
 // reports the operation counter the server presented.
-type e13Client interface {
-	do(c transport.Caller, op vdb.Op) (ctr uint64, err error)
-}
+type e13Client func(c transport.Caller, op vdb.Op) (ctr uint64, err error)
 
-// e13Scheme wires up one measured configuration: a fresh server
-// handler and a per-client user factory.
+// e13Scheme wires up one measured configuration: a fresh preloaded
+// database, the server handler over it and a per-client user factory.
 type e13Scheme struct {
-	name  string
-	setup func(size, nClients int) (transport.Handler, func(id int) e13Client)
+	name   string
+	shards int // Merkle trees behind the handler (0 = one)
+	setup  func(size, nClients int) (*vdb.DB, transport.Handler, func(id int) e13Client)
 }
 
 func opHandler[R any](handleOp func(*core.OpRequest) (R, error)) transport.Handler {
@@ -92,12 +77,10 @@ func opHandler[R any](handleOp func(*core.OpRequest) (R, error)) transport.Handl
 	}
 }
 
-// --- trusted floor: plain apply, no proofs, no verification ---
-
-type trustedClient struct{}
-
-func (trustedClient) do(c transport.Caller, op vdb.Op) (uint64, error) {
-	resp, err := c.Call(&core.OpRequest{Op: op})
+// callII is the two-message exchange of every scheme but Protocol I:
+// one request, one OpResponseII, checked by verify.
+func callII(c transport.Caller, req *core.OpRequest, verify func(*core.OpResponseII) error) (uint64, error) {
+	resp, err := c.Call(req)
 	if err != nil {
 		return 0, err
 	}
@@ -105,31 +88,31 @@ func (trustedClient) do(c transport.Caller, op vdb.Op) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("bench: unexpected response %T", resp)
 	}
-	return r.Ctr, nil
+	return r.Ctr, verify(r)
 }
 
-func trustedSetup(size, _ int) (transport.Handler, func(int) e13Client) {
-	db := seedDB(size)
-	handler := func(req any) (any, error) {
-		r, ok := req.(*core.OpRequest)
-		if !ok {
-			return nil, fmt.Errorf("bench: unexpected request %T", req)
-		}
+// --- trusted floor: plain apply, no proofs, no verification ---
+
+func trustedSetup(size, _ int) (*vdb.DB, transport.Handler, func(int) e13Client) {
+	db := seedDB(size, 1)
+	handler := opHandler(func(r *core.OpRequest) (*core.OpResponseII, error) {
 		ans, err := db.ApplyPlain(r.Op)
 		if err != nil {
 			return nil, err
 		}
 		return &core.OpResponseII{Answer: ans}, nil
+	})
+	return db, handler, func(int) e13Client {
+		return func(c transport.Caller, op vdb.Op) (uint64, error) {
+			return callII(c, &core.OpRequest{Op: op}, func(*core.OpResponseII) error { return nil })
+		}
 	}
-	return handler, func(int) e13Client { return trustedClient{} }
 }
 
 // --- Protocol I ---
 
-type p1Client struct{ u *proto1.User }
-
-func (cl *p1Client) do(c transport.Caller, op vdb.Op) (uint64, error) {
-	req := cl.u.Request(op)
+func p1Do(u *proto1.User, c transport.Caller, op vdb.Op) (uint64, error) {
+	req := u.Request(op)
 	// Protocol I admits one operation globally between acks; competing
 	// clients see ErrAckPending (as a wire error string) and retry
 	// with a small backoff. This contention is the protocol's blocking
@@ -152,7 +135,7 @@ func (cl *p1Client) do(c transport.Caller, op vdb.Op) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("bench: unexpected response %T", resp)
 	}
-	ack, _, err := cl.u.HandleResponse(op, r)
+	ack, _, err := u.HandleResponse(op, r)
 	if err != nil {
 		return 0, err
 	}
@@ -162,8 +145,8 @@ func (cl *p1Client) do(c transport.Caller, op vdb.Op) (uint64, error) {
 	return r.Ctr, nil
 }
 
-func p1Setup(size, nClients int) (transport.Handler, func(int) e13Client) {
-	db := seedDB(size)
+func p1Setup(size, nClients int) (*vdb.DB, transport.Handler, func(int) e13Client) {
+	db := seedDB(size, 1)
 	signers, ring, err := sig.DeterministicSigners(nClients, 13)
 	if err != nil {
 		panic(err)
@@ -181,62 +164,40 @@ func p1Setup(size, nClients int) (transport.Handler, func(int) e13Client) {
 		}
 		return nil, fmt.Errorf("bench: unexpected request %T", req)
 	}
-	return handler, func(id int) e13Client {
-		return &p1Client{u: proto1.NewUser(signers[id], ring, 1<<62)}
+	return db, handler, func(id int) e13Client {
+		u := proto1.NewUser(signers[id], ring, 1<<62)
+		return func(c transport.Caller, op vdb.Op) (uint64, error) { return p1Do(u, c, op) }
 	}
 }
 
-// --- Protocol II (pipelined and seed-baseline variants) ---
+// --- Protocol II (single tree, or a forest of shards > 1) ---
 
-type p2Client struct{ u *proto2.User }
-
-func (cl *p2Client) do(c transport.Caller, op vdb.Op) (uint64, error) {
-	resp, err := c.Call(cl.u.Request(op))
-	if err != nil {
-		return 0, err
-	}
-	r, ok := resp.(*core.OpResponseII)
-	if !ok {
-		return 0, fmt.Errorf("bench: unexpected response %T", resp)
-	}
-	if _, err := cl.u.HandleResponse(op, r); err != nil {
-		return 0, err
-	}
-	return r.Ctr, nil
-}
-
-func p2Setup(size, _ int) (transport.Handler, func(int) e13Client) {
-	db := seedDB(size)
-	srv := proto2.NewServer(db)
-	root := db.Root()
-	return opHandler(srv.HandleOp), func(id int) e13Client {
-		return &p2Client{u: proto2.NewUser(sig.UserID(id), root, 1<<62)}
-	}
+func p2Scheme(name string, shards int) e13Scheme {
+	return e13Scheme{name: name, shards: shards, setup: func(size, _ int) (*vdb.DB, transport.Handler, func(int) e13Client) {
+		db := seedDB(size, shards)
+		srv := proto2.NewServer(db)
+		root, roots := db.Root(), db.ShardRoots()
+		return db, opHandler(srv.HandleOp), func(id int) e13Client {
+			var u *proto2.User
+			if shards > 1 {
+				u = proto2.NewForestUser(sig.UserID(id), roots, 1<<62)
+			} else {
+				u = proto2.NewUser(sig.UserID(id), root, 1<<62)
+			}
+			return func(c transport.Caller, op vdb.Op) (uint64, error) {
+				return callII(c, u.Request(op), func(r *core.OpResponseII) error {
+					_, err := u.HandleResponse(op, r)
+					return err
+				})
+			}
+		}
+	}}
 }
 
 // --- Protocol III ---
 
-type p3Client struct{ u *proto3.User }
-
-func (cl *p3Client) do(c transport.Caller, op vdb.Op) (uint64, error) {
-	resp, err := c.Call(cl.u.Request(op))
-	if err != nil {
-		return 0, err
-	}
-	r, ok := resp.(*core.OpResponseII)
-	if !ok {
-		return 0, fmt.Errorf("bench: unexpected response %T", resp)
-	}
-	// No epochs advance during the measurement, so the outcome never
-	// carries checker duty.
-	if _, err := cl.u.HandleResponse(op, r); err != nil {
-		return 0, err
-	}
-	return r.Ctr, nil
-}
-
-func p3Setup(size, nClients int) (transport.Handler, func(int) e13Client) {
-	db := seedDB(size)
+func p3Setup(size, nClients int) (*vdb.DB, transport.Handler, func(int) e13Client) {
+	db := seedDB(size, 1)
 	signers, ring, err := sig.DeterministicSigners(nClients, 17)
 	if err != nil {
 		panic(err)
@@ -252,8 +213,16 @@ func p3Setup(size, nClients int) (transport.Handler, func(int) e13Client) {
 		}
 		return nil, fmt.Errorf("bench: unexpected request %T", req)
 	}
-	return handler, func(id int) e13Client {
-		return &p3Client{u: proto3.NewUser(signers[id], ring, root)}
+	return db, handler, func(id int) e13Client {
+		u := proto3.NewUser(signers[id], ring, root)
+		return func(c transport.Caller, op vdb.Op) (uint64, error) {
+			return callII(c, u.Request(op), func(r *core.OpResponseII) error {
+				// No epochs advance during the measurement, so the
+				// outcome never carries checker duty.
+				_, err := u.HandleResponse(op, r)
+				return err
+			})
+		}
 	}
 }
 
@@ -261,123 +230,88 @@ func e13Schemes() []e13Scheme {
 	return []e13Scheme{
 		{name: "trusted", setup: trustedSetup},
 		{name: "P1", setup: p1Setup},
-		{name: "P2", setup: p2Setup},
+		p2Scheme("P2", 1),
 		{name: "P3", setup: p3Setup},
 	}
-}
-
-// e13ClientResult is one client goroutine's record of a measurement.
-type e13ClientResult struct {
-	lats []time.Duration
-	ctrs []uint64
-	err  error
-}
-
-// e13Run measures one (scheme, clients) point and returns the per-op
-// latencies plus every operation counter the server presented (the
-// stress test asserts these form a gap-free permutation).
-func e13Run(s e13Scheme, size, nClients, totalOps int) ([]e13ClientResult, time.Duration, error) {
-	handler, newClient := s.setup(size, nClients)
-	srv, err := transport.Listen("127.0.0.1:0", handler)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer srv.Close()
-
-	perClient := totalOps / nClients
-	results := make([]e13ClientResult, nClients)
-	callers := make([]transport.Caller, nClients)
-	clients := make([]e13Client, nClients)
-	for i := 0; i < nClients; i++ {
-		c, err := transport.Dial(srv.Addr())
-		if err != nil {
-			return nil, 0, err
-		}
-		defer c.Close()
-		callers[i] = c
-		clients[i] = newClient(i)
-	}
-
-	runOps := func(from, to int, timed bool) error {
-		var wg sync.WaitGroup
-		for i := 0; i < nClients; i++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				res := &results[id]
-				for j := from; j < to; j++ {
-					// Spread writes so clients touch distinct keys most
-					// of the time, like independent CVS users would.
-					op := benchOp(id*100003+j, size)
-					t0 := time.Now()
-					ctr, err := clients[id].do(callers[id], op)
-					if err != nil {
-						res.err = fmt.Errorf("client %d op %d: %w", id, j, err)
-						return
-					}
-					if timed {
-						res.lats = append(res.lats, time.Since(t0))
-					}
-					res.ctrs = append(res.ctrs, ctr)
-				}
-			}(i)
-		}
-		wg.Wait()
-		for i := range results {
-			if results[i].err != nil {
-				return results[i].err
-			}
-		}
-		return nil
-	}
-
-	for i := range results {
-		results[i].lats = make([]time.Duration, 0, perClient)
-		results[i].ctrs = make([]uint64, 0, perClient+e13Warmup)
-	}
-	// Warm-up: a few untimed ops per client bring every connection to
-	// steady state (TCP, gob engines, buffer pools) so the timed window
-	// measures operation throughput rather than connection setup. The
-	// counters are still recorded: the stress test checks the gap-free
-	// permutation over every op the server admitted, warm-up included.
-	if err := runOps(0, e13Warmup, false); err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	if err := runOps(e13Warmup, e13Warmup+perClient, true); err != nil {
-		return nil, 0, err
-	}
-	elapsed := time.Since(start)
-	return results, elapsed, nil
 }
 
 // e13Warmup is the number of untimed warm-up ops each client runs
 // before its measured window.
 const e13Warmup = 8
 
+// e13Fleet is one measured configuration live: the scheme's handler
+// behind TCP and n connected protocol clients.
+type e13Fleet struct {
+	db      *vdb.DB
+	srv     *transport.Server
+	callers []transport.Caller
+	clients []e13Client
+}
+
+func newE13Fleet(s e13Scheme, size, n int) (*e13Fleet, error) {
+	db, handler, newClient := s.setup(size, n)
+	srv, err := transport.Listen("127.0.0.1:0", handler)
+	if err != nil {
+		return nil, err
+	}
+	f := &e13Fleet{db: db, srv: srv}
+	for i := 0; i < n; i++ {
+		c, err := transport.Dial(srv.Addr())
+		if err != nil {
+			f.close()
+			return nil, err
+		}
+		f.callers = append(f.callers, c)
+		f.clients = append(f.clients, newClient(i))
+	}
+	return f, nil
+}
+
+func (f *e13Fleet) close() {
+	for _, c := range f.callers {
+		c.Close()
+	}
+	f.srv.Close()
+}
+
+// do performs arrival a as its worker's client. Writes are spread so
+// clients touch distinct keys most of the time, like independent CVS
+// users would.
+func (f *e13Fleet) do(a arrival, size int) (ctr uint64, err error) {
+	return f.clients[a.worker](f.callers[a.worker], benchOp(a.worker*100003+a.seq, size))
+}
+
+// e13Run measures one (scheme, clients) point, closed loop, and returns
+// the run plus, per client, every operation counter the server
+// presented. The counters cover the warm-up too: the stress test checks
+// the gap-free permutation over every op the server admitted.
+func e13Run(s e13Scheme, size, nClients, totalOps int) (*loadResult, [][]uint64, error) {
+	f, err := newE13Fleet(s, size, nClients)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.close()
+	ctrs := make([][]uint64, nClients)
+	res := load{
+		workers: nClients, warmup: e13Warmup, ops: totalOps / nClients,
+		op: func(a arrival) (bool, error) {
+			ctr, err := f.do(a, size)
+			if err != nil {
+				return false, err
+			}
+			ctrs[a.worker] = append(ctrs[a.worker], ctr)
+			return true, nil
+		},
+	}.run()
+	return res, ctrs, res.err()
+}
+
 func e13Point(s e13Scheme, cfg E13Config, nClients int) (E13Point, error) {
-	results, elapsed, err := e13Run(s, cfg.DBSize, nClients, cfg.OpsPerPoint)
+	res, _, err := e13Run(s, cfg.DBSize, nClients, cfg.OpsPerPoint)
 	if err != nil {
 		return E13Point{}, err
 	}
-	var lats []time.Duration
-	for _, r := range results {
-		lats = append(lats, r.lats...)
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) float64 {
-		idx := int(p * float64(len(lats)-1))
-		return float64(lats[idx].Nanoseconds()) / 1e3
-	}
-	ops := len(lats)
-	return E13Point{
-		Scheme:    s.name,
-		Clients:   nClients,
-		Ops:       ops,
-		OpsPerSec: float64(ops) / elapsed.Seconds(),
-		P50Micros: pct(0.50),
-		P99Micros: pct(0.99),
-	}, nil
+	return E13Point{Scheme: s.name, Clients: nClients, loadPoint: newLoadPoint(res.pooled(), res.elapsed)}, nil
 }
 
 // RunE13 runs the full experiment.
@@ -393,16 +327,6 @@ func RunE13(cfg E13Config) (*E13Data, error) {
 		}
 	}
 	return d, nil
-}
-
-// E13 runs the experiment with the default configuration and renders
-// it as a table.
-func E13() *Table {
-	d, err := RunE13(DefaultE13Config())
-	if err != nil {
-		panic(err)
-	}
-	return d.Table()
 }
 
 // Table renders the data as the E13 exhibit.

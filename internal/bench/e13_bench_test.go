@@ -14,15 +14,11 @@ func BenchmarkE13(b *testing.B) {
 			if total < clients {
 				total = clients
 			}
-			results, elapsed, err := e13Run(s, 1000, clients, total)
+			res, _, err := e13Run(s, 1000, clients, total)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ops := 0
-			for _, r := range results {
-				ops += len(r.lats)
-			}
-			b.ReportMetric(float64(ops)/elapsed.Seconds(), "ops/s")
+			b.ReportMetric(float64(len(res.pooled()))/res.elapsed.Seconds(), "ops/s")
 		})
 	}
 }

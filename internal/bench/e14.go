@@ -1,25 +1,17 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"trustedcvs/internal/adversary"
-	"trustedcvs/internal/backoff"
 	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core"
-	"trustedcvs/internal/core/proto2"
-	"trustedcvs/internal/cvs"
-	"trustedcvs/internal/digest"
 	"trustedcvs/internal/driver"
 	"trustedcvs/internal/fault"
 	"trustedcvs/internal/server"
-	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
 )
 
@@ -101,93 +93,137 @@ type E14Data struct {
 	AdversaryFaults   uint64 `json:"adversary_phase_faults"`
 }
 
-// WriteJSON writes the result in the checked-in BENCH_E14.json format.
-func (d *E14Data) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// e14Deployment is one live deployment: hub, server endpoint, and the
-// per-client fault injectors.
-type e14Deployment struct {
-	cfg      E14Config
-	hub      *broadcast.HubServer
-	addr     string
+// faultyNet is the deployment the failure experiments (E14, E15) run:
+// a session table on the server for exactly-once retries, and every
+// client a resilient reconnecting caller plus a resumable hub
+// subscription, each through its own seeded fault injector.
+type faultyNet struct {
+	*deployment
 	sessions *transport.SessionTable
-	ts       *transport.Server
-	handler  transport.Handler
-
-	connInjs []*fault.Injector
-	hubInjs  []*fault.Injector
-	clients  []*driver.Client
+	injs     []*fault.Injector
 	callers  []*transport.ResilientClient
 	channels []broadcast.Channel
 }
 
-// e14Deploy stands up the hub and server, then connects cfg.Users full
-// protocol clients through per-client faulty dialers.
-func e14Deploy(cfg E14Config, srv server.Server, store *cvs.Store) (*e14Deployment, error) {
-	hub, err := broadcast.ListenHub("127.0.0.1:0")
-	if err != nil {
-		return nil, err
+// deployFaulty deploys cfg behind fault injection. seed derives every
+// injector's and every client's jitter seed: same seed, same fault
+// schedule. backupAddr, if set, is every client's second endpoint.
+func deployFaulty(cfg deployConfig, seed int64, resetProb, truncateProb float64, backupAddr string) (*faultyNet, error) {
+	n := &faultyNet{sessions: transport.NewSessionTable(0)}
+	injector := func(s uint64) *fault.Injector {
+		inj := fault.NewInjector(fault.Config{Seed: s, After: 8, ResetProb: resetProb, TruncateProb: truncateProb})
+		n.injs = append(n.injs, inj)
+		return inj
 	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		hub.Close()
-		return nil, err
-	}
-	d := &e14Deployment{
-		cfg:      cfg,
-		hub:      hub,
-		addr:     lis.Addr().String(),
-		sessions: transport.NewSessionTable(0),
-		handler:  driver.NewHandler(srv, store),
-	}
-	d.ts = transport.ServeListener(lis, d.handler, transport.Options{Sessions: d.sessions})
-
-	root := srv.DB().Root()
-	pol := transport.RetryPolicy{CallTimeout: 5 * time.Second, MaxAttempts: 12}
-	for i := 0; i < cfg.Users; i++ {
-		cinj := fault.NewInjector(fault.Config{
-			Seed: uint64(cfg.Seed) + uint64(i), After: 8,
-			ResetProb: cfg.ResetProb, TruncateProb: cfg.TruncateProb,
+	cfg.opts.Sessions = n.sessions
+	cfg.dial = func(i int, addr string) (transport.Caller, error) {
+		inj := injector(uint64(seed) + uint64(i))
+		eps := []transport.Endpoint{{Name: "primary", Dial: fault.Dialer(addr, inj)}}
+		if backupAddr != "" {
+			eps = append(eps, transport.Endpoint{Name: "backup", Dial: fault.Dialer(backupAddr, inj)})
+		}
+		c := transport.DialResilientEndpoints(eps, transport.RetryPolicy{
+			CallTimeout: 5 * time.Second, MaxAttempts: 12, JitterSeed: uint64(seed)*1000 + uint64(i) + 1,
 		})
-		hinj := fault.NewInjector(fault.Config{
-			Seed: uint64(cfg.Seed) + 1000 + uint64(i), After: 8,
-			ResetProb: cfg.ResetProb, TruncateProb: cfg.TruncateProb,
-		})
-		d.connInjs = append(d.connInjs, cinj)
-		d.hubInjs = append(d.hubInjs, hinj)
-		caller := transport.DialResilientFunc(fault.Dialer(d.addr, cinj), pol)
-		ch := broadcast.DialHubResumeFunc(fault.Dialer(hub.Addr(), hinj))
-		u := proto2.NewUser(sig.UserID(i), root, cfg.K)
-		d.callers = append(d.callers, caller)
-		d.channels = append(d.channels, ch)
-		d.clients = append(d.clients, driver.NewP2(u, caller, ch, cfg.Users))
+		n.callers = append(n.callers, c)
+		return c, nil
 	}
-	return d, nil
+	cfg.join = func(i int, hubAddr string) broadcast.Channel {
+		ch := broadcast.DialHubResumeFunc(fault.Dialer(hubAddr, injector(uint64(seed)+1000+uint64(i))))
+		n.channels = append(n.channels, ch)
+		return ch
+	}
+	var err error
+	n.deployment, err = deploy(cfg)
+	return n, err
 }
 
-func (d *e14Deployment) close() {
-	for _, c := range d.clients {
-		c.Close()
-	}
-	if d.ts != nil {
-		d.ts.Close()
-	}
-	d.hub.Close()
-}
-
-func (d *e14Deployment) faultsInjected() uint64 {
+func (n *faultyNet) faultsInjected() uint64 {
 	var t uint64
-	for _, inj := range d.connInjs {
-		t += inj.Injected()
-	}
-	for _, inj := range d.hubInjs {
+	for _, inj := range n.injs {
 		t += inj.Injected()
 	}
 	return t
+}
+
+// checkpointCut takes the consistent cut a dead primary is restored
+// (or a witness promoted) from. The caller severs the transport FIRST:
+// Close waits for in-flight handlers to drain, so once it returns
+// nothing can execute or acknowledge another op — every acked op is
+// inside the cut, and an ack that died with its connection is retried
+// and replayed from the restored session table. (Severing inside the
+// freeze deadlocks: Close waits on a handler that is itself waiting on
+// the frozen session table.) An acked-but-unpersisted tail would
+// (correctly) alarm on restart, and these experiments are about
+// proving the absence of false alarms.
+func (n *faultyNet) checkpointCut() (*server.P2Snapshot, error) {
+	var snap *server.P2Snapshot
+	var err error
+	n.sessions.Freeze(func(ss *transport.SessionsSnapshot) {
+		if snap, err = server.CheckpointP2(n.srv, n.store); err == nil {
+			snap.Sessions = ss
+		}
+	})
+	return snap, err
+}
+
+// failoverRun is a client workload running in the background across a
+// server outage, instrumented to time the recovery.
+type failoverRun struct {
+	total uint64
+	done  atomic.Uint64
+	// resumedAt is 0 until the server is back; from then on every
+	// client stamps its first completion in firstAt (unix nanos).
+	resumedAt atomic.Int64
+	firstAt   []atomic.Int64
+	result    chan *loadResult
+}
+
+func startFailoverRun(clients []*driver.Client, opsPerUser, dbSize int) *failoverRun {
+	r := &failoverRun{
+		total:   uint64(len(clients)) * uint64(opsPerUser),
+		firstAt: make([]atomic.Int64, len(clients)), result: make(chan *loadResult, 1),
+	}
+	do := clientOp(clients, dbSize)
+	go func() {
+		r.result <- load{workers: len(clients), ops: opsPerUser, op: func(a arrival) (bool, error) {
+			if _, err := do(a); err != nil {
+				return false, err
+			}
+			r.done.Add(1)
+			if r.resumedAt.Load() != 0 && r.firstAt[a.worker].Load() == 0 {
+				r.firstAt[a.worker].Store(time.Now().UnixNano())
+			}
+			return false, nil
+		}}.run()
+	}()
+	return r
+}
+
+// awaitHalf blocks until the workload is half done — the kill point.
+func (r *failoverRun) awaitHalf() error {
+	if !pollUntil(60*time.Second, time.Millisecond, func() bool { return r.done.Load() >= r.total/2 }) {
+		return fmt.Errorf("workload stalled at %d of %d ops before the kill point", r.done.Load(), r.total)
+	}
+	return nil
+}
+
+// resumed marks the moment the server came back.
+func (r *failoverRun) resumed() { r.resumedAt.Store(time.Now().UnixNano()) }
+
+// wait joins the workload and returns its first error.
+func (r *failoverRun) wait() error { return (<-r.result).err() }
+
+// recoveredAt is when the last client made its first progress after
+// the server came back (unix nanos; 0 if none did).
+func (r *failoverRun) recoveredAt() int64 {
+	var last int64
+	for i := range r.firstAt {
+		if t := r.firstAt[i].Load(); t > last {
+			last = t
+		}
+	}
+	return last
 }
 
 // RunE14 runs the full experiment.
@@ -199,71 +235,25 @@ func RunE14(cfg E14Config) (*E14Data, error) {
 	}
 
 	// ---- Phase 1: honest server, kill/restart mid-workload ----
-	db := seedDB(cfg.DBSize)
-	srv := server.NewP2(db)
-	store := cvs.NewStore()
-	dep, err := e14Deploy(cfg, srv, store)
+	dep, err := deployFaulty(deployConfig{srv: server.NewP2(seedDB(cfg.DBSize, 1)), users: cfg.Users, k: cfg.K},
+		cfg.Seed, cfg.ResetProb, cfg.TruncateProb, "")
 	if err != nil {
 		return nil, err
 	}
 	defer dep.close()
+	run := startFailoverRun(dep.clients, cfg.OpsPerUser, cfg.DBSize)
 
-	var opsDone atomic.Uint64
-	// restartNanos is 0 until the server is back; clients use it to
-	// stamp their first post-restart completion for the recovery
-	// latency measurement.
-	var restartNanos atomic.Int64
-	recoverAt := make([]atomic.Int64, cfg.Users)
-
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Users)
-	for i := 0; i < cfg.Users; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			cl := dep.clients[id]
-			for j := 0; j < cfg.OpsPerUser; j++ {
-				op := benchOp(id*100003+j, cfg.DBSize)
-				if _, err := cl.Do(op); err != nil {
-					errs[id] = fmt.Errorf("client %d op %d: %w", id, j, err)
-					return
-				}
-				opsDone.Add(1)
-				if t := restartNanos.Load(); t != 0 && recoverAt[id].Load() == 0 {
-					recoverAt[id].Store(time.Now().UnixNano())
-				}
-			}
-		}(i)
+	// Kill the server once the workload is half done.
+	if err := run.awaitHalf(); err != nil {
+		return nil, fmt.Errorf("E14: %w", err)
 	}
-
-	// Kill the server once the workload is half done: sever the
-	// transport FIRST, then take the checkpoint cut. Close waits for
-	// in-flight handlers to drain, so once it returns nothing can
-	// execute or acknowledge another op — every acked op is inside the
-	// cut, and an ack that died with its connection is retried and
-	// replayed from the restored session table. (Severing inside the
-	// freeze deadlocks: Close waits on a handler that is itself
-	// waiting on the frozen session table.) An acked-but-unpersisted
-	// tail would (correctly) alarm on restart, and this experiment is
-	// about proving the absence of false ones.
-	half := uint64(cfg.Users) * uint64(cfg.OpsPerUser) / 2
-	poll := backoff.Poll(time.Millisecond)
-	for opsDone.Load() < half {
-		poll.Sleep()
-	}
+	addr := dep.ts.Addr()
 	dep.ts.Close()
-	var snap *server.P2Snapshot
-	var cutRoot digest.Digest
-	dep.sessions.Freeze(func(ss *transport.SessionsSnapshot) {
-		snap, err = server.CheckpointP2(srv, store)
-		if err == nil {
-			snap.Sessions = ss
-			cutRoot = srv.DB().Root()
-		}
-	})
+	snap, err := dep.checkpointCut()
 	if err != nil {
 		return nil, fmt.Errorf("E14 checkpoint: %w", err)
 	}
+	cutRoot := dep.srv.DB().Root()
 	time.Sleep(cfg.Outage)
 
 	// Restart: restore the snapshot into a fresh process-worth of state
@@ -279,36 +269,19 @@ func RunE14(cfg E14Config) (*E14Data, error) {
 		return nil, fmt.Errorf("E14: restored root %s != checkpoint root %s", srv2.DB().Root().Short(), cutRoot.Short())
 	}
 	d.RootContinuity = true
-	lis2, err := net.Listen("tcp", dep.addr)
+	lis2, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("E14 rebind %s: %w", dep.addr, err)
+		return nil, fmt.Errorf("E14 rebind %s: %w", addr, err)
 	}
 	dep.ts = transport.ServeListener(lis2, driver.NewHandler(srv2, store2), transport.Options{Sessions: dep.sessions})
-	restartNanos.Store(time.Now().UnixNano())
+	run.resumed()
 
-	wg.Wait()
-	for i, werr := range errs {
-		if werr != nil {
-			return nil, fmt.Errorf("E14 phase 1 must complete cleanly: %w", werr)
-		}
-		if err := dep.clients[i].WaitIdle(10 * time.Second); err != nil {
-			d.FalseAlarms++
-		}
+	if err := run.wait(); err != nil {
+		return nil, fmt.Errorf("E14 phase 1 must complete cleanly: %w", err)
 	}
-	for _, cl := range dep.clients {
-		if cl.Err() != nil {
-			d.FalseAlarms++
-		}
-	}
-
-	var lastRecover int64
-	for i := range recoverAt {
-		if t := recoverAt[i].Load(); t > lastRecover {
-			lastRecover = t
-		}
-	}
-	if lastRecover > 0 {
-		d.RecoveryMillis = float64(lastRecover-restartNanos.Load()) / 1e6
+	d.FalseAlarms = dep.drain(10 * time.Second)
+	if t := run.recoveredAt(); t > 0 {
+		d.RecoveryMillis = float64(t-run.resumedAt.Load()) / 1e6
 	}
 	d.FinalCtr = srv2.DB().Ctr()
 	d.CtrMatchesOps = d.FinalCtr == d.TotalOps
@@ -323,79 +296,42 @@ func RunE14(cfg E14Config) (*E14Data, error) {
 	}
 
 	// ---- Phase 2: tampering server behind the same faulty network ----
-	detected, class, advFaults, err := runE14Adversary(cfg)
+	d.DetectionClass, d.AdversaryFaults, err = runE14Adversary(cfg)
 	if err != nil {
 		return nil, err
 	}
-	d.AdversaryDetected = detected
-	d.DetectionClass = class
-	d.AdversaryFaults = advFaults
+	d.AdversaryDetected = true
 	return d, nil
 }
 
-// runE14Adversary reruns a shorter workload against a TamperAnswer
-// server through equally faulty connections: the tampered response
-// must surface as a DetectionError at the victim client, proving the
+// runE14Adversary reruns the workload against a TamperAnswer server
+// through equally faulty connections: the tampered response must
+// surface as a DetectionError at the victim client, proving the
 // retry/reconnect machinery doesn't mask real deviations.
-func runE14Adversary(cfg E14Config) (bool, string, uint64, error) {
-	db := seedDB(cfg.DBSize)
-	honest := server.NewP2(db)
+func runE14Adversary(cfg E14Config) (class string, faults uint64, err error) {
 	trigger := uint64(cfg.Users)*uint64(cfg.OpsPerUser)/4 + 1
-	srv := adversary.Wrap(honest, adversary.Config{Kind: adversary.TamperAnswer, TriggerOp: trigger})
-	dep, err := e14Deploy(cfg, srv, cvs.NewStore())
+	srv := adversary.Wrap(server.NewP2(seedDB(cfg.DBSize, 1)), adversary.Config{Kind: adversary.TamperAnswer, TriggerOp: trigger})
+	dep, err := deployFaulty(deployConfig{srv: srv, users: cfg.Users, k: cfg.K},
+		cfg.Seed, cfg.ResetProb, cfg.TruncateProb, "")
 	if err != nil {
-		return false, "", 0, err
+		return "", 0, err
 	}
 	defer dep.close()
 
-	var wg sync.WaitGroup
-	detections := make([]*core.DetectionError, cfg.Users)
-	errs := make([]error, cfg.Users)
-	for i := 0; i < cfg.Users; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			cl := dep.clients[id]
-			for j := 0; j < cfg.OpsPerUser; j++ {
-				op := benchOp(id*100003+j, cfg.DBSize)
-				if _, err := cl.Do(op); err != nil {
-					if de, ok := core.AsDetection(err); ok {
-						detections[id] = de
-					} else {
-						errs[id] = err
-					}
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
+	res := load{workers: cfg.Users, ops: cfg.OpsPerUser, op: clientOp(dep.clients, cfg.DBSize)}.run()
 	var de *core.DetectionError
-	for _, got := range detections {
-		if got != nil {
+	others := ""
+	for _, werr := range res.errs {
+		if got, ok := core.AsDetection(werr); ok {
 			de = got
+		} else if werr != nil {
+			others = werr.Error()
 		}
 	}
 	if de == nil {
-		others := ""
-		for _, e := range errs {
-			if e != nil {
-				others = e.Error()
-			}
-		}
-		return false, "", dep.faultsInjected(), fmt.Errorf("E14: tampering server was not detected (non-detection errors: %s)", others)
+		return "", dep.faultsInjected(), fmt.Errorf("E14: tampering server was not detected (non-detection errors: %s)", others)
 	}
-	return true, de.Class.String(), dep.faultsInjected(), nil
-}
-
-// E14 runs the experiment with the default configuration and renders
-// it as a table.
-func E14() *Table {
-	d, err := RunE14(DefaultE14Config())
-	if err != nil {
-		panic(err)
-	}
-	return d.Table()
+	return de.Class.String(), dep.faultsInjected(), nil
 }
 
 // Table renders the data as the E14 exhibit.

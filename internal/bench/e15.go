@@ -1,24 +1,14 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"trustedcvs/internal/backoff"
-	"trustedcvs/internal/broadcast"
-	"trustedcvs/internal/core/proto2"
-	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/driver"
-	"trustedcvs/internal/fault"
 	"trustedcvs/internal/forensics"
 	"trustedcvs/internal/server"
-	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/witness"
 )
@@ -105,20 +95,6 @@ type E15Data struct {
 	BenignGossipEvidence int `json:"benign_gossip_evidence"`
 }
 
-// WriteJSON writes the result in the checked-in BENCH_E15.json format.
-func (d *E15Data) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// inprocWitness returns a DialFunc serving n in-process.
-func inprocWitness(n *witness.Node) witness.DialFunc {
-	return func() (transport.Caller, error) {
-		return transport.NewInproc(n.Handler()), nil
-	}
-}
-
 // RunE15 runs the full experiment.
 func RunE15(cfg E15Config) (*E15Data, error) {
 	d := &E15Data{
@@ -141,152 +117,49 @@ func RunE15(cfg E15Config) (*E15Data, error) {
 // runE15Failover is phase 1: kill the primary mid-workload, promote a
 // witness from its stored checkpoint, and let the clients fail over.
 func runE15Failover(cfg E15Config, d *E15Data) error {
-	db := seedDB(cfg.DBSize)
-	base := server.NewP2(db)
-	store := cvs.NewStore()
-
-	wid, err := witness.NewIdentity("primary")
-	if err != nil {
-		return err
-	}
-	pub := witness.NewPublisher(wid, cfg.CommitEvery)
-	nodes := make([]*witness.Node, cfg.Witnesses)
-	for i := range nodes {
-		nodes[i] = witness.NewNode(fmt.Sprintf("w%d", i), 0)
-		nodes[i].Pin("primary", wid.Public())
-		pub.AddWitness(nodes[i].Name(), inprocWitness(nodes[i]))
-	}
-	srv := server.WithOpHook(base, pub.OpApplied)
-
-	hub, err := broadcast.ListenHub("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer hub.Close()
-	lisA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
 	// Reserve the promotion address up front so every client can carry
 	// it as its second endpoint from the start (a real deployment would
 	// distribute the witness addresses the same way).
 	lisB, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		lisA.Close()
 		return err
 	}
 	addrB := lisB.Addr().String()
 	lisB.Close()
 
-	sessions := transport.NewSessionTable(0)
-	ts := transport.ServeListener(lisA, driver.NewHandler(srv, store), transport.Options{Sessions: sessions})
-	tsClosed := false
-	defer func() {
-		if !tsClosed {
-			ts.Close()
-		}
-	}()
-
-	root := base.DB().Root()
-	pol := transport.RetryPolicy{CallTimeout: 5 * time.Second, MaxAttempts: 12}
-	var (
-		injs     []*fault.Injector
-		callers  []*transport.ResilientClient
-		channels []broadcast.Channel
-		clients  []*driver.Client
-	)
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
-	for i := 0; i < cfg.Users; i++ {
-		cinj := fault.NewInjector(fault.Config{
-			Seed: uint64(cfg.Seed) + uint64(i), After: 8,
-			ResetProb: cfg.ResetProb, TruncateProb: cfg.TruncateProb,
-		})
-		hinj := fault.NewInjector(fault.Config{
-			Seed: uint64(cfg.Seed) + 1000 + uint64(i), After: 8,
-			ResetProb: cfg.ResetProb, TruncateProb: cfg.TruncateProb,
-		})
-		injs = append(injs, cinj, hinj)
-		p := pol
-		p.JitterSeed = uint64(cfg.Seed)*1000 + uint64(i) + 1
-		caller := transport.DialResilientEndpoints([]transport.Endpoint{
-			{Name: "primary", Dial: fault.Dialer(lisA.Addr().String(), cinj)},
-			{Name: "backup", Dial: fault.Dialer(addrB, cinj)},
-		}, p)
-		ch := broadcast.DialHubResumeFunc(fault.Dialer(hub.Addr(), hinj))
-		u := proto2.NewUser(sig.UserID(i), root, cfg.K)
-		dc := driver.NewP2(u, caller, ch, cfg.Users)
-		chk := witness.NewCheck("primary", wid.Public(), 0)
-		for _, n := range nodes {
-			chk.AddWitness(n.Name(), inprocWitness(n))
-		}
-		dc.SetWitnessCheck(chk)
-		callers = append(callers, caller)
-		channels = append(channels, ch)
-		clients = append(clients, dc)
+	dep, err := deployFaulty(deployConfig{
+		srv: server.NewP2(seedDB(cfg.DBSize, 1)), users: cfg.Users, k: cfg.K,
+		witnesses: cfg.Witnesses, pubEvery: cfg.CommitEvery,
+	}, cfg.Seed, cfg.ResetProb, cfg.TruncateProb, addrB)
+	if err != nil {
+		return err
 	}
-
-	var opsDone atomic.Uint64
-	var promotedNanos atomic.Int64
-	recoverAt := make([]atomic.Int64, cfg.Users)
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Users)
-	for i := 0; i < cfg.Users; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			cl := clients[id]
-			for j := 0; j < cfg.OpsPerUser; j++ {
-				op := benchOp(id*100003+j, cfg.DBSize)
-				if _, err := cl.Do(op); err != nil {
-					errs[id] = fmt.Errorf("client %d op %d: %w", id, j, err)
-					return
-				}
-				opsDone.Add(1)
-				if t := promotedNanos.Load(); t != 0 && recoverAt[id].Load() == 0 {
-					recoverAt[id].Store(time.Now().UnixNano())
-				}
-			}
-		}(i)
-	}
+	defer dep.close()
+	run := startFailoverRun(dep.clients, cfg.OpsPerUser, cfg.DBSize)
 
 	// Kill the primary once the workload is half done. As in E14 the
-	// transport drains first, then the checkpoint cut is taken — every
-	// acked op is inside the cut. The cut is then SHIPPED to the
-	// witnesses (validated envelope + commitment at its head) and the
-	// primary's state is abandoned: recovery happens from what the
-	// witnesses hold, not from the dead process.
-	half := d.TotalOps / 2
-	poll := backoff.Poll(time.Millisecond)
-	for opsDone.Load() < half {
-		poll.Sleep()
+	// transport drains first, then the checkpoint cut is taken. The cut
+	// is then SHIPPED to the witnesses (validated envelope + commitment
+	// at its head) and the primary's state is abandoned: recovery
+	// happens from what the witnesses hold, not from the dead process.
+	if err := run.awaitHalf(); err != nil {
+		return fmt.Errorf("E15: %w", err)
 	}
 	killStart := time.Now()
-	ts.Close()
-	tsClosed = true
-	var snap *server.P2Snapshot
-	var cerr error
-	sessions.Freeze(func(ss *transport.SessionsSnapshot) {
-		snap, cerr = server.CheckpointP2(srv, store)
-		if cerr == nil {
-			snap.Sessions = ss
-		}
-	})
-	if cerr != nil {
-		return fmt.Errorf("E15 checkpoint: %w", cerr)
+	dep.ts.Close()
+	snap, err := dep.checkpointCut()
+	if err != nil {
+		return fmt.Errorf("E15 checkpoint: %w", err)
 	}
-	if err := pub.ShipSnapshot(snap); err != nil {
+	if err := dep.pub.ShipSnapshot(snap); err != nil {
 		return fmt.Errorf("E15 ship snapshot: %w", err)
 	}
-	cutRoot := base.DB().Root()
+	cutRoot := dep.srv.DB().Root()
 
 	// Promote a witness: it re-verifies the envelope checksum, restores
 	// the database, and cross-checks the restored head against the
 	// signed commitment it holds for that counter.
-	prom, err := witness.Promote(nodes[0], "primary")
+	prom, err := witness.Promote(dep.nodes[0], "primary")
 	if err != nil {
 		return fmt.Errorf("E15 promote: %w", err)
 	}
@@ -295,45 +168,26 @@ func runE15Failover(cfg E15Config, d *E15Data) error {
 	if err != nil {
 		return fmt.Errorf("E15 rebind %s: %w", addrB, err)
 	}
-	ts2 := transport.ServeListener(lis2, driver.NewHandler(prom.Server, prom.Store), transport.Options{Sessions: prom.Sessions})
-	defer ts2.Close()
-	promotedNanos.Store(time.Now().UnixNano())
+	dep.ts = transport.ServeListener(lis2, driver.NewHandler(prom.Server, prom.Store), transport.Options{Sessions: prom.Sessions})
+	run.resumed()
 
-	wg.Wait()
-	for i, werr := range errs {
-		if werr != nil {
-			return fmt.Errorf("E15 phase 1 must complete cleanly: %w", werr)
-		}
-		if err := clients[i].WaitIdle(10 * time.Second); err != nil {
-			d.FalseAlarms++
-		}
+	if err := run.wait(); err != nil {
+		return fmt.Errorf("E15 phase 1 must complete cleanly: %w", err)
 	}
-	for _, cl := range clients {
-		if cl.Err() != nil {
-			d.FalseAlarms++
-		}
+	d.FalseAlarms = dep.drain(10 * time.Second)
+	for _, cl := range dep.clients {
 		d.NoQuorumSkips += cl.NoQuorumSkips()
 	}
-
-	var lastRecover int64
-	for i := range recoverAt {
-		if t := recoverAt[i].Load(); t > lastRecover {
-			lastRecover = t
-		}
-	}
-	if lastRecover > 0 {
-		d.FailoverMillis = float64(lastRecover-killStart.UnixNano()) / 1e6
+	if t := run.recoveredAt(); t > 0 {
+		d.FailoverMillis = float64(t-killStart.UnixNano()) / 1e6
 	}
 	d.FinalCtr = prom.Server.DB().Ctr()
 	d.CtrMatchesOps = d.FinalCtr == d.TotalOps
-	for _, inj := range injs {
-		d.FaultsInjected += inj.Injected()
-	}
-	for _, c := range callers {
+	d.FaultsInjected = dep.faultsInjected()
+	for _, c := range dep.callers {
 		d.TransportReconnects += c.Reconnects()
 		d.Failovers += c.Failovers()
 	}
-	_ = channels
 	return nil
 }
 
@@ -344,13 +198,28 @@ func e15Root(branch byte, i int) digest.Digest {
 	return r
 }
 
-// submitCommit delivers one commitment to a witness over its wire
+// e15Chain signs one branch's commitments seq from..to, chained onto
+// prev.
+func e15Chain(wid *witness.Identity, branch byte, from, to int, prev digest.Digest) []*forensics.Commitment {
+	var cs []*forensics.Commitment
+	for i := from; i <= to; i++ {
+		cs = append(cs, wid.Commit(uint64(i), uint64(i), e15Root(branch, i), prev))
+		prev = e15Root(branch, i)
+	}
+	return cs
+}
+
+// submitCommits delivers commitments to a witness over its wire
 // protocol.
-func submitCommit(n *witness.Node, c *forensics.Commitment, pub []byte) error {
+func submitCommits(n *witness.Node, wid *witness.Identity, cs ...*forensics.Commitment) error {
 	caller := transport.NewInproc(n.Handler())
 	defer caller.Close()
-	_, err := caller.Call(&witness.SubmitRequest{Commit: c, Pub: pub})
-	return err
+	for _, c := range cs {
+		if _, err := caller.Call(&witness.SubmitRequest{Commit: c, Pub: wid.Public()}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runE15Fork is phase 3's teeth check: a forked primary feeds branch A
@@ -371,30 +240,12 @@ func runE15Fork(d *E15Data) error {
 	w2.Pin("primary", wid.Public())
 
 	// Shared prefix (seq 1, 2), then the histories diverge at seq 3.
-	prev := digest.Zero
-	var shared []*forensics.Commitment
-	for i := 1; i <= 2; i++ {
-		c := wid.Commit(uint64(i), uint64(i), e15Root('S', i), prev)
-		prev = e15Root('S', i)
-		shared = append(shared, c)
-	}
-	for _, c := range shared {
-		if err := submitCommit(w1, c, wid.Public()); err != nil {
+	shared := e15Chain(wid, 'S', 1, 2, digest.Zero)
+	for i, w := range []*witness.Node{w1, w2} {
+		if err := submitCommits(w, wid, shared...); err != nil {
 			return err
 		}
-		if err := submitCommit(w2, c, wid.Public()); err != nil {
-			return err
-		}
-	}
-	prevA, prevB := prev, prev
-	for i := 3; i <= 5; i++ {
-		ca := wid.Commit(uint64(i), uint64(i), e15Root('A', i), prevA)
-		cb := wid.Commit(uint64(i), uint64(i), e15Root('B', i), prevB)
-		prevA, prevB = e15Root('A', i), e15Root('B', i)
-		if err := submitCommit(w1, ca, wid.Public()); err != nil {
-			return err
-		}
-		if err := submitCommit(w2, cb, wid.Public()); err != nil {
+		if err := submitCommits(w, wid, e15Chain(wid, "AB"[i], 3, 5, e15Root('S', 2))...); err != nil {
 			return err
 		}
 	}
@@ -445,11 +296,8 @@ func runE15BenignGossip(d *E15Data) error {
 			n.AddPeer(p.Name(), inprocWitness(p))
 		}
 	}
-	prev := digest.Zero
-	for i := 1; i <= 9; i++ {
-		c := wid.Commit(uint64(i), uint64(i), e15Root('H', i), prev)
-		prev = e15Root('H', i)
-		if err := submitCommit(nodes[i%3], c, wid.Public()); err != nil {
+	for i, c := range e15Chain(wid, 'H', 1, 9, digest.Zero) {
+		if err := submitCommits(nodes[(i+1)%3], wid, c); err != nil {
 			return err
 		}
 	}
@@ -468,16 +316,6 @@ func runE15BenignGossip(d *E15Data) error {
 		}
 	}
 	return nil
-}
-
-// E15 runs the experiment with the default configuration and renders
-// it as a table.
-func E15() *Table {
-	d, err := RunE15(DefaultE15Config())
-	if err != nil {
-		panic(err)
-	}
-	return d.Table()
 }
 
 // Table renders the data as the E15 exhibit.

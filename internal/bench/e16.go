@@ -1,18 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
-	"trustedcvs/internal/core"
-	"trustedcvs/internal/core/proto2"
-	"trustedcvs/internal/sig"
-	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
 )
 
@@ -76,14 +67,11 @@ type E16ShardStat struct {
 
 // E16Point is one measured (scheme, client count) cell.
 type E16Point struct {
-	Scheme    string  `json:"scheme"`
-	Clients   int     `json:"clients"`
-	Shards    int     `json:"shards"`
-	Ops       int     `json:"ops"`
-	Offered   float64 `json:"offered_ops_per_sec"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Micros float64 `json:"p50_us"`
-	P99Micros float64 `json:"p99_us"`
+	Scheme  string  `json:"scheme"`
+	Clients int     `json:"clients"`
+	Shards  int     `json:"shards"`
+	Offered float64 `json:"offered_ops_per_sec"`
+	loadPoint
 	// ContendedFrac is the fraction of ordered-section entries that
 	// found the shard lock held; LockWaitMs is the total time spent
 	// waiting for it. BusiestShardOcc is the busiest shard lock's
@@ -122,136 +110,35 @@ type E16Data struct {
 	ForestOccAtMax     float64 `json:"forest_busiest_occupancy_at_max"`
 }
 
-// WriteJSON writes the result in the checked-in BENCH_E16.json format.
-func (d *E16Data) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// seedDBSharded preloads a forest the same way seedDB preloads a
-// single tree (Preload splits each chunk across the shards).
-func seedDBSharded(size, shards int) *vdb.DB {
-	db := vdb.NewSharded(0, shards)
-	const chunk = 500
-	for i := 0; i < size; i += chunk {
-		op := &vdb.WriteOp{}
-		for j := i; j < i+chunk && j < size; j++ {
-			op.Puts = append(op.Puts, vdb.KV{Key: fmt.Sprintf("key-%08d", j), Val: []byte("seed")})
-		}
-		if err := db.Preload(op); err != nil {
-			panic(err)
-		}
-	}
-	return db
-}
-
-// e16Measure runs one open-loop point: nClients paced clients against
-// a fresh server over real TCP, shard stats snapshotted around the
-// timed window.
-func e16Measure(name string, shards int, cfg E16Config, nClients int,
-	db *vdb.DB, handler transport.Handler, newClient func(int) e13Client) (E16Point, error) {
-	srv, err := transport.ListenOpts("127.0.0.1:0", handler, transport.Options{})
+// e16Point runs one open-loop point: nClients paced clients against a
+// fresh server over real TCP, shard stats snapshotted around the timed
+// window.
+func e16Point(s e13Scheme, cfg E16Config, nClients int) (E16Point, error) {
+	f, err := newE13Fleet(s, cfg.DBSize, nClients)
 	if err != nil {
 		return E16Point{}, err
 	}
-	defer srv.Close()
-
-	callers := make([]transport.Caller, nClients)
-	clients := make([]e13Client, nClients)
-	for i := 0; i < nClients; i++ {
-		c, err := transport.Dial(srv.Addr())
-		if err != nil {
-			return E16Point{}, err
-		}
-		defer c.Close()
-		callers[i] = c
-		clients[i] = newClient(i)
-	}
-
-	lats := make([][]time.Duration, nClients)
-	errs := make([]error, nClients)
-	run := func(warm bool) {
-		var wg sync.WaitGroup
-		interval := time.Duration(float64(time.Second) / cfg.PerClientRate)
-		// Clients start phase-shifted across one interval so arrivals
-		// spread uniformly instead of beating in lockstep.
-		start := time.Now().Add(5 * time.Millisecond)
-		for i := 0; i < nClients; i++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				if warm {
-					// Untimed closed-loop warm-up: TCP, gob engines and
-					// buffer pools reach steady state before the window.
-					for j := 0; j < e13Warmup; j++ {
-						op := benchOp(id*100003+j, cfg.DBSize)
-						if _, err := clients[id].do(callers[id], op); err != nil {
-							errs[id] = fmt.Errorf("client %d warm-up op %d: %w", id, j, err)
-							return
-						}
-					}
-					return
-				}
-				next := start.Add(interval * time.Duration(id) / time.Duration(nClients))
-				for j := 0; j < cfg.OpsPerClient; j++ {
-					if d := time.Until(next); d > 0 {
-						//lint:ignore sleepretry open-loop pacing to the client's scheduled issue time, not a retry cadence
-						time.Sleep(d)
-					}
-					op := benchOp(id*100003+e13Warmup+j, cfg.DBSize)
-					if _, err := clients[id].do(callers[id], op); err != nil {
-						errs[id] = fmt.Errorf("client %d op %d: %w", id, j, err)
-						return
-					}
-					lats[id] = append(lats[id], time.Since(next))
-					next = next.Add(interval)
-				}
-			}(i)
-		}
-		wg.Wait()
-	}
-
-	run(true)
-	for _, err := range errs {
-		if err != nil {
-			return E16Point{}, err
-		}
-	}
-	// The warm-up burst runs closed-loop and leaves the heap hot; a
-	// collection here keeps the GC debt it built from being paid inside
-	// the timed window.
-	runtime.GC()
-	before := db.Stats()
-	start := time.Now()
-	run(false)
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return E16Point{}, err
-		}
-	}
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) float64 {
-		return float64(all[int(p*float64(len(all)-1))].Nanoseconds()) / 1e3
+	defer f.close()
+	var before []vdb.ShardStats
+	res := load{
+		workers: nClients, warmup: e13Warmup, ops: cfg.OpsPerClient,
+		interval: time.Duration(float64(time.Second) / cfg.PerClientRate),
+		begin:    func() { before = f.db.Stats() },
+		op: func(a arrival) (bool, error) {
+			_, err := f.do(a, cfg.DBSize)
+			return true, err
+		},
+	}.run()
+	if err := res.err(); err != nil {
+		return E16Point{}, err
 	}
 	pt := E16Point{
-		Scheme:    name,
-		Clients:   nClients,
-		Shards:    shards,
-		Ops:       len(all),
+		Scheme: s.name, Clients: nClients, Shards: s.shards,
 		Offered:   cfg.PerClientRate * float64(nClients),
-		OpsPerSec: float64(len(all)) / elapsed.Seconds(),
-		P50Micros: pct(0.50),
-		P99Micros: pct(0.99),
+		loadPoint: newLoadPoint(res.pooled(), res.elapsed),
 	}
 	var ops, contended, waitNs uint64
-	for i, st := range db.Stats() {
+	for i, st := range f.db.Stats() {
 		ds := E16ShardStat{
 			Shard:     st.Shard,
 			Ops:       st.Ops - before[i].Ops,
@@ -262,7 +149,7 @@ func e16Measure(name string, shards int, cfg E16Config, nClients int,
 		ops += ds.Ops
 		contended += ds.Contended
 		waitNs += st.WaitNs - before[i].WaitNs
-		if occ := ds.HeldMs / 1e3 / elapsed.Seconds(); occ > pt.BusiestShardOcc {
+		if occ := ds.HeldMs / 1e3 / res.elapsed.Seconds(); occ > pt.BusiestShardOcc {
 			pt.BusiestShardOcc = occ
 		}
 		pt.ShardStats = append(pt.ShardStats, ds)
@@ -274,62 +161,22 @@ func e16Measure(name string, shards int, cfg E16Config, nClients int,
 	return pt, nil
 }
 
-// e16Point measures one Protocol II cell (single tree or forest).
-func e16Point(name string, shards int, cfg E16Config, nClients int) (E16Point, error) {
-	db := seedDBSharded(cfg.DBSize, shards)
-	srv := proto2.NewServer(db)
-	roots := db.ShardRoots()
-	root := db.Root()
-	newClient := func(id int) e13Client {
-		if shards > 1 {
-			return &p2Client{u: proto2.NewForestUser(sig.UserID(id), roots, 1<<62)}
-		}
-		return &p2Client{u: proto2.NewUser(sig.UserID(id), root, 1<<62)}
-	}
-	return e16Measure(name, shards, cfg, nClients, db, opHandler(srv.HandleOp), newClient)
-}
-
-// e16TrustedPoint measures the unverified floor: plain applies, no
-// proofs, no client verification, same paced offered load.
-func e16TrustedPoint(cfg E16Config, nClients int) (E16Point, error) {
-	db := seedDB(cfg.DBSize)
-	handler := func(req any) (any, error) {
-		r, ok := req.(*core.OpRequest)
-		if !ok {
-			return nil, fmt.Errorf("bench: unexpected request %T", req)
-		}
-		ans, err := db.ApplyPlain(r.Op)
-		if err != nil {
-			return nil, err
-		}
-		return &core.OpResponseII{Answer: ans}, nil
-	}
-	return e16Measure("trusted", 1, cfg, nClients, db, handler, func(int) e13Client { return trustedClient{} })
-}
-
 // RunE16 runs the full experiment.
 func RunE16(cfg E16Config) (*E16Data, error) {
 	d := &E16Data{DBSize: cfg.DBSize, PerClientRate: cfg.PerClientRate, OpsPerClient: cfg.OpsPerClient, Shards: cfg.Shards}
 	throughput := map[string]float64{} // "scheme/clients" -> delivered ops/s
 	occupancy := map[string]float64{}  // "scheme/clients" -> busiest-shard occupancy
 	forest := fmt.Sprintf("P2-forest%d", cfg.Shards)
-	schemes := []struct {
-		name   string
-		shards int
-	}{
-		{"trusted", 1},
-		{"P2-1shard", 1},
-		{forest, cfg.Shards},
+	// The trusted scheme is the unverified floor: plain applies, no
+	// proofs, no client verification, same paced offered load.
+	schemes := []e13Scheme{
+		{name: "trusted", shards: 1, setup: trustedSetup},
+		p2Scheme("P2-1shard", 1),
+		p2Scheme(forest, cfg.Shards),
 	}
 	for _, s := range schemes {
 		for _, n := range cfg.ClientCounts {
-			var pt E16Point
-			var err error
-			if s.name == "trusted" {
-				pt, err = e16TrustedPoint(cfg, n)
-			} else {
-				pt, err = e16Point(s.name, s.shards, cfg, n)
-			}
+			pt, err := e16Point(s, cfg, n)
 			if err != nil {
 				return nil, fmt.Errorf("E16 %s/%d: %w", s.name, n, err)
 			}
@@ -350,16 +197,6 @@ func RunE16(cfg E16Config) (*E16Data, error) {
 		d.ForestOccAtMax = occupancy[fmt.Sprintf("%s/%d", forest, max)]
 	}
 	return d, nil
-}
-
-// E16 runs the experiment with the default configuration and renders
-// it as a table.
-func E16() *Table {
-	d, err := RunE16(DefaultE16Config())
-	if err != nil {
-		panic(err)
-	}
-	return d.Table()
 }
 
 // Table renders the data as the E16 exhibit.

@@ -1,29 +1,16 @@
 package bench
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"trustedcvs/internal/adversary"
 	"trustedcvs/internal/audit"
-	"trustedcvs/internal/backoff"
-	"trustedcvs/internal/broadcast"
-	"trustedcvs/internal/core"
-	"trustedcvs/internal/core/proto2"
-	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/digest"
-	"trustedcvs/internal/driver"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
-	"trustedcvs/internal/witness"
 )
 
 // E17 measures the epoch-batched asynchronous audit: operations return
@@ -90,16 +77,13 @@ type E17Point struct {
 	Mode     string `json:"mode"`
 	Clients  int    `json:"clients"`
 	EpochLen uint64 `json:"epoch_len,omitempty"`
-	Ops      int    `json:"ops"`
 	// AnswerOpsPerSec is the optimistic answer rate (hot path only);
-	// OpsPerSec is the verified rate with the audit drain — seal and
-	// final closure included — charged to the denominator. For sync
-	// mode the two differ only by the residual barrier flush.
+	// the embedded OpsPerSec is the verified rate with the audit drain —
+	// seal and final closure included — charged to the denominator. For
+	// sync mode the two differ only by the residual barrier flush.
 	AnswerOpsPerSec float64 `json:"answer_ops_per_sec"`
-	OpsPerSec       float64 `json:"ops_per_sec"`
 	DrainMillis     float64 `json:"drain_ms"`
-	P50Micros       float64 `json:"p50_us"`
-	P99Micros       float64 `json:"p99_us"`
+	loadPoint
 	// Queue accounting (epoch mode only): the high-water mark against
 	// capacity is the occupancy headroom, Degraded counts submissions
 	// that found the queue full and fell back to a blocking (sync-like)
@@ -149,217 +133,45 @@ type E17Data struct {
 	MaxDetectLatency  uint64     `json:"max_detect_latency_ops"`
 }
 
-// WriteJSON writes the result in the checked-in BENCH_E17.json format.
-func (d *E17Data) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// e17Cluster is one full Protocol II deployment: server behind TCP
-// with a witness publisher hooked in, an in-process broadcast hub, n
-// driver clients in either sync or epoch-audit mode, each
-// cross-checking the same in-process witness set.
-type e17Cluster struct {
-	ts      *transport.Server
-	hub     *broadcast.HubServer
-	clients []*driver.Client
-	pub     *witness.Publisher
-	db      *vdb.DB
-	once    sync.Once
-}
-
-func (c *e17Cluster) close() {
-	c.once.Do(func() {
-		for _, cl := range c.clients {
-			cl.Close()
-		}
-		if c.hub != nil {
-			c.hub.Close()
-		}
-		if c.ts != nil {
-			c.ts.Close()
-		}
-	})
-}
-
-// newE17Cluster deploys hs (already wrapped with any adversary) for n
-// clients. epochLen == 0 selects sync mode with period k; otherwise
-// epoch-audit mode. witnesses == 0 skips the witness layer; pubEvery
-// overrides the publisher's commit cadence (0 = the mode's natural
-// cadence: the sync period, or the aligned epoch grid).
-func newE17Cluster(hs server.Server, n int, k, epochLen uint64, queue, witnesses int, pubEvery uint64) (*e17Cluster, error) {
-	c := &e17Cluster{db: hs.DB()}
-	var wid *witness.Identity
-	var nodes []*witness.Node
-	srv := hs
-	if witnesses > 0 {
-		var err error
-		wid, err = witness.NewIdentity("primary")
-		if err != nil {
-			return nil, err
-		}
-		every := k
-		if epochLen > 0 {
-			every = epochLen
-		}
-		if pubEvery > 0 {
-			every = pubEvery
-		}
-		c.pub = witness.NewPublisher(wid, every)
-		if pubEvery == 0 && epochLen > 0 {
-			c.pub.Align()
-		}
-		for i := 0; i < witnesses; i++ {
-			nd := witness.NewNode(fmt.Sprintf("w%d", i), 0)
-			nd.Pin("primary", wid.Public())
-			c.pub.AddWitness(nd.Name(), inprocWitness(nd))
-			nodes = append(nodes, nd)
-		}
-		srv = server.WithOpHook(hs, c.pub.OpApplied)
-	}
-	// No idle timeout: a sync-mode client parks its server connection
-	// for the whole barrier wait, which at the largest population on a
-	// small machine can exceed any reasonable production idle bound —
-	// severing it mid-wait would abort the measurement, not protect it.
-	ts, err := transport.ListenOpts("127.0.0.1:0", driver.NewHandler(srv, cvs.NewStore()),
-		transport.Options{IdleTimeout: -1})
-	if err != nil {
-		return nil, err
-	}
-	c.ts = ts
-	// TCP hub with resumable subscribers: under 64 concurrent sync
-	// clients the report fan-out bursts past any fixed in-process
-	// buffer; the wire hub's replay log turns that into recovery
-	// instead of a lost-delivery failure.
-	hub, err := broadcast.ListenHub("127.0.0.1:0")
-	if err != nil {
-		c.close()
-		return nil, err
-	}
-	c.hub = hub
-	root := c.db.Root()
-	roots := c.db.ShardRoots()
-	forest := c.db.Shards() > 1
-	for i := 0; i < n; i++ {
-		conn, err := transport.Dial(ts.Addr())
-		if err != nil {
-			c.close()
-			return nil, err
-		}
-		var u *proto2.User
-		userK := k
-		if epochLen > 0 {
-			userK = 1 << 62 // sync scheduling is the auditor's job now
-		}
-		if forest {
-			u = proto2.NewForestUser(sig.UserID(i), roots, userK)
-		} else {
-			u = proto2.NewUser(sig.UserID(i), root, userK)
-		}
-		var dc *driver.Client
-		if epochLen > 0 {
-			dc, err = driver.NewP2Epoch(u, conn, broadcast.DialHubResume(c.hub.Addr()), n, epochLen, queue)
-			if err != nil {
-				c.close()
-				return nil, err
-			}
-		} else {
-			dc = driver.NewP2(u, conn, broadcast.DialHubResume(c.hub.Addr()), n)
-		}
-		if witnesses > 0 {
-			chk := witness.NewCheck("primary", wid.Public(), 0)
-			for _, nd := range nodes {
-				chk.AddWitness(nd.Name(), inprocWitness(nd))
-			}
-			if epochLen > 0 && 4*epochLen > uint64(witness.DefaultCheckWindow) {
-				chk.SetWindow(int(4 * epochLen))
-			}
-			dc.SetWitnessCheck(chk)
-		}
-		c.clients = append(c.clients, dc)
-	}
-	return c, nil
-}
-
-// e17Point runs one closed-loop phase-1 cell.
+// e17Point runs one closed-loop phase-1 cell against the full
+// deployment: TCP transport, broadcast hub, witness quorum.
 func e17Point(mode string, cfg E17Config, n int) (E17Point, error) {
 	epochLen := uint64(0)
 	if mode == "epoch" {
 		epochLen = cfg.EpochFactor * uint64(n)
 	}
-	db := seedDB(cfg.DBSize)
-	cl, err := newE17Cluster(server.NewP2(db), n, cfg.SyncK, epochLen, cfg.Queue, cfg.Witnesses, 0)
+	dep, err := deploy(deployConfig{
+		srv: server.NewP2(seedDB(cfg.DBSize, 1)), users: n,
+		k: cfg.SyncK, epochLen: epochLen, queue: cfg.Queue, witnesses: cfg.Witnesses,
+		// No idle timeout: a sync-mode client parks its server connection
+		// for the whole barrier wait, which at the largest population on a
+		// small machine can exceed any reasonable production idle bound —
+		// severing it mid-wait would abort the measurement, not protect it.
+		opts: transport.Options{IdleTimeout: -1},
+	})
 	if err != nil {
 		return E17Point{}, err
 	}
-	defer cl.close()
+	defer dep.close()
 
-	lats := make([][]time.Duration, n)
-	errs := make([]error, n)
-	runtime.GC()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for j := 0; j < cfg.OpsPerClient; j++ {
-				t0 := time.Now()
-				op := benchOp(id*100003+j, cfg.DBSize)
-				if _, err := cl.clients[id].Do(op); err != nil {
-					errs[id] = fmt.Errorf("client %d op %d: %w", id, j, err)
-					return
-				}
-				lats[id] = append(lats[id], time.Since(t0))
-			}
-			// Epoch mode: a finished client must seal or peers stall at
-			// admission waiting for its boundary reports.
-			if epochLen > 0 {
-				cl.clients[id].Seal()
-			}
-		}(i)
+	res := load{
+		workers: n, ops: cfg.OpsPerClient, op: clientOp(dep.clients, cfg.DBSize),
+		// Epoch mode: a finished client must seal or peers stall at
+		// admission waiting for its boundary reports.
+		finish: func(w int) { dep.clients[w].Seal() },
+	}.run()
+	if err := res.err(); err != nil {
+		return E17Point{}, err
 	}
-	wg.Wait()
-	hot := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return E17Point{}, err
-		}
-	}
-	pt := E17Point{Mode: mode, Clients: n, EpochLen: epochLen, Ops: n * cfg.OpsPerClient}
-	// Drain: nothing counts as verified until the auditors (or the
-	// residual sync rounds) have covered every answered op.
-	for _, dc := range cl.clients {
-		var derr error
-		if epochLen > 0 {
-			derr = dc.WaitSealed(120 * time.Second)
-		} else {
-			derr = dc.WaitIdle(120 * time.Second)
-		}
-		if derr != nil {
-			pt.FalseAlarms++
-		}
-	}
-	elapsed := time.Since(start)
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) float64 {
-		return float64(all[int(p*float64(len(all)-1))].Nanoseconds()) / 1e3
-	}
+	hot := res.elapsed
+	// Nothing counts as verified until the auditors (or the residual
+	// sync rounds) have covered every answered op.
+	pt := E17Point{Mode: mode, Clients: n, EpochLen: epochLen, FalseAlarms: dep.drain(120 * time.Second)}
+	elapsed := time.Since(res.start)
+	pt.loadPoint = newLoadPoint(res.pooled(), elapsed)
 	pt.AnswerOpsPerSec = float64(pt.Ops) / hot.Seconds()
-	pt.OpsPerSec = float64(pt.Ops) / elapsed.Seconds()
 	pt.DrainMillis = float64(elapsed-hot) / float64(time.Millisecond)
-	pt.P50Micros = pct(0.50)
-	pt.P99Micros = pct(0.99)
-	for _, dc := range cl.clients {
-		if dc.Err() != nil {
-			pt.FalseAlarms++
-		}
+	for _, dc := range dep.clients {
 		pt.NoQuorumSkips += dc.NoQuorumSkips()
 		if epochLen == 0 {
 			continue
@@ -378,34 +190,6 @@ func e17Point(mode string, cfg E17Config, n int) (E17Point, error) {
 		}
 	}
 	return pt, nil
-}
-
-// e17PollDetection polls until some client mirrors a typed
-// epoch-audit failure.
-func e17PollDetection(clients []*driver.Client, timeout time.Duration) (*audit.EpochAuditFailure, error) {
-	deadline := time.Now().Add(timeout)
-	poll := backoff.Poll(time.Millisecond)
-	for {
-		for _, dc := range clients {
-			var eaf *audit.EpochAuditFailure
-			if err := dc.Err(); err != nil && errors.As(err, &eaf) {
-				return eaf, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return nil, errors.New("E17: no typed detection before deadline")
-		}
-		poll.Sleep()
-	}
-}
-
-// e17AwaitDetection seals every client and polls until one of them
-// mirrors a typed epoch-audit failure.
-func e17AwaitDetection(clients []*driver.Client, timeout time.Duration) (*audit.EpochAuditFailure, error) {
-	for _, dc := range clients {
-		dc.Seal()
-	}
-	return e17PollDetection(clients, timeout)
 }
 
 // e17CrossKeys probes for two keys routing to different shards.
@@ -432,146 +216,87 @@ func e17CrossKeys(shards int) (string, string) {
 func e17Trial(kind adversary.Kind, trigger uint64, cfg E17Config, shards int) (E17Trial, error) {
 	users := cfg.DetectUsers
 	epochLen := cfg.DetectEpochLen
-	var db *vdb.DB
 	if shards > 1 {
-		db = vdb.NewSharded(0, shards)
 		users = 2
-	} else {
-		db = vdb.New(0)
 	}
 	acfg := adversary.Config{Kind: kind, TriggerOp: trigger}
 	if kind == adversary.Fork {
 		acfg.GroupB = map[sig.UserID]bool{sig.UserID(users - 1): true}
 	}
-	adv := adversary.Wrap(server.NewP2(db), acfg)
-	cl, err := newE17Cluster(adv, users, 0, epochLen, 0, 0, 0)
+	adv := adversary.Wrap(server.NewP2(vdb.NewSharded(0, shards)), acfg)
+	dep, err := deploy(deployConfig{srv: adv, users: users, epochLen: epochLen, opts: transport.Options{IdleTimeout: -1}})
 	if err != nil {
 		return E17Trial{}, err
 	}
-	defer cl.close()
+	defer dep.close()
 
 	var ka, kb string
 	if shards > 1 {
 		ka, kb = e17CrossKeys(shards)
 	}
-	// Issue concurrently, one goroutine per client. Sequential
-	// round-robin would deadlock under Fork: the victim branch's
-	// counter advances at a fraction of the main branch's rate, so the
-	// un-forked clients cross into the next epoch and block at
-	// admission while the forked client — whose boundary report is
-	// what closes the epoch — never gets its turn. Concurrent clients
-	// let the forked one run until it crosses the boundary or seals;
-	// either way the epoch closes and the closure check convicts.
 	perUser := int(trigger+2*epochLen) / users
-	var wg sync.WaitGroup
-	for u := 0; u < users; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			for j := 0; j < perUser; j++ {
-				i := u*perUser + j
-				var op vdb.Op = &vdb.WriteOp{Puts: []vdb.KV{{Key: fmt.Sprintf("t-%d", i), Val: []byte("v")}}}
-				if shards > 1 && j%4 == 3 {
-					op = &vdb.CrossOp{Legs: []vdb.Op{
-						&vdb.WriteOp{Puts: []vdb.KV{{Key: ka, Val: []byte(fmt.Sprintf("l%d", i))}}},
-						&vdb.WriteOp{Puts: []vdb.KV{{Key: kb, Val: []byte(fmt.Sprintf("r%d", i))}}},
-					}}
-				}
-				if _, err := cl.clients[u].Do(op); err != nil {
-					return // detection mirrored into the hot path; confirm below
-				}
-			}
-			cl.clients[u].Seal()
-		}(u)
-	}
-	// A conviction can be one-sided (TornCommit breaks only its
-	// issuer's VO chain), and a convicted auditor stops reporting, so
-	// honest peers may stall at admission mid-workload. Once a
-	// conviction is latched the measurement is made: give the workload
-	// a short grace to finish, then cut the stalled clients loose.
-	wdone := make(chan struct{})
-	go func() { wg.Wait(); close(wdone) }()
-	var eaf *audit.EpochAuditFailure
-	deadline := time.Now().Add(60 * time.Second)
-	poll := backoff.Poll(5 * time.Millisecond)
-waitLoop:
-	for {
-		select {
-		case <-wdone:
-			eaf, err = e17AwaitDetection(cl.clients, 60*time.Second)
-			break waitLoop
-		default:
+	wdone := trialWorkload(dep.clients, perUser, func(w, j int) vdb.Op {
+		i := w*perUser + j
+		if shards > 1 && j%4 == 3 {
+			return &vdb.CrossOp{Legs: []vdb.Op{
+				&vdb.WriteOp{Puts: []vdb.KV{{Key: ka, Val: []byte(fmt.Sprintf("l%d", i))}}},
+				&vdb.WriteOp{Puts: []vdb.KV{{Key: kb, Val: []byte(fmt.Sprintf("r%d", i))}}},
+			}}
 		}
-		if eaf, _ = e17PollDetection(cl.clients, 0); eaf != nil {
-			select {
-			case <-wdone:
-			case <-time.After(2 * time.Second):
-				cl.close()
-				<-wdone
-			}
-			break waitLoop
-		}
-		if time.Now().After(deadline) {
-			err = errors.New("E17: workload stalled without a detection")
-			break waitLoop
-		}
-		poll.Sleep()
-	}
+		return putOp(fmt.Sprintf("t-%d", i))
+	})
+	eaf, err := awaitConviction(dep, wdone, 60*time.Second)
 	if err != nil {
-		return E17Trial{}, fmt.Errorf("%s@%d: %w", kind, trigger, err)
+		return E17Trial{}, fmt.Errorf("E17 %s@%d: %w", kind, trigger, err)
 	}
-	tr := E17Trial{
-		Behavior: kind.String(), TriggerOp: trigger, EpochLen: epochLen,
-		DeviatedAtOp: adv.DeviatedAtOp(), Detected: true, FailEpoch: eaf.Epoch,
-	}
-	if de, ok := core.AsDetection(eaf); ok {
-		tr.Class = de.Class.String()
-	}
-	e17Finish(&tr, eaf)
-	return tr, nil
+	return newE17Trial(kind.String(), trigger, adv.DeviatedAtOp(), epochLen, eaf), nil
 }
 
-// e17Finish computes the exposure window and the one-epoch bound from
-// a conviction.
-func e17Finish(tr *E17Trial, eaf *audit.EpochAuditFailure) {
-	dev := tr.DeviatedAtOp
+// newE17Trial records a conviction: the exposure window and the
+// one-epoch bound.
+func newE17Trial(behavior string, trigger, deviatedAt, epochLen uint64, eaf *audit.EpochAuditFailure) E17Trial {
+	tr := E17Trial{
+		Behavior: behavior, TriggerOp: trigger, DeviatedAtOp: deviatedAt, EpochLen: epochLen,
+		Detected: true, Class: detectionClass(eaf), FailEpoch: eaf.Epoch,
+	}
+	dev := deviatedAt
 	if dev == 0 {
-		dev = tr.TriggerOp
+		dev = trigger
 	}
 	if eaf.Ctr != 0 && eaf.Ctr >= dev {
 		tr.DetectLatencyOps = eaf.Ctr - dev
-	} else if end := (eaf.Epoch + 1) * tr.EpochLen; end >= dev {
+	} else if end := (eaf.Epoch + 1) * epochLen; end >= dev {
 		tr.DetectLatencyOps = end - dev
 	}
 	devEpoch := uint64(0)
 	if dev > 0 {
-		devEpoch = (dev - 1) / tr.EpochLen
+		devEpoch = (dev - 1) / epochLen
 	}
 	tr.WithinOneEpoch = eaf.Epoch <= devEpoch+1
+	return tr
 }
 
 // e17Divergence is the witness trial: the server's publisher commits a
 // root to the quorum that contradicts what the clients verified; the
 // next per-epoch witness check must convict.
 func e17Divergence(cfg E17Config) (E17Trial, error) {
-	const users = 2
 	epochLen := cfg.DetectEpochLen
-	db := vdb.New(0)
 	// Commit cadence effectively never: the only commitment the
 	// witnesses will hold is the forged one below.
-	cl, err := newE17Cluster(server.NewP2(db), users, 0, epochLen, 0, 3, 1<<60)
+	dep, err := deploy(deployConfig{
+		srv: server.NewP2(vdb.New(0)), users: 2, epochLen: epochLen,
+		witnesses: 3, pubEvery: 1 << 60, opts: transport.Options{IdleTimeout: -1},
+	})
 	if err != nil {
 		return E17Trial{}, err
 	}
-	defer cl.close()
+	defer dep.close()
 
 	half := int(epochLen) / 2
-	for i := 0; i < half; i++ {
-		if _, err := cl.clients[i%users].Do(&vdb.WriteOp{Puts: []vdb.KV{{Key: fmt.Sprintf("w-%d", i), Val: []byte("v")}}}); err != nil {
-			return E17Trial{}, err
-		}
+	if err := writeRoundRobin(dep.clients, "w", 0, half); err != nil {
+		return E17Trial{}, err
 	}
-	for _, dc := range cl.clients {
+	for _, dc := range dep.clients {
 		if err := dc.WaitAudited(30 * time.Second); err != nil {
 			return E17Trial{}, err
 		}
@@ -579,27 +304,15 @@ func e17Divergence(cfg E17Config) (E17Trial, error) {
 	// Forge: a validly signed commitment for a counter the clients
 	// verified, naming a root that was never on their history.
 	forged := uint64(half / 2)
-	cl.pub.CommitNow(forged, digest.Digest{0xde, 0xad, 0xbe, 0xef})
-	cl.pub.Flush()
-	for i := half; i < int(2*epochLen); i++ {
-		if _, err := cl.clients[i%users].Do(&vdb.WriteOp{Puts: []vdb.KV{{Key: fmt.Sprintf("w-%d", i), Val: []byte("v")}}}); err != nil {
-			break
-		}
-	}
-	eaf, err := e17AwaitDetection(cl.clients, 60*time.Second)
+	dep.pub.CommitNow(forged, digest.Digest{0xde, 0xad, 0xbe, 0xef})
+	dep.pub.Flush()
+	// An error here is the conviction reaching the hot path.
+	_ = writeRoundRobin(dep.clients, "w", half, int(2*epochLen))
+	eaf, err := sealAndConvict(dep.clients, 60*time.Second)
 	if err != nil {
-		return E17Trial{}, fmt.Errorf("witness-divergence: %w", err)
+		return E17Trial{}, fmt.Errorf("E17 witness-divergence: %w", err)
 	}
-	tr := E17Trial{
-		Behavior: "witness-divergence", TriggerOp: uint64(half),
-		DeviatedAtOp: uint64(half), EpochLen: epochLen,
-		Detected: true, FailEpoch: eaf.Epoch,
-	}
-	if de, ok := core.AsDetection(eaf); ok {
-		tr.Class = de.Class.String()
-	}
-	e17Finish(&tr, eaf)
-	return tr, nil
+	return newE17Trial("witness-divergence", uint64(half), uint64(half), epochLen, eaf), nil
 }
 
 // RunE17 runs the full experiment.
@@ -665,16 +378,6 @@ func RunE17(cfg E17Config) (*E17Data, error) {
 		}
 	}
 	return d, nil
-}
-
-// E17 runs the experiment with the default configuration and renders
-// it as a table.
-func E17() *Table {
-	d, err := RunE17(DefaultE17Config())
-	if err != nil {
-		panic(err)
-	}
-	return d.Table()
 }
 
 // Table renders the data as the E17 exhibit.

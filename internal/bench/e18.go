@@ -1,26 +1,18 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
 
 	"trustedcvs/internal/adversary"
 	"trustedcvs/internal/audit"
-	"trustedcvs/internal/backoff"
-	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core"
-	"trustedcvs/internal/core/proto2"
-	"trustedcvs/internal/cvs"
-	"trustedcvs/internal/driver"
 	"trustedcvs/internal/durable"
 	"trustedcvs/internal/fault"
 	"trustedcvs/internal/server"
-	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wal"
@@ -112,13 +104,6 @@ type E18Data struct {
 	MaxReplayMillis      float64   `json:"max_replay_ms"`
 }
 
-// WriteJSON writes the result in the checked-in BENCH_E18.json format.
-func (d *E18Data) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
 // e18Point is one crash point's choreography.
 type e18Point struct {
 	name    string
@@ -144,22 +129,6 @@ func e18Points(epochLen uint64) []e18Point {
 		// replay to skip, and the auditor must flip to degrade-to-sync.
 		{name: "during-truncate", preOps: n + 2, postOps: 4, truncFS: true},
 	}
-}
-
-// e18AwaitEpochs polls until the client's auditor has closed n epochs.
-func e18AwaitEpochs(dc *driver.Client, n uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	poll := backoff.Poll(time.Millisecond)
-	for dc.Audit().Completed() < n {
-		if err := dc.Err(); err != nil {
-			return err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("E18: %d/%d epochs closed before deadline", dc.Audit().Completed(), n)
-		}
-		poll.Sleep()
-	}
-	return nil
 }
 
 // e18ExpectedReplay reads one dead client's journal the way recovery
@@ -191,7 +160,8 @@ func e18Plant(addr, dir string, g, epochLen uint64) error {
 	if err != nil {
 		return err
 	}
-	op := &vdb.WriteOp{Puts: []vdb.KV{{Key: "e18-planted", Val: []byte("v")}}}
+	defer conn.Close()
+	op := putOp("e18-planted")
 	raw, err := conn.Call(&core.OpRequest{User: 0, Op: op})
 	if err != nil {
 		return err
@@ -219,71 +189,51 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 	defer os.RemoveAll(root)
 	userDir := func(i int) string { return filepath.Join(root, fmt.Sprintf("user-%d", i)) }
 
-	db := vdb.New(0)
-	var srv server.Server = server.NewP2(db)
+	var srv server.Server = server.NewP2(vdb.New(0))
 	plantG := uint64(pt.preOps) + 1
 	if tampered {
 		cell.TriggerOp = plantG
 		srv = adversary.Wrap(srv, adversary.Config{Kind: adversary.TamperAnswer, TriggerOp: plantG})
 	}
-	ts, err := transport.ListenOpts("127.0.0.1:0", driver.NewHandler(srv, cvs.NewStore()),
-		transport.Options{IdleTimeout: -1})
-	if err != nil {
-		return cell, err
-	}
-	defer ts.Close()
-	hub, err := broadcast.ListenHub("127.0.0.1:0")
-	if err != nil {
-		return cell, err
-	}
-	defer hub.Close()
-
 	var ffs *fault.FaultyFS
 	if pt.truncFS {
 		ffs = &fault.FaultyFS{CrashAtRemove: 1}
 	}
-	// start dials a client; faulty routes its journal through the
-	// fault-scheduled filesystem (first incarnation only — the restart
-	// gets a healthy disk, as after a real reboot).
-	start := func(i int, faulty bool) (*driver.Client, error) {
-		conn, err := transport.Dial(ts.Addr())
-		if err != nil {
-			return nil, err
-		}
-		var fs durable.FS
-		if faulty && i == 0 {
-			fs = ffs
-		}
-		u := proto2.NewUser(sig.UserID(i), db.Root(), 1<<62)
-		return driver.NewP2EpochWAL(u, conn, broadcast.DialHubResume(hub.Addr()),
-			users, epochLen, 0, userDir(i), fs)
+	restarted := false
+	dep, err := deploy(deployConfig{
+		srv: srv, users: users, epochLen: epochLen, opts: transport.Options{IdleTimeout: -1},
+		// Client 0's first incarnation journals through the
+		// fault-scheduled filesystem; its restart gets a healthy disk,
+		// as after a real reboot.
+		journal: func(i int) (string, durable.FS) {
+			if ffs != nil && i == 0 && !restarted {
+				return userDir(i), ffs
+			}
+			return userDir(i), nil
+		},
+	})
+	if err != nil {
+		return cell, err
 	}
+	defer dep.close()
 
-	// Phase 1: the doomed deployment. Sequential alternating ops keep
-	// the global counter assignment deterministic.
-	cs := make([]*driver.Client, users)
-	for i := range cs {
-		if cs[i], err = start(i, pt.truncFS); err != nil {
-			return cell, err
-		}
+	// Phase 1: the doomed deployment.
+	if err := writeRoundRobin(dep.clients, "e18", 0, pt.preOps); err != nil {
+		return cell, fmt.Errorf("E18 %s pre-%w", pt.name, err)
 	}
-	for j := 0; j < pt.preOps; j++ {
-		if _, err := cs[j%users].Do(&vdb.WriteOp{Puts: []vdb.KV{{Key: fmt.Sprintf("e18-%d", j), Val: []byte("v")}}}); err != nil {
-			return cell, fmt.Errorf("E18 %s pre-op %d: %w", pt.name, j, err)
-		}
-	}
-	for _, dc := range cs {
-		if err := e18AwaitEpochs(dc, 1, 30*time.Second); err != nil {
-			return cell, fmt.Errorf("E18 %s: %w", pt.name, err)
+	for _, dc := range dep.clients {
+		// A failed client falls through to WaitAudited, which reports it.
+		if !pollUntil(30*time.Second, time.Millisecond, func() bool { return dc.Err() != nil || dc.Audit().Completed() >= 1 }) {
+			return cell, fmt.Errorf("E18 %s: epoch 0 not closed before deadline", pt.name)
 		}
 		if err := dc.WaitAudited(30 * time.Second); err != nil {
 			return cell, fmt.Errorf("E18 %s drain: %w", pt.name, err)
 		}
 	}
 	if pt.sealOne {
-		cs[0].Seal() // in flight at the kill; never journaled
+		dep.clients[0].Seal() // in flight at the kill; never journaled
 	}
-	for _, dc := range cs {
+	for _, dc := range dep.clients {
 		if dc.Err() != nil {
 			cell.FalseAlarms++
 		}
@@ -291,20 +241,22 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 	}
 	// Kill. Stop drops the unverified queue on the floor — the journal
 	// is the only survivor, exactly as in a real crash.
-	for _, dc := range cs {
+	victim := dep.clients[0]
+	for i, dc := range dep.clients {
 		dc.Close()
+		dep.clients[i] = nil
 	}
 	if pt.truncFS {
 		if !ffs.Crashed() {
 			return cell, fmt.Errorf("E18 %s: scheduled truncation crash never fired", pt.name)
 		}
-		cell.Degraded = cs[0].Audit().Stats().Durability == audit.DurabilityDegradedSync
+		cell.Degraded = victim.Audit().Stats().Durability == audit.DurabilityDegradedSync
 		if !cell.Degraded {
 			return cell, fmt.Errorf("E18 %s: journal death did not flip degrade-to-sync", pt.name)
 		}
 	}
 	if tampered {
-		if err := e18Plant(ts.Addr(), userDir(0), plantG, epochLen); err != nil {
+		if err := e18Plant(dep.ts.Addr(), userDir(0), plantG, epochLen); err != nil {
 			return cell, fmt.Errorf("E18 %s plant: %w", pt.name, err)
 		}
 	}
@@ -317,68 +269,48 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 		cell.ExpectedReplay += frames
 	}
 
-	// Phase 2: recovery.
+	// Phase 2: recovery. Only the victim restarts in a tampered cell:
+	// conviction must come from its own journal replay, no peer help.
+	restarted = true
 	t0 := time.Now()
-	if tampered {
-		// Only the victim restarts: conviction must come from its own
-		// journal replay, no peer help.
-		dc, err := start(0, false)
-		if err != nil {
+	for i := range dep.clients {
+		if tampered && i > 0 {
+			break
+		}
+		if dep.clients[i], err = dep.startClient(i); err != nil {
 			return cell, fmt.Errorf("E18 %s restart: %w", pt.name, err)
 		}
-		defer dc.Close()
-		deadline := time.Now().Add(cfg.ReplayBudget)
-		poll := backoff.Poll(time.Millisecond)
-		for dc.Audit().Err() == nil {
-			if time.Now().After(deadline) {
-				return cell, fmt.Errorf("E18 %s: tampered record not convicted within the replay budget", pt.name)
-			}
-			poll.Sleep()
+	}
+	if tampered {
+		aud := dep.clients[0].Audit()
+		if !pollUntil(cfg.ReplayBudget, time.Millisecond, func() bool { return aud.Err() != nil }) {
+			return cell, fmt.Errorf("E18 %s: tampered record not convicted within the replay budget", pt.name)
 		}
 		cell.ReplayMillis = float64(time.Since(t0)) / float64(time.Millisecond)
 		cell.Detected = true
 		var eaf *audit.EpochAuditFailure
-		if errors.As(dc.Audit().Err(), &eaf) {
+		if errors.As(aud.Err(), &eaf) {
 			cell.FailEpoch = eaf.Epoch
 		}
-		if de, ok := core.AsDetection(dc.Audit().Err()); ok {
-			cell.Class = de.Class.String()
-		}
-		cell.Replayed = dc.Audit().Stats().Replayed
+		cell.Class = detectionClass(aud.Err())
+		cell.Replayed = aud.Stats().Replayed
 		cell.ZeroLoss = true // conviction supersedes the replay count
 		return cell, nil
 	}
 
-	// Honest: restart both, re-verify exactly the journaled tail, then
-	// finish the workload and close every epoch.
-	for i := range cs {
-		if cs[i], err = start(i, false); err != nil {
-			return cell, fmt.Errorf("E18 %s restart: %w", pt.name, err)
+	// Honest: re-verify exactly the journaled tail, then finish the
+	// workload and close every epoch.
+	if !pollUntil(cfg.ReplayBudget, time.Millisecond, func() bool {
+		cell.Replayed = 0
+		for _, dc := range dep.clients {
+			cell.Replayed += dc.Audit().Stats().Replayed
 		}
+		return cell.Replayed >= uint64(cell.ExpectedReplay)
+	}) {
+		return cell, fmt.Errorf("E18 %s: replayed %d of %d journaled obligations within the budget",
+			pt.name, cell.Replayed, cell.ExpectedReplay)
 	}
-	defer func() {
-		for _, dc := range cs {
-			dc.Close()
-		}
-	}()
-	deadline := time.Now().Add(cfg.ReplayBudget)
-	poll := backoff.Poll(time.Millisecond)
-	for {
-		var replayed uint64
-		for _, dc := range cs {
-			replayed += dc.Audit().Stats().Replayed
-		}
-		cell.Replayed = replayed
-		if replayed >= uint64(cell.ExpectedReplay) {
-			break
-		}
-		if time.Now().After(deadline) {
-			return cell, fmt.Errorf("E18 %s: replayed %d of %d journaled obligations within the budget",
-				pt.name, replayed, cell.ExpectedReplay)
-		}
-		poll.Sleep()
-	}
-	for _, dc := range cs {
+	for _, dc := range dep.clients {
 		if err := dc.WaitAudited(cfg.ReplayBudget); err != nil {
 			cell.FalseAlarms++
 		}
@@ -386,20 +318,14 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 	cell.ReplayMillis = float64(time.Since(t0)) / float64(time.Millisecond)
 	cell.ZeroLoss = cell.Replayed == uint64(cell.ExpectedReplay)
 
-	for j := 0; j < pt.postOps; j++ {
-		if _, err := cs[j%users].Do(&vdb.WriteOp{Puts: []vdb.KV{{Key: fmt.Sprintf("e18-post-%d", j), Val: []byte("v")}}}); err != nil {
-			cell.FalseAlarms++
-			return cell, nil
-		}
+	if err := writeRoundRobin(dep.clients, "e18-post", 0, pt.postOps); err != nil {
+		cell.FalseAlarms++
+		return cell, nil
 	}
-	for _, dc := range cs {
+	for _, dc := range dep.clients {
 		dc.Seal()
 	}
-	for _, dc := range cs {
-		if err := dc.WaitSealed(cfg.ReplayBudget); err != nil {
-			cell.FalseAlarms++
-		}
-	}
+	cell.FalseAlarms += dep.drain(cfg.ReplayBudget)
 	return cell, nil
 }
 
@@ -429,15 +355,6 @@ func RunE18(cfg E18Config) (*E18Data, error) {
 		}
 	}
 	return d, nil
-}
-
-// E18 runs the matrix with the default configuration and renders it.
-func E18() *Table {
-	d, err := RunE18(DefaultE18Config())
-	if err != nil {
-		panic(err)
-	}
-	return d.Table()
 }
 
 // Table renders the data as the E18 exhibit.

@@ -1,23 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"trustedcvs/internal/adversary"
-	"trustedcvs/internal/audit"
-	"trustedcvs/internal/backoff"
-	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core"
-	"trustedcvs/internal/core/proto2"
-	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/driver"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
@@ -189,88 +179,88 @@ type E21Data struct {
 	ZeroDangling        bool               `json:"zero_dangling"`
 }
 
-// WriteJSON writes the result in the checked-in BENCH_E21.json format.
-func (d *E21Data) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// e21Listen deploys hs behind TCP with the synthetic service pad. In
-// protected mode the admission controller, the priority classifier and
-// deadline-aware dispatch are armed; unprotected mode is the legacy
-// semaphore with no deadline handling.
-func e21Listen(cfg E21Config, hs server.Server, protected bool) (*transport.Server, *transport.Admission, error) {
-	inner := driver.NewHandler(hs, cvs.NewStore())
-	handler := func(req any) (any, error) {
-		resp, err := inner(req)
-		if cfg.Service > 0 {
-			time.Sleep(cfg.Service)
-		}
-		return resp, err
-	}
+// e21Deploy deploys hs behind TCP with the synthetic service pad and
+// the given epoch-audit client population. In protected mode the
+// admission controller, the priority classifier and deadline-aware
+// dispatch are armed; unprotected mode is the legacy semaphore with no
+// deadline handling.
+func e21Deploy(cfg E21Config, hs server.Server, protected bool, users int, epochLen uint64) (*deployment, error) {
 	opts := transport.Options{IdleTimeout: -1, MaxConcurrent: cfg.MaxConcurrent}
-	var adm *transport.Admission
 	if protected {
-		adm = transport.NewAdmission(transport.AdmissionOptions{
+		opts.Admission = transport.NewAdmission(transport.AdmissionOptions{
 			Target: cfg.Target, MaxLimit: cfg.MaxConcurrent, QueueDepth: cfg.QueueDepth,
 		})
-		opts.Admission = adm
 		opts.Classify = driver.Classify
-		opts.HandlerDeadline = driver.WrapDeadline(handler)
 	}
-	ts, err := transport.ListenOpts("127.0.0.1:0", handler, opts)
+	return deploy(deployConfig{
+		srv: hs, users: users, epochLen: epochLen, opts: opts,
+		wrap: func(inner transport.Handler) transport.Handler {
+			return func(req any) (any, error) {
+				resp, err := inner(req)
+				if cfg.Service > 0 {
+					time.Sleep(cfg.Service)
+				}
+				return resp, err
+			}
+		},
+	})
+}
+
+// e21Dial opens n raw wire connections for a load generator's workers.
+func e21Dial(addr string, n int) ([]*wire.Conn, error) {
+	conns := make([]*wire.Conn, 0, n)
+	for len(conns) < n {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			e21Hangup(conns)
+			return nil, err
+		}
+		conns = append(conns, wire.NewConn(nc))
+	}
+	return conns, nil
+}
+
+func e21Hangup(conns []*wire.Conn) {
+	for _, c := range conns {
+		c.Close()
+	}
+}
+
+// e21Redial replaces worker i's connection after a transport fault,
+// which may have poisoned the stream.
+func e21Redial(conns []*wire.Conn, i int, addr string) error {
+	conns[i].Close()
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return ts, adm, nil
+	conns[i] = wire.NewConn(nc)
+	return nil
 }
 
 // e21Capacity measures peak capacity with a short closed loop of pure
 // user operations against the unprotected deployment.
 func e21Capacity(cfg E21Config) (float64, error) {
-	db := seedDB(cfg.DBSize)
-	ts, _, err := e21Listen(cfg, server.NewP2(db), false)
+	dep, err := e21Deploy(cfg, server.NewP2(seedDB(cfg.DBSize, 1)), false, 0, 0)
 	if err != nil {
 		return 0, err
 	}
-	defer ts.Close()
+	defer dep.close()
 	W := 2 * cfg.MaxConcurrent
-	done := make([]uint64, W)
-	errs := make([]error, W)
-	var wg sync.WaitGroup
-	start := time.Now()
-	end := start.Add(time.Second)
-	for i := 0; i < W; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := transport.Dial(ts.Addr())
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer conn.Close()
-			for k := i; time.Now().Before(end); k += W {
-				req := &core.OpRequest{User: sig.UserID(1000 + i), Op: benchOp(k, cfg.DBSize)}
-				if _, err := conn.Call(req); err != nil {
-					errs[i] = err
-					return
-				}
-				done[i]++
-			}
-		}(i)
+	conns, err := e21Dial(dep.ts.Addr(), W)
+	if err != nil {
+		return 0, err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	var total uint64
-	for i, n := range done {
-		if errs[i] != nil {
-			return 0, fmt.Errorf("capacity worker %d: %w", i, errs[i])
-		}
-		total += n
-	}
-	return float64(total) / elapsed.Seconds(), nil
+	defer e21Hangup(conns)
+	res := load{
+		workers: W, window: time.Second,
+		op: func(a arrival) (bool, error) {
+			req := &core.OpRequest{User: sig.UserID(1000 + a.worker), Op: benchOp(a.worker+a.seq*W, cfg.DBSize)}
+			_, err := conns[a.worker].Call(req)
+			return true, err
+		},
+	}.run()
+	return float64(len(res.pooled())) / res.elapsed.Seconds(), res.err()
 }
 
 // e21Request maps arrival k onto the offered mix: 80% user write ops,
@@ -295,8 +285,6 @@ type e21Counts struct {
 	expired   [transport.NumPriorities]uint64
 	missed    uint64
 	faults    uint64
-	within    uint64
-	lats      []time.Duration
 }
 
 // e21Cell runs one open-loop sweep cell: Workers generators issue the
@@ -304,157 +292,119 @@ type e21Counts struct {
 // start + k/rate and charged latency from that instant, issued or
 // not), against a fresh deployment in the given mode.
 func e21Cell(cfg E21Config, protected bool, factor, capacity float64) (E21Point, error) {
-	db := seedDB(cfg.DBSize)
-	ts, adm, err := e21Listen(cfg, server.NewP2(db), protected)
+	db := seedDB(cfg.DBSize, 1)
+	dep, err := e21Deploy(cfg, server.NewP2(db), protected, 0, 0)
 	if err != nil {
 		return E21Point{}, err
 	}
-	defer ts.Close()
+	defer dep.close()
 
 	rate := factor * capacity
 	W := cfg.Workers
-	counts := make([]e21Counts, W)
-	errs := make([]error, W)
-	startCtr := db.Ctr()
-	runtime.GC()
-	start := time.Now()
-	end := start.Add(cfg.Window)
-	var wg sync.WaitGroup
-	for i := 0; i < W; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			nc, err := net.Dial("tcp", ts.Addr())
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer func() { nc.Close() }()
-			wc := wire.NewConn(nc)
-			c := &counts[i]
-			for k := i; ; k += W {
-				sched := start.Add(time.Duration(float64(k) / rate * float64(time.Second)))
-				if sched.After(end) {
-					break
-				}
-				class, req := e21Request(k, i, cfg.DBSize)
-				c.attempted[class]++
-				now := time.Now()
-				if now.After(end) {
-					// The generator's backlog outlived the window: this
-					// arrival was never even issued. Count it — silently
-					// dropping it would flatter the unprotected cliff.
-					c.missed++
-					continue
-				}
-				if sched.After(now) {
-					//lint:ignore sleepretry open-loop pacing to the op's scheduled arrival time, not a retry cadence
-					time.Sleep(time.Until(sched))
-					now = time.Now()
-				}
-				var budget time.Duration
-				if protected {
-					// The budget is what remains of the op's end-to-end
-					// deadline; a backlogged generator gives up client-side
-					// exactly as a real caller would.
-					if budget = sched.Add(cfg.Deadline).Sub(now); budget <= 0 {
-						c.expired[class]++
-						continue
-					}
-				}
-				_, err := wc.CallBudget(req, budget)
-				lat := time.Since(sched)
-				switch {
-				case errors.Is(err, wire.ErrOverloaded):
-					c.shed[class]++
-				case errors.Is(err, wire.ErrDeadlineExceeded):
-					c.expired[class]++
-				case err == nil, class != transport.PriorityUser && errors.Is(err, wire.ErrRemote):
-					// Audit/background probes are answered with a plain
-					// remote refusal (unsupported under P2 / unknown type);
-					// delivery of the verdict is the outcome being measured.
-					c.delivered[class]++
-					if class == transport.PriorityUser {
-						c.lats = append(c.lats, lat)
-						if lat <= cfg.Deadline {
-							c.within++
-						}
-					}
-				case errors.Is(err, wire.ErrRemote):
-					c.faults++ // user op rejected by the handler: not load-related
-				default:
-					// Transport fault: the stream may be poisoned; redial.
-					c.faults++
-					nc.Close()
-					nc2, derr := net.Dial("tcp", ts.Addr())
-					if derr != nil {
-						errs[i] = derr
-						return
-					}
-					nc, wc = nc2, wire.NewConn(nc2)
-				}
-			}
-		}(i)
+	conns, err := e21Dial(dep.ts.Addr(), W)
+	if err != nil {
+		return E21Point{}, err
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return E21Point{}, fmt.Errorf("worker %d: %w", i, err)
-		}
+	defer e21Hangup(conns)
+	counts := make([]e21Counts, W)
+	startCtr := db.Ctr()
+	res := load{
+		workers: W, window: cfg.Window,
+		interval: time.Duration(float64(W) / rate * float64(time.Second)),
+		op: func(a arrival) (bool, error) {
+			c := &counts[a.worker]
+			class, req := e21Request(a.worker+a.seq*W, a.worker, cfg.DBSize)
+			c.attempted[class]++
+			if a.missed {
+				c.missed++
+				return false, nil
+			}
+			var budget time.Duration
+			if protected {
+				// The budget is what remains of the op's end-to-end
+				// deadline; a backlogged generator gives up client-side
+				// exactly as a real caller would.
+				if budget = time.Until(a.sched.Add(cfg.Deadline)); budget <= 0 {
+					c.expired[class]++
+					return false, nil
+				}
+			}
+			_, err := conns[a.worker].CallBudget(req, budget)
+			switch {
+			case errors.Is(err, wire.ErrOverloaded):
+				c.shed[class]++
+			case errors.Is(err, wire.ErrDeadlineExceeded):
+				c.expired[class]++
+			case err == nil, class != transport.PriorityUser && errors.Is(err, wire.ErrRemote):
+				// Audit/background probes are answered with a plain
+				// remote refusal (unsupported under P2 / unknown type);
+				// delivery of the verdict is the outcome being measured.
+				// Only user ops are timed.
+				c.delivered[class]++
+				return class == transport.PriorityUser, nil
+			case errors.Is(err, wire.ErrRemote):
+				c.faults++ // user op rejected by the handler: not load-related
+			default:
+				c.faults++
+				return false, e21Redial(conns, a.worker, dep.ts.Addr())
+			}
+			return false, nil
+		},
+	}.run()
+	if err := res.err(); err != nil {
+		return E21Point{}, err
 	}
 
 	mode := "unprotected"
 	if protected {
 		mode = "protected"
 	}
-	pt := E21Point{
-		Mode: mode, Factor: factor, OfferedOpsPerSec: rate,
-		Attempted: map[string]uint64{}, Delivered: map[string]uint64{},
-		Shed: map[string]uint64{}, Expired: map[string]uint64{},
-		RefusedFrac: map[string]float64{},
-	}
-	var all []time.Duration
-	var perClass [transport.NumPriorities]struct{ att, del, shed, exp uint64 }
+	pt := E21Point{Mode: mode, Factor: factor, OfferedOpsPerSec: rate, RefusedFrac: map[string]float64{}}
+	var total e21Counts
 	for i := range counts {
 		c := &counts[i]
-		for p := transport.Priority(0); p < transport.NumPriorities; p++ {
-			perClass[p].att += c.attempted[p]
-			perClass[p].del += c.delivered[p]
-			perClass[p].shed += c.shed[p]
-			perClass[p].exp += c.expired[p]
+		for p := range total.attempted {
+			total.attempted[p] += c.attempted[p]
+			total.delivered[p] += c.delivered[p]
+			total.shed[p] += c.shed[p]
+			total.expired[p] += c.expired[p]
 		}
 		pt.Missed += c.missed
 		pt.Faults += c.faults
-		pt.WithinDeadline += c.within
-		all = append(all, c.lats...)
 	}
-	for p := transport.Priority(0); p < transport.NumPriorities; p++ {
-		if perClass[p].att == 0 {
-			continue
+	// Only the classes the mix offered appear in the record.
+	byClass := func(n [transport.NumPriorities]uint64) map[string]uint64 {
+		m := map[string]uint64{}
+		for p, att := range total.attempted {
+			if att > 0 {
+				m[transport.Priority(p).String()] = n[p]
+			}
 		}
-		pt.Attempted[p.String()] = perClass[p].att
-		pt.Delivered[p.String()] = perClass[p].del
-		pt.Shed[p.String()] = perClass[p].shed
-		pt.Expired[p.String()] = perClass[p].exp
-		pt.RefusedFrac[p.String()] = float64(perClass[p].att-perClass[p].del) / float64(perClass[p].att)
+		return m
+	}
+	pt.Attempted, pt.Delivered = byClass(total.attempted), byClass(total.delivered)
+	pt.Shed, pt.Expired = byClass(total.shed), byClass(total.expired)
+	for class, att := range pt.Attempted {
+		pt.RefusedFrac[class] = float64(att-pt.Delivered[class]) / float64(att)
+	}
+	lats := res.pooled()
+	for _, lat := range lats {
+		if lat <= cfg.Deadline {
+			pt.WithinDeadline++
+		}
 	}
 	pt.GoodputOpsPerSec = float64(pt.WithinDeadline) / cfg.Window.Seconds()
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	if len(all) > 0 {
-		pct := func(p float64) float64 {
-			return float64(all[int(p*float64(len(all)-1))]) / float64(time.Millisecond)
-		}
-		pt.P50Millis = pct(0.50)
-		pt.P99Millis = pct(0.99)
-	}
+	p50, p99 := percentiles(lats)
+	pt.P50Millis = float64(p50) / float64(time.Millisecond)
+	pt.P99Millis = float64(p99) / float64(time.Millisecond)
 	pt.ServerOpsApplied = db.Ctr() - startCtr
-	pt.UserOpSuccesses = perClass[transport.PriorityUser].del
+	pt.UserOpSuccesses = total.delivered[transport.PriorityUser]
 	pt.AtomicSheds = pt.ServerOpsApplied == pt.UserOpSuccesses
-	if adm != nil {
-		st := adm.Stats()
+	if protected {
+		st := dep.ts.AdmissionStats()
 		pt.AdmissionLimit = st.Limit
 		pt.QueueHighWater = st.HighWater
-		for p := transport.Priority(0); p < transport.NumPriorities; p++ {
+		for p := range st.Shed {
 			pt.ServerShedTotal += st.Shed[p]
 			pt.ServerExpireTotal += st.Expired[p]
 		}
@@ -464,57 +414,29 @@ func e21Cell(cfg E21Config, protected bool, factor, capacity float64) (E21Point,
 
 // e21Flood pressures a protected deployment with counter-neutral
 // traffic (audit-class backup fetches and background probes) at the
-// given rate until stop closes. Counter-neutral matters: the trial's
-// verified clients run the closure check over the whole history, and
-// a flood that advanced the op counter with transitions no auditor
-// covers would fail closure — a false alarm manufactured by the
-// harness, not the server.
-func e21Flood(cfg E21Config, addr string, rate float64, stop <-chan struct{}, wg *sync.WaitGroup) {
-	F := cfg.TrialFlood
-	for i := 0; i < F; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			nc, err := net.Dial("tcp", addr)
-			if err != nil {
-				return
+// given rate, one worker per connection, until stop closes.
+// Counter-neutral matters: the trial's verified clients run the
+// closure check over the whole history, and a flood that advanced the
+// op counter with transitions no auditor covers would fail closure — a
+// false alarm manufactured by the harness, not the server.
+func e21Flood(cfg E21Config, conns []*wire.Conn, addr string, rate float64, stop <-chan struct{}) {
+	F := len(conns)
+	load{
+		workers: F, interval: time.Duration(float64(F) / rate * float64(time.Second)), stop: stop,
+		op: func(a arrival) (bool, error) {
+			k := a.worker + a.seq*F
+			var req any = &core.GetBackupsRequest{}
+			if k%3 == 0 {
+				req = &core.SyncRequest{From: sig.UserID(2000 + a.worker), Round: uint64(k)}
 			}
-			defer func() { nc.Close() }()
-			wc := wire.NewConn(nc)
-			start := time.Now()
-			for k := i; ; k += F {
-				sched := start.Add(time.Duration(float64(k) / rate * float64(time.Second)))
-				if d := time.Until(sched); d > 0 {
-					t := time.NewTimer(d)
-					select {
-					case <-stop:
-						t.Stop()
-						return
-					case <-t.C:
-					}
-				}
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				var req any = &core.GetBackupsRequest{}
-				if k%3 == 0 {
-					req = &core.SyncRequest{From: sig.UserID(2000 + i), Round: uint64(k)}
-				}
-				if _, err := wc.CallBudget(req, cfg.Deadline); err != nil && !errors.Is(err, wire.ErrRemote) &&
-					!errors.Is(err, wire.ErrOverloaded) && !errors.Is(err, wire.ErrDeadlineExceeded) {
-					// Transport fault (likely shutdown): redial or stop.
-					nc.Close()
-					nc2, derr := net.Dial("tcp", addr)
-					if derr != nil {
-						return
-					}
-					nc, wc = nc2, wire.NewConn(nc2)
-				}
+			if _, err := conns[a.worker].CallBudget(req, cfg.Deadline); err != nil && !errors.Is(err, wire.ErrRemote) &&
+				!errors.Is(err, wire.ErrOverloaded) && !errors.Is(err, wire.ErrDeadlineExceeded) {
+				// Transport fault (likely shutdown): redial or stop.
+				return false, e21Redial(conns, a.worker, addr)
 			}
-		}(i)
-	}
+			return false, nil
+		},
+	}.run()
 }
 
 // e21TrialRun deploys a verified epoch-audit cluster over a protected
@@ -525,128 +447,55 @@ func e21TrialRun(cfg E21Config, factor, capacity float64, malicious bool) (E21Tr
 	users := cfg.TrialUsers
 	epochLen := cfg.TrialEpochLen
 	trigger := epochLen + epochLen/2
-	db := vdb.New(0)
-	honest := server.NewP2(db)
-	var srv server.Server = honest
+	tr := E21Trial{Factor: factor, Behavior: "honest"}
+	var srv server.Server = server.NewP2(vdb.New(0))
 	if malicious {
-		srv = adversary.Wrap(honest, adversary.Config{
+		tr.Behavior = "fork"
+		srv = adversary.Wrap(srv, adversary.Config{
 			Kind: adversary.Fork, TriggerOp: trigger,
 			GroupB: map[sig.UserID]bool{sig.UserID(users - 1): true},
 		})
 	}
-	ts, adm, err := e21Listen(cfg, srv, true)
+	dep, err := e21Deploy(cfg, srv, true, users, epochLen)
 	if err != nil {
 		return E21Trial{}, err
 	}
-	defer ts.Close()
-	hub, err := broadcast.ListenHub("127.0.0.1:0")
-	if err != nil {
-		return E21Trial{}, err
-	}
-	defer hub.Close()
-
-	var clients []*driver.Client
-	closeAll := func() {
-		for _, dc := range clients {
-			dc.Close()
-		}
-	}
-	root := db.Root()
-	for i := 0; i < users; i++ {
-		conn, err := transport.Dial(ts.Addr())
-		if err != nil {
-			closeAll()
-			return E21Trial{}, err
-		}
-		u := proto2.NewUser(sig.UserID(i), root, 1<<62)
-		dc, err := driver.NewP2Epoch(u, conn, broadcast.DialHubResume(hub.Addr()), users, epochLen, 0)
-		if err != nil {
-			closeAll()
-			return E21Trial{}, err
-		}
+	defer dep.close()
+	for _, dc := range dep.clients {
 		// Arm brownout so sustained audit backlog under flood widens
 		// the admission window instead of hard-blocking; MaxStretch in
 		// the record shows how far it actually went.
 		dc.Audit().SetBrownout(3)
-		clients = append(clients, dc)
 	}
-	var closeOnce sync.Once
-	sever := func() { closeOnce.Do(closeAll) }
-	defer sever()
 
-	stop := make(chan struct{})
-	var fwg sync.WaitGroup
-	e21Flood(cfg, ts.Addr(), factor*capacity, stop, &fwg)
-	defer func() { close(stop); fwg.Wait() }()
-
-	tr := E21Trial{Factor: factor, Behavior: "honest"}
-	if malicious {
-		tr.Behavior = "fork"
+	conns, err := e21Dial(dep.ts.Addr(), cfg.TrialFlood)
+	if err != nil {
+		return E21Trial{}, err
 	}
+	stop, flooded := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(flooded)
+		e21Flood(cfg, conns, dep.ts.Addr(), factor*capacity, stop)
+	}()
+	defer func() {
+		close(stop)
+		<-flooded
+		e21Hangup(conns)
+	}()
+
 	perUser := int(trigger+2*epochLen)/users + 1
-	var wg sync.WaitGroup
-	for u := 0; u < users; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			for j := 0; j < perUser; j++ {
-				op := &vdb.WriteOp{Puts: []vdb.KV{{Key: fmt.Sprintf("t%d-%d", u, j), Val: []byte("v")}}}
-				if _, err := clients[u].Do(op); err != nil {
-					return // detection mirrored into the hot path; judged below
-				}
-			}
-			clients[u].Seal()
-		}(u)
-	}
-
+	wdone := trialWorkload(dep.clients, perUser, func(w, j int) vdb.Op { return putOp(fmt.Sprintf("t%d-%d", w, j)) })
 	if malicious {
-		// Same conviction dance as E17's trials: a one-sided conviction
-		// stalls honest peers at admission, so once a typed failure is
-		// latched the stalled workload is cut loose.
-		wdone := make(chan struct{})
-		go func() { wg.Wait(); close(wdone) }()
-		var eaf *audit.EpochAuditFailure
-		deadline := time.Now().Add(90 * time.Second)
-		poll := backoff.Poll(5 * time.Millisecond)
-	waitLoop:
-		for {
-			select {
-			case <-wdone:
-				eaf, err = e17AwaitDetection(clients, 90*time.Second)
-				break waitLoop
-			default:
-			}
-			if eaf, _ = e17PollDetection(clients, 0); eaf != nil {
-				select {
-				case <-wdone:
-				case <-time.After(2 * time.Second):
-					sever()
-					<-wdone
-				}
-				break waitLoop
-			}
-			if time.Now().After(deadline) {
-				err = errors.New("workload stalled without a detection")
-				break waitLoop
-			}
-			poll.Sleep()
-		}
+		eaf, err := awaitConviction(dep, wdone, 90*time.Second)
 		if err != nil {
-			return E21Trial{}, fmt.Errorf("fork@%.0fx: %w", factor, err)
+			return E21Trial{}, fmt.Errorf("E21 fork@%.0fx: %w", factor, err)
 		}
-		tr.Detected = true
-		if de, ok := core.AsDetection(eaf); ok {
-			tr.Class = de.Class.String()
-		}
+		tr.Detected, tr.Class = true, detectionClass(eaf)
 	} else {
-		wg.Wait()
-		for _, dc := range clients {
-			if err := dc.WaitSealed(90 * time.Second); err != nil {
-				tr.FalseAlarm = true
-			}
-		}
+		<-wdone
+		tr.FalseAlarm = dep.drain(90*time.Second) > 0
 	}
-	for _, dc := range clients {
+	for _, dc := range dep.clients {
 		st := dc.Audit().Stats()
 		tr.Submitted += st.Submitted
 		tr.Audited += st.Audited
@@ -659,8 +508,8 @@ func e21TrialRun(cfg E21Config, factor, capacity float64, malicious bool) (E21Tr
 		// honest control demands a full drain.
 		tr.Dangling = tr.Submitted - tr.Audited
 	}
-	st := adm.Stats()
-	for p := transport.Priority(0); p < transport.NumPriorities; p++ {
+	st := dep.ts.AdmissionStats()
+	for p := range st.Shed {
 		tr.ShedDuring += st.Shed[p] + st.Expired[p]
 	}
 	return tr, nil
@@ -743,16 +592,6 @@ func RunE21(cfg E21Config) (*E21Data, error) {
 		}
 	}
 	return d, nil
-}
-
-// E21 runs the experiment with the default configuration and renders
-// it as a table.
-func E21() *Table {
-	d, err := RunE21(DefaultE21Config())
-	if err != nil {
-		panic(err)
-	}
-	return d.Table()
 }
 
 // Table renders the data as the E21 exhibit.

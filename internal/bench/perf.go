@@ -2,15 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"trustedcvs/internal/baseline"
 	"trustedcvs/internal/core"
-	"trustedcvs/internal/core/proto1"
-	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/sim"
+	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wire"
 	"trustedcvs/internal/workload"
@@ -66,9 +64,9 @@ func E7() *Table {
 		if size >= 100_000 {
 			ops = 500
 		}
-		trusted := throughputTrusted(size, ops)
-		p1 := throughputP1(size, ops)
-		p2 := throughputP2(size, ops)
+		trusted := throughput(e13Scheme{setup: trustedSetup}, size, ops)
+		p1 := throughput(e13Scheme{setup: p1Setup}, size, ops)
+		p2 := throughput(p2Scheme("P2", 1), size, ops)
 		t.AddRow(size, int(trusted), int(p1), int(p2),
 			fmt.Sprintf("%.1fx", trusted/p1), fmt.Sprintf("%.1fx", trusted/p2))
 	}
@@ -78,8 +76,10 @@ func E7() *Table {
 	return t
 }
 
-func seedDB(size int) *vdb.DB {
-	db := vdb.New(0)
+// seedDB preloads size keys into a fresh database of the given shard
+// count (Preload splits each chunk across the shards).
+func seedDB(size, shards int) *vdb.DB {
+	db := vdb.NewSharded(0, shards)
 	const chunk = 500
 	for i := 0; i < size; i += chunk {
 		op := &vdb.WriteOp{}
@@ -100,64 +100,20 @@ func benchOp(i, size int) vdb.Op {
 	}}}
 }
 
-func throughputTrusted(size, ops int) float64 {
-	db := seedDB(size)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		if _, err := db.ApplyPlain(benchOp(i, size)); err != nil {
-			panic(err)
-		}
-	}
-	return float64(ops) / time.Since(start).Seconds()
-}
-
-func throughputP1(size, ops int) float64 {
-	db := seedDB(size)
-	signers, ring, err := sig.DeterministicSigners(2, 1)
-	if err != nil {
+// throughput runs ops operations of one E13 scheme in-process: two
+// users taking turns, no transport, no concurrency.
+func throughput(s e13Scheme, size, ops int) float64 {
+	_, handler, newClient := s.setup(size, 2)
+	c := transport.NewInproc(handler)
+	users := []e13Client{newClient(0), newClient(1)}
+	res := load{workers: 1, ops: ops, op: func(a arrival) (bool, error) {
+		_, err := users[a.seq%2](c, benchOp(a.seq, size))
+		return true, err
+	}}.run()
+	if err := res.err(); err != nil {
 		panic(err)
 	}
-	srv := proto1.NewServer(db, proto1.Initialize(signers[0], db.Root()))
-	users := []*proto1.User{proto1.NewUser(signers[0], ring, 1<<62), proto1.NewUser(signers[1], ring, 1<<62)}
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		u := users[i%2]
-		op := benchOp(i, size)
-		resp, err := srv.HandleOp(u.Request(op))
-		if err != nil {
-			panic(err)
-		}
-		ack, _, err := u.HandleResponse(op, resp)
-		if err != nil {
-			panic(err)
-		}
-		if err := srv.HandleAck(ack); err != nil {
-			panic(err)
-		}
-	}
-	return float64(ops) / time.Since(start).Seconds()
-}
-
-func throughputP2(size, ops int) float64 {
-	db := seedDB(size)
-	srv := proto2.NewServer(db)
-	users := []*proto2.User{
-		proto2.NewUser(0, db.Root(), 1<<62),
-		proto2.NewUser(1, db.Root(), 1<<62),
-	}
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		u := users[i%2]
-		op := benchOp(i, size)
-		resp, err := srv.HandleOp(u.Request(op))
-		if err != nil {
-			panic(err)
-		}
-		if _, err := u.HandleResponse(op, resp); err != nil {
-			panic(err)
-		}
-	}
-	return float64(ops) / time.Since(start).Seconds()
+	return float64(ops) / res.elapsed.Seconds()
 }
 
 // E8 measures synchronization and state costs: broadcast bytes per
@@ -209,34 +165,4 @@ func genTrace(users, ops int, seed int64) *workload.Trace {
 	return workload.Generate(workload.Config{
 		Users: users, Files: 16, Ops: ops, WriteRatio: 0.4, FilesPerOp: 2, Seed: seed,
 	})
-}
-
-// All runs every experiment in order: E1–E8 reproduce the paper's
-// exhibits, E9–E11 ablate DESIGN.md's design choices, E12 measures the
-// fault-localization extension, E13 measures the pipelined transport
-// under concurrent TCP clients, E14 measures availability and recovery
-// under fault injection, E15 measures witness replication: failover by
-// promotion and fork conviction by gossip, E16 measures the Merkle
-// forest's throughput scaling with client count, E17 measures the
-// epoch-batched async audit: verified throughput off the hot path
-// with detection within one epoch, E18 runs the crash matrix for the
-// durable audit journal: tamper-before-crash conviction after replay,
-// zero-loss recovery, and the degrade-to-sync transition, E21 measures
-// overload protection: the open-loop goodput sweep to 4x capacity with
-// priority shedding and adversary conviction under flood.
-func All() []*Table {
-	return []*Table{E1(), E2(), E3(), E4(), E5(), E6(), E7(), E8(), E9(), E10(), E11(), E12(), E13(), E14(), E15(), E16(), E17(), E18(), E21()}
-}
-
-// ByID returns one experiment's runner.
-func ByID(id string) (func() *Table, bool) {
-	m := map[string]func() *Table{
-		"E1": E1, "E2": E2, "E3": E3, "E4": E4,
-		"E5": E5, "E6": E6, "E7": E7, "E8": E8,
-		"E9": E9, "E10": E10, "E11": E11, "E12": E12,
-		"E13": E13, "E14": E14, "E15": E15, "E16": E16, "E17": E17,
-		"E18": E18, "E21": E21,
-	}
-	f, ok := m[id]
-	return f, ok
 }

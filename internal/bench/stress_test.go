@@ -29,13 +29,13 @@ func TestStressConcurrentClients(t *testing.T) {
 			continue
 		}
 		t.Run(s.name, func(t *testing.T) {
-			results, _, err := e13Run(s, 200, clients, totalOps)
+			_, perClient, err := e13Run(s, 200, clients, totalOps)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var ctrs []uint64
-			for _, r := range results {
-				ctrs = append(ctrs, r.ctrs...)
+			for _, c := range perClient {
+				ctrs = append(ctrs, c...)
 			}
 			want := clients * (totalOps/clients + e13Warmup)
 			if len(ctrs) != want {

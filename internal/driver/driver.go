@@ -17,7 +17,7 @@
 // vector a consistent cut of the history, and it detects a deviation
 // before the next operation starts.
 //
-// In epoch-audit mode (NewP2Epoch), Do returns as soon as the server
+// In epoch-audit mode (NewP2EpochWAL), Do returns as soon as the server
 // answers and all verification moves onto a background auditor that
 // closes one epoch of N global operations at a time — the consistent
 // cut comes from counter prefixes instead of a barrier, and detection
@@ -95,7 +95,7 @@ type Client struct {
 	check    *witness.Check // nil: no witness cross-check
 	noQuorum uint64         // witness checks skipped for lack of quorum
 
-	aud *audit.Auditor // non-nil: epoch-audit mode (NewP2Epoch)
+	aud *audit.Auditor // non-nil: epoch-audit mode (NewP2EpochWAL)
 
 	wg sync.WaitGroup
 }

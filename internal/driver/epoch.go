@@ -28,7 +28,7 @@ func init() {
 	gob.Register(&epochReportMsg{})
 }
 
-// NewP2Epoch builds a Protocol II client in epoch-audit mode: Do
+// NewP2EpochWAL builds a Protocol II client in epoch-audit mode: Do
 // returns as soon as the server answers, and every verification
 // obligation — VO replay, register fold, the closure check, the
 // witness quorum check — runs on a background auditor that closes one
@@ -37,17 +37,14 @@ func init() {
 // audit package for the exact bound. queue is the audit queue capacity
 // (0 = audit.DefaultQueue); when it fills, Do degrades to the audit
 // rate rather than dropping obligations.
-func NewP2Epoch(user *proto2.User, conn transport.Caller, bc broadcast.Channel, nUsers int, epochLen uint64, queue int) (*Client, error) {
-	return NewP2EpochWAL(user, conn, bc, nUsers, epochLen, queue, "", nil)
-}
-
-// NewP2EpochWAL is NewP2Epoch with a crash-durable audit journal: when
-// walDir is non-empty, every obligation is fsynced there before Do
-// releases its optimistic answer, and a restart resumes from the
-// journal's cursor — the user's protocol state is restored to the last
-// durably closed epoch's boundary cut and every journaled obligation
-// past it is re-verified, so the client re-demands audit closure
-// instead of trusting pre-crash optimistic answers. The passed user
+//
+// walDir makes the audit crash-durable: when it is non-empty, every
+// obligation is fsynced there before Do releases its optimistic
+// answer, and a restart resumes from the journal's cursor — the user's
+// protocol state is restored to the last durably closed epoch's
+// boundary cut and every journaled obligation past it is re-verified,
+// so the client re-demands audit closure instead of trusting
+// pre-crash optimistic answers. The passed user
 // supplies the identity on first start and is replaced by the restored
 // state on resume, so callers construct it identically either way.
 // Resume needs the TCP broadcast hub (its full-history replay

@@ -51,7 +51,7 @@ func (s *swapSrv) DB() *vdb.DB         { return s.get().DB() }
 func (s *swapSrv) Fork() server.Server { return s.get().Fork() }
 
 // epochCluster is the epoch-audit-mode twin of cluster: a Protocol II
-// server behind TCP, a broadcast hub, and n NewP2Epoch clients.
+// server behind TCP, a broadcast hub, and n epoch-audit clients.
 type epochCluster struct {
 	t       *testing.T
 	srv     *transport.Server
@@ -74,7 +74,7 @@ func newEpochCluster(t *testing.T, hs server.Server, n int, epochLen uint64) *ep
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewP2Epoch(proto2.NewUser(sig.UserID(i), root, 1<<62), conn, cl.hub.Join(), n, epochLen, 0)
+		c, err := NewP2EpochWAL(proto2.NewUser(sig.UserID(i), root, 1<<62), conn, cl.hub.Join(), n, epochLen, 0, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

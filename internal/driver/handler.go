@@ -2,13 +2,11 @@ package driver
 
 import (
 	"fmt"
-	"time"
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/transport"
-	"trustedcvs/internal/wire"
 )
 
 // NewHandler builds the server-side request router: protocol messages
@@ -44,30 +42,6 @@ func NewHandler(srv server.Server, store *cvs.Store) transport.Handler {
 		default:
 			return nil, fmt.Errorf("driver: unknown request %T", req)
 		}
-	}
-}
-
-// NewDeadlineHandler wraps NewHandler with the propagated-deadline
-// check: a request whose wire budget has expired by the time it is
-// dispatched (it sat out the admission queue, or the hop chain ate the
-// budget) is refused with the typed wire.ErrDeadlineExceeded before
-// any protocol state is touched. The caller has already given up, so
-// doing the work would burn server capacity on an answer nobody reads
-// — and, worse, advance registers the client will never ack.
-func NewDeadlineHandler(srv server.Server, store *cvs.Store) func(req any, deadline time.Time) (any, error) {
-	return WrapDeadline(NewHandler(srv, store))
-}
-
-// WrapDeadline adds the propagated-deadline refusal in front of an
-// arbitrary handler — the decorated form deployments use when the
-// handler chain carries extra layers (op journaling, adversary
-// wrappers) that NewDeadlineHandler's fixed composition would bypass.
-func WrapDeadline(h transport.Handler) func(req any, deadline time.Time) (any, error) {
-	return func(req any, deadline time.Time) (any, error) {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("driver: %T abandoned: %w", req, wire.ErrDeadlineExceeded)
-		}
-		return h(req)
 	}
 }
 

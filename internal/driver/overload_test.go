@@ -49,11 +49,10 @@ func TestOverloadShedNotJournaled(t *testing.T) {
 	adm := transport.NewAdmission(transport.AdmissionOptions{MinLimit: 1, MaxLimit: 1, QueueDepth: 4})
 	ts, err := transport.ListenOpts("127.0.0.1:0", handler, transport.Options{
 		IdleTimeout: -1, MaxConcurrent: 1,
+		// The transport refuses an expired budget in front of the whole
+		// decorated chain, journal-recording handler included.
 		Admission: adm,
 		Classify:  Classify,
-		// The decorated chain: deadline refusal in front of the
-		// journal-recording handler, as tcvs-server arms it.
-		HandlerDeadline: WrapDeadline(handler),
 	})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -180,7 +179,7 @@ func TestOverloadShedCreatesNoObligations(t *testing.T) {
 		return refused.Load() < 3 && time.Now().UnixNano()%3 == 0
 	}}
 	u := proto2.NewUser(sig.UserID(0), db.Root(), 1<<62)
-	dc, err := NewP2Epoch(u, rc, broadcast.DialHubResume(hub.Addr()), 1, epochLen, 0)
+	dc, err := NewP2EpochWAL(u, rc, broadcast.DialHubResume(hub.Addr()), 1, epochLen, 0, "", nil)
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
@@ -244,7 +243,7 @@ func TestShedDegradeToSyncSticky(t *testing.T) {
 	adm := transport.NewAdmission(transport.AdmissionOptions{MinLimit: 1, MaxLimit: 1, QueueDepth: 4})
 	ts, err := transport.ListenOpts("127.0.0.1:0", handler, transport.Options{
 		IdleTimeout: -1, MaxConcurrent: 1,
-		Admission: adm, Classify: Classify, HandlerDeadline: WrapDeadline(handler),
+		Admission: adm, Classify: Classify,
 	})
 	if err != nil {
 		t.Fatalf("listen: %v", err)

@@ -58,11 +58,6 @@ type Options struct {
 	// priority class. nil classifies everything as PriorityUser. Only
 	// consulted when Admission is set.
 	Classify func(req any) Priority
-	// HandlerDeadline, when set, is invoked instead of the plain
-	// handler and receives the request's propagated deadline (zero
-	// when the frame carried no budget), so protocol handlers can
-	// abort expensive work whose client already gave up.
-	HandlerDeadline func(req any, deadline time.Time) (any, error)
 }
 
 // DefaultMaxConcurrent is the handler concurrency bound when
@@ -324,13 +319,6 @@ func (s *Server) admitAndHandle(req any, deadline time.Time) (any, error) {
 			// nobody will read.
 			return nil, fmt.Errorf("transport: deadline expired in admission queue%w", admErr{wire.ErrDeadlineExceeded})
 		}
-	}
-	return s.handleOne(req, deadline)
-}
-
-func (s *Server) handleOne(req any, deadline time.Time) (any, error) {
-	if s.opts.HandlerDeadline != nil {
-		return s.opts.HandlerDeadline(req, deadline)
 	}
 	return s.handler(req)
 }

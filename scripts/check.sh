@@ -61,3 +61,7 @@ go test -run='^$' -fuzz='^FuzzVOVerify$' -fuzztime=10s ./internal/merkle
 go test -run='^$' -fuzz='^FuzzDiffPatch$' -fuzztime=10s ./internal/diff
 go test -run='^$' -fuzz='^FuzzSnapshotLoad$' -fuzztime=10s ./internal/server
 go test -run='^$' -fuzz='^FuzzWALReplay$' -fuzztime=10s ./internal/wal
+
+# Non-test Go lines per package, so a simplicity PR's before/after
+# column comes from one command.
+scripts/loc.sh

@@ -1,0 +1,77 @@
+package trustedcvs_test
+
+import (
+	"bytes"
+	"testing"
+
+	"trustedcvs/internal/core/proto2"
+	"trustedcvs/internal/merkle"
+	"trustedcvs/internal/wire"
+)
+
+// Allocation tripwires for the verified-op path. The bounds sit about
+// 10–25 % above what the fixed-layout answer and VO encodings cost
+// today (161, 27 and 36 allocations), far below what one reflective
+// one-shot codec per operation costs (gob: 367, 47, 74) — so putting
+// one back on the path fails `go test ./...` instead of waiting for a
+// benchmark run.
+func TestVerifiedOpAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops make allocation counts meaningless")
+	}
+	budget := func(name string, max float64, fn func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(200, fn); got > max {
+			t.Errorf("%s: %.0f allocations per run, budget %.0f", name, got, max)
+		} else {
+			t.Logf("%s: %.0f allocations per run (budget %.0f)", name, got, max)
+		}
+	}
+
+	// The in-process Protocol II operation of BenchmarkE7ProtocolII.
+	db := seededDB(t, 10_000)
+	srv := proto2.NewServer(db)
+	u := proto2.NewUser(0, db.Root(), 1<<62)
+	i := 0
+	budget("Protocol II op (HandleOp + HandleResponse)", 180, func() {
+		op := kvOp(i)
+		i++
+		resp, err := srv.HandleOp(u.Request(op))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := u.HandleResponse(op, resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// The trusted floor of BenchmarkE7Trusted.
+	plain := seededDB(t, 10_000)
+	budget("ApplyPlain", 32, func() {
+		i++
+		if _, err := plain.ApplyPlain(kvOp(i)); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// One update VO over a connection's persistent codec pair: encode,
+	// frame, unframe, decode.
+	_, vo, err := seededDB(t, 10_000).Apply(kvOp(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var link bytes.Buffer
+	enc, dec := wire.NewEncoder(&link), wire.NewDecoder(&link)
+	budget("VO wire round trip", 45, func() {
+		if err := enc.Encode(vo); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := dec.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := msg.(*merkle.VO); !ok {
+			t.Fatalf("decoded %T", msg)
+		}
+	})
+}

@@ -279,7 +279,7 @@ func collectReports(us []*proto2.User) []core.SyncReportII {
 	return out
 }
 
-func seededDB(b *testing.B, n int) *vdb.DB {
+func seededDB(b testing.TB, n int) *vdb.DB {
 	b.Helper()
 	db := vdb.New(0)
 	for i := 0; i < n; i += 500 {

@@ -370,8 +370,8 @@ func (s *Server) HandleGetBackups(req *core.GetBackupsRequest) (*core.BackupsRes
 
 // corruptAnswer substitutes a semantically different (but perfectly
 // well-formed) answer — the server lying about data. Corrupting raw
-// bytes would be weaker: gob tolerates flips in parts of the stream,
-// and an answer that decodes identically is not a lie at all.
+// bytes would be weaker: most flips no longer decode, and an answer the
+// client cannot read misleads nobody.
 func corruptAnswer(resp any) {
 	forged, err := vdb.EncodeAnswer(vdb.ReadAnswer{
 		Results: []vdb.ReadResult{{Key: "forged-by-server", Found: true, Val: []byte("evil")}},

@@ -97,10 +97,25 @@ func LoadCursor(dir string) (*Cursor, error) {
 	return &cur, nil
 }
 
+// recordFormat is the first byte of every journaled record. It names
+// the encoding of what the record holds — since this format, canonical
+// binary answers and flat binary VOs inside the gob frame — and it is a
+// byte gob never starts a stream with (gob opens with a length that is
+// either below 0x80 or a negated byte count, 0xF8–0xFF), so a record
+// journaled before the marker existed cannot pass for a current one.
+const recordFormat = 0x82
+
+// ErrJournalFormat is returned when opening a journal whose surviving
+// records were written in an earlier record format. Their gob-encoded
+// answers would be judged BadAnswer against an honest server, so they
+// are refused at open and never reach the verifier.
+var ErrJournalFormat = errors.New("audit: journal holds records in an older format; drain it with the previous binary")
+
 // encodeRecord renders one obligation for the journal. Seals are never
 // journaled: a restarted client re-seals on its own schedule.
 func encodeRecord(r Record) ([]byte, error) {
 	var buf bytes.Buffer
+	buf.WriteByte(recordFormat)
 	if err := gob.NewEncoder(&buf).Encode(&r); err != nil {
 		return nil, fmt.Errorf("audit: encode record: %w", err)
 	}
@@ -108,8 +123,11 @@ func encodeRecord(r Record) ([]byte, error) {
 }
 
 func decodeRecord(b []byte) (Record, error) {
+	if len(b) == 0 || b[0] != recordFormat {
+		return Record{}, ErrJournalFormat
+	}
 	var r Record
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(b[1:])).Decode(&r); err != nil {
 		return Record{}, fmt.Errorf("audit: decode journaled record: %w", err)
 	}
 	return r, nil

@@ -15,12 +15,6 @@ func init() {
 	gob.Register(&ListOp{})
 	gob.Register(&TagOp{})
 	gob.Register(&RemoveOp{})
-	gob.Register(CommitAnswer{})
-	gob.Register(CheckoutAnswer{})
-	gob.Register(LogAnswer{})
-	gob.Register(ListAnswer{})
-	gob.Register(TagAnswer{})
-	gob.Register(RemoveAnswer{})
 }
 
 // CommitFile names one file of a commit: its path, the content hash of

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"trustedcvs/internal/audit"
-	"trustedcvs/internal/backoff"
 	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto1"
@@ -629,17 +628,25 @@ func (c *Client) WaitIdle(timeout time.Duration) error {
 		return c.WaitAudited(timeout)
 	}
 	deadline := time.Now().Add(timeout)
-	poll := backoff.Poll(5 * time.Millisecond)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var wake *time.Timer
 	for len(c.rounds) > 0 && c.failed == nil && !c.closed {
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			return errors.New("driver: WaitIdle timeout")
 		}
-		// Poor man's timed wait: poll with the cond.
-		c.mu.Unlock()
-		poll.Sleep()
-		c.mu.Lock()
+		if wake == nil {
+			// Round closure, failure and Close all broadcast on cond;
+			// the timer adds the one wake-up they cannot give, the
+			// deadline itself.
+			wake = time.AfterFunc(time.Until(deadline), func() {
+				c.mu.Lock()
+				c.cond.Broadcast()
+				c.mu.Unlock()
+			})
+			defer wake.Stop()
+		}
+		c.cond.Wait()
 	}
 	return c.failed
 }

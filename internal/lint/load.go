@@ -378,8 +378,6 @@ func defaultSlowCalls(modPath string) map[string]bool {
 		"os.WriteFile":                   true,
 	}
 	for _, f := range []string{
-		"%s/internal/vdb.EncodeAnswer",
-		"%s/internal/vdb.DecodeAnswer",
 		"(*%s/internal/wire.Encoder).Encode",
 		"(*%s/internal/wire.Encoder).EncodeBudget",
 		"(*%s/internal/wire.Decoder).Decode",

@@ -2,10 +2,10 @@ package merkle
 
 import "encoding/gob"
 
-// VOs usually travel as concrete-typed fields of protocol responses,
-// but the bench harness also measures them as standalone payloads, so
-// the types are registered for interface transport too.
+// A VO usually travels as a concrete-typed field of a protocol
+// response, but the bench harness also measures it as a standalone
+// payload, so the type is registered for interface transport too. Gob
+// carries it as the opaque bytes of MarshalBinary (vobinary.go).
 func init() {
 	gob.Register(&VO{})
-	gob.Register(&VONode{})
 }

@@ -2,47 +2,33 @@ package merkle
 
 import (
 	"bytes"
-	"encoding/gob"
-	"fmt"
+	"errors"
 	"testing"
 )
 
 // FuzzVOVerify decodes arbitrary bytes as a verification object — the
 // one structure an honest client materializes straight off the
-// untrusted wire — and exercises the whole verifier surface: Tree()
-// structural validation, digest computation, lookups, ranges, and
-// Replay. Properties: no panic on any input, and soundness — a VO
-// whose materialized root digest equals the honest root can only
-// answer lookups with the honest values.
+// untrusted wire — through VO.UnmarshalBinary, the decoder every
+// response's VO goes through, and exercises the whole verifier surface:
+// Tree() structural validation, digest computation, lookups, ranges,
+// and Replay. Properties: no panic on any input, every refusal is
+// ErrMalformedVO, and soundness — a VO whose materialized root digest
+// equals the honest root can only answer lookups with the honest
+// values. The checked-in corpus (testdata/fuzz/FuzzVOVerify) holds the
+// golden read and update VOs; `go test -run VOBinaryGolden -update`
+// regenerates it.
 func FuzzVOVerify(f *testing.F) {
-	tr := New(4)
-	rec := tr.Record()
-	for i := 0; i < 64; i++ {
-		if err := rec.Put(fmt.Sprintf("key-%03d", i), []byte{byte(i)}); err != nil {
-			f.Fatal(err)
-		}
-	}
-	full := rec.Tree()
-	root := full.RootDigest()
-	rec2 := full.Record()
-	if _, _, err := rec2.Get("key-007"); err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec2.VO()); err != nil {
-		f.Fatal(err)
-	}
-	seed := buf.Bytes()
-	f.Add(append([]byte(nil), seed...))
+	root, read, _ := goldenVOs(f)
+	seed := mustMarshal(f, read)
 	f.Add(append([]byte(nil), seed[:len(seed)/2]...))
-	mut := append([]byte(nil), seed...)
-	mut[len(mut)/2] ^= 0x20
-	f.Add(mut)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var v VO
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
+		if err := v.UnmarshalBinary(b); err != nil {
+			if !errors.Is(err, ErrMalformedVO) {
+				t.Fatalf("decode refusal is not ErrMalformedVO: %v", err)
+			}
 			return
 		}
 		tree, err := v.Tree()

@@ -49,26 +49,9 @@ func oracle(order int, exchanges []exchange) uint64 {
 			// that answered it at all deviated.
 			return uint64(i + 1)
 		}
-		if !sameAnswer(ex.ans, want) {
+		if !bytes.Equal(ex.ans, want) {
 			return uint64(i + 1)
 		}
 	}
 	return 0
-}
-
-// sameAnswer compares two answer encodings by canonical value (both
-// produced in this process, so byte comparison after a decode/encode
-// round trip is exact).
-func sameAnswer(a, b []byte) bool {
-	if bytes.Equal(a, b) {
-		return true
-	}
-	av, errA := vdb.DecodeAnswer(a)
-	bv, errB := vdb.DecodeAnswer(b)
-	if errA != nil || errB != nil {
-		return false
-	}
-	ae, errA := vdb.EncodeAnswer(av)
-	be, errB := vdb.EncodeAnswer(bv)
-	return errA == nil && errB == nil && bytes.Equal(ae, be)
 }

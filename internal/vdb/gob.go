@@ -2,9 +2,10 @@ package vdb
 
 import "encoding/gob"
 
-// Ops and answers travel inside interface-typed fields (Op, any), so
-// their concrete types must be registered with gob. Each package
-// registers its own types; internal/cvs does the same for the CVS ops.
+// Ops travel inside interface-typed fields (Op), so their concrete
+// types must be registered with gob. Each package registers its own;
+// internal/cvs does the same for the CVS ops. Answers do not travel as
+// gob values at all (see answer.go).
 func init() {
 	gob.Register(&ReadOp{})
 	gob.Register(&WriteOp{})
@@ -12,10 +13,4 @@ func init() {
 	gob.Register(&NopOp{})
 	gob.Register(&CASOp{})
 	gob.Register(&CrossOp{})
-	gob.Register(ReadAnswer{})
-	gob.Register(WriteAnswer{})
-	gob.Register(RangeAnswer{})
-	gob.Register(NopAnswer{})
-	gob.Register(CASAnswer{})
-	gob.Register(CrossAnswer{})
 }

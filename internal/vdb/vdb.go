@@ -23,7 +23,6 @@ package vdb
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -96,48 +95,15 @@ func (tx *Tx) Range(lo, hi string, fn func(key string, val []byte) bool) error {
 
 // An Op is a deterministic transaction. Apply must depend only on the
 // Op's fields and the Tx state: no clocks, no randomness, no maps
-// iterated in answer order. The returned answer must be gob-encodable
-// and deterministic (use slices, not maps).
+// iterated in answer order. The returned answer must be one of the
+// WireAnswer types (or a CrossAnswer of them), returned by value.
 //
 // Implementations live in this package (ReadOp, WriteOp, RangeOp) and
-// in internal/cvs (CommitOp, CheckoutOp, LogOp, ...). Concrete types
-// must be registered with gob (internal/wire does this).
+// in internal/cvs (CommitOp, CheckoutOp, LogOp, ...). Concrete op types
+// travel inside interface-typed fields and are registered with gob by
+// their own package.
 type Op interface {
 	Apply(tx *Tx) (answer any, err error)
-}
-
-// EncodeAnswer canonically encodes an answer for transmission and
-// comparison. Answer equality is byte equality of this encoding.
-func EncodeAnswer(ans any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&ans); err != nil {
-		return nil, fmt.Errorf("vdb: encode answer: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeAnswer decodes an answer produced by EncodeAnswer.
-func DecodeAnswer(b []byte) (any, error) {
-	var ans any
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ans); err != nil {
-		return nil, fmt.Errorf("vdb: decode answer: %w", err)
-	}
-	return ans, nil
-}
-
-// canonicalAnswer re-encodes untrusted answer bytes in the verifier's
-// own process. Gob assigns wire type IDs from a process-global counter,
-// so byte streams from different binaries legitimately differ even for
-// equal values; decode + local re-encode yields bytes comparable to a
-// local EncodeAnswer. Soundness is preserved: what the user consumes is
-// the decoded value, and equal decoded values re-encode identically
-// within one process.
-func canonicalAnswer(b []byte) ([]byte, error) {
-	v, err := DecodeAnswer(b)
-	if err != nil {
-		return nil, err
-	}
-	return EncodeAnswer(v)
 }
 
 // DB is the server-side authenticated database: a forest of Merkle
@@ -239,9 +205,8 @@ func (db *DB) Apply(op Op) (ansBytes []byte, vo *merkle.VO, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Encoding under the lock is what buys Apply its unchanged-on-error
-	// contract; pipelined callers use Begin/Finish instead.
-	//lint:ignore lockscope sequential convenience path; rollback-on-encode-error requires encoding before publishing
+	// Encoding before publishing is what buys Apply its
+	// unchanged-on-error contract.
 	ansBytes, err = EncodeAnswer(ans)
 	if err != nil {
 		return nil, nil, err
@@ -298,7 +263,7 @@ func (db *DB) Begin(op Op) (*Staged, error) {
 //
 // Unlike Apply, a failure to encode the answer surfaces in Finish,
 // after the transition is already committed; that only happens for
-// answers that are not gob-encodable, which is a bug in the operation,
+// answers outside the WireAnswer set, which is a bug in the operation,
 // not a reachable server state.
 func (db *DB) BeginShard(sid int, op Op) (*Staged, error) {
 	return db.BeginShardIn(sid, op, nil)
@@ -418,7 +383,6 @@ func (db *DB) ApplyPlain(op Op) (ansBytes []byte, err error) {
 	}
 	// Deliberately mirrors the seed's fully serialized trusted path so
 	// the workload-preservation experiments measure what they claim.
-	//lint:ignore lockscope trusted-server baseline must keep the seed's serialized shape for a fair floor
 	ansBytes, err = EncodeAnswer(ans)
 	if err != nil {
 		return nil, err
@@ -596,28 +560,16 @@ func ReplayOn(prev *merkle.Tree, op Op, claimedAns []byte) (newRoot digest.Diges
 }
 
 // checkClaim judges the server's claimed answer bytes against a
-// locally replayed answer.
+// locally replayed answer. The encoding is canonical, so equal answers
+// are equal bytes and nothing needs decoding; claimed bytes that are not
+// a canonical encoding at all simply differ from every local one.
 func checkClaim(ans any, claimedAns []byte) error {
 	got, err := EncodeAnswer(ans)
 	if err != nil {
 		return err
 	}
-	// Fast path: when the claimed bytes equal the local encoding of the
-	// replayed answer, the claim trivially decodes to the replayed
-	// answer — no canonicalization needed. This is the common case
-	// (server and verifier encode with the same gob type-ID assignment)
-	// and saves a full decode + re-encode per verified operation.
 	if !bytes.Equal(got, claimedAns) {
-		// Slow path: gob streams from a different process can
-		// legitimately differ byte-wise for equal values; canonicalize
-		// the claim by decode + local re-encode before judging.
-		claimed, err := canonicalAnswer(claimedAns)
-		if err != nil {
-			return fmt.Errorf("%w (undecodable claim: %v)", ErrAnswerMismatch, err)
-		}
-		if !bytes.Equal(got, claimed) {
-			return ErrAnswerMismatch
-		}
+		return ErrAnswerMismatch
 	}
 	return nil
 }

@@ -1,0 +1,5 @@
+//go:build !race
+
+package trustedcvs_test
+
+const raceEnabled = false

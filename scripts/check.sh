@@ -9,8 +9,9 @@
 # wall-clock so a regressing pass is visible in CI logs), the whole
 # test suite under the race detector (the pipelined server hot path
 # and the fault/recovery suite — kill/restart, reconnect, resume — are
-# only trustworthy race-clean), and a fuzz smoke over the five
-# untrusted-input surfaces (wire frames, verification objects, diffs,
+# only trustworthy race-clean), and a fuzz smoke over the six
+# untrusted-input surfaces (wire frames, verification objects and
+# claimed answers — the two hand-written binary decoders — diffs,
 # snapshot files and journal segments read back from disk).
 set -eux
 cd "$(dirname "$0")/.."
@@ -58,6 +59,7 @@ go test -race -run 'Fault|Resilient|Resume|Recovery|Witness|E14|E15|Forest|Torn|
 
 go test -run='^$' -fuzz='^FuzzFrameDecode$' -fuzztime=10s ./internal/wire
 go test -run='^$' -fuzz='^FuzzVOVerify$' -fuzztime=10s ./internal/merkle
+go test -run='^$' -fuzz='^FuzzAnswerDecode$' -fuzztime=10s ./internal/vdb
 go test -run='^$' -fuzz='^FuzzDiffPatch$' -fuzztime=10s ./internal/diff
 go test -run='^$' -fuzz='^FuzzSnapshotLoad$' -fuzztime=10s ./internal/server
 go test -run='^$' -fuzz='^FuzzWALReplay$' -fuzztime=10s ./internal/wal

@@ -5,16 +5,18 @@ import (
 	"testing"
 
 	"trustedcvs/internal/core/proto2"
+	"trustedcvs/internal/digest"
 	"trustedcvs/internal/merkle"
 	"trustedcvs/internal/wire"
 )
 
 // Allocation tripwires for the verified-op path. The bounds sit about
-// 10–25 % above what the fixed-layout answer and VO encodings cost
-// today (161, 27 and 36 allocations), far below what one reflective
-// one-shot codec per operation costs (gob: 367, 47, 74) — so putting
-// one back on the path fails `go test ./...` instead of waiting for a
-// benchmark run.
+// 15 % above what the path costs today (70, 21 and 7 allocations) with
+// the VO written from and decoded into tree nodes directly — far below
+// what boxing every VO node once more costs (161, 27, 36), let alone a
+// reflective one-shot codec per operation (gob: 367, 47, 74) — so
+// putting either back on the path fails `go test ./...` instead of
+// waiting for a benchmark run.
 func TestVerifiedOpAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops make allocation counts meaningless")
@@ -28,12 +30,24 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 		}
 	}
 
+	// A node-sized digest allocates nothing, and a large byte string
+	// is hashed where it lies.
+	key, val, blob := "key-000017", make([]byte, 32), make([]byte, 64<<10)
+	budget("Hasher, sixteen small fields", 0, func() {
+		h := digest.NewHasher(digest.DomainLeaf).Uint64(8)
+		for i := 0; i < 8; i++ {
+			h.String(key).Bytes(val)
+		}
+		h.Sum()
+	})
+	budget("Hasher, 64 KB of bytes", 0, func() { digest.OfBytes(digest.DomainBlob, blob) })
+
 	// The in-process Protocol II operation of BenchmarkE7ProtocolII.
 	db := seededDB(t, 10_000)
 	srv := proto2.NewServer(db)
 	u := proto2.NewUser(0, db.Root(), 1<<62)
 	i := 0
-	budget("Protocol II op (HandleOp + HandleResponse)", 180, func() {
+	budget("Protocol II op (HandleOp + HandleResponse)", 80, func() {
 		op := kvOp(i)
 		i++
 		resp, err := srv.HandleOp(u.Request(op))
@@ -47,7 +61,7 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 
 	// The trusted floor of BenchmarkE7Trusted.
 	plain := seededDB(t, 10_000)
-	budget("ApplyPlain", 32, func() {
+	budget("ApplyPlain", 24, func() {
 		i++
 		if _, err := plain.ApplyPlain(kvOp(i)); err != nil {
 			t.Fatal(err)
@@ -62,7 +76,7 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 	}
 	var link bytes.Buffer
 	enc, dec := wire.NewEncoder(&link), wire.NewDecoder(&link)
-	budget("VO wire round trip", 45, func() {
+	budget("VO wire round trip", 8, func() {
 		if err := enc.Encode(vo); err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,15 @@
 package proto2
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"trustedcvs/internal/core"
+	"trustedcvs/internal/digest"
 	"trustedcvs/internal/merkle"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
@@ -16,33 +19,42 @@ import (
 // otherwise honest run has ONE response field mutated to a random
 // different value (counter, last-user tag, answer bytes, or a digest
 // inside the VO). Every such lie must be caught — either immediately
-// by the per-operation checks or at the closing synchronization.
+// by the per-operation checks or at the closing synchronization. The
+// mutation classes take turns, and each must have bitten often enough
+// that a class which silently stopped mutating anything fails the test
+// instead of passing it vacuously.
 func TestQuickByzantineResponseMutations(t *testing.T) {
+	const trials, classes, minBites = 150, 4, 15
+	var bites [classes]int
+	trial := 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(3)
 		h := newHarness(t, n, 1_000_000) // manual sync at the end
 		ops := 5 + rng.Intn(25)
 		victimOp := 1 + rng.Intn(ops)
-		mutation := rng.Intn(4)
+		mutation := trial % classes
+		trial++
 
 		var detected error
 		for i := 1; i <= ops && detected == nil; i++ {
 			u := rng.Intn(n)
-			op := put(fmt.Sprintf("k%d", rng.Intn(8)), fmt.Sprintf("v%d", i))
+			// 64 keys: enough that longer runs split the root leaf and
+			// their VOs carry pruned digests, not only keys.
+			op := put(fmt.Sprintf("k%d", rng.Intn(64)), fmt.Sprintf("v%d", i))
 			resp, err := h.server.HandleOp(h.users[u].Request(op))
 			if err != nil {
 				t.Log(err)
 				return false
 			}
-			applied := true
 			if i == victimOp {
-				applied = mutate(rng, resp, mutation)
-			}
-			if i == victimOp && !applied {
-				// The lie had nothing to bite on (e.g. an empty-tree VO
-				// has no digests to corrupt): vacuous trial.
-				return true
+				if !mutate(t, rng, resp, mutation) {
+					// The lie had nothing to bite on (an empty-tree VO
+					// has neither a digest nor a key to corrupt):
+					// vacuous trial.
+					return true
+				}
+				bites[mutation]++
 			}
 			if _, err := h.users[u].HandleResponse(op, resp); err != nil {
 				detected = err
@@ -51,22 +63,25 @@ func TestQuickByzantineResponseMutations(t *testing.T) {
 		if detected == nil {
 			detected = h.sync()
 		}
-		de, ok := core.AsDetection(detected)
-		if !ok {
+		if _, ok := core.AsDetection(detected); !ok {
 			t.Logf("mutation %d at op %d/%d undetected", mutation, victimOp, ops)
 			return false
 		}
-		_ = de
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: trials}); err != nil {
 		t.Fatal(err)
+	}
+	for class, n := range bites {
+		if n < minBites {
+			t.Errorf("mutation class %d bit in %d of %d trials, want at least %d: the fuzzer is going vacuous", class, n, trials, minBites)
+		}
 	}
 }
 
 // mutate applies one lie to the response, reporting whether anything
 // actually changed.
-func mutate(rng *rand.Rand, resp *core.OpResponseII, kind int) bool {
+func mutate(t *testing.T, rng *rand.Rand, resp *core.OpResponseII, kind int) bool {
 	switch kind {
 	case 0: // counter lie (any different value)
 		resp.Ctr += uint64(1 + rng.Intn(10))
@@ -81,32 +96,75 @@ func mutate(rng *rand.Rand, resp *core.OpResponseII, kind int) bool {
 		}
 		resp.Answer = forged
 	case 3: // VO lie: corrupt one pruned digest inside the proof
-		return flipOneDigest(rng, resp.VO.Root)
+		honest, err := resp.VO.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged := bytes.Clone(honest)
+		if !flipOneDigest(rng, forged) {
+			return false
+		}
+		resp.VO = new(merkle.VO)
+		if err := resp.VO.UnmarshalBinary(forged); err != nil {
+			t.Fatalf("the forged VO is no longer grammatical: %v", err)
+		}
 	}
 	return true
 }
 
-// flipOneDigest flips a byte in some pruned digest of the VO (there is
-// always at least one on a non-trivial tree; if not, the root content
-// itself is mutated via a key rename).
-func flipOneDigest(rng *rand.Rand, n *merkle.VONode) bool {
-	if n == nil {
-		return false
+// flipOneDigest flips a byte of some pruned digest in a flat VO
+// encoding (merkle/vobinary.go; there is always one on a non-trivial
+// tree) or, failing that, a byte of the first key. It walks the
+// encoding the honest server produced, so it checks no bounds.
+func flipOneDigest(rng *rand.Rand, enc []byte) bool {
+	off, firstKey := 0, -1
+	uvarint := func() int {
+		v, n := binary.Uvarint(enc[off:])
+		off += n
+		return int(v)
 	}
-	if n.Pruned {
-		n.Digest[rng.Intn(len(n.Digest))] ^= 0xFF
-		return true
+	lensBytes := func(count int) {
+		total := 0
+		for i := 0; i < count; i++ {
+			total += uvarint()
+		}
+		if firstKey < 0 && total > 0 {
+			firstKey = off
+		}
+		off += total
 	}
-	for _, k := range n.Kids {
-		if flipOneDigest(rng, k) {
-			return true
+	var digests []int
+	var node func()
+	node = func() {
+		kind := enc[off]
+		off++
+		switch kind {
+		case 1: // pruned
+			digests = append(digests, off)
+			off += digest.Size
+		case 2: // leaf: keys, values
+			count := uvarint()
+			lensBytes(count)
+			lensBytes(count)
+		case 3: // internal: keys, one more child than keys
+			count := uvarint()
+			lensBytes(count)
+			for i := 0; i <= count; i++ {
+				node()
+			}
 		}
 	}
-	if len(n.Keys) > 0 {
-		n.Keys[0] += "-tampered"
-		return true
+	uvarint() // order
+	node()
+	switch {
+	case len(digests) > 0:
+		enc[digests[rng.Intn(len(digests))]+rng.Intn(digest.Size)] ^= 0xFF
+	case firstKey >= 0:
+		enc[firstKey] ^= 0x01
+	default:
+		return false
 	}
-	return false
+	return true
 }
 
 // TestByzantineCtrLieCaughtSameUser: a counter jump is caught no later

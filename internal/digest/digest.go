@@ -140,63 +140,93 @@ func Parse(s string) (Digest, error) {
 // length-prefixes every variable-length field so concatenation
 // ambiguities cannot produce collisions.
 //
+// Fields accumulate in a buffer and Sum hashes them with one
+// sha256.Sum256 call: a tree node or a protocol state is a few hundred
+// bytes, and one call over them costs a fraction of twenty writes
+// through the hash.Hash interface. A field that does not fit in what is
+// left of the buffer switches the Hasher to streaming — the buffer is
+// flushed into a running hash and a byte-slice field is written to it
+// directly — so large inputs (blobs, snapshots, WAL frames) are never
+// copied. Both routes hash the same byte sequence.
+//
 // Hashers are recycled through an internal pool: Sum returns the
-// Hasher to the pool, so a Hasher must not be used after Sum. Every
-// write goes through the scratch buffer because a stack array passed
-// to the hash.Hash interface escapes to the heap — with digests
-// computed on every copy-on-write tree update, those per-write
-// allocations dominated the server's allocation profile.
+// Hasher to the pool, so a Hasher must not be used after Sum.
 type Hasher struct {
-	inner   hash.Hash
-	scratch [64]byte
+	buf       []byte    // pending input; its capacity is fixed at hasherBuf
+	stream    hash.Hash // holds everything before buf once streaming
+	streaming bool
 }
 
+// hasherBuf holds a full order-8 tree node with room to spare.
+const hasherBuf = 4096
+
 var hasherPool = sync.Pool{
-	New: func() any { return &Hasher{inner: sha256.New()} },
+	New: func() any { return &Hasher{buf: make([]byte, 0, hasherBuf), stream: sha256.New()} },
 }
 
 // NewHasher returns a Hasher whose first hashed byte is the domain tag.
 func NewHasher(domain byte) *Hasher {
 	h := hasherPool.Get().(*Hasher)
-	h.inner.Reset()
-	h.scratch[0] = domain
-	h.inner.Write(h.scratch[:1])
+	h.buf = append(h.buf[:0], domain)
+	h.streaming = false
 	return h
+}
+
+// flush moves the buffered bytes into the running hash.
+func (h *Hasher) flush() {
+	if !h.streaming {
+		h.stream.Reset()
+		h.streaming = true
+	}
+	h.stream.Write(h.buf)
+	h.buf = h.buf[:0]
+}
+
+// room makes space for n <= hasherBuf more buffered bytes.
+func (h *Hasher) room(n int) {
+	if n > cap(h.buf)-len(h.buf) {
+		h.flush()
+	}
 }
 
 // Bytes hashes a length-prefixed byte string.
 func (h *Hasher) Bytes(b []byte) *Hasher {
-	binary.BigEndian.PutUint64(h.scratch[:8], uint64(len(b)))
-	h.inner.Write(h.scratch[:8])
-	h.inner.Write(b)
+	h.Uint64(uint64(len(b)))
+	if len(b) > cap(h.buf)-len(h.buf) {
+		h.flush()
+		h.stream.Write(b)
+		return h
+	}
+	h.buf = append(h.buf, b...)
 	return h
 }
 
 // String hashes a length-prefixed string without converting it to a
-// []byte (which would allocate); it is chunked through the scratch
-// buffer instead.
+// []byte (which would allocate): what does not fit is chunked through
+// the buffer.
 func (h *Hasher) String(s string) *Hasher {
-	binary.BigEndian.PutUint64(h.scratch[:8], uint64(len(s)))
-	h.inner.Write(h.scratch[:8])
-	for len(s) > 0 {
-		n := copy(h.scratch[:], s)
-		h.inner.Write(h.scratch[:n])
-		s = s[n:]
+	h.Uint64(uint64(len(s)))
+	for {
+		n := copy(h.buf[len(h.buf):cap(h.buf)], s)
+		h.buf = h.buf[:len(h.buf)+n]
+		if s = s[n:]; s == "" {
+			return h
+		}
+		h.flush()
 	}
-	return h
 }
 
 // Uint64 hashes a fixed-width big-endian uint64.
 func (h *Hasher) Uint64(v uint64) *Hasher {
-	binary.BigEndian.PutUint64(h.scratch[:8], v)
-	h.inner.Write(h.scratch[:8])
+	h.room(8)
+	h.buf = binary.BigEndian.AppendUint64(h.buf, v)
 	return h
 }
 
 // Digest hashes another digest (fixed width, no length prefix needed).
 func (h *Hasher) Digest(d Digest) *Hasher {
-	copy(h.scratch[:Size], d[:])
-	h.inner.Write(h.scratch[:Size])
+	h.room(Size)
+	h.buf = append(h.buf, d[:]...)
 	return h
 }
 
@@ -204,7 +234,13 @@ func (h *Hasher) Digest(d Digest) *Hasher {
 // must not be used afterwards.
 func (h *Hasher) Sum() Digest {
 	var d Digest
-	copy(d[:], h.inner.Sum(h.scratch[:0]))
+	if h.streaming {
+		h.stream.Write(h.buf)
+		// Summing into the spent buffer keeps the result off the heap.
+		copy(d[:], h.stream.Sum(h.buf[:0]))
+	} else {
+		d = sha256.Sum256(h.buf)
+	}
 	hasherPool.Put(h)
 	return d
 }

@@ -1,0 +1,88 @@
+package merkle
+
+import (
+	"fmt"
+	"testing"
+
+	"trustedcvs/internal/digest"
+)
+
+// The per-piece rows of the verified-op path, for
+// `go test -run '^$' -bench . -benchmem ./internal/merkle`.
+
+var benchSink digest.Digest
+
+// BenchmarkNodeDigest hashes one full order-8 leaf and one full
+// internal node from cold.
+func BenchmarkNodeDigest(b *testing.B) {
+	leaf := &node{leaf: true}
+	inner := &node{}
+	for i := 0; i < DefaultOrder; i++ {
+		leaf.keys = append(leaf.keys, key(i))
+		leaf.vals = append(leaf.vals, []byte("a value of thirty-two bytes, yes"))
+		inner.keys = append(inner.keys, key(i))
+	}
+	for i := 0; i <= DefaultOrder; i++ {
+		kid := &node{pruned: true, dig: digest.OfBytes(digest.DomainLeaf, []byte{byte(i)})}
+		kid.memo.Store(memoValid)
+		inner.kids = append(inner.kids, kid)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		leaf.memo.Store(memoUnset)
+		inner.memo.Store(memoUnset)
+		benchSink = leaf.digest().Xor(inner.digest())
+	}
+}
+
+// benchRecordings returns single-key update recordings over a warm
+// 100k-record tree: the kv-write shape.
+func benchRecordings(b *testing.B) []*Recording {
+	tr := New(0)
+	for i := 0; i < 100_000; i++ {
+		tr = tr.Put(key(i), val(i))
+	}
+	tr.RootDigest()
+	recs := make([]*Recording, 512)
+	for i := range recs {
+		recs[i] = tr.Record()
+		if err := recs[i].Put(key((i*7919)%100_000), []byte(fmt.Sprintf("new-%d", i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return recs
+}
+
+// BenchmarkVOBuild prunes a recorded update into its VO.
+func BenchmarkVOBuild(b *testing.B) {
+	recs := benchRecordings(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchVO = recs[i%len(recs)].VO()
+	}
+}
+
+var benchVO *VO
+
+// BenchmarkVOTree is the verifier's half: materialize a received VO and
+// hash its root.
+func BenchmarkVOTree(b *testing.B) {
+	recs := benchRecordings(b)
+	vos := make([]*VO, len(recs))
+	for i, rec := range recs {
+		vos[i] = new(VO)
+		if err := vos[i].UnmarshalBinary(mustMarshal(b, rec.VO())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, err := vos[i%len(vos)].Tree()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = t.RootDigest()
+	}
+}

@@ -118,19 +118,18 @@ func (c *ctx) rebalance(nn *node, idx int) error {
 // borrowLeft moves the left sibling's last entry into child.
 func (c *ctx) borrowLeft(parent *node, idx int, left, child *node) {
 	nl := left.clone()
-	nc := child.clone()
+	nc := &node{leaf: child.leaf}
+	last := len(nl.keys) - 1
 	if child.leaf {
-		last := len(nl.keys) - 1
-		nc.keys = insertString(nc.keys, 0, nl.keys[last])
-		nc.vals = insertBytes(nc.vals, 0, nl.vals[last])
+		nc.keys = inserted(child.keys, 0, nl.keys[last])
+		nc.vals = inserted(child.vals, 0, nl.vals[last])
 		nl.keys = nl.keys[:last]
 		nl.vals = nl.vals[:last]
 		parent.keys[idx-1] = nc.keys[0]
 	} else {
 		// Rotate through the parent separator.
-		last := len(nl.keys) - 1
-		nc.keys = insertString(nc.keys, 0, parent.keys[idx-1])
-		nc.kids = insertNode(nc.kids, 0, nl.kids[last+1])
+		nc.keys = inserted(child.keys, 0, parent.keys[idx-1])
+		nc.kids = inserted(child.kids, 0, nl.kids[last+1])
 		parent.keys[idx-1] = nl.keys[last]
 		nl.keys = nl.keys[:last]
 		nl.kids = nl.kids[:last+1]
@@ -142,16 +141,16 @@ func (c *ctx) borrowLeft(parent *node, idx int, left, child *node) {
 // borrowRight moves the right sibling's first entry into child.
 func (c *ctx) borrowRight(parent *node, idx int, child, right *node) {
 	nr := right.clone()
-	nc := child.clone()
+	nc := &node{leaf: child.leaf}
 	if child.leaf {
-		nc.keys = append(nc.keys, nr.keys[0])
-		nc.vals = append(nc.vals, nr.vals[0])
+		nc.keys = inserted(child.keys, len(child.keys), nr.keys[0])
+		nc.vals = inserted(child.vals, len(child.vals), nr.vals[0])
 		nr.keys = nr.keys[1:]
 		nr.vals = nr.vals[1:]
 		parent.keys[idx] = nr.keys[0]
 	} else {
-		nc.keys = append(nc.keys, parent.keys[idx])
-		nc.kids = append(nc.kids, nr.kids[0])
+		nc.keys = inserted(child.keys, len(child.keys), parent.keys[idx])
+		nc.kids = inserted(child.kids, len(child.kids), nr.kids[0])
 		parent.keys[idx] = nr.keys[0]
 		nr.keys = nr.keys[1:]
 		nr.kids = nr.kids[1:]

@@ -12,7 +12,8 @@ import (
 // response's VO goes through, and exercises the whole verifier surface:
 // Tree() structural validation, digest computation, lookups, ranges,
 // and Replay. Properties: no panic on any input, every refusal is
-// ErrMalformedVO, and soundness — a VO whose materialized root digest
+// ErrMalformedVO, accepted input re-marshals byte-identically, and
+// soundness — a VO whose materialized root digest
 // equals the honest root can only answer lookups with the honest
 // values. The checked-in corpus (testdata/fuzz/FuzzVOVerify) holds the
 // golden read and update VOs; `go test -run VOBinaryGolden -update`
@@ -31,8 +32,14 @@ func FuzzVOVerify(f *testing.F) {
 			}
 			return
 		}
+		if again := mustMarshal(t, &v); !bytes.Equal(again, b) {
+			t.Fatalf("accepted input %x re-marshals as %x", b, again)
+		}
 		tree, err := v.Tree()
 		if err != nil {
+			if !errors.Is(err, ErrMalformedVO) {
+				t.Fatalf("Tree refusal is not ErrMalformedVO: %v", err)
+			}
 			return
 		}
 		if tree.RootDigest() == root {

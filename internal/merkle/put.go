@@ -1,6 +1,9 @@
 package merkle
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Put returns a new tree in which key maps to val, leaving the receiver
 // unchanged. The value slice is stored as-is; callers must not mutate
@@ -40,7 +43,13 @@ func (t *Tree) putCtx(c *ctx, key string, val []byte) (*Tree, error) {
 }
 
 // put inserts into the subtree rooted at n, returning a new node that
-// may be overfull (up to order+1 keys); the caller splits it.
+// may be overfull (up to order+1 keys); the caller splits it. A node
+// that neither gains a key nor absorbs a split — every internal level
+// of a non-splitting put, and the leaf of an overwrite — shares its
+// predecessor's keys array instead of copying it: published nodes are
+// immutable, inserted always builds a fresh array, and delete edits
+// only clones, so nothing ever writes through the alias (its capacity
+// is clipped all the same).
 func (c *ctx) put(n *node, key string, val []byte) (nn *node, added bool, err error) {
 	c.visit(n)
 	if n.pruned {
@@ -48,44 +57,45 @@ func (c *ctx) put(n *node, key string, val []byte) (nn *node, added bool, err er
 	}
 	if n.leaf {
 		i := searchKeys(n.keys, key)
-		nn = n.clone()
-		if i < len(nn.keys) && nn.keys[i] == key {
+		if i < len(n.keys) && n.keys[i] == key {
+			nn = &node{leaf: true, keys: n.keys[:len(n.keys):len(n.keys)], vals: slices.Clone(n.vals)}
 			nn.vals[i] = val
 			return nn, false, nil
 		}
-		nn.keys = insertString(nn.keys, i, key)
-		nn.vals = insertBytes(nn.vals, i, val)
-		return nn, true, nil
+		return &node{leaf: true, keys: inserted(n.keys, i, key), vals: inserted(n.vals, i, val)}, true, nil
 	}
 	idx := childIndex(n, key)
 	nk, added, err := c.put(n.kids[idx], key, val)
 	if err != nil {
 		return nil, false, err
 	}
-	nn = n.clone()
-	nn.kids[idx] = nk
-	if len(nk.keys) > c.order {
-		left, sep, right := split(nk)
-		nn.keys = insertString(nn.keys, idx, sep)
-		nn.kids[idx] = left
-		nn.kids = insertNode(nn.kids, idx+1, right)
+	if len(nk.keys) <= c.order {
+		nn = &node{keys: n.keys[:len(n.keys):len(n.keys)], kids: slices.Clone(n.kids)}
+		nn.kids[idx] = nk
+		return nn, added, nil
 	}
+	left, sep, right := split(nk)
+	nn = &node{keys: inserted(n.keys, idx, sep), kids: inserted(n.kids, idx+1, right)}
+	nn.kids[idx] = left
 	return nn, added, nil
 }
 
 // split divides an overfull node into two nodes and the separator key
 // to push into the parent. For a leaf the separator is a copy of the
 // right node's first key (B+-tree style: all records stay in leaves);
-// for an internal node the middle key moves up.
+// for an internal node the middle key moves up. Each half gets exactly
+// sized arrays of its own: two windows onto the overfull node's arrays
+// would keep its slack reachable for as long as either half — or any
+// later node sharing a half's keys — stays in a live tree.
 func split(n *node) (left *node, sep string, right *node) {
 	mid := len(n.keys) / 2
 	if n.leaf {
-		left = &node{leaf: true, keys: n.keys[:mid:mid], vals: n.vals[:mid:mid]}
-		right = &node{leaf: true, keys: n.keys[mid:], vals: n.vals[mid:]}
+		left = &node{leaf: true, keys: slices.Clone(n.keys[:mid]), vals: slices.Clone(n.vals[:mid])}
+		right = &node{leaf: true, keys: slices.Clone(n.keys[mid:]), vals: slices.Clone(n.vals[mid:])}
 		return left, right.keys[0], right
 	}
-	left = &node{keys: n.keys[:mid:mid], kids: n.kids[: mid+1 : mid+1]}
-	right = &node{keys: n.keys[mid+1:], kids: n.kids[mid+1:]}
+	left = &node{keys: slices.Clone(n.keys[:mid]), kids: slices.Clone(n.kids[:mid+1])}
+	right = &node{keys: slices.Clone(n.keys[mid+1:]), kids: slices.Clone(n.kids[mid+1:])}
 	return left, n.keys[mid], right
 }
 
@@ -102,23 +112,11 @@ func searchKeys(keys []string, key string) int {
 	return lo
 }
 
-func insertString(s []string, i int, v string) []string {
-	s = append(s, "")
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertBytes(s [][]byte, i int, v []byte) [][]byte {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertNode(s []*node, i int, v *node) []*node {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+// inserted returns an exactly sized copy of s with v at index i.
+func inserted[T any](s []T, i int, v T) []T {
+	out := make([]T, len(s)+1)
+	copy(out, s[:i])
+	out[i] = v
+	copy(out[i+1:], s[i:])
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Snapshot is the wire/disk form of a complete tree. Unlike a plain
@@ -57,9 +58,10 @@ func snapNode(n *node) *SnapshotNode {
 	return sn
 }
 
-// Restore rebuilds a tree from a snapshot, validating structure the
-// same way VO materialization does (snapshots may come from disk or
-// the network). The restored tree's root digest equals the original's.
+// Restore rebuilds a tree from a snapshot and validates it the way a
+// fully materialized tree is validated anywhere (snapshots may come
+// from disk or the network): every shape CheckInvariants refuses is
+// refused here. The restored tree's root digest equals the original's.
 func Restore(s *Snapshot) (*Tree, error) {
 	if s == nil {
 		return nil, fmt.Errorf("%w: nil snapshot", ErrMalformedVO)
@@ -67,62 +69,32 @@ func Restore(s *Snapshot) (*Tree, error) {
 	if s.Order < MinOrder {
 		return nil, fmt.Errorf("%w: order %d", ErrMalformedVO, s.Order)
 	}
-	root, count, err := restoreNode(s.Root, s.Order)
-	if err != nil {
-		return nil, err
-	}
-	if count != s.Size {
-		return nil, fmt.Errorf("%w: snapshot claims %d records, contains %d", ErrMalformedVO, s.Size, count)
-	}
-	t := &Tree{order: s.Order, root: root, size: count}
+	t := &Tree{order: s.Order, root: restoreNode(s.Root), size: s.Size}
 	if err := t.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("merkle: restored tree invalid: %w", err)
+		return nil, fmt.Errorf("%w: restored tree invalid: %v", ErrMalformedVO, err)
 	}
 	return t, nil
 }
 
-func restoreNode(sn *SnapshotNode, order int) (*node, int, error) {
+// restoreNode copies sn: the snapshot may be an in-memory object the
+// caller still holds.
+func restoreNode(sn *SnapshotNode) *node {
 	if sn == nil {
-		return nil, 0, nil
+		return nil
 	}
-	vn := &VONode{Leaf: sn.Leaf, Keys: sn.Keys, Vals: sn.Vals}
-	if !sn.Leaf {
-		// Validate shape through the same path as VOs, then recurse
-		// ourselves (children here are always expanded).
-		if len(sn.Kids) != len(sn.Keys)+1 {
-			return nil, 0, fmt.Errorf("%w: bad internal shape", ErrMalformedVO)
+	n := &node{leaf: sn.Leaf, keys: slices.Clone(sn.Keys)}
+	if sn.Leaf {
+		n.vals = make([][]byte, len(sn.Vals))
+		for i, v := range sn.Vals {
+			n.vals[i] = slices.Clone(v)
 		}
-		n := &node{keys: append([]string(nil), sn.Keys...), kids: make([]*node, len(sn.Kids))}
-		total := 0
-		for i, kid := range sn.Kids {
-			k, c, err := restoreNode(kid, order)
-			if err != nil {
-				return nil, 0, err
-			}
-			if k == nil {
-				return nil, 0, fmt.Errorf("%w: nil child", ErrMalformedVO)
-			}
-			n.kids[i] = k
-			total += c
-		}
-		if len(n.keys) > order {
-			return nil, 0, fmt.Errorf("%w: overfull node", ErrMalformedVO)
-		}
-		return n, total, nil
+		return n
 	}
-	// Copy leaf content: the snapshot may be an in-memory object the
-	// caller still holds (buildNode takes slices as-is, which is fine
-	// for freshly decoded VOs but would alias here).
-	vn.Keys = append([]string(nil), sn.Keys...)
-	vn.Vals = make([][]byte, len(sn.Vals))
-	for i, v := range sn.Vals {
-		vn.Vals[i] = append([]byte(nil), v...)
+	n.kids = make([]*node, len(sn.Kids))
+	for i, kid := range sn.Kids {
+		n.kids[i] = restoreNode(kid)
 	}
-	built, err := buildNode(vn, order)
-	if err != nil {
-		return nil, 0, err
-	}
-	return built, len(built.keys), nil
+	return n
 }
 
 // WriteTo serializes the snapshot with gob.

@@ -53,18 +53,18 @@ type Tree struct {
 type node struct {
 	pruned bool
 	leaf   bool
-	dig    atomic.Pointer[digest.Digest] // memoized digest; nil means "not yet computed"
+	memo   atomic.Uint32 // memoUnset, memoWriting or memoValid: who may touch dig
+	dig    digest.Digest // the memoized digest; read only after memo reads memoValid
 	keys   []string
 	vals   [][]byte // leaf nodes: vals[i] is the value for keys[i]
 	kids   []*node  // internal nodes: len(kids) == len(keys)+1
 }
 
-// withDigest builds a node whose digest is already known (pruned VO
-// placeholders).
-func withDigest(n *node, d digest.Digest) *node {
-	n.dig.Store(&d)
-	return n
-}
+const (
+	memoUnset uint32 = iota
+	memoWriting
+	memoValid
+)
 
 // hashCount counts node digest computations, for tests that pin the
 // memoization property (unchanged subtrees are never rehashed across
@@ -104,17 +104,20 @@ func (t *Tree) RootDigest() digest.Digest { return t.root.digest() }
 // digest computes (and memoizes) a node's digest. Immutability makes
 // the lazy cache sound: a node's digest never changes after the node is
 // linked into a tree, so unchanged subtrees are never rehashed across
-// operations. The cache is an atomic pointer because digests are
-// computed outside the server's ordered section (the pipelined VO build
-// runs concurrently on structurally shared persistent trees): racing
-// computations are idempotent — both store the same value — and the
-// atomic store keeps the publication race-free.
+// operations. Digests are computed outside the server's ordered section
+// (the pipelined VO build runs concurrently on structurally shared
+// persistent trees), so the memo inside the node has a publication
+// rule: exactly one goroutine wins CompareAndSwap(unset -> writing),
+// writes dig and publishes it with Store(valid); everyone who does not
+// read valid — losers of the swap included — returns the value they
+// computed themselves and never reads the field. Racing computations
+// are idempotent, so all of them return the same digest.
 func (n *node) digest() digest.Digest {
 	if n == nil {
 		return digest.Empty()
 	}
-	if d := n.dig.Load(); d != nil {
-		return *d
+	if n.memo.Load() == memoValid {
+		return n.dig
 	}
 	hashCount.Add(1)
 	var h *digest.Hasher
@@ -136,7 +139,10 @@ func (n *node) digest() digest.Digest {
 		}
 	}
 	d := h.Sum()
-	n.dig.Store(&d)
+	if n.memo.CompareAndSwap(memoUnset, memoWriting) {
+		n.dig = d
+		n.memo.Store(memoValid)
+	}
 	return d
 }
 

@@ -1,10 +1,14 @@
 package merkle
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"sync"
 
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/digest"
 )
 
@@ -73,118 +77,57 @@ func (r *Recording) Delete(key string) (bool, error) {
 func (r *Recording) Tree() *Tree { return r.cur }
 
 // VO returns the verification object for the recorded batch: the
-// pre-state tree pruned down to the nodes the batch touched. Nodes
-// created during the batch are never part of the pre-state and are
+// pre-state tree pruned down to the nodes the batch touched, written
+// straight from the tree nodes into the flat encoding. Nodes created
+// during the batch are never part of the pre-state and are
 // reconstructed by the verifier's replay.
 func (r *Recording) VO() *VO {
-	return &VO{Order: r.base.order, Root: pruneNode(r.base.root, r.c.rec)}
+	scratch := voScratch.Get().(*[]byte)
+	b := binary.AppendUvarint((*scratch)[:0], uint64(r.base.order))
+	b = appendPruned(b, r.base.root, r.c.rec)
+	vo := &VO{enc: slices.Clone(b)}
+	*scratch = b
+	voScratch.Put(scratch)
+	return vo
 }
 
-func pruneNode(n *node, keep map[*node]struct{}) *VONode {
-	if n == nil {
-		return nil
-	}
-	if _, ok := keep[n]; !ok {
-		return &VONode{Pruned: true, Digest: n.digest()}
-	}
-	// Tree nodes are copy-on-write: once published they are never
-	// mutated, so the VO can alias their keys/vals slices directly. The
-	// VO is encoded to the wire and discarded, never written through.
-	vn := &VONode{Leaf: n.leaf, Keys: n.keys}
-	if n.leaf {
-		vn.Vals = n.vals
-		return vn
-	}
-	vn.Kids = make([]*VONode, len(n.kids))
-	for i, k := range n.kids {
-		vn.Kids[i] = pruneNode(k, keep)
-	}
-	return vn
-}
+// voScratch recycles the buffer a VO is assembled in, so that the VO
+// itself is one exactly sized allocation.
+var voScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // VO is a wire-encodable verification object: a pruned copy of the
-// server's pre-state tree. The paper's v(Q, D).
+// server's pre-state tree, the paper's v(Q, D). It has one
+// representation, the flat preorder encoding of vobinary.go: Recording.VO
+// writes it, MarshalBinary hands it out, UnmarshalBinary keeps a private
+// copy of it, and Tree and Stats read it. The bytes are never modified
+// once the VO exists, which is what lets every tree Tree returns share
+// them. The zero VO is malformed.
 type VO struct {
-	Order int
-	Root  *VONode
+	enc []byte
 }
 
-// VONode is one node of a pruned tree. Exactly one of the two forms is
-// populated: a pruned placeholder (Pruned + Digest) or an expanded node
-// (Leaf/Keys/Vals/Kids).
-type VONode struct {
-	Pruned bool
-	Digest digest.Digest
-	Leaf   bool
-	Keys   []string
-	Vals   [][]byte
-	Kids   []*VONode
-}
-
-// Tree materializes the VO into a partial tree. It validates structure
-// (the VO comes from an untrusted server) so that replaying operations
-// on the result can never panic: malformed shapes are rejected here.
+// Tree materializes the VO into a partial tree. It validates grammar
+// and structure (the VO comes from an untrusted server) so that
+// replaying operations on the result can never panic: malformed shapes
+// are rejected here. The tree's values are windows onto the VO's bytes
+// and its keys are substrings of one copy of them, so a tree costs one
+// allocation per key array, value array and group of siblings rather
+// than one per record.
 func (v *VO) Tree() (*Tree, error) {
-	if v.Order < MinOrder {
-		return nil, fmt.Errorf("%w: order %d", ErrMalformedVO, v.Order)
+	d := voDecoder{r: binenc.NewReader(v.enc), str: string(v.enc)}
+	order := d.r.Uvarint()
+	if order < MinOrder || order > math.MaxInt32 {
+		d.r.Fail("order %d", order)
 	}
-	root, err := buildNode(v.Root, v.Order)
-	if err != nil {
-		return nil, err
+	d.order = int(order)
+	root := new(node)
+	if !d.node(root, 0) {
+		root = nil
 	}
-	return &Tree{order: v.Order, root: root, size: -1}, nil
-}
-
-func buildNode(vn *VONode, order int) (*node, error) {
-	if vn == nil {
-		return nil, nil
+	if err := d.r.Close(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformedVO, err)
 	}
-	if vn.Pruned {
-		if vn.Digest.IsZero() {
-			return nil, fmt.Errorf("%w: pruned node without digest", ErrMalformedVO)
-		}
-		if len(vn.Keys) > 0 || len(vn.Vals) > 0 || len(vn.Kids) > 0 {
-			return nil, fmt.Errorf("%w: pruned node with content", ErrMalformedVO)
-		}
-		return withDigest(&node{pruned: true}, vn.Digest), nil
-	}
-	if !sort.StringsAreSorted(vn.Keys) {
-		return nil, fmt.Errorf("%w: unsorted keys", ErrMalformedVO)
-	}
-	for i := 1; i < len(vn.Keys); i++ {
-		if vn.Keys[i] == vn.Keys[i-1] {
-			return nil, fmt.Errorf("%w: duplicate key %q", ErrMalformedVO, vn.Keys[i])
-		}
-	}
-	if vn.Leaf {
-		if len(vn.Vals) != len(vn.Keys) || len(vn.Kids) != 0 {
-			return nil, fmt.Errorf("%w: bad leaf shape (%d keys, %d vals, %d kids)",
-				ErrMalformedVO, len(vn.Keys), len(vn.Vals), len(vn.Kids))
-		}
-		if len(vn.Keys) > order {
-			return nil, fmt.Errorf("%w: leaf with %d keys exceeds order %d", ErrMalformedVO, len(vn.Keys), order)
-		}
-		return &node{leaf: true, keys: vn.Keys, vals: vn.Vals}, nil
-	}
-	if len(vn.Kids) != len(vn.Keys)+1 || len(vn.Vals) != 0 {
-		return nil, fmt.Errorf("%w: bad internal shape (%d keys, %d kids)",
-			ErrMalformedVO, len(vn.Keys), len(vn.Kids))
-	}
-	if len(vn.Keys) > order {
-		return nil, fmt.Errorf("%w: internal node with %d keys exceeds order %d", ErrMalformedVO, len(vn.Keys), order)
-	}
-	n := &node{keys: vn.Keys, kids: make([]*node, len(vn.Kids))}
-	for i, kvn := range vn.Kids {
-		if kvn == nil {
-			return nil, fmt.Errorf("%w: nil child", ErrMalformedVO)
-		}
-		k, err := buildNode(kvn, order)
-		if err != nil {
-			return nil, err
-		}
-		n.kids[i] = k
-	}
-	return n, nil
+	return &Tree{order: d.order, root: root, size: -1}, nil
 }
 
 // Replay is the verifier's side of Section 4.1: it materializes the VO,
@@ -220,32 +163,6 @@ type VOStats struct {
 
 // Stats computes size statistics for the VO.
 func (v *VO) Stats() VOStats {
-	var s VOStats
-	var walk func(*VONode)
-	walk = func(n *VONode) {
-		if n == nil {
-			return
-		}
-		if n.Pruned {
-			s.PrunedDigests++
-			s.ApproxBytes += digest.Size
-			return
-		}
-		s.ExpandedNodes++
-		for _, k := range n.Keys {
-			s.ApproxBytes += len(k)
-		}
-		if n.Leaf {
-			s.Records += len(n.Keys)
-			for _, val := range n.Vals {
-				s.ApproxBytes += len(val)
-			}
-			return
-		}
-		for _, k := range n.Kids {
-			walk(k)
-		}
-	}
-	walk(v.Root)
+	s, _ := scanVO(v.enc)
 	return s
 }

@@ -1,6 +1,7 @@
 package merkle
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -165,38 +166,19 @@ func TestVORejectsTamperedValue(t *testing.T) {
 	// A server that tampers with a value inside the VO must be caught
 	// by the old-root check.
 	tr := buildTree(t, 4, 50)
-	// Pin the published root before tampering: the VO aliases the live
-	// tree's slices (it is normally serialized to the wire untouched),
-	// so an in-place tamper below would otherwise leak into a root
-	// digest computed afterwards.
-	want := tr.RootDigest()
 	rec := tr.Record()
 	_, _, _ = rec.Get(key(1))
-	vo := rec.VO()
-
-	var tamper func(n *VONode) bool
-	tamper = func(n *VONode) bool {
-		if n == nil || n.Pruned {
-			return false
-		}
-		if n.Leaf {
-			if len(n.Vals) > 0 {
-				n.Vals[0] = []byte("evil")
-				return true
-			}
-			return false
-		}
-		for _, k := range n.Kids {
-			if tamper(k) {
-				return true
-			}
-		}
-		return false
+	enc := bytes.Clone(mustMarshal(t, rec.VO()))
+	at := bytes.Index(enc, val(1))
+	if at < 0 {
+		t.Fatal("test bug: the VO does not carry the value read")
 	}
-	if !tamper(vo.Root) {
-		t.Fatal("test bug: found nothing to tamper with")
+	copy(enc[at:], "evil")
+	var vo VO
+	if err := vo.UnmarshalBinary(enc); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := vo.Replay(want, func(pt *Tree) (*Tree, error) { return pt, nil }); !errors.Is(err, ErrRootMismatch) {
+	if _, err := vo.Replay(tr.RootDigest(), func(pt *Tree) (*Tree, error) { return pt, nil }); !errors.Is(err, ErrRootMismatch) {
 		t.Fatalf("want ErrRootMismatch after tamper, got %v", err)
 	}
 }
@@ -213,27 +195,6 @@ func TestVOInsufficientCoverage(t *testing.T) {
 	})
 	if !errors.Is(err, ErrPruned) {
 		t.Fatalf("want ErrPruned, got %v", err)
-	}
-}
-
-func TestVOMalformed(t *testing.T) {
-	cases := map[string]*VO{
-		"bad order":         {Order: 1, Root: nil},
-		"pruned no digest":  {Order: 4, Root: &VONode{Pruned: true}},
-		"pruned w/ content": {Order: 4, Root: &VONode{Pruned: true, Digest: digest.OfBytes(0, nil), Keys: []string{"k"}}},
-		"leaf shape":        {Order: 4, Root: &VONode{Leaf: true, Keys: []string{"k"}}},
-		"internal shape":    {Order: 4, Root: &VONode{Keys: []string{"k"}, Kids: []*VONode{{Pruned: true, Digest: digest.OfBytes(0, nil)}}}},
-		"unsorted keys":     {Order: 4, Root: &VONode{Leaf: true, Keys: []string{"b", "a"}, Vals: [][]byte{nil, nil}}},
-		"duplicate keys":    {Order: 4, Root: &VONode{Leaf: true, Keys: []string{"a", "a"}, Vals: [][]byte{nil, nil}}},
-		"overfull leaf":     {Order: 4, Root: &VONode{Leaf: true, Keys: []string{"a", "b", "c", "d", "e"}, Vals: make([][]byte, 5)}},
-		"nil child": {Order: 4, Root: &VONode{Keys: []string{"k"}, Kids: []*VONode{
-			{Pruned: true, Digest: digest.OfBytes(0, nil)}, nil,
-		}}},
-	}
-	for name, vo := range cases {
-		if _, err := vo.Tree(); !errors.Is(err, ErrMalformedVO) {
-			t.Errorf("%s: want ErrMalformedVO, got %v", name, err)
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/digest"
@@ -20,8 +21,11 @@ import (
 //	strings = uvarint(n) n×uvarint(len) bytes
 //
 // The second strings of a leaf omits its count (it is the keys' n). All
-// lengths of a strings come before all of its bytes, so a decoder copies
-// each node's keys (and a leaf's values) out of the input in one piece.
+// lengths of a strings come before all of its bytes.
+//
+// This is the VO's only representation, in memory as on the wire:
+// Recording.VO appends it from tree nodes (appendPruned) and VO.Tree
+// decodes it into tree nodes (voDecoder), with nothing in between.
 //
 // encoding/gob uses MarshalBinary/UnmarshalBinary for every *VO field,
 // so protocol responses, forest legs and audit-journal records carry
@@ -38,159 +42,106 @@ const (
 // than any machine can.
 const maxVODepth = 64
 
-// MarshalBinary implements encoding.BinaryMarshaler. Shapes the grammar
-// cannot carry (a pruned node with content, a leaf whose values do not
-// pair with its keys, an internal node without exactly one more child
-// than keys) are ErrMalformedVO; Recording.VO never produces them.
-func (v *VO) MarshalBinary() ([]byte, error) {
-	if v == nil || v.Order < 0 {
-		return nil, fmt.Errorf("%w: nil or negative-order VO", ErrMalformedVO)
-	}
-	size, err := voNodeSize(v.Root, 0)
-	if err != nil {
-		return nil, err
-	}
-	b := make([]byte, 0, binenc.UvarintLen(uint64(v.Order))+size)
-	b = binary.AppendUvarint(b, uint64(v.Order))
-	return appendVONode(b, v.Root), nil
-}
-
-// voNodeSize validates n's shape and returns its encoded size, so the
-// encoder allocates once and cannot fail midway.
-func voNodeSize(n *VONode, depth int) (int, error) {
-	switch {
-	case n == nil:
-		return 1, nil
-	case depth > maxVODepth:
-		return 0, fmt.Errorf("%w: deeper than %d levels", ErrMalformedVO, maxVODepth)
-	case n.Pruned:
-		if len(n.Keys)+len(n.Vals)+len(n.Kids) > 0 {
-			return 0, fmt.Errorf("%w: pruned node with content", ErrMalformedVO)
-		}
-		return 1 + digest.Size, nil
-	}
-	size := 1 + binenc.UvarintLen(uint64(len(n.Keys)))
-	for _, k := range n.Keys {
-		size += binenc.UvarintLen(uint64(len(k))) + len(k)
-	}
-	if n.Leaf {
-		if len(n.Vals) != len(n.Keys) || len(n.Kids) != 0 {
-			return 0, fmt.Errorf("%w: bad leaf shape (%d keys, %d vals, %d kids)",
-				ErrMalformedVO, len(n.Keys), len(n.Vals), len(n.Kids))
-		}
-		for _, val := range n.Vals {
-			size += binenc.UvarintLen(uint64(len(val))) + len(val)
-		}
-		return size, nil
-	}
-	if len(n.Kids) != len(n.Keys)+1 || len(n.Vals) != 0 {
-		return 0, fmt.Errorf("%w: bad internal shape (%d keys, %d kids)",
-			ErrMalformedVO, len(n.Keys), len(n.Kids))
-	}
-	for _, kid := range n.Kids {
-		s, err := voNodeSize(kid, depth+1)
-		if err != nil {
-			return 0, err
-		}
-		size += s
-	}
-	return size, nil
-}
-
-func appendVONode(b []byte, n *VONode) []byte {
-	switch {
-	case n == nil:
+// appendPruned appends the subtree under n in preorder, keeping the
+// content of the nodes in keep and only the digest of every other.
+// Tree nodes hold as many values as keys and one more child than keys,
+// so everything it writes is grammatical.
+func appendPruned(b []byte, n *node, keep map[*node]struct{}) []byte {
+	if n == nil {
 		return append(b, voAbsent)
-	case n.Pruned:
-		return append(append(b, voPruned), n.Digest[:]...)
-	case n.Leaf:
-		b = append(b, voLeaf)
-	default:
-		b = append(b, voInternal)
 	}
-	b = binary.AppendUvarint(b, uint64(len(n.Keys)))
-	for _, k := range n.Keys {
-		b = binary.AppendUvarint(b, uint64(len(k)))
+	if _, ok := keep[n]; !ok || n.pruned {
+		d := n.digest()
+		return append(append(b, voPruned), d[:]...)
 	}
-	for _, k := range n.Keys {
-		b = append(b, k...)
+	if n.leaf {
+		b = binary.AppendUvarint(append(b, voLeaf), uint64(len(n.keys)))
+		return appendLensBytes(appendLensBytes(b, n.keys), n.vals)
 	}
-	if n.Leaf {
-		for _, val := range n.Vals {
-			b = binary.AppendUvarint(b, uint64(len(val)))
-		}
-		for _, val := range n.Vals {
-			b = append(b, val...)
-		}
-		return b
-	}
-	for _, kid := range n.Kids {
-		b = appendVONode(b, kid)
+	b = binary.AppendUvarint(append(b, voInternal), uint64(len(n.keys)))
+	b = appendLensBytes(b, n.keys)
+	for _, kid := range n.kids {
+		b = appendPruned(b, kid, keep)
 	}
 	return b
 }
 
+// appendLensBytes appends the body of a strings: all lengths, then all
+// bytes.
+func appendLensBytes[T string | []byte](b []byte, items []T) []byte {
+	for _, it := range items {
+		b = binary.AppendUvarint(b, uint64(len(it)))
+	}
+	for _, it := range items {
+		b = append(b, it...)
+	}
+	return b
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler. It returns the
+// VO's own bytes, which the caller must not modify.
+func (v *VO) MarshalBinary() ([]byte, error) {
+	if v == nil || v.enc == nil {
+		return nil, fmt.Errorf("%w: empty VO", ErrMalformedVO)
+	}
+	return v.enc, nil
+}
+
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The input is
 // the untrusted server's: every count must be backed by the bytes that
-// remain, depth is bounded, unknown node kinds and trailing bytes are
-// rejected — all as ErrMalformedVO — so decoding allocates at most a
-// fixed multiple of len(data) and never panics. It retains nothing of
-// data: each node's keys and values are copied out once, as one piece.
-// Whether the decoded shape is a valid tree is still VO.Tree's call.
+// remain, depth is bounded, unknown node kinds, non-minimal integers
+// and trailing bytes are rejected — all as ErrMalformedVO, decided
+// without allocating. What it accepts it keeps as one private copy; it
+// retains nothing of data. Whether the encoded shape is a valid tree is
+// still VO.Tree's call.
 func (v *VO) UnmarshalBinary(data []byte) error {
-	r := binenc.NewReader(data)
-	order := r.Uvarint()
-	if order > math.MaxInt32 {
-		r.Fail("order %d", order)
+	if _, err := scanVO(data); err != nil {
+		return err
 	}
-	root := new(VONode)
-	if !readVONode(r, root, 0) {
-		root = nil
-	}
-	if err := r.Close(); err != nil {
-		return fmt.Errorf("%w: %v", ErrMalformedVO, err)
-	}
-	v.Order, v.Root = int(order), root
+	v.enc = slices.Clone(data)
 	return nil
 }
 
-// readVONode decodes one node into n, reporting false for an absent
-// one (and after any failure, which sticks in r).
-func readVONode(r *binenc.Reader, n *VONode, depth int) bool {
+// scanVO checks data against the grammar and sizes it up on the way.
+func scanVO(data []byte) (VOStats, error) {
+	var s VOStats
+	r := binenc.NewReader(data)
+	if order := r.Uvarint(); order > math.MaxInt32 {
+		r.Fail("order %d", order)
+	}
+	scanNode(r, &s, 0)
+	if err := r.Close(); err != nil {
+		return s, fmt.Errorf("%w: %v", ErrMalformedVO, err)
+	}
+	return s, nil
+}
+
+func scanNode(r *binenc.Reader, s *VOStats, depth int) {
 	if depth > maxVODepth {
 		r.Fail("deeper than %d levels", maxVODepth)
-		return false
+		return
 	}
 	switch kind := r.Byte(); kind {
 	case voAbsent:
-		return false
 	case voPruned:
-		n.Pruned = true
-		copy(n.Digest[:], r.View(digest.Size))
-	case voLeaf:
-		n.Leaf = true
+		r.View(digest.Size)
+		s.PrunedDigests++
+		s.ApproxBytes += digest.Size
+	case voLeaf, voInternal:
 		count := r.Count(1)
-		n.Keys = readStrings(r, count)
-		n.Vals = readByteSlices(r, count)
-	case voInternal:
-		n.Keys = readStrings(r, r.Count(1))
-		count := len(n.Keys) + 1
-		if r.Err() != nil || count > r.Remaining() {
-			r.Fail("%d children exceed the %d bytes left", count, r.Remaining())
-			break
+		s.ExpandedNodes++
+		s.ApproxBytes += skipLensBytes(r, count)
+		if kind == voLeaf {
+			s.Records += count
+			s.ApproxBytes += skipLensBytes(r, count)
+			return
 		}
-		// One slab for all children: siblings live and die together.
-		slab := make([]VONode, count)
-		n.Kids = make([]*VONode, count)
-		for i := range slab {
-			if readVONode(r, &slab[i], depth+1) {
-				n.Kids[i] = &slab[i]
-			}
+		for i := 0; i <= count && r.Err() == nil; i++ {
+			scanNode(r, s, depth+1)
 		}
 	default:
 		r.Fail("unknown node kind %d", kind)
 	}
-	return r.Err() == nil
 }
 
 // readLens consumes count lengths and returns a cursor positioned at
@@ -208,30 +159,101 @@ func readLens(r *binenc.Reader, count int) (lens binenc.Reader, total int) {
 	return lens, total
 }
 
-func readStrings(r *binenc.Reader, count int) []string {
-	if count == 0 {
-		return nil
+func skipLensBytes(r *binenc.Reader, count int) int {
+	_, total := readLens(r, count)
+	r.View(total)
+	return total
+}
+
+// voDecoder materializes the flat form as tree nodes, making every
+// check on the way: nothing it returns can make a replay panic.
+type voDecoder struct {
+	r     *binenc.Reader // over the VO's bytes; values are windows onto them
+	str   string         // one copy of the same bytes; keys are substrings of it
+	order int
+}
+
+// node decodes one node into n, reporting false for an absent one (and
+// after any failure, which sticks in d.r).
+func (d *voDecoder) node(n *node, depth int) bool {
+	if depth > maxVODepth {
+		d.r.Fail("deeper than %d levels", maxVODepth)
+		return false
 	}
-	lens, total := readLens(r, count)
-	blob := string(r.View(total))
-	if r.Err() != nil {
+	switch kind := d.r.Byte(); kind {
+	case voAbsent:
+		return false
+	case voPruned:
+		n.pruned = true
+		copy(n.dig[:], d.r.View(digest.Size))
+		if n.dig.IsZero() {
+			d.r.Fail("pruned node without digest")
+		}
+		n.memo.Store(memoValid)
+	case voLeaf:
+		n.leaf = true
+		count := d.count()
+		n.keys = d.keys(count)
+		n.vals = d.vals(count)
+	case voInternal:
+		n.keys = d.keys(d.count())
+		count := len(n.keys) + 1
+		if d.r.Err() != nil || count > d.r.Remaining() {
+			d.r.Fail("%d children exceed the %d bytes left", count, d.r.Remaining())
+			break
+		}
+		// One slab for all children: siblings live and die together.
+		slab := make([]node, count)
+		n.kids = make([]*node, count)
+		for i := range slab {
+			if !d.node(&slab[i], depth+1) {
+				d.r.Fail("absent child")
+				break
+			}
+			n.kids[i] = &slab[i]
+		}
+	default:
+		d.r.Fail("unknown node kind %d", kind)
+	}
+	return d.r.Err() == nil
+}
+
+// count reads a node's key count, which no allocation may follow
+// unless the order allows it.
+func (d *voDecoder) count() int {
+	count := d.r.Count(1)
+	if count > d.order {
+		d.r.Fail("node with %d keys exceeds order %d", count, d.order)
+		return 0
+	}
+	return count
+}
+
+// keys reads the body of a strings as sorted, distinct keys.
+func (d *voDecoder) keys(count int) []string {
+	lens, total := readLens(d.r, count)
+	off := len(d.str) - d.r.Remaining()
+	d.r.View(total)
+	if d.r.Err() != nil || count == 0 {
 		return nil
 	}
 	out := make([]string, count)
 	for i := range out {
-		n := int(lens.Uvarint())
-		out[i], blob = blob[:n], blob[n:]
+		end := off + int(lens.Uvarint())
+		out[i], off = d.str[off:end], end
+		if i > 0 && out[i] <= out[i-1] {
+			d.r.Fail("unsorted or duplicate key %q", out[i])
+			return nil
+		}
 	}
 	return out
 }
 
-func readByteSlices(r *binenc.Reader, count int) [][]byte {
-	if count == 0 {
-		return nil
-	}
-	lens, total := readLens(r, count)
-	blob := append([]byte(nil), r.View(total)...)
-	if r.Err() != nil {
+// vals reads the body of a strings as a leaf's values.
+func (d *voDecoder) vals(count int) [][]byte {
+	lens, total := readLens(d.r, count)
+	blob := d.r.View(total)
+	if d.r.Err() != nil || count == 0 {
 		return nil
 	}
 	out := make([][]byte, count)

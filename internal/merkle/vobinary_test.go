@@ -2,14 +2,14 @@ package merkle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"runtime"
 	"testing"
 
 	"trustedcvs/internal/digest"
@@ -138,79 +138,176 @@ func TestVOBinaryThroughGob(t *testing.T) {
 }
 
 // TestVOBinaryEmptyTree: the VO of an empty tree is the order and one
-// absent node, and round-trips to a nil root.
+// absent node, and materializes as a nil root.
 func TestVOBinaryEmptyTree(t *testing.T) {
 	b := mustMarshal(t, New(4).Record().VO())
 	if !bytes.Equal(b, []byte{4, 0}) {
 		t.Fatalf("empty-tree VO = %x, want 0400", b)
 	}
 	var v VO
-	if err := v.UnmarshalBinary(b); err != nil || v.Order != 4 || v.Root != nil {
-		t.Fatalf("decoded %+v, err %v", v, err)
+	if err := v.UnmarshalBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := v.Tree()
+	if err != nil || tree.Order() != 4 || tree.root != nil {
+		t.Fatalf("decoded %+v, err %v", tree, err)
 	}
 }
 
-// TestVOBinaryHostileInput: everything the decoder refuses is
-// ErrMalformedVO, and a lying count is refused before it can size an
-// allocation.
-func TestVOBinaryHostileInput(t *testing.T) {
+// The test-only appender: encodings spelled by hand, mostly ones no
+// Recording produces. A leaf is given as many values as the case wants,
+// whatever its key count says.
+func voOf(order uint64, node []byte) []byte {
+	return append(binary.AppendUvarint(nil, order), node...)
+}
+
+func lensBytes(items ...string) []byte {
+	return appendLensBytes(nil, items)
+}
+
+func prunedNode(d digest.Digest) []byte { return append([]byte{voPruned}, d[:]...) }
+
+func leafNode(keys []string, vals ...string) []byte {
+	b := binary.AppendUvarint([]byte{voLeaf}, uint64(len(keys)))
+	return append(append(b, lensBytes(keys...)...), lensBytes(vals...)...)
+}
+
+func internalNode(keys []string, kids ...[]byte) []byte {
+	b := binary.AppendUvarint([]byte{voInternal}, uint64(len(keys)))
+	return append(append(b, lensBytes(keys...)...), bytes.Join(kids, nil)...)
+}
+
+// allocated reports the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestVOHostileInput: everything the verifier refuses is
+// ErrMalformedVO — grammar at UnmarshalBinary, shape at Tree, which
+// repeats the grammar checks for a VO that never crossed a wire — and
+// the refusal is decided before any allocation a count could buy.
+func TestVOHostileInput(t *testing.T) {
 	_, read, _ := goldenVOs(t)
 	honest := mustMarshal(t, read)
-	deep := []byte{4}
+	d := digest.OfBytes(0, nil)
+	deep := leafNode(nil)
 	for i := 0; i < maxVODepth+2; i++ {
-		deep = append(deep, voInternal, 0) // no keys, one child
+		deep = internalNode(nil, deep)
 	}
-	deep = append(deep, voLeaf, 0)
-	cases := map[string][]byte{
-		"empty":                  {},
-		"order only":             {4},
-		"trailing byte":          append(append([]byte(nil), honest...), 0),
-		"truncated":              honest[:len(honest)-1],
-		"unknown node kind":      {4, 9},
-		"non-minimal order":      {0x84, 0x00, 0},
-		"huge order":             {0xff, 0xff, 0xff, 0xff, 0x7f, 0},
-		"short digest":           {4, voPruned, 1, 2, 3},
-		"key count beyond input": {4, voLeaf, 0xff, 0xff, 0x03},
-		"kid count beyond input": {4, voInternal, 3, 0, 0, 0, voLeaf, 0},
-		"key bytes beyond input": {4, voLeaf, 1, 0x7f, 'k'},
-		"val bytes beyond input": {4, voLeaf, 1, 1, 'k', 0x7f, 'v'},
-		"too deep":               deep,
+	leaf := leafNode([]string{"a"}, "1")
+	grammar := map[string][]byte{
+		"empty":                   {},
+		"order only":              {4},
+		"trailing byte":           append(bytes.Clone(honest), 0),
+		"truncated":               honest[:len(honest)-1],
+		"unknown node kind":       {4, 9},
+		"non-minimal order":       {0x84, 0x00, 0},
+		"huge order":              {0xff, 0xff, 0xff, 0xff, 0x7f, 0},
+		"short digest":            {4, voPruned, 1, 2, 3},
+		"key count beyond input":  {4, voLeaf, 0xff, 0xff, 0xff, 0xff, 0x07},
+		"kid count beyond input":  voOf(1<<30, append(binary.AppendUvarint([]byte{voInternal}, 1<<28), 1, 'k')),
+		"kids beyond input":       voOf(4, internalNode([]string{"a", "b", "c"}, leaf)),
+		"key bytes beyond input":  {4, voLeaf, 1, 0x7f, 'k'},
+		"val bytes beyond input":  {4, voLeaf, 1, 1, 'k', 0x7f, 'v'},
+		"fewer values than keys":  voOf(4, leafNode([]string{"a", "b"}, "1")),
+		"more values than keys":   voOf(4, leafNode([]string{"a"}, "1", "2")),
+		"non-minimal key count":   {4, voLeaf, 0x81, 0x00, 1, 'k', 1, 'v'},
+		"non-minimal key length":  {4, voLeaf, 1, 0x81, 0x00, 'k', 1, 'v'},
+		"non-minimal val length":  {4, voLeaf, 1, 1, 'k', 0x81, 0x00, 'v'},
+		"too deep":                voOf(4, deep),
+		"too deep under a digest": voOf(4, internalNode([]string{"k"}, prunedNode(d), deep)),
 	}
-	for name, b := range cases {
-		var v VO
-		err := v.UnmarshalBinary(b)
+	shape := map[string][]byte{
+		"order below minimum":     voOf(2, leaf),
+		"pruned without digest":   voOf(4, prunedNode(digest.Zero)),
+		"unsorted leaf keys":      voOf(4, leafNode([]string{"b", "a"}, "", "")),
+		"duplicate leaf keys":     voOf(4, leafNode([]string{"a", "a"}, "", "")),
+		"unsorted internal keys":  voOf(4, internalNode([]string{"b", "a"}, prunedNode(d), prunedNode(d), prunedNode(d))),
+		"overfull leaf":           voOf(4, leafNode([]string{"a", "b", "c", "d", "e"}, "", "", "", "", "")),
+		"overfull internal":       voOf(3, internalNode([]string{"a", "b", "c", "d"}, leaf, leaf, leaf, leaf, leaf)),
+		"absent child":            voOf(4, internalNode([]string{"k"}, prunedNode(d), []byte{voAbsent})),
+		"absent first child":      voOf(4, internalNode([]string{"k"}, []byte{voAbsent}, leaf)),
+		"overfull below a digest": voOf(3, internalNode([]string{"k"}, prunedNode(d), leafNode([]string{"l", "m", "n", "o"}, "", "", "", ""))),
+	}
+	// A child costs at least one input byte and at most a node and a
+	// pointer to it, which bounds the allocation per input byte; the
+	// lying counts above claim 2^28 and more.
+	refusal := func(name string, input []byte, fn func() error) {
+		t.Helper()
+		var err error
+		got := allocated(func() { err = fn() })
 		if !errors.Is(err, ErrMalformedVO) {
 			t.Errorf("%s: want ErrMalformedVO, got %v", name, err)
 		}
-		if v.Root != nil || v.Order != 0 {
-			t.Errorf("%s: a rejected input left %+v behind", name, v)
+		if limit := uint64(2048 + 128*len(input)); got > limit {
+			t.Errorf("%s: the refusal allocated %d bytes, limit %d", name, got, limit)
 		}
 	}
-	// A structurally odd but well-formed encoding decodes; judging the
-	// shape stays VO.Tree's job.
-	var v VO
-	if err := v.UnmarshalBinary([]byte{4, voInternal, 1, 1, 'k', voAbsent, voLeaf, 0}); err != nil {
-		t.Fatalf("absent child: %v", err)
+	for name, b := range grammar {
+		var v VO
+		refusal(name, b, func() error { return v.UnmarshalBinary(b) })
+		if v.enc != nil {
+			t.Errorf("%s: a rejected input left %x behind", name, v.enc)
+		}
+		// The same bytes in a VO that never went through UnmarshalBinary.
+		refusal(name+" (Tree)", b, func() error { _, err := (&VO{enc: b}).Tree(); return err })
 	}
-	if _, err := v.Tree(); !errors.Is(err, ErrMalformedVO) || !strings.Contains(err.Error(), "nil child") {
-		t.Fatalf("Tree on an absent child: %v", err)
+	for name, b := range shape {
+		var v VO
+		if err := v.UnmarshalBinary(b); err != nil {
+			t.Errorf("%s: grammatical input refused at decode: %v", name, err)
+			continue
+		}
+		refusal(name, b, func() error { _, err := v.Tree(); return err })
+	}
+	if _, err := new(VO).MarshalBinary(); !errors.Is(err, ErrMalformedVO) {
+		t.Errorf("zero VO: MarshalBinary = %v, want ErrMalformedVO", err)
+	}
+	if _, err := (*VO)(nil).MarshalBinary(); !errors.Is(err, ErrMalformedVO) {
+		t.Errorf("nil VO: MarshalBinary = %v, want ErrMalformedVO", err)
 	}
 }
 
-// TestVOBinaryRefusesUnencodableShapes: the in-memory shapes the
-// grammar has no spelling for are refused by the encoder, the same
-// ones VO.Tree refuses.
-func TestVOBinaryRefusesUnencodableShapes(t *testing.T) {
-	d := digest.OfBytes(0, nil)
-	for name, vo := range map[string]*VO{
-		"nil VO":            nil,
-		"negative order":    {Order: -1},
-		"pruned w/ content": {Order: 4, Root: &VONode{Pruned: true, Digest: d, Keys: []string{"k"}}},
-		"leaf shape":        {Order: 4, Root: &VONode{Leaf: true, Keys: []string{"k"}}},
-		"internal shape":    {Order: 4, Root: &VONode{Keys: []string{"k"}, Kids: []*VONode{{Pruned: true, Digest: d}}}},
-	} {
-		if b, err := vo.MarshalBinary(); !errors.Is(err, ErrMalformedVO) {
-			t.Errorf("%s: MarshalBinary = %s, %v; want ErrMalformedVO", name, hex.EncodeToString(b), err)
+// TestVOOnePassAllocations pins what the single representation buys:
+// accepting a VO costs the one private copy and a tree costs a handful
+// of arrays — not a box per node. (Building one is two allocations, the
+// VO and its bytes, when the scratch pool is warm: BenchmarkVOBuild.)
+func TestVOOnePassAllocations(t *testing.T) {
+	tr := buildTree(t, 8, 10_000)
+	tr.RootDigest()
+	rec := tr.Record()
+	if err := rec.Put(key(5000), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	vo := rec.VO()
+	enc := mustMarshal(t, vo)
+	nodes := vo.Stats().ExpandedNodes + vo.Stats().PrunedDigests
+	if nodes < 20 {
+		t.Fatalf("test bug: only %d nodes in the VO", nodes)
+	}
+	var back VO
+	if n := testing.AllocsPerRun(100, func() {
+		if err := back.UnmarshalBinary(enc); err != nil {
+			t.Fatal(err)
 		}
+	}); n != 1 {
+		t.Errorf("UnmarshalBinary: %.0f allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = vo.Stats() }); n != 0 {
+		t.Errorf("Stats: %.0f allocations, want 0", n)
+	}
+	// Per expanded node: a key array, then values or a slab and a child
+	// array; plus the string, the root and the Tree.
+	limit := float64(3*vo.Stats().ExpandedNodes + 3)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := back.Tree(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > limit {
+		t.Errorf("Tree: %.0f allocations for %d nodes, want at most %.0f", n, nodes, limit)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/merkle"
@@ -11,12 +12,15 @@ import (
 )
 
 // Allocation tripwires for the verified-op path. The bounds sit about
-// 15 % above what the path costs today (70, 21 and 7 allocations) with
-// the VO written from and decoded into tree nodes directly — far below
-// what boxing every VO node once more costs (161, 27, 36), let alone a
-// reflective one-shot codec per operation (gob: 367, 47, 74) — so
-// putting either back on the path fails `go test ./...` instead of
-// waiting for a benchmark run.
+// 15 % above what the path costs today (70, 21, 2 and 8 allocations)
+// with the VO written from and decoded into tree nodes directly and
+// every message a tagged binary frame decoded in place — far below what
+// boxing every VO node once more costs (161, 27, 36), let alone a
+// reflective codec around each message (the gob envelope: 26 for the
+// request/response pair, 7 for a bare VO) — so putting either back on
+// the path fails `go test ./...` instead of waiting for a benchmark
+// run. (One audit-journal record's encode has its own tripwire next to
+// the encoder: internal/audit TestRecordEncodeAllocations.)
 func TestVerifiedOpAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops make allocation counts meaningless")
@@ -68,15 +72,16 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 		}
 	})
 
-	// One update VO over a connection's persistent codec pair: encode,
-	// frame, unframe, decode.
-	_, vo, err := seededDB(t, 10_000).Apply(kvOp(1))
+	// One update VO over a connection's codec pair: encode, frame,
+	// unframe, decode — the frame buffer and the VO that points into it.
+	op := kvOp(1)
+	ans, vo, err := seededDB(t, 10_000).Apply(op)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var link bytes.Buffer
 	enc, dec := wire.NewEncoder(&link), wire.NewDecoder(&link)
-	budget("VO wire round trip", 8, func() {
+	budget("VO wire round trip", 3, func() {
 		if err := enc.Encode(vo); err != nil {
 			t.Fatal(err)
 		}
@@ -86,6 +91,24 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 		}
 		if _, ok := msg.(*merkle.VO); !ok {
 			t.Fatalf("decoded %T", msg)
+		}
+	})
+
+	// What one verified operation puts on the wire, both directions:
+	// the request decodes into its frame buffer, the request, the op,
+	// its put slice and the key; the response into its frame buffer,
+	// the response and the VO. Values, answer and VO bytes stay where
+	// the frame put them.
+	req := &core.OpRequest{User: 1, Op: op}
+	resp := &core.OpResponseII{Answer: ans, VO: vo, Ctr: 10_000, Last: 1}
+	budget("OpRequest + OpResponseII wire round trip", 9, func() {
+		for _, msg := range []any{req, resp} {
+			if err := enc.Encode(msg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dec.Decode(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

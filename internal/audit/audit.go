@@ -218,9 +218,11 @@ type Auditor struct {
 	cool        int
 
 	// Durability state (durable.go). degradedSync, recovering, walErr,
-	// and replayed are gate-guarded; the rest is worker-owned (cuts,
-	// sealState, lastCkpt) or set once before the worker starts.
+	// and replayed are gate-guarded; recBuf belongs to Submit's
+	// (serialized) callers; the rest is worker-owned (cuts, sealState,
+	// lastCkpt) or set once before the worker starts.
 	wal          *wal.WAL
+	recBuf       []byte
 	walDir       string
 	walFS        durable.FS
 	walErr       error

@@ -38,8 +38,12 @@ import (
 	"errors"
 	"fmt"
 
+	"trustedcvs/internal/binenc"
+	"trustedcvs/internal/core"
 	"trustedcvs/internal/durable"
+	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wal"
+	"trustedcvs/internal/wire"
 )
 
 // DurabilityState is the auditor's crash-durability mode, exposed via
@@ -97,40 +101,64 @@ func LoadCursor(dir string) (*Cursor, error) {
 	return &cur, nil
 }
 
-// recordFormat is the first byte of every journaled record. It names
-// the encoding of what the record holds — since this format, canonical
-// binary answers and flat binary VOs inside the gob frame — and it is a
-// byte gob never starts a stream with (gob opens with a length that is
-// either below 0x80 or a negated byte count, 0xF8–0xFF), so a record
-// journaled before the marker existed cannot pass for a current one.
-const recordFormat = 0x82
+// recordFormat is the first byte of every journaled record and names
+// its layout:
+//
+//	recordFormat | operation (tag + body) | response (tag + body)
+//
+// both halves as internal/wire encodes them on the network — the
+// response is the *core.OpResponseII of a single-shard obligation or
+// the *core.OpResponseForest of a cross-shard one, which also tells
+// the two record shapes apart. Earlier binaries journaled a gob stream
+// behind 0x82, and before that a bare gob stream (which opens with a
+// length that is either below 0x80 or a negated byte count,
+// 0xF8–0xFF), so no older record can pass for a current one.
+const recordFormat = 0x83
 
 // ErrJournalFormat is returned when opening a journal whose surviving
-// records were written in an earlier record format. Their gob-encoded
-// answers would be judged BadAnswer against an honest server, so they
-// are refused at open and never reach the verifier.
+// records were written in an earlier record format. They are refused
+// at open and never reach the verifier, where an honest server's old
+// bytes could only be misjudged; drain the journal with the binary
+// that wrote it.
 var ErrJournalFormat = errors.New("audit: journal holds records in an older format; drain it with the previous binary")
 
-// encodeRecord renders one obligation for the journal. Seals are never
-// journaled: a restarted client re-seals on its own schedule.
-func encodeRecord(r Record) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(recordFormat)
-	if err := gob.NewEncoder(&buf).Encode(&r); err != nil {
+// appendRecord appends one obligation's journal form to b. Seals are
+// never journaled: a restarted client re-seals on its own schedule.
+func appendRecord(b []byte, r Record) ([]byte, error) {
+	var op, resp any = r.Op, r.Resp
+	if r.CrossResp != nil {
+		op, resp = r.Cross, r.CrossResp
+	}
+	b, err := wire.Append(append(b, recordFormat), op)
+	if err == nil {
+		b, err = wire.Append(b, resp)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("audit: encode record: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
+// decodeRecord parses one journaled record. The Record keeps windows
+// onto b, which the caller must not reuse.
 func decodeRecord(b []byte) (Record, error) {
 	if len(b) == 0 || b[0] != recordFormat {
 		return Record{}, ErrJournalFormat
 	}
-	var r Record
-	if err := gob.NewDecoder(bytes.NewReader(b[1:])).Decode(&r); err != nil {
+	r := binenc.NewReader(b[1:])
+	op, resp := vdb.ReadWireOp(r), wire.Read(r)
+	if err := r.Close(); err != nil {
 		return Record{}, fmt.Errorf("audit: decode journaled record: %w", err)
 	}
-	return r, nil
+	switch resp := resp.(type) {
+	case *core.OpResponseII:
+		return Record{Op: op, Resp: resp}, nil
+	case *core.OpResponseForest:
+		if cross, ok := op.(*vdb.CrossOp); ok {
+			return Record{Cross: cross, CrossResp: resp}, nil
+		}
+	}
+	return Record{}, fmt.Errorf("audit: decode journaled record: %T does not answer %T", resp, op)
 }
 
 // AppendRaw appends one obligation frame to the journal at dir exactly
@@ -139,7 +167,7 @@ func decodeRecord(b []byte) (Record, error) {
 // and verification, the race a real crash loses. epoch is the 0-based
 // audit epoch the record's claimed counter lands in.
 func AppendRaw(dir string, rec Record, epoch uint64) error {
-	payload, err := encodeRecord(rec)
+	payload, err := appendRecord(nil, rec)
 	if err != nil {
 		return err
 	}
@@ -240,12 +268,15 @@ func (a *Auditor) feedRecovery() {
 }
 
 // walAppend journals one record before its answer is released; the
-// frame is durable when it returns nil.
+// frame is durable when it returns nil. The record is encoded into a
+// buffer kept across calls — Submit's callers serialize, and the
+// journal copies the payload into its own frame before returning.
 func (a *Auditor) walAppend(rec Record) error {
-	payload, err := encodeRecord(rec)
+	payload, err := appendRecord(a.recBuf, rec)
 	if err != nil {
 		return err
 	}
+	a.recBuf = binenc.Recycle(payload)
 	return a.wal.Append(a.epochOf(a.claimedG(rec)), payload)
 }
 

@@ -1,72 +1,52 @@
 package audit
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
+	"trustedcvs/internal/digest"
 	"trustedcvs/internal/vdb"
-	"trustedcvs/internal/wal"
+	"trustedcvs/internal/wire"
+	"trustedcvs/internal/wire/wiretest"
 )
 
-// goldenOldJournal is one journal segment written at the commit before
-// answers and VOs left gob: three honest put records, epoch 0, each a
-// bare gob stream of Record with a gob-struct VO and a gob answer.
-const goldenOldJournal = "testdata/golden/pre-binary-journal-seg-0000000000000001.wal"
-
-func oldJournalDir(t *testing.T) string {
-	t.Helper()
-	seg, err := os.ReadFile(goldenOldJournal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "seg-0000000000000001.wal"), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return dir
+// Journal segments written by earlier binaries, three honest put
+// records each, epoch 0: one from before answers and VOs left gob (a
+// bare gob stream of Record), one from the binaries that journaled a
+// gob stream behind the 0x82 marker.
+var oldJournals = []string{
+	"testdata/golden/pre-binary-journal-seg-0000000000000001.wal",
+	"testdata/golden/gob-0x82-journal-seg-0000000000000001.wal",
 }
 
-// TestOldFormatJournalRefusedAtOpen is the zero-false-alarm pin for the
-// format bump: an honest server's records from the previous binary
-// must be refused with the typed error when the journal is opened,
-// not replayed into a BadAnswer conviction.
+// TestOldFormatJournalRefusedAtOpen is the zero-false-alarm pin for a
+// format bump: an honest server's records from a previous binary must
+// be refused with the typed error when the journal is opened, never
+// replayed into the verifier.
 func TestOldFormatJournalRefusedAtOpen(t *testing.T) {
-	dir := oldJournalDir(t)
-	u := proto2.NewUser(1, vdb.New(0).Root(), 1<<20)
-	a, err := New(Config{User: u, Epoch: 4, Users: 1, Publish: func(Report) error { return nil }, WALDir: dir})
-	if err == nil {
-		a.Stop()
-		t.Fatalf("old-format journal opened; failure recorded: %v", a.Err())
-	}
-	if !errors.Is(err, ErrJournalFormat) {
-		t.Fatalf("New = %v, want ErrJournalFormat", err)
-	}
-}
-
-// TestOldFormatRecordFailsGobTypeCheck shows what a mixed client/server
-// pair sees on the wire, using the same golden bytes: the old stream
-// describes VO as a struct, this binary's VO is an opaque
-// BinaryMarshaler, and gob refuses the pairing outright instead of
-// decoding something plausible.
-func TestOldFormatRecordFailsGobTypeCheck(t *testing.T) {
-	frames := 0
-	err := wal.Replay(oldJournalDir(t), func(fr wal.Record) error {
-		frames++
-		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(fr.Payload)).Decode(&rec); err == nil {
-			t.Errorf("frame %d: old-format record decoded without error", frames)
-		} else {
-			t.Logf("frame %d: %v", frames, err)
+	for _, golden := range oldJournals {
+		seg, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil || frames != 3 {
-		t.Fatalf("replay: %d frames, err %v", frames, err)
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-0000000000000001.wal"), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		u := proto2.NewUser(1, vdb.New(0).Root(), 1<<20)
+		a, err := New(Config{User: u, Epoch: 4, Users: 1, Publish: func(Report) error { return nil }, WALDir: dir})
+		if err == nil {
+			a.Stop()
+			t.Fatalf("%s: old-format journal opened; failure recorded: %v", golden, a.Err())
+		}
+		if !errors.Is(err, ErrJournalFormat) {
+			t.Fatalf("%s: New = %v, want ErrJournalFormat", golden, err)
+		}
 	}
 }
 
@@ -74,21 +54,110 @@ func TestOldFormatRecordFailsGobTypeCheck(t *testing.T) {
 // round-trips behind it.
 func TestRecordFormatMarker(t *testing.T) {
 	op := put("k", "v")
-	b, err := encodeRecord(Record{Op: op})
+	b, err := appendRecord(nil, Record{Op: op, Resp: &core.OpResponseII{Ctr: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b[0] != 0x82 {
-		t.Fatalf("marker %#x, want 0x82", b[0])
+	if b[0] != 0x83 {
+		t.Fatalf("marker %#x, want 0x83", b[0])
 	}
 	rec, err := decodeRecord(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, ok := rec.Op.(*vdb.WriteOp); !ok || w.Puts[0].Key != "k" {
-		t.Fatalf("round trip: %#v", rec.Op)
+	if w, ok := rec.Op.(*vdb.WriteOp); !ok || w.Puts[0].Key != "k" || rec.Resp.Ctr != 1 {
+		t.Fatalf("round trip: %#v", rec)
 	}
-	if _, err := decodeRecord(nil); !errors.Is(err, ErrJournalFormat) {
-		t.Fatalf("empty record: %v", err)
+	for _, old := range [][]byte{nil, {0x82}, append([]byte{0x82}, b[1:]...), {0x25, 0xff}} {
+		if _, err := decodeRecord(old); !errors.Is(err, ErrJournalFormat) {
+			t.Fatalf("record %x: %v, want ErrJournalFormat", old, err)
+		}
+	}
+}
+
+// TestRecordGolden pins the journal form of both record shapes, and
+// that what decodes is what was journaled.
+func TestRecordGolden(t *testing.T) {
+	db := vdb.New(0)
+	if err := db.Preload(&vdb.WriteOp{Puts: []vdb.KV{{Key: "a", Val: []byte("1")}}}); err != nil {
+		t.Fatal(err)
+	}
+	op := put("k", "v")
+	ans, vo, err := db.Apply(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txd := digest.OfBytes(digest.DomainCrossTx, []byte("tx"))
+	cross := &vdb.CrossOp{Legs: []vdb.Op{op, &vdb.ReadOp{Keys: []string{"echo"}}}}
+	records := map[string]Record{
+		"record-op": {Op: op, Resp: &core.OpResponseII{Answer: ans, VO: vo, Ctr: 1, Last: 2}},
+		"record-cross": {Cross: cross, CrossResp: &core.OpResponseForest{
+			Legs: []core.OpLegII{{Shard: 0, Answer: ans, VO: vo, Ctr: 1, Last: 2, LastTx: txd}, {Shard: 1, Answer: ans, VO: vo}},
+			GCtr: 7,
+		}},
+		// At N=1 a cross-shard op runs as one operation and is answered
+		// by a plain response: the shapes are told apart by the response.
+		"record-cross-single-tree": {Op: cross, Resp: &core.OpResponseII{Answer: ans, VO: vo, Ctr: 1, Last: 2}},
+	}
+	for name, rec := range records {
+		b, err := appendRecord(nil, rec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		wiretest.Bytes(t, filepath.Join("testdata/golden", name+".bin"), b)
+		got, err := decodeRecord(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, rec) {
+			t.Errorf("%s: round trip\n got %#v\nwant %#v", name, got, rec)
+		}
+	}
+	good, err := appendRecord(nil, records["record-op"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeRecord(append(good, 0)); err == nil {
+		t.Error("trailing byte accepted")
+	}
+	// A response that does not answer its operation is not a record: a
+	// plain write followed by a forest response, and a request where the
+	// response belongs.
+	for name, resp := range map[string]any{"forest response to a write": records["record-cross"].CrossResp, "request as response": &core.SyncRequest{}} {
+		bad, err := wire.Append([]byte{recordFormat}, op)
+		if err == nil {
+			bad, err = wire.Append(bad, resp)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeRecord(bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestRecordEncodeAllocations is the journal's allocation tripwire: an
+// obligation is encoded into the buffer the auditor keeps, so once the
+// buffer has grown to size a record costs no allocation at all (budget
+// 2; a gob encoder per record cost 40-odd and a type preamble).
+func TestRecordEncodeAllocations(t *testing.T) {
+	db := vdb.New(0)
+	op := put("k", "v")
+	ans, vo, err := db.Apply(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := Record{Op: op, Resp: &core.OpResponseII{Answer: ans, VO: vo, Ctr: 1, Last: 2}}
+	var buf []byte
+	got := testing.AllocsPerRun(200, func() {
+		b, err := appendRecord(buf[:0], rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = b
+	})
+	if got > 2 {
+		t.Errorf("one record encode: %.0f allocations, budget 2", got)
 	}
 }

@@ -54,7 +54,7 @@ type arrival struct {
 type load struct {
 	workers int
 	// warmup ops per worker run closed-loop and untimed before the
-	// timed phase, so TCP, gob engines and buffer pools are at steady
+	// timed phase, so TCP, frame buffers and buffer pools are at steady
 	// state when it starts. They go through op like any other arrival:
 	// what op itself counts (E13's operation counters) covers them.
 	warmup int

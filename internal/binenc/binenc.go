@@ -1,7 +1,8 @@
-// Package binenc holds the primitives of the repo's two fixed-layout
-// binary encodings — canonical answers (internal/vdb, internal/cvs) and
-// the flat verification object (internal/merkle): append-style writers
-// and a bounds-checked Reader for input that arrives from the untrusted
+// Package binenc holds the primitives of the repo's fixed-layout binary
+// encodings — canonical answers (internal/vdb, internal/cvs), the flat
+// verification object (internal/merkle) and every wire message and
+// journal record (internal/wire): append-style writers and a
+// bounds-checked Reader for input that arrives from the untrusted
 // server.
 //
 // Every value has exactly one encoding. Integers are minimal-length
@@ -15,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -45,19 +47,49 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// maxDepth bounds the nesting Enter allows. The deepest honest message
+// (a session envelope around an op request around a cross-shard op
+// around its legs) is four levels.
+const maxDepth = 8
+
+// Recycle returns b emptied for the next encoding, or nil once a large
+// message has grown it past 1 MiB: the encoders that keep a buffer
+// between messages (a connection's, a journal's) must not let one
+// giant blob pin memory for their lifetime.
+func Recycle(b []byte) []byte {
+	if cap(b) > 1<<20 {
+		return nil
+	}
+	return b[:0]
+}
+
+// AppendStrings appends a count and then each string length-prefixed.
+func AppendStrings(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = AppendString(b, s)
+	}
+	return b
+}
+
 // A Reader consumes an encoding front to back. The first failure
 // sticks: later reads return zero values and Err reports it, so
 // decoders check once at the end. A Reader never allocates more than
-// the bytes it was given can back, and it never retains them: Bytes
-// and String copy, View aliases only until the caller copies.
+// the bytes it was given can back. Bytes and String copy; View and
+// ViewBytes return windows onto the input, for callers that own it.
 type Reader struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	depth int
+	err   error
 }
 
 // NewReader reads from b.
 func NewReader(b []byte) *Reader { return &Reader{buf: b} }
+
+// Reset points r at b as NewReader would, for decoders that keep one
+// Reader across messages.
+func (r *Reader) Reset(b []byte) { *r = Reader{buf: b} }
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
@@ -80,6 +112,23 @@ func (r *Reader) Close() error {
 	}
 	return r.err
 }
+
+// Enter descends one level of a recursive grammar and fails once the
+// input nests deeper than any honest encoding does, so hostile nesting
+// cannot exhaust the stack. Pair every true return with Leave.
+func (r *Reader) Enter() bool {
+	if r.err == nil && r.depth >= maxDepth {
+		r.Fail("nested deeper than %d levels", maxDepth)
+	}
+	if r.err != nil {
+		return false
+	}
+	r.depth++
+	return true
+}
+
+// Leave ascends from a level Enter descended into.
+func (r *Reader) Leave() { r.depth-- }
 
 // Byte reads one byte.
 func (r *Reader) Byte() byte {
@@ -127,6 +176,16 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
+// Uint32 reads a uvarint that must fit 32 bits.
+func (r *Reader) Uint32() uint32 {
+	v := r.Uvarint()
+	if v > math.MaxUint32 {
+		r.Fail("%d overflows 32 bits", v)
+		return 0
+	}
+	return uint32(v)
+}
+
 // Varint reads a zigzag-encoded signed integer.
 func (r *Reader) Varint() int64 {
 	u := r.Uvarint()
@@ -163,15 +222,34 @@ func (r *Reader) View(n int) []byte {
 	return p
 }
 
-// Bytes reads a length-prefixed byte string into a fresh slice; an
-// empty one reads as nil.
-func (r *Reader) Bytes() []byte {
+// ViewBytes reads a length-prefixed byte string as a capacity-clipped
+// window onto the Reader's input; an empty one reads as nil.
+func (r *Reader) ViewBytes() []byte {
 	p := r.View(r.Count(1))
 	if len(p) == 0 {
 		return nil
 	}
-	return append([]byte(nil), p...)
+	return p
+}
+
+// Bytes reads a length-prefixed byte string into a fresh slice; an
+// empty one reads as nil.
+func (r *Reader) Bytes() []byte {
+	return append([]byte(nil), r.ViewBytes()...)
 }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.View(r.Count(1))) }
+
+// Strings reads what AppendStrings wrote; an empty list reads as nil.
+func (r *Reader) Strings() []string {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.String()
+	}
+	return out
+}

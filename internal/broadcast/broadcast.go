@@ -16,23 +16,68 @@
 package broadcast
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/wire"
 )
 
+// Wire tags of the broadcast frames (wire.Register). The numbers are
+// part of the wire format.
+const (
+	wireMessage  = 80
+	wireHubHello = 81
+	wireHubPub   = 82
+	wireHubSeq   = 83
+	wireHubAck   = 84
+)
+
 func init() {
-	gob.Register(&Message{})
-	gob.Register(&hubHello{})
-	gob.Register(&hubPub{})
-	gob.Register(&hubSeq{})
-	gob.Register(&hubAck{})
+	wire.Register(wireMessage, func(b []byte, m *Message) ([]byte, error) {
+		return appendMessage(b, m)
+	}, func(r *binenc.Reader) *Message {
+		m := readMessage(r)
+		return &m
+	})
+	wire.Register(wireHubHello, func(b []byte, m *hubHello) ([]byte, error) {
+		return binary.AppendUvarint(binary.AppendUvarint(b, m.SID), m.Last), nil
+	}, func(r *binenc.Reader) *hubHello {
+		return &hubHello{SID: r.Uvarint(), Last: r.Uvarint()}
+	})
+	wire.Register(wireHubPub, func(b []byte, m *hubPub) ([]byte, error) {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, m.SID), m.PubSeq)
+		return appendMessage(b, &m.Msg)
+	}, func(r *binenc.Reader) *hubPub {
+		return &hubPub{SID: r.Uvarint(), PubSeq: r.Uvarint(), Msg: readMessage(r)}
+	})
+	wire.Register(wireHubSeq, func(b []byte, m *hubSeq) ([]byte, error) {
+		b = binary.AppendUvarint(b, m.Idx)
+		b = binary.AppendUvarint(binary.AppendUvarint(b, m.SID), m.PubSeq)
+		return appendMessage(b, &m.Msg)
+	}, func(r *binenc.Reader) *hubSeq {
+		return &hubSeq{Idx: r.Uvarint(), SID: r.Uvarint(), PubSeq: r.Uvarint(), Msg: readMessage(r)}
+	})
+	wire.Register(wireHubAck, func(b []byte, m *hubAck) ([]byte, error) {
+		return binary.AppendUvarint(b, m.LastPub), nil
+	}, func(r *binenc.Reader) *hubAck {
+		return &hubAck{LastPub: r.Uvarint()}
+	})
+}
+
+// appendMessage appends a Message body: the sender, then the payload
+// nested as tag + body.
+func appendMessage(b []byte, m *Message) ([]byte, error) {
+	return wire.Append(binary.AppendUvarint(b, uint64(m.From)), m.Payload)
+}
+
+func readMessage(r *binenc.Reader) Message {
+	return Message{From: sig.UserID(r.Uint32()), Payload: wire.Read(r)}
 }
 
 // hubHello upgrades a connection to resumable delivery: the hub
@@ -74,8 +119,9 @@ type hubAck struct {
 	LastPub uint64
 }
 
-// Message is one broadcast datum. Payload types must be gob-registered
-// (the core package registers all protocol messages).
+// Message is one broadcast datum. Over the TCP hub a Payload must be a
+// type in the wire tag table (wire.Register); the core package
+// registers all protocol messages.
 type Message struct {
 	From    sig.UserID
 	Payload any
@@ -309,13 +355,7 @@ func (h *HubServer) acceptLoop() {
 		h.wg.Add(1)
 		go func() {
 			defer h.wg.Done()
-			// One persistent gob stream per direction: type descriptors
-			// cross the wire once per connection and every later message
-			// is a cheap value walk. With self-contained frames the
-			// receivers paid a full decoder-engine compilation per
-			// message — multiplied by fan-out width, that codec cost
-			// (not the network) was the sync barrier's bottleneck at
-			// large populations.
+			// One encoder per connection, for its reused frame buffer.
 			enc := wire.NewEncoder(hc.conn)
 			for {
 				// Replay backlog first: stream log entries directly, one
@@ -501,8 +541,8 @@ func (h *HubServer) enqueueLocked(hc *hubConn, e *hubSeq) bool {
 	return h.enqueueFrameLocked(hc, frame)
 }
 
-// write sends one frame on hc's persistent gob stream under the hub's
-// per-frame write deadline. A consumer that stops reading fills its
+// write sends one frame on hc's connection under the hub's per-frame
+// write deadline. A consumer that stops reading fills its
 // TCP buffers; the deadline turns the otherwise-eternal blocked Encode
 // into an ordinary connection error, and the caller drops the conn — a
 // resumable client redials and catches up from the log.

@@ -84,8 +84,7 @@ type resumeChannel struct {
 	reconnects uint64
 }
 
-// send writes one frame onto the connection's persistent gob stream
-// under the write lock.
+// send writes one frame onto the connection under the write lock.
 func (c *resumeChannel) send(enc *wire.Encoder, msg any) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -132,8 +131,7 @@ func (c *resumeChannel) run() {
 		last := c.lastIdx
 		c.mu.Unlock()
 
-		// One persistent gob stream per direction (the hub mirrors
-		// this): descriptors cross once, later frames are cheap.
+		// One encoder per connection, for its reused frame buffer.
 		enc := wire.NewEncoder(conn)
 
 		// The hello exchange runs under the handshake deadline on both

@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func collect(t *testing.T, ch Channel, n int) []Message {
 func payloads(ms []Message) []int {
 	out := make([]int, len(ms))
 	for i, m := range ms {
-		out[i] = m.Payload.(int)
+		out[i], _ = strconv.Atoi(m.Payload.(string))
 	}
 	return out
 }
@@ -51,7 +52,7 @@ func TestResumeBasicFIFO(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := a.Publish(Message{From: 1, Payload: i}); err != nil {
+		if err := a.Publish(Message{From: 1, Payload: strconv.Itoa(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +84,7 @@ func TestResumeAcrossFaultyNetwork(t *testing.T) {
 	const n = 200
 	go func() {
 		for i := 0; i < n; i++ {
-			_ = pub.Publish(Message{From: 2, Payload: i})
+			_ = pub.Publish(Message{From: 2, Payload: strconv.Itoa(i)})
 			if i%20 == 0 {
 				time.Sleep(time.Millisecond)
 			}
@@ -116,7 +117,7 @@ func TestResumePublisherThroughFaults(t *testing.T) {
 
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := pub.Publish(Message{From: 3, Payload: i}); err != nil {
+		if err := pub.Publish(Message{From: 3, Payload: strconv.Itoa(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +159,7 @@ func TestResumeAndLegacyInterop(t *testing.T) {
 	// Publish one at a time: the hub's total order is its arrival
 	// order, so concurrent publishes from different connections may
 	// legitimately swap.
-	if err := legacy.Publish(Message{From: sig.UserID(1), Payload: 100}); err != nil {
+	if err := legacy.Publish(Message{From: sig.UserID(1), Payload: strconv.Itoa(100)}); err != nil {
 		t.Fatal(err)
 	}
 	for name, ch := range map[string]Channel{"legacy": legacy, "resume": res} {
@@ -166,7 +167,7 @@ func TestResumeAndLegacyInterop(t *testing.T) {
 			t.Fatalf("%s subscriber saw %v, want [100]", name, got)
 		}
 	}
-	if err := res.Publish(Message{From: sig.UserID(2), Payload: 200}); err != nil {
+	if err := res.Publish(Message{From: sig.UserID(2), Payload: strconv.Itoa(200)}); err != nil {
 		t.Fatal(err)
 	}
 	for name, ch := range map[string]Channel{"legacy": legacy, "resume": res} {
@@ -202,7 +203,7 @@ func TestResumeReconnectCountAndHardOutage(t *testing.T) {
 	defer pubc.Close()
 	time.Sleep(20 * time.Millisecond)
 	for i := 0; i < 10; i++ {
-		if err := pubc.Publish(Message{From: 1, Payload: i}); err != nil {
+		if err := pubc.Publish(Message{From: 1, Payload: strconv.Itoa(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,7 +283,7 @@ func TestResumeHandshakeTimeoutOnMuteHub(t *testing.T) {
 	pubc := DialHubResume(hub.Addr())
 	defer pubc.Close()
 	for i := 0; i < 5; i++ {
-		if err := pubc.Publish(Message{From: 1, Payload: i}); err != nil {
+		if err := pubc.Publish(Message{From: 1, Payload: strconv.Itoa(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,23 +1,23 @@
 package broadcast
 
 import (
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
 
+	"trustedcvs/internal/core"
 	"trustedcvs/internal/wire"
 )
 
 // blobPayload is a bulky publication: big enough that a frozen
 // subscriber's TCP buffers fill after a handful of messages, which is
-// what forces the hub's writer into a blocked Encode.
-type blobPayload struct {
-	Seq  int
-	Data []byte
+// what forces the hub's writer into a blocked Encode. A content push is
+// the registered message that carries a sequence number and a blob.
+func blobPayload(seq int, data []byte) *core.PushContentRequest {
+	return &core.PushContentRequest{Rev: uint64(seq), Content: data}
 }
 
-func init() { gob.Register(&blobPayload{}) }
+func blobSeq(m Message) int { return int(m.Payload.(*core.PushContentRequest).Rev) }
 
 // dialRawResume opens a raw resumable hub connection the test fully
 // controls: hello is sent, but nothing is read until the test decides
@@ -60,7 +60,7 @@ func TestHubFrozenSubscriberEvicted(t *testing.T) {
 	const n = 200
 	blob := make([]byte, 64<<10)
 	for i := 1; i <= n; i++ {
-		if err := healthy.Publish(Message{From: 1, Payload: &blobPayload{Seq: i, Data: blob}}); err != nil {
+		if err := healthy.Publish(Message{From: 1, Payload: blobPayload(i, blob)}); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestHubFrozenSubscriberEvicted(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		select {
 		case m := <-healthy.Recv():
-			if got := m.Payload.(*blobPayload).Seq; got != i {
+			if got := blobSeq(m); got != i {
 				t.Fatalf("healthy: got seq %d, want %d", got, i)
 			}
 		case <-deadline:
@@ -92,7 +92,7 @@ func TestHubFrozenSubscriberEvicted(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		select {
 		case m := <-resumed.Recv():
-			if got := m.Payload.(*blobPayload).Seq; got != i {
+			if got := blobSeq(m); got != i {
 				t.Fatalf("resumed: got seq %d, want %d", got, i)
 			}
 		case <-time.After(20 * time.Second):
@@ -134,7 +134,7 @@ func TestHubOverflowFlipsToReplay(t *testing.T) {
 			t.Fatalf("no overflow flip after %d publications; stats %+v", published, h.Stats())
 		}
 		published++
-		if err := pub.Publish(Message{From: 1, Payload: &blobPayload{Seq: published, Data: blob}}); err != nil {
+		if err := pub.Publish(Message{From: 1, Payload: blobPayload(published, blob)}); err != nil {
 			t.Fatalf("publish %d: %v", published, err)
 		}
 		want := published
@@ -171,7 +171,7 @@ func TestHubOverflowFlipsToReplay(t *testing.T) {
 
 	// Once caught up the conn rejoins live fan-out: one more
 	// publication arrives as the next index on the same connection.
-	if err := pub.Publish(Message{From: 1, Payload: &blobPayload{Seq: published + 1}}); err != nil {
+	if err := pub.Publish(Message{From: 1, Payload: blobPayload(published+1, nil)}); err != nil {
 		t.Fatal(err)
 	}
 	readUpTo(uint64(total) + 1)

@@ -1,32 +1,11 @@
 package core
 
 import (
-	"encoding/gob"
-
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/merkle"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
 )
-
-func init() {
-	gob.Register(&OpRequest{})
-	gob.Register(&AckRequest{})
-	gob.Register(&OpResponseI{})
-	gob.Register(&OpResponseII{})
-	gob.Register(&OpResponseForest{})
-	gob.Register(&SyncRequest{})
-	gob.Register(SyncReportI{})
-	gob.Register(SyncReportII{})
-	gob.Register(Registers{})
-	gob.Register(&EpochBackup{})
-	gob.Register(&GetBackupsRequest{})
-	gob.Register(&BackupsResponse{})
-	gob.Register(&PushContentRequest{})
-	gob.Register(&FetchContentRequest{})
-	gob.Register(&ContentResponse{})
-	gob.Register(&OKResponse{})
-}
 
 // OpRequest asks the server to perform one operation on behalf of a
 // user. Under Protocol III the request may piggyback the user's signed
@@ -63,8 +42,8 @@ type AckRequest struct {
 // On a Merkle forest (N > 1 shards) the response additionally names
 // the shard the operation ran on, the last cross-transaction digest of
 // that shard, the global counter, and the published per-shard head
-// vector. All four are zero/nil on a single-shard database, keeping
-// N=1 responses gob-identical to pre-forest ones.
+// vector. All four are zero/nil on a single-shard database, where they
+// cost one byte each on the wire.
 type OpResponseII struct {
 	Answer []byte
 	VO     *merkle.VO

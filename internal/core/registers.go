@@ -41,8 +41,8 @@ func (r *Registers) ResetEpoch() {
 // synchronization: its σ and last registers. (Protocol I's reports are
 // just counters; see SyncReportI.) On a Merkle forest every shard is
 // its own verification domain with its own register pair, reported in
-// Shards; Shards is nil on a single-shard database, keeping N=1
-// reports gob-identical to pre-forest ones.
+// Shards; Shards is nil on a single-shard database, where it costs one
+// byte on the wire.
 type SyncReportII struct {
 	User  sig.UserID
 	Sigma digest.Digest

@@ -1,0 +1,325 @@
+package core
+
+import (
+	"encoding/binary"
+	"errors"
+
+	"trustedcvs/internal/binenc"
+	"trustedcvs/internal/digest"
+	"trustedcvs/internal/merkle"
+	"trustedcvs/internal/sig"
+	"trustedcvs/internal/vdb"
+	"trustedcvs/internal/wire"
+)
+
+// Wire tags of the protocol messages (wire.Register). The numbers are
+// part of the wire and journal formats.
+const (
+	wireOpRequest           = 16
+	wireAckRequest          = 17
+	wireOpResponseI         = 18
+	wireOpResponseII        = 19
+	wireOpResponseForest    = 20
+	wireSyncRequest         = 21
+	wireSyncReportI         = 22
+	wireSyncReportII        = 23
+	wireRegisters           = 24
+	wireEpochBackup         = 25
+	wireGetBackupsRequest   = 26
+	wireBackupsResponse     = 27
+	wirePushContentRequest  = 28
+	wireFetchContentRequest = 29
+	wireContentResponse     = 30
+	wireOKResponse          = 31
+	wireVO                  = 32
+)
+
+func init() {
+	wire.Register(wireOpRequest, func(b []byte, m *OpRequest) ([]byte, error) {
+		b = binary.AppendUvarint(b, uint64(m.User))
+		b, err := wire.Append(b, m.Op)
+		if err != nil {
+			return nil, err
+		}
+		b = binenc.AppendBool(b, m.Backup != nil)
+		if m.Backup != nil {
+			b = appendBackup(b, m.Backup)
+		}
+		return b, nil
+	}, func(r *binenc.Reader) *OpRequest {
+		m := &OpRequest{User: sig.UserID(r.Uint32()), Op: vdb.ReadWireOp(r)}
+		if r.Bool() {
+			m.Backup = readBackup(r)
+		}
+		return m
+	})
+	wire.Register(wireAckRequest, func(b []byte, m *AckRequest) ([]byte, error) {
+		b = binary.AppendUvarint(b, uint64(m.User))
+		return binenc.AppendBytes(b, m.Sig), nil
+	}, func(r *binenc.Reader) *AckRequest {
+		return &AckRequest{User: sig.UserID(r.Uint32()), Sig: r.ViewBytes()}
+	})
+	wire.Register(wireOpResponseI, func(b []byte, m *OpResponseI) ([]byte, error) {
+		b, err := appendAnswerVO(b, m.Answer, m.VO)
+		if err != nil {
+			return nil, err
+		}
+		b = binary.AppendUvarint(b, m.Ctr)
+		b = binary.AppendUvarint(b, uint64(m.Signer))
+		return binenc.AppendBytes(b, m.Sig), nil
+	}, func(r *binenc.Reader) *OpResponseI {
+		m := new(OpResponseI)
+		m.Answer, m.VO = readAnswerVO(r)
+		m.Ctr, m.Signer, m.Sig = r.Uvarint(), sig.UserID(r.Uint32()), r.ViewBytes()
+		return m
+	})
+	wire.Register(wireOpResponseII, func(b []byte, m *OpResponseII) ([]byte, error) {
+		b, err := appendAnswerVO(b, m.Answer, m.VO)
+		if err != nil {
+			return nil, err
+		}
+		b = binary.AppendUvarint(b, m.Ctr)
+		b = binary.AppendUvarint(b, uint64(m.Last))
+		b = binary.AppendUvarint(b, m.Epoch)
+		b = binary.AppendUvarint(b, uint64(m.Shard))
+		b = appendOptDigest(b, m.LastTx)
+		b = binary.AppendUvarint(b, m.GCtr)
+		return appendHeads(b, m.Heads), nil
+	}, func(r *binenc.Reader) *OpResponseII {
+		m := new(OpResponseII)
+		m.Answer, m.VO = readAnswerVO(r)
+		m.Ctr, m.Last, m.Epoch = r.Uvarint(), sig.UserID(r.Uint32()), r.Uvarint()
+		m.Shard, m.LastTx, m.GCtr, m.Heads = r.Uint32(), readOptDigest(r), r.Uvarint(), readHeads(r)
+		return m
+	})
+	wire.Register(wireOpResponseForest, func(b []byte, m *OpResponseForest) ([]byte, error) {
+		b = binary.AppendUvarint(b, uint64(len(m.Legs)))
+		for i := range m.Legs {
+			leg := &m.Legs[i]
+			b = binary.AppendUvarint(b, uint64(leg.Shard))
+			var err error
+			if b, err = appendAnswerVO(b, leg.Answer, leg.VO); err != nil {
+				return nil, err
+			}
+			b = binary.AppendUvarint(b, leg.Ctr)
+			b = binary.AppendUvarint(b, uint64(leg.Last))
+			b = appendOptDigest(b, leg.LastTx)
+		}
+		b = binary.AppendUvarint(b, m.GCtr)
+		return appendHeads(b, m.Heads), nil
+	}, func(r *binenc.Reader) *OpResponseForest {
+		m := new(OpResponseForest)
+		if n := r.Count(6); n > 0 {
+			m.Legs = make([]OpLegII, n)
+			for i := range m.Legs {
+				leg := &m.Legs[i]
+				leg.Shard = r.Uint32()
+				leg.Answer, leg.VO = readAnswerVO(r)
+				leg.Ctr, leg.Last, leg.LastTx = r.Uvarint(), sig.UserID(r.Uint32()), readOptDigest(r)
+			}
+		}
+		m.GCtr, m.Heads = r.Uvarint(), readHeads(r)
+		return m
+	})
+	wire.Register(wireSyncRequest, func(b []byte, m *SyncRequest) ([]byte, error) {
+		b = binary.AppendUvarint(b, uint64(m.From))
+		return binary.AppendUvarint(b, m.Round), nil
+	}, func(r *binenc.Reader) *SyncRequest {
+		return &SyncRequest{From: sig.UserID(r.Uint32()), Round: r.Uvarint()}
+	})
+	wire.Register(wireSyncReportI, func(b []byte, m SyncReportI) ([]byte, error) {
+		b = binary.AppendUvarint(b, uint64(m.User))
+		b = binary.AppendUvarint(b, m.LCtr)
+		return binary.AppendUvarint(b, m.GCtr), nil
+	}, func(r *binenc.Reader) SyncReportI {
+		return SyncReportI{User: sig.UserID(r.Uint32()), LCtr: r.Uvarint(), GCtr: r.Uvarint()}
+	})
+	wire.Register(wireSyncReportII, func(b []byte, m SyncReportII) ([]byte, error) {
+		b = binary.AppendUvarint(b, uint64(m.User))
+		b = append(append(b, m.Sigma[:]...), m.Last[:]...)
+		b = binary.AppendUvarint(b, uint64(len(m.Shards)))
+		for _, s := range m.Shards {
+			b = append(append(b, s.Sigma[:]...), s.Last[:]...)
+		}
+		return b, nil
+	}, func(r *binenc.Reader) SyncReportII {
+		m := SyncReportII{User: sig.UserID(r.Uint32()), Sigma: readDigest(r), Last: readDigest(r)}
+		if n := r.Count(2 * digest.Size); n > 0 {
+			m.Shards = make([]ShardRegs, n)
+			for i := range m.Shards {
+				m.Shards[i] = ShardRegs{Sigma: readDigest(r), Last: readDigest(r)}
+			}
+		}
+		return m
+	})
+	wire.Register(wireRegisters, func(b []byte, m Registers) ([]byte, error) {
+		b = append(append(b, m.Sigma[:]...), m.Last[:]...)
+		b = binary.AppendUvarint(b, m.LastCtr)
+		b = binary.AppendUvarint(b, m.GCtr)
+		return binary.AppendUvarint(b, m.Ops), nil
+	}, func(r *binenc.Reader) Registers {
+		return Registers{Sigma: readDigest(r), Last: readDigest(r), LastCtr: r.Uvarint(), GCtr: r.Uvarint(), Ops: r.Uvarint()}
+	})
+	wire.Register(wireEpochBackup, func(b []byte, m *EpochBackup) ([]byte, error) {
+		return appendBackup(b, m), nil
+	}, readBackup)
+	wire.Register(wireGetBackupsRequest, func(b []byte, m *GetBackupsRequest) ([]byte, error) {
+		b = binary.AppendUvarint(b, uint64(m.User))
+		return binary.AppendUvarint(b, m.Epoch), nil
+	}, func(r *binenc.Reader) *GetBackupsRequest {
+		return &GetBackupsRequest{User: sig.UserID(r.Uint32()), Epoch: r.Uvarint()}
+	})
+	wire.Register(wireBackupsResponse, func(b []byte, m *BackupsResponse) ([]byte, error) {
+		b = binary.AppendUvarint(b, m.Epoch)
+		b = binary.AppendUvarint(b, uint64(len(m.Backups)))
+		for _, bk := range m.Backups {
+			if bk == nil {
+				return nil, errors.New("core: nil backup in BackupsResponse")
+			}
+			b = appendBackup(b, bk)
+		}
+		return b, nil
+	}, func(r *binenc.Reader) *BackupsResponse {
+		m := &BackupsResponse{Epoch: r.Uvarint()}
+		if n := r.Count(backupMin); n > 0 {
+			m.Backups = make([]*EpochBackup, n)
+			for i := range m.Backups {
+				m.Backups[i] = readBackup(r)
+			}
+		}
+		return m
+	})
+	wire.Register(wirePushContentRequest, func(b []byte, m *PushContentRequest) ([]byte, error) {
+		b = binenc.AppendString(b, m.Path)
+		b = binary.AppendUvarint(b, m.Rev)
+		return binenc.AppendBytes(b, m.Content), nil
+	}, func(r *binenc.Reader) *PushContentRequest {
+		return &PushContentRequest{Path: r.String(), Rev: r.Uvarint(), Content: r.ViewBytes()}
+	})
+	wire.Register(wireFetchContentRequest, func(b []byte, m *FetchContentRequest) ([]byte, error) {
+		b = binenc.AppendString(b, m.Path)
+		b = binary.AppendUvarint(b, m.Rev)
+		return append(b, m.Hash[:]...), nil
+	}, func(r *binenc.Reader) *FetchContentRequest {
+		return &FetchContentRequest{Path: r.String(), Rev: r.Uvarint(), Hash: readDigest(r)}
+	})
+	wire.Register(wireContentResponse, func(b []byte, m *ContentResponse) ([]byte, error) {
+		return binenc.AppendBytes(b, m.Content), nil
+	}, func(r *binenc.Reader) *ContentResponse {
+		return &ContentResponse{Content: r.ViewBytes()}
+	})
+	wire.Register(wireOKResponse, func(b []byte, _ *OKResponse) ([]byte, error) { return b, nil },
+		func(*binenc.Reader) *OKResponse { return &OKResponse{} })
+	// A VO on its own — the experiments size one with wire.Size — is its
+	// bytes and nothing else: the frame's length delimits it.
+	wire.Register(wireVO, func(b []byte, vo *merkle.VO) ([]byte, error) {
+		enc, err := vo.MarshalBinary()
+		return append(b, enc...), err
+	}, func(r *binenc.Reader) *merkle.VO {
+		return viewVO(r, r.View(r.Remaining()))
+	})
+}
+
+// appendAnswerVO appends the (Q(D), v(Q,D)) pair every response leads
+// with: the canonical answer bytes and the VO's own bytes, each
+// length-prefixed. A nil VO (the trusted baseline sends none) is the
+// empty string, which no VO encodes to.
+func appendAnswerVO(b, answer []byte, vo *merkle.VO) ([]byte, error) {
+	b = binenc.AppendBytes(b, answer)
+	if vo == nil {
+		return append(b, 0), nil
+	}
+	enc, err := vo.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return binenc.AppendBytes(b, enc), nil
+}
+
+// readAnswerVO reads the pair as windows onto the frame: the answer is
+// compared and decoded from there, and the VO keeps its bytes in place
+// after the same grammar scan UnmarshalBinary runs.
+func readAnswerVO(r *binenc.Reader) ([]byte, *merkle.VO) {
+	answer := r.ViewBytes()
+	if enc := r.ViewBytes(); enc != nil {
+		return answer, viewVO(r, enc)
+	}
+	return answer, nil
+}
+
+func viewVO(r *binenc.Reader, enc []byte) *merkle.VO {
+	vo, err := merkle.ViewVO(enc)
+	if err != nil && r.Err() == nil {
+		r.Fail("%v", err)
+	}
+	return vo
+}
+
+func readDigest(r *binenc.Reader) (d digest.Digest) {
+	copy(d[:], r.View(digest.Size))
+	return d
+}
+
+// appendOptDigest appends a digest that is usually Zero (the forest
+// fields of a single-tree response) as a length-prefixed string: empty
+// for Zero, the 32 bytes otherwise.
+func appendOptDigest(b []byte, d digest.Digest) []byte {
+	if d.IsZero() {
+		return append(b, 0)
+	}
+	return binenc.AppendBytes(b, d[:])
+}
+
+func readOptDigest(r *binenc.Reader) (d digest.Digest) {
+	p := r.ViewBytes()
+	if p == nil {
+		return d
+	}
+	if copy(d[:], p); len(p) != digest.Size || d.IsZero() {
+		r.Fail("optional digest of %d bytes, or zero spelled out", len(p))
+	}
+	return d
+}
+
+func appendHeads(b []byte, heads []vdb.ShardHead) []byte {
+	b = binary.AppendUvarint(b, uint64(len(heads)))
+	for _, h := range heads {
+		b = binary.AppendUvarint(append(b, h.Root[:]...), h.Ctr)
+	}
+	return b
+}
+
+func readHeads(r *binenc.Reader) []vdb.ShardHead {
+	n := r.Count(digest.Size + 1)
+	if n == 0 {
+		return nil
+	}
+	heads := make([]vdb.ShardHead, n)
+	for i := range heads {
+		heads[i] = vdb.ShardHead{Root: readDigest(r), Ctr: r.Uvarint()}
+	}
+	return heads
+}
+
+// backupMin is the smallest encoded EpochBackup: one-byte user, epoch,
+// counter and signature length around the two digests.
+const backupMin = 4 + 2*digest.Size
+
+func appendBackup(b []byte, m *EpochBackup) []byte {
+	b = binary.AppendUvarint(b, uint64(m.User))
+	b = binary.AppendUvarint(b, m.Epoch)
+	b = append(append(b, m.Sigma[:]...), m.Last[:]...)
+	b = binary.AppendUvarint(b, m.LastCtr)
+	return binenc.AppendBytes(b, m.Sig)
+}
+
+// readBackup copies the signature out of the frame: the server stores
+// backups for two epochs, and a window would pin the whole request
+// frame each one rode in on.
+func readBackup(r *binenc.Reader) *EpochBackup {
+	return &EpochBackup{
+		User: sig.UserID(r.Uint32()), Epoch: r.Uvarint(),
+		Sigma: readDigest(r), Last: readDigest(r),
+		LastCtr: r.Uvarint(), Sig: r.Bytes(),
+	}
+}

@@ -1,0 +1,67 @@
+package core
+
+import (
+	"testing"
+
+	"trustedcvs/internal/digest"
+	"trustedcvs/internal/sig"
+	"trustedcvs/internal/vdb"
+	"trustedcvs/internal/wire/wiretest"
+)
+
+func testDigest(seed byte) (d digest.Digest) {
+	for i := range d {
+		d[i] = seed + byte(i)
+	}
+	return d
+}
+
+// TestWireGolden pins the wire form of every message this package
+// registers; the variants cover the optional parts (piggybacked backup,
+// forest fields, a response without a VO, empty lists).
+func TestWireGolden(t *testing.T) {
+	db := vdb.New(0)
+	if err := db.Preload(&vdb.WriteOp{Puts: []vdb.KV{{Key: "a", Val: []byte("1")}, {Key: "z", Val: []byte("26")}}}); err != nil {
+		t.Fatal(err)
+	}
+	put := &vdb.WriteOp{Puts: []vdb.KV{{Key: "k", Val: []byte("v")}}}
+	ans, vo, err := db.Apply(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backup := &EpochBackup{User: 2, Epoch: 9, Sigma: testDigest(1), Last: testDigest(2), LastCtr: 41, Sig: sig.Signature("signature-bytes")}
+	heads := []vdb.ShardHead{{Root: testDigest(3), Ctr: 5}, {Root: testDigest(4), Ctr: 6}}
+	wiretest.Golden(t, []wiretest.Sample{
+		{Msg: &OpRequest{User: 3, Op: put}},
+		{Variant: "backup", Msg: &OpRequest{User: 3, Op: &vdb.ReadOp{Keys: []string{"k"}}, Backup: backup}},
+		{Variant: "cross", Msg: &OpRequest{User: 1, Op: &vdb.CrossOp{Legs: []vdb.Op{put, &vdb.NopOp{}}}}},
+		{Msg: &AckRequest{User: 4, Sig: sig.Signature("ack-signature")}},
+		{Msg: &OpResponseI{Answer: ans, VO: vo, Ctr: 7, Signer: 2, Sig: sig.Signature("state-signature")}},
+		{Msg: &OpResponseII{Answer: ans, VO: vo, Ctr: 300, Last: 7, Epoch: 2}},
+		{Variant: "forest", Msg: &OpResponseII{Answer: ans, VO: vo, Ctr: 3, Last: 1, Shard: 2, LastTx: testDigest(5), GCtr: 17, Heads: heads}},
+		{Variant: "trusted", Msg: &OpResponseII{Answer: ans}},
+		{Msg: &OpResponseForest{
+			Legs: []OpLegII{
+				{Shard: 0, Answer: ans, VO: vo, Ctr: 1, Last: 2, LastTx: testDigest(6)},
+				{Shard: 3, Answer: ans, VO: vo, Ctr: 4, Last: 5},
+			},
+			GCtr: 19, Heads: heads,
+		}},
+		{Msg: &SyncRequest{From: 1, Round: 2}},
+		{Msg: SyncReportI{User: 1, LCtr: 5, GCtr: 9}},
+		{Msg: SyncReportII{User: 1, Sigma: testDigest(7), Last: testDigest(8)}},
+		{Variant: "forest", Msg: SyncReportII{User: 1, Sigma: testDigest(7), Last: testDigest(8),
+			Shards: []ShardRegs{{Sigma: testDigest(9), Last: testDigest(10)}, {}}}},
+		{Msg: Registers{Sigma: testDigest(11), Last: testDigest(12), LastCtr: 4, GCtr: 1 << 40, Ops: 3}},
+		{Msg: backup},
+		{Msg: &GetBackupsRequest{User: 1, Epoch: 8}},
+		{Msg: &BackupsResponse{Epoch: 8, Backups: []*EpochBackup{backup, {User: 3}}}},
+		{Variant: "empty", Msg: &BackupsResponse{Epoch: 8}},
+		{Msg: &PushContentRequest{Path: "src/main.go", Rev: 3, Content: []byte("package main\n")}},
+		{Msg: &FetchContentRequest{Path: "src/main.go", Rev: 3, Hash: testDigest(13)}},
+		{Msg: &ContentResponse{Content: []byte("package main\n")}},
+		{Variant: "empty", Msg: &ContentResponse{}},
+		{Msg: &OKResponse{}},
+		{Msg: vo},
+	})
+}

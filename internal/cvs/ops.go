@@ -1,21 +1,11 @@
 package cvs
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/vdb"
 )
-
-func init() {
-	gob.Register(&CommitOp{})
-	gob.Register(&CheckoutOp{})
-	gob.Register(&LogOp{})
-	gob.Register(&ListOp{})
-	gob.Register(&TagOp{})
-	gob.Register(&RemoveOp{})
-}
 
 // CommitFile names one file of a commit: its path, the content hash of
 // the new revision, and the revision the committer based its edit on

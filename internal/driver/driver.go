@@ -26,13 +26,14 @@
 package driver
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"trustedcvs/internal/audit"
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto1"
@@ -45,6 +46,7 @@ import (
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
+	"trustedcvs/internal/wire"
 	"trustedcvs/internal/witness"
 )
 
@@ -57,8 +59,64 @@ type reportMsg struct {
 	ReportII  *core.SyncReportII
 }
 
+// Wire tags of the two report messages (wire.Register); part of the
+// wire format.
+const (
+	wireReportMsg      = 96
+	wireEpochReportMsg = 97
+)
+
+// The reports inside both messages nest as tag + body, as core
+// registered them; an absent one is the nil byte.
 func init() {
-	gob.Register(&reportMsg{})
+	wire.Register(wireReportMsg, func(b []byte, m *reportMsg) ([]byte, error) {
+		b = binary.AppendUvarint(b, uint64(m.Initiator))
+		b = binary.AppendUvarint(b, m.Round)
+		var one, two any
+		if m.ReportI != nil {
+			one = *m.ReportI
+		}
+		if m.ReportII != nil {
+			two = *m.ReportII
+		}
+		b, err := wire.Append(b, one)
+		if err != nil {
+			return nil, err
+		}
+		return wire.Append(b, two)
+	}, func(r *binenc.Reader) *reportMsg {
+		m := &reportMsg{Initiator: sig.UserID(r.Uint32()), Round: r.Uvarint()}
+		switch v := wire.Read(r).(type) {
+		case nil:
+		case core.SyncReportI:
+			m.ReportI = &v
+		default:
+			r.Fail("%T where a Protocol I report belongs", v)
+		}
+		switch v := wire.Read(r).(type) {
+		case nil:
+		case core.SyncReportII:
+			m.ReportII = &v
+		default:
+			r.Fail("%T where a Protocol II report belongs", v)
+		}
+		return m
+	})
+	wire.Register(wireEpochReportMsg, func(b []byte, m *epochReportMsg) ([]byte, error) {
+		b = binary.AppendUvarint(b, m.Report.Epoch)
+		b = binenc.AppendBool(b, m.Report.Seal)
+		b = binenc.AppendBool(b, m.Report.Retract)
+		return wire.Append(b, m.Report.Report)
+	}, func(r *binenc.Reader) *epochReportMsg {
+		m := new(epochReportMsg)
+		m.Report.Epoch, m.Report.Seal, m.Report.Retract = r.Uvarint(), r.Bool(), r.Bool()
+		rep, ok := wire.Read(r).(core.SyncReportII)
+		if !ok {
+			r.Fail("epoch report without its register snapshot")
+		}
+		m.Report.Report = rep
+		return m
+	})
 }
 
 type roundKey struct {

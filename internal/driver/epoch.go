@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -22,10 +21,6 @@ import (
 // the receive loop hands it straight to the auditor.
 type epochReportMsg struct {
 	Report audit.Report
-}
-
-func init() {
-	gob.Register(&epochReportMsg{})
 }
 
 // NewP2EpochWAL builds a Protocol II client in epoch-audit mode: Do

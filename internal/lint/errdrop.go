@@ -12,7 +12,7 @@ import (
 // system a dropped error from one of these is not sloppiness but a
 // protocol hole — an unchecked Verify is precisely the deviation the
 // paper's detection guarantee forbids, and an unchecked codec error
-// desynchronizes a gob stream.
+// means a message or a journal record that was never written.
 var passErrDrop = &Pass{
 	Name: nameErrDrop,
 	Doc:  "discarded errors from Sign/Verify/Finish/Checkpoint/Encode/Decode",

@@ -1,73 +1,59 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"strconv"
-)
+import "strconv"
 
-// passHashDiscipline enforces the hashing and framing discipline the
+// passHashDiscipline enforces the hashing and encoding discipline the
 // verification-object algebra depends on:
 //
 //   - crypto/sha256 and crypto/sha512 may be imported only by
 //     internal/digest. A raw sha256.Sum256 elsewhere bypasses domain
 //     separation and silently breaks the VO algebra Protocols II/III
 //     build their XOR registers on.
-//   - encoding/gob encoders/decoders may not be constructed directly on
-//     a net.Conn outside internal/wire. The wire package's framed codec
-//     is the only place the MaxMessage decode budget is enforced; a raw
-//     gob.NewDecoder(conn) hands a hostile peer an unbounded allocation.
+//   - encoding/gob may be imported only by the files of gobRemainder.
+//     Everything on the wire and in the two journals is a tagged binary
+//     frame (internal/wire): one spelling per value, every count backed
+//     by received bytes, golden bytes checked in. gob has none of
+//     those properties, and a gob decoder on a connection hands a
+//     hostile peer an unbounded allocation.
 var passHashDiscipline = &Pass{
 	Name: nameHashDiscipline,
-	Doc:  "raw hash imports outside internal/digest; raw gob codecs on net.Conn outside internal/wire",
+	Doc:  "raw hash imports outside internal/digest; encoding/gob outside the named remainder",
 	Run:  runHashDiscipline,
+}
+
+// gobRemainder names the files that still encode with gob: local,
+// checksummed state that no peer supplies — server snapshots, client
+// register files, the audit cursor, workspace metadata. Moving them to
+// the binary codec is ROADMAP's "retire gob" phase 3; the list only
+// shrinks.
+var gobRemainder = map[string]bool{
+	"internal/server/persist.go":      true,
+	"internal/merkle/serialize.go":    true,
+	"internal/core/proto1/state.go":   true,
+	"internal/core/proto2/state.go":   true,
+	"internal/core/proto3/state.go":   true,
+	"internal/audit/durable.go":       true, // the cursor only
+	"internal/workspace/workspace.go": true,
 }
 
 func runHashDiscipline(m *Module) []Diag {
 	var out []Diag
-	conn := m.netConn()
 	for _, pkg := range m.Pkgs {
-		if pkg.Rel != "internal/digest" {
-			for _, f := range pkg.Files {
-				for _, imp := range f.Imports {
-					p, err := strconv.Unquote(imp.Path.Value)
-					if err != nil {
-						continue
-					}
-					if p == "crypto/sha256" || p == "crypto/sha512" {
-						out = append(out, m.diagf(nameHashDiscipline, imp.Pos(),
-							"import of %s outside internal/digest: all hashing must go through digest's domain-separated helpers", p))
-					}
+		for _, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				p, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					continue
+				}
+				switch {
+				case (p == "crypto/sha256" || p == "crypto/sha512") && pkg.Rel != "internal/digest":
+					out = append(out, m.diagf(nameHashDiscipline, imp.Pos(),
+						"import of %s outside internal/digest: all hashing must go through digest's domain-separated helpers", p))
+				case p == "encoding/gob" && !gobRemainder[m.relFile(m.Fset.Position(imp.Pos()).Filename)]:
+					out = append(out, m.diagf(nameHashDiscipline, imp.Pos(),
+						"import of encoding/gob: wire messages and journal records go through internal/wire's tagged binary codec; only the snapshot/state remainder (gobRemainder) may use gob"))
 				}
 			}
-		}
-		if pkg.Rel == "internal/wire" || conn == nil {
-			continue
-		}
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := calleeFunc(pkg.Info, call)
-				if fn == nil || len(call.Args) != 1 {
-					return true
-				}
-				full := fn.FullName()
-				if full != "encoding/gob.NewDecoder" && full != "encoding/gob.NewEncoder" {
-					return true
-				}
-				t := pkg.Info.TypeOf(call.Args[0])
-				if t == nil {
-					return true
-				}
-				if types.Implements(t, conn) || types.Implements(types.NewPointer(t), conn) {
-					out = append(out, m.diagf(nameHashDiscipline, call.Pos(),
-						"%s directly on a net.Conn outside internal/wire: use the framed wire codec so the MaxMessage decode budget applies", full))
-				}
-				return true
-			})
 		}
 	}
 	return out

@@ -2,11 +2,11 @@
 // analyzer. The protocols' security argument rests on conventions the
 // compiler cannot enforce — every hash goes through internal/digest's
 // domain-separated helpers, the pipelined servers' serial sections stay
-// narrow, network-facing gob decoding stays behind internal/wire's
-// MaxMessage budget, verification paths stay deterministic, and
-// error-carrying verification results are never dropped. This package
-// machine-checks those conventions on every commit (scripts/check.sh
-// runs `tcvs-lint ./...` as a hard gate).
+// narrow, encoding/gob stays off the wire and out of the journals
+// (internal/wire's tagged binary codec owns both), verification paths
+// stay deterministic, and error-carrying verification results are never
+// dropped. This package machine-checks those conventions on every
+// commit (scripts/check.sh runs `tcvs-lint ./...` as a hard gate).
 //
 // The analyzer is deliberately built on nothing but the standard
 // library (go/parser, go/ast, go/types, go/importer): it must run in

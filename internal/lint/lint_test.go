@@ -30,7 +30,7 @@ func TestFixtureCorpus(t *testing.T) {
 		{"errdrop", "internal/codec/drop.go", 47},              // error lost in defer of a bound method value
 		{"deadignore", "internal/codec/drop.go", 60},           // stale //lint:ignore suppressing nothing
 		{"lockscope", "internal/core/sign.go", 20},             // ed25519.Sign under Lock
-		{"hashdiscipline", "internal/cvs/rawgob.go", 13},       // raw gob on net.Conn
+		{"hashdiscipline", "internal/cvs/rawgob.go", 8},        // encoding/gob outside the remainder
 		{"verifyflow", "internal/flow/flow.go", 21},            // decode→Put, no verification (direct)
 		{"verifyflow", "internal/flow/flow.go", 42},            // decode→Put through helper result summary
 		{"verifyflow", "internal/flow/flow.go", 58},            // decode→Delete through helper param-sink summary

@@ -320,21 +320,6 @@ func (m *Module) importPkg(path string) (*types.Package, error) {
 	return m.stdSrc.Import(path)
 }
 
-// netConn returns the net.Conn interface type for implements-checks,
-// or nil if the net package cannot be loaded.
-func (m *Module) netConn() *types.Interface {
-	p, err := m.importPkg("net")
-	if err != nil {
-		return nil
-	}
-	obj := p.Scope().Lookup("Conn")
-	if obj == nil {
-		return nil
-	}
-	iface, _ := obj.Type().Underlying().(*types.Interface)
-	return iface
-}
-
 // diagf builds a Diag at a position.
 func (m *Module) diagf(pass string, pos token.Pos, format string, args ...any) Diag {
 	p := m.Fset.Position(pos)

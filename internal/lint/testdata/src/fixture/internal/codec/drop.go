@@ -4,7 +4,7 @@ package codec
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/gob" //lint:ignore hashdiscipline fixture: gob is the error-returning codec errdrop is exercised on
 )
 
 // Checkpointer is a stand-in for the persistence layer.

@@ -4,7 +4,7 @@ package vdb
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/gob" //lint:ignore hashdiscipline fixture: gob encoding is the slow call lockscope is exercised on
 	"sync"
 )
 

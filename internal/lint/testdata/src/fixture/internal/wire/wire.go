@@ -4,7 +4,7 @@
 package wire
 
 import (
-	"encoding/gob"
+	"encoding/gob" //lint:ignore hashdiscipline fixture: stands in for the real codec; verifyflow only needs a Decoder
 	"io"
 )
 

@@ -27,9 +27,10 @@ import (
 // Recording.VO appends it from tree nodes (appendPruned) and VO.Tree
 // decodes it into tree nodes (voDecoder), with nothing in between.
 //
-// encoding/gob uses MarshalBinary/UnmarshalBinary for every *VO field,
-// so protocol responses, forest legs and audit-journal records carry
-// this form without knowing it.
+// Wire messages and journal records carry these bytes as they are
+// (ViewVO on the way in); gob, which the server snapshot still
+// uses for its cached session responses, goes through
+// MarshalBinary/UnmarshalBinary.
 const (
 	voAbsent   = 0
 	voPruned   = 1
@@ -100,6 +101,16 @@ func (v *VO) UnmarshalBinary(data []byte) error {
 	}
 	v.enc = slices.Clone(data)
 	return nil
+}
+
+// ViewVO is UnmarshalBinary without the copy: the same grammar scan,
+// and the VO it returns is a window onto data, which the caller must
+// own and never modify — the wire decoder's frame buffer is both.
+func ViewVO(data []byte) (*VO, error) {
+	if _, err := scanVO(data); err != nil {
+		return nil, err
+	}
+	return &VO{enc: data}, nil
 }
 
 // scanVO checks data against the grammar and sizes it up on the way.

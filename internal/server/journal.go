@@ -1,16 +1,18 @@
 package server
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/durable"
 	"trustedcvs/internal/wal"
+	"trustedcvs/internal/wire"
 )
 
 // The op journal is the server-side half of the crash-durable story:
@@ -48,6 +50,50 @@ type journalEntry struct {
 	Push *core.PushContentRequest
 }
 
+// entryFormat is the first byte of every journal entry and names its
+// layout:
+//
+//	entryFormat | uvarint G | request (tag + body)
+//
+// the request — a *core.OpRequest, or a *core.PushContentRequest with
+// G zero — as internal/wire encodes it on the network. Earlier binaries
+// journaled a bare gob stream, which never opens with this byte (gob
+// leads with a length that is below 0x80 or in 0xF8–0xFF).
+const entryFormat = 0x84
+
+// ErrJournalFormat is returned when replaying an op journal whose
+// entries were written in an earlier format; drain it (start, then
+// checkpoint) with the binary that wrote it.
+var ErrJournalFormat = errors.New("server: op journal holds entries in an older format; drain it with the previous binary")
+
+// appendEntry appends one entry's journal form to b; req is the
+// *core.OpRequest or *core.PushContentRequest.
+func appendEntry(b []byte, g uint64, req any) ([]byte, error) {
+	return wire.Append(binary.AppendUvarint(append(b, entryFormat), g), req)
+}
+
+// decodeEntry parses one journal entry. The entry's byte fields are
+// windows onto b.
+func decodeEntry(b []byte) (journalEntry, error) {
+	if len(b) == 0 || b[0] != entryFormat {
+		return journalEntry{}, ErrJournalFormat
+	}
+	r := binenc.NewReader(b[1:])
+	e := journalEntry{G: r.Uvarint()}
+	switch req := wire.Read(r).(type) {
+	case *core.OpRequest:
+		e.Req = req
+	case *core.PushContentRequest:
+		e.Push = req
+	default:
+		r.Fail("%T where a request belongs", req)
+	}
+	if err := r.Close(); err != nil {
+		return journalEntry{}, fmt.Errorf("server: decode journal entry: %w", err)
+	}
+	return e, nil
+}
+
 // OpJournal appends every successfully applied operation to a
 // segmented WAL (internal/wal), batching fsyncs at epoch rotation.
 // Append failures are sticky: the journal disables itself rather than
@@ -57,9 +103,10 @@ type journalEntry struct {
 type OpJournal struct {
 	epochLen uint64
 
-	mu sync.Mutex
-	w  *wal.WAL
-	er error
+	mu  sync.Mutex
+	w   *wal.WAL
+	er  error
+	buf []byte // entry-assembly buffer, reused under mu
 }
 
 // OpenOpJournal opens (creating or repairing) the op journal at dir.
@@ -86,20 +133,7 @@ func (j *OpJournal) record(req *core.OpRequest, resp any) {
 	if g == 0 {
 		return // not a Protocol II response; nothing to key replay on
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&journalEntry{G: g, Req: req}); err != nil {
-		j.disable(fmt.Errorf("server: encode journal entry: %w", err))
-		return
-	}
-	j.mu.Lock()
-	w, disabled := j.w, j.er != nil
-	j.mu.Unlock()
-	if disabled {
-		return
-	}
-	if err := w.Append((g-1)/j.epochLen, buf.Bytes()); err != nil {
-		j.disable(err)
-	}
+	j.append((g-1)/j.epochLen, g, req)
 }
 
 // RecordPush journals one accepted content push. ctr is the database
@@ -109,26 +143,25 @@ func (j *OpJournal) record(req *core.OpRequest, resp any) {
 // the push already in it, so either the snapshot or the journal holds
 // every acked blob. Errors degrade exactly as record's do.
 func (j *OpJournal) RecordPush(req *core.PushContentRequest, ctr uint64) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&journalEntry{Push: req}); err != nil {
-		j.disable(fmt.Errorf("server: encode journal push: %w", err))
-		return
-	}
-	j.mu.Lock()
-	w, disabled := j.w, j.er != nil
-	j.mu.Unlock()
-	if disabled {
-		return
-	}
-	if err := w.Append(ctr/j.epochLen, buf.Bytes()); err != nil {
-		j.disable(err)
-	}
+	j.append(ctr/j.epochLen, 0, req)
 }
 
-func (j *OpJournal) disable(err error) {
+// append encodes one entry into the journal's buffer and appends it;
+// the WAL copies the payload into its own frame, so the buffer is free
+// again when the lock drops.
+func (j *OpJournal) append(epoch, g uint64, req any) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.er == nil {
+	if j.er != nil {
+		return
+	}
+	payload, err := appendEntry(j.buf, g, req)
+	if err != nil {
+		j.er = fmt.Errorf("server: encode journal entry: %w", err)
+		return
+	}
+	j.buf = binenc.Recycle(payload)
+	if err := j.w.Append(epoch, payload); err != nil {
 		j.er = err
 	}
 }
@@ -210,9 +243,9 @@ func ReplayOpJournal(dir string, s Server, store *cvs.Store) (int, int, error) {
 	var entries []journalEntry
 	pushes := 0
 	err := wal.Replay(dir, func(fr wal.Record) error {
-		var e journalEntry
-		if err := gob.NewDecoder(bytes.NewReader(fr.Payload)).Decode(&e); err != nil {
-			return fmt.Errorf("server: decode journal entry: %w", err)
+		e, err := decodeEntry(fr.Payload)
+		if err != nil {
+			return err
 		}
 		if e.Push != nil {
 			if err := store.Push(e.Push.Path, e.Push.Rev, e.Push.Content); err != nil {

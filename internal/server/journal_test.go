@@ -1,8 +1,10 @@
 package server
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"trustedcvs/internal/core"
@@ -10,6 +12,7 @@ import (
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wal"
+	"trustedcvs/internal/wire/wiretest"
 )
 
 func journalOp(i int) *core.OpRequest {
@@ -159,11 +162,11 @@ func TestOpJournalRecoveryStopsAtGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range []uint64{1, 2, 4} { // 3 is missing
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&journalEntry{G: g, Req: journalOp(int(g - 1))}); err != nil {
+		entry, err := appendEntry(nil, g, journalOp(int(g-1)))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Append(0, buf.Bytes()); err != nil {
+		if err := w.Append(0, entry); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,5 +217,66 @@ func TestOpJournalRecoveryForest(t *testing.T) {
 	}
 	if got, want := fresh.DB().Ctr(), srv.DB().Ctr(); got != want {
 		t.Fatalf("replayed gctr %d != live gctr %d", got, want)
+	}
+}
+
+// TestOpJournalEntryGolden pins the journal form of both entry kinds,
+// and that what decodes is what was journaled.
+func TestOpJournalEntryGolden(t *testing.T) {
+	entries := map[string]journalEntry{
+		"journal-op":   {G: 300, Req: journalOp(3)},
+		"journal-push": {Push: &core.PushContentRequest{Path: "src/main.go", Rev: 2, Content: []byte("package main\n")}},
+	}
+	for name, e := range entries {
+		var req any = e.Req
+		if e.Push != nil {
+			req = e.Push
+		}
+		b, err := appendEntry(nil, e.G, req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		wiretest.Bytes(t, filepath.Join("testdata/golden", name+".bin"), b)
+		got, err := decodeEntry(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, e) {
+			t.Errorf("%s: round trip\n got %#v\nwant %#v", name, got, e)
+		}
+		if _, err := decodeEntry(append(b, 0)); err == nil {
+			t.Errorf("%s: trailing byte accepted", name)
+		}
+	}
+	// Anything but a request in the request's place is refused.
+	if bad, err := appendEntry(nil, 1, &core.OKResponse{}); err != nil {
+		t.Fatal(err)
+	} else if _, err := decodeEntry(bad); err == nil {
+		t.Error("a response journaled as a request was accepted")
+	}
+}
+
+// TestOldFormatOpJournalRefused: a journal segment written by the
+// gob-era binary (three applied ops and a content push) must stop
+// recovery with the typed format error before a single entry is
+// applied — not be misparsed, and not be silently skipped, which would
+// bring the server back up behind its acked head.
+func TestOldFormatOpJournalRefused(t *testing.T) {
+	seg, err := os.ReadFile("testdata/golden/gob-op-journal-seg-0000000000000001.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-0000000000000001.wal"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewP2(vdb.New(0))
+	store := cvs.NewStore()
+	applied, pushes, err := ReplayOpJournal(dir, fresh, store)
+	if !errors.Is(err, ErrJournalFormat) {
+		t.Fatalf("ReplayOpJournal = %v, want ErrJournalFormat", err)
+	}
+	if applied != 0 || pushes != 0 || fresh.DB().Ctr() != 0 {
+		t.Fatalf("old-format journal reached the server: %d ops, %d pushes, ctr %d", applied, pushes, fresh.DB().Ctr())
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 
+	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/core/proto3"
 	"trustedcvs/internal/cvs"
@@ -33,6 +34,20 @@ const snapMagic = "TCVSSNAP1\n"
 // maxSnapshotBytes bounds the payload length a snapshot header may
 // declare.
 const maxSnapshotBytes = 1 << 30
+
+// A snapshot's session table caches handler responses behind an
+// interface-typed field (transport.OpOutcome.Resp), so gob — which the
+// snapshot payload still uses; the wire and both journals do not —
+// needs the concrete response types a handler can return registered.
+// The names gob derives are the ones the previous binaries wrote.
+func init() {
+	gob.Register(&core.OpResponseI{})
+	gob.Register(&core.OpResponseII{})
+	gob.Register(&core.OpResponseForest{})
+	gob.Register(&core.BackupsResponse{})
+	gob.Register(&core.ContentResponse{})
+	gob.Register(&core.OKResponse{})
+}
 
 // ErrNoSnapshot reports that no snapshot generation exists on disk at
 // all — a first boot, as opposed to a boot over corrupt checkpoints.

@@ -54,7 +54,7 @@ type Config struct {
 	// (Protocols I/II); on detection the journals are pooled and the
 	// fault localized (internal/forensics).
 	JournalCap int
-	// MeasureBytes additionally accounts wire bytes (gob-framed sizes
+	// MeasureBytes additionally accounts wire bytes (the frame sizes
 	// of every request and response, including the VOs). Costs one
 	// encode per message.
 	MeasureBytes bool

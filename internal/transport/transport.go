@@ -256,22 +256,31 @@ func (d *deadlineConn) Write(p []byte) (int, error) {
 	return d.conn.Write(p)
 }
 
-// dispatch runs one request through the handler under the concurrency
-// bound, with the request's propagated deadline budget (0 = none)
-// anchored at decode time. Session envelopes route through the dedupe
-// table when configured. During a graceful shutdown's drain window new
-// requests are refused while in-flight ones complete. Ordering is the
-// whole point here: the session cache is consulted *before* admission (a
-// retry of an already-applied op must replay its cached response, not
-// risk a shed that would falsely report "refused" for applied work),
-// and admission runs *before* the handler (a shed op never touches
-// protocol state). Typed refusals are never cached (see
-// SessionTable.Dispatch), so the combination keeps refusals atomic.
-func (s *Server) dispatch(req any, budget time.Duration) (any, error) {
+// dispatch answers one request. The request counts as in flight from
+// here until its response frame has been written: a graceful
+// Shutdown's drain waits for the reply to be on the wire, not merely
+// for the handler to return, so an operation the server applied is
+// never answered with a severed connection. During the drain window
+// new requests are refused while in-flight ones complete.
+func (s *Server) dispatch(req any, budget time.Duration, reply func(resp any, err error) error) error {
 	if err := s.beginReq(); err != nil {
-		return nil, err
+		return reply(nil, err)
 	}
 	defer s.endReq()
+	return reply(s.handle(req, budget))
+}
+
+// handle runs one request through the handler under the concurrency
+// bound, with the request's propagated deadline budget (0 = none)
+// anchored at decode time. Session envelopes route through the dedupe
+// table when configured. Ordering is the whole point here: the session
+// cache is consulted *before* admission (a retry of an already-applied
+// op must replay its cached response, not risk a shed that would
+// falsely report "refused" for applied work), and admission runs
+// *before* the handler (a shed op never touches protocol state). Typed
+// refusals are never cached (see SessionTable.Dispatch), so the
+// combination keeps refusals atomic.
+func (s *Server) handle(req any, budget time.Duration) (any, error) {
 	var deadline time.Time
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
@@ -366,8 +375,8 @@ func (s *Server) untrack(conn net.Conn) {
 }
 
 // Shutdown is the graceful variant of Close: it stops admitting new
-// requests, waits up to drain for in-flight handler calls to complete
-// (so their responses reach the clients), then severs everything via
+// requests, waits up to drain for in-flight requests to complete —
+// handler returned and response written — then severs everything via
 // Close. A zero or negative drain degrades to an immediate Close.
 func (s *Server) Shutdown(drain time.Duration) error {
 	s.mu.Lock()

@@ -100,8 +100,8 @@ func (tx *Tx) Range(lo, hi string, fn func(key string, val []byte) bool) error {
 //
 // Implementations live in this package (ReadOp, WriteOp, RangeOp) and
 // in internal/cvs (CommitOp, CheckoutOp, LogOp, ...). Concrete op types
-// travel inside interface-typed fields and are registered with gob by
-// their own package.
+// travel inside interface-typed fields and are registered in the wire
+// tag table (wire.Register) by their own package.
 type Op interface {
 	Apply(tx *Tx) (answer any, err error)
 }

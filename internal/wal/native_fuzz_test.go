@@ -110,7 +110,7 @@ func FuzzWALReplay(f *testing.F) {
 // yielded record is really backed by a checksummed frame and not
 // fabricated by a parser bug.
 func frameSumOf(img []byte, r Record) digest.Digest {
-	needle := encodeFrame(r.Epoch, r.Payload)
+	needle := appendFrame(nil, r.Epoch, r.Payload)
 	if i := bytes.Index(img, needle); i >= 0 {
 		var sum digest.Digest
 		copy(sum[:], needle[len(needle)-digest.Size:])

@@ -57,16 +57,13 @@ import (
 	"strings"
 	"sync"
 
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/durable"
 )
 
 // segMagic heads every segment file.
 const segMagic = "TCVSWAL1\n"
-
-// frameOverhead is the fixed per-frame framing cost: length, epoch,
-// digest footer.
-const frameOverhead = 8 + 8 + digest.Size
 
 // maxFrameBytes bounds a declared payload length so a corrupt frame
 // header cannot demand an absurd allocation before the footer check
@@ -129,7 +126,8 @@ type WAL struct {
 	synced   uint64 // total frames durable
 	sealed   []segment
 	closed   bool
-	appendEr error // sticky first append-path error
+	appendEr error  // sticky first append-path error
+	frame    []byte // frame-assembly buffer, reused across appends
 
 	// syncMu serializes group-commit leaders; never nested inside mu.
 	syncMu sync.Mutex
@@ -252,15 +250,13 @@ func (w *WAL) createSegmentLocked(seq uint64) error {
 	return nil
 }
 
-// encodeFrame renders one frame.
-func encodeFrame(epoch uint64, payload []byte) []byte {
-	buf := make([]byte, frameOverhead+len(payload))
-	binary.BigEndian.PutUint64(buf[0:8], uint64(len(payload)))
-	binary.BigEndian.PutUint64(buf[8:16], epoch)
-	copy(buf[16:], payload)
+// appendFrame renders one frame onto b.
+func appendFrame(b []byte, epoch uint64, payload []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(len(payload)))
+	b = binary.BigEndian.AppendUint64(b, epoch)
+	b = append(b, payload...)
 	sum := frameDigest(epoch, payload)
-	copy(buf[16+len(payload):], sum[:])
-	return buf
+	return append(b, sum[:]...)
 }
 
 func frameDigest(epoch uint64, payload []byte) digest.Digest {
@@ -293,7 +289,9 @@ func (w *WAL) Append(epoch uint64, payload []byte) error {
 			return err
 		}
 	}
-	if _, err := w.active.Write(encodeFrame(epoch, payload)); err != nil {
+	frame := appendFrame(w.frame, epoch, payload)
+	w.frame = binenc.Recycle(frame)
+	if _, err := w.active.Write(frame); err != nil {
 		w.appendEr = fmt.Errorf("wal: append: %w", err)
 		err = w.appendEr
 		w.mu.Unlock()

@@ -1,4 +1,4 @@
-package wire
+package wire_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/vdb"
+	"trustedcvs/internal/wire"
 )
 
 // TestQuickStreamingDecodeNeverPanicsOnGarbage: the server is untrusted
@@ -23,7 +24,7 @@ func TestQuickStreamingDecodeNeverPanicsOnGarbage(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		b := make([]byte, rng.Intn(512))
 		rng.Read(b)
-		d := NewDecoder(bytes.NewReader(b))
+		d := wire.NewDecoder(bytes.NewReader(b))
 		for i := 0; i < 4; i++ {
 			if _, err := d.Decode(); err != nil {
 				break
@@ -46,7 +47,7 @@ func TestQuickBitflippedFramesNeverPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var frame bytes.Buffer
-	if err := NewEncoder(&frame).Encode(&core.OpResponseII{Answer: ans, VO: vo, Ctr: 0, Last: 7}); err != nil {
+	if err := wire.NewEncoder(&frame).Encode(&core.OpResponseII{Answer: ans, VO: vo, Ctr: 0, Last: 7}); err != nil {
 		t.Fatal(err)
 	}
 	orig := frame.Bytes()
@@ -96,7 +97,7 @@ func TestQuickHostileVOReplayNeverPanics(t *testing.T) {
 	}
 	// Serialize once; mutations happen on fresh decodes.
 	var frame bytes.Buffer
-	if err := NewEncoder(&frame).Encode(&core.OpResponseII{Answer: ans, VO: vo}); err != nil {
+	if err := wire.NewEncoder(&frame).Encode(&core.OpResponseII{Answer: ans, VO: vo}); err != nil {
 		t.Fatal(err)
 	}
 	orig := frame.Bytes()

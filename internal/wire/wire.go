@@ -1,45 +1,65 @@
 // Package wire implements the framing and codec used on every network
-// connection: length-prefixed, gob-encoded envelopes with a hard size
-// limit protecting against hostile peers (the server is untrusted,
-// after all).
+// connection and inside both journals: one self-contained binary frame
+// per message, with a hard size limit protecting against hostile peers
+// (the server is untrusted, after all).
 //
-// Every connection (Conn, Serve, the broadcast hub) runs the streaming
-// codec (Encoder/Decoder): frames are [4-byte big-endian length][gob
-// bytes] over one persistent gob stream per connection direction, so
-// type descriptors cross the wire once per connection instead of once
-// per message — and, just as important, decoder engines are compiled
-// once per connection instead of once per message. Each frame is
-// assembled into a reused per-connection buffer and written
-// header+body in a single syscall.
+// A frame is
+//
+//	[4-byte big-endian word] [4-byte budget, if flagged] [1-byte tag] [body]
+//
+// The word's low 25 bits are the length of tag + body (at most
+// MaxMessage), bit 31 flags a deadline budget, bit 30 marks this frame
+// format. The tag names the message type in the one tag table (see
+// Register); the body is that type's fixed layout, written with the
+// internal/binenc primitives. There is no per-connection stream state:
+// the first frame of a connection and the millionth are the same
+// bytes, and Size is header + tag + body.
+//
+// Every value has one encoding and the Decoder refuses every other —
+// non-minimal integers, counts the frame cannot back, unknown tags,
+// trailing bytes — so a frame it accepts re-encodes byte-identically.
+//
+// Aliasing rule: the Decoder reads each frame into a buffer of its own
+// that it never reuses, and a decoded message's byte fields (answers,
+// VO encodings, put values, content blobs) are windows onto it. The
+// Encoder assembles frames in a per-connection buffer it reuses and
+// writes header and body in a single Write; that buffer never escapes.
 package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"time"
+
+	"trustedcvs/internal/binenc"
 )
 
-// MaxMessage is the largest accepted frame (16 MiB) — far above any
-// legitimate VO or content blob in this system, far below a memory
-// exhaustion attack. The streaming decoder additionally enforces it
-// per decoded message, so a hostile peer cannot smuggle an unbounded
-// gob value across many small frames.
+// MaxMessage is the largest accepted frame body (16 MiB) — far above
+// any legitimate VO or content blob in this system, far below a memory
+// exhaustion attack. The Decoder checks it on the header, before it
+// allocates anything.
 const MaxMessage = 16 << 20
 
-// budgetFlag marks a streaming frame header that carries a deadline
-// budget. MaxMessage fits in 25 bits, so the top bits of the length
-// word are guaranteed zero in every frame ever written before budgets
-// existed — old streams parse identically, and a flagged frame sent to
-// a pre-budget reader fails its length check loudly instead of
-// misparsing. When the flag is set, a 4-byte big-endian budget in
-// microseconds follows the length word (see Encoder.EncodeBudget).
+// budgetFlag marks a frame header that carries a deadline budget: a
+// 4-byte big-endian budget in microseconds follows the length word
+// (see Encoder.EncodeBudget).
 const budgetFlag = 1 << 31
+
+// formatFlag marks a frame of this format. MaxMessage fits in 25 bits,
+// so the bit is zero in every frame the gob-era codec wrote: a reader
+// of that era fails its length check loudly on a frame that carries
+// it, and this Decoder refuses a frame without it with ErrFormat
+// instead of misparsing a gob stream as a tag and a body.
+const formatFlag = 1 << 30
+
+// readStep bounds how far ahead of the bytes actually received the
+// Decoder allocates: a header declaring MaxMessage buys readStep, not
+// 16 MiB, until the peer has delivered that much.
+const readStep = 64 << 10
 
 // maxBudgetUS caps an encoded budget at what fits in 32 bits of
 // microseconds (~71 minutes) — far beyond any request deadline this
@@ -48,6 +68,17 @@ const maxBudgetUS = 1<<32 - 1
 
 // ErrTooLarge is returned for frames exceeding MaxMessage.
 var ErrTooLarge = errors.New("wire: message exceeds size limit")
+
+// ErrFormat is returned for a frame header without the format bit: the
+// peer speaks the gob-era codec (or is not a peer at all). Client and
+// server upgrade together.
+var ErrFormat = errors.New("wire: frame is not in this binary's format (mixed client and server versions?)")
+
+// ErrMalformed is returned (wrapped) for a frame whose body is not the
+// canonical encoding of one registered message: unknown tag, truncated
+// or overlong body, a count the body cannot back, a non-minimal
+// integer.
+var ErrMalformed = binenc.ErrMalformed
 
 // ErrDeadlineExceeded marks a request refused (by either end) because
 // its propagated deadline budget had already expired. It is a
@@ -65,15 +96,9 @@ var ErrDeadlineExceeded = errors.New("wire: deadline exceeded")
 // endpoint with immediate retries.
 var ErrOverloaded = errors.New("wire: server overloaded")
 
-// envelope wraps the payload so gob can transport interface values.
-type envelope struct {
-	Payload any
-}
-
 // ErrorReply carries a server-side error back to the caller. Code
 // classifies refusals the client must react to structurally rather
-// than textually; 0 (the gob zero value, omitted on the wire, so seed
-// encodings are byte-identical) means "plain application error".
+// than textually; 0 means "plain application error".
 type ErrorReply struct {
 	Msg  string
 	Code int
@@ -141,52 +166,36 @@ type SessionRequest struct {
 	Req any
 }
 
-func init() {
-	gob.Register(&ErrorReply{})
-	gob.Register(&SessionRequest{})
-}
-
-// maxPooledBuf caps the capacity of a frame-assembly buffer an Encoder
-// keeps between messages so a single giant content blob does not pin
-// memory forever.
-const maxPooledBuf = 1 << 20
-
 var hdrPlaceholder [8]byte
 
-// Size returns the encoded size of msg as the first frame of a fresh
-// connection, type descriptors included — used by experiments that
-// report wire bytes (VO sizes, sync traffic). It is deliberately a
-// per-message figure that does not depend on what else a connection
-// has carried.
+// Size returns the encoded size of msg as a budget-less frame: header,
+// tag and body. Experiments use it to report wire bytes (VO sizes, sync
+// traffic); no frame depends on what else a connection has carried.
 func Size(msg any) (int, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&envelope{Payload: msg}); err != nil {
+	b, err := Append(nil, msg)
+	if err != nil {
 		return 0, err
 	}
-	return buf.Len() + 4, nil
+	return 4 + len(b), nil
 }
 
-// Encoder writes framed messages into one persistent gob stream. Not
-// safe for concurrent use; callers serialize (Conn does, Serve is a
-// single loop).
+// Encoder writes framed messages. Not safe for concurrent use; callers
+// serialize (Conn does, Serve is a single loop).
 type Encoder struct {
 	w      io.Writer
-	buf    bytes.Buffer // reused frame-assembly buffer
-	enc    *gob.Encoder
+	buf    []byte // reused frame-assembly buffer
 	broken error
 }
 
-// NewEncoder returns a streaming encoder over w.
-func NewEncoder(w io.Writer) *Encoder {
-	e := &Encoder{w: w}
-	e.enc = gob.NewEncoder(&e.buf)
-	return e
-}
+// NewEncoder returns an encoder over w.
+func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
 // Encode frames and writes one message, header and body in a single
-// Write call. An encode error poisons the stream (the gob encoder's
-// descriptor bookkeeping may no longer match what reached the peer),
-// so every subsequent Encode fails until the connection is replaced.
+// Write call. A message that cannot be encoded (an unregistered type,
+// a body over MaxMessage) is refused before anything is written, so
+// the stream stays usable; a failed Write may have left part of a frame
+// on the wire, so it fails every later Encode until the connection is
+// replaced.
 func (e *Encoder) Encode(msg any) error {
 	return e.EncodeBudget(msg, 0)
 }
@@ -205,20 +214,16 @@ func (e *Encoder) EncodeBudget(msg any, budget time.Duration) error {
 	if budget > 0 {
 		hdr = 8
 	}
-	e.buf.Reset()
-	e.buf.Write(hdrPlaceholder[:hdr])
-	if err := e.enc.Encode(&envelope{Payload: msg}); err != nil {
-		e.broken = fmt.Errorf("wire: stream poisoned by encode of %T: %w", msg, err)
+	b, err := Append(append(e.buf, hdrPlaceholder[:hdr]...), msg)
+	if err != nil {
 		return fmt.Errorf("wire: encode %T: %w", msg, err)
 	}
-	body := e.buf.Len() - hdr
+	e.buf = binenc.Recycle(b)
+	body := len(b) - hdr
 	if body > MaxMessage {
-		err := fmt.Errorf("%w: %d bytes", ErrTooLarge, body)
-		e.broken = err
-		return err
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, body)
 	}
-	b := e.buf.Bytes()
-	word := uint32(body)
+	word := uint32(body) | formatFlag
 	if budget > 0 {
 		us := budget.Microseconds()
 		if us < 1 {
@@ -232,98 +237,100 @@ func (e *Encoder) EncodeBudget(msg any, budget time.Duration) error {
 	}
 	binary.BigEndian.PutUint32(b[:4], word)
 	if _, err := e.w.Write(b); err != nil {
-		err = fmt.Errorf("wire: write frame: %w", err)
-		e.broken = err
-		return err
-	}
-	if e.buf.Cap() > maxPooledBuf {
-		e.buf = bytes.Buffer{} // drop oversized scratch, keep the stream
+		e.broken = fmt.Errorf("wire: write frame: %w", err)
+		return e.broken
 	}
 	return nil
 }
 
-// frameReader feeds a gob.Decoder the concatenated bodies of incoming
-// frames, enforcing MaxMessage per frame (header check) and per decoded
-// message (budget, reset by Decoder.Decode).
-type frameReader struct {
-	r        io.Reader
-	remain   int    // unread bytes of the current frame
-	budget   int    // bytes the current Decode may still consume
-	deadline uint32 // microsecond budget from the current message's header, 0 = none
-}
-
-func (fr *frameReader) Read(p []byte) (int, error) {
-	if fr.remain == 0 {
-		var hdr [4]byte
-		if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-			return 0, err // io.EOF at a frame boundary = clean shutdown
-		}
-		word := binary.BigEndian.Uint32(hdr[:])
-		if word&budgetFlag != 0 {
-			var bhdr [4]byte
-			if _, err := io.ReadFull(fr.r, bhdr[:]); err != nil {
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return 0, err
-			}
-			fr.deadline = binary.BigEndian.Uint32(bhdr[:])
-			word &^= budgetFlag
-		}
-		if word > MaxMessage {
-			return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, word)
-		}
-		fr.remain = int(word)
-	}
-	if fr.budget <= 0 {
-		return 0, fmt.Errorf("%w: message spans frames past limit", ErrTooLarge)
-	}
-	if len(p) > fr.remain {
-		p = p[:fr.remain]
-	}
-	if len(p) > fr.budget {
-		p = p[:fr.budget]
-	}
-	n, err := fr.r.Read(p)
-	fr.remain -= n
-	fr.budget -= n
-	if err == io.EOF && fr.remain > 0 {
-		err = io.ErrUnexpectedEOF
-	}
-	return n, err
-}
-
-// Decoder reads framed messages from one persistent gob stream. Not
-// safe for concurrent use.
+// Decoder reads framed messages. Not safe for concurrent use.
 type Decoder struct {
-	fr  *frameReader
-	dec *gob.Decoder
+	r      *bufio.Reader
+	rd     binenc.Reader // reset per frame, so decoding allocates no reader
+	hdr    [4]byte
+	budget uint32 // microsecond budget from the last frame's header, 0 = none
 }
 
-// NewDecoder returns a streaming decoder over r. The decoder owns the
-// read half of the stream: it buffers beneath the frame layer so a
-// header and its body usually cost one syscall, not two.
+// NewDecoder returns a decoder over r. The decoder owns the read half
+// of the stream: it buffers beneath the frame layer so a header and
+// its body usually cost one syscall, not two.
 func NewDecoder(r io.Reader) *Decoder {
-	if _, ok := r.(*bufio.Reader); !ok {
-		r = bufio.NewReader(r)
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReader(r)
 	}
-	fr := &frameReader{r: r}
-	return &Decoder{fr: fr, dec: gob.NewDecoder(fr)}
+	return &Decoder{r: br}
 }
 
 // Decode reads the next message. It returns io.EOF when the stream
-// ends cleanly at a frame boundary.
+// ends cleanly at a frame boundary and io.ErrUnexpectedEOF (wrapped)
+// when it ends anywhere inside a frame. The input is the untrusted
+// peer's: every refusal is ErrFormat, ErrTooLarge or ErrMalformed.
 func (d *Decoder) Decode() (any, error) {
-	d.fr.budget = MaxMessage
-	d.fr.deadline = 0
-	var env envelope
-	if err := d.dec.Decode(&env); err != nil {
+	d.budget = 0
+	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
+		return nil, fmt.Errorf("wire: read frame header: %w", err)
+	}
+	word := binary.BigEndian.Uint32(d.hdr[:])
+	if word&formatFlag == 0 {
+		return nil, ErrFormat
+	}
+	if word&budgetFlag != 0 {
+		if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
+			return nil, fmt.Errorf("wire: read frame budget: %w", noEOF(err))
+		}
+		d.budget = binary.BigEndian.Uint32(d.hdr[:])
+	}
+	n := word &^ (budgetFlag | formatFlag)
+	if n > MaxMessage {
+		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+	}
+	if word&budgetFlag != 0 && d.budget == 0 {
+		return nil, fmt.Errorf("%w: budget flag over a zero budget", ErrMalformed)
+	}
+	body, err := d.readBody(int(n))
+	if err != nil {
+		return nil, fmt.Errorf("wire: read frame body: %w", noEOF(err))
+	}
+	d.rd.Reset(body)
+	msg := Read(&d.rd)
+	err = d.rd.Close() // trailing bytes are refused
+	d.rd.Reset(nil)
+	if err != nil {
 		return nil, fmt.Errorf("wire: decode: %w", err)
 	}
-	return env.Payload, nil
+	return msg, nil
+}
+
+// readBody reads an n-byte frame body into a buffer of its own, sized
+// exactly. A body longer than readStep is grown as it arrives, each
+// step at most doubling what the peer has already delivered.
+func (d *Decoder) readBody(n int) ([]byte, error) {
+	body := make([]byte, min(n, readStep))
+	if _, err := io.ReadFull(d.r, body); err != nil {
+		return nil, err
+	}
+	for len(body) < n {
+		got := len(body)
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, body)
+		if _, err := io.ReadFull(d.r, grown[got:]); err != nil {
+			return nil, err
+		}
+		body = grown
+	}
+	return body, nil
+}
+
+// noEOF turns an EOF inside a frame into io.ErrUnexpectedEOF.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Budget returns the deadline budget carried by the last decoded
@@ -333,11 +340,11 @@ func (d *Decoder) Decode() (any, error) {
 // deadline at decode time (time already spent on the wire then counts
 // against the sender, which is the conservative direction).
 func (d *Decoder) Budget() time.Duration {
-	return time.Duration(d.fr.deadline) * time.Microsecond
+	return time.Duration(d.budget) * time.Microsecond
 }
 
-// Conn is a synchronous request/response client over any stream,
-// using the streaming codec. It serializes concurrent callers.
+// Conn is a synchronous request/response client over any stream. It
+// serializes concurrent callers.
 type Conn struct {
 	mu  sync.Mutex
 	enc *Encoder
@@ -345,8 +352,8 @@ type Conn struct {
 	c   io.Closer // optional
 }
 
-// NewConn wraps a stream with the streaming codec. If rw also
-// implements io.Closer, Close closes it.
+// NewConn wraps a stream with the codec. If rw also implements
+// io.Closer, Close closes it.
 func NewConn(rw io.ReadWriter) *Conn {
 	c, _ := rw.(io.Closer)
 	return &Conn{enc: NewEncoder(rw), dec: NewDecoder(rw), c: c}
@@ -388,26 +395,31 @@ func (c *Conn) Close() error {
 
 // Serve answers requests on a stream until it closes: each incoming
 // message is passed to handler along with the deadline budget carried
-// in its frame header (0 if none), anchored at decode time, and the
-// result (or an ErrorReply) is written back. Typed refusals
-// (ErrDeadlineExceeded, ErrOverloaded) returned by the handler cross
+// in its frame header (0 if none), anchored at decode time, and a
+// reply function that writes the result (or an ErrorReply) back.
+// handler calls reply exactly once and returns what it returned, so
+// whatever the handler holds for the request — in-flight accounting, a
+// lock — can last until the response frame is on the wire. Typed
+// refusals (ErrDeadlineExceeded, ErrOverloaded) passed to reply cross
 // the wire as coded ErrorReplies so the client can match them with
 // errors.Is. Returns nil on clean EOF.
-func Serve(rw io.ReadWriter, handler func(req any, budget time.Duration) (any, error)) error {
+func Serve(rw io.ReadWriter, handler func(req any, budget time.Duration, reply func(resp any, err error) error) error) error {
 	enc, dec := NewEncoder(rw), NewDecoder(rw)
+	reply := func(resp any, err error) error {
+		if err != nil {
+			resp = &ErrorReply{Msg: err.Error(), Code: ErrCode(err)}
+		}
+		return enc.Encode(resp)
+	}
 	for {
 		req, err := dec.Decode()
 		if err != nil {
-			if errors.Is(err, io.EOF) {
+			if err == io.EOF {
 				return nil
 			}
 			return err
 		}
-		resp, err := handler(req, dec.Budget())
-		if err != nil {
-			resp = &ErrorReply{Msg: err.Error(), Code: ErrCode(err)}
-		}
-		if err := enc.Encode(resp); err != nil {
+		if err := handler(req, dec.Budget(), reply); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,6 @@ package witness
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -76,17 +75,6 @@ type GossipReply struct {
 	Pubs     map[string][]byte
 	Commits  []*forensics.Commitment
 	Evidence []*forensics.Evidence
-}
-
-func init() {
-	gob.Register(&SubmitRequest{})
-	gob.Register(&SubmitReply{})
-	gob.Register(&SnapshotPut{})
-	gob.Register(&SnapshotReply{})
-	gob.Register(&LatestRequest{})
-	gob.Register(&LatestReply{})
-	gob.Register(&GossipRequest{})
-	gob.Register(&GossipReply{})
 }
 
 // DialFunc opens a fresh connection to a peer (witness or primary).

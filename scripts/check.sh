@@ -24,10 +24,24 @@ fi
 
 go vet ./...
 go build ./...
-# Production binaries and the library must not link the fault-injection
-# harness: the filesystem seam lives in internal/durable.
-if go list -deps . ./cmd/tcvs ./cmd/tcvs-server ./cmd/tcvs-attack | grep internal/fault; then
-    echo "production code imports internal/fault" >&2
+# Production binaries and the library must not link the test-support
+# packages: the fault-injection harness (the filesystem seam lives in
+# internal/durable) and the golden-bytes helper.
+if go list -deps . ./cmd/tcvs ./cmd/tcvs-server ./cmd/tcvs-attack | grep -e internal/fault -e internal/wire/wiretest; then
+    echo "production code imports a test-support package" >&2
+    exit 1
+fi
+# encoding/gob is retired from the wire and both journals. Only the
+# named remainder may still mention it — snapshots, client register
+# files, the audit cursor, workspace metadata (tcvs-lint's
+# hashdiscipline holds the same list) — plus the lint's own rule text.
+gob=$(grep -rl --include='*.go' 'encoding/gob' . |
+    grep -v -e '_test\.go$' -e '/testdata/' -e '^\./\.bench_build/' -e '^\./internal/lint/' |
+    grep -v -x -e './internal/server/persist.go' -e './internal/merkle/serialize.go' \
+        -e './internal/core/proto[123]/state.go' -e './internal/audit/durable.go' \
+        -e './internal/workspace/workspace.go' || true)
+if [ -n "$gob" ]; then
+    echo "encoding/gob outside the named remainder: $gob" >&2
     exit 1
 fi
 # The benchmark is a nested module root go vet/test ./... skip; an

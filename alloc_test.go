@@ -2,19 +2,23 @@ package trustedcvs_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
+	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/merkle"
+	"trustedcvs/internal/rcs"
 	"trustedcvs/internal/wire"
 )
 
 // Allocation tripwires for the verified-op path. The bounds sit about
-// 15 % above what the path costs today (70, 21, 2 and 8 allocations)
-// with the VO written from and decoded into tree nodes directly and
-// every message a tagged binary frame decoded in place — far below what
+// 15 % above what the path costs today (57, 21, 2 and 8 allocations)
+// with the VO written from and decoded into tree nodes directly, the
+// verifier replaying puts in place on that private tree, and every
+// message a tagged binary frame decoded in place — far below what
 // boxing every VO node once more costs (161, 27, 36), let alone a
 // reflective codec around each message (the gob envelope: 26 for the
 // request/response pair, 7 for a bare VO) — so putting either back on
@@ -51,7 +55,7 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 	srv := proto2.NewServer(db)
 	u := proto2.NewUser(0, db.Root(), 1<<62)
 	i := 0
-	budget("Protocol II op (HandleOp + HandleResponse)", 80, func() {
+	budget("Protocol II op (HandleOp + HandleResponse)", 66, func() {
 		op := kvOp(i)
 		i++
 		resp, err := srv.HandleOp(u.Request(op))
@@ -111,4 +115,45 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 			}
 		}
 	})
+}
+
+// Allocation tripwires for the content store: a push keeps one copy of
+// the revision and hashes it where it lies (the second allocation is
+// the amortized growth of the blob map and the path's index), a fetch
+// hands out one copy. An eager diff, a second full copy or a boxed hash
+// coming back on either path fails here.
+func TestContentStoreAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops make allocation counts meaningless")
+	}
+	const runs = 200
+	store := cvs.NewStore()
+	content := make([]byte, 5<<10)
+	rev := uint64(0)
+	push := func() {
+		rev++
+		content[0], content[1] = byte(rev), byte(rev>>8)
+		if err := store.Push("dir/file.txt", rev, content); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, push)
+	runtime.ReadMemStats(&after)
+	perPush := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs+1) // AllocsPerRun warms up with one more call
+	if allocs > 2 || perPush > 8<<10 {
+		t.Errorf("Store.Push of 5 KB: %.0f allocations, %.0f bytes per push; budget 2 and %d", allocs, perPush, 8<<10)
+	} else {
+		t.Logf("Store.Push of 5 KB: %.0f allocations, %.0f bytes per push (budget 2 and %d)", allocs, perPush, 8<<10)
+	}
+
+	hash := rcs.HashContent(content)
+	if got := testing.AllocsPerRun(runs, func() {
+		if _, err := store.Fetch("dir/file.txt", rev, hash); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Errorf("Store.Fetch: %.0f allocations per run, budget 1", got)
+	}
 }

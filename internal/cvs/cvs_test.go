@@ -291,8 +291,8 @@ func (s *tamperingStore) Fetch(path string, rev uint64, hash digest.Digest) ([]b
 
 func TestStorePushOrdering(t *testing.T) {
 	s := NewStore()
-	// Out-of-order pushes are retained (blob store) but do not extend
-	// the RCS chain; the content stays fetchable by hash.
+	// Out-of-order pushes are retained (blob map) but do not extend
+	// the path's index; the content stays fetchable by hash.
 	if err := s.Push("f", 2, []byte("x")); err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,11 @@ import (
 	"sort"
 
 	"trustedcvs/internal/digest"
-	"trustedcvs/internal/rcs"
 )
 
 // StoreSnapshot is the persistent form of the content store: the
-// unique blobs plus, per path, the ordered revision hashes of its RCS
-// chain. Restore re-commits the chains, reproducing the delta
-// structure deterministically.
+// unique blobs plus, per path, the ordered content hashes of its
+// in-order revisions.
 type StoreSnapshot struct {
 	Blobs [][]byte
 	Files []FileChain
@@ -23,72 +21,62 @@ type FileChain struct {
 	Hashes []digest.Digest
 }
 
-// Snapshot captures the store.
+// Snapshot captures the store: each path's revisions' blobs in path
+// then revision order, then the blobs that belong to no chain (pushed
+// out of order under a fork, or superseded) in digest order. Every blob
+// is re-hashed on the way out.
 func (s *Store) Snapshot() (*StoreSnapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	snap := &StoreSnapshot{}
-	seen := map[digest.Digest]bool{}
-	addBlob := func(content []byte) {
-		h := rcs.HashContent(content)
-		if !seen[h] {
-			seen[h] = true
-			snap.Blobs = append(snap.Blobs, append([]byte(nil), content...))
+	seen := make(map[digest.Digest]bool, s.blobs.Len())
+	addBlob := func(h digest.Digest) error {
+		if seen[h] {
+			return nil
 		}
-	}
-	for _, path := range s.archive.Paths() {
-		f, err := s.archive.File(path, false)
+		seen[h] = true
+		content, err := s.blobs.Get(h)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		chain := FileChain{Path: path}
-		for rev := 1; rev <= f.Revisions(); rev++ {
-			content, meta, err := f.At(rev)
-			if err != nil {
-				return nil, fmt.Errorf("cvs: snapshot %s@%d: %w", path, rev, err)
+		snap.Blobs = append(snap.Blobs, content)
+		return nil
+	}
+	for _, path := range s.index.Paths() {
+		chain := FileChain{Path: path, Hashes: append([]digest.Digest(nil), s.index.Revisions(path)...)}
+		for i, h := range chain.Hashes {
+			if err := addBlob(h); err != nil {
+				return nil, fmt.Errorf("cvs: snapshot %s@%d: %w", path, i+1, err)
 			}
-			addBlob(content)
-			chain.Hashes = append(chain.Hashes, meta.Hash)
 		}
 		snap.Files = append(snap.Files, chain)
 	}
-	// Include blobs that are not part of any archive chain (pushed out
-	// of order under a fork, or superseded).
 	extras := s.blobs.Digests()
 	sort.Slice(extras, func(i, j int) bool { return extras[i].String() < extras[j].String() })
 	for _, h := range extras {
-		if !seen[h] {
-			content, err := s.blobs.Get(h)
-			if err != nil {
-				return nil, err
-			}
-			seen[h] = true
-			snap.Blobs = append(snap.Blobs, content)
+		if err := addBlob(h); err != nil {
+			return nil, err
 		}
 	}
 	return snap, nil
 }
 
-// RestoreStore rebuilds a content store from a snapshot.
+// RestoreStore rebuilds a content store from a snapshot. Every blob is
+// kept, whether or not a chain names it.
 func RestoreStore(snap *StoreSnapshot) (*Store, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("cvs: nil store snapshot")
 	}
 	s := NewStore()
-	byHash := make(map[digest.Digest][]byte, len(snap.Blobs))
 	for _, b := range snap.Blobs {
-		byHash[rcs.HashContent(b)] = b
 		s.blobs.Put(b)
 	}
 	for _, chain := range snap.Files {
 		for i, h := range chain.Hashes {
-			content, ok := byHash[h]
-			if !ok {
+			if _, ok := s.blobs.Peek(h); !ok {
 				return nil, fmt.Errorf("cvs: restore %s@%d: blob %s missing", chain.Path, i+1, h.Short())
 			}
-			if err := s.Push(chain.Path, uint64(i+1), content); err != nil {
-				return nil, err
-			}
+			s.index.Extend(chain.Path, uint64(i+1), h)
 		}
 	}
 	return s, nil

@@ -3,90 +3,76 @@ package cvs
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/rcs"
 )
 
-// Store is the server-side unauthenticated content store. It keeps
-// two structures: an RCS archive (head text + reverse deltas per
-// file, the realistic CVS storage layout) for in-order revision
-// chains, and a content-addressed blob store that retains every pushed
-// revision — including conflicting (path, rev) pairs a forking server
-// accumulates across diverged histories.
+// Store is the server-side unauthenticated content store: one
+// content-addressed blob map that keeps every pushed revision in full —
+// including the conflicting (path, rev) pairs a forking server
+// accumulates across diverged histories — and a per-path index of the
+// in-order revisions' hashes. Stored blobs are immutable, so the lock
+// covers only the two maps: hashing and copying happen outside it.
 //
-// Store trusts nothing and is trusted with nothing: clients re-hash
-// every fetched revision against the authenticated records.
+// Store trusts nothing and is trusted with nothing: it hashes what it
+// stores, re-hashes what it serves, and clients re-hash every fetched
+// revision against the authenticated records.
 type Store struct {
-	mu      sync.Mutex
-	archive *rcs.Archive
-	blobs   *rcs.BlobStore
+	mu    sync.RWMutex
+	blobs *rcs.BlobStore
+	index *rcs.Archive
 }
 
 // NewStore creates an empty content store.
 func NewStore() *Store {
-	return &Store{archive: rcs.NewArchive(), blobs: rcs.NewBlobStore()}
+	return &Store{blobs: rcs.NewBlobStore(), index: rcs.NewArchive()}
 }
 
-// Push stores content as revision rev of path. In-order revisions
-// extend the delta-compressed RCS chain; out-of-order pushes (which
-// only arise when the server itself maintains diverged histories) are
-// retained in the blob store alone.
+// Push stores content as revision rev of path under the hash the store
+// computes itself. In-order revisions extend the path's index;
+// out-of-order pushes (which only arise when the server itself
+// maintains diverged histories) are retained in the blob map alone.
 func (s *Store) Push(path string, rev uint64, content []byte) error {
+	hash := rcs.HashContent(content)
+	owned := append([]byte(nil), content...)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blobs.Put(content)
-	f, err := s.archive.File(path, true)
-	if err != nil {
-		return err
-	}
-	if rev == uint64(f.Revisions()+1) {
-		// Metadata here is irrelevant — the authenticated revision
-		// records are authoritative — so it is left zero.
-		f.Commit(content, "", "", time.Time{})
-	}
+	s.blobs.Add(hash, owned)
+	s.index.Extend(path, rev, hash)
+	s.mu.Unlock()
 	return nil
 }
 
-// Fetch returns the content of path at rev whose hash matches. The
-// blob store resolves it directly; the archive is the fallback for
-// blobs pushed by older store versions.
+// Fetch returns the content whose hash matches; path and rev only name
+// it in the refusal.
 func (s *Store) Fetch(path string, rev uint64, hash digest.Digest) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, err := s.blobs.Get(hash); err == nil {
-		return b, nil
-	}
-	f, err := s.archive.File(path, false)
-	if err != nil {
+	s.mu.RLock()
+	b, ok := s.blobs.Peek(hash)
+	s.mu.RUnlock()
+	if !ok {
 		return nil, fmt.Errorf("cvs: no content for %s@%d (%s)", path, rev, hash.Short())
 	}
-	content, _, err := f.At(int(rev))
-	if err != nil {
-		return nil, err
-	}
-	return content, nil
+	return rcs.VerifiedCopy(b, hash)
 }
 
-// FetchRev returns the archived content of path at rev without a hash
-// (used by the CLI's history commands, which verify against the
-// authenticated log afterwards).
+// FetchRev returns the content of path's in-order revision rev without
+// the caller naming a hash (for history commands, which verify against
+// the authenticated log afterwards).
 func (s *Store) FetchRev(path string, rev uint64) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := s.archive.File(path, false)
+	s.mu.RLock()
+	hash, err := s.index.At(path, rev)
+	b, _ := s.blobs.Peek(hash) // the index only names blobs the map holds
+	s.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	content, _, err := f.At(int(rev))
-	return content, err
+	return rcs.VerifiedCopy(b, hash)
 }
 
 // Fork returns an independent copy for the adversary's partition
 // attack: both forks serve the shared history, then diverge.
 func (s *Store) Fork() *Store {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &Store{archive: s.archive.Fork(), blobs: s.blobs.Clone()}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return &Store{blobs: s.blobs.Clone(), index: s.index.Fork()}
 }

@@ -1,8 +1,9 @@
 // Package diff implements a line-oriented diff (Myers' O(ND) greedy
-// algorithm) and a patch representation with forward and reverse
-// application. It is the delta engine under internal/rcs, which stores
-// each file's head revision in full and earlier revisions as reverse
-// deltas — the storage scheme of the CVS/RCS systems the paper models.
+// algorithm), a patch representation with forward and reverse
+// application, a three-way merge and unified-format output. It runs on
+// the client side only — `tcvs diff`, update's merge and annotate work
+// on revisions the client has already fetched and verified; the server
+// stores every revision in full (internal/rcs) and never diffs.
 package diff
 
 import (
@@ -75,13 +76,14 @@ func Lines(a, b []string) *Patch {
 	}
 	// v[k] = furthest x on diagonal k; offset by max.
 	v := make([]int, 2*max+1)
-	// trace keeps a copy of v per d for backtracking.
+	// trace[d] is v as round d found it, kept for backtracking — only
+	// the diagonals -d..d a round can reach, so trace[d][k+d] is v[k].
 	var trace [][]int
 
 	var dFound = -1
 outer:
 	for d := 0; d <= max; d++ {
-		trace = append(trace, append([]int(nil), v...))
+		trace = append(trace, append([]int(nil), v[max-d:max+d+1]...))
 		for k := -d; k <= d; k += 2 {
 			var x int
 			if k == -d || (k != d && v[max+k-1] < v[max+k+1]) {
@@ -104,7 +106,6 @@ outer:
 	if dFound < 0 {
 		// At d = n+m the trivial all-delete/all-insert path always
 		// reaches (n, m), so the search cannot fail for any input.
-		//lint:ignore panicfree unreachable algorithmic invariant: d = n+m always reaches the end
 		panic("diff: Myers did not terminate")
 	}
 
@@ -120,12 +121,12 @@ outer:
 		vPrev := trace[d]
 		k := x - y
 		var prevK int
-		if k == -d || (k != d && vPrev[max+k-1] < vPrev[max+k+1]) {
+		if k == -d || (k != d && vPrev[d+k-1] < vPrev[d+k+1]) {
 			prevK = k + 1
 		} else {
 			prevK = k - 1
 		}
-		prevX := vPrev[max+prevK]
+		prevX := vPrev[d+prevK]
 		prevY := prevX - prevK
 		for x > prevX && y > prevY {
 			x--
@@ -202,7 +203,7 @@ func (p *Patch) Apply(old []string) ([]string, error) {
 }
 
 // Invert returns the reverse patch: applying the result to the "b" side
-// yields the "a" side. This is how rcs stores reverse deltas.
+// yields the "a" side.
 func (p *Patch) Invert() *Patch {
 	inv := &Patch{Edits: make([]Edit, len(p.Edits))}
 	for i, e := range p.Edits {

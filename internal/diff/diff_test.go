@@ -156,7 +156,7 @@ func mutateDoc(rng *rand.Rand, doc string) string {
 }
 
 // TestQuickDiffRoundTrip: for random document pairs, Apply(diff(a,b), a)
-// == b and Invert round-trips — the exact contract rcs relies on.
+// == b and Invert round-trips.
 func TestQuickDiffRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -15,7 +15,7 @@ import (
 // The handler is invoked concurrently by the pipelined transport; it
 // needs no locking of its own because both targets synchronize
 // internally (the protocol servers around their ordered sections, the
-// content store around its archive).
+// content store around its blob map and revision index).
 func NewHandler(srv server.Server, store *cvs.Store) transport.Handler {
 	return func(req any) (any, error) {
 		switch r := req.(type) {

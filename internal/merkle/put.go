@@ -19,15 +19,26 @@ func (t *Tree) Put(key string, val []byte) *Tree {
 // PutErr is Put for trees that may contain pruned nodes.
 func (t *Tree) PutErr(key string, val []byte) (*Tree, error) {
 	c := &ctx{order: t.order}
-	return t.putCtx(c, key, val)
+	return t.putCtx(c, key, val, false)
 }
 
-func (t *Tree) putCtx(c *ctx, key string, val []byte) (*Tree, error) {
+// PutOwned is PutErr for a caller that owns the receiver outright — a
+// tree VO.Tree just returned, or one PutOwned or DeleteErr derived from
+// such a tree — and gives it up: nodes on the path to key may be edited
+// in place instead of copied, so the receiver must not be used again.
+// Trees that share nodes with the receiver (a DeleteErr result and its
+// receiver, say) are given up with it.
+func (t *Tree) PutOwned(key string, val []byte) (*Tree, error) {
+	c := &ctx{order: t.order}
+	return t.putCtx(c, key, val, true)
+}
+
+func (t *Tree) putCtx(c *ctx, key string, val []byte, owned bool) (*Tree, error) {
 	if t.root == nil {
 		root := &node{leaf: true, keys: []string{key}, vals: [][]byte{val}}
 		return &Tree{order: t.order, root: root, size: 1}, nil
 	}
-	nr, added, err := c.put(t.root, key, val)
+	nr, added, err := c.put(t.root, key, val, owned)
 	if err != nil {
 		return nil, err
 	}
@@ -42,15 +53,16 @@ func (t *Tree) putCtx(c *ctx, key string, val []byte) (*Tree, error) {
 	return &Tree{order: t.order, root: nr, size: size}, nil
 }
 
-// put inserts into the subtree rooted at n, returning a new node that
-// may be overfull (up to order+1 keys); the caller splits it. A node
-// that neither gains a key nor absorbs a split — every internal level
-// of a non-splitting put, and the leaf of an overwrite — shares its
-// predecessor's keys array instead of copying it: published nodes are
+// put inserts into the subtree rooted at n, returning a node that may
+// be overfull (up to order+1 keys); the caller splits it. A node that
+// neither gains a key nor absorbs a split — every internal level of a
+// non-splitting put, and the leaf of an overwrite — comes from edit:
+// n itself when the caller owns the tree, else a new node that shares
+// n's keys array instead of copying it: published nodes are
 // immutable, inserted always builds a fresh array, and delete edits
 // only clones, so nothing ever writes through the alias (its capacity
 // is clipped all the same).
-func (c *ctx) put(n *node, key string, val []byte) (nn *node, added bool, err error) {
+func (c *ctx) put(n *node, key string, val []byte, owned bool) (nn *node, added bool, err error) {
 	c.visit(n)
 	if n.pruned {
 		return nil, false, fmt.Errorf("%w (put %q)", ErrPruned, key)
@@ -58,19 +70,19 @@ func (c *ctx) put(n *node, key string, val []byte) (nn *node, added bool, err er
 	if n.leaf {
 		i := searchKeys(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
-			nn = &node{leaf: true, keys: n.keys[:len(n.keys):len(n.keys)], vals: slices.Clone(n.vals)}
+			nn = edit(n, owned)
 			nn.vals[i] = val
 			return nn, false, nil
 		}
 		return &node{leaf: true, keys: inserted(n.keys, i, key), vals: inserted(n.vals, i, val)}, true, nil
 	}
 	idx := childIndex(n, key)
-	nk, added, err := c.put(n.kids[idx], key, val)
+	nk, added, err := c.put(n.kids[idx], key, val, owned)
 	if err != nil {
 		return nil, false, err
 	}
 	if len(nk.keys) <= c.order {
-		nn = &node{keys: n.keys[:len(n.keys):len(n.keys)], kids: slices.Clone(n.kids)}
+		nn = edit(n, owned)
 		nn.kids[idx] = nk
 		return nn, added, nil
 	}
@@ -78,6 +90,17 @@ func (c *ctx) put(n *node, key string, val []byte) (nn *node, added bool, err er
 	nn = &node{keys: inserted(n.keys, idx, sep), kids: inserted(n.kids, idx+1, right)}
 	nn.kids[idx] = left
 	return nn, added, nil
+}
+
+// edit returns the node in which one vals or kids entry of n may be
+// replaced: n itself, its memoized digest forgotten, when the caller
+// owns the tree; otherwise a copy sharing n's keys.
+func edit(n *node, owned bool) *node {
+	if owned {
+		n.memo.Store(memoUnset)
+		return n
+	}
+	return &node{leaf: n.leaf, keys: n.keys[:len(n.keys):len(n.keys)], vals: slices.Clone(n.vals), kids: slices.Clone(n.kids)}
 }
 
 // split divides an overfull node into two nodes and the separator key

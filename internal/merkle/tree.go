@@ -6,7 +6,8 @@
 // entire database contents.
 //
 // The tree is persistent (copy on write): mutating operations return a
-// new *Tree and leave the receiver untouched. Persistence is what makes
+// new *Tree and leave the receiver untouched (PutOwned, for a verifier's
+// private tree, is the one exception). Persistence is what makes
 // verification objects cheap to build (the pre-state stays alive while
 // the operation runs, so the recorder can prune it afterwards) and
 // gives the adversary package O(1) forks of the database, which the

@@ -30,7 +30,7 @@ var ErrMalformedVO = errors.New("merkle: malformed verification object")
 type Recording struct {
 	base *Tree
 	cur  *Tree
-	c    *ctx
+	c    ctx
 }
 
 // Record starts a recording session on t.
@@ -38,7 +38,7 @@ func (t *Tree) Record() *Recording {
 	return &Recording{
 		base: t,
 		cur:  t,
-		c:    &ctx{order: t.order, rec: make(map[*node]struct{})},
+		c:    ctx{order: t.order, rec: make(map[*node]struct{})},
 	}
 }
 
@@ -55,7 +55,7 @@ func (r *Recording) Range(lo, hi string, fn func(string, []byte) bool) error {
 
 // Put writes through the recording.
 func (r *Recording) Put(key string, val []byte) error {
-	nt, err := r.cur.putCtx(r.c, key, val)
+	nt, err := r.cur.putCtx(&r.c, key, val, false)
 	if err != nil {
 		return err
 	}
@@ -65,7 +65,7 @@ func (r *Recording) Put(key string, val []byte) error {
 
 // Delete removes through the recording.
 func (r *Recording) Delete(key string) (bool, error) {
-	nt, found, err := r.cur.deleteCtx(r.c, key)
+	nt, found, err := r.cur.deleteCtx(&r.c, key)
 	if err != nil {
 		return false, err
 	}

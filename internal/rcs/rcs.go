@@ -1,7 +1,11 @@
-// Package rcs implements the server-side revision storage substrate of
-// a CVS-like system: per-file revision chains stored RCS-style (head
-// revision in full, older revisions as reverse deltas) plus a
-// content-addressed blob store.
+// Package rcs is the server-side revision storage substrate of a
+// CVS-like system: a content-addressed blob store that holds every
+// revision in full, and a per-path index of revision hashes in commit
+// order. There is deliberately no delta chain: every revision must
+// stay fetchable in full by its hash, so a head + reverse-delta chain
+// beside the blobs is a second copy that costs a diff per push. Delta
+// compression, if wanted, belongs off the request path, where it would
+// replace the full copies.
 //
 // Nothing in this package is trusted. The authenticated layer
 // (internal/vdb + internal/cvs) commits to content *hashes*; rcs merely
@@ -14,9 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
-	"trustedcvs/internal/diff"
 	"trustedcvs/internal/digest"
 )
 
@@ -32,18 +34,8 @@ var ErrUnknownFile = errors.New("rcs: unknown file")
 // corruption; under an adversary it is tampering.
 var ErrCorrupt = errors.New("rcs: content does not match recorded hash")
 
-// Revision is the metadata for one committed revision of one file.
-// Numbers start at 1 (CVS's "1.1" maps to 1, "1.2" to 2, ...).
-type Revision struct {
-	Number int
-	Author string
-	Time   time.Time
-	Log    string
-	Hash   digest.Digest // content hash, digest.DomainBlob
-}
-
-// HashContent computes the content hash recorded in Revision.Hash and
-// verified by clients after every checkout.
+// HashContent computes the content hash the authenticated revision
+// records carry and clients verify after every checkout.
 func HashContent(content []byte) digest.Digest {
 	return digest.OfBytes(digest.DomainBlob, content)
 }
@@ -60,109 +52,49 @@ func CheckContent(content []byte, want digest.Digest) error {
 	return nil
 }
 
-// File is the revision chain for a single file: full head text plus
-// reverse deltas back to revision 1.
-type File struct {
-	path   string
-	head   []byte
-	revs   []Revision    // revs[i] is revision i+1
-	deltas []*diff.Patch // deltas[i] transforms revision i+2's text into revision i+1's
-}
-
-// NewFile creates an empty revision chain for path.
-func NewFile(path string) *File { return &File{path: path} }
-
-// Path returns the file's repository path.
-func (f *File) Path() string { return f.path }
-
-// Revisions returns the number of committed revisions.
-func (f *File) Revisions() int { return len(f.revs) }
-
-// Commit appends a new revision with the given content and metadata,
-// returning its Revision record. Content is copied.
-func (f *File) Commit(content []byte, author, log string, when time.Time) Revision {
-	content = append([]byte(nil), content...)
-	rev := Revision{
-		Number: len(f.revs) + 1,
-		Author: author,
-		Time:   when,
-		Log:    log,
-		Hash:   HashContent(content),
-	}
-	if len(f.revs) > 0 {
-		// Reverse delta: new text -> previous head text.
-		f.deltas = append(f.deltas, diff.Strings(string(content), string(f.head)))
-	}
-	f.head = content
-	f.revs = append(f.revs, rev)
-	return rev
-}
-
-// Head returns the latest revision's content and metadata.
-func (f *File) Head() ([]byte, Revision, error) {
-	if len(f.revs) == 0 {
-		return nil, Revision{}, fmt.Errorf("%w: %s has no commits", ErrNoRevision, f.path)
-	}
-	return append([]byte(nil), f.head...), f.revs[len(f.revs)-1], nil
-}
-
-// At reconstructs the content of revision n by walking reverse deltas
-// back from the head, verifying the result against the recorded hash.
-func (f *File) At(n int) ([]byte, Revision, error) {
-	if n < 1 || n > len(f.revs) {
-		return nil, Revision{}, fmt.Errorf("%w: %s revision %d (have 1..%d)", ErrNoRevision, f.path, n, len(f.revs))
-	}
-	text := string(f.head)
-	for i := len(f.revs) - 2; i >= n-1; i-- {
-		var err error
-		text, err = f.deltas[i].ApplyStrings(text)
-		if err != nil {
-			return nil, Revision{}, fmt.Errorf("rcs: %s: reverse delta to revision %d: %w", f.path, i+1, err)
-		}
-	}
-	rev := f.revs[n-1]
-	if HashContent([]byte(text)) != rev.Hash {
-		return nil, Revision{}, fmt.Errorf("%w: %s revision %d", ErrCorrupt, f.path, n)
-	}
-	return []byte(text), rev, nil
-}
-
-// Log returns the revision metadata, newest first (like `cvs log`).
-func (f *File) Log() []Revision {
-	out := make([]Revision, len(f.revs))
-	for i, r := range f.revs {
-		out[len(f.revs)-1-i] = r
-	}
-	return out
-}
-
-// Archive is a collection of Files keyed by path — the storage half of
-// a CVS server.
+// Archive is the revision index of a CVS server: for each path, the
+// content hashes of revisions 1..n in commit order. The content itself
+// lives in a BlobStore under those hashes.
 type Archive struct {
-	files map[string]*File
+	chains map[string][]digest.Digest
 }
 
 // NewArchive creates an empty archive.
-func NewArchive() *Archive { return &Archive{files: make(map[string]*File)} }
+func NewArchive() *Archive { return &Archive{chains: make(map[string][]digest.Digest)} }
 
-// File returns the revision chain for path, creating it when create is
-// set.
-func (a *Archive) File(path string, create bool) (*File, error) {
-	if f, ok := a.files[path]; ok {
-		return f, nil
+// Extend records h as revision rev of path when rev is the next
+// revision in order (rev == Revisions(path)+1) and reports whether it
+// did. Either way path becomes known to the archive.
+func (a *Archive) Extend(path string, rev uint64, h digest.Digest) bool {
+	chain := a.chains[path]
+	next := rev == uint64(len(chain))+1
+	if next {
+		chain = append(chain, h)
 	}
-	if !create {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownFile, path)
+	a.chains[path] = chain
+	return next
+}
+
+// Revisions returns path's revision hashes in order, revision i+1 at
+// index i. The slice is the archive's own: callers must not modify it.
+func (a *Archive) Revisions(path string) []digest.Digest { return a.chains[path] }
+
+// At returns the content hash of revision rev of path.
+func (a *Archive) At(path string, rev uint64) (digest.Digest, error) {
+	chain, ok := a.chains[path]
+	if !ok {
+		return digest.Digest{}, fmt.Errorf("%w: %s", ErrUnknownFile, path)
 	}
-	f := NewFile(path)
-	a.files[path] = f
-	return f, nil
+	if rev < 1 || rev > uint64(len(chain)) {
+		return digest.Digest{}, fmt.Errorf("%w: %s revision %d (have 1..%d)", ErrNoRevision, path, rev, len(chain))
+	}
+	return chain[rev-1], nil
 }
 
 // Paths returns all file paths in sorted order.
 func (a *Archive) Paths() []string {
-	out := make([]string, 0, len(a.files))
-	for p := range a.files {
+	out := make([]string, 0, len(a.chains))
+	for p := range a.chains {
 		out = append(out, p)
 	}
 	sort.Strings(out)
@@ -170,27 +102,23 @@ func (a *Archive) Paths() []string {
 }
 
 // Len returns the number of files in the archive.
-func (a *Archive) Len() int { return len(a.files) }
+func (a *Archive) Len() int { return len(a.chains) }
 
-// Fork returns a deep-enough copy of the archive for the adversary
-// package: revision chains are append-only, so forked Files share
-// existing revisions but diverge on future commits.
+// Fork returns an independent copy for the adversary package: both
+// archives hold the shared history and diverge on future revisions.
 func (a *Archive) Fork() *Archive {
-	na := NewArchive()
-	for p, f := range a.files {
-		nf := &File{
-			path:   f.path,
-			head:   f.head, // head is replaced wholesale on commit; safe to share
-			revs:   append([]Revision(nil), f.revs...),
-			deltas: append([]*diff.Patch(nil), f.deltas...),
-		}
-		na.files[p] = nf
+	na := &Archive{chains: make(map[string][]digest.Digest, len(a.chains))}
+	for p, chain := range a.chains {
+		na.chains[p] = append([]digest.Digest(nil), chain...)
 	}
 	return na
 }
 
 // BlobStore is a content-addressed store: blobs are keyed by their
-// digest, so a reader can always verify what it gets.
+// digest, so a reader can always verify what it gets. Stored blobs are
+// immutable. A BlobStore does no locking; Put and Get are Add and Peek
+// with the hashing and copying done inside, and a caller that guards
+// the store with a lock uses the split forms to keep both outside it.
 type BlobStore struct {
 	blobs map[digest.Digest][]byte
 }
@@ -203,18 +131,39 @@ func NewBlobStore() *BlobStore {
 // Put stores content and returns its digest. Content is copied.
 func (s *BlobStore) Put(content []byte) digest.Digest {
 	d := HashContent(content)
-	if _, ok := s.blobs[d]; !ok {
-		s.blobs[d] = append([]byte(nil), content...)
-	}
+	s.Add(d, append([]byte(nil), content...))
 	return d
 }
 
-// Get returns the blob for d, verifying it against its digest.
+// Add stores owned under d, which the caller computed as
+// HashContent(owned). The store keeps the slice: the caller must not
+// touch it again.
+func (s *BlobStore) Add(d digest.Digest, owned []byte) {
+	if _, ok := s.blobs[d]; !ok {
+		s.blobs[d] = owned
+	}
+}
+
+// Get returns a copy of the blob for d, verified against its digest.
 func (s *BlobStore) Get(d digest.Digest) ([]byte, error) {
-	b, ok := s.blobs[d]
+	b, ok := s.Peek(d)
 	if !ok {
 		return nil, fmt.Errorf("rcs: blob %s not found", d.Short())
 	}
+	return VerifiedCopy(b, d)
+}
+
+// Peek returns the stored blob for d itself, unverified and shared:
+// hand it to VerifiedCopy before it leaves the server.
+func (s *BlobStore) Peek(d digest.Digest) ([]byte, bool) {
+	b, ok := s.blobs[d]
+	return b, ok
+}
+
+// VerifiedCopy re-hashes a stored blob against the digest it is kept
+// under — an object is verified when it is read, not merely when it is
+// written — and returns a copy the caller owns, or ErrCorrupt.
+func VerifiedCopy(b []byte, d digest.Digest) ([]byte, error) {
 	if HashContent(b) != d {
 		return nil, fmt.Errorf("%w: blob %s", ErrCorrupt, d.Short())
 	}

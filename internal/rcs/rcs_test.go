@@ -4,112 +4,52 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
-var t0 = time.Date(2006, 4, 3, 0, 0, 0, 0, time.UTC) // ICDE 2006 week
-
 func TestEmptyFile(t *testing.T) {
-	f := NewFile("a.txt")
-	if f.Revisions() != 0 {
-		t.Fatal("new file should have no revisions")
+	a := NewArchive()
+	// An out-of-order push makes the path known without giving it a
+	// revision.
+	if a.Extend("a.txt", 2, HashContent([]byte("v2\n"))) {
+		t.Fatal("revision 2 must not extend an empty chain")
 	}
-	if _, _, err := f.Head(); !errors.Is(err, ErrNoRevision) {
-		t.Fatalf("Head on empty file: %v", err)
+	if n := len(a.Revisions("a.txt")); n != 0 {
+		t.Fatalf("new file has %d revisions", n)
 	}
-	if _, _, err := f.At(1); !errors.Is(err, ErrNoRevision) {
+	if _, err := a.At("a.txt", 1); !errors.Is(err, ErrNoRevision) {
 		t.Fatalf("At(1) on empty file: %v", err)
 	}
 }
 
-func TestCommitAndHead(t *testing.T) {
-	f := NewFile("a.txt")
-	rev := f.Commit([]byte("v1\n"), "alice", "initial", t0)
-	if rev.Number != 1 || rev.Author != "alice" || rev.Log != "initial" {
-		t.Fatalf("bad revision record: %+v", rev)
-	}
-	content, head, err := f.Head()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(content) != "v1\n" || head.Number != 1 {
-		t.Fatalf("Head = %q rev %d", content, head.Number)
-	}
-	if HashContent([]byte("v1\n")) != rev.Hash {
-		t.Fatal("revision hash does not bind content")
-	}
-}
-
-func TestReverseDeltaReconstruction(t *testing.T) {
-	f := NewFile("main.go")
-	versions := []string{
-		"package main\n\nfunc main() {}\n",
-		"package main\n\nimport \"fmt\"\n\nfunc main() {\n\tfmt.Println(\"hi\")\n}\n",
-		"package main\n\nimport \"fmt\"\n\nfunc main() {\n\tfmt.Println(\"hello\")\n}\n",
-		"package main\n\nfunc main() {\n\tprintln(\"hello\")\n}\n",
-	}
-	for i, v := range versions {
-		f.Commit([]byte(v), "bob", fmt.Sprintf("rev %d", i+1), t0.Add(time.Duration(i)*time.Hour))
-	}
-	for i, want := range versions {
-		got, rev, err := f.At(i + 1)
-		if err != nil {
-			t.Fatalf("At(%d): %v", i+1, err)
-		}
-		if string(got) != want {
-			t.Fatalf("At(%d) = %q, want %q", i+1, got, want)
-		}
-		if rev.Number != i+1 {
-			t.Fatalf("At(%d) returned rev %d", i+1, rev.Number)
-		}
-	}
-}
-
 func TestAtOutOfRange(t *testing.T) {
-	f := NewFile("a")
-	f.Commit([]byte("x\n"), "a", "", t0)
-	for _, n := range []int{0, -1, 2, 100} {
-		if _, _, err := f.At(n); !errors.Is(err, ErrNoRevision) {
+	a := NewArchive()
+	a.Extend("a", 1, HashContent([]byte("x\n")))
+	for _, n := range []uint64{0, 2, 100, ^uint64(0)} {
+		if _, err := a.At("a", n); !errors.Is(err, ErrNoRevision) {
 			t.Errorf("At(%d): %v", n, err)
-		}
-	}
-}
-
-func TestLogNewestFirst(t *testing.T) {
-	f := NewFile("a")
-	for i := 1; i <= 3; i++ {
-		f.Commit([]byte(fmt.Sprintf("v%d\n", i)), "u", fmt.Sprintf("log%d", i), t0)
-	}
-	log := f.Log()
-	if len(log) != 3 {
-		t.Fatalf("Log() has %d entries", len(log))
-	}
-	for i, r := range log {
-		if r.Number != 3-i {
-			t.Fatalf("Log order wrong: %v", log)
 		}
 	}
 }
 
 func TestArchive(t *testing.T) {
 	a := NewArchive()
-	if _, err := a.File("missing", false); !errors.Is(err, ErrUnknownFile) {
+	if _, err := a.At("missing", 1); !errors.Is(err, ErrUnknownFile) {
 		t.Fatalf("lookup of missing file: %v", err)
 	}
-	f, err := a.File("x.txt", true)
-	if err != nil {
-		t.Fatal(err)
+	h := HashContent([]byte("hello\n"))
+	if !a.Extend("x.txt", 1, h) {
+		t.Fatal("revision 1 must extend an empty chain")
 	}
-	f.Commit([]byte("hello\n"), "u", "", t0)
-	again, err := a.File("x.txt", false)
-	if err != nil || again != f {
-		t.Fatal("archive did not return the same File")
+	if a.Extend("x.txt", 1, HashContent([]byte("again\n"))) || a.Extend("x.txt", 3, h) {
+		t.Fatal("only revision len+1 may extend a chain")
 	}
-	_, _ = a.File("b.txt", true)
-	_, _ = a.File("a.txt", true)
+	if got, err := a.At("x.txt", 1); err != nil || got != h {
+		t.Fatalf("At(1) = %v, %v", got, err)
+	}
+	a.Extend("b.txt", 1, h)
+	a.Extend("a.txt", 1, h)
 	paths := a.Paths()
 	if len(paths) != 3 || paths[0] != "a.txt" || paths[2] != "x.txt" {
 		t.Fatalf("Paths() = %v", paths)
@@ -120,38 +60,39 @@ func TestArchive(t *testing.T) {
 }
 
 func TestArchiveForkDiverges(t *testing.T) {
+	shared, forkOnly := HashContent([]byte("shared\n")), HashContent([]byte("fork-only\n"))
 	a := NewArchive()
-	f, _ := a.File("f", true)
-	f.Commit([]byte("shared\n"), "u", "", t0)
+	a.Extend("f", 1, shared)
 
 	b := a.Fork()
-	bf, err := b.File("f", false)
-	if err != nil {
-		t.Fatal(err)
+	if !b.Extend("f", 2, forkOnly) {
+		t.Fatal("fork refused its own revision")
 	}
-	bf.Commit([]byte("fork-only\n"), "u", "", t0)
 
 	// The original must not see the fork's commit.
-	if f.Revisions() != 1 {
-		t.Fatalf("original gained revisions from fork: %d", f.Revisions())
+	if n := len(a.Revisions("f")); n != 1 {
+		t.Fatalf("original gained revisions from fork: %d", n)
 	}
-	if bf.Revisions() != 2 {
-		t.Fatalf("fork lost its commit: %d", bf.Revisions())
+	if n := len(b.Revisions("f")); n != 2 {
+		t.Fatalf("fork lost its commit: %d", n)
 	}
-	orig, _, err := f.Head()
-	if err != nil || string(orig) != "shared\n" {
-		t.Fatalf("original head changed: %q %v", orig, err)
+	// A later commit to the original must not leak into the fork either.
+	a.Extend("f", 2, HashContent([]byte("original-only\n")))
+	if got, err := b.At("f", 2); err != nil || got != forkOnly {
+		t.Fatalf("fork's revision 2 changed: %v %v", got, err)
 	}
 	// And historical revisions remain intact in both.
-	old, _, err := bf.At(1)
-	if err != nil || string(old) != "shared\n" {
-		t.Fatalf("fork lost shared history: %q %v", old, err)
+	if got, err := b.At("f", 1); err != nil || got != shared {
+		t.Fatalf("fork lost shared history: %v %v", got, err)
 	}
 }
 
 func TestBlobStore(t *testing.T) {
 	s := NewBlobStore()
-	d := s.Put([]byte("content"))
+	buf := []byte("content")
+	d := s.Put(buf)
+	// Put must copy the caller's buffer.
+	buf[0] = 'X'
 	got, err := s.Get(d)
 	if err != nil || string(got) != "content" {
 		t.Fatalf("Get = %q, %v", got, err)
@@ -172,54 +113,53 @@ func TestBlobStore(t *testing.T) {
 	if err != nil || string(again) != "content" {
 		t.Fatal("caller mutation leaked into the store")
 	}
-}
-
-func TestCommitCopiesContent(t *testing.T) {
-	f := NewFile("a")
-	buf := []byte("original\n")
-	f.Commit(buf, "u", "", t0)
-	buf[0] = 'X'
-	content, _, err := f.Head()
-	if err != nil || string(content) != "original\n" {
-		t.Fatal("Commit must copy caller's buffer")
+	// A clone shares blobs but not the map.
+	c := s.Clone()
+	c.Put([]byte("clone-only"))
+	if s.Len() != 1 || c.Len() != 2 {
+		t.Fatalf("clone not independent: %d / %d blobs", s.Len(), c.Len())
 	}
 }
 
-// TestQuickRevisionChain commits random version histories and verifies
-// every historical revision reconstructs exactly.
+// TestBlobStoreRefusesCorruptBlob flips a byte of a stored blob: Get
+// and VerifiedCopy must answer ErrCorrupt, never the bytes.
+func TestBlobStoreRefusesCorruptBlob(t *testing.T) {
+	s := NewBlobStore()
+	d := s.Put([]byte("content"))
+	stored, ok := s.Peek(d)
+	if !ok {
+		t.Fatal("Peek lost the blob")
+	}
+	stored[0] ^= 0xFF
+	if got, err := s.Get(d); !errors.Is(err, ErrCorrupt) || got != nil {
+		t.Fatalf("Get of a tampered blob = %q, %v", got, err)
+	}
+}
+
+// TestQuickRevisionChain pushes random version histories and verifies
+// every historical revision resolves to exactly the bytes committed.
 func TestQuickRevisionChain(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		file := NewFile("f")
+		archive, blobs := NewArchive(), NewBlobStore()
 		var versions []string
-		doc := ""
 		n := 2 + rng.Intn(20)
 		for i := 0; i < n; i++ {
-			// Random edit of the previous version.
-			lines := strings.SplitAfter(doc, "\n")
-			if len(lines) > 0 && lines[len(lines)-1] == "" {
-				lines = lines[:len(lines)-1]
-			}
-			for e := rng.Intn(4) + 1; e > 0; e-- {
-				p := 0
-				if len(lines) > 0 {
-					p = rng.Intn(len(lines))
-				}
-				switch {
-				case len(lines) == 0 || rng.Intn(2) == 0:
-					nl := append([]string(nil), lines[:p]...)
-					nl = append(nl, fmt.Sprintf("l%d\n", rng.Intn(1000)))
-					lines = append(nl, lines[p:]...)
-				default:
-					lines = append(lines[:p:p], lines[p+1:]...)
-				}
-			}
-			doc = strings.Join(lines, "")
+			// Revisions repeat now and then: a revert shares its blob.
+			doc := fmt.Sprintf("l%d\n", rng.Intn(8))
 			versions = append(versions, doc)
-			file.Commit([]byte(doc), "u", "", t0)
+			if !archive.Extend("f", uint64(i+1), blobs.Put([]byte(doc))) {
+				t.Logf("Extend(%d) refused", i+1)
+				return false
+			}
 		}
 		for i, want := range versions {
-			got, _, err := file.At(i + 1)
+			h, err := archive.At("f", uint64(i+1))
+			if err != nil {
+				t.Logf("At(%d): %v", i+1, err)
+				return false
+			}
+			got, err := blobs.Get(h)
 			if err != nil || string(got) != want {
 				t.Logf("At(%d): %q want %q err %v", i+1, got, want, err)
 				return false

@@ -98,8 +98,8 @@ func TestOpJournalRecoveryFromSnapshot(t *testing.T) {
 // journal are re-pushed into the store on replay — an acked commit's
 // blob must survive the same crash its authenticated record does —
 // and replaying a push the restored snapshot already holds is a no-op
-// (the blob store is content-addressed, the archive only extends in
-// order).
+// (the blob map is content-addressed, a path's revision index only
+// extends in order).
 func TestOpJournalRecoveryReplaysPushes(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenOpJournal(dir, nil, 4)

@@ -45,8 +45,9 @@ var ErrNewRootMismatch = errors.New("vdb: new root digest does not match verifie
 // client's pruned replay tree, guaranteeing both sides run identical
 // code.
 type Tx struct {
-	rec  *merkle.Recording // server side (recording); nil on replay
-	tree *merkle.Tree      // client side (replay); nil on server
+	rec   *merkle.Recording // server side (recording); nil on replay
+	tree  *merkle.Tree      // client side (replay); nil on server
+	owned bool              // tree is the replay's alone: Put may edit it in place
 }
 
 // Get reads a key.
@@ -64,7 +65,13 @@ func (tx *Tx) Put(key string, val []byte) error {
 	if tx.rec != nil {
 		return tx.rec.Put(key, val)
 	}
-	nt, err := tx.tree.PutErr(key, val)
+	var nt *merkle.Tree
+	var err error
+	if tx.owned {
+		nt, err = tx.tree.PutOwned(key, val)
+	} else {
+		nt, err = tx.tree.PutErr(key, val)
+	}
 	if err != nil {
 		return err
 	}
@@ -523,7 +530,8 @@ func VerifyDeriveTree(op Op, claimedAns []byte, vo *merkle.VO) (oldRoot, newRoot
 		return digest.Zero, digest.Zero, nil, err
 	}
 	oldRoot = t.RootDigest()
-	tx := &Tx{tree: t}
+	// t is this replay's alone, and oldRoot is already taken.
+	tx := &Tx{tree: t, owned: true}
 	ans, err := op.Apply(tx)
 	if err != nil {
 		return digest.Zero, digest.Zero, nil, err

@@ -242,3 +242,90 @@ func TestQuickClientServerAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuickInPlaceReplayMatchesPersistent: VerifyDeriveTree replays
+// puts in place on the VO's private tree; a persistent replay of the
+// same operation on a second materialization of the same VO is the
+// reference. For random put/delete batches — the recorded one, which
+// the VO covers, and unrelated ones, which run into pruned nodes — the
+// two must agree on both roots, the answer and every ErrPruned.
+func TestQuickInPlaceReplayMatchesPersistent(t *testing.T) {
+	randomWrite := func(rng *rand.Rand) *WriteOp {
+		op := &WriteOp{}
+		for i, n := 0, rng.Intn(5); i < n; i++ {
+			op.Puts = append(op.Puts, KV{fmt.Sprintf("k%02d", rng.Intn(100)), []byte{byte(rng.Int()), byte(i)}})
+		}
+		for i, n := 0, rng.Intn(4); i < n || len(op.Puts)+len(op.Deletes) == 0; i++ {
+			op.Deletes = append(op.Deletes, fmt.Sprintf("k%02d", rng.Intn(100)))
+		}
+		return op
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		db := New([]int{3, 4, 8}[rng.Intn(3)])
+		for i, n := 0, rng.Intn(80); i < n; i++ {
+			if _, err := db.ApplyPlain(&WriteOp{Puts: []KV{{fmt.Sprintf("k%02d", rng.Intn(100)), []byte{byte(i)}}}}); err != nil {
+				t.Log(err)
+				return false
+			}
+		}
+		for round := 0; round < 20; round++ {
+			recorded := randomWrite(rng)
+			serverAns, vo, err := db.Apply(recorded)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			replayed := recorded
+			if rng.Intn(2) == 0 {
+				replayed = randomWrite(rng)
+			}
+
+			ref, err := vo.Tree()
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			refOld := ref.RootDigest()
+			tx := &Tx{tree: ref}
+			refAns, refErr := replayed.Apply(tx)
+			claimed := serverAns
+			if refErr == nil {
+				if claimed, err = EncodeAnswer(refAns); err != nil {
+					t.Log(err)
+					return false
+				}
+			}
+
+			oldRoot, newRoot, post, err := VerifyDeriveTree(replayed, claimed, vo)
+			if refErr != nil {
+				if err == nil || err.Error() != refErr.Error() || errors.Is(err, merkle.ErrPruned) != errors.Is(refErr, merkle.ErrPruned) {
+					t.Logf("round %d: in place %v, persistent %v", round, err, refErr)
+					return false
+				}
+				continue
+			}
+			if err != nil {
+				t.Logf("round %d: in place %v, persistent succeeded", round, err)
+				return false
+			}
+			if oldRoot != refOld || newRoot != tx.tree.RootDigest() || post.RootDigest() != newRoot {
+				t.Logf("round %d: roots diverged", round)
+				return false
+			}
+			if replayed == recorded && (newRoot != db.Root() || string(claimed) != string(serverAns)) {
+				t.Logf("round %d: replay of the recorded op left the server's chain", round)
+				return false
+			}
+			// The VO is untouched: it still materializes the pre-state.
+			if again, err := vo.Tree(); err != nil || again.RootDigest() != refOld {
+				t.Logf("round %d: in-place replay wrote through to the VO", round)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,12 +5,17 @@ import (
 	"runtime"
 	"testing"
 
+	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/digest"
+	"trustedcvs/internal/driver"
 	"trustedcvs/internal/merkle"
 	"trustedcvs/internal/rcs"
+	"trustedcvs/internal/server"
+	"trustedcvs/internal/transport"
+	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wire"
 )
 
@@ -155,5 +160,91 @@ func TestContentStoreAllocationBudget(t *testing.T) {
 		}
 	}); got > 1 {
 		t.Errorf("Store.Fetch: %.0f allocations per run, budget 1", got)
+	}
+}
+
+// callCounter counts the server calls a client makes.
+type callCounter struct {
+	transport.Caller
+	n int
+}
+
+func (c *callCounter) Call(req any) (any, error) {
+	c.n++
+	return c.Caller.Call(req)
+}
+
+// Tripwires for the CVS operation as a user issues it — cvs.Client over
+// driver.Client over the in-process transport, Protocol II: a commit
+// and a checkout are ONE server call each, one file or three (content
+// rides with the verified operation), and their allocation counts stay
+// within about 15 % of today's (79, 194, 42 and 55; with the content on
+// a second round trip they were 79, 198, 43 and 59). A second round
+// trip creeping back, or a
+// rider path that boxes the answer or the blob list to find one hash,
+// fails here.
+func TestCVSOperationRoundTripsAndAllocations(t *testing.T) {
+	db := vdb.New(0)
+	conn := &callCounter{Caller: transport.NewInproc(driver.NewHandler(server.NewP2(db), cvs.NewStore()))}
+	hub := broadcast.NewHub()
+	defer hub.Close()
+	dc := driver.NewP2(proto2.NewUser(0, db.Root(), 1<<62), conn, hub.Join(), 1)
+	defer dc.Close()
+	repo := cvs.NewClient(dc, dc, "user0", nil)
+
+	content := make([]byte, 5<<10)
+	rev := 0
+	edit := func() []byte {
+		rev++
+		content[0], content[1] = byte(rev), byte(rev>>8)
+		return content
+	}
+	one := map[string][]byte{"dir/file-0.txt": nil}
+	three := map[string][]byte{"dir/file-1.txt": nil, "dir/file-2.txt": nil, "dir/file-3.txt": nil}
+	commit := func(files map[string][]byte) func() {
+		return func() {
+			for p := range files {
+				files[p] = edit()
+			}
+			if _, err := repo.Commit(files, "edit", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkout := func(paths ...string) func() {
+		return func() {
+			got, err := repo.Checkout(paths...)
+			if err != nil || len(got) != len(paths) {
+				t.Fatalf("checkout: %d files, %v", len(got), err)
+			}
+		}
+	}
+	ops := []struct {
+		name   string
+		fn     func()
+		budget float64
+	}{
+		{"single-file commit", commit(one), 91},
+		{"three-file commit", commit(three), 223},
+		{"single-file checkout", checkout("dir/file-0.txt"), 48},
+		{"three-file checkout", checkout("dir/file-1.txt", "dir/file-2.txt", "dir/file-3.txt"), 63},
+	}
+	for _, op := range ops {
+		op.fn() // the files exist from here on
+		before := conn.n
+		op.fn()
+		if calls := conn.n - before; calls != 1 {
+			t.Errorf("%s: %d server calls, want 1", op.name, calls)
+		}
+	}
+	if raceEnabled {
+		return // the call counts hold under the race detector; allocation counts mean nothing there
+	}
+	for _, op := range ops {
+		if got := testing.AllocsPerRun(100, op.fn); got > op.budget {
+			t.Errorf("%s: %.0f allocations per run, budget %.0f", op.name, got, op.budget)
+		} else {
+			t.Logf("%s: %.0f allocations per run (budget %.0f)", op.name, got, op.budget)
+		}
 	}
 }

@@ -255,18 +255,9 @@ func main() {
 
 	handler := driver.NewHandler(srv, store)
 	if journal != nil {
-		// Content pushes bypass the protocol server, so the decorator on
-		// srv never sees them; journal them at the handler instead.
-		inner := handler
-		handler = func(req any) (any, error) {
-			resp, err := inner(req)
-			if err == nil {
-				if p, ok := req.(*core.PushContentRequest); ok {
-					journal.RecordPush(p, srv.DB().Ctr())
-				}
-			}
-			return resp, err
-		}
+		// Content bypasses the protocol server, so the decorator on srv
+		// never sees it; journal it at the handler instead.
+		handler = journalPushes(handler, journal, srv)
 	}
 	// The saver runs beside live traffic: SaveP2 checkpoints the
 	// protocol state through its own ordered section (an O(1) fork of
@@ -512,4 +503,27 @@ func parseBehavior(name string, trigger uint64, groupB string, target sig.UserID
 		}
 	}
 	return cfg, nil
+}
+
+// journalPushes wraps the request handler so every accepted content
+// push is journaled before its acknowledgement is released, whichever
+// way it travelled: on its own, or riding with the commit that named
+// it — recorded as the same PushContentRequest entries either way, so
+// a crash after an acked commit replays its content.
+func journalPushes(inner transport.Handler, journal *server.OpJournal, srv server.Server) transport.Handler {
+	return func(req any) (any, error) {
+		resp, err := inner(req)
+		if err != nil {
+			return resp, err
+		}
+		switch r := req.(type) {
+		case *core.PushContentRequest:
+			journal.RecordPush(r, srv.DB().Ctr())
+		case *core.RiderRequest:
+			for _, p := range driver.CarriedPushes(r, resp) {
+				journal.RecordPush(p, srv.DB().Ctr())
+			}
+		}
+		return resp, err
+	}
 }

@@ -141,5 +141,50 @@ type ContentResponse struct {
 	Content []byte
 }
 
+// RiderRequest is an OpRequest with revision content riding along, so
+// a CVS operation is one round trip: the content of a commit's files
+// (Blobs, in CommitOp.Files order — the server stores each under the
+// hash it computes itself before it applies the operation) and/or a
+// request that the response carry the content of the files a checkout
+// answer names (Want). The request is embedded by value: the server
+// hands &r.OpRequest to its protocol server, which sees a plain
+// request, and nothing but the handler ever sees the riders.
+type RiderRequest struct {
+	OpRequest
+	Want  bool
+	Blobs [][]byte
+
+	one [1][]byte // backs a single-blob Blobs (see blobSlots)
+}
+
+// RiderResponse is the reply to a RiderRequest: whatever the protocol
+// server answered, plus — unauthenticated, like everything the content
+// store serves — the content of the files a checkout answer names, in
+// answer order. An empty entry means "not attached" (the client
+// fetches it); a client accepts an attached blob only if it hashes to
+// the hash in the verified answer.
+type RiderResponse struct {
+	Resp  any
+	Blobs [][]byte
+
+	one [1][]byte
+}
+
+// MakeBlobs sizes m.Blobs to n empty entries for the handler to fill.
+func (m *RiderResponse) MakeBlobs(n int) { m.Blobs = blobSlots(&m.one, n) }
+
+// blobSlots returns n empty blob slots. The single-file operation is
+// the traffic, so one slot lives inside the message it belongs to
+// instead of in a slice of its own.
+func blobSlots(one *[1][]byte, n int) [][]byte {
+	switch n {
+	case 0:
+		return nil
+	case 1:
+		return one[:]
+	}
+	return make([][]byte, n)
+}
+
 // OKResponse is the generic empty success reply.
 type OKResponse struct{}

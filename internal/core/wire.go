@@ -32,25 +32,14 @@ const (
 	wireContentResponse     = 30
 	wireOKResponse          = 31
 	wireVO                  = 32
+	wireRiderRequest        = 33
+	wireRiderResponse       = 34
 )
 
 func init() {
-	wire.Register(wireOpRequest, func(b []byte, m *OpRequest) ([]byte, error) {
-		b = binary.AppendUvarint(b, uint64(m.User))
-		b, err := wire.Append(b, m.Op)
-		if err != nil {
-			return nil, err
-		}
-		b = binenc.AppendBool(b, m.Backup != nil)
-		if m.Backup != nil {
-			b = appendBackup(b, m.Backup)
-		}
-		return b, nil
-	}, func(r *binenc.Reader) *OpRequest {
-		m := &OpRequest{User: sig.UserID(r.Uint32()), Op: vdb.ReadWireOp(r)}
-		if r.Bool() {
-			m.Backup = readBackup(r)
-		}
+	wire.Register(wireOpRequest, appendOpRequest, func(r *binenc.Reader) *OpRequest {
+		m := new(OpRequest)
+		readOpRequest(r, m)
 		return m
 	})
 	wire.Register(wireAckRequest, func(b []byte, m *AckRequest) ([]byte, error) {
@@ -210,6 +199,33 @@ func init() {
 	})
 	wire.Register(wireOKResponse, func(b []byte, _ *OKResponse) ([]byte, error) { return b, nil },
 		func(*binenc.Reader) *OKResponse { return &OKResponse{} })
+	// The rider envelopes: the request's body is an OpRequest's body
+	// followed by the riders, the response nests whatever the protocol
+	// server answered as tag + body.
+	wire.Register(wireRiderRequest, func(b []byte, m *RiderRequest) ([]byte, error) {
+		b, err := appendOpRequest(b, &m.OpRequest)
+		if err != nil {
+			return nil, err
+		}
+		return appendBlobs(binenc.AppendBool(b, m.Want), m.Blobs), nil
+	}, func(r *binenc.Reader) *RiderRequest {
+		m := new(RiderRequest)
+		readOpRequest(r, &m.OpRequest)
+		m.Want = r.Bool()
+		m.Blobs = readBlobs(r, &m.one)
+		return m
+	})
+	wire.Register(wireRiderResponse, func(b []byte, m *RiderResponse) ([]byte, error) {
+		b, err := wire.Append(b, m.Resp)
+		if err != nil {
+			return nil, err
+		}
+		return appendBlobs(b, m.Blobs), nil
+	}, func(r *binenc.Reader) *RiderResponse {
+		m := &RiderResponse{Resp: wire.Read(r)}
+		m.Blobs = readBlobs(r, &m.one)
+		return m
+	})
 	// A VO on its own — the experiments size one with wire.Size — is its
 	// bytes and nothing else: the frame's length delimits it.
 	wire.Register(wireVO, func(b []byte, vo *merkle.VO) ([]byte, error) {
@@ -218,6 +234,48 @@ func init() {
 	}, func(r *binenc.Reader) *merkle.VO {
 		return viewVO(r, r.View(r.Remaining()))
 	})
+}
+
+// appendOpRequest and readOpRequest are the OpRequest body, shared by
+// the plain request and the rider envelope that embeds one by value.
+func appendOpRequest(b []byte, m *OpRequest) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(m.User))
+	b, err := wire.Append(b, m.Op)
+	if err != nil {
+		return nil, err
+	}
+	b = binenc.AppendBool(b, m.Backup != nil)
+	if m.Backup != nil {
+		b = appendBackup(b, m.Backup)
+	}
+	return b, nil
+}
+
+func readOpRequest(r *binenc.Reader, m *OpRequest) {
+	m.User, m.Op = sig.UserID(r.Uint32()), vdb.ReadWireOp(r)
+	if r.Bool() {
+		m.Backup = readBackup(r)
+	}
+}
+
+// appendBlobs appends content riders: a count, then each blob
+// length-prefixed. An empty blob and an absent one are the same bytes.
+func appendBlobs(b []byte, blobs [][]byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(blobs)))
+	for _, blob := range blobs {
+		b = binenc.AppendBytes(b, blob)
+	}
+	return b
+}
+
+// readBlobs reads riders as windows onto the frame; the count is
+// bounded by the bytes left before anything is sized.
+func readBlobs(r *binenc.Reader, one *[1][]byte) [][]byte {
+	blobs := blobSlots(one, r.Count(1))
+	for i := range blobs {
+		blobs[i] = r.ViewBytes()
+	}
+	return blobs
 }
 
 // appendAnswerVO appends the (Q(D), v(Q,D)) pair every response leads

@@ -31,6 +31,20 @@ func TestWireGolden(t *testing.T) {
 	}
 	backup := &EpochBackup{User: 2, Epoch: 9, Sigma: testDigest(1), Last: testDigest(2), LastCtr: 41, Sig: sig.Signature("signature-bytes")}
 	heads := []vdb.ShardHead{{Root: testDigest(3), Ctr: 5}, {Root: testDigest(4), Ctr: 6}}
+	// The rider envelopes, built the way the decoder builds them (a
+	// single blob lives in the message's own slot).
+	riderReq := func(req OpRequest, want bool, blobs ...[]byte) *RiderRequest {
+		m := &RiderRequest{OpRequest: req, Want: want}
+		m.Blobs = blobSlots(&m.one, len(blobs))
+		copy(m.Blobs, blobs)
+		return m
+	}
+	riderResp := func(resp any, blobs ...[]byte) *RiderResponse {
+		m := &RiderResponse{Resp: resp}
+		m.MakeBlobs(len(blobs))
+		copy(m.Blobs, blobs)
+		return m
+	}
 	wiretest.Golden(t, []wiretest.Sample{
 		{Msg: &OpRequest{User: 3, Op: put}},
 		{Variant: "backup", Msg: &OpRequest{User: 3, Op: &vdb.ReadOp{Keys: []string{"k"}}, Backup: backup}},
@@ -63,5 +77,11 @@ func TestWireGolden(t *testing.T) {
 		{Variant: "empty", Msg: &ContentResponse{}},
 		{Msg: &OKResponse{}},
 		{Msg: vo},
+		{Msg: riderReq(OpRequest{User: 3, Op: put}, false, []byte("package main\n"))},
+		{Variant: "want", Msg: riderReq(OpRequest{User: 3, Op: &vdb.ReadOp{Keys: []string{"k"}}}, true)},
+		{Variant: "backup", Msg: riderReq(OpRequest{User: 2, Op: put, Backup: backup}, true, []byte("one"), nil, []byte("three"))},
+		{Msg: riderResp(&OpResponseII{Answer: ans, VO: vo, Ctr: 300, Last: 7}, []byte("package main\n"))},
+		{Variant: "bare", Msg: riderResp(&OpResponseI{Answer: ans, VO: vo, Ctr: 7, Signer: 2, Sig: sig.Signature("state-signature")})},
+		{Variant: "partial", Msg: riderResp(&OpResponseII{Answer: ans}, []byte("one"), nil, []byte("three"))},
 	})
 }

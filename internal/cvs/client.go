@@ -3,7 +3,8 @@ package cvs
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"trustedcvs/internal/diff"
@@ -31,6 +32,27 @@ type ContentTransfer interface {
 	Fetch(path string, rev uint64, hash digest.Digest) ([]byte, error)
 }
 
+// A ContentDoer is a Doer that can move an operation's content in the
+// same round trip as the operation. push, when non-nil, is the content
+// of a CommitOp's files in Files order, which the server stores before
+// it applies the commit; want asks it to attach the content of the
+// files a checkout answer names. riders[i] is what the server attached
+// for the answer's i-th file (empty: nothing — fetch it). Riders are
+// the server's word alone: the caller checks each against the hash in
+// the verified answer, exactly as it checks fetched content. A Client
+// whose Doer offers this uses it, so a commit or a checkout is one
+// round trip; ContentTransfer remains the path for everything riders
+// do not cover.
+type ContentDoer interface {
+	DoWithContent(op vdb.Op, push [][]byte, want bool) (ans any, riders [][]byte, err error)
+}
+
+// MaxRiderBytes caps the content one operation carries in either
+// direction, well under the frame limit (wire.MaxMessage). A commit
+// above it uploads through ContentTransfer.Push after the operation,
+// and a checkout answer's files beyond it are left for Fetch.
+const MaxRiderBytes = 4 << 20
+
 // ErrContentTampered is returned when fetched content does not hash to
 // the authenticated revision hash — a server integrity violation.
 var ErrContentTampered = errors.New("cvs: fetched content does not match authenticated hash")
@@ -48,6 +70,7 @@ var ErrConflict = errors.New("cvs: up-to-date check failed")
 // piece of content is re-hashed.
 type Client struct {
 	doer    Doer
+	carrier ContentDoer // doer, when it can carry content; else nil
 	content ContentTransfer
 	author  string
 	now     func() time.Time
@@ -59,7 +82,8 @@ func NewClient(doer Doer, content ContentTransfer, author string, now func() tim
 	if now == nil {
 		now = time.Now
 	}
-	return &Client{doer: doer, content: content, author: author, now: now}
+	carrier, _ := doer.(ContentDoer)
+	return &Client{doer: doer, carrier: carrier, content: content, author: author, now: now}
 }
 
 // Commit commits the given files (path -> new content) in one atomic
@@ -70,21 +94,24 @@ func (c *Client) Commit(files map[string][]byte, logMsg string, baseRevs map[str
 	if len(files) == 0 {
 		return nil, fmt.Errorf("%w: commit with no files", vdb.ErrBadOp)
 	}
-	paths := make([]string, 0, len(files))
-	for p := range files {
-		paths = append(paths, p)
+	op := &CommitOp{Files: make([]CommitFile, 0, len(files)), Author: c.author, Log: logMsg, TimeUnix: c.now().Unix()}
+	total := 0
+	for p, content := range files {
+		op.Files = append(op.Files, CommitFile{Path: p, Hash: rcs.HashContent(content), BaseRev: baseRevs[p]})
+		total += len(content)
 	}
-	sort.Strings(paths)
+	slices.SortFunc(op.Files, func(a, b CommitFile) int { return strings.Compare(a.Path, b.Path) })
 
-	op := &CommitOp{Author: c.author, Log: logMsg, TimeUnix: c.now().Unix()}
-	for _, p := range paths {
-		op.Files = append(op.Files, CommitFile{
-			Path:    p,
-			Hash:    rcs.HashContent(files[p]),
-			BaseRev: baseRevs[p],
-		})
+	// The content rides with the operation when the Doer can carry it
+	// and it fits; otherwise it is pushed once the commit has applied.
+	var push [][]byte
+	if c.carrier != nil && total <= MaxRiderBytes {
+		push = make([][]byte, len(op.Files))
+		for i, f := range op.Files {
+			push[i] = files[f.Path]
+		}
 	}
-	ans, err := c.doer.Do(op)
+	ans, _, err := c.do(op, push, false)
 	if err != nil {
 		return nil, err
 	}
@@ -99,6 +126,9 @@ func (c *Client) Commit(files map[string][]byte, logMsg string, baseRevs map[str
 	for _, r := range ca.Results {
 		if r.Conflict {
 			conflict = true
+			continue
+		}
+		if push != nil {
 			continue
 		}
 		if err := c.content.Push(r.Path, r.Rev, files[r.Path]); err != nil {
@@ -127,8 +157,17 @@ func (c *Client) CheckoutTag(tag string, paths ...string) (map[string][]byte, er
 	return c.checkout(&CheckoutOp{Paths: paths, Tag: tag})
 }
 
-func (c *Client) checkout(op *CheckoutOp) (map[string][]byte, error) {
+// do runs op with content riding along when the Doer can carry it.
+func (c *Client) do(op vdb.Op, push [][]byte, want bool) (any, [][]byte, error) {
+	if c.carrier != nil {
+		return c.carrier.DoWithContent(op, push, want)
+	}
 	ans, err := c.doer.Do(op)
+	return ans, nil, err
+}
+
+func (c *Client) checkout(op *CheckoutOp) (map[string][]byte, error) {
+	ans, riders, err := c.do(op, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -137,15 +176,20 @@ func (c *Client) checkout(op *CheckoutOp) (map[string][]byte, error) {
 		return nil, fmt.Errorf("cvs: checkout returned %T", ans)
 	}
 	out := make(map[string][]byte, len(ca.Files))
-	for _, st := range ca.Files {
+	for i, st := range ca.Files {
 		if !st.Found {
 			return nil, fmt.Errorf("%w: %s", ErrNoFile, st.Path)
 		}
 		if st.Dead && op.Rev == 0 && op.Tag == "" {
 			return nil, fmt.Errorf("%w: %s (removed at revision %d)", ErrNoFile, st.Path, st.Rev)
 		}
-		content, err := c.content.Fetch(st.Path, st.Rev, st.Hash)
-		if err != nil {
+		// A rider and a fetched blob are the same thing — bytes the
+		// server chose — and pass the same check against the verified
+		// answer's hash before they reach the caller.
+		var content []byte
+		if i < len(riders) && len(riders[i]) > 0 {
+			content = riders[i]
+		} else if content, err = c.content.Fetch(st.Path, st.Rev, st.Hash); err != nil {
 			return nil, fmt.Errorf("cvs: fetch %s@%d: %w", st.Path, st.Rev, err)
 		}
 		if err := rcs.CheckContent(content, st.Hash); err != nil {

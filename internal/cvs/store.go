@@ -30,17 +30,35 @@ func NewStore() *Store {
 }
 
 // Push stores content as revision rev of path under the hash the store
-// computes itself. In-order revisions extend the path's index;
-// out-of-order pushes (which only arise when the server itself
-// maintains diverged histories) are retained in the blob map alone.
+// computes itself: Stage, then Link.
 func (s *Store) Push(path string, rev uint64, content []byte) error {
+	s.Link(path, rev, s.Stage(content))
+	return nil
+}
+
+// Stage stores content under the hash the store computes itself — a
+// claimed hash is never trusted — and returns that hash. No path names
+// the blob yet: content that rides with a commit is staged before the
+// commit is applied, so no reader ever finds a revision record whose
+// blob is missing, and a commit that then fails or conflicts leaves an
+// unreferenced blob, never state.
+func (s *Store) Stage(content []byte) digest.Digest {
 	hash := rcs.HashContent(content)
 	owned := append([]byte(nil), content...)
 	s.mu.Lock()
 	s.blobs.Add(hash, owned)
+	s.mu.Unlock()
+	return hash
+}
+
+// Link records a staged blob as revision rev of path. In-order
+// revisions extend the path's index; out-of-order ones (which only
+// arise when the server itself maintains diverged histories) stay in
+// the blob map alone.
+func (s *Store) Link(path string, rev uint64, hash digest.Digest) {
+	s.mu.Lock()
 	s.index.Extend(path, rev, hash)
 	s.mu.Unlock()
-	return nil
 }
 
 // Fetch returns the content whose hash matches; path and rev only name

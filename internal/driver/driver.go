@@ -3,8 +3,11 @@
 // the (untrusted) server, and — for Protocols I and II — a broadcast
 // channel on which it participates in synchronization rounds.
 //
-// Client implements cvs.Doer and cvs.ContentTransfer, so a cvs.Client
-// on top of it is a fully verified CVS client over the network.
+// Client implements cvs.Doer, cvs.ContentDoer and cvs.ContentTransfer,
+// so a cvs.Client on top of it is a fully verified CVS client over the
+// network whose commits and checkouts are one round trip each: the
+// content rides with the verified operation (DoWithContent), and the
+// separate transfer (Push, Fetch) remains for what riders do not cover.
 //
 // Protocol II clients run in one of two audit modes:
 //
@@ -146,6 +149,7 @@ type Client struct {
 	rounds map[roundKey]*roundState
 	done   map[sig.UserID]uint64 // last completed round per initiator
 	seq    uint64
+	busy   bool // sync mode: an operation is between its first request and its last response
 	failed error
 	closed bool
 
@@ -301,6 +305,18 @@ func (c *Client) Close() error {
 // admission gate (one epoch of pipelining, the detection bound) and
 // on audit-queue backpressure.
 func (c *Client) Do(op vdb.Op) (any, error) {
+	ans, _, err := c.DoWithContent(op, nil, false)
+	return ans, err
+}
+
+// DoWithContent implements cvs.ContentDoer: Do, with the content of a
+// commit's files and/or a request for a checkout's riding in the same
+// round trip (all three protocols, both audit modes). The riders never
+// reach the user state machine, the audit queue or its journal — those
+// see the plain request and response — and the returned riders are
+// unverified bytes: cvs.Client checks each against the hash in the
+// verified answer, the one place a rider is hashed.
+func (c *Client) DoWithContent(op vdb.Op, push [][]byte, want bool) (any, [][]byte, error) {
 	if c.aud != nil {
 		// Admission first, without mu: the gate is released by the
 		// auditor, never by this client's own lock holders.
@@ -308,31 +324,53 @@ func (c *Client) Do(op vdb.Op) (any, error) {
 			if !errors.Is(err, audit.ErrClosed) {
 				c.mirrorAuditFailure(err)
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if c.failed != nil {
-			return nil, c.failed
+			return nil, nil, c.failed
 		}
 		if c.closed {
-			return nil, errors.New("driver: client closed")
+			return nil, nil, errors.New("driver: client closed")
 		}
-		return c.doEpochLocked(op)
+		raw, riders, err := c.exchange(op, push, want)
+		if err != nil {
+			return nil, nil, err
+		}
+		ans, err := c.finishEpochLocked(op, raw)
+		return ans, riders, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.rounds) > 0 && c.failed == nil && !c.closed {
+	for (len(c.rounds) > 0 || c.busy) && c.failed == nil && !c.closed {
 		c.cond.Wait()
 	}
 	if c.failed != nil {
-		return nil, c.failed
+		return nil, nil, c.failed
 	}
 	if c.closed {
-		return nil, errors.New("driver: client closed")
+		return nil, nil, errors.New("driver: client closed")
 	}
 
-	ans, err := c.doOpLocked(op)
+	// The operation owns the user state machine until it is done; mu
+	// itself is released around each server call (see call), so a sync
+	// announcement delivered meanwhile registers its round at once —
+	// closing the gate above for the next operation — and leaves the
+	// report to this one.
+	c.busy = true
+	var ans any
+	raw, riders, err := c.exchange(op, push, want)
+	if err == nil {
+		ans, err = c.finishOpLocked(op, raw)
+	}
+	c.busy = false
+	c.cond.Broadcast()
+	for key, rs := range c.rounds {
+		if !rs.reported {
+			c.publishOwnReportLocked(key)
+		}
+	}
 	if err != nil {
 		// Only detection is terminal. A transport failure (retries
 		// exhausted, server restarting) is the caller's to handle: the
@@ -342,7 +380,7 @@ func (c *Client) Do(op vdb.Op) (any, error) {
 		if _, ok := core.AsDetection(err); ok {
 			c.recordFailure(err)
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	c.observeLocked()
 	if c.needsSyncLocked() {
@@ -350,7 +388,7 @@ func (c *Client) Do(op vdb.Op) (any, error) {
 		key := roundKey{c.id, c.seq}
 		msg := broadcast.Message{From: c.id, Payload: &core.SyncRequest{From: c.id, Round: c.seq}}
 		if err := c.bc.Publish(msg); err != nil {
-			return ans, fmt.Errorf("driver: announce sync: %w", err)
+			return ans, riders, fmt.Errorf("driver: announce sync: %w", err)
 		}
 		// Register the round and contribute our own report right here,
 		// synchronously: the paper's initiator "does not start a new
@@ -358,17 +396,62 @@ func (c *Client) Do(op vdb.Op) (any, error) {
 		// and the next Do must block on the open round.
 		c.publishOwnReportLocked(key)
 	}
-	return ans, nil
+	return ans, riders, nil
 }
 
-// doOpLocked performs the protocol exchange for one operation.
-func (c *Client) doOpLocked(op vdb.Op) (any, error) {
+// call sends one request to the server. In synchronous mode mu is
+// released for the duration: the receive loop must be able to register
+// a delivered sync round while the server works, not race the next
+// operation for the mutex afterwards. busy keeps everything else off
+// the user state machine meanwhile. In epoch-audit mode nothing on the
+// broadcast path wants mu (reports go straight to the auditor), and
+// holding it keeps concurrent callers' operations in submission order.
+func (c *Client) call(req any) (any, error) {
+	if c.aud != nil {
+		return c.conn.Call(req)
+	}
+	c.mu.Unlock()
+	resp, err := c.conn.Call(req)
+	c.mu.Lock()
+	return resp, err
+}
+
+// exchange sends the user's request for op and returns the protocol
+// server's response. With content riding along (push or want) the
+// request travels inside a RiderRequest and the reply is unwrapped
+// here, so the riders are stripped before anything is verified,
+// folded, queued or journaled; a server that answers with a bare
+// response has simply attached nothing.
+func (c *Client) exchange(op vdb.Op, push [][]byte, want bool) (raw any, riders [][]byte, err error) {
+	if push == nil && !want {
+		req := c.requestLocked(op) // escapes on this branch only
+		raw, err = c.call(&req)
+		return raw, nil, err
+	}
+	raw, err = c.call(&core.RiderRequest{OpRequest: c.requestLocked(op), Want: want, Blobs: push})
+	if rr, ok := raw.(*core.RiderResponse); ok {
+		raw, riders = rr.Resp, rr.Blobs
+	}
+	return raw, riders, err
+}
+
+// requestLocked is the user state machine's request for op, by value:
+// it travels on its own or embedded in a rider envelope.
+func (c *Client) requestLocked(op vdb.Op) core.OpRequest {
 	switch c.proto {
 	case server.P1:
-		raw, err := c.conn.Call(c.u1.Request(op))
-		if err != nil {
-			return nil, err
-		}
+		return *c.u1.Request(op)
+	case server.P3:
+		return *c.u3.Request(op)
+	}
+	return *c.u2.Request(op)
+}
+
+// finishOpLocked hands the server's response to op to the user state
+// machine and completes the protocol's remaining steps.
+func (c *Client) finishOpLocked(op vdb.Op, raw any) (any, error) {
+	switch c.proto {
+	case server.P1:
 		resp, ok := raw.(*core.OpResponseI)
 		if !ok {
 			return nil, core.Detect(core.ProtocolViolation, c.id, c.u1.LCtr(), fmt.Errorf("bad response type %T", raw))
@@ -377,16 +460,12 @@ func (c *Client) doOpLocked(op vdb.Op) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := c.conn.Call(ack); err != nil {
+		if _, err := c.call(ack); err != nil {
 			return nil, err
 		}
 		return ans, nil
 
 	case server.P2:
-		raw, err := c.conn.Call(c.u2.Request(op))
-		if err != nil {
-			return nil, err
-		}
 		// A cross-shard transaction on a forest is answered with a
 		// multi-leg response; everything else must be a plain response.
 		// The response type is the server's claim — the user state
@@ -403,10 +482,6 @@ func (c *Client) doOpLocked(op vdb.Op) (any, error) {
 		return c.u2.HandleResponse(op, resp)
 
 	case server.P3:
-		raw, err := c.conn.Call(c.u3.Request(op))
-		if err != nil {
-			return nil, err
-		}
 		resp, ok := raw.(*core.OpResponseII)
 		if !ok {
 			return nil, core.Detect(core.ProtocolViolation, c.id, c.u3.LCtr(), fmt.Errorf("bad response type %T", raw))
@@ -428,7 +503,7 @@ func (c *Client) doOpLocked(op vdb.Op) (any, error) {
 func (c *Client) runEpochCheckLocked(e uint64) error {
 	var prev *core.BackupsResponse
 	if e > 0 {
-		raw, err := c.conn.Call(c.u3.BackupsRequest(e - 1))
+		raw, err := c.call(c.u3.BackupsRequest(e - 1))
 		if err != nil {
 			return err
 		}
@@ -438,7 +513,7 @@ func (c *Client) runEpochCheckLocked(e uint64) error {
 		}
 		prev = r
 	}
-	raw, err := c.conn.Call(c.u3.BackupsRequest(e))
+	raw, err := c.call(c.u3.BackupsRequest(e))
 	if err != nil {
 		return err
 	}
@@ -579,11 +654,14 @@ func (c *Client) roundDoneLocked(key roundKey) bool {
 	return key.round <= c.done[key.initiator]
 }
 
-// publishOwnReportLocked snapshots this user's registers for the round
-// and broadcasts them (once).
+// publishOwnReportLocked registers the round and, once, snapshots this
+// user's registers for it and broadcasts them. Registers are only ever
+// snapshotted between operations: while one is in flight the round is
+// registered — which is what stops the next operation — and the report
+// is left to that operation, which publishes it on its way out of Do.
 func (c *Client) publishOwnReportLocked(key roundKey) {
 	rs := c.roundLocked(key)
-	if rs.reported {
+	if rs.reported || c.busy {
 		return
 	}
 	rs.reported = true

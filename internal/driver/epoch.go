@@ -92,15 +92,11 @@ func NewP2EpochWAL(user *proto2.User, conn transport.Caller, bc broadcast.Channe
 // mode) for stats and fine-grained waits.
 func (c *Client) Audit() *audit.Auditor { return c.aud }
 
-// doEpochLocked is the epoch-mode hot path: issue the op, decode the
-// answer optimistically, and queue the verification obligation.
-// Everything slow — VO replay, hashing, the closure check — happens on
-// the auditor.
-func (c *Client) doEpochLocked(op vdb.Op) (any, error) {
-	raw, err := c.conn.Call(c.u2.Request(op))
-	if err != nil {
-		return nil, err
-	}
+// finishEpochLocked is the epoch-mode hot path past the exchange:
+// decode the answer optimistically and queue the verification
+// obligation. Everything slow — VO replay, hashing, the closure check —
+// happens on the auditor.
+func (c *Client) finishEpochLocked(op vdb.Op, raw any) (any, error) {
 	var (
 		rec audit.Record
 		ans any

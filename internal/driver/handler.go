@@ -5,6 +5,7 @@ import (
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/cvs"
+	"trustedcvs/internal/digest"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/transport"
 )
@@ -21,6 +22,8 @@ func NewHandler(srv server.Server, store *cvs.Store) transport.Handler {
 		switch r := req.(type) {
 		case *core.OpRequest:
 			return srv.HandleOp(r)
+		case *core.RiderRequest:
+			return handleRider(srv, store, r)
 		case *core.AckRequest:
 			if err := srv.HandleAck(r); err != nil {
 				return nil, err
@@ -45,6 +48,103 @@ func NewHandler(srv server.Server, store *cvs.Store) transport.Handler {
 	}
 }
 
+// handleRider serves an operation whose content rides along. Carried
+// blobs are staged — under the hashes the store computes — BEFORE the
+// operation is applied, so no reader can find a revision whose blob is
+// missing; the protocol server then sees the plain request it always
+// sees; and what it answered decides the rest: a commit's results link
+// the staged blobs into the path index, a checkout's file statuses
+// name the blobs to attach. The riders are unauthenticated in both
+// directions — the client checks each against the verified answer.
+func handleRider(srv server.Server, store *cvs.Store, r *core.RiderRequest) (any, error) {
+	var few [4]digest.Digest
+	staged := few[:0]
+	for _, blob := range r.Blobs {
+		staged = append(staged, store.Stage(blob))
+	}
+	resp, err := srv.HandleOp(&r.OpRequest)
+	if err != nil {
+		return nil, err
+	}
+	out := &core.RiderResponse{Resp: resp}
+	switch op := r.Op.(type) {
+	case *cvs.CommitOp:
+		carriedRevs(op, len(staged), resp, func(i int, rev uint64) {
+			store.Link(op.Files[i].Path, rev, staged[i])
+		})
+	case *cvs.CheckoutOp:
+		if r.Want {
+			attachContent(store, op, resp, out)
+		}
+	}
+	return out, nil
+}
+
+// carriedRevs visits each file of a commit whose carried blob became a
+// revision: its index in op.Files and the revision the answer in resp
+// assigned. carried is how many blobs rode with the request, one per
+// op.Files entry; a request that carried any other number links
+// nothing, and neither does a conflicting file.
+func carriedRevs(op *cvs.CommitOp, carried int, resp any, visit func(i int, rev uint64)) {
+	if carried != len(op.Files) {
+		return
+	}
+	cvs.VisitCommitAnswer(answerOf(resp), func(i int, rev uint64, conflict bool) {
+		if i < carried && !conflict {
+			visit(i, rev)
+		}
+	})
+}
+
+// CarriedPushes returns the content pushes a served RiderRequest
+// amounted to, as the PushContentRequests its client would have sent
+// after the commit — what a server journals so that a crash after an
+// acked commit replays its content. resp is the handler's reply to r.
+func CarriedPushes(r *core.RiderRequest, resp any) []*core.PushContentRequest {
+	op, ok := r.Op.(*cvs.CommitOp)
+	rr, wrapped := resp.(*core.RiderResponse)
+	if !ok || !wrapped {
+		return nil
+	}
+	var out []*core.PushContentRequest
+	carriedRevs(op, len(r.Blobs), rr.Resp, func(i int, rev uint64) {
+		out = append(out, &core.PushContentRequest{Path: op.Files[i].Path, Rev: rev, Content: r.Blobs[i]})
+	})
+	return out
+}
+
+// attachContent fills out.Blobs with the content of the files the
+// checkout answer in resp names, in answer order, up to
+// cvs.MaxRiderBytes; a file that is absent, or whose blob the store
+// does not hold, is left empty for the client to fetch.
+func attachContent(store *cvs.Store, op *cvs.CheckoutOp, resp any, out *core.RiderResponse) {
+	out.MakeBlobs(len(op.Paths))
+	total := 0
+	cvs.VisitCheckoutAnswer(answerOf(resp), func(i int, st cvs.FileStatus) {
+		if !st.Found || i >= len(out.Blobs) {
+			return
+		}
+		content, err := store.Fetch(op.Paths[i], st.Rev, st.Hash)
+		if err != nil || total+len(content) > cvs.MaxRiderBytes {
+			return
+		}
+		total += len(content)
+		out.Blobs[i] = content
+	})
+}
+
+// answerOf returns the answer bytes of a single-tree protocol response
+// (CVS operations colocate on one shard, so theirs always is one).
+func answerOf(resp any) []byte {
+	switch r := resp.(type) {
+	case *core.OpResponseI:
+		return r.Answer
+	case *core.OpResponseII:
+		return r.Answer
+	}
+	return nil
+}
+
 // Classify maps protocol requests onto the transport's admission
 // priority classes: interactive user operations first, the auditor's
 // backup fetches next, anything unrecognized last. Gossip and scrub
@@ -54,7 +154,7 @@ func NewHandler(srv server.Server, store *cvs.Store) transport.Handler {
 // wants.
 func Classify(req any) transport.Priority {
 	switch req.(type) {
-	case *core.OpRequest, *core.AckRequest, *core.PushContentRequest, *core.FetchContentRequest:
+	case *core.OpRequest, *core.RiderRequest, *core.AckRequest, *core.PushContentRequest, *core.FetchContentRequest:
 		return transport.PriorityUser
 	case *core.GetBackupsRequest:
 		return transport.PriorityAudit

@@ -31,6 +31,7 @@ func TestFixtureCorpus(t *testing.T) {
 		{"deadignore", "internal/codec/drop.go", 60},           // stale //lint:ignore suppressing nothing
 		{"lockscope", "internal/core/sign.go", 20},             // ed25519.Sign under Lock
 		{"hashdiscipline", "internal/cvs/rawgob.go", 8},        // encoding/gob outside the remainder
+		{"verifyflow", "internal/cvs/riders.go", 44},           // contract-untrusted result delivered unchecked, gated implementer notwithstanding
 		{"verifyflow", "internal/flow/flow.go", 21},            // decode→Put, no verification (direct)
 		{"verifyflow", "internal/flow/flow.go", 42},            // decode→Put through helper result summary
 		{"verifyflow", "internal/flow/flow.go", 58},            // decode→Delete through helper param-sink summary

@@ -44,9 +44,10 @@ import (
 type sourceKind int
 
 const (
-	srcResults  sourceKind = iota // call results are untrusted
-	srcArg0                       // call decodes into its first argument
-	srcChanRecv                   // call returns a channel of untrusted values
+	srcResults      sourceKind = iota // call results are untrusted
+	srcArg0                           // call decodes into its first argument
+	srcChanRecv                       // call returns a channel of untrusted values
+	srcSecondResult                   // the second result is untrusted by the callee's contract; the call is otherwise summarized as usual
 )
 
 // flowSpec is one taint policy: the source/sink/sanitizer tables a
@@ -560,6 +561,14 @@ func (a *fnTaint) callTaints(call *ast.CallExpr) []taintVal {
 	}
 	a.calls[call] = nil // cycle guard for pathological nesting
 	vals := a.callTaintsUncached(call)
+	// A result that is untrusted by the callee's contract stays so
+	// whatever the implementations' summaries say (a gated one would
+	// otherwise hand it on as clean).
+	if fn := calleeFunc(a.node.Pkg.Info, call); fn != nil {
+		if src, ok := a.e.spec.sources[fn.FullName()]; ok && src.kind == srcSecondResult && len(vals) > 1 {
+			vals[1] = vals[1].merge(taintVal{src: &taintOrigin{pos: call.Pos(), desc: src.desc}})
+		}
+	}
 	a.calls[call] = vals
 	return vals
 }

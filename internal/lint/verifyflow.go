@@ -48,6 +48,11 @@ func verifyflowSpec(modPath string) *flowSpec {
 			q("(%s/internal/transport.Caller).Call"):           {srcResults, "a transport RPC reply"},
 			q("(*%s/internal/transport.ResilientClient).Call"): {srcResults, "a transport RPC reply"},
 			q("(*%s/internal/transport.Inproc).Call"):          {srcResults, "a transport RPC reply"},
+			// Content riding with a verified operation: the answer is
+			// verified, the riders beside it are the server's word
+			// alone by the interface's contract — in epoch-audit mode
+			// too, where the admission gate vouches for the answer.
+			q("(%s/internal/cvs.ContentDoer).DoWithContent"): {srcSecondResult, "content riding with an operation"},
 			// Snapshot loads: file contents are untrusted until their
 			// restored head is checked against a pinned commitment
 			// (the envelope checksum only proves storage integrity).
@@ -92,6 +97,11 @@ func verifyflowSpec(modPath string) *flowSpec {
 		deliveries: map[string]string{
 			q("(*%s/internal/driver.Client).Do"):    "answer delivery (driver.Client.Do)",
 			q("(*%s/internal/driver.Client).Fetch"): "answer delivery (driver.Client.Fetch)",
+			// Content that rode with the operation is as untrusted as
+			// fetched content, and driver.Client hands it up unchecked on
+			// purpose (one hash, not two): the checkout loop is where it
+			// must meet rcs.CheckContent.
+			q("(*%s/internal/cvs.Client).checkout"): "content delivery (cvs.Client.checkout)",
 		},
 		sanitizers: map[string]bool{
 			q("%s/internal/vdb.Verify"):                     true,

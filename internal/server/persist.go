@@ -47,6 +47,7 @@ func init() {
 	gob.Register(&core.BackupsResponse{})
 	gob.Register(&core.ContentResponse{})
 	gob.Register(&core.OKResponse{})
+	gob.Register(&core.RiderResponse{})
 }
 
 // ErrNoSnapshot reports that no snapshot generation exists on disk at

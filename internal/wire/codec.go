@@ -16,7 +16,7 @@ import (
 //	0        nil
 //	1        string (tests and examples push bare strings)
 //	2–3      this package: ErrorReply, SessionRequest
-//	16–32    internal/core: protocol messages, a standalone *merkle.VO
+//	16–34    internal/core: protocol messages, a standalone *merkle.VO
 //	48–53    internal/vdb: operations
 //	64–69    internal/cvs: operations
 //	80–84    internal/broadcast: Message and the hub frames

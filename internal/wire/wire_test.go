@@ -442,7 +442,21 @@ func TestDecodeHostileAllocation(t *testing.T) {
 	lyingCount := append([]byte(nil), honest...)
 	lyingCount[7] = 0x7F // ReadOp key count: 127 keys in a 6-byte remainder
 	big := make([]byte, 200<<10)
+	// The rider envelopes end in their blob list: count, then one
+	// length-prefixed blob. Inflate the count, then the length.
+	riderReq := encodeFrame(t, &core.RiderRequest{OpRequest: core.OpRequest{User: 1, Op: &vdb.NopOp{}}, Blobs: [][]byte{{'x'}}})
+	riderResp := encodeFrame(t, &core.RiderResponse{Resp: &core.OKResponse{}, Blobs: [][]byte{{'x'}}})
+	tail := func(frame []byte, back int, v byte) []byte {
+		out := append([]byte(nil), frame...)
+		out[len(out)-back] = v
+		return out
+	}
 	cases := map[string][]byte{
+		"rider request, blob count":    tail(riderReq, 3, 0x7F),
+		"rider request, blob length":   tail(riderReq, 2, 0x7F),
+		"rider response, blob count":   tail(riderResp, 3, 0x7F),
+		"rider response, blob length":  tail(riderResp, 2, 0x7F),
+		"rider response, huge count":   append(header(formatFlag|12), 34, 31, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0),
 		"max header, ten bytes":        append(header(formatFlag|wire.MaxMessage), make([]byte, 10)...),
 		"max header, budget, no body":  append(header(formatFlag|budgetFlag|wire.MaxMessage), 0, 0, 0, 1),
 		"max header, 200 KiB":          append(header(formatFlag|wire.MaxMessage), big...),

@@ -2,8 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/cvs"
@@ -135,5 +141,91 @@ func TestSnapshotKeepsCachedRiderResponse(t *testing.T) {
 	want := first.(*core.RiderResponse).Resp.(*core.OpResponseII)
 	if got, ok := rr.Resp.(*core.OpResponseII); !ok || !bytes.Equal(got.Answer, want.Answer) || got.Ctr != want.Ctr {
 		t.Fatalf("replayed protocol response %#v differs from the original", rr.Resp)
+	}
+}
+
+// TestMain lets a test run the real command: with TCVS_TEST_MAIN set,
+// the test binary is tcvs-server.
+func TestMain(m *testing.M) {
+	if os.Getenv("TCVS_TEST_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestSaveStateIsReproducible: two checkpoints of the same quiesced
+// server are the same file, byte for byte — many sessions, replies
+// cached out of order — so a snapshot can be compared, deduplicated and
+// golden-tested.
+func TestSaveStateIsReproducible(t *testing.T) {
+	db := vdb.New(0)
+	srv := server.NewP2(db)
+	store := cvs.NewStore()
+	handler := driver.NewHandler(srv, store)
+	sessions := transport.NewSessionTable(0)
+	for i, sid := range []uint64{900, 3, 41, 7, 650, 12} {
+		for _, seq := range []uint64{3, 1, 2} {
+			content := []byte(fmt.Sprintf("s%d-%d\n", sid, seq))
+			req := carriedCommit(fmt.Sprintf("f%d", i), content, 0)
+			if _, err := sessions.Dispatch(&wire.SessionRequest{SID: sid, Seq: seq, Req: req}, handler); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dir := t.TempDir()
+	var files [3][]byte
+	for i := range files {
+		path := filepath.Join(dir, fmt.Sprintf("state%d.bin", i))
+		if _, err := saveState(path, srv, store, sessions); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && !bytes.Equal(files[i], files[0]) {
+			t.Fatalf("checkpoint %d of the same state differs from the first", i+1)
+		}
+	}
+}
+
+// TestOldSnapshotRefusedAtBoot: `tcvs-server -data <gob-era snapshot>`
+// exits non-zero naming the format. It must not take the file for a
+// first boot — the periodic saver would then overwrite the only copy of
+// the repository with an empty one — and leaves it as it was.
+func TestOldSnapshotRefusedAtBoot(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("..", "..", "internal", "server", "testdata", "golden", "gob-p2-snapshot-3commits.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.snap")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-hub", "127.0.0.1:0", "-proto", "2", "-data", path, "-save-interval", "10ms")
+	cmd.Env = append(os.Environ(), "TCVS_TEST_MAIN=1")
+	done := make(chan struct{})
+	var out []byte
+	go func() { out, err = cmd.CombinedOutput(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		_ = cmd.Process.Kill()
+		<-done
+		t.Fatalf("tcvs-server kept running over a gob-era snapshot; output %q", out)
+	}
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("tcvs-server over a gob-era snapshot: err %v, output %q; want exit status 1", err, out)
+	}
+	if !strings.Contains(string(out), server.ErrSnapshotFormat.Error()) {
+		t.Errorf("tcvs-server does not name the format: %q", out)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, old) {
+		t.Fatalf("the refused snapshot changed on disk (err %v)", err)
+	}
+	if _, err := os.Stat(path + ".1"); !os.IsNotExist(err) {
+		t.Fatalf("a saver rotated the refused snapshot aside (stat: %v)", err)
 	}
 }

@@ -154,9 +154,7 @@ func main() {
 				if err != nil {
 					log.Fatalf("restore %s: %v", from, err)
 				}
-				if snap.Sessions != nil {
-					sessions.RestoreSessions(snap.Sessions)
-				}
+				sessions.RestoreSessions(snap.Sessions)
 				log.Printf("restored state from %s: %d ops, root %s",
 					from, honest.DB().Ctr(), honest.DB().Root().Short())
 			case errors.Is(err, server.ErrNoSnapshot):

@@ -24,9 +24,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -466,9 +466,31 @@ func wsCommand(repo *cvs.Client, client *driver.Client, cmd string, rest []strin
 	return client.WaitIdle(time.Minute)
 }
 
+// The register file is MarshalState's bytes in the checksummed
+// envelope: a flipped bit must fail the load, not restore registers
+// that would convict an honest server.
+const stateMagic = "TCVSUSER1\n"
+
+// loadState returns the marshaled protocol state in the file at path,
+// nil when there is no file. A file from before register files had an
+// envelope is refused with core.ErrStateFormat.
+func loadState(path string) ([]byte, error) {
+	data, err := durable.ReadFile(path, stateMagic, digest.DomainSnapshot)
+	switch {
+	case os.IsNotExist(err):
+		return nil, nil
+	case errors.Is(err, durable.ErrMagic):
+		return nil, fmt.Errorf("%w: %s", core.ErrStateFormat, path)
+	}
+	return data, err
+}
+
 func loadUser2(path string, id sig.UserID, k uint64, shards int) (*proto2.User, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
+	data, err := loadState(path)
+	if err != nil {
+		return nil, err
+	}
+	if data == nil {
 		// Fresh user on a fresh repository: genesis state. A forest
 		// server starts every shard at the empty tree, so the user's
 		// per-shard genesis roots are N copies of the empty root.
@@ -482,20 +504,17 @@ func loadUser2(path string, id sig.UserID, k uint64, shards int) (*proto2.User, 
 		}
 		return proto2.NewUser(id, digest.Empty(), k), nil
 	}
-	if err != nil {
-		return nil, err
-	}
 	return proto2.RestoreUser(data)
 }
 
 func loadUser1(path string, signer *sig.Signer, ring *sig.Ring, k uint64) (*proto1.User, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		fmt.Fprintf(os.Stderr, "tcvs: no state file %s; starting fresh\n", path)
-		return proto1.NewUser(signer, ring, k), nil
-	}
+	data, err := loadState(path)
 	if err != nil {
 		return nil, err
+	}
+	if data == nil {
+		fmt.Fprintf(os.Stderr, "tcvs: no state file %s; starting fresh\n", path)
+		return proto1.NewUser(signer, ring, k), nil
 	}
 	return proto1.RestoreUser(signer, ring, data)
 }
@@ -517,10 +536,7 @@ func saveUser(fs durable.FS, path string, marshal func() ([]byte, error)) error 
 	if err != nil {
 		return err
 	}
-	return durable.WriteFileAtomic(fs, path, false, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
+	return durable.WriteFile(fs, path, false, stateMagic, digest.DomainSnapshot, data)
 }
 
 func shortHash(d digest.Digest) string { return d.Short() }

@@ -1,9 +1,9 @@
 // Teamrepo: a real networked deployment — a TCP tcvs server, a TCP
 // broadcast hub, and four concurrent developers hammering the same
 // repository under Protocol II with periodic synchronization. Shows
-// the library's full production path: net transport, gob wire format,
-// concurrent clients, up-to-date checks, tags and history, all
-// verified per operation.
+// the library's full production path: net transport, the tagged binary
+// wire format, concurrent clients, up-to-date checks, tags and history,
+// all verified per operation.
 //
 // Run with: go run ./examples/teamrepo
 package main

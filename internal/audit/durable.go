@@ -33,8 +33,7 @@
 package audit
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -76,10 +75,21 @@ func (d DurabilityState) String() string {
 
 // Cursor is the durable resume point of an audit journal: the highest
 // epoch whose closure check passed before it was written, and the
-// user's marshaled protocol state at that epoch's boundary cut.
+// user's marshaled protocol state at that epoch's boundary cut. On
+// disk (inside wal's checksummed cursor file) it is
+//
+//	cursorFormat | varint(epoch) | bytes(state)
 type Cursor struct {
 	Epoch int64
 	State []byte
+}
+
+// cursorFormat opens a cursor payload; see recordFormat for why no
+// older cursor can start with it.
+const cursorFormat = 0x8A
+
+func (c *Cursor) encode() []byte {
+	return binenc.AppendBytes(binary.AppendVarint([]byte{cursorFormat}, c.Epoch), c.State)
 }
 
 // LoadCursor reads the audit journal's cursor at dir. A nil Cursor
@@ -94,11 +104,15 @@ func LoadCursor(dir string) (*Cursor, error) {
 	if !ok {
 		return nil, nil
 	}
-	var cur Cursor
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cur); err != nil {
+	if len(payload) == 0 || payload[0] != cursorFormat {
+		return nil, ErrJournalFormat
+	}
+	r := binenc.NewReader(payload[1:])
+	cur := &Cursor{Epoch: r.Varint(), State: r.Bytes()}
+	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("audit: decode cursor: %w", err)
 	}
-	return &cur, nil
+	return cur, nil
 }
 
 // recordFormat is the first byte of every journaled record and names
@@ -115,12 +129,12 @@ func LoadCursor(dir string) (*Cursor, error) {
 // 0xF8–0xFF), so no older record can pass for a current one.
 const recordFormat = 0x83
 
-// ErrJournalFormat is returned when opening a journal whose surviving
-// records were written in an earlier record format. They are refused
-// at open and never reach the verifier, where an honest server's old
-// bytes could only be misjudged; drain the journal with the binary
-// that wrote it.
-var ErrJournalFormat = errors.New("audit: journal holds records in an older format; drain it with the previous binary")
+// ErrJournalFormat is returned when opening a journal whose cursor or
+// surviving records were written in an earlier format. They are
+// refused at open and never reach the verifier, where an honest
+// server's old bytes could only be misjudged; drain the journal with
+// the binary that wrote it.
+var ErrJournalFormat = errors.New("audit: journal holds a cursor or records in an older format; drain it with the previous binary")
 
 // appendRecord appends one obligation's journal form to b. Seals are
 // never journaled: a restarted client re-seals on its own schedule.
@@ -371,12 +385,8 @@ func (a *Auditor) maybeCheckpoint() {
 	if state == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Cursor{Epoch: target, State: state}); err != nil {
-		a.noteWALFailure(fmt.Errorf("audit: encode cursor: %w", err))
-		return
-	}
-	if err := wal.WriteCursor(a.walFS, a.walDir, buf.Bytes()); err != nil {
+	cur := Cursor{Epoch: target, State: state}
+	if err := wal.WriteCursor(a.walFS, a.walDir, cur.encode()); err != nil {
 		a.noteWALFailure(err)
 		return
 	}

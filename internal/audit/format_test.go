@@ -11,6 +11,7 @@ import (
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/vdb"
+	"trustedcvs/internal/wal"
 	"trustedcvs/internal/wire"
 	"trustedcvs/internal/wire/wiretest"
 )
@@ -159,5 +160,86 @@ func TestRecordEncodeAllocations(t *testing.T) {
 	})
 	if got > 2 {
 		t.Errorf("one record encode: %.0f allocations, budget 2", got)
+	}
+}
+
+// TestCursorGoldenBytes pins the cursor file as it sits on disk —
+// envelope, format byte, epoch and the user state at the cut
+// (-update rewrites it): what the golden loads to re-encodes to the
+// same file.
+func TestCursorGoldenBytes(t *testing.T) {
+	state, err := proto2.NewUser(1, vdb.New(0).Root(), 16).MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := Cursor{Epoch: 3, State: state}
+	if cur.encode()[0] != 0x8A {
+		t.Fatalf("cursor format byte %#x, want 0x8A", cur.encode()[0])
+	}
+	dir := t.TempDir()
+	if err := wal.WriteCursor(nil, dir, cur.encode()); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(filepath.Join(dir, "cursor"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "golden", "journal", "cursor")
+	wiretest.Bytes(t, golden, written)
+
+	back, err := LoadCursor(filepath.Dir(golden))
+	if err != nil || back == nil {
+		t.Fatalf("LoadCursor(golden) = %v, %v", back, err)
+	}
+	if !reflect.DeepEqual(*back, cur) {
+		t.Errorf("golden cursor loads as %+v, want %+v", *back, cur)
+	}
+	if err := wal.WriteCursor(nil, dir, back.encode()); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(filepath.Join(dir, "cursor")); err != nil || !reflect.DeepEqual(again, written) {
+		t.Errorf("load + save is not the identity (err %v)", err)
+	}
+	if _, err := proto2.RestoreUser(back.State); err != nil {
+		t.Errorf("the cut state in the cursor does not restore: %v", err)
+	}
+}
+
+// TestOldFormatCursorRefused: the cursor a gob-era binary left behind
+// verifies as an envelope and is then refused with ErrJournalFormat —
+// at LoadCursor and at New — and stays on disk as it was.
+func TestOldFormatCursorRefused(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "golden", "gob-journal", "cursor"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "cursor"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if cur, err := LoadCursor(dir); !errors.Is(err, ErrJournalFormat) || cur != nil {
+		t.Fatalf("LoadCursor = %v, %v; want ErrJournalFormat", cur, err)
+	}
+	u := proto2.NewUser(1, vdb.New(0).Root(), 1<<20)
+	a, err := New(Config{User: u, Epoch: 4, Users: 1, Publish: func(Report) error { return nil }, WALDir: dir})
+	if err == nil {
+		a.Stop()
+	}
+	if !errors.Is(err, ErrJournalFormat) {
+		t.Fatalf("New over a gob-era cursor = %v, want ErrJournalFormat", err)
+	}
+	if after, rerr := os.ReadFile(filepath.Join(dir, "cursor")); rerr != nil || !reflect.DeepEqual(after, old) {
+		t.Fatalf("the refused cursor changed on disk (err %v)", rerr)
+	}
+	// Rot is not an older format: a flipped byte fails the checksum.
+	for i := range old {
+		rotten := append([]byte(nil), old...)
+		rotten[i] ^= 0x10
+		if err := os.WriteFile(filepath.Join(dir, "cursor"), rotten, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if cur, err := LoadCursor(dir); err == nil {
+			t.Fatalf("cursor with byte %d flipped loaded as %+v", i, cur)
+		}
 	}
 }

@@ -262,9 +262,7 @@ func RunE14(cfg E14Config) (*E14Data, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E14 restore: %w", err)
 	}
-	if snap.Sessions != nil {
-		dep.sessions.RestoreSessions(snap.Sessions)
-	}
+	dep.sessions.RestoreSessions(snap.Sessions)
 	if srv2.DB().Root() != cutRoot {
 		return nil, fmt.Errorf("E14: restored root %s != checkpoint root %s", srv2.DB().Root().Short(), cutRoot.Short())
 	}

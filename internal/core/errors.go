@@ -7,6 +7,23 @@ import (
 	"trustedcvs/internal/sig"
 )
 
+// Format bytes that open a persisted user state (MarshalState of
+// proto1, proto2, proto3). Like every stored format byte (DESIGN.md
+// "State files") they lie in 0x80–0xF7, where no gob stream — what
+// earlier binaries wrote — can start.
+const (
+	StateFormatI   = 0x87
+	StateFormatII  = 0x88
+	StateFormatIII = 0x89
+)
+
+// ErrStateFormat is returned (wrapped) for a persisted user state that
+// does not open with its protocol's format byte: written by an older
+// binary, or for another protocol. It is refused, never converted —
+// wrongly restored registers would convict an honest server; finish
+// the session with the binary that wrote the file.
+var ErrStateFormat = errors.New("core: user state is not in this binary's format")
+
 // DetectionClass identifies which protocol check caught the server
 // deviating. Experiments assert on the class to verify that the
 // *intended* mechanism fired, not just that something errored.

@@ -104,8 +104,7 @@ func mutate(t *testing.T, rng *rand.Rand, resp *core.OpResponseII, kind int) boo
 		if !flipOneDigest(rng, forged) {
 			return false
 		}
-		resp.VO = new(merkle.VO)
-		if err := resp.VO.UnmarshalBinary(forged); err != nil {
+		if resp.VO, err = merkle.ViewVO(forged); err != nil {
 			t.Fatalf("the forged VO is no longer grammatical: %v", err)
 		}
 	}

@@ -1,10 +1,16 @@
 package proto2
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/vdb"
+	"trustedcvs/internal/wire/wiretest"
 )
 
 // TestStateRoundTripContinuesRun is the CLI scenario: a user runs some
@@ -107,4 +113,134 @@ func TestStateRestoreRejectsGarbage(t *testing.T) {
 	if _, err := RestoreUser(data); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
 	}
+}
+
+// goldenStates are the two shapes of a persisted Protocol II user: a
+// single-tree user a few operations in, and a forest user holding a
+// pending cross-transaction leg on two of its four shards.
+func goldenStates(t testing.TB) map[string]*User {
+	db := vdb.New(0)
+	single := &harness{server: NewServer(db), users: []*User{NewUser(0, db.Root(), 16), NewUser(1, db.Root(), 16)}}
+	for i := 0; i < 3; i++ {
+		if _, err := single.doOn(single.server, i%2, put("k", "v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forest := &forestHarness{db: vdb.NewSharded(0, 4)}
+	forest.server = NewServer(forest.db)
+	forest.users = []*User{NewForestUser(7, forest.db.ShardRoots(), 16)}
+	a, b := "alpha", "echo" // route to different shards at N=4
+	for _, op := range []vdb.Op{put(a, "1"), put(b, "2"), &vdb.CrossOp{Legs: []vdb.Op{put(a, "3"), put(b, "4")}}} {
+		if _, err := forest.doOn(forest.server, 0, op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending := 0
+	for s := range forest.users[0].fshards {
+		if forest.users[0].fshards[s].pending != nil {
+			pending++
+		}
+	}
+	if pending != 2 {
+		t.Fatalf("test bug: %d pending legs after a two-leg cross transaction", pending)
+	}
+	return map[string]*User{"user-single.state": single.users[0], "user-forest.state": forest.users[0]}
+}
+
+// TestStateGoldenBytes pins the register file's payload: today's
+// MarshalState must produce the checked-in bytes (-update rewrites
+// them), and those bytes restore to a user that marshals to them again.
+func TestStateGoldenBytes(t *testing.T) {
+	for name, u := range goldenStates(t) {
+		data, err := u.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", "golden", name)
+		wiretest.Bytes(t, path, data)
+		golden, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := RestoreUser(golden)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again, err := back.MarshalState(); err != nil || !bytes.Equal(again, golden) {
+			t.Errorf("%s: restore + marshal is not the identity (err %v)", name, err)
+		}
+		if back.SyncReport().Sigma != u.SyncReport().Sigma || back.LCtr() != u.LCtr() {
+			t.Errorf("%s: restored registers differ from the live user's", name)
+		}
+	}
+}
+
+// TestOldFormatStateRefused: a state a gob-era binary wrote — or one of
+// another protocol — is refused with core.ErrStateFormat, never guessed
+// at: wrong registers would convict an honest server.
+func TestOldFormatStateRefused(t *testing.T) {
+	for _, name := range []string{"gob-user.state", "gob-user-forest.state"} {
+		old, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u, err := RestoreUser(old); !errors.Is(err, core.ErrStateFormat) || u != nil {
+			t.Errorf("RestoreUser(%s) = %v, %v; want core.ErrStateFormat and no user", name, u, err)
+		}
+	}
+	for name, b := range map[string][]byte{"empty": nil, "proto1 state": {core.StateFormatI, 0, 16, 0, 0, 0}} {
+		if _, err := RestoreUser(b); !errors.Is(err, core.ErrStateFormat) {
+			t.Errorf("RestoreUser(%s) = %v, want core.ErrStateFormat", name, err)
+		}
+	}
+}
+
+// TestStateRestoreHostile: the shapes a body can lie with behind a
+// correct format byte. The shard count is bounded by the bytes left
+// before anything is sized by it.
+func TestStateRestoreHostile(t *testing.T) {
+	states := goldenStates(t)
+	single, _ := states["user-single.state"].MarshalState()
+	forest, _ := states["user-forest.state"].MarshalState()
+	// id, k, sinceSync, then the tagged Registers and the initial state.
+	head := func(k byte) []byte { return append([]byte{core.StateFormatII, 0, k, 0}, single[4:len(single)-1]...) }
+	for name, b := range map[string][]byte{
+		"shard count":      append(head(16), binary.AppendUvarint(nil, 1<<40)...),
+		"zero sync period": append(head(0), 0),
+		"one-shard forest": append(append(head(16), 1), forest[len(forest)-shardStateMin:]...),
+		"trailing byte":    append(bytes.Clone(single), 0),
+		"truncated":        forest[:len(forest)-1],
+		"registers' tag":   append([]byte{core.StateFormatII, 0, 16, 0, 25}, single[5:]...),
+	} {
+		if u, err := RestoreUser(b); err == nil || errors.Is(err, core.ErrStateFormat) {
+			t.Errorf("%s: RestoreUser = %v, %v; want a refusal of the body", name, u, err)
+		}
+	}
+	if _, err := RestoreUser(append(head(16), 0)); err != nil {
+		t.Fatalf("test bug: the rebuilt honest state is refused: %v", err)
+	}
+}
+
+// FuzzUserStateRestore: a register file is the user's whole memory of
+// the repository. Arbitrary bytes must be refused cleanly or restore to
+// a user that marshals back to exactly those bytes.
+func FuzzUserStateRestore(f *testing.F) {
+	for _, u := range goldenStates(f) {
+		data, err := u.MarshalState()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		u, err := RestoreUser(b)
+		if err != nil {
+			return
+		}
+		if again, err := u.MarshalState(); err != nil || !bytes.Equal(again, b) {
+			t.Fatalf("accepted state %x marshals back as %x (err %v)", b, again, err)
+		}
+	})
 }

@@ -1,10 +1,16 @@
 package proto3
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"trustedcvs/internal/core"
 	"trustedcvs/internal/sig"
+	"trustedcvs/internal/wire/wiretest"
 )
 
 // TestP3StateRoundTripContinuesRun: a user is persisted mid-epoch
@@ -72,5 +78,57 @@ func TestP3StateValidation(t *testing.T) {
 	}
 	if _, err := RestoreUser(signers[1], ring, data); err == nil {
 		t.Fatal("identity mismatch must be rejected")
+	}
+}
+
+// TestP3StateGoldenBytes pins the Protocol III user state (-update
+// rewrites it) in both shapes — with and without a pending backup; each
+// golden restores to a user that marshals to it again, and the gob-era
+// spelling is refused.
+func TestP3StateGoldenBytes(t *testing.T) {
+	h := newHarness(t, 2)
+	if err := h.epochRound("e0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.doOn(h.server, h.server, 0, put("early-e1", "x")); err != nil {
+		t.Fatal(err)
+	}
+	if h.users[0].pending == nil || h.users[1].pending != nil {
+		t.Fatal("test bug: want user 0 with a pending backup and user 1 without")
+	}
+	signers, ring, err := sig.DeterministicSigners(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"user-pending.state", "user.state"} {
+		data, err := h.users[i].MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", "golden", name)
+		wiretest.Bytes(t, path, data)
+		golden, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := RestoreUser(signers[i], ring, golden)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again, err := back.MarshalState(); err != nil || !bytes.Equal(again, golden) {
+			t.Errorf("%s: restore + marshal is not the identity (err %v)", name, err)
+		}
+		for what, b := range map[string][]byte{"trailing byte": append(bytes.Clone(golden), 0), "truncated": golden[:len(golden)-1]} {
+			if u, err := RestoreUser(signers[i], ring, b); err == nil {
+				t.Errorf("%s, %s: restored %v", name, what, u)
+			}
+		}
+	}
+	old, err := os.ReadFile(filepath.Join("testdata", "golden", "gob-user.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u, err := RestoreUser(signers[0], ring, old); !errors.Is(err, core.ErrStateFormat) || u != nil {
+		t.Errorf("RestoreUser(gob-era state) = %v, %v; want core.ErrStateFormat and no user", u, err)
 	}
 }

@@ -1,9 +1,11 @@
 package cvs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/digest"
 )
 
@@ -19,6 +21,43 @@ type StoreSnapshot struct {
 type FileChain struct {
 	Path   string
 	Hashes []digest.Digest
+}
+
+// AppendSnapshot appends s to b.
+//
+//	store = uvarint(n) n×bytes  uvarint(m) m×( string(path) uvarint(k) k×digest[32] )
+func AppendSnapshot(b []byte, s *StoreSnapshot) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s.Blobs)))
+	for _, blob := range s.Blobs {
+		b = binenc.AppendBytes(b, blob)
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.Files)))
+	for _, f := range s.Files {
+		b = binary.AppendUvarint(binenc.AppendString(b, f.Path), uint64(len(f.Hashes)))
+		for _, h := range f.Hashes {
+			b = append(b, h[:]...)
+		}
+	}
+	return b
+}
+
+// ReadSnapshot reads what AppendSnapshot wrote, every count bounded by
+// the bytes left. Blobs are windows onto the input (RestoreStore copies
+// them); whether the chains name stored blobs is RestoreStore's call.
+func ReadSnapshot(r *binenc.Reader) *StoreSnapshot {
+	s := &StoreSnapshot{Blobs: make([][]byte, r.Count(1))}
+	for i := range s.Blobs {
+		s.Blobs[i] = r.ViewBytes()
+	}
+	s.Files = make([]FileChain, r.Count(2))
+	for i := range s.Files {
+		f := &s.Files[i]
+		f.Path, f.Hashes = r.String(), make([]digest.Digest, r.Count(digest.Size))
+		for j := range f.Hashes {
+			copy(f.Hashes[j][:], r.View(digest.Size))
+		}
+	}
+	return s
 }
 
 // Snapshot captures the store: each path's revisions' blobs in path

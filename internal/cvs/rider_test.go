@@ -255,7 +255,7 @@ func TestStageThenLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := RestoreStore(snap)
+	back, err := RestoreStore(viaBytes(t, snap))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package cvs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/rcs"
 )
 
@@ -69,6 +71,22 @@ func TestStoreMissingBlobRefusal(t *testing.T) {
 	}
 }
 
+// viaBytes sends a snapshot through its persistent encoding, as a
+// checkpoint does, checking that what decodes re-encodes identically.
+func viaBytes(t *testing.T, snap *StoreSnapshot) *StoreSnapshot {
+	t.Helper()
+	enc := AppendSnapshot(nil, snap)
+	r := binenc.NewReader(enc)
+	back := ReadSnapshot(r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if again := AppendSnapshot(nil, back); !bytes.Equal(again, enc) {
+		t.Fatal("decode + encode is not the identity")
+	}
+	return back
+}
+
 // TestRestoreKeepsChainlessBlobs pushes f@2 before f@1, so one blob
 // belongs to no chain: it must survive snapshot and restore.
 func TestRestoreKeepsChainlessBlobs(t *testing.T) {
@@ -87,6 +105,7 @@ func TestRestoreKeepsChainlessBlobs(t *testing.T) {
 	if len(snap.Blobs) != 2 || len(snap.Files) != 1 || len(snap.Files[0].Hashes) != 1 {
 		t.Fatalf("snapshot holds %d blobs, chains %+v", len(snap.Blobs), snap.Files)
 	}
+	snap = viaBytes(t, snap)
 	r, err := RestoreStore(snap)
 	if err != nil {
 		t.Fatal(err)

@@ -48,9 +48,11 @@ const (
 	// DomainRecord binds a database record (key/value pair) inside a
 	// Merkle leaf.
 	DomainRecord byte = 0x07
-	// DomainSnapshot is the integrity footer over a serialized server
-	// checkpoint: it detects torn writes and bit rot on load, so a
-	// recovering server never silently starts from garbage.
+	// DomainSnapshot is the integrity footer over a state image stored
+	// as one file — a server checkpoint, a client's register file,
+	// workspace metadata (the envelope's magic tells them apart): it
+	// detects torn writes and bit rot on load, so nobody silently
+	// restarts from garbage.
 	DomainSnapshot byte = 0x08
 	// DomainCommitment binds a signed epoch root commitment the primary
 	// publishes to its witnesses; two valid signatures under this domain
@@ -89,21 +91,6 @@ var Zero Digest
 
 // IsZero reports whether d is the zero digest.
 func (d Digest) IsZero() bool { return d == Zero }
-
-// GobEncode encodes the digest as one opaque byte string. Without it,
-// gob walks the [32]byte element by element through reflection — ~32
-// reflect calls per digest on both encode and decode — which dominated
-// the wire codec's CPU profile (digests are the bulk of every VO).
-func (d Digest) GobEncode() ([]byte, error) { return d[:], nil }
-
-// GobDecode decodes a digest encoded by GobEncode.
-func (d *Digest) GobDecode(b []byte) error {
-	if len(b) != Size {
-		return fmt.Errorf("digest: decode: %d bytes, want %d", len(b), Size)
-	}
-	copy(d[:], b)
-	return nil
-}
 
 // Xor returns d ⊕ o. XOR of digests is the commutative group operation
 // underlying the σ registers of Protocols II and III: states seen an

@@ -113,11 +113,7 @@ func init() {
 	}, func(r *binenc.Reader) *epochReportMsg {
 		m := new(epochReportMsg)
 		m.Report.Epoch, m.Report.Seal, m.Report.Retract = r.Uvarint(), r.Bool(), r.Bool()
-		rep, ok := wire.Read(r).(core.SyncReportII)
-		if !ok {
-			r.Fail("epoch report without its register snapshot")
-		}
-		m.Report.Report = rep
+		m.Report.Report = wire.ReadAs[core.SyncReportII](r)
 		return m
 	})
 }

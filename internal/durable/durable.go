@@ -14,6 +14,7 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -149,6 +150,43 @@ func WriteFileAtomic(fs FS, path string, keepPrev bool, write func(io.Writer) er
 // length or footer check, and recovery falls back to an older
 // generation instead of silently restoring garbage.
 
+// Every refusal of an envelope wraps one of these: ErrMagic for a file
+// that does not open with the expected magic (another kind of file, or
+// one written before its kind had an envelope), ErrCorrupt for a torn
+// write or bit rot — truncation, a length the bytes do not back, a
+// checksum mismatch, stray bytes after the footer.
+var (
+	ErrMagic   = errors.New("durable: not this kind of file")
+	ErrCorrupt = errors.New("durable: corrupt file")
+)
+
+// WriteFile atomically replaces path with payload in the envelope, the
+// road every state file takes to disk.
+func WriteFile(fs FS, path string, keepPrev bool, magic string, domain byte, payload []byte) error {
+	return WriteFileAtomic(fs, path, keepPrev, func(w io.Writer) error {
+		return WriteEnvelope(w, magic, domain, payload)
+	})
+}
+
+// ReadFile returns the verified payload of the envelope that is the
+// whole of the file at path. A missing file is os.ReadFile's error, so
+// os.IsNotExist tells absence from corruption.
+func ReadFile(path, magic string, domain byte) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	r := bytes.NewReader(data)
+	payload, err := ReadEnvelope(r, magic, domain, uint64(len(data)))
+	if err == nil && r.Len() != 0 {
+		err = fmt.Errorf("%w: %d bytes after the envelope footer", ErrCorrupt, r.Len())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return payload, nil
+}
+
 // WriteEnvelope frames payload under magic, closing it with the
 // domain-separated digest footer.
 func WriteEnvelope(w io.Writer, magic string, domain byte, payload []byte) error {
@@ -177,28 +215,28 @@ func WriteEnvelope(w io.Writer, magic string, domain byte, payload []byte) error
 func ReadEnvelope(r io.Reader, magic string, domain byte, maxBytes uint64) ([]byte, error) {
 	header := make([]byte, len(magic)+8)
 	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("durable: envelope header: %w", err)
+		return nil, fmt.Errorf("%w: envelope header: %w", ErrCorrupt, err)
 	}
 	if string(header[:len(magic)]) != magic {
-		return nil, fmt.Errorf("durable: bad envelope magic %q, want %q", header[:len(magic)], magic)
+		return nil, fmt.Errorf("%w: envelope magic %q, want %q", ErrMagic, header[:len(magic)], magic)
 	}
 	n := binary.BigEndian.Uint64(header[len(magic):])
 	if n > maxBytes {
-		return nil, fmt.Errorf("durable: envelope declares implausible payload length %d", n)
+		return nil, fmt.Errorf("%w: envelope declares implausible payload length %d", ErrCorrupt, n)
 	}
 	// Copy rather than pre-allocate n bytes: a corrupt length field must
 	// not buy a giant allocation backed by nothing.
 	var buf bytes.Buffer
 	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		return nil, fmt.Errorf("durable: envelope payload truncated: %w", err)
+		return nil, fmt.Errorf("%w: envelope payload truncated: %w", ErrCorrupt, err)
 	}
 	payload := buf.Bytes()
 	var footer digest.Digest
 	if _, err := io.ReadFull(r, footer[:]); err != nil {
-		return nil, fmt.Errorf("durable: envelope footer truncated: %w", err)
+		return nil, fmt.Errorf("%w: envelope footer truncated: %w", ErrCorrupt, err)
 	}
 	if sum := digest.OfBytes(domain, payload); sum != footer {
-		return nil, fmt.Errorf("durable: envelope checksum mismatch: footer %s, payload hashes to %s", footer.Short(), sum.Short())
+		return nil, fmt.Errorf("%w: envelope checksum mismatch: footer %s, payload hashes to %s", ErrCorrupt, footer.Short(), sum.Short())
 	}
 	return payload, nil
 }

@@ -2,10 +2,10 @@
 // analyzer. The protocols' security argument rests on conventions the
 // compiler cannot enforce — every hash goes through internal/digest's
 // domain-separated helpers, the pipelined servers' serial sections stay
-// narrow, encoding/gob stays off the wire and out of the journals
-// (internal/wire's tagged binary codec owns both), verification paths
-// stay deterministic, and error-carrying verification results are never
-// dropped. This package machine-checks those conventions on every
+// narrow, encoding/gob stays out of the module (internal/wire's tagged
+// binary codec owns the wire, the journals and the state files),
+// verification paths stay deterministic, and error-carrying
+// verification results are never dropped. This package machine-checks those conventions on every
 // commit (scripts/check.sh runs `tcvs-lint ./...` as a hard gate).
 //
 // The analyzer is deliberately built on nothing but the standard

@@ -1,7 +1,7 @@
-// Package cvs exercises the gob half of hashdiscipline: an import of
-// encoding/gob outside the named remainder. (The suppressed
-// occurrences are the fixtures that need gob for another pass's sake;
-// the allowed one is fixture internal/server/persist.go.)
+// Package cvs exercises the gob half of hashdiscipline: any import of
+// encoding/gob. (The suppressed occurrences are the fixtures that need
+// gob for another pass's sake; fixture internal/server/persist.go is
+// the second finding.)
 package cvs
 
 import (

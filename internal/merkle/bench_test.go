@@ -71,8 +71,8 @@ func BenchmarkVOTree(b *testing.B) {
 	recs := benchRecordings(b)
 	vos := make([]*VO, len(recs))
 	for i, rec := range recs {
-		vos[i] = new(VO)
-		if err := vos[i].UnmarshalBinary(mustMarshal(b, rec.VO())); err != nil {
+		var err error
+		if vos[i], err = ViewVO(mustMarshal(b, rec.VO())); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 // FuzzVOVerify decodes arbitrary bytes as a verification object — the
 // one structure an honest client materializes straight off the
-// untrusted wire — through VO.UnmarshalBinary, the decoder every
+// untrusted wire — through ViewVO, the decoder every
 // response's VO goes through, and exercises the whole verifier surface:
 // Tree() structural validation, digest computation, lookups, ranges,
 // and Replay. Properties: no panic on any input, every refusal is
@@ -25,14 +25,14 @@ func FuzzVOVerify(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var v VO
-		if err := v.UnmarshalBinary(b); err != nil {
+		v, err := ViewVO(b)
+		if err != nil {
 			if !errors.Is(err, ErrMalformedVO) {
 				t.Fatalf("decode refusal is not ErrMalformedVO: %v", err)
 			}
 			return
 		}
-		if again := mustMarshal(t, &v); !bytes.Equal(again, b) {
+		if again := mustMarshal(t, v); !bytes.Equal(again, b) {
 			t.Fatalf("accepted input %x re-marshals as %x", b, again)
 		}
 		tree, err := v.Tree()

@@ -2,10 +2,28 @@ package merkle
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"trustedcvs/internal/binenc"
+	"trustedcvs/internal/digest"
 )
+
+// reread sends a snapshot through its encoding, as a checkpoint does.
+func reread(t *testing.T, s *Snapshot) *Snapshot {
+	t.Helper()
+	r := binenc.NewReader(s.Append(nil))
+	back := ReadSnapshot(r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if again := back.Append(nil); !bytes.Equal(again, s.Append(nil)) {
+		t.Fatal("decode + encode is not the identity")
+	}
+	return back
+}
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	tr := New(4)
@@ -17,16 +35,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	want := tr.RootDigest()
 
-	var buf bytes.Buffer
-	n, err := tr.Snapshot().WriteTo(&buf)
-	if err != nil || n != int64(buf.Len()) {
-		t.Fatalf("WriteTo: n=%d err=%v", n, err)
-	}
-	snap, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Restore(snap)
+	got, err := Restore(reread(t, tr.Snapshot()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +57,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotEmptyTree(t *testing.T) {
 	tr := New(0)
-	got, err := Restore(tr.Snapshot())
+	got, err := Restore(reread(t, tr.Snapshot()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,39 +66,70 @@ func TestSnapshotEmptyTree(t *testing.T) {
 	}
 }
 
+// TestSnapshotIndependence: trees restored from one snapshot share its
+// bytes, so writing to one of them must leave the other, the snapshot
+// and the tree it was cut from as they were.
 func TestSnapshotIndependence(t *testing.T) {
 	tr := New(4).Put("k", []byte("original"))
 	snap := tr.Snapshot()
-	// Mutating the snapshot must not affect a restore taken before.
-	restored, err := Restore(snap)
+	a, err := Restore(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Root.Vals[0][0] = 'X'
-	if v, _ := restored.Get("k"); string(v) != "original" {
-		t.Fatal("restore shares memory with the snapshot")
+	b, err := Restore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = a.Put("k", []byte("rewritten"))
+	if v, _ := a.Get("k"); string(v) != "rewritten" {
+		t.Fatal("write to a restored tree lost")
+	}
+	if v, _ := b.Get("k"); string(v) != "original" {
+		t.Fatal("restored trees share mutable memory")
+	}
+	c, err := Restore(snap)
+	if err != nil || c.RootDigest() != tr.RootDigest() {
+		t.Fatalf("snapshot changed under a restored tree (err %v)", err)
 	}
 }
 
+// TestRestoreRejectsGarbage: hand-built flat bytes for every shape a
+// snapshot file could claim and a complete tree cannot have.
 func TestRestoreRejectsGarbage(t *testing.T) {
+	leaf := func(keys ...string) []byte { return leafNode(keys, make([]string, len(keys))...) }
+	d := digest.OfBytes(0, nil)
 	cases := map[string]*Snapshot{
-		"nil":        nil,
-		"bad order":  {Order: 1},
-		"bad size":   {Order: 4, Size: 5, Root: &SnapshotNode{Leaf: true, Keys: []string{"a"}, Vals: [][]byte{nil}}},
-		"bad shape":  {Order: 4, Size: 0, Root: &SnapshotNode{Keys: []string{"a"}}},
-		"nil child":  {Order: 4, Size: 0, Root: &SnapshotNode{Keys: []string{"a"}, Kids: []*SnapshotNode{nil, nil}}},
-		"underfull":  {Order: 8, Size: 1, Root: &SnapshotNode{Keys: []string{"b"}, Kids: []*SnapshotNode{{Leaf: true}, {Leaf: true, Keys: []string{"b"}, Vals: [][]byte{nil}}}}},
-		"unsorted":   {Order: 4, Size: 2, Root: &SnapshotNode{Leaf: true, Keys: []string{"b", "a"}, Vals: [][]byte{nil, nil}}},
-		"duplicates": {Order: 4, Size: 2, Root: &SnapshotNode{Leaf: true, Keys: []string{"a", "a"}, Vals: [][]byte{nil, nil}}},
+		"nil":           nil,
+		"no encoding":   {},
+		"bad order":     {vo: VO{enc: voOf(1, []byte{voAbsent})}},
+		"negative size": {size: -1, vo: VO{enc: voOf(4, leaf("a"))}},
+		"bad size":      {size: 5, vo: VO{enc: voOf(4, leaf("a"))}},
+		"sized empty":   {size: 1, vo: VO{enc: voOf(4, []byte{voAbsent})}},
+		"bad shape":     {vo: VO{enc: voOf(4, internalNode([]string{"a"}))}},
+		"absent child":  {vo: VO{enc: voOf(4, internalNode([]string{"a"}, []byte{voAbsent}, []byte{voAbsent}))}},
+		"underfull":     {size: 1, vo: VO{enc: voOf(8, internalNode([]string{"b"}, leaf(), leaf("b")))}},
+		"unsorted":      {size: 2, vo: VO{enc: voOf(4, leaf("b", "a"))}},
+		"duplicates":    {size: 2, vo: VO{enc: voOf(4, leaf("a", "a"))}},
+		"pruned node":   {size: 2, vo: VO{enc: voOf(4, internalNode([]string{"b"}, leaf("a"), prunedNode(d)))}},
+		"uneven leaves": {size: 2, vo: VO{enc: voOf(4, internalNode([]string{"b"}, leaf("a"), internalNode([]string{"c"}, leaf("b"), leaf("c"))))}},
+		"out of range":  {size: 2, vo: VO{enc: voOf(4, internalNode([]string{"b"}, leaf("c"), leaf("d")))}},
 	}
 	for name, s := range cases {
-		if _, err := Restore(s); err == nil {
-			t.Errorf("%s: want error", name)
+		if _, err := Restore(s); !errors.Is(err, ErrMalformedVO) {
+			t.Errorf("%s: Restore = %v, want ErrMalformedVO", name, err)
 		}
+	}
+	// A record count the bytes cannot back never reaches Restore.
+	r := binenc.NewReader(append([]byte{200}, binenc.AppendBytes(nil, voOf(4, leaf("a")))...))
+	if ReadSnapshot(r); r.Err() == nil {
+		t.Error("a record count beyond the input was read")
 	}
 }
 
-func TestSnapshotPanicsOnPartialTree(t *testing.T) {
+// TestRestoreRefusesPartialTreeSnapshot: a verifier's partial tree
+// snapshots to an encoding with pruned nodes in it, which Restore
+// refuses — only a complete tree can become a server's state.
+func TestRestoreRefusesPartialTreeSnapshot(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 50; i++ {
 		tr = tr.Put(key(i), val(i))
@@ -100,12 +140,15 @@ func TestSnapshotPanicsOnPartialTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("snapshot of a partial tree must panic")
-		}
-	}()
-	pt.Snapshot()
+	if _, err := Restore(pt.Snapshot()); !errors.Is(err, ErrMalformedVO) {
+		t.Fatalf("Restore of a partial tree's snapshot = %v, want ErrMalformedVO", err)
+	}
+	// Even with the size filled in, the pruned nodes are refused.
+	snap := pt.Snapshot()
+	snap.size = tr.Len()
+	if _, err := Restore(snap); !errors.Is(err, ErrMalformedVO) {
+		t.Fatalf("Restore of a sized partial snapshot = %v, want ErrMalformedVO", err)
+	}
 }
 
 func TestQuickSnapshotPreservesDigest(t *testing.T) {
@@ -120,7 +163,7 @@ func TestQuickSnapshotPreservesDigest(t *testing.T) {
 				tr = tr.Put(k, val(rng.Int()))
 			}
 		}
-		restored, err := Restore(tr.Snapshot())
+		restored, err := Restore(reread(t, tr.Snapshot()))
 		if err != nil {
 			t.Log(err)
 			return false

@@ -98,8 +98,8 @@ var voScratch = sync.Pool{New: func() any { return new([]byte) }}
 // VO is a wire-encodable verification object: a pruned copy of the
 // server's pre-state tree, the paper's v(Q, D). It has one
 // representation, the flat preorder encoding of vobinary.go: Recording.VO
-// writes it, MarshalBinary hands it out, UnmarshalBinary keeps a private
-// copy of it, and Tree and Stats read it. The bytes are never modified
+// writes it, MarshalBinary hands it out, ViewVO wraps received bytes
+// in place, and Tree and Stats read it. The bytes are never modified
 // once the VO exists, which is what lets every tree Tree returns share
 // them. The zero VO is malformed.
 type VO struct {

@@ -174,8 +174,8 @@ func TestVORejectsTamperedValue(t *testing.T) {
 		t.Fatal("test bug: the VO does not carry the value read")
 	}
 	copy(enc[at:], "evil")
-	var vo VO
-	if err := vo.UnmarshalBinary(enc); err != nil {
+	vo, err := ViewVO(enc)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := vo.Replay(tr.RootDigest(), func(pt *Tree) (*Tree, error) { return pt, nil }); !errors.Is(err, ErrRootMismatch) {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/digest"
@@ -27,10 +26,10 @@ import (
 // Recording.VO appends it from tree nodes (appendPruned) and VO.Tree
 // decodes it into tree nodes (voDecoder), with nothing in between.
 //
-// Wire messages and journal records carry these bytes as they are
-// (ViewVO on the way in); gob, which the server snapshot still
-// uses for its cached session responses, goes through
-// MarshalBinary/UnmarshalBinary.
+// Wire messages, journal records and server snapshots carry these bytes
+// as they are (MarshalBinary on the way out, ViewVO on the way in); a
+// tree's persistent form is the same grammar with nothing pruned
+// (serialize.go).
 const (
 	voAbsent   = 0
 	voPruned   = 1
@@ -44,14 +43,15 @@ const (
 const maxVODepth = 64
 
 // appendPruned appends the subtree under n in preorder, keeping the
-// content of the nodes in keep and only the digest of every other.
-// Tree nodes hold as many values as keys and one more child than keys,
-// so everything it writes is grammatical.
+// content of the nodes in keep (of every node when keep is nil) and
+// only the digest of every other. Tree nodes hold as many values as
+// keys and one more child than keys, so everything it writes is
+// grammatical.
 func appendPruned(b []byte, n *node, keep map[*node]struct{}) []byte {
 	if n == nil {
 		return append(b, voAbsent)
 	}
-	if _, ok := keep[n]; !ok || n.pruned {
+	if _, ok := keep[n]; (!ok && keep != nil) || n.pruned {
 		d := n.digest()
 		return append(append(b, voPruned), d[:]...)
 	}
@@ -79,8 +79,8 @@ func appendLensBytes[T string | []byte](b []byte, items []T) []byte {
 	return b
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler. It returns the
-// VO's own bytes, which the caller must not modify.
+// MarshalBinary returns the VO's own bytes, which the caller must not
+// modify.
 func (v *VO) MarshalBinary() ([]byte, error) {
 	if v == nil || v.enc == nil {
 		return nil, fmt.Errorf("%w: empty VO", ErrMalformedVO)
@@ -88,24 +88,13 @@ func (v *VO) MarshalBinary() ([]byte, error) {
 	return v.enc, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. The input is
-// the untrusted server's: every count must be backed by the bytes that
+// ViewVO wraps data, which the caller must own and never modify — the
+// wire decoder's frame buffer is both — as a VO. The input is the
+// untrusted server's: every count must be backed by the bytes that
 // remain, depth is bounded, unknown node kinds, non-minimal integers
 // and trailing bytes are rejected — all as ErrMalformedVO, decided
-// without allocating. What it accepts it keeps as one private copy; it
-// retains nothing of data. Whether the encoded shape is a valid tree is
+// without allocating. Whether the encoded shape is a valid tree is
 // still VO.Tree's call.
-func (v *VO) UnmarshalBinary(data []byte) error {
-	if _, err := scanVO(data); err != nil {
-		return err
-	}
-	v.enc = slices.Clone(data)
-	return nil
-}
-
-// ViewVO is UnmarshalBinary without the copy: the same grammar scan,
-// and the VO it returns is a window onto data, which the caller must
-// own and never modify — the wire decoder's frame buffer is both.
 func ViewVO(data []byte) (*VO, error) {
 	if _, err := scanVO(data); err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package merkle
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"flag"
 	"fmt"
@@ -82,8 +81,8 @@ func TestVOBinaryGolden(t *testing.T) {
 		if !bytes.Equal(got, golden) {
 			t.Errorf("%s: encoding changed (%d bytes, golden %d): this is a wire format bump", name, len(got), len(golden))
 		}
-		var back VO
-		if err := back.UnmarshalBinary(golden); err != nil {
+		back, err := ViewVO(golden)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		tree, err := back.Tree()
@@ -96,44 +95,9 @@ func TestVOBinaryGolden(t *testing.T) {
 		if back.Stats() != vo.Stats() {
 			t.Errorf("%s: stats %+v, want %+v", name, back.Stats(), vo.Stats())
 		}
-		if again := mustMarshal(t, &back); !bytes.Equal(again, golden) {
+		if again := mustMarshal(t, back); !bytes.Equal(again, golden) {
 			t.Errorf("%s: decode + encode is not the identity", name)
 		}
-	}
-}
-
-// TestVOBinaryThroughGob: gob carries a *VO field as the opaque bytes
-// of MarshalBinary — which is how responses, forest legs and journal
-// records inherit the format — and leaves a nil VO nil.
-func TestVOBinaryThroughGob(t *testing.T) {
-	type resp struct {
-		Answer []byte
-		VO     *VO
-	}
-	root, _, upd := goldenVOs(t)
-	flat := mustMarshal(t, upd)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&resp{Answer: []byte("a"), VO: upd}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), flat) {
-		t.Fatal("gob stream does not embed the flat VO encoding")
-	}
-	var got resp
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	tree, err := got.VO.Tree()
-	if err != nil || tree.RootDigest() != root {
-		t.Fatalf("VO through gob: root mismatch (err %v)", err)
-	}
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&resp{Answer: []byte("a")}); err != nil {
-		t.Fatal(err)
-	}
-	got = resp{}
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil || got.VO != nil {
-		t.Fatalf("missing VO decoded as %v (err %v), want nil", got.VO, err)
 	}
 }
 
@@ -144,8 +108,8 @@ func TestVOBinaryEmptyTree(t *testing.T) {
 	if !bytes.Equal(b, []byte{4, 0}) {
 		t.Fatalf("empty-tree VO = %x, want 0400", b)
 	}
-	var v VO
-	if err := v.UnmarshalBinary(b); err != nil {
+	v, err := ViewVO(b)
+	if err != nil {
 		t.Fatal(err)
 	}
 	tree, err := v.Tree()
@@ -187,7 +151,7 @@ func allocated(fn func()) uint64 {
 }
 
 // TestVOHostileInput: everything the verifier refuses is
-// ErrMalformedVO — grammar at UnmarshalBinary, shape at Tree, which
+// ErrMalformedVO — grammar at ViewVO, shape at Tree, which
 // repeats the grammar checks for a VO that never crossed a wire — and
 // the refusal is decided before any allocation a count could buy.
 func TestVOHostileInput(t *testing.T) {
@@ -248,17 +212,17 @@ func TestVOHostileInput(t *testing.T) {
 		}
 	}
 	for name, b := range grammar {
-		var v VO
-		refusal(name, b, func() error { return v.UnmarshalBinary(b) })
-		if v.enc != nil {
+		var v *VO
+		refusal(name, b, func() (err error) { v, err = ViewVO(b); return err })
+		if v != nil {
 			t.Errorf("%s: a rejected input left %x behind", name, v.enc)
 		}
-		// The same bytes in a VO that never went through UnmarshalBinary.
+		// The same bytes in a VO that never went through ViewVO.
 		refusal(name+" (Tree)", b, func() error { _, err := (&VO{enc: b}).Tree(); return err })
 	}
 	for name, b := range shape {
-		var v VO
-		if err := v.UnmarshalBinary(b); err != nil {
+		v, err := ViewVO(b)
+		if err != nil {
 			t.Errorf("%s: grammatical input refused at decode: %v", name, err)
 			continue
 		}
@@ -273,7 +237,7 @@ func TestVOHostileInput(t *testing.T) {
 }
 
 // TestVOOnePassAllocations pins what the single representation buys:
-// accepting a VO costs the one private copy and a tree costs a handful
+// accepting a VO costs the VO itself and a tree costs a handful
 // of arrays — not a box per node. (Building one is two allocations, the
 // VO and its bytes, when the scratch pool is warm: BenchmarkVOBuild.)
 func TestVOOnePassAllocations(t *testing.T) {
@@ -289,13 +253,14 @@ func TestVOOnePassAllocations(t *testing.T) {
 	if nodes < 20 {
 		t.Fatalf("test bug: only %d nodes in the VO", nodes)
 	}
-	var back VO
+	var back *VO
 	if n := testing.AllocsPerRun(100, func() {
-		if err := back.UnmarshalBinary(enc); err != nil {
+		var err error
+		if back, err = ViewVO(enc); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 1 {
-		t.Errorf("UnmarshalBinary: %.0f allocations, want 1", n)
+		t.Errorf("ViewVO: %.0f allocations, want 1", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = vo.Stats() }); n != 0 {
 		t.Errorf("Stats: %.0f allocations, want 0", n)

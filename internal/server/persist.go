@@ -1,13 +1,13 @@
 package server
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/core/proto3"
@@ -17,63 +17,61 @@ import (
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
+	"trustedcvs/internal/wire"
 )
 
 // Snapshots travel in the durable envelope (durable.WriteEnvelope):
 //
 //	magic "TCVSSNAP1\n" | 8-byte big-endian payload length |
-//	gob payload | 32-byte digest.DomainSnapshot footer
+//	payload | 32-byte digest.DomainSnapshot footer
 //
 // A crash mid write leaves a file that fails the length or footer
 // check; recovery then falls back to the previous generation instead
 // of silently restoring garbage — which, for this system, would not
 // just corrupt data but raise deviation alarms on every running
-// client.
-const snapMagic = "TCVSSNAP1\n"
+// client. The payload is a format byte and a binenc body, each part
+// written and read by the package that owns it (vdb, cvs and transport
+// AppendSnapshot; an EpochBackup nests as on the wire):
+//
+//	P2 = 0x85 | db | store | lastUser | uvarint(n) n×( lastUser_s lastTx_s[32] ) | sessions
+//	P3 = 0x86 | db | store | lastUser | epoch | uvarint(n) n×EpochBackup
+//
+// The bytes may come from a peer — a witness reads the primary's — so
+// every count is bounded by the bytes behind it and nothing is trusted
+// before RestoreP2 has re-checked it. The format bytes lie in
+// 0x80–0xF7, where no gob stream — the payload of earlier binaries —
+// can start.
+const (
+	snapMagic    = "TCVSSNAP1\n"
+	snapFormatP2 = 0x85
+	snapFormatP3 = 0x86
+)
 
 // maxSnapshotBytes bounds the payload length a snapshot header may
 // declare.
 const maxSnapshotBytes = 1 << 30
 
-// A snapshot's session table caches handler responses behind an
-// interface-typed field (transport.OpOutcome.Resp), so gob — which the
-// snapshot payload still uses; the wire and both journals do not —
-// needs the concrete response types a handler can return registered.
-// The names gob derives are the ones the previous binaries wrote.
-func init() {
-	gob.Register(&core.OpResponseI{})
-	gob.Register(&core.OpResponseII{})
-	gob.Register(&core.OpResponseForest{})
-	gob.Register(&core.BackupsResponse{})
-	gob.Register(&core.ContentResponse{})
-	gob.Register(&core.OKResponse{})
-	gob.Register(&core.RiderResponse{})
-}
-
 // ErrNoSnapshot reports that no snapshot generation exists on disk at
 // all — a first boot, as opposed to a boot over corrupt checkpoints.
 var ErrNoSnapshot = errors.New("server: no snapshot on disk")
 
-// encodeSnapshot gob-encodes snap into the checksummed envelope.
-func encodeSnapshot(w io.Writer, snap any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return fmt.Errorf("server: encode snapshot: %w", err)
-	}
-	return durable.WriteEnvelope(w, snapMagic, digest.DomainSnapshot, buf.Bytes())
-}
+// ErrSnapshotFormat is returned for a snapshot whose envelope verifies
+// but whose payload is not in this binary's format: written by an
+// older binary, or for the other protocol. It is refused, never
+// converted; restore it with the binary that wrote it.
+var ErrSnapshotFormat = errors.New("server: snapshot is not in this binary's format; restore it with the binary that wrote it")
 
-// decodeSnapshot verifies one snapshot envelope and gob-decodes its
-// payload into snap.
-func decodeSnapshot(r io.Reader, snap any) error {
+// readPayload verifies one snapshot envelope and returns a Reader over
+// the body behind format.
+func readPayload(r io.Reader, format byte) (*binenc.Reader, error) {
 	payload, err := durable.ReadEnvelope(r, snapMagic, digest.DomainSnapshot, maxSnapshotBytes)
 	if err != nil {
-		return fmt.Errorf("server: snapshot: %w", err)
+		return nil, fmt.Errorf("server: snapshot: %w", err)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(snap); err != nil {
-		return fmt.Errorf("server: decode snapshot: %w", err)
+	if len(payload) == 0 || payload[0] != format {
+		return nil, ErrSnapshotFormat
 	}
-	return nil
+	return binenc.NewReader(payload[1:]), nil
 }
 
 // P2Snapshot bundles everything a Protocol II deployment needs to
@@ -88,10 +86,10 @@ type P2Snapshot struct {
 	DB       *vdb.DBSnapshot
 	LastUser sig.UserID
 	Store    *cvs.StoreSnapshot
+	// Sessions is empty unless the caller froze a session table.
 	Sessions *transport.SessionsSnapshot
 	// Metas is the per-shard protocol bookkeeping of a forest server
-	// (one entry per shard). Nil on a single-tree server, keeping N=1
-	// snapshots gob-identical to pre-forest ones.
+	// (one entry per shard). Nil on a single-tree server.
 	Metas []proto2.MetaState
 }
 
@@ -115,9 +113,10 @@ func CheckpointP2(srv Server, store *cvs.Store) (*P2Snapshot, error) {
 			return nil, err
 		}
 		return &P2Snapshot{
-			DB:    dbAt.Snapshot(),
-			Store: storeSnap,
-			Metas: metas,
+			DB:       dbAt.Snapshot(),
+			Store:    storeSnap,
+			Sessions: &transport.SessionsSnapshot{},
+			Metas:    metas,
 		}, nil
 	}
 	dbAt, lastUser := p2srv.inner.Checkpoint()
@@ -125,21 +124,41 @@ func CheckpointP2(srv Server, store *cvs.Store) (*P2Snapshot, error) {
 		DB:       dbAt.Snapshot(),
 		LastUser: lastUser,
 		Store:    storeSnap,
+		Sessions: &transport.SessionsSnapshot{},
 	}, nil
 }
 
 // EncodeP2Snapshot writes snap in the checksummed envelope.
 func EncodeP2Snapshot(w io.Writer, snap *P2Snapshot) error {
-	return encodeSnapshot(w, snap)
+	b := cvs.AppendSnapshot(vdb.AppendSnapshot([]byte{snapFormatP2}, snap.DB), snap.Store)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(snap.LastUser)), uint64(len(snap.Metas)))
+	for _, m := range snap.Metas {
+		b = append(binary.AppendUvarint(b, uint64(m.LastUser)), m.LastTx[:]...)
+	}
+	b, err := transport.AppendSnapshot(b, snap.Sessions)
+	if err != nil {
+		return fmt.Errorf("server: encode snapshot: %w", err)
+	}
+	return durable.WriteEnvelope(w, snapMagic, digest.DomainSnapshot, b)
 }
 
 // DecodeP2Snapshot reads and verifies one Protocol II snapshot.
-func DecodeP2Snapshot(r io.Reader) (*P2Snapshot, error) {
-	var snap P2Snapshot
-	if err := decodeSnapshot(r, &snap); err != nil {
+func DecodeP2Snapshot(rd io.Reader) (*P2Snapshot, error) {
+	r, err := readPayload(rd, snapFormatP2)
+	if err != nil {
 		return nil, err
 	}
-	return &snap, nil
+	snap := &P2Snapshot{DB: vdb.ReadSnapshot(r), Store: cvs.ReadSnapshot(r), LastUser: sig.UserID(r.Uint32())}
+	snap.Metas = make([]proto2.MetaState, r.Count(1+digest.Size))
+	for i := range snap.Metas {
+		snap.Metas[i].LastUser = sig.UserID(r.Uint32())
+		copy(snap.Metas[i].LastTx[:], r.View(digest.Size))
+	}
+	snap.Sessions = transport.ReadSnapshot(r)
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("server: decode snapshot: %w", err)
+	}
+	return snap, nil
 }
 
 // RestoreP2 rebuilds the server and content store from a decoded
@@ -219,16 +238,9 @@ func LoadP2Auto(path string) (*P2Snapshot, string, error) {
 	return nil, "", fmt.Errorf("server: no loadable snapshot generation: %w", errors.Join(errs...))
 }
 
-// P3Snapshot bundles a Protocol III deployment's full state: the
-// database, the epoch machinery (including stored signed backups), and
-// the content store.
-type P3Snapshot struct {
-	DB    *vdb.DBSnapshot
-	State proto3.ServerState
-	Store *cvs.StoreSnapshot
-}
-
-// SaveP3 writes a Protocol III server's full state.
+// SaveP3 writes a Protocol III server's full state: the database, the
+// content store, and the epoch machinery including the stored signed
+// backups.
 func SaveP3(w io.Writer, srv Server, store *cvs.Store) error {
 	p3srv, ok := unhook(srv).(*p3)
 	if !ok {
@@ -239,26 +251,39 @@ func SaveP3(w io.Writer, srv Server, store *cvs.Store) error {
 		return err
 	}
 	dbAt, state := p3srv.inner.Checkpoint()
-	return encodeSnapshot(w, &P3Snapshot{
-		DB:    dbAt.Snapshot(),
-		State: state,
-		Store: storeSnap,
-	})
+	b := cvs.AppendSnapshot(vdb.AppendSnapshot([]byte{snapFormatP3}, dbAt.Snapshot()), storeSnap)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(state.LastUser)), state.Epoch)
+	b = binary.AppendUvarint(b, uint64(len(state.Backups)))
+	for _, bk := range state.Backups {
+		if b, err = wire.Append(b, bk); err != nil {
+			return fmt.Errorf("server: encode snapshot: %w", err)
+		}
+	}
+	return durable.WriteEnvelope(w, snapMagic, digest.DomainSnapshot, b)
 }
 
 // LoadP3 restores a Protocol III server and content store.
-func LoadP3(r io.Reader) (Server, *cvs.Store, error) {
-	var snap P3Snapshot
-	if err := decodeSnapshot(r, &snap); err != nil {
-		return nil, nil, err
-	}
-	db, err := vdb.RestoreDB(snap.DB)
+func LoadP3(rd io.Reader) (Server, *cvs.Store, error) {
+	r, err := readPayload(rd, snapFormatP3)
 	if err != nil {
 		return nil, nil, err
 	}
-	store, err := cvs.RestoreStore(snap.Store)
+	dbSnap, storeSnap := vdb.ReadSnapshot(r), cvs.ReadSnapshot(r)
+	state := proto3.ServerState{LastUser: sig.UserID(r.Uint32()), Epoch: r.Uvarint()}
+	state.Backups = make([]*core.EpochBackup, r.Count(2))
+	for i := range state.Backups {
+		state.Backups[i] = wire.ReadAs[*core.EpochBackup](r)
+	}
+	if err := r.Close(); err != nil {
+		return nil, nil, fmt.Errorf("server: decode snapshot: %w", err)
+	}
+	db, err := vdb.RestoreDB(dbSnap)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &p3{inner: proto3.NewServerFromState(db, snap.State)}, store, nil
+	store, err := cvs.RestoreStore(storeSnap)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &p3{inner: proto3.NewServerFromState(db, state)}, store, nil
 }

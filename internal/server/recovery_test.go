@@ -12,7 +12,6 @@ import (
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/cvs"
-	"trustedcvs/internal/digest"
 	"trustedcvs/internal/durable"
 	"trustedcvs/internal/fault"
 	"trustedcvs/internal/rcs"
@@ -382,52 +381,5 @@ func TestForestCrashRecoveryTornWrite(t *testing.T) {
 	}
 	if de.Class != core.TornTransaction {
 		t.Fatalf("detected class %v, want %v", de.Class, core.TornTransaction)
-	}
-}
-
-// TestSnapshotGoldenBytes pins the snapshot's on-disk format: the
-// checked-in file was written by the pre-durable WriteSnapshotFile
-// over p2WithHistory(3). It must still load to the same root, and its
-// payload framed and installed today must match it byte for byte. (The
-// gob payload itself is not re-encoded for the comparison: gob numbers
-// types in the order a process first encodes them, so its bytes depend
-// on which tests ran earlier in this binary.)
-func TestSnapshotGoldenBytes(t *testing.T) {
-	goldenPath := filepath.Join("testdata", "golden", "p2-snapshot-3commits.snap")
-	golden, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, _, _ := p2WithHistory(t, 3)
-
-	snap, from, err := LoadP2Auto(goldenPath)
-	if err != nil || from != goldenPath {
-		t.Fatalf("golden snapshot: LoadP2Auto = (%s, %v)", from, err)
-	}
-	restored, _, err := RestoreP2(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.DB().Root() != srv.DB().Root() {
-		t.Fatal("golden snapshot restored to a different root")
-	}
-
-	payload, err := durable.ReadEnvelope(bytes.NewReader(golden), snapMagic, digest.DomainSnapshot, maxSnapshotBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "state.snap")
-	err = durable.WriteFileAtomic(durable.OS, path, true, func(w io.Writer) error {
-		return durable.WriteEnvelope(w, snapMagic, digest.DomainSnapshot, payload)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	written, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(written, golden) {
-		t.Fatalf("snapshot framing changed: wrote %d bytes, golden has %d", len(written), len(golden))
 	}
 }

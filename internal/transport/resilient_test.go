@@ -1,9 +1,12 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +14,7 @@ import (
 	"time"
 
 	"trustedcvs/internal/backoff"
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/fault"
 	"trustedcvs/internal/wire"
 )
@@ -488,5 +492,100 @@ func TestResilientBackoffJitterDecorrelates(t *testing.T) {
 	}
 	if same {
 		t.Fatal("two differently-seeded clients produced identical backoff schedules")
+	}
+}
+
+// TestSessionsSnapshotDeterministic: Freeze walks two maps, and map
+// order must not reach the checkpoint — the same table snapshots to the
+// same bytes every time, sessions in SID order and outcomes in Seq
+// order, and those bytes decode and re-encode to themselves.
+func TestSessionsSnapshotDeterministic(t *testing.T) {
+	tbl := NewSessionTable(0)
+	h := func(req any) (any, error) {
+		if s := req.(string); strings.HasPrefix(s, "err:") {
+			return nil, errors.New(s)
+		}
+		return req, nil
+	}
+	for sid := uint64(40); sid >= 4; sid -= 3 {
+		for _, seq := range []uint64{5, 2, 9, 1, 7} {
+			req := fmt.Sprintf("s%d-%d", sid, seq)
+			if seq == 2 {
+				req = "err:" + req
+			}
+			_, _ = tbl.Dispatch(&wire.SessionRequest{SID: sid, Seq: seq, Req: req}, h)
+		}
+	}
+	encode := func() []byte {
+		var b []byte
+		tbl.Freeze(func(s *SessionsSnapshot) {
+			var err error
+			if b, err = AppendSnapshot(nil, s); err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range s.Sessions {
+				if i > 0 && s.Sessions[i-1].SID >= st.SID {
+					t.Fatalf("sessions out of SID order at %d", i)
+				}
+				for j := 1; j < len(st.Ops); j++ {
+					if st.Ops[j-1].Seq >= st.Ops[j].Seq {
+						t.Fatalf("session %d: outcomes out of Seq order", st.SID)
+					}
+				}
+			}
+		})
+		return b
+	}
+	first := encode()
+	for i := 0; i < 20; i++ {
+		if again := encode(); !bytes.Equal(again, first) {
+			t.Fatalf("snapshot %d of the same frozen table differs from the first", i+2)
+		}
+	}
+
+	r := binenc.NewReader(first)
+	back := ReadSnapshot(r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := AppendSnapshot(nil, back); err != nil || !bytes.Equal(again, first) {
+		t.Fatalf("decode + encode is not the identity (err %v)", err)
+	}
+	tbl2 := NewSessionTable(0)
+	tbl2.RestoreSessions(back)
+	if got, err := tbl2.Dispatch(&wire.SessionRequest{SID: 40, Seq: 9, Req: "x"}, nil); err != nil || got != "s40-9" {
+		t.Fatalf("restored table replays (%v, %v), want the cached response", got, err)
+	}
+	if _, err := tbl2.Dispatch(&wire.SessionRequest{SID: 40, Seq: 2, Req: "x"}, nil); err == nil || err.Error() != "err:s40-2" {
+		t.Fatalf("restored table replays error %v, want the cached one", err)
+	}
+	if _, err := AppendSnapshot(nil, &SessionsSnapshot{Sessions: []SessionState{{SID: 1, High: 1, Ops: []OpOutcome{{Seq: 1, Resp: struct{}{}}}}}}); err == nil {
+		t.Fatal("an unregistered response type was encoded")
+	}
+}
+
+// TestSessionsSnapshotHostileCounts: session and outcome counts far
+// beyond the bytes present are refused before anything is sized by
+// them.
+func TestSessionsSnapshotHostileCounts(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	for name, b := range map[string][]byte{
+		"sessions": huge,
+		"outcomes": append([]byte{1, 7, 1, 0}, huge...),
+		"trailing": {0, 0},
+		"bad bool": {1, 7, 1, 0, 1, 1, 2},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := binenc.NewReader(b)
+		ReadSnapshot(r)
+		err := r.Close()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, binenc.ErrMalformed) {
+			t.Errorf("%s: Close = %v, want ErrMalformed", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<10+128*uint64(len(b)) {
+			t.Errorf("%s: the refusal allocated %d bytes for %d of input", name, got, len(b))
+		}
 	}
 }

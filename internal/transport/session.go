@@ -1,9 +1,12 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sort"
 	"sync"
 
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/wire"
 )
 
@@ -185,10 +188,45 @@ type SessionState struct {
 	Ops   []OpOutcome
 }
 
-// SessionsSnapshot is the gob-encodable capture of a SessionTable,
-// embedded in server checkpoints.
+// SessionsSnapshot is the capture of a SessionTable embedded in server
+// checkpoints, in SID then Seq order: one state, one encoding.
 type SessionsSnapshot struct {
 	Sessions []SessionState
+}
+
+// AppendSnapshot appends s to b (layout: DESIGN.md "State files"). A
+// cached response nests exactly as it travelled on the network
+// (wire.Append), so only registered message types can be cached.
+func AppendSnapshot(b []byte, s *SessionsSnapshot) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(s.Sessions)))
+	for _, st := range s.Sessions {
+		for _, v := range [...]uint64{st.SID, st.High, st.Floor, uint64(len(st.Ops))} {
+			b = binary.AppendUvarint(b, v)
+		}
+		for _, o := range st.Ops {
+			b = binenc.AppendString(binenc.AppendBool(binary.AppendUvarint(b, o.Seq), o.IsErr), o.ErrMsg)
+			var err error
+			if b, err = wire.Append(b, o.Resp); err != nil {
+				return nil, fmt.Errorf("transport: session %d seq %d: %w", st.SID, o.Seq, err)
+			}
+		}
+	}
+	return b, nil
+}
+
+// ReadSnapshot reads what AppendSnapshot wrote, every count bounded by
+// the bytes left. Cached responses keep windows onto the input.
+func ReadSnapshot(r *binenc.Reader) *SessionsSnapshot {
+	s := &SessionsSnapshot{Sessions: make([]SessionState, r.Count(4))}
+	for i := range s.Sessions {
+		st := &s.Sessions[i]
+		st.SID, st.High, st.Floor = r.Uvarint(), r.Uvarint(), r.Uvarint()
+		st.Ops = make([]OpOutcome, r.Count(4))
+		for j := range st.Ops {
+			st.Ops[j] = OpOutcome{Seq: r.Uvarint(), IsErr: r.Bool(), ErrMsg: r.String(), Resp: wire.Read(r)}
+		}
+	}
+	return s
 }
 
 // Freeze blocks until every in-flight Dispatch has completed, holds
@@ -209,9 +247,11 @@ func (t *SessionTable) Freeze(f func(*SessionsSnapshot)) {
 		for seq, o := range s.done {
 			st.Ops = append(st.Ops, OpOutcome{Seq: seq, Resp: o.resp, ErrMsg: o.errMsg, IsErr: o.isErr})
 		}
+		sort.Slice(st.Ops, func(i, j int) bool { return st.Ops[i].Seq < st.Ops[j].Seq })
 		snap.Sessions = append(snap.Sessions, st)
 	}
 	t.mu.Unlock()
+	sort.Slice(snap.Sessions, func(i, j int) bool { return snap.Sessions[i].SID < snap.Sessions[j].SID })
 	f(snap)
 }
 

@@ -23,10 +23,12 @@ package vdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/merkle"
 )
@@ -403,8 +405,7 @@ func (db *DB) ApplyPlain(op Op) (ansBytes []byte, err error) {
 // Snapshot captures the database (tree structure + operation counters)
 // for persistence. The restored database has the identical
 // root-of-roots, so a restarted server stays consistent with every
-// client's verified state. A single-shard snapshot uses the legacy
-// single-tree layout, byte-compatible with pre-forest snapshots.
+// client's verified state.
 func (db *DB) Snapshot() *DBSnapshot {
 	db.fmu.Lock()
 	gctr := db.gctr
@@ -423,13 +424,11 @@ func (db *DB) Snapshot() *DBSnapshot {
 }
 
 // DBSnapshot is the persistent form of a DB. Exactly one of Tree
-// (single-shard legacy layout) and Shards (forest layout) is set.
+// (single-shard layout) and Shards (forest layout, one entry per
+// shard) is set.
 type DBSnapshot struct {
-	Ctr  uint64
-	Tree *merkle.Snapshot
-	// Shards is the forest layout (one entry per shard). Empty for
-	// single-shard databases, which keeps their snapshots — and
-	// everything embedding them — identical to the pre-forest format.
+	Ctr    uint64
+	Tree   *merkle.Snapshot
 	Shards []ShardSnapshot
 }
 
@@ -437,6 +436,38 @@ type DBSnapshot struct {
 type ShardSnapshot struct {
 	Ctr  uint64
 	Tree *merkle.Snapshot
+}
+
+// AppendSnapshot appends s, which must be what DB.Snapshot returns, to
+// b, with n = 0 for the single-shard layout and each tree as
+// merkle.Snapshot writes it:
+//
+//	db = uvarint(ctr) uvarint(n) ( tree | n×( uvarint(ctr_s) tree ) )
+func AppendSnapshot(b []byte, s *DBSnapshot) []byte {
+	b = binary.AppendUvarint(binary.AppendUvarint(b, s.Ctr), uint64(len(s.Shards)))
+	if len(s.Shards) == 0 {
+		return s.Tree.Append(b)
+	}
+	for _, ss := range s.Shards {
+		b = ss.Tree.Append(binary.AppendUvarint(b, ss.Ctr))
+	}
+	return b
+}
+
+// ReadSnapshot reads what AppendSnapshot wrote. The shard count is
+// bounded by the bytes left (a shard is at least a counter, a record
+// count and the length-prefixed two bytes of an empty tree); whether it
+// is legal, the trees are trees and the counters add up is RestoreDB's
+// call.
+func ReadSnapshot(r *binenc.Reader) *DBSnapshot {
+	s := &DBSnapshot{Ctr: r.Uvarint(), Shards: make([]ShardSnapshot, r.Count(5))}
+	if len(s.Shards) == 0 {
+		s.Tree = merkle.ReadSnapshot(r)
+	}
+	for i := range s.Shards {
+		s.Shards[i] = ShardSnapshot{Ctr: r.Uvarint(), Tree: merkle.ReadSnapshot(r)}
+	}
+	return s
 }
 
 // RestoreDB rebuilds a database from a snapshot.

@@ -1,10 +1,7 @@
 package wal
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -15,9 +12,9 @@ import (
 // The cursor file records the journal owner's durable resume point —
 // for the audit pipeline, the newest closed epoch plus the user state
 // at its boundary cut. It is replaced atomically
-// (durable.WriteFileAtomic) so a crash mid-update leaves either the
-// old cursor or the new one, never a torn hybrid, and it travels in
-// the checksummed durable envelope so rot is detected on read.
+// (durable.WriteFile) so a crash mid-update leaves either the old
+// cursor or the new one, never a torn hybrid, and it travels in the
+// checksummed durable envelope so rot is detected on read.
 
 // cursorMagic heads the cursor file.
 const cursorMagic = "TCVSCUR1\n"
@@ -29,10 +26,7 @@ const cursorFile = "cursor"
 // Safe to call while the WAL is open; the cursor is a separate file
 // and never collides with a segment name.
 func WriteCursor(fs durable.FS, dir string, payload []byte) error {
-	err := durable.WriteFileAtomic(fs, filepath.Join(dir, cursorFile), false, func(w io.Writer) error {
-		return durable.WriteEnvelope(w, cursorMagic, digest.DomainWALCursor, payload)
-	})
-	if err != nil {
+	if err := durable.WriteFile(fs, filepath.Join(dir, cursorFile), false, cursorMagic, digest.DomainWALCursor, payload); err != nil {
 		return fmt.Errorf("wal: write cursor: %w", err)
 	}
 	return nil
@@ -42,20 +36,12 @@ func WriteCursor(fs durable.FS, dir string, payload []byte) error {
 // cursor has ever been written; a cursor that exists but fails its
 // checksum is corruption, not absence.
 func ReadCursor(dir string) (payload []byte, ok bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, cursorFile))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("wal: read cursor: %w", err)
+	payload, err = durable.ReadFile(filepath.Join(dir, cursorFile), cursorMagic, digest.DomainWALCursor)
+	if os.IsNotExist(err) {
+		return nil, false, nil
 	}
-	r := bytes.NewReader(data)
-	payload, err = durable.ReadEnvelope(r, cursorMagic, digest.DomainWALCursor, maxFrameBytes)
 	if err != nil {
 		return nil, false, fmt.Errorf("wal: cursor: %w", err)
-	}
-	if r.Len() != 0 {
-		return nil, false, errors.New("wal: cursor: trailing bytes after footer")
 	}
 	return payload, true, nil
 }

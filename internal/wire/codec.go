@@ -124,6 +124,16 @@ func Read(r *binenc.Reader) any {
 	return msg
 }
 
+// ReadAs consumes one tag + body where the enclosing layout fixes the
+// type: anything but a T, nil included, fails the Reader.
+func ReadAs[T any](r *binenc.Reader) T {
+	msg, ok := Read(r).(T)
+	if !ok {
+		r.Fail("nested message is not a %T", msg)
+	}
+	return msg
+}
+
 func init() {
 	Register(tagString, func(b []byte, s string) ([]byte, error) { return binenc.AppendString(b, s), nil },
 		(*binenc.Reader).String)

@@ -196,11 +196,14 @@ func (n *Node) absorb(c *forensics.Commitment, pub []byte) error {
 	return nil
 }
 
-// handleSnapshot validates and stores a checkpoint envelope. The
-// envelope's own checksum frame is verified by decoding it, and the
-// restored database must reproduce exactly the declared (ctr, root) —
-// a witness never stores a checkpoint it could not vouch for at
-// promotion time.
+// handleSnapshot validates and stores a checkpoint envelope. The bytes
+// come from the primary a witness exists to distrust, and the sender
+// computes the envelope's checksum, so decoding verifies the frame but
+// relies on the body decoder alone (server.DecodeP2Snapshot: every
+// count bounded by the bytes behind it, vdb.RestoreDB re-checking every
+// tree). The restored database must reproduce exactly the declared
+// (ctr, root) — a witness never stores a checkpoint it could not vouch
+// for at promotion time.
 func (n *Node) handleSnapshot(r *SnapshotPut) (*SnapshotReply, error) {
 	snap, err := server.DecodeP2Snapshot(bytes.NewReader(r.Data))
 	if err != nil {

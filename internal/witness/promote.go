@@ -61,8 +61,6 @@ func Promote(n *Node, serverName string) (*Promotion, error) {
 			n.name, serverName, root.Short(), c.Root.Short(), ctr)
 	}
 	sessions := transport.NewSessionTable(0)
-	if snap.Sessions != nil {
-		sessions.RestoreSessions(snap.Sessions)
-	}
+	sessions.RestoreSessions(snap.Sessions)
 	return &Promotion{Server: srv, Store: store, Sessions: sessions, Ctr: gotCtr, Root: gotRoot}, nil
 }

@@ -9,8 +9,7 @@
 package workspace
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -18,15 +17,31 @@ import (
 	"sort"
 	"strings"
 
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/diff"
 	"trustedcvs/internal/digest"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/rcs"
 )
 
 // MetaFile is the workspace metadata file, stored inside the
-// workspace directory.
+// workspace directory: the tracked entries in path order, replaced
+// atomically inside the checksummed envelope (durable.WriteFile).
+//
+//	metaFormat | uvarint(n) n×( string(path) uvarint(rev) hash[32] )
 const MetaFile = ".tcvs-workspace"
+
+const (
+	metaMagic  = "TCVSWORK1\n"
+	metaFormat = 0x8B // in 0x80–0xF7, where no gob stream starts
+)
+
+// ErrMetaFormat is returned by Open for metadata that is not in this
+// binary's format — written by an older binary, which kept a bare gob
+// map there. It is refused, never converted: commit or discard the
+// working copy with the binary that wrote it, or check out afresh.
+var ErrMetaFormat = errors.New("workspace: metadata is not in this binary's format")
 
 // ErrUnsafePath is returned for repository paths that would escape the
 // workspace directory.
@@ -52,6 +67,7 @@ type Workspace struct {
 	dir  string
 	repo *cvs.Client
 	meta map[string]entry
+	fs   durable.FS // nil: the real filesystem; tests inject write faults
 }
 
 // Open binds dir (created if missing) to the repository client,
@@ -61,15 +77,28 @@ func Open(dir string, repo *cvs.Client) (*Workspace, error) {
 		return nil, err
 	}
 	w := &Workspace{dir: dir, repo: repo, meta: map[string]entry{}}
-	raw, err := os.ReadFile(filepath.Join(dir, MetaFile))
-	if errors.Is(err, os.ErrNotExist) {
+	path := filepath.Join(dir, MetaFile)
+	payload, err := durable.ReadFile(path, metaMagic, digest.DomainSnapshot)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
 		return w, nil
+	case errors.Is(err, durable.ErrMagic), err == nil && (len(payload) == 0 || payload[0] != metaFormat):
+		return nil, fmt.Errorf("%w: %s", ErrMetaFormat, path)
+	case err != nil:
+		return nil, fmt.Errorf("workspace: metadata: %w", err)
 	}
-	if err != nil {
-		return nil, err
+	r := binenc.NewReader(payload[1:])
+	for n, prev := r.Count(2+digest.Size), ""; n > 0; n-- {
+		var e entry
+		path := r.String()
+		if e.Rev = r.Uvarint(); path <= prev {
+			r.Fail("path %q out of order", path)
+		}
+		copy(e.Hash[:], r.View(digest.Size))
+		w.meta[path], prev = e, path
 	}
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w.meta); err != nil {
-		return nil, fmt.Errorf("workspace: corrupt metadata: %w", err)
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("workspace: metadata: %w", err)
 	}
 	return w, nil
 }
@@ -87,12 +116,15 @@ func (w *Workspace) Tracked() []string {
 	return out
 }
 
+// save replaces the metadata file. A crash mid-save leaves the
+// previous file: losing it would lose every tracked base revision.
 func (w *Workspace) save() error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w.meta); err != nil {
-		return err
+	b := binary.AppendUvarint([]byte{metaFormat}, uint64(len(w.meta)))
+	for _, p := range w.Tracked() {
+		e := w.meta[p]
+		b = append(binary.AppendUvarint(binenc.AppendString(b, p), e.Rev), e.Hash[:]...)
 	}
-	return os.WriteFile(filepath.Join(w.dir, MetaFile), buf.Bytes(), 0o644)
+	return durable.WriteFile(w.fs, filepath.Join(w.dir, MetaFile), false, metaMagic, digest.DomainSnapshot, b)
 }
 
 // fsPath maps a repository path onto the workspace, refusing escapes.

@@ -9,10 +9,11 @@
 # wall-clock so a regressing pass is visible in CI logs), the whole
 # test suite under the race detector (the pipelined server hot path
 # and the fault/recovery suite — kill/restart, reconnect, resume — are
-# only trustworthy race-clean), and a fuzz smoke over the six
+# only trustworthy race-clean), and a fuzz smoke over the seven
 # untrusted-input surfaces (wire frames, verification objects and
 # claimed answers — the two hand-written binary decoders — diffs,
-# snapshot files and journal segments read back from disk).
+# snapshot files, register files and journal segments read back from
+# disk).
 set -eux
 cd "$(dirname "$0")/.."
 
@@ -31,17 +32,11 @@ if go list -deps . ./cmd/tcvs ./cmd/tcvs-server ./cmd/tcvs-attack | grep -e inte
     echo "production code imports a test-support package" >&2
     exit 1
 fi
-# encoding/gob is retired from the wire and both journals. Only the
-# named remainder may still mention it — snapshots, client register
-# files, the audit cursor, workspace metadata (tcvs-lint's
-# hashdiscipline holds the same list) — plus the lint's own rule text.
-gob=$(grep -rl --include='*.go' 'encoding/gob' . |
-    grep -v -e '_test\.go$' -e '/testdata/' -e '^\./\.bench_build/' -e '^\./internal/lint/' |
-    grep -v -x -e './internal/server/persist.go' -e './internal/merkle/serialize.go' \
-        -e './internal/core/proto[123]/state.go' -e './internal/audit/durable.go' \
-        -e './internal/workspace/workspace.go' || true)
-if [ -n "$gob" ]; then
-    echo "encoding/gob outside the named remainder: $gob" >&2
+# encoding/gob is retired: nothing sent, journaled or stored goes
+# through it, so no production package may link it (tcvs-lint's
+# hashdiscipline says the same per import).
+if go list -deps ./... | grep -x encoding/gob; then
+    echo "a package of the module depends on encoding/gob" >&2
     exit 1
 fi
 # The benchmark is a nested module root go vet/test ./... skip; an
@@ -76,6 +71,7 @@ go test -run='^$' -fuzz='^FuzzVOVerify$' -fuzztime=10s ./internal/merkle
 go test -run='^$' -fuzz='^FuzzAnswerDecode$' -fuzztime=10s ./internal/vdb
 go test -run='^$' -fuzz='^FuzzDiffPatch$' -fuzztime=10s ./internal/diff
 go test -run='^$' -fuzz='^FuzzSnapshotLoad$' -fuzztime=10s ./internal/server
+go test -run='^$' -fuzz='^FuzzUserStateRestore$' -fuzztime=10s ./internal/core/proto2
 go test -run='^$' -fuzz='^FuzzWALReplay$' -fuzztime=10s ./internal/wal
 
 # Non-test Go lines per package, so a simplicity PR's before/after

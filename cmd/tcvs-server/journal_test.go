@@ -32,9 +32,11 @@ func carriedCommit(path string, content []byte, base uint64) *core.RiderRequest 
 }
 
 // TestJournalReplaysCarriedPush: content that rode with a commit is
-// journaled as the PushContentRequest a client would have sent after
+// journaled as the PushContentRequest a client would have sent ahead of
 // it, so a crash after the commit was acknowledged replays the blob
-// along with the operation; a conflicting commit journals no push.
+// along with the operation. A conflicting commit's blob was stored
+// before the conflict was known and is journaled like any other: an
+// orphan no record names.
 func TestJournalReplaysCarriedPush(t *testing.T) {
 	dir := t.TempDir()
 	journal, err := server.OpenOpJournal(dir, nil, 4)
@@ -74,22 +76,29 @@ func TestJournalReplaysCarriedPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != 3 || pushes != 3 {
-		t.Fatalf("replayed %d ops and %d pushes, want 3 ops (one a conflict) and 3 pushes (two carried, one alone)", applied, pushes)
+	if applied != 3 || pushes != 4 {
+		t.Fatalf("replayed %d ops and %d pushes, want 3 ops (one a conflict) and 4 pushes (three carried, one alone)", applied, pushes)
 	}
 	if db2.Root() != db.Root() {
 		t.Fatal("replay did not reproduce the root")
 	}
+	// Every revision the replayed database records is served by the
+	// replayed store, under the hash the record carries.
 	for rev, want := range map[uint64][]byte{1: v1, 2: v2} {
-		if got, err := store2.FetchRev("f", rev); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("f@%d after replay: %q %v", rev, got, err)
+		ans, err := db2.ApplyPlain(&cvs.CheckoutOp{Paths: []string{"f"}, Rev: rev})
+		if err != nil {
+			t.Fatal(err)
 		}
+		cvs.VisitCheckoutAnswer(ans, func(_ int, st cvs.FileStatus) {
+			if got, err := store2.Fetch("f", st.Rev, st.Hash); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("f@%d after replay: %q %v", rev, got, err)
+			}
+		})
 	}
-	if _, err := store2.Fetch("f", 0, rcs.HashContent(stale)); err == nil {
-		t.Fatal("the conflicting commit's blob was journaled")
-	}
-	if got, err := store2.FetchRev("g", 1); err != nil || !bytes.Equal(got, lone) {
-		t.Fatalf("g@1 after replay: %q %v", got, err)
+	for _, orphan := range [][]byte{stale, lone} {
+		if got, err := store2.Fetch("", 0, rcs.HashContent(orphan)); err != nil || !bytes.Equal(got, orphan) {
+			t.Fatalf("%q after replay: %q %v", orphan, got, err)
+		}
 	}
 }
 
@@ -190,42 +199,45 @@ func TestSaveStateIsReproducible(t *testing.T) {
 	}
 }
 
-// TestOldSnapshotRefusedAtBoot: `tcvs-server -data <gob-era snapshot>`
+// TestOldSnapshotRefusedAtBoot: `tcvs-server -data <snapshot in an
+// older format>` — gob-era, or the 0x85 layout of the previous binary —
 // exits non-zero naming the format. It must not take the file for a
 // first boot — the periodic saver would then overwrite the only copy of
 // the repository with an empty one — and leaves it as it was.
 func TestOldSnapshotRefusedAtBoot(t *testing.T) {
-	old, err := os.ReadFile(filepath.Join("..", "..", "internal", "server", "testdata", "golden", "gob-p2-snapshot-3commits.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "old.snap")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-hub", "127.0.0.1:0", "-proto", "2", "-data", path, "-save-interval", "10ms")
-	cmd.Env = append(os.Environ(), "TCVS_TEST_MAIN=1")
-	done := make(chan struct{})
-	var out []byte
-	go func() { out, err = cmd.CombinedOutput(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		_ = cmd.Process.Kill()
-		<-done
-		t.Fatalf("tcvs-server kept running over a gob-era snapshot; output %q", out)
-	}
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("tcvs-server over a gob-era snapshot: err %v, output %q; want exit status 1", err, out)
-	}
-	if !strings.Contains(string(out), server.ErrSnapshotFormat.Error()) {
-		t.Errorf("tcvs-server does not name the format: %q", out)
-	}
-	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, old) {
-		t.Fatalf("the refused snapshot changed on disk (err %v)", err)
-	}
-	if _, err := os.Stat(path + ".1"); !os.IsNotExist(err) {
-		t.Fatalf("a saver rotated the refused snapshot aside (stat: %v)", err)
+	for _, fixture := range []string{"gob-p2-snapshot-3commits.snap", "fmt85-p2-snapshot-single.snap"} {
+		old, err := os.ReadFile(filepath.Join("..", "..", "internal", "server", "testdata", "golden", fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "old.snap")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-hub", "127.0.0.1:0", "-proto", "2", "-data", path, "-save-interval", "10ms")
+		cmd.Env = append(os.Environ(), "TCVS_TEST_MAIN=1")
+		done := make(chan struct{})
+		var out []byte
+		go func() { out, err = cmd.CombinedOutput(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			_ = cmd.Process.Kill()
+			<-done
+			t.Fatalf("tcvs-server kept running over %s; output %q", fixture, out)
+		}
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("tcvs-server over %s: err %v, output %q; want exit status 1", fixture, err, out)
+		}
+		if !strings.Contains(string(out), server.ErrSnapshotFormat.Error()) {
+			t.Errorf("tcvs-server over %s does not name the format: %q", fixture, out)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, old) {
+			t.Fatalf("the refused snapshot %s changed on disk (err %v)", fixture, err)
+		}
+		if _, err := os.Stat(path + ".1"); !os.IsNotExist(err) {
+			t.Fatalf("a saver rotated the refused snapshot %s aside (stat: %v)", fixture, err)
+		}
 	}
 }

@@ -505,7 +505,7 @@ func parseBehavior(name string, trigger uint64, groupB string, target sig.UserID
 
 // journalPushes wraps the request handler so every accepted content
 // push is journaled before its acknowledgement is released, whichever
-// way it travelled: on its own, or riding with the commit that named
+// way it travelled: on its own, or riding with the commit that names
 // it — recorded as the same PushContentRequest entries either way, so
 // a crash after an acked commit replays its content.
 func journalPushes(inner transport.Handler, journal *server.OpJournal, srv server.Server) transport.Handler {
@@ -518,8 +518,8 @@ func journalPushes(inner transport.Handler, journal *server.OpJournal, srv serve
 		case *core.PushContentRequest:
 			journal.RecordPush(r, srv.DB().Ctr())
 		case *core.RiderRequest:
-			for _, p := range driver.CarriedPushes(r, resp) {
-				journal.RecordPush(p, srv.DB().Ctr())
+			for _, blob := range r.Blobs {
+				journal.RecordPush(&core.PushContentRequest{Content: blob}, srv.DB().Ctr())
 			}
 		}
 		return resp, err

@@ -120,7 +120,9 @@ type BackupsResponse struct {
 }
 
 // PushContentRequest uploads revision content to the server's
-// unauthenticated content store.
+// unauthenticated content store, which files it under the hash it
+// computes. Path and Rev are labels: a client pushes before the commit
+// that assigns the revision, and sends Rev 0.
 type PushContentRequest struct {
 	Path    string
 	Rev     uint64
@@ -128,8 +130,8 @@ type PushContentRequest struct {
 }
 
 // FetchContentRequest downloads revision content. Hash is the
-// authenticated content hash the client expects; it lets the store
-// resolve the right blob even across diverged histories.
+// authenticated content hash the client expects and the only key the
+// store looks up; Path and Rev name the revision in a refusal.
 type FetchContentRequest struct {
 	Path string
 	Rev  uint64

@@ -90,30 +90,11 @@ func readFiles(r *binenc.Reader) []FileStatus {
 	return out
 }
 
-// VisitCommitAnswer walks an encoded CommitAnswer without building it:
-// visit sees each result's index (the file's index in CommitOp.Files),
-// assigned revision and conflict flag. The content handler links
-// carried blobs with it on every commit, so it allocates nothing;
-// bytes that are not a CommitAnswer are visited as far as they parse.
-func VisitCommitAnswer(answer []byte, visit func(i int, rev uint64, conflict bool)) {
-	var r binenc.Reader
-	r.Reset(answer)
-	if r.Byte() != tagCommit {
-		return
-	}
-	for i, n := 0, r.Count(3); i < n; i++ {
-		r.View(r.Count(1)) // the path, which CommitOp.Files[i] already names
-		rev, conflict := r.Uvarint(), r.Bool()
-		if r.Err() != nil {
-			return
-		}
-		visit(i, rev, conflict)
-	}
-}
-
-// VisitCheckoutAnswer walks an encoded CheckoutAnswer the same way:
-// visit sees each file's index (its index in CheckoutOp.Paths) and its
-// status with the path left out.
+// VisitCheckoutAnswer walks an encoded CheckoutAnswer without building
+// it: visit sees each file's index (its index in CheckoutOp.Paths) and
+// its status with the path left out. The content handler attaches
+// blobs with it on every checkout, so it allocates nothing; bytes that
+// are not a CheckoutAnswer are visited as far as they parse.
 func VisitCheckoutAnswer(answer []byte, visit func(i int, st FileStatus)) {
 	var r binenc.Reader
 	r.Reset(answer)

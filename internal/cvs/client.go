@@ -22,11 +22,12 @@ type Doer interface {
 }
 
 // A ContentTransfer moves revision content to and from the server's
-// unauthenticated content store. Content is always re-verified against
-// the authenticated hash on the way back, so this channel needs no
-// protection of its own. Fetch carries the authenticated hash so the
-// store can serve the right blob even when a malicious server keeps
-// several diverged histories for the same (path, rev).
+// unauthenticated content store, a map from content hash to bytes.
+// Content is always re-verified against the authenticated hash on the
+// way back, so this channel needs no protection of its own. Fetch
+// carries that hash — it is the key; path and rev, on both calls, are
+// labels for error messages and choose nothing. Push must be complete
+// before the commit naming the content is issued.
 type ContentTransfer interface {
 	Push(path string, rev uint64, content []byte) error
 	Fetch(path string, rev uint64, hash digest.Digest) ([]byte, error)
@@ -49,7 +50,7 @@ type ContentDoer interface {
 
 // MaxRiderBytes caps the content one operation carries in either
 // direction, well under the frame limit (wire.MaxMessage). A commit
-// above it uploads through ContentTransfer.Push after the operation,
+// above it uploads through ContentTransfer.Push before the operation,
 // and a checkout answer's files beyond it are left for Fetch.
 const MaxRiderBytes = 4 << 20
 
@@ -86,8 +87,8 @@ func NewClient(doer Doer, content ContentTransfer, author string, now func() tim
 	return &Client{doer: doer, carrier: carrier, content: content, author: author, now: now}
 }
 
-// Commit commits the given files (path -> new content) in one atomic
-// operation and uploads their content. baseRevs optionally carries the
+// Commit uploads the given files' content (path -> new content) and
+// commits them in one atomic operation. baseRevs optionally carries the
 // revision each edit was based on (CVS up-to-date check); paths absent
 // from baseRevs are committed unconditionally.
 func (c *Client) Commit(files map[string][]byte, logMsg string, baseRevs map[string]uint64) ([]CommitResult, error) {
@@ -102,13 +103,21 @@ func (c *Client) Commit(files map[string][]byte, logMsg string, baseRevs map[str
 	}
 	slices.SortFunc(op.Files, func(a, b CommitFile) int { return strings.Compare(a.Path, b.Path) })
 
-	// The content rides with the operation when the Doer can carry it
-	// and it fits; otherwise it is pushed once the commit has applied.
+	// Content is stored before the commit that names it: it rides with
+	// the operation when the Doer can carry it and it fits, and is pushed
+	// ahead of the operation otherwise. The revision is not assigned
+	// yet, so the pushes are labelled 0.
 	var push [][]byte
 	if c.carrier != nil && total <= MaxRiderBytes {
 		push = make([][]byte, len(op.Files))
 		for i, f := range op.Files {
 			push[i] = files[f.Path]
+		}
+	} else {
+		for _, f := range op.Files {
+			if err := c.content.Push(f.Path, 0, files[f.Path]); err != nil {
+				return nil, fmt.Errorf("cvs: push content for %s: %w", f.Path, err)
+			}
 		}
 	}
 	ans, _, err := c.do(op, push, false)
@@ -122,21 +131,10 @@ func (c *Client) Commit(files map[string][]byte, logMsg string, baseRevs map[str
 	if len(ca.Results) != len(op.Files) {
 		return nil, fmt.Errorf("cvs: commit answer has %d results for %d files", len(ca.Results), len(op.Files))
 	}
-	var conflict bool
 	for _, r := range ca.Results {
 		if r.Conflict {
-			conflict = true
-			continue
+			return ca.Results, ErrConflict
 		}
-		if push != nil {
-			continue
-		}
-		if err := c.content.Push(r.Path, r.Rev, files[r.Path]); err != nil {
-			return ca.Results, fmt.Errorf("cvs: push content for %s@%d: %w", r.Path, r.Rev, err)
-		}
-	}
-	if conflict {
-		return ca.Results, ErrConflict
 	}
 	return ca.Results, nil
 }

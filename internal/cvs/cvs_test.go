@@ -289,26 +289,20 @@ func (s *tamperingStore) Fetch(path string, rev uint64, hash digest.Digest) ([]b
 	return b, nil
 }
 
+// TestStorePushOrdering: the order pushes arrive in decides nothing.
+// Revisions 3, 1, 2 of one path are each fetchable by hash the moment
+// their push returns, whatever came before.
 func TestStorePushOrdering(t *testing.T) {
 	s := NewStore()
-	// Out-of-order pushes are retained (blob map) but do not extend
-	// the path's index; the content stays fetchable by hash.
-	if err := s.Push("f", 2, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.FetchRev("f", 2); err == nil {
-		t.Fatal("archive must not contain an out-of-order revision")
-	}
-	got, err := s.Fetch("f", 2, rcs.HashContent([]byte("x")))
-	if err != nil || string(got) != "x" {
-		t.Fatalf("blob fetch after out-of-order push: %q %v", got, err)
-	}
-	// In-order pushes extend the archive.
-	if err := s.Push("f", 1, []byte("first")); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s.FetchRev("f", 1); err != nil || string(got) != "first" {
-		t.Fatalf("archive fetch: %q %v", got, err)
+	for _, rev := range []uint64{3, 1, 2} {
+		content := []byte{'v', byte('0' + rev)}
+		if err := s.Push("f", rev, content); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Fetch("f", rev, rcs.HashContent(content))
+		if err != nil || string(got) != string(content) {
+			t.Fatalf("fetch of f@%d right after its push: %q %v", rev, got, err)
+		}
 	}
 }
 
@@ -328,6 +322,75 @@ func TestStoreForkDiverges(t *testing.T) {
 	got, err := f.Fetch("f", 1, rcs.HashContent([]byte("shared")))
 	if err != nil || string(got) != "shared" {
 		t.Fatalf("fork lost shared content: %q %v", got, err)
+	}
+}
+
+// racingDoer is a plain Doer — no content rides with it — that runs
+// between, when set, after a commit has applied and before its answer
+// returns: the window a concurrent reader sees.
+type racingDoer struct {
+	sess    *vdb.Session
+	between func()
+}
+
+func (d *racingDoer) Do(op vdb.Op) (any, error) {
+	ans, err := d.sess.Do(op)
+	if _, ok := op.(*CommitOp); ok && err == nil && d.between != nil {
+		d.between()
+	}
+	return ans, err
+}
+
+// TestCommitStoresContentBeforeNamingIt: over a plain Doer the content
+// is pushed before the commit is issued, so a reader that checks the
+// path out the instant the commit applies gets the new bytes.
+func TestCommitStoresContentBeforeNamingIt(t *testing.T) {
+	store := NewStore()
+	sess := vdb.NewSession(vdb.New(0))
+	reader := NewClient(sess, store, "bob", fixedClock())
+	var seen map[string][]byte
+	var seenErr error
+	racing := &racingDoer{sess: sess, between: func() { seen, seenErr = reader.Checkout("f") }}
+	writer := NewClient(racing, store, "alice", fixedClock())
+	if _, err := writer.Commit(map[string][]byte{"f": []byte("new\n")}, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if seenErr != nil || string(seen["f"]) != "new\n" {
+		t.Fatalf("checkout between the commit applying and returning: %q %v", seen["f"], seenErr)
+	}
+}
+
+// failingTransfer refuses pushes with err once it is set.
+type failingTransfer struct {
+	*Store
+	err error
+}
+
+func (f *failingTransfer) Push(path string, rev uint64, content []byte) error {
+	if f.err != nil {
+		return f.err
+	}
+	return f.Store.Push(path, rev, content)
+}
+
+// TestFailedPushIssuesNoCommit: a commit whose content cannot be stored
+// is never issued — the head stays where it was and stays checkable.
+func TestFailedPushIssuesNoCommit(t *testing.T) {
+	tr := &failingTransfer{Store: NewStore()}
+	c := NewClient(vdb.NewSession(vdb.New(0)), tr, "alice", fixedClock())
+	if _, err := c.Commit(map[string][]byte{"f": []byte("v1\n")}, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	tr.err = errors.New("injected: store unreachable")
+	if _, err := c.Commit(map[string][]byte{"f": []byte("v2\n")}, "", nil); !errors.Is(err, tr.err) {
+		t.Fatalf("commit over a failing push: %v, want the injected error", err)
+	}
+	st, err := c.Status("f")
+	if err != nil || st[0].Rev != 1 {
+		t.Fatalf("head after the failed commit: %+v %v, want revision 1", st, err)
+	}
+	if got, err := c.Checkout("f"); err != nil || string(got["f"]) != "v1\n" {
+		t.Fatalf("checkout after the failed commit: %q %v", got["f"], err)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // carrier is a ContentDoer over a local verified session and store: it
-// does what the server's rider handler does (stage, apply, link;
-// attach what the checkout answer names) with the knobs a hostile
+// does what the server's rider handler does (store, apply; attach
+// what the checkout answer names) with the knobs a hostile
 // server has.
 type carrier struct {
 	sess  *vdb.Session
@@ -33,21 +33,15 @@ func (c *carrier) Do(op vdb.Op) (any, error) {
 
 func (c *carrier) DoWithContent(op vdb.Op, push [][]byte, want bool) (any, [][]byte, error) {
 	c.calls++
-	var staged []digest.Digest
 	for _, blob := range push {
-		staged = append(staged, c.store.Stage(blob))
+		if err := c.store.Push("", 0, blob); err != nil {
+			return nil, nil, err
+		}
 		c.pushed++
 	}
 	ans, err := c.sess.Do(op)
 	if err != nil {
 		return nil, nil, err
-	}
-	if ca, ok := ans.(CommitAnswer); ok && len(staged) == len(ca.Results) {
-		for i, r := range ca.Results {
-			if !r.Conflict {
-				c.store.Link(r.Path, r.Rev, staged[i])
-			}
-		}
 	}
 	var riders [][]byte
 	if ca, ok := ans.(CheckoutAnswer); ok && want && !c.strip {
@@ -161,8 +155,8 @@ func TestRiderAbsentCostsAFetch(t *testing.T) {
 }
 
 // TestRiderOverflowFallsBack: a commit above MaxRiderBytes carries
-// nothing and pushes each file afterwards, as before riders existed;
-// everything still verifies.
+// nothing and pushes each file ahead of the operation; everything
+// still verifies.
 func TestRiderOverflowFallsBack(t *testing.T) {
 	cl, c, tr := newCarrierClient(t)
 	big := bytes.Repeat([]byte("0123456789abcdef"), MaxRiderBytes/16/2+1) // just over half the cap
@@ -184,22 +178,10 @@ func TestRiderOverflowFallsBack(t *testing.T) {
 	}
 }
 
-// TestVisitAnswers: the allocation-free walks see what the decoders
-// see, stop at the first malformed byte, and allocate nothing.
+// TestVisitAnswers: the allocation-free walk sees what the decoder
+// sees, stops at the first malformed byte, and allocates nothing.
 func TestVisitAnswers(t *testing.T) {
 	commit := CommitAnswer{Results: []CommitResult{{Path: "a", Rev: 7}, {Path: "dir/b", Conflict: true}, {Path: "c", Rev: 300}}}
-	var revs []uint64
-	var conflicts []bool
-	VisitCommitAnswer(commit.AppendAnswer(nil), func(i int, rev uint64, conflict bool) {
-		if i != len(revs) {
-			t.Fatalf("result %d visited at position %d", i, len(revs))
-		}
-		revs, conflicts = append(revs, rev), append(conflicts, conflict)
-	})
-	if len(revs) != 3 || revs[0] != 7 || revs[2] != 300 || !conflicts[1] || conflicts[0] {
-		t.Fatalf("commit walk saw revs %v conflicts %v", revs, conflicts)
-	}
-
 	h := rcs.HashContent([]byte("x"))
 	checkout := CheckoutAnswer{Files: []FileStatus{{Path: "a", Found: true, Rev: 2, Hash: h}, {Path: "gone"}, {Path: "d", Found: true, Rev: 9, Hash: h, Dead: true}}}
 	enc := checkout.AppendAnswer(nil)
@@ -223,46 +205,7 @@ func TestVisitAnswers(t *testing.T) {
 
 	if got := testing.AllocsPerRun(100, func() {
 		VisitCheckoutAnswer(enc, func(int, FileStatus) {})
-		VisitCommitAnswer(enc, func(int, uint64, bool) {})
 	}); got != 0 {
-		t.Fatalf("answer walks allocate %.0f times", got)
-	}
-}
-
-// TestStageThenLink: Stage files a blob under the hash the store
-// computed with no path naming it; Link puts it in a path's index;
-// snapshot and restore keep a blob nothing links — what a commit that
-// conflicted after its content was staged leaves behind.
-func TestStageThenLink(t *testing.T) {
-	s := NewStore()
-	content := []byte("staged\n")
-	h := s.Stage(content)
-	if h != rcs.HashContent(content) {
-		t.Fatalf("Stage returned %s", h.Short())
-	}
-	if got, err := s.Fetch("any", 1, h); err != nil || string(got) != "staged\n" {
-		t.Fatalf("staged blob not fetchable by hash: %q %v", got, err)
-	}
-	if _, err := s.FetchRev("f", 1); err == nil {
-		t.Fatal("an unlinked blob is in a path's index")
-	}
-	orphan := s.Stage([]byte("orphan\n"))
-	s.Link("f", 1, h)
-	if got, err := s.FetchRev("f", 1); err != nil || string(got) != "staged\n" {
-		t.Fatalf("linked revision: %q %v", got, err)
-	}
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := RestoreStore(viaBytes(t, snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := back.Fetch("", 0, orphan); err != nil || string(got) != "orphan\n" {
-		t.Fatalf("the unreferenced blob did not survive snapshot and restore: %q %v", got, err)
-	}
-	if len(snap.Files) != 1 || len(snap.Files[0].Hashes) != 1 {
-		t.Fatalf("snapshot chains %+v, want only f@1", snap.Files)
+		t.Fatalf("the answer walk allocates %.0f times", got)
 	}
 }

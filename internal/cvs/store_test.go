@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestStorePushHashesAndCopies(t *testing.T) {
 	}
 	// The served bytes are a copy too.
 	got[0] = 'X'
-	if again, err := s.FetchRev("f", 1); err != nil || string(again) != "original\n" {
+	if again, err := s.Fetch("f", 1, want); err != nil || string(again) != "original\n" {
 		t.Fatalf("caller mutation leaked into the store: %q %v", again, err)
 	}
 }
@@ -48,9 +49,6 @@ func TestStoreRefusesTamperedBlob(t *testing.T) {
 	if got, err := s.Fetch("f", 1, hash); !errors.Is(err, rcs.ErrCorrupt) || got != nil {
 		t.Fatalf("Fetch of a tampered blob: %q %v", got, err)
 	}
-	if got, err := s.FetchRev("f", 1); !errors.Is(err, rcs.ErrCorrupt) || got != nil {
-		t.Fatalf("FetchRev of a tampered blob: %q %v", got, err)
-	}
 	if _, err := s.Snapshot(); !errors.Is(err, rcs.ErrCorrupt) {
 		t.Fatalf("Snapshot over a tampered blob: %v", err)
 	}
@@ -65,9 +63,6 @@ func TestStoreMissingBlobRefusal(t *testing.T) {
 	want := fmt.Sprintf("cvs: no content for dir/f.txt@7 (%s)", hash.Short())
 	if err == nil || err.Error() != want {
 		t.Fatalf("refusal = %v, want %q", err, want)
-	}
-	if _, err := s.FetchRev("dir/f.txt", 7); !errors.Is(err, rcs.ErrUnknownFile) {
-		t.Fatalf("FetchRev of an unknown path: %v", err)
 	}
 }
 
@@ -87,46 +82,81 @@ func viaBytes(t *testing.T, snap *StoreSnapshot) *StoreSnapshot {
 	return back
 }
 
-// TestRestoreKeepsChainlessBlobs pushes f@2 before f@1, so one blob
-// belongs to no chain: it must survive snapshot and restore.
+// TestRestoreKeepsChainlessBlobs: the store keeps no record of which
+// path or revision a blob was pushed for, so every blob — pushed out of
+// order, or for a commit that never happened — survives snapshot and
+// restore on the strength of its hash alone.
 func TestRestoreKeepsChainlessBlobs(t *testing.T) {
 	s := NewStore()
-	second, first := []byte("second\n"), []byte("first\n")
+	second, first, orphan := []byte("second\n"), []byte("first\n"), []byte("never committed\n")
 	if err := s.Push("f", 2, second); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Push("f", 1, first); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Push("", 0, orphan); err != nil {
+		t.Fatal(err)
+	}
 	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Blobs) != 2 || len(snap.Files) != 1 || len(snap.Files[0].Hashes) != 1 {
-		t.Fatalf("snapshot holds %d blobs, chains %+v", len(snap.Blobs), snap.Files)
+	if len(snap.Blobs) != 3 {
+		t.Fatalf("snapshot holds %d blobs, want 3", len(snap.Blobs))
 	}
-	snap = viaBytes(t, snap)
-	r, err := RestoreStore(snap)
+	r, err := RestoreStore(viaBytes(t, snap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for rev, want := range map[uint64][]byte{1: first, 2: second} {
-		got, err := r.Fetch("f", rev, rcs.HashContent(want))
+	for _, want := range [][]byte{first, second, orphan} {
+		got, err := r.Fetch("f", 0, rcs.HashContent(want))
 		if err != nil || string(got) != string(want) {
-			t.Fatalf("restored Fetch f@%d: %q %v", rev, got, err)
+			t.Fatalf("restored Fetch of %q: %q %v", want, got, err)
 		}
 	}
-	if got, err := r.FetchRev("f", 1); err != nil || string(got) != "first\n" {
-		t.Fatalf("restored chain: %q %v", got, err)
+	if _, err := r.Fetch("f", 3, rcs.HashContent([]byte("third\n"))); err == nil {
+		t.Fatal("restore invented a blob")
 	}
-	if _, err := r.FetchRev("f", 2); !errors.Is(err, rcs.ErrNoRevision) {
-		t.Fatalf("restore invented a revision: %v", err)
-	}
+}
 
-	// A chain naming a blob the snapshot does not carry is refused.
-	snap.Blobs = snap.Blobs[1:]
-	if _, err := RestoreStore(snap); err == nil {
-		t.Fatal("restore accepted a chain whose blob is missing")
+// TestSnapshotOneSpelling: a snapshot is the blobs in strictly
+// increasing digest order, so two stores fed the same content in
+// different orders write the same bytes, and the decoder refuses every
+// other arrangement of them.
+func TestSnapshotOneSpelling(t *testing.T) {
+	contents := [][]byte{[]byte("a\n"), []byte("b\n"), []byte("c\n"), nil, []byte("d\n")}
+	encode := func(order ...int) []byte {
+		s := NewStore()
+		for _, i := range order {
+			if err := s.Push("f", uint64(i), contents[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return AppendSnapshot(nil, snap)
+	}
+	enc := encode(0, 1, 2, 3, 4)
+	if other := encode(4, 2, 0, 3, 1, 2); !bytes.Equal(other, enc) {
+		t.Fatal("the same blobs pushed in another order snapshot to different bytes")
+	}
+	r := binenc.NewReader(enc)
+	snap := ReadSnapshot(r)
+	if err := r.Close(); err != nil || len(snap.Blobs) != len(contents) {
+		t.Fatalf("the honest snapshot decodes to %d blobs, err %v", len(snap.Blobs), err)
+	}
+	for name, blobs := range map[string][][]byte{
+		"swapped":   {snap.Blobs[1], snap.Blobs[0], snap.Blobs[2], snap.Blobs[3], snap.Blobs[4]},
+		"duplicate": {snap.Blobs[0], snap.Blobs[1], snap.Blobs[1], snap.Blobs[2]},
+	} {
+		r := binenc.NewReader(AppendSnapshot(nil, &StoreSnapshot{Blobs: blobs}))
+		ReadSnapshot(r)
+		if err := r.Close(); err == nil || !strings.Contains(err.Error(), "digest order") {
+			t.Errorf("%s blobs: decode error %v, want a digest-order refusal", name, err)
+		}
 	}
 }
 
@@ -152,11 +182,8 @@ func TestStoreConcurrentUse(t *testing.T) {
 				if got, err := s.Fetch(path, uint64(rev), rcs.HashContent(c)); err != nil || string(got) != string(c) {
 					t.Errorf("Fetch %s@%d: %q %v", path, rev, got, err)
 				}
-				if got, err := s.FetchRev(path, uint64(rev)); err != nil || string(got) != string(c) {
-					t.Errorf("FetchRev %s@%d: %q %v", path, rev, got, err)
-				}
-				// A neighbour's chain may be anywhere; only races matter.
-				_, _ = s.FetchRev(fmt.Sprintf("f%d", (w+1)%workers), uint64(rev))
+				// A neighbour's blob may or may not be there yet; only races matter.
+				_, _ = s.Fetch("", 0, rcs.HashContent(content((w+1)%workers, rev)))
 				switch rev % 10 {
 				case 3:
 					if _, err := s.Snapshot(); err != nil {
@@ -176,12 +203,7 @@ func TestStoreConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Blobs) != workers*revs || len(snap.Files) != workers {
-		t.Fatalf("store holds %d blobs in %d chains, want %d in %d", len(snap.Blobs), len(snap.Files), workers*revs, workers)
-	}
-	for _, chain := range snap.Files {
-		if len(chain.Hashes) != revs {
-			t.Fatalf("%s has %d revisions, want %d", chain.Path, len(chain.Hashes), revs)
-		}
+	if len(snap.Blobs) != workers*revs {
+		t.Fatalf("store holds %d blobs, want %d", len(snap.Blobs), workers*revs)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/cvs"
-	"trustedcvs/internal/digest"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/transport"
 )
@@ -16,7 +15,7 @@ import (
 // The handler is invoked concurrently by the pipelined transport; it
 // needs no locking of its own because both targets synchronize
 // internally (the protocol servers around their ordered sections, the
-// content store around its blob map and revision index).
+// content store around its blob map).
 func NewHandler(srv server.Server, store *cvs.Store) transport.Handler {
 	return func(req any) (any, error) {
 		switch r := req.(type) {
@@ -49,68 +48,27 @@ func NewHandler(srv server.Server, store *cvs.Store) transport.Handler {
 }
 
 // handleRider serves an operation whose content rides along. Carried
-// blobs are staged — under the hashes the store computes — BEFORE the
+// blobs are stored — under the hashes the store computes — BEFORE the
 // operation is applied, so no reader can find a revision whose blob is
 // missing; the protocol server then sees the plain request it always
-// sees; and what it answered decides the rest: a commit's results link
-// the staged blobs into the path index, a checkout's file statuses
-// name the blobs to attach. The riders are unauthenticated in both
-// directions — the client checks each against the verified answer.
+// sees, and a checkout's answer names the blobs to attach. The riders
+// are unauthenticated in both directions — the client checks each
+// against the verified answer.
 func handleRider(srv server.Server, store *cvs.Store, r *core.RiderRequest) (any, error) {
-	var few [4]digest.Digest
-	staged := few[:0]
 	for _, blob := range r.Blobs {
-		staged = append(staged, store.Stage(blob))
+		if err := store.Push("", 0, blob); err != nil {
+			return nil, err
+		}
 	}
 	resp, err := srv.HandleOp(&r.OpRequest)
 	if err != nil {
 		return nil, err
 	}
 	out := &core.RiderResponse{Resp: resp}
-	switch op := r.Op.(type) {
-	case *cvs.CommitOp:
-		carriedRevs(op, len(staged), resp, func(i int, rev uint64) {
-			store.Link(op.Files[i].Path, rev, staged[i])
-		})
-	case *cvs.CheckoutOp:
-		if r.Want {
-			attachContent(store, op, resp, out)
-		}
+	if op, ok := r.Op.(*cvs.CheckoutOp); ok && r.Want {
+		attachContent(store, op, resp, out)
 	}
 	return out, nil
-}
-
-// carriedRevs visits each file of a commit whose carried blob became a
-// revision: its index in op.Files and the revision the answer in resp
-// assigned. carried is how many blobs rode with the request, one per
-// op.Files entry; a request that carried any other number links
-// nothing, and neither does a conflicting file.
-func carriedRevs(op *cvs.CommitOp, carried int, resp any, visit func(i int, rev uint64)) {
-	if carried != len(op.Files) {
-		return
-	}
-	cvs.VisitCommitAnswer(answerOf(resp), func(i int, rev uint64, conflict bool) {
-		if i < carried && !conflict {
-			visit(i, rev)
-		}
-	})
-}
-
-// CarriedPushes returns the content pushes a served RiderRequest
-// amounted to, as the PushContentRequests its client would have sent
-// after the commit — what a server journals so that a crash after an
-// acked commit replays its content. resp is the handler's reply to r.
-func CarriedPushes(r *core.RiderRequest, resp any) []*core.PushContentRequest {
-	op, ok := r.Op.(*cvs.CommitOp)
-	rr, wrapped := resp.(*core.RiderResponse)
-	if !ok || !wrapped {
-		return nil
-	}
-	var out []*core.PushContentRequest
-	carriedRevs(op, len(r.Blobs), rr.Resp, func(i int, rev uint64) {
-		out = append(out, &core.PushContentRequest{Path: op.Files[i].Path, Rev: rev, Content: r.Blobs[i]})
-	})
-	return out
 }
 
 // attachContent fills out.Blobs with the content of the files the

@@ -261,9 +261,9 @@ func TestRiderPushFiledUnderStoreHash(t *testing.T) {
 	}
 }
 
-// TestRiderConflictLeavesOnlyAnOrphan: content is staged before the
+// TestRiderConflictLeavesOnlyAnOrphan: content is stored before the
 // commit applies, so a commit that then conflicts leaves its blob in
-// the store — linked to no path, referenced by no record.
+// the store — referenced by no record.
 func TestRiderConflictLeavesOnlyAnOrphan(t *testing.T) {
 	rig := newRiderRig(t, "p2", nil)
 	if _, err := rig.repo.Commit(map[string][]byte{"f": []byte("v1\n")}, "", nil); err != nil {
@@ -280,9 +280,6 @@ func TestRiderConflictLeavesOnlyAnOrphan(t *testing.T) {
 	if got, err := rig.store.Fetch("f", 0, rcs.HashContent(stale)); err != nil || !bytes.Equal(got, stale) {
 		t.Fatalf("the conflicting commit's blob is not in the store: %q %v", got, err)
 	}
-	if _, err := rig.store.FetchRev("f", 3); err == nil {
-		t.Fatal("a conflicting commit extended the path index")
-	}
 	got, err := rig.repo.Checkout("f")
 	if err != nil || string(got["f"]) != "v2\n" {
 		t.Fatalf("head after the conflict: %q %v", got["f"], err)
@@ -290,10 +287,33 @@ func TestRiderConflictLeavesOnlyAnOrphan(t *testing.T) {
 }
 
 // TestRiderOverflowFallsBack: above cvs.MaxRiderBytes a commit carries
-// nothing and pushes afterwards, and a checkout's riders stop at the
-// cap with the rest fetched; everything verifies.
+// nothing and pushes its content ahead of the operation, and a
+// checkout's riders stop at the cap with the rest fetched; everything
+// verifies. Ahead means: when the commit applies the store already
+// holds every blob it names — what a reader racing it would fetch —
+// and a commit whose push is refused is never issued.
 func TestRiderOverflowFallsBack(t *testing.T) {
-	rig := newRiderRig(t, "p2", nil)
+	var rig *riderRig
+	var refuse error     // refuse pushes with this, when set
+	var missing []string // blobs a commit named that the store did not hold when it applied
+	rig = newRiderRig(t, "p2", func(inner transport.Handler) transport.Handler {
+		return func(req any) (any, error) {
+			if _, ok := req.(*core.PushContentRequest); ok && refuse != nil {
+				return nil, refuse
+			}
+			resp, err := inner(req)
+			if r, ok := req.(*core.OpRequest); ok && err == nil {
+				if op, ok := r.Op.(*cvs.CommitOp); ok {
+					for _, f := range op.Files {
+						if _, ferr := rig.store.Fetch(f.Path, 0, f.Hash); ferr != nil {
+							missing = append(missing, ferr.Error())
+						}
+					}
+				}
+			}
+			return resp, err
+		}
+	})
 	half := bytes.Repeat([]byte("0123456789abcdef"), cvs.MaxRiderBytes/16/2-64)
 	files := map[string][]byte{"a": half, "b": append([]byte("b"), half...), "c": append([]byte("c"), half...)}
 	if _, err := rig.repo.Commit(files, "", nil); err != nil {
@@ -301,6 +321,9 @@ func TestRiderOverflowFallsBack(t *testing.T) {
 	}
 	if sent := rig.conn.take(); sent != "OpRequest×1 PushContentRequest×3" {
 		t.Fatalf("overflowing commit sent %q", sent)
+	}
+	if len(missing) > 0 {
+		t.Fatalf("the commit applied before its content was stored: %q", missing)
 	}
 	got, err := rig.repo.Checkout("a", "b", "c")
 	if err != nil {
@@ -313,6 +336,18 @@ func TestRiderOverflowFallsBack(t *testing.T) {
 	}
 	if sent := rig.conn.take(); sent != "RiderRequest×1 FetchContentRequest×1" {
 		t.Fatalf("overflowing checkout sent %q, want two riders and one fetch", sent)
+	}
+
+	refuse = errors.New("injected: push refused")
+	next := map[string][]byte{"a": append([]byte("2"), files["a"]...), "b": append([]byte("2"), files["b"]...), "c": files["c"]}
+	if _, err := rig.repo.Commit(next, "", nil); !errors.Is(err, refuse) {
+		t.Fatalf("commit over a refused push: %v, want the injected error", err)
+	}
+	if sent := rig.conn.take(); sent != "PushContentRequest×1" {
+		t.Fatalf("commit over a refused push sent %q, want the one refused push and no operation", sent)
+	}
+	if got, err := rig.repo.Checkout("a"); err != nil || !bytes.Equal(got["a"], files["a"]) {
+		t.Fatalf("head after the unissued commit: %d bytes, %v; want the previous revision", len(got["a"]), err)
 	}
 }
 
@@ -427,8 +462,8 @@ func TestRiderRetryReplaysCachedResponse(t *testing.T) {
 	if n := handled.Load(); n != 2 || db.Ctr() != 2 {
 		t.Fatalf("handler saw %d rider requests and applied %d operations for one commit and one checkout", n, db.Ctr())
 	}
-	if _, err := store.FetchRev("f", 2); err == nil {
-		t.Fatal("the retried commit created a second revision")
+	if st, err := repo.Status("f"); err != nil || st[0].Rev != 1 {
+		t.Fatalf("the retried commit created a second revision: %+v %v", st, err)
 	}
 }
 

@@ -116,7 +116,7 @@ type Config struct {
 	// effective bandwidth (0 = unthrottled). Neither ever severs the
 	// connection — a gray endpoint passes every liveness check while
 	// degrading everything that flows through it, which is the failure
-	// mode circuit breakers and hedged reads exist for.
+	// mode circuit breakers exist for.
 	SpikeProb float64
 	SpikeMin  time.Duration
 	SpikeMax  time.Duration

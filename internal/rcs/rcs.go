@@ -1,11 +1,13 @@
 // Package rcs is the server-side revision storage substrate of a
 // CVS-like system: a content-addressed blob store that holds every
-// revision in full, and a per-path index of revision hashes in commit
-// order. There is deliberately no delta chain: every revision must
-// stay fetchable in full by its hash, so a head + reverse-delta chain
-// beside the blobs is a second copy that costs a diff per push. Delta
-// compression, if wanted, belongs off the request path, where it would
-// replace the full copies.
+// revision in full, and nothing else. Which blob is which revision of
+// which path is a question only the authenticated database answers
+// (internal/cvs's revision records), so there is no index here to
+// disagree with it. There is deliberately no delta chain either: every
+// revision must stay fetchable in full by its hash, so a head +
+// reverse-delta chain beside the blobs is a second copy that costs a
+// diff per push. Delta compression, if wanted, belongs off the request
+// path, where it would replace the full copies.
 //
 // Nothing in this package is trusted. The authenticated layer
 // (internal/vdb + internal/cvs) commits to content *hashes*; rcs merely
@@ -17,17 +19,9 @@ package rcs
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"trustedcvs/internal/digest"
 )
-
-// ErrNoRevision is returned for out-of-range revision numbers or files
-// with no commits.
-var ErrNoRevision = errors.New("rcs: no such revision")
-
-// ErrUnknownFile is returned by Archive lookups for unknown paths.
-var ErrUnknownFile = errors.New("rcs: unknown file")
 
 // ErrCorrupt is returned when stored content does not match its
 // recorded content hash — on an honest server this indicates storage
@@ -50,68 +44,6 @@ func CheckContent(content []byte, want digest.Digest) error {
 		return fmt.Errorf("rcs: content does not match authenticated hash %s", want.Short())
 	}
 	return nil
-}
-
-// Archive is the revision index of a CVS server: for each path, the
-// content hashes of revisions 1..n in commit order. The content itself
-// lives in a BlobStore under those hashes.
-type Archive struct {
-	chains map[string][]digest.Digest
-}
-
-// NewArchive creates an empty archive.
-func NewArchive() *Archive { return &Archive{chains: make(map[string][]digest.Digest)} }
-
-// Extend records h as revision rev of path when rev is the next
-// revision in order (rev == Revisions(path)+1) and reports whether it
-// did. Either way path becomes known to the archive.
-func (a *Archive) Extend(path string, rev uint64, h digest.Digest) bool {
-	chain := a.chains[path]
-	next := rev == uint64(len(chain))+1
-	if next {
-		chain = append(chain, h)
-	}
-	a.chains[path] = chain
-	return next
-}
-
-// Revisions returns path's revision hashes in order, revision i+1 at
-// index i. The slice is the archive's own: callers must not modify it.
-func (a *Archive) Revisions(path string) []digest.Digest { return a.chains[path] }
-
-// At returns the content hash of revision rev of path.
-func (a *Archive) At(path string, rev uint64) (digest.Digest, error) {
-	chain, ok := a.chains[path]
-	if !ok {
-		return digest.Digest{}, fmt.Errorf("%w: %s", ErrUnknownFile, path)
-	}
-	if rev < 1 || rev > uint64(len(chain)) {
-		return digest.Digest{}, fmt.Errorf("%w: %s revision %d (have 1..%d)", ErrNoRevision, path, rev, len(chain))
-	}
-	return chain[rev-1], nil
-}
-
-// Paths returns all file paths in sorted order.
-func (a *Archive) Paths() []string {
-	out := make([]string, 0, len(a.chains))
-	for p := range a.chains {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of files in the archive.
-func (a *Archive) Len() int { return len(a.chains) }
-
-// Fork returns an independent copy for the adversary package: both
-// archives hold the shared history and diverge on future revisions.
-func (a *Archive) Fork() *Archive {
-	na := &Archive{chains: make(map[string][]digest.Digest, len(a.chains))}
-	for p, chain := range a.chains {
-		na.chains[p] = append([]digest.Digest(nil), chain...)
-	}
-	return na
 }
 
 // BlobStore is a content-addressed store: blobs are keyed by their

@@ -253,24 +253,26 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestOldFormatSnapshotRefused: a snapshot written by a gob-era binary
-// (or for the other protocol) passes its envelope check and is then
-// refused with ErrSnapshotFormat — never converted, never mistaken for
-// a first boot, and left on disk as it was.
+// TestOldFormatSnapshotRefused: a snapshot written by an older binary —
+// gob-era, or format 0x85/0x86 whose store section still carried a
+// revision index — or for the other protocol passes its envelope check
+// and is then refused with ErrSnapshotFormat: never converted, never
+// mistaken for a first boot, and left on disk as it was.
 func TestOldFormatSnapshotRefused(t *testing.T) {
-	oldP2, err := os.ReadFile(filepath.Join(goldenDir, "gob-p2-snapshot-3commits.snap"))
-	if err != nil {
-		t.Fatal(err)
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(goldenDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	oldP3, err := os.ReadFile(filepath.Join(goldenDir, "gob-p3-snapshot-empty.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newP2, err := os.ReadFile(filepath.Join(goldenDir, "p2-snapshot-single.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, b := range map[string][]byte{"gob-era P2": oldP2, "gob-era P3": oldP3} {
+	oldP2, newP2 := read("gob-p2-snapshot-3commits.snap"), read("p2-snapshot-single.snap")
+	for name, b := range map[string][]byte{
+		"gob-era P2":     oldP2,
+		"gob-era P3":     read("gob-p3-snapshot-empty.snap"),
+		"format 0x85 P2": read("fmt85-p2-snapshot-single.snap"),
+		"format 0x86 P3": read("fmt86-p3-snapshot-backups.snap"),
+	} {
 		if _, err := durable.ReadEnvelope(bytes.NewReader(b), snapMagic, digest.DomainSnapshot, maxSnapshotBytes); err != nil {
 			t.Fatalf("test bug: the %s fixture's envelope does not verify: %v", name, err)
 		}
@@ -285,15 +287,17 @@ func TestOldFormatSnapshotRefused(t *testing.T) {
 		t.Errorf("LoadP3(a P2 snapshot) = %v, want ErrSnapshotFormat", err)
 	}
 
-	path := filepath.Join(t.TempDir(), "state.snap")
-	if err := os.WriteFile(path, oldP2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = LoadP2Auto(path)
-	if !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("LoadP2Auto(gob-era file) = %v, want ErrSnapshotFormat and not ErrNoSnapshot", err)
-	}
-	if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, oldP2) {
-		t.Fatalf("the refused file changed on disk (err %v)", rerr)
+	for _, old := range [][]byte{oldP2, read("fmt85-p2-snapshot-single.snap")} {
+		path := filepath.Join(t.TempDir(), "state.snap")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := LoadP2Auto(path)
+		if !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, ErrNoSnapshot) {
+			t.Fatalf("LoadP2Auto(older-format file) = %v, want ErrSnapshotFormat and not ErrNoSnapshot", err)
+		}
+		if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, old) {
+			t.Fatalf("the refused file changed on disk (err %v)", rerr)
+		}
 	}
 }

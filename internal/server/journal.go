@@ -232,8 +232,8 @@ func appliedG(resp any) uint64 {
 // first counter gap: everything past a lost frame was never made
 // durable as a batch, and applying it out of order would fabricate a
 // history no client ever acked. Push replay is unconditional — the
-// blob map is content-addressed and a path's revision index only
-// extends in order, so re-pushing what the snapshot already holds is a no-op and
+// store is a content-addressed map and a push's path and revision are
+// labels, so re-pushing what the snapshot already holds is a no-op and
 // a stray blob past a gap is unreferenced storage, never state.
 // Returns how many operations and pushes were re-applied. Call before
 // opening the journal for appending and before the transport starts

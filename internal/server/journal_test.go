@@ -9,6 +9,7 @@ import (
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/cvs"
+	"trustedcvs/internal/rcs"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wal"
@@ -98,8 +99,7 @@ func TestOpJournalRecoveryFromSnapshot(t *testing.T) {
 // journal are re-pushed into the store on replay — an acked commit's
 // blob must survive the same crash its authenticated record does —
 // and replaying a push the restored snapshot already holds is a no-op
-// (the blob map is content-addressed, a path's revision index only
-// extends in order).
+// (the store is a content-addressed map).
 func TestOpJournalRecoveryReplaysPushes(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenOpJournal(dir, nil, 4)
@@ -142,7 +142,7 @@ func TestOpJournalRecoveryReplaysPushes(t *testing.T) {
 		rev     uint64
 		content string
 	}{{"a.txt", 1, "one"}, {"a.txt", 2, "two"}, {"b.txt", 1, "bee"}} {
-		got, err := store.FetchRev(want.path, want.rev)
+		got, err := store.Fetch(want.path, want.rev, rcs.HashContent([]byte(want.content)))
 		if err != nil {
 			t.Fatalf("after replay, fetch %s@%d: %v", want.path, want.rev, err)
 		}

@@ -33,18 +33,19 @@ import (
 // written and read by the package that owns it (vdb, cvs and transport
 // AppendSnapshot; an EpochBackup nests as on the wire):
 //
-//	P2 = 0x85 | db | store | lastUser | uvarint(n) n×( lastUser_s lastTx_s[32] ) | sessions
-//	P3 = 0x86 | db | store | lastUser | epoch | uvarint(n) n×EpochBackup
+//	P2 = 0x8C | db | store | lastUser | uvarint(n) n×( lastUser_s lastTx_s[32] ) | sessions
+//	P3 = 0x8D | db | store | lastUser | epoch | uvarint(n) n×EpochBackup
 //
 // The bytes may come from a peer — a witness reads the primary's — so
 // every count is bounded by the bytes behind it and nothing is trusted
 // before RestoreP2 has re-checked it. The format bytes lie in
-// 0x80–0xF7, where no gob stream — the payload of earlier binaries —
-// can start.
+// 0x80–0xF7, where no gob stream — the payload of the earliest
+// binaries — can start; 0x85 and 0x86 were these two layouts while the
+// store section still carried a per-path revision index.
 const (
 	snapMagic    = "TCVSSNAP1\n"
-	snapFormatP2 = 0x85
-	snapFormatP3 = 0x86
+	snapFormatP2 = 0x8C
+	snapFormatP3 = 0x8D
 )
 
 // maxSnapshotBytes bounds the payload length a snapshot header may

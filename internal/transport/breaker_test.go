@@ -247,45 +247,3 @@ func TestResilientOverloadBudgetExhaustion(t *testing.T) {
 		t.Fatalf("budget of 80ms cut off after %v", elapsed)
 	}
 }
-
-// TestResilientHedgedReadBypassesOverloadedPrimary: a slow primary
-// path is hedged to the best other endpoint after the hedge delay, and
-// the faster answer wins well before the primary finishes.
-func TestResilientHedgedReadBypassesOverloadedPrimary(t *testing.T) {
-	var slowSeen atomic.Int64
-	slowSrv, err := ListenOpts("127.0.0.1:0", func(req any) (any, error) {
-		slowSeen.Add(1)
-		time.Sleep(500 * time.Millisecond)
-		return fmt.Sprintf("A:%v", req), nil
-	}, Options{Sessions: NewSessionTable(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer slowSrv.Close()
-	fastSrv, fastSeen := okServer(t, "B")
-
-	dial := func(addr string) func() (net.Conn, error) {
-		return func() (net.Conn, error) { return net.DialTimeout("tcp", addr, time.Second) }
-	}
-	c := DialResilientEndpoints([]Endpoint{
-		{Name: "A", Dial: dial(slowSrv.Addr())},
-		{Name: "B", Dial: dial(fastSrv.Addr())},
-	}, RetryPolicy{CallTimeout: 2 * time.Second, Breaker: &BreakerPolicy{}})
-	defer c.Close()
-
-	start := time.Now()
-	resp, err := c.CallHedged("read", 30*time.Millisecond)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("hedged call: %v", err)
-	}
-	if resp != "B:read" {
-		t.Fatalf("resp = %v, want the hedge target's answer", resp)
-	}
-	if elapsed >= 400*time.Millisecond {
-		t.Fatalf("hedged read took %v — it waited out the slow primary", elapsed)
-	}
-	if fastSeen.Load() != 1 {
-		t.Fatalf("hedge target saw %d requests, want 1", fastSeen.Load())
-	}
-}

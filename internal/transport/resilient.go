@@ -511,114 +511,6 @@ type clientErr struct{ is error }
 func (clientErr) Error() string          { return "" }
 func (m clientErr) Is(target error) bool { return target == m.is }
 
-// CallHedged is Call with a hedged second attempt for idempotent
-// requests: if the primary path has not answered within hedge, one
-// duplicate is fired at the best *other* endpoint over a one-shot
-// connection, and the first answer wins. The duplicate is sent plain
-// (no session envelope) — hedging is only safe for idempotent reads,
-// where a double execution is harmless by definition; non-idempotent
-// ops must use Call, whose session envelope serializes them through
-// one server's dedupe table.
-func (c *ResilientClient) CallHedged(req any, hedge time.Duration) (any, error) {
-	type outcome struct {
-		resp any
-		err  error
-	}
-	ch := make(chan outcome, 2)
-	go func() {
-		resp, err := c.Call(req)
-		ch <- outcome{resp, err}
-	}()
-	t := time.NewTimer(hedge)
-	defer t.Stop()
-	select {
-	case o := <-ch:
-		return o.resp, o.err
-	case <-t.C:
-	}
-	idx, ok := c.hedgeTarget()
-	if !ok {
-		// Nowhere to hedge to; wait out the primary.
-		o := <-ch
-		return o.resp, o.err
-	}
-	go func() {
-		resp, err := c.hedgeOnce(idx, req)
-		ch <- outcome{resp, err}
-	}()
-	// Two attempts racing: first success wins; a failed hedge falls
-	// back to waiting on the primary (and vice versa).
-	var firstErr error
-	for i := 0; i < 2; i++ {
-		o := <-ch
-		if o.err == nil || errors.Is(o.err, wire.ErrRemote) {
-			return o.resp, o.err
-		}
-		firstErr = o.err
-	}
-	return nil, firstErr
-}
-
-// hedgeTarget picks the healthiest non-quarantined, breaker-closed
-// endpoint other than the one the primary path is using.
-func (c *ResilientClient) hedgeTarget() (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	best := -1
-	for i, s := range c.endpoints {
-		if i == c.epIdx || s.quarantined {
-			continue
-		}
-		if s.brk != nil && s.brk.state != BreakerClosed {
-			continue
-		}
-		if best < 0 || s.health > c.endpoints[best].health {
-			best = i
-		}
-	}
-	return best, best >= 0
-}
-
-// hedgeOnce runs one single-attempt call against endpoint idx over a
-// throwaway connection, scoring the endpoint's health and breaker.
-func (c *ResilientClient) hedgeOnce(idx int, req any) (any, error) {
-	c.mu.Lock()
-	ep := c.endpoints[idx]
-	c.mu.Unlock()
-	conn, err := ep.ep.Dial()
-	if err != nil {
-		c.noteHedge(idx, false)
-		return nil, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(c.pol.CallTimeout))
-	resp, err := wire.NewConn(conn).Call(req)
-	if err != nil && !errors.Is(err, wire.ErrRemote) {
-		c.noteHedge(idx, false)
-		return nil, err
-	}
-	c.noteHedge(idx, true)
-	return resp, err
-}
-
-// noteHedge scores a hedge attempt's outcome for endpoint idx.
-func (c *ResilientClient) noteHedge(idx int, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.endpoints[idx]
-	if ok {
-		s.noteLocked(1)
-		if s.brk != nil {
-			s.brk.successLocked()
-		}
-		return
-	}
-	s.noteLocked(-1)
-	if s.brk != nil {
-		s.brk.failureLocked(time.Now(), c.src)
-	}
-}
-
 // Close implements Caller.
 func (c *ResilientClient) Close() error {
 	c.mu.Lock()

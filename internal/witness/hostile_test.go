@@ -10,6 +10,7 @@ import (
 	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/durable"
+	"trustedcvs/internal/rcs"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/vdb"
 )
@@ -21,7 +22,7 @@ import (
 // a valid envelope; each must be refused, with allocation bounded by
 // the input's size rather than by the counts it claims.
 func TestWitnessRefusesLyingSnapshotBody(t *testing.T) {
-	const format = 0x85 // server's Protocol II snapshot format byte
+	const format = 0x8C // server's Protocol II snapshot format byte
 	huge := binary.AppendUvarint(nil, 1<<40)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	tree := func(size uint64, vo ...byte) []byte {
@@ -30,7 +31,7 @@ func TestWitnessRefusesLyingSnapshotBody(t *testing.T) {
 	var (
 		empty    = tree(0, 4, 0)            // order 4, absent root
 		single   = cat([]byte{0, 0}, empty) // ctr 0, single-tree layout
-		store    = []byte{0, 0}             // no blobs, no chains
+		store    = []byte{0}                // no blobs
 		lastUser = binary.AppendUvarint(nil, 0xFFFFFFFF)
 		tail     = cat(store, lastUser, []byte{0, 0}) // no metas, no sessions
 		leafAB   = []byte{2, 2, 1, 1, 'a', 'b', 0, 0} // keys "a" and "b", empty values
@@ -41,6 +42,20 @@ func TestWitnessRefusesLyingSnapshotBody(t *testing.T) {
 	}
 	deep = append(deep, 2, 0)
 	pruned := cat([]byte{4, 3, 1, 1, 'c'}, leafAB, []byte{1}, bytes.Repeat([]byte{7}, digest.Size))
+
+	// Two blobs in digest order, and the store section spelling a list
+	// of blobs.
+	lo, hi := bytes.Repeat([]byte("l"), 4<<10), bytes.Repeat([]byte("h"), 4<<10)
+	if a, b := rcs.HashContent(lo), rcs.HashContent(hi); bytes.Compare(a[:], b[:]) > 0 {
+		lo, hi = hi, lo
+	}
+	blobs := func(list ...[]byte) []byte {
+		b := binary.AppendUvarint(nil, uint64(len(list)))
+		for _, blob := range list {
+			b = binenc.AppendBytes(b, blob)
+		}
+		return b
+	}
 
 	_, emptyRoot := vdb.New(4).Head()
 	put := func(payload []byte) *SnapshotPut {
@@ -54,7 +69,7 @@ func TestWitnessRefusesLyingSnapshotBody(t *testing.T) {
 	// The hand-built grammar is the real one: the honest spelling of an
 	// empty database is accepted.
 	n := NewNode("w1", 0)
-	if _, err := n.Handler()(put(cat([]byte{format}, single, tail))); err != nil {
+	if _, err := n.Handler()(put(cat([]byte{format}, single, blobs(lo, hi), lastUser, []byte{0, 0}))); err != nil {
 		t.Fatalf("test bug: the hand-built honest snapshot is refused: %v", err)
 	}
 
@@ -70,10 +85,10 @@ func TestWitnessRefusesLyingSnapshotBody(t *testing.T) {
 		"tree too deep":       {cat([]byte{0, 0}, tree(0, deep...), tail), "deeper than 64 levels"},
 		"pruned node in tree": {cat([]byte{0, 0}, tree(2, pruned...), tail), "pruned node"},
 		"gctr != sum of ctrs": {cat([]byte{5, 2, 1}, empty, []byte{1}, empty, store, lastUser, []byte{2}, make([]byte, 2*(1+digest.Size)), []byte{0}), "gctr 5 != sum of shard counters 2"},
-		"blob count":          {cat(single, huge, []byte{0}, lastUser, []byte{0, 0}), "count 1099511627776 exceeds"},
-		"blob length":         {cat(single, []byte{1}, huge, []byte{0}, lastUser, []byte{0, 0}), "count 1099511627776 exceeds"},
-		"chain count":         {cat(single, []byte{0}, huge, lastUser, []byte{0, 0}), "count 1099511627776 exceeds"},
-		"chain hash count":    {cat(single, []byte{0, 1, 1, 'f'}, huge, lastUser, []byte{0, 0}), "count 1099511627776 exceeds"},
+		"blob count":          {cat(single, huge, lastUser, []byte{0, 0}), "count 1099511627776 exceeds"},
+		"blob length":         {cat(single, []byte{1}, huge, lastUser, []byte{0, 0}), "count 1099511627776 exceeds"},
+		"blobs out of order":  {cat(single, blobs(hi, lo), lastUser, []byte{0, 0}), "digest order"},
+		"duplicate blob":      {cat(single, blobs(lo, lo), lastUser, []byte{0, 0}), "digest order"},
 		"meta count":          {cat(single, store, lastUser, huge, []byte{0}), "count 1099511627776 exceeds"},
 		"session count":       {cat(single, store, lastUser, []byte{0}, huge), "count 1099511627776 exceeds"},
 		"outcome count":       {cat(single, store, lastUser, []byte{0, 1, 9, 1, 0}, huge), "count 1099511627776 exceeds"},

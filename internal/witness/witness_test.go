@@ -311,8 +311,19 @@ func TestShipSnapshotAndPromote(t *testing.T) {
 	if promo.Sessions == nil {
 		t.Fatal("promotion lost the session table")
 	}
-	if _, err := promo.Store.FetchRev("f", 5); err != nil {
-		t.Fatalf("promoted store missing history: %v", err)
+	// The promoted database's head record names a blob the promoted
+	// store serves.
+	ans, err := promo.Server.DB().ApplyPlain(&cvs.CheckoutOp{Paths: []string{"f"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := false
+	cvs.VisitCheckoutAnswer(ans, func(_ int, st cvs.FileStatus) {
+		got, err := promo.Store.Fetch("f", st.Rev, st.Hash)
+		served = err == nil && st.Rev == 5 && string(got) == "v5\n"
+	})
+	if !served {
+		t.Fatal("promoted store missing history")
 	}
 }
 

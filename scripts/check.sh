@@ -23,6 +23,15 @@ if [ -n "$fmt" ]; then
     exit 1
 fi
 
+# Litter: a build output committed by accident is either something
+# .gitignore names or something big.
+ignored=$(git ls-files -ci --exclude-standard)
+big=$(git ls-files -z | xargs -0 -r sh -c 'find "$@" -maxdepth 0 -size +1048576c' sh)
+if [ -n "$ignored$big" ]; then
+    echo "tracked files that .gitignore matches or that exceed 1 MB: $ignored $big" >&2
+    exit 1
+fi
+
 go vet ./...
 go build ./...
 # Production binaries and the library must not link the test-support

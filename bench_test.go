@@ -7,6 +7,7 @@ package trustedcvs_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -236,6 +237,39 @@ func BenchmarkMerkleRootDigestAfterPut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nt := tr.Put("key-0005000", []byte{byte(i)})
 		_ = nt.RootDigest()
+	}
+}
+
+// BenchmarkMultiKeyApply is the server side of one verified WriteOp of
+// 1 to 1 000 random overwrites on a 100 000-key tree — ordered section,
+// proof construction and root — per key written: what a transaction
+// saves by copying and hashing each node it changes once.
+func BenchmarkMultiKeyApply(b *testing.B) {
+	const total = 100_000
+	for _, m := range []int{1, 8, 64, 1000} {
+		b.Run(fmt.Sprintf("keys=%d", m), func(b *testing.B) {
+			db := seededDB(b, total)
+			db.Root()
+			ops := multiKeyOps(64, m, total, false)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := db.Begin(ops[i%len(ops)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := st.Finish(); err != nil {
+					b.Fatal(err)
+				}
+				db.Root()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			keys := float64(b.N * m)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/keys, "ns/key")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/keys, "allocs/key")
+		})
 	}
 }
 

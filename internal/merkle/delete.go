@@ -1,6 +1,9 @@
 package merkle
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Delete returns a new tree without key, and whether the key was
 // present. The receiver is unchanged.
@@ -14,8 +17,8 @@ func (t *Tree) Delete(key string) (*Tree, bool) {
 
 // DeleteErr is Delete for trees that may contain pruned nodes.
 func (t *Tree) DeleteErr(key string) (*Tree, bool, error) {
-	c := &ctx{order: t.order}
-	return t.deleteCtx(c, key)
+	c := t.ctx()
+	return t.deleteCtx(&c, key)
 }
 
 func (t *Tree) deleteCtx(c *ctx, key string) (*Tree, bool, error) {
@@ -36,11 +39,12 @@ func (t *Tree) deleteCtx(c *ctx, key string) (*Tree, bool, error) {
 	if nr.leaf && len(nr.keys) == 0 {
 		nr = nil
 	}
-	return &Tree{order: t.order, root: nr, size: t.size - 1}, true, nil
+	return t.next(nr, t.resized(-1)), true, nil
 }
 
 // del removes key from the subtree rooted at n. The returned node may
-// underflow (fewer than minKeys keys); the caller rebalances.
+// underflow (fewer than minKeys keys); the caller rebalances. As in
+// put, it is n edited in place when the transaction owns n.
 func (c *ctx) del(n *node, key string) (nn *node, found bool, err error) {
 	c.visit(n)
 	if n.pruned {
@@ -51,10 +55,7 @@ func (c *ctx) del(n *node, key string) (nn *node, found bool, err error) {
 		if i >= len(n.keys) || n.keys[i] != key {
 			return n, false, nil
 		}
-		nn = n.clone()
-		nn.keys = append(nn.keys[:i], nn.keys[i+1:]...)
-		nn.vals = append(nn.vals[:i], nn.vals[i+1:]...)
-		return nn, true, nil
+		return c.with(n, removed(n.keys, i), removed(n.vals, i), nil), true, nil
 	}
 	idx := childIndex(n, key)
 	nk, found, err := c.del(n.kids[idx], key)
@@ -64,9 +65,11 @@ func (c *ctx) del(n *node, key string) (nn *node, found bool, err error) {
 	if !found {
 		return n, false, nil
 	}
-	nn = n.clone()
+	nn = c.edit(n)
 	nn.kids[idx] = nk
-	if len(nk.keys) < c.order/2 {
+	if len(nk.keys) < int(c.order)/2 {
+		// rebalance rewrites separators, and edit shares the keys array.
+		nn.keys = slices.Clone(nn.keys)
 		if err := c.rebalance(nn, idx); err != nil {
 			return nil, false, err
 		}
@@ -81,7 +84,7 @@ func (c *ctx) del(n *node, key string) (nn *node, found bool, err error) {
 // tree touches exactly the nodes the server's recorder saw.
 func (c *ctx) rebalance(nn *node, idx int) error {
 	child := nn.kids[idx]
-	min := c.order / 2
+	min := int(c.order) / 2
 
 	var left, right *node
 	if idx > 0 {
@@ -115,47 +118,44 @@ func (c *ctx) rebalance(nn *node, idx int) error {
 	return nil
 }
 
-// borrowLeft moves the left sibling's last entry into child.
+// borrowLeft moves the left sibling's last entry into child, which —
+// like parent — del has just made or edited and nobody else can reach.
 func (c *ctx) borrowLeft(parent *node, idx int, left, child *node) {
-	nl := left.clone()
-	nc := &node{leaf: child.leaf}
+	nl := c.edit(left)
 	last := len(nl.keys) - 1
 	if child.leaf {
-		nc.keys = inserted(child.keys, 0, nl.keys[last])
-		nc.vals = inserted(child.vals, 0, nl.vals[last])
+		child.keys = inserted(child.keys, 0, nl.keys[last])
+		child.vals = inserted(child.vals, 0, nl.vals[last])
 		nl.keys = nl.keys[:last]
 		nl.vals = nl.vals[:last]
-		parent.keys[idx-1] = nc.keys[0]
+		parent.keys[idx-1] = child.keys[0]
 	} else {
 		// Rotate through the parent separator.
-		nc.keys = inserted(child.keys, 0, parent.keys[idx-1])
-		nc.kids = inserted(child.kids, 0, nl.kids[last+1])
+		child.keys = inserted(child.keys, 0, parent.keys[idx-1])
+		child.kids = inserted(child.kids, 0, nl.kids[last+1])
 		parent.keys[idx-1] = nl.keys[last]
 		nl.keys = nl.keys[:last]
 		nl.kids = nl.kids[:last+1]
 	}
 	parent.kids[idx-1] = nl
-	parent.kids[idx] = nc
 }
 
 // borrowRight moves the right sibling's first entry into child.
 func (c *ctx) borrowRight(parent *node, idx int, child, right *node) {
-	nr := right.clone()
-	nc := &node{leaf: child.leaf}
+	nr := c.edit(right)
 	if child.leaf {
-		nc.keys = inserted(child.keys, len(child.keys), nr.keys[0])
-		nc.vals = inserted(child.vals, len(child.vals), nr.vals[0])
+		child.keys = inserted(child.keys, len(child.keys), nr.keys[0])
+		child.vals = inserted(child.vals, len(child.vals), nr.vals[0])
 		nr.keys = nr.keys[1:]
 		nr.vals = nr.vals[1:]
 		parent.keys[idx] = nr.keys[0]
 	} else {
-		nc.keys = inserted(child.keys, len(child.keys), parent.keys[idx])
-		nc.kids = inserted(child.kids, len(child.kids), nr.kids[0])
+		child.keys = inserted(child.keys, len(child.keys), parent.keys[idx])
+		child.kids = inserted(child.kids, len(child.kids), nr.kids[0])
 		parent.keys[idx] = nr.keys[0]
 		nr.keys = nr.keys[1:]
 		nr.kids = nr.kids[1:]
 	}
-	parent.kids[idx] = nc
 	parent.kids[idx+1] = nr
 }
 
@@ -164,19 +164,9 @@ func (c *ctx) borrowRight(parent *node, idx int, child, right *node) {
 func (c *ctx) merge(parent *node, sepIdx int, a, b *node) {
 	var m *node
 	if a.leaf {
-		m = &node{
-			leaf: true,
-			keys: append(append([]string(nil), a.keys...), b.keys...),
-			vals: append(append([][]byte(nil), a.vals...), b.vals...),
-		}
+		m = c.node(true, slices.Concat(a.keys, b.keys), slices.Concat(a.vals, b.vals), nil)
 	} else {
-		keys := append([]string(nil), a.keys...)
-		keys = append(keys, parent.keys[sepIdx])
-		keys = append(keys, b.keys...)
-		m = &node{
-			keys: keys,
-			kids: append(append([]*node(nil), a.kids...), b.kids...),
-		}
+		m = c.node(false, slices.Concat(a.keys, parent.keys[sepIdx:sepIdx+1], b.keys), nil, slices.Concat(a.kids, b.kids))
 	}
 	parent.keys = append(parent.keys[:sepIdx], parent.keys[sepIdx+1:]...)
 	parent.kids = append(parent.kids[:sepIdx], parent.kids[sepIdx+1:]...)

@@ -18,51 +18,61 @@ func (t *Tree) Put(key string, val []byte) *Tree {
 
 // PutErr is Put for trees that may contain pruned nodes.
 func (t *Tree) PutErr(key string, val []byte) (*Tree, error) {
-	c := &ctx{order: t.order}
-	return t.putCtx(c, key, val, false)
+	c := t.ctx()
+	return t.putCtx(&c, key, val)
 }
 
-// PutOwned is PutErr for a caller that owns the receiver outright — a
-// tree VO.Tree just returned, or one PutOwned or DeleteErr derived from
-// such a tree — and gives it up: nodes on the path to key may be edited
-// in place instead of copied, so the receiver must not be used again.
-// Trees that share nodes with the receiver (a DeleteErr result and its
-// receiver, say) are given up with it.
-func (t *Tree) PutOwned(key string, val []byte) (*Tree, error) {
-	c := &ctx{order: t.order}
-	return t.putCtx(c, key, val, true)
-}
-
-func (t *Tree) putCtx(c *ctx, key string, val []byte, owned bool) (*Tree, error) {
+func (t *Tree) putCtx(c *ctx, key string, val []byte) (*Tree, error) {
 	if t.root == nil {
-		root := &node{leaf: true, keys: []string{key}, vals: [][]byte{val}}
-		return &Tree{order: t.order, root: root, size: 1}, nil
+		root := c.node(true, []string{key}, [][]byte{val}, nil)
+		return t.next(root, t.resized(1)), nil
 	}
-	nr, added, err := c.put(t.root, key, val, owned)
+	nr, added, err := c.put(t.root, key, val)
 	if err != nil {
 		return nil, err
 	}
 	if len(nr.keys) > t.order {
-		left, sep, right := split(nr)
-		nr = &node{keys: []string{sep}, kids: []*node{left, right}}
+		left, sep, right := c.split(nr)
+		nr = c.node(false, []string{sep}, nil, []*node{left, right})
 	}
 	size := t.size
 	if added {
-		size++
+		size = t.resized(1)
 	}
-	return &Tree{order: t.order, root: nr, size: size}, nil
+	return t.next(nr, size), nil
+}
+
+// resized returns t's record count changed by d: the -1 of a tree
+// rebuilt from a verification object stays -1.
+func (t *Tree) resized(d int) int {
+	if t.size < 0 {
+		return -1
+	}
+	return t.size + d
+}
+
+// next returns the tree that follows t in its transaction: t itself,
+// updated, when the transaction owns t's root — it then made t too and
+// has not handed it out — otherwise a new one.
+func (t *Tree) next(root *node, size int) *Tree {
+	if t.root != nil && t.root.owned() {
+		t.root, t.size = root, size
+		return t
+	}
+	return &Tree{order: t.order, root: root, size: size}
 }
 
 // put inserts into the subtree rooted at n, returning a node that may
-// be overfull (up to order+1 keys); the caller splits it. A node that
-// neither gains a key nor absorbs a split — every internal level of a
-// non-splitting put, and the leaf of an overwrite — comes from edit:
-// n itself when the caller owns the tree, else a new node that shares
-// n's keys array instead of copying it: published nodes are
-// immutable, inserted always builds a fresh array, and delete edits
-// only clones, so nothing ever writes through the alias (its capacity
-// is clipped all the same).
-func (c *ctx) put(n *node, key string, val []byte, owned bool) (nn *node, added bool, err error) {
+// be overfull (up to order+1 keys); the caller splits it. The node it
+// returns is n itself, edited in place, when the transaction owns n,
+// and a new node otherwise. A node that neither gains a key nor
+// absorbs a split — every internal level of a non-splitting put, and
+// the leaf of an overwrite — comes from edit, whose copy shares n's
+// keys array instead of copying it: nothing ever writes into a keys
+// array a node was given (with replaces it, rebalance takes a private
+// copy first), so the alias is safe on either side (its capacity is
+// clipped all the same).
+func (c *ctx) put(n *node, key string, val []byte) (nn *node, added bool, err error) {
 	c.visit(n)
 	if n.pruned {
 		return nil, false, fmt.Errorf("%w (put %q)", ErrPruned, key)
@@ -70,37 +80,48 @@ func (c *ctx) put(n *node, key string, val []byte, owned bool) (nn *node, added 
 	if n.leaf {
 		i := searchKeys(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
-			nn = edit(n, owned)
+			nn = c.edit(n)
 			nn.vals[i] = val
 			return nn, false, nil
 		}
-		return &node{leaf: true, keys: inserted(n.keys, i, key), vals: inserted(n.vals, i, val)}, true, nil
+		return c.with(n, inserted(n.keys, i, key), inserted(n.vals, i, val), nil), true, nil
 	}
 	idx := childIndex(n, key)
-	nk, added, err := c.put(n.kids[idx], key, val, owned)
+	nk, added, err := c.put(n.kids[idx], key, val)
 	if err != nil {
 		return nil, false, err
 	}
-	if len(nk.keys) <= c.order {
-		nn = edit(n, owned)
+	if len(nk.keys) <= int(c.order) {
+		nn = c.edit(n)
 		nn.kids[idx] = nk
 		return nn, added, nil
 	}
-	left, sep, right := split(nk)
-	nn = &node{keys: inserted(n.keys, idx, sep), kids: inserted(n.kids, idx+1, right)}
+	left, sep, right := c.split(nk)
+	nn = c.with(n, inserted(n.keys, idx, sep), nil, inserted(n.kids, idx+1, right))
 	nn.kids[idx] = left
 	return nn, added, nil
 }
 
 // edit returns the node in which one vals or kids entry of n may be
-// replaced: n itself, its memoized digest forgotten, when the caller
-// owns the tree; otherwise a copy sharing n's keys.
-func edit(n *node, owned bool) *node {
-	if owned {
-		n.memo.Store(memoUnset)
+// replaced: n itself, its memoized digest forgotten, when the
+// transaction owns it; otherwise a copy sharing n's keys.
+func (c *ctx) edit(n *node) *node {
+	if n.owned() {
+		n.forget()
 		return n
 	}
-	return &node{leaf: n.leaf, keys: n.keys[:len(n.keys):len(n.keys)], vals: slices.Clone(n.vals), kids: slices.Clone(n.kids)}
+	return c.node(n.leaf, n.keys[:len(n.keys):len(n.keys)], slices.Clone(n.vals), slices.Clone(n.kids))
+}
+
+// with returns the node that takes n's place with the given arrays: n
+// itself when the transaction owns it, otherwise a new node.
+func (c *ctx) with(n *node, keys []string, vals [][]byte, kids []*node) *node {
+	if !n.owned() {
+		return c.node(n.leaf, keys, vals, kids)
+	}
+	n.forget()
+	n.keys, n.vals, n.kids = keys, vals, kids
+	return n
 }
 
 // split divides an overfull node into two nodes and the separator key
@@ -110,15 +131,15 @@ func edit(n *node, owned bool) *node {
 // sized arrays of its own: two windows onto the overfull node's arrays
 // would keep its slack reachable for as long as either half — or any
 // later node sharing a half's keys — stays in a live tree.
-func split(n *node) (left *node, sep string, right *node) {
+func (c *ctx) split(n *node) (left *node, sep string, right *node) {
 	mid := len(n.keys) / 2
 	if n.leaf {
-		left = &node{leaf: true, keys: slices.Clone(n.keys[:mid]), vals: slices.Clone(n.vals[:mid])}
-		right = &node{leaf: true, keys: slices.Clone(n.keys[mid:]), vals: slices.Clone(n.vals[mid:])}
+		left = c.node(true, slices.Clone(n.keys[:mid]), slices.Clone(n.vals[:mid]), nil)
+		right = c.node(true, slices.Clone(n.keys[mid:]), slices.Clone(n.vals[mid:]), nil)
 		return left, right.keys[0], right
 	}
-	left = &node{keys: slices.Clone(n.keys[:mid]), kids: slices.Clone(n.kids[:mid+1])}
-	right = &node{keys: slices.Clone(n.keys[mid+1:]), kids: slices.Clone(n.kids[mid+1:])}
+	left = c.node(false, slices.Clone(n.keys[:mid]), nil, slices.Clone(n.kids[:mid+1]))
+	right = c.node(false, slices.Clone(n.keys[mid+1:]), nil, slices.Clone(n.kids[mid+1:]))
 	return left, n.keys[mid], right
 }
 
@@ -133,6 +154,14 @@ func searchKeys(keys []string, key string) int {
 		}
 	}
 	return lo
+}
+
+// removed returns an exactly sized copy of s without index i.
+func removed[T any](s []T, i int) []T {
+	out := make([]T, len(s)-1)
+	copy(out, s[:i])
+	copy(out[i:], s[i+1:])
+	return out
 }
 
 // inserted returns an exactly sized copy of s with v at index i.

@@ -6,12 +6,22 @@
 // entire database contents.
 //
 // The tree is persistent (copy on write): mutating operations return a
-// new *Tree and leave the receiver untouched (PutOwned, for a verifier's
-// private tree, is the one exception). Persistence is what makes
+// new *Tree and leave the receiver untouched. Persistence is what makes
 // verification objects cheap to build (the pre-state stays alive while
 // the operation runs, so the recorder can prune it afterwards) and
 // gives the adversary package O(1) forks of the database, which the
 // partition attack of Figure 1 needs.
+//
+// Copying is per transaction, not per key. A node created inside a
+// transaction (a Recording: Tree.Record, Tree.Begin, VO.Begin) carries
+// the memoOwned bit in its memo word and belongs to that transaction,
+// which is the only holder of a pointer to it: a further put or delete
+// of the same transaction edits it in place, and the recorder skips it
+// (it is never pre-state). Ownership ends when the transaction hands
+// its tree out: Recording.Tree walks the owned nodes — they hang
+// together under the root — and clears the bit, so no tree anyone else
+// can reach ever contains an owned node, and whatever is written
+// through the Recording afterwards copies again.
 //
 // Verification objects (see vo.go) are pruned copies of the pre-state
 // tree. A tree may therefore contain pruned nodes — placeholders that
@@ -23,6 +33,7 @@ package merkle
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -54,7 +65,7 @@ type Tree struct {
 type node struct {
 	pruned bool
 	leaf   bool
-	memo   atomic.Uint32 // memoUnset, memoWriting or memoValid: who may touch dig
+	memo   atomic.Uint32 // memoUnset, memoWriting or memoValid (who may touch dig), with or without memoOwned
 	dig    digest.Digest // the memoized digest; read only after memo reads memoValid
 	keys   []string
 	vals   [][]byte // leaf nodes: vals[i] is the value for keys[i]
@@ -65,7 +76,34 @@ const (
 	memoUnset uint32 = iota
 	memoWriting
 	memoValid
+	// memoOwned is a flag beside the state: the node belongs to the
+	// one unpublished transaction that can reach it.
+	memoOwned uint32 = 4
 )
+
+// owned reports whether the running transaction may edit n in place.
+func (n *node) owned() bool { return n.memo.Load()&memoOwned != 0 }
+
+// forget drops the memoized digest of an owned node that is about to
+// change; a node never hashed since its last edit needs no store.
+func (n *node) forget() {
+	if n.memo.Load() != memoOwned {
+		n.memo.Store(memoOwned)
+	}
+}
+
+// release ends a transaction's ownership of n, which it owns, and of
+// the nodes under it. Every owned node hangs under an owned parent (a
+// transaction links what it creates only into nodes it created), so the
+// walk stops at the first node of the pre-state on every path.
+func release(n *node) {
+	n.memo.Store(n.memo.Load() &^ memoOwned)
+	for _, kid := range n.kids {
+		if kid.owned() {
+			release(kid)
+		}
+	}
+}
 
 // hashCount counts node digest computations, for tests that pin the
 // memoization property (unchanged subtrees are never rehashed across
@@ -80,8 +118,8 @@ func New(order int) *Tree {
 	if order == 0 {
 		order = DefaultOrder
 	}
-	if order < MinOrder {
-		panic(fmt.Sprintf("merkle: order %d below minimum %d", order, MinOrder))
+	if order < MinOrder || order > math.MaxInt32 {
+		panic(fmt.Sprintf("merkle: order %d outside [%d, %d]", order, MinOrder, math.MaxInt32))
 	}
 	return &Tree{order: order}
 }
@@ -89,10 +127,13 @@ func New(order int) *Tree {
 // Order returns the tree's branching factor.
 func (t *Tree) Order() int { return t.order }
 
-// Len returns the number of records in the tree. Len is unreliable on
-// trees rebuilt from verification objects (pruned subtrees hide their
-// record counts); it reports -1 there.
+// Len returns the number of records in the tree. Trees rebuilt from
+// verification objects, and every tree derived from one, report -1:
+// pruned subtrees hide their record counts.
 func (t *Tree) Len() int { return t.size }
+
+// ctx returns the context of a one-shot operation on t.
+func (t *Tree) ctx() ctx { return ctx{order: int32(t.order)} }
 
 // minKeys is the underflow threshold: non-root nodes must hold at least
 // this many keys.
@@ -112,14 +153,17 @@ func (t *Tree) RootDigest() digest.Digest { return t.root.digest() }
 // writes dig and publishes it with Store(valid); everyone who does not
 // read valid — losers of the swap included — returns the value they
 // computed themselves and never reads the field. Racing computations
-// are idempotent, so all of them return the same digest.
+// are idempotent, so all of them return the same digest. An owned node
+// has one reader, its transaction, and keeps its flag through the swap.
 func (n *node) digest() digest.Digest {
 	if n == nil {
 		return digest.Empty()
 	}
-	if n.memo.Load() == memoValid {
+	m := n.memo.Load()
+	if m&^memoOwned == memoValid {
 		return n.dig
 	}
+	own := m & memoOwned
 	hashCount.Add(1)
 	var h *digest.Hasher
 	if n.leaf {
@@ -140,23 +184,35 @@ func (n *node) digest() digest.Digest {
 		}
 	}
 	d := h.Sum()
-	if n.memo.CompareAndSwap(memoUnset, memoWriting) {
+	if n.memo.CompareAndSwap(own|memoUnset, own|memoWriting) {
 		n.dig = d
-		n.memo.Store(memoValid)
+		n.memo.Store(own | memoValid)
 	}
 	return d
 }
 
-// ctx carries per-operation state: the branching factor and, when a
-// verification object is being built, the recorder collecting every
-// pre-state node the operation touches.
+// ctx carries per-operation state: the branching factor, the memo word
+// new nodes start with (memoOwned inside a transaction, memoUnset for
+// the one-shot Tree methods) and, when a verification object is being
+// built, the recorder collecting every pre-state node the operation
+// touches.
 type ctx struct {
-	order int
+	order int32
+	mark  uint32
 	rec   map[*node]struct{}
 }
 
+// node returns a new node of the running operation.
+func (c *ctx) node(leaf bool, keys []string, vals [][]byte, kids []*node) *node {
+	n := &node{leaf: leaf, keys: keys, vals: vals, kids: kids}
+	if c.mark != memoUnset {
+		n.memo.Store(c.mark)
+	}
+	return n
+}
+
 func (c *ctx) visit(n *node) {
-	if c.rec != nil && n != nil {
+	if c.rec != nil && n != nil && !n.owned() {
 		c.rec[n] = struct{}{}
 	}
 }
@@ -180,7 +236,7 @@ func (t *Tree) Get(key string) ([]byte, bool) {
 // GetErr is Get for trees that may contain pruned nodes (trees rebuilt
 // from verification objects).
 func (t *Tree) GetErr(key string) ([]byte, bool, error) {
-	c := &ctx{order: t.order}
+	c := t.ctx()
 	return c.get(t.root, key)
 }
 
@@ -206,7 +262,7 @@ func (c *ctx) get(n *node, key string) ([]byte, bool, error) {
 // until fn returns false. An empty hi means "no upper bound". Range
 // returns ErrPruned if the scan would need a pruned subtree.
 func (t *Tree) Range(lo, hi string, fn func(key string, val []byte) bool) error {
-	c := &ctx{order: t.order}
+	c := t.ctx()
 	_, err := c.rng(t.root, lo, hi, fn)
 	return err
 }
@@ -256,16 +312,4 @@ func (t *Tree) Keys() []string {
 		return true
 	})
 	return ks
-}
-
-// clone returns a mutable shallow copy of n with an invalidated digest.
-func (n *node) clone() *node {
-	nn := &node{leaf: n.leaf}
-	nn.keys = append([]string(nil), n.keys...)
-	if n.leaf {
-		nn.vals = append([][]byte(nil), n.vals...)
-	} else {
-		nn.kids = append([]*node(nil), n.kids...)
-	}
-	return nn
 }

@@ -22,24 +22,43 @@ var ErrRootMismatch = errors.New("merkle: VO pre-state root digest mismatch")
 // the (untrusted) server is structurally invalid.
 var ErrMalformedVO = errors.New("merkle: malformed verification object")
 
-// A Recording wraps a tree and records every pre-state node touched by
-// the operations performed through it. When the batch is done, VO()
-// returns the pruned pre-state that lets a verifier replay the batch —
-// the paper's verification object v(Q, D), generalized from single
-// updates to operation batches.
+// A Recording is one transaction on a tree: operations performed through
+// it share one copy of every pre-state node they change (see the package
+// comment for the ownership rule) and, when started with Record, every
+// pre-state node they touch is remembered, so that VO() can return the
+// pruned pre-state that lets a verifier replay the batch — the paper's
+// verification object v(Q, D), generalized from single updates to
+// operation batches. The base tree is never modified. After an
+// operation fails the transaction's own tree is unspecified: drop it.
 type Recording struct {
 	base *Tree
 	cur  *Tree
 	c    ctx
 }
 
-// Record starts a recording session on t.
+// Record starts a transaction on t that records what it touches.
 func (t *Tree) Record() *Recording {
-	return &Recording{
-		base: t,
-		cur:  t,
-		c:    ctx{order: t.order, rec: make(map[*node]struct{})},
+	r := t.Begin()
+	r.c.rec = make(map[*node]struct{})
+	return r
+}
+
+// Begin starts a transaction on t that records nothing: VO is
+// meaningless on it.
+func (t *Tree) Begin() *Recording {
+	return &Recording{base: t, cur: t, c: ctx{order: int32(t.order), mark: memoOwned}}
+}
+
+// Begin materializes the VO as the private pre-state of a transaction —
+// the verifier's replay, which owns every node of it and so edits
+// instead of copying — and returns the transaction with the pre-state's
+// root digest, taken before anything can change it.
+func (v *VO) Begin() (*Recording, digest.Digest, error) {
+	t, err := v.tree(memoOwned)
+	if err != nil {
+		return nil, digest.Zero, err
 	}
+	return t.Begin(), t.RootDigest(), nil
 }
 
 // Get reads through the recording.
@@ -55,7 +74,7 @@ func (r *Recording) Range(lo, hi string, fn func(string, []byte) bool) error {
 
 // Put writes through the recording.
 func (r *Recording) Put(key string, val []byte) error {
-	nt, err := r.cur.putCtx(&r.c, key, val, false)
+	nt, err := r.cur.putCtx(&r.c, key, val)
 	if err != nil {
 		return err
 	}
@@ -73,8 +92,15 @@ func (r *Recording) Delete(key string) (bool, error) {
 	return found, nil
 }
 
-// Tree returns the post-state after all recorded operations.
-func (r *Recording) Tree() *Tree { return r.cur }
+// Tree returns the post-state after all operations so far and ends the
+// transaction's ownership of its nodes: the returned tree is immutable
+// like any other, and later operations through r copy again.
+func (r *Recording) Tree() *Tree {
+	if root := r.cur.root; root != nil && root.owned() {
+		release(root)
+	}
+	return r.cur
+}
 
 // VO returns the verification object for the recorded batch: the
 // pre-state tree pruned down to the nodes the batch touched, written
@@ -113,8 +139,11 @@ type VO struct {
 // and its keys are substrings of one copy of them, so a tree costs one
 // allocation per key array, value array and group of siblings rather
 // than one per record.
-func (v *VO) Tree() (*Tree, error) {
-	d := voDecoder{r: binenc.NewReader(v.enc), str: string(v.enc)}
+func (v *VO) Tree() (*Tree, error) { return v.tree(memoUnset) }
+
+// tree is Tree with the memo word the expanded nodes start with.
+func (v *VO) tree(mark uint32) (*Tree, error) {
+	d := voDecoder{r: binenc.NewReader(v.enc), str: string(v.enc), mark: mark}
 	order := d.r.Uvarint()
 	if order < MinOrder || order > math.MaxInt32 {
 		d.r.Fail("order %d", order)

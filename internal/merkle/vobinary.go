@@ -171,6 +171,7 @@ type voDecoder struct {
 	r     *binenc.Reader // over the VO's bytes; values are windows onto them
 	str   string         // one copy of the same bytes; keys are substrings of it
 	order int
+	mark  uint32 // memo word of every expanded node
 }
 
 // node decodes one node into n, reporting false for an absent one (and
@@ -192,10 +193,12 @@ func (d *voDecoder) node(n *node, depth int) bool {
 		n.memo.Store(memoValid)
 	case voLeaf:
 		n.leaf = true
+		n.memo.Store(d.mark)
 		count := d.count()
 		n.keys = d.keys(count)
 		n.vals = d.vals(count)
 	case voInternal:
+		n.memo.Store(d.mark)
 		n.keys = d.keys(d.count())
 		count := len(n.keys) + 1
 		if d.r.Err() != nil || count > d.r.Remaining() {

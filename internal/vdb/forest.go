@@ -460,7 +460,7 @@ func (db *DB) BeginCrossIn(op *CrossOp, section func(cst *CrossStaged)) (*CrossS
 	for i, legOp := range op.Legs {
 		s := db.shards[sids[i]]
 		rec := s.tree.Record()
-		ans, err := legOp.Apply(&Tx{rec: rec})
+		ans, err := legOp.Apply((*Tx)(rec))
 		if err != nil {
 			db.unlockOrdered(order)
 			return nil, fmt.Errorf("cross leg %d: %w", i, err)

@@ -43,63 +43,29 @@ var ErrAnswerMismatch = errors.New("vdb: answer does not match verified replay")
 var ErrNewRootMismatch = errors.New("vdb: new root digest does not match verified replay")
 
 // A Tx gives an Op read/write access to the database state during
-// Apply. The same Tx type fronts the server's recording tree and the
-// client's pruned replay tree, guaranteeing both sides run identical
-// code.
-type Tx struct {
-	rec   *merkle.Recording // server side (recording); nil on replay
-	tree  *merkle.Tree      // client side (replay); nil on server
-	owned bool              // tree is the replay's alone: Put may edit it in place
-}
+// Apply. It is a merkle transaction under another name (the conversion
+// costs nothing), whichever side runs it — the server's recording one,
+// the trusted path's plain one, the client's replay on the pruned
+// pre-state of a VO — guaranteeing all of them run identical code, and
+// an Op of many keys copies each tree node once.
+type Tx merkle.Recording
+
+func (tx *Tx) rec() *merkle.Recording { return (*merkle.Recording)(tx) }
 
 // Get reads a key.
-func (tx *Tx) Get(key string) ([]byte, bool, error) {
-	if tx.rec != nil {
-		return tx.rec.Get(key)
-	}
-	v, ok, err := tx.tree.GetErr(key)
-	return v, ok, err
-}
+func (tx *Tx) Get(key string) ([]byte, bool, error) { return tx.rec().Get(key) }
 
 // Put writes a key. The value is copied.
 func (tx *Tx) Put(key string, val []byte) error {
-	val = append([]byte(nil), val...)
-	if tx.rec != nil {
-		return tx.rec.Put(key, val)
-	}
-	var nt *merkle.Tree
-	var err error
-	if tx.owned {
-		nt, err = tx.tree.PutOwned(key, val)
-	} else {
-		nt, err = tx.tree.PutErr(key, val)
-	}
-	if err != nil {
-		return err
-	}
-	tx.tree = nt
-	return nil
+	return tx.rec().Put(key, append([]byte(nil), val...))
 }
 
 // Delete removes a key, reporting whether it existed.
-func (tx *Tx) Delete(key string) (bool, error) {
-	if tx.rec != nil {
-		return tx.rec.Delete(key)
-	}
-	nt, found, err := tx.tree.DeleteErr(key)
-	if err != nil {
-		return false, err
-	}
-	tx.tree = nt
-	return found, nil
-}
+func (tx *Tx) Delete(key string) (bool, error) { return tx.rec().Delete(key) }
 
 // Range scans keys in [lo, hi) in order ("" hi = unbounded).
 func (tx *Tx) Range(lo, hi string, fn func(key string, val []byte) bool) error {
-	if tx.rec != nil {
-		return tx.rec.Range(lo, hi, fn)
-	}
-	return tx.tree.Range(lo, hi, fn)
+	return tx.rec().Range(lo, hi, fn)
 }
 
 // An Op is a deterministic transaction. Apply must depend only on the
@@ -210,7 +176,7 @@ func (db *DB) Apply(op Op) (ansBytes []byte, vo *merkle.VO, err error) {
 	s.lock()
 	defer s.unlock()
 	rec := s.tree.Record()
-	ans, err := op.Apply(&Tx{rec: rec})
+	ans, err := op.Apply((*Tx)(rec))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -294,7 +260,7 @@ func (db *DB) BeginShardIn(sid int, op Op, section func(st *Staged)) (*Staged, e
 	s := db.shards[sid]
 	s.lock()
 	rec := s.tree.Record()
-	ans, err := op.Apply(&Tx{rec: rec})
+	ans, err := op.Apply((*Tx)(rec))
 	if err != nil {
 		s.unlock()
 		return nil, err
@@ -360,12 +326,12 @@ func (db *DB) Preload(op Op) error {
 		}
 		s := db.shards[sid]
 		s.lock()
-		tx := &Tx{tree: s.tree}
-		if _, err := part.Apply(tx); err != nil {
+		rec := s.tree.Begin()
+		if _, err := part.Apply((*Tx)(rec)); err != nil {
 			s.unlock()
 			return err
 		}
-		s.tree = tx.tree
+		s.tree = rec.Tree()
 		db.fmu.Lock()
 		db.heads[sid] = headEntry{tree: s.tree, ctr: s.ctr}
 		db.fmu.Unlock()
@@ -385,8 +351,8 @@ func (db *DB) ApplyPlain(op Op) (ansBytes []byte, err error) {
 	s := db.shards[sid]
 	s.lock()
 	defer s.unlock()
-	tx := &Tx{tree: s.tree}
-	ans, err := op.Apply(tx)
+	rec := s.tree.Begin()
+	ans, err := op.Apply((*Tx)(rec))
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +362,7 @@ func (db *DB) ApplyPlain(op Op) (ansBytes []byte, err error) {
 	if err != nil {
 		return nil, err
 	}
-	s.tree = tx.tree
+	s.tree = rec.Tree()
 	s.ctr++
 	db.publish(sid, s)
 	return ansBytes, nil
@@ -556,21 +522,25 @@ func VerifyDeriveTree(op Op, claimedAns []byte, vo *merkle.VO) (oldRoot, newRoot
 	if vo == nil {
 		return digest.Zero, digest.Zero, nil, errors.New("vdb: missing verification object")
 	}
-	t, err := vo.Tree()
+	rec, oldRoot, err := vo.Begin()
 	if err != nil {
 		return digest.Zero, digest.Zero, nil, err
 	}
-	oldRoot = t.RootDigest()
-	// t is this replay's alone, and oldRoot is already taken.
-	tx := &Tx{tree: t, owned: true}
-	ans, err := op.Apply(tx)
+	newRoot, post, err = replay(rec, op, claimedAns)
+	return oldRoot, newRoot, post, err
+}
+
+// replay runs op in rec and checks the claimed answer against it.
+func replay(rec *merkle.Recording, op Op, claimedAns []byte) (newRoot digest.Digest, post *merkle.Tree, err error) {
+	ans, err := op.Apply((*Tx)(rec))
 	if err != nil {
-		return digest.Zero, digest.Zero, nil, err
+		return digest.Zero, nil, err
 	}
 	if err := checkClaim(ans, claimedAns); err != nil {
-		return digest.Zero, digest.Zero, nil, err
+		return digest.Zero, nil, err
 	}
-	return oldRoot, tx.tree.RootDigest(), tx.tree, nil
+	post = rec.Tree()
+	return post.RootDigest(), post, nil
 }
 
 // ReplayOn replays op directly on prev, a post-state tree a prior
@@ -587,15 +557,7 @@ func VerifyDeriveTree(op Op, claimedAns []byte, vo *merkle.VO) (oldRoot, newRoot
 // is the same lie it is in VerifyDerive (the claimed answer is not
 // what the committed state yields).
 func ReplayOn(prev *merkle.Tree, op Op, claimedAns []byte) (newRoot digest.Digest, post *merkle.Tree, err error) {
-	tx := &Tx{tree: prev}
-	ans, err := op.Apply(tx)
-	if err != nil {
-		return digest.Zero, nil, err
-	}
-	if err := checkClaim(ans, claimedAns); err != nil {
-		return digest.Zero, nil, err
-	}
-	return tx.tree.RootDigest(), tx.tree, nil
+	return replay(prev.Begin(), op, claimedAns)
 }
 
 // checkClaim judges the server's claimed answer bytes against a

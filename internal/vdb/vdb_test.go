@@ -291,8 +291,8 @@ func TestQuickInPlaceReplayMatchesPersistent(t *testing.T) {
 				return false
 			}
 			refOld := ref.RootDigest()
-			tx := &Tx{tree: ref}
-			refAns, refErr := replayed.Apply(tx)
+			tx := ref.Begin() // ref is published: the transaction copies what it changes
+			refAns, refErr := replayed.Apply((*Tx)(tx))
 			claimed := serverAns
 			if refErr == nil {
 				if claimed, err = EncodeAnswer(refAns); err != nil {
@@ -313,7 +313,7 @@ func TestQuickInPlaceReplayMatchesPersistent(t *testing.T) {
 				t.Logf("round %d: in place %v, persistent succeeded", round, err)
 				return false
 			}
-			if oldRoot != refOld || newRoot != tx.tree.RootDigest() || post.RootDigest() != newRoot {
+			if oldRoot != refOld || newRoot != tx.Tree().RootDigest() || ref.RootDigest() != refOld || post.RootDigest() != newRoot {
 				t.Logf("round %d: roots diverged", round)
 				return false
 			}

@@ -52,6 +52,14 @@ fi
 # internal/* signature change that breaks benchmark/layers.go fails here.
 go -C benchmark vet .
 go -C benchmark test .
+# The counted-metric gate: a short run of the benchmark's key-value and
+# CVS workloads must stay inside the allocation budgets of
+# scripts/count_budget.txt. Counts repeat; the timings of the same runs
+# are printed for the log and gate nothing.
+for w in kv-write cvs-mixed; do
+    bash benchmark/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0 | tail -n 1 |
+        python3 scripts/countgate.py scripts/count_budget.txt "$w"
+done
 go run ./cmd/tcvs-lint -time ./...
 go test -race ./...
 # The full race run above already includes the fault and witness

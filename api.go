@@ -41,16 +41,6 @@ type (
 	RangeAnswer = vdb.RangeAnswer
 	CASAnswer   = vdb.CASAnswer
 
-	// CrossOp is an atomic cross-shard transaction on a Merkle forest
-	// (ClusterConfig.Shards > 1): each leg runs on the shard its keys
-	// route to, all legs commit in one counter window, and the legs'
-	// proofs are bound by a transaction digest so the server cannot
-	// commit one leg and drop another undetected. On a single-shard
-	// database it degrades to an ordinary composite operation.
-	CrossOp = vdb.CrossOp
-	// CrossAnswer carries one answer per leg.
-	CrossAnswer = vdb.CrossAnswer
-
 	// DetectionError reports a proven server deviation: which check
 	// fired, which user detected it, after how many local operations.
 	DetectionError = core.DetectionError
@@ -119,7 +109,6 @@ const (
 	EpochViolation    = core.EpochViolation
 	ProtocolViolation = core.ProtocolViolation
 	WitnessDivergence = core.WitnessDivergence
-	TornTransaction   = core.TornTransaction
 )
 
 // AsDetection extracts a DetectionError from an error chain, reporting
@@ -139,7 +128,7 @@ var ErrNoFile = cvs.ErrNoFile
 type Malice struct {
 	// Behavior is one of: "", "honest", "fork", "replay-stale",
 	// "drop-update", "tamper-answer", "tamper-state", "counter-replay",
-	// "stall-epochs", "withhold-backup", "torn-commit".
+	// "stall-epochs", "withhold-backup".
 	Behavior string
 	// TriggerOp is the 1-based operation index at which the behavior
 	// activates.
@@ -163,7 +152,6 @@ func (m Malice) config() (*adversary.Config, error) {
 		"counter-replay":  adversary.CounterReplay,
 		"stall-epochs":    adversary.StallEpochs,
 		"withhold-backup": adversary.WithholdBackup,
-		"torn-commit":     adversary.TornCommit,
 	}
 	kind, ok := kinds[m.Behavior]
 	if !ok {

@@ -35,13 +35,6 @@ type ClusterConfig struct {
 	SyncEvery uint64
 	// MerkleOrder is the B+-tree branching factor (0 = default).
 	MerkleOrder int
-	// Shards splits the item space into this many independently locked
-	// Merkle trees folded under one signed root-of-roots (0 or 1 = the
-	// classic single tree). Requires Protocol II; the per-user
-	// transition journal (JournalCap) is single-tree only. CVS
-	// operations colocate on one shard; raw key-value operations route
-	// by key hash, and CrossOp spans shards atomically.
-	Shards int
 	// KeySeed seeds the deterministic demo key ring. Production
 	// deployments generate keys with crypto/rand out of band; the
 	// in-process cluster favors reproducibility.
@@ -134,18 +127,6 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.KeySeed == 0 {
 		cfg.KeySeed = 1
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
-	if cfg.Shards < 1 || cfg.Shards > vdb.MaxShards {
-		return nil, fmt.Errorf("trustedcvs: shard count %d out of range [1, %d]", cfg.Shards, vdb.MaxShards)
-	}
-	if cfg.Shards > 1 && cfg.Protocol != ProtocolII {
-		return nil, fmt.Errorf("trustedcvs: a Merkle forest (%d shards) requires Protocol II", cfg.Shards)
-	}
-	if cfg.Shards > 1 && cfg.JournalCap > 0 {
-		return nil, fmt.Errorf("trustedcvs: transition journals are single-tree only (Shards=1)")
-	}
 	if cfg.AuditEpoch > 0 && cfg.Protocol != ProtocolII {
 		return nil, fmt.Errorf("trustedcvs: epoch-audit mode requires Protocol II")
 	}
@@ -161,7 +142,7 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Brownout > 1 && cfg.AuditEpoch == 0 {
 		return nil, fmt.Errorf("trustedcvs: Brownout requires epoch-audit mode (AuditEpoch > 0)")
 	}
-	db := vdb.NewSharded(cfg.MerkleOrder, cfg.Shards)
+	db := vdb.New(cfg.MerkleOrder)
 	signers, ring, err := sig.DeterministicSigners(cfg.Users, cfg.KeySeed)
 	if err != nil {
 		return nil, err
@@ -290,12 +271,7 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 				c.Close()
 				return nil, err
 			}
-			var u *proto2.User
-			if cfg.Shards > 1 {
-				u = proto2.NewForestUser(sig.UserID(i), db.ShardRoots(), cfg.SyncEvery)
-			} else {
-				u = proto2.NewUser(sig.UserID(i), db.Root(), cfg.SyncEvery)
-			}
+			u := proto2.NewUser(sig.UserID(i), db.Root(), cfg.SyncEvery)
 			if cfg.JournalCap > 0 {
 				u.EnableJournal(cfg.JournalCap)
 			}

@@ -56,11 +56,10 @@ func main() {
 		hubAddr  = flag.String("hub", "", "also host a broadcast hub on this address (demo convenience)")
 		proto    = flag.String("proto", "2", "protocol: 1, 2 or 3")
 		order    = flag.Int("order", 0, "Merkle branching factor (0 = default)")
-		shards   = flag.Int("shards", 1, "split the authenticated DB into this many Merkle shards under a signed root-of-roots (protocol 2 only)")
 		users    = flag.Int("users", 8, "user population (key ring size, protocol 1 only)")
 		seed     = flag.Int64("seed", 1, "deterministic key seed shared with clients (protocol 1 only)")
 		epoch    = flag.Duration("epoch", 30*time.Second, "epoch length (protocol 3 only)")
-		behavior = flag.String("behavior", "honest", "malicious behavior: honest, fork, replay-stale, drop-update, tamper-answer, tamper-state, counter-replay, stall-epochs, withhold-backup, torn-commit")
+		behavior = flag.String("behavior", "honest", "malicious behavior: honest, fork, replay-stale, drop-update, tamper-answer, tamper-state, counter-replay, stall-epochs, withhold-backup")
 		trigger  = flag.Uint64("trigger", 0, "operation index at which the behavior activates")
 		groupB   = flag.String("group-b", "", "comma-separated user IDs served from the fork")
 		target   = flag.Uint("target", 0, "victim user for replay-stale / withhold-backup")
@@ -94,12 +93,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *shards < 1 || *shards > vdb.MaxShards {
-		log.Fatalf("-shards %d outside [1, %d]", *shards, vdb.MaxShards)
-	}
-	if *shards > 1 && p != server.P2 {
-		log.Fatalf("-shards needs -proto 2 (forest mode is a Protocol II feature)")
-	}
 	// Epoch-audit mode is a client-side choice (see internal/audit);
 	// the server's share of it is pinning the witness commitment
 	// cadence to the epoch grid so every closure check can compare
@@ -128,10 +121,6 @@ func main() {
 		}
 	}
 	db := vdb.New(*order)
-	if *shards > 1 {
-		db = vdb.NewSharded(*order, *shards)
-		log.Printf("Merkle forest: %d shards under one signed root-of-roots", *shards)
-	}
 	// The session table gives reconnecting clients exactly-once retry
 	// semantics; it is checkpointed and restored alongside the database
 	// so retries from before a crash still replay instead of re-applying.
@@ -477,8 +466,6 @@ func parseBehavior(name string, trigger uint64, groupB string, target sig.UserID
 		cfg.Kind = adversary.StallEpochs
 	case "withhold-backup":
 		cfg.Kind = adversary.WithholdBackup
-	case "torn-commit":
-		cfg.Kind = adversary.TornCommit
 	default:
 		return cfg, fmt.Errorf("unknown behavior %q", name)
 	}

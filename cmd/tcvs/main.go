@@ -64,7 +64,6 @@ func run() error {
 		user       = flag.Uint("user", 0, "this user's ID")
 		users      = flag.Int("users", 2, "total user population")
 		k          = flag.Uint64("k", 16, "sync period (operations)")
-		shards     = flag.Int("shards", 1, "shard count of the server's Merkle forest (must match tcvs-server -shards; protocol 2 only)")
 		seed       = flag.Int64("seed", 1, "deterministic key seed shared with the server (protocol 1 only)")
 		stateFile  = flag.String("state", "", "protocol state file (default tcvs-user<ID>.state)")
 		author     = flag.String("author", "", "author name for commits (default user<ID>)")
@@ -91,7 +90,7 @@ func run() error {
 	var save func() error
 	switch *proto {
 	case "2":
-		u, err := loadUser2(*stateFile, sig.UserID(*user), *k, *shards)
+		u, err := loadUser2(*stateFile, sig.UserID(*user), *k)
 		if err != nil {
 			return err
 		}
@@ -485,23 +484,14 @@ func loadState(path string) ([]byte, error) {
 	return data, err
 }
 
-func loadUser2(path string, id sig.UserID, k uint64, shards int) (*proto2.User, error) {
+func loadUser2(path string, id sig.UserID, k uint64) (*proto2.User, error) {
 	data, err := loadState(path)
 	if err != nil {
 		return nil, err
 	}
 	if data == nil {
-		// Fresh user on a fresh repository: genesis state. A forest
-		// server starts every shard at the empty tree, so the user's
-		// per-shard genesis roots are N copies of the empty root.
+		// Fresh user on a fresh repository: genesis state.
 		fmt.Fprintf(os.Stderr, "tcvs: no state file %s; starting from the empty repository state\n", path)
-		if shards > 1 {
-			roots := make([]digest.Digest, shards)
-			for i := range roots {
-				roots[i] = digest.Empty()
-			}
-			return proto2.NewForestUser(id, roots, k), nil
-		}
 		return proto2.NewUser(id, digest.Empty(), k), nil
 	}
 	return proto2.RestoreUser(data)

@@ -49,7 +49,7 @@ func TestSaveUserCrashKeepsPreviousState(t *testing.T) {
 			if err := saveUser(crash, path, v2); !errors.Is(err, fault.ErrCrashed) {
 				t.Fatalf("saveUser = %v, want the simulated crash", err)
 			}
-			u, err := loadUser2(path, 0, 16, 1)
+			u, err := loadUser2(path, 0, 16)
 			if err != nil {
 				t.Fatalf("state file unloadable after the crash: %v", err)
 			}
@@ -78,14 +78,9 @@ func stateFiles(t *testing.T, dir string) map[string]func(path string) (bool, er
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := make([]digest.Digest, 4)
-	for i := range roots {
-		roots[i] = digest.Empty()
-	}
 	for name, marshal := range map[string]func() ([]byte, error){
 		"p1.state":        proto1.NewUser(signers[0], ring, 16).MarshalState,
 		"p2-single.state": proto2.NewUser(0, digest.Empty(), 16).MarshalState,
-		"p2-forest.state": proto2.NewForestUser(0, roots, 16).MarshalState,
 		"p3.state":        proto3.NewUser(signers[0], ring, digest.Empty()).MarshalState,
 	} {
 		if err := saveUser(ownerOnly{durable.OS}, filepath.Join(dir, name), marshal); err != nil {
@@ -93,7 +88,7 @@ func stateFiles(t *testing.T, dir string) map[string]func(path string) (bool, er
 		}
 	}
 	load2 := func(path string) (bool, error) {
-		u, err := loadUser2(path, 0, 16, 1)
+		u, err := loadUser2(path, 0, 16)
 		return u != nil, err
 	}
 	return map[string]func(string) (bool, error){
@@ -102,7 +97,6 @@ func stateFiles(t *testing.T, dir string) map[string]func(path string) (bool, er
 			return u != nil, err
 		},
 		"p2-single.state": load2,
-		"p2-forest.state": load2,
 		"p3.state": func(path string) (bool, error) { // no CLI: the file layer, then proto3
 			data, err := loadState(path)
 			if err != nil {
@@ -115,7 +109,7 @@ func stateFiles(t *testing.T, dir string) map[string]func(path string) (bool, er
 }
 
 // TestRegisterFileRotIsRefused: flip each byte of a saved Protocol I,
-// II (single-tree and forest) and III register file. Every one must be
+// II and III register file. Every one must be
 // refused with a typed error and no user returned: registers restored
 // from a rotted file would make this client convict an honest server —
 // a false alarm the paper rules out.
@@ -162,7 +156,7 @@ func TestRegisterFileGoldenBytes(t *testing.T) {
 	}
 	golden := filepath.Join("testdata", "golden", "tcvs-user0.state")
 	wiretest.Bytes(t, golden, written)
-	u, err := loadUser2(golden, 0, 16, 1)
+	u, err := loadUser2(golden, 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +185,7 @@ func TestOldStateFileRefused(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if u, err := loadUser2(path, 0, 16, 1); !errors.Is(err, core.ErrStateFormat) || u != nil {
+	if u, err := loadUser2(path, 0, 16); !errors.Is(err, core.ErrStateFormat) || u != nil {
 		t.Fatalf("loadUser2 = %v, %v; want core.ErrStateFormat", u, err)
 	}
 	// Nothing listens on port 1: the command must fail at the state
@@ -208,5 +202,15 @@ func TestOldStateFileRefused(t *testing.T) {
 	}
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, old) {
 		t.Fatalf("the refused state file changed on disk (err %v)", err)
+	}
+}
+
+// TestForestStateFileRefused: the register file of a user of a sharded
+// database (a 4-shard forest, as earlier binaries saved it) is refused
+// with core.ErrStateFormat.
+func TestForestStateFileRefused(t *testing.T) {
+	path := filepath.Join("testdata", "golden", "forest-tcvs-user0.state")
+	if u, err := loadUser2(path, 0, 16); !errors.Is(err, core.ErrStateFormat) || u != nil {
+		t.Fatalf("loadUser2 = %v, %v; want core.ErrStateFormat", u, err)
 	}
 }

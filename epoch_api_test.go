@@ -49,39 +49,6 @@ func TestClusterEpochAuditHonest(t *testing.T) {
 	}
 }
 
-// TestClusterEpochAuditForest drives cross-shard transactions through
-// a forest cluster in epoch-audit mode: GCtr-prefix cuts must induce
-// consistent per-shard cuts, so the per-epoch forest closure stays
-// clean.
-func TestClusterEpochAuditForest(t *testing.T) {
-	cluster, err := trustedcvs.NewLocalCluster(trustedcvs.ClusterConfig{
-		Protocol: trustedcvs.ProtocolII, Users: 2,
-		Shards: 4, AuditEpoch: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-
-	ka, kb := shardSplitKeys(t, 4)
-	for i := 0; i < 12; i++ {
-		var op trustedcvs.Op = &trustedcvs.WriteOp{Puts: []trustedcvs.KV{{Key: fmt.Sprintf("k%d", i), Val: []byte("v")}}}
-		if i%3 == 0 {
-			op = &trustedcvs.CrossOp{Legs: []trustedcvs.Op{
-				&trustedcvs.WriteOp{Puts: []trustedcvs.KV{{Key: ka, Val: []byte(fmt.Sprintf("l%d", i))}}},
-				&trustedcvs.WriteOp{Puts: []trustedcvs.KV{{Key: kb, Val: []byte(fmt.Sprintf("r%d", i))}}},
-			}}
-		}
-		if _, err := cluster.Do(i%2, op); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	cluster.Seal()
-	if err := cluster.WaitSealed(10 * time.Second); err != nil {
-		t.Fatalf("forest epoch audit: %v", err)
-	}
-}
-
 // TestClusterEpochAuditMaliceDetected: a forking server against an
 // epoch-audit cluster must still be convicted — asynchronously, by the
 // epoch closure — with a typed detection, never an untyped error.

@@ -20,8 +20,6 @@
 //   - CounterReplay: show the same counter value twice.
 //   - StallEpochs / WithholdBackup: Protocol III-specific attacks on
 //     the epoch machinery.
-//   - TornCommit: prove a cross-shard transaction in full but commit
-//     only its first leg (Merkle forest atomicity attack).
 package adversary
 
 import (
@@ -60,12 +58,6 @@ const (
 	// WithholdBackup removes Target's backups from every
 	// GetBackups response (Protocol III).
 	WithholdBackup
-	// TornCommit answers the first cross-shard transaction at or after
-	// TriggerOp with a fully valid multi-leg proof served from a
-	// throwaway fork, but lands only the first leg on the real history
-	// — the atomicity violation the forest's transaction digest and
-	// pending-leg checks exist to catch (core.TornTransaction).
-	TornCommit
 )
 
 func (k Kind) String() string {
@@ -88,8 +80,6 @@ func (k Kind) String() string {
 		return "stall-epochs"
 	case WithholdBackup:
 		return "withhold-backup"
-	case TornCommit:
-		return "torn-commit"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -293,29 +283,6 @@ func (s *Server) HandleOp(req *core.OpRequest) (any, error) {
 		}
 		// Keep a one-op-old snapshot around for the trigger.
 		s.fork = s.main.Fork()
-		return s.main.HandleOp(req)
-
-	case TornCommit:
-		cross, isCross := req.Op.(*vdb.CrossOp)
-		if !s.dropped && s.triggered(s.ops) && isCross && len(cross.Legs) >= 2 {
-			// Prove the whole transaction on a throwaway fork; commit
-			// only the first leg for real. Like DropUpdate, this response
-			// alone is still serializable — the run deviates at the next
-			// response served from the history missing the other legs.
-			s.fork = s.main.Fork()
-			resp, err := s.fork.HandleOp(req)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := s.main.HandleOp(&core.OpRequest{User: req.User, Op: cross.Legs[0]}); err != nil {
-				return nil, err
-			}
-			s.dropped = true
-			return resp, nil
-		}
-		if s.dropped {
-			s.markDeviation()
-		}
 		return s.main.HandleOp(req)
 
 	default:

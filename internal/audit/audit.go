@@ -27,11 +27,7 @@
 // precisely this client's contribution to the prefix of the global
 // history ending at the boundary. Every client snapshots at the same
 // counter prefix, so the assembled report vector is a cut of the
-// global order — no barrier, no false alarms. Forest responses carry
-// GCtr (the sum of the shard head counters), which is strictly
-// increasing and orders every shard consistently, so a GCtr-prefix cut
-// induces a per-shard-prefix cut and core.CheckSyncForest applies
-// unchanged.
+// global order — no barrier, no false alarms.
 //
 // A client that stops operating never crosses another boundary; its
 // Seal broadcast publishes its final registers, which stand in for
@@ -72,13 +68,10 @@ const DefaultQueue = 256
 
 // Record is one audit obligation: the operation a client issued and
 // the response the server returned for it, queued in the client's own
-// operation order. Exactly one of Resp (single-shard) or CrossResp
-// (cross-shard transaction, with Cross set) is non-nil.
+// operation order.
 type Record struct {
-	Op        vdb.Op
-	Resp      *core.OpResponseII
-	Cross     *vdb.CrossOp
-	CrossResp *core.OpResponseForest
+	Op   vdb.Op
+	Resp *core.OpResponseII
 
 	seal bool
 }
@@ -122,9 +115,6 @@ type Config struct {
 	// peers, this client included (the driver wires it to the broadcast
 	// hub, whose FIFO loopback delivers it back through SubmitReport).
 	Publish func(Report) error
-	// Chain arms the shared-path replay cache on User (single-tree
-	// users only; see proto2.EnableReplayChain).
-	Chain bool
 	// WALDir, when non-empty, arms the crash-durable pipeline: every
 	// record is checksummed and fsynced to a segmented journal in this
 	// directory before Submit returns, journal frames surviving a crash
@@ -154,14 +144,12 @@ type Config struct {
 // running the closure and witness checks once per epoch. The first
 // failure is terminal and is surfaced as an *EpochAuditFailure.
 type Auditor struct {
-	user   *proto2.User
-	id     sig.UserID
-	epoch  uint64
-	users  int
-	forest bool
+	user  *proto2.User
+	id    sig.UserID
+	epoch uint64
+	users int
 
 	initialState digest.Digest
-	geneses      []digest.Digest
 
 	publish func(Report) error
 
@@ -173,8 +161,9 @@ type Auditor struct {
 	// was published for; worker-goroutine state, unlocked by design.
 	emitted int64
 
-	// Gate state below is guarded by mu (enter through lockGate /
-	// unlockGate; cond is tied to mu). The completion path
+	// Gate state below is guarded by mu (cond is tied to mu); lockscope
+	// keeps slow calls (codec, crypto, network, disk) out of its
+	// sections like any other hot-path lock. The completion path
 	// (SubmitReport → tryCompleteLocked) runs on the driver's single
 	// receive goroutine, so epochs complete strictly in order.
 	mu   sync.Mutex
@@ -259,9 +248,7 @@ func New(cfg Config) (*Auditor, error) {
 		id:           cfg.User.ID(),
 		epoch:        cfg.Epoch,
 		users:        cfg.Users,
-		forest:       cfg.User.Forest(),
 		initialState: cfg.User.InitialState(),
-		geneses:      cfg.User.Geneses(),
 		publish:      cfg.Publish,
 		//lint:ignore boundedqueue capacity is Config.Queue (default DefaultQueue), a fixed config bound; when full, Submit degrades the caller to the audit rate instead of growing
 		ch:          make(chan Record, q),
@@ -277,9 +264,7 @@ func New(cfg Config) (*Auditor, error) {
 		maxStretch:  1,
 	}
 	a.cond = sync.NewCond(&a.mu)
-	if cfg.Chain {
-		a.user.EnableReplayChain()
-	}
+	a.user.EnableReplayChain()
 	if cfg.WALDir != "" {
 		if err := a.initDurable(cfg.WALDir, cfg.WALFS); err != nil {
 			return nil, err
@@ -294,12 +279,6 @@ func New(cfg Config) (*Auditor, error) {
 	return a, nil
 }
 
-// lockGate and unlockGate wrap the auditor's gate mutex so the
-// lockscope lint tracks its critical sections like any other hot-path
-// lock: no slow call (codec, crypto, network, disk) may run inside.
-func (a *Auditor) lockGate()   { a.mu.Lock() }
-func (a *Auditor) unlockGate() { a.mu.Unlock() }
-
 // EpochLen returns the configured epoch length N.
 func (a *Auditor) EpochLen() uint64 { return a.epoch }
 
@@ -307,8 +286,8 @@ func (a *Auditor) EpochLen() uint64 { return a.epoch }
 // completed epoch, on the auditor, instead of once per sync round on
 // the hot path. Set before the first operation.
 func (a *Auditor) SetCheck(chk *witness.Check) {
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.check = chk
 }
 
@@ -316,8 +295,8 @@ func (a *Auditor) SetCheck(chk *witness.Check) {
 // check convicts the server, before the failure is recorded — the
 // driver uses it to quarantine the convicted endpoint.
 func (a *Auditor) SetQuarantine(fn func()) {
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.quarantine = fn
 }
 
@@ -336,8 +315,8 @@ func (a *Auditor) epochOf(g uint64) uint64 {
 // client gate earlier.
 func (a *Auditor) NoteEpoch(g uint64) {
 	e := int64(a.epochOf(g))
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if e > a.maxEpoch {
 		a.maxEpoch = e
 	}
@@ -372,14 +351,14 @@ func (a *Auditor) WaitAdmissibleUntil(deadline time.Time) error {
 			return fmt.Errorf("audit: deadline expired before admission%w", gateErr{wire.ErrDeadlineExceeded})
 		}
 		timer = time.AfterFunc(d, func() {
-			a.lockGate()
+			a.mu.Lock()
 			a.cond.Broadcast()
-			a.unlockGate()
+			a.mu.Unlock()
 		})
 		defer timer.Stop()
 	}
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	for a.failed == nil && !a.closed && a.maxEpoch > a.completed+a.stretch {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return fmt.Errorf("audit: deadline expired waiting for admission%w", gateErr{wire.ErrDeadlineExceeded})
@@ -412,19 +391,19 @@ func (m gateErr) Is(target error) bool { return target == m.is }
 // been verified (degrade-to-sync). Returns the terminal failure, if
 // any, so the hot path stops issuing promptly.
 func (a *Auditor) Submit(rec Record) error {
-	a.lockGate()
+	a.mu.Lock()
 	a.waitRecoveredLocked()
 	if a.failed != nil {
 		err := a.failed
-		a.unlockGate()
+		a.mu.Unlock()
 		return err
 	}
 	if a.closed {
-		a.unlockGate()
+		a.mu.Unlock()
 		return ErrClosed
 	}
 	syncBarrier := a.degradedSync
-	a.unlockGate()
+	a.mu.Unlock()
 
 	if a.wal != nil && !syncBarrier {
 		if err := a.walAppend(rec); err != nil {
@@ -433,14 +412,14 @@ func (a *Auditor) Submit(rec Record) error {
 		}
 	}
 
-	a.lockGate()
+	a.mu.Lock()
 	if a.failed != nil {
 		err := a.failed
-		a.unlockGate()
+		a.mu.Unlock()
 		return err
 	}
 	if a.closed {
-		a.unlockGate()
+		a.mu.Unlock()
 		return ErrClosed
 	}
 	a.submitted++
@@ -449,7 +428,7 @@ func (a *Auditor) Submit(rec Record) error {
 		a.highWater = occ
 	}
 	a.notePressureLocked(occ)
-	a.unlockGate()
+	a.mu.Unlock()
 
 	queued := false
 	select {
@@ -458,9 +437,9 @@ func (a *Auditor) Submit(rec Record) error {
 	default:
 	}
 	if !queued {
-		a.lockGate()
+		a.mu.Lock()
 		a.degraded++
-		a.unlockGate()
+		a.mu.Unlock()
 		select {
 		case a.ch <- rec:
 		case <-a.done:
@@ -483,8 +462,8 @@ func (a *Auditor) Submit(rec Record) error {
 // re-park every admitted-but-unaudited op behind a suddenly narrower
 // gate).
 func (a *Auditor) SetBrownout(n int) {
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.brownoutMax = n
 }
 
@@ -539,15 +518,15 @@ func (a *Auditor) notePressureLocked(occ int) {
 // epoch ahead stall at WaitAdmissible — exactly as a quiet user stalls
 // a sync-barrier round in the underlying protocol.
 func (a *Auditor) Seal() {
-	a.lockGate()
+	a.mu.Lock()
 	a.waitRecoveredLocked()
 	if a.sealSent || a.closed {
-		a.unlockGate()
+		a.mu.Unlock()
 		return
 	}
 	a.sealSent = true
 	a.submitted++
-	a.unlockGate()
+	a.mu.Unlock()
 	select {
 	case a.ch <- Record{seal: true}:
 	case <-a.done:
@@ -556,23 +535,23 @@ func (a *Auditor) Seal() {
 
 // Err returns the terminal audit failure, if any.
 func (a *Auditor) Err() error {
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	return a.failed
 }
 
 // Completed returns the number of epochs whose closure check passed.
 func (a *Auditor) Completed() uint64 {
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	return uint64(a.completed + 1)
 }
 
 // NoQuorumSkips reports how many per-epoch witness checks were skipped
 // for lack of a quorum (availability loss, never detection).
 func (a *Auditor) NoQuorumSkips() uint64 {
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	return a.noQuorum
 }
 
@@ -587,7 +566,7 @@ type Stats struct {
 	Degraded  uint64 // submits that found the queue full and blocked
 	Epochs    uint64 // epochs whose closure check passed
 	// ChainHits/ChainMisses: shared-path replays vs full VO
-	// verifications (both 0 unless Config.Chain).
+	// verifications.
 	ChainHits   uint64
 	ChainMisses uint64
 	// Durability is the crash-durability mode (volatile / wal /
@@ -609,8 +588,8 @@ type Stats struct {
 // publication as of the last audited batch (the user state machine is
 // the worker's alone), so they are exact whenever Audited is.
 func (a *Auditor) Stats() Stats {
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	dur := DurabilityVolatile
 	switch {
 	case a.degradedSync:
@@ -635,15 +614,15 @@ func (a *Auditor) Stats() Stats {
 func (a *Auditor) WaitDrained(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	poll := backoff.Poll(time.Millisecond)
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	for a.failed == nil && !a.closed && a.audited < a.submitted {
 		if time.Now().After(deadline) {
 			return errors.New("audit: WaitDrained timeout")
 		}
-		a.unlockGate()
+		a.mu.Unlock()
 		poll.Sleep()
-		a.lockGate()
+		a.mu.Lock()
 	}
 	return a.failed
 }
@@ -654,15 +633,15 @@ func (a *Auditor) WaitDrained(timeout time.Duration) error {
 func (a *Auditor) WaitSealed(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	poll := backoff.Poll(time.Millisecond)
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	for a.failed == nil && !a.finalDone {
 		if time.Now().After(deadline) {
 			return errors.New("audit: WaitSealed timeout")
 		}
-		a.unlockGate()
+		a.mu.Unlock()
 		poll.Sleep()
-		a.lockGate()
+		a.mu.Lock()
 	}
 	return a.failed
 }
@@ -671,14 +650,14 @@ func (a *Auditor) WaitSealed(timeout time.Duration) error {
 // the worker goroutine exits. Records still queued are not audited —
 // call Seal and WaitSealed first for full coverage. Idempotent.
 func (a *Auditor) Stop() {
-	a.lockGate()
+	a.mu.Lock()
 	if a.closed {
-		a.unlockGate()
+		a.mu.Unlock()
 		return
 	}
 	a.closed = true
 	a.cond.Broadcast()
-	a.unlockGate()
+	a.mu.Unlock()
 	close(a.done)
 	a.wg.Wait()
 	a.closeDurable()
@@ -717,13 +696,13 @@ func (a *Auditor) run() {
 		for _, r := range batch {
 			a.process(r, &obs)
 		}
-		a.lockGate()
+		a.mu.Lock()
 		chk := a.check
-		a.unlockGate()
+		a.mu.Unlock()
 		if chk != nil {
 			chk.ObserveBatch(obs)
 		}
-		a.lockGate()
+		a.mu.Lock()
 		a.audited += uint64(len(batch))
 		a.chainHits, a.chainMisses = a.user.ChainStats()
 		a.batches++
@@ -733,7 +712,7 @@ func (a *Auditor) run() {
 		// Degrade-to-sync submitters block until their record has been
 		// audited; wake them per batch.
 		a.cond.Broadcast()
-		a.unlockGate()
+		a.mu.Unlock()
 		a.maybeCheckpoint()
 	}
 }
@@ -741,9 +720,9 @@ func (a *Auditor) run() {
 // process audits one record: emit boundary snapshots it crosses, then
 // verify it against the user state machine.
 func (a *Auditor) process(r Record, obs *[]witness.Observation) {
-	a.lockGate()
+	a.mu.Lock()
 	dead := a.failed != nil
-	a.unlockGate()
+	a.mu.Unlock()
 	if dead {
 		return // keep draining so blocked submitters unblock
 	}
@@ -752,7 +731,7 @@ func (a *Auditor) process(r Record, obs *[]witness.Observation) {
 		a.publishReport(Report{Seal: true, Report: a.user.SyncReport()})
 		return
 	}
-	g := a.claimedG(r)
+	g := claimedG(r)
 	// First record past a boundary: snapshot BEFORE absorbing it, so
 	// the registers cover exactly the counter prefix each boundary
 	// names. A client that skipped whole epochs emits one (identical)
@@ -765,13 +744,7 @@ func (a *Auditor) process(r Record, obs *[]witness.Observation) {
 	if e > a.emitted {
 		a.emitted = e - 1
 	}
-	var err error
-	if r.CrossResp != nil {
-		err = a.user.VerifyResponseForest(r.Cross, r.CrossResp)
-	} else {
-		err = a.user.VerifyResponse(r.Op, r.Resp)
-	}
-	if err != nil {
+	if err := a.user.VerifyResponse(r.Op, r.Resp); err != nil {
 		a.fail(&EpochAuditFailure{Epoch: uint64(e), Ctr: g, Cause: err})
 		return
 	}
@@ -792,8 +765,8 @@ func (a *Auditor) publishReport(r Report) {
 // reconnect cannot corrupt an epoch. Called from the driver's receive
 // goroutine.
 func (a *Auditor) SubmitReport(r Report) {
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	from := r.Report.User
 	if r.Retract {
 		// The sender outlived its seal (crash + journal recovery); its
@@ -887,17 +860,6 @@ func (a *Auditor) tryCompleteLocked() {
 // closureCheckLocked runs the Lemma 4.1 closure check over one
 // assembled snapshot vector.
 func (a *Auditor) closureCheckLocked(reports []core.SyncReportII) error {
-	if a.forest {
-		s, err := core.CheckSyncForest(a.geneses, reports)
-		if err != nil {
-			return core.Detect(core.ProtocolViolation, a.id, a.audited, err)
-		}
-		if s >= 0 {
-			return core.Detect(core.SyncMismatch, a.id, a.audited,
-				fmt.Errorf("no last register closes the state chain of shard %d", s))
-		}
-		return nil
-	}
 	if core.CheckSyncII(a.initialState, reports) < 0 {
 		return core.Detect(core.SyncMismatch, a.id, a.audited,
 			errors.New("no last register closes the state chain"))
@@ -932,8 +894,8 @@ func (a *Auditor) witnessCheckLocked(epoch uint64) error {
 
 // fail records the first terminal failure and wakes every waiter.
 func (a *Auditor) fail(err error) {
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.failLocked(err)
 }
 

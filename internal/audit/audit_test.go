@@ -59,7 +59,7 @@ func TestHonestEpochRun(t *testing.T) {
 	u := proto2.NewUser(1, db.Root(), 1<<20)
 
 	var aud *Auditor
-	a, err := New(Config{User: u, Epoch: 4, Users: 1, Publish: loopback(&aud), Chain: true})
+	a, err := New(Config{User: u, Epoch: 4, Users: 1, Publish: loopback(&aud)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestStatsSafeWhileAuditing(t *testing.T) {
 	u := proto2.NewUser(1, db.Root(), 1<<20)
 
 	var aud *Auditor
-	a, err := New(Config{User: u, Epoch: 8, Users: 1, Publish: loopback(&aud), Chain: true})
+	a, err := New(Config{User: u, Epoch: 8, Users: 1, Publish: loopback(&aud)})
 	if err != nil {
 		t.Fatal(err)
 	}

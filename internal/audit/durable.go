@@ -120,13 +120,14 @@ func LoadCursor(dir string) (*Cursor, error) {
 //
 //	recordFormat | operation (tag + body) | response (tag + body)
 //
-// both halves as internal/wire encodes them on the network — the
-// response is the *core.OpResponseII of a single-shard obligation or
-// the *core.OpResponseForest of a cross-shard one, which also tells
-// the two record shapes apart. Earlier binaries journaled a gob stream
-// behind 0x82, and before that a bare gob stream (which opens with a
-// length that is either below 0x80 or a negated byte count,
-// 0xF8–0xFF), so no older record can pass for a current one.
+// both halves as internal/wire encodes them on the network, the
+// response a *core.OpResponseII. Earlier binaries journaled a gob
+// stream behind 0x82, and before that a bare gob stream (which opens
+// with a length that is either below 0x80 or a negated byte count,
+// 0xF8–0xFF), so no older record can pass for a current one. A record
+// whose frame checksum holds but whose body does not decode — a
+// sharded database's cross-shard transaction or response — was written
+// by another binary too, and is refused the same way.
 const recordFormat = 0x83
 
 // ErrJournalFormat is returned when opening a journal whose cursor or
@@ -139,13 +140,9 @@ var ErrJournalFormat = errors.New("audit: journal holds a cursor or records in a
 // appendRecord appends one obligation's journal form to b. Seals are
 // never journaled: a restarted client re-seals on its own schedule.
 func appendRecord(b []byte, r Record) ([]byte, error) {
-	var op, resp any = r.Op, r.Resp
-	if r.CrossResp != nil {
-		op, resp = r.Cross, r.CrossResp
-	}
-	b, err := wire.Append(append(b, recordFormat), op)
+	b, err := wire.Append(append(b, recordFormat), r.Op)
 	if err == nil {
-		b, err = wire.Append(b, resp)
+		b, err = wire.Append(b, r.Resp)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("audit: encode record: %w", err)
@@ -162,15 +159,10 @@ func decodeRecord(b []byte) (Record, error) {
 	r := binenc.NewReader(b[1:])
 	op, resp := vdb.ReadWireOp(r), wire.Read(r)
 	if err := r.Close(); err != nil {
-		return Record{}, fmt.Errorf("audit: decode journaled record: %w", err)
+		return Record{}, fmt.Errorf("%w: %v", ErrJournalFormat, err)
 	}
-	switch resp := resp.(type) {
-	case *core.OpResponseII:
+	if resp, ok := resp.(*core.OpResponseII); ok {
 		return Record{Op: op, Resp: resp}, nil
-	case *core.OpResponseForest:
-		if cross, ok := op.(*vdb.CrossOp); ok {
-			return Record{Cross: cross, CrossResp: resp}, nil
-		}
 	}
 	return Record{}, fmt.Errorf("audit: decode journaled record: %T does not answer %T", resp, op)
 }
@@ -199,16 +191,7 @@ func AppendRaw(dir string, rec Record, epoch uint64) error {
 // claimedG extracts the record's claimed post-operation global counter
 // — untrusted, but a lie only mislabels the journal frame's epoch and
 // is convicted by verification either way.
-func (a *Auditor) claimedG(r Record) uint64 {
-	switch {
-	case r.CrossResp != nil:
-		return r.CrossResp.GCtr
-	case a.forest:
-		return r.Resp.GCtr
-	default:
-		return r.Resp.Ctr + 1
-	}
-}
+func claimedG(r Record) uint64 { return r.Resp.Ctr + 1 }
 
 // initDurable arms the journal: load the cursor, decode every frame
 // past it for re-verification, repair and reopen the journal for
@@ -264,10 +247,10 @@ func (a *Auditor) initDurable(dir string, fs durable.FS) error {
 func (a *Auditor) feedRecovery() {
 	defer a.wg.Done()
 	for _, rec := range a.replayQ {
-		a.lockGate()
+		a.mu.Lock()
 		a.submitted++
 		a.replayed++
-		a.unlockGate()
+		a.mu.Unlock()
 		select {
 		case a.ch <- rec:
 		case <-a.done:
@@ -275,10 +258,10 @@ func (a *Auditor) feedRecovery() {
 		}
 	}
 	a.replayQ = nil
-	a.lockGate()
+	a.mu.Lock()
 	a.recovering = false
 	a.cond.Broadcast()
-	a.unlockGate()
+	a.mu.Unlock()
 }
 
 // walAppend journals one record before its answer is released; the
@@ -291,13 +274,13 @@ func (a *Auditor) walAppend(rec Record) error {
 		return err
 	}
 	a.recBuf = binenc.Recycle(payload)
-	return a.wal.Append(a.epochOf(a.claimedG(rec)), payload)
+	return a.wal.Append(a.epochOf(claimedG(rec)), payload)
 }
 
 // noteWALFailure flips the sticky degrade-to-sync state.
 func (a *Auditor) noteWALFailure(err error) {
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if !a.degradedSync {
 		a.degradedSync = true
 		a.walErr = err
@@ -317,8 +300,8 @@ func (a *Auditor) waitRecoveredLocked() {
 // submitted so far — the degrade-to-sync barrier: a record that could
 // not be journaled must be verified before its answer is released.
 func (a *Auditor) waitProcessed() error {
-	a.lockGate()
-	defer a.unlockGate()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	for a.failed == nil && !a.closed && a.audited < a.submitted {
 		a.cond.Wait()
 	}
@@ -368,10 +351,10 @@ func (a *Auditor) maybeCheckpoint() {
 	if a.wal == nil {
 		return
 	}
-	a.lockGate()
+	a.mu.Lock()
 	target := a.completed
 	degraded := a.degradedSync
-	a.unlockGate()
+	a.mu.Unlock()
 	if target <= a.lastCkpt || degraded {
 		return
 	}

@@ -21,7 +21,7 @@ var ErrClosed = errors.New("audit: auditor closed")
 // Cause is the underlying *core.DetectionError (reachable through
 // errors.As / core.AsDetection), so every detection class the
 // synchronous path raises — BadVO, BadAnswer, CounterReplay,
-// SyncMismatch, TornTransaction, WitnessDivergence — keeps its type
+// SyncMismatch, WitnessDivergence — keeps its type
 // under the asynchronous auditor.
 type EpochAuditFailure struct {
 	// Epoch is the 0-based epoch index in which the deviation surfaced.

@@ -9,7 +9,6 @@ import (
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
-	"trustedcvs/internal/digest"
 	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wal"
 	"trustedcvs/internal/wire"
@@ -76,8 +75,8 @@ func TestRecordFormatMarker(t *testing.T) {
 	}
 }
 
-// TestRecordGolden pins the journal form of both record shapes, and
-// that what decodes is what was journaled.
+// TestRecordGolden pins the journal form of a record, and that what
+// decodes is what was journaled.
 func TestRecordGolden(t *testing.T) {
 	db := vdb.New(0)
 	if err := db.Preload(&vdb.WriteOp{Puts: []vdb.KV{{Key: "a", Val: []byte("1")}}}); err != nil {
@@ -88,17 +87,8 @@ func TestRecordGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	txd := digest.OfBytes(digest.DomainCrossTx, []byte("tx"))
-	cross := &vdb.CrossOp{Legs: []vdb.Op{op, &vdb.ReadOp{Keys: []string{"echo"}}}}
 	records := map[string]Record{
 		"record-op": {Op: op, Resp: &core.OpResponseII{Answer: ans, VO: vo, Ctr: 1, Last: 2}},
-		"record-cross": {Cross: cross, CrossResp: &core.OpResponseForest{
-			Legs: []core.OpLegII{{Shard: 0, Answer: ans, VO: vo, Ctr: 1, Last: 2, LastTx: txd}, {Shard: 1, Answer: ans, VO: vo}},
-			GCtr: 7,
-		}},
-		// At N=1 a cross-shard op runs as one operation and is answered
-		// by a plain response: the shapes are told apart by the response.
-		"record-cross-single-tree": {Op: cross, Resp: &core.OpResponseII{Answer: ans, VO: vo, Ctr: 1, Last: 2}},
 	}
 	for name, rec := range records {
 		b, err := appendRecord(nil, rec)
@@ -122,9 +112,9 @@ func TestRecordGolden(t *testing.T) {
 		t.Error("trailing byte accepted")
 	}
 	// A response that does not answer its operation is not a record: a
-	// plain write followed by a forest response, and a request where the
-	// response belongs.
-	for name, resp := range map[string]any{"forest response to a write": records["record-cross"].CrossResp, "request as response": &core.SyncRequest{}} {
+	// plain write followed by a Protocol I response, and a request where
+	// the response belongs.
+	for name, resp := range map[string]any{"Protocol I response to a write": &core.OpResponseI{Ctr: 1}, "request as response": &core.SyncRequest{}} {
 		bad, err := wire.Append([]byte{recordFormat}, op)
 		if err == nil {
 			bad, err = wire.Append(bad, resp)
@@ -134,6 +124,39 @@ func TestRecordGolden(t *testing.T) {
 		}
 		if _, err := decodeRecord(bad); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestRetiredRecordsRefusedAtOpen: a journal holding a cross-shard
+// obligation, as binaries with a sharded database journaled one — a
+// forest's multi-leg response, or a single tree's plain response to a
+// cross-shard transaction — is refused with ErrJournalFormat at open.
+func TestRetiredRecordsRefusedAtOpen(t *testing.T) {
+	for _, name := range []string{"record-cross.bin", "record-cross-single-tree.bin"} {
+		rec, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		w, err := wal.Open(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(0, rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		u := proto2.NewUser(1, vdb.New(0).Root(), 1<<20)
+		a, err := New(Config{User: u, Epoch: 4, Users: 1, Publish: func(Report) error { return nil }, WALDir: dir})
+		if err == nil {
+			a.Stop()
+			t.Fatalf("%s: journal opened; failure recorded: %v", name, a.Err())
+		}
+		if !errors.Is(err, ErrJournalFormat) {
+			t.Fatalf("%s: New = %v, want ErrJournalFormat", name, err)
 		}
 	}
 }

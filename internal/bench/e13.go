@@ -62,9 +62,8 @@ type e13Client func(c transport.Caller, op vdb.Op) (ctr uint64, err error)
 // e13Scheme wires up one measured configuration: a fresh preloaded
 // database, the server handler over it and a per-client user factory.
 type e13Scheme struct {
-	name   string
-	shards int // Merkle trees behind the handler (0 = one)
-	setup  func(size, nClients int) (*vdb.DB, transport.Handler, func(id int) e13Client)
+	name  string
+	setup func(size, nClients int) (*vdb.DB, transport.Handler, func(id int) e13Client)
 }
 
 func opHandler[R any](handleOp func(*core.OpRequest) (R, error)) transport.Handler {
@@ -94,7 +93,7 @@ func callII(c transport.Caller, req *core.OpRequest, verify func(*core.OpRespons
 // --- trusted floor: plain apply, no proofs, no verification ---
 
 func trustedSetup(size, _ int) (*vdb.DB, transport.Handler, func(int) e13Client) {
-	db := seedDB(size, 1)
+	db := seedDB(size)
 	handler := opHandler(func(r *core.OpRequest) (*core.OpResponseII, error) {
 		ans, err := db.ApplyPlain(r.Op)
 		if err != nil {
@@ -146,7 +145,7 @@ func p1Do(u *proto1.User, c transport.Caller, op vdb.Op) (uint64, error) {
 }
 
 func p1Setup(size, nClients int) (*vdb.DB, transport.Handler, func(int) e13Client) {
-	db := seedDB(size, 1)
+	db := seedDB(size)
 	signers, ring, err := sig.DeterministicSigners(nClients, 13)
 	if err != nil {
 		panic(err)
@@ -170,34 +169,27 @@ func p1Setup(size, nClients int) (*vdb.DB, transport.Handler, func(int) e13Clien
 	}
 }
 
-// --- Protocol II (single tree, or a forest of shards > 1) ---
+// --- Protocol II ---
 
-func p2Scheme(name string, shards int) e13Scheme {
-	return e13Scheme{name: name, shards: shards, setup: func(size, _ int) (*vdb.DB, transport.Handler, func(int) e13Client) {
-		db := seedDB(size, shards)
-		srv := proto2.NewServer(db)
-		root, roots := db.Root(), db.ShardRoots()
-		return db, opHandler(srv.HandleOp), func(id int) e13Client {
-			var u *proto2.User
-			if shards > 1 {
-				u = proto2.NewForestUser(sig.UserID(id), roots, 1<<62)
-			} else {
-				u = proto2.NewUser(sig.UserID(id), root, 1<<62)
-			}
-			return func(c transport.Caller, op vdb.Op) (uint64, error) {
-				return callII(c, u.Request(op), func(r *core.OpResponseII) error {
-					_, err := u.HandleResponse(op, r)
-					return err
-				})
-			}
+func p2Setup(size, _ int) (*vdb.DB, transport.Handler, func(int) e13Client) {
+	db := seedDB(size)
+	srv := proto2.NewServer(db)
+	root := db.Root()
+	return db, opHandler(srv.HandleOp), func(id int) e13Client {
+		u := proto2.NewUser(sig.UserID(id), root, 1<<62)
+		return func(c transport.Caller, op vdb.Op) (uint64, error) {
+			return callII(c, u.Request(op), func(r *core.OpResponseII) error {
+				_, err := u.HandleResponse(op, r)
+				return err
+			})
 		}
-	}}
+	}
 }
 
 // --- Protocol III ---
 
 func p3Setup(size, nClients int) (*vdb.DB, transport.Handler, func(int) e13Client) {
-	db := seedDB(size, 1)
+	db := seedDB(size)
 	signers, ring, err := sig.DeterministicSigners(nClients, 17)
 	if err != nil {
 		panic(err)
@@ -230,7 +222,7 @@ func e13Schemes() []e13Scheme {
 	return []e13Scheme{
 		{name: "trusted", setup: trustedSetup},
 		{name: "P1", setup: p1Setup},
-		p2Scheme("P2", 1),
+		{name: "P2", setup: p2Setup},
 		{name: "P3", setup: p3Setup},
 	}
 }

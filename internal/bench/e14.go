@@ -235,7 +235,7 @@ func RunE14(cfg E14Config) (*E14Data, error) {
 	}
 
 	// ---- Phase 1: honest server, kill/restart mid-workload ----
-	dep, err := deployFaulty(deployConfig{srv: server.NewP2(seedDB(cfg.DBSize, 1)), users: cfg.Users, k: cfg.K},
+	dep, err := deployFaulty(deployConfig{srv: server.NewP2(seedDB(cfg.DBSize)), users: cfg.Users, k: cfg.K},
 		cfg.Seed, cfg.ResetProb, cfg.TruncateProb, "")
 	if err != nil {
 		return nil, err
@@ -308,7 +308,7 @@ func RunE14(cfg E14Config) (*E14Data, error) {
 // retry/reconnect machinery doesn't mask real deviations.
 func runE14Adversary(cfg E14Config) (class string, faults uint64, err error) {
 	trigger := uint64(cfg.Users)*uint64(cfg.OpsPerUser)/4 + 1
-	srv := adversary.Wrap(server.NewP2(seedDB(cfg.DBSize, 1)), adversary.Config{Kind: adversary.TamperAnswer, TriggerOp: trigger})
+	srv := adversary.Wrap(server.NewP2(seedDB(cfg.DBSize)), adversary.Config{Kind: adversary.TamperAnswer, TriggerOp: trigger})
 	dep, err := deployFaulty(deployConfig{srv: srv, users: cfg.Users, k: cfg.K},
 		cfg.Seed, cfg.ResetProb, cfg.TruncateProb, "")
 	if err != nil {

@@ -128,7 +128,7 @@ func runE15Failover(cfg E15Config, d *E15Data) error {
 	lisB.Close()
 
 	dep, err := deployFaulty(deployConfig{
-		srv: server.NewP2(seedDB(cfg.DBSize, 1)), users: cfg.Users, k: cfg.K,
+		srv: server.NewP2(seedDB(cfg.DBSize)), users: cfg.Users, k: cfg.K,
 		witnesses: cfg.Witnesses, pubEvery: cfg.CommitEvery,
 	}, cfg.Seed, cfg.ResetProb, cfg.TruncateProb, addrB)
 	if err != nil {

@@ -33,9 +33,8 @@ import (
 //     server before the next operation; epoch mode convicts within
 //     one epoch — the paper's k-bounded deviation made concrete with
 //     k = one epoch of operations. The adversary suite (Fork at
-//     several phases of the epoch grid, TornCommit against the
-//     forest, a diverging witness commitment) reruns under the async
-//     auditor, and every trial must land a *typed* detection whose
+//     several phases of the epoch grid, a diverging witness
+//     commitment) reruns under the async auditor, and every trial must land a *typed* detection whose
 //     failure epoch is at most one past the epoch the server first
 //     deviated in. Zero false alarms tolerated on the honest runs.
 
@@ -141,7 +140,7 @@ func e17Point(mode string, cfg E17Config, n int) (E17Point, error) {
 		epochLen = cfg.EpochFactor * uint64(n)
 	}
 	dep, err := deploy(deployConfig{
-		srv: server.NewP2(seedDB(cfg.DBSize, 1)), users: n,
+		srv: server.NewP2(seedDB(cfg.DBSize)), users: n,
 		k: cfg.SyncK, epochLen: epochLen, queue: cfg.Queue, witnesses: cfg.Witnesses,
 		// No idle timeout: a sync-mode client parks its server connection
 		// for the whole barrier wait, which at the largest population on a
@@ -192,64 +191,28 @@ func e17Point(mode string, cfg E17Config, n int) (E17Point, error) {
 	return pt, nil
 }
 
-// e17CrossKeys probes for two keys routing to different shards.
-func e17CrossKeys(shards int) (string, string) {
-	probe := func(k string) int {
-		s, err := vdb.RouteOp(&vdb.WriteOp{Puts: []vdb.KV{{Key: k, Val: []byte("v")}}}, shards)
-		if err != nil {
-			panic(err)
-		}
-		return s
-	}
-	ka := "xk-0"
-	sa := probe(ka)
-	for i := 1; ; i++ {
-		kb := fmt.Sprintf("xk-%d", i)
-		if probe(kb) != sa {
-			return ka, kb
-		}
-	}
-}
-
-// e17Trial reruns one adversary behavior under the async auditor and
+// e17Fork reruns the fork adversary under the async auditor and
 // records how long the lie survived.
-func e17Trial(kind adversary.Kind, trigger uint64, cfg E17Config, shards int) (E17Trial, error) {
+func e17Fork(trigger uint64, cfg E17Config) (E17Trial, error) {
 	users := cfg.DetectUsers
 	epochLen := cfg.DetectEpochLen
-	if shards > 1 {
-		users = 2
-	}
-	acfg := adversary.Config{Kind: kind, TriggerOp: trigger}
-	if kind == adversary.Fork {
-		acfg.GroupB = map[sig.UserID]bool{sig.UserID(users - 1): true}
-	}
-	adv := adversary.Wrap(server.NewP2(vdb.NewSharded(0, shards)), acfg)
+	acfg := adversary.Config{Kind: adversary.Fork, TriggerOp: trigger, GroupB: map[sig.UserID]bool{sig.UserID(users - 1): true}}
+	adv := adversary.Wrap(server.NewP2(vdb.New(0)), acfg)
 	dep, err := deploy(deployConfig{srv: adv, users: users, epochLen: epochLen, opts: transport.Options{IdleTimeout: -1}})
 	if err != nil {
 		return E17Trial{}, err
 	}
 	defer dep.close()
 
-	var ka, kb string
-	if shards > 1 {
-		ka, kb = e17CrossKeys(shards)
-	}
 	perUser := int(trigger+2*epochLen) / users
 	wdone := trialWorkload(dep.clients, perUser, func(w, j int) vdb.Op {
-		i := w*perUser + j
-		if shards > 1 && j%4 == 3 {
-			return &vdb.CrossOp{Legs: []vdb.Op{
-				&vdb.WriteOp{Puts: []vdb.KV{{Key: ka, Val: []byte(fmt.Sprintf("l%d", i))}}},
-				&vdb.WriteOp{Puts: []vdb.KV{{Key: kb, Val: []byte(fmt.Sprintf("r%d", i))}}},
-			}}
-		}
-		return putOp(fmt.Sprintf("t-%d", i))
+		return putOp(fmt.Sprintf("t-%d", w*perUser+j))
 	})
 	eaf, err := awaitConviction(dep, wdone, 60*time.Second)
 	if err != nil {
-		return E17Trial{}, fmt.Errorf("E17 %s@%d: %w", kind, trigger, err)
+		return E17Trial{}, fmt.Errorf("E17 fork@%d: %w", trigger, err)
 	}
-	return newE17Trial(kind.String(), trigger, adv.DeviatedAtOp(), epochLen, eaf), nil
+	return newE17Trial(adversary.Fork.String(), trigger, adv.DeviatedAtOp(), epochLen, eaf), nil
 }
 
 // newE17Trial records a conviction: the exposure window and the
@@ -345,21 +308,9 @@ func RunE17(cfg E17Config) (*E17Data, error) {
 	// op, and deep in later epochs — so the latency distribution shows
 	// both the near-instant and the full-epoch-of-exposure cases.
 	N := cfg.DetectEpochLen
-	trials := []struct {
-		kind    adversary.Kind
-		trigger uint64
-		shards  int
-	}{
-		{adversary.Fork, N / 3, 1},
-		{adversary.Fork, N - 1, 1},
-		{adversary.Fork, N + N/2, 1},
-		{adversary.Fork, 2*N + 2, 1},
-		{adversary.Fork, 3*N + N/3, 1},
-		{adversary.TornCommit, N + 2, 4},
-	}
 	d.AllDetected, d.AllWithinOneEpoch = true, true
-	for _, tc := range trials {
-		tr, err := e17Trial(tc.kind, tc.trigger, cfg, tc.shards)
+	for _, trigger := range []uint64{N / 3, N - 1, N + N/2, 2*N + 2, 3*N + N/3} {
+		tr, err := e17Fork(trigger, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -38,8 +38,8 @@ func TestRunE17Small(t *testing.T) {
 			}
 		}
 	}
-	if len(d.Trials) != 7 {
-		t.Fatalf("got %d trials, want 7", len(d.Trials))
+	if len(d.Trials) != 6 {
+		t.Fatalf("got %d trials, want 6", len(d.Trials))
 	}
 	if !d.AllDetected || !d.AllWithinOneEpoch {
 		t.Fatalf("detection bound violated: %+v", d.Trials)

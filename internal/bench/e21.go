@@ -241,7 +241,7 @@ func e21Redial(conns []*wire.Conn, i int, addr string) error {
 // e21Capacity measures peak capacity with a short closed loop of pure
 // user operations against the unprotected deployment.
 func e21Capacity(cfg E21Config) (float64, error) {
-	dep, err := e21Deploy(cfg, server.NewP2(seedDB(cfg.DBSize, 1)), false, 0, 0)
+	dep, err := e21Deploy(cfg, server.NewP2(seedDB(cfg.DBSize)), false, 0, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -292,7 +292,7 @@ type e21Counts struct {
 // start + k/rate and charged latency from that instant, issued or
 // not), against a fresh deployment in the given mode.
 func e21Cell(cfg E21Config, protected bool, factor, capacity float64) (E21Point, error) {
-	db := seedDB(cfg.DBSize, 1)
+	db := seedDB(cfg.DBSize)
 	dep, err := e21Deploy(cfg, server.NewP2(db), protected, 0, 0)
 	if err != nil {
 		return E21Point{}, err

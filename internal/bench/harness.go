@@ -222,7 +222,7 @@ func percentiles(lats []time.Duration) (p50, p99 time.Duration) {
 
 // loadPoint is the measured core of a load experiment's point. The
 // experiments' point types embed it; the JSON keys are the ones the
-// checked-in BENCH_E13/E16/E17.json files carry.
+// checked-in BENCH_E13/E17.json files carry.
 type loadPoint struct {
 	Ops       int     `json:"ops"`
 	OpsPerSec float64 `json:"ops_per_sec"`
@@ -306,7 +306,6 @@ type deployment struct {
 	pub     *witness.Publisher
 	nodes   []*witness.Node
 	root    digest.Digest
-	roots   []digest.Digest
 	once    sync.Once
 }
 
@@ -324,8 +323,7 @@ func deploy(cfg deployConfig) (*deployment, error) {
 	if cfg.journal == nil {
 		cfg.journal = func(int) (string, durable.FS) { return "", nil }
 	}
-	db := cfg.srv.DB()
-	d := &deployment{cfg: cfg, srv: cfg.srv, store: cvs.NewStore(), root: db.Root(), roots: db.ShardRoots()}
+	d := &deployment{cfg: cfg, srv: cfg.srv, store: cvs.NewStore(), root: cfg.srv.DB().Root()}
 	if cfg.witnesses > 0 {
 		wid, err := witness.NewIdentity("primary")
 		if err != nil {
@@ -389,12 +387,7 @@ func (d *deployment) startClient(i int) (*driver.Client, error) {
 	if cfg.epochLen > 0 {
 		k = 1 << 62 // sync scheduling is the auditor's job now
 	}
-	var u *proto2.User
-	if len(d.roots) > 1 {
-		u = proto2.NewForestUser(sig.UserID(i), d.roots, k)
-	} else {
-		u = proto2.NewUser(sig.UserID(i), d.root, k)
-	}
+	u := proto2.NewUser(sig.UserID(i), d.root, k)
 	var dc *driver.Client
 	if cfg.epochLen > 0 {
 		dir, fs := cfg.journal(i)
@@ -545,8 +538,8 @@ func auditFailure(clients []*driver.Client) *audit.EpochAuditFailure {
 // awaitConviction waits for an adversary trial to end in a typed
 // epoch-audit failure. wdone closes when the trial's workload returns.
 //
-// A conviction can be one-sided (TornCommit breaks only its issuer's
-// VO chain), and a convicted auditor stops reporting, so honest peers
+// A conviction can be one-sided (only an auditor whose chain the lie
+// breaks convicts), and a convicted auditor stops reporting, so honest peers
 // may stall at admission mid-workload. Once a conviction is latched the
 // measurement is made: the workload gets a short grace to finish, then
 // the deployment is torn down under the stalled clients. A workload

@@ -132,7 +132,7 @@ func TestRecordedSchemas(t *testing.T) {
 	// ordinary points (see EXPERIMENTS.md).
 	frozen := map[string][]string{"E13": {"p2_speedup_vs_seed_at_16_clients"}}
 	for id, data := range map[string]any{
-		"E13": &E13Data{}, "E14": &E14Data{}, "E15": &E15Data{}, "E16": &E16Data{},
+		"E13": &E13Data{}, "E14": &E14Data{}, "E15": &E15Data{},
 		"E17": &E17Data{}, "E18": &E18Data{}, "E21": &E21Data{},
 	} {
 		raw, err := os.ReadFile("../../BENCH_" + id + ".json")

@@ -66,7 +66,7 @@ func E7() *Table {
 		}
 		trusted := throughput(e13Scheme{setup: trustedSetup}, size, ops)
 		p1 := throughput(e13Scheme{setup: p1Setup}, size, ops)
-		p2 := throughput(p2Scheme("P2", 1), size, ops)
+		p2 := throughput(e13Scheme{setup: p2Setup}, size, ops)
 		t.AddRow(size, int(trusted), int(p1), int(p2),
 			fmt.Sprintf("%.1fx", trusted/p1), fmt.Sprintf("%.1fx", trusted/p2))
 	}
@@ -76,10 +76,9 @@ func E7() *Table {
 	return t
 }
 
-// seedDB preloads size keys into a fresh database of the given shard
-// count (Preload splits each chunk across the shards).
-func seedDB(size, shards int) *vdb.DB {
-	db := vdb.NewSharded(0, shards)
+// seedDB preloads size keys into a fresh database.
+func seedDB(size int) *vdb.DB {
+	db := vdb.New(0)
 	const chunk = 500
 	for i := 0; i < size; i += chunk {
 		op := &vdb.WriteOp{}

@@ -33,8 +33,7 @@ func withRecord[D interface{ Table() *Table }](id string, run func() (D, error))
 // measures the fault-localization extension, E13 the pipelined
 // transport under concurrent TCP clients, E14 availability and
 // recovery under fault injection, E15 witness replication (failover by
-// promotion, fork conviction by gossip), E16 the Merkle forest's
-// scaling with client count, E17 the epoch-batched async audit
+// promotion, fork conviction by gossip), E17 the epoch-batched async audit
 // (verified throughput off the hot path, detection within one epoch),
 // E18 the crash matrix of the durable audit journal, E21 overload
 // protection (open-loop goodput sweep to 4x capacity, priority
@@ -46,7 +45,6 @@ var registry = []experiment{
 	withRecord("E13", func() (*E13Data, error) { return RunE13(DefaultE13Config()) }),
 	withRecord("E14", func() (*E14Data, error) { return RunE14(DefaultE14Config()) }),
 	withRecord("E15", func() (*E15Data, error) { return RunE15(DefaultE15Config()) }),
-	withRecord("E16", func() (*E16Data, error) { return RunE16(DefaultE16Config()) }),
 	withRecord("E17", func() (*E17Data, error) { return RunE17(DefaultE17Config()) }),
 	withRecord("E18", func() (*E18Data, error) { return RunE18(DefaultE18Config()) }),
 	withRecord("E21", func() (*E21Data, error) { return RunE21(DefaultE21Config()) }),

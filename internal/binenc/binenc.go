@@ -48,8 +48,8 @@ func AppendString(b []byte, s string) []byte {
 }
 
 // maxDepth bounds the nesting Enter allows. The deepest honest message
-// (a session envelope around an op request around a cross-shard op
-// around its legs) is four levels.
+// (a session envelope around an op request around its op) is three
+// levels.
 const maxDepth = 8
 
 // Recycle returns b emptied for the next encoding, or nil once a large

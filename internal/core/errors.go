@@ -58,12 +58,6 @@ const (
 	// operation counter — the server showed different histories to the
 	// client and to its witnesses.
 	WitnessDivergence
-	// TornTransaction: the server committed some legs of a cross-shard
-	// transaction and dropped others — a published head vector excludes
-	// (or contradicts) a leg this user verified as committed. Distinct
-	// from single-shard tamper classes: the per-leg VOs were all valid;
-	// it is the atomicity of the transaction that was violated.
-	TornTransaction
 )
 
 func (c DetectionClass) String() string {
@@ -84,8 +78,6 @@ func (c DetectionClass) String() string {
 		return "protocol-violation"
 	case WitnessDivergence:
 		return "witness-divergence"
-	case TornTransaction:
-		return "torn-transaction"
 	default:
 		return fmt.Sprintf("detection-class(%d)", int(c))
 	}

@@ -38,47 +38,12 @@ type AckRequest struct {
 // OpResponseII is the server's reply under Protocols II and III:
 // (Q(D), v(Q,D), ctr, j) — no signature. Epoch is used by Protocol III
 // only (0 under Protocol II).
-//
-// On a Merkle forest (N > 1 shards) the response additionally names
-// the shard the operation ran on, the last cross-transaction digest of
-// that shard, the global counter, and the published per-shard head
-// vector. All four are zero/nil on a single-shard database, where they
-// cost one byte each on the wire.
 type OpResponseII struct {
 	Answer []byte
 	VO     *merkle.VO
 	Ctr    uint64
 	Last   sig.UserID
 	Epoch  uint64
-
-	Shard  uint32          // shard the op ran on (forest only)
-	LastTx digest.Digest   // cross-tx digest of the shard's previous op (Zero if none)
-	GCtr   uint64          // global counter after this op (forest only)
-	Heads  []vdb.ShardHead // published head vector after this op (forest only)
-}
-
-// OpLegII is one leg of a cross-shard transaction response: the
-// (answer, VO, ctr, j) tuple of that leg's shard, plus the shard index
-// and the shard's previous cross-transaction digest.
-type OpLegII struct {
-	Shard  uint32
-	Answer []byte
-	VO     *merkle.VO
-	Ctr    uint64
-	Last   sig.UserID
-	LastTx digest.Digest
-}
-
-// OpResponseForest is the server's reply to a cross-shard transaction
-// (vdb.CrossOp) on a forest: one verified leg per shard touched, all
-// published under the single gctr window [GCtr-len(Legs), GCtr), plus
-// the head vector as of the transaction's publication. The client
-// binds the legs together with the transaction digest
-// (CrossTxDigest); see proto2.HandleResponseForest.
-type OpResponseForest struct {
-	Legs  []OpLegII
-	GCtr  uint64
-	Heads []vdb.ShardHead
 }
 
 // SyncRequest announces a synchronization round on the broadcast

@@ -44,24 +44,12 @@ type Server struct {
 	mu       sync.Mutex
 	db       *vdb.DB
 	lastUser sig.UserID
-
-	// metas is the forest mode's per-shard bookkeeping (one entry per
-	// shard, nil on a single-tree database): each shard has its own
-	// last-user tag and its own ordered section, so operations on
-	// different shards never serialize against each other. See
-	// forest.go.
-	metas []shardMeta
 }
 
 // NewServer wraps db with Protocol II bookkeeping. The initial state
-// is tagged with the reserved genesis ID. A database with more than
-// one shard gets per-shard bookkeeping (forest mode).
+// is tagged with the reserved genesis ID.
 func NewServer(db *vdb.DB) *Server {
-	s := &Server{db: db, lastUser: sig.GenesisID}
-	if db.Shards() > 1 {
-		s.metas = newMetas(db.Shards())
-	}
-	return s
+	return &Server{db: db, lastUser: sig.GenesisID}
 }
 
 // DB exposes the underlying database.
@@ -71,9 +59,6 @@ func (s *Server) DB() *vdb.DB { return s.db }
 // now — the primitive behind the Figure 1 partition attack. Honest
 // servers never call this; internal/adversary does.
 func (s *Server) Fork() *Server {
-	if s.metas != nil {
-		return s.forkForest()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return &Server{db: s.db.Fork(), lastUser: s.lastUser}
@@ -105,13 +90,8 @@ func NewServerAt(db *vdb.DB, lastUser sig.UserID) *Server {
 }
 
 // HandleOp applies the operation and returns (answer, VO, ctr, j).
-// Unlike Protocol I there is nothing to wait for afterwards. In forest
-// mode the ordered section is per shard (see forest.go); cross-shard
-// transactions go through HandleCross.
+// Unlike Protocol I there is nothing to wait for afterwards.
 func (s *Server) HandleOp(req *core.OpRequest) (*core.OpResponseII, error) {
-	if s.metas != nil {
-		return s.handleShardOp(req)
-	}
 	// Ordered section: apply + ctr bump + last-user swap. The captured
 	// (staged, last) pair fully determines the response.
 	s.mu.Lock()
@@ -152,13 +132,6 @@ type User struct {
 	lastCtr      uint64
 	lastRoot     digest.Digest
 
-	// Forest mode (nil/empty when tracking a single tree): one
-	// register chain, genesis, and pending-leg slot per shard, plus a
-	// monotone floor of observed head counters. See forest.go.
-	geneses  []digest.Digest
-	fshards  []forestShard
-	headCtrs []uint64
-
 	// chain is the audit batcher's shared-path cache (nil unless
 	// EnableReplayChain was called). See replayChain.
 	chain *replayChain
@@ -181,15 +154,9 @@ type replayChain struct {
 	misses uint64
 }
 
-// EnableReplayChain arms the shared-path replay cache (single-tree
-// users only; a forest user's cache would be per shard and the win is
-// negligible under interleaved shard traffic — it falls back to full
-// VO verification). Call before the first response is handled.
-func (u *User) EnableReplayChain() {
-	if u.fshards == nil {
-		u.chain = &replayChain{}
-	}
-}
+// EnableReplayChain arms the shared-path replay cache. Call before
+// the first response is handled.
+func (u *User) EnableReplayChain() { u.chain = &replayChain{} }
 
 // ChainStats reports how many responses were verified on the chained
 // fast path vs how many fell back to full VO verification. Both zero
@@ -263,9 +230,6 @@ func (u *User) HandleResponse(op vdb.Op, resp *core.OpResponseII) (any, error) {
 // the answer was already decoded optimistically on the hot path, so
 // re-decoding it at audit time would be pure waste.
 func (u *User) VerifyResponse(op vdb.Op, resp *core.OpResponseII) error {
-	if u.fshards != nil {
-		return u.verifyForestResponse(op, resp)
-	}
 	if resp == nil || resp.VO == nil {
 		return core.Detect(core.ProtocolViolation, u.id, u.regs.Ops, errors.New("missing response or VO"))
 	}
@@ -334,39 +298,17 @@ func (u *User) decodeAnswer(b []byte) (any, error) {
 func (u *User) NeedsSync() bool { return u.sinceSync >= u.k }
 
 // InitialState returns the genesis tagged state h(M(D₀)‖0‖genesis) the
-// user's chain is rooted at (single-tree mode; Zero for forest users —
-// use Geneses). The epoch auditor evaluates closure checks against it
-// directly from register snapshots.
+// user's chain is rooted at. The epoch auditor evaluates closure checks
+// against it directly from register snapshots.
 func (u *User) InitialState() digest.Digest { return u.initialState }
 
-// Geneses returns a copy of the per-shard genesis states of a forest
-// user (nil for single-tree users — use InitialState).
-func (u *User) Geneses() []digest.Digest {
-	return append([]digest.Digest(nil), u.geneses...)
-}
-
-// Forest reports whether this user tracks a sharded forest.
-func (u *User) Forest() bool { return u.fshards != nil }
-
-// SyncReport is the user's broadcast contribution to a sync round. A
-// forest user reports one register pair per shard.
+// SyncReport is the user's broadcast contribution to a sync round.
 func (u *User) SyncReport() core.SyncReportII {
-	if u.fshards != nil {
-		r := core.SyncReportII{User: u.id, Shards: make([]core.ShardRegs, len(u.fshards))}
-		for s := range u.fshards {
-			r.Shards[s] = core.ShardRegs{Sigma: u.fshards[s].regs.Sigma, Last: u.fshards[s].regs.Last}
-		}
-		return r
-	}
 	return core.SyncReportII{User: u.id, Sigma: u.regs.Sigma, Last: u.regs.Last}
 }
 
-// CompleteSync evaluates a full set of sync reports. A forest user
-// runs the closure check once per shard (every shard must close).
+// CompleteSync evaluates a full set of sync reports.
 func (u *User) CompleteSync(reports []core.SyncReportII) error {
-	if u.fshards != nil {
-		return u.completeForestSync(reports)
-	}
 	if core.CheckSyncII(u.initialState, reports) < 0 {
 		return core.Detect(core.SyncMismatch, u.id, u.regs.Ops,
 			errors.New("no last register closes the state chain"))

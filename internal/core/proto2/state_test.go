@@ -2,7 +2,6 @@ package proto2
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -70,36 +69,6 @@ func TestStateRestoreDetectsReplayAfterRestore(t *testing.T) {
 	}
 }
 
-// TestForestStateRoundTrip is the CLI scenario over a forest: a user
-// runs single-shard and cross-shard verified operations, persists its
-// per-shard register chains, is reconstructed, keeps operating on both
-// paths, and still closes the sync barrier.
-func TestForestStateRoundTrip(t *testing.T) {
-	h := newForestHarness(t, 2, 4, 1000)
-	a, b := crossKeys(t, 4)
-	h.do(0, put(a, "1"))
-	h.do(1, put(b, "2"))
-	h.do(0, &vdb.CrossOp{Legs: []vdb.Op{put(a, "3"), put(b, "4")}})
-
-	data, err := h.users[0].MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreUser(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.ID() != h.users[0].ID() || restored.LCtr() != h.users[0].LCtr() {
-		t.Fatalf("restored identity/counters differ: %v %d", restored.ID(), restored.LCtr())
-	}
-	h.users[0] = restored
-	h.do(0, put(b, "5"))
-	h.do(0, &vdb.CrossOp{Legs: []vdb.Op{put(a, "6"), put(b, "7")}})
-	if err := h.sync(); err != nil {
-		t.Fatalf("sync after forest state restore: %v", err)
-	}
-}
-
 func TestStateRestoreRejectsGarbage(t *testing.T) {
 	if _, err := RestoreUser([]byte("junk")); err == nil {
 		t.Fatal("garbage state must be rejected")
@@ -115,9 +84,8 @@ func TestStateRestoreRejectsGarbage(t *testing.T) {
 	}
 }
 
-// goldenStates are the two shapes of a persisted Protocol II user: a
-// single-tree user a few operations in, and a forest user holding a
-// pending cross-transaction leg on two of its four shards.
+// goldenStates is the persisted Protocol II user: a single-tree user a
+// few operations in.
 func goldenStates(t testing.TB) map[string]*User {
 	db := vdb.New(0)
 	single := &harness{server: NewServer(db), users: []*User{NewUser(0, db.Root(), 16), NewUser(1, db.Root(), 16)}}
@@ -126,25 +94,7 @@ func goldenStates(t testing.TB) map[string]*User {
 			t.Fatal(err)
 		}
 	}
-	forest := &forestHarness{db: vdb.NewSharded(0, 4)}
-	forest.server = NewServer(forest.db)
-	forest.users = []*User{NewForestUser(7, forest.db.ShardRoots(), 16)}
-	a, b := "alpha", "echo" // route to different shards at N=4
-	for _, op := range []vdb.Op{put(a, "1"), put(b, "2"), &vdb.CrossOp{Legs: []vdb.Op{put(a, "3"), put(b, "4")}}} {
-		if _, err := forest.doOn(forest.server, 0, op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pending := 0
-	for s := range forest.users[0].fshards {
-		if forest.users[0].fshards[s].pending != nil {
-			pending++
-		}
-	}
-	if pending != 2 {
-		t.Fatalf("test bug: %d pending legs after a two-leg cross transaction", pending)
-	}
-	return map[string]*User{"user-single.state": single.users[0], "user-forest.state": forest.users[0]}
+	return map[string]*User{"user-single.state": single.users[0]}
 }
 
 // TestStateGoldenBytes pins the register file's payload: today's
@@ -175,11 +125,12 @@ func TestStateGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestOldFormatStateRefused: a state a gob-era binary wrote — or one of
-// another protocol — is refused with core.ErrStateFormat, never guessed
+// TestOldFormatStateRefused: a state a gob-era binary wrote, a forest
+// user's state (a sharded database's per-shard chains), or one of
+// another protocol is refused with core.ErrStateFormat, never guessed
 // at: wrong registers would convict an honest server.
 func TestOldFormatStateRefused(t *testing.T) {
-	for _, name := range []string{"gob-user.state", "gob-user-forest.state"} {
+	for _, name := range []string{"gob-user.state", "gob-user-forest.state", "user-forest.state"} {
 		old, err := os.ReadFile(filepath.Join("testdata", "golden", name))
 		if err != nil {
 			t.Fatal(err)
@@ -196,20 +147,15 @@ func TestOldFormatStateRefused(t *testing.T) {
 }
 
 // TestStateRestoreHostile: the shapes a body can lie with behind a
-// correct format byte. The shard count is bounded by the bytes left
-// before anything is sized by it.
+// correct format byte.
 func TestStateRestoreHostile(t *testing.T) {
-	states := goldenStates(t)
-	single, _ := states["user-single.state"].MarshalState()
-	forest, _ := states["user-forest.state"].MarshalState()
+	single, _ := goldenStates(t)["user-single.state"].MarshalState()
 	// id, k, sinceSync, then the tagged Registers and the initial state.
 	head := func(k byte) []byte { return append([]byte{core.StateFormatII, 0, k, 0}, single[4:len(single)-1]...) }
 	for name, b := range map[string][]byte{
-		"shard count":      append(head(16), binary.AppendUvarint(nil, 1<<40)...),
 		"zero sync period": append(head(0), 0),
-		"one-shard forest": append(append(head(16), 1), forest[len(forest)-shardStateMin:]...),
 		"trailing byte":    append(bytes.Clone(single), 0),
-		"truncated":        forest[:len(forest)-1],
+		"truncated":        single[:len(single)-1],
 		"registers' tag":   append([]byte{core.StateFormatII, 0, 16, 0, 25}, single[5:]...),
 	} {
 		if u, err := RestoreUser(b); err == nil || errors.Is(err, core.ErrStateFormat) {
@@ -233,6 +179,13 @@ func FuzzUserStateRestore(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
+	// A forest user's state, which must be refused.
+	forest, err := os.ReadFile(filepath.Join("testdata", "golden", "user-forest.state"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(forest)
+	f.Add(forest[:len(forest)/2])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		u, err := RestoreUser(b)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/sig"
 )
@@ -39,21 +37,9 @@ func (r *Registers) ResetEpoch() {
 
 // SyncReportII is what each user contributes to a Protocol II
 // synchronization: its σ and last registers. (Protocol I's reports are
-// just counters; see SyncReportI.) On a Merkle forest every shard is
-// its own verification domain with its own register pair, reported in
-// Shards; Shards is nil on a single-shard database, where it costs one
-// byte on the wire.
+// just counters; see SyncReportI.)
 type SyncReportII struct {
 	User  sig.UserID
-	Sigma digest.Digest
-	Last  digest.Digest
-	// Shards carries the per-shard register pairs of a forest user
-	// (one entry per shard, indexed by shard). Nil in single-tree mode.
-	Shards []ShardRegs
-}
-
-// ShardRegs is one shard's (σ, last) register pair of a forest user.
-type ShardRegs struct {
 	Sigma digest.Digest
 	Last  digest.Digest
 }
@@ -78,36 +64,6 @@ func CheckSyncII(initialState digest.Digest, reports []SyncReportII) int {
 		}
 	}
 	return -1
-}
-
-// CheckSyncForest runs the Protocol II synchronization check once per
-// shard of a Merkle forest: shard s closes iff the XOR of all users'
-// σ_s equals genesis_s ⊕ last_s for some user. Lemma 4.1 applies to
-// each shard separately — each is a totally ordered, authenticated
-// history of its own — and cross-shard transactions contribute one
-// verified transition to *every* leg shard's chain, so a torn commit
-// leaves at least one shard that cannot close.
-//
-// It returns (-1, nil) when every shard closes, (s, nil) with the
-// first shard whose chain does not close, or an error when a report is
-// structurally malformed (wrong shard count — a protocol violation,
-// not a sync failure).
-func CheckSyncForest(geneses []digest.Digest, reports []SyncReportII) (int, error) {
-	for _, r := range reports {
-		if len(r.Shards) != len(geneses) {
-			return 0, fmt.Errorf("core: sync report of user %v has %d shards, want %d", r.User, len(r.Shards), len(geneses))
-		}
-	}
-	sub := make([]SyncReportII, len(reports))
-	for s, g := range geneses {
-		for i, r := range reports {
-			sub[i] = SyncReportII{User: r.User, Sigma: r.Shards[s].Sigma, Last: r.Shards[s].Last}
-		}
-		if CheckSyncII(g, sub) < 0 {
-			return s, nil
-		}
-	}
-	return -1, nil
 }
 
 // SyncReportI is a user's contribution to a Protocol I

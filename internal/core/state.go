@@ -38,58 +38,6 @@ func GenesisState(initialRoot digest.Digest) digest.Digest {
 	return TaggedStateHash(initialRoot, 0, sig.GenesisID)
 }
 
-// ShardStateHash computes h(shard ‖ root_s ‖ ctr_s ‖ user ‖ txd): the
-// per-shard tagged state of the forest variant of Protocol II. Each
-// shard of a Merkle forest is its own verification domain with its own
-// register chain; the shard index in the hash keeps chains of
-// different shards disjoint, and txd — the cross-transaction digest,
-// Zero for single-shard operations — welds the legs of a cross-shard
-// transaction into every leg's chain (see CrossTxDigest).
-func ShardStateHash(shard uint32, root digest.Digest, ctr uint64, user sig.UserID, txd digest.Digest) digest.Digest {
-	return digest.NewHasher(digest.DomainShardState).
-		Uint64(uint64(shard)).
-		Digest(root).
-		Uint64(ctr).
-		Uint64(uint64(user)).
-		Digest(txd).
-		Sum()
-}
-
-// ShardGenesisState is the distinguished initial node of one shard's
-// state graph: (root₀_s, ctr=0) tagged with the genesis ID and no
-// transaction digest.
-func ShardGenesisState(shard uint32, initialRoot digest.Digest) digest.Digest {
-	return ShardStateHash(shard, initialRoot, 0, sig.GenesisID, digest.Zero)
-}
-
-// CrossLeg identifies one leg of a cross-shard transaction for digest
-// purposes: the shard and that shard's counter *before* the leg.
-type CrossLeg struct {
-	Shard uint32
-	Ctr   uint64
-}
-
-// CrossTxDigest binds the legs of a cross-shard transaction into one
-// transaction digest: h(user ‖ preGctr ‖ L ‖ (shard_i ‖ preCtr_i)...).
-// Both sides compute it from the same response fields, so the server
-// has no freedom in it. Every leg's new tagged state absorbs this
-// digest; a server that commits one leg and drops another therefore
-// leaves a state in some shard's chain whose digest names counters the
-// surviving history contradicts — no register closure can exist, and
-// the dropped leg's committer detects the tear typed (TornTransaction)
-// as soon as any later head vector excludes it.
-func CrossTxDigest(user sig.UserID, preGctr uint64, legs []CrossLeg) digest.Digest {
-	h := digest.NewHasher(digest.DomainCrossTx).
-		Uint64(uint64(user)).
-		Uint64(preGctr).
-		Uint64(uint64(len(legs)))
-	for _, l := range legs {
-		h.Uint64(uint64(l.Shard))
-		h.Uint64(l.Ctr)
-	}
-	return h.Sum()
-}
-
 // EpochSummaryHash binds a Protocol III epoch backup for signing:
 // (user, epoch, σ, last, lastCtr).
 func EpochSummaryHash(user sig.UserID, epoch uint64, sigma, last digest.Digest, lastCtr uint64) digest.Digest {

@@ -13,13 +13,13 @@ import (
 )
 
 // Wire tags of the protocol messages (wire.Register). The numbers are
-// part of the wire and journal formats.
+// part of the wire and journal formats; 20 was the cross-shard
+// response's and is never reused.
 const (
 	wireOpRequest           = 16
 	wireAckRequest          = 17
 	wireOpResponseI         = 18
 	wireOpResponseII        = 19
-	wireOpResponseForest    = 20
 	wireSyncRequest         = 21
 	wireSyncReportI         = 22
 	wireSyncReportII        = 23
@@ -70,44 +70,12 @@ func init() {
 		b = binary.AppendUvarint(b, m.Ctr)
 		b = binary.AppendUvarint(b, uint64(m.Last))
 		b = binary.AppendUvarint(b, m.Epoch)
-		b = binary.AppendUvarint(b, uint64(m.Shard))
-		b = appendOptDigest(b, m.LastTx)
-		b = binary.AppendUvarint(b, m.GCtr)
-		return appendHeads(b, m.Heads), nil
+		return append(b, 0, 0, 0, 0), nil // see readRetired
 	}, func(r *binenc.Reader) *OpResponseII {
 		m := new(OpResponseII)
 		m.Answer, m.VO = readAnswerVO(r)
 		m.Ctr, m.Last, m.Epoch = r.Uvarint(), sig.UserID(r.Uint32()), r.Uvarint()
-		m.Shard, m.LastTx, m.GCtr, m.Heads = r.Uint32(), readOptDigest(r), r.Uvarint(), readHeads(r)
-		return m
-	})
-	wire.Register(wireOpResponseForest, func(b []byte, m *OpResponseForest) ([]byte, error) {
-		b = binary.AppendUvarint(b, uint64(len(m.Legs)))
-		for i := range m.Legs {
-			leg := &m.Legs[i]
-			b = binary.AppendUvarint(b, uint64(leg.Shard))
-			var err error
-			if b, err = appendAnswerVO(b, leg.Answer, leg.VO); err != nil {
-				return nil, err
-			}
-			b = binary.AppendUvarint(b, leg.Ctr)
-			b = binary.AppendUvarint(b, uint64(leg.Last))
-			b = appendOptDigest(b, leg.LastTx)
-		}
-		b = binary.AppendUvarint(b, m.GCtr)
-		return appendHeads(b, m.Heads), nil
-	}, func(r *binenc.Reader) *OpResponseForest {
-		m := new(OpResponseForest)
-		if n := r.Count(6); n > 0 {
-			m.Legs = make([]OpLegII, n)
-			for i := range m.Legs {
-				leg := &m.Legs[i]
-				leg.Shard = r.Uint32()
-				leg.Answer, leg.VO = readAnswerVO(r)
-				leg.Ctr, leg.Last, leg.LastTx = r.Uvarint(), sig.UserID(r.Uint32()), readOptDigest(r)
-			}
-		}
-		m.GCtr, m.Heads = r.Uvarint(), readHeads(r)
+		readRetired(r, 4)
 		return m
 	})
 	wire.Register(wireSyncRequest, func(b []byte, m *SyncRequest) ([]byte, error) {
@@ -126,19 +94,10 @@ func init() {
 	wire.Register(wireSyncReportII, func(b []byte, m SyncReportII) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(m.User))
 		b = append(append(b, m.Sigma[:]...), m.Last[:]...)
-		b = binary.AppendUvarint(b, uint64(len(m.Shards)))
-		for _, s := range m.Shards {
-			b = append(append(b, s.Sigma[:]...), s.Last[:]...)
-		}
-		return b, nil
+		return append(b, 0), nil // see readRetired
 	}, func(r *binenc.Reader) SyncReportII {
 		m := SyncReportII{User: sig.UserID(r.Uint32()), Sigma: readDigest(r), Last: readDigest(r)}
-		if n := r.Count(2 * digest.Size); n > 0 {
-			m.Shards = make([]ShardRegs, n)
-			for i := range m.Shards {
-				m.Shards[i] = ShardRegs{Sigma: readDigest(r), Last: readDigest(r)}
-			}
-		}
+		readRetired(r, 1)
 		return m
 	})
 	wire.Register(wireRegisters, func(b []byte, m Registers) ([]byte, error) {
@@ -318,45 +277,18 @@ func readDigest(r *binenc.Reader) (d digest.Digest) {
 	return d
 }
 
-// appendOptDigest appends a digest that is usually Zero (the forest
-// fields of a single-tree response) as a length-prefixed string: empty
-// for Zero, the 32 bytes otherwise.
-func appendOptDigest(b []byte, d digest.Digest) []byte {
-	if d.IsZero() {
-		return append(b, 0)
+// readRetired reads n fields of the retired sharded database's layout,
+// which a single tree writes as one zero byte each — in an OpResponseII
+// the shard, its last cross-shard transaction, the global counter and
+// the head vector; in a SyncReportII the per-shard register count — and
+// refuses any that is not zero: a response or report from a forest.
+func readRetired(r *binenc.Reader, n int) {
+	for i := 0; i < n; i++ {
+		if r.Byte() != 0 {
+			r.Fail("a sharded database's field where a single tree has zero")
+			return
+		}
 	}
-	return binenc.AppendBytes(b, d[:])
-}
-
-func readOptDigest(r *binenc.Reader) (d digest.Digest) {
-	p := r.ViewBytes()
-	if p == nil {
-		return d
-	}
-	if copy(d[:], p); len(p) != digest.Size || d.IsZero() {
-		r.Fail("optional digest of %d bytes, or zero spelled out", len(p))
-	}
-	return d
-}
-
-func appendHeads(b []byte, heads []vdb.ShardHead) []byte {
-	b = binary.AppendUvarint(b, uint64(len(heads)))
-	for _, h := range heads {
-		b = binary.AppendUvarint(append(b, h.Root[:]...), h.Ctr)
-	}
-	return b
-}
-
-func readHeads(r *binenc.Reader) []vdb.ShardHead {
-	n := r.Count(digest.Size + 1)
-	if n == 0 {
-		return nil
-	}
-	heads := make([]vdb.ShardHead, n)
-	for i := range heads {
-		heads[i] = vdb.ShardHead{Root: readDigest(r), Ctr: r.Uvarint()}
-	}
-	return heads
 }
 
 // backupMin is the smallest encoded EpochBackup: one-byte user, epoch,

@@ -18,7 +18,7 @@ func testDigest(seed byte) (d digest.Digest) {
 
 // TestWireGolden pins the wire form of every message this package
 // registers; the variants cover the optional parts (piggybacked backup,
-// forest fields, a response without a VO, empty lists).
+// a response without a VO, empty lists).
 func TestWireGolden(t *testing.T) {
 	db := vdb.New(0)
 	if err := db.Preload(&vdb.WriteOp{Puts: []vdb.KV{{Key: "a", Val: []byte("1")}, {Key: "z", Val: []byte("26")}}}); err != nil {
@@ -30,7 +30,6 @@ func TestWireGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	backup := &EpochBackup{User: 2, Epoch: 9, Sigma: testDigest(1), Last: testDigest(2), LastCtr: 41, Sig: sig.Signature("signature-bytes")}
-	heads := []vdb.ShardHead{{Root: testDigest(3), Ctr: 5}, {Root: testDigest(4), Ctr: 6}}
 	// The rider envelopes, built the way the decoder builds them (a
 	// single blob lives in the message's own slot).
 	riderReq := func(req OpRequest, want bool, blobs ...[]byte) *RiderRequest {
@@ -48,24 +47,13 @@ func TestWireGolden(t *testing.T) {
 	wiretest.Golden(t, []wiretest.Sample{
 		{Msg: &OpRequest{User: 3, Op: put}},
 		{Variant: "backup", Msg: &OpRequest{User: 3, Op: &vdb.ReadOp{Keys: []string{"k"}}, Backup: backup}},
-		{Variant: "cross", Msg: &OpRequest{User: 1, Op: &vdb.CrossOp{Legs: []vdb.Op{put, &vdb.NopOp{}}}}},
 		{Msg: &AckRequest{User: 4, Sig: sig.Signature("ack-signature")}},
 		{Msg: &OpResponseI{Answer: ans, VO: vo, Ctr: 7, Signer: 2, Sig: sig.Signature("state-signature")}},
 		{Msg: &OpResponseII{Answer: ans, VO: vo, Ctr: 300, Last: 7, Epoch: 2}},
-		{Variant: "forest", Msg: &OpResponseII{Answer: ans, VO: vo, Ctr: 3, Last: 1, Shard: 2, LastTx: testDigest(5), GCtr: 17, Heads: heads}},
 		{Variant: "trusted", Msg: &OpResponseII{Answer: ans}},
-		{Msg: &OpResponseForest{
-			Legs: []OpLegII{
-				{Shard: 0, Answer: ans, VO: vo, Ctr: 1, Last: 2, LastTx: testDigest(6)},
-				{Shard: 3, Answer: ans, VO: vo, Ctr: 4, Last: 5},
-			},
-			GCtr: 19, Heads: heads,
-		}},
 		{Msg: &SyncRequest{From: 1, Round: 2}},
 		{Msg: SyncReportI{User: 1, LCtr: 5, GCtr: 9}},
 		{Msg: SyncReportII{User: 1, Sigma: testDigest(7), Last: testDigest(8)}},
-		{Variant: "forest", Msg: SyncReportII{User: 1, Sigma: testDigest(7), Last: testDigest(8),
-			Shards: []ShardRegs{{Sigma: testDigest(9), Last: testDigest(10)}, {}}}},
 		{Msg: Registers{Sigma: testDigest(11), Last: testDigest(12), LastCtr: 4, GCtr: 1 << 40, Ops: 3}},
 		{Msg: backup},
 		{Msg: &GetBackupsRequest{User: 1, Epoch: 8}},
@@ -85,3 +73,8 @@ func TestWireGolden(t *testing.T) {
 		{Variant: "partial", Msg: riderResp(&OpResponseII{Answer: ans}, []byte("one"), nil, []byte("three"))},
 	})
 }
+
+// TestRetiredFramesRefused: what a server or user on a sharded database
+// framed — a cross-shard request and response, a response or sync report
+// whose shard fields are set — is refused; tag 20 is never reused.
+func TestRetiredFramesRefused(t *testing.T) { wiretest.Retired(t) }

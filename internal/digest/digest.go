@@ -58,22 +58,8 @@ const (
 	// publishes to its witnesses; two valid signatures under this domain
 	// over conflicting (ctr, root) pairs are court-ready fork evidence.
 	DomainCommitment byte = 0x09
-	// DomainForest folds the per-shard (root, ctr) heads of a Merkle
-	// forest into the single root-of-roots the commitment, witness, and
-	// checkpoint machinery consumes. A one-shard forest does NOT use this
-	// domain: its root-of-roots is the shard root itself, so N=1 stays
-	// bit-compatible with the unsharded seed.
-	DomainForest byte = 0x0a
-	// DomainCrossTx binds the legs of a cross-shard transaction into one
-	// transaction digest. Every leg's tagged shard state absorbs this
-	// digest, so a server that commits one leg and drops another can
-	// never produce a closing register chain.
-	DomainCrossTx byte = 0x0b
-	// DomainShardState is h(shard ‖ root_s ‖ ctr_s ‖ user ‖ txd): the
-	// per-shard tagged state of the forest variant of Protocol II. It is
-	// deliberately distinct from DomainTaggedState so single-tree and
-	// forest chains can never be confused for one another.
-	DomainShardState byte = 0x0c
+	// 0x0a–0x0c were the Merkle forest's (root-of-roots, cross-shard
+	// transaction, per-shard tagged state) and are never reused.
 	// DomainWALFrame is the per-frame integrity footer of the audit
 	// write-ahead log (internal/wal): h(epoch ‖ payload). A torn or
 	// rotted frame fails its footer on replay instead of resurrecting a

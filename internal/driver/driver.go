@@ -462,15 +462,6 @@ func (c *Client) finishOpLocked(op vdb.Op, raw any) (any, error) {
 		return ans, nil
 
 	case server.P2:
-		// A cross-shard transaction on a forest is answered with a
-		// multi-leg response; everything else must be a plain response.
-		// The response type is the server's claim — the user state
-		// machine re-checks it against the op it routed itself.
-		if cross, ok := op.(*vdb.CrossOp); ok {
-			if fresp, ok := raw.(*core.OpResponseForest); ok {
-				return c.u2.HandleResponseForest(cross, fresp)
-			}
-		}
 		resp, ok := raw.(*core.OpResponseII)
 		if !ok {
 			return nil, core.Detect(core.ProtocolViolation, c.id, c.u2.LCtr(), fmt.Errorf("bad response type %T", raw))

@@ -74,9 +74,6 @@ func NewP2EpochWAL(user *proto2.User, conn transport.Caller, bc broadcast.Channe
 		Publish: func(r audit.Report) error {
 			return bc.Publish(broadcast.Message{From: c.id, Payload: &epochReportMsg{Report: r}})
 		},
-		// The replay chain only pays off on single-tree deployments;
-		// forest verification keeps per-shard state instead.
-		Chain:  !user.Forest(),
 		WALDir: walDir,
 		WALFS:  fs,
 	})
@@ -97,46 +94,22 @@ func (c *Client) Audit() *audit.Auditor { return c.aud }
 // obligation. Everything slow — VO replay, hashing, the closure check —
 // happens on the auditor.
 func (c *Client) finishEpochLocked(op vdb.Op, raw any) (any, error) {
-	var (
-		rec audit.Record
-		ans any
-		g   uint64
-	)
-	var decErr error
-	if cross, ok := op.(*vdb.CrossOp); ok {
-		fresp, ok := raw.(*core.OpResponseForest)
-		if !ok {
-			// lctr 0: the user's op count is auditor-owned state in
-			// epoch mode and must not be read from the hot path.
-			err := core.Detect(core.ProtocolViolation, c.id, 0, fmt.Errorf("bad response type %T", raw))
-			c.recordFailure(err)
-			return nil, err
-		}
-		rec = audit.Record{Cross: cross, CrossResp: fresp}
-		g = fresp.GCtr
-		ans, decErr = decodeForestAnswer(fresp)
-	} else {
-		resp, ok := raw.(*core.OpResponseII)
-		if !ok {
-			err := core.Detect(core.ProtocolViolation, c.id, 0, fmt.Errorf("bad response type %T", raw))
-			c.recordFailure(err)
-			return nil, err
-		}
-		rec = audit.Record{Op: op, Resp: resp}
-		if c.u2.Forest() {
-			g = resp.GCtr
-		} else {
-			g = resp.Ctr + 1
-		}
-		ans, decErr = vdb.DecodeAnswer(resp.Answer)
+	resp, ok := raw.(*core.OpResponseII)
+	if !ok {
+		// lctr 0: the user's op count is auditor-owned state in epoch
+		// mode and must not be read from the hot path.
+		err := core.Detect(core.ProtocolViolation, c.id, 0, fmt.Errorf("bad response type %T", raw))
+		c.recordFailure(err)
+		return nil, err
 	}
-	if err := c.aud.Submit(rec); err != nil {
+	ans, decErr := vdb.DecodeAnswer(resp.Answer)
+	if err := c.aud.Submit(audit.Record{Op: op, Resp: resp}); err != nil {
 		if !errors.Is(err, audit.ErrClosed) {
 			c.recordFailure(err)
 		}
 		return nil, err
 	}
-	c.aud.NoteEpoch(g)
+	c.aud.NoteEpoch(resp.Ctr + 1)
 	if decErr != nil {
 		// The answer bytes are garbage. The obligation is already
 		// queued — the audit will convict the server over the same
@@ -144,20 +117,6 @@ func (c *Client) finishEpochLocked(op vdb.Op, raw any) (any, error) {
 		return nil, fmt.Errorf("driver: optimistic answer decode: %w", decErr)
 	}
 	return ans, nil
-}
-
-// decodeForestAnswer optimistically decodes a cross-shard response's
-// per-leg answers, mirroring the shape HandleResponseForest returns.
-func decodeForestAnswer(fresp *core.OpResponseForest) (any, error) {
-	answers := make([]any, len(fresp.Legs))
-	for i := range fresp.Legs {
-		a, err := vdb.DecodeAnswer(fresp.Legs[i].Answer)
-		if err != nil {
-			return nil, fmt.Errorf("leg %d: %w", i, err)
-		}
-		answers[i] = a
-	}
-	return vdb.CrossAnswer{Answers: answers}, nil
 }
 
 // Seal publishes this client's final registers to every peer; once all

@@ -91,8 +91,7 @@ func attachContent(store *cvs.Store, op *cvs.CheckoutOp, resp any, out *core.Rid
 	})
 }
 
-// answerOf returns the answer bytes of a single-tree protocol response
-// (CVS operations colocate on one shard, so theirs always is one).
+// answerOf returns the answer bytes of a protocol response.
 func answerOf(resp any) []byte {
 	switch r := resp.(type) {
 	case *core.OpResponseI:

@@ -172,11 +172,11 @@ func TestOverloadShedCreatesNoObligations(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	var refused atomic.Int64
+	var calls, refused atomic.Int64
 	rc := &refusingCaller{Caller: conn, refuse: func(r *core.OpRequest) bool {
-		// Refuse every third op at the caller, before it reaches the
-		// server — the same cut a pre-state shed makes.
-		return refused.Load() < 3 && time.Now().UnixNano()%3 == 0
+		// Refuse every third op at the caller, three times, before it
+		// reaches the server — the same cut a pre-state shed makes.
+		return refused.Load() < 3 && calls.Add(1)%3 == 0
 	}}
 	u := proto2.NewUser(sig.UserID(0), db.Root(), 1<<62)
 	dc, err := NewP2EpochWAL(u, rc, broadcast.DialHubResume(hub.Addr()), 1, epochLen, 0, "", nil)

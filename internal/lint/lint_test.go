@@ -35,8 +35,7 @@ func TestFixtureCorpus(t *testing.T) {
 		{"verifyflow", "internal/flow/flow.go", 21},            // decode→Put, no verification (direct)
 		{"verifyflow", "internal/flow/flow.go", 42},            // decode→Put through helper result summary
 		{"verifyflow", "internal/flow/flow.go", 58},            // decode→Delete through helper param-sink summary
-		{"lockorder", "internal/locks/locks.go", 34},           // Index/Journal cycle closed via lock() wrapper
-		{"lockorder", "internal/locks/locks.go", 55},           // acquisition under terminal fmu via helper summary
+		{"lockorder", "internal/locks/locks.go", 33},           // Index/Journal cycle closed via lock() wrapper
 		{"randsource", "internal/merkle/clock.go", 7},          // time.Now in merkle
 		{"hashdiscipline", "internal/merkle/hash.go", 6},       // sha256 outside digest
 		{"panicfree", "internal/server/entry.go", 29},          // panic via HandleOp
@@ -48,8 +47,6 @@ func TestFixtureCorpus(t *testing.T) {
 		{"lockscope", "internal/transport/faulty.go", 23},      // fault.Injector.Next under Lock
 		{"sleepretry", "internal/transport/retrysleep.go", 12}, // time.Sleep in retry loop
 		{"lockscope", "internal/vdb/lock.go", 22},              // gob Encode under defer-Unlock
-		{"lockscope", "internal/vdb/shard.go", 50},             // gob Encode under shard lock() wrapper
-		{"lockscope", "internal/vdb/shard.go", 66},             // gob Encode under forest lockAll() wrapper
 		{"syncdiscipline", "internal/wal/wal.go", 35},          // rename into place, no preceding fsync
 		{"syncdiscipline", "internal/wal/wal.go", 87},          // segment created in place, predecessor unsealed
 	}
@@ -132,15 +129,15 @@ func TestGraphDOT(t *testing.T) {
 		t.Fatalf("load fixture module: %v", err)
 	}
 	call := CallGraphDOT(m)
-	if !strings.Contains(call, `"locks.(Folder).FoldThenIndex" -> "locks.(Folder).reindex"`) {
-		t.Errorf("call graph DOT lacks the FoldThenIndex -> reindex edge:\n%s", call)
+	if !strings.Contains(call, `"locks.ReindexBoth" -> "locks.(Journal).lock"`) {
+		t.Errorf("call graph DOT lacks the ReindexBoth -> lock edge:\n%s", call)
 	}
 	lock := LockGraphDOT(m)
 	if !strings.Contains(lock, `"internal/locks.Index.mu" -> "internal/locks.Journal.mu"`) {
 		t.Errorf("lock graph DOT lacks the Index -> Journal edge:\n%s", lock)
 	}
-	if !strings.Contains(lock, `"internal/locks.Folder.fmu" -> "internal/locks.Index.mu"`) {
-		t.Errorf("lock graph DOT lacks the fmu -> Index edge:\n%s", lock)
+	if !strings.Contains(lock, `"internal/locks.Journal.mu" -> "internal/locks.Index.mu"`) {
+		t.Errorf("lock graph DOT lacks the Journal -> Index edge:\n%s", lock)
 	}
 }
 

@@ -344,8 +344,8 @@ func (m *Module) relFile(abs string) string {
 // are (*types.Func).FullName strings; module-local wrappers around the
 // same work are included so one level of indirection cannot hide a
 // blocking call. The module itself no longer imports gob; its two
-// entries stay for the fixture corpus (vdb/lock.go, vdb/shard.go),
-// which plants it as the slow codec under a lock.
+// entries stay for the fixture corpus (vdb/lock.go), which plants it as
+// the slow codec under a lock.
 func defaultSlowCalls(modPath string) map[string]bool {
 	set := map[string]bool{
 		"crypto/ed25519.Sign":            true,

@@ -12,38 +12,23 @@ import (
 // This file builds the module's static lock-acquisition graph for the
 // lockorder pass. Nodes are lock *classes* — a mutex identified by the
 // struct field (or package-level variable) that declares it, e.g.
-// "internal/vdb.shard.mu" or "internal/vdb.Forest.fmu" — and an edge
-// A -> B means some code path acquires B while holding A.
+// "internal/vdb.DB.mu" or "internal/vdb.DB.hmu" — and an edge A -> B
+// means some code path acquires B while holding A.
 //
-// Wrappers need no name matching here (unlike lockscope's lexical
-// approximation): every function gets a summary of its *net* lock
-// effect — the classes it leaves acquired (netAcq) or released
-// (netRel) on return, plus every class it transitively acquires even
-// transiently (acq) — computed to a fixpoint over the call graph. A
-// shard.lock() method that does s.mu.Lock() therefore summarizes as
-// netAcq={shard.mu}, and a caller holding another lock across it gets
-// the edge automatically, whatever the wrapper is called.
+// Every function gets a summary of its *net* lock effect — the classes
+// it leaves acquired (netAcq) or released (netRel) on return, plus
+// every class it transitively acquires even transiently (acq) —
+// computed to a fixpoint over the call graph. A j.lock() method that
+// does j.mu.Lock() therefore summarizes as netAcq={Journal.mu}, and a
+// caller holding another lock across it gets the edge automatically,
+// whatever the wrapper is called.
 //
-// Same-class edges (shard.mu -> shard.mu) are excluded: acquiring two
-// instances of one class is the forest's shard-ascending pattern, and
-// its per-instance ordering (RouteKey order, vdb.lockOrdered) is not
-// statically distinguishable — it is vetted by construction and by the
-// -race stress tests. Cross-class cycles and acquisitions under a
-// terminal class (the forest fold mutex fmu, documented as the last
-// lock in the order) are what the pass reports.
+// Same-class edges (Journal.mu -> Journal.mu) are excluded: the order
+// between two instances of one class is not statically
+// distinguishable. Cross-class cycles are what the pass reports.
 
 // lockClass identifies one mutex by declaration site.
 type lockClass string
-
-// fieldName returns the final component of a class ("mu" of
-// "internal/vdb.shard.mu").
-func (c lockClass) fieldName() string {
-	s := string(c)
-	if i := strings.LastIndexByte(s, '.'); i >= 0 {
-		return s[i+1:]
-	}
-	return s
-}
 
 // lockSummary is one function's interprocedural lock behavior.
 type lockSummary struct {
@@ -125,8 +110,8 @@ func (m *Module) lockGraph() *LockGraph {
 		sc := &lockWalker{g: g, node: node}
 		sc.scan(node.Decl.Body.List, nil)
 		// Function literals are their own roots: they run on their own
-		// schedule (goroutines, callbacks, LockAll sections) with no
-		// lock lexically held at their definition site.
+		// schedule (goroutines, callbacks) with no lock lexically held
+		// at their definition site.
 		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
 				sc.scan(lit.Body.List, nil)
@@ -424,8 +409,8 @@ func (w *lockWalker) nestedParts(held []heldEntry, parts ...ast.Stmt) {
 	}
 }
 
-// addEdges records held -> to edges, skipping same-class edges (the
-// shard-ascending pattern) and duplicates per (from, to, site).
+// addEdges records held -> to edges, skipping same-class edges and
+// duplicates per (from, to, site).
 func (w *lockWalker) addEdges(held []heldEntry, to lockClass, pos token.Pos, via string) {
 	for _, h := range held {
 		if h.cls == to {

@@ -8,40 +8,18 @@ import (
 
 // passLockOrder reports potential deadlocks from the static lock-order
 // graph (see lockgraph.go): any cross-class cycle in "acquires while
-// holding" edges, and any acquisition performed while holding a
-// terminal lock class. The forest's documented order is shard locks
-// ascending, then the fold mutex fmu — fmu is terminal, so an edge out
-// of any class whose field is named fmu is a violation even before it
-// closes a cycle.
+// holding" edges.
 var passLockOrder = &Pass{
 	Name: nameLockOrder,
-	Doc:  "lock-order cycles and acquisitions under the terminal fold mutex (documented order: shards ascending, then fmu)",
+	Doc:  "lock-order cycles across lock classes",
 	Run:  runLockOrder,
 }
-
-// terminalLockClass reports whether a class must be the last lock
-// acquired on any path (currently: every fold mutex named fmu).
-func terminalLockClass(c lockClass) bool { return c.fieldName() == "fmu" }
 
 func runLockOrder(m *Module) []Diag {
 	g := m.lockGraph()
 	var out []Diag
 
-	// Rule 1: nothing is acquired while a terminal class is held.
-	for _, e := range g.Edges {
-		if !terminalLockClass(e.From) {
-			continue
-		}
-		via := ""
-		if e.Via != "" {
-			via = " (inside " + e.Via + ")"
-		}
-		out = append(out, m.diagf(nameLockOrder, e.Pos,
-			"%s acquired while holding %s%s: the fold mutex is terminal in the documented lock order (shard locks ascending, then fmu)",
-			e.To, e.From, via))
-	}
-
-	// Rule 2: the cross-class graph must be acyclic. One diagnostic per
+	// The cross-class graph must be acyclic. One diagnostic per
 	// strongly connected component, anchored at the first edge of a
 	// shortest cycle through its smallest class.
 	adj := make(map[lockClass]map[lockClass]LockEdge)

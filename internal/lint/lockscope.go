@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // passLockScope guards PR 1's "narrow serial section" win: inside
@@ -228,42 +227,7 @@ func (s *lockScanner) lockOp(e ast.Expr) (string, lockOpKind) {
 	case unlockFuncs[full]:
 		return types.ExprString(sel.X), opUnlock
 	}
-	// Module-local lock wrappers: the forest's per-shard ordered
-	// sections are entered through instrumented shard.lock()/unlock()
-	// methods — not bare sync.Mutex calls — and forest-wide cuts
-	// through lockOrdered/unlockOrdered-style helpers. A method of this
-	// module whose name is "lock"/"unlock" exactly, or that prefix at a
-	// camel boundary ("lockOrdered", "unlockAll"), acquires/releases
-	// its receiver's section; without this, wrapping a mutex once would
-	// blind the pass to every forest critical section.
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil &&
-		fn.Pkg() != nil && strings.HasPrefix(fn.Pkg().Path(), s.m.Path) {
-		if k := wrapperLockKind(fn.Name()); k != opNone {
-			return types.ExprString(sel.X), k
-		}
-	}
 	return "", opNone
-}
-
-// wrapperLockKind classifies a module-local method name as a lock or
-// unlock wrapper. "unlock" is matched first: it would otherwise never
-// match, since every "unlock…" name fails the "lock…" prefix test
-// anyway — the order just makes the intent explicit.
-func wrapperLockKind(name string) lockOpKind {
-	if rest, ok := strings.CutPrefix(name, "unlock"); ok && camelBoundary(rest) {
-		return opUnlock
-	}
-	if rest, ok := strings.CutPrefix(name, "lock"); ok && camelBoundary(rest) {
-		return opLock
-	}
-	return opNone
-}
-
-// camelBoundary reports whether a wrapper prefix ends the method name
-// or is followed by an uppercase camel segment — so "lock" and
-// "lockOrdered" count while "locked" and "lockstep" do not.
-func camelBoundary(rest string) bool {
-	return rest == "" || (rest[0] >= 'A' && rest[0] <= 'Z')
 }
 
 func removeLock(held []heldLock, recv string) []heldLock {

@@ -1,7 +1,6 @@
 // Package locks exercises lockorder: a cross-class cycle closed
-// interprocedurally through a wrapper method's summary, an
-// acquisition under the terminal fold mutex reached through a helper,
-// and the same-class ascending pattern that must stay silent.
+// interprocedurally through a wrapper method's summary, and two
+// instances of one class acquired together, which must stay silent.
 package locks
 
 import "sync"
@@ -35,31 +34,11 @@ func ReindexBoth(j *Journal, ix *Index) {
 	j.unlock()
 }
 
-// Folder mirrors the forest fold mutex: fmu is terminal in the
-// documented lock order.
-type Folder struct {
-	fmu sync.Mutex
-	ix  Index
-}
-
-func (f *Folder) reindex() {
-	f.ix.mu.Lock()
-	f.ix.mu.Unlock()
-}
-
-// FoldThenIndex acquires the index inside the fold section through a
-// helper: the terminal-order violation, found via reindex's summary.
-func (f *Folder) FoldThenIndex() {
-	f.fmu.Lock()
-	defer f.fmu.Unlock()
-	f.reindex()
-}
-
 // Shard is one class with many instances.
 type Shard struct{ mu sync.Mutex }
 
-// LockAscending acquires two instances of one class in address order —
-// the forest's shard-ascending pattern; same-class edges are exempt.
+// LockAscending acquires two instances of one class in address order;
+// same-class edges are exempt.
 func LockAscending(a, b *Shard) {
 	a.mu.Lock()
 	b.mu.Lock()

@@ -114,11 +114,10 @@ func verifyflowSpec(modPath string) *flowSpec {
 			q("(*%s/internal/forensics.Commitment).Verify"): true,
 			q("(*%s/internal/forensics.Evidence).Verify"):   true,
 			q("%s/internal/durable.ReadEnvelope"):           true,
-			// The Protocol II user-side verifiers ARE the paper's VO
-			// check: every response leg is verified against the pinned
+			// The Protocol II user-side verifier IS the paper's VO
+			// check: every response is verified against the pinned
 			// registers before its answer is surfaced.
-			q("(*%s/internal/core/proto2.User).VerifyResponse"):       true,
-			q("(*%s/internal/core/proto2.User).VerifyResponseForest"): true,
+			q("(*%s/internal/core/proto2.User).VerifyResponse"): true,
 			// Content-hash check for fetched RCS blobs.
 			q("%s/internal/rcs.CheckContent"): true,
 		},

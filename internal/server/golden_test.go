@@ -72,50 +72,6 @@ func goldenP2Single(t testing.TB) (Server, *P2Snapshot) {
 	return srv, snap
 }
 
-// goldenP2Forest is a 4-shard forest after one write per shard and a
-// cross-shard transaction, so every shard has a counter, a last user
-// and two of them a transaction digest.
-func goldenP2Forest(t testing.TB) (Server, *P2Snapshot) {
-	t.Helper()
-	const shards = 4
-	db := vdb.NewSharded(0, shards)
-	srv := NewP2(db)
-	users := []*proto2.User{
-		proto2.NewForestUser(0, db.ShardRoots(), 1<<20),
-		proto2.NewForestUser(1, db.ShardRoots(), 1<<20),
-	}
-	write := func(k, v string) vdb.Op { return &vdb.WriteOp{Puts: []vdb.KV{{Key: k, Val: []byte(v)}}} }
-	byShard := make([]string, shards)
-	for i, n := 0, 0; n < shards; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if s := vdb.RouteKey(k, shards); byShard[s] == "" {
-			byShard[s] = k
-			op := write(k, "gen1")
-			resp, err := srv.HandleOp(users[n%2].Request(op))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := users[n%2].HandleResponse(op, resp.(*core.OpResponseII)); err != nil {
-				t.Fatal(err)
-			}
-			n++
-		}
-	}
-	cross := &vdb.CrossOp{Legs: []vdb.Op{write(byShard[0], "x1"), write(byShard[1], "x2")}}
-	resp, err := srv.HandleOp(users[0].Request(cross))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := users[0].HandleResponseForest(cross, resp.(*core.OpResponseForest)); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := CheckpointP2(srv, cvs.NewStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, snap
-}
-
 // goldenP3 is a Protocol III deployment two epochs in, holding both
 // users' signed epoch-0 backups.
 func goldenP3(t testing.TB) (Server, *cvs.Store) {
@@ -171,13 +127,11 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 		return buf.Bytes()
 	}
 	single, singleSnap := goldenP2Single(t)
-	forest, forestSnap := goldenP2Forest(t)
 	for name, tc := range map[string]struct {
 		live Server
 		snap *P2Snapshot
 	}{
-		"p2-snapshot-single.snap":  {single, singleSnap},
-		"p2-snapshot-forest4.snap": {forest, forestSnap},
+		"p2-snapshot-single.snap": {single, singleSnap},
 	} {
 		path := filepath.Join(goldenDir, name)
 		wiretest.Bytes(t, path, encodeP2(tc.snap))
@@ -254,10 +208,11 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 }
 
 // TestOldFormatSnapshotRefused: a snapshot written by an older binary —
-// gob-era, or format 0x85/0x86 whose store section still carried a
-// revision index — or for the other protocol passes its envelope check
-// and is then refused with ErrSnapshotFormat: never converted, never
-// mistaken for a first boot, and left on disk as it was.
+// gob-era, format 0x85/0x86 whose store section still carried a
+// revision index, or a 4-shard Merkle forest — or for the other protocol
+// passes its envelope check and is then refused with ErrSnapshotFormat:
+// never converted, never mistaken for a first boot, and left on disk as
+// it was.
 func TestOldFormatSnapshotRefused(t *testing.T) {
 	read := func(name string) []byte {
 		b, err := os.ReadFile(filepath.Join(goldenDir, name))
@@ -272,6 +227,7 @@ func TestOldFormatSnapshotRefused(t *testing.T) {
 		"gob-era P3":     read("gob-p3-snapshot-empty.snap"),
 		"format 0x85 P2": read("fmt85-p2-snapshot-single.snap"),
 		"format 0x86 P3": read("fmt86-p3-snapshot-backups.snap"),
+		"forest P2":      read("p2-snapshot-forest4.snap"),
 	} {
 		if _, err := durable.ReadEnvelope(bytes.NewReader(b), snapMagic, digest.DomainSnapshot, maxSnapshotBytes); err != nil {
 			t.Fatalf("test bug: the %s fixture's envelope does not verify: %v", name, err)
@@ -287,7 +243,7 @@ func TestOldFormatSnapshotRefused(t *testing.T) {
 		t.Errorf("LoadP3(a P2 snapshot) = %v, want ErrSnapshotFormat", err)
 	}
 
-	for _, old := range [][]byte{oldP2, read("fmt85-p2-snapshot-single.snap")} {
+	for _, old := range [][]byte{oldP2, read("fmt85-p2-snapshot-single.snap"), read("p2-snapshot-forest4.snap")} {
 		path := filepath.Join(t.TempDir(), "state.snap")
 		if err := os.WriteFile(path, old, 0o644); err != nil {
 			t.Fatal(err)

@@ -212,16 +212,12 @@ func (h *journaled) HandleOp(req *core.OpRequest) (any, error) {
 // very state the journal exists to protect.
 func (h *journaled) Fork() Server { return h.Server.Fork() }
 
-// appliedG extracts the post-apply global counter from a Protocol II
-// response (single-tree Ctr is the pre-op counter; forest responses
-// carry the global counter directly).
+// appliedG extracts the post-apply counter from a Protocol II response
+// (Ctr is the pre-op counter).
 func appliedG(resp any) uint64 {
 	r, ok := resp.(*core.OpResponseII)
 	if !ok {
 		return 0
-	}
-	if r.GCtr != 0 {
-		return r.GCtr
 	}
 	return r.Ctr + 1
 }

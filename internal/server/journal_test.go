@@ -186,40 +186,6 @@ func TestOpJournalRecoveryStopsAtGap(t *testing.T) {
 	}
 }
 
-// TestOpJournalRecoveryForest: journal replay reproduces a sharded
-// (Merkle forest) head, global counters included.
-func TestOpJournalRecoveryForest(t *testing.T) {
-	const shards = 4
-	dir := t.TempDir()
-	j, err := OpenOpJournal(dir, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := WithOpJournal(NewP2(vdb.NewSharded(0, shards)), j)
-	for i := 0; i < 10; i++ {
-		if _, err := srv.HandleOp(journalOp(i)); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewP2(vdb.NewSharded(0, shards))
-	applied, _, err := ReplayOpJournal(dir, fresh, cvs.NewStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 10 {
-		t.Fatalf("replayed %d ops, want 10", applied)
-	}
-	if got, want := fresh.DB().Root(), srv.DB().Root(); got != want {
-		t.Fatalf("replayed forest root %s != live root %s", got.Short(), want.Short())
-	}
-	if got, want := fresh.DB().Ctr(), srv.DB().Ctr(); got != want {
-		t.Fatalf("replayed gctr %d != live gctr %d", got, want)
-	}
-}
-
 // TestOpJournalEntryGolden pins the journal form of both entry kinds,
 // and that what decodes is what was journaled.
 func TestOpJournalEntryGolden(t *testing.T) {

@@ -33,8 +33,12 @@ import (
 // written and read by the package that owns it (vdb, cvs and transport
 // AppendSnapshot; an EpochBackup nests as on the wire):
 //
-//	P2 = 0x8C | db | store | lastUser | uvarint(n) n×( lastUser_s lastTx_s[32] ) | sessions
+//	P2 = 0x8C | db | store | lastUser | 00 | sessions
 //	P3 = 0x8D | db | store | lastUser | epoch | uvarint(n) n×EpochBackup
+//
+// P2's 00 is the meta count of the retired sharded layout, which a
+// single tree always wrote as zero; a nonzero one, or a sharded db
+// section (vdb.ErrForestSnapshot), is refused with ErrSnapshotFormat.
 //
 // The bytes may come from a peer — a witness reads the primary's — so
 // every count is bounded by the bytes behind it and nothing is trusted
@@ -89,9 +93,6 @@ type P2Snapshot struct {
 	Store    *cvs.StoreSnapshot
 	// Sessions is empty unless the caller froze a session table.
 	Sessions *transport.SessionsSnapshot
-	// Metas is the per-shard protocol bookkeeping of a forest server
-	// (one entry per shard). Nil on a single-tree server.
-	Metas []proto2.MetaState
 }
 
 // CheckpointP2 captures a Protocol II server's state. The capture
@@ -108,18 +109,6 @@ func CheckpointP2(srv Server, store *cvs.Store) (*P2Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p2srv.inner.Forest() {
-		dbAt, metas, err := p2srv.inner.CheckpointForest()
-		if err != nil {
-			return nil, err
-		}
-		return &P2Snapshot{
-			DB:       dbAt.Snapshot(),
-			Store:    storeSnap,
-			Sessions: &transport.SessionsSnapshot{},
-			Metas:    metas,
-		}, nil
-	}
 	dbAt, lastUser := p2srv.inner.Checkpoint()
 	return &P2Snapshot{
 		DB:       dbAt.Snapshot(),
@@ -132,10 +121,7 @@ func CheckpointP2(srv Server, store *cvs.Store) (*P2Snapshot, error) {
 // EncodeP2Snapshot writes snap in the checksummed envelope.
 func EncodeP2Snapshot(w io.Writer, snap *P2Snapshot) error {
 	b := cvs.AppendSnapshot(vdb.AppendSnapshot([]byte{snapFormatP2}, snap.DB), snap.Store)
-	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(snap.LastUser)), uint64(len(snap.Metas)))
-	for _, m := range snap.Metas {
-		b = append(binary.AppendUvarint(b, uint64(m.LastUser)), m.LastTx[:]...)
-	}
+	b = append(binary.AppendUvarint(b, uint64(snap.LastUser)), 0)
 	b, err := transport.AppendSnapshot(b, snap.Sessions)
 	if err != nil {
 		return fmt.Errorf("server: encode snapshot: %w", err)
@@ -149,11 +135,13 @@ func DecodeP2Snapshot(rd io.Reader) (*P2Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := &P2Snapshot{DB: vdb.ReadSnapshot(r), Store: cvs.ReadSnapshot(r), LastUser: sig.UserID(r.Uint32())}
-	snap.Metas = make([]proto2.MetaState, r.Count(1+digest.Size))
-	for i := range snap.Metas {
-		snap.Metas[i].LastUser = sig.UserID(r.Uint32())
-		copy(snap.Metas[i].LastTx[:], r.View(digest.Size))
+	db, err := vdb.ReadSnapshot(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
+	}
+	snap := &P2Snapshot{DB: db, Store: cvs.ReadSnapshot(r), LastUser: sig.UserID(r.Uint32())}
+	if r.Uvarint() != 0 {
+		return nil, fmt.Errorf("%w: per-shard metas of a sharded database", ErrSnapshotFormat)
 	}
 	snap.Sessions = transport.ReadSnapshot(r)
 	if err := r.Close(); err != nil {
@@ -173,16 +161,6 @@ func RestoreP2(snap *P2Snapshot) (Server, *cvs.Store, error) {
 	store, err := cvs.RestoreStore(snap.Store)
 	if err != nil {
 		return nil, nil, err
-	}
-	if len(snap.Metas) > 0 {
-		inner, err := proto2.NewForestServerAt(db, snap.Metas)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &p2{inner: inner}, store, nil
-	}
-	if db.Shards() > 1 {
-		return nil, nil, fmt.Errorf("server: forest snapshot (%d shards) has no per-shard metas", db.Shards())
 	}
 	return &p2{inner: proto2.NewServerAt(db, snap.LastUser)}, store, nil
 }
@@ -269,7 +247,11 @@ func LoadP3(rd io.Reader) (Server, *cvs.Store, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	dbSnap, storeSnap := vdb.ReadSnapshot(r), cvs.ReadSnapshot(r)
+	dbSnap, err := vdb.ReadSnapshot(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
+	}
+	storeSnap := cvs.ReadSnapshot(r)
 	state := proto3.ServerState{LastUser: sig.UserID(r.Uint32()), Epoch: r.Uvarint()}
 	state.Backups = make([]*core.EpochBackup, r.Count(2))
 	for i := range state.Backups {

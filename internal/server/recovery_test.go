@@ -15,7 +15,6 @@ import (
 	"trustedcvs/internal/durable"
 	"trustedcvs/internal/fault"
 	"trustedcvs/internal/rcs"
-	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
 )
 
@@ -235,151 +234,4 @@ func TestWriteSnapshotFileCrashWindows(t *testing.T) {
 			t.Fatal("recovered generation is not the last durable state")
 		}
 	})
-}
-
-// TestForestCrashRecoveryTornWrite kills a 4-shard forest server with a
-// torn checkpoint write and reboots it. The recovered generation must
-// reproduce every per-shard register chain and the root-of-roots
-// exactly; clients whose registers commit to the durable history sync
-// cleanly across the reboot; and the restored deployment still raises
-// the typed TornTransaction detection when the server tears a
-// cross-shard transaction post-restore — recovery must not blunt the
-// forest's atomicity defenses.
-func TestForestCrashRecoveryTornWrite(t *testing.T) {
-	const shards = 4
-	db := vdb.NewSharded(0, shards)
-	srv := NewP2(db)
-	store := cvs.NewStore()
-
-	// Users 0 and 1 write the durable generation; user 2 writes only the
-	// tail the crash will lose, so the survivors' registers stay aligned
-	// with the recovered history.
-	users := make([]*proto2.User, 3)
-	for i := range users {
-		users[i] = proto2.NewForestUser(sig.UserID(i), db.ShardRoots(), 1<<20)
-	}
-	do := func(s Server, u int, op vdb.Op) (any, error) {
-		resp, err := s.HandleOp(users[u].Request(op))
-		if err != nil {
-			return nil, err
-		}
-		if cross, ok := op.(*vdb.CrossOp); ok {
-			return users[u].HandleResponseForest(cross, resp.(*core.OpResponseForest))
-		}
-		return users[u].HandleResponse(op, resp.(*core.OpResponseII))
-	}
-	must := func(s Server, u int, op vdb.Op) {
-		t.Helper()
-		if _, err := do(s, u, op); err != nil {
-			t.Fatalf("user %d: %v", u, err)
-		}
-	}
-	write := func(k, v string) vdb.Op {
-		return &vdb.WriteOp{Puts: []vdb.KV{{Key: k, Val: []byte(v)}}}
-	}
-
-	// Populate every shard's register chain, plus one cross-shard
-	// transaction, keeping one key per shard for later use.
-	byShard := make([]string, shards)
-	for i, n := 0, 0; n < shards; i++ {
-		if i == 1024 {
-			t.Fatalf("1024 keys cover only %d of %d shards", n, shards)
-		}
-		k := fmt.Sprintf("key-%d", i)
-		if s := vdb.RouteKey(k, shards); byShard[s] == "" {
-			byShard[s] = k
-			must(srv, n%2, write(k, "gen1"))
-			n++
-		}
-	}
-	ka, kb := byShard[0], byShard[1]
-	must(srv, 0, &vdb.CrossOp{Legs: []vdb.Op{write(ka, "x1"), write(kb, "x2")}})
-
-	// The durable generation.
-	path := filepath.Join(t.TempDir(), "state.snap")
-	if err := writeGen(t, durable.OS, path, srv, store); err != nil {
-		t.Fatal(err)
-	}
-	wantHeads := db.Heads()
-	wantGCtr, wantRoot := db.Head()
-
-	// The doomed tail: user 2 keeps operating, then the next checkpoint
-	// tears mid-payload (the lying disk persists half the bytes and
-	// reports success), and the process dies.
-	must(srv, 2, write(ka, "lost"))
-	must(srv, 2, &vdb.CrossOp{Legs: []vdb.Op{write(ka, "l1"), write(kb, "l2")}})
-	if err := writeGen(t, &fault.FaultyFS{ShortWriteAt: 3}, path, srv, store); err != nil {
-		t.Fatalf("torn write is silent by design, got %v", err)
-	}
-
-	// Reboot: auto-load must reject the torn generation and fall back to
-	// the rotated previous one.
-	snap, from, err := LoadP2Auto(path)
-	if err != nil {
-		t.Fatalf("recovery after torn checkpoint: %v", err)
-	}
-	if from != durable.PrevPath(path) {
-		t.Fatalf("loaded from %s, want fallback to previous generation", from)
-	}
-	restored, _, err := RestoreP2(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Every per-shard register chain and the root-of-roots survive.
-	rdb := restored.DB()
-	if rdb.Shards() != shards {
-		t.Fatalf("restored forest has %d shards, want %d", rdb.Shards(), shards)
-	}
-	gotHeads := rdb.Heads()
-	for s, h := range gotHeads {
-		if h != wantHeads[s] {
-			t.Fatalf("shard %d head (%d, %s), want (%d, %s)",
-				s, h.Ctr, h.Root.Short(), wantHeads[s].Ctr, wantHeads[s].Root.Short())
-		}
-	}
-	gctr, root := rdb.Head()
-	if gctr != wantGCtr || root != wantRoot {
-		t.Fatalf("restored head (%d, %s), want (%d, %s)", gctr, root.Short(), wantGCtr, wantRoot.Short())
-	}
-	if f := vdb.FoldHeads(gotHeads); f != root {
-		t.Fatalf("fold of restored shard heads %s != published root %s", f.Short(), root.Short())
-	}
-
-	// The survivors' registers commit to exactly the recovered history:
-	// a sync barrier over them closes with no alarm.
-	reports := []core.SyncReportII{users[0].SyncReport(), users[1].SyncReport()}
-	for u := 0; u < 2; u++ {
-		if err := users[u].CompleteSync(reports); err != nil {
-			t.Fatalf("user %d sync across reboot: %v", u, err)
-		}
-	}
-
-	// Post-restore atomicity attack: the server proves a two-leg
-	// cross-shard transaction on a throwaway fork but commits only one
-	// leg for real. The victim's next operation is served from the real
-	// history, whose head vector excludes the second leg — the detection
-	// must be the typed TornTransaction, exactly as on a never-crashed
-	// server.
-	cross := &vdb.CrossOp{Legs: []vdb.Op{write(ka, "tx-a"), write(kb, "tx-b")}}
-	req := users[0].Request(cross)
-	fork := restored.Fork()
-	forged, err := fork.HandleOp(req)
-	if err != nil {
-		t.Fatalf("fork cross: %v", err)
-	}
-	if _, err := restored.HandleOp(users[0].Request(cross.Legs[0])); err != nil {
-		t.Fatalf("torn main leg: %v", err)
-	}
-	if _, err := users[0].HandleResponseForest(cross, forged.(*core.OpResponseForest)); err != nil {
-		t.Fatalf("victim rejected a fully valid (forked) cross proof: %v", err)
-	}
-	_, err = do(restored, 0, &vdb.ReadOp{Keys: []string{ka}})
-	de, ok := core.AsDetection(err)
-	if !ok {
-		t.Fatalf("torn commit went undetected after recovery: %v", err)
-	}
-	if de.Class != core.TornTransaction {
-		t.Fatalf("detected class %v, want %v", de.Class, core.TornTransaction)
-	}
 }

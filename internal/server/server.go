@@ -154,13 +154,6 @@ type p2 struct{ inner *proto2.Server }
 
 func (s *p2) Protocol() Protocol { return P2 }
 func (s *p2) HandleOp(req *core.OpRequest) (any, error) {
-	// Cross-shard transactions take the two-phase forest path; on a
-	// single-tree database a CrossOp is just an ordinary (composite)
-	// operation and stays on the plain path.
-	if _, ok := req.Op.(*vdb.CrossOp); ok && s.inner.Forest() {
-		//lint:ignore verifyflow the server applies client ops to its own UNtrusted store by design; clients verify every transition via the VO
-		return s.inner.HandleCross(req)
-	}
 	//lint:ignore verifyflow the server applies client ops to its own UNtrusted store by design; clients verify every transition via the VO
 	return s.inner.HandleOp(req)
 }

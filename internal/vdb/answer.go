@@ -2,7 +2,6 @@ package vdb
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"trustedcvs/internal/binenc"
@@ -10,9 +9,8 @@ import (
 
 // A WireAnswer is an answer value with a canonical binary form: a
 // one-byte type tag followed by a fixed-layout body built from the
-// internal/binenc primitives. The closed set is the six answer types
-// of this package and the six of internal/cvs; CrossAnswer, whose legs
-// are themselves answers, is encoded by this package directly.
+// internal/binenc primitives. The closed set is the five answer types
+// of this package and the six of internal/cvs.
 //
 // The form is canonical by construction — one value, one byte string,
 // in every binary — which is what lets the verifier compare a claimed
@@ -23,14 +21,15 @@ type WireAnswer interface {
 }
 
 // Answer type tags of this package. internal/cvs owns 16–21; 0 is
-// never a valid tag.
+// never a valid tag, and 6, the retired cross-shard answer's, is never
+// reused.
 const (
-	tagRead  = 1
-	tagWrite = 2
-	tagRange = 3
-	tagNop   = 4
-	tagCAS   = 5
-	tagCross = 6
+	tagRead    = 1
+	tagWrite   = 2
+	tagRange   = 3
+	tagNop     = 4
+	tagCAS     = 5
+	tagRetired = 6
 )
 
 // answerDecoders maps a tag to the decoder of its body. Filled by
@@ -42,7 +41,7 @@ var answerDecoders [256]func(*binenc.Reader) any
 // the Reader. Called from package init functions only; a duplicate or
 // reserved tag is a programming error.
 func RegisterAnswer(tag byte, decode func(*binenc.Reader) any) {
-	if tag == 0 || tag == tagCross || answerDecoders[tag] != nil {
+	if tag == 0 || tag == tagRetired || answerDecoders[tag] != nil {
 		panic(fmt.Sprintf("vdb: answer tag %d is reserved or already registered", tag))
 	}
 	answerDecoders[tag] = decode
@@ -63,32 +62,11 @@ func init() {
 // EncodeAnswer canonically encodes an answer for transmission and
 // comparison. Answer equality is byte equality of this encoding.
 func EncodeAnswer(ans any) ([]byte, error) {
-	b, err := appendAnswer(make([]byte, 0, 64), ans, false)
-	if err != nil {
-		return nil, fmt.Errorf("vdb: encode answer: %w", err)
+	a, ok := ans.(WireAnswer)
+	if !ok {
+		return nil, fmt.Errorf("vdb: encode answer: %T is not an answer type", ans)
 	}
-	return b, nil
-}
-
-func appendAnswer(b []byte, ans any, nested bool) ([]byte, error) {
-	switch a := ans.(type) {
-	case CrossAnswer:
-		if nested {
-			return nil, errors.New("nested cross answer")
-		}
-		b = append(b, tagCross)
-		b = binary.AppendUvarint(b, uint64(len(a.Answers)))
-		for _, leg := range a.Answers {
-			var err error
-			if b, err = appendAnswer(b, leg, true); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
-	case WireAnswer:
-		return a.AppendAnswer(b), nil
-	}
-	return nil, fmt.Errorf("%T is not an answer type", ans)
+	return a.AppendAnswer(make([]byte, 0, 64)), nil
 }
 
 // DecodeAnswer decodes an answer produced by EncodeAnswer. The input
@@ -98,37 +76,16 @@ func appendAnswer(b []byte, ans any, nested bool) ([]byte, error) {
 // themselves. The result shares no memory with b.
 func DecodeAnswer(b []byte) (any, error) {
 	r := binenc.NewReader(b)
-	ans := decodeAnswer(r, false)
+	var ans any
+	if tag := r.Byte(); answerDecoders[tag] != nil {
+		ans = answerDecoders[tag](r)
+	} else {
+		r.Fail("unknown answer tag %d", tag)
+	}
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("vdb: decode answer: %w", err)
 	}
 	return ans, nil
-}
-
-func decodeAnswer(r *binenc.Reader, nested bool) any {
-	tag := r.Byte()
-	if tag == tagCross {
-		// One level only, mirroring CrossOp.Apply; it also bounds the
-		// recursion a hostile input can drive.
-		if nested {
-			r.Fail("nested cross answer")
-			return nil
-		}
-		var ans CrossAnswer
-		if n := r.Count(1); n > 0 {
-			ans.Answers = make([]any, n)
-			for i := range ans.Answers {
-				ans.Answers[i] = decodeAnswer(r, true)
-			}
-		}
-		return ans
-	}
-	decode := answerDecoders[tag]
-	if decode == nil {
-		r.Fail("unknown answer tag %d", tag)
-		return nil
-	}
-	return decode(r)
 }
 
 func appendResults(b []byte, rs []ReadResult) []byte {

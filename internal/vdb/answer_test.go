@@ -12,7 +12,7 @@ import (
 )
 
 // answerGolden pins the canonical bytes of one value of each of the
-// twelve answer types (plus the nesting case). The byte format is a
+// eleven answer types. The byte format is a
 // contract between binaries — client and server compare answers by
 // byte equality — so a change here is a wire format bump.
 var answerGolden = []struct {
@@ -30,7 +30,6 @@ var answerGolden = []struct {
 	{"nop", vdb.NopAnswer{}, "04"},
 	{"cas-lost", vdb.CASAnswer{Actual: []byte("cur")}, "050003637572"},
 	{"cas-won", vdb.CASAnswer{Swapped: true}, "050100"},
-	{"cross", vdb.CrossAnswer{Answers: []any{vdb.WriteAnswer{Put: 1}, vdb.NopAnswer{}}}, "060202020004"},
 	{"commit", cvs.CommitAnswer{Results: []cvs.CommitResult{
 		{Path: "a.go", Rev: 300},
 		{Path: "b", Conflict: true},
@@ -79,8 +78,8 @@ func TestAnswerGolden(t *testing.T) {
 		}
 		seen[reflect.TypeOf(tc.ans)] = true
 	}
-	if len(seen) != 12 {
-		t.Errorf("golden table covers %d answer types, want all 12", len(seen))
+	if len(seen) != 11 {
+		t.Errorf("golden table covers %d answer types, want all 11", len(seen))
 	}
 }
 
@@ -90,7 +89,6 @@ func TestAnswerNilAndEmptyEncodeAlike(t *testing.T) {
 	pairs := [][2]any{
 		{vdb.ReadAnswer{}, vdb.ReadAnswer{Results: []vdb.ReadResult{}}},
 		{vdb.CASAnswer{}, vdb.CASAnswer{Actual: []byte{}}},
-		{vdb.CrossAnswer{}, vdb.CrossAnswer{Answers: []any{}}},
 		{cvs.LogAnswer{}, cvs.LogAnswer{Revisions: []cvs.RevisionRecord{}}},
 		{cvs.ListAnswer{}, cvs.ListAnswer{Files: []cvs.FileStatus{}}},
 		{vdb.ReadAnswer{Results: []vdb.ReadResult{{Key: "k"}}}, vdb.ReadAnswer{Results: []vdb.ReadResult{{Key: "k", Val: []byte{}}}}},
@@ -128,8 +126,7 @@ func TestAnswerRejects(t *testing.T) {
 		"count beyond input":   "01" + "ffffffff0f",
 		"truncated value":      "0101" + "016b" + "01" + "05" + "7631",
 		"boolean 2":            "0101" + "016b" + "02" + "00",
-		"nested cross":         "0601" + "0600",
-		"cross of unknown tag": "0601" + "63",
+		"retired cross answer": retiredCrossAnswer,
 		"short file status":    "1101" + "0166" + "0102" + "aabb",
 		"bad revision record":  "1201" + "03" + "010203",
 	} {
@@ -141,13 +138,16 @@ func TestAnswerRejects(t *testing.T) {
 			t.Errorf("%s: accepted as %#v", name, ans)
 		}
 	}
-	for _, ans := range []any{nil, 7, vdb.CrossAnswer{Answers: []any{nil}},
-		vdb.CrossAnswer{Answers: []any{vdb.CrossAnswer{}}}} {
+	for _, ans := range []any{nil, 7} {
 		if b, err := vdb.EncodeAnswer(ans); err == nil {
 			t.Errorf("EncodeAnswer(%#v) = %x, want an error", ans, b)
 		}
 	}
 }
+
+// retiredCrossAnswer is a two-leg cross-shard answer as binaries with
+// a sharded database encoded it; tag 6 is never reused.
+const retiredCrossAnswer = "060202020004"
 
 // FuzzAnswerDecode feeds arbitrary bytes — the claimed answer of an
 // untrusted server — to DecodeAnswer. Properties: no panic; and the
@@ -163,6 +163,9 @@ func FuzzAnswerDecode(f *testing.F) {
 		f.Add(b)
 		f.Add(b[:len(b)/2])
 	}
+	retired, _ := hex.DecodeString(retiredCrossAnswer)
+	f.Add(retired)
+	f.Add(retired[:len(retired)/2])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ans, err := vdb.DecodeAnswer(b)

@@ -8,16 +8,16 @@ import (
 )
 
 // Wire tags of this package's operations (wire.Register). Ops travel
-// inside interface-typed fields (OpRequest.Op, CrossOp.Legs), so each
-// nests as tag + body; internal/cvs registers its own ops the same way.
-// Answers do not go through this table at all (see answer.go).
+// inside an interface-typed field (OpRequest.Op), so each nests as
+// tag + body; internal/cvs registers its own ops the same way. Answers
+// do not go through this table at all (see answer.go). 53 was the
+// cross-shard transaction's and is never reused.
 const (
 	wireReadOp  = 48
 	wireWriteOp = 49
 	wireRangeOp = 50
 	wireNopOp   = 51
 	wireCASOp   = 52
-	wireCrossOp = 53
 )
 
 func init() {
@@ -68,25 +68,6 @@ func init() {
 			o.Expect = r.View(r.Count(1))
 		}
 		o.New = r.ViewBytes()
-		return o
-	})
-	wire.Register(wireCrossOp, func(b []byte, o *CrossOp) ([]byte, error) {
-		b = binary.AppendUvarint(b, uint64(len(o.Legs)))
-		for _, leg := range o.Legs {
-			var err error
-			if b, err = wire.Append(b, leg); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
-	}, func(r *binenc.Reader) *CrossOp {
-		o := new(CrossOp)
-		if n := r.Count(1); n > 0 {
-			o.Legs = make([]Op, n)
-			for i := range o.Legs {
-				o.Legs[i] = ReadWireOp(r)
-			}
-		}
 		return o
 	})
 }

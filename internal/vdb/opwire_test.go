@@ -19,7 +19,9 @@ func TestOpWireGolden(t *testing.T) {
 		{Msg: &CASOp{Key: "lock", Expect: []byte("old"), New: []byte("new")}},
 		{Variant: "absent", Msg: &CASOp{Key: "lock", New: []byte("new")}},
 		{Variant: "empty", Msg: &CASOp{Key: "lock", Expect: []byte{}, New: []byte("new")}},
-		{Msg: &CrossOp{Legs: []Op{&ReadOp{Keys: []string{"alpha"}}, &WriteOp{Puts: []KV{{Key: "echo", Val: []byte("1")}}}}}},
-		{Variant: "empty", Msg: &CrossOp{}},
 	})
 }
+
+// TestRetiredOpFramesRefused: a cross-shard transaction as binaries with
+// a sharded database framed it is refused; tag 53 is never reused.
+func TestRetiredOpFramesRefused(t *testing.T) { wiretest.Retired(t) }

@@ -14,23 +14,13 @@ import (
 
 func dbImage(db *DB) []byte { return AppendSnapshot(nil, db.Snapshot()) }
 
-// shardKeys returns count keys of the form prefix-NNNNNN that an
-// n-shard forest routes to shard sid, drawn at random below keyspace.
-func shardKeys(rng *rand.Rand, count, keyspace, n, sid int) []string {
-	keys := make([]string, 0, count)
-	for len(keys) < count {
-		if k := fmt.Sprintf("key-%06d", rng.Intn(keyspace)); RouteKey(k, n) == sid {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
-// randomTxn is one WriteOp of m writes to shard sid: overwrites and
-// inserts, and about a quarter deletes.
-func randomTxn(rng *rand.Rand, m, keyspace, n, sid int) *WriteOp {
+// randomTxn is one WriteOp of m writes to keys of the form
+// key-NNNNNN drawn at random below keyspace: overwrites and inserts,
+// and about a quarter deletes.
+func randomTxn(rng *rand.Rand, m, keyspace int) *WriteOp {
 	op := &WriteOp{}
-	for _, k := range shardKeys(rng, m, keyspace, n, sid) {
+	for i := 0; i < m; i++ {
+		k := fmt.Sprintf("key-%06d", rng.Intn(keyspace))
 		if rng.Intn(4) == 0 {
 			op.Deletes = append(op.Deletes, k)
 		} else {
@@ -40,9 +30,9 @@ func randomTxn(rng *rand.Rand, m, keyspace, n, sid int) *WriteOp {
 	return op
 }
 
-func seeded(t testing.TB, order, shards, n int) *DB {
+func seeded(t testing.TB, order, n int) *DB {
 	t.Helper()
-	db := NewSharded(order, shards)
+	db := New(order)
 	load := &WriteOp{}
 	for i := 0; i < n; i++ {
 		load.Puts = append(load.Puts, KV{Key: fmt.Sprintf("key-%06d", i), Val: []byte("seed")})
@@ -100,10 +90,10 @@ func TestTransactionMatchesSingleKeyOps(t *testing.T) {
 				name := fmt.Sprintf("%s, order %d, %d keys", road, order, m)
 				rng := rand.New(rand.NewSource(int64(order*10_000 + m)))
 				const n = 500
-				whole, single := seeded(t, order, 1, n), seeded(t, order, 1, n)
+				whole, single := seeded(t, order, n), seeded(t, order, n)
 				before := whole.Fork()
 				oldRoot, oldImage := whole.Root(), dbImage(whole)
-				txn := randomTxn(rng, m, n+n/4, 1, 0)
+				txn := randomTxn(rng, m, n+n/4)
 				if err := apply(whole, txn); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -148,8 +138,6 @@ func (o abortOp) Apply(tx *Tx) (any, error) {
 	return nil, errAbort
 }
 
-func (o abortOp) ShardKey() string { return o.w.Puts[0].Key }
-
 // TestFailedTransactionLeavesNothing: a multi-key Op that fails after
 // its writes leaves the database — root, counter, every byte of its
 // snapshot — and every fork taken earlier exactly as they were, on every
@@ -157,49 +145,34 @@ func (o abortOp) ShardKey() string { return o.w.Puts[0].Key }
 // unverified roads, never hashed: were its nodes still owned after
 // publication, the failing one would edit the published tree in place.
 func TestFailedTransactionLeavesNothing(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		rng := rand.New(rand.NewSource(int64(shards)))
-		db := seeded(t, 4, shards, 800)
-		sid := shards - 1
-		type road struct {
-			name  string
-			apply func(op Op) error
+	rng := rand.New(rand.NewSource(1))
+	db := seeded(t, 4, 800)
+	for name, apply := range map[string]func(op Op) error{
+		"Apply":      func(op Op) error { _, _, err := db.Apply(op); return err },
+		"Begin":      func(op Op) error { _, err := db.Begin(op); return err },
+		"ApplyPlain": func(op Op) error { _, err := db.ApplyPlain(op); return err },
+		"Preload":    func(op Op) error { return db.Preload(op) },
+	} {
+		if err := apply(randomTxn(rng, 40, 1000)); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		roads := []road{
-			{"Apply", func(op Op) error { _, _, err := db.Apply(op); return err }},
-			{"Begin", func(op Op) error { _, err := db.Begin(op); return err }},
-			{"ApplyPlain", func(op Op) error { _, err := db.ApplyPlain(op); return err }},
-			{"Preload", func(op Op) error { return db.Preload(op) }},
+		fork := db.Fork()
+		image, ctr := dbImage(db), db.Ctr()
+		if err := apply(abortOp{randomTxn(rng, 40, 1000)}); !errors.Is(err, errAbort) {
+			t.Fatalf("%s: failing transaction returned %v", name, err)
 		}
-		if shards > 1 {
-			roads = append(roads, road{"BeginCross", func(op Op) error {
-				_, err := db.BeginCross(&CrossOp{Legs: []Op{randomTxn(rng, 20, 1000, shards, 0), op}})
-				return err
-			}})
+		if db.Ctr() != ctr || !bytes.Equal(dbImage(db), image) {
+			t.Fatalf("%s: a failed transaction changed the database", name)
 		}
-		for _, r := range roads {
-			name, apply := fmt.Sprintf("%s, %d shards", r.name, shards), r.apply
-			if err := apply(randomTxn(rng, 40, 1000, shards, sid)); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			fork := db.Fork()
-			image, ctr := dbImage(db), db.Ctr()
-			if err := apply(abortOp{randomTxn(rng, 40, 1000, shards, sid)}); !errors.Is(err, errAbort) {
-				t.Fatalf("%s: failing transaction returned %v", name, err)
-			}
-			if db.Ctr() != ctr || !bytes.Equal(dbImage(db), image) {
-				t.Fatalf("%s: a failed transaction changed the database", name)
-			}
-			if !bytes.Equal(dbImage(fork), image) || fork.Root() != db.Root() {
-				t.Fatalf("%s: a failed transaction changed an earlier fork", name)
-			}
-			// And the next good one goes through, leaving the fork alone.
-			if err := apply(randomTxn(rng, 40, 1000, shards, sid)); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !bytes.Equal(dbImage(fork), image) || bytes.Equal(dbImage(db), image) {
-				t.Fatalf("%s: fork and database did not part ways", name)
-			}
+		if !bytes.Equal(dbImage(fork), image) || fork.Root() != db.Root() {
+			t.Fatalf("%s: a failed transaction changed an earlier fork", name)
+		}
+		// And the next good one goes through, leaving the fork alone.
+		if err := apply(randomTxn(rng, 40, 1000)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(dbImage(fork), image) || bytes.Equal(dbImage(db), image) {
+			t.Fatalf("%s: fork and database did not part ways", name)
 		}
 	}
 }
@@ -207,96 +180,64 @@ func TestFailedTransactionLeavesNothing(t *testing.T) {
 // TestBeginOverlapsFinishOfMultiKeyTransactions is the pipelined
 // server's overlap with transactions of many keys: eight goroutines
 // each run Begin, then — outside the ordered section, while the others'
-// Begins copy and edit nodes above the same tree — Finish, the head
-// vector and the root. On a single tree and on a forest (cross-shard
-// transactions included), every VO must verify, and per shard the
-// verified roots must chain gap-free from the preloaded head to the
-// final one: an edit in place of a node somebody else can reach would
-// break a link, or trip the race detector first.
+// Begins copy and edit nodes above the same tree — Finish and the root.
+// Every VO must verify, and the verified roots must chain gap-free from
+// the preloaded root to the final one: an edit in place of a node
+// somebody else can reach would break a link, or trip the race detector
+// first.
 func TestBeginOverlapsFinishOfMultiKeyTransactions(t *testing.T) {
 	const workers, rounds, keyspace = 8, 40, 3000
-	for _, shards := range []int{1, 4} {
-		db := seeded(t, 0, shards, keyspace)
-		type link struct {
-			pre      uint64
-			old, new digest.Digest
-		}
-		start := make([]digest.Digest, shards)
-		for sid, e := range db.heads {
-			start[sid] = e.tree.RootDigest()
-		}
-		var mu sync.Mutex
-		chains := make([][]link, shards)
-		finish := func(op Op, st *Staged) error {
-			ans, vo, err := st.Finish()
-			if err != nil {
-				return err
-			}
-			st.Heads()
-			db.Root()
-			old, nw, err := VerifyDerive(op, ans, vo)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			chains[st.Shard()] = append(chains[st.Shard()], link{st.PreCtr(), old, nw})
-			mu.Unlock()
-			return nil
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(100*shards + w)))
-				for i := 0; i < rounds; i++ {
-					m := []int{2, 8, 64}[rng.Intn(3)]
-					if shards > 1 && i%4 == 3 {
-						a := rng.Intn(shards)
-						b := (a + 1 + rng.Intn(shards-1)) % shards
-						cross := &CrossOp{Legs: []Op{randomTxn(rng, m, keyspace, shards, a), randomTxn(rng, m, keyspace, shards, b)}}
-						cst, err := db.BeginCross(cross)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						for j, leg := range cst.Legs() {
-							if err := finish(cross.Legs[j], leg); err != nil {
-								t.Error(err)
-								return
-							}
-						}
-						continue
-					}
-					op := randomTxn(rng, m, keyspace, shards, rng.Intn(shards))
-					st, err := db.Begin(op)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if err := finish(op, st); err != nil {
-						t.Error(err)
-						return
-					}
+	db := seeded(t, 0, keyspace)
+	type link struct {
+		pre      uint64
+		old, new digest.Digest
+	}
+	start := db.Root()
+	var mu sync.Mutex
+	var chain []link
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			for i := 0; i < rounds; i++ {
+				op := randomTxn(rng, []int{2, 8, 64}[rng.Intn(3)], keyspace)
+				st, err := db.Begin(op)
+				if err != nil {
+					t.Error(err)
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-		for sid, chain := range chains {
-			sort.Slice(chain, func(i, j int) bool { return chain[i].pre < chain[j].pre })
-			at := start[sid]
-			for i, l := range chain {
-				if l.pre != uint64(i) || l.old != at {
-					t.Fatalf("%d shards, shard %d: link %d starts at counter %d, root %s; the chain is at %s", shards, sid, i, l.pre, l.old.Short(), at.Short())
+				ans, vo, err := st.Finish()
+				if err != nil {
+					t.Error(err)
+					return
 				}
-				at = l.new
+				db.Root()
+				old, nw, err := VerifyDerive(op, ans, vo)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				chain = append(chain, link{st.PreCtr(), old, nw})
+				mu.Unlock()
 			}
-			if end := db.heads[sid].tree.RootDigest(); at != end {
-				t.Fatalf("%d shards, shard %d: the verified chain ends at %s, the shard at %s", shards, sid, at.Short(), end.Short())
-			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	sort.Slice(chain, func(i, j int) bool { return chain[i].pre < chain[j].pre })
+	at := start
+	for i, l := range chain {
+		if l.pre != uint64(i) || l.old != at {
+			t.Fatalf("link %d starts at counter %d, root %s; the chain is at %s", i, l.pre, l.old.Short(), at.Short())
 		}
+		at = l.new
+	}
+	if end := db.Root(); at != end {
+		t.Fatalf("the verified chain ends at %s, the database at %s", at.Short(), end.Short())
 	}
 }

@@ -12,13 +12,6 @@
 // typed verification error. This generalizes the paper's v(Q, D) from
 // single-key updates to arbitrary deterministic transactions, which is
 // what lets the CVS layer make commits atomic.
-//
-// Since PR 6 the database is a Merkle *forest*: N shards, each with
-// its own tree, counter, and mutex, folded into a single root-of-roots
-// (see forest.go). A one-shard forest is bit-compatible with the
-// original single-tree database — same root, same counter, same wire
-// messages, same snapshots — so everything above vdb can stay
-// N-oblivious.
 package vdb
 
 import (
@@ -71,7 +64,7 @@ func (tx *Tx) Range(lo, hi string, fn func(key string, val []byte) bool) error {
 // An Op is a deterministic transaction. Apply must depend only on the
 // Op's fields and the Tx state: no clocks, no randomness, no maps
 // iterated in answer order. The returned answer must be one of the
-// WireAnswer types (or a CrossAnswer of them), returned by value.
+// WireAnswer types, returned by value.
 //
 // Implementations live in this package (ReadOp, WriteOp, RangeOp) and
 // in internal/cvs (CommitOp, CheckoutOp, LogOp, ...). Concrete op types
@@ -81,81 +74,77 @@ type Op interface {
 	Apply(tx *Tx) (answer any, err error)
 }
 
-// DB is the server-side authenticated database: a forest of Merkle
-// shards plus the global operation counter ctr from Protocol I ("the
-// count of the number of operations performed on the database").
+// DB is the server-side authenticated database: one Merkle tree plus
+// the operation counter ctr from Protocol I ("the count of the number
+// of operations performed on the database").
 //
-// DB is safe for concurrent use. Mutations linearize per shard on that
-// shard's mutex, whose critical section is deliberately tiny — apply
-// the operation to the persistent tree and bump the counters — so the
-// cryptographic heavy lifting (VO pruning, answer encoding) runs
-// outside it via Begin/Finish, and operations on different shards
-// never contend at all. Readers (Ctr, Root, Head, Fork, Snapshot) see
-// a consistent published head vector under fmu and never block on an
-// in-flight apply.
+// DB is safe for concurrent use. Mutations linearize on mu, whose
+// critical section is deliberately tiny — apply the operation to the
+// persistent tree and bump the counter — so the cryptographic heavy
+// lifting (VO pruning, answer encoding) runs outside it via
+// Begin/Finish. Readers (Ctr, Root, Head, Len, Fork, Snapshot) take
+// only hmu and never block on an in-flight apply.
 //
-// Lock order: a shard mutex is always acquired before fmu, never
-// after; multiple shard mutexes are acquired in ascending shard order.
+// Lock order: mu before hmu, never after.
 type DB struct {
-	shards []*shard
+	mu sync.Mutex // the ordered section
 
-	// fmu orders forest-level publication: gctr and the published head
-	// vector move together under it. gctr equals the sum of the shard
-	// counters at every published point (each shard-counter increment
-	// publishes exactly one gctr increment).
-	fmu   sync.Mutex
-	gctr  uint64
-	heads []headEntry
+	// hmu guards the published head: tree and ctr change together,
+	// under both mutexes, and are read under either.
+	hmu  sync.Mutex
+	tree *merkle.Tree
+	ctr  uint64
 }
 
-// New creates an empty single-shard database with the given Merkle
-// branching factor (0 = merkle.DefaultOrder). It is exactly the
-// pre-forest database: one tree, one counter, one ordered section.
+// New creates an empty database with the given Merkle branching factor
+// (0 = merkle.DefaultOrder).
 func New(order int) *DB {
-	return NewSharded(order, 1)
+	return &DB{tree: merkle.New(order)}
 }
 
-// Ctr returns the number of operations applied so far (across all
-// shards).
+// head returns the published (ctr, tree) pair.
+func (db *DB) head() (uint64, *merkle.Tree) {
+	db.hmu.Lock()
+	defer db.hmu.Unlock()
+	return db.ctr, db.tree
+}
+
+// publish installs t as the head, advancing ctr by n. Must be called
+// with mu held.
+func (db *DB) publish(t *merkle.Tree, n uint64) {
+	db.hmu.Lock()
+	db.tree = t
+	db.ctr += n
+	db.hmu.Unlock()
+}
+
+// Ctr returns the number of operations applied so far.
 func (db *DB) Ctr() uint64 {
-	db.fmu.Lock()
-	defer db.fmu.Unlock()
-	return db.gctr
+	ctr, _ := db.head()
+	return ctr
 }
 
-// Root returns the current root-of-roots M(D): for a single shard the
-// plain tree root, otherwise the DomainForest fold of the per-shard
-// heads.
+// Root returns the current root digest M(D).
 func (db *DB) Root() digest.Digest {
 	_, root := db.Head()
 	return root
 }
 
-// Head returns the operation counter and root-of-roots as one
-// consistent pair. Separate Ctr/Root calls can interleave with a
-// concurrent Apply and pair a counter with the wrong tree; a
-// commitment built from such a torn pair would read as a fork at every
-// honest witness.
+// Head returns the operation counter and root digest as one consistent
+// pair. Separate Ctr/Root calls can interleave with a concurrent Apply
+// and pair a counter with the wrong tree; a commitment built from such
+// a torn pair would read as a fork at every honest witness.
 func (db *DB) Head() (uint64, digest.Digest) {
-	db.fmu.Lock()
-	gctr := db.gctr
-	heads := append([]headEntry(nil), db.heads...)
-	db.fmu.Unlock()
-	// Digest computation happens outside the lock: the captured trees
-	// are persistent and their root digests are memoized.
-	return gctr, FoldHeads(shardHeadsOf(heads))
+	// The root digest is computed outside the lock: the captured tree
+	// is persistent and its root digest memoized.
+	ctr, t := db.head()
+	return ctr, t.RootDigest()
 }
 
-// Len returns the number of records across all shards.
+// Len returns the number of records.
 func (db *DB) Len() int {
-	db.fmu.Lock()
-	heads := append([]headEntry(nil), db.heads...)
-	db.fmu.Unlock()
-	n := 0
-	for _, e := range heads {
-		n += e.tree.Len()
-	}
-	return n
+	_, t := db.head()
+	return t.Len()
 }
 
 // Apply executes op, increments ctr, and returns the canonical answer
@@ -168,14 +157,9 @@ func (db *DB) Len() int {
 // pipelined servers use Begin/Finish instead to keep the serialized
 // window minimal.
 func (db *DB) Apply(op Op) (ansBytes []byte, vo *merkle.VO, err error) {
-	sid, err := db.ShardFor(op)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := db.shards[sid]
-	s.lock()
-	defer s.unlock()
-	rec := s.tree.Record()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	rec := db.tree.Record()
 	ans, err := op.Apply((*Tx)(rec))
 	if err != nil {
 		return nil, nil, err
@@ -186,119 +170,48 @@ func (db *DB) Apply(op Op) (ansBytes []byte, vo *merkle.VO, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s.tree = rec.Tree()
-	s.ctr++
-	db.publish(sid, s)
+	db.publish(rec.Tree(), 1)
 	return ansBytes, rec.VO(), nil
 }
 
-// publish records a shard's new (tree, ctr) in the head vector and
-// bumps gctr, all under fmu. Must be called with the shard's mutex
-// held, so the publication order within one shard matches its apply
-// order.
-func (db *DB) publish(sid int, s *shard) {
-	db.fmu.Lock()
-	db.gctr++
-	db.heads[sid] = headEntry{tree: s.tree, ctr: s.ctr}
-	db.fmu.Unlock()
-}
-
 // Staged is the committed-but-unencoded result of Begin: the ordered
-// section already applied the operation and advanced the counters;
+// section already applied the operation and advanced the counter;
 // Finish does the remaining work — canonical answer encoding and VO
 // pruning — on the captured immutable snapshot, outside any lock.
 type Staged struct {
-	shard    int
-	preCtr   uint64
-	postGctr uint64
-	rec      *merkle.Recording
-	ans      any
-	heads    []headEntry // published head vector; nil on a single-shard DB
+	preCtr uint64
+	rec    *merkle.Recording
+	ans    any
 }
 
-// Begin routes op to its shard and runs that shard's ordered section.
-// See BeginShard; on a single-shard database this is exactly the
-// pre-forest Begin.
-func (db *DB) Begin(op Op) (*Staged, error) {
-	sid, err := db.ShardFor(op)
-	if err != nil {
-		return nil, err
-	}
-	return db.BeginShard(sid, op)
-}
-
-// BeginShard is the ordered section of the pipelined hot path for one
-// shard: it applies op to the shard's persistent tree, bumps the shard
-// counter, publishes the new head under fmu, and captures the
-// recording — and nothing else. The returned Staged references only
-// immutable nodes of the persistent tree, so Finish (and any number of
-// other Staged results from earlier or later operations, on this shard
-// or any other) can run concurrently with subsequent Begins. On error
+// Begin is the ordered section of the pipelined hot path: it applies
+// op to the persistent tree, bumps ctr, publishes the new head, and
+// captures the recording — and nothing else. The returned Staged
+// references only immutable nodes of the persistent tree, so Finish
+// (and any number of other Staged results from earlier or later
+// operations) can run concurrently with subsequent Begins. On error
 // the database is unchanged.
 //
 // Unlike Apply, a failure to encode the answer surfaces in Finish,
 // after the transition is already committed; that only happens for
 // answers outside the WireAnswer set, which is a bug in the operation,
 // not a reachable server state.
-func (db *DB) BeginShard(sid int, op Op) (*Staged, error) {
-	return db.BeginShardIn(sid, op, nil)
-}
-
-// BeginShardIn is BeginShard with a section hook: section (if non-nil)
-// runs inside the shard's ordered section, after the operation has
-// committed and published, so a caller can swap its own per-shard
-// bookkeeping atomically with the counter bump — without stacking a
-// second mutex in front of the instrumented one, which would both
-// double the lock hand-offs on the hot path and hide the real queueing
-// from the shard's contention counters. section must be short; its
-// time is accounted as held time. It does not run if the operation
-// fails.
-func (db *DB) BeginShardIn(sid int, op Op, section func(st *Staged)) (*Staged, error) {
-	if sid < 0 || sid >= len(db.shards) {
-		return nil, fmt.Errorf("%w: shard %d out of range [0,%d)", ErrBadOp, sid, len(db.shards))
-	}
-	s := db.shards[sid]
-	s.lock()
-	rec := s.tree.Record()
+func (db *DB) Begin(op Op) (*Staged, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	rec := db.tree.Record()
 	ans, err := op.Apply((*Tx)(rec))
 	if err != nil {
-		s.unlock()
 		return nil, err
 	}
-	st := &Staged{shard: sid, preCtr: s.ctr, rec: rec, ans: ans}
-	s.tree = rec.Tree()
-	s.ctr++
-	db.fmu.Lock()
-	db.gctr++
-	db.heads[sid] = headEntry{tree: s.tree, ctr: s.ctr}
-	st.postGctr = db.gctr
-	if len(db.shards) > 1 {
-		st.heads = append([]headEntry(nil), db.heads...)
-	}
-	db.fmu.Unlock()
-	if section != nil {
-		section(st)
-	}
-	s.unlock()
+	st := &Staged{preCtr: db.ctr, rec: rec, ans: ans}
+	db.publish(rec.Tree(), 1)
 	return st, nil
 }
 
-// PreCtr returns the shard counter as of the start of the staged
-// operation — the value the protocols present to the user.
+// PreCtr returns the counter as of the start of the staged operation —
+// the value the protocols present to the user.
 func (st *Staged) PreCtr() uint64 { return st.preCtr }
-
-// Shard returns the shard the operation ran on.
-func (st *Staged) Shard() int { return st.shard }
-
-// PostGctr returns the global operation counter as of the publication
-// of this operation.
-func (st *Staged) PostGctr() uint64 { return st.postGctr }
-
-// Heads returns the published per-shard head vector as of this
-// operation, nil on a single-shard database. Root digests are computed
-// here, outside every lock (they are memoized on the persistent
-// trees).
-func (st *Staged) Heads() []ShardHead { return shardHeadsOf(st.heads) }
 
 // Finish produces the canonical answer encoding and the verification
 // object. It is safe to call concurrently with any database activity.
@@ -313,30 +226,15 @@ func (st *Staged) Finish() (ansBytes []byte, vo *merkle.VO, err error) {
 // Preload applies op without advancing ctr or building a VO. It
 // constructs the initial database state D₀ (which the paper allows to
 // be arbitrary, with M(D₀) common knowledge) before any protocol
-// starts; it must not be called afterwards. On a sharded database a
-// WriteOp is split per shard; any other op must route to one shard.
+// starts; it must not be called afterwards.
 func (db *DB) Preload(op Op) error {
-	parts, err := db.splitPreload(op)
-	if err != nil {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	rec := db.tree.Begin()
+	if _, err := op.Apply((*Tx)(rec)); err != nil {
 		return err
 	}
-	for sid, part := range parts {
-		if part == nil {
-			continue
-		}
-		s := db.shards[sid]
-		s.lock()
-		rec := s.tree.Begin()
-		if _, err := part.Apply((*Tx)(rec)); err != nil {
-			s.unlock()
-			return err
-		}
-		s.tree = rec.Tree()
-		db.fmu.Lock()
-		db.heads[sid] = headEntry{tree: s.tree, ctr: s.ctr}
-		db.fmu.Unlock()
-		s.unlock()
-	}
+	db.publish(rec.Tree(), 0)
 	return nil
 }
 
@@ -344,14 +242,9 @@ func (db *DB) Preload(op Op) error {
 // trusted-server execution path, used as the performance floor in the
 // workload-preservation experiments (desideratum 3).
 func (db *DB) ApplyPlain(op Op) (ansBytes []byte, err error) {
-	sid, err := db.ShardFor(op)
-	if err != nil {
-		return nil, err
-	}
-	s := db.shards[sid]
-	s.lock()
-	defer s.unlock()
-	rec := s.tree.Begin()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	rec := db.tree.Begin()
 	ans, err := op.Apply((*Tx)(rec))
 	if err != nil {
 		return nil, err
@@ -362,140 +255,72 @@ func (db *DB) ApplyPlain(op Op) (ansBytes []byte, err error) {
 	if err != nil {
 		return nil, err
 	}
-	s.tree = rec.Tree()
-	s.ctr++
-	db.publish(sid, s)
+	db.publish(rec.Tree(), 1)
 	return ansBytes, nil
 }
 
-// Snapshot captures the database (tree structure + operation counters)
-// for persistence. The restored database has the identical
-// root-of-roots, so a restarted server stays consistent with every
-// client's verified state.
+// Snapshot captures the database (tree structure + operation counter)
+// for persistence. The restored database has the identical root, so a
+// restarted server stays consistent with every client's verified
+// state.
 func (db *DB) Snapshot() *DBSnapshot {
-	db.fmu.Lock()
-	gctr := db.gctr
-	heads := append([]headEntry(nil), db.heads...)
-	db.fmu.Unlock()
-	// The structural walk happens outside the lock: trees are
-	// persistent, so the captured versions never change under us.
-	if len(heads) == 1 {
-		return &DBSnapshot{Ctr: gctr, Tree: heads[0].tree.Snapshot()}
-	}
-	out := &DBSnapshot{Ctr: gctr, Shards: make([]ShardSnapshot, len(heads))}
-	for i, e := range heads {
-		out.Shards[i] = ShardSnapshot{Ctr: e.ctr, Tree: e.tree.Snapshot()}
-	}
-	return out
+	// The structural walk happens outside the lock: the tree is
+	// persistent, so the captured version never changes under us.
+	ctr, t := db.head()
+	return &DBSnapshot{Ctr: ctr, Tree: t.Snapshot()}
 }
 
-// DBSnapshot is the persistent form of a DB. Exactly one of Tree
-// (single-shard layout) and Shards (forest layout, one entry per
-// shard) is set.
+// DBSnapshot is the persistent form of a DB.
 type DBSnapshot struct {
-	Ctr    uint64
-	Tree   *merkle.Snapshot
-	Shards []ShardSnapshot
-}
-
-// ShardSnapshot is the persistent form of one shard.
-type ShardSnapshot struct {
 	Ctr  uint64
 	Tree *merkle.Snapshot
 }
 
-// AppendSnapshot appends s, which must be what DB.Snapshot returns, to
-// b, with n = 0 for the single-shard layout and each tree as
-// merkle.Snapshot writes it:
+// ErrForestSnapshot is returned by ReadSnapshot for the sharded layout
+// earlier binaries wrote for a Merkle forest, which this binary does
+// not restore.
+var ErrForestSnapshot = errors.New("vdb: snapshot holds a sharded database")
+
+// AppendSnapshot appends s to b, the tree as merkle.Snapshot writes it:
 //
-//	db = uvarint(ctr) uvarint(n) ( tree | n×( uvarint(ctr_s) tree ) )
+//	db = uvarint(ctr) 00 tree
+//
+// The 00 is the shard count of the retired sharded layout, which a
+// single tree always wrote as zero.
 func AppendSnapshot(b []byte, s *DBSnapshot) []byte {
-	b = binary.AppendUvarint(binary.AppendUvarint(b, s.Ctr), uint64(len(s.Shards)))
-	if len(s.Shards) == 0 {
-		return s.Tree.Append(b)
-	}
-	for _, ss := range s.Shards {
-		b = ss.Tree.Append(binary.AppendUvarint(b, ss.Ctr))
-	}
-	return b
+	return s.Tree.Append(append(binary.AppendUvarint(b, s.Ctr), 0))
 }
 
-// ReadSnapshot reads what AppendSnapshot wrote. The shard count is
-// bounded by the bytes left (a shard is at least a counter, a record
-// count and the length-prefixed two bytes of an empty tree); whether it
-// is legal, the trees are trees and the counters add up is RestoreDB's
-// call.
-func ReadSnapshot(r *binenc.Reader) *DBSnapshot {
-	s := &DBSnapshot{Ctr: r.Uvarint(), Shards: make([]ShardSnapshot, r.Count(5))}
-	if len(s.Shards) == 0 {
-		s.Tree = merkle.ReadSnapshot(r)
+// ReadSnapshot reads what AppendSnapshot wrote; a nonzero shard count
+// is ErrForestSnapshot. Whether the tree is a tree is RestoreDB's call.
+func ReadSnapshot(r *binenc.Reader) (*DBSnapshot, error) {
+	s := &DBSnapshot{Ctr: r.Uvarint()}
+	if r.Uvarint() != 0 {
+		return nil, ErrForestSnapshot
 	}
-	for i := range s.Shards {
-		s.Shards[i] = ShardSnapshot{Ctr: r.Uvarint(), Tree: merkle.ReadSnapshot(r)}
-	}
-	return s
+	s.Tree = merkle.ReadSnapshot(r)
+	return s, nil
 }
 
 // RestoreDB rebuilds a database from a snapshot.
 func RestoreDB(s *DBSnapshot) (*DB, error) {
-	if s == nil || (s.Tree == nil && len(s.Shards) == 0) {
+	if s == nil || s.Tree == nil {
 		return nil, errors.New("vdb: nil snapshot")
 	}
-	if len(s.Shards) == 0 {
-		t, err := merkle.Restore(s.Tree)
-		if err != nil {
-			return nil, err
-		}
-		db := newForest(1)
-		db.shards[0].tree, db.shards[0].ctr = t, s.Ctr
-		db.gctr = s.Ctr
-		db.heads[0] = headEntry{tree: t, ctr: s.Ctr}
-		return db, nil
+	t, err := merkle.Restore(s.Tree)
+	if err != nil {
+		return nil, err
 	}
-	if len(s.Shards) > MaxShards {
-		return nil, fmt.Errorf("vdb: snapshot has %d shards, max %d", len(s.Shards), MaxShards)
-	}
-	db := newForest(len(s.Shards))
-	var sum uint64
-	for i, ss := range s.Shards {
-		if ss.Tree == nil {
-			return nil, fmt.Errorf("vdb: snapshot shard %d has nil tree", i)
-		}
-		t, err := merkle.Restore(ss.Tree)
-		if err != nil {
-			return nil, fmt.Errorf("vdb: snapshot shard %d: %w", i, err)
-		}
-		db.shards[i].tree, db.shards[i].ctr = t, ss.Ctr
-		db.heads[i] = headEntry{tree: t, ctr: ss.Ctr}
-		sum += ss.Ctr
-	}
-	// Snapshots are untrusted input read back from disk: the forest
-	// invariant gctr = Σ shard counters must hold or the file is
-	// corrupt (or forged).
-	if sum != s.Ctr {
-		return nil, fmt.Errorf("vdb: snapshot gctr %d != sum of shard counters %d", s.Ctr, sum)
-	}
-	db.gctr = s.Ctr
-	return db, nil
+	return &DB{tree: t, ctr: s.Ctr}, nil
 }
 
 // Fork returns an independent copy of the database sharing structure
 // with the original — the primitive the adversary package uses to
-// mount the Figure 1 partition attack. Cheap because the trees are
-// persistent; the cut is the published head vector, a consistent point
-// of the forest order.
+// mount the Figure 1 partition attack. Cheap because the tree is
+// persistent; the cut is the published head.
 func (db *DB) Fork() *DB {
-	db.fmu.Lock()
-	gctr := db.gctr
-	heads := append([]headEntry(nil), db.heads...)
-	db.fmu.Unlock()
-	out := newForest(len(heads))
-	for i, e := range heads {
-		out.shards[i].tree, out.shards[i].ctr = e.tree, e.ctr
-		out.heads[i] = e
-	}
-	out.gctr = gctr
-	return out
+	ctr, t := db.head()
+	return &DB{tree: t, ctr: ctr}
 }
 
 // VerifyDerive replays op on the VO's pruned pre-state without a

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -334,43 +333,39 @@ func TestQuickInPlaceReplayMatchesPersistent(t *testing.T) {
 	}
 }
 
-// TestSnapshotThroughBytes: a database — single tree and forest —
-// survives its persistent encoding with the exact head vector, what
-// decodes re-encodes to the same bytes, and a forest whose counters do
-// not add up, or whose shard count the bytes cannot back, is refused.
+// TestSnapshotThroughBytes: a database survives its persistent
+// encoding with the exact head, what decodes re-encodes to the same
+// bytes, and a sharded layout — a nonzero shard count, however large —
+// is refused with ErrForestSnapshot.
 func TestSnapshotThroughBytes(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		db := NewSharded(4, shards)
-		for i := 0; i < 40; i++ {
-			if _, _, err := db.Apply(&WriteOp{Puts: []KV{{Key: fmt.Sprintf("k%02d", i), Val: []byte{byte(i)}}}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		enc := AppendSnapshot(nil, db.Snapshot())
-		r := binenc.NewReader(enc)
-		snap := ReadSnapshot(r)
-		if err := r.Close(); err != nil {
+	db := New(4)
+	for i := 0; i < 40; i++ {
+		if _, _, err := db.Apply(&WriteOp{Puts: []KV{{Key: fmt.Sprintf("k%02d", i), Val: []byte{byte(i)}}}}); err != nil {
 			t.Fatal(err)
-		}
-		if again := AppendSnapshot(nil, snap); !bytes.Equal(again, enc) {
-			t.Fatalf("%d shards: decode + encode is not the identity", shards)
-		}
-		back, err := RestoreDB(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(back.Heads(), db.Heads()) || back.Root() != db.Root() || back.Ctr() != 40 {
-			t.Fatalf("%d shards: restored heads %v, want %v", shards, back.Heads(), db.Heads())
-		}
-		if shards > 1 {
-			snap.Ctr++
-			if _, err := RestoreDB(snap); err == nil {
-				t.Fatal("a forest whose shard counters do not sum to gctr was restored")
-			}
 		}
 	}
-	r := binenc.NewReader(binary.AppendUvarint([]byte{0}, 1<<40))
-	if ReadSnapshot(r); !errors.Is(r.Err(), binenc.ErrMalformed) {
-		t.Fatalf("a shard count beyond the input read as %v", r.Err())
+	enc := AppendSnapshot(nil, db.Snapshot())
+	r := binenc.NewReader(enc)
+	snap, err := ReadSnapshot(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if again := AppendSnapshot(nil, snap); !bytes.Equal(again, enc) {
+		t.Fatal("decode + encode is not the identity")
+	}
+	back, err := RestoreDB(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Root() != db.Root() || back.Ctr() != 40 {
+		t.Fatalf("restored to (%d, %s), want (40, %s)", back.Ctr(), back.Root().Short(), db.Root().Short())
+	}
+	for _, n := range []uint64{1, 4, 1 << 40} {
+		if _, err := ReadSnapshot(binenc.NewReader(binary.AppendUvarint([]byte{40}, n))); !errors.Is(err, ErrForestSnapshot) {
+			t.Errorf("shard count %d read as %v, want ErrForestSnapshot", n, err)
+		}
 	}
 }

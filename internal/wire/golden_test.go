@@ -21,7 +21,7 @@ import (
 // claims, if one does not re-encode to itself, or if DESIGN.md's tag
 // table lacks the row.
 func TestEveryTagHasAGolden(t *testing.T) {
-	paths, frames := goldenFrames(t)
+	paths, frames := goldenFrames(t, wiretest.Dir)
 	covered := make(map[reflect.Type]bool)
 	for i, frame := range frames {
 		base := filepath.Base(paths[i])

@@ -17,11 +17,12 @@ import (
 	_ "trustedcvs/internal/driver"
 )
 
-// goldenFrames reads every checked-in golden frame — wire's own and
-// those of each package that registers messages — in path order.
-func goldenFrames(t testing.TB) (paths []string, frames [][]byte) {
+// goldenFrames reads every checked-in frame under dir (wiretest.Dir or
+// wiretest.RetiredDir) — wire's own and those of each package that
+// registers messages — in path order.
+func goldenFrames(t testing.TB, dir string) (paths []string, frames [][]byte) {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join("..", "*", wiretest.Dir, "*.bin"))
+	paths, err := filepath.Glob(filepath.Join("..", "*", dir, "*.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +58,13 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{0x40, 0, 0, 1, 0xff})
 	// A header declaring MaxMessage, followed by ten bytes.
 	f.Add(append(header(formatFlag|wire.MaxMessage), make([]byte, 10)...))
-	_, frames := goldenFrames(f)
-	for _, frame := range frames {
-		f.Add(frame)
-		mutations(frame, func(b []byte) { f.Add(b) })
+	// The frames of retired messages seed it too: each must be refused.
+	for _, dir := range []string{wiretest.Dir, wiretest.RetiredDir} {
+		_, frames := goldenFrames(f, dir)
+		for _, frame := range frames {
+			f.Add(frame)
+			mutations(frame, func(b []byte) { f.Add(b) })
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {

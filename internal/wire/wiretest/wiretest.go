@@ -8,6 +8,7 @@ package wiretest
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -24,8 +25,12 @@ var update = flag.Bool("update", false, "rewrite the golden wire frames and jour
 // package directory.
 const Dir = "testdata/golden/wire"
 
+// RetiredDir is where a package keeps the golden frames of messages
+// this binary no longer speaks, relative to the package directory.
+const RetiredDir = "testdata/golden/retired"
+
 // Sample is one message to pin. Variant distinguishes several samples
-// of one type ("absent", "forest"); it may be empty for one of them.
+// of one type ("absent", "empty"); it may be empty for one of them.
 type Sample struct {
 	Variant string
 	Msg     any
@@ -95,5 +100,25 @@ func Bytes(t *testing.T, path string, got []byte) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s: encoding changed\n got %x\nwant %x", path, got, want)
+	}
+}
+
+// Retired checks that every frame under RetiredDir — a message as an
+// earlier binary framed it, whose type or fields are gone — is refused
+// by the Decoder with wire.ErrMalformed.
+func Retired(t *testing.T) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(RetiredDir, "*.bin"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no retired frames under %s (%v)", RetiredDir, err)
+	}
+	for _, p := range paths {
+		frame, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg, err := wire.NewDecoder(bytes.NewReader(frame)).Decode(); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s decodes to %#v, %v; want wire.ErrMalformed", p, msg, err)
+		}
 	}
 }

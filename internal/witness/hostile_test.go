@@ -77,19 +77,19 @@ func TestWitnessRefusesLyingSnapshotBody(t *testing.T) {
 		body []byte
 		want string // what the refusal must name
 	}{
-		"shard count":         {cat([]byte{0}, huge, empty, tail), "count 1099511627776 exceeds"},
+		"shard count":         {cat([]byte{0}, huge, empty, tail), server.ErrSnapshotFormat.Error()},
 		"record count":        {cat([]byte{0, 0}, huge, []byte{2, 4, 0}, tail), "count 1099511627776 exceeds"},
 		"tree length":         {cat([]byte{0, 0, 0}, huge, []byte{4, 0}, tail), "count 1099511627776 exceeds"},
 		"tree-node key count": {cat([]byte{0, 0}, tree(0, append([]byte{4, 2}, huge...)...), tail), "count 1099511627776 exceeds"},
 		"tree-node kid count": {cat([]byte{0, 0}, tree(0, append([]byte{4, 3}, huge...)...), tail), "count 1099511627776 exceeds"},
 		"tree too deep":       {cat([]byte{0, 0}, tree(0, deep...), tail), "deeper than 64 levels"},
 		"pruned node in tree": {cat([]byte{0, 0}, tree(2, pruned...), tail), "pruned node"},
-		"gctr != sum of ctrs": {cat([]byte{5, 2, 1}, empty, []byte{1}, empty, store, lastUser, []byte{2}, make([]byte, 2*(1+digest.Size)), []byte{0}), "gctr 5 != sum of shard counters 2"},
+		"sharded layout":      {cat([]byte{5, 2, 1}, empty, []byte{1}, empty, store, lastUser, []byte{2}, make([]byte, 2*(1+digest.Size)), []byte{0}), server.ErrSnapshotFormat.Error()},
 		"blob count":          {cat(single, huge, lastUser, []byte{0, 0}), "count 1099511627776 exceeds"},
 		"blob length":         {cat(single, []byte{1}, huge, lastUser, []byte{0, 0}), "count 1099511627776 exceeds"},
 		"blobs out of order":  {cat(single, blobs(hi, lo), lastUser, []byte{0, 0}), "digest order"},
 		"duplicate blob":      {cat(single, blobs(lo, lo), lastUser, []byte{0, 0}), "digest order"},
-		"meta count":          {cat(single, store, lastUser, huge, []byte{0}), "count 1099511627776 exceeds"},
+		"meta count":          {cat(single, store, lastUser, huge, []byte{0}), server.ErrSnapshotFormat.Error()},
 		"session count":       {cat(single, store, lastUser, []byte{0}, huge), "count 1099511627776 exceeds"},
 		"outcome count":       {cat(single, store, lastUser, []byte{0, 1, 9, 1, 0}, huge), "count 1099511627776 exceeds"},
 		"nested reply tag":    {cat(single, store, lastUser, []byte{0, 1, 9, 1, 0, 1, 1, 0, 0, 200}), "unknown message tag 200"},

@@ -514,7 +514,11 @@ func loadUser1(path string, signer *sig.Signer, ring *sig.Ring, k uint64) (*prot
 type ownerOnly struct{ durable.FS }
 
 func (ownerOnly) Create(name string) (durable.File, error) {
-	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	if err != nil {
+		return nil, err
+	}
+	return durable.NewFile(f), nil
 }
 
 // saveUser replaces the state file atomically. A crash mid-save must

@@ -3,6 +3,7 @@ package audit
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -168,11 +169,13 @@ func TestQueueFullDegradesNeverDrops(t *testing.T) {
 	srv := proto2.NewServer(db)
 	u := proto2.NewUser(1, db.Root(), 1<<20)
 
-	release := make(chan struct{})
+	release, stalled := make(chan struct{}), make(chan struct{})
+	var stallOnce sync.Once
 	var aud *Auditor
 	a, err := New(Config{
 		User: u, Epoch: 1 << 20, Users: 1, Queue: 1,
 		Publish: func(r Report) error {
+			stallOnce.Do(func() { close(stalled) })
 			<-release // stall the worker inside the seal publish
 			aud.SubmitReport(r)
 			return nil
@@ -184,7 +187,11 @@ func TestQueueFullDegradesNeverDrops(t *testing.T) {
 	aud = a
 	defer a.Stop()
 
-	a.Seal() // worker picks this up and stalls in Publish
+	a.Seal()
+	// Submit only once the worker is stalled in the seal's publish: a
+	// worker still draining its batch would take the first record with
+	// the seal and leave room for the second.
+	<-stalled
 
 	// Two valid records: the first fills the queue (cap 1), the second
 	// must block rather than drop.

@@ -24,10 +24,25 @@ import (
 )
 
 // File is the write side of one durable file: what a write-sync-close
-// persistence path actually needs.
+// persistence path actually needs, plus the three calls an append-only
+// journal uses to keep its hot path to one data flush.
 type File interface {
 	io.Writer
+	// Sync flushes the file's data and all of its metadata (fsync).
 	Sync() error
+	// SyncData flushes the file's data and only the metadata needed to
+	// read it back (fdatasync): an unwritten-extent conversion or a
+	// size change is covered, timestamps are not. Where the platform
+	// has no such call it is Sync.
+	SyncData() error
+	// Allocate reserves disk space so the file spans at least size
+	// bytes (fallocate mode 0: the new range reads as zeros and the
+	// file size grows to cover it). Best effort: a filesystem or
+	// platform without the call makes it a no-op, and plain appends
+	// past the end stay correct there, only slower.
+	Allocate(size int64) error
+	// Truncate sets the file's size.
+	Truncate(size int64) error
 	Close() error
 }
 
@@ -36,6 +51,9 @@ type File interface {
 // crashes at every step. OS is the real implementation.
 type FS interface {
 	Create(name string) (File, error)
+	// Reopen opens an existing file for writing in place, without
+	// truncating it: the repair path of a journal's torn tail.
+	Reopen(name string) (File, error)
 	Rename(oldname, newname string) error
 	Remove(name string) error
 	Exists(name string) (bool, error)
@@ -49,8 +67,20 @@ var OS FS = osFS{}
 
 type osFS struct{}
 
-func (osFS) Create(name string) (File, error) { return os.Create(name) }
+func (osFS) Create(name string) (File, error) { return wrapOS(os.Create(name)) }
+func (osFS) Reopen(name string) (File, error) { return wrapOS(os.OpenFile(name, os.O_WRONLY, 0)) }
 func (osFS) Remove(name string) error         { return os.Remove(name) }
+
+// NewFile makes an open *os.File a File, for callers that open with
+// flags or a mode of their own.
+func NewFile(f *os.File) File { return newOSFile(f) }
+
+func wrapOS(f *os.File, err error) (File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return newOSFile(f), nil
+}
 
 //lint:ignore syncdiscipline the passthrough primitive itself; syncing first is the job of its one caller, WriteFileAtomic
 func (osFS) Rename(o, n string) error { return os.Rename(o, n) }

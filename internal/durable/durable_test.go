@@ -52,6 +52,60 @@ func TestOSFSRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOSFilePreallocateAndTrim walks the journal's file life cycle on
+// the real filesystem: reserve space, write into it, flush the data,
+// trim to the written end, reopen in place and trim again. A flush of
+// a closed file must fail, not reach whatever descriptor took its
+// number.
+func TestOSFilePreallocateAndTrim(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg")
+	f, err := durable.OS.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Allocate(1 << 16); err != nil {
+		t.Fatalf("Allocate: %v", err)
+	}
+	if _, err := f.Write([]byte("frames")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SyncData(); err != nil {
+		t.Fatalf("SyncData: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data[:6]) != "frames" || bytes.Count(data[6:], []byte{0}) != len(data)-6 {
+		t.Fatalf("preallocated file reads %q…, want the frames then zeros", data[:6])
+	}
+	if err := f.Truncate(6); err != nil {
+		t.Fatalf("Truncate: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SyncData(); err == nil {
+		t.Fatal("SyncData of a closed file succeeded")
+	}
+	g, err := durable.OS.Reopen(path)
+	if err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	if err := g.Truncate(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "fra" {
+		t.Fatalf("after reopen and trim: %q, %v; want \"fra\"", data, err)
+	}
+}
+
 // TestEnvelopeSeparatesMagicAndDomain: one codec serves every file
 // kind, so a file of one kind must never verify as another — neither
 // under a different magic nor under a different digest domain.

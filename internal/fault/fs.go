@@ -34,9 +34,9 @@ type FaultyFS struct {
 	// the classic "temp file written and synced, rename never
 	// happened" window.
 	CrashAtRename uint64
-	// CrashAtSync crashes the FS before the Nth Sync: data may be in
-	// the page cache but was never made durable; the inner file is
-	// truncated to half to simulate the lost tail.
+	// CrashAtSync crashes the FS before the Nth Sync or SyncData (one
+	// counter: a data-only flush is a sync point like any other): data
+	// may be in the page cache but was never made durable.
 	CrashAtSync uint64
 	// CrashAtCreate crashes the FS before the Nth Create — a WAL
 	// segment rotation that sealed the old segment but died before the
@@ -93,6 +93,18 @@ func (f *FaultyFS) Create(name string) (durable.File, error) {
 	}
 	f.mu.Unlock()
 	inner, err := f.inner().Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &faultyFile{fs: f, inner: inner}, nil
+}
+
+// Reopen opens a faulty handle on an existing file unless crashed.
+func (f *FaultyFS) Reopen(name string) (durable.File, error) {
+	if f.dead() {
+		return nil, ErrCrashed
+	}
+	inner, err := f.inner().Reopen(name)
 	if err != nil {
 		return nil, err
 	}
@@ -185,21 +197,47 @@ func (w *faultyFile) Write(p []byte) (int, error) {
 }
 
 func (w *faultyFile) Sync() error {
-	w.fs.mu.Lock()
-	if w.fs.crashed {
-		w.fs.mu.Unlock()
-		return ErrCrashed
-	}
-	w.fs.syncs++
-	crash := w.fs.CrashAtSync != 0 && w.fs.syncs == w.fs.CrashAtSync
-	if crash {
-		w.fs.crashed = true
-	}
-	w.fs.mu.Unlock()
-	if crash {
-		return fmt.Errorf("%w: before sync", ErrCrashed)
+	if err := w.fs.beforeSync(); err != nil {
+		return err
 	}
 	return w.inner.Sync()
+}
+
+func (w *faultyFile) SyncData() error {
+	if err := w.fs.beforeSync(); err != nil {
+		return err
+	}
+	return w.inner.SyncData()
+}
+
+// beforeSync counts one sync point and crashes the FS if it is the
+// scheduled one.
+func (f *FaultyFS) beforeSync() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.crashed {
+		return ErrCrashed
+	}
+	f.syncs++
+	if f.CrashAtSync != 0 && f.syncs == f.CrashAtSync {
+		f.crashed = true
+		return fmt.Errorf("%w: before sync", ErrCrashed)
+	}
+	return nil
+}
+
+func (w *faultyFile) Allocate(size int64) error {
+	if w.fs.dead() {
+		return ErrCrashed
+	}
+	return w.inner.Allocate(size)
+}
+
+func (w *faultyFile) Truncate(size int64) error {
+	if w.fs.dead() {
+		return ErrCrashed
+	}
+	return w.inner.Truncate(size)
 }
 
 func (w *faultyFile) Close() error {

@@ -49,6 +49,7 @@ func TestFixtureCorpus(t *testing.T) {
 		{"lockscope", "internal/vdb/lock.go", 22},              // gob Encode under defer-Unlock
 		{"syncdiscipline", "internal/wal/wal.go", 35},          // rename into place, no preceding fsync
 		{"syncdiscipline", "internal/wal/wal.go", 87},          // segment created in place, predecessor unsealed
+		{"syncdiscipline", "internal/wal/wal.go", 115},         // segment created after a data-only flush, which does not seal
 	}
 	got := Run(m, Passes())
 	for i := 0; i < len(got) || i < len(want); i++ {

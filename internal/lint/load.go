@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -195,7 +196,9 @@ func walkPackageDirs(base string) ([]string, error) {
 	return dirs, err
 }
 
-// goFilesIn lists the non-test Go files of one directory.
+// goFilesIn lists the non-test Go files of one directory that build on
+// this platform (file-name suffixes and //go:build lines, as the go
+// tool reads them).
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -208,7 +211,13 @@ func goFilesIn(dir string) ([]string, error) {
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		names = append(names, name)
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

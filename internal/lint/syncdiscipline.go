@@ -25,7 +25,9 @@ import (
 //
 // The required sync (a callee named Sync or SyncDir, or a module
 // function that provably reaches one — summaries propagate through the
-// static call graph to a fixpoint) must appear lexically before the
+// static call graph to a fixpoint; a data-only SyncData is the append
+// hot path's flush, not a seal, and earns no credit: a segment is
+// sealed by trim + full Sync) must appear lexically before the
 // sink in the same function body. Lexical order over-approximates
 // control flow: a sync in any earlier branch counts. Function literals
 // are not walked for sinks and earn no sync credit — when a closure

@@ -105,3 +105,16 @@ func PublishAsync(fs FS, tmp, path string, report func(error)) {
 		report(fs.Rename(tmp, path))
 	}()
 }
+
+// SyncData flushes data only — the append hot path's flush, not a seal.
+func (f *File) SyncData() error { return nil }
+
+// RotateDataOnly flushes only the predecessor's data before creating
+// the next segment: a data-only flush does not seal. FLAGGED (at this
+// declaration).
+func RotateDataOnly(fs FS, active *File, name string) (*File, error) {
+	if err := active.SyncData(); err != nil {
+		return nil, err
+	}
+	return fs.Create(name)
+}

@@ -49,6 +49,9 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte(segMagic))
+	// What a killed process leaves: one clean frame, then preallocated
+	// slack that reads as zeros.
+	f.Add(append(appendFrame([]byte(segMagic), 0, []byte("abc")), make([]byte, 256)...))
 	// A header promising a giant payload: must be rejected as torn
 	// without a giant allocation.
 	huge := []byte(segMagic)

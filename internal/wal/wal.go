@@ -27,13 +27,23 @@
 //
 // # Durability contract
 //
-// Append is durable on return: the frame has been fsynced when Append
-// reports nil. Concurrent appenders coalesce into one fsync (group
-// commit), so the per-append cost amortizes under load. SyncOnRotate
-// relaxes this for journals whose loss window may span a segment:
-// frames are synced only at rotation and Close, trading the tail of
-// the active segment for hot-path throughput (the server's applied-op
-// journal uses this; the audit WAL does not).
+// Append is durable on return: the frame has been flushed to disk when
+// Append reports nil. The active segment is preallocated (fallocate,
+// segChunk bytes at a time, ahead of the write offset), so an append
+// writes into space the file already owns and its flush is a data-only
+// one (fdatasync): the file size does not change per frame, and the
+// flush commits no filesystem-journal transaction for it. Concurrent
+// appenders coalesce into one flush (group commit), so the per-append
+// cost amortizes under load. SyncOnRotate relaxes this for journals
+// whose loss window may span a segment: frames are synced only at
+// rotation and Close, trading the tail of the active segment for
+// hot-path throughput (the server's applied-op journal uses this; the
+// audit WAL does not). Both policies take the same preallocated path.
+//
+// After a crash the active segment ends in preallocated slack, which
+// reads as zeros. A zero frame header fails its footer check, so the
+// slack is a torn tail like any other: Replay ends cleanly on it and
+// Open trims it.
 //
 // # Rotation and truncation
 //
@@ -41,9 +51,15 @@
 // exceeds the active segment's rotates first, so every segment covers
 // a contiguous, non-overlapping epoch range and truncation after epoch
 // closure is a whole-file unlink (TruncateThrough). Rotation seals the
-// old segment (sync, close) before creating the new one, and every
-// create/unlink is followed by a directory sync — the syncdiscipline
-// lint pass machine-checks that ordering.
+// old segment — trim to the end of its last frame, full fsync, close —
+// before creating the new one, so a sealed segment never carries
+// slack and is byte-identical to one written without preallocation;
+// zeros past the last frame of a sealed segment are corruption, never
+// a clean end. Close seals the active segment the same way, and Open
+// trims and fully syncs a torn final segment before the segment that
+// follows it exists. Every create/unlink is followed by a directory
+// sync — the syncdiscipline lint pass machine-checks that ordering,
+// and it does not count a data-only flush as a seal.
 package wal
 
 import (
@@ -69,6 +85,11 @@ const segMagic = "TCVSWAL1\n"
 // header cannot demand an absurd allocation before the footer check
 // rejects it (same guard as the snapshot loader's).
 const maxFrameBytes = 1 << 30
+
+// segChunk is how far ahead of its write offset the active segment
+// reserves disk space: one chunk after the magic at creation, one more
+// past a frame that would cross the reserved end.
+const segChunk = 1 << 20
 
 // ErrClosed is returned by operations on a closed WAL.
 var ErrClosed = errors.New("wal: closed")
@@ -120,6 +141,8 @@ type WAL struct {
 	mu       sync.Mutex
 	active   durable.File
 	seq      uint64 // active segment sequence number
+	off      int64  // end of the active segment's last frame
+	reserved int64  // end of the active segment's preallocated space
 	frames   uint64 // frames written to the active segment
 	lastEp   uint64 // epoch of the newest frame in the active segment
 	written  uint64 // total frames written since Open
@@ -170,11 +193,12 @@ func listSegments(dir string) ([]uint64, error) {
 }
 
 // Open opens (or initializes) the journal at opts.Dir. Existing
-// segments are scanned: a torn tail on the newest segment is truncated
-// in place (plain os — the crash is over, this is reboot territory),
-// and appending resumes on a fresh segment so sealed files are never
-// rewritten. Earlier segments with invalid frames are corruption and
-// fail Open.
+// segments are scanned: a torn tail on the newest segment (preallocated
+// slack after a crash is one) is truncated in place and the trimmed
+// file fully synced before appending resumes on a fresh segment, so
+// sealed files are never rewritten and the torn bytes cannot come back
+// in what is by then a non-final segment. Earlier segments with invalid
+// frames are corruption and fail Open.
 func Open(opts Options) (*WAL, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: Options.Dir is required")
@@ -198,20 +222,24 @@ func Open(opts Options) (*WAL, error) {
 		if err != nil {
 			return nil, err
 		}
-		if final && info.tornAt >= 0 {
-			// Drop the torn tail so later replays see a clean file.
-			if err := os.Truncate(w.segPath(seq), info.tornAt); err != nil {
-				return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", segName(seq), err)
-			}
-		}
 		if info.frames == 0 {
 			// A rotation that crashed after creating the file (or a
 			// fully torn segment): nothing in it, remove rather than
-			// carry an empty sealed segment forever.
+			// carry an empty sealed segment forever. The unlink is made
+			// durable before the next segment exists: back as a
+			// non-final segment, its zero slack would be corruption.
 			if err := os.Remove(w.segPath(seq)); err != nil {
 				return nil, fmt.Errorf("wal: remove empty %s: %w", segName(seq), err)
 			}
+			if err := w.fs.SyncDir(w.dir); err != nil {
+				return nil, fmt.Errorf("wal: sync dir: %w", err)
+			}
 			continue
+		}
+		if final && info.tornAt >= 0 {
+			if err := w.trimSegment(seq, info.tornAt); err != nil {
+				return nil, err
+			}
 		}
 		w.sealed = append(w.sealed, segment{seq: seq, maxEpoch: info.maxEpoch})
 	}
@@ -227,10 +255,24 @@ func Open(opts Options) (*WAL, error) {
 
 func (w *WAL) segPath(seq uint64) string { return filepath.Join(w.dir, segName(seq)) }
 
-// createSegmentLocked creates and installs a fresh active segment.
-// The caller holds mu (or is Open, before the WAL escapes).
+// trimSegment drops a torn tail and makes the shorter file durable
+// (full sync: the repair is a size change) before Open goes on to
+// create the next segment.
+func (w *WAL) trimSegment(seq uint64, size int64) error {
+	f, err := w.fs.Reopen(w.segPath(seq))
+	if err == nil {
+		err = sealSegment(f, size)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: truncate torn tail of %s: %w", segName(seq), err)
+	}
+	return nil
+}
+
+// createSegmentLocked creates, preallocates and installs a fresh active
+// segment. The caller holds mu (or is Open, before the WAL escapes).
 //
-//lint:ignore syncdiscipline the very first segment of a journal has no predecessor to sync; rotation seals the old segment (sync+close) before reaching this helper
+//lint:ignore syncdiscipline the very first segment of a journal has no predecessor to sync; rotation seals the old segment (trim+sync+close), and Open syncs a trimmed one, before reaching this helper
 func (w *WAL) createSegmentLocked(seq uint64) error {
 	f, err := w.fs.Create(w.segPath(seq))
 	if err != nil {
@@ -240,6 +282,11 @@ func (w *WAL) createSegmentLocked(seq uint64) error {
 		_ = f.Close()
 		return fmt.Errorf("wal: write segment magic: %w", err)
 	}
+	off := int64(len(segMagic))
+	if err := f.Allocate(off + segChunk); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("wal: preallocate segment %d: %w", seq, err)
+	}
 	// Make the directory entry durable: a segment whose frames are
 	// fsynced but whose name is not survives nothing.
 	if err := w.fs.SyncDir(w.dir); err != nil {
@@ -247,6 +294,7 @@ func (w *WAL) createSegmentLocked(seq uint64) error {
 		return fmt.Errorf("wal: sync dir: %w", err)
 	}
 	w.active, w.seq, w.frames, w.lastEp = f, seq, 0, 0
+	w.off, w.reserved = off, off+segChunk
 	return nil
 }
 
@@ -291,12 +339,23 @@ func (w *WAL) Append(epoch uint64, payload []byte) error {
 	}
 	frame := appendFrame(w.frame, epoch, payload)
 	w.frame = binenc.Recycle(frame)
+	end := w.off + int64(len(frame))
+	if end > w.reserved {
+		if err := w.active.Allocate(end + segChunk); err != nil {
+			w.appendEr = fmt.Errorf("wal: preallocate: %w", err)
+			err = w.appendEr
+			w.mu.Unlock()
+			return err
+		}
+		w.reserved = end + segChunk
+	}
 	if _, err := w.active.Write(frame); err != nil {
 		w.appendEr = fmt.Errorf("wal: append: %w", err)
 		err = w.appendEr
 		w.mu.Unlock()
 		return err
 	}
+	w.off = end
 	w.frames++
 	w.written++
 	if epoch > w.lastEp {
@@ -314,7 +373,9 @@ func (w *WAL) Append(epoch uint64, payload []byte) error {
 // syncThrough is the group-commit path: make every frame up to at
 // least seq durable. The first caller in becomes the leader and syncs
 // for everyone queued behind it; followers find their frame already
-// covered and return without touching the disk.
+// covered and return without touching the disk. The flush is data-only:
+// the frames landed in preallocated space, so no size change rides it
+// (and if one did, fdatasync would still carry it).
 func (w *WAL) syncThrough(seq uint64) error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
@@ -331,7 +392,7 @@ func (w *WAL) syncThrough(seq uint64) error {
 	f, high, seg := w.active, w.written, w.seq
 	w.mu.Unlock()
 
-	if err := f.Sync(); err != nil {
+	if err := f.SyncData(); err != nil {
 		w.mu.Lock()
 		if w.seq != seg {
 			// The segment rotated under us; rotation synced and closed
@@ -354,14 +415,13 @@ func (w *WAL) syncThrough(seq uint64) error {
 	return nil
 }
 
-// rotateLocked seals the active segment — sync, close, record — and
-// opens the next one. Caller holds mu.
+// rotateLocked seals the active segment — trim, sync, close, record —
+// and opens the next one. Caller holds mu.
 func (w *WAL) rotateLocked() error {
-	if err := w.active.Sync(); err != nil {
-		return fmt.Errorf("wal: rotate sync: %w", err)
-	}
-	if err := w.active.Close(); err != nil {
-		return fmt.Errorf("wal: rotate close: %w", err)
+	err := sealSegment(w.active, w.off)
+	w.active = nil // closed either way; on failure the caller's sticky error guards every later use
+	if err != nil {
+		return fmt.Errorf("wal: rotate: %w", err)
 	}
 	w.synced = w.written
 	w.sealed = append(w.sealed, segment{seq: w.seq, maxEpoch: w.lastEp})
@@ -430,8 +490,22 @@ func (w *WAL) Appended() uint64 {
 	return w.written
 }
 
-// Close seals the active segment (final sync) and closes the journal.
-// Idempotent.
+// sealSegment trims f to end, the end of its last frame, fully syncs it
+// and closes it, so a sealed segment carries no preallocated slack. f
+// is closed even when the trim or the sync fails.
+func sealSegment(f durable.File, end int64) error {
+	err := f.Truncate(end)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Close seals the active segment (trim, final sync) and closes the
+// journal. Idempotent.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -439,21 +513,13 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	f := w.active
+	f, end := w.active, w.off
 	w.active = nil
-	dirty := w.synced < w.written
 	w.mu.Unlock()
 	if f == nil {
 		return nil
 	}
-	var err error
-	if dirty {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return sealSegment(f, end)
 }
 
 // Record is one replayed journal entry.

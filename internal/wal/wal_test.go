@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"trustedcvs/internal/durable"
@@ -179,6 +180,253 @@ func TestWALCorruptMiddleSegmentIsError(t *testing.T) {
 	}
 	if _, err := Open(Options{Dir: dir}); err == nil {
 		t.Fatal("Open accepted a corrupt non-final segment")
+	}
+}
+
+// kill abandons w the way a dead process does: its descriptor goes and
+// nothing is trimmed or synced, so the active segment keeps its
+// preallocated slack.
+func kill(t *testing.T, w *WAL) {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.active.Close(); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	w.active, w.closed = nil, true
+}
+
+// segmentTail reports a segment file's size and the end of its last
+// intact frame.
+func segmentTail(t *testing.T, dir string, seq uint64) (size, end int64) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, segName(seq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, torn, _ := parseSegment(data)
+	if torn < 0 {
+		return int64(len(data)), int64(len(data))
+	}
+	return int64(len(data)), torn
+}
+
+// TestWALKilledJournalTrimsSlack: a journal killed after N appends
+// replays exactly N records although its active segment ends in
+// preallocated zeros; sealed segments never carry slack; reopening
+// trims it; and after one more append and a clean Close every segment
+// ends exactly at its last frame.
+func TestWALKilledJournalTrimsSlack(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 7
+	for i := 0; i < n; i++ {
+		if err := w.Append(uint64(i/3), payloadFor(i)); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+	}
+	kill(t, w)
+	seqs, err := listSegments(dir)
+	if err != nil || len(seqs) != 3 {
+		t.Fatalf("segments = %v, %v; want 3", seqs, err)
+	}
+	for _, seq := range seqs[:2] {
+		if size, end := segmentTail(t, dir, seq); size != end {
+			t.Fatalf("sealed %s: %d bytes, last frame ends at %d", segName(seq), size, end)
+		}
+	}
+	if size, end := segmentTail(t, dir, seqs[2]); size == end {
+		t.Log("no preallocation on this filesystem: the killed segment has no slack")
+	}
+	recs := replayAll(t, dir)
+	if len(recs) != n {
+		t.Fatalf("replayed %d records from a killed journal, want %d", len(recs), n)
+	}
+	for i, r := range recs {
+		if r.Epoch != uint64(i/3) || string(r.Payload) != string(payloadFor(i)) {
+			t.Fatalf("record %d = (e%d, %q)", i, r.Epoch, r.Payload)
+		}
+	}
+
+	w, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if size, end := segmentTail(t, dir, seqs[2]); size != end {
+		t.Fatalf("Open left %d bytes of slack on %s", size-end, segName(seqs[2]))
+	}
+	if err := w.Append(9, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(replayAll(t, dir)); got != n+1 {
+		t.Fatalf("replayed %d records, want %d", got, n+1)
+	}
+	seqs, _ = listSegments(dir)
+	if len(seqs) != 4 {
+		t.Fatalf("segments after reopen = %v, want 4", seqs)
+	}
+	for _, seq := range seqs {
+		if size, end := segmentTail(t, dir, seq); size != end || end <= int64(len(segMagic)) {
+			t.Fatalf("%s after Close: %d bytes, last frame ends at %d", segName(seq), size, end)
+		}
+	}
+}
+
+// TestWALReservesPastLargeFrames: a frame that crosses the reserved end
+// reserves a chunk past itself, so the next append still lands in owned
+// space, and replay survives a kill either way.
+func TestWALReservesPastLargeFrames(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, segName(1))); err != nil || fi.Size() <= int64(len(segMagic)) {
+		t.Skipf("no preallocation on this filesystem (%v)", err)
+	}
+	big := bytes.Repeat([]byte{'b'}, segChunk*3/4)
+	for i := 0; i < 2; i++ {
+		if err := w.Append(1, big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kill(t, w)
+	if size, end := segmentTail(t, dir, 1); size-end != segChunk {
+		t.Fatalf("%d bytes reserved past the crossing frame, want %d", size-end, segChunk)
+	}
+	if got := len(replayAll(t, dir)); got != 2 {
+		t.Fatalf("replayed %d, want 2", got)
+	}
+}
+
+// TestWALSealedZeroTailIsCorruption: zeros after the last frame end a
+// final segment cleanly (that is crash slack) but are corruption in a
+// sealed one. Taking them for a clean end there would let lost writes
+// shorten the journal silently.
+func TestWALSealedZeroTailIsCorruption(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := uint64(1); e <= 2; e++ {
+		if err := w.Append(e, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 4096)
+	appendZeros := func(seq uint64) {
+		f, err := os.OpenFile(filepath.Join(dir, segName(seq)), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.Write(zeros); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendZeros(2)
+	if got := len(replayAll(t, dir)); got != 2 {
+		t.Fatalf("zero tail on the final segment: replayed %d, want 2", got)
+	}
+	appendZeros(1)
+	if err := Replay(dir, func(Record) error { return nil }); err == nil {
+		t.Fatal("Replay accepted a sealed segment with a zero tail")
+	}
+	if _, err := Open(Options{Dir: dir}); err == nil {
+		t.Fatal("Open accepted a sealed segment with a zero tail")
+	}
+}
+
+// TestWALOpenSyncsRepairBeforeNextSegment pins the repair order: the
+// trimmed final segment is fully synced before the next segment is
+// created. Crashing the first sync of a reopen must find no new
+// segment; otherwise, after a power loss, the torn bytes could return
+// in what is by then a non-final segment and the next Open would
+// refuse the whole journal.
+func TestWALOpenSyncsRepairBeforeNextSegment(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := w.Append(1, payloadFor(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kill(t, w)
+	// Tear the last frame too, so there is a tail to trim on any
+	// filesystem, preallocating or not.
+	_, end := segmentTail(t, dir, 1)
+	if err := os.Truncate(filepath.Join(dir, segName(1)), end-1); err != nil {
+		t.Fatal(err)
+	}
+
+	ffs := &fault.FaultyFS{CrashAtSync: 1}
+	if _, err := Open(Options{Dir: dir, FS: ffs}); !errors.Is(err, fault.ErrCrashed) {
+		t.Fatalf("Open with its first sync crashing = %v, want ErrCrashed", err)
+	}
+	if seqs, _ := listSegments(dir); len(seqs) != 1 {
+		t.Fatalf("segments after a crash before the repair's sync = %v: the next segment was created first", seqs)
+	}
+	if got := len(replayAll(t, dir)); got != 2 {
+		t.Fatalf("replayed %d, want the 2 intact records", got)
+	}
+	w, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen after the crashed repair: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALConcurrentAppendsAcrossRotations races group-commit leaders'
+// data flushes against rotations that trim, sync and close the segment
+// under them: every append reports durable, every record replays, and
+// every segment ends at its last frame.
+func TestWALConcurrentAppendsAcrossRotations(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 4, 60
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := w.Append(uint64(i/10), []byte(fmt.Sprintf("w%d-%d", g, i))); err != nil {
+					t.Errorf("writer %d append %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(replayAll(t, dir)); got != writers*each {
+		t.Fatalf("replayed %d records, want %d", got, writers*each)
+	}
+	seqs, _ := listSegments(dir)
+	for _, seq := range seqs {
+		if size, end := segmentTail(t, dir, seq); size != end {
+			t.Fatalf("%s: %d bytes, last frame ends at %d", segName(seq), size, end)
+		}
 	}
 }
 

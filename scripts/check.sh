@@ -52,13 +52,15 @@ fi
 # internal/* signature change that breaks benchmark/layers.go fails here.
 go -C benchmark vet .
 go -C benchmark test .
-# The counted-metric gate: a short run of the benchmark's key-value and
-# CVS workloads must stay inside the allocation budgets of
-# scripts/count_budget.txt, and a traced key-value run inside its byte
-# budgets (request, response and journal-record bytes, VO digests):
-# an encoding that grows by a byte fails here. Counts repeat; the
-# timings of the same runs are printed for the log and gate nothing.
-for w in kv-write cvs-mixed; do
+# The counted-metric gate: a short run of the benchmark's key-value,
+# CVS and journaled epoch-audit workloads must stay inside the
+# allocation budgets of scripts/count_budget.txt, and a traced
+# key-value run inside its byte budgets (request, response and
+# journal-record bytes, VO digests): an encoding that grows by a byte
+# fails here, and so does a journal that allocates a buffer per
+# segment. Counts repeat; the timings of the same runs are printed for
+# the log and gate nothing.
+for w in kv-write cvs-mixed kv-write-epoch-wal; do
     bash benchmark/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0 | tail -n 1 |
         python3 scripts/countgate.py scripts/count_budget.txt "$w"
 done

@@ -184,6 +184,25 @@ func TestClusterOverTCP(t *testing.T) {
 	}
 }
 
+// TestClusterOverTCPProtectedByDefault: a Network cluster built with no
+// overload configuration at all serves through the admission
+// controller at its default limit.
+func TestClusterOverTCPProtectedByDefault(t *testing.T) {
+	cluster, err := trustedcvs.NewLocalCluster(trustedcvs.ClusterConfig{Users: 1, Network: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := cluster.Do(0, &trustedcvs.WriteOp{Puts: []trustedcvs.KV{{Key: fmt.Sprintf("k%d", i), Val: []byte("v")}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cluster.AdmissionStats(); st.Limit != 64 || st.Admitted == 0 {
+		t.Fatalf("admission stats = %+v, want limit 64 and the operations admitted", st)
+	}
+}
+
 func TestClusterConflictIsNotDetection(t *testing.T) {
 	cluster, err := trustedcvs.NewLocalCluster(trustedcvs.ClusterConfig{Users: 2})
 	if err != nil {

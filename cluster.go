@@ -79,15 +79,6 @@ type ClusterConfig struct {
 	// crash left unaudited. Requires AuditEpoch > 0 and Network mode
 	// (resume rides the TCP hub's full-history replay).
 	AuditWALRoot string
-	// Overload arms server-side overload protection: a bounded,
-	// priority-classed admission queue with an adaptive concurrency
-	// limit that sheds excess load with typed wire.ErrOverloaded before
-	// any protocol state is touched, plus deadline-aware dispatch that
-	// refuses work whose propagated budget has already expired. The
-	// zero AdmissionOptions selects the package defaults. Requires
-	// Network mode: the in-process transport calls handlers directly
-	// and never queues.
-	Overload *transport.AdmissionOptions
 	// Brownout lets each client's epoch auditor widen its admission
 	// window up to this many epochs under sustained audit backlog (see
 	// audit.Config.Brownout) — graceful degradation instead of hard
@@ -135,9 +126,6 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.AuditWALRoot != "" && !cfg.Network {
 		return nil, fmt.Errorf("trustedcvs: AuditWALRoot requires Network mode (resume needs the TCP hub's history replay)")
-	}
-	if cfg.Overload != nil && !cfg.Network {
-		return nil, fmt.Errorf("trustedcvs: Overload requires Network mode (the in-process transport has no admission queue)")
 	}
 	if cfg.Brownout > 1 && cfg.AuditEpoch == 0 {
 		return nil, fmt.Errorf("trustedcvs: Brownout requires epoch-audit mode (AuditEpoch > 0)")
@@ -216,12 +204,9 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 	join := func() (broadcast.Channel, error) { return c.localHub().Join(), nil }
 	hubDials := 0 // non-resumable TCP hub channels opened
 	if cfg.Network {
-		var topts transport.Options
-		if cfg.Overload != nil {
-			topts.Admission = transport.NewAdmission(*cfg.Overload)
-			topts.Classify = driver.Classify
-		}
-		ts, err := transport.ListenOpts("127.0.0.1:0", handler, topts)
+		// Every TCP server runs admission control; the classifier lets
+		// it shed background traffic before user operations.
+		ts, err := transport.ListenOpts("127.0.0.1:0", handler, transport.Options{Classify: driver.Classify})
 		if err != nil {
 			return nil, err
 		}
@@ -399,8 +384,8 @@ func (c *Cluster) AuditStats(i int) audit.Stats {
 func (c *Cluster) AdvanceEpoch() { c.srv.AdvanceEpoch() }
 
 // AdmissionStats snapshots the TCP server's admission controller
-// (zero stats when Overload is not configured or the cluster is
-// in-process).
+// (zero stats for an in-process cluster, whose transport calls the
+// handler directly and never queues).
 func (c *Cluster) AdmissionStats() transport.AdmissionStats {
 	if c.tcp == nil {
 		return transport.AdmissionStats{}

@@ -77,7 +77,6 @@ func main() {
 		epochLen  = flag.Uint64("epoch-len", 0, "epoch length in global operations (-audit epoch; clients must use the same value)")
 		auditWAL  = flag.String("audit-wal", "", "durable op journal directory (protocol 2, honest only): applied ops and accepted content pushes are journaled with epoch-batched fsync and replayed over the -data snapshot on start")
 
-		overload       = flag.Bool("overload", false, "arm overload protection: bounded priority admission queue, adaptive (AIMD) concurrency limit, typed sheds, deadline-aware dispatch")
 		overloadTarget = flag.Duration("overload-target", 0, "per-request latency target the adaptive limit steers toward (0 = package default)")
 		overloadQueue  = flag.Int("overload-queue", 0, "admission queue depth across all priority classes (0 = package default)")
 		statsAddr      = flag.String("stats-addr", "", "serve the operator debug endpoint (GET /debug/tcvs, expvar at /debug/vars) on this address")
@@ -269,20 +268,17 @@ func main() {
 			}
 		}()
 	}
-	topts := transport.Options{Sessions: sessions}
-	if *overload {
-		topts.Admission = transport.NewAdmission(transport.AdmissionOptions{
-			Target: *overloadTarget, QueueDepth: *overloadQueue,
-		})
-		topts.Classify = driver.Classify
-		armed := topts.Admission.Options()
-		log.Printf("overload protection armed (target %v, queue %d, limit %d..%d)",
-			armed.Target, armed.QueueDepth, armed.MinLimit, armed.MaxLimit)
-	}
-	ts, err := transport.ListenOpts(*addr, handler, topts)
+	ts, err := transport.ListenOpts(*addr, handler, transport.Options{
+		Sessions:  sessions,
+		Admission: transport.AdmissionOptions{Target: *overloadTarget, QueueDepth: *overloadQueue},
+		Classify:  driver.Classify,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	armed := ts.AdmissionOptions()
+	log.Printf("overload protection armed (target %v, queue %d, limit %d..%d)",
+		armed.Target, armed.QueueDepth, armed.MinLimit, armed.MaxLimit)
 	log.Printf("tcvs-server (%v) listening on %s", p, ts.Addr())
 
 	var hub *broadcast.HubServer
@@ -295,11 +291,7 @@ func main() {
 	}
 
 	if *statsAddr != "" {
-		src := statsSources{EpochLen: *epochLen}
-		if topts.Admission != nil {
-			adm := topts.Admission
-			src.Admission = adm.Stats
-		}
+		src := statsSources{Admission: ts.AdmissionStats, EpochLen: *epochLen}
 		if hub != nil {
 			src.Hub = func() (int, int, uint64, uint64) {
 				st := hub.Stats()

@@ -8,13 +8,13 @@ import (
 )
 
 // statsSources bundles the live components the -stats-addr debug
-// endpoint snapshots. Every field is optional: a nil func (or zero
-// value) reports that subsystem as absent rather than failing, so the
-// endpoint works identically for a bare server and a fully decorated
-// deployment (admission control, hub, witness publisher, op journal).
+// endpoint snapshots. Admission is required — every server runs the
+// admission controller; every other field is optional: a nil func (or
+// zero value) reports that subsystem as absent rather than failing, so
+// the endpoint works identically for a bare server and a fully
+// decorated deployment (hub, witness publisher, op journal).
 type statsSources struct {
-	// Admission snapshots the transport's admission controller
-	// (nil = overload protection not armed).
+	// Admission snapshots the transport's admission controller.
 	Admission func() transport.AdmissionStats
 	// Hub snapshots the hosted broadcast hub (nil = no -hub).
 	Hub func() (conns, logLen int, slowFlips, evictions uint64)
@@ -45,25 +45,23 @@ func (s statsSources) snapshot() map[string]any {
 	} else {
 		doc["wal_mode"] = "none"
 	}
-	adm := map[string]any{"enabled": s.Admission != nil}
-	if s.Admission != nil {
-		st := s.Admission()
-		shed := map[string]uint64{}
-		expired := map[string]uint64{}
-		for c := transport.Priority(0); c < transport.NumPriorities; c++ {
-			shed[c.String()] = st.Shed[c]
-			expired[c.String()] = st.Expired[c]
-		}
-		adm["limit"] = st.Limit
-		adm["inflight"] = st.Inflight
-		adm["queue_depth"] = st.Depth
-		adm["queue_high_water"] = st.HighWater
-		adm["admitted"] = st.Admitted
-		adm["shed"] = shed
-		adm["expired"] = expired
-		adm["latency_ewma_us"] = st.LatencyEWMA.Microseconds()
+	st := s.Admission()
+	shed := map[string]uint64{}
+	expired := map[string]uint64{}
+	for c := transport.Priority(0); c < transport.NumPriorities; c++ {
+		shed[c.String()] = st.Shed[c]
+		expired[c.String()] = st.Expired[c]
 	}
-	doc["admission"] = adm
+	doc["admission"] = map[string]any{
+		"limit":            st.Limit,
+		"inflight":         st.Inflight,
+		"queue_depth":      st.Depth,
+		"queue_high_water": st.HighWater,
+		"admitted":         st.Admitted,
+		"shed":             shed,
+		"expired":          expired,
+		"latency_ewma_us":  st.LatencyEWMA.Microseconds(),
+	}
 	if s.Hub != nil {
 		conns, logLen, flips, evictions := s.Hub()
 		doc["hub"] = map[string]any{

@@ -23,7 +23,7 @@ func TestStatsEndpointShape(t *testing.T) {
 	src := statsSources{
 		Admission: adm.Stats,
 		Hub:       func() (int, int, uint64, uint64) { return 2, 17, 1, 3 },
-		Lanes:     func() map[string]string { return map[string]string{"w0": "ok", "w1": "open"} },
+		Lanes:     func() map[string]string { return map[string]string{"w0": "closed", "w1": "open"} },
 		Fanout:    func() (uint64, uint64, uint64) { return 10, 4, 1 },
 		EpochLen:  64,
 		WALMode:   func() string { return "epoch-batched" },
@@ -43,7 +43,6 @@ func TestStatsEndpointShape(t *testing.T) {
 		EpochLen  uint64 `json:"epoch_len"`
 		WALMode   string `json:"wal_mode"`
 		Admission struct {
-			Enabled        bool              `json:"enabled"`
 			Limit          int               `json:"limit"`
 			Inflight       int               `json:"inflight"`
 			QueueDepth     int               `json:"queue_depth"`
@@ -68,8 +67,8 @@ func TestStatsEndpointShape(t *testing.T) {
 	if doc.EpochLen != 64 || doc.WALMode != "epoch-batched" {
 		t.Errorf("epoch_len/wal_mode = %d/%q, want 64/epoch-batched", doc.EpochLen, doc.WALMode)
 	}
-	if !doc.Admission.Enabled || doc.Admission.Admitted != 1 || doc.Admission.Limit < 2 {
-		t.Errorf("admission = %+v, want enabled with 1 admitted", doc.Admission)
+	if doc.Admission.Admitted != 1 || doc.Admission.Limit < 2 {
+		t.Errorf("admission = %+v, want 1 admitted", doc.Admission)
 	}
 	if doc.Admission.LatencyEWMAUs < 500 || doc.Admission.LatencyEWMAUs > 2000 {
 		t.Errorf("latency_ewma_us = %d, want ~1000 (one 1ms sample)", doc.Admission.LatencyEWMAUs)
@@ -85,8 +84,8 @@ func TestStatsEndpointShape(t *testing.T) {
 	if doc.Hub.Conns != 2 || doc.Hub.LogLen != 17 || doc.Hub.SlowFlips != 1 || doc.Hub.Evictions != 3 {
 		t.Errorf("hub = %+v, want {2 17 1 3}", doc.Hub)
 	}
-	if doc.Breakers["w1"] != "open" || doc.Breakers["w0"] != "ok" {
-		t.Errorf("breakers = %v, want w0 ok / w1 open", doc.Breakers)
+	if doc.Breakers["w1"] != "open" || doc.Breakers["w0"] != "closed" {
+		t.Errorf("breakers = %v, want w0 closed / w1 open", doc.Breakers)
 	}
 	if doc.Fanout["delivered"] != 10 || doc.Fanout["skipped"] != 4 || doc.Fanout["tripped"] != 1 {
 		t.Errorf("fanout = %v, want delivered 10 / skipped 4 / tripped 1", doc.Fanout)
@@ -94,10 +93,16 @@ func TestStatsEndpointShape(t *testing.T) {
 }
 
 // TestStatsEndpointBare pins the degenerate document: a bare server
-// (no admission, hub, publisher, or journal) still serves valid JSON
-// with admission.enabled=false and wal_mode "none".
+// (no hub, publisher, or journal) still serves valid JSON with wal_mode
+// "none" — and a populated admission section, because every server
+// runs the admission controller.
 func TestStatsEndpointBare(t *testing.T) {
-	ts := httptest.NewServer(newStatsMux(statsSources{}))
+	srv, err := transport.Listen("127.0.0.1:0", func(req any) (any, error) { return req, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(newStatsMux(statsSources{Admission: srv.AdmissionStats}))
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/debug/tcvs")
 	if err != nil {
@@ -109,8 +114,16 @@ func TestStatsEndpointBare(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	adm, ok := doc["admission"].(map[string]any)
-	if !ok || adm["enabled"] != false {
-		t.Errorf("admission = %v, want enabled=false", doc["admission"])
+	if !ok || adm["limit"] != float64(64) || adm["admitted"] != float64(0) {
+		t.Errorf("admission = %v, want the default governor: limit 64, nothing admitted yet", doc["admission"])
+	}
+	for _, key := range []string{"inflight", "queue_depth", "queue_high_water", "shed", "expired", "latency_ewma_us"} {
+		if _, ok := adm[key]; !ok {
+			t.Errorf("admission section lacks %q", key)
+		}
+	}
+	if _, ok := adm["enabled"]; ok {
+		t.Errorf("admission section still carries the retired on/off key")
 	}
 	if doc["wal_mode"] != "none" {
 		t.Errorf("wal_mode = %v, want none", doc["wal_mode"])

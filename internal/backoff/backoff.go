@@ -136,6 +136,11 @@ func (b *Backoff) Reset() { b.cur = 0 }
 // Sleep blocks for the next delay.
 func (b *Backoff) Sleep() { time.Sleep(b.Next()) }
 
+// SleepAtLeast blocks for the next delay, or for floor when that is
+// longer — how a retry loop waits out a circuit breaker's cooldown
+// without dropping its own jittered schedule.
+func (b *Backoff) SleepAtLeast(floor time.Duration) { time.Sleep(max(b.Next(), floor)) }
+
 // SleepCh blocks for the next delay or until done fires, reporting
 // whether the full delay elapsed (false = canceled).
 func (b *Backoff) SleepCh(done <-chan struct{}) bool {

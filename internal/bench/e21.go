@@ -18,8 +18,9 @@ import (
 
 // E21 measures overload protection and graceful degradation: an
 // open-loop arrival process drives offered load past the server's
-// capacity, once against an unprotected deployment (legacy semaphore,
-// no deadlines) and once against the protected one (bounded priority
+// capacity, once against an unprotected deployment (the admission
+// controller pinned to a fixed-limit FIFO that never sheds, no
+// deadlines) and once against the protected one (bounded priority
 // admission queue, adaptive concurrency limit, propagated deadlines).
 // Three claims are under test:
 //
@@ -57,7 +58,7 @@ type E21Config struct {
 	// every admitted request (refused requests never reach it).
 	Service time.Duration
 	// MaxConcurrent bounds in-flight handlers in both modes: the
-	// unprotected semaphore and the protected admission MaxLimit.
+	// unprotected fixed limit and the protected admission MaxLimit.
 	// Capacity is MaxConcurrent/Service.
 	MaxConcurrent int
 	// QueueDepth is the protected admission queue bound.
@@ -181,15 +182,20 @@ type E21Data struct {
 
 // e21Deploy deploys hs behind TCP with the synthetic service pad and
 // the given epoch-audit client population. In protected mode the
-// admission controller, the priority classifier and deadline-aware
-// dispatch are armed; unprotected mode is the legacy semaphore with no
-// deadline handling.
+// adaptive limit, the bounded queue and the priority classifier are
+// armed (clients propagate deadlines). Unprotected mode is the same
+// governor pinned to a fixed-limit FIFO: limit MaxConcurrent, a queue
+// deeper than every generator connection can fill, so it never sheds,
+// and no classifier (clients send no budgets).
 func e21Deploy(cfg E21Config, hs server.Server, protected bool, users int, epochLen uint64) (*deployment, error) {
-	opts := transport.Options{IdleTimeout: -1, MaxConcurrent: cfg.MaxConcurrent}
+	opts := transport.Options{IdleTimeout: -1, Admission: transport.AdmissionOptions{
+		MinLimit: cfg.MaxConcurrent, MaxLimit: cfg.MaxConcurrent,
+		QueueDepth: max(cfg.Workers, 2*cfg.MaxConcurrent),
+	}}
 	if protected {
-		opts.Admission = transport.NewAdmission(transport.AdmissionOptions{
+		opts.Admission = transport.AdmissionOptions{
 			Target: cfg.Target, MaxLimit: cfg.MaxConcurrent, QueueDepth: cfg.QueueDepth,
-		})
+		}
 		opts.Classify = driver.Classify
 	}
 	return deploy(deployConfig{

@@ -1,8 +1,6 @@
 package broadcast
 
 import (
-	crand "crypto/rand"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -44,22 +42,10 @@ func DialHubResumeFunc(dial func() (net.Conn, error)) Channel {
 		ch:   make(chan Message, chanBuf),
 		done: make(chan struct{}),
 		kick: make(chan struct{}, 1),
-		sid:  newHubSID(),
+		sid:  wire.RandomSID(),
 	}
 	go c.run()
 	return c
-}
-
-func newHubSID() uint64 {
-	var b [8]byte
-	for {
-		if _, err := crand.Read(b[:]); err != nil {
-			panic(fmt.Sprintf("broadcast: session id entropy: %v", err))
-		}
-		if id := binary.BigEndian.Uint64(b[:]); id != 0 {
-			return id
-		}
-	}
 }
 
 type resumeChannel struct {

@@ -46,12 +46,11 @@ func TestOverloadShedNotJournaled(t *testing.T) {
 		}
 		return inner(req)
 	}
-	adm := transport.NewAdmission(transport.AdmissionOptions{MinLimit: 1, MaxLimit: 1, QueueDepth: 4})
 	ts, err := transport.ListenOpts("127.0.0.1:0", handler, transport.Options{
-		IdleTimeout: -1, MaxConcurrent: 1,
+		IdleTimeout: -1,
 		// The transport refuses an expired budget in front of the whole
 		// decorated chain, journal-recording handler included.
-		Admission: adm,
+		Admission: transport.AdmissionOptions{MinLimit: 1, MaxLimit: 1, QueueDepth: 4},
 		Classify:  Classify,
 	})
 	if err != nil {
@@ -75,7 +74,7 @@ func TestOverloadShedNotJournaled(t *testing.T) {
 		defer close(bdone)
 		blocker.Call(&core.SyncRequest{From: sig.UserID(99)})
 	}()
-	for adm.Stats().Inflight != 1 {
+	for ts.AdmissionStats().Inflight != 1 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -240,10 +239,10 @@ func TestShedDegradeToSyncSticky(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		return resp, err
 	}
-	adm := transport.NewAdmission(transport.AdmissionOptions{MinLimit: 1, MaxLimit: 1, QueueDepth: 4})
 	ts, err := transport.ListenOpts("127.0.0.1:0", handler, transport.Options{
-		IdleTimeout: -1, MaxConcurrent: 1,
-		Admission: adm, Classify: Classify,
+		IdleTimeout: -1,
+		Admission:   transport.AdmissionOptions{MinLimit: 1, MaxLimit: 1, QueueDepth: 4},
+		Classify:    Classify,
 	})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -320,7 +319,7 @@ func TestShedDegradeToSyncSticky(t *testing.T) {
 	if st := dc.Audit().Stats(); st.Durability != audit.DurabilityDegradedSync {
 		t.Fatalf("durability flipped back to %v under load", st.Durability)
 	}
-	ast := adm.Stats()
+	ast := ts.AdmissionStats()
 	var refusals uint64
 	for c := transport.Priority(0); c < transport.NumPriorities; c++ {
 		refusals += ast.Shed[c] + ast.Expired[c]

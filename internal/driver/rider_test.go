@@ -478,14 +478,17 @@ func TestShedRiderStagesNothing(t *testing.T) {
 	store := cvs.NewStore()
 	inner := NewHandler(server.NewP2(db), store)
 	release := make(chan struct{})
-	adm := transport.NewAdmission(transport.AdmissionOptions{MinLimit: 1, MaxLimit: 1, QueueDepth: 1})
 	ts, err := transport.ListenOpts("127.0.0.1:0", func(req any) (any, error) {
 		if _, ok := req.(*core.SyncRequest); ok {
 			<-release
 			return &core.OKResponse{}, nil
 		}
 		return inner(req)
-	}, transport.Options{IdleTimeout: -1, Admission: adm, Classify: Classify})
+	}, transport.Options{
+		IdleTimeout: -1,
+		Admission:   transport.AdmissionOptions{MinLimit: 1, MaxLimit: 1, QueueDepth: 1},
+		Classify:    Classify,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +503,7 @@ func TestShedRiderStagesNothing(t *testing.T) {
 		defer close(bdone)
 		blocker.Call(&core.SyncRequest{From: 99})
 	}()
-	for adm.Stats().Inflight != 1 {
+	for ts.AdmissionStats().Inflight != 1 {
 		time.Sleep(time.Millisecond)
 	}
 	conn, err := transport.Dial(ts.Addr())

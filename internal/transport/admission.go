@@ -61,8 +61,7 @@ type AdmissionOptions struct {
 	// MinLimit floors the adaptive concurrency limit so admission can
 	// always make progress. Default 2.
 	MinLimit int
-	// MaxLimit caps the adaptive concurrency limit. Default 64 (the
-	// transport's historical MaxConcurrent).
+	// MaxLimit caps the adaptive concurrency limit. Default 64.
 	MaxLimit int
 	// QueueDepth bounds the total number of waiters queued across all
 	// priority classes; beyond it requests are shed, lowest priority
@@ -159,11 +158,6 @@ func NewAdmission(opt AdmissionOptions) *Admission {
 	return &Admission{opt: opt, limit: float64(opt.MaxLimit)}
 }
 
-// Options returns the controller's configuration with defaults
-// resolved — what the controller actually runs with, not what the
-// caller passed.
-func (a *Admission) Options() AdmissionOptions { return a.opt }
-
 // Acquire admits the calling request, parks it in the bounded priority
 // queue, or refuses it with a typed error: wire.ErrOverloaded when the
 // queue is full and this request is the lowest priority in sight (a
@@ -175,8 +169,9 @@ func (a *Admission) Acquire(class Priority, deadline time.Time) error {
 	if class < 0 || class >= NumPriorities {
 		class = PriorityBackground
 	}
-	now := time.Now()
-	if !deadline.IsZero() && now.After(deadline) {
+	// The clock is read only for a deadline: the uncontended,
+	// deadline-free path is a lock, two counters and an unlock.
+	if !deadline.IsZero() && time.Now().After(deadline) {
 		a.mu.Lock()
 		a.expired[class]++
 		a.mu.Unlock()
@@ -282,6 +277,9 @@ func (a *Admission) limitLocked() int {
 // grantLocked admits parked waiters while capacity remains, highest
 // priority first, dropping waiters whose deadline lapsed in the queue.
 func (a *Admission) grantLocked() {
+	if a.depth == 0 {
+		return
+	}
 	now := time.Now()
 	for a.inflight < a.limitLocked() && a.depth > 0 {
 		var w *admWaiter

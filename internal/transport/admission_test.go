@@ -199,3 +199,40 @@ func TestAdmissionShedStress(t *testing.T) {
 			st.Admitted, refused, workers*perW)
 	}
 }
+
+// TestAdmissionUncontendedAllocs pins the governor every server runs
+// under: an uncontended Acquire + Release allocates nothing, with or
+// without a propagated deadline.
+func TestAdmissionUncontendedAllocs(t *testing.T) {
+	adm := NewAdmission(AdmissionOptions{})
+	for name, deadline := range map[string]time.Time{
+		"no deadline": {},
+		"deadline":    time.Now().Add(time.Hour),
+	} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := adm.Acquire(PriorityUser, deadline); err != nil {
+				t.Fatal(err)
+			}
+			adm.Release(time.Microsecond)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: uncontended Acquire + Release allocates %.1f times, want 0", name, allocs)
+		}
+	}
+}
+
+// BenchmarkAdmissionUncontended is the governor's per-request cost on
+// the path every unqueued request takes, timed as the server times it:
+// Acquire with no deadline, the handler's latency sample, and a
+// Release that finds no waiter.
+func BenchmarkAdmissionUncontended(b *testing.B) {
+	adm := NewAdmission(AdmissionOptions{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := adm.Acquire(PriorityUser, time.Time{}); err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		adm.Release(time.Since(start))
+	}
+}

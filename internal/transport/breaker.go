@@ -6,18 +6,17 @@ import (
 	"trustedcvs/internal/backoff"
 )
 
-// BreakerPolicy configures the per-endpoint circuit breaker of a
-// ResilientClient. A nil policy on RetryPolicy.Breaker disables the
-// breaker (the pre-breaker behavior); the zero value of this struct
-// selects the defaults noted per field.
+// BreakerPolicy configures a circuit breaker: one per ResilientClient
+// endpoint (RetryPolicy.Breaker) and one per witness publisher lane.
+// The zero value selects the defaults noted per field.
 type BreakerPolicy struct {
 	// Threshold is how many consecutive failures (dial errors, dropped
 	// connections, overload sheds) open the breaker (default 4).
 	Threshold int
 	// Cooldown is how long an open breaker holds traffic off the
 	// endpoint before allowing one half-open probe. Each cooldown is
-	// jittered ±50% from the client's seeded backoff source so a fleet
-	// of clients that opened together does not probe in lockstep
+	// jittered ±50% from the owner's seeded source so a fleet of
+	// callers that opened together does not probe in lockstep
 	// (default 500ms).
 	Cooldown time.Duration
 }
@@ -60,9 +59,10 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// breaker is one endpoint's circuit breaker. All methods are called
-// with the owning client's mutex held.
-type breaker struct {
+// Breaker is one endpoint's circuit breaker. It has no lock of its
+// own: the owner (a ResilientClient, a witness lane) serializes every
+// call under its mutex.
+type Breaker struct {
 	pol     BreakerPolicy
 	state   BreakerState
 	fails   int
@@ -71,38 +71,50 @@ type breaker struct {
 	opens   uint64
 }
 
-func newBreaker(pol BreakerPolicy) *breaker {
-	return &breaker{pol: pol.withDefaults()}
+// NewBreaker returns a closed breaker under pol (zero fields take the
+// defaults).
+func NewBreaker(pol BreakerPolicy) *Breaker {
+	return &Breaker{pol: pol.withDefaults()}
 }
 
-// probeReadyLocked reports whether the breaker is open with an elapsed
+// State reports the breaker's current state.
+func (b *Breaker) State() BreakerState { return b.state }
+
+// Opens counts the transitions into the open state, re-opens after a
+// failed probe included.
+func (b *Breaker) Opens() uint64 { return b.opens }
+
+// ProbeAt is the earliest instant an open breaker lets a probe launch.
+func (b *Breaker) ProbeAt() time.Time { return b.probeAt }
+
+// ProbeReady reports whether the breaker is open with an elapsed
 // cooldown — i.e. a half-open probe could be claimed. No side effects,
 // so a picker can inspect several endpoints without leaking probe
 // slots it does not use.
-func (b *breaker) probeReadyLocked(now time.Time) bool {
+func (b *Breaker) ProbeReady(now time.Time) bool {
 	return b.state == BreakerOpen && !now.Before(b.probeAt)
 }
 
-// claimProbeLocked transitions open → half-open and claims the single
-// probe slot. The caller must route exactly one call to the endpoint
-// and report its outcome via successLocked/failureLocked.
-func (b *breaker) claimProbeLocked() {
+// ClaimProbe transitions open → half-open and claims the single probe
+// slot. The caller must route exactly one call to the endpoint and
+// report its outcome via Success or Failure.
+func (b *Breaker) ClaimProbe() {
 	b.state = BreakerHalfOpen
 	b.probing = true
 }
 
-// successLocked records a delivered response: the breaker closes and
-// the failure streak resets.
-func (b *breaker) successLocked() {
+// Success records a delivered response: the breaker closes and the
+// failure streak resets.
+func (b *Breaker) Success() {
 	b.state = BreakerClosed
 	b.fails = 0
 	b.probing = false
 }
 
-// failureLocked records one failure, opening the breaker when the
-// streak reaches the threshold (immediately, for a failed half-open
-// probe) with a cooldown jittered from src.
-func (b *breaker) failureLocked(now time.Time, src *backoff.Source) {
+// Failure records one failure, opening the breaker when the streak
+// reaches the threshold (immediately, for a failed half-open probe)
+// with a cooldown jittered from src.
+func (b *Breaker) Failure(now time.Time, src *backoff.Source) {
 	b.fails++
 	wasProbe := b.state == BreakerHalfOpen
 	b.probing = false

@@ -21,43 +21,43 @@ import (
 func TestBreakerStateMachine(t *testing.T) {
 	src := backoff.NewSeededSource(42)
 	const cooldown = 100 * time.Millisecond
-	b := newBreaker(BreakerPolicy{Threshold: 3, Cooldown: cooldown})
+	b := NewBreaker(BreakerPolicy{Threshold: 3, Cooldown: cooldown})
 	now := time.Unix(1000, 0)
 
-	b.failureLocked(now, src)
-	b.failureLocked(now, src)
+	b.Failure(now, src)
+	b.Failure(now, src)
 	if b.state != BreakerClosed {
 		t.Fatalf("state = %v after 2/3 failures, want closed", b.state)
 	}
-	b.failureLocked(now, src)
+	b.Failure(now, src)
 	if b.state != BreakerOpen || b.opens != 1 {
 		t.Fatalf("state/opens = %v/%d after threshold, want open/1", b.state, b.opens)
 	}
 	if d := b.probeAt.Sub(now); d < cooldown/2 || d >= 3*cooldown/2 {
 		t.Fatalf("cooldown jitter %v outside [%v, %v)", d, cooldown/2, 3*cooldown/2)
 	}
-	if b.probeReadyLocked(now) {
+	if b.ProbeReady(now) {
 		t.Fatal("probe ready immediately after opening")
 	}
 	later := now.Add(3 * cooldown / 2)
-	if !b.probeReadyLocked(later) {
+	if !b.ProbeReady(later) {
 		t.Fatal("probe not ready after the max jittered cooldown")
 	}
-	b.claimProbeLocked()
+	b.ClaimProbe()
 	if b.state != BreakerHalfOpen || !b.probing {
 		t.Fatalf("state = %v after claim, want half-open with the probe slot taken", b.state)
 	}
 	// A failed probe re-opens at once — one failure, not a new streak.
-	b.failureLocked(later, src)
+	b.Failure(later, src)
 	if b.state != BreakerOpen || b.opens != 2 || b.probing {
 		t.Fatalf("state/opens/probing = %v/%d/%v after failed probe, want open/2/false", b.state, b.opens, b.probing)
 	}
 	later = later.Add(3 * cooldown / 2)
-	if !b.probeReadyLocked(later) {
+	if !b.ProbeReady(later) {
 		t.Fatal("second probe never became ready")
 	}
-	b.claimProbeLocked()
-	b.successLocked()
+	b.ClaimProbe()
+	b.Success()
 	if b.state != BreakerClosed || b.fails != 0 || b.probing {
 		t.Fatalf("state/fails/probing = %v/%d/%v after successful probe, want closed/0/false", b.state, b.fails, b.probing)
 	}
@@ -102,7 +102,7 @@ func TestBreakerSurfacesOverloadOnSoleEndpoint(t *testing.T) {
 	srv, seen := sheddingServer(t)
 	c := DialResilient(srv.Addr(), RetryPolicy{
 		MaxAttempts: 8, BackoffMin: time.Millisecond, BackoffMax: 5 * time.Millisecond,
-		Breaker: &BreakerPolicy{Threshold: 2, Cooldown: 50 * time.Millisecond},
+		Breaker: BreakerPolicy{Threshold: 2, Cooldown: 50 * time.Millisecond},
 	})
 	defer c.Close()
 	const n = 4
@@ -134,7 +134,7 @@ func TestBreakerFailsOverOnOverload(t *testing.T) {
 		{Name: "B", Dial: dial(okSrv.Addr())},
 	}, RetryPolicy{
 		MaxAttempts: 8, BackoffMin: time.Millisecond, BackoffMax: 5 * time.Millisecond,
-		Breaker: &BreakerPolicy{Threshold: 2, Cooldown: time.Minute},
+		Breaker: BreakerPolicy{Threshold: 2, Cooldown: time.Minute},
 	})
 	defer c.Close()
 	resp, err := c.Call("op")
@@ -182,7 +182,7 @@ func TestBreakerProbeStormBounded(t *testing.T) {
 		CallTimeout: 2 * time.Second, MaxAttempts: 100,
 		BackoffMin: time.Millisecond, BackoffMax: 5 * time.Millisecond,
 		JitterSeed: 7,
-		Breaker:    &BreakerPolicy{Threshold: 1, Cooldown: 40 * time.Millisecond},
+		Breaker:    BreakerPolicy{Threshold: 1, Cooldown: 40 * time.Millisecond},
 	})
 	defer c.Close()
 
@@ -245,5 +245,38 @@ func TestResilientOverloadBudgetExhaustion(t *testing.T) {
 	}
 	if elapsed < 60*time.Millisecond || elapsed > time.Second {
 		t.Fatalf("budget of 80ms cut off after %v", elapsed)
+	}
+}
+
+// TestBreakerCooldownKeepsCallerPatience: an attempt every breaker
+// refuses waits for the probe instead of burning the rest of the
+// attempt budget inside the cooldown. Six attempts at a millisecond of
+// backoff would all be spent long before this endpoint returns; the
+// breaker-paced call reaches it.
+func TestBreakerCooldownKeepsCallerPatience(t *testing.T) {
+	srv, seen := okServer(t, "up")
+	upAt := time.Now().Add(60 * time.Millisecond)
+	var dials atomic.Int64
+	c := DialResilientFunc(func() (net.Conn, error) {
+		dials.Add(1)
+		if time.Now().Before(upAt) {
+			return nil, errors.New("test: endpoint down")
+		}
+		return net.DialTimeout("tcp", srv.Addr(), time.Second)
+	}, RetryPolicy{
+		MaxAttempts: 6, BackoffMin: time.Millisecond, BackoffMax: 2 * time.Millisecond,
+		JitterSeed: 3,
+		Breaker:    BreakerPolicy{Threshold: 2, Cooldown: 100 * time.Millisecond},
+	})
+	defer c.Close()
+	resp, err := c.Call("op")
+	if err != nil {
+		t.Fatalf("call across the cooldown: %v", err)
+	}
+	if resp != "up:op" || seen.Load() != 1 {
+		t.Fatalf("resp %v after %d deliveries, want the one answer", resp, seen.Load())
+	}
+	if d := dials.Load(); d > 4 {
+		t.Fatalf("%d dials for one call across one cooldown, want the threshold's 2 plus probes", d)
 	}
 }

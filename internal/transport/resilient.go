@@ -1,8 +1,6 @@
 package transport
 
 import (
-	crand "crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -39,12 +37,12 @@ type RetryPolicy struct {
 	// retrying: the caller has given up, so the client stops spending
 	// server capacity on it. 0 disables deadline propagation.
 	Budget time.Duration
-	// Breaker, when non-nil, arms a per-endpoint circuit breaker
-	// (closed/open/half-open with seeded probe jitter): endpoints that
-	// keep failing — or keep shedding with wire.ErrOverloaded — are
-	// skipped for a jittered cooldown instead of hammered, and exactly
-	// one probe tests recovery.
-	Breaker *BreakerPolicy
+	// Breaker tunes the per-endpoint circuit breaker (closed/open/
+	// half-open with seeded probe jitter), which is always armed:
+	// endpoints that keep failing — or keep shedding with
+	// wire.ErrOverloaded — are skipped for a jittered cooldown instead
+	// of hammered, and exactly one probe tests recovery.
+	Breaker BreakerPolicy
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -82,7 +80,7 @@ type endpointState struct {
 	ep          Endpoint
 	health      int
 	quarantined bool
-	brk         *breaker // nil when RetryPolicy.Breaker is nil
+	brk         *Breaker
 }
 
 // ResilientClient is a Caller that survives connection loss and, when
@@ -157,26 +155,9 @@ func DialResilientEndpoints(eps []Endpoint, pol RetryPolicy) *ResilientClient {
 	}
 	states := make([]*endpointState, len(eps))
 	for i, ep := range eps {
-		states[i] = &endpointState{ep: ep}
-		if pol.Breaker != nil {
-			states[i].brk = newBreaker(*pol.Breaker)
-		}
+		states[i] = &endpointState{ep: ep, brk: NewBreaker(pol.Breaker)}
 	}
-	return &ResilientClient{pol: pol, src: src, endpoints: states, sid: newSID()}
-}
-
-// newSID draws a random nonzero session id.
-func newSID() uint64 {
-	var b [8]byte
-	for {
-		if _, err := crand.Read(b[:]); err != nil {
-			//lint:ignore panicfree entropy exhaustion is unrecoverable and not attacker-triggerable; no request bytes are parsed here
-			panic(fmt.Sprintf("transport: session id entropy: %v", err))
-		}
-		if id := binary.BigEndian.Uint64(b[:]); id != 0 {
-			return id
-		}
-	}
+	return &ResilientClient{pol: pol, src: src, endpoints: states, sid: wire.RandomSID()}
 }
 
 // Reconnects reports how many times the client has had to redial.
@@ -246,7 +227,7 @@ func (c *ResilientClient) Quarantine(name string) {
 var ErrAllBreakersOpen = errors.New("transport: every endpoint's breaker is open")
 
 // pickLocked selects the healthiest non-quarantined endpoint with a
-// closed (or absent) breaker, earliest index winning ties. When every
+// closed breaker, earliest index winning ties. When every
 // candidate is breaker-blocked, it claims at most one half-open probe
 // slot — the mechanism that bounds probe storms: however many callers
 // race the pick, only the claimant reaches the recovering endpoint.
@@ -257,9 +238,9 @@ func (c *ResilientClient) pickLocked() (int, error) {
 		if s.quarantined {
 			continue
 		}
-		if s.brk != nil && s.brk.state != BreakerClosed {
+		if s.brk.State() != BreakerClosed {
 			blocked = true
-			if probe < 0 && s.brk.probeReadyLocked(now) {
+			if probe < 0 && s.brk.ProbeReady(now) {
 				probe = i
 			}
 			continue
@@ -272,13 +253,30 @@ func (c *ResilientClient) pickLocked() (int, error) {
 		return best, nil
 	}
 	if probe >= 0 {
-		c.endpoints[probe].brk.claimProbeLocked()
+		c.endpoints[probe].brk.ClaimProbe()
 		return probe, nil
 	}
 	if blocked {
 		return 0, ErrAllBreakersOpen
 	}
 	return 0, ErrAllQuarantined
+}
+
+// untilProbe is how long until the first open breaker's cooldown
+// lapses (0 when none is open: a probe is already in flight).
+func (c *ResilientClient) untilProbe() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var first time.Time
+	for _, s := range c.endpoints {
+		if at := s.brk.ProbeAt(); !s.quarantined && s.brk.State() == BreakerOpen && (first.IsZero() || at.Before(first)) {
+			first = at
+		}
+	}
+	if first.IsZero() {
+		return 0
+	}
+	return time.Until(first)
 }
 
 // noteLocked adjusts an endpoint's health score within ±healthCap.
@@ -312,9 +310,7 @@ func (c *ResilientClient) ensure() (net.Conn, *wire.Conn, uint64, error) {
 	conn, err := c.endpoints[idx].ep.Dial()
 	if err != nil {
 		c.endpoints[idx].noteLocked(-1)
-		if b := c.endpoints[idx].brk; b != nil {
-			b.failureLocked(time.Now(), c.src)
-		}
+		c.endpoints[idx].brk.Failure(time.Now(), c.src)
 		return nil, nil, 0, err
 	}
 	if c.gen > 0 && idx != c.epIdx {
@@ -337,9 +333,7 @@ func (c *ResilientClient) drop(gen uint64) {
 	defer c.mu.Unlock()
 	if c.gen == gen {
 		c.endpoints[c.epIdx].noteLocked(-1)
-		if b := c.endpoints[c.epIdx].brk; b != nil {
-			b.failureLocked(time.Now(), c.src)
-		}
+		c.endpoints[c.epIdx].brk.Failure(time.Now(), c.src)
 		if c.conn != nil {
 			c.conn.Close()
 			c.conn, c.wc = nil, nil
@@ -354,9 +348,7 @@ func (c *ResilientClient) credit(gen uint64) {
 	defer c.mu.Unlock()
 	if c.gen == gen {
 		c.endpoints[c.epIdx].noteLocked(1)
-		if b := c.endpoints[c.epIdx].brk; b != nil {
-			b.successLocked()
-		}
+		c.endpoints[c.epIdx].brk.Success()
 	}
 }
 
@@ -374,16 +366,14 @@ func (c *ResilientClient) noteOverload(gen uint64) bool {
 		return true // a concurrent call already rotated the conn
 	}
 	c.overloads++
-	c.endpoints[c.epIdx].noteLocked(-1)
-	if b := c.endpoints[c.epIdx].brk; b != nil {
-		b.failureLocked(time.Now(), c.src)
-	}
 	now := time.Now()
+	c.endpoints[c.epIdx].noteLocked(-1)
+	c.endpoints[c.epIdx].brk.Failure(now, c.src)
 	for i, s := range c.endpoints {
 		if i == c.epIdx || s.quarantined {
 			continue
 		}
-		if s.brk != nil && s.brk.state != BreakerClosed && !s.brk.probeReadyLocked(now) {
+		if s.brk.State() != BreakerClosed && !s.brk.ProbeReady(now) {
 			continue
 		}
 		// Failover target found: release the shedding endpoint's conn.
@@ -404,18 +394,13 @@ func (c *ResilientClient) Overloads() uint64 {
 	return c.overloads
 }
 
-// BreakerStates snapshots each endpoint's breaker state (all "closed"
-// when the breaker is disabled).
+// BreakerStates snapshots each endpoint's breaker state.
 func (c *ResilientClient) BreakerStates() map[string]string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := make(map[string]string, len(c.endpoints))
 	for _, s := range c.endpoints {
-		st := BreakerClosed
-		if s.brk != nil {
-			st = s.brk.state
-		}
-		m[s.ep.Name] = st.String()
+		m[s.ep.Name] = s.brk.State().String()
 	}
 	return m
 }
@@ -441,9 +426,14 @@ func (c *ResilientClient) Call(req any) (any, error) {
 	}
 	bo := backoff.New(backoff.Policy{Min: c.pol.BackoffMin, Max: c.pol.BackoffMax}, c.src)
 	var lastErr error
+	var probeWait time.Duration // set when every breaker refused the last attempt
 	for attempt := 0; attempt < c.pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			bo.Sleep()
+			if !deadline.IsZero() {
+				probeWait = min(probeWait, time.Until(deadline))
+			}
+			bo.SleepAtLeast(probeWait)
+			probeWait = 0
 		}
 		budget := time.Duration(0)
 		if !deadline.IsZero() {
@@ -458,6 +448,12 @@ func (c *ResilientClient) Call(req any) (any, error) {
 		if err != nil {
 			if errors.Is(err, ErrAllQuarantined) {
 				return nil, err
+			}
+			if errors.Is(err, ErrAllBreakersOpen) {
+				// Wait out the cooldown instead of spending the remaining
+				// attempts inside it: the breaker paces dials, it must not
+				// shorten the caller's patience.
+				probeWait = c.untilProbe()
 			}
 			lastErr = err
 			continue

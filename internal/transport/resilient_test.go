@@ -389,7 +389,7 @@ func TestResilientClientFailsOverAcrossEndpoints(t *testing.T) {
 	c.endpoints = append(c.endpoints, &endpointState{ep: Endpoint{
 		Name: "backup",
 		Dial: func() (net.Conn, error) { return net.DialTimeout("tcp", backup.Addr(), time.Second) },
-	}})
+	}, brk: NewBreaker(c.pol.Breaker)})
 	c.mu.Unlock()
 
 	// Calls against the dead primary must fail over to the backup with

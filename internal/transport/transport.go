@@ -22,21 +22,15 @@ type Caller interface {
 }
 
 // Handler processes one request. Transports invoke handlers
-// concurrently (one goroutine per connection, bounded by
-// Options.MaxConcurrent); the protocol servers synchronize internally
-// around their ordered sections, so the transport imposes no global
-// lock of its own.
+// concurrently (one goroutine per connection, bounded by the
+// admission controller's limit); the protocol servers synchronize
+// internally around their ordered sections, so the transport imposes
+// no global lock of its own.
 type Handler func(req any) (any, error)
 
 // Options tunes a Server. The zero value is the production
-// configuration: pipelined handler, default concurrency bound.
+// configuration: pipelined handler, default admission control.
 type Options struct {
-	// MaxConcurrent bounds in-flight handler invocations across all
-	// connections (0 = DefaultMaxConcurrent). Decode and encode happen
-	// on the connection goroutines outside this bound; the bound keeps
-	// a flood of connections from piling up in the protocol servers'
-	// ordered sections.
-	MaxConcurrent int
 	// IdleTimeout severs a connection whose next request does not
 	// arrive in time, so a stalled client cannot pin a serving
 	// goroutine forever (0 = DefaultIdleTimeout, negative = disabled).
@@ -49,20 +43,19 @@ type Options struct {
 	// resilient client's exactly-once retry contract. Plain requests
 	// bypass the table untouched.
 	Sessions *SessionTable
-	// Admission, when set, replaces the MaxConcurrent semaphore as the
-	// concurrency governor: a bounded priority queue with an adaptive
-	// (AIMD) limit that sheds excess load with typed wire.ErrOverloaded
-	// *before* the handler or session cache is touched. See Admission.
-	Admission *Admission
+	// Admission configures the server's one concurrency governor: a
+	// bounded priority queue with an adaptive (AIMD) limit that sheds
+	// excess load with typed wire.ErrOverloaded *before* the handler or
+	// session cache is touched. Decode and encode happen on the
+	// connection goroutines outside the limit; the limit keeps a flood
+	// of connections from piling up in the protocol servers' ordered
+	// sections. The zero value selects the defaults (limit 2..64, target
+	// 25ms, queue 128). See Admission.
+	Admission AdmissionOptions
 	// Classify maps an (unwrapped) request payload to its admission
-	// priority class. nil classifies everything as PriorityUser. Only
-	// consulted when Admission is set.
+	// priority class. nil classifies everything as PriorityUser.
 	Classify func(req any) Priority
 }
-
-// DefaultMaxConcurrent is the handler concurrency bound when
-// Options.MaxConcurrent is zero.
-const DefaultMaxConcurrent = 64
 
 // DefaultIdleTimeout and DefaultWriteTimeout apply when the
 // corresponding Options field is zero.
@@ -108,7 +101,7 @@ type Server struct {
 	lis     net.Listener
 	handler Handler
 	opts    Options
-	sem     chan struct{} // bounds in-flight handler calls
+	adm     *Admission
 
 	mu       sync.Mutex // guards conns, draining, inflight
 	conns    map[net.Conn]struct{}
@@ -138,16 +131,11 @@ func ListenOpts(addr string, h Handler, opts Options) (*Server, error) {
 // fault harness interposes a fault.Listener, and how a recovering
 // process rebinds its old address before restoring state.
 func ServeListener(lis net.Listener, h Handler, opts Options) *Server {
-	max := opts.MaxConcurrent
-	if max <= 0 {
-		max = DefaultMaxConcurrent
-	}
 	s := &Server{
 		lis:     lis,
 		handler: h,
 		opts:    opts,
-		//lint:ignore boundedqueue capacity is Options.MaxConcurrent (default DefaultMaxConcurrent), a fixed concurrency bound, not request-scaled
-		sem:     make(chan struct{}, max),
+		adm:     NewAdmission(opts.Admission),
 		conns:   make(map[net.Conn]struct{}),
 		drained: make(chan struct{}),
 		closed:  make(chan struct{}),
@@ -160,14 +148,13 @@ func ServeListener(lis net.Listener, h Handler, opts Options) *Server {
 // Sessions returns the server's session table (nil if not configured).
 func (s *Server) Sessions() *SessionTable { return s.opts.Sessions }
 
-// AdmissionStats snapshots the admission controller, or returns zero
-// stats when admission control is not configured.
-func (s *Server) AdmissionStats() AdmissionStats {
-	if s.opts.Admission == nil {
-		return AdmissionStats{}
-	}
-	return s.opts.Admission.Stats()
-}
+// AdmissionStats snapshots the admission controller.
+func (s *Server) AdmissionStats() AdmissionStats { return s.adm.Stats() }
+
+// AdmissionOptions returns the admission controller's configuration
+// with defaults resolved — what it actually runs with, not what the
+// caller passed.
+func (s *Server) AdmissionOptions() AdmissionOptions { return s.adm.opt }
 
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.lis.Addr().String() }
@@ -270,8 +257,8 @@ func (s *Server) dispatch(req any, budget time.Duration, reply func(resp any, er
 	return reply(s.handle(req, budget))
 }
 
-// handle runs one request through the handler under the concurrency
-// bound, with the request's propagated deadline budget (0 = none)
+// handle runs one request through the handler under admission
+// control, with the request's propagated deadline budget (0 = none)
 // anchored at decode time. Session envelopes route through the dedupe
 // table when configured. Ordering is the whole point here: the session
 // cache is consulted *before* admission (a retry of an already-applied
@@ -284,14 +271,6 @@ func (s *Server) handle(req any, budget time.Duration) (any, error) {
 	var deadline time.Time
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
-	}
-	if s.opts.Admission == nil {
-		// Legacy concurrency governor. With Admission configured the
-		// priority queue takes over — parking excess load in the
-		// semaphore instead would admit in arrival order and blind the
-		// shed policy to priorities.
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
 	}
 	inner := func(r any) (any, error) { return s.admitAndHandle(r, deadline) }
 	if sr, ok := req.(*wire.SessionRequest); ok && s.opts.Sessions != nil {
@@ -307,27 +286,23 @@ func (s *Server) handle(req any, budget time.Duration) (any, error) {
 }
 
 // admitAndHandle sheds expired or excess requests with typed errors
-// before any protocol state is touched, then runs the handler.
+// (Acquire refuses a deadline that lapsed before admission) before any
+// protocol state is touched, then runs the handler.
 func (s *Server) admitAndHandle(req any, deadline time.Time) (any, error) {
-	if !deadline.IsZero() && time.Now().After(deadline) {
-		return nil, fmt.Errorf("transport: deadline expired before dispatch%w", admErr{wire.ErrDeadlineExceeded})
+	class := PriorityUser
+	if s.opts.Classify != nil {
+		class = s.opts.Classify(req)
 	}
-	if adm := s.opts.Admission; adm != nil {
-		class := PriorityUser
-		if s.opts.Classify != nil {
-			class = s.opts.Classify(req)
-		}
-		if err := adm.Acquire(class, deadline); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		defer func() { adm.Release(time.Since(start)) }()
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			// The wait in the admission queue consumed the budget:
-			// the client is gone, so don't burn the slot on work
-			// nobody will read.
-			return nil, fmt.Errorf("transport: deadline expired in admission queue%w", admErr{wire.ErrDeadlineExceeded})
-		}
+	if err := s.adm.Acquire(class, deadline); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	defer func() { s.adm.Release(time.Since(start)) }()
+	if !deadline.IsZero() && start.After(deadline) {
+		// The wait in the admission queue consumed the budget: the
+		// client is gone, so don't burn the slot on work nobody will
+		// read.
+		return nil, fmt.Errorf("transport: deadline expired in admission queue%w", admErr{wire.ErrDeadlineExceeded})
 	}
 	return s.handler(req)
 }

@@ -103,10 +103,10 @@ func TestPipelinedHandlerOverlaps(t *testing.T) {
 	}
 }
 
-// TestMaxConcurrentBounds proves the worker bound: with
-// MaxConcurrent=1 two in-flight calls never overlap even though the
-// server is otherwise pipelined.
-func TestMaxConcurrentBounds(t *testing.T) {
+// TestAdmissionLimitOneBounds proves the worker bound: with the
+// admission limit pinned to 1, two in-flight calls never overlap even
+// though the server is otherwise pipelined.
+func TestAdmissionLimitOneBounds(t *testing.T) {
 	var mu sync.Mutex
 	inFlight, maxInFlight := 0, 0
 	srv, err := ListenOpts("127.0.0.1:0", func(req any) (any, error) {
@@ -121,7 +121,7 @@ func TestMaxConcurrentBounds(t *testing.T) {
 		inFlight--
 		mu.Unlock()
 		return echoHandler(req)
-	}, Options{MaxConcurrent: 1})
+	}, Options{Admission: AdmissionOptions{MinLimit: 1, MaxLimit: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestMaxConcurrentBounds(t *testing.T) {
 	}
 	wg.Wait()
 	if maxInFlight != 1 {
-		t.Fatalf("MaxConcurrent=1 allowed %d in flight", maxInFlight)
+		t.Fatalf("admission limit 1 allowed %d in flight", maxInFlight)
 	}
 }
 

@@ -28,6 +28,7 @@ package wire
 
 import (
 	"bufio"
+	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -164,6 +165,21 @@ type SessionRequest struct {
 	SID uint64
 	Seq uint64
 	Req any
+}
+
+// RandomSID draws a random nonzero session id: a resilient client's SID,
+// and the session a resumable hub member presents on every reconnect.
+func RandomSID() uint64 {
+	var b [8]byte
+	for {
+		if _, err := crand.Read(b[:]); err != nil {
+			//lint:ignore panicfree entropy exhaustion is unrecoverable and not attacker-triggerable; no request bytes are parsed here
+			panic(fmt.Sprintf("wire: session id entropy: %v", err))
+		}
+		if id := binary.BigEndian.Uint64(b[:]); id != 0 {
+			return id
+		}
+	}
 }
 
 var hdrPlaceholder [8]byte

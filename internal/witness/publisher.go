@@ -7,8 +7,10 @@ import (
 	"sync"
 	"time"
 
+	"trustedcvs/internal/backoff"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/server"
+	"trustedcvs/internal/transport"
 )
 
 // DefaultCommitEvery is the commitment cadence (in database
@@ -44,30 +46,28 @@ type Publisher struct {
 	lastErr   error
 	delivered uint64
 	coalesced uint64
-	tripped   uint64
 }
 
-// Lane breaker tuning: after laneBreakAfter consecutive delivery
-// failures a witness lane stops dialing for laneBreakCooldown — a dead
-// witness costs one timed-out dial per cooldown instead of one per
-// commitment. Commitments skipped while open are ordinary coalesced
-// misses: gossip catch-up covers them.
-const (
-	laneBreakAfter    = 5
-	laneBreakCooldown = 2 * time.Second
-)
+// laneBreaker tunes every witness lane's circuit breaker: after five
+// consecutive delivery failures a lane stops dialing for a jittered
+// two-second cooldown, then lets one probe through, and a failed probe
+// re-opens at once — a dead witness costs one timed-out dial per
+// cooldown instead of one per commitment. Commitments skipped while
+// open are ordinary coalesced misses: gossip catch-up covers them.
+// Tests shorten the cooldown.
+var laneBreaker = transport.BreakerPolicy{Threshold: 5, Cooldown: 2 * time.Second}
 
 // witnessLane is one witness's delivery worker state: a single-slot
 // latest-wins mailbox plus a delivery breaker.
 type witnessLane struct {
 	name string
 	dial DialFunc
+	src  *backoff.Source // the breaker's cooldown jitter
 
 	mu      sync.Mutex
 	pending *SubmitRequest // latest-wins; overwritten, never queued deeper
 	busy    bool           // a drain worker is running
-	fails   int            // consecutive delivery failures
-	openTil time.Time      // breaker-open horizon; zero = closed
+	brk     *transport.Breaker
 }
 
 // NewPublisher creates a publisher for the given identity. every is
@@ -105,7 +105,7 @@ func (p *Publisher) Align() {
 func (p *Publisher) AddWitness(name string, dial DialFunc) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.lanes[name] = &witnessLane{name: name, dial: dial}
+	p.lanes[name] = &witnessLane{name: name, dial: dial, src: backoff.NewSource(), brk: transport.NewBreaker(laneBreaker)}
 }
 
 // OpApplied is the server-side hook: call it with the database head
@@ -154,13 +154,7 @@ func (p *Publisher) commitLocked(ctr uint64, root digest.Digest) *SubmitRequest 
 // witness receives the freshest root instead of a backlog. A witness
 // that misses commitments catches up by gossip.
 func (p *Publisher) fanOut(req *SubmitRequest) {
-	p.mu.Lock()
-	lanes := make([]*witnessLane, 0, len(p.lanes))
-	for _, l := range p.lanes {
-		lanes = append(lanes, l)
-	}
-	p.mu.Unlock()
-	for _, l := range lanes {
+	for _, l := range p.snapshotLanes() {
 		p.offer(l, req)
 	}
 }
@@ -186,31 +180,30 @@ func (p *Publisher) offer(l *witnessLane, req *SubmitRequest) {
 
 // drain is a lane's delivery worker: deliver req, then whatever
 // accumulated in the mailbox meanwhile, until the mailbox is empty.
-// At most one drain per lane runs at a time.
+// At most one drain per lane runs at a time, so a claimed probe is the
+// lane's only delivery in flight.
 func (p *Publisher) drain(l *witnessLane, req *SubmitRequest) {
 	defer p.wg.Done()
 	for {
 		l.mu.Lock()
-		open := !l.openTil.IsZero() && time.Now().Before(l.openTil)
+		send := l.brk.State() == transport.BreakerClosed
+		if !send && l.brk.ProbeReady(time.Now()) {
+			l.brk.ClaimProbe()
+			send = true
+		}
 		l.mu.Unlock()
-		if open {
+		if !send {
 			// Lane breaker open: skip the dial entirely; the witness
 			// catches up by gossip when it returns.
 			p.noteCoalesced()
 		} else if err := deliver(l.dial, req); err != nil {
 			p.noteErr(fmt.Errorf("publish to %s: %w", l.name, err))
 			l.mu.Lock()
-			l.fails++
-			if l.fails >= laneBreakAfter {
-				l.openTil = time.Now().Add(laneBreakCooldown)
-				l.fails = 0
-				p.noteTripped()
-			}
+			l.brk.Failure(time.Now(), l.src)
 			l.mu.Unlock()
 		} else {
 			l.mu.Lock()
-			l.fails = 0
-			l.openTil = time.Time{}
+			l.brk.Success()
 			l.mu.Unlock()
 			p.noteDelivered()
 		}
@@ -253,43 +246,44 @@ func (p *Publisher) noteCoalesced() {
 	p.errMu.Unlock()
 }
 
-func (p *Publisher) noteTripped() {
-	p.errMu.Lock()
-	p.tripped++
-	p.errMu.Unlock()
-}
-
 // FanoutStats reports the rate-limited fan-out's counters: delivered
 // commitments, skipped ones (displaced by a fresher commitment in a
 // busy lane, or suppressed while a lane breaker was open), and how
-// many times a lane breaker tripped.
+// many times a lane breaker opened.
 func (p *Publisher) FanoutStats() (delivered, skipped, tripped uint64) {
+	for _, l := range p.snapshotLanes() {
+		l.mu.Lock()
+		tripped += l.brk.Opens()
+		l.mu.Unlock()
+	}
 	p.errMu.Lock()
 	defer p.errMu.Unlock()
-	return p.delivered, p.coalesced, p.tripped
+	return p.delivered, p.coalesced, tripped
 }
 
 // LaneStates snapshots each witness lane's delivery-breaker state
-// ("ok" or "open"), for the -stats-addr debug endpoint.
+// ("closed", "open" or "half-open", as ResilientClient.BreakerStates
+// names them), for the -stats-addr debug endpoint.
 func (p *Publisher) LaneStates() map[string]string {
+	lanes := p.snapshotLanes()
+	m := make(map[string]string, len(lanes))
+	for _, l := range lanes {
+		l.mu.Lock()
+		m[l.name] = l.brk.State().String()
+		l.mu.Unlock()
+	}
+	return m
+}
+
+// snapshotLanes copies the lane set out from under p.mu.
+func (p *Publisher) snapshotLanes() []*witnessLane {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	lanes := make([]*witnessLane, 0, len(p.lanes))
 	for _, l := range p.lanes {
 		lanes = append(lanes, l)
 	}
-	p.mu.Unlock()
-	m := make(map[string]string, len(lanes))
-	now := time.Now()
-	for _, l := range lanes {
-		l.mu.Lock()
-		st := "ok"
-		if !l.openTil.IsZero() && now.Before(l.openTil) {
-			st = "open"
-		}
-		l.mu.Unlock()
-		m[l.name] = st
-	}
-	return m
+	return lanes
 }
 
 // LastErr returns the most recent delivery failure (nil when all

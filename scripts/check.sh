@@ -79,8 +79,10 @@ go test -race ./...
 # journaled before release, replayed through the verifier on reboot,
 # tamper-before-crash convicted, journal I/O failure degrading to
 # sync (E18) — and the overload layer: priority shedding with typed
-# refusals before any state is touched, breaker probe storms bounded
-# under 64-client concurrency, sheds never journaled and never audit
+# refusals before any state is touched, the one circuit breaker the
+# resilient client shares with the witness publisher's lanes (probe
+# storms bounded under 64-client concurrency, a dead witness dialled
+# once per cooldown), sheds never journaled and never audit
 # obligations, degrade-to-sync sticky under concurrent shedding, and
 # the E21 sweep's CI-scale run (E21) — and the one atomic file replace
 # walked through every crash point (internal/durable).
@@ -97,3 +99,6 @@ go test -run='^$' -fuzz='^FuzzWALReplay$' -fuzztime=10s ./internal/wal
 # Non-test Go lines per package, so a simplicity PR's before/after
 # column comes from one command.
 scripts/loc.sh
+# The admission controller sits under every server, so its uncontended
+# per-request cost goes in every log. Printed, not gated.
+go test -run '^$' -bench AdmissionUncontended -benchmem ./internal/transport

@@ -22,15 +22,18 @@ import (
 )
 
 // Allocation tripwires for the verified-op path. The bounds sit about
-// 15 % above what the path costs today (55, 21, 2 and 8 allocations)
-// with the VO written from and decoded into tree nodes directly, the
-// verifier replaying puts in place on that private tree, and every
-// message a tagged binary frame decoded in place — far below what
-// boxing every VO node once more costs (161, 27, 36), let alone a
-// reflective codec around each message (the gob envelope: 26 for the
-// request/response pair, 7 for a bare VO) — so putting either back on
-// the path fails `go test ./...` instead of waiting for a benchmark
-// run. (One audit-journal record's encode has its own tripwire next to
+// 15 % above what the path costs today (44, 20, 2 and 8 allocations)
+// with the VO written from and decoded into tree nodes directly — a
+// node's keys and values being one byte string, which a decoded node
+// keeps as a window onto the VO (55 allocations for the operation when
+// every node held key and value arrays, and keys were substrings of a
+// string copy of the VO) — the verifier replaying puts in place on that
+// private tree, and every message a tagged binary frame decoded in
+// place: far below what boxing every VO node once more costs (161, 27,
+// 36), let alone a reflective codec around each message (the gob
+// envelope: 26 for the request/response pair, 7 for a bare VO), so
+// putting any of them back on the path fails `go test ./...` instead of
+// waiting for a benchmark run. (One audit-journal record's encode has its own tripwire next to
 // the encoder: internal/audit TestRecordEncodeAllocations.)
 func TestVerifiedOpAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -62,7 +65,7 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 	srv := proto2.NewServer(db)
 	u := proto2.NewUser(0, db.Root(), 1<<62)
 	i := 0
-	budget("Protocol II op (HandleOp + HandleResponse)", 63, func() {
+	budget("Protocol II op (HandleOp + HandleResponse)", 51, func() {
 		op := kvOp(i)
 		i++
 		resp, err := srv.HandleOp(u.Request(op))
@@ -180,7 +183,8 @@ func (c *callCounter) Call(req any) (any, error) {
 // driver.Client over the in-process transport, Protocol II: a commit
 // and a checkout are ONE server call each, one file or three (content
 // rides with the verified operation), and their allocation counts stay
-// within about 15 % of today's (70, 147, 41 and 54; 79, 194, 42 and 55
+// within about 15 % of today's (56, 114, 34 and 47; 70, 147, 41 and 54
+// when every tree node held key and value arrays; 79, 194, 42 and 55
 // when every record of a commit copied its own root-to-leaf path, on the
 // server and again in the replay; with the content on a second round
 // trip 79, 198, 43 and 59). A second round trip creeping back, a commit
@@ -228,10 +232,10 @@ func TestCVSOperationRoundTripsAndAllocations(t *testing.T) {
 		fn     func()
 		budget float64
 	}{
-		{"single-file commit", commit(one), 81},
-		{"three-file commit", commit(three), 169},
-		{"single-file checkout", checkout("dir/file-0.txt"), 47},
-		{"three-file checkout", checkout("dir/file-1.txt", "dir/file-2.txt", "dir/file-3.txt"), 62},
+		{"single-file commit", commit(one), 65},
+		{"three-file commit", commit(three), 133},
+		{"single-file checkout", checkout("dir/file-0.txt"), 40},
+		{"three-file checkout", checkout("dir/file-1.txt", "dir/file-2.txt", "dir/file-3.txt"), 55},
 	}
 	for _, op := range ops {
 		op.fn() // the files exist from here on
@@ -278,13 +282,15 @@ func multiKeyOps(n, m, total int, adjacent bool) []vdb.Op {
 // (Begin + Finish + Root on a 100 000-key tree), per key written. A
 // transaction copies each pre-state node once and edits the copy for
 // every further key under it, so the per-key cost falls with the
-// transaction's size and with how close its keys lie: today 6.6 per key
+// transaction's size and with how close its keys lie: today 5.6 per key
 // for 1 000 random keys (16.1 when every key copied its own root-to-leaf
-// path), 1.7 for 1 000 neighbours (one of them the copy of the value),
-// 10.3 and 2.1 for 64 (16.4); a single-key operation pays the whole path
-// either way (26; its budget is the 27 it cost before). Budgets are
-// about 10 % above. A put that copies a node its transaction already
-// owns fails here.
+// path), 1.4 for 1 000 neighbours (one of them the leaf's new encoding,
+// which holds the copy of the value: no put writes bytes in place),
+// 9.3 and 1.8 for 64 (16.4); a single-key operation pays the whole path
+// either way (23; its budget is the 27 it cost before nodes were their
+// own encoding). Budgets are those of when every node held key and
+// value arrays (6.6, 1.7, 10.3, 2.0 and 24), about 10 % above. A put
+// that copies a node its transaction already owns fails here.
 func TestMultiKeyTransactionAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops make allocation counts meaningless")

@@ -261,7 +261,7 @@ func (o *LogOp) Apply(tx *vdb.Tx) (any, error) {
 	}
 	var ans LogAnswer
 	var decodeErr error
-	err := tx.Range(revRangeLo(o.Path), revRangeHi(o.Path), func(_ string, raw []byte) bool {
+	err := tx.Range(revRangeLo(o.Path), revRangeHi(o.Path), func(_, raw []byte) bool {
 		r, err := DecodeRevision(raw)
 		if err != nil {
 			decodeErr = err
@@ -308,14 +308,14 @@ func (o *ListOp) Apply(tx *vdb.Tx) (any, error) {
 	}
 	var ans ListAnswer
 	var decodeErr error
-	err := tx.Range(lo, hi, func(key string, raw []byte) bool {
+	err := tx.Range(lo, hi, func(key, raw []byte) bool {
 		h, err := DecodeHead(raw)
 		if err != nil {
 			decodeErr = err
 			return false
 		}
 		ans.Files = append(ans.Files, FileStatus{
-			Path:  key[len(headPrefix):],
+			Path:  string(key[len(headPrefix):]),
 			Found: true,
 			Rev:   h.Rev,
 			Hash:  h.Hash,

@@ -15,13 +15,12 @@ var benchSink digest.Digest
 // BenchmarkNodeDigest hashes one full order-8 leaf and one full
 // internal node from cold.
 func BenchmarkNodeDigest(b *testing.B) {
-	leaf := &node{leaf: true}
-	inner := &node{}
+	var es []entry
 	for i := 0; i < DefaultOrder; i++ {
-		leaf.keys = append(leaf.keys, key(i))
-		leaf.vals = append(leaf.vals, []byte("a value of thirty-two bytes, yes"))
-		inner.keys = append(inner.keys, key(i))
+		es = append(es, entry{key: []byte(key(i)), val: []byte("a value of thirty-two bytes, yes")})
 	}
+	leaf := &node{leaf: true, enc: encode(true, es)}
+	inner := &node{enc: encode(false, es)}
 	for i := 0; i <= DefaultOrder; i++ {
 		kid := &node{pruned: true, dig: digest.OfBytes(digest.DomainLeaf, []byte{byte(i)})}
 		kid.memo.Store(memoValid)

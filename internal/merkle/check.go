@@ -1,8 +1,8 @@
 package merkle
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
 )
 
 // CheckInvariants verifies the structural invariants of a fully
@@ -11,7 +11,8 @@ import (
 //
 // Checked: uniform leaf depth; per-node key-count bounds; sorted,
 // duplicate-free keys globally; separator consistency (every key in
-// child i lies in [keys[i-1], keys[i])); size bookkeeping.
+// child i lies in [keys[i-1], keys[i])); one more child than keys;
+// size bookkeeping.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
 		if t.size != 0 {
@@ -21,39 +22,41 @@ func (t *Tree) CheckInvariants() error {
 	}
 	depth := -1
 	count := 0
-	var prev string
+	var prev []byte
 	first := true
-	var walk func(n *node, d int, lo, hi string, isRoot bool) error
-	walk = func(n *node, d int, lo, hi string, isRoot bool) error {
+	// hi == nil is "no upper bound".
+	var walk func(n *node, d int, lo, hi []byte, isRoot bool) error
+	walk = func(n *node, d int, lo, hi []byte, isRoot bool) error {
 		if n == nil {
 			return fmt.Errorf("merkle: nil node at depth %d", d)
 		}
 		if n.pruned {
 			return fmt.Errorf("merkle: pruned node in materialized tree at depth %d", d)
 		}
-		if !sort.StringsAreSorted(n.keys) {
-			return fmt.Errorf("merkle: unsorted keys at depth %d: %v", d, n.keys)
+		es := n.entries(nil)
+		for i := 1; i < len(es); i++ {
+			if bytes.Compare(es[i-1].key, es[i].key) >= 0 {
+				return fmt.Errorf("merkle: unsorted keys at depth %d: %q before %q", d, es[i-1].key, es[i].key)
+			}
 		}
-		if !isRoot && len(n.keys) < t.minKeys() {
-			return fmt.Errorf("merkle: underfull node at depth %d: %d keys < min %d", d, len(n.keys), t.minKeys())
+		if !isRoot && len(es) < t.minKeys() {
+			return fmt.Errorf("merkle: underfull node at depth %d: %d keys < min %d", d, len(es), t.minKeys())
 		}
-		if len(n.keys) > t.order {
-			return fmt.Errorf("merkle: overfull node at depth %d: %d keys > order %d", d, len(n.keys), t.order)
+		if len(es) > t.order {
+			return fmt.Errorf("merkle: overfull node at depth %d: %d keys > order %d", d, len(es), t.order)
 		}
 		if n.leaf {
-			if len(n.vals) != len(n.keys) {
-				return fmt.Errorf("merkle: leaf with %d keys, %d vals", len(n.keys), len(n.vals))
-			}
 			if depth == -1 {
 				depth = d
 			} else if depth != d {
 				return fmt.Errorf("merkle: leaves at depths %d and %d", depth, d)
 			}
-			for _, k := range n.keys {
-				if k < lo || (hi != "" && k >= hi) {
+			for _, e := range es {
+				k := e.key
+				if bytes.Compare(k, lo) < 0 || (hi != nil && bytes.Compare(k, hi) >= 0) {
 					return fmt.Errorf("merkle: key %q outside separator range [%q,%q)", k, lo, hi)
 				}
-				if !first && k <= prev {
+				if !first && bytes.Compare(k, prev) <= 0 {
 					return fmt.Errorf("merkle: key order violation: %q after %q", k, prev)
 				}
 				prev, first = k, false
@@ -61,16 +64,16 @@ func (t *Tree) CheckInvariants() error {
 			}
 			return nil
 		}
-		if len(n.kids) != len(n.keys)+1 {
-			return fmt.Errorf("merkle: internal node with %d keys, %d kids", len(n.keys), len(n.kids))
+		if len(n.kids) != len(es)+1 {
+			return fmt.Errorf("merkle: internal node with %d keys, %d kids", len(es), len(n.kids))
 		}
 		for i, kid := range n.kids {
 			clo, chi := lo, hi
 			if i > 0 {
-				clo = n.keys[i-1]
+				clo = es[i-1].key
 			}
-			if i < len(n.keys) {
-				chi = n.keys[i]
+			if i < len(es) {
+				chi = es[i].key
 			}
 			if err := walk(kid, d+1, clo, chi, false); err != nil {
 				return err
@@ -78,7 +81,7 @@ func (t *Tree) CheckInvariants() error {
 		}
 		return nil
 	}
-	if err := walk(t.root, 0, "", "", true); err != nil {
+	if err := walk(t.root, 0, nil, nil, true); err != nil {
 		return err
 	}
 	if t.size >= 0 && count != t.size {

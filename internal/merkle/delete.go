@@ -33,10 +33,10 @@ func (t *Tree) deleteCtx(c *ctx, key string) (*Tree, bool, error) {
 		return t, false, nil
 	}
 	// Collapse a root that lost all its keys.
-	if !nr.leaf && len(nr.keys) == 0 {
+	if !nr.leaf && nr.count() == 0 {
 		nr = nr.kids[0]
 	}
-	if nr.leaf && len(nr.keys) == 0 {
+	if nr.leaf && nr.count() == 0 {
 		nr = nil
 	}
 	return t.next(nr, t.resized(-1)), true, nil
@@ -51,13 +51,13 @@ func (c *ctx) del(n *node, key string) (nn *node, found bool, err error) {
 		return nil, false, fmt.Errorf("%w (delete %q)", ErrPruned, key)
 	}
 	if n.leaf {
-		i := searchKeys(n.keys, key)
-		if i >= len(n.keys) || n.keys[i] != key {
+		s, found := find(n.enc, key)
+		if !found {
 			return n, false, nil
 		}
-		return c.with(n, removed(n.keys, i), removed(n.vals, i), nil), true, nil
+		return c.with(n, s.remove(n.enc), nil), true, nil
 	}
-	idx := childIndex(n, key)
+	idx := n.childIndex(key)
 	nk, found, err := c.del(n.kids[idx], key)
 	if err != nil {
 		return nil, false, err
@@ -67,9 +67,7 @@ func (c *ctx) del(n *node, key string) (nn *node, found bool, err error) {
 	}
 	nn = c.edit(n)
 	nn.kids[idx] = nk
-	if len(nk.keys) < int(c.order)/2 {
-		// rebalance rewrites separators, and edit shares the keys array.
-		nn.keys = slices.Clone(nn.keys)
+	if nk.count() < int(c.order)/2 {
 		if err := c.rebalance(nn, idx); err != nil {
 			return nil, false, err
 		}
@@ -81,7 +79,10 @@ func (c *ctx) del(n *node, key string) (nn *node, found bool, err error) {
 // The policy is fixed and deterministic — borrow from the left sibling,
 // else borrow from the right, else merge with the left, else merge with
 // the right — so that a verifier replaying the operation on a pruned
-// tree touches exactly the nodes the server's recorder saw.
+// tree touches exactly the nodes the server's recorder saw. nn and the
+// child — del has just made or edited both, and nobody else can reach
+// them — take new encodings in place; a sibling that gives up an entry
+// is edited like any other node.
 func (c *ctx) rebalance(nn *node, idx int) error {
 	child := nn.kids[idx]
 	min := int(c.order) / 2
@@ -102,15 +103,17 @@ func (c *ctx) rebalance(nn *node, idx int) error {
 		}
 	}
 
+	var pb, cb, sb [stackEntries]entry
+	pe, ce := nn.entries(pb[:0]), child.entries(cb[:0])
 	switch {
-	case left != nil && len(left.keys) > min:
-		c.borrowLeft(nn, idx, left, child)
-	case right != nil && len(right.keys) > min:
-		c.borrowRight(nn, idx, child, right)
+	case left != nil && left.count() > min:
+		c.borrowLeft(nn, pe, idx, left.entries(sb[:0]), left, child, ce)
+	case right != nil && right.count() > min:
+		c.borrowRight(nn, pe, idx, child, ce, right, right.entries(sb[:0]))
 	case left != nil:
-		c.merge(nn, idx-1, left, child)
+		c.merge(nn, pe, idx-1, left, append(left.entries(sb[:0]), ce...))
 	case right != nil:
-		c.merge(nn, idx, child, right)
+		c.merge(nn, pe, idx, child, append(ce, right.entries(sb[:0])...))
 	default:
 		// A non-root internal node always has at least one sibling.
 		panic("merkle: rebalance with no siblings")
@@ -118,57 +121,57 @@ func (c *ctx) rebalance(nn *node, idx int) error {
 	return nil
 }
 
-// borrowLeft moves the left sibling's last entry into child, which —
-// like parent — del has just made or edited and nobody else can reach.
-func (c *ctx) borrowLeft(parent *node, idx int, left, child *node) {
+// borrowLeft moves the left sibling's last entry into child; pe, le and
+// ce are the entries of parent, left and child.
+func (c *ctx) borrowLeft(parent *node, pe []entry, idx int, le []entry, left, child *node, ce []entry) {
+	last := len(le) - 1
 	nl := c.edit(left)
-	last := len(nl.keys) - 1
 	if child.leaf {
-		child.keys = inserted(child.keys, 0, nl.keys[last])
-		child.vals = inserted(child.vals, 0, nl.vals[last])
-		nl.keys = nl.keys[:last]
-		nl.vals = nl.vals[:last]
-		parent.keys[idx-1] = child.keys[0]
+		child.enc = encode(true, slices.Insert(ce, 0, le[last]))
+		pe[idx-1].key = le[last].key
 	} else {
 		// Rotate through the parent separator.
-		child.keys = inserted(child.keys, 0, parent.keys[idx-1])
+		child.enc = encode(false, slices.Insert(ce, 0, pe[idx-1]))
 		child.kids = inserted(child.kids, 0, nl.kids[last+1])
-		parent.keys[idx-1] = nl.keys[last]
-		nl.keys = nl.keys[:last]
+		pe[idx-1] = le[last]
 		nl.kids = nl.kids[:last+1]
 	}
+	nl.enc = encode(left.leaf, le[:last])
+	parent.enc = encode(false, pe)
 	parent.kids[idx-1] = nl
 }
 
 // borrowRight moves the right sibling's first entry into child.
-func (c *ctx) borrowRight(parent *node, idx int, child, right *node) {
+func (c *ctx) borrowRight(parent *node, pe []entry, idx int, child *node, ce []entry, right *node, re []entry) {
 	nr := c.edit(right)
 	if child.leaf {
-		child.keys = inserted(child.keys, len(child.keys), nr.keys[0])
-		child.vals = inserted(child.vals, len(child.vals), nr.vals[0])
-		nr.keys = nr.keys[1:]
-		nr.vals = nr.vals[1:]
-		parent.keys[idx] = nr.keys[0]
+		child.enc = encode(true, append(ce, re[0]))
+		pe[idx].key = re[1].key
 	} else {
-		child.keys = inserted(child.keys, len(child.keys), parent.keys[idx])
+		child.enc = encode(false, append(ce, pe[idx]))
 		child.kids = inserted(child.kids, len(child.kids), nr.kids[0])
-		parent.keys[idx] = nr.keys[0]
-		nr.keys = nr.keys[1:]
+		pe[idx] = re[0]
 		nr.kids = nr.kids[1:]
 	}
+	nr.enc = encode(right.leaf, re[1:])
+	parent.enc = encode(false, pe)
 	parent.kids[idx+1] = nr
 }
 
-// merge combines parent.kids[sepIdx] and parent.kids[sepIdx+1] into one
-// node, removing the separator parent.keys[sepIdx].
-func (c *ctx) merge(parent *node, sepIdx int, a, b *node) {
+// merge replaces parent.kids[sepIdx] and parent.kids[sepIdx+1] with one
+// node of the entries joined (a, the first of them, tells its kind),
+// removing the separator pe[sepIdx] — which an internal merge pulls
+// down between the two halves.
+func (c *ctx) merge(parent *node, pe []entry, sepIdx int, a *node, joined []entry) {
+	b := parent.kids[sepIdx+1]
 	var m *node
 	if a.leaf {
-		m = c.node(true, slices.Concat(a.keys, b.keys), slices.Concat(a.vals, b.vals), nil)
+		m = c.node(true, encode(true, joined), nil)
 	} else {
-		m = c.node(false, slices.Concat(a.keys, parent.keys[sepIdx:sepIdx+1], b.keys), nil, slices.Concat(a.kids, b.kids))
+		joined = slices.Insert(joined, a.count(), pe[sepIdx])
+		m = c.node(false, encode(false, joined), slices.Concat(a.kids, b.kids))
 	}
-	parent.keys = append(parent.keys[:sepIdx], parent.keys[sepIdx+1:]...)
+	parent.enc = encode(false, slices.Delete(pe, sepIdx, sepIdx+1))
 	parent.kids = append(parent.kids[:sepIdx], parent.kids[sepIdx+1:]...)
 	parent.kids[sepIdx] = m
 }

@@ -6,37 +6,40 @@ import (
 	"testing"
 )
 
-// TestTreeHeapPerRecord bounds what a tree built by Put keeps alive.
-// A split used to hand each half a window onto the overfull node's
-// arrays, so the other half's slots stayed reachable for as long as
-// either window did — and an overwrite, which shares its predecessor's
-// keys array, would have carried such a window forward indefinitely.
-// Each half owning exactly sized arrays keeps a 100k-record tree near
-// the size of its records, before and after the overwrites.
+// TestTreeHeapPerRecord bounds what a tree built by Put keeps alive,
+// in bytes and in heap objects, the number the garbage collector scans.
+// A record is its key and value inside its leaf's one encoding, plus its
+// share of the nodes, their encodings and child arrays: 60 bytes and
+// 0.7 objects, before and after the overwrites (bounds 15 % above the
+// bytes, and one object). A string and a slice per record plus key and
+// value arrays per node, as nodes were stored before, were 114 bytes
+// and 2.9 objects; windows onto split arrays more than doubled the
+// bytes again.
 func TestTreeHeapPerRecord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 100k-record tree")
 	}
 	const records = 100_000
-	heap := func() uint64 {
+	heap := func() (bytes, objects uint64) {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
+		return m.HeapAlloc, m.HeapObjects
 	}
-	before := heap()
+	beforeBytes, beforeObjects := heap()
 	perRecord := func(phase string, tr *Tree) {
 		t.Helper()
 		tr.RootDigest()
-		got := float64(heap()-before) / records
+		b, o := heap()
 		runtime.KeepAlive(tr)
-		t.Logf("%s: %.0f bytes of live heap per record", phase, got)
-		// A record is a 10-byte key, a ~9-byte value and their two
-		// slice headers (40 bytes) in a leaf between half and entirely
-		// full, plus its share of the nodes: about 115 bytes. Windows
-		// onto split arrays more than doubled that.
-		if got > 150 {
-			t.Errorf("%s: %.0f bytes of live heap per record, want at most 150", phase, got)
+		gotBytes := float64(b-beforeBytes) / records
+		gotObjects := float64(o-beforeObjects) / records
+		t.Logf("%s: %.0f bytes and %.2f objects of live heap per record", phase, gotBytes, gotObjects)
+		if gotBytes > 69 {
+			t.Errorf("%s: %.0f bytes of live heap per record, want at most 69", phase, gotBytes)
+		}
+		if gotObjects > 1 {
+			t.Errorf("%s: %.2f heap objects per record, want at most 1", phase, gotObjects)
 		}
 	}
 	tr := New(0)

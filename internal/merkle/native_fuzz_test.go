@@ -12,10 +12,11 @@ import (
 // response's VO goes through, and exercises the whole verifier surface:
 // Tree() structural validation, digest computation, lookups, ranges,
 // and Replay. Properties: no panic on any input, every refusal is
-// ErrMalformedVO, accepted input re-marshals byte-identically, and
-// soundness — a VO whose materialized root digest
-// equals the honest root can only answer lookups with the honest
-// values. The checked-in corpus (testdata/fuzz/FuzzVOVerify) holds the
+// ErrMalformedVO, accepted input re-marshals byte-identically,
+// soundness — a VO whose materialized root digest equals the honest
+// root can only answer lookups with the honest values — and puts and
+// deletes replayed on the VO's nodes never write into the bytes it was
+// received in. The checked-in corpus (testdata/fuzz/FuzzVOVerify) holds the
 // golden read and update VOs; `go test -run VOBinaryGolden -update`
 // regenerates it.
 func FuzzVOVerify(f *testing.F) {
@@ -49,7 +50,19 @@ func FuzzVOVerify(f *testing.F) {
 			}
 		}
 		_, _, _ = tree.GetErr("key-031")
-		_ = tree.Range("key-000", "key-063", func(string, []byte) bool { return true })
+		_ = tree.Range("key-000", "key-063", func(_, _ []byte) bool { return true })
 		_, _ = v.Replay(root, func(cur *Tree) (*Tree, error) { return cur, nil })
+		// The verifier's replay owns the nodes, never the bytes under
+		// them: writes through it leave the received bytes as they were.
+		received := bytes.Clone(b)
+		if rec, _, err := v.Begin(); err == nil {
+			_ = rec.Put("key-031", []byte("updated"))
+			_ = rec.Put("key-031x", []byte("inserted"))
+			_, _ = rec.Delete("key-007")
+			_ = rec.Tree().RootDigest()
+		}
+		if !bytes.Equal(b, received) {
+			t.Fatalf("replaying on the VO wrote into its bytes")
+		}
 	})
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Put returns a new tree in which key maps to val, leaving the receiver
-// unchanged. The value slice is stored as-is; callers must not mutate
-// it afterwards (internal/vdb copies values at its boundary).
+// unchanged. The value is copied into the tree: the caller may reuse
+// val afterwards.
 func (t *Tree) Put(key string, val []byte) *Tree {
 	nt, err := t.PutErr(key, val)
 	if err != nil {
@@ -24,16 +24,17 @@ func (t *Tree) PutErr(key string, val []byte) (*Tree, error) {
 
 func (t *Tree) putCtx(c *ctx, key string, val []byte) (*Tree, error) {
 	if t.root == nil {
-		root := c.node(true, []string{key}, [][]byte{val}, nil)
+		s, _ := find(emptyLeaf, key)
+		root := c.node(true, s.insert(emptyLeaf, key, val), nil)
 		return t.next(root, t.resized(1)), nil
 	}
 	nr, added, err := c.put(t.root, key, val)
 	if err != nil {
 		return nil, err
 	}
-	if len(nr.keys) > t.order {
+	if nr.count() > t.order {
 		left, sep, right := c.split(nr)
-		nr = c.node(false, []string{sep}, nil, []*node{left, right})
+		nr = c.node(false, encode(false, []entry{{key: sep}}), []*node{left, right})
 	}
 	size := t.size
 	if added {
@@ -65,103 +66,84 @@ func (t *Tree) next(root *node, size int) *Tree {
 // put inserts into the subtree rooted at n, returning a node that may
 // be overfull (up to order+1 keys); the caller splits it. The node it
 // returns is n itself, edited in place, when the transaction owns n,
-// and a new node otherwise. A node that neither gains a key nor
-// absorbs a split — every internal level of a non-splitting put, and
-// the leaf of an overwrite — comes from edit, whose copy shares n's
-// keys array instead of copying it: nothing ever writes into a keys
-// array a node was given (with replaces it, rebalance takes a private
-// copy first), so the alias is safe on either side (its capacity is
-// clipped all the same).
+// and a new node otherwise. Either way a leaf gets a new encoding: the
+// one it had may be a window onto a VO's bytes or be shared with a
+// node of another tree, and bytes are never written in place. An
+// internal node that neither gains a key nor absorbs a split — every
+// internal level of a non-splitting put — comes from edit, which
+// shares n's encoding.
 func (c *ctx) put(n *node, key string, val []byte) (nn *node, added bool, err error) {
 	c.visit(n)
 	if n.pruned {
 		return nil, false, fmt.Errorf("%w (put %q)", ErrPruned, key)
 	}
 	if n.leaf {
-		i := searchKeys(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
-			nn = c.edit(n)
-			nn.vals[i] = val
-			return nn, false, nil
+		s, found := find(n.enc, key)
+		if found {
+			return c.with(n, s.overwrite(n.enc, val), nil), false, nil
 		}
-		return c.with(n, inserted(n.keys, i, key), inserted(n.vals, i, val), nil), true, nil
+		return c.with(n, s.insert(n.enc, key, val), nil), true, nil
 	}
-	idx := childIndex(n, key)
+	idx := n.childIndex(key)
 	nk, added, err := c.put(n.kids[idx], key, val)
 	if err != nil {
 		return nil, false, err
 	}
-	if len(nk.keys) <= int(c.order) {
+	if nk.count() <= int(c.order) {
 		nn = c.edit(n)
 		nn.kids[idx] = nk
 		return nn, added, nil
 	}
 	left, sep, right := c.split(nk)
-	nn = c.with(n, inserted(n.keys, idx, sep), nil, inserted(n.kids, idx+1, right))
+	var buf [stackEntries]entry
+	es := slices.Insert(n.entries(buf[:0]), idx, entry{key: sep})
+	nn = c.with(n, encode(false, es), inserted(n.kids, idx+1, right))
 	nn.kids[idx] = left
 	return nn, added, nil
 }
 
-// edit returns the node in which one vals or kids entry of n may be
-// replaced: n itself, its memoized digest forgotten, when the
-// transaction owns it; otherwise a copy sharing n's keys.
+// edit returns the node in which kids entries of n may be replaced: n
+// itself, its memoized digest forgotten, when the transaction owns it;
+// otherwise a copy with its own kids array that shares n's encoding. A
+// caller that changes keys or values gives the result a new encoding.
 func (c *ctx) edit(n *node) *node {
 	if n.owned() {
 		n.forget()
 		return n
 	}
-	return c.node(n.leaf, n.keys[:len(n.keys):len(n.keys)], slices.Clone(n.vals), slices.Clone(n.kids))
+	return c.node(n.leaf, n.enc, slices.Clone(n.kids))
 }
 
-// with returns the node that takes n's place with the given arrays: n
-// itself when the transaction owns it, otherwise a new node.
-func (c *ctx) with(n *node, keys []string, vals [][]byte, kids []*node) *node {
+// with returns the node that takes n's place with the given encoding
+// and kids: n itself when the transaction owns it, otherwise a new
+// node.
+func (c *ctx) with(n *node, enc []byte, kids []*node) *node {
 	if !n.owned() {
-		return c.node(n.leaf, keys, vals, kids)
+		return c.node(n.leaf, enc, kids)
 	}
 	n.forget()
-	n.keys, n.vals, n.kids = keys, vals, kids
+	n.enc, n.kids = enc, kids
 	return n
 }
 
 // split divides an overfull node into two nodes and the separator key
-// to push into the parent. For a leaf the separator is a copy of the
-// right node's first key (B+-tree style: all records stay in leaves);
-// for an internal node the middle key moves up. Each half gets exactly
-// sized arrays of its own: two windows onto the overfull node's arrays
-// would keep its slack reachable for as long as either half — or any
-// later node sharing a half's keys — stays in a live tree.
-func (c *ctx) split(n *node) (left *node, sep string, right *node) {
-	mid := len(n.keys) / 2
+// to push into the parent. For a leaf the separator is the right
+// node's first key (B+-tree style: all records stay in leaves); for an
+// internal node the middle key moves up. The separator is a window onto
+// n's encoding, which the parent's new encoding copies. Each half gets
+// an exactly sized encoding and kids array of its own, so nothing keeps
+// the overfull node's bytes reachable.
+func (c *ctx) split(n *node) (left *node, sep []byte, right *node) {
+	var kbuf, vbuf [stackEntries + 1]int
+	l := layoutOf(n.enc, n.leaf, kbuf[:0], vbuf[:0])
+	mid := l.count / 2
+	sep = window(n.enc, l.k, mid)
 	if n.leaf {
-		left = c.node(true, slices.Clone(n.keys[:mid]), slices.Clone(n.vals[:mid]), nil)
-		right = c.node(true, slices.Clone(n.keys[mid:]), slices.Clone(n.vals[mid:]), nil)
-		return left, right.keys[0], right
+		return c.node(true, run(n.enc, l, 0, mid), nil), sep, c.node(true, run(n.enc, l, mid, l.count), nil)
 	}
-	left = c.node(false, slices.Clone(n.keys[:mid]), nil, slices.Clone(n.kids[:mid+1]))
-	right = c.node(false, slices.Clone(n.keys[mid+1:]), nil, slices.Clone(n.kids[mid+1:]))
-	return left, n.keys[mid], right
-}
-
-func searchKeys(keys []string, key string) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		m := (lo + hi) / 2
-		if keys[m] < key {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// removed returns an exactly sized copy of s without index i.
-func removed[T any](s []T, i int) []T {
-	out := make([]T, len(s)-1)
-	copy(out, s[:i])
-	copy(out[i:], s[i+1:])
-	return out
+	left = c.node(false, run(n.enc, l, 0, mid), slices.Clone(n.kids[:mid+1]))
+	right = c.node(false, run(n.enc, l, mid+1, l.count), slices.Clone(n.kids[mid+1:]))
+	return left, sep, right
 }
 
 // inserted returns an exactly sized copy of s with v at index i.

@@ -31,7 +31,8 @@ func (t *Tree) Snapshot() *Snapshot {
 // from disk or the network): every shape VO.Tree or CheckInvariants
 // refuses is refused here, a pruned node — the snapshot of a
 // verifier's partial tree — among them. The restored tree's root
-// digest equals the original's.
+// digest equals the original's, and its nodes' encodings are windows
+// onto the snapshot's bytes, as a VO's tree's are onto the VO's.
 func Restore(s *Snapshot) (*Tree, error) {
 	if s == nil || s.size < 0 {
 		return nil, fmt.Errorf("%w: no snapshot of a complete tree", ErrMalformedVO)

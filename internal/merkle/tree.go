@@ -23,6 +23,14 @@
 // can reach ever contains an owned node, and whatever is written
 // through the Recording afterwards copies again.
 //
+// A node is its own encoding: its keys and, in a leaf, its values are
+// one byte string in the VO grammar of vobinary.go, which a VO or a
+// snapshot carries as it is and a decoded tree keeps as a window onto
+// the bytes it came in. Those bytes are never written: any change to a
+// node's keys or values, an owned node's included, builds a new
+// encoding, and a value passed to Put is copied into it. Get and Range
+// hand out windows onto the encoding, which the caller must not modify.
+//
 // Verification objects (see vo.go) are pruned copies of the pre-state
 // tree. A tree may therefore contain pruned nodes — placeholders that
 // carry only a digest. Any operation that would need to look inside a
@@ -31,12 +39,14 @@
 package merkle
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/digest"
 )
 
@@ -67,9 +77,8 @@ type node struct {
 	leaf   bool
 	memo   atomic.Uint32 // memoUnset, memoWriting or memoValid (who may touch dig), with or without memoOwned
 	dig    digest.Digest // the memoized digest; read only after memo reads memoValid
-	keys   []string
-	vals   [][]byte // leaf nodes: vals[i] is the value for keys[i]
-	kids   []*node  // internal nodes: len(kids) == len(keys)+1
+	enc    []byte        // the node's body in the VO grammar (vobinary.go): keys, then a leaf's values
+	kids   []*node       // internal nodes: one more than the keys
 }
 
 const (
@@ -155,6 +164,10 @@ func (t *Tree) RootDigest() digest.Digest { return t.root.digest() }
 // computed themselves and never reads the field. Racing computations
 // are idempotent, so all of them return the same digest. An owned node
 // has one reader, its transaction, and keeps its flag through the swap.
+//
+// The preimage is the domain and the key count, then in a leaf each key
+// followed by its value, in an internal node every key and then every
+// child's digest; keys and values are length-prefixed (Hasher.Bytes).
 func (n *node) digest() digest.Digest {
 	if n == nil {
 		return digest.Empty()
@@ -165,19 +178,22 @@ func (n *node) digest() digest.Digest {
 	}
 	own := m & memoOwned
 	hashCount.Add(1)
+	var kbuf, vbuf [stackEntries + 1]int
+	enc := n.enc
+	l := layoutOf(enc, n.leaf, kbuf[:0], vbuf[:0])
 	var h *digest.Hasher
 	if n.leaf {
 		h = digest.NewHasher(digest.DomainLeaf)
-		h.Uint64(uint64(len(n.keys)))
-		for i, k := range n.keys {
-			h.String(k)
-			h.Bytes(n.vals[i])
+		h.Uint64(uint64(l.count))
+		for i := 0; i < l.count; i++ {
+			h.Bytes(enc[l.k[i]:l.k[i+1]])
+			h.Bytes(enc[l.v[i]:l.v[i+1]])
 		}
 	} else {
 		h = digest.NewHasher(digest.DomainInternal)
-		h.Uint64(uint64(len(n.keys)))
-		for _, k := range n.keys {
-			h.String(k)
+		h.Uint64(uint64(l.count))
+		for i := 0; i < l.count; i++ {
+			h.Bytes(enc[l.k[i]:l.k[i+1]])
 		}
 		for _, c := range n.kids {
 			h.Digest(c.digest())
@@ -189,6 +205,269 @@ func (n *node) digest() digest.Digest {
 		n.memo.Store(own | memoValid)
 	}
 	return d
+}
+
+// An entry is one key of a node and, in a leaf, its value: windows
+// onto a node's encoding.
+type entry struct {
+	key, val []byte
+}
+
+// stackEntries is how many entries a node of DefaultOrder holds when
+// overfull: buffers of that many (and one more offset) on the stack
+// decode any node such a tree has without allocating.
+const stackEntries = DefaultOrder + 1
+
+// entries appends the entries of n, which is not pruned, to buf.
+func (n *node) entries(buf []entry) []entry {
+	var kbuf, vbuf [stackEntries + 1]int
+	l := layoutOf(n.enc, n.leaf, kbuf[:0], vbuf[:0])
+	for i := 0; i < l.count; i++ {
+		e := entry{key: window(n.enc, l.k, i)}
+		if n.leaf {
+			e.val = window(n.enc, l.v, i)
+		}
+		buf = append(buf, e)
+	}
+	return buf
+}
+
+// A layout is where the strings of a node's encoding lie: key i is
+// enc[k[i]:k[i+1]] and, in a leaf, value i is enc[v[i]:v[i+1]]. The key
+// lengths begin at lens, a leaf's value lengths at k[count].
+type layout struct {
+	count, lens int
+	k, v        []int
+}
+
+// layoutOf decodes the layout of the encoding enc into kbuf and, for a
+// leaf, vbuf.
+func layoutOf(enc []byte, leaf bool, kbuf, vbuf []int) layout {
+	var l layout
+	l.count, l.lens = uvarint(enc, 0)
+	l.k = spans(enc, l.lens, l.count, kbuf)
+	if leaf {
+		l.v = spans(enc, l.k[l.count], l.count, vbuf)
+	}
+	return l
+}
+
+// window returns string i of enc at offsets off, capacity-clipped.
+func window(enc []byte, off []int, i int) []byte {
+	return enc[off[i]:off[i+1]:off[i+1]]
+}
+
+// spans appends to off where the strings of the strings body at enc[p]
+// lie — count lengths, then their bytes: string i is
+// enc[off[i]:off[i+1]], and the last offset is where the body ends.
+// enc is grammatical: VO.Tree checked it or this package wrote it.
+func spans(enc []byte, p, count int, off []int) []int {
+	base := len(off)
+	off = slices.Grow(off, count+1)[:base+count+1]
+	lens, at := enc[p:p+count], p+count
+	off[base] = at
+	o := off[base+1 : base+1+len(lens)]
+	var high byte
+	for i, c := range lens {
+		high |= c
+		at += int(c)
+		o[i] = at
+	}
+	if high < 0x80 {
+		return off // every length took one byte, as nearly all do
+	}
+	at = skip(enc, p, count)
+	off[base] = at
+	for i := range o {
+		var l int
+		l, p = uvarint(enc, p)
+		at += l
+		o[i] = at
+	}
+	return off
+}
+
+// rank returns how many of the sorted strings enc[off[i]:off[i+1]] sort
+// below key or, with orEqual, not above it.
+func rank(enc []byte, off []int, key string, orEqual bool) int {
+	lo, hi := 0, len(off)-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		w := enc[off[m]:off[m+1]]
+		var below bool
+		if orEqual {
+			below = string(w) <= key
+		} else {
+			below = string(w) < key
+		}
+		if below {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// uvarint reads the uvarint at enc[p], which this package wrote or
+// VO.Tree checked, and returns it with the offset after it. It is small
+// enough to inline.
+func uvarint(enc []byte, p int) (v, next int) {
+	var u, shift uint
+	for {
+		c := enc[p]
+		p++
+		u |= uint(c&0x7f) << shift
+		if c < 0x80 {
+			return int(u), p
+		}
+		shift += 7
+	}
+}
+
+// skip returns the offset after the n uvarints at enc[p].
+func skip(enc []byte, p, n int) int {
+	for ; n > 0; n-- {
+		_, p = uvarint(enc, p)
+	}
+	return p
+}
+
+// count returns the number of keys of n, which is not pruned.
+func (n *node) count() int {
+	c, _ := uvarint(n.enc, 0)
+	return c
+}
+
+// encode returns the body of a node holding es, in one exactly sized
+// allocation: the count, the key lengths, the key bytes and, in a
+// leaf, the value lengths and the value bytes.
+func encode(leaf bool, es []entry) []byte {
+	size := binenc.UvarintLen(uint64(len(es)))
+	for _, e := range es {
+		size += binenc.UvarintLen(uint64(len(e.key))) + len(e.key)
+		if leaf {
+			size += binenc.UvarintLen(uint64(len(e.val))) + len(e.val)
+		}
+	}
+	b := binary.AppendUvarint(make([]byte, 0, size), uint64(len(es)))
+	for _, e := range es {
+		b = binary.AppendUvarint(b, uint64(len(e.key)))
+	}
+	for _, e := range es {
+		b = append(b, e.key...)
+	}
+	if leaf {
+		for _, e := range es {
+			b = binary.AppendUvarint(b, uint64(len(e.val)))
+		}
+		for _, e := range es {
+			b = append(b, e.val...)
+		}
+	}
+	return b
+}
+
+// run returns the encoding of entries [from, to) of the node whose
+// encoding enc has layout l. A run of entries lies contiguously in each
+// region of the encoding — key lengths, key bytes and, in a leaf, value
+// lengths and value bytes — so it is a new count and four copies.
+func run(enc []byte, l layout, from, to int) []byte {
+	kl := skip(enc, l.lens, from)
+	klEnd := skip(enc, kl, to-from)
+	size := binenc.UvarintLen(uint64(to-from)) + klEnd - kl + l.k[to] - l.k[from]
+	var vl, vlEnd int
+	if l.v != nil {
+		vl = skip(enc, l.k[l.count], from)
+		vlEnd = skip(enc, vl, to-from)
+		size += vlEnd - vl + l.v[to] - l.v[from]
+	}
+	b := binary.AppendUvarint(make([]byte, 0, size), uint64(to-from))
+	b = append(append(b, enc[kl:klEnd]...), enc[l.k[from]:l.k[to]]...)
+	if l.v != nil {
+		b = append(append(b, enc[vl:vlEnd]...), enc[l.v[from]:l.v[to]]...)
+	}
+	return b
+}
+
+// A slot locates one entry of a leaf in its encoding: where its key
+// length, key bytes, value length and value bytes begin, and the
+// lengths and length widths of its key and value. The slot of a key
+// the leaf does not hold is where inserting it puts its fields. Get
+// reads a leaf through a slot, and put and delete edit one by copying
+// the bytes around the slot instead of re-encoding the other entries.
+type slot struct {
+	kl, kb, vl, vb int
+	klen, kw       int
+	vlen, vw       int
+}
+
+// emptyLeaf is the encoding of a leaf without keys, which the first
+// put into an empty tree inserts into.
+var emptyLeaf = []byte{0}
+
+// find locates key in the leaf encoding enc: the slot of the entry
+// holding it, or of the first entry above it, and whether enc holds it.
+func find(enc []byte, key string) (s slot, found bool) {
+	var kbuf, vbuf [stackEntries + 1]int
+	l := layoutOf(enc, true, kbuf[:0], vbuf[:0])
+	i := rank(enc, l.k, key, false)
+	s.kl, s.kb = skip(enc, l.lens, i), l.k[i]
+	s.vl, s.vb = skip(enc, l.k[l.count], i), l.v[i]
+	if i < l.count {
+		s.klen, s.vlen = l.k[i+1]-l.k[i], l.v[i+1]-l.v[i]
+		s.kw, s.vw = binenc.UvarintLen(uint64(s.klen)), binenc.UvarintLen(uint64(s.vlen))
+		found = string(enc[l.k[i]:l.k[i+1]]) == key
+	}
+	return s, found
+}
+
+// value returns the value in slot s of enc as a capacity-clipped
+// window.
+func (s slot) value(enc []byte) []byte {
+	end := s.vb + s.vlen
+	return enc[s.vb:end:end]
+}
+
+// overwrite returns a copy of the leaf encoding enc with val in slot s.
+func (s slot) overwrite(enc, val []byte) []byte {
+	vl := binenc.UvarintLen(uint64(len(val)))
+	b := make([]byte, 0, len(enc)-s.vw-s.vlen+vl+len(val))
+	b = binary.AppendUvarint(append(b, enc[:s.vl]...), uint64(len(val)))
+	b = append(append(b, enc[s.vl+s.vw:s.vb]...), val...)
+	return append(b, enc[s.vb+s.vlen:]...)
+}
+
+// insert returns a copy of the leaf encoding enc with key and val in
+// slot s.
+func (s slot) insert(enc []byte, key string, val []byte) []byte {
+	count, c0 := uvarint(enc, 0)
+	size := len(enc) - c0 + binenc.UvarintLen(uint64(count+1)) +
+		binenc.UvarintLen(uint64(len(key))) + len(key) + binenc.UvarintLen(uint64(len(val))) + len(val)
+	b := binary.AppendUvarint(make([]byte, 0, size), uint64(count+1))
+	b = binary.AppendUvarint(append(b, enc[c0:s.kl]...), uint64(len(key)))
+	b = append(append(b, enc[s.kl:s.kb]...), key...)
+	b = binary.AppendUvarint(append(b, enc[s.kb:s.vl]...), uint64(len(val)))
+	b = append(append(b, enc[s.vl:s.vb]...), val...)
+	return append(b, enc[s.vb:]...)
+}
+
+// remove returns a copy of the leaf encoding enc without the entry in
+// slot s.
+func (s slot) remove(enc []byte) []byte {
+	count, c0 := uvarint(enc, 0)
+	size := len(enc) - c0 + binenc.UvarintLen(uint64(count-1)) - s.kw - s.klen - s.vw - s.vlen
+	b := binary.AppendUvarint(make([]byte, 0, size), uint64(count-1))
+	b = append(append(b, enc[c0:s.kl]...), enc[s.kl+s.kw:s.kb]...)
+	b = append(append(b, enc[s.kb+s.klen:s.vl]...), enc[s.vl+s.vw:s.vb]...)
+	return append(b, enc[s.vb+s.vlen:]...)
+}
+
+// childIndex returns the index of the child of internal node n
+// responsible for key: the number of separators not above it.
+func (n *node) childIndex(key string) int {
+	var buf [stackEntries + 1]int
+	return rank(n.enc, layoutOf(n.enc, false, buf[:0], nil).k, key, true)
 }
 
 // ctx carries per-operation state: the branching factor, the memo word
@@ -203,8 +482,8 @@ type ctx struct {
 }
 
 // node returns a new node of the running operation.
-func (c *ctx) node(leaf bool, keys []string, vals [][]byte, kids []*node) *node {
-	n := &node{leaf: leaf, keys: keys, vals: vals, kids: kids}
+func (c *ctx) node(leaf bool, enc []byte, kids []*node) *node {
+	n := &node{leaf: leaf, enc: enc, kids: kids}
 	if c.mark != memoUnset {
 		n.memo.Store(c.mark)
 	}
@@ -217,13 +496,8 @@ func (c *ctx) visit(n *node) {
 	}
 }
 
-// childIndex returns the index of the child responsible for key:
-// the first separator greater than key.
-func childIndex(n *node, key string) int {
-	return sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > key })
-}
-
-// Get returns the value stored for key.
+// Get returns the value stored for key: a window onto the tree's
+// bytes, which the caller must not modify.
 func (t *Tree) Get(key string) ([]byte, bool) {
 	v, ok, err := t.GetErr(key)
 	if err != nil {
@@ -241,33 +515,35 @@ func (t *Tree) GetErr(key string) ([]byte, bool, error) {
 }
 
 func (c *ctx) get(n *node, key string) ([]byte, bool, error) {
-	if n == nil {
-		return nil, false, nil
-	}
-	c.visit(n)
-	if n.pruned {
-		return nil, false, fmt.Errorf("%w (get %q)", ErrPruned, key)
-	}
-	if n.leaf {
-		i := sort.SearchStrings(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
-			return n.vals[i], true, nil
+	for n != nil {
+		c.visit(n)
+		if n.pruned {
+			return nil, false, fmt.Errorf("%w (get %q)", ErrPruned, key)
 		}
-		return nil, false, nil
+		if !n.leaf {
+			n = n.kids[n.childIndex(key)]
+			continue
+		}
+		if s, found := find(n.enc, key); found {
+			return s.value(n.enc), true, nil
+		}
+		break
 	}
-	return c.get(n.kids[childIndex(n, key)], key)
+	return nil, false, nil
 }
 
 // Range calls fn for every record with lo <= key < hi, in key order,
-// until fn returns false. An empty hi means "no upper bound". Range
-// returns ErrPruned if the scan would need a pruned subtree.
-func (t *Tree) Range(lo, hi string, fn func(key string, val []byte) bool) error {
+// until fn returns false. An empty hi means "no upper bound". The key
+// and value fn receives are windows onto the tree's bytes: fn must not
+// modify them, and copies what it keeps. Range returns ErrPruned if the
+// scan would need a pruned subtree.
+func (t *Tree) Range(lo, hi string, fn func(key, val []byte) bool) error {
 	c := t.ctx()
 	_, err := c.rng(t.root, lo, hi, fn)
 	return err
 }
 
-func (c *ctx) rng(n *node, lo, hi string, fn func(string, []byte) bool) (bool, error) {
+func (c *ctx) rng(n *node, lo, hi string, fn func(key, val []byte) bool) (bool, error) {
 	if n == nil {
 		return true, nil
 	}
@@ -275,25 +551,27 @@ func (c *ctx) rng(n *node, lo, hi string, fn func(string, []byte) bool) (bool, e
 	if n.pruned {
 		return false, fmt.Errorf("%w (range [%q,%q))", ErrPruned, lo, hi)
 	}
+	var buf [stackEntries]entry
+	es := n.entries(buf[:0])
 	if n.leaf {
-		for i, k := range n.keys {
-			if k < lo {
+		for _, e := range es {
+			if string(e.key) < lo {
 				continue
 			}
-			if hi != "" && k >= hi {
+			if hi != "" && string(e.key) >= hi {
 				return false, nil
 			}
-			if !fn(k, n.vals[i]) {
+			if !fn(e.key, e.val) {
 				return false, nil
 			}
 		}
 		return true, nil
 	}
-	start := childIndex(n, lo)
+	start := n.childIndex(lo)
 	// Descend from the child that may contain lo; separators tell us
 	// when the upper bound cuts off the scan.
 	for i := start; i < len(n.kids); i++ {
-		if i > start && hi != "" && n.keys[i-1] >= hi {
+		if i > start && hi != "" && string(es[i-1].key) >= hi {
 			return false, nil
 		}
 		cont, err := c.rng(n.kids[i], lo, hi, fn)
@@ -307,8 +585,8 @@ func (c *ctx) rng(n *node, lo, hi string, fn func(string, []byte) bool) (bool, e
 // Keys returns all keys in order. Intended for tests and small trees.
 func (t *Tree) Keys() []string {
 	var ks []string
-	_ = t.Range("", "", func(k string, _ []byte) bool {
-		ks = append(ks, k)
+	_ = t.Range("", "", func(k, _ []byte) bool {
+		ks = append(ks, string(k))
 		return true
 	})
 	return ks

@@ -148,8 +148,8 @@ func TestRange(t *testing.T) {
 		tr = tr.Put(key(i), val(i))
 	}
 	var got []string
-	err := tr.Range(key(10), key(20), func(k string, v []byte) bool {
-		got = append(got, k)
+	err := tr.Range(key(10), key(20), func(k, v []byte) bool {
+		got = append(got, string(k))
 		return true
 	})
 	if err != nil {
@@ -165,7 +165,7 @@ func TestRange(t *testing.T) {
 	}
 	// Unbounded scan.
 	count := 0
-	if err := tr.Range("", "", func(string, []byte) bool { count++; return true }); err != nil {
+	if err := tr.Range("", "", func(_, _ []byte) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 100 {
@@ -173,7 +173,7 @@ func TestRange(t *testing.T) {
 	}
 	// Early termination.
 	count = 0
-	if err := tr.Range("", "", func(string, []byte) bool { count++; return count < 5 }); err != nil {
+	if err := tr.Range("", "", func(_, _ []byte) bool { count++; return count < 5 }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 5 {

@@ -8,12 +8,13 @@ import (
 	"unsafe"
 )
 
-// The ownership mark lives in words the structures already had: a node
-// stays in the 112-byte size class and a Recording in the 32-byte one
-// that every single-key operation allocates.
+// The ownership mark lives in words the structures already had, and a
+// node's keys and values are one byte string: a node is 88 bytes and a
+// Recording stays in the 32-byte size class that every single-key
+// operation allocates.
 func TestOwnershipCostsNoBytes(t *testing.T) {
-	if got := unsafe.Sizeof(node{}); got != 112 {
-		t.Errorf("node is %d bytes, want 112", got)
+	if got := unsafe.Sizeof(node{}); got != 88 {
+		t.Errorf("node is %d bytes, want 88", got)
 	}
 	if got := unsafe.Sizeof(Recording{}); got != 32 {
 		t.Errorf("Recording is %d bytes, want 32", got)
@@ -46,7 +47,7 @@ func published(t *testing.T, what string, tr *Tree) {
 	t.Helper()
 	for n := range nodesOf(tr) {
 		if n.owned() {
-			t.Fatalf("%s: a handed-out tree holds an owned node (keys %v)", what, n.keys)
+			t.Fatalf("%s: a handed-out tree holds an owned node (body %x)", what, n.enc)
 		}
 	}
 }
@@ -290,5 +291,116 @@ func TestLenUnknownStaysUnknown(t *testing.T) {
 	}
 	if got := rec.Tree().Len(); got != 100 {
 		t.Fatalf("server tree: Len() = %d, want 100", got)
+	}
+}
+
+// leafSize returns the number of keys in the leaf responsible for key.
+func leafSize(tr *Tree, key string) int {
+	n := tr.root
+	for !n.leaf {
+		n = n.kids[n.childIndex(key)]
+	}
+	return n.count()
+}
+
+// leaves returns the number of leaves of tr.
+func leaves(tr *Tree) int {
+	count := 0
+	for n := range nodesOf(tr) {
+		if n.leaf {
+			count++
+		}
+	}
+	return count
+}
+
+// TestReplayNeverWritesVOBytes: the verifier's replay owns every node
+// VO.Begin decodes, but not the bytes those nodes are windows onto —
+// the VO's, which are the wire decoder's frame buffer. A put overwrite,
+// an insert that splits, a delete that borrows and a delete that merges,
+// each replayed on such nodes, leave the frame and the VO's encoding as
+// they were, and land on the server's root.
+func TestReplayNeverWritesVOBytes(t *testing.T) {
+	const order = 4
+	rng := rand.New(rand.NewSource(3))
+	base := New(order)
+	for _, i := range rng.Perm(400) {
+		base = base.Put(fmt.Sprintf("key-%06d", i*2), []byte(fmt.Sprintf("value-%04d", i)))
+	}
+	// Pick each step's key on the tree the steps before it left, so that
+	// the step does what its name says.
+	type step struct {
+		name string
+		s    txStep
+		is   func(before, after *Tree, key string) bool
+	}
+	min := order / 2
+	steps := []step{
+		// The same length as every value it may replace: an encoding
+		// that fits where the old one was must still be a new one.
+		{"put overwrite", txStep{val: []byte("overwrite!")}, func(b, a *Tree, k string) bool {
+			_, ok := b.Get(k)
+			return ok && leaves(a) == leaves(b)
+		}},
+		{"insert that splits", txStep{val: []byte("inserted")}, func(b, a *Tree, k string) bool {
+			return leaves(a) == leaves(b)+1
+		}},
+		{"delete that borrows", txStep{del: true}, func(b, a *Tree, k string) bool {
+			return leafSize(b, k) == min && leaves(a) == leaves(b) && a.Len() == b.Len()-1
+		}},
+		{"delete that merges", txStep{del: true}, func(b, a *Tree, k string) bool {
+			return leaves(a) == leaves(b)-1
+		}},
+	}
+	cur := base
+	for i := range steps {
+		st := &steps[i]
+		insert := 0 // the tree holds the even keys
+		if st.name == "insert that splits" {
+			insert = 1
+		}
+		for c := 0; c < 400 && st.s.key == ""; c++ {
+			k := fmt.Sprintf("key-%06d", (c*7)%400*2+insert)
+			if st.s.del {
+				if next, found := cur.Delete(k); found && st.is(cur, next, k) {
+					st.s.key, cur = k, next
+				}
+			} else if next := cur.Put(k, st.s.val); st.is(cur, next, k) {
+				st.s.key, cur = k, next
+			}
+		}
+		if st.s.key == "" {
+			t.Fatalf("test bug: no key makes a %s", st.name)
+		}
+		t.Logf("%s: %s", st.name, st.s.key)
+	}
+
+	rec := base.Record()
+	for _, st := range steps {
+		if err := st.s.on(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc := mustMarshal(t, rec.VO())
+	frame := append(append([]byte("head"), enc...), "tail"...)
+	received := bytes.Clone(frame)
+	vo, err := ViewVO(frame[4 : 4+len(enc)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, _, err := vo.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range steps {
+		if err := st.s.on(replay); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if !bytes.Equal(frame, received) || !bytes.Equal(mustMarshal(t, vo), enc) {
+			t.Fatalf("%s: the replay wrote into the VO's bytes", st.name)
+		}
+	}
+	if got, want := replay.Tree().RootDigest(), rec.Tree().RootDigest(); got != want || want != cur.RootDigest() {
+		t.Fatalf("replay root %s, server %s, one-shot %s", got.Short(), want.Short(), cur.RootDigest().Short())
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 
-	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/digest"
 )
 
@@ -67,7 +66,7 @@ func (r *Recording) Get(key string) ([]byte, bool, error) {
 }
 
 // Range scans through the recording.
-func (r *Recording) Range(lo, hi string, fn func(string, []byte) bool) error {
+func (r *Recording) Range(lo, hi string, fn func(key, val []byte) bool) error {
 	_, err := r.c.rng(r.cur.root, lo, hi, fn)
 	return err
 }
@@ -135,15 +134,15 @@ type VO struct {
 // Tree materializes the VO into a partial tree. It validates grammar
 // and structure (the VO comes from an untrusted server) so that
 // replaying operations on the result can never panic: malformed shapes
-// are rejected here. The tree's values are windows onto the VO's bytes
-// and its keys are substrings of one copy of them, so a tree costs one
-// allocation per key array, value array and group of siblings rather
-// than one per record.
+// are rejected here. Every node's encoding is a window onto the VO's
+// own bytes, so a tree costs a slab of children and a pointer array per
+// expanded internal node, and nothing per leaf, key or value.
 func (v *VO) Tree() (*Tree, error) { return v.tree(memoUnset) }
 
 // tree is Tree with the memo word the expanded nodes start with.
 func (v *VO) tree(mark uint32) (*Tree, error) {
-	d := voDecoder{r: binenc.NewReader(v.enc), str: string(v.enc), mark: mark}
+	d := voDecoder{data: v.enc, mark: mark}
+	d.r.Reset(v.enc)
 	order := d.r.Uvarint()
 	if order < MinOrder || order > math.MaxInt32 {
 		d.r.Fail("order %d", order)

@@ -245,7 +245,7 @@ func TestRecordingRangeAndCoverage(t *testing.T) {
 	tr := buildTree(t, 4, 100)
 	rec := tr.Record()
 	count := 0
-	if err := rec.Range(key(10), key(30), func(string, []byte) bool { count++; return true }); err != nil {
+	if err := rec.Range(key(10), key(30), func(_, _ []byte) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 20 {
@@ -253,7 +253,7 @@ func TestRecordingRangeAndCoverage(t *testing.T) {
 	}
 	_, err := rec.VO().Replay(tr.RootDigest(), func(pt *Tree) (*Tree, error) {
 		n := 0
-		if err := pt.Range(key(10), key(30), func(string, []byte) bool { n++; return true }); err != nil {
+		if err := pt.Range(key(10), key(30), func(_, _ []byte) bool { n++; return true }); err != nil {
 			return nil, err
 		}
 		if n != count {

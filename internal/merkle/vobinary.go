@@ -1,7 +1,7 @@
 package merkle
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"math"
 
@@ -22,9 +22,12 @@ import (
 // The second strings of a leaf omits its count (it is the keys' n). All
 // lengths of a strings come before all of its bytes.
 //
-// This is the VO's only representation, in memory as on the wire:
-// Recording.VO appends it from tree nodes (appendPruned) and VO.Tree
-// decodes it into tree nodes (voDecoder), with nothing in between.
+// This is the VO's only representation, in memory as on the wire, and
+// the body of a leaf or internal node — everything after its kind byte
+// up to its children — is the tree node's own encoding (node.enc):
+// Recording.VO copies node bodies out (appendPruned) and VO.Tree hands
+// each node a window onto its body (voDecoder), with nothing in
+// between.
 //
 // Wire messages, journal records and server snapshots carry these bytes
 // as they are (MarshalBinary on the way out, ViewVO on the way in); a
@@ -44,9 +47,9 @@ const maxVODepth = 64
 
 // appendPruned appends the subtree under n in preorder, keeping the
 // content of the nodes in keep (of every node when keep is nil) and
-// only the digest of every other. Tree nodes hold as many values as
-// keys and one more child than keys, so everything it writes is
-// grammatical.
+// only the digest of every other. A node's body is already its
+// encoding, so an expanded node is its kind byte, its bytes and its
+// children.
 func appendPruned(b []byte, n *node, keep map[*node]struct{}) []byte {
 	if n == nil {
 		return append(b, voAbsent)
@@ -56,25 +59,11 @@ func appendPruned(b []byte, n *node, keep map[*node]struct{}) []byte {
 		return append(append(b, voPruned), d[:]...)
 	}
 	if n.leaf {
-		b = binary.AppendUvarint(append(b, voLeaf), uint64(len(n.keys)))
-		return appendLensBytes(appendLensBytes(b, n.keys), n.vals)
+		return append(append(b, voLeaf), n.enc...)
 	}
-	b = binary.AppendUvarint(append(b, voInternal), uint64(len(n.keys)))
-	b = appendLensBytes(b, n.keys)
+	b = append(append(b, voInternal), n.enc...)
 	for _, kid := range n.kids {
 		b = appendPruned(b, kid, keep)
-	}
-	return b
-}
-
-// appendLensBytes appends the body of a strings: all lengths, then all
-// bytes.
-func appendLensBytes[T string | []byte](b []byte, items []T) []byte {
-	for _, it := range items {
-		b = binary.AppendUvarint(b, uint64(len(it)))
-	}
-	for _, it := range items {
-		b = append(b, it...)
 	}
 	return b
 }
@@ -168,8 +157,8 @@ func skipLensBytes(r *binenc.Reader, count int) int {
 // voDecoder materializes the flat form as tree nodes, making every
 // check on the way: nothing it returns can make a replay panic.
 type voDecoder struct {
-	r     *binenc.Reader // over the VO's bytes; values are windows onto them
-	str   string         // one copy of the same bytes; keys are substrings of it
+	r     binenc.Reader // over data; node bodies are windows onto it
+	data  []byte
 	order int
 	mark  uint32 // memo word of every expanded node
 }
@@ -194,13 +183,12 @@ func (d *voDecoder) node(n *node, depth int) bool {
 	case voLeaf:
 		n.leaf = true
 		n.memo.Store(d.mark)
-		count := d.count()
-		n.keys = d.keys(count)
-		n.vals = d.vals(count)
+		n.enc, _ = d.body(true)
 	case voInternal:
 		n.memo.Store(d.mark)
-		n.keys = d.keys(d.count())
-		count := len(n.keys) + 1
+		var keys int
+		n.enc, keys = d.body(false)
+		count := keys + 1
 		if d.r.Err() != nil || count > d.r.Remaining() {
 			d.r.Fail("%d children exceed the %d bytes left", count, d.r.Remaining())
 			break
@@ -221,48 +209,38 @@ func (d *voDecoder) node(n *node, depth int) bool {
 	return d.r.Err() == nil
 }
 
-// count reads a node's key count, which no allocation may follow
-// unless the order allows it.
-func (d *voDecoder) count() int {
+// body reads a node's body — a key count no greater than the order,
+// sorted and distinct keys and, in a leaf, as many values — and
+// returns it as a capacity-clipped window onto the data, with its key
+// count.
+func (d *voDecoder) body(leaf bool) ([]byte, int) {
+	start := d.pos()
 	count := d.r.Count(1)
 	if count > d.order {
 		d.r.Fail("node with %d keys exceeds order %d", count, d.order)
-		return 0
+		return nil, 0
 	}
-	return count
-}
-
-// keys reads the body of a strings as sorted, distinct keys.
-func (d *voDecoder) keys(count int) []string {
-	lens, total := readLens(d.r, count)
-	off := len(d.str) - d.r.Remaining()
+	lens, total := readLens(&d.r, count)
+	off := d.pos()
 	d.r.View(total)
-	if d.r.Err() != nil || count == 0 {
-		return nil
-	}
-	out := make([]string, count)
-	for i := range out {
+	var prev []byte
+	for i := 0; i < count && d.r.Err() == nil; i++ {
 		end := off + int(lens.Uvarint())
-		out[i], off = d.str[off:end], end
-		if i > 0 && out[i] <= out[i-1] {
-			d.r.Fail("unsorted or duplicate key %q", out[i])
-			return nil
+		key := d.data[off:end]
+		if i > 0 && bytes.Compare(key, prev) <= 0 {
+			d.r.Fail("unsorted or duplicate key %q", key)
 		}
+		prev, off = key, end
 	}
-	return out
+	if leaf {
+		skipLensBytes(&d.r, count)
+	}
+	if d.r.Err() != nil {
+		return nil, 0
+	}
+	end := d.pos()
+	return d.data[start:end:end], count
 }
 
-// vals reads the body of a strings as a leaf's values.
-func (d *voDecoder) vals(count int) [][]byte {
-	lens, total := readLens(d.r, count)
-	blob := d.r.View(total)
-	if d.r.Err() != nil || count == 0 {
-		return nil
-	}
-	out := make([][]byte, count)
-	for i := range out {
-		n := int(lens.Uvarint())
-		out[i], blob = blob[:n:n], blob[n:]
-	}
-	return out
-}
+// pos is the offset of the next byte d.r reads.
+func (d *voDecoder) pos() int { return len(d.data) - d.r.Remaining() }

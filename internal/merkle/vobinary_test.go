@@ -125,8 +125,16 @@ func voOf(order uint64, node []byte) []byte {
 	return append(binary.AppendUvarint(nil, order), node...)
 }
 
+// lensBytes spells the body of a strings: all lengths, then all bytes.
 func lensBytes(items ...string) []byte {
-	return appendLensBytes(nil, items)
+	var b []byte
+	for _, it := range items {
+		b = binary.AppendUvarint(b, uint64(len(it)))
+	}
+	for _, it := range items {
+		b = append(b, it...)
+	}
+	return b
 }
 
 func prunedNode(d digest.Digest) []byte { return append([]byte{voPruned}, d[:]...) }
@@ -237,9 +245,11 @@ func TestVOHostileInput(t *testing.T) {
 }
 
 // TestVOOnePassAllocations pins what the single representation buys:
-// accepting a VO costs the VO itself and a tree costs a handful
-// of arrays — not a box per node. (Building one is two allocations, the
-// VO and its bytes, when the scratch pool is warm: BenchmarkVOBuild.)
+// accepting a VO costs the VO itself, and a tree costs a slab of
+// children and a pointer array per expanded internal node, plus its
+// root and the Tree — nothing per leaf, key or value, not even a copy
+// of the VO's bytes. (Building one is two allocations, the VO and its
+// bytes, when the scratch pool is warm: BenchmarkVOBuild.)
 func TestVOOnePassAllocations(t *testing.T) {
 	tr := buildTree(t, 8, 10_000)
 	tr.RootDigest()
@@ -265,14 +275,37 @@ func TestVOOnePassAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = vo.Stats() }); n != 0 {
 		t.Errorf("Stats: %.0f allocations, want 0", n)
 	}
-	// Per expanded node: a key array, then values or a slab and a child
-	// array; plus the string, the root and the Tree.
-	limit := float64(3*vo.Stats().ExpandedNodes + 3)
-	if n := testing.AllocsPerRun(100, func() {
+	pt, err := back.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	internal := 0
+	for n := range nodesOf(pt) {
+		if !n.pruned && !n.leaf {
+			internal++
+		}
+	}
+	limit := float64(2*internal + 2)
+	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := back.Tree(); err != nil {
 			t.Fatal(err)
 		}
-	}); n > limit {
-		t.Errorf("Tree: %.0f allocations for %d nodes, want at most %.0f", n, nodes, limit)
+	})
+	if allocs > limit {
+		t.Errorf("Tree: %.0f allocations for %d expanded internal nodes, want at most %.0f", allocs, internal, limit)
 	}
+	// 5216 bytes when every key was a substring of a string copy of the
+	// VO and every node had its own key and value arrays.
+	const runs, parentBytes = 100, 5216
+	perRun := allocated(func() {
+		for i := 0; i < runs; i++ {
+			if _, err := back.Tree(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / runs
+	if perRun > parentBytes*6/10 {
+		t.Errorf("Tree: %d bytes per run, want at most %d", perRun, parentBytes*6/10)
+	}
+	t.Logf("Tree: %.0f allocations, %d bytes for %d expanded internal nodes", allocs, perRun, internal)
 }

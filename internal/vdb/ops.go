@@ -121,8 +121,8 @@ func (o *RangeOp) Apply(tx *Tx) (any, error) {
 		return nil, fmt.Errorf("%w: negative limit", ErrBadOp)
 	}
 	var ans RangeAnswer
-	err := tx.Range(o.Lo, o.Hi, func(k string, v []byte) bool {
-		ans.Results = append(ans.Results, ReadResult{Key: k, Found: true, Val: append([]byte(nil), v...)})
+	err := tx.Range(o.Lo, o.Hi, func(k, v []byte) bool {
+		ans.Results = append(ans.Results, ReadResult{Key: string(k), Found: true, Val: append([]byte(nil), v...)})
 		return o.Limit == 0 || len(ans.Results) < o.Limit
 	})
 	if err != nil {

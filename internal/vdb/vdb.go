@@ -48,16 +48,16 @@ func (tx *Tx) rec() *merkle.Recording { return (*merkle.Recording)(tx) }
 // Get reads a key.
 func (tx *Tx) Get(key string) ([]byte, bool, error) { return tx.rec().Get(key) }
 
-// Put writes a key. The value is copied.
-func (tx *Tx) Put(key string, val []byte) error {
-	return tx.rec().Put(key, append([]byte(nil), val...))
-}
+// Put writes a key. The value is copied (into the tree's node).
+func (tx *Tx) Put(key string, val []byte) error { return tx.rec().Put(key, val) }
 
 // Delete removes a key, reporting whether it existed.
 func (tx *Tx) Delete(key string) (bool, error) { return tx.rec().Delete(key) }
 
-// Range scans keys in [lo, hi) in order ("" hi = unbounded).
-func (tx *Tx) Range(lo, hi string, fn func(key string, val []byte) bool) error {
+// Range scans keys in [lo, hi) in order ("" hi = unbounded). The key
+// and value are windows onto the tree's bytes: fn must not modify them
+// and copies what it keeps.
+func (tx *Tx) Range(lo, hi string, fn func(key, val []byte) bool) error {
 	return tx.rec().Range(lo, hi, fn)
 }
 

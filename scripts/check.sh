@@ -54,7 +54,8 @@ go -C benchmark vet .
 go -C benchmark test .
 # The counted-metric gate: a short run of the benchmark's key-value,
 # CVS and journaled epoch-audit workloads must stay inside the
-# allocation budgets of scripts/count_budget.txt, and a traced
+# allocation budgets of scripts/count_budget.txt (and the two key-value
+# workloads inside their live-heap budgets), and a traced
 # key-value run inside its byte budgets (request, response and
 # journal-record bytes, VO digests): an encoding that grows by a byte
 # fails here, and so does a journal that allocates a buffer per
@@ -99,6 +100,8 @@ go test -run='^$' -fuzz='^FuzzWALReplay$' -fuzztime=10s ./internal/wal
 # Non-test Go lines per package, so a simplicity PR's before/after
 # column comes from one command.
 scripts/loc.sh
-# The admission controller sits under every server, so its uncontended
-# per-request cost goes in every log. Printed, not gated.
+# The admission controller sits under every server, and every verified
+# operation hashes tree nodes, builds a VO and materializes one, so
+# their per-piece costs go in every log. Printed, not gated.
 go test -run '^$' -bench AdmissionUncontended -benchmem ./internal/transport
+go test -run '^$' -bench 'NodeDigest|VOBuild|VOTree' -benchmem ./internal/merkle

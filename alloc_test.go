@@ -22,13 +22,16 @@ import (
 )
 
 // Allocation tripwires for the verified-op path. The bounds sit about
-// 15 % above what the path costs today (44, 20, 2 and 8 allocations)
+// 15 % above what the path costs today (35, 20, 2 and 8 allocations)
 // with the VO written from and decoded into tree nodes directly — a
 // node's keys and values being one byte string, which a decoded node
-// keeps as a window onto the VO (55 allocations for the operation when
-// every node held key and value arrays, and keys were substrings of a
-// string copy of the VO) — the verifier replaying puts in place on that
-// private tree, and every message a tagged binary frame decoded in
+// keeps as a window onto the VO, and a pruned sibling only its digest's
+// window, every node and slot of the tree cut from two slabs (44 for the
+// operation when every pruned sibling was a node and every internal node
+// had a slab of its own; 55 when every node held key and value arrays,
+// and keys were substrings of a string copy of the VO) — the verifier
+// replaying puts in place on that private tree, and every message a
+// tagged binary frame decoded in
 // place: far below what boxing every VO node once more costs (161, 27,
 // 36), let alone a reflective codec around each message (the gob
 // envelope: 26 for the request/response pair, 7 for a bare VO), so
@@ -65,7 +68,7 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 	srv := proto2.NewServer(db)
 	u := proto2.NewUser(0, db.Root(), 1<<62)
 	i := 0
-	budget("Protocol II op (HandleOp + HandleResponse)", 51, func() {
+	budget("Protocol II op (HandleOp + HandleResponse)", 40, func() {
 		op := kvOp(i)
 		i++
 		resp, err := srv.HandleOp(u.Request(op))
@@ -183,8 +186,10 @@ func (c *callCounter) Call(req any) (any, error) {
 // driver.Client over the in-process transport, Protocol II: a commit
 // and a checkout are ONE server call each, one file or three (content
 // rides with the verified operation), and their allocation counts stay
-// within about 15 % of today's (56, 114, 34 and 47; 70, 147, 41 and 54
-// when every tree node held key and value arrays; 79, 194, 42 and 55
+// within about 15 % of today's (52, 103, 29 and 42; 56, 114, 34 and 47
+// when every pruned sibling of a decoded VO was a node of its own; 70,
+// 147, 41 and 54 when every tree node held key and value arrays; 79,
+// 194, 42 and 55
 // when every record of a commit copied its own root-to-leaf path, on the
 // server and again in the replay; with the content on a second round
 // trip 79, 198, 43 and 59). A second round trip creeping back, a commit
@@ -232,10 +237,10 @@ func TestCVSOperationRoundTripsAndAllocations(t *testing.T) {
 		fn     func()
 		budget float64
 	}{
-		{"single-file commit", commit(one), 65},
-		{"three-file commit", commit(three), 133},
-		{"single-file checkout", checkout("dir/file-0.txt"), 40},
-		{"three-file checkout", checkout("dir/file-1.txt", "dir/file-2.txt", "dir/file-3.txt"), 55},
+		{"single-file commit", commit(one), 60},
+		{"three-file commit", commit(three), 118},
+		{"single-file checkout", checkout("dir/file-0.txt"), 33},
+		{"three-file checkout", checkout("dir/file-1.txt", "dir/file-2.txt", "dir/file-3.txt"), 48},
 	}
 	for _, op := range ops {
 		op.fn() // the files exist from here on

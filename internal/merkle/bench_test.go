@@ -22,9 +22,8 @@ func BenchmarkNodeDigest(b *testing.B) {
 	leaf := &node{leaf: true, enc: encode(true, es)}
 	inner := &node{enc: encode(false, es)}
 	for i := 0; i <= DefaultOrder; i++ {
-		kid := &node{pruned: true, dig: digest.OfBytes(digest.DomainLeaf, []byte{byte(i)})}
-		kid.memo.Store(memoValid)
-		inner.kids = append(inner.kids, kid)
+		d := digest.OfBytes(digest.DomainLeaf, []byte{byte(i)})
+		inner.kids = append(inner.kids, kid{d: &d})
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

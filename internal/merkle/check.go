@@ -14,7 +14,7 @@ import (
 // child i lies in [keys[i-1], keys[i])); one more child than keys;
 // size bookkeeping.
 func (t *Tree) CheckInvariants() error {
-	if t.root == nil {
+	if t.root == (kid{}) {
 		if t.size != 0 {
 			return fmt.Errorf("merkle: empty tree with size %d", t.size)
 		}
@@ -25,13 +25,14 @@ func (t *Tree) CheckInvariants() error {
 	var prev []byte
 	first := true
 	// hi == nil is "no upper bound".
-	var walk func(n *node, d int, lo, hi []byte, isRoot bool) error
-	walk = func(n *node, d int, lo, hi []byte, isRoot bool) error {
+	var walk func(k kid, d int, lo, hi []byte, isRoot bool) error
+	walk = func(k kid, d int, lo, hi []byte, isRoot bool) error {
+		n := k.n
+		if k.d != nil {
+			return fmt.Errorf("merkle: pruned node in materialized tree at depth %d", d)
+		}
 		if n == nil {
 			return fmt.Errorf("merkle: nil node at depth %d", d)
-		}
-		if n.pruned {
-			return fmt.Errorf("merkle: pruned node in materialized tree at depth %d", d)
 		}
 		es := n.entries(nil)
 		for i := 1; i < len(es); i++ {
@@ -67,7 +68,7 @@ func (t *Tree) CheckInvariants() error {
 		if len(n.kids) != len(es)+1 {
 			return fmt.Errorf("merkle: internal node with %d keys, %d kids", len(es), len(n.kids))
 		}
-		for i, kid := range n.kids {
+		for i, k := range n.kids {
 			clo, chi := lo, hi
 			if i > 0 {
 				clo = es[i-1].key
@@ -75,7 +76,7 @@ func (t *Tree) CheckInvariants() error {
 			if i < len(es) {
 				chi = es[i].key
 			}
-			if err := walk(kid, d+1, clo, chi, false); err != nil {
+			if err := walk(k, d+1, clo, chi, false); err != nil {
 				return err
 			}
 		}
@@ -90,15 +91,29 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-// Height returns the number of levels in the tree (0 for empty).
+// Height returns the number of levels in the tree (0 for empty). A tree
+// rebuilt from a verification object descends through the first child
+// of each node that the VO expanded, and reports -1, as Len does, when
+// pruned subtrees hide the leaf level.
 func (t *Tree) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if n.leaf {
-			break
+	k := t.root
+	for h := 0; ; h++ {
+		n := k.n
+		if n == nil {
+			if k.d != nil {
+				return -1
+			}
+			return h
 		}
-		n = n.kids[0]
+		if n.leaf {
+			return h + 1
+		}
+		k = n.kids[0]
+		for _, c := range n.kids {
+			if c.n != nil {
+				k = c
+				break
+			}
+		}
 	}
-	return h
 }

@@ -15,14 +15,14 @@ func (t *Tree) Delete(key string) (*Tree, bool) {
 	return nt, found
 }
 
-// DeleteErr is Delete for trees that may contain pruned nodes.
+// DeleteErr is Delete for trees that may have pruned subtrees.
 func (t *Tree) DeleteErr(key string) (*Tree, bool, error) {
 	c := t.ctx()
 	return t.deleteCtx(&c, key)
 }
 
 func (t *Tree) deleteCtx(c *ctx, key string) (*Tree, bool, error) {
-	if t.root == nil {
+	if t.root == (kid{}) {
 		return t, false, nil
 	}
 	nr, found, err := c.del(t.root, key)
@@ -33,23 +33,25 @@ func (t *Tree) deleteCtx(c *ctx, key string) (*Tree, bool, error) {
 		return t, false, nil
 	}
 	// Collapse a root that lost all its keys.
+	root := kid{n: nr}
 	if !nr.leaf && nr.count() == 0 {
-		nr = nr.kids[0]
+		root = nr.kids[0]
 	}
-	if nr.leaf && nr.count() == 0 {
-		nr = nil
+	if root.n != nil && root.n.leaf && root.n.count() == 0 {
+		root = kid{}
 	}
-	return t.next(nr, t.resized(-1)), true, nil
+	return t.next(root, t.resized(-1)), true, nil
 }
 
 // del removes key from the subtree rooted at n. The returned node may
 // underflow (fewer than minKeys keys); the caller rebalances. As in
 // put, it is n edited in place when the transaction owns n.
-func (c *ctx) del(n *node, key string) (nn *node, found bool, err error) {
-	c.visit(n)
-	if n.pruned {
+func (c *ctx) del(k kid, key string) (nn *node, found bool, err error) {
+	n := k.n
+	if n == nil {
 		return nil, false, fmt.Errorf("%w (delete %q)", ErrPruned, key)
 	}
+	c.visit(n)
 	if n.leaf {
 		s, found := find(n.enc, key)
 		if !found {
@@ -66,7 +68,7 @@ func (c *ctx) del(n *node, key string) (nn *node, found bool, err error) {
 		return n, false, nil
 	}
 	nn = c.edit(n)
-	nn.kids[idx] = nk
+	nn.kids[idx] = kid{n: nk}
 	if nk.count() < int(c.order)/2 {
 		if err := c.rebalance(nn, idx); err != nil {
 			return nil, false, err
@@ -84,23 +86,21 @@ func (c *ctx) del(n *node, key string) (nn *node, found bool, err error) {
 // them — take new encodings in place; a sibling that gives up an entry
 // is edited like any other node.
 func (c *ctx) rebalance(nn *node, idx int) error {
-	child := nn.kids[idx]
+	child := nn.kids[idx].n
 	min := int(c.order) / 2
 
 	var left, right *node
 	if idx > 0 {
-		left = nn.kids[idx-1]
-		c.visit(left)
-		if left.pruned {
+		if left = nn.kids[idx-1].n; left == nil {
 			return fmt.Errorf("%w (rebalance: left sibling)", ErrPruned)
 		}
+		c.visit(left)
 	}
 	if idx < len(nn.kids)-1 {
-		right = nn.kids[idx+1]
-		c.visit(right)
-		if right.pruned {
+		if right = nn.kids[idx+1].n; right == nil {
 			return fmt.Errorf("%w (rebalance: right sibling)", ErrPruned)
 		}
+		c.visit(right)
 	}
 
 	var pb, cb, sb [stackEntries]entry
@@ -138,7 +138,7 @@ func (c *ctx) borrowLeft(parent *node, pe []entry, idx int, le []entry, left, ch
 	}
 	nl.enc = encode(left.leaf, le[:last])
 	parent.enc = encode(false, pe)
-	parent.kids[idx-1] = nl
+	parent.kids[idx-1] = kid{n: nl}
 }
 
 // borrowRight moves the right sibling's first entry into child.
@@ -155,7 +155,7 @@ func (c *ctx) borrowRight(parent *node, pe []entry, idx int, child *node, ce []e
 	}
 	nr.enc = encode(right.leaf, re[1:])
 	parent.enc = encode(false, pe)
-	parent.kids[idx+1] = nr
+	parent.kids[idx+1] = kid{n: nr}
 }
 
 // merge replaces parent.kids[sepIdx] and parent.kids[sepIdx+1] with one
@@ -163,7 +163,7 @@ func (c *ctx) borrowRight(parent *node, pe []entry, idx int, child *node, ce []e
 // removing the separator pe[sepIdx] — which an internal merge pulls
 // down between the two halves.
 func (c *ctx) merge(parent *node, pe []entry, sepIdx int, a *node, joined []entry) {
-	b := parent.kids[sepIdx+1]
+	b := parent.kids[sepIdx+1].n
 	var m *node
 	if a.leaf {
 		m = c.node(true, encode(true, joined), nil)
@@ -173,5 +173,5 @@ func (c *ctx) merge(parent *node, pe []entry, sepIdx int, a *node, joined []entr
 	}
 	parent.enc = encode(false, slices.Delete(pe, sepIdx, sepIdx+1))
 	parent.kids = append(parent.kids[:sepIdx], parent.kids[sepIdx+1:]...)
-	parent.kids[sepIdx] = m
+	parent.kids[sepIdx] = kid{n: m}
 }

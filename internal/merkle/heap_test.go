@@ -9,12 +9,13 @@ import (
 // TestTreeHeapPerRecord bounds what a tree built by Put keeps alive,
 // in bytes and in heap objects, the number the garbage collector scans.
 // A record is its key and value inside its leaf's one encoding, plus its
-// share of the nodes, their encodings and child arrays: 60 bytes and
+// share of the nodes, their encodings and child slots: 62 bytes and
 // 0.7 objects, before and after the overwrites (bounds 15 % above the
-// bytes, and one object). A string and a slice per record plus key and
-// value arrays per node, as nodes were stored before, were 114 bytes
-// and 2.9 objects; windows onto split arrays more than doubled the
-// bytes again.
+// 60 bytes of when a child slot was a bare pointer rather than a node
+// or a digest, and one object). A string and a slice per record plus
+// key and value arrays per node, as nodes were stored before, were 114
+// bytes and 2.9 objects; windows onto split arrays more than doubled
+// the bytes again.
 func TestTreeHeapPerRecord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 100k-record tree")

@@ -49,6 +49,7 @@ func FuzzVOVerify(f *testing.F) {
 				t.Fatalf("forged VO verified against the honest root with value %x", val)
 			}
 		}
+		_ = tree.Height()
 		_, _, _ = tree.GetErr("key-031")
 		_ = tree.Range("key-000", "key-063", func(_, _ []byte) bool { return true })
 		_, _ = v.Replay(root, func(cur *Tree) (*Tree, error) { return cur, nil })

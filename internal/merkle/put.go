@@ -16,17 +16,17 @@ func (t *Tree) Put(key string, val []byte) *Tree {
 	return nt
 }
 
-// PutErr is Put for trees that may contain pruned nodes.
+// PutErr is Put for trees that may have pruned subtrees.
 func (t *Tree) PutErr(key string, val []byte) (*Tree, error) {
 	c := t.ctx()
 	return t.putCtx(&c, key, val)
 }
 
 func (t *Tree) putCtx(c *ctx, key string, val []byte) (*Tree, error) {
-	if t.root == nil {
+	if t.root == (kid{}) {
 		s, _ := find(emptyLeaf, key)
 		root := c.node(true, s.insert(emptyLeaf, key, val), nil)
-		return t.next(root, t.resized(1)), nil
+		return t.next(kid{n: root}, t.resized(1)), nil
 	}
 	nr, added, err := c.put(t.root, key, val)
 	if err != nil {
@@ -34,13 +34,13 @@ func (t *Tree) putCtx(c *ctx, key string, val []byte) (*Tree, error) {
 	}
 	if nr.count() > t.order {
 		left, sep, right := c.split(nr)
-		nr = c.node(false, encode(false, []entry{{key: sep}}), []*node{left, right})
+		nr = c.node(false, encode(false, []entry{{key: sep}}), []kid{{n: left}, {n: right}})
 	}
 	size := t.size
 	if added {
 		size = t.resized(1)
 	}
-	return t.next(nr, size), nil
+	return t.next(kid{n: nr}, size), nil
 }
 
 // resized returns t's record count changed by d: the -1 of a tree
@@ -55,8 +55,8 @@ func (t *Tree) resized(d int) int {
 // next returns the tree that follows t in its transaction: t itself,
 // updated, when the transaction owns t's root — it then made t too and
 // has not handed it out — otherwise a new one.
-func (t *Tree) next(root *node, size int) *Tree {
-	if t.root != nil && t.root.owned() {
+func (t *Tree) next(root kid, size int) *Tree {
+	if t.root.n != nil && t.root.n.owned() {
 		t.root, t.size = root, size
 		return t
 	}
@@ -72,11 +72,12 @@ func (t *Tree) next(root *node, size int) *Tree {
 // internal node that neither gains a key nor absorbs a split — every
 // internal level of a non-splitting put — comes from edit, which
 // shares n's encoding.
-func (c *ctx) put(n *node, key string, val []byte) (nn *node, added bool, err error) {
-	c.visit(n)
-	if n.pruned {
+func (c *ctx) put(k kid, key string, val []byte) (nn *node, added bool, err error) {
+	n := k.n
+	if n == nil {
 		return nil, false, fmt.Errorf("%w (put %q)", ErrPruned, key)
 	}
+	c.visit(n)
 	if n.leaf {
 		s, found := find(n.enc, key)
 		if found {
@@ -91,20 +92,20 @@ func (c *ctx) put(n *node, key string, val []byte) (nn *node, added bool, err er
 	}
 	if nk.count() <= int(c.order) {
 		nn = c.edit(n)
-		nn.kids[idx] = nk
+		nn.kids[idx] = kid{n: nk}
 		return nn, added, nil
 	}
 	left, sep, right := c.split(nk)
 	var buf [stackEntries]entry
 	es := slices.Insert(n.entries(buf[:0]), idx, entry{key: sep})
-	nn = c.with(n, encode(false, es), inserted(n.kids, idx+1, right))
-	nn.kids[idx] = left
+	nn = c.with(n, encode(false, es), inserted(n.kids, idx+1, kid{n: right}))
+	nn.kids[idx] = kid{n: left}
 	return nn, added, nil
 }
 
-// edit returns the node in which kids entries of n may be replaced: n
+// edit returns the node in which child slots of n may be replaced: n
 // itself, its memoized digest forgotten, when the transaction owns it;
-// otherwise a copy with its own kids array that shares n's encoding. A
+// otherwise a copy with its own slots that shares n's encoding. A
 // caller that changes keys or values gives the result a new encoding.
 func (c *ctx) edit(n *node) *node {
 	if n.owned() {
@@ -117,7 +118,7 @@ func (c *ctx) edit(n *node) *node {
 // with returns the node that takes n's place with the given encoding
 // and kids: n itself when the transaction owns it, otherwise a new
 // node.
-func (c *ctx) with(n *node, enc []byte, kids []*node) *node {
+func (c *ctx) with(n *node, enc []byte, kids []kid) *node {
 	if !n.owned() {
 		return c.node(n.leaf, enc, kids)
 	}
@@ -131,7 +132,7 @@ func (c *ctx) with(n *node, enc []byte, kids []*node) *node {
 // node's first key (B+-tree style: all records stay in leaves); for an
 // internal node the middle key moves up. The separator is a window onto
 // n's encoding, which the parent's new encoding copies. Each half gets
-// an exactly sized encoding and kids array of its own, so nothing keeps
+// an exactly sized encoding and slots of its own, so nothing keeps
 // the overfull node's bytes reachable.
 func (c *ctx) split(n *node) (left *node, sep []byte, right *node) {
 	var kbuf, vbuf [stackEntries + 1]int

@@ -22,17 +22,21 @@ type Snapshot struct {
 
 // Snapshot captures the tree.
 func (t *Tree) Snapshot() *Snapshot {
-	b := binary.AppendUvarint(nil, uint64(t.order))
-	return &Snapshot{size: t.size, vo: VO{enc: appendPruned(b, t.root, nil)}}
+	s := &Snapshot{size: t.size}
+	s.vo.enc = appendPruned(binary.AppendUvarint(nil, uint64(t.order)), t.root, nil, &s.vo)
+	return s
 }
 
 // Restore rebuilds a tree from a snapshot and validates it the way a
 // fully materialized tree is validated anywhere (snapshots may come
 // from disk or the network): every shape VO.Tree or CheckInvariants
-// refuses is refused here, a pruned node — the snapshot of a
-// verifier's partial tree — among them. The restored tree's root
-// digest equals the original's, and its nodes' encodings are windows
-// onto the snapshot's bytes, as a VO's tree's are onto the VO's.
+// refuses is refused here, a pruned subtree — the snapshot of a
+// verifier's partial tree — among them, even at the root. The restored
+// tree's root digest equals the original's, and its nodes' encodings are
+// windows onto the snapshot's bytes, as a VO's tree's are onto the VO's.
+// Its nodes are one slab, which the bytes of the snapshot already bound:
+// a node replaced by a later write stays allocated until every node of
+// the slab is.
 func Restore(s *Snapshot) (*Tree, error) {
 	if s == nil || s.size < 0 {
 		return nil, fmt.Errorf("%w: no snapshot of a complete tree", ErrMalformedVO)
@@ -58,7 +62,14 @@ func (s *Snapshot) Append(b []byte) []byte {
 // ReadSnapshot reads what Append wrote into a private copy, so a tree
 // restored from it pins nothing else of the file it came in. The record
 // count is bounded by the bytes left (a record is at least its two
-// length bytes); everything else is Restore's to check.
+// length bytes), and the tree's bytes go through ViewVO's scan, which
+// fails r on bytes outside the grammar and counts what Restore
+// allocates; the shape is Restore's to check.
 func ReadSnapshot(r *binenc.Reader) *Snapshot {
-	return &Snapshot{size: r.Count(2), vo: VO{enc: r.Bytes()}}
+	s := &Snapshot{size: r.Count(2)}
+	var err error
+	if s.vo, err = viewVO(r.Bytes()); err != nil {
+		r.Fail("%v", err)
+	}
+	return s
 }

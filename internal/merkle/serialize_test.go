@@ -101,18 +101,19 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	cases := map[string]*Snapshot{
 		"nil":           nil,
 		"no encoding":   {},
-		"bad order":     {vo: VO{enc: voOf(1, []byte{voAbsent})}},
-		"negative size": {size: -1, vo: VO{enc: voOf(4, leaf("a"))}},
-		"bad size":      {size: 5, vo: VO{enc: voOf(4, leaf("a"))}},
-		"sized empty":   {size: 1, vo: VO{enc: voOf(4, []byte{voAbsent})}},
-		"bad shape":     {vo: VO{enc: voOf(4, internalNode([]string{"a"}))}},
-		"absent child":  {vo: VO{enc: voOf(4, internalNode([]string{"a"}, []byte{voAbsent}, []byte{voAbsent}))}},
-		"underfull":     {size: 1, vo: VO{enc: voOf(8, internalNode([]string{"b"}, leaf(), leaf("b")))}},
-		"unsorted":      {size: 2, vo: VO{enc: voOf(4, leaf("b", "a"))}},
-		"duplicates":    {size: 2, vo: VO{enc: voOf(4, leaf("a", "a"))}},
-		"pruned node":   {size: 2, vo: VO{enc: voOf(4, internalNode([]string{"b"}, leaf("a"), prunedNode(d)))}},
-		"uneven leaves": {size: 2, vo: VO{enc: voOf(4, internalNode([]string{"b"}, leaf("a"), internalNode([]string{"c"}, leaf("b"), leaf("c"))))}},
-		"out of range":  {size: 2, vo: VO{enc: voOf(4, internalNode([]string{"b"}, leaf("c"), leaf("d")))}},
+		"bad order":     {vo: *ample(voOf(1, []byte{voAbsent}))},
+		"negative size": {size: -1, vo: *ample(voOf(4, leaf("a")))},
+		"bad size":      {size: 5, vo: *ample(voOf(4, leaf("a")))},
+		"sized empty":   {size: 1, vo: *ample(voOf(4, []byte{voAbsent}))},
+		"bad shape":     {vo: *ample(voOf(4, internalNode([]string{"a"})))},
+		"absent child":  {vo: *ample(voOf(4, internalNode([]string{"a"}, []byte{voAbsent}, []byte{voAbsent})))},
+		"underfull":     {size: 1, vo: *ample(voOf(8, internalNode([]string{"b"}, leaf(), leaf("b"))))},
+		"unsorted":      {size: 2, vo: *ample(voOf(4, leaf("b", "a")))},
+		"duplicates":    {size: 2, vo: *ample(voOf(4, leaf("a", "a")))},
+		"pruned node":   {size: 2, vo: *ample(voOf(4, internalNode([]string{"b"}, leaf("a"), prunedNode(d))))},
+		"pruned root":   {size: 2, vo: *ample(voOf(4, prunedNode(d)))},
+		"uneven leaves": {size: 2, vo: *ample(voOf(4, internalNode([]string{"b"}, leaf("a"), internalNode([]string{"c"}, leaf("b"), leaf("c")))))},
+		"out of range":  {size: 2, vo: *ample(voOf(4, internalNode([]string{"b"}, leaf("c"), leaf("d"))))},
 	}
 	for name, s := range cases {
 		if _, err := Restore(s); !errors.Is(err, ErrMalformedVO) {
@@ -123,6 +124,12 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	r := binenc.NewReader(append([]byte{200}, binenc.AppendBytes(nil, voOf(4, leaf("a")))...))
 	if ReadSnapshot(r); r.Err() == nil {
 		t.Error("a record count beyond the input was read")
+	}
+	// Nor do bytes outside the VO grammar: ReadSnapshot scans them as
+	// ViewVO does.
+	r = binenc.NewReader(append([]byte{1}, binenc.AppendBytes(nil, voOf(4, internalNode([]string{"a"})))...))
+	if ReadSnapshot(r); r.Err() == nil {
+		t.Error("a tree outside the grammar was read")
 	}
 }
 

@@ -32,9 +32,10 @@
 // hand out windows onto the encoding, which the caller must not modify.
 //
 // Verification objects (see vo.go) are pruned copies of the pre-state
-// tree. A tree may therefore contain pruned nodes — placeholders that
-// carry only a digest. Any operation that would need to look inside a
-// pruned node fails with ErrPruned; on a fully materialized tree no
+// tree. A tree rebuilt from one therefore has child slots that hold no
+// node, only the digest of the subtree the VO pruned away, as a window
+// onto the VO's bytes. Any operation that would need to look inside such
+// a subtree fails with ErrPruned; on a fully materialized tree no
 // operation ever returns an error.
 package merkle
 
@@ -58,27 +59,45 @@ const DefaultOrder = 8
 // MinOrder is the smallest supported branching factor.
 const MinOrder = 3
 
-// ErrPruned is returned when an operation needs the contents of a node
-// that a verification object pruned away. During VO verification this
-// means the VO does not cover the operation being replayed — i.e. the
-// server's proof is invalid.
+// ErrPruned is returned when an operation needs the contents of a
+// subtree that a verification object pruned away. During VO verification
+// this means the VO does not cover the operation being replayed — i.e.
+// the server's proof is invalid.
 var ErrPruned = errors.New("merkle: operation reached a pruned node")
 
 // Tree is an immutable authenticated B+-tree mapping string keys to
 // byte-slice values. The zero value is not usable; call New.
 type Tree struct {
 	order int
-	root  *node
+	root  kid
 	size  int
 }
 
 type node struct {
-	pruned bool
-	leaf   bool
-	memo   atomic.Uint32 // memoUnset, memoWriting or memoValid (who may touch dig), with or without memoOwned
-	dig    digest.Digest // the memoized digest; read only after memo reads memoValid
-	enc    []byte        // the node's body in the VO grammar (vobinary.go): keys, then a leaf's values
-	kids   []*node       // internal nodes: one more than the keys
+	leaf bool
+	memo atomic.Uint32 // memoUnset, memoWriting or memoValid (who may touch dig), with or without memoOwned
+	dig  digest.Digest // the memoized digest; read only after memo reads memoValid
+	enc  []byte        // the node's body in the VO grammar (vobinary.go): keys, then a leaf's values
+	kids []kid         // internal nodes: one more than the keys
+}
+
+// A kid is a child slot of an internal node, or a tree's root slot. It
+// holds exactly one of the node and, only in a tree rebuilt from a
+// verification object, the digest of the subtree the VO pruned: a window
+// onto the VO's own 32 bytes, as a node's encoding is a window onto its
+// body, never copied and never written. The zero kid is the root of an
+// empty tree.
+type kid struct {
+	n *node
+	d *digest.Digest
+}
+
+// digest returns the digest of the subtree in k.
+func (k kid) digest() digest.Digest {
+	if k.d != nil {
+		return *k.d
+	}
+	return k.n.digest()
 }
 
 const (
@@ -107,9 +126,9 @@ func (n *node) forget() {
 // walk stops at the first node of the pre-state on every path.
 func release(n *node) {
 	n.memo.Store(n.memo.Load() &^ memoOwned)
-	for _, kid := range n.kids {
-		if kid.owned() {
-			release(kid)
+	for _, k := range n.kids {
+		if k.n != nil && k.n.owned() {
+			release(k.n)
 		}
 	}
 }
@@ -195,8 +214,8 @@ func (n *node) digest() digest.Digest {
 		for i := 0; i < l.count; i++ {
 			h.Bytes(enc[l.k[i]:l.k[i+1]])
 		}
-		for _, c := range n.kids {
-			h.Digest(c.digest())
+		for _, k := range n.kids {
+			h.Digest(k.digest())
 		}
 	}
 	d := h.Sum()
@@ -218,7 +237,7 @@ type entry struct {
 // decode any node such a tree has without allocating.
 const stackEntries = DefaultOrder + 1
 
-// entries appends the entries of n, which is not pruned, to buf.
+// entries appends the entries of n to buf.
 func (n *node) entries(buf []entry) []entry {
 	var kbuf, vbuf [stackEntries + 1]int
 	l := layoutOf(n.enc, n.leaf, kbuf[:0], vbuf[:0])
@@ -333,7 +352,7 @@ func skip(enc []byte, p, n int) int {
 	return p
 }
 
-// count returns the number of keys of n, which is not pruned.
+// count returns the number of keys of n.
 func (n *node) count() int {
 	c, _ := uvarint(n.enc, 0)
 	return c
@@ -482,7 +501,7 @@ type ctx struct {
 }
 
 // node returns a new node of the running operation.
-func (c *ctx) node(leaf bool, enc []byte, kids []*node) *node {
+func (c *ctx) node(leaf bool, enc []byte, kids []kid) *node {
 	n := &node{leaf: leaf, enc: enc, kids: kids}
 	if c.mark != memoUnset {
 		n.memo.Store(c.mark)
@@ -501,33 +520,33 @@ func (c *ctx) visit(n *node) {
 func (t *Tree) Get(key string) ([]byte, bool) {
 	v, ok, err := t.GetErr(key)
 	if err != nil {
-		// Only possible on trees containing pruned nodes.
+		// Only possible on trees with pruned subtrees.
 		panic("merkle: Get on partial tree; use GetErr: " + err.Error())
 	}
 	return v, ok
 }
 
-// GetErr is Get for trees that may contain pruned nodes (trees rebuilt
+// GetErr is Get for trees that may have pruned subtrees (trees rebuilt
 // from verification objects).
 func (t *Tree) GetErr(key string) ([]byte, bool, error) {
 	c := t.ctx()
 	return c.get(t.root, key)
 }
 
-func (c *ctx) get(n *node, key string) ([]byte, bool, error) {
-	for n != nil {
+func (c *ctx) get(k kid, key string) ([]byte, bool, error) {
+	for n := k.n; n != nil; n = k.n {
 		c.visit(n)
-		if n.pruned {
-			return nil, false, fmt.Errorf("%w (get %q)", ErrPruned, key)
-		}
 		if !n.leaf {
-			n = n.kids[n.childIndex(key)]
+			k = n.kids[n.childIndex(key)]
 			continue
 		}
 		if s, found := find(n.enc, key); found {
 			return s.value(n.enc), true, nil
 		}
-		break
+		return nil, false, nil
+	}
+	if k.d != nil {
+		return nil, false, fmt.Errorf("%w (get %q)", ErrPruned, key)
 	}
 	return nil, false, nil
 }
@@ -543,14 +562,15 @@ func (t *Tree) Range(lo, hi string, fn func(key, val []byte) bool) error {
 	return err
 }
 
-func (c *ctx) rng(n *node, lo, hi string, fn func(key, val []byte) bool) (bool, error) {
+func (c *ctx) rng(k kid, lo, hi string, fn func(key, val []byte) bool) (bool, error) {
+	n := k.n
 	if n == nil {
+		if k.d != nil {
+			return false, fmt.Errorf("%w (range [%q,%q))", ErrPruned, lo, hi)
+		}
 		return true, nil
 	}
 	c.visit(n)
-	if n.pruned {
-		return false, fmt.Errorf("%w (range [%q,%q))", ErrPruned, lo, hi)
-	}
 	var buf [stackEntries]entry
 	es := n.entries(buf[:0])
 	if n.leaf {

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"trustedcvs/internal/digest"
 )
 
 // The ownership mark lives in words the structures already had, and a
@@ -27,14 +29,14 @@ func TestOwnershipCostsNoBytes(t *testing.T) {
 // nodesOf returns every node reachable from t.
 func nodesOf(t *Tree) map[*node]bool {
 	seen := map[*node]bool{}
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil || seen[n] {
+	var walk func(k kid)
+	walk = func(k kid) {
+		if k.n == nil || seen[k.n] {
 			return
 		}
-		seen[n] = true
-		for _, kid := range n.kids {
-			walk(kid)
+		seen[k.n] = true
+		for _, c := range k.n.kids {
+			walk(c)
 		}
 	}
 	walk(t.root)
@@ -294,11 +296,29 @@ func TestLenUnknownStaysUnknown(t *testing.T) {
 	}
 }
 
+// digestsOf returns the digest of every pruned slot reachable from t.
+func digestsOf(t *Tree) []*digest.Digest {
+	var ds []*digest.Digest
+	var walk func(k kid)
+	walk = func(k kid) {
+		if k.d != nil {
+			ds = append(ds, k.d)
+		}
+		if k.n != nil {
+			for _, c := range k.n.kids {
+				walk(c)
+			}
+		}
+	}
+	walk(t.root)
+	return ds
+}
+
 // leafSize returns the number of keys in the leaf responsible for key.
 func leafSize(tr *Tree, key string) int {
-	n := tr.root
+	n := tr.root.n
 	for !n.leaf {
-		n = n.kids[n.childIndex(key)]
+		n = n.kids[n.childIndex(key)].n
 	}
 	return n.count()
 }
@@ -319,7 +339,8 @@ func leaves(tr *Tree) int {
 // the VO's, which are the wire decoder's frame buffer. A put overwrite,
 // an insert that splits, a delete that borrows and a delete that merges,
 // each replayed on such nodes, leave the frame and the VO's encoding as
-// they were, and land on the server's root.
+// they were, and land on the server's root. Every pruned slot's digest
+// stays a window onto the frame, equal to the bytes received there.
 func TestReplayNeverWritesVOBytes(t *testing.T) {
 	const order = 4
 	rng := rand.New(rand.NewSource(3))
@@ -398,6 +419,19 @@ func TestReplayNeverWritesVOBytes(t *testing.T) {
 		}
 		if !bytes.Equal(frame, received) || !bytes.Equal(mustMarshal(t, vo), enc) {
 			t.Fatalf("%s: the replay wrote into the VO's bytes", st.name)
+		}
+		windows := digestsOf(replay.cur)
+		if len(windows) == 0 {
+			t.Fatalf("test bug: %s left no pruned slot", st.name)
+		}
+		for _, d := range windows {
+			off := int(uintptr(unsafe.Pointer(d)) - uintptr(unsafe.Pointer(&frame[0])))
+			if off < 0 || off+digest.Size > len(frame) {
+				t.Fatalf("%s: a pruned slot's digest is a copy, not a window onto the frame", st.name)
+			}
+			if *d != digest.Digest(received[off:off+digest.Size]) {
+				t.Fatalf("%s: a pruned slot's digest differs from its bytes in the frame", st.name)
+			}
 		}
 	}
 	if got, want := replay.Tree().RootDigest(), rec.Tree().RootDigest(); got != want || want != cur.RootDigest() {

@@ -95,7 +95,7 @@ func (r *Recording) Delete(key string) (bool, error) {
 // transaction's ownership of its nodes: the returned tree is immutable
 // like any other, and later operations through r copy again.
 func (r *Recording) Tree() *Tree {
-	if root := r.cur.root; root != nil && root.owned() {
+	if root := r.cur.root.n; root != nil && root.owned() {
 		release(root)
 	}
 	return r.cur
@@ -103,14 +103,15 @@ func (r *Recording) Tree() *Tree {
 
 // VO returns the verification object for the recorded batch: the
 // pre-state tree pruned down to the nodes the batch touched, written
-// straight from the tree nodes into the flat encoding. Nodes created
-// during the batch are never part of the pre-state and are
-// reconstructed by the verifier's replay.
+// straight from the tree nodes into the flat encoding and counted on the
+// way. Nodes created during the batch are never part of the pre-state
+// and are reconstructed by the verifier's replay.
 func (r *Recording) VO() *VO {
 	scratch := voScratch.Get().(*[]byte)
 	b := binary.AppendUvarint((*scratch)[:0], uint64(r.base.order))
-	b = appendPruned(b, r.base.root, r.c.rec)
-	vo := &VO{enc: slices.Clone(b)}
+	vo := new(VO)
+	b = appendPruned(b, r.base.root, r.c.rec, vo)
+	vo.enc = slices.Clone(b)
 	*scratch = b
 	voScratch.Put(scratch)
 	return vo
@@ -129,33 +130,39 @@ var voScratch = sync.Pool{New: func() any { return new([]byte) }}
 // them. The zero VO is malformed.
 type VO struct {
 	enc []byte
+	// nodes and digests count the expanded nodes and the pruned digests
+	// of enc: whatever made the VO counted them while it wrote or scanned
+	// the bytes, and Tree sizes its two slabs by them.
+	nodes, digests int
 }
 
 // Tree materializes the VO into a partial tree. It validates grammar
 // and structure (the VO comes from an untrusted server) so that
 // replaying operations on the result can never panic: malformed shapes
-// are rejected here. Every node's encoding is a window onto the VO's
-// own bytes, so a tree costs a slab of children and a pointer array per
-// expanded internal node, and nothing per leaf, key or value.
+// are rejected here. Every node's encoding and every pruned subtree's
+// digest is a window onto the VO's own bytes, every expanded node is cut
+// from one slab and every child slot from another, so a tree costs three
+// allocations — the Tree and the two slabs — however deep the VO is.
 func (v *VO) Tree() (*Tree, error) { return v.tree(memoUnset) }
 
 // tree is Tree with the memo word the expanded nodes start with.
 func (v *VO) tree(mark uint32) (*Tree, error) {
-	d := voDecoder{data: v.enc, mark: mark}
+	d := voDecoder{data: v.enc, mark: mark, nodes: make([]node, v.nodes)}
+	if slots := v.nodes + v.digests - 1; slots > 0 {
+		d.kids = make([]kid, slots) // every node but the root fills a child slot
+	}
 	d.r.Reset(v.enc)
 	order := d.r.Uvarint()
 	if order < MinOrder || order > math.MaxInt32 {
 		d.r.Fail("order %d", order)
 	}
 	d.order = int(order)
-	root := new(node)
-	if !d.node(root, 0) {
-		root = nil
-	}
+	t := &Tree{order: d.order, size: -1}
+	d.kid(&t.root, 0)
 	if err := d.r.Close(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformedVO, err)
 	}
-	return &Tree{order: d.order, root: root, size: -1}, nil
+	return t, nil
 }
 
 // Replay is the verifier's side of Section 4.1: it materializes the VO,

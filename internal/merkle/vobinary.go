@@ -24,10 +24,11 @@ import (
 //
 // This is the VO's only representation, in memory as on the wire, and
 // the body of a leaf or internal node — everything after its kind byte
-// up to its children — is the tree node's own encoding (node.enc):
-// Recording.VO copies node bodies out (appendPruned) and VO.Tree hands
-// each node a window onto its body (voDecoder), with nothing in
-// between.
+// up to its children — is the tree node's own encoding (node.enc), as a
+// pruned node's 32 bytes are its child slot's digest (kid.d):
+// Recording.VO copies node bodies and digests out (appendPruned) and
+// VO.Tree hands each node a window onto its body and each pruned slot a
+// window onto its digest (voDecoder), with nothing in between.
 //
 // Wire messages, journal records and server snapshots carry these bytes
 // as they are (MarshalBinary on the way out, ViewVO on the way in); a
@@ -45,25 +46,28 @@ const (
 // than any machine can.
 const maxVODepth = 64
 
-// appendPruned appends the subtree under n in preorder, keeping the
+// appendPruned appends the subtree in k in preorder, keeping the
 // content of the nodes in keep (of every node when keep is nil) and
-// only the digest of every other. A node's body is already its
-// encoding, so an expanded node is its kind byte, its bytes and its
-// children.
-func appendPruned(b []byte, n *node, keep map[*node]struct{}) []byte {
-	if n == nil {
+// only the digest of every other, and counts the expanded nodes and
+// digests it writes into v. A node's body is already its encoding, so
+// an expanded node is its kind byte, its bytes and its children.
+func appendPruned(b []byte, k kid, keep map[*node]struct{}, v *VO) []byte {
+	n := k.n
+	if n == nil && k.d == nil {
 		return append(b, voAbsent)
 	}
-	if _, ok := keep[n]; (!ok && keep != nil) || n.pruned {
-		d := n.digest()
+	if _, ok := keep[n]; n == nil || (!ok && keep != nil) {
+		v.digests++
+		d := k.digest()
 		return append(append(b, voPruned), d[:]...)
 	}
+	v.nodes++
 	if n.leaf {
 		return append(append(b, voLeaf), n.enc...)
 	}
 	b = append(append(b, voInternal), n.enc...)
-	for _, kid := range n.kids {
-		b = appendPruned(b, kid, keep)
+	for _, c := range n.kids {
+		b = appendPruned(b, c, keep, v)
 	}
 	return b
 }
@@ -83,12 +87,19 @@ func (v *VO) MarshalBinary() ([]byte, error) {
 // remain, depth is bounded, unknown node kinds, non-minimal integers
 // and trailing bytes are rejected — all as ErrMalformedVO, decided
 // without allocating. Whether the encoded shape is a valid tree is
-// still VO.Tree's call.
+// still VO.Tree's call. The scan counts what VO.Tree allocates for.
 func ViewVO(data []byte) (*VO, error) {
-	if _, err := scanVO(data); err != nil {
+	v, err := viewVO(data)
+	if err != nil {
 		return nil, err
 	}
-	return &VO{enc: data}, nil
+	return &v, nil
+}
+
+// viewVO is ViewVO by value.
+func viewVO(data []byte) (VO, error) {
+	s, err := scanVO(data)
+	return VO{enc: data, nodes: s.ExpandedNodes, digests: s.PrunedDigests}, err
 }
 
 // scanVO checks data against the grammar and sizes it up on the way.
@@ -155,17 +166,21 @@ func skipLensBytes(r *binenc.Reader, count int) int {
 }
 
 // voDecoder materializes the flat form as tree nodes, making every
-// check on the way: nothing it returns can make a replay panic.
+// check on the way: nothing it returns can make a replay panic. It cuts
+// expanded nodes and child slots from the front of two slabs, which the
+// VO's counts sized, and fails rather than reach past either.
 type voDecoder struct {
-	r     binenc.Reader // over data; node bodies are windows onto it
+	r     binenc.Reader // over data; node bodies and digests are windows onto it
 	data  []byte
 	order int
 	mark  uint32 // memo word of every expanded node
+	nodes []node // the node slab's unused rest
+	kids  []kid  // the slot slab's unused rest
 }
 
-// node decodes one node into n, reporting false for an absent one (and
+// kid decodes one node into k, reporting false for an absent one (and
 // after any failure, which sticks in d.r).
-func (d *voDecoder) node(n *node, depth int) bool {
+func (d *voDecoder) kid(k *kid, depth int) bool {
 	if depth > maxVODepth {
 		d.r.Fail("deeper than %d levels", maxVODepth)
 		return false
@@ -174,34 +189,38 @@ func (d *voDecoder) node(n *node, depth int) bool {
 	case voAbsent:
 		return false
 	case voPruned:
-		n.pruned = true
-		copy(n.dig[:], d.r.View(digest.Size))
-		if n.dig.IsZero() {
+		b := d.r.View(digest.Size)
+		if d.r.Err() != nil {
+			return false // too short to be a digest
+		}
+		if k.d = (*digest.Digest)(b); k.d.IsZero() {
 			d.r.Fail("pruned node without digest")
 		}
-		n.memo.Store(memoValid)
-	case voLeaf:
-		n.leaf = true
-		n.memo.Store(d.mark)
-		n.enc, _ = d.body(true)
-	case voInternal:
+	case voLeaf, voInternal:
+		if len(d.nodes) == 0 {
+			d.r.Fail("more expanded nodes than counted")
+			return false
+		}
+		n := &d.nodes[0]
+		d.nodes, k.n = d.nodes[1:], n
+		n.leaf = kind == voLeaf
 		n.memo.Store(d.mark)
 		var keys int
-		n.enc, keys = d.body(false)
-		count := keys + 1
-		if d.r.Err() != nil || count > d.r.Remaining() {
-			d.r.Fail("%d children exceed the %d bytes left", count, d.r.Remaining())
+		n.enc, keys = d.body(n.leaf)
+		if n.leaf || d.r.Err() != nil {
 			break
 		}
-		// One slab for all children: siblings live and die together.
-		slab := make([]node, count)
-		n.kids = make([]*node, count)
-		for i := range slab {
-			if !d.node(&slab[i], depth+1) {
+		count := keys + 1
+		if count > len(d.kids) {
+			d.r.Fail("%d children exceed the %d slots counted", count, len(d.kids))
+			break
+		}
+		n.kids, d.kids = d.kids[:count:count], d.kids[count:]
+		for i := range n.kids {
+			if !d.kid(&n.kids[i], depth+1) {
 				d.r.Fail("absent child")
 				break
 			}
-			n.kids[i] = &slab[i]
 		}
 	default:
 		d.r.Fail("unknown node kind %d", kind)

@@ -102,6 +102,9 @@ go test -run='^$' -fuzz='^FuzzWALReplay$' -fuzztime=10s ./internal/wal
 scripts/loc.sh
 # The admission controller sits under every server, and every verified
 # operation hashes tree nodes, builds a VO and materializes one, so
-# their per-piece costs go in every log. Printed, not gated.
+# their per-piece costs go in every log, and beside them the verifier's
+# whole path: materialize, check the old root, replay, hash the new
+# root. Printed, not gated.
 go test -run '^$' -bench AdmissionUncontended -benchmem ./internal/transport
 go test -run '^$' -bench 'NodeDigest|VOBuild|VOTree' -benchmem ./internal/merkle
+go test -run '^$' -bench 'E2VOVerify' -benchmem .

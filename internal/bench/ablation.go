@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"trustedcvs/internal/adversary"
 	"trustedcvs/internal/cvs"
@@ -25,7 +24,7 @@ func E9() *Table {
 		ID:       "E9",
 		Title:    "Ablation: Merkle branching factor m (10k records, single-key update)",
 		PaperRef: "Section 4.1 (\"up to m keys and m+1 pointers\") — design choice",
-		Columns:  []string{"order", "height", "vo-digests", "vo-wire-bytes", "apply-us", "verify-us"},
+		Columns:  []string{"order", "height", "vo-digests", "vo-wire-bytes"},
 	}
 	const n = 10_000
 	for _, order := range []int{3, 4, 8, 16, 32, 64} {
@@ -33,42 +32,21 @@ func E9() *Table {
 		for i := 0; i < n; i++ {
 			tr = tr.Put(fmt.Sprintf("key-%07d", i), []byte("value"))
 		}
-		tr.RootDigest()
 		key := fmt.Sprintf("key-%07d", n/2)
 
-		const iters = 100
-		start := time.Now()
-		var vo *merkle.VO
-		for i := 0; i < iters; i++ {
-			rec := tr.Record()
-			if err := rec.Put(key, []byte("updated")); err != nil {
-				panic(err)
-			}
-			rec.Tree().RootDigest()
-			vo = rec.VO()
+		rec := tr.Record()
+		if err := rec.Put(key, []byte("updated")); err != nil {
+			panic(err)
 		}
-		applyUS := float64(time.Since(start).Microseconds()) / iters
-
-		oldRoot := tr.RootDigest()
+		vo := rec.VO()
 		bytes, err := wire.Size(vo)
 		if err != nil {
 			panic(err)
 		}
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := vo.Replay(oldRoot, func(pt *merkle.Tree) (*merkle.Tree, error) {
-				return pt.PutErr(key, []byte("updated"))
-			}); err != nil {
-				panic(err)
-			}
-		}
-		verifyUS := float64(time.Since(start).Microseconds()) / iters
-
-		t.AddRow(order, tr.Height(), vo.Stats().PrunedDigests, bytes, applyUS, verifyUS)
+		t.AddRow(order, tr.Height(), vo.Stats().PrunedDigests, bytes)
 	}
 	t.Notes = append(t.Notes,
-		"small orders make tall trees (many pruned sibling digests); large orders ship wide nodes — VO bytes are minimized at moderate m",
-		"apply time includes VO construction and the post-state root digest")
+		"small orders make tall trees (many pruned sibling digests); large orders ship wide nodes — VO bytes are minimized at moderate m")
 	return t
 }
 
@@ -186,7 +164,7 @@ func E11() *Table {
 		ID:       "E11",
 		Title:    "Ablation: files per commit — VO amortization (10k-record repository)",
 		PaperRef: "Section 4.1 generalized to operation batches (DESIGN.md §3)",
-		Columns:  []string{"files/commit", "vo-wire-bytes", "bytes/file", "vo-digests", "verify-us", "apply-us", "allocs/file"},
+		Columns:  []string{"files/commit", "vo-wire-bytes", "bytes/file", "vo-digests", "allocs/file"},
 	}
 	// Seed a repository with 5k files at head revision 1.
 	db := vdb.New(0)
@@ -225,28 +203,24 @@ func E11() *Table {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		start := time.Now()
 		for i := 0; i < iters; i++ {
 			if _, err := vdb.Verify(op, ans, vo, oldRoot); err != nil {
 				panic(err)
 			}
 		}
-		verifyUS := float64(time.Since(start).Microseconds()) / iters
-		start = time.Now()
 		for _, f := range forks {
 			if _, _, err := f.Apply(op); err != nil {
 				panic(err)
 			}
 			f.Root()
 		}
-		applyUS := float64(time.Since(start).Microseconds()) / iters
 		runtime.ReadMemStats(&after)
 		allocs := float64(after.Mallocs-before.Mallocs) / float64(iters*batch)
-		t.AddRow(batch, bytes, bytes/batch, vo.Stats().PrunedDigests, verifyUS, applyUS, allocs)
+		t.AddRow(batch, bytes, bytes/batch, vo.Stats().PrunedDigests, allocs)
 	}
 	t.Notes = append(t.Notes,
 		"bytes per file fall with batch size as root-adjacent tree paths are shared across the batched keys",
 		"a multi-file commit is ONE operation of the model: one ctr slot, one VO, atomic (DESIGN.md §3)",
-		"apply-us is the server's Apply + Root of the commit; allocs/file counts server and verifier together: a transaction copies each tree node once, so both fall with the batch")
+		"allocs/file counts the verifier and the server's Apply + Root of the commit together: a transaction copies each tree node once, so both fall with the batch")
 	return t
 }

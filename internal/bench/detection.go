@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"trustedcvs/internal/adversary"
 	"trustedcvs/internal/core"
@@ -53,20 +52,19 @@ func className(res *sim.Result) string {
 }
 
 // E2 reproduces Figure 2 / Section 4.1: a single-update verification
-// object carries O(log n) digests, and verification time follows.
+// object carries O(log n) digests.
 func E2() *Table {
 	t := &Table{
 		ID:       "E2",
-		Title:    "Merkle B+-tree verification object size and cost vs database size",
+		Title:    "Merkle B+-tree verification object size vs database size",
 		PaperRef: "Figure 2, Section 4.1 (O(log n) digests per update)",
-		Columns:  []string{"n", "height", "vo-digests", "vo-nodes", "vo-wire-bytes", "verify-us"},
+		Columns:  []string{"n", "height", "vo-digests", "vo-nodes", "vo-wire-bytes"},
 	}
 	for _, n := range []int{100, 1_000, 10_000, 100_000} {
 		tr := merkle.New(0)
 		for i := 0; i < n; i++ {
 			tr = tr.Put(fmt.Sprintf("key-%07d", i), []byte(fmt.Sprintf("value-%d", i)))
 		}
-		oldRoot := tr.RootDigest()
 		key := fmt.Sprintf("key-%07d", n/2)
 
 		rec := tr.Record()
@@ -79,19 +77,7 @@ func E2() *Table {
 		if err != nil {
 			panic(err)
 		}
-
-		const iters = 200
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := vo.Replay(oldRoot, func(pt *merkle.Tree) (*merkle.Tree, error) {
-				return pt.PutErr(key, []byte("updated"))
-			}); err != nil {
-				panic(err)
-			}
-		}
-		verifyUS := float64(time.Since(start).Microseconds()) / iters
-
-		t.AddRow(n, tr.Height(), stats.PrunedDigests, stats.ExpandedNodes, bytes, verifyUS)
+		t.AddRow(n, tr.Height(), stats.PrunedDigests, stats.ExpandedNodes, bytes)
 	}
 	t.Notes = append(t.Notes,
 		"digest count and wire bytes grow with tree height (log n), not with n — the paper's efficiency claim for Merkle trees")

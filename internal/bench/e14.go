@@ -60,7 +60,7 @@ type E14Config struct {
 	TruncateProb float64
 }
 
-// DefaultE14Config is what E14() and cmd/tcvs-bench run.
+// DefaultE14Config is what cmd/tcvs-bench runs.
 func DefaultE14Config() E14Config {
 	return E14Config{
 		DBSize: 500, Users: 4, OpsPerUser: 120, K: 8,
@@ -69,28 +69,27 @@ func DefaultE14Config() E14Config {
 	}
 }
 
-// E14Data is the full experiment result, serialized to BENCH_E14.json
-// by cmd/tcvs-bench.
+// E14Data is the full experiment result.
 type E14Data struct {
-	Users      int    `json:"users"`
-	OpsPerUser int    `json:"ops_per_user"`
-	TotalOps   uint64 `json:"total_ops"`
-	K          uint64 `json:"k"`
+	Users      int
+	OpsPerUser int
+	TotalOps   uint64
+	K          uint64
 
-	FaultsInjected      uint64  `json:"faults_injected"`
-	TransportReconnects uint64  `json:"transport_reconnects"`
-	HubReconnects       uint64  `json:"hub_reconnects"`
-	OutageMillis        float64 `json:"outage_ms"`
-	RecoveryMillis      float64 `json:"recovery_ms"`
+	FaultsInjected      uint64
+	TransportReconnects uint64
+	HubReconnects       uint64
+	OutageMillis        float64
+	RecoveryMillis      float64
 
-	FalseAlarms    int    `json:"false_alarms"`
-	FinalCtr       uint64 `json:"final_ctr"`
-	CtrMatchesOps  bool   `json:"ctr_matches_ops"`
-	RootContinuity bool   `json:"root_continuity"`
+	FalseAlarms    int
+	FinalCtr       uint64
+	CtrMatchesOps  bool
+	RootContinuity bool
 
-	AdversaryDetected bool   `json:"adversary_detected"`
-	DetectionClass    string `json:"detection_class"`
-	AdversaryFaults   uint64 `json:"adversary_phase_faults"`
+	AdversaryDetected bool
+	DetectionClass    string
+	AdversaryFaults   uint64
 }
 
 // faultyNet is the deployment the failure experiments (E14, E15) run:

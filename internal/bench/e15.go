@@ -58,7 +58,7 @@ type E15Config struct {
 	TruncateProb float64
 }
 
-// DefaultE15Config is what E15() and cmd/tcvs-bench run.
+// DefaultE15Config is what cmd/tcvs-bench runs.
 func DefaultE15Config() E15Config {
 	return E15Config{
 		DBSize: 500, Users: 4, OpsPerUser: 100, K: 8,
@@ -67,32 +67,31 @@ func DefaultE15Config() E15Config {
 	}
 }
 
-// E15Data is the full experiment result, serialized to BENCH_E15.json
-// by cmd/tcvs-bench.
+// E15Data is the full experiment result.
 type E15Data struct {
-	Users       int    `json:"users"`
-	OpsPerUser  int    `json:"ops_per_user"`
-	TotalOps    uint64 `json:"total_ops"`
-	K           uint64 `json:"k"`
-	Witnesses   int    `json:"witnesses"`
-	CommitEvery uint64 `json:"commit_every"`
+	Users       int
+	OpsPerUser  int
+	TotalOps    uint64
+	K           uint64
+	Witnesses   int
+	CommitEvery uint64
 
-	FaultsInjected      uint64  `json:"faults_injected"`
-	TransportReconnects uint64  `json:"transport_reconnects"`
-	Failovers           uint64  `json:"failovers"`
-	FailoverMillis      float64 `json:"failover_ms"`
+	FaultsInjected      uint64
+	TransportReconnects uint64
+	Failovers           uint64
+	FailoverMillis      float64
 
-	FalseAlarms         int    `json:"false_alarms"`
-	NoQuorumSkips       uint64 `json:"no_quorum_skips"`
-	FinalCtr            uint64 `json:"final_ctr"`
-	CtrMatchesOps       bool   `json:"ctr_matches_ops"`
-	PromotedRootMatches bool   `json:"promoted_root_matches"`
+	FalseAlarms         int
+	NoQuorumSkips       uint64
+	FinalCtr            uint64
+	CtrMatchesOps       bool
+	PromotedRootMatches bool
 
-	ForkDetected            bool `json:"fork_detected"`
-	ForkDetectGossipRounds  int  `json:"fork_detect_gossip_rounds"`
-	EvidenceVerifiesOffline bool `json:"evidence_verifies_offline"`
+	ForkDetected            bool
+	ForkDetectGossipRounds  int
+	EvidenceVerifiesOffline bool
 
-	BenignGossipEvidence int `json:"benign_gossip_evidence"`
+	BenignGossipEvidence int
 }
 
 // RunE15 runs the full experiment.

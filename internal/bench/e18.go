@@ -63,45 +63,45 @@ func DefaultE18Config() E18Config {
 
 // E18Cell is one (crash point, tampered?) cell of the matrix.
 type E18Cell struct {
-	CrashPoint string `json:"crash_point"`
-	Tampered   bool   `json:"tampered"`
+	CrashPoint string
+	Tampered   bool
 	// TriggerOp is the global op whose answer the server tampered
 	// (tampered cells only).
-	TriggerOp uint64 `json:"trigger_op,omitempty"`
+	TriggerOp uint64
 	// SubmittedAtKill counts obligations whose answers were released
 	// before the kill, summed over both clients.
-	SubmittedAtKill uint64 `json:"submitted_at_kill"`
+	SubmittedAtKill uint64
 	// CursorEpochs records each client's durable cursor at the kill
 	// (-1 = no epoch durably closed).
-	CursorEpochs []int64 `json:"cursor_epochs"`
+	CursorEpochs []int64
 	// ExpectedReplay counts journal frames past the cursors — the
 	// obligations recovery must re-verify; Replayed is what the
 	// restarted auditors actually replayed.
-	ExpectedReplay int    `json:"expected_replay"`
-	Replayed       uint64 `json:"replayed"`
-	ZeroLoss       bool   `json:"zero_loss"`
+	ExpectedReplay int
+	Replayed       uint64
+	ZeroLoss       bool
 	// ReplayMillis is restart-to-reverified (honest) or
 	// restart-to-conviction (tampered).
-	ReplayMillis float64 `json:"replay_ms"`
-	Detected     bool    `json:"detected,omitempty"`
-	Class        string  `json:"class,omitempty"`
-	FailEpoch    uint64  `json:"fail_epoch,omitempty"`
+	ReplayMillis float64
+	Detected     bool
+	Class        string
+	FailEpoch    uint64
 	// Degraded reports the degrade-to-sync flip (during-truncate: the
 	// fault-scheduled remove crash must flip it).
-	Degraded    bool `json:"degraded,omitempty"`
-	FalseAlarms int  `json:"false_alarms"`
+	Degraded    bool
+	FalseAlarms int
 }
 
-// E18Data is the full matrix, serialized to BENCH_E18.json.
+// E18Data is the full matrix.
 type E18Data struct {
-	Users                int       `json:"users"`
-	EpochLen             uint64    `json:"epoch_len"`
-	ReplayBudgetMillis   float64   `json:"replay_budget_ms"`
-	Cells                []E18Cell `json:"cells"`
-	AllTamperedConvicted bool      `json:"all_tampered_convicted"`
-	ZeroLoss             bool      `json:"zero_loss"`
-	FalseAlarms          int       `json:"false_alarms"`
-	MaxReplayMillis      float64   `json:"max_replay_ms"`
+	Users                int
+	EpochLen             uint64
+	ReplayBudgetMillis   float64
+	Cells                []E18Cell
+	AllTamperedConvicted bool
+	ZeroLoss             bool
+	FalseAlarms          int
+	MaxReplayMillis      float64
 }
 
 // e18Point is one crash point's choreography.

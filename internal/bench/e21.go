@@ -85,7 +85,7 @@ type E21Config struct {
 	TrialFlood    int
 }
 
-// DefaultE21Config is what E21() and cmd/tcvs-bench run.
+// DefaultE21Config is what cmd/tcvs-bench runs.
 func DefaultE21Config() E21Config {
 	return E21Config{
 		DBSize: 300, Service: 1500 * time.Microsecond, MaxConcurrent: 8,
@@ -102,82 +102,81 @@ func DefaultE21Config() E21Config {
 
 // E21Point is one measured (mode, factor) cell of the open-loop sweep.
 type E21Point struct {
-	Mode             string  `json:"mode"` // unprotected | protected
-	Factor           float64 `json:"factor"`
-	OfferedOpsPerSec float64 `json:"offered_ops_per_sec"`
+	Mode             string // unprotected | protected
+	Factor           float64
+	OfferedOpsPerSec float64
 	// Attempted counts scheduled arrivals per class; Delivered the
 	// answered ones; Missed arrivals the window closed on before the
 	// (backlogged) generator could even issue them.
-	Attempted map[string]uint64 `json:"attempted"`
-	Delivered map[string]uint64 `json:"delivered"`
-	Missed    uint64            `json:"missed"`
+	Attempted map[string]uint64
+	Delivered map[string]uint64
+	Missed    uint64
 	// Shed / Expired count typed refusals per class as the clients
 	// observed them; RefusedFrac is (shed+expired+missed-at-issue)
 	// over attempted — the per-class starvation metric the priority
 	// ordering is judged on.
-	Shed        map[string]uint64  `json:"shed"`
-	Expired     map[string]uint64  `json:"expired"`
-	RefusedFrac map[string]float64 `json:"refused_frac"`
-	Faults      uint64             `json:"transport_faults"`
+	Shed        map[string]uint64
+	Expired     map[string]uint64
+	RefusedFrac map[string]float64
+	Faults      uint64
 	// Goodput counts user operations delivered within Deadline of
 	// their scheduled arrival; latency percentiles cover every
 	// delivered user op (late ones included — that is the cliff).
-	WithinDeadline   uint64  `json:"within_deadline"`
-	GoodputOpsPerSec float64 `json:"goodput_ops_per_sec"`
-	P50Millis        float64 `json:"p50_ms"`
-	P99Millis        float64 `json:"p99_ms"`
+	WithinDeadline   uint64
+	GoodputOpsPerSec float64
+	P50Millis        float64
+	P99Millis        float64
 	// Atomicity: the server's op counter must advance exactly once
 	// per delivered user success — shed ops touch nothing.
-	ServerOpsApplied  uint64 `json:"server_ops_applied"`
-	UserOpSuccesses   uint64 `json:"user_op_successes"`
-	AtomicSheds       bool   `json:"atomic_sheds"`
-	AdmissionLimit    int    `json:"admission_limit,omitempty"`
-	QueueHighWater    int    `json:"queue_high_water,omitempty"`
-	ServerShedTotal   uint64 `json:"server_shed_total,omitempty"`
-	ServerExpireTotal uint64 `json:"server_expire_total,omitempty"`
+	ServerOpsApplied  uint64
+	UserOpSuccesses   uint64
+	AtomicSheds       bool
+	AdmissionLimit    int
+	QueueHighWater    int
+	ServerShedTotal   uint64
+	ServerExpireTotal uint64
 }
 
 // E21Trial is one verified epoch-audit deployment run under flood at
 // one load point, honest or adversarial.
 type E21Trial struct {
-	Factor     float64 `json:"factor"`
-	Behavior   string  `json:"behavior"` // honest | fork
-	Detected   bool    `json:"detected"`
-	Class      string  `json:"class,omitempty"`
-	FalseAlarm bool    `json:"false_alarm"`
-	Submitted  uint64  `json:"obligations_submitted"`
-	Audited    uint64  `json:"obligations_audited"`
-	Dangling   uint64  `json:"obligations_dangling"`
-	ShedDuring uint64  `json:"sheds_during"`
-	MaxStretch int     `json:"max_stretch"` // brownout ceiling reached
+	Factor     float64
+	Behavior   string // honest | fork
+	Detected   bool
+	Class      string
+	FalseAlarm bool
+	Submitted  uint64
+	Audited    uint64
+	Dangling   uint64
+	ShedDuring uint64
+	MaxStretch int // brownout ceiling reached
 }
 
-// E21Data is the full experiment result, serialized to BENCH_E21.json
-// by cmd/tcvs-bench.
+// E21Data is the full experiment result.
 type E21Data struct {
-	DBSize            int        `json:"db_size"`
-	ServiceMicros     int64      `json:"service_us"`
-	MaxConcurrent     int        `json:"max_concurrent"`
-	QueueDepth        int        `json:"queue_depth"`
-	DeadlineMillis    int64      `json:"deadline_ms"`
-	WindowMillis      int64      `json:"window_ms"`
-	Workers           int        `json:"workers"`
-	CapacityOpsPerSec float64    `json:"capacity_ops_per_sec"`
-	Points            []E21Point `json:"points"`
+	DBSize            int
+	ServiceMicros     int64
+	MaxConcurrent     int
+	QueueDepth        int
+	DeadlineMillis    int64
+	WindowMillis      int64
+	Workers           int
+	CapacityOpsPerSec float64
+	Points            []E21Point
 	// PeakGoodput is each mode's best goodput across the sweep; the
 	// acceptance ratios are taken against a mode's own peak.
-	PeakGoodput         map[string]float64 `json:"peak_goodput"`
-	UnprotectedAtTop    float64            `json:"unprotected_goodput_frac_at_top"`
-	ProtectedAtTop      float64            `json:"protected_goodput_frac_at_top"`
-	UnprotectedCollapse bool               `json:"unprotected_collapse"` // top-factor goodput < 50% of peak
-	ProtectedHolds      bool               `json:"protected_holds"`      // top-factor goodput >= 90% of peak
-	ProtectedP99Bounded bool               `json:"protected_p99_bounded"`
-	ShedInOrder         bool               `json:"shed_in_order"`
-	AllAtomic           bool               `json:"all_atomic"`
-	Trials              []E21Trial         `json:"trials"`
-	AllConvicted        bool               `json:"all_convicted"`
-	FalseAlarms         int                `json:"false_alarms"`
-	ZeroDangling        bool               `json:"zero_dangling"`
+	PeakGoodput         map[string]float64
+	UnprotectedAtTop    float64
+	ProtectedAtTop      float64
+	UnprotectedCollapse bool // top-factor goodput < 50% of peak
+	ProtectedHolds      bool // top-factor goodput >= 90% of peak
+	ProtectedP99Bounded bool
+	ShedInOrder         bool
+	AllAtomic           bool
+	Trials              []E21Trial
+	AllConvicted        bool
+	FalseAlarms         int
+	ZeroDangling        bool
 }
 
 // e21Deploy deploys hs behind TCP with the synthetic service pad and
@@ -378,7 +377,7 @@ func e21Cell(cfg E21Config, protected bool, factor, capacity float64) (E21Point,
 		pt.Missed += c.missed
 		pt.Faults += c.faults
 	}
-	// Only the classes the mix offered appear in the record.
+	// Only the classes the mix offered appear in the point's maps.
 	byClass := func(n [transport.NumPriorities]uint64) map[string]uint64 {
 		m := map[string]uint64{}
 		for p, att := range total.attempted {
@@ -469,8 +468,8 @@ func e21TrialRun(cfg E21Config, factor, capacity float64, malicious bool) (E21Tr
 	defer dep.close()
 	for _, dc := range dep.clients {
 		// Arm brownout so sustained audit backlog under flood widens
-		// the admission window instead of hard-blocking; MaxStretch in
-		// the record shows how far it actually went.
+		// the admission window instead of hard-blocking; the trial's
+		// MaxStretch shows how far it actually went.
 		dc.Audit().SetBrownout(3)
 	}
 

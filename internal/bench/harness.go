@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -26,16 +24,16 @@ import (
 	"trustedcvs/internal/witness"
 )
 
-// The substrate the measured experiments (E13 onward) are
-// configurations of: one load runner, one latency reducer, one
-// deployment builder, one condition poll and one JSON writer.
+// The substrate the measured experiments (E14 onward) and the stress
+// test are configurations of: one load runner, one latency reducer,
+// one deployment builder and one condition poll.
 
 // ---- load runner ----
 
 // arrival is one operation the runner hands to a load's op function.
 type arrival struct {
 	worker int
-	// seq numbers the worker's arrivals from zero, warm-up included.
+	// seq numbers the worker's arrivals from zero.
 	seq int
 	// sched is when the operation was due: its instant on the arrival
 	// grid in open loop, the moment of issue in closed loop. Latency is
@@ -53,12 +51,7 @@ type arrival struct {
 // grid (open loop).
 type load struct {
 	workers int
-	// warmup ops per worker run closed-loop and untimed before the
-	// timed phase, so TCP, frame buffers and buffer pools are at steady
-	// state when it starts. They go through op like any other arrival:
-	// what op itself counts (E13's operation counters) covers them.
-	warmup int
-	// ops and window bound a worker's timed phase: ops arrivals, or
+	// ops and window bound a worker's run: ops arrivals, or
 	// (ops == 0) as many as are due within window or before stop
 	// closes.
 	ops    int
@@ -70,9 +63,6 @@ type load struct {
 	// not it could be issued on time, so queueing behind a slow server
 	// is measured rather than omitted (the coordinated-omission trap).
 	interval time.Duration
-	// begin, if set, runs once between the warm-up and the timed phase:
-	// where to snapshot counters the timed phase is measured against.
-	begin func()
 	// stop, when closed, ends the run early.
 	stop <-chan struct{}
 	// op performs one arrival and reports whether its latency belongs
@@ -85,9 +75,7 @@ type load struct {
 
 // loadResult is what a run measured.
 type loadResult struct {
-	// start is the launch of the timed phase; elapsed runs from it to
-	// the last worker's return.
-	start   time.Time
+	// elapsed runs from the launch to the last worker's return.
 	elapsed time.Duration
 	lats    [][]time.Duration // per worker, timed ops only
 	errs    []error           // per worker
@@ -118,53 +106,33 @@ const openLoopLead = 5 * time.Millisecond
 
 func (l load) run() *loadResult {
 	res := &loadResult{lats: make([][]time.Duration, l.workers), errs: make([]error, l.workers)}
-	fleet := func(body func(w int) error) {
-		var wg sync.WaitGroup
-		for w := 0; w < l.workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				res.errs[w] = body(w)
-			}(w)
-		}
-		wg.Wait()
-	}
-	if l.warmup > 0 {
-		fleet(func(w int) error {
-			for seq := 0; seq < l.warmup; seq++ {
-				if _, err := l.op(arrival{worker: w, seq: seq, sched: time.Now()}); err != nil {
-					return fmt.Errorf("worker %d warm-up op %d: %w", w, seq, err)
-				}
-			}
-			return nil
-		})
-		if res.err() != nil {
-			return res
-		}
-	}
-	// The warm-up burst (and whatever built the deployment) leaves the
-	// heap hot; a collection here keeps that GC debt from being paid
-	// inside the timed phase.
+	// Whatever built the deployment leaves the heap hot; a collection
+	// here keeps that GC debt from being paid inside the run.
 	runtime.GC()
-	if l.begin != nil {
-		l.begin()
-	}
-	res.start = time.Now()
-	origin := res.start
+	start := time.Now()
+	origin := start
 	if l.interval > 0 {
 		origin = origin.Add(openLoopLead)
 	}
-	fleet(func(w int) error { return l.work(w, origin, &res.lats[w]) })
-	res.elapsed = time.Since(res.start)
+	var wg sync.WaitGroup
+	for w := 0; w < l.workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			res.errs[w] = l.work(w, origin, &res.lats[w])
+		}(w)
+	}
+	wg.Wait()
+	res.elapsed = time.Since(start)
 	return res
 }
 
-// work is one worker's timed phase.
+// work is one worker's run.
 func (l load) work(w int, origin time.Time, lats *[]time.Duration) error {
 	end := origin.Add(l.window)
 	counted := l.ops > 0 || (l.window == 0 && l.stop == nil)
 	for j := 0; !counted || j < l.ops; j++ {
-		a := arrival{worker: w, seq: l.warmup + j, sched: time.Now()}
+		a := arrival{worker: w, seq: j, sched: time.Now()}
 		if l.interval > 0 {
 			a.sched = origin.Add(time.Duration((float64(j) + float64(w)/float64(l.workers)) * float64(l.interval)))
 		}
@@ -220,28 +188,7 @@ func percentiles(lats []time.Duration) (p50, p99 time.Duration) {
 	return at(0.50), at(0.99)
 }
 
-// loadPoint is the measured core of a load experiment's point. The
-// experiments' point types embed it; the JSON keys are the ones the
-// checked-in BENCH_E13/E17.json files carry.
-type loadPoint struct {
-	Ops       int     `json:"ops"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Micros float64 `json:"p50_us"`
-	P99Micros float64 `json:"p99_us"`
-}
-
-// newLoadPoint reduces a latency sample delivered over elapsed.
-func newLoadPoint(lats []time.Duration, elapsed time.Duration) loadPoint {
-	p50, p99 := percentiles(lats)
-	return loadPoint{
-		Ops:       len(lats),
-		OpsPerSec: float64(len(lats)) / elapsed.Seconds(),
-		P50Micros: float64(p50.Nanoseconds()) / 1e3,
-		P99Micros: float64(p99.Nanoseconds()) / 1e3,
-	}
-}
-
-// ---- waiting and recording ----
+// ---- waiting ----
 
 // pollUntil polls cond every tick until it holds or timeout passes,
 // and reports whether it held.
@@ -255,14 +202,6 @@ func pollUntil(timeout, tick time.Duration, cond func() bool) bool {
 		poll.Sleep()
 	}
 	return true
-}
-
-// writeJSON writes an experiment's data in the checked-in
-// BENCH_<ID>.json format.
-func writeJSON(w io.Writer, data any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(data)
 }
 
 // ---- deployment builder ----

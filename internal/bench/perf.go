@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"trustedcvs/internal/baseline"
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/sim"
-	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wire"
 	"trustedcvs/internal/workload"
@@ -39,40 +37,15 @@ func E6() *Table {
 			return (r.Bytes.UserToServer + r.Bytes.ServerToUser) / r.TotalOps
 		}
 		t.AddRow("trusted server", n, 2.0, "(no proofs)", 0, "no", "no")
-		t.AddRow("token passing (2.2.3)", n, 2.0, "(like P-I)", baseline.WaitForSecondOp(n), "yes", "no")
+		// §2.2.3: updates happen only in a pre-specified order, so a
+		// user's second op waits out every other user's turn.
+		t.AddRow("token passing (2.2.3)", n, 2.0, "(like P-I)", n-1, "yes", "no")
 		t.AddRow("Protocol I", n, perOp(r1), bytesOp(r1), 0, "yes", "yes")
 		t.AddRow("Protocol II", n, perOp(r2), bytesOp(r2), 0, "no", "no")
 	}
 	t.Notes = append(t.Notes,
 		"token passing forces a user to wait for every other user's turn before its second op — the workload-preservation violation that motivates the protocols",
 		"Protocol II removes both Protocol I's blocking third message and its PKI requirement")
-	return t
-}
-
-// E7 measures protocol overhead against the trusted-server floor
-// (desideratum 3 / c-workload preservation): operations per second for
-// unverified execution vs Protocols I and II, across database sizes.
-func E7() *Table {
-	t := &Table{
-		ID:       "E7",
-		Title:    "Throughput: trusted server vs Protocol I vs Protocol II (in-process)",
-		PaperRef: "Desideratum 3 / Section 2.2.3 (c-workload preservation)",
-		Columns:  []string{"db-size", "trusted-ops/s", "P1-ops/s", "P2-ops/s", "P1-slowdown", "P2-slowdown"},
-	}
-	for _, size := range []int{1_000, 10_000, 100_000} {
-		ops := 2000
-		if size >= 100_000 {
-			ops = 500
-		}
-		trusted := throughput(e13Scheme{setup: trustedSetup}, size, ops)
-		p1 := throughput(e13Scheme{setup: p1Setup}, size, ops)
-		p2 := throughput(e13Scheme{setup: p2Setup}, size, ops)
-		t.AddRow(size, int(trusted), int(p1), int(p2),
-			fmt.Sprintf("%.1fx", trusted/p1), fmt.Sprintf("%.1fx", trusted/p2))
-	}
-	t.Notes = append(t.Notes,
-		"per-op verification costs one VO build + one replay (plus two signatures under Protocol I) — a constant factor over the trusted server, independent of history length",
-		"Protocol II beats Protocol I by avoiding per-op signatures and the blocking acknowledgement")
 	return t
 }
 
@@ -97,22 +70,6 @@ func benchOp(i, size int) vdb.Op {
 		Key: fmt.Sprintf("key-%08d", (i*7919)%size),
 		Val: []byte(fmt.Sprintf("update-%d", i)),
 	}}}
-}
-
-// throughput runs ops operations of one E13 scheme in-process: two
-// users taking turns, no transport, no concurrency.
-func throughput(s e13Scheme, size, ops int) float64 {
-	_, handler, newClient := s.setup(size, 2)
-	c := transport.NewInproc(handler)
-	users := []e13Client{newClient(0), newClient(1)}
-	res := load{workers: 1, ops: ops, op: func(a arrival) (bool, error) {
-		_, err := users[a.seq%2](c, benchOp(a.seq, size))
-		return true, err
-	}}.run()
-	if err := res.err(); err != nil {
-		panic(err)
-	}
-	return float64(ops) / res.elapsed.Seconds()
 }
 
 // E8 measures synchronization and state costs: broadcast bytes per

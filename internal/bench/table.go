@@ -1,10 +1,10 @@
 // Package bench implements the experiments (see DESIGN.md §2): each
 // regenerates a results table whose *shape* reproduces the
-// corresponding figure, theorem or design claim. E1–E12 are one
-// function per table; E13 onward are configurations of the shared
-// harness in harness.go and also keep their raw data as a
-// BENCH_<ID>.json record. registry.go lists them all; cmd/tcvs-bench
-// runs them; EXPERIMENTS.md records the outcomes.
+// corresponding figure, theorem or design claim, and a test asserts
+// that shape. E1–E12 are one function per table; E14 onward are
+// configurations of the shared harness in harness.go. registry.go
+// lists them all; cmd/tcvs-bench runs them; EXPERIMENTS.md records the
+// outcomes.
 package bench
 
 import (

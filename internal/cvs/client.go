@@ -16,7 +16,7 @@ import (
 // A Doer executes one authenticated operation against the untrusted
 // server and fully verifies it before returning the (decoded) answer.
 // The protocol user state machines (internal/core/proto*) bound to a
-// transport implement Doer; so does the trusted-server baseline.
+// transport implement Doer.
 type Doer interface {
 	Do(op vdb.Op) (any, error)
 }

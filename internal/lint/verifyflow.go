@@ -32,7 +32,7 @@ var passVerifyFlow = &Pass{
 // *produce* unverified flows, and the lint package itself analyzes
 // untrusted source text by design.
 var verifyflowExcluded = []string{
-	"internal/adversary", "internal/baseline", "internal/bench",
+	"internal/adversary", "internal/bench",
 	"internal/fault", "internal/lint", "internal/sim", "internal/workload",
 }
 

@@ -31,6 +31,13 @@ if [ -n "$ignored$big" ]; then
     echo "tracked files that .gitignore matches or that exceed 1 MB: $ignored $big" >&2
     exit 1
 fi
+# Timings belong in benchmark/: internal/bench asserts claims and keeps
+# no recorded runs.
+records=$(git ls-files 'BENCH_E*.json')
+if [ -n "$records" ]; then
+    echo "experiment records are retired; measure in benchmark/ instead: $records" >&2
+    exit 1
+fi
 
 go vet ./...
 go build ./...
@@ -75,8 +82,9 @@ go test -race ./...
 # connections (E14), kill the primary for good — witness promotion,
 # client failover, fork conviction by gossip, zero false alarms (E15) —
 # and the epoch auditor: optimistic answers verified in batches, backpressure
-# degrading to sync instead of dropping, adversaries convicted within
-# one epoch (E17) — and the crash-durability matrix: obligations
+# degrading to sync instead of dropping, an honest control with zero
+# false alarms and adversaries convicted within one epoch (E17) — and
+# the crash-durability matrix: obligations
 # journaled before release, replayed through the verifier on reboot,
 # tamper-before-crash convicted, journal I/O failure degrading to
 # sync (E18) — and the overload layer: priority shedding with typed
@@ -85,7 +93,8 @@ go test -race ./...
 # storms bounded under 64-client concurrency, a dead witness dialled
 # once per cooldown), sheds never journaled and never audit
 # obligations, degrade-to-sync sticky under concurrent shedding, and
-# the E21 sweep's CI-scale run (E21) — and the one atomic file replace
+# E21 at CI scale: the goodput and refusal ladder under overload and
+# the fork trial under flood (E21) — and the one atomic file replace
 # walked through every crash point (internal/durable).
 go test -race -run 'Fault|Resilient|Resume|Recovery|Witness|E14|E15|Audit|Epoch|E17|WAL|E18|Overload|Shed|Breaker|E21|Atomic' ./internal/fault ./internal/durable ./internal/transport ./internal/broadcast ./internal/server ./internal/witness ./internal/bench ./internal/core/proto2 ./internal/audit ./internal/driver ./internal/wal .
 

@@ -713,7 +713,7 @@ func (a *Auditor) run() {
 		// audited; wake them per batch.
 		a.cond.Broadcast()
 		a.mu.Unlock()
-		a.maybeCheckpoint()
+		a.maybeCheckpoint(false)
 	}
 }
 

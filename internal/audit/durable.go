@@ -344,10 +344,15 @@ func (a *Auditor) stashSeal() {
 }
 
 // maybeCheckpoint advances the durable cursor to the newest closed
-// epoch and truncates the journal segments it covers. Runs on the
+// epoch and truncates the journal segments it covers — but only when
+// that frees a sealed segment, or when the auditor is stopping. A
+// cursor that frees nothing would only shorten a post-crash replay,
+// which is already bounded: frames past the cursor span at most one
+// segment plus the open window. Recovering from an older cursor is the
+// path a crash between two cursor writes takes anyway. Runs on the
 // worker between batches (and once more at Stop), never inside the
 // gate: cursor and segment I/O are too slow for a critical section.
-func (a *Auditor) maybeCheckpoint() {
+func (a *Auditor) maybeCheckpoint(stopping bool) {
 	if a.wal == nil {
 		return
 	}
@@ -356,6 +361,15 @@ func (a *Auditor) maybeCheckpoint() {
 	degraded := a.degradedSync
 	a.mu.Unlock()
 	if target <= a.lastCkpt || degraded {
+		return
+	}
+	// Only the newest closed epoch's cut can ever be written.
+	for ep := range a.cuts {
+		if int64(ep) < target {
+			delete(a.cuts, ep)
+		}
+	}
+	if !stopping && !a.wal.Frees(uint64(target)) {
 		return
 	}
 	state, ok := a.cuts[uint64(target)]
@@ -379,11 +393,7 @@ func (a *Auditor) maybeCheckpoint() {
 	if err := a.wal.TruncateThrough(uint64(target)); err != nil && !errors.Is(err, wal.ErrClosed) {
 		a.noteWALFailure(err)
 	}
-	for ep := range a.cuts {
-		if int64(ep) <= target {
-			delete(a.cuts, ep)
-		}
-	}
+	delete(a.cuts, uint64(target))
 	a.lastCkpt = target
 }
 
@@ -394,6 +404,6 @@ func (a *Auditor) closeDurable() {
 	if a.wal == nil {
 		return
 	}
-	a.maybeCheckpoint()
+	a.maybeCheckpoint(true)
 	_ = a.wal.Close()
 }

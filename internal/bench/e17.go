@@ -186,7 +186,7 @@ func e17Divergence(cfg E17Config) (E17Trial, error) {
 	defer dep.close()
 
 	half := int(epochLen) / 2
-	if err := writeRoundRobin(dep.clients, "w", 0, half); err != nil {
+	if err := writeRoundRobin(dep.clients, "w", 0, half, 1); err != nil {
 		return E17Trial{}, err
 	}
 	for _, dc := range dep.clients {
@@ -200,7 +200,7 @@ func e17Divergence(cfg E17Config) (E17Trial, error) {
 	dep.pub.CommitNow(forged, digest.Digest{0xde, 0xad, 0xbe, 0xef})
 	dep.pub.Flush()
 	// An error here is the conviction reaching the hot path.
-	_ = writeRoundRobin(dep.clients, "w", half, int(2*epochLen))
+	_ = writeRoundRobin(dep.clients, "w", half, int(2*epochLen), 1)
 	eaf, err := sealAndConvict(dep.clients, 60*time.Second)
 	if err != nil {
 		return E17Trial{}, fmt.Errorf("E17 witness-divergence: %w", err)

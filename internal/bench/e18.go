@@ -36,8 +36,10 @@ import (
 //     the cursor — nothing submitted is lost), finish its workload,
 //     seal, and close every epoch with zero false alarms.
 //  3. Recovery is bounded: replay re-verification finishes within the
-//     budget, not proportional to pre-crash history (the cursor
-//     truncates what closed epochs already covered).
+//     budget, not proportional to pre-crash history (a cursor is
+//     written whenever a closed epoch frees a sealed journal segment,
+//     so the frames past it span at most one segment plus the open
+//     window).
 //
 // The tamper-before-crash cells plant the record the way a real crash
 // loses the race: the (adversarial) server tampers the answer of one
@@ -111,6 +113,7 @@ type e18Point struct {
 	postOps int  // ops after restart (honest cells)
 	sealOne bool // put client 0's seal in flight before the kill
 	truncFS bool // fault-schedule a crash at the first journal unlink
+	valLen  int  // bytes per pre-kill value (0: one byte)
 }
 
 func e18Points(epochLen uint64) []e18Point {
@@ -127,7 +130,10 @@ func e18Points(epochLen uint64) []e18Point {
 		// The checkpoint wrote its cursor, then the segment unlink hit a
 		// scheduled crash: stale-but-checksummed frames survive for
 		// replay to skip, and the auditor must flip to degrade-to-sync.
-		{name: "during-truncate", preOps: n + 2, postOps: 4, truncFS: true},
+		// A cursor is written only when it frees a sealed segment, so
+		// the values are large enough that each journal fills its first
+		// 1 MiB segment within epoch 0.
+		{name: "during-truncate", preOps: n + 2, postOps: 4, truncFS: true, valLen: 400 << 10},
 	}
 }
 
@@ -218,7 +224,7 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 	defer dep.close()
 
 	// Phase 1: the doomed deployment.
-	if err := writeRoundRobin(dep.clients, "e18", 0, pt.preOps); err != nil {
+	if err := writeRoundRobin(dep.clients, "e18", 0, pt.preOps, max(pt.valLen, 1)); err != nil {
 		return cell, fmt.Errorf("E18 %s pre-%w", pt.name, err)
 	}
 	for _, dc := range dep.clients {
@@ -318,7 +324,7 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 	cell.ReplayMillis = float64(time.Since(t0)) / float64(time.Millisecond)
 	cell.ZeroLoss = cell.Replayed == uint64(cell.ExpectedReplay)
 
-	if err := writeRoundRobin(dep.clients, "e18-post", 0, pt.postOps); err != nil {
+	if err := writeRoundRobin(dep.clients, "e18-post", 0, pt.postOps, 1); err != nil {
 		cell.FalseAlarms++
 		return cell, nil
 	}
@@ -376,6 +382,6 @@ func (d *E18Data) Table() *Table {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("every tamper-before-crash cell convicted from journal replay alone: %v; false alarms across all honest cells: %d", d.AllTamperedConvicted, d.FalseAlarms),
 		fmt.Sprintf("zero loss: restarted auditors replayed exactly the obligations journaled past the durable cursor in every honest cell: %v", d.ZeroLoss),
-		fmt.Sprintf("recovery bounded: max restart-to-reverified %4.0f ms against a %.0f ms budget; closed epochs are cursor-truncated, so replay scales with the open tail, not history", d.MaxReplayMillis, d.ReplayBudgetMillis))
+		fmt.Sprintf("recovery bounded: max restart-to-reverified %4.0f ms against a %.0f ms budget; a closed epoch that frees a journal segment is cursor-truncated, so replay scales with one segment plus the open tail, not history", d.MaxReplayMillis, d.ReplayBudgetMillis))
 	return t
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -409,12 +410,14 @@ func clientOp(clients []*driver.Client, dbSize int) func(arrival) (bool, error) 
 	}
 }
 
-// writeRoundRobin issues writes from..to-1 of distinct keys, client
-// j%n issuing write j. Sequential, so the server's counter assignment
-// is deterministic.
-func writeRoundRobin(clients []*driver.Client, prefix string, from, to int) error {
+// writeRoundRobin issues writes from..to-1 of distinct keys and
+// valLen-byte values, client j%n issuing write j. Sequential, so the
+// server's counter assignment is deterministic.
+func writeRoundRobin(clients []*driver.Client, prefix string, from, to, valLen int) error {
+	val := bytes.Repeat([]byte("v"), valLen)
 	for j := from; j < to; j++ {
-		if _, err := clients[j%len(clients)].Do(putOp(fmt.Sprintf("%s-%d", prefix, j))); err != nil {
+		op := &vdb.WriteOp{Puts: []vdb.KV{{Key: fmt.Sprintf("%s-%d", prefix, j), Val: val}}}
+		if _, err := clients[j%len(clients)].Do(op); err != nil {
 			return fmt.Errorf("op %d: %w", j, err)
 		}
 	}

@@ -284,13 +284,14 @@ func TestShedDegradeToSyncSticky(t *testing.T) {
 	}
 	defer func() { close(stop); fwg.Wait() }()
 
-	// The verified client's journal dies on its 2nd fsync: sticky
+	// The verified client's journal dies on its 3rd fsync — the 2nd
+	// append's flush, after the first segment's zero fill: sticky
 	// degrade-to-sync mid-workload, with the flood already raging.
 	conn, err := transport.Dial(ts.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	ffs := &fault.FaultyFS{CrashAtSync: 2}
+	ffs := &fault.FaultyFS{CrashAtSync: 3}
 	u := proto2.NewUser(sig.UserID(0), db.Root(), 1<<62)
 	dc, err := NewP2EpochWAL(u, conn, broadcast.DialHubResume(hub.Addr()), 1, epochLen, 0, t.TempDir(), ffs)
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
+	"trustedcvs/internal/wal"
 )
 
 // recoveryEnv is a Protocol II deployment whose server and TCP hub
@@ -246,6 +247,208 @@ func appendForged(t *testing.T, env *recoveryEnv, op vdb.Op, resp *core.OpRespon
 		audit.Record{Op: op, Resp: resp}, resp.Ctr/epochLen)
 }
 
+// staleCursorRun drives two journaling clients into a crash that finds
+// each cursor at least three closed epochs stale. A first life ends in
+// a clean Stop, which writes a cursor and seals the journal's segment.
+// In the second life, closing the epoch that segment ends in frees it,
+// so one cursor is written; three more epochs then close while the
+// fresh segment fills without sealing, so no cursor is written for
+// them. The kill's Stop-time cursor write is the scheduled crash (the
+// second life's second rename), as a real crash would lose it. It
+// returns each user's cursor epoch on disk.
+func staleCursorRun(t *testing.T, env *recoveryEnv, epochLen uint64, beforeKill func(cs []*Client)) []int64 {
+	t.Helper()
+	const users = 2
+	cs := make([]*Client, users)
+	g := 0
+	do := func() {
+		t.Helper()
+		if _, err := cs[g%users].Do(&vdb.WriteOp{Puts: []vdb.KV{{Key: fmt.Sprintf("k%d", g), Val: []byte("v")}}}); err != nil {
+			t.Fatalf("op %d: %v", g, err)
+		}
+		g++
+	}
+	cursor := func(i int) int64 {
+		t.Helper()
+		cur, err := audit.LoadCursor(filepath.Join(env.root, fmt.Sprintf("user-%d", i)))
+		if err != nil || cur == nil {
+			t.Fatalf("user %d: cursor = %+v, %v", i, cur, err)
+		}
+		return cur.Epoch
+	}
+
+	for i := range cs {
+		cs[i] = env.client(i, users, epochLen, nil)
+	}
+	for g < 2*int(epochLen)+2 {
+		do()
+	}
+	for _, dc := range cs {
+		awaitEpochs(t, dc, 2, 10*time.Second)
+		if err := dc.WaitAudited(10 * time.Second); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		dc.Close()
+	}
+	first := []int64{cursor(0), cursor(1)}
+
+	ffs := make([]*fault.FaultyFS, users)
+	for i := range cs {
+		ffs[i] = &fault.FaultyFS{CrashAtRename: 2}
+		cs[i] = env.client(i, users, epochLen, ffs[i])
+	}
+	cursors := make([]int64, users)
+	for moved := 0; moved < users; {
+		if g > 6*int(epochLen) {
+			t.Fatalf("no cursor written by op %d although an epoch freed the sealed segment", g)
+		}
+		do()
+		moved = 0
+		for i := range cs {
+			if cursors[i] = cursor(i); cursors[i] > first[i] {
+				moved++
+			}
+		}
+	}
+	target := uint64(max(cursors[0], cursors[1]) + 4)
+	for uint64(g) < (target+1)*epochLen {
+		do()
+	}
+	for i, dc := range cs {
+		awaitEpochs(t, dc, target, 20*time.Second)
+		if err := dc.WaitAudited(10 * time.Second); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		closed := int64(dc.Audit().Completed()) - 1
+		if closed-cursors[i] < 3 || cursor(i) != cursors[i] {
+			t.Fatalf("user %d: epochs through %d closed, cursor at %d (first seen %d): want three closed past an unmoved cursor",
+				i, closed, cursor(i), cursors[i])
+		}
+		// A cursor write attempted since would have met the scheduled
+		// crash and degraded the journal.
+		if d := dc.Audit().Stats().Durability; d != audit.DurabilityWAL {
+			t.Fatalf("user %d: durability %v: a cursor write was attempted after epoch %d", i, d, cursors[i])
+		}
+	}
+	if beforeKill != nil {
+		beforeKill(cs)
+	}
+	for i, dc := range cs {
+		dc.Close()
+		if !ffs[i].Crashed() {
+			t.Fatalf("user %d: the scheduled crash never fired", i)
+		}
+		if got := cursor(i); got != cursors[i] {
+			t.Fatalf("user %d: cursor after the kill at %d, want the stale epoch %d", i, got, cursors[i])
+		}
+	}
+	return cursors
+}
+
+// journaledPast counts the frames of user i's journal past its cursor:
+// the obligations recovery must re-verify.
+func journaledPast(t *testing.T, env *recoveryEnv, i int, cursor int64) uint64 {
+	t.Helper()
+	n := uint64(0)
+	if err := wal.Replay(filepath.Join(env.root, fmt.Sprintf("user-%d", i)), func(fr wal.Record) error {
+		if int64(fr.Epoch) > cursor {
+			n++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestEpochAuditRecoveryFromStaleCursor: a crash that finds the cursor
+// three or more closed epochs behind replays every obligation
+// journaled past it — epochs that closed before the crash included —
+// with zero false alarms, and the restarted clients go on to close
+// every epoch.
+func TestEpochAuditRecoveryFromStaleCursor(t *testing.T) {
+	const epochLen = 4
+	env := newRecoveryEnv(t)
+	cursors := staleCursorRun(t, env, epochLen, nil)
+	want := make([]uint64, len(cursors))
+	for i, c := range cursors {
+		if want[i] = journaledPast(t, env, i, c); want[i] < 3*epochLen/2 {
+			t.Fatalf("user %d: %d frames past the cursor, want at least three epochs' worth", i, want[i])
+		}
+	}
+	cs := make([]*Client, len(cursors))
+	for i := range cs {
+		cs[i] = env.client(i, len(cs), epochLen, nil)
+	}
+	defer func() {
+		for _, dc := range cs {
+			dc.Close()
+		}
+	}()
+	for i, dc := range cs {
+		deadline := time.Now().Add(20 * time.Second)
+		poll := backoff.Poll(time.Millisecond)
+		for dc.Audit().Stats().Replayed < want[i] && dc.Err() == nil && time.Now().Before(deadline) {
+			poll.Sleep()
+		}
+		if err := dc.WaitAudited(20 * time.Second); err != nil {
+			t.Fatalf("user %d: false alarm replaying from a stale cursor: %v", i, err)
+		}
+		t.Logf("user %d: cursor at epoch %d, %d obligations journaled past it, %d replayed", i, cursors[i], want[i], dc.Audit().Stats().Replayed)
+		if got := dc.Audit().Stats().Replayed; got != want[i] {
+			t.Fatalf("user %d replayed %d obligations, %d were journaled past its cursor", i, got, want[i])
+		}
+	}
+	for i := 0; i < 2*epochLen; i++ {
+		if _, err := cs[i%len(cs)].Do(&vdb.WriteOp{Puts: []vdb.KV{{Key: fmt.Sprintf("post%d", i), Val: []byte("v")}}}); err != nil {
+			t.Fatalf("post-restart op %d: %v", i, err)
+		}
+	}
+	for _, dc := range cs {
+		dc.Seal()
+	}
+	for i, dc := range cs {
+		if err := dc.WaitSealed(30 * time.Second); err != nil {
+			t.Fatalf("client %d failed closure after a stale-cursor recovery: %v", i, err)
+		}
+	}
+}
+
+// TestEpochAuditStaleCursorConvictsTamper: an answer tampered in an
+// epoch no cursor covers, released before the crash and verified by
+// no one, is convicted by the restarted client's replay alone.
+func TestEpochAuditStaleCursorConvictsTamper(t *testing.T) {
+	const epochLen = 4
+	env := newRecoveryEnv(t)
+	staleCursorRun(t, env, epochLen, func(cs []*Client) {
+		op := &vdb.WriteOp{Puts: []vdb.KV{{Key: "evil", Val: []byte("v")}}}
+		raw, err := transportCall(t, env, cs[0], op)
+		if err != nil {
+			t.Fatalf("call: %v", err)
+		}
+		forged, err := vdb.EncodeAnswer(vdb.ReadAnswer{
+			Results: []vdb.ReadResult{{Key: "forged", Found: true, Val: []byte("evil")}},
+		})
+		if err != nil {
+			t.Fatalf("encode forged answer: %v", err)
+		}
+		raw.Answer = forged
+		if err := appendForged(t, env, op, raw, epochLen); err != nil {
+			t.Fatalf("forge: %v", err)
+		}
+	})
+	dc := env.client(0, 2, epochLen, nil)
+	defer dc.Close()
+	deadline := time.Now().Add(20 * time.Second)
+	poll := backoff.Poll(time.Millisecond)
+	for dc.Audit().Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("answer tampered past a stale cursor not convicted after recovery")
+		}
+		poll.Sleep()
+	}
+}
+
 // TestEpochAuditDegradeToSyncWAL: mid-run the journal's disk dies.
 // The auditor must flip to degrade-to-sync — every later Submit
 // blocks until its record is verified — finish the workload with zero
@@ -253,9 +456,10 @@ func appendForged(t *testing.T, env *recoveryEnv, op vdb.Op, resp *core.OpRespon
 func TestEpochAuditDegradeToSyncWAL(t *testing.T) {
 	const epochLen = 4
 	env := newRecoveryEnv(t)
-	// The journal dies on its 4th fsync: first appends succeed, then
-	// the device vanishes mid-workload.
-	ffs := &fault.FaultyFS{CrashAtSync: 4}
+	// The journal dies on its 5th fsync — the 4th append's flush, after
+	// the first segment's zero fill: first appends succeed, then the
+	// device vanishes mid-workload.
+	ffs := &fault.FaultyFS{CrashAtSync: 5}
 	dc := env.client(0, 1, epochLen, ffs)
 	defer dc.Close()
 

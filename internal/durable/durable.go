@@ -25,22 +25,21 @@ import (
 
 // File is the write side of one durable file: what a write-sync-close
 // persistence path actually needs, plus the three calls an append-only
-// journal uses to keep its hot path to one data flush.
+// journal uses to keep its hot path to one data flush. The journal
+// writes a segment's full size once and flushes it, then writes each
+// frame over those written blocks at its offset (WriteAt): the frame's
+// flush then moves data only, with no size change and no extent to
+// convert.
 type File interface {
 	io.Writer
+	io.WriterAt
 	// Sync flushes the file's data and all of its metadata (fsync).
 	Sync() error
 	// SyncData flushes the file's data and only the metadata needed to
-	// read it back (fdatasync): an unwritten-extent conversion or a
-	// size change is covered, timestamps are not. Where the platform
-	// has no such call it is Sync.
+	// read it back (fdatasync): a size change or an unwritten-extent
+	// conversion is covered, timestamps are not. Where the platform has
+	// no such call it is Sync.
 	SyncData() error
-	// Allocate reserves disk space so the file spans at least size
-	// bytes (fallocate mode 0: the new range reads as zeros and the
-	// file size grows to cover it). Best effort: a filesystem or
-	// platform without the call makes it a no-op, and plain appends
-	// past the end stay correct there, only slower.
-	Allocate(size int64) error
 	// Truncate sets the file's size.
 	Truncate(size int64) error
 	Close() error

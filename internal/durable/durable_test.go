@@ -53,9 +53,10 @@ func TestOSFSRoundTrip(t *testing.T) {
 }
 
 // TestOSFilePreallocateAndTrim walks the journal's file life cycle on
-// the real filesystem: reserve space, write into it, flush the data,
-// trim to the written end, reopen in place and trim again. A flush of
-// a closed file must fail, not reach whatever descriptor took its
+// the real filesystem: preallocate by writing zeros, write into that
+// space at an offset without changing the size, flush the data, trim
+// to the written end, reopen in place and trim again. A flush of a
+// closed file must fail, not reach whatever descriptor took its
 // number.
 func TestOSFilePreallocateAndTrim(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg")
@@ -63,11 +64,11 @@ func TestOSFilePreallocateAndTrim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Allocate(1 << 16); err != nil {
-		t.Fatalf("Allocate: %v", err)
+	if _, err := f.WriteAt(make([]byte, 1<<16), 0); err != nil {
+		t.Fatalf("WriteAt zeros: %v", err)
 	}
-	if _, err := f.Write([]byte("frames")); err != nil {
-		t.Fatal(err)
+	if _, err := f.WriteAt([]byte("frames"), 0); err != nil {
+		t.Fatalf("WriteAt: %v", err)
 	}
 	if err := f.SyncData(); err != nil {
 		t.Fatalf("SyncData: %v", err)
@@ -76,8 +77,8 @@ func TestOSFilePreallocateAndTrim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data[:6]) != "frames" || bytes.Count(data[6:], []byte{0}) != len(data)-6 {
-		t.Fatalf("preallocated file reads %q…, want the frames then zeros", data[:6])
+	if len(data) != 1<<16 || string(data[:6]) != "frames" || bytes.Count(data[6:], []byte{0}) != len(data)-6 {
+		t.Fatalf("preallocated file reads %d bytes, %q…; want 65536, the frames then zeros", len(data), data[:6])
 	}
 	if err := f.Truncate(6); err != nil {
 		t.Fatalf("Truncate: %v", err)

@@ -199,6 +199,35 @@ func TestFaultyFSShortWrite(t *testing.T) {
 	}
 }
 
+// TestFaultyFSWriteAtSharesWriteSchedule: WriteAt counts on Write's
+// schedule and tears the same way, so a journal writing at offsets
+// meets every scheduled fault a plain writer does.
+func TestFaultyFSWriteAtSharesWriteSchedule(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg")
+	ffs := &FaultyFS{ShortWriteAt: 2, CrashAtWrite: 3}
+	f, err := ffs.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("head")); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f.WriteAt([]byte("shortAAA"), 4); err != nil || n != 8 {
+		t.Fatalf("short WriteAt must lie (report success): n=%d err=%v", n, err)
+	}
+	if _, err := f.WriteAt([]byte("crashBBB"), 12); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("scheduled WriteAt crash = %v, want ErrCrashed", err)
+	}
+	_ = f.Close()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "headshor\x00\x00\x00\x00cras"; string(got) != want {
+		t.Fatalf("disk holds %q, want %q", got, want)
+	}
+}
+
 func TestFaultyFSCrashBeforeRename(t *testing.T) {
 	dir := t.TempDir()
 	tmp, final := filepath.Join(dir, "snap.tmp"), filepath.Join(dir, "snap")

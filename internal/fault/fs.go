@@ -22,13 +22,14 @@ var ErrCrashed = errors.New("fault: filesystem crashed")
 type FaultyFS struct {
 	Inner durable.FS
 
-	// ShortWriteAt makes the Nth Write persist only half its bytes
-	// while reporting full success — a lying disk / torn page. The FS
-	// stays alive: the bug is silent until load time, which is what
-	// the snapshot checksum exists to catch.
+	// ShortWriteAt makes the Nth Write or WriteAt (one counter)
+	// persist only half its bytes while reporting full success — a
+	// lying disk / torn page. The FS stays alive: the bug is silent
+	// until load time, which is what the snapshot checksum exists to
+	// catch.
 	ShortWriteAt uint64
-	// CrashAtWrite makes the Nth Write persist half its bytes and then
-	// crash the FS.
+	// CrashAtWrite makes the Nth Write or WriteAt persist half its
+	// bytes and then crash the FS.
 	CrashAtWrite uint64
 	// CrashAtRename crashes the FS before performing the Nth Rename —
 	// the classic "temp file written and synced, rename never
@@ -167,33 +168,45 @@ type faultyFile struct {
 }
 
 func (w *faultyFile) Write(p []byte) (int, error) {
-	w.fs.mu.Lock()
-	if w.fs.crashed {
-		w.fs.mu.Unlock()
+	return w.fs.write(p, w.inner.Write)
+}
+
+// WriteAt counts on the same write schedule as Write: a journal that
+// writes at offsets meets the same torn writes and crashes.
+func (w *faultyFile) WriteAt(p []byte, off int64) (int, error) {
+	return w.fs.write(p, func(b []byte) (int, error) { return w.inner.WriteAt(b, off) })
+}
+
+// write counts one write and performs it through do, tearing it or
+// crashing the FS if it is a scheduled one.
+func (f *FaultyFS) write(p []byte, do func([]byte) (int, error)) (int, error) {
+	f.mu.Lock()
+	if f.crashed {
+		f.mu.Unlock()
 		return 0, ErrCrashed
 	}
-	w.fs.writes++
-	n := w.fs.writes
-	short := w.fs.ShortWriteAt != 0 && n == w.fs.ShortWriteAt
-	crash := w.fs.CrashAtWrite != 0 && n == w.fs.CrashAtWrite
+	f.writes++
+	n := f.writes
+	short := f.ShortWriteAt != 0 && n == f.ShortWriteAt
+	crash := f.CrashAtWrite != 0 && n == f.CrashAtWrite
 	if crash {
-		w.fs.crashed = true
+		f.crashed = true
 	}
-	w.fs.mu.Unlock()
+	f.mu.Unlock()
 
 	switch {
 	case crash:
-		_, _ = w.inner.Write(p[:len(p)/2])
+		_, _ = do(p[:len(p)/2])
 		return 0, fmt.Errorf("%w: mid-write", ErrCrashed)
 	case short:
 		// Persist half, report success: the torn write no checksumless
 		// loader can see.
-		if _, err := w.inner.Write(p[:len(p)/2]); err != nil {
+		if _, err := do(p[:len(p)/2]); err != nil {
 			return 0, err
 		}
 		return len(p), nil
 	}
-	return w.inner.Write(p)
+	return do(p)
 }
 
 func (w *faultyFile) Sync() error {
@@ -224,13 +237,6 @@ func (f *FaultyFS) beforeSync() error {
 		return fmt.Errorf("%w: before sync", ErrCrashed)
 	}
 	return nil
-}
-
-func (w *faultyFile) Allocate(size int64) error {
-	if w.fs.dead() {
-		return ErrCrashed
-	}
-	return w.inner.Allocate(size)
 }
 
 func (w *faultyFile) Truncate(size int64) error {

@@ -26,14 +26,15 @@ import (
 // interval to at most one journal epoch.
 //
 // The journal deliberately does NOT fsync per operation: frames are
-// batched and made durable at epoch rotation (wal.SyncOnRotate), so
-// the hot path never waits on the disk. The durability contract is
-// therefore weaker than the client-side audit WAL — a hard crash can
-// lose the current epoch's tail — and that is fine: clients hold the
-// authoritative per-op durable record of their own obligations; the
-// server journal only narrows the honest-crash rollback window.
+// batched and flushed once per epoch, by the first append of the next
+// one (wal.SyncOnRotate), so the hot path waits on the disk once an
+// epoch. The durability contract is therefore weaker than the
+// client-side audit WAL — a hard crash can lose the current epoch's
+// tail — and that is fine: clients hold the authoritative per-op
+// durable record of their own obligations; the server journal only
+// narrows the honest-crash rollback window.
 
-// DefaultJournalEpoch is the fsync/rotation batch for deployments that
+// DefaultJournalEpoch is the flush batch for deployments that
 // do not run epoch-batched audit (no -epoch-len to align with).
 const DefaultJournalEpoch = 64
 
@@ -95,7 +96,7 @@ func decodeEntry(b []byte) (journalEntry, error) {
 }
 
 // OpJournal appends every successfully applied operation to a
-// segmented WAL (internal/wal), batching fsyncs at epoch rotation.
+// segmented WAL (internal/wal), batching flushes per epoch.
 // Append failures are sticky: the journal disables itself rather than
 // stalling or crashing the serving path, and Err exposes the
 // degradation so the operator can see durability has narrowed back to

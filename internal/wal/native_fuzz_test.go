@@ -49,8 +49,8 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte(segMagic))
-	// What a killed process leaves: one clean frame, then preallocated
-	// slack that reads as zeros.
+	// What a killed process leaves: one clean frame, then the
+	// segment's zero fill.
 	f.Add(append(appendFrame([]byte(segMagic), 0, []byte("abc")), make([]byte, 256)...))
 	// A header promising a giant payload: must be rejected as torn
 	// without a giant allocation.

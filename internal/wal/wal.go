@@ -28,38 +28,42 @@
 // # Durability contract
 //
 // Append is durable on return: the frame has been flushed to disk when
-// Append reports nil. The active segment is preallocated (fallocate,
-// segChunk bytes at a time, ahead of the write offset), so an append
-// writes into space the file already owns and its flush is a data-only
-// one (fdatasync): the file size does not change per frame, and the
-// flush commits no filesystem-journal transaction for it. Concurrent
-// appenders coalesce into one flush (group commit), so the per-append
-// cost amortizes under load. SyncOnRotate relaxes this for journals
-// whose loss window may span a segment: frames are synced only at
-// rotation and Close, trading the tail of the active segment for
-// hot-path throughput (the server's applied-op journal uses this; the
-// audit WAL does not). Both policies take the same preallocated path.
+// Append reports nil. Every segment is created full-size: its magic,
+// then zeros to segChunk bytes, written and flushed before the
+// segment's directory entry is synced. A frame is written at its offset
+// into blocks that are already written, so the append's flush
+// (fdatasync) carries the frame's data and nothing else: no size
+// change, and no unwritten-extent conversion of the kind a fallocated
+// range would need. Concurrent appenders coalesce into one flush (group
+// commit), so the per-append cost amortizes under load. SyncOnRotate
+// relaxes this for journals whose loss window may span an epoch: an
+// append flushes only when its epoch is newer than the newest flushed
+// one, and rotation and Close seal as always, so a crash loses at most
+// the current epoch's tail (the server's applied-op journal uses this;
+// the audit WAL does not). Both policies write the same segments.
 //
-// After a crash the active segment ends in preallocated slack, which
-// reads as zeros. A zero frame header fails its footer check, so the
-// slack is a torn tail like any other: Replay ends cleanly on it and
-// Open trims it.
+// After a crash the active segment ends in its zero fill. A zero frame
+// header fails its footer check, so the zeros are a torn tail like any
+// other: Replay ends cleanly on them and Open trims them.
 //
 // # Rotation and truncation
 //
-// Segments rotate on epoch boundaries: the first Append whose epoch
-// exceeds the active segment's rotates first, so every segment covers
-// a contiguous, non-overlapping epoch range and truncation after epoch
-// closure is a whole-file unlink (TruncateThrough). Rotation seals the
+// Segments rotate when full: an Append whose frame does not fit in the
+// active segment's zeroed space rotates first, so a segment holds
+// segChunk bytes, or one frame if a single frame is larger. Epochs are
+// non-decreasing along the journal, and adjacent segments may share
+// their boundary epoch. Truncation after epoch closure is a whole-file
+// unlink (TruncateThrough) of every sealed segment whose newest frame
+// the closed epoch covers; a frame of that epoch left in a later
+// segment is one the caller's replay skips by epoch. Rotation seals the
 // old segment — trim to the end of its last frame, full fsync, close —
-// before creating the new one, so a sealed segment never carries
-// slack and is byte-identical to one written without preallocation;
-// zeros past the last frame of a sealed segment are corruption, never
-// a clean end. Close seals the active segment the same way, and Open
-// trims and fully syncs a torn final segment before the segment that
-// follows it exists. Every create/unlink is followed by a directory
-// sync — the syncdiscipline lint pass machine-checks that ordering,
-// and it does not count a data-only flush as a seal.
+// before creating the new one, so a sealed segment never carries its
+// zero fill; zeros past the last frame of a sealed segment are
+// corruption, never a clean end. Close seals the active segment the
+// same way, and Open trims and fully syncs a torn final segment before
+// the segment that follows it exists. Every create/unlink is followed
+// by a directory sync — the syncdiscipline lint pass machine-checks
+// that ordering, and it does not count a data-only flush as a seal.
 package wal
 
 import (
@@ -86,10 +90,13 @@ const segMagic = "TCVSWAL1\n"
 // rejects it (same guard as the snapshot loader's).
 const maxFrameBytes = 1 << 30
 
-// segChunk is how far ahead of its write offset the active segment
-// reserves disk space: one chunk after the magic at creation, one more
-// past a frame that would cross the reserved end.
+// segChunk is a segment's size as created: the magic, then zeros.
 const segChunk = 1 << 20
+
+// zeroFill is the source of a new segment's zeros. A package-level
+// array, not a heap buffer: it costs no live heap, and pages of it that
+// are only ever read stay the kernel's shared zero page.
+var zeroFill [segChunk - len(segMagic)]byte
 
 // ErrClosed is returned by operations on a closed WAL.
 var ErrClosed = errors.New("wal: closed")
@@ -102,9 +109,10 @@ const (
 	// (group-committed). The audit WAL requires this: an optimistic
 	// answer must never outlive its logged obligation.
 	SyncEachAppend SyncPolicy = iota
-	// SyncOnRotate syncs only when a segment seals (rotation, Close).
-	// A crash loses the unsynced tail of the active segment — replay
-	// truncates it cleanly — bounding loss to one epoch of frames.
+	// SyncOnRotate flushes (group-committed) only when an append's
+	// epoch is newer than the newest flushed epoch, and seals at
+	// rotation and Close. A crash loses at most the current epoch's
+	// unflushed tail — replay truncates it cleanly.
 	SyncOnRotate
 )
 
@@ -138,19 +146,19 @@ type WAL struct {
 	// mu guards the active segment and all metadata below. Writes to
 	// the active file happen under it (appends are small and the file
 	// is buffered by the OS); syncs do not — see the group-commit path.
-	mu       sync.Mutex
-	active   durable.File
-	seq      uint64 // active segment sequence number
-	off      int64  // end of the active segment's last frame
-	reserved int64  // end of the active segment's preallocated space
-	frames   uint64 // frames written to the active segment
-	lastEp   uint64 // epoch of the newest frame in the active segment
-	written  uint64 // total frames written since Open
-	synced   uint64 // total frames durable
-	sealed   []segment
-	closed   bool
-	appendEr error  // sticky first append-path error
-	frame    []byte // frame-assembly buffer, reused across appends
+	mu        sync.Mutex
+	active    durable.File
+	seq       uint64 // active segment sequence number
+	off       int64  // end of the active segment's last frame
+	size      int64  // end of the active segment's zeroed space
+	lastEp    uint64 // newest epoch appended since Open
+	flushedEp uint64 // newest epoch whose frames are all durable
+	written   uint64 // total frames written since Open
+	synced    uint64 // total frames durable
+	sealed    []segment
+	closed    bool
+	appendEr  error  // sticky first append-path error
+	frame     []byte // frame-assembly buffer, reused across appends
 
 	// syncMu serializes group-commit leaders; never nested inside mu.
 	syncMu sync.Mutex
@@ -193,8 +201,8 @@ func listSegments(dir string) ([]uint64, error) {
 }
 
 // Open opens (or initializes) the journal at opts.Dir. Existing
-// segments are scanned: a torn tail on the newest segment (preallocated
-// slack after a crash is one) is truncated in place and the trimmed
+// segments are scanned: a torn tail on the newest segment (the zero
+// fill after a crash is one) is truncated in place and the trimmed
 // file fully synced before appending resumes on a fresh segment, so
 // sealed files are never rewritten and the torn bytes cannot come back
 // in what is by then a non-final segment. Earlier segments with invalid
@@ -227,7 +235,7 @@ func Open(opts Options) (*WAL, error) {
 			// fully torn segment): nothing in it, remove rather than
 			// carry an empty sealed segment forever. The unlink is made
 			// durable before the next segment exists: back as a
-			// non-final segment, its zero slack would be corruption.
+			// non-final segment, its zero fill would be corruption.
 			if err := os.Remove(w.segPath(seq)); err != nil {
 				return nil, fmt.Errorf("wal: remove empty %s: %w", segName(seq), err)
 			}
@@ -269,8 +277,11 @@ func (w *WAL) trimSegment(seq uint64, size int64) error {
 	return nil
 }
 
-// createSegmentLocked creates, preallocates and installs a fresh active
+// createSegmentLocked creates, zero-fills and installs a fresh active
 // segment. The caller holds mu (or is Open, before the WAL escapes).
+// The magic and the zeros are flushed before the directory entry is
+// synced, so a segment that survives by name holds written blocks
+// segChunk long, and every frame later overwrites some of them in place.
 //
 //lint:ignore syncdiscipline the very first segment of a journal has no predecessor to sync; rotation seals the old segment (trim+sync+close), and Open syncs a trimmed one, before reaching this helper
 func (w *WAL) createSegmentLocked(seq uint64) error {
@@ -278,14 +289,17 @@ func (w *WAL) createSegmentLocked(seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment %d: %w", seq, err)
 	}
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("wal: write segment magic: %w", err)
-	}
 	off := int64(len(segMagic))
-	if err := f.Allocate(off + segChunk); err != nil {
+	_, err = f.WriteAt([]byte(segMagic), 0)
+	if err == nil {
+		_, err = f.WriteAt(zeroFill[:], off)
+	}
+	if err == nil {
+		err = f.SyncData()
+	}
+	if err != nil {
 		_ = f.Close()
-		return fmt.Errorf("wal: preallocate segment %d: %w", seq, err)
+		return fmt.Errorf("wal: zero-fill segment %d: %w", seq, err)
 	}
 	// Make the directory entry durable: a segment whose frames are
 	// fsynced but whose name is not survives nothing.
@@ -293,8 +307,7 @@ func (w *WAL) createSegmentLocked(seq uint64) error {
 		_ = f.Close()
 		return fmt.Errorf("wal: sync dir: %w", err)
 	}
-	w.active, w.seq, w.frames, w.lastEp = f, seq, 0, 0
-	w.off, w.reserved = off, off+segChunk
+	w.active, w.seq, w.off, w.size = f, seq, off, segChunk
 	return nil
 }
 
@@ -312,13 +325,13 @@ func frameDigest(epoch uint64, payload []byte) digest.Digest {
 }
 
 // Append journals one record under the given epoch, rotating first if
-// the epoch advanced past the active segment's. Under SyncEachAppend
+// the frame does not fit in the active segment. Under SyncEachAppend
 // the frame is durable when Append returns nil; any error means the
 // record may not survive a crash and the caller must degrade (the
 // auditor falls back to per-operation synchronous verification).
 //
-// Epochs must be non-decreasing per caller; that is what makes
-// segments cover disjoint epoch ranges.
+// Epochs must be non-decreasing per caller; that is what lets a
+// sealed segment be dropped once its newest epoch is covered.
 func (w *WAL) Append(epoch uint64, payload []byte) error {
 	w.mu.Lock()
 	if w.closed {
@@ -330,41 +343,32 @@ func (w *WAL) Append(epoch uint64, payload []byte) error {
 		w.mu.Unlock()
 		return err
 	}
-	if w.frames > 0 && epoch > w.lastEp {
+	frame := appendFrame(w.frame, epoch, payload)
+	w.frame = binenc.Recycle(frame)
+	if w.off > int64(len(segMagic)) && w.off+int64(len(frame)) > w.size {
 		if err := w.rotateLocked(); err != nil {
 			w.appendEr = err
 			w.mu.Unlock()
 			return err
 		}
 	}
-	frame := appendFrame(w.frame, epoch, payload)
-	w.frame = binenc.Recycle(frame)
-	end := w.off + int64(len(frame))
-	if end > w.reserved {
-		if err := w.active.Allocate(end + segChunk); err != nil {
-			w.appendEr = fmt.Errorf("wal: preallocate: %w", err)
-			err = w.appendEr
-			w.mu.Unlock()
-			return err
-		}
-		w.reserved = end + segChunk
-	}
-	if _, err := w.active.Write(frame); err != nil {
+	// A frame larger than a fresh segment's zeros extends the file; its
+	// flush carries the size change, and the next frame rotates.
+	if _, err := w.active.WriteAt(frame, w.off); err != nil {
 		w.appendEr = fmt.Errorf("wal: append: %w", err)
 		err = w.appendEr
 		w.mu.Unlock()
 		return err
 	}
-	w.off = end
-	w.frames++
+	w.off += int64(len(frame))
+	w.size = max(w.size, w.off)
 	w.written++
-	if epoch > w.lastEp {
-		w.lastEp = epoch
-	}
+	w.lastEp = max(w.lastEp, epoch)
 	mine := w.written
+	lazy := w.policy == SyncOnRotate && epoch <= w.flushedEp
 	w.mu.Unlock()
 
-	if w.policy == SyncOnRotate {
+	if lazy {
 		return nil
 	}
 	return w.syncThrough(mine)
@@ -374,8 +378,9 @@ func (w *WAL) Append(epoch uint64, payload []byte) error {
 // least seq durable. The first caller in becomes the leader and syncs
 // for everyone queued behind it; followers find their frame already
 // covered and return without touching the disk. The flush is data-only:
-// the frames landed in preallocated space, so no size change rides it
-// (and if one did, fdatasync would still carry it).
+// the frames overwrote zeros already on disk, so no metadata rides it
+// (and if a frame larger than a segment grew the file, fdatasync still
+// carries the size).
 func (w *WAL) syncThrough(seq uint64) error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
@@ -389,7 +394,7 @@ func (w *WAL) syncThrough(seq uint64) error {
 		w.mu.Unlock()
 		return err
 	}
-	f, high, seg := w.active, w.written, w.seq
+	f, high, highEp, seg := w.active, w.written, w.lastEp, w.seq
 	w.mu.Unlock()
 
 	if err := f.SyncData(); err != nil {
@@ -408,22 +413,23 @@ func (w *WAL) syncThrough(seq uint64) error {
 		return err
 	}
 	w.mu.Lock()
-	if high > w.synced {
-		w.synced = high
-	}
+	w.synced = max(w.synced, high)
+	w.flushedEp = max(w.flushedEp, highEp)
 	w.mu.Unlock()
 	return nil
 }
 
 // rotateLocked seals the active segment — trim, sync, close, record —
-// and opens the next one. Caller holds mu.
+// and opens the next one. Caller holds mu. The segment is recorded
+// under the newest epoch appended so far: its own newest frame's, as
+// epochs do not decrease, and never less.
 func (w *WAL) rotateLocked() error {
 	err := sealSegment(w.active, w.off)
 	w.active = nil // closed either way; on failure the caller's sticky error guards every later use
 	if err != nil {
 		return fmt.Errorf("wal: rotate: %w", err)
 	}
-	w.synced = w.written
+	w.synced, w.flushedEp = w.written, w.lastEp
 	w.sealed = append(w.sealed, segment{seq: w.seq, maxEpoch: w.lastEp})
 	return w.createSegmentLocked(w.seq + 1)
 }
@@ -475,6 +481,19 @@ func (w *WAL) TruncateThrough(epoch uint64) error {
 	return firstErr
 }
 
+// Frees reports whether TruncateThrough(epoch) would unlink a sealed
+// segment — the one reason for a caller to write a cursor at epoch.
+func (w *WAL) Frees(epoch uint64) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, s := range w.sealed {
+		if s.maxEpoch <= epoch {
+			return true
+		}
+	}
+	return false
+}
+
 // Segments reports how many sealed segments remain (observability and
 // tests; the active segment is excluded).
 func (w *WAL) Segments() int {
@@ -491,8 +510,8 @@ func (w *WAL) Appended() uint64 {
 }
 
 // sealSegment trims f to end, the end of its last frame, fully syncs it
-// and closes it, so a sealed segment carries no preallocated slack. f
-// is closed even when the trim or the sync fails.
+// and closes it, so a sealed segment carries no zero fill. f is closed
+// even when the trim or the sync fails.
 func sealSegment(f durable.File, end int64) error {
 	err := f.Truncate(end)
 	if err == nil {

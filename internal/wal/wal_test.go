@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"trustedcvs/internal/durable"
 	"trustedcvs/internal/fault"
@@ -61,38 +63,62 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+// payloadOf is record i's payload, n bytes long: sizes near a fraction
+// of segChunk are how the tests make a journal rotate.
+func payloadOf(i, n int) []byte {
+	p := bytes.Repeat([]byte{byte('a' + i%26)}, n)
+	copy(p, fmt.Sprintf("op-%02d", i))
+	return p
+}
+
+// TestWALRotationAndTruncation: segments rotate when full, whatever the
+// epochs do, so adjacent segments share their boundary epoch; Frees and
+// TruncateThrough count only sealed segments whose newest frame the
+// epoch covers.
 func TestWALRotationAndTruncation(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	for e := uint64(1); e <= 4; e++ {
-		for i := 0; i < 3; i++ {
-			if err := w.Append(e, []byte(fmt.Sprintf("e%d-%d", e, i))); err != nil {
+	// Three frames fill a segment; epochs 1..5 take two appends each:
+	// [1 1 2] [2 3 3] [4 4 5] and the active [5].
+	for e := uint64(1); e <= 5; e++ {
+		for i := 0; i < 2; i++ {
+			if err := w.Append(e, payloadOf(int(e)*2+i, segChunk/4)); err != nil {
 				t.Fatalf("Append: %v", err)
 			}
 		}
 	}
-	// Epochs 1..3 have rotated away; epoch 4 is the active segment.
 	if got := w.Segments(); got != 3 {
 		t.Fatalf("sealed segments = %d, want 3", got)
+	}
+	if w.Frees(1) || !w.Frees(2) {
+		t.Fatalf("Frees(1), Frees(2) = %v, %v; want false, true", w.Frees(1), w.Frees(2))
 	}
 	if err := w.TruncateThrough(2); err != nil {
 		t.Fatalf("TruncateThrough: %v", err)
 	}
-	if got := w.Segments(); got != 1 {
-		t.Fatalf("sealed segments after truncate = %d, want 1", got)
+	if got := w.Segments(); got != 2 {
+		t.Fatalf("sealed segments after truncate = %d, want 2", got)
+	}
+	if w.Frees(2) {
+		t.Fatal("Frees(2) after TruncateThrough(2)")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	recs := replayAll(t, dir)
-	if len(recs) != 6 {
-		t.Fatalf("replayed %d records, want 6 (epochs 3,4)", len(recs))
+	if len(recs) != 7 {
+		t.Fatalf("replayed %d records, want 7", len(recs))
+	}
+	// The shared boundary epoch outlives the segment it was truncated
+	// through; a replay skips it by epoch.
+	if recs[0].Epoch != 2 {
+		t.Fatalf("first surviving record is epoch %d, want the shared boundary epoch 2", recs[0].Epoch)
 	}
 	for _, r := range recs {
-		if r.Epoch < 3 {
+		if r.Epoch < 2 {
 			t.Fatalf("truncated epoch %d resurfaced in replay", r.Epoch)
 		}
 	}
@@ -152,8 +178,9 @@ func TestWALCorruptMiddleSegmentIsError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	// Half a segment each: every frame gets a segment of its own.
 	for e := uint64(1); e <= 3; e++ {
-		if err := w.Append(e, []byte("x")); err != nil {
+		if err := w.Append(e, payloadOf(int(e), segChunk/2)); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -161,8 +188,8 @@ func TestWALCorruptMiddleSegmentIsError(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	seqs, _ := listSegments(dir)
-	if len(seqs) < 2 {
-		t.Fatalf("want >= 2 segments, got %d", len(seqs))
+	if len(seqs) != 3 {
+		t.Fatalf("want 3 segments, got %d", len(seqs))
 	}
 	// Flip a payload byte in the FIRST (non-final) segment.
 	first := filepath.Join(dir, segName(seqs[0]))
@@ -184,8 +211,8 @@ func TestWALCorruptMiddleSegmentIsError(t *testing.T) {
 }
 
 // kill abandons w the way a dead process does: its descriptor goes and
-// nothing is trimmed or synced, so the active segment keeps its
-// preallocated slack.
+// nothing is trimmed or synced, so the active segment keeps its zero
+// fill.
 func kill(t *testing.T, w *WAL) {
 	t.Helper()
 	w.mu.Lock()
@@ -212,10 +239,10 @@ func segmentTail(t *testing.T, dir string, seq uint64) (size, end int64) {
 }
 
 // TestWALKilledJournalTrimsSlack: a journal killed after N appends
-// replays exactly N records although its active segment ends in
-// preallocated zeros; sealed segments never carry slack; reopening
-// trims it; and after one more append and a clean Close every segment
-// ends exactly at its last frame.
+// replays exactly N records although its active segment ends in zero
+// fill; sealed segments never carry it; reopening trims it; and after
+// one more append and a clean Close every segment ends exactly at its
+// last frame.
 func TestWALKilledJournalTrimsSlack(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(Options{Dir: dir})
@@ -224,30 +251,30 @@ func TestWALKilledJournalTrimsSlack(t *testing.T) {
 	}
 	const n = 7
 	for i := 0; i < n; i++ {
-		if err := w.Append(uint64(i/3), payloadFor(i)); err != nil {
+		if err := w.Append(uint64(i/3), bigPayloadFor(i)); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
 	kill(t, w)
 	seqs, err := listSegments(dir)
-	if err != nil || len(seqs) != 3 {
-		t.Fatalf("segments = %v, %v; want 3", seqs, err)
+	if err != nil || len(seqs) != 4 {
+		t.Fatalf("segments = %v, %v; want 4", seqs, err)
 	}
-	for _, seq := range seqs[:2] {
+	for _, seq := range seqs[:3] {
 		if size, end := segmentTail(t, dir, seq); size != end {
 			t.Fatalf("sealed %s: %d bytes, last frame ends at %d", segName(seq), size, end)
 		}
 	}
-	if size, end := segmentTail(t, dir, seqs[2]); size == end {
-		t.Log("no preallocation on this filesystem: the killed segment has no slack")
+	if size, end := segmentTail(t, dir, seqs[3]); size != segChunk || end >= size {
+		t.Fatalf("killed %s: %d bytes, last frame ends at %d; want %d bytes ending in zeros", segName(seqs[3]), size, end, segChunk)
 	}
 	recs := replayAll(t, dir)
 	if len(recs) != n {
 		t.Fatalf("replayed %d records from a killed journal, want %d", len(recs), n)
 	}
 	for i, r := range recs {
-		if r.Epoch != uint64(i/3) || string(r.Payload) != string(payloadFor(i)) {
-			t.Fatalf("record %d = (e%d, %q)", i, r.Epoch, r.Payload)
+		if r.Epoch != uint64(i/3) || !bytes.Equal(r.Payload, bigPayloadFor(i)) {
+			t.Fatalf("record %d = (e%d, %q…)", i, r.Epoch, r.Payload[:8])
 		}
 	}
 
@@ -255,8 +282,8 @@ func TestWALKilledJournalTrimsSlack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if size, end := segmentTail(t, dir, seqs[2]); size != end {
-		t.Fatalf("Open left %d bytes of slack on %s", size-end, segName(seqs[2]))
+	if size, end := segmentTail(t, dir, seqs[3]); size != end {
+		t.Fatalf("Open left %d bytes of zero fill on %s", size-end, segName(seqs[3]))
 	}
 	if err := w.Append(9, []byte("after")); err != nil {
 		t.Fatal(err)
@@ -268,8 +295,8 @@ func TestWALKilledJournalTrimsSlack(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", got, n+1)
 	}
 	seqs, _ = listSegments(dir)
-	if len(seqs) != 4 {
-		t.Fatalf("segments after reopen = %v, want 4", seqs)
+	if len(seqs) != 5 {
+		t.Fatalf("segments after reopen = %v, want 5", seqs)
 	}
 	for _, seq := range seqs {
 		if size, end := segmentTail(t, dir, seq); size != end || end <= int64(len(segMagic)) {
@@ -278,30 +305,77 @@ func TestWALKilledJournalTrimsSlack(t *testing.T) {
 	}
 }
 
-// TestWALReservesPastLargeFrames: a frame that crosses the reserved end
-// reserves a chunk past itself, so the next append still lands in owned
-// space, and replay survives a kill either way.
+// TestWALSegmentSizeNeverChanges: across many appends to one segment,
+// whose epochs advance, the file keeps the size it was created with and
+// every byte past the last frame reads as zero — an append's flush has
+// no size change and no fresh extent to commit.
+func TestWALSegmentSizeNeverChanges(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	path := filepath.Join(dir, segName(1))
+	for i := 0; i < 300; i++ {
+		if err := w.Append(uint64(i/7), payloadOf(i, 1403)); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != segChunk {
+			t.Fatalf("after append %d the segment is %d bytes, want %d", i, fi.Size(), segChunk)
+		}
+		if i%50 != 49 {
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, end, _ := parseSegment(data)
+		if len(recs) != i+1 || end < 0 {
+			t.Fatalf("segment holds %d frames after %d appends (zeros from %d)", len(recs), i+1, end)
+		}
+		if bytes.Count(data[end:], []byte{0}) != len(data)-int(end) {
+			t.Fatalf("after append %d a byte past the last frame is not zero", i)
+		}
+	}
+	if got := w.Segments(); got != 0 {
+		t.Fatalf("%d segments sealed: epochs advancing must not rotate", got)
+	}
+}
+
+// TestWALReservesPastLargeFrames: a frame that does not fit the active
+// segment rotates first, and a frame larger than a fresh segment's zeros
+// gets that segment to itself, grown to hold it; the next frame rotates
+// into zero-filled space again, and replay survives a kill either way.
 func TestWALReservesPastLargeFrames(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(filepath.Join(dir, segName(1))); err != nil || fi.Size() <= int64(len(segMagic)) {
-		t.Skipf("no preallocation on this filesystem (%v)", err)
-	}
-	big := bytes.Repeat([]byte{'b'}, segChunk*3/4)
-	for i := 0; i < 2; i++ {
-		if err := w.Append(1, big); err != nil {
-			t.Fatal(err)
+	big := payloadOf(1, segChunk)
+	for i, p := range [][]byte{payloadOf(0, 10), big, payloadOf(2, 10)} {
+		if err := w.Append(1, p); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
 	kill(t, w)
-	if size, end := segmentTail(t, dir, 1); size-end != segChunk {
-		t.Fatalf("%d bytes reserved past the crossing frame, want %d", size-end, segChunk)
+	if size, end := segmentTail(t, dir, 1); size != end {
+		t.Fatalf("%s: %d bytes, last frame ends at %d", segName(1), size, end)
 	}
-	if got := len(replayAll(t, dir)); got != 2 {
-		t.Fatalf("replayed %d, want 2", got)
+	if size, end := segmentTail(t, dir, 2); size != end || end != int64(len(segMagic)+16+len(big)+32) {
+		t.Fatalf("%s: %d bytes, last frame ends at %d; want the one large frame exactly", segName(2), size, end)
+	}
+	if size, end := segmentTail(t, dir, 3); size != segChunk || end >= size {
+		t.Fatalf("%s: %d bytes, last frame ends at %d; want a zero-filled segment", segName(3), size, end)
+	}
+	if got := len(replayAll(t, dir)); got != 3 {
+		t.Fatalf("replayed %d, want 3", got)
 	}
 }
 
@@ -316,7 +390,7 @@ func TestWALSealedZeroTailIsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := uint64(1); e <= 2; e++ {
-		if err := w.Append(e, []byte("x")); err != nil {
+		if err := w.Append(e, payloadOf(int(e), segChunk/2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -360,13 +434,13 @@ func TestWALOpenSyncsRepairBeforeNextSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.Append(1, payloadFor(i)); err != nil {
+		if err := w.Append(1, payloadOf(i, 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	kill(t, w)
-	// Tear the last frame too, so there is a tail to trim on any
-	// filesystem, preallocating or not.
+	// Cut the zero fill and the last frame's final byte: the file
+	// ends inside a torn frame.
 	_, end := segmentTail(t, dir, 1)
 	if err := os.Truncate(filepath.Join(dir, segName(1)), end-1); err != nil {
 		t.Fatal(err)
@@ -394,7 +468,8 @@ func TestWALOpenSyncsRepairBeforeNextSegment(t *testing.T) {
 // TestWALConcurrentAppendsAcrossRotations races group-commit leaders'
 // data flushes against rotations that trim, sync and close the segment
 // under them: every append reports durable, every record replays, and
-// every segment ends at its last frame.
+// every segment ends at its last frame. The payloads fill a segment
+// every twenty-odd appends.
 func TestWALConcurrentAppendsAcrossRotations(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(Options{Dir: dir})
@@ -408,7 +483,7 @@ func TestWALConcurrentAppendsAcrossRotations(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := w.Append(uint64(i/10), []byte(fmt.Sprintf("w%d-%d", g, i))); err != nil {
+				if err := w.Append(uint64(i/10), payloadOf(g*each+i, segChunk/24)); err != nil {
 					t.Errorf("writer %d append %d: %v", g, i, err)
 					return
 				}
@@ -423,6 +498,9 @@ func TestWALConcurrentAppendsAcrossRotations(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", got, writers*each)
 	}
 	seqs, _ := listSegments(dir)
+	if len(seqs) < 8 {
+		t.Fatalf("%d segments: the appends did not rotate", len(seqs))
+	}
 	for _, seq := range seqs {
 		if size, end := segmentTail(t, dir, seq); size != end {
 			t.Fatalf("%s: %d bytes, last frame ends at %d", segName(seq), size, end)
@@ -430,11 +508,12 @@ func TestWALConcurrentAppendsAcrossRotations(t *testing.T) {
 	}
 }
 
-// epochFor/payloadFor define the scripted crash workload: eight
-// appends, two per epoch, epochs 1..4.
-func epochFor(i int) uint64   { return uint64(i/2) + 1 }
-func payloadFor(i int) []byte { return []byte(fmt.Sprintf("op-%02d", i)) }
-func workloadAppends() int    { return 8 }
+// epochFor/bigPayloadFor define the scripted crash workload: eight
+// appends, two per epoch, epochs 1..4, and two frames to a segment, so
+// the workload rotates on size at every epoch boundary.
+func epochFor(i int) uint64      { return uint64(i/2) + 1 }
+func bigPayloadFor(i int) []byte { return payloadOf(i, 400<<10) }
+func workloadAppends() int       { return 8 }
 
 // runCrashWorkload drives the scripted workload against a WAL on ffs,
 // returning the indices whose Append reported durable success.
@@ -446,7 +525,7 @@ func runCrashWorkload(t *testing.T, dir string, ffs *fault.FaultyFS) (ok []int, 
 	}
 	defer w.Close()
 	for i := 0; i < workloadAppends(); i++ {
-		if err := w.Append(epochFor(i), payloadFor(i)); err == nil {
+		if err := w.Append(epochFor(i), bigPayloadFor(i)); err == nil {
 			ok = append(ok, i)
 		}
 	}
@@ -464,9 +543,9 @@ func checkZeroLoss(t *testing.T, dir string, ok []int) {
 		t.Fatalf("replayed %d records, attempted only %d", len(recs), workloadAppends())
 	}
 	for j, r := range recs {
-		if r.Epoch != epochFor(j) || string(r.Payload) != string(payloadFor(j)) {
-			t.Fatalf("replayed record %d = (e%d, %q), want (e%d, %q)",
-				j, r.Epoch, r.Payload, epochFor(j), payloadFor(j))
+		if r.Epoch != epochFor(j) || !bytes.Equal(r.Payload, bigPayloadFor(j)) {
+			t.Fatalf("replayed record %d = (e%d, %q…), want (e%d, %q…)",
+				j, r.Epoch, r.Payload[:8], epochFor(j), bigPayloadFor(j)[:8])
 		}
 	}
 	for _, i := range ok {
@@ -536,7 +615,7 @@ func TestWALCrashDuringTruncate(t *testing.T) {
 			}
 			var ok []int
 			for i := 0; i < workloadAppends(); i++ {
-				if err := w.Append(epochFor(i), payloadFor(i)); err == nil {
+				if err := w.Append(epochFor(i), bigPayloadFor(i)); err == nil {
 					ok = append(ok, i)
 				}
 			}
@@ -561,9 +640,9 @@ func TestWALCrashDuringTruncate(t *testing.T) {
 			}
 			for j, r := range high {
 				i := 4 + j // workload indices 4..7 are epochs 3,4
-				if r.Epoch != epochFor(i) || string(r.Payload) != string(payloadFor(i)) {
-					t.Fatalf("record %d = (e%d, %q), want (e%d, %q)",
-						j, r.Epoch, r.Payload, epochFor(i), payloadFor(i))
+				if r.Epoch != epochFor(i) || !bytes.Equal(r.Payload, bigPayloadFor(i)) {
+					t.Fatalf("record %d = (e%d, %q…), want (e%d, %q…)",
+						j, r.Epoch, r.Payload[:8], epochFor(i), bigPayloadFor(i)[:8])
 				}
 			}
 		})
@@ -575,9 +654,10 @@ func TestWALCrashDuringTruncate(t *testing.T) {
 
 // TestWALAppendErrorIsSticky: after an I/O failure every subsequent
 // Append fails fast — the signal the auditor uses to degrade to
-// synchronous per-op verification.
+// synchronous per-op verification. Sync 1 is Open's zero fill, so sync
+// 3 is the second append's flush.
 func TestWALAppendErrorIsSticky(t *testing.T) {
-	ffs := &fault.FaultyFS{CrashAtSync: 2}
+	ffs := &fault.FaultyFS{CrashAtSync: 3}
 	dir := t.TempDir()
 	w, err := Open(Options{Dir: dir, FS: ffs})
 	if err != nil {
@@ -616,6 +696,246 @@ func TestWALSyncOnRotatePolicy(t *testing.T) {
 	if got := len(replayAll(t, dir)); got != 6 {
 		t.Fatalf("replayed %d, want 6", got)
 	}
+}
+
+// powerCut keeps what a power loss would: each file as of its last
+// successful flush. Under a fault.FaultyFS it sees only the flushes
+// before the crash point.
+type powerCut struct {
+	durable.FS
+	mu   sync.Mutex
+	kept map[string][]byte
+}
+
+type powerCutFile struct {
+	durable.File
+	pc   *powerCut
+	name string
+}
+
+func (p *powerCut) Create(name string) (durable.File, error) {
+	f, err := p.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &powerCutFile{File: f, pc: p, name: name}, nil
+}
+
+func (p *powerCut) Remove(name string) error {
+	p.mu.Lock()
+	delete(p.kept, name)
+	p.mu.Unlock()
+	return p.FS.Remove(name)
+}
+
+func (f *powerCutFile) Sync() error     { return f.keep(f.File.Sync()) }
+func (f *powerCutFile) SyncData() error { return f.keep(f.File.SyncData()) }
+
+func (f *powerCutFile) keep(err error) error {
+	if err != nil {
+		return err
+	}
+	data, err := os.ReadFile(f.name)
+	if err != nil {
+		return err
+	}
+	f.pc.mu.Lock()
+	defer f.pc.mu.Unlock()
+	f.pc.kept[f.name] = data
+	return nil
+}
+
+// cut rewrites every file under dir as its last flush left it.
+func (p *powerCut) cut(t *testing.T, dir string) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		path := filepath.Join(dir, e.Name())
+		if data, ok := p.kept[path]; ok {
+			err = os.WriteFile(path, data, 0o666)
+		} else {
+			err = os.Remove(path)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWALSyncOnRotateLosesAtMostCurrentEpoch crashes a SyncOnRotate
+// journal at each of its flushes, and once not at all, then cuts the
+// power: what replays is a prefix of the appends, and every
+// acknowledged frame older than the newest acknowledged epoch is in it.
+// Three frames fill a segment and epochs take two, so rotations land
+// inside epochs as well as on their boundaries.
+func TestWALSyncOnRotateLosesAtMostCurrentEpoch(t *testing.T) {
+	const epochs, perEpoch = 4, 2
+	payload := func(i int) []byte { return payloadOf(i, segChunk/4) }
+	for n := uint64(2); ; n++ { // sync 1 is Open's zero fill
+		ffs := &fault.FaultyFS{CrashAtSync: n}
+		crashed := false
+		t.Run(fmt.Sprintf("sync-%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			pc := &powerCut{FS: durable.OS, kept: map[string][]byte{}}
+			ffs.Inner = pc
+			w, err := Open(Options{Dir: dir, FS: ffs, Sync: SyncOnRotate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acked []int
+			for i := 0; i < epochs*perEpoch; i++ {
+				if err := w.Append(uint64(i/perEpoch), payload(i)); err == nil {
+					acked = append(acked, i)
+				}
+			}
+			crashed = ffs.Crashed()
+			pc.cut(t, dir) // no Close: the power is gone
+			recs := replayAll(t, dir)
+			for j, r := range recs {
+				if r.Epoch != uint64(j/perEpoch) || !bytes.Equal(r.Payload, payload(j)) {
+					t.Fatalf("replayed record %d = (e%d, %q…): not a prefix of the appends", j, r.Epoch, r.Payload[:8])
+				}
+			}
+			if len(acked) == 0 {
+				return
+			}
+			current := uint64(acked[len(acked)-1] / perEpoch)
+			for _, i := range acked {
+				if uint64(i/perEpoch) < current && i >= len(recs) {
+					t.Fatalf("append %d of epoch %d was lost; only the current epoch %d may be", i, i/perEpoch, current)
+				}
+			}
+			if !crashed && len(recs) != len(acked)-(perEpoch-1) {
+				t.Fatalf("power cut kept %d of %d frames; want all but the current epoch's unflushed %d",
+					len(recs), len(acked), perEpoch-1)
+			}
+		})
+		if !crashed {
+			break
+		}
+	}
+}
+
+// TestWALOpensEpochRotatedJournal: a journal written by the earlier
+// release, which rotated at every epoch and fallocated its segments —
+// four sealed segments and a cursor under testdata — opens and replays
+// to the same records, and appending after it leaves its segments
+// byte for byte as they were.
+func TestWALOpensEpochRotatedJournal(t *testing.T) {
+	src := filepath.Join("testdata", "golden", "epoch-rotated-journal")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fixture := map[string][]byte{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixture[e.Name()] = data
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []Record
+	for e := uint64(0); e < 4; e++ {
+		for i := 0; i < 3; i++ {
+			want = append(want, Record{Epoch: e, Payload: []byte(fmt.Sprintf("epoch-rotated journal: epoch %d record %d", e, i))})
+		}
+	}
+	check := func(recs []Record) {
+		t.Helper()
+		if len(recs) < len(want) {
+			t.Fatalf("replayed %d records, want at least %d", len(recs), len(want))
+		}
+		for i, r := range want {
+			if recs[i].Epoch != r.Epoch || !bytes.Equal(recs[i].Payload, r.Payload) {
+				t.Fatalf("record %d = (e%d, %q), want (e%d, %q)", i, recs[i].Epoch, recs[i].Payload, r.Epoch, r.Payload)
+			}
+		}
+	}
+	check(replayAll(t, dir))
+	if got, ok, err := ReadCursor(dir); err != nil || !ok || string(got) != "epoch-rotated journal cursor: epoch 1" {
+		t.Fatalf("ReadCursor = (%q, %v, %v)", got, ok, err)
+	}
+
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if w.Segments() != 4 || !w.Frees(0) {
+		t.Fatalf("Open found %d sealed segments (Frees(0) = %v), want 4 and true", w.Segments(), w.Frees(0))
+	}
+	if err := w.Append(3, []byte("appended after reopening")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs := replayAll(t, dir)
+	if len(recs) != len(want)+1 || string(recs[len(want)].Payload) != "appended after reopening" {
+		t.Fatalf("replayed %d records after an append, want %d", len(recs), len(want)+1)
+	}
+	check(recs)
+	for name, data := range fixture {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s changed on reopen and append (%v)", name, err)
+		}
+	}
+}
+
+// BenchmarkAppendAcrossEpochs is the journal's row of the epoch-audit
+// hot path: two journals (two clients on one disk) appending
+// concurrently under SyncEachAppend, obligation-sized payloads, the
+// epoch advancing every 128 appends, rotations included. It reports
+// the per-append latency's p50 and p99.
+func BenchmarkAppendAcrossEpochs(b *testing.B) {
+	const journals, perEpoch = 2, 128
+	payload := payloadOf(0, 1403)
+	lat := make([][]time.Duration, journals)
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for j := 0; j < journals; j++ {
+		w, err := Open(Options{Dir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		lat[j] = make([]time.Duration, 0, b.N)
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			defer w.Close()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				if err := w.Append(uint64(i/perEpoch), payload); err != nil {
+					b.Error(err)
+					return
+				}
+				lat[j] = append(lat[j], time.Since(t0))
+			}
+		}(j)
+	}
+	wg.Wait()
+	b.StopTimer()
+	var all []time.Duration
+	for _, l := range lat {
+		all = append(all, l...)
+	}
+	if len(all) == 0 {
+		return
+	}
+	slices.Sort(all)
+	us := func(q float64) float64 { return float64(all[int(q*float64(len(all)-1))]) / float64(time.Microsecond) }
+	b.ReportMetric(us(0.50), "p50-us")
+	b.ReportMetric(us(0.99), "p99-us")
 }
 
 func TestCursorRoundTrip(t *testing.T) {

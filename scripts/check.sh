@@ -113,7 +113,9 @@ scripts/loc.sh
 # operation hashes tree nodes, builds a VO and materializes one, so
 # their per-piece costs go in every log, and beside them the verifier's
 # whole path: materialize, check the old root, replay, hash the new
-# root. Printed, not gated.
+# root. The audit journal's append, the blocking step of an epoch-audit
+# operation, goes beside them with its p50 and p99. Printed, not gated.
 go test -run '^$' -bench AdmissionUncontended -benchmem ./internal/transport
 go test -run '^$' -bench 'NodeDigest|VOBuild|VOTree' -benchmem ./internal/merkle
+go test -run '^$' -bench AppendAcrossEpochs ./internal/wal
 go test -run '^$' -bench 'E2VOVerify' -benchmem .

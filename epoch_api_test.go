@@ -92,3 +92,78 @@ func TestClusterEpochAuditValidation(t *testing.T) {
 		t.Fatal("AuditEpoch accepted on Protocol I")
 	}
 }
+
+// TestClusterEpochWitnessDivergenceWhileAuditing: in epoch-audit mode
+// the auditor owns the user state machine, so a witness check the
+// caller runs while that auditor still has obligations queued must
+// convict a fork without touching the user's state — the race
+// detector run of this test is the check that it does not. The
+// overlap is a matter of timing, so the test runs several trials.
+func TestClusterEpochWitnessDivergenceWhileAuditing(t *testing.T) {
+	for trial := 0; trial < 5; trial++ {
+		if err := witnessCheckWhileAuditing(t); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// witnessCheckWhileAuditing forks user 1 of an epoch-audit cluster,
+// keeps its auditor busy with a stream of optimistic operations, and
+// runs its witness check once the audit queue holds a backlog. It returns
+// an error unless the check convicts the fork.
+func witnessCheckWhileAuditing(t *testing.T) error {
+	cluster, err := trustedcvs.NewLocalCluster(trustedcvs.ClusterConfig{
+		Protocol: trustedcvs.ProtocolII, Users: 2, AuditEpoch: 4096,
+		Witnesses: 3, CommitEvery: 1,
+		Malice: trustedcvs.Malice{Behavior: "fork", TriggerOp: 3, GroupB: []trustedcvs.UserID{1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	write := func(u, i int) error {
+		_, err := cluster.Do(u, &trustedcvs.WriteOp{Puts: []trustedcvs.KV{{Key: fmt.Sprintf("u%d-%d", u, i), Val: []byte("v")}}})
+		return err
+	}
+	for i := 0; i < 4; i++ {
+		for u := 0; u < 2; u++ {
+			if err := write(u, i); err != nil {
+				t.Fatalf("user %d op %d: %v", u, i, err)
+			}
+		}
+	}
+	// The forked user's auditor has observed its forked roots; the
+	// witnesses hold the main branch's head.
+	if err := cluster.WaitIdle(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cluster.CommitHead()
+
+	stop, streamed := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(streamed)
+		for i := 4; i < 2000; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if write(1, i) != nil {
+				return
+			}
+		}
+	}()
+	// Check with a backlog queued: the auditor works on through it
+	// after the check reads whatever it reads. (A machine on which no
+	// backlog builds up still checks the conviction.)
+	deadline := time.Now().Add(2 * time.Second)
+	for st := cluster.AuditStats(1); st.Submitted < st.Audited+16 && time.Now().Before(deadline); st = cluster.AuditStats(1) {
+	}
+	err = cluster.VerifyWitnesses(1)
+	close(stop)
+	<-streamed
+	if det, ok := trustedcvs.AsDetection(err); !ok || det.Class != trustedcvs.WitnessDivergence {
+		return fmt.Errorf("witness check while auditing = %v, want a witness-divergence detection", err)
+	}
+	return nil
+}

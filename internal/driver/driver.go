@@ -1,42 +1,38 @@
-// Package driver binds the pure protocol state machines to live
-// transports: a Client wraps one user's state machine, a connection to
-// the (untrusted) server, and — for Protocols I and II — a broadcast
-// channel on which it participates in synchronization rounds.
+// Package driver runs the protocol executor live: a Client is the
+// goroutine shell around one user's session.Session, a connection to
+// the (untrusted) server and — for Protocols I and II — a broadcast
+// channel for sync rounds. The session makes every protocol decision;
+// the shell adds the client mutex (released around each server call,
+// so the receive loop can register a sync round while an operation
+// waits on the server), the receive loop, the rider envelope, the
+// witness cross-check before a round is acknowledged, and the terminal
+// failure slot.
 //
-// Client implements cvs.Doer, cvs.ContentDoer and cvs.ContentTransfer,
-// so a cvs.Client on top of it is a fully verified CVS client over the
-// network whose commits and checkouts are one round trip each: the
-// content rides with the verified operation (DoWithContent), and the
-// separate transfer (Push, Fetch) remains for what riders do not cover.
+// Client implements cvs.Doer, cvs.ContentDoer and cvs.ContentTransfer:
+// a cvs.Client on top of it is a fully verified CVS client whose
+// commits and checkouts are one round trip each, the content riding
+// with the verified operation (DoWithContent).
 //
-// Protocol II clients run in one of two audit modes:
-//
-// In the default synchronous mode, synchronization runs as a barrier:
-// from the moment a client learns of a sync round until it has
-// evaluated all n reports, it starts no new operations. Combined with
-// the broadcast hub's FIFO total order, this realizes the paper's
-// "users do not start a new transaction between the sync-up message
-// and the broadcast", which is what makes the collected register
-// vector a consistent cut of the history, and it detects a deviation
-// before the next operation starts.
-//
-// In epoch-audit mode (NewP2EpochWAL), Do returns as soon as the server
-// answers and all verification moves onto a background auditor that
-// closes one epoch of N global operations at a time — the consistent
-// cut comes from counter prefixes instead of a barrier, and detection
-// is guaranteed within one epoch. See the audit package for the bound
-// and its derivation.
+// Protocol II clients run in one of two audit modes. In the default
+// synchronous mode a sync round is a barrier: from the moment a client
+// learns of a round until it has evaluated all n reports, it starts no
+// new operation. With the hub's FIFO total order this realizes the
+// paper's "users do not start a new transaction between the sync-up
+// message and the broadcast", so the register vector is a consistent
+// cut, and a deviation is detected before the next operation starts.
+// In epoch-audit mode (NewP2EpochWAL) Do returns as soon as the server
+// answers and a background auditor, which owns the user state machine
+// outright (the client holds no session), closes one epoch of N global
+// operations at a time: detection within one epoch (see package audit).
 package driver
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"trustedcvs/internal/audit"
-	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto1"
@@ -45,107 +41,22 @@ import (
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/forensics"
 	"trustedcvs/internal/rcs"
-	"trustedcvs/internal/server"
+	"trustedcvs/internal/session"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
-	"trustedcvs/internal/wire"
 	"trustedcvs/internal/witness"
 )
 
-// reportMsg carries one user's sync report for one round over the
-// broadcast channel.
-type reportMsg struct {
-	Initiator sig.UserID
-	Round     uint64
-	ReportI   *core.SyncReportI
-	ReportII  *core.SyncReportII
-}
-
-// Wire tags of the two report messages (wire.Register); part of the
-// wire format.
-const (
-	wireReportMsg      = 96
-	wireEpochReportMsg = 97
-)
-
-// The reports inside both messages nest as tag + body, as core
-// registered them; an absent one is the nil byte.
-func init() {
-	wire.Register(wireReportMsg, func(b []byte, m *reportMsg) ([]byte, error) {
-		b = binary.AppendUvarint(b, uint64(m.Initiator))
-		b = binary.AppendUvarint(b, m.Round)
-		var one, two any
-		if m.ReportI != nil {
-			one = *m.ReportI
-		}
-		if m.ReportII != nil {
-			two = *m.ReportII
-		}
-		b, err := wire.Append(b, one)
-		if err != nil {
-			return nil, err
-		}
-		return wire.Append(b, two)
-	}, func(r *binenc.Reader) *reportMsg {
-		m := &reportMsg{Initiator: sig.UserID(r.Uint32()), Round: r.Uvarint()}
-		switch v := wire.Read(r).(type) {
-		case nil:
-		case core.SyncReportI:
-			m.ReportI = &v
-		default:
-			r.Fail("%T where a Protocol I report belongs", v)
-		}
-		switch v := wire.Read(r).(type) {
-		case nil:
-		case core.SyncReportII:
-			m.ReportII = &v
-		default:
-			r.Fail("%T where a Protocol II report belongs", v)
-		}
-		return m
-	})
-	wire.Register(wireEpochReportMsg, func(b []byte, m *epochReportMsg) ([]byte, error) {
-		b = binary.AppendUvarint(b, m.Report.Epoch)
-		b = binenc.AppendBool(b, m.Report.Seal)
-		b = binenc.AppendBool(b, m.Report.Retract)
-		return wire.Append(b, m.Report.Report)
-	}, func(r *binenc.Reader) *epochReportMsg {
-		m := new(epochReportMsg)
-		m.Report.Epoch, m.Report.Seal, m.Report.Retract = r.Uvarint(), r.Bool(), r.Bool()
-		m.Report.Report = wire.ReadAs[core.SyncReportII](r)
-		return m
-	})
-}
-
-type roundKey struct {
-	initiator sig.UserID
-	round     uint64
-}
-
-type roundState struct {
-	reportsI  map[sig.UserID]core.SyncReportI
-	reportsII map[sig.UserID]core.SyncReportII
-	reported  bool // this client has published its own report
-}
-
 // Client is one user's live protocol endpoint.
 type Client struct {
-	proto  server.Protocol
-	conn   transport.Caller
-	bc     broadcast.Channel
-	nUsers int
+	conn transport.Caller
+	bc   broadcast.Channel
+	id   sig.UserID
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	u1     *proto1.User
-	u2     *proto2.User
-	u3     *proto3.User
-	id     sig.UserID
-	rounds map[roundKey]*roundState
-	done   map[sig.UserID]uint64 // last completed round per initiator
-	seq    uint64
-	busy   bool // sync mode: an operation is between its first request and its last response
+	sess   *session.Session // nil in epoch-audit mode
 	failed error
 	closed bool
 
@@ -160,47 +71,47 @@ type Client struct {
 // NewP1 builds a Protocol I client. bc must be joined to the same hub
 // as every other user; nUsers is the total user population.
 func NewP1(user *proto1.User, conn transport.Caller, bc broadcast.Channel, nUsers int) *Client {
-	c := newClient(server.P1, conn, bc, nUsers)
-	c.u1 = user
-	c.id = user.ID()
-	c.start()
-	return c
+	return newClient(user, conn, bc, nUsers)
 }
 
 // NewP2 builds a Protocol II client.
 func NewP2(user *proto2.User, conn transport.Caller, bc broadcast.Channel, nUsers int) *Client {
-	c := newClient(server.P2, conn, bc, nUsers)
-	c.u2 = user
-	c.id = user.ID()
-	c.start()
-	return c
+	return newClient(user, conn, bc, nUsers)
 }
 
 // NewP3 builds a Protocol III client. No broadcast channel: epoch
 // duties run over the server connection.
 func NewP3(user *proto3.User, conn transport.Caller) *Client {
-	c := newClient(server.P3, conn, nil, 0)
-	c.u3 = user
-	c.id = user.ID()
-	return c
+	return newClient(user, conn, nil, 0)
 }
 
-func newClient(p server.Protocol, conn transport.Caller, bc broadcast.Channel, nUsers int) *Client {
-	c := &Client{
-		proto:  p,
-		conn:   conn,
-		bc:     bc,
-		nUsers: nUsers,
-		rounds: make(map[roundKey]*roundState),
-		done:   make(map[sig.UserID]uint64),
-	}
+// newClient builds a synchronous-mode client around user, any
+// protocol's user state machine.
+func newClient(user any, conn transport.Caller, bc broadcast.Channel, nUsers int) *Client {
+	c := &Client{conn: conn, bc: bc}
 	c.cond = sync.NewCond(&c.mu)
+	c.sess = session.New(user, (*link)(c), (*link)(c), nUsers)
+	c.id = c.sess.ID()
+	if bc != nil {
+		c.wg.Add(1)
+		go c.recvLoop()
+	}
 	return c
 }
 
-func (c *Client) start() {
-	c.wg.Add(1)
-	go c.recvLoop()
+// link is the client as its session's Caller and Publisher; every
+// session method runs with c.mu held.
+type link Client
+
+func (l *link) Call(req any) (any, error) { return (*Client)(l).call(req) }
+
+// Publish puts one round message on the hub. A round whose message is
+// lost never closes, so failing to publish is terminal.
+func (l *link) Publish(msg any) {
+	c := (*Client)(l)
+	if err := c.bc.Publish(broadcast.Message{From: c.id, Payload: msg}); err != nil {
+		c.recordFailure(fmt.Errorf("driver: publish sync traffic: %w", err))
+	}
 }
 
 // ID returns the client's user identity.
@@ -219,16 +130,17 @@ func (c *Client) SetWitnessCheck(chk *witness.Check) {
 	defer c.mu.Unlock()
 	c.check = chk
 	if c.aud != nil {
-		// Epoch-audit mode: the quorum check runs on the auditor, once
-		// per completed epoch, with the same quarantine-on-conviction
-		// behavior the sync barrier has.
+		// Epoch-audit mode: the auditor checks once per closed epoch.
 		c.aud.SetCheck(chk)
-		conn := c.conn
-		c.aud.SetQuarantine(func() {
-			if rc, ok := conn.(*transport.ResilientClient); ok {
-				rc.Quarantine(rc.EndpointName())
-			}
-		})
+		c.aud.SetQuarantine(c.quarantine)
+	}
+}
+
+// quarantine takes the current endpoint out of rotation when the
+// server connection is a multi-endpoint ResilientClient.
+func (c *Client) quarantine() {
+	if rc, ok := c.conn.(*transport.ResilientClient); ok {
+		rc.Quarantine(rc.EndpointName())
 	}
 }
 
@@ -258,20 +170,16 @@ func (c *Client) Err() error {
 }
 
 // Journal returns the underlying user's transition journal (nil unless
-// enabled on the user before the client was built). Pool journals from
-// all users with forensics.Locate after a detection.
+// enabled on the user before the client was built, and nil in
+// epoch-audit mode, where the auditor owns the user). Pool journals
+// from all users with forensics.Locate after a detection.
 func (c *Client) Journal() *forensics.Journal {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch {
-	case c.u1 != nil:
-		return c.u1.Journal()
-	case c.u2 != nil:
-		return c.u2.Journal()
-	case c.u3 != nil:
-		return c.u3.Journal()
+	if c.sess == nil {
+		return nil
 	}
-	return nil
+	return c.sess.Journal()
 }
 
 // Close shuts the client down (the broadcast channel and server
@@ -324,13 +232,10 @@ func (c *Client) DoWithContent(op vdb.Op, push [][]byte, want bool) (any, [][]by
 		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if c.failed != nil {
-			return nil, nil, c.failed
+		if err := c.usableLocked(); err != nil {
+			return nil, nil, err
 		}
-		if c.closed {
-			return nil, nil, errors.New("driver: client closed")
-		}
-		raw, riders, err := c.exchange(op, push, want)
+		raw, riders, err := c.exchange(core.OpRequest{User: c.id, Op: op}, push, want)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -339,69 +244,51 @@ func (c *Client) DoWithContent(op vdb.Op, push [][]byte, want bool) (any, [][]by
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for (len(c.rounds) > 0 || c.busy) && c.failed == nil && !c.closed {
+	for (c.sess.Syncing() || c.sess.Busy()) && c.failed == nil && !c.closed {
 		c.cond.Wait()
 	}
-	if c.failed != nil {
-		return nil, nil, c.failed
-	}
-	if c.closed {
-		return nil, nil, errors.New("driver: client closed")
+	if err := c.usableLocked(); err != nil {
+		return nil, nil, err
 	}
 
-	// The operation owns the user state machine until it is done; mu
-	// itself is released around each server call (see call), so a sync
-	// announcement delivered meanwhile registers its round at once —
-	// closing the gate above for the next operation — and leaves the
-	// report to this one.
-	c.busy = true
-	var ans any
-	raw, riders, err := c.exchange(op, push, want)
-	if err == nil {
-		ans, err = c.finishOpLocked(op, raw)
-	}
-	c.busy = false
+	// A sync announcement delivered while the server works (see call)
+	// registers its round at once, closing the gate above for the next
+	// operation, and Finish publishes the report.
+	raw, riders, err := c.exchange(c.sess.Request(op), push, want)
+	ans, err := c.sess.Finish(op, raw, err)
 	c.cond.Broadcast()
-	for key, rs := range c.rounds {
-		if !rs.reported {
-			c.publishOwnReportLocked(key)
-		}
-	}
 	if err != nil {
-		// Only detection is terminal. A transport failure (retries
-		// exhausted, server restarting) is the caller's to handle: the
-		// local state machine has not advanced, so the client remains
-		// usable once the network heals. Pinning transport errors here
-		// would turn every outage into a spurious permanent failure.
+		// Only detection is terminal. After a transport failure the
+		// state machine has not advanced, so the client stays usable
+		// once the network heals.
 		if _, ok := core.AsDetection(err); ok {
 			c.recordFailure(err)
 		}
 		return nil, nil, err
 	}
-	c.observeLocked()
-	if c.needsSyncLocked() {
-		c.seq++
-		key := roundKey{c.id, c.seq}
-		msg := broadcast.Message{From: c.id, Payload: &core.SyncRequest{From: c.id, Round: c.seq}}
-		if err := c.bc.Publish(msg); err != nil {
-			return ans, riders, fmt.Errorf("driver: announce sync: %w", err)
-		}
-		// Register the round and contribute our own report right here,
-		// synchronously: the paper's initiator "does not start a new
-		// transaction between the sync-up message and the broadcast",
-		// and the next Do must block on the open round.
-		c.publishOwnReportLocked(key)
+	if c.check != nil {
+		c.check.Observe(c.sess.VerifiedRoot()) // for the next witness check
 	}
 	return ans, riders, nil
 }
 
+// usableLocked returns the error an operation must fail with, if any.
+func (c *Client) usableLocked() error {
+	if c.failed != nil {
+		return c.failed
+	}
+	if c.closed {
+		return errors.New("driver: client closed")
+	}
+	return nil
+}
+
 // call sends one request to the server. In synchronous mode mu is
-// released for the duration: the receive loop must be able to register
-// a delivered sync round while the server works, not race the next
-// operation for the mutex afterwards. busy keeps everything else off
-// the user state machine meanwhile. In epoch-audit mode nothing on the
-// broadcast path wants mu (reports go straight to the auditor), and
-// holding it keeps concurrent callers' operations in submission order.
+// released for the duration, so the receive loop registers a delivered
+// sync round while the server works; the session's busy flag keeps the
+// next operation out meanwhile. In epoch-audit mode nothing on the
+// broadcast path wants mu, and holding it keeps concurrent callers'
+// operations in submission order.
 func (c *Client) call(req any) (any, error) {
 	if c.aud != nil {
 		return c.conn.Call(req)
@@ -412,138 +299,28 @@ func (c *Client) call(req any) (any, error) {
 	return resp, err
 }
 
-// exchange sends the user's request for op and returns the protocol
-// server's response. With content riding along (push or want) the
-// request travels inside a RiderRequest and the reply is unwrapped
-// here, so the riders are stripped before anything is verified,
-// folded, queued or journaled; a server that answers with a bare
-// response has simply attached nothing.
-func (c *Client) exchange(op vdb.Op, push [][]byte, want bool) (raw any, riders [][]byte, err error) {
+// exchange sends req and returns the protocol server's response. With
+// content riding along (push or want) the request travels inside a
+// RiderRequest and the riders are stripped from the reply here, before
+// anything is verified, queued or journaled; a bare reply attached
+// nothing.
+func (c *Client) exchange(req core.OpRequest, push [][]byte, want bool) (raw any, riders [][]byte, err error) {
 	if push == nil && !want {
-		req := c.requestLocked(op) // escapes on this branch only
-		raw, err = c.call(&req)
+		bare := req // escapes on this branch only
+		raw, err = c.call(&bare)
 		return raw, nil, err
 	}
-	raw, err = c.call(&core.RiderRequest{OpRequest: c.requestLocked(op), Want: want, Blobs: push})
+	raw, err = c.call(&core.RiderRequest{OpRequest: req, Want: want, Blobs: push})
 	if rr, ok := raw.(*core.RiderResponse); ok {
 		raw, riders = rr.Resp, rr.Blobs
 	}
 	return raw, riders, err
 }
 
-// requestLocked is the user state machine's request for op, by value:
-// it travels on its own or embedded in a rider envelope.
-func (c *Client) requestLocked(op vdb.Op) core.OpRequest {
-	switch c.proto {
-	case server.P1:
-		return *c.u1.Request(op)
-	case server.P3:
-		return *c.u3.Request(op)
-	}
-	return *c.u2.Request(op)
-}
-
-// finishOpLocked hands the server's response to op to the user state
-// machine and completes the protocol's remaining steps.
-func (c *Client) finishOpLocked(op vdb.Op, raw any) (any, error) {
-	switch c.proto {
-	case server.P1:
-		resp, ok := raw.(*core.OpResponseI)
-		if !ok {
-			return nil, core.Detect(core.ProtocolViolation, c.id, c.u1.LCtr(), fmt.Errorf("bad response type %T", raw))
-		}
-		ack, ans, err := c.u1.HandleResponse(op, resp)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := c.call(ack); err != nil {
-			return nil, err
-		}
-		return ans, nil
-
-	case server.P2:
-		resp, ok := raw.(*core.OpResponseII)
-		if !ok {
-			return nil, core.Detect(core.ProtocolViolation, c.id, c.u2.LCtr(), fmt.Errorf("bad response type %T", raw))
-		}
-		return c.u2.HandleResponse(op, resp)
-
-	case server.P3:
-		resp, ok := raw.(*core.OpResponseII)
-		if !ok {
-			return nil, core.Detect(core.ProtocolViolation, c.id, c.u3.LCtr(), fmt.Errorf("bad response type %T", raw))
-		}
-		out, err := c.u3.HandleResponse(op, resp)
-		if err != nil {
-			return nil, err
-		}
-		if out.CheckEpoch != nil {
-			if err := c.runEpochCheckLocked(*out.CheckEpoch); err != nil {
-				return nil, err
-			}
-		}
-		return out.Answer, nil
-	}
-	return nil, fmt.Errorf("driver: unknown protocol %v", c.proto)
-}
-
-func (c *Client) runEpochCheckLocked(e uint64) error {
-	var prev *core.BackupsResponse
-	if e > 0 {
-		raw, err := c.call(c.u3.BackupsRequest(e - 1))
-		if err != nil {
-			return err
-		}
-		r, ok := raw.(*core.BackupsResponse)
-		if !ok {
-			return core.Detect(core.ProtocolViolation, c.id, c.u3.LCtr(), fmt.Errorf("bad backups response %T", raw))
-		}
-		prev = r
-	}
-	raw, err := c.call(c.u3.BackupsRequest(e))
-	if err != nil {
-		return err
-	}
-	cur, ok := raw.(*core.BackupsResponse)
-	if !ok {
-		return core.Detect(core.ProtocolViolation, c.id, c.u3.LCtr(), fmt.Errorf("bad backups response %T", raw))
-	}
-	return c.u3.CompleteEpochCheck(e, prev, cur)
-}
-
-// observeLocked records the root the local state machine just
-// verified, so the next witness check can compare it against what the
-// witnesses hold for the same counter.
-func (c *Client) observeLocked() {
-	if c.check == nil {
-		return
-	}
-	switch c.proto {
-	case server.P1:
-		c.check.Observe(c.u1.VerifiedRoot())
-	case server.P2:
-		c.check.Observe(c.u2.VerifiedRoot())
-	case server.P3:
-		c.check.Observe(c.u3.VerifiedRoot())
-	}
-}
-
-func (c *Client) lctrLocked() uint64 {
-	switch c.proto {
-	case server.P1:
-		return c.u1.LCtr()
-	case server.P2:
-		return c.u2.LCtr()
-	case server.P3:
-		return c.u3.LCtr()
-	}
-	return 0
-}
-
 // verifyWitnessLocked cross-checks the roots this client verified
-// against the witness quorum's signed commitments. It runs with mu
-// held, *before* the sync round is acknowledged, so no new operation
-// ever starts on top of a root the witnesses contradict.
+// against the witness quorum's signed commitments. In synchronous mode
+// it runs with mu held, *before* the sync round is acknowledged, so no
+// new operation ever starts on top of a root the witnesses contradict.
 func (c *Client) verifyWitnessLocked() error {
 	if c.check == nil {
 		return nil
@@ -553,19 +330,20 @@ func (c *Client) verifyWitnessLocked() error {
 	case err == nil:
 		return nil
 	case errors.Is(err, witness.ErrNoQuorum):
-		// Too few witnesses answered. That is availability loss, never
-		// detection — conflating the two is exactly how benign failover
-		// turns into false alarms. Skip, count, proceed.
+		// Too few witnesses answered: availability loss, never
+		// detection (or benign failover turns into false alarms).
 		c.noQuorum++
 		return nil
 	default:
-		// Divergence, with verified evidence in c.check.Evidence().
-		// Quarantine the convicted endpoint first so retries cannot
-		// fail back over onto the fork, then terminate.
-		if rc, ok := c.conn.(*transport.ResilientClient); ok {
-			rc.Quarantine(rc.EndpointName())
+		// Divergence, with evidence in c.check.Evidence(): quarantine
+		// the endpoint so retries cannot fail back onto the fork. In
+		// epoch-audit mode the op count is the auditor's and reads 0.
+		c.quarantine()
+		var lctr uint64
+		if c.sess != nil {
+			lctr = c.sess.LCtr()
 		}
-		return core.Detect(core.WitnessDivergence, c.id, c.lctrLocked(), err)
+		return core.Detect(core.WitnessDivergence, c.id, lctr, err)
 	}
 }
 
@@ -586,25 +364,19 @@ func (c *Client) VerifyWitnesses() error {
 	return nil
 }
 
-func (c *Client) needsSyncLocked() bool {
-	switch c.proto {
-	case server.P1:
-		return c.u1.NeedsSync()
-	case server.P2:
-		return c.u2.NeedsSync()
-	}
-	return false
-}
-
-// recvLoop processes broadcast traffic: sync announcements and
-// reports.
+// recvLoop processes broadcast traffic: sync announcements and reports
+// go to the session, epoch reports to the auditor.
 func (c *Client) recvLoop() {
 	defer c.wg.Done()
 	for msg := range c.bc.Recv() {
 		switch p := msg.Payload.(type) {
 		case *core.SyncRequest:
-			c.onSyncRequest(roundKey{p.From, p.Round})
-		case *reportMsg:
+			c.mu.Lock()
+			if c.sess != nil {
+				c.sess.OnAnnounce(p)
+			}
+			c.mu.Unlock()
+		case *session.Report:
 			c.onReport(p)
 		case *epochReportMsg:
 			// Straight to the auditor, never touching c.mu: epoch
@@ -623,109 +395,22 @@ func (c *Client) recvLoop() {
 	c.mu.Unlock()
 }
 
-func (c *Client) onSyncRequest(key roundKey) {
+// onReport hands a report to the session and, when it closes a round
+// the registers agreed on, makes sure the roots verified along the way
+// are the ones the witnesses co-signed. Only then is the round
+// acknowledged and the barrier released.
+func (c *Client) onReport(m *session.Report) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.roundDoneLocked(key) {
+	if c.sess == nil {
 		return
 	}
-	c.publishOwnReportLocked(key)
-}
-
-// roundDoneLocked reports whether key names a round this client has
-// already completed. Reconnecting broadcast members can observe stale
-// sync traffic (a replayed announcement, a straggler report from a
-// slow peer); reopening a finished round would publish a *fresh*
-// register snapshot into it and manufacture a false mismatch.
-func (c *Client) roundDoneLocked(key roundKey) bool {
-	return key.round <= c.done[key.initiator]
-}
-
-// publishOwnReportLocked registers the round and, once, snapshots this
-// user's registers for it and broadcasts them. Registers are only ever
-// snapshotted between operations: while one is in flight the round is
-// registered — which is what stops the next operation — and the report
-// is left to that operation, which publishes it on its way out of Do.
-func (c *Client) publishOwnReportLocked(key roundKey) {
-	rs := c.roundLocked(key)
-	if rs.reported || c.busy {
+	completed, err := c.sess.OnReport(m)
+	if !completed {
 		return
-	}
-	rs.reported = true
-	m := &reportMsg{Initiator: key.initiator, Round: key.round}
-	switch c.proto {
-	case server.P1:
-		r := c.u1.SyncReport()
-		m.ReportI = &r
-	case server.P2:
-		r := c.u2.SyncReport()
-		m.ReportII = &r
-	}
-	// Publish outside the lock is unnecessary: the hub never blocks
-	// (deep buffers) and ordering benefits from staying inside.
-	if err := c.bc.Publish(broadcast.Message{From: c.id, Payload: m}); err != nil {
-		c.recordFailure(fmt.Errorf("driver: publish sync report: %w", err))
-	}
-}
-
-func (c *Client) roundLocked(key roundKey) *roundState {
-	rs, ok := c.rounds[key]
-	if !ok {
-		rs = &roundState{
-			reportsI:  make(map[sig.UserID]core.SyncReportI),
-			reportsII: make(map[sig.UserID]core.SyncReportII),
-		}
-		c.rounds[key] = rs
-	}
-	return rs
-}
-
-func (c *Client) onReport(m *reportMsg) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := roundKey{m.Initiator, m.Round}
-	if c.roundDoneLocked(key) {
-		return
-	}
-	rs := c.roundLocked(key)
-	// Defensive: if a report for an unseen round arrives first (cannot
-	// happen with a FIFO hub), contribute our own as well.
-	c.publishOwnReportLocked(key)
-
-	switch {
-	case m.ReportI != nil:
-		rs.reportsI[m.ReportI.User] = *m.ReportI
-	case m.ReportII != nil:
-		rs.reportsII[m.ReportII.User] = *m.ReportII
-	}
-	if len(rs.reportsI) < c.nUsers && len(rs.reportsII) < c.nUsers {
-		return
-	}
-	// Round complete: evaluate and release waiters.
-	var err error
-	switch c.proto {
-	case server.P1:
-		reports := make([]core.SyncReportI, 0, c.nUsers)
-		for _, r := range rs.reportsI {
-			reports = append(reports, r)
-		}
-		err = c.u1.CompleteSync(reports)
-	case server.P2:
-		reports := make([]core.SyncReportII, 0, c.nUsers)
-		for _, r := range rs.reportsII {
-			reports = append(reports, r)
-		}
-		err = c.u2.CompleteSync(reports)
 	}
 	if err == nil {
-		// The registers agreed; now make sure the roots we verified
-		// along the way are the ones the witnesses co-signed. Only then
-		// is the round acknowledged and the barrier released.
 		err = c.verifyWitnessLocked()
-	}
-	delete(c.rounds, key)
-	if key.round > c.done[key.initiator] {
-		c.done[key.initiator] = key.round
 	}
 	if err != nil {
 		c.recordFailure(err)
@@ -754,7 +439,7 @@ func (c *Client) WaitIdle(timeout time.Duration) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var wake *time.Timer
-	for len(c.rounds) > 0 && c.failed == nil && !c.closed {
+	for c.sess.Syncing() && c.failed == nil && !c.closed {
 		if !time.Now().Before(deadline) {
 			return errors.New("driver: WaitIdle timeout")
 		}

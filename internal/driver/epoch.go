@@ -1,18 +1,21 @@
 package driver
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"trustedcvs/internal/audit"
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/durable"
-	"trustedcvs/internal/server"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
+	"trustedcvs/internal/wire"
 )
 
 // epochReportMsg carries one client's epoch-audit register snapshot
@@ -21,6 +24,26 @@ import (
 // the receive loop hands it straight to the auditor.
 type epochReportMsg struct {
 	Report audit.Report
+}
+
+// wireEpochReportMsg is epochReportMsg's wire tag (wire.Register); part
+// of the wire format.
+const wireEpochReportMsg = 97
+
+// The report inside the message nests as tag + body, as core
+// registered it.
+func init() {
+	wire.Register(wireEpochReportMsg, func(b []byte, m *epochReportMsg) ([]byte, error) {
+		b = binary.AppendUvarint(b, m.Report.Epoch)
+		b = binenc.AppendBool(b, m.Report.Seal)
+		b = binenc.AppendBool(b, m.Report.Retract)
+		return wire.Append(b, m.Report.Report)
+	}, func(r *binenc.Reader) *epochReportMsg {
+		m := new(epochReportMsg)
+		m.Report.Epoch, m.Report.Seal, m.Report.Retract = r.Uvarint(), r.Bool(), r.Bool()
+		m.Report.Report = wire.ReadAs[core.SyncReportII](r)
+		return m
+	})
 }
 
 // NewP2EpochWAL builds a Protocol II client in epoch-audit mode: Do
@@ -63,9 +86,8 @@ func NewP2EpochWAL(user *proto2.User, conn transport.Caller, bc broadcast.Channe
 			user = restored
 		}
 	}
-	c := newClient(server.P2, conn, bc, nUsers)
-	c.u2 = user
-	c.id = user.ID()
+	c := &Client{conn: conn, bc: bc, id: user.ID()}
+	c.cond = sync.NewCond(&c.mu)
 	aud, err := audit.New(audit.Config{
 		User:  user,
 		Epoch: epochLen,
@@ -81,7 +103,8 @@ func NewP2EpochWAL(user *proto2.User, conn transport.Caller, bc broadcast.Channe
 		return nil, err
 	}
 	c.aud = aud
-	c.start()
+	c.wg.Add(1)
+	go c.recvLoop()
 	return c, nil
 }
 
@@ -136,25 +159,21 @@ func (c *Client) Seal() {
 // (epoch-audit mode; synchronous mode is trivially audited). It does
 // not wait for epoch closure — see WaitSealed.
 func (c *Client) WaitAudited(timeout time.Duration) error {
-	if c.aud == nil {
-		return c.Err()
-	}
-	if err := c.aud.WaitDrained(timeout); err != nil {
-		c.mirrorAuditFailure(err)
-		return err
-	}
-	return c.Err()
+	return c.waitAudit((*audit.Auditor).WaitDrained, timeout)
 }
 
 // WaitSealed blocks until the all-sealed final closure check has
 // passed (call Seal on every client first) or a failure surfaces.
 func (c *Client) WaitSealed(timeout time.Duration) error {
-	if c.aud == nil {
-		return c.Err()
-	}
-	if err := c.aud.WaitSealed(timeout); err != nil {
-		c.mirrorAuditFailure(err)
-		return err
+	return c.waitAudit((*audit.Auditor).WaitSealed, timeout)
+}
+
+func (c *Client) waitAudit(wait func(*audit.Auditor, time.Duration) error, timeout time.Duration) error {
+	if c.aud != nil {
+		if err := wait(c.aud, timeout); err != nil {
+			c.mirrorAuditFailure(err)
+			return err
+		}
 	}
 	return c.Err()
 }

@@ -13,6 +13,7 @@ import (
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/server"
+	"trustedcvs/internal/session"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
 )
@@ -77,7 +78,7 @@ func newTapChannel(inner broadcast.Channel, events chan<- gateEvent) *tapChannel
 func (tc *tapChannel) Recv() <-chan broadcast.Message { return tc.out }
 
 func (tc *tapChannel) Publish(msg broadcast.Message) error {
-	if _, ok := msg.Payload.(*reportMsg); ok {
+	if _, ok := msg.Payload.(*session.Report); ok {
 		tc.events <- evPublished
 	}
 	return tc.Channel.Publish(msg)
@@ -88,7 +89,7 @@ func (tc *tapChannel) Publish(msg broadcast.Message) error {
 func (c *Client) sawDelivery() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.rounds) > 0
+	return c.sess.Syncing()
 }
 
 // TestSyncGateClosesAtDelivery pins the paper's "users do not start a

@@ -227,7 +227,7 @@ func transportCall(t *testing.T, env *recoveryEnv, dc *Client, op vdb.Op) (*core
 	if err != nil {
 		return nil, err
 	}
-	raw, err := conn.Call(dc.u2.Request(op))
+	raw, err := conn.Call(&core.OpRequest{User: dc.ID(), Op: op})
 	if err != nil {
 		return nil, err
 	}

@@ -40,6 +40,7 @@ func TestFixtureCorpus(t *testing.T) {
 		{"hashdiscipline", "internal/merkle/hash.go", 6},       // sha256 outside digest
 		{"panicfree", "internal/server/entry.go", 29},          // panic via HandleOp
 		{"hashdiscipline", "internal/server/persist.go", 5},    // encoding/gob for local state: no remainder is left
+		{"verifyflow", "internal/session/session.go", 19},      // server reply through the session's Caller→Put, no verification
 		{"randsource", "internal/sig/rand.go", 5},              // math/rand in sig
 		{"boundedqueue", "internal/transport/admitq.go", 19},   // chan capacity from a parameter
 		{"boundedqueue", "internal/transport/admitq.go", 40},   // receiver-field append with no visible bound

@@ -48,6 +48,9 @@ func verifyflowSpec(modPath string) *flowSpec {
 			q("(%s/internal/transport.Caller).Call"):           {srcResults, "a transport RPC reply"},
 			q("(*%s/internal/transport.ResilientClient).Call"): {srcResults, "a transport RPC reply"},
 			q("(*%s/internal/transport.Inproc).Call"):          {srcResults, "a transport RPC reply"},
+			// The protocol executor's one path to the server, whatever
+			// its caller plugs in behind it.
+			q("(%s/internal/session.Caller).Call"): {srcResults, "a server reply to the session"},
 			// Content riding with a verified operation: the answer is
 			// verified, the riders beside it are the server's word
 			// alone by the interface's contract — in epoch-audit mode

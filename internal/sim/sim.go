@@ -1,8 +1,10 @@
 // Package sim is the deterministic driver for the formal experiments:
 // it executes a workload trace round by round against an honest or
-// adversarial protocol server, runs the protocols' synchronization
-// and epoch machinery exactly as specified, counts every message, and
-// reports when (and by which check) deviation was detected.
+// adversarial protocol server, counts every message, and reports when
+// (and by which check) deviation was detected. Each user is the
+// session.Session the live driver runs; the sim supplies its server (an
+// in-process call that counts each message) and its broadcast channel
+// (a FIFO queue delivered to every user, in user order, in the round).
 //
 // It follows the system model of Section 2: a global clock in rounds,
 // one query action per round at most, messages delivered within the
@@ -24,6 +26,7 @@ import (
 	"trustedcvs/internal/forensics"
 	"trustedcvs/internal/rcs"
 	"trustedcvs/internal/server"
+	"trustedcvs/internal/session"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wire"
@@ -134,10 +137,9 @@ type sim struct {
 	perUserAfterDev map[sig.UserID]int
 	exchanges       []exchange
 
-	// protocol users (exactly one slice is non-nil)
-	u1 []*proto1.User
-	u2 []*proto2.User
-	u3 []*proto3.User
+	users    []*session.Session // indexed by user id
+	queue    []any              // broadcasts published and not yet delivered
+	checking bool               // the current operation has sent a backups request
 }
 
 func newSim(cfg Config) (*sim, error) {
@@ -167,41 +169,35 @@ func newSim(cfg Config) (*sim, error) {
 	switch cfg.Protocol {
 	case server.P1:
 		honest = server.NewP1(db, proto1.Initialize(signers[0], db.Root()))
-		k := cfg.K
-		if k == 0 {
-			k = 1 << 62 // syncs disabled
-		}
-		for _, sg := range signers {
-			u := proto1.NewUser(sg, ring, k)
-			if cfg.JournalCap > 0 {
-				u.EnableJournal(cfg.JournalCap)
-			}
-			s.u1 = append(s.u1, u)
-		}
 	case server.P2:
 		honest = server.NewP2(db)
-		k := cfg.K
-		if k == 0 {
-			k = 1 << 62
-		}
-		for i := 0; i < cfg.Users; i++ {
-			u := proto2.NewUser(sig.UserID(i), db.Root(), k)
-			if cfg.JournalCap > 0 {
-				u.EnableJournal(cfg.JournalCap)
-			}
-			s.u2 = append(s.u2, u)
-		}
 	case server.P3:
 		honest = server.NewP3(db)
-		for _, sg := range signers {
-			u := proto3.NewUser(sg, ring, db.Root())
-			if cfg.LocalClocks {
-				u.LocalEpoch = func() uint64 { return uint64(s.round / cfg.EpochLen) }
-			}
-			s.u3 = append(s.u3, u)
-		}
 	default:
 		return nil, fmt.Errorf("sim: unknown protocol %v", cfg.Protocol)
+	}
+	k := cfg.K
+	if k == 0 {
+		k = 1 << 62 // syncs disabled
+	}
+	for i, sg := range signers {
+		var u interface{ EnableJournal(int) }
+		switch cfg.Protocol {
+		case server.P1:
+			u = proto1.NewUser(sg, ring, k)
+		case server.P2:
+			u = proto2.NewUser(sig.UserID(i), db.Root(), k)
+		case server.P3:
+			u3 := proto3.NewUser(sg, ring, db.Root())
+			if cfg.LocalClocks {
+				u3.LocalEpoch = func() uint64 { return uint64(s.round / cfg.EpochLen) }
+			}
+			u = u3
+		}
+		if cfg.JournalCap > 0 && cfg.Protocol != server.P3 {
+			u.EnableJournal(cfg.JournalCap)
+		}
+		s.users = append(s.users, session.New(u, s, s, cfg.Users))
 	}
 
 	if cfg.Adversary != nil {
@@ -241,21 +237,20 @@ func (s *sim) run() *Result {
 				s.srv.AdvanceEpoch()
 			}
 		}
-		op := toOp(ev, i)
-		if err := s.doOp(ev.User, op); err != nil {
+		if _, err := s.users[ev.User].Do(toOp(ev, i)); err != nil {
 			s.finish(err)
 			return s.res
 		}
 		s.res.TotalOps++
-		s.countAfterDeviation(ev.User)
+		if s.adv != nil && s.adv.DeviatedAtOp() != 0 {
+			s.perUserAfterDev[ev.User]++
+		}
 
-		// Protocols I/II: sync when any user has completed k ops.
-		if s.cfg.Protocol != server.P3 && s.needsSync() {
-			s.res.Syncs++
-			if err := s.runSync(); err != nil {
-				s.finish(err)
-				return s.res
-			}
+		// Protocols I/II: the operation that completes a user's k
+		// announced a sync round; run it to the end.
+		if err := s.deliver(); err != nil {
+			s.finish(err)
+			return s.res
 		}
 	}
 	s.finish(nil)
@@ -267,14 +262,6 @@ func (s *sim) recordExchange(u sig.UserID, op vdb.Op, ans []byte) {
 	if s.cfg.Oracle {
 		s.exchanges = append(s.exchanges, exchange{user: u, op: op, ans: ans})
 	}
-}
-
-// countAfterDeviation updates the per-user post-deviation op counts.
-func (s *sim) countAfterDeviation(u sig.UserID) {
-	if s.adv == nil || s.adv.DeviatedAtOp() == 0 {
-		return
-	}
-	s.perUserAfterDev[u]++
 }
 
 // countMsg accounts one message (and, when enabled, its wire bytes).
@@ -298,136 +285,67 @@ func (s *sim) countMsg(toServer bool, msg any) {
 	}
 }
 
-// doOp performs one fully verified operation by user u.
-func (s *sim) doOp(u sig.UserID, op vdb.Op) error {
-	switch s.cfg.Protocol {
-	case server.P1:
-		user := s.u1[u]
-		req := user.Request(op)
-		s.countMsg(true, req)
-		raw, err := s.srv.HandleOp(req)
-		if err != nil {
-			return err
-		}
-		s.countMsg(false, raw)
-		resp, ok := raw.(*core.OpResponseI)
-		if !ok {
-			return core.Detect(core.ProtocolViolation, u, user.LCtr(), fmt.Errorf("bad response type %T", raw))
-		}
-		s.recordExchange(u, op, resp.Answer)
-		ack, _, err := user.HandleResponse(op, resp)
-		if err != nil {
-			return err
-		}
-		s.countMsg(true, ack)
-		return s.srv.HandleAck(ack)
-
-	case server.P2:
-		user := s.u2[u]
-		req := user.Request(op)
-		s.countMsg(true, req)
-		raw, err := s.srv.HandleOp(req)
-		if err != nil {
-			return err
-		}
-		s.countMsg(false, raw)
-		resp, ok := raw.(*core.OpResponseII)
-		if !ok {
-			return core.Detect(core.ProtocolViolation, u, user.LCtr(), fmt.Errorf("bad response type %T", raw))
-		}
-		s.recordExchange(u, op, resp.Answer)
-		_, err = user.HandleResponse(op, resp)
-		return err
-
-	case server.P3:
-		user := s.u3[u]
-		req := user.Request(op)
-		s.countMsg(true, req)
-		raw, err := s.srv.HandleOp(req)
-		if err != nil {
-			return err
-		}
-		s.countMsg(false, raw)
-		resp, ok := raw.(*core.OpResponseII)
-		if !ok {
-			return core.Detect(core.ProtocolViolation, u, user.LCtr(), fmt.Errorf("bad response type %T", raw))
-		}
-		s.recordExchange(u, op, resp.Answer)
-		out, err := user.HandleResponse(op, resp)
-		if err != nil {
-			return err
-		}
-		if out.CheckEpoch != nil {
-			return s.runEpochCheck(user, *out.CheckEpoch)
-		}
-		return nil
-	}
-	return fmt.Errorf("sim: unreachable protocol")
-}
-
-// runEpochCheck performs the designated user's audit of epoch e.
-func (s *sim) runEpochCheck(user *proto3.User, e uint64) error {
-	s.res.EpochChecks++
-	var prev *core.BackupsResponse
-	if e > 0 {
-		req := user.BackupsRequest(e - 1)
-		s.countMsg(true, req)
-		r, err := s.srv.HandleGetBackups(req)
-		if err != nil {
-			return err
-		}
-		s.countMsg(false, r)
-		prev = r
-	}
-	req := user.BackupsRequest(e)
+// Call is every user's server, within the round, counting each
+// message; Protocol I's ack is answered with an uncounted OKResponse,
+// as the paper counts none.
+func (s *sim) Call(req any) (any, error) {
 	s.countMsg(true, req)
-	cur, err := s.srv.HandleGetBackups(req)
+	var resp any
+	var err error
+	switch r := req.(type) {
+	case *core.OpRequest:
+		s.checking = false
+		resp, err = s.srv.HandleOp(r)
+		switch raw := resp.(type) {
+		case *core.OpResponseI:
+			s.recordExchange(r.User, r.Op, raw.Answer)
+		case *core.OpResponseII:
+			s.recordExchange(r.User, r.Op, raw.Answer)
+		}
+	case *core.AckRequest:
+		return &core.OKResponse{}, s.srv.HandleAck(r)
+	case *core.GetBackupsRequest:
+		// One operation's backups requests are one epoch check.
+		if !s.checking {
+			s.checking = true
+			s.res.EpochChecks++
+		}
+		resp, err = s.srv.HandleGetBackups(r)
+	default:
+		return nil, fmt.Errorf("sim: unexpected request %T", req)
+	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.countMsg(false, cur)
-	return user.CompleteEpochCheck(e, prev, cur)
+	s.countMsg(false, resp)
+	return resp, nil
 }
 
-func (s *sim) needsSync() bool {
-	for _, u := range s.u1 {
-		if u.NeedsSync() {
-			return true
-		}
+// Publish is every user's broadcast channel: it counts msg and queues
+// it for deliver.
+func (s *sim) Publish(msg any) {
+	s.res.Messages.Broadcast++
+	if _, ok := msg.(*core.SyncRequest); ok {
+		s.res.Syncs++
 	}
-	for _, u := range s.u2 {
-		if u.NeedsSync() {
-			return true
-		}
-	}
-	return false
+	s.queue = append(s.queue, msg)
 }
 
-// runSync performs a full broadcast synchronization round: one
-// announcement plus one report per user, then every user evaluates.
-func (s *sim) runSync() error {
-	s.res.Messages.Broadcast++ // sync-up announcement
-	switch s.cfg.Protocol {
-	case server.P1:
-		reports := make([]core.SyncReportI, len(s.u1))
-		for i, u := range s.u1 {
-			reports[i] = u.SyncReport()
-			s.res.Messages.Broadcast++
-		}
-		for _, u := range s.u1 {
-			if err := u.CompleteSync(reports); err != nil {
-				return err
-			}
-		}
-	case server.P2:
-		reports := make([]core.SyncReportII, len(s.u2))
-		for i, u := range s.u2 {
-			reports[i] = u.SyncReport()
-			s.res.Messages.Broadcast++
-		}
-		for _, u := range s.u2 {
-			if err := u.CompleteSync(reports); err != nil {
-				return err
+// deliver hands each queued broadcast, in publication order, to every
+// user in user order — the reports they publish in turn join the
+// queue — and returns the first failed sync check.
+func (s *sim) deliver() error {
+	for len(s.queue) > 0 {
+		msg := s.queue[0]
+		s.queue = s.queue[1:]
+		for _, u := range s.users {
+			switch m := msg.(type) {
+			case *core.SyncRequest:
+				u.OnAnnounce(m)
+			case *session.Report:
+				if _, err := u.OnReport(m); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -460,11 +378,10 @@ func (s *sim) finish(err error) {
 		}
 		if s.cfg.JournalCap > 0 {
 			var js []*forensics.Journal
-			for _, u := range s.u1 {
-				js = append(js, u.Journal())
-			}
-			for _, u := range s.u2 {
-				js = append(js, u.Journal())
+			for _, u := range s.users {
+				if j := u.Journal(); j != nil {
+					js = append(js, j)
+				}
 			}
 			if len(js) > 0 {
 				s.res.Forensics = forensics.Locate(js)

@@ -48,6 +48,19 @@ if go list -deps . ./cmd/tcvs ./cmd/tcvs-server ./cmd/tcvs-attack | grep -e inte
     echo "production code imports a test-support package" >&2
     exit 1
 fi
+# The protocol executor is pure: it reaches the server and its peers
+# only through the ports its caller plugs in, so it links no network,
+# transport, hub, auditor or witness code, and it imports no lock or
+# clock of its own (vdb brings sync in underneath, so the second rule
+# looks at direct imports only).
+if go list -deps ./internal/session | grep -x -e net -e 'trustedcvs/internal/transport' -e 'trustedcvs/internal/broadcast' -e 'trustedcvs/internal/audit' -e 'trustedcvs/internal/witness'; then
+    echo "internal/session depends on I/O or a live-mode package" >&2
+    exit 1
+fi
+if go list -f '{{join .Imports "\n"}}' ./internal/session | grep -x -e sync -e time; then
+    echo "internal/session imports sync or time" >&2
+    exit 1
+fi
 # encoding/gob is retired: nothing sent, journaled or stored goes
 # through it, so no production package may link it (tcvs-lint's
 # hashdiscipline says the same per import).

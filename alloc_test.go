@@ -3,6 +3,8 @@ package trustedcvs_test
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -128,6 +130,85 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestServerOpAllocationBudget: the server's half of a verified
+// operation — Protocol II's HandleOp and its response encoded into a
+// connection's reused frame buffer — allocates fewer bytes for the
+// proof than the VO it sends. The VO is written once, from the
+// pre-state tree straight into the frame; a VO copied anywhere on the
+// way (a buffer of its own, a clone in the response) costs its length
+// again and fails here. A read allocates fewer bytes than its VO in
+// all; a write also builds its new nodes, which the trusted floor
+// (ApplyPlain, a response without a VO) builds as well, so its budget
+// is the VO's length above that floor. The byte count is process-wide,
+// so each figure is the least of three runs.
+func TestServerOpAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops make allocation counts meaningless")
+	}
+	const runs = 500
+	enc := wire.NewEncoder(io.Discard)
+	encode := func(resp any) {
+		if err := enc.Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// bytesPerOp runs serve on three fresh sets of runs operations.
+	bytesPerOp := func(ops []vdb.Op, serve func(vdb.Op)) uint64 {
+		serve(ops[3*runs]) // the frame buffer grows to its size once
+		least := uint64(math.MaxUint64)
+		for r := 0; r < 3; r++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, op := range ops[r*runs : (r+1)*runs] {
+				serve(op)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return least
+	}
+	for _, c := range []struct {
+		name  string
+		op    func(i int) vdb.Op
+		floor bool
+	}{
+		{"read", func(i int) vdb.Op { return &vdb.ReadOp{Keys: []string{fmt.Sprintf("key-%08d", (i*7919)%10_000)}} }, false},
+		{"write", kvOp, true},
+	} {
+		ops := make([]vdb.Op, 3*runs+1)
+		for i := range ops {
+			ops[i] = c.op(i)
+		}
+		srv, voBytes := proto2.NewServer(seededDB(t, 10_000)), 0
+		verified := bytesPerOp(ops, func(op vdb.Op) {
+			resp, err := srv.HandleOp(&core.OpRequest{User: 1, Op: op})
+			if err != nil {
+				t.Fatal(err)
+			}
+			encode(resp)
+			voBytes += resp.VO.Len()
+		})
+		voLen := voBytes / len(ops)
+		var floor uint64
+		if c.floor {
+			plain := seededDB(t, 10_000)
+			floor = bytesPerOp(ops, func(op vdb.Op) {
+				ans, err := plain.ApplyPlain(op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				encode(&core.OpResponseII{Answer: ans})
+			})
+		}
+		msg := fmt.Sprintf("%s: the server allocates %d B per op (trusted floor %d B), its VO is %d B", c.name, verified, floor, voLen)
+		if verified >= floor+uint64(voLen) {
+			t.Error(msg)
+		} else {
+			t.Log(msg)
+		}
+	}
 }
 
 // Allocation tripwires for the content store: a push keeps one copy of

@@ -100,6 +100,11 @@ func TestRecordGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		// The record was written from the server's live VO; what decodes
+		// holds the VO's bytes, as the VO does once materialized.
+		if _, err := rec.Resp.VO.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(got, rec) {
 			t.Errorf("%s: round trip\n got %#v\nwant %#v", name, got, rec)
 		}

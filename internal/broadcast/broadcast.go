@@ -7,12 +7,14 @@
 // The channel is between USERS only; the untrusted server never sees
 // it. Reliability and in-order delivery are assumed by the paper's
 // model (failures are out of scope). The TCP hub no longer leans on
-// that assumption: it keeps an indexed log of everything published, so
-// a participant that loses its connection redials and resumes from its
-// last-delivered index (DialHubResume) — same FIFO total order, no
-// gaps, no duplicates. The sync-barrier proof needs exactly that
-// order, which is why resumption replays the hub's log instead of
-// trusting the network.
+// that assumption for resumable sessions: from the first one's hello on
+// it keeps an indexed log of everything published, so a participant
+// that loses its connection redials and resumes from its last-delivered
+// index (DialHubResume) — same FIFO total order, no gaps, no
+// duplicates. The sync-barrier proof needs exactly that order, which is
+// why resumption replays the hub's log instead of trusting the network.
+// Legacy participants (DialHub) cannot resume, so a hub that serves
+// only them keeps no history.
 package broadcast
 
 import (
@@ -222,15 +224,19 @@ func (c *hubChannel) Close() error {
 }
 
 // HubServer is the TCP broadcast hub: every connected client receives
-// every published message (including its own) in one total order. The
-// hub keeps an indexed log of that order so resumable clients
-// (DialHubResume) can reconnect and catch up from their last-delivered
-// index; legacy clients (DialHub) get plain fan-out as before.
+// every published message (including its own) in one total order. From
+// the first resumable client's hello (or publication) on, the hub keeps
+// an indexed log of that order so resumable clients (DialHubResume) can
+// reconnect and catch up from their last-delivered index; legacy
+// clients (DialHub) get plain fan-out as before, and a hub that has
+// only ever served them keeps no history, which none of them could ask
+// for.
 type HubServer struct {
 	lis net.Listener
 
 	mu      sync.Mutex
-	log     []*hubSeq         // the total order; Idx is 1-based
+	logging bool              // a resumable session spoke: publications are logged from here on
+	log     []*hubSeq         // the total order since logging began; Idx is 1-based
 	lastPub map[uint64]uint64 // highest PubSeq logged per resumable SID
 	conns   map[*hubConn]struct{}
 	closed  bool
@@ -270,7 +276,7 @@ func (h *HubServer) SetLimits(queue int, writeTimeout time.Duration) {
 // HubStats is a snapshot of the hub's slow-consumer accounting.
 type HubStats struct {
 	Conns     int    // currently connected subscribers
-	LogLen    int    // total publications logged
+	LogLen    int    // publications logged since the first resumable hello
 	SlowFlips uint64 // resumable conns flipped to replay mode on queue overflow
 	Evictions uint64 // conns severed (legacy overflow or write timeout)
 }
@@ -458,7 +464,7 @@ func (h *HubServer) upgrade(hc *hubConn, hello *hubHello) {
 	if _, ok := h.conns[hc]; !ok {
 		return
 	}
-	hc.resumable = true
+	hc.resumable, h.logging = true, true
 	if hello.SID != 0 {
 		if !h.enqueueFrameLocked(hc, &hubAck{LastPub: h.lastPub[hello.SID]}) {
 			return
@@ -515,10 +521,13 @@ func (h *HubServer) publishLocked(sid, pubSeq uint64, msg Message) {
 			return
 		}
 		h.lastPub[sid] = pubSeq
+		h.logging = true // its hello may still be on the way
 	}
 	e := &hubSeq{Idx: uint64(len(h.log)) + 1, SID: sid, PubSeq: pubSeq, Msg: msg}
-	//lint:ignore boundedqueue the log IS the resume contract: reconnecting clients replay the full history from their cursor, so retention is deliberate (memory scales with session traffic, not overload)
-	h.log = append(h.log, e)
+	if h.logging {
+		//lint:ignore boundedqueue the log IS the resume contract: reconnecting clients replay the full history from their cursor, so retention is deliberate (memory scales with session traffic, not overload)
+		h.log = append(h.log, e)
+	}
 	for hc := range h.conns {
 		if hc.replaying {
 			// The conn's writer is streaming the log and will reach this

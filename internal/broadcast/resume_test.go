@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -307,5 +308,69 @@ func TestResumeHandshakeTimeoutOnMuteHub(t *testing.T) {
 	dialMu.Unlock()
 	if n < 3 {
 		t.Fatalf("member never dialed past the mute listener: %d dials", n)
+	}
+}
+
+// TestLegacyHubKeepsNoHistory: a hub only legacy clients (DialHub) have
+// spoken to logs nothing, however much they publish — none of them can
+// ask for a replay — and a resumable client that joins it later starts
+// the log, gapless, at its join and receives every publication after
+// it.
+func TestLegacyHubKeepsNoHistory(t *testing.T) {
+	hub, err := ListenHub("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	legacy, err := DialHub(hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer legacy.Close()
+	const n = 500
+	for i := 0; i < n; i++ {
+		if err := legacy.Publish(Message{From: 1, Payload: strconv.Itoa(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collect(t, legacy, n)
+	if got := hub.Stats().LogLen; got != 0 {
+		t.Fatalf("a legacy-only hub logged %d publications, want 0", got)
+	}
+
+	late := DialHubResume(hub.Addr())
+	defer late.Close()
+	// The joiner's own first publication comes back as log entry 1: from
+	// then on it is in the hub's total order.
+	if err := late.Publish(Message{From: 2, Payload: strconv.Itoa(n)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := payloads(collect(t, late, 1)); got[0] != n {
+		t.Fatalf("the joiner's first delivery is %v, want [%d]", got, n)
+	}
+	const m = 100
+	for i := n + 1; i <= n+m; i++ {
+		if err := legacy.Publish(Message{From: 1, Payload: strconv.Itoa(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(from, to int) []int {
+		var w []int
+		for i := from; i <= to; i++ {
+			w = append(w, i)
+		}
+		return w
+	}
+	if got := payloads(collect(t, legacy, m+1)); !slices.Equal(got, want(n, n+m)) {
+		t.Fatalf("legacy subscriber saw %v", got)
+	}
+	if got := payloads(collect(t, late, m)); !slices.Equal(got, want(n+1, n+m)) {
+		t.Fatalf("late joiner saw %v", got)
+	}
+	if r := late.(*resumeChannel).Reconnects(); r != 0 {
+		t.Fatalf("late joiner redialed %d times: a hub log gap tears the connection down", r)
+	}
+	if got := hub.Stats().LogLen; got != m+1 {
+		t.Fatalf("hub logged %d publications since the join, want %d", got, m+1)
 	}
 }

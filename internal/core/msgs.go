@@ -46,6 +46,20 @@ type OpResponseII struct {
 	Epoch  uint64
 }
 
+// Detach materializes the response's VO, which then holds its own bytes
+// instead of the database tree it was cut from (transport.Detacher).
+func (m *OpResponseI) Detach() { detach(m.VO) }
+
+// Detach materializes the response's VO, which then holds its own bytes
+// instead of the database tree it was cut from (transport.Detacher).
+func (m *OpResponseII) Detach() { detach(m.VO) }
+
+func detach(vo *merkle.VO) {
+	if vo != nil {
+		_, _ = vo.MarshalBinary()
+	}
+}
+
 // SyncRequest announces a synchronization round on the broadcast
 // channel ("the first user to complete k operations announces a
 // sync-up message").
@@ -135,6 +149,13 @@ type RiderResponse struct {
 	Blobs [][]byte
 
 	one [1][]byte
+}
+
+// Detach detaches the protocol response inside the envelope.
+func (m *RiderResponse) Detach() {
+	if d, ok := m.Resp.(interface{ Detach() }); ok {
+		d.Detach()
+	}
 }
 
 // MakeBlobs sizes m.Blobs to n empty entries for the handler to fill.

@@ -188,8 +188,7 @@ func init() {
 	// A VO on its own — the experiments size one with wire.Size — is its
 	// bytes and nothing else: the frame's length delimits it.
 	wire.Register(wireVO, func(b []byte, vo *merkle.VO) ([]byte, error) {
-		enc, err := vo.MarshalBinary()
-		return append(b, enc...), err
+		return vo.AppendBinary(b)
 	}, func(r *binenc.Reader) *merkle.VO {
 		return viewVO(r, r.View(r.Remaining()))
 	})
@@ -240,17 +239,14 @@ func readBlobs(r *binenc.Reader, one *[1][]byte) [][]byte {
 // appendAnswerVO appends the (Q(D), v(Q,D)) pair every response leads
 // with: the canonical answer bytes and the VO's own bytes, each
 // length-prefixed. A nil VO (the trusted baseline sends none) is the
-// empty string, which no VO encodes to.
+// empty string, which no VO encodes to. The VO writes itself after its
+// length, so a server's VO goes from its tree into the frame directly.
 func appendAnswerVO(b, answer []byte, vo *merkle.VO) ([]byte, error) {
 	b = binenc.AppendBytes(b, answer)
 	if vo == nil {
 		return append(b, 0), nil
 	}
-	enc, err := vo.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return binenc.AppendBytes(b, enc), nil
+	return vo.AppendBinary(binary.AppendUvarint(b, uint64(vo.Len())))
 }
 
 // readAnswerVO reads the pair as windows onto the frame: the answer is

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"trustedcvs/internal/digest"
+	"trustedcvs/internal/merkle"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wire/wiretest"
@@ -18,7 +19,10 @@ func testDigest(seed byte) (d digest.Digest) {
 
 // TestWireGolden pins the wire form of every message this package
 // registers; the variants cover the optional parts (piggybacked backup,
-// a response without a VO, empty lists).
+// a response without a VO, empty lists). The VO is a server's: it
+// writes the frames once live, straight from the database's tree, and
+// once more after a reader materialized it — the same bytes both times
+// — and every frame decodes to a VO made from those bytes.
 func TestWireGolden(t *testing.T) {
 	db := vdb.New(0)
 	if err := db.Preload(&vdb.WriteOp{Puts: []vdb.KV{{Key: "a", Val: []byte("1")}, {Key: "z", Val: []byte("26")}}}); err != nil {
@@ -44,7 +48,29 @@ func TestWireGolden(t *testing.T) {
 		copy(m.Blobs, blobs)
 		return m
 	}
-	wiretest.Golden(t, []wiretest.Sample{
+	sent, err := vo.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := merkle.ViewVO(sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := goldenSamples(put, ans, vo, backup, riderReq, riderResp)
+	for i, s := range goldenSamples(put, ans, decoded, backup, riderReq, riderResp) {
+		samples[i].Want = s.Msg
+	}
+	wiretest.Golden(t, samples)
+	if _, err := vo.MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
+	wiretest.Golden(t, samples)
+}
+
+// goldenSamples returns TestWireGolden's samples around one VO.
+func goldenSamples(put vdb.Op, ans []byte, vo *merkle.VO, backup *EpochBackup,
+	riderReq func(OpRequest, bool, ...[]byte) *RiderRequest, riderResp func(any, ...[]byte) *RiderResponse) []wiretest.Sample {
+	return []wiretest.Sample{
 		{Msg: &OpRequest{User: 3, Op: put}},
 		{Variant: "backup", Msg: &OpRequest{User: 3, Op: &vdb.ReadOp{Keys: []string{"k"}}, Backup: backup}},
 		{Msg: &AckRequest{User: 4, Sig: sig.Signature("ack-signature")}},
@@ -71,7 +97,7 @@ func TestWireGolden(t *testing.T) {
 		{Msg: riderResp(&OpResponseII{Answer: ans, VO: vo, Ctr: 300, Last: 7}, []byte("package main\n"))},
 		{Variant: "bare", Msg: riderResp(&OpResponseI{Answer: ans, VO: vo, Ctr: 7, Signer: 2, Sig: sig.Signature("state-signature")})},
 		{Variant: "partial", Msg: riderResp(&OpResponseII{Answer: ans}, []byte("one"), nil, []byte("three"))},
-	})
+	}
 }
 
 // TestRetiredFramesRefused: what a server or user on a sharded database

@@ -51,14 +51,36 @@ func benchRecordings(b *testing.B) []*Recording {
 	return recs
 }
 
-// BenchmarkVOBuild prunes a recorded update into its VO.
+// BenchmarkVOBuild is the server's VO: a live VO cut from a recorded
+// update written into a reused frame buffer, which allocates nothing;
+// and a VO cut and materialized into a slice of its own, as every other
+// reader takes it: two allocations, the VO and its bytes.
 func BenchmarkVOBuild(b *testing.B) {
 	recs := benchRecordings(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchVO = recs[i%len(recs)].VO()
-	}
+	b.Run("write", func(b *testing.B) {
+		vos := make([]*VO, len(recs))
+		for i, rec := range recs {
+			vos[i] = rec.VO()
+		}
+		var buf []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = vos[i%len(vos)].AppendBinary(buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("materialize", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchVO = recs[i%len(recs)].VO()
+			if _, err := benchVO.MarshalBinary(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 var benchVO *VO

@@ -23,7 +23,8 @@ type Snapshot struct {
 // Snapshot captures the tree.
 func (t *Tree) Snapshot() *Snapshot {
 	s := &Snapshot{size: t.size}
-	s.vo.enc = appendPruned(binary.AppendUvarint(nil, uint64(t.order)), t.root, nil, &s.vo)
+	s.vo.size = binenc.UvarintLen(uint64(t.order)) + sizePruned(t.root, nil, &s.vo)
+	s.vo.enc = appendPruned(binary.AppendUvarint(make([]byte, 0, s.vo.size), uint64(t.order)), t.root, nil)
 	return s
 }
 
@@ -67,8 +68,7 @@ func (s *Snapshot) Append(b []byte) []byte {
 // allocates; the shape is Restore's to check.
 func ReadSnapshot(r *binenc.Reader) *Snapshot {
 	s := &Snapshot{size: r.Count(2)}
-	var err error
-	if s.vo, err = viewVO(r.Bytes()); err != nil {
+	if err := s.vo.view(r.Bytes()); err != nil {
 		r.Fail("%v", err)
 	}
 	return s

@@ -32,11 +32,14 @@
 // hand out windows onto the encoding, which the caller must not modify.
 //
 // Verification objects (see vo.go) are pruned copies of the pre-state
-// tree. A tree rebuilt from one therefore has child slots that hold no
-// node, only the digest of the subtree the VO pruned away, as a window
-// onto the VO's bytes. Any operation that would need to look inside such
-// a subtree fails with ErrPruned; on a fully materialized tree no
-// operation ever returns an error.
+// tree. The server's are written once, straight from the pre-state's
+// nodes into whatever buffer the caller passes — a response frame — or
+// into one exactly sized slice for a reader that materializes them. A
+// tree rebuilt from one has child slots that hold no node, only the
+// digest of the subtree the VO pruned away, as a window onto the VO's
+// bytes. Any operation that would need to look inside such a subtree
+// fails with ErrPruned; on a fully materialized tree no operation ever
+// returns an error.
 package merkle
 
 import (
@@ -491,9 +494,10 @@ func (n *node) childIndex(key string) int {
 
 // ctx carries per-operation state: the branching factor, the memo word
 // new nodes start with (memoOwned inside a transaction, memoUnset for
-// the one-shot Tree methods) and, when a verification object is being
-// built, the recorder collecting every pre-state node the operation
-// touches.
+// the one-shot Tree methods; a transaction also sets voTaken there when
+// its VO is taken, and refuses operations from then on) and, when a
+// verification object is being built, the recorder collecting every
+// pre-state node the operation touches.
 type ctx struct {
 	order int32
 	mark  uint32

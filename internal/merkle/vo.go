@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
+	"sync/atomic"
 
+	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/digest"
 )
 
@@ -60,19 +61,47 @@ func (v *VO) Begin() (*Recording, digest.Digest, error) {
 	return t.Begin(), t.RootDigest(), nil
 }
 
+// ErrVOTaken is returned by an operation through a recording whose VO
+// was taken: the recorder has ended, and the VO describes the batch
+// that came before.
+var ErrVOTaken = errors.New("merkle: operation through a recording whose VO was taken")
+
+// voTaken is a flag of a transaction's ctx.mark, beside memoOwned but
+// never stored in a node: VO was called, and the transaction refuses
+// every further operation. VO may be called any number of times, from
+// any number of goroutines, so the flag is set and read atomically.
+const voTaken uint32 = 8
+
+// taken returns ErrVOTaken once VO was called on r.
+func (r *Recording) taken() error {
+	if atomic.LoadUint32(&r.c.mark)&voTaken != 0 {
+		return ErrVOTaken
+	}
+	return nil
+}
+
 // Get reads through the recording.
 func (r *Recording) Get(key string) ([]byte, bool, error) {
+	if err := r.taken(); err != nil {
+		return nil, false, err
+	}
 	return r.c.get(r.cur.root, key)
 }
 
 // Range scans through the recording.
 func (r *Recording) Range(lo, hi string, fn func(key, val []byte) bool) error {
+	if err := r.taken(); err != nil {
+		return err
+	}
 	_, err := r.c.rng(r.cur.root, lo, hi, fn)
 	return err
 }
 
 // Put writes through the recording.
 func (r *Recording) Put(key string, val []byte) error {
+	if err := r.taken(); err != nil {
+		return err
+	}
 	nt, err := r.cur.putCtx(&r.c, key, val)
 	if err != nil {
 		return err
@@ -83,6 +112,9 @@ func (r *Recording) Put(key string, val []byte) error {
 
 // Delete removes through the recording.
 func (r *Recording) Delete(key string) (bool, error) {
+	if err := r.taken(); err != nil {
+		return false, err
+	}
 	nt, found, err := r.cur.deleteCtx(&r.c, key)
 	if err != nil {
 		return false, err
@@ -101,39 +133,68 @@ func (r *Recording) Tree() *Tree {
 	return r.cur
 }
 
-// VO returns the verification object for the recorded batch: the
-// pre-state tree pruned down to the nodes the batch touched, written
-// straight from the tree nodes into the flat encoding and counted on the
-// way. Nodes created during the batch are never part of the pre-state
-// and are reconstructed by the verifier's replay.
+// VO ends the recording's recorder and returns the verification object
+// for the batch recorded so far: the pre-state tree pruned down to the
+// nodes the batch touched. Nodes created during the batch are never part
+// of the pre-state and are reconstructed by the verifier's replay.
+// Nothing is copied yet: a sizing walk over the recorded nodes, which
+// hashes nothing, counts the VO's length, nodes and digests, and the VO
+// keeps the pre-state and the recorded nodes to write its bytes from
+// when they are asked for. Operations through r afterwards fail with
+// ErrVOTaken, so nothing can change what the VO writes; Tree still
+// hands out the post-state.
 func (r *Recording) VO() *VO {
-	scratch := voScratch.Get().(*[]byte)
-	b := binary.AppendUvarint((*scratch)[:0], uint64(r.base.order))
-	vo := new(VO)
-	b = appendPruned(b, r.base.root, r.c.rec, vo)
-	vo.enc = slices.Clone(b)
-	*scratch = b
-	voScratch.Put(scratch)
-	return vo
+	if m := atomic.LoadUint32(&r.c.mark); m&voTaken == 0 {
+		atomic.StoreUint32(&r.c.mark, m|voTaken)
+	}
+	v := &VO{base: r.base, keep: r.c.rec}
+	v.size = binenc.UvarintLen(uint64(r.base.order)) + sizePruned(r.base.root, v.keep, v)
+	return v
 }
 
-// voScratch recycles the buffer a VO is assembled in, so that the VO
-// itself is one exactly sized allocation.
-var voScratch = sync.Pool{New: func() any { return new([]byte) }}
-
 // VO is a wire-encodable verification object: a pruned copy of the
-// server's pre-state tree, the paper's v(Q, D). It has one
-// representation, the flat preorder encoding of vobinary.go: Recording.VO
-// writes it, MarshalBinary hands it out, ViewVO wraps received bytes
-// in place, and Tree and Stats read it. The bytes are never modified
-// once the VO exists, which is what lets every tree Tree returns share
-// them. The zero VO is malformed.
+// server's pre-state tree, the paper's v(Q, D), in the flat preorder
+// encoding of vobinary.go. A VO is live or materialized. Recording.VO
+// returns a live one, which holds the pre-state and the nodes the
+// recording touched and writes its bytes from them: AppendBinary puts
+// them straight into the caller's buffer — the server's response frame
+// — and every other reader (Tree, Begin, Stats, MarshalBinary)
+// materializes them once into one exactly sized slice, after which the
+// VO lets go of the pre-state, an old version of the whole tree. ViewVO
+// wraps received bytes as a materialized VO. Either way the bytes never
+// change once the VO exists, which is what lets every tree Tree returns
+// share them. A VO is safe for concurrent use. The zero VO is
+// malformed.
 type VO struct {
-	enc []byte
-	// nodes and digests count the expanded nodes and the pruned digests
-	// of enc: whatever made the VO counted them while it wrote or scanned
-	// the bytes, and Tree sizes its two slabs by them.
-	nodes, digests int
+	mu   sync.Mutex         // guards base, keep and enc
+	base *Tree              // a live VO's pre-state, nil once materialized
+	keep map[*node]struct{} // the nodes of base the VO expands
+	enc  []byte             // the bytes of a materialized VO
+	// size is the length of the encoding; nodes and digests count its
+	// expanded nodes and pruned digests, as whatever made the VO walked
+	// or scanned it, and Tree sizes its two slabs by them.
+	size, nodes, digests int
+}
+
+// Len returns the length of the VO's encoding, which AppendBinary
+// appends.
+func (v *VO) Len() int { return v.size }
+
+// bytes returns the VO's encoding, materializing a live VO.
+func (v *VO) bytes() []byte {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.base != nil {
+		v.enc = appendVO(make([]byte, 0, v.size), v.base, v.keep)
+		v.base, v.keep = nil, nil
+	}
+	return v.enc
+}
+
+// appendVO appends the encoding of the VO that prunes base down to the
+// nodes in keep.
+func appendVO(b []byte, base *Tree, keep map[*node]struct{}) []byte {
+	return appendPruned(binary.AppendUvarint(b, uint64(base.order)), base.root, keep)
 }
 
 // Tree materializes the VO into a partial tree. It validates grammar
@@ -147,11 +208,12 @@ func (v *VO) Tree() (*Tree, error) { return v.tree(memoUnset) }
 
 // tree is Tree with the memo word the expanded nodes start with.
 func (v *VO) tree(mark uint32) (*Tree, error) {
-	d := voDecoder{data: v.enc, mark: mark, nodes: make([]node, v.nodes)}
+	data := v.bytes()
+	d := voDecoder{data: data, mark: mark, nodes: make([]node, v.nodes)}
 	if slots := v.nodes + v.digests - 1; slots > 0 {
 		d.kids = make([]kid, slots) // every node but the root fills a child slot
 	}
-	d.r.Reset(v.enc)
+	d.r.Reset(data)
 	order := d.r.Uvarint()
 	if order < MinOrder || order > math.MaxInt32 {
 		d.r.Fail("order %d", order)
@@ -198,6 +260,6 @@ type VOStats struct {
 
 // Stats computes size statistics for the VO.
 func (v *VO) Stats() VOStats {
-	s, _ := scanVO(v.enc)
+	s, _ := scanVO(v.bytes())
 	return s
 }

@@ -22,16 +22,17 @@ import (
 // The second strings of a leaf omits its count (it is the keys' n). All
 // lengths of a strings come before all of its bytes.
 //
-// This is the VO's only representation, in memory as on the wire, and
-// the body of a leaf or internal node — everything after its kind byte
-// up to its children — is the tree node's own encoding (node.enc), as a
+// This is the VO's only encoding, in memory as on the wire, and the
+// body of a leaf or internal node — everything after its kind byte up
+// to its children — is the tree node's own encoding (node.enc), as a
 // pruned node's 32 bytes are its child slot's digest (kid.d):
-// Recording.VO copies node bodies and digests out (appendPruned) and
-// VO.Tree hands each node a window onto its body and each pruned slot a
-// window onto its digest (voDecoder), with nothing in between.
+// appendPruned copies node bodies and digests out, into a frame or a
+// materialized VO, and VO.Tree hands each node a window onto its body
+// and each pruned slot a window onto its digest (voDecoder), with
+// nothing in between.
 //
 // Wire messages, journal records and server snapshots carry these bytes
-// as they are (MarshalBinary on the way out, ViewVO on the way in); a
+// as they are (AppendBinary on the way out, ViewVO on the way in); a
 // tree's persistent form is the same grammar with nothing pruned
 // (serialize.go).
 const (
@@ -48,38 +49,91 @@ const maxVODepth = 64
 
 // appendPruned appends the subtree in k in preorder, keeping the
 // content of the nodes in keep (of every node when keep is nil) and
-// only the digest of every other, and counts the expanded nodes and
-// digests it writes into v. A node's body is already its encoding, so
-// an expanded node is its kind byte, its bytes and its children.
-func appendPruned(b []byte, k kid, keep map[*node]struct{}, v *VO) []byte {
+// only the digest of every other. A node's body is already its
+// encoding, so an expanded node is its kind byte, its bytes and its
+// children. It is the one writer of the grammar: a live VO's frame
+// bytes, its materialized bytes and a snapshot's all come from here.
+func appendPruned(b []byte, k kid, keep map[*node]struct{}) []byte {
 	n := k.n
 	if n == nil && k.d == nil {
 		return append(b, voAbsent)
 	}
-	if _, ok := keep[n]; n == nil || (!ok && keep != nil) {
-		v.digests++
+	if pruned(n, keep) {
 		d := k.digest()
 		return append(append(b, voPruned), d[:]...)
 	}
-	v.nodes++
 	if n.leaf {
 		return append(append(b, voLeaf), n.enc...)
 	}
 	b = append(append(b, voInternal), n.enc...)
 	for _, c := range n.kids {
-		b = appendPruned(b, c, keep, v)
+		b = appendPruned(b, c, keep)
 	}
 	return b
 }
 
-// MarshalBinary returns the VO's own bytes, which the caller must not
-// modify.
-func (v *VO) MarshalBinary() ([]byte, error) {
-	if v == nil || v.enc == nil {
-		return nil, fmt.Errorf("%w: empty VO", ErrMalformedVO)
+// sizePruned returns the length of what appendPruned appends for k and
+// keep, counting the expanded nodes and digests into v on the way. It
+// reads no digest, so it hashes nothing.
+func sizePruned(k kid, keep map[*node]struct{}, v *VO) int {
+	n := k.n
+	if n == nil && k.d == nil {
+		return 1
 	}
-	return v.enc, nil
+	if pruned(n, keep) {
+		v.digests++
+		return 1 + digest.Size
+	}
+	v.nodes++
+	size := 1 + len(n.enc)
+	for _, c := range n.kids {
+		size += sizePruned(c, keep, v)
+	}
+	return size
 }
+
+// pruned reports whether the slot holding n, which is not absent, is
+// written as its digest: n was pruned already, or keep does not hold it.
+func pruned(n *node, keep map[*node]struct{}) bool {
+	if n == nil {
+		return true
+	}
+	_, ok := keep[n]
+	return !ok && keep != nil
+}
+
+// AppendBinary appends the VO's bytes to b. A live VO writes them
+// straight from the pre-state nodes it prunes, allocating nothing when
+// b has room for Len more bytes: that is how a server's VO reaches its
+// response frame without being copied anywhere else first.
+func (v *VO) AppendBinary(b []byte) ([]byte, error) {
+	if v == nil {
+		return nil, errEmptyVO
+	}
+	v.mu.Lock()
+	base, keep, enc := v.base, v.keep, v.enc
+	v.mu.Unlock()
+	switch {
+	case base != nil:
+		return appendVO(b, base, keep), nil
+	case enc != nil:
+		return append(b, enc...), nil
+	}
+	return nil, errEmptyVO
+}
+
+// MarshalBinary returns the VO's own bytes, materializing a live VO,
+// which the caller must not modify.
+func (v *VO) MarshalBinary() ([]byte, error) {
+	if v != nil {
+		if enc := v.bytes(); enc != nil {
+			return enc, nil
+		}
+	}
+	return nil, errEmptyVO
+}
+
+var errEmptyVO = fmt.Errorf("%w: empty VO", ErrMalformedVO)
 
 // ViewVO wraps data, which the caller must own and never modify — the
 // wire decoder's frame buffer is both — as a VO. The input is the
@@ -89,17 +143,18 @@ func (v *VO) MarshalBinary() ([]byte, error) {
 // without allocating. Whether the encoded shape is a valid tree is
 // still VO.Tree's call. The scan counts what VO.Tree allocates for.
 func ViewVO(data []byte) (*VO, error) {
-	v, err := viewVO(data)
-	if err != nil {
+	v := new(VO)
+	if err := v.view(data); err != nil {
 		return nil, err
 	}
-	return &v, nil
+	return v, nil
 }
 
-// viewVO is ViewVO by value.
-func viewVO(data []byte) (VO, error) {
+// view makes v the VO of data, as ViewVO does.
+func (v *VO) view(data []byte) error {
 	s, err := scanVO(data)
-	return VO{enc: data, nodes: s.ExpandedNodes, digests: s.PrunedDigests}, err
+	v.enc, v.size, v.nodes, v.digests = data, len(data), s.ExpandedNodes, s.PrunedDigests
+	return err
 }
 
 // scanVO checks data against the grammar and sizes it up on the way.

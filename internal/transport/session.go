@@ -47,6 +47,13 @@ type SessionTable struct {
 	max int
 }
 
+// A Detacher is a response that can let go of the server state it was
+// built from. The table detaches every response it caches: the cache
+// outlives the reply by a whole session window, and a response that
+// writes itself from the server's state — a VO from the database tree
+// it prunes — would keep that old version of the state alive as long.
+type Detacher interface{ Detach() }
+
 // DefaultMaxSessions bounds the table; beyond it the least recently
 // used session is evicted (its client, if still alive, fails with a
 // horizon error and must start a new session).
@@ -155,6 +162,8 @@ func (t *SessionTable) Dispatch(r *wire.SessionRequest, handler Handler) (any, e
 	o := outcome{resp: resp}
 	if err != nil {
 		o = outcome{isErr: true, errMsg: err.Error()}
+	} else if d, ok := resp.(Detacher); ok {
+		d.Detach()
 	}
 	s.done[r.Seq] = o
 	if r.Seq > s.high {

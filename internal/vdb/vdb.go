@@ -176,8 +176,11 @@ func (db *DB) Apply(op Op) (ansBytes []byte, vo *merkle.VO, err error) {
 
 // Staged is the committed-but-unencoded result of Begin: the ordered
 // section already applied the operation and advanced the counter;
-// Finish does the remaining work — canonical answer encoding and VO
-// pruning — on the captured immutable snapshot, outside any lock.
+// Finish does the remaining work on the captured immutable pre-state,
+// outside any lock: it encodes the answer and cuts the VO, which sizes
+// itself and copies nothing. The VO's bytes are written once, from the
+// pre-state, by whoever needs them: the response's encoder straight
+// into its frame, or a reader that materializes them (merkle.VO).
 type Staged struct {
 	preCtr uint64
 	rec    *merkle.Recording
@@ -214,7 +217,9 @@ func (db *DB) Begin(op Op) (*Staged, error) {
 func (st *Staged) PreCtr() uint64 { return st.preCtr }
 
 // Finish produces the canonical answer encoding and the verification
-// object. It is safe to call concurrently with any database activity.
+// object, which holds the pre-state until it is written or
+// materialized. It is safe to call concurrently with any database
+// activity.
 func (st *Staged) Finish() (ansBytes []byte, vo *merkle.VO, err error) {
 	ansBytes, err = EncodeAnswer(st.ans)
 	if err != nil {

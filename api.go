@@ -140,27 +140,14 @@ type Malice struct {
 }
 
 func (m Malice) config() (*adversary.Config, error) {
-	if m.Behavior == "" || m.Behavior == "honest" {
+	if m.Behavior == "" {
 		return nil, nil
 	}
-	kinds := map[string]adversary.Kind{
-		"fork":            adversary.Fork,
-		"replay-stale":    adversary.ReplayStale,
-		"drop-update":     adversary.DropUpdate,
-		"tamper-answer":   adversary.TamperAnswer,
-		"tamper-state":    adversary.TamperState,
-		"counter-replay":  adversary.CounterReplay,
-		"stall-epochs":    adversary.StallEpochs,
-		"withhold-backup": adversary.WithholdBackup,
-	}
-	kind, ok := kinds[m.Behavior]
-	if !ok {
-		return nil, &UnknownBehaviorError{Behavior: m.Behavior}
+	kind, err := adversary.ParseKind(m.Behavior)
+	if err != nil || kind == adversary.Honest {
+		return nil, err
 	}
 	cfg := &adversary.Config{Kind: kind, TriggerOp: m.TriggerOp, Target: m.Target}
-	if kind == adversary.TamperState {
-		cfg.Key, cfg.Value = "planted-by-server", []byte("evil")
-	}
 	if len(m.GroupB) > 0 {
 		cfg.GroupB = make(map[UserID]bool, len(m.GroupB))
 		for _, u := range m.GroupB {
@@ -170,9 +157,6 @@ func (m Malice) config() (*adversary.Config, error) {
 	return cfg, nil
 }
 
-// UnknownBehaviorError reports an unrecognized Malice.Behavior.
-type UnknownBehaviorError struct{ Behavior string }
-
-func (e *UnknownBehaviorError) Error() string {
-	return "trustedcvs: unknown malicious behavior " + e.Behavior
-}
+// UnknownBehaviorError reports an unrecognized Malice.Behavior; the
+// tcvs-server -behavior flag refuses an unknown name with it too.
+type UnknownBehaviorError = adversary.UnknownBehaviorError

@@ -229,9 +229,10 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := trustedcvs.NewLocalCluster(trustedcvs.ClusterConfig{}); err == nil {
 		t.Fatal("zero users must be rejected")
 	}
+	var ube *trustedcvs.UnknownBehaviorError
 	if _, err := trustedcvs.NewLocalCluster(trustedcvs.ClusterConfig{
 		Users: 1, Malice: trustedcvs.Malice{Behavior: "nonsense"},
-	}); err == nil {
-		t.Fatal("unknown behavior must be rejected")
+	}); !errors.As(err, &ube) || ube.Behavior != "nonsense" {
+		t.Fatalf("unknown behavior: error %v, want *UnknownBehaviorError", err)
 	}
 }

@@ -33,12 +33,6 @@ type ClusterConfig struct {
 	// SyncEvery is k, the synchronization period of Protocols I/II
 	// (default 16).
 	SyncEvery uint64
-	// MerkleOrder is the B+-tree branching factor (0 = default).
-	MerkleOrder int
-	// KeySeed seeds the deterministic demo key ring. Production
-	// deployments generate keys with crypto/rand out of band; the
-	// in-process cluster favors reproducibility.
-	KeySeed int64
 	// JournalCap enables per-user transition journals of this
 	// capacity (Protocols I/II) for post-detection fault localization
 	// — see Cluster.Forensics.
@@ -67,10 +61,6 @@ type ClusterConfig struct {
 	// scheduling when set (epoch closure replaces sync rounds). Requires
 	// Protocol II.
 	AuditEpoch uint64
-	// AuditQueue is the epoch auditor's bounded queue capacity (0 = the
-	// audit package default). A full queue degrades clients to the
-	// audit rate; it never drops verification obligations.
-	AuditQueue int
 	// AuditWALRoot makes the epoch audit crash-durable: each client
 	// journals its verification obligations under
 	// AuditWALRoot/user-<i> before releasing the optimistic answer,
@@ -79,12 +69,6 @@ type ClusterConfig struct {
 	// crash left unaudited. Requires AuditEpoch > 0 and Network mode
 	// (resume rides the TCP hub's full-history replay).
 	AuditWALRoot string
-	// Brownout lets each client's epoch auditor widen its admission
-	// window up to this many epochs under sustained audit backlog (see
-	// audit.Config.Brownout) — graceful degradation instead of hard
-	// blocking when verification cannot keep up. 0 or 1 disables;
-	// requires AuditEpoch > 0.
-	Brownout int
 }
 
 // Cluster is a ready-to-use deployment: an (optionally malicious)
@@ -98,7 +82,6 @@ type Cluster struct {
 	hub     *broadcast.Hub
 	tcpHub  *broadcast.HubServer
 	clients []*driver.Client
-	repos   []*cvs.Client
 
 	witnesses []*witness.Node
 	publisher *witness.Publisher
@@ -115,9 +98,6 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.SyncEvery == 0 {
 		cfg.SyncEvery = 16
 	}
-	if cfg.KeySeed == 0 {
-		cfg.KeySeed = 1
-	}
 	if cfg.AuditEpoch > 0 && cfg.Protocol != ProtocolII {
 		return nil, fmt.Errorf("trustedcvs: epoch-audit mode requires Protocol II")
 	}
@@ -127,11 +107,10 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.AuditWALRoot != "" && !cfg.Network {
 		return nil, fmt.Errorf("trustedcvs: AuditWALRoot requires Network mode (resume needs the TCP hub's history replay)")
 	}
-	if cfg.Brownout > 1 && cfg.AuditEpoch == 0 {
-		return nil, fmt.Errorf("trustedcvs: Brownout requires epoch-audit mode (AuditEpoch > 0)")
-	}
-	db := vdb.New(cfg.MerkleOrder)
-	signers, ring, err := sig.DeterministicSigners(cfg.Users, cfg.KeySeed)
+	db := vdb.New(0)
+	// The in-process cluster favors reproducible demo keys; production
+	// deployments generate keys with crypto/rand out of band.
+	signers, ring, err := sig.DeterministicSigners(cfg.Users, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +151,7 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 			pub.Align()
 		}
 		for i := 0; i < cfg.Witnesses; i++ {
-			c.witnesses = append(c.witnesses, witness.NewNode(fmt.Sprintf("witness-%d", i), 0))
+			c.witnesses = append(c.witnesses, witness.NewNode(fmt.Sprintf("witness-%d", i)))
 		}
 		for i, n := range c.witnesses {
 			n.Pin(wid.Name(), wid.Public())
@@ -265,13 +244,10 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 				if cfg.AuditWALRoot != "" {
 					walDir = filepath.Join(cfg.AuditWALRoot, fmt.Sprintf("user-%d", i))
 				}
-				dc, err = driver.NewP2EpochWAL(u, conn, bc, cfg.Users, cfg.AuditEpoch, cfg.AuditQueue, walDir, nil)
+				dc, err = driver.NewP2EpochWAL(u, conn, bc, cfg.Users, cfg.AuditEpoch, 0, walDir, nil)
 				if err != nil {
 					c.Close()
 					return nil, err
-				}
-				if cfg.Brownout > 1 {
-					dc.Audit().SetBrownout(cfg.Brownout)
 				}
 			} else {
 				dc = driver.NewP2(u, conn, bc, cfg.Users)
@@ -285,11 +261,7 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		if c.publisher != nil {
 			chk := witness.NewCheck("primary", c.publisher.Identity().Public(), 0)
-			if cfg.AuditEpoch > 0 && 4*cfg.AuditEpoch > uint64(witness.DefaultCheckWindow) {
-				// Verification lags up to one pipelined epoch behind the
-				// hot path; keep boundary commitments inside the window.
-				chk.SetWindow(int(4 * cfg.AuditEpoch))
-			}
+			chk.SetEpochLen(cfg.AuditEpoch)
 			for _, n := range c.witnesses {
 				nn := n
 				chk.AddWitness(nn.Name(), func() (transport.Caller, error) {
@@ -299,7 +271,6 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 			dc.SetWitnessCheck(chk)
 		}
 		c.clients = append(c.clients, dc)
-		c.repos = append(c.repos, cvs.NewClient(dc, dc, fmt.Sprintf("user%d", i), nil))
 	}
 	// A non-resumable hub channel gets no replay: a sync report
 	// published before a peer's connection is accepted would be lost

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	tcvs-lint [-json] [-passes p1,p2] [-slow name,name] [-time] [-graph call|lock] [pattern ...]
+//	tcvs-lint [-json] [-passes p1,p2] [-time] [-graph call|lock] [pattern ...]
 //
 // Patterns are package directories relative to the working directory;
 // "./..." (the default) analyzes the whole module. Exit status: 0 when
@@ -35,7 +35,6 @@ func main() {
 func run() int {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of file:line text")
 	passNames := flag.String("passes", "", "comma-separated subset of passes to run (default: all)")
-	slow := flag.String("slow", "", "extra lockscope slow-call names (go/types FullName form), comma-separated")
 	graph := flag.String("graph", "", "dump a graph as Graphviz DOT and exit: \"call\" (call graph) or \"lock\" (lock-order graph)")
 	timings := flag.Bool("time", false, "print per-pass wall-clock timings to stderr")
 	flag.Usage = func() {
@@ -68,13 +67,6 @@ func run() int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tcvs-lint: %v\n", err)
 		return 2
-	}
-	if *slow != "" {
-		for _, name := range strings.Split(*slow, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				m.SlowCalls[name] = true
-			}
-		}
 	}
 
 	switch *graph {

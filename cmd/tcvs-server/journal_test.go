@@ -111,7 +111,7 @@ func TestSnapshotKeepsCachedRiderResponse(t *testing.T) {
 	srv := server.NewP2(db)
 	store := cvs.NewStore()
 	handler := driver.NewHandler(srv, store)
-	sessions := transport.NewSessionTable(0)
+	sessions := transport.NewSessionTable()
 
 	content := []byte("cached with its rider\n")
 	if _, err := sessions.Dispatch(&wire.SessionRequest{SID: 7, Seq: 1, Req: carriedCommit("f", content, 0)}, handler); err != nil {
@@ -134,7 +134,7 @@ func TestSnapshotKeepsCachedRiderResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := transport.NewSessionTable(0)
+	restored := transport.NewSessionTable()
 	restored.RestoreSessions(snap.Sessions)
 	again, err := restored.Dispatch(checkout, func(any) (any, error) {
 		t.Fatal("the retry reached the handler instead of the restored cache")
@@ -172,7 +172,7 @@ func TestSaveStateIsReproducible(t *testing.T) {
 	srv := server.NewP2(db)
 	store := cvs.NewStore()
 	handler := driver.NewHandler(srv, store)
-	sessions := transport.NewSessionTable(0)
+	sessions := transport.NewSessionTable()
 	for i, sid := range []uint64{900, 3, 41, 7, 650, 12} {
 		for _, seq := range []uint64{3, 1, 2} {
 			content := []byte(fmt.Sprintf("s%d-%d\n", sid, seq))

@@ -123,7 +123,7 @@ func main() {
 	// The session table gives reconnecting clients exactly-once retry
 	// semantics; it is checkpointed and restored alongside the database
 	// so retries from before a crash still replay instead of re-applying.
-	sessions := transport.NewSessionTable(0)
+	sessions := transport.NewSessionTable()
 	var honest server.Server
 	var loadedStore *cvs.Store
 	switch p {
@@ -382,7 +382,7 @@ func runWitness(addr, name, peers string, gossipIvl time.Duration) {
 	if name == "" {
 		name = "witness@" + addr
 	}
-	n := witness.NewNode(name, 0)
+	n := witness.NewNode(name)
 	for _, p := range strings.Split(peers, ",") {
 		p = strings.TrimSpace(p)
 		if p == "" {
@@ -439,28 +439,11 @@ func saveState(path string, srv server.Server, store *cvs.Store, sessions *trans
 }
 
 func parseBehavior(name string, trigger uint64, groupB string, target sig.UserID) (adversary.Config, error) {
-	cfg := adversary.Config{TriggerOp: trigger, Target: target}
-	switch name {
-	case "fork":
-		cfg.Kind = adversary.Fork
-	case "replay-stale":
-		cfg.Kind = adversary.ReplayStale
-	case "drop-update":
-		cfg.Kind = adversary.DropUpdate
-	case "tamper-answer":
-		cfg.Kind = adversary.TamperAnswer
-	case "tamper-state":
-		cfg.Kind = adversary.TamperState
-		cfg.Key, cfg.Value = "planted-by-server", []byte("evil")
-	case "counter-replay":
-		cfg.Kind = adversary.CounterReplay
-	case "stall-epochs":
-		cfg.Kind = adversary.StallEpochs
-	case "withhold-backup":
-		cfg.Kind = adversary.WithholdBackup
-	default:
-		return cfg, fmt.Errorf("unknown behavior %q", name)
+	kind, err := adversary.ParseKind(name)
+	if err != nil {
+		return adversary.Config{}, err
 	}
+	cfg := adversary.Config{Kind: kind, TriggerOp: trigger, Target: target}
 	if cfg.Kind == adversary.Fork {
 		cfg.GroupB = map[sig.UserID]bool{}
 		for _, part := range strings.Split(groupB, ",") {

@@ -60,29 +60,43 @@ const (
 	WithholdBackup
 )
 
+// names is the one spelling of every behavior: String and ParseKind
+// both read it, and so does every front end through them.
+var names = [...]string{
+	Honest:         "honest",
+	Fork:           "fork",
+	ReplayStale:    "replay-stale",
+	DropUpdate:     "drop-update",
+	TamperAnswer:   "tamper-answer",
+	TamperState:    "tamper-state",
+	CounterReplay:  "counter-replay",
+	StallEpochs:    "stall-epochs",
+	WithholdBackup: "withhold-backup",
+}
+
 func (k Kind) String() string {
-	switch k {
-	case Honest:
-		return "honest"
-	case Fork:
-		return "fork"
-	case ReplayStale:
-		return "replay-stale"
-	case DropUpdate:
-		return "drop-update"
-	case TamperAnswer:
-		return "tamper-answer"
-	case TamperState:
-		return "tamper-state"
-	case CounterReplay:
-		return "counter-replay"
-	case StallEpochs:
-		return "stall-epochs"
-	case WithholdBackup:
-		return "withhold-backup"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if k >= 0 && int(k) < len(names) {
+		return names[k]
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
+}
+
+// ParseKind is the inverse of Kind.String. An unknown name is refused
+// with an *UnknownBehaviorError.
+func ParseKind(name string) (Kind, error) {
+	for k, n := range names {
+		if n == name {
+			return Kind(k), nil
+		}
+	}
+	return 0, &UnknownBehaviorError{Behavior: name}
+}
+
+// UnknownBehaviorError reports a behavior name ParseKind does not know.
+type UnknownBehaviorError struct{ Behavior string }
+
+func (e *UnknownBehaviorError) Error() string {
+	return fmt.Sprintf("unknown malicious behavior %q", e.Behavior)
 }
 
 // Config parameterizes a behavior.
@@ -96,7 +110,8 @@ type Config struct {
 	GroupB map[sig.UserID]bool
 	// Target (ReplayStale, WithholdBackup) names the victim.
 	Target sig.UserID
-	// Key/Value (TamperState) is the record the server rewrites.
+	// Key/Value (TamperState) is the record the server rewrites; an
+	// empty Key plants "planted-by-server" = "evil".
 	Key   string
 	Value []byte
 }
@@ -129,6 +144,9 @@ type Server struct {
 
 // Wrap attaches a behavior to an honest server.
 func Wrap(honest server.Server, cfg Config) *Server {
+	if cfg.Kind == TamperState && cfg.Key == "" {
+		cfg.Key, cfg.Value = "planted-by-server", []byte("evil")
+	}
 	return &Server{cfg: cfg, main: honest}
 }
 

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"errors"
 	"testing"
 
 	"trustedcvs/internal/core"
@@ -100,6 +101,35 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Kind(99).String() != "kind(99)" {
 		t.Fatal("unknown kind string")
+	}
+}
+
+// TestParseKindInvertsString: every Kind round-trips through its name,
+// and a name no Kind has is refused with *UnknownBehaviorError.
+func TestParseKindInvertsString(t *testing.T) {
+	for k := Honest; k <= WithholdBackup; k++ {
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, name := range []string{"", "nonsense", "Fork", "kind(1)"} {
+		var ube *UnknownBehaviorError
+		if _, err := ParseKind(name); !errors.As(err, &ube) || ube.Behavior != name {
+			t.Errorf("ParseKind(%q) error = %v, want *UnknownBehaviorError", name, err)
+		}
+	}
+}
+
+// TestTamperStateDefaultsItsRecord: a TamperState config without a Key
+// plants the default record at the trigger.
+func TestTamperStateDefaultsItsRecord(t *testing.T) {
+	s := Wrap(honestP2(t), Config{Kind: TamperState, TriggerOp: 1})
+	if s.cfg.Key != "planted-by-server" || string(s.cfg.Value) != "evil" {
+		t.Fatalf("default record %q = %q", s.cfg.Key, s.cfg.Value)
+	}
+	mustOp(t, s, &core.OpRequest{Op: &vdb.ReadOp{Keys: []string{"x"}}})
+	if n := s.DB().Len(); n != 1 || s.DeviatedAtOp() != 1 {
+		t.Fatalf("after the trigger the store holds %d records, deviated at %d; want 1, 1", n, s.DeviatedAtOp())
 	}
 }
 

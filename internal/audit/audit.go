@@ -42,7 +42,9 @@
 // hot path pays one channel send; when it is full the submitter blocks
 // until the auditor catches up — throughput degrades to the audit
 // rate, which is the synchronous mode's rate. The degradation count
-// and queue high-water mark are exported via Stats.
+// and queue high-water mark are exported via Stats. Backpressure never
+// moves the admission gate: however full the queue, WaitAdmissible
+// admits at most one epoch ahead of the audit.
 package audit
 
 import (
@@ -59,7 +61,6 @@ import (
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wal"
-	"trustedcvs/internal/wire"
 	"trustedcvs/internal/witness"
 )
 
@@ -126,16 +127,6 @@ type Config struct {
 	// WALFS is the filesystem the journal writes through (nil =
 	// durable.OS); tests interpose fault.FaultyFS crash schedules here.
 	WALFS durable.FS
-	// Brownout, when > 1, arms brownout degradation: under sustained
-	// queue pressure the admission window WaitAdmissible enforces
-	// widens one epoch at a time, up to Brownout epochs, and decays
-	// back as pressure subsides — effective epoch lengthening for this
-	// client. The report grid itself never moves (peers' closure
-	// checks depend on the shared epoch boundaries), so correctness is
-	// untouched; only this client's optimistic exposure window widens,
-	// and it stays bounded by Brownout epochs at the ceiling. 0 or 1
-	// disables (the E17 behavior: at most one epoch ahead).
-	Brownout int
 }
 
 // Auditor drains a bounded queue of Records on a background goroutine,
@@ -195,17 +186,6 @@ type Auditor struct {
 	// the user state machine it is mutating.
 	chainHits, chainMisses uint64
 
-	// Brownout state (gate-guarded). stretch is the admission-window
-	// allowance in epochs (1 = normal, ≤ brownoutMax); hot/cool count
-	// consecutive high-/low-occupancy submits driving the widen/decay
-	// hysteresis.
-	brownoutMax int
-	stretch     int64
-	maxStretch  int64
-	brownouts   uint64
-	hot         int
-	cool        int
-
 	// Durability state (durable.go). degradedSync, recovering, walErr,
 	// and replayed are gate-guarded; recBuf belongs to Submit's
 	// (serialized) callers; the rest is worker-owned (cuts, sealState,
@@ -251,17 +231,14 @@ func New(cfg Config) (*Auditor, error) {
 		initialState: cfg.User.InitialState(),
 		publish:      cfg.Publish,
 		//lint:ignore boundedqueue capacity is Config.Queue (default DefaultQueue), a fixed config bound; when full, Submit degrades the caller to the audit rate instead of growing
-		ch:          make(chan Record, q),
-		done:        make(chan struct{}),
-		emitted:     -1,
-		maxEpoch:    -1,
-		completed:   -1,
-		lastCkpt:    -1,
-		reports:     make(map[uint64]map[sig.UserID]core.SyncReportII),
-		seals:       make(map[sig.UserID]core.SyncReportII),
-		brownoutMax: cfg.Brownout,
-		stretch:     1,
-		maxStretch:  1,
+		ch:        make(chan Record, q),
+		done:      make(chan struct{}),
+		emitted:   -1,
+		maxEpoch:  -1,
+		completed: -1,
+		lastCkpt:  -1,
+		reports:   make(map[uint64]map[sig.UserID]core.SyncReportII),
+		seals:     make(map[sig.UserID]core.SyncReportII),
 	}
 	a.cond = sync.NewCond(&a.mu)
 	a.user.EnableReplayChain()
@@ -278,9 +255,6 @@ func New(cfg Config) (*Auditor, error) {
 	}
 	return a, nil
 }
-
-// EpochLen returns the configured epoch length N.
-func (a *Auditor) EpochLen() uint64 { return a.epoch }
 
 // SetCheck arms the witness quorum cross-check: it runs once per
 // completed epoch, on the auditor, instead of once per sync round on
@@ -327,42 +301,13 @@ func (a *Auditor) NoteEpoch(g uint64) {
 // the op that first crosses into e may be issued while e-1 is still
 // closing (its own audit is what publishes this client's e-1 boundary
 // report, so admission cannot deadlock on it). This bounds the
-// optimistic window — and therefore detection latency — to one epoch;
-// under brownout (Config.Brownout) the bound widens to the current
-// stretch, still capped by the configured ceiling. Returns the
-// terminal failure (or ErrClosed) instead of admitting.
+// optimistic window — and therefore detection latency — to one epoch,
+// whatever the queue's occupancy. Returns the terminal failure (or
+// ErrClosed) instead of admitting.
 func (a *Auditor) WaitAdmissible() error {
-	return a.WaitAdmissibleUntil(time.Time{})
-}
-
-// WaitAdmissibleUntil is WaitAdmissible with a deadline (zero = none):
-// when the caller's budget lapses before admission, it returns
-// wire.ErrDeadlineExceeded instead of issuing an op whose client has
-// already given up — the refusal happens before the op exists, so no
-// obligation is ever created for it.
-func (a *Auditor) WaitAdmissibleUntil(deadline time.Time) error {
-	var timer *time.Timer
-	if !deadline.IsZero() {
-		// cond.Wait cannot time out; a timer broadcasting on expiry
-		// turns the deadline into one extra wake-up for everyone
-		// parked on the gate (cheap: admission waits are rare).
-		d := time.Until(deadline)
-		if d <= 0 {
-			return fmt.Errorf("audit: deadline expired before admission%w", gateErr{wire.ErrDeadlineExceeded})
-		}
-		timer = time.AfterFunc(d, func() {
-			a.mu.Lock()
-			a.cond.Broadcast()
-			a.mu.Unlock()
-		})
-		defer timer.Stop()
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for a.failed == nil && !a.closed && a.maxEpoch > a.completed+a.stretch {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return fmt.Errorf("audit: deadline expired waiting for admission%w", gateErr{wire.ErrDeadlineExceeded})
-		}
+	for a.failed == nil && !a.closed && a.maxEpoch > a.completed+1 {
 		a.cond.Wait()
 	}
 	if a.failed != nil {
@@ -373,13 +318,6 @@ func (a *Auditor) WaitAdmissibleUntil(deadline time.Time) error {
 	}
 	return nil
 }
-
-// gateErr splices a typed sentinel into an admission error without
-// altering its message text.
-type gateErr struct{ is error }
-
-func (gateErr) Error() string          { return "" }
-func (m gateErr) Is(target error) bool { return target == m.is }
 
 // Submit queues one record for audit, in the client's operation order
 // (callers serialize their own Submits; the driver's client lock
@@ -427,7 +365,6 @@ func (a *Auditor) Submit(rec Record) error {
 	if occ > a.highWater {
 		a.highWater = occ
 	}
-	a.notePressureLocked(occ)
 	a.mu.Unlock()
 
 	queued := false
@@ -452,59 +389,6 @@ func (a *Auditor) Submit(rec Record) error {
 	// The record never reached the journal: hold the answer back until
 	// it has been verified, restoring the synchronous per-op barrier.
 	return a.waitProcessed()
-}
-
-// SetBrownout adjusts the brownout ceiling after construction — how
-// deployment wrappers arm degradation on auditors their constructors
-// built earlier. n <= 1 disables further widening; a window already
-// stretched past the new ceiling decays back through the normal
-// cool-down hysteresis rather than snapping shut (snapping would
-// re-park every admitted-but-unaudited op behind a suddenly narrower
-// gate).
-func (a *Auditor) SetBrownout(n int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.brownoutMax = n
-}
-
-// notePressureLocked drives brownout hysteresis from queue occupancy
-// at submit time: sustained occupancy above half capacity widens the
-// admission window one epoch at a time (up to the ceiling); sustained
-// occupancy below an eighth decays it back toward 1. Thresholds are
-// counted in consecutive submits so a single burst cannot flip the
-// mode — "sustained pressure" means the queue stayed hot across at
-// least half a queue's worth of submissions.
-func (a *Auditor) notePressureLocked(occ int) {
-	if a.brownoutMax <= 1 {
-		return
-	}
-	capn := cap(a.ch)
-	switch {
-	case occ*2 > capn:
-		a.hot++
-		a.cool = 0
-		if a.hot >= capn/2 && a.stretch < int64(a.brownoutMax) {
-			a.stretch++
-			a.brownouts++
-			if a.stretch > a.maxStretch {
-				a.maxStretch = a.stretch
-			}
-			a.hot = 0
-			// Widening the window admits ops that were parked at the
-			// old bound.
-			a.cond.Broadcast()
-		}
-	case occ*8 < capn:
-		a.cool++
-		a.hot = 0
-		if a.cool >= capn/2 && a.stretch > 1 {
-			a.stretch--
-			a.cool = 0
-		}
-	default:
-		a.hot = 0
-		a.cool = 0
-	}
 }
 
 // Seal publishes this client's final registers: it has stopped
@@ -574,13 +458,6 @@ type Stats struct {
 	// journal after a restart.
 	Durability DurabilityState
 	Replayed   uint64
-	// Brownout state: Stretch is the current admission-window
-	// allowance in epochs (1 = normal), MaxStretch the widest the
-	// window ever got (bounded by Config.Brownout), Brownouts the
-	// number of widening steps taken under sustained pressure.
-	Stretch    int
-	MaxStretch int
-	Brownouts  uint64
 }
 
 // Stats returns a snapshot of the auditor's counters; safe to call
@@ -604,7 +481,6 @@ func (a *Auditor) Stats() Stats {
 		Epochs:    uint64(a.completed + 1),
 		ChainHits: a.chainHits, ChainMisses: a.chainMisses,
 		Durability: dur, Replayed: a.replayed,
-		Stretch: int(a.stretch), MaxStretch: int(a.maxStretch), Brownouts: a.brownouts,
 	}
 }
 

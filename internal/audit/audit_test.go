@@ -318,8 +318,53 @@ func TestSkippedEpochBoundaries(t *testing.T) {
 }
 
 // TestWaitAdmissibleGatesOneEpochAhead checks the pipelining bound:
-// operations may run one epoch ahead of the audit, never two.
+// operations may run one epoch ahead of the audit, never two. Each
+// input brings the client to the first op of epoch 1 with epoch 0
+// still open and returns the step that closes epoch 0; it registers
+// the auditor's Stop as a cleanup. "idle" gets
+// there with nothing queued; "sustained pressure" holds the queue
+// above half capacity for more than half a queue's worth of
+// consecutive submits first, which must not widen the gate.
 func TestWaitAdmissibleGatesOneEpochAhead(t *testing.T) {
+	inputs := []struct {
+		name  string
+		setup func(t *testing.T) (a *Auditor, closeEpoch0 func())
+	}{
+		{"idle", gateIdle},
+		{"sustained pressure", gateUnderPressure},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			a, closeEpoch0 := in.setup(t)
+			if err := a.Err(); err != nil {
+				t.Fatalf("setup: %v", err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- a.WaitAdmissible() }()
+			select {
+			case <-done:
+				t.Fatal("WaitAdmissible admitted past an unclosed epoch")
+			case <-time.After(50 * time.Millisecond):
+			}
+			closeEpoch0()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("WaitAdmissible after epoch closed: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("WaitAdmissible still blocked after epoch closed")
+			}
+			if err := a.WaitDrained(10 * time.Second); err != nil {
+				t.Fatalf("WaitDrained: %v", err)
+			}
+		})
+	}
+}
+
+// gateIdle notes epochs on an auditor that has nothing queued: an op
+// in the open epoch 0 is admissible, then one lands in epoch 1.
+func gateIdle(t *testing.T) (*Auditor, func()) {
 	u := proto2.NewUser(1, vdb.New(0).Root(), 1<<20)
 	var aud *Auditor
 	a, err := New(Config{User: u, Epoch: 2, Users: 1, Publish: loopback(&aud)})
@@ -327,8 +372,7 @@ func TestWaitAdmissibleGatesOneEpochAhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	aud = a
-	defer a.Stop()
-
+	t.Cleanup(a.Stop)
 	a.NoteEpoch(2) // epoch 0: nothing closed yet, but still in-window — admissible
 	done := make(chan error, 1)
 	go func() { done <- a.WaitAdmissible() }()
@@ -340,24 +384,80 @@ func TestWaitAdmissibleGatesOneEpochAhead(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("WaitAdmissible blocked inside the open epoch")
 	}
-
 	a.NoteEpoch(3) // epoch 1: one past the unclosed epoch 0 — must block
-	go func() { done <- a.WaitAdmissible() }()
-	select {
-	case <-done:
-		t.Fatal("WaitAdmissible admitted past an unclosed epoch")
-	case <-time.After(50 * time.Millisecond):
-	}
-
 	// Close epoch 0: the idle client's genesis snapshot is a valid cut.
-	a.SubmitReport(Report{Epoch: 0, Report: u.SyncReport()})
-	select {
-	case err := <-done:
+	return a, func() { a.SubmitReport(Report{Epoch: 0, Report: u.SyncReport()}) }
+}
+
+// gateUnderPressure runs a full epoch 0 and the first op of epoch 1,
+// stalls the worker in the publish of its epoch-0 report, and then
+// submits epoch-1 records into the stalled queue until one blocks:
+// occupancy stays above half capacity for queue/2+1 consecutive
+// submits. Releasing the publish closes epoch 0.
+func gateUnderPressure(t *testing.T) (*Auditor, func()) {
+	const epoch, queue = 16, 8
+	db := vdb.New(0)
+	srv := proto2.NewServer(db)
+	u := proto2.NewUser(1, db.Root(), 1<<20)
+	release, stalled := make(chan struct{}), make(chan struct{})
+	var aud *Auditor
+	a, err := New(Config{
+		User: u, Epoch: epoch, Users: 1, Queue: queue,
+		Publish: func(r Report) error {
+			if !r.Seal && r.Epoch == 0 {
+				close(stalled)
+				<-release
+			}
+			aud.SubmitReport(r)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aud = a
+	t.Cleanup(a.Stop)
+	var once sync.Once
+	unstall := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unstall) // runs before Stop, which waits for the worker
+	submit := func(i int) error {
+		op := put(fmt.Sprintf("k%d", i), "v")
+		resp, err := srv.HandleOp(u.Request(op))
 		if err != nil {
-			t.Fatalf("WaitAdmissible after epoch closed: %v", err)
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitAdmissible still blocked after epoch closed")
+		a.NoteEpoch(resp.Ctr + 1)
+		return a.Submit(Record{Op: op, Resp: resp})
+	}
+	n := 0
+	for ; n <= epoch; n++ { // epoch 0 and the op that crosses into epoch 1
+		if err := submit(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-stalled
+	for end := n + queue; n < end; n++ {
+		if err := submit(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	overflow := make(chan error, 1)
+	go func(i int) { overflow <- submit(i) }(n)
+	deadline := time.Now().Add(5 * time.Second)
+	for a.Stats().Degraded == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("overflow submit never blocked on the full queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := a.Stats(); st.HighWater <= queue {
+		t.Fatalf("queue high-water %d, want past capacity %d", st.HighWater, queue)
+	}
+	return a, func() {
+		unstall()
+		if err := <-overflow; err != nil {
+			t.Errorf("overflow submit: %v", err)
+		}
 	}
 }
 

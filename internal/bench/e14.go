@@ -108,7 +108,7 @@ type faultyNet struct {
 // injector's and every client's jitter seed: same seed, same fault
 // schedule. backupAddr, if set, is every client's second endpoint.
 func deployFaulty(cfg deployConfig, seed int64, resetProb, truncateProb float64, backupAddr string) (*faultyNet, error) {
-	n := &faultyNet{sessions: transport.NewSessionTable(0)}
+	n := &faultyNet{sessions: transport.NewSessionTable()}
 	injector := func(s uint64) *fault.Injector {
 		inj := fault.NewInjector(fault.Config{Seed: s, After: 8, ResetProb: resetProb, TruncateProb: truncateProb})
 		n.injs = append(n.injs, inj)

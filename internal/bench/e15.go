@@ -231,8 +231,8 @@ func runE15Fork(d *E15Data) error {
 	if err != nil {
 		return err
 	}
-	w1 := witness.NewNode("w1", 0)
-	w2 := witness.NewNode("w2", 0)
+	w1 := witness.NewNode("w1")
+	w2 := witness.NewNode("w2")
 	w1.AddPeer("w2", inprocWitness(w2))
 	w2.AddPeer("w1", inprocWitness(w1))
 	w1.Pin("primary", wid.Public())
@@ -284,7 +284,7 @@ func runE15BenignGossip(d *E15Data) error {
 	}
 	nodes := make([]*witness.Node, 3)
 	for i := range nodes {
-		nodes[i] = witness.NewNode(fmt.Sprintf("b%d", i), 0)
+		nodes[i] = witness.NewNode(fmt.Sprintf("b%d", i))
 		nodes[i].Pin("primary", wid.Public())
 	}
 	for i, n := range nodes {

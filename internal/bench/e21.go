@@ -149,7 +149,6 @@ type E21Trial struct {
 	Audited    uint64
 	Dangling   uint64
 	ShedDuring uint64
-	MaxStretch int // brownout ceiling reached
 }
 
 // E21Data is the full experiment result.
@@ -466,12 +465,6 @@ func e21TrialRun(cfg E21Config, factor, capacity float64, malicious bool) (E21Tr
 		return E21Trial{}, err
 	}
 	defer dep.close()
-	for _, dc := range dep.clients {
-		// Arm brownout so sustained audit backlog under flood widens
-		// the admission window instead of hard-blocking; the trial's
-		// MaxStretch shows how far it actually went.
-		dc.Audit().SetBrownout(3)
-	}
 
 	conns, err := e21Dial(dep.ts.Addr(), cfg.TrialFlood)
 	if err != nil {
@@ -504,9 +497,6 @@ func e21TrialRun(cfg E21Config, factor, capacity float64, malicious bool) (E21Tr
 		st := dc.Audit().Stats()
 		tr.Submitted += st.Submitted
 		tr.Audited += st.Audited
-		if st.MaxStretch > tr.MaxStretch {
-			tr.MaxStretch = st.MaxStretch
-		}
 	}
 	if !malicious {
 		// A convicted auditor legitimately stops mid-queue; only the

@@ -281,7 +281,7 @@ func deploy(cfg deployConfig) (*deployment, error) {
 			d.pub.Align()
 		}
 		for i := 0; i < cfg.witnesses; i++ {
-			nd := witness.NewNode(fmt.Sprintf("w%d", i), 0)
+			nd := witness.NewNode(fmt.Sprintf("w%d", i))
 			nd.Pin("primary", wid.Public())
 			d.pub.AddWitness(nd.Name(), inprocWitness(nd))
 			d.nodes = append(d.nodes, nd)
@@ -342,11 +342,7 @@ func (d *deployment) startClient(i int) (*driver.Client, error) {
 		for _, nd := range d.nodes {
 			chk.AddWitness(nd.Name(), inprocWitness(nd))
 		}
-		if cfg.epochLen > 0 && 4*cfg.epochLen > uint64(witness.DefaultCheckWindow) {
-			// Verification lags up to one pipelined epoch behind the hot
-			// path; keep boundary commitments inside the window.
-			chk.SetWindow(int(4 * cfg.epochLen))
-		}
+		chk.SetEpochLen(cfg.epochLen)
 		dc.SetWitnessCheck(chk)
 	}
 	return dc, nil

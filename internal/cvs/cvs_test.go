@@ -306,25 +306,6 @@ func TestStorePushOrdering(t *testing.T) {
 	}
 }
 
-func TestStoreForkDiverges(t *testing.T) {
-	s := NewStore()
-	if err := s.Push("f", 1, []byte("shared")); err != nil {
-		t.Fatal(err)
-	}
-	f := s.Fork()
-	if err := f.Push("f", 2, []byte("forked")); err != nil {
-		t.Fatal(err)
-	}
-	forkedHash := rcs.HashContent([]byte("forked"))
-	if _, err := s.Fetch("f", 2, forkedHash); err == nil {
-		t.Fatal("original store sees fork's push")
-	}
-	got, err := f.Fetch("f", 1, rcs.HashContent([]byte("shared")))
-	if err != nil || string(got) != "shared" {
-		t.Fatalf("fork lost shared content: %q %v", got, err)
-	}
-}
-
 // racingDoer is a plain Doer — no content rides with it — that runs
 // between, when set, after a commit has applied and before its answer
 // returns: the window a concurrent reader sees.

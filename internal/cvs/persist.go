@@ -55,11 +55,14 @@ func ReadSnapshot(r *binenc.Reader) *StoreSnapshot {
 func (s *Store) Snapshot() (*StoreSnapshot, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	hashes := s.blobs.Digests()
+	hashes := make([]digest.Digest, 0, len(s.blobs))
+	for h := range s.blobs {
+		hashes = append(hashes, h)
+	}
 	slices.SortFunc(hashes, func(a, b digest.Digest) int { return bytes.Compare(a[:], b[:]) })
 	snap := &StoreSnapshot{Blobs: make([][]byte, len(hashes))}
 	for i, h := range hashes {
-		content, err := s.blobs.Get(h)
+		content, err := verifiedCopy(s.blobs[h], h)
 		if err != nil {
 			return nil, fmt.Errorf("cvs: snapshot: %w", err)
 		}
@@ -76,7 +79,7 @@ func RestoreStore(snap *StoreSnapshot) (*Store, error) {
 	}
 	s := NewStore()
 	for _, b := range snap.Blobs {
-		s.blobs.Put(b)
+		s.blobs[rcs.HashContent(b)] = append([]byte(nil), b...)
 	}
 	return s, nil
 }

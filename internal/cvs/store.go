@@ -22,12 +22,12 @@ import (
 // revision against the authenticated records.
 type Store struct {
 	mu    sync.RWMutex
-	blobs *rcs.BlobStore
+	blobs map[digest.Digest][]byte
 }
 
 // NewStore creates an empty content store.
 func NewStore() *Store {
-	return &Store{blobs: rcs.NewBlobStore()}
+	return &Store{blobs: make(map[digest.Digest][]byte)}
 }
 
 // Push stores content under the hash the store computes itself — a
@@ -39,7 +39,9 @@ func (s *Store) Push(path string, rev uint64, content []byte) error {
 	hash := rcs.HashContent(content)
 	owned := append([]byte(nil), content...)
 	s.mu.Lock()
-	s.blobs.Add(hash, owned)
+	if _, ok := s.blobs[hash]; !ok {
+		s.blobs[hash] = owned
+	}
 	s.mu.Unlock()
 	return nil
 }
@@ -47,18 +49,20 @@ func (s *Store) Push(path string, rev uint64, content []byte) error {
 // Fetch returns the content whose hash matches.
 func (s *Store) Fetch(path string, rev uint64, hash digest.Digest) ([]byte, error) {
 	s.mu.RLock()
-	b, ok := s.blobs.Peek(hash)
+	b, ok := s.blobs[hash]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("cvs: no content for %s@%d (%s)", path, rev, hash.Short())
 	}
-	return rcs.VerifiedCopy(b, hash)
+	return verifiedCopy(b, hash)
 }
 
-// Fork returns an independent copy for the adversary's partition
-// attack: both forks serve the shared history, then diverge.
-func (s *Store) Fork() *Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return &Store{blobs: s.blobs.Clone()}
+// verifiedCopy re-hashes a stored blob against the digest it is kept
+// under — an object is verified when it is read, not merely when it is
+// written — and returns a copy the caller owns, or rcs.ErrCorrupt.
+func verifiedCopy(b []byte, d digest.Digest) ([]byte, error) {
+	if rcs.HashContent(b) != d {
+		return nil, fmt.Errorf("%w: blob %s", rcs.ErrCorrupt, d.Short())
+	}
+	return append([]byte(nil), b...), nil
 }

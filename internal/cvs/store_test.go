@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/rcs"
@@ -32,6 +34,62 @@ func TestStorePushHashesAndCopies(t *testing.T) {
 	if again, err := s.Fetch("f", 1, want); err != nil || string(again) != "original\n" {
 		t.Fatalf("caller mutation leaked into the store: %q %v", again, err)
 	}
+	// Stored blobs are immutable: pushing the same content again, under
+	// any label, keeps the one blob already there.
+	first := s.blobs[want]
+	if err := s.Push("g", 9, []byte("original\n")); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.blobs) != 1 || &s.blobs[want][0] != &first[0] {
+		t.Fatalf("a duplicate push replaced the stored blob (%d blobs)", len(s.blobs))
+	}
+}
+
+// TestStoreEmptyFile: a hash nobody pushed — a file with no commits —
+// is refused, never answered with empty content.
+func TestStoreEmptyFile(t *testing.T) {
+	s := NewStore()
+	if got, err := s.Fetch("f", 1, rcs.HashContent(nil)); err == nil {
+		t.Fatalf("Fetch on an empty store = %q", got)
+	}
+	if err := s.Push("f", 1, []byte("v1\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Fetch("f", 0, rcs.HashContent(nil)); err == nil {
+		t.Fatalf("Fetch of empty content nobody pushed = %q", got)
+	}
+}
+
+// TestQuickRevisionChain pushes random version histories and verifies
+// every historical revision resolves, by the hash recorded for it, to
+// exactly the bytes committed.
+func TestQuickRevisionChain(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		var versions []string
+		n := 2 + rng.Intn(20)
+		for i := 0; i < n; i++ {
+			// Revisions repeat now and then: a revert shares its blob.
+			doc := fmt.Sprintf("l%d\n", rng.Intn(8))
+			versions = append(versions, doc)
+			if err := s.Push("f", uint64(i+1), []byte(doc)); err != nil {
+				t.Log(err)
+				return false
+			}
+		}
+		for i, want := range versions {
+			got, err := s.Fetch("f", uint64(i+1), rcs.HashContent([]byte(want)))
+			if err != nil || string(got) != want {
+				t.Logf("revision %d: %q want %q err %v", i+1, got, want, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestStoreRefusesTamperedBlob pins the read half: a stored blob that
@@ -44,8 +102,7 @@ func TestStoreRefusesTamperedBlob(t *testing.T) {
 	if err := s.Push("f", 1, content); err != nil {
 		t.Fatal(err)
 	}
-	stored, _ := s.blobs.Peek(hash)
-	stored[0] ^= 0xFF
+	s.blobs[hash][0] ^= 0xFF
 	if got, err := s.Fetch("f", 1, hash); !errors.Is(err, rcs.ErrCorrupt) || got != nil {
 		t.Fatalf("Fetch of a tampered blob: %q %v", got, err)
 	}
@@ -184,15 +241,9 @@ func TestStoreConcurrentUse(t *testing.T) {
 				}
 				// A neighbour's blob may or may not be there yet; only races matter.
 				_, _ = s.Fetch("", 0, rcs.HashContent(content((w+1)%workers, rev)))
-				switch rev % 10 {
-				case 3:
+				if rev%10 == 3 {
 					if _, err := s.Snapshot(); err != nil {
 						t.Errorf("Snapshot: %v", err)
-					}
-				case 7:
-					f := s.Fork()
-					if err := f.Push(path, uint64(rev+1), []byte("fork only\n")); err != nil {
-						t.Error(err)
 					}
 				}
 			}

@@ -107,8 +107,7 @@ func answerOf(resp any) []byte {
 // backup fetches next, anything unrecognized last. Gossip and scrub
 // traffic never reaches this handler (witnesses run their own server),
 // but harnesses that inject synthetic background load get the bottom
-// class by default — exactly the shedding order the brownout design
-// wants.
+// class by default, so they are shed first.
 func Classify(req any) transport.Priority {
 	switch req.(type) {
 	case *core.OpRequest, *core.RiderRequest, *core.AckRequest, *core.PushContentRequest, *core.FetchContentRequest:

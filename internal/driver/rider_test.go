@@ -432,7 +432,7 @@ func TestRiderRetryReplaysCachedResponse(t *testing.T) {
 			cut.Store(true) // set before the response is written
 		}
 		return resp, err
-	}, transport.Options{Sessions: transport.NewSessionTable(0)})
+	}, transport.Options{Sessions: transport.NewSessionTable()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,10 +154,6 @@ func NewInjector(cfg Config) *Injector {
 	return &Injector{cfg: cfg, rng: cfg.Seed, counts: make(map[Kind]uint64)}
 }
 
-// Disabled is a no-op injector (zero Config injects nothing); useful
-// as a default so wrapping code need not branch on nil.
-func Disabled() *Injector { return NewInjector(Config{}) }
-
 // Next advances the shared I/O counter and returns the decision for
 // this operation. It is the injection hook: it must never be called
 // inside a mutex critical section (enforced by the lockscope lint

@@ -23,12 +23,8 @@ type Module struct {
 	Fset *token.FileSet
 	Pkgs []*Package // the packages named by the load patterns, sorted by path
 
-	// SlowCalls is the lockscope pass's slow-call set, keyed by
-	// (*types.Func).FullName. LoadModule seeds it with the defaults for
-	// the module's own path; callers may add entries.
-	SlowCalls map[string]bool
-
 	pkgs      map[string]*Package // every loaded package, including dependencies
+	slowCalls map[string]bool     // lockscope's slow-call set, keyed by (*types.Func).FullName
 	loading   map[string]bool     // cycle guard
 	stdGC     types.Importer      // gc export-data importer for the standard library
 	stdSrc    types.Importer      // source-importer fallback
@@ -66,7 +62,7 @@ func LoadModule(dir string, patterns []string) (*Module, error) {
 		Root:      root,
 		Path:      path,
 		Fset:      token.NewFileSet(),
-		SlowCalls: defaultSlowCalls(path),
+		slowCalls: defaultSlowCalls(path),
 		pkgs:      make(map[string]*Package),
 		loading:   make(map[string]bool),
 		ignores:   make(map[string][]*ignoreDirective),

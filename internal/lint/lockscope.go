@@ -187,7 +187,7 @@ func (s *lockScanner) inspect(node ast.Node, held []heldLock) {
 		if fn == nil {
 			return true
 		}
-		if full := fn.FullName(); s.m.SlowCalls[full] {
+		if full := fn.FullName(); s.m.slowCalls[full] {
 			lk := held[len(held)-1]
 			*s.out = append(*s.out, s.m.diagf(nameLockScope, call.Pos(),
 				"slow call %s inside the critical section of %s.Lock() (line %d): keep the serial section narrow — move it after Unlock or into a Finish-style stage",

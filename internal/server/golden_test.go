@@ -163,7 +163,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := transport.NewSessionTable(0)
+	tbl := transport.NewSessionTable()
 	tbl.RestoreSessions(back.Sessions)
 	for _, want := range singleSnap.Sessions.Sessions[0].Ops {
 		got, err := tbl.Dispatch(&wire.SessionRequest{SID: 0x1234, Seq: want.Seq}, nil)

@@ -76,9 +76,6 @@ type Messages struct {
 	Broadcast    int
 }
 
-// Total returns all messages.
-func (m Messages) Total() int { return m.UserToServer + m.ServerToUser + m.Broadcast }
-
 // Result reports one run's outcome.
 type Result struct {
 	TotalOps    int

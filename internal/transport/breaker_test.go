@@ -71,7 +71,7 @@ func sheddingServer(t *testing.T) (*Server, *atomic.Int64) {
 	srv, err := ListenOpts("127.0.0.1:0", func(req any) (any, error) {
 		seen.Add(1)
 		return nil, fmt.Errorf("test: synthetic shed%w", admErr{wire.ErrOverloaded})
-	}, Options{Sessions: NewSessionTable(0)})
+	}, Options{Sessions: NewSessionTable()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func okServer(t *testing.T, tag string) (*Server, *atomic.Int64) {
 	srv, err := ListenOpts("127.0.0.1:0", func(req any) (any, error) {
 		seen.Add(1)
 		return fmt.Sprintf("%s:%v", tag, req), nil
-	}, Options{Sessions: NewSessionTable(0)})
+	}, Options{Sessions: NewSessionTable()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestBreakerFailsOverOnOverload(t *testing.T) {
 // would redial on every backoff tick.
 func TestBreakerProbeStormBounded(t *testing.T) {
 	var applied atomic.Int64
-	tbl := NewSessionTable(0)
+	tbl := NewSessionTable()
 	h := func(req any) (any, error) { applied.Add(1); return req, nil }
 	srv, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: tbl})
 	if err != nil {

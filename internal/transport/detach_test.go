@@ -42,7 +42,7 @@ func TestSessionCacheHoldsNoTree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tbl := transport.NewSessionTable(0)
+	tbl := transport.NewSessionTable()
 	req := &wire.SessionRequest{SID: 1, Seq: 1, Req: "op"}
 	handler := func(any) (any, error) { return resp, nil }
 	if _, err := tbl.Dispatch(req, handler); err != nil {

@@ -20,7 +20,7 @@ import (
 )
 
 func TestSessionTableExactlyOnce(t *testing.T) {
-	tbl := NewSessionTable(0)
+	tbl := NewSessionTable()
 	var applied atomic.Int64
 	h := func(req any) (any, error) {
 		applied.Add(1)
@@ -64,7 +64,7 @@ func TestSessionTableExactlyOnce(t *testing.T) {
 }
 
 func TestSessionTablePruneHorizon(t *testing.T) {
-	tbl := NewSessionTable(0)
+	tbl := NewSessionTable()
 	var applied atomic.Int64
 	h := func(req any) (any, error) { applied.Add(1); return req, nil }
 	// Push far past the retention window.
@@ -92,7 +92,7 @@ func TestSessionTablePruneHorizon(t *testing.T) {
 }
 
 func TestSessionTableCachesErrors(t *testing.T) {
-	tbl := NewSessionTable(0)
+	tbl := NewSessionTable()
 	var applied atomic.Int64
 	h := func(req any) (any, error) {
 		applied.Add(1)
@@ -110,7 +110,7 @@ func TestSessionTableCachesErrors(t *testing.T) {
 }
 
 func TestSessionTableFreezeRestore(t *testing.T) {
-	tbl := NewSessionTable(0)
+	tbl := NewSessionTable()
 	h := func(req any) (any, error) { return req, nil }
 	if _, err := tbl.Dispatch(&wire.SessionRequest{SID: 5, Seq: 1, Req: "v"}, h); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestSessionTableFreezeRestore(t *testing.T) {
 	}
 	// A fresh table restored from the snapshot replays the cached
 	// response without re-applying — the crash/recovery contract.
-	tbl2 := NewSessionTable(0)
+	tbl2 := NewSessionTable()
 	tbl2.RestoreSessions(snap)
 	var applied atomic.Int64
 	h2 := func(req any) (any, error) { applied.Add(1); return nil, errors.New("must not run") }
@@ -133,7 +133,7 @@ func TestSessionTableFreezeRestore(t *testing.T) {
 }
 
 func TestSessionTableFreezeQuiesces(t *testing.T) {
-	tbl := NewSessionTable(0)
+	tbl := NewSessionTable()
 	inHandler := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
@@ -171,7 +171,7 @@ func startSessionServer(t *testing.T) (*Server, *atomic.Int64) {
 		}
 		return req, nil
 	}
-	srv, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: NewSessionTable(0)})
+	srv, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: NewSessionTable()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestResilientClientDoesNotRetryRemoteErrors(t *testing.T) {
 func TestResilientClientSurvivesServerRestart(t *testing.T) {
 	var applied atomic.Int64
 	h := func(req any) (any, error) { applied.Add(1); return req, nil }
-	tbl := NewSessionTable(0)
+	tbl := NewSessionTable()
 	srv, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: tbl})
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestResilientClientSurvivesServerRestart(t *testing.T) {
 
 	time.Sleep(100 * time.Millisecond)
 	// Restart on the same address with the restored session table.
-	tbl2 := NewSessionTable(0)
+	tbl2 := NewSessionTable()
 	tbl2.RestoreSessions(snap)
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -357,7 +357,7 @@ func TestResilientClientFailsOverAcrossEndpoints(t *testing.T) {
 	// witness would.
 	var applied atomic.Int64
 	h := func(req any) (any, error) { applied.Add(1); return req, nil }
-	tbl := NewSessionTable(0)
+	tbl := NewSessionTable()
 	primary, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: tbl})
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +378,7 @@ func TestResilientClientFailsOverAcrossEndpoints(t *testing.T) {
 	if err := primary.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tbl2 := NewSessionTable(0)
+	tbl2 := NewSessionTable()
 	tbl2.RestoreSessions(snap)
 	backup, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: tbl2})
 	if err != nil {
@@ -416,12 +416,12 @@ func TestResilientClientFailsOverAcrossEndpoints(t *testing.T) {
 func TestResilientClientQuarantine(t *testing.T) {
 	var applied atomic.Int64
 	h := func(req any) (any, error) { applied.Add(1); return req, nil }
-	a, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: NewSessionTable(0)})
+	a, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: NewSessionTable()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: NewSessionTable(0)})
+	b, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: NewSessionTable()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestResilientBackoffJitterDecorrelates(t *testing.T) {
 // same bytes every time, sessions in SID order and outcomes in Seq
 // order, and those bytes decode and re-encode to themselves.
 func TestSessionsSnapshotDeterministic(t *testing.T) {
-	tbl := NewSessionTable(0)
+	tbl := NewSessionTable()
 	h := func(req any) (any, error) {
 		if s := req.(string); strings.HasPrefix(s, "err:") {
 			return nil, errors.New(s)
@@ -551,7 +551,7 @@ func TestSessionsSnapshotDeterministic(t *testing.T) {
 	if again, err := AppendSnapshot(nil, back); err != nil || !bytes.Equal(again, first) {
 		t.Fatalf("decode + encode is not the identity (err %v)", err)
 	}
-	tbl2 := NewSessionTable(0)
+	tbl2 := NewSessionTable()
 	tbl2.RestoreSessions(back)
 	if got, err := tbl2.Dispatch(&wire.SessionRequest{SID: 40, Seq: 9, Req: "x"}, nil); err != nil || got != "s40-9" {
 		t.Fatalf("restored table replays (%v, %v), want the cached response", got, err)

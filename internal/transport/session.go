@@ -43,8 +43,6 @@ type SessionTable struct {
 	mu   sync.Mutex // guards m and tick
 	m    map[uint64]*session
 	tick uint64
-
-	max int
 }
 
 // A Detacher is a response that can let go of the server state it was
@@ -54,10 +52,10 @@ type SessionTable struct {
 // it prunes — would keep that old version of the state alive as long.
 type Detacher interface{ Detach() }
 
-// DefaultMaxSessions bounds the table; beyond it the least recently
+// MaxSessions bounds the table; beyond it the least recently
 // used session is evicted (its client, if still alive, fails with a
 // horizon error and must start a new session).
-const DefaultMaxSessions = 4096
+const MaxSessions = 4096
 
 // sessionWindow is how many recent outcomes each session retains. A
 // retry delayed past this many newer calls on the same session finds
@@ -79,13 +77,10 @@ type session struct {
 	used  uint64
 }
 
-// NewSessionTable builds an empty table. max <= 0 selects
-// DefaultMaxSessions.
-func NewSessionTable(max int) *SessionTable {
-	if max <= 0 {
-		max = DefaultMaxSessions
-	}
-	return &SessionTable{m: make(map[uint64]*session), max: max}
+// NewSessionTable builds an empty table holding at most
+// MaxSessions sessions.
+func NewSessionTable() *SessionTable {
+	return &SessionTable{m: make(map[uint64]*session)}
 }
 
 // get returns the session for sid, creating (and LRU-evicting) as
@@ -96,7 +91,7 @@ func (t *SessionTable) get(sid uint64) *session {
 	t.tick++
 	s, ok := t.m[sid]
 	if !ok {
-		if len(t.m) >= t.max {
+		if len(t.m) >= MaxSessions {
 			var vid uint64
 			var victim *session
 			for id, c := range t.m {

@@ -35,9 +35,6 @@ type Options struct {
 	// arrive in time, so a stalled client cannot pin a serving
 	// goroutine forever (0 = DefaultIdleTimeout, negative = disabled).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write (0 = DefaultWriteTimeout,
-	// negative = disabled).
-	WriteTimeout time.Duration
 	// Sessions, when set, deduplicates wire.SessionRequest envelopes
 	// through the table before the handler — the server half of the
 	// resilient client's exactly-once retry contract. Plain requests
@@ -57,8 +54,8 @@ type Options struct {
 	Classify func(req any) Priority
 }
 
-// DefaultIdleTimeout and DefaultWriteTimeout apply when the
-// corresponding Options field is zero.
+// DefaultIdleTimeout applies when Options.IdleTimeout is zero;
+// DefaultWriteTimeout bounds every response write.
 const (
 	DefaultIdleTimeout  = 5 * time.Minute
 	DefaultWriteTimeout = 1 * time.Minute
@@ -210,19 +207,14 @@ func (s *Server) withDeadlines(conn net.Conn) io.ReadWriter {
 	if idle == 0 {
 		idle = DefaultIdleTimeout
 	}
-	write := s.opts.WriteTimeout
-	if write == 0 {
-		write = DefaultWriteTimeout
-	}
-	return &deadlineConn{conn: conn, idle: idle, write: write}
+	return &deadlineConn{conn: conn, idle: idle}
 }
 
 // deadlineConn arms a fresh deadline before each I/O so timeouts are
 // per-operation (idle gap, single write), not per-connection-lifetime.
 type deadlineConn struct {
-	conn  net.Conn
-	idle  time.Duration
-	write time.Duration
+	conn net.Conn
+	idle time.Duration
 }
 
 func (d *deadlineConn) Read(p []byte) (int, error) {
@@ -235,10 +227,8 @@ func (d *deadlineConn) Read(p []byte) (int, error) {
 }
 
 func (d *deadlineConn) Write(p []byte) (int, error) {
-	if d.write > 0 {
-		if err := d.conn.SetWriteDeadline(time.Now().Add(d.write)); err != nil {
-			return 0, err
-		}
+	if err := d.conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout)); err != nil {
+		return 0, err
 	}
 	return d.conn.Write(p)
 }

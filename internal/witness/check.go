@@ -62,20 +62,19 @@ func NewCheck(serverName string, pub ed25519.PublicKey, quorum int) *Check {
 	}
 }
 
-// SetWindow resizes the remembered-roots window (0 restores
-// DefaultCheckWindow). Epoch-audit deployments size it to a small
-// multiple of the epoch length: with commitments on the epoch grid and
+// SetEpochLen sizes the remembered-roots window for an epoch-audit
+// deployment with epoch length n: 4·n when that exceeds
+// DefaultCheckWindow. With commitments on the epoch grid and
 // verification lagging up to one pipelined epoch behind, a window of
 // one epoch can evict the boundary commitment's root before the check
-// runs, silently degrading it to signature-only. Call before the first
-// operation.
-func (c *Check) SetWindow(n int) {
+// runs, silently degrading it to signature-only. n = 0 (synchronous
+// audit) keeps the default. Call before the first operation.
+func (c *Check) SetEpochLen(n uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n <= 0 {
-		n = DefaultCheckWindow
+	if 4*n > uint64(DefaultCheckWindow) {
+		c.window = int(4 * n)
 	}
-	c.window = n
 }
 
 // AddWitness registers a witness endpoint to query.

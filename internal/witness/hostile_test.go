@@ -68,7 +68,7 @@ func TestWitnessRefusesLyingSnapshotBody(t *testing.T) {
 
 	// The hand-built grammar is the real one: the honest spelling of an
 	// empty database is accepted.
-	n := NewNode("w1", 0)
+	n := NewNode("w1")
 	if _, err := n.Handler()(put(cat([]byte{format}, single, blobs(lo, hi), lastUser, []byte{0, 0}))); err != nil {
 		t.Fatalf("test bug: the hand-built honest snapshot is refused: %v", err)
 	}

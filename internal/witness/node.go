@@ -93,8 +93,7 @@ type storedSnap struct {
 // validated checkpoint, gossip peers, and the evidence it has derived.
 // All methods are safe for concurrent use.
 type Node struct {
-	name   string
-	window int
+	name string
 
 	mu       sync.Mutex
 	logs     map[string]*Log
@@ -103,15 +102,14 @@ type Node struct {
 	evidence []*forensics.Evidence
 }
 
-// NewNode creates a witness named name. window 0 selects
-// DefaultWindow.
-func NewNode(name string, window int) *Node {
+// NewNode creates a witness named name, keeping DefaultWindow
+// commitments per server.
+func NewNode(name string) *Node {
 	return &Node{
-		name:   name,
-		window: window,
-		logs:   make(map[string]*Log),
-		snaps:  make(map[string]*storedSnap),
-		peers:  make(map[string]DialFunc),
+		name:  name,
+		logs:  make(map[string]*Log),
+		snaps: make(map[string]*storedSnap),
+		peers: make(map[string]DialFunc),
 	}
 }
 
@@ -126,7 +124,7 @@ func (n *Node) Pin(serverName string, pub []byte) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.logs[serverName] == nil {
-		n.logs[serverName] = NewLog(serverName, append([]byte(nil), pub...), n.window)
+		n.logs[serverName] = NewLog(serverName, append([]byte(nil), pub...), DefaultWindow)
 	}
 }
 
@@ -136,7 +134,7 @@ func (n *Node) log(serverName string) *Log {
 	defer n.mu.Unlock()
 	l := n.logs[serverName]
 	if l == nil {
-		l = NewLog(serverName, nil, n.window)
+		l = NewLog(serverName, nil, DefaultWindow)
 		n.logs[serverName] = l
 	}
 	return l

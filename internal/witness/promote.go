@@ -60,7 +60,7 @@ func Promote(n *Node, serverName string) (*Promotion, error) {
 		return nil, fmt.Errorf("witness %s: promote %q: checkpoint root %s contradicts committed root %s at ctr %d",
 			n.name, serverName, root.Short(), c.Root.Short(), ctr)
 	}
-	sessions := transport.NewSessionTable(0)
+	sessions := transport.NewSessionTable()
 	sessions.RestoreSessions(snap.Sessions)
 	return &Promotion{Server: srv, Store: store, Sessions: sessions, Ctr: gotCtr, Root: gotRoot}, nil
 }

@@ -22,7 +22,7 @@ func TestLaneBreakerDeadWitnessOneDialPerCooldown(t *testing.T) {
 	laneBreaker.Cooldown = cooldown
 	t.Cleanup(func() { laneBreaker = saved })
 
-	n := NewNode("w1", 0)
+	n := NewNode("w1")
 	var down atomic.Bool
 	down.Store(true)
 	var mu sync.Mutex

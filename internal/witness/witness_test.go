@@ -148,8 +148,8 @@ func TestEvidenceCannotBeFabricated(t *testing.T) {
 // signed evidence after a single gossip exchange between them.
 func TestGossipDetectsForkWithinOneRound(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
-	w1 := NewNode("w1", 0)
-	w2 := NewNode("w2", 0)
+	w1 := NewNode("w1")
+	w2 := NewNode("w2")
 	w1.AddPeer("w2", inproc(w2))
 	w2.AddPeer("w1", inproc(w1))
 
@@ -188,7 +188,7 @@ func TestGossipDetectsForkWithinOneRound(t *testing.T) {
 
 func TestGossipBenignConvergenceNoFalseAlarms(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
-	nodes := []*Node{NewNode("w1", 0), NewNode("w2", 0), NewNode("w3", 0)}
+	nodes := []*Node{NewNode("w1"), NewNode("w2"), NewNode("w3")}
 	for i, n := range nodes {
 		for j, p := range nodes {
 			if i != j {
@@ -225,7 +225,7 @@ func TestGossipBenignConvergenceNoFalseAlarms(t *testing.T) {
 
 func TestPublisherCadenceAndChain(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
-	n := NewNode("w1", 0)
+	n := NewNode("w1")
 	p := NewPublisher(id, 4)
 	p.AddWitness("w1", inproc(n))
 	for ctr := uint64(1); ctr <= 12; ctr++ {
@@ -276,12 +276,12 @@ func buildP2(t *testing.T) (server.Server, *cvs.Store, *transport.SessionTable) 
 			t.Fatal(err)
 		}
 	}
-	return srv, store, transport.NewSessionTable(0)
+	return srv, store, transport.NewSessionTable()
 }
 
 func TestShipSnapshotAndPromote(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
-	n := NewNode("w1", 0)
+	n := NewNode("w1")
 	p := NewPublisher(id, 0)
 	p.AddWitness("w1", inproc(n))
 
@@ -329,7 +329,7 @@ func TestShipSnapshotAndPromote(t *testing.T) {
 
 func TestPromoteRefusesTamperedSnapshot(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
-	n := NewNode("w1", 0)
+	n := NewNode("w1")
 	p := NewPublisher(id, 0)
 	p.AddWitness("w1", inproc(n))
 	srv, store, _ := buildP2(t)
@@ -352,7 +352,7 @@ func TestPromoteRefusesTamperedSnapshot(t *testing.T) {
 }
 
 func TestWitnessRejectsSnapshotWithWrongHead(t *testing.T) {
-	n := NewNode("w1", 0)
+	n := NewNode("w1")
 	srv, store, _ := buildP2(t)
 	snap, err := server.CheckpointP2(srv, store)
 	if err != nil {
@@ -371,8 +371,8 @@ func TestWitnessRejectsSnapshotWithWrongHead(t *testing.T) {
 
 func TestCheckDivergenceAndBenign(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
-	w1 := NewNode("w1", 0)
-	w2 := NewNode("w2", 0)
+	w1 := NewNode("w1")
+	w2 := NewNode("w2")
 	chk := NewCheck("primary", id.Public(), 0)
 	chk.AddWitness("w1", inproc(w1))
 	chk.AddWitness("w2", inproc(w2))
@@ -405,7 +405,7 @@ func TestCheckDivergenceAndBenign(t *testing.T) {
 
 func TestCheckSurfacesWitnessEvidence(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
-	w1 := NewNode("w1", 0)
+	w1 := NewNode("w1")
 	if err := w1.absorb(id.Commit(2, 16, root(2), root(1)), id.Public()); err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestCheckSurfacesWitnessEvidence(t *testing.T) {
 
 func TestCheckQuorum(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
-	w1 := NewNode("w1", 0)
+	w1 := NewNode("w1")
 	down := func() (transport.Caller, error) { return nil, errors.New("connection refused") }
 	chk := NewCheck("primary", id.Public(), 2)
 	chk.AddWitness("w1", inproc(w1))
@@ -447,7 +447,7 @@ func TestCheckQuorum(t *testing.T) {
 	// One more witness up restores the quorum.
 	chk2 := NewCheck("primary", id.Public(), 2)
 	chk2.AddWitness("w1", inproc(w1))
-	chk2.AddWitness("w2", inproc(NewNode("w2", 0)))
+	chk2.AddWitness("w2", inproc(NewNode("w2")))
 	chk2.AddWitness("w3", down)
 	if err := chk2.Verify(); err != nil {
 		t.Fatalf("quorum of 2/3 should pass: %v", err)

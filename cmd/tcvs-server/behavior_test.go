@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"trustedcvs/internal/adversary"
@@ -19,6 +20,17 @@ func TestParseBehaviorRefusesUnknownName(t *testing.T) {
 		cfg, err := parseBehavior(k.String(), 1, "1", 0)
 		if err != nil || cfg.Kind != k {
 			t.Errorf("parseBehavior(%q) = %v, %v", k.String(), cfg.Kind, err)
+		}
+	}
+}
+
+// TestBehaviorUsageNamesEveryKind: the -behavior flag's help text lists
+// every behavior the adversary package has, in its own spelling.
+func TestBehaviorUsageNamesEveryKind(t *testing.T) {
+	usage := behaviorUsage()
+	for k := adversary.Honest; k <= adversary.WithholdBackup; k++ {
+		if !strings.Contains(usage, k.String()) {
+			t.Errorf("-behavior help %q does not name %q", usage, k)
 		}
 	}
 }

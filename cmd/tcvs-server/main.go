@@ -59,7 +59,7 @@ func main() {
 		users    = flag.Int("users", 8, "user population (key ring size, protocol 1 only)")
 		seed     = flag.Int64("seed", 1, "deterministic key seed shared with clients (protocol 1 only)")
 		epoch    = flag.Duration("epoch", 30*time.Second, "epoch length (protocol 3 only)")
-		behavior = flag.String("behavior", "honest", "malicious behavior: honest, fork, replay-stale, drop-update, tamper-answer, tamper-state, counter-replay, stall-epochs, withhold-backup")
+		behavior = flag.String("behavior", "honest", behaviorUsage())
 		trigger  = flag.Uint64("trigger", 0, "operation index at which the behavior activates")
 		groupB   = flag.String("group-b", "", "comma-separated user IDs served from the fork")
 		target   = flag.Uint("target", 0, "victim user for replay-stale / withhold-backup")
@@ -436,6 +436,12 @@ func saveState(path string, srv server.Server, store *cvs.Store, sessions *trans
 	return ctr, durable.WriteFileAtomic(durable.OS, path, true, func(w io.Writer) error {
 		return server.EncodeP2Snapshot(w, snap)
 	})
+}
+
+// behaviorUsage is the -behavior flag's help text, spelled from the
+// adversary package's one table of names.
+func behaviorUsage() string {
+	return "malicious behavior: " + strings.Join(adversary.Names(), ", ")
 }
 
 func parseBehavior(name string, trigger uint64, groupB string, target sig.UserID) (adversary.Config, error) {

@@ -24,6 +24,7 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"trustedcvs/internal/core"
@@ -80,6 +81,10 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
+
+// Names returns a copy of the name of every behavior, in Kind order,
+// for a front end's help text.
+func Names() []string { return slices.Clone(names[:]) }
 
 // ParseKind is the inverse of Kind.String. An unknown name is refused
 // with an *UnknownBehaviorError.

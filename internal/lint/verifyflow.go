@@ -110,6 +110,7 @@ func verifyflowSpec(modPath string) *flowSpec {
 			q("%s/internal/vdb.Verify"):                     true,
 			q("%s/internal/vdb.VerifyDerive"):               true,
 			q("%s/internal/vdb.VerifyDeriveTree"):           true,
+			q("(*%s/internal/vdb.Verifier).VerifyDerive"):   true,
 			q("%s/internal/vdb.ReplayOn"):                   true,
 			"crypto/ed25519.Verify":                         true,
 			q("(*%s/internal/sig.Ring).Verify"):             true,

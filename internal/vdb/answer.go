@@ -61,12 +61,19 @@ func init() {
 
 // EncodeAnswer canonically encodes an answer for transmission and
 // comparison. Answer equality is byte equality of this encoding.
-func EncodeAnswer(ans any) ([]byte, error) {
+func EncodeAnswer(ans any) ([]byte, error) { return appendAnswer(nil, ans) }
+
+// appendAnswer appends the canonical encoding of ans to b, which, when
+// nil, starts with room for a typical answer.
+func appendAnswer(b []byte, ans any) ([]byte, error) {
 	a, ok := ans.(WireAnswer)
 	if !ok {
 		return nil, fmt.Errorf("vdb: encode answer: %T is not an answer type", ans)
 	}
-	return a.AppendAnswer(make([]byte, 0, 64)), nil
+	if b == nil {
+		b = make([]byte, 0, 64)
+	}
+	return a.AppendAnswer(b), nil
 }
 
 // DecodeAnswer decodes an answer produced by EncodeAnswer. The input

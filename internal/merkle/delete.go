@@ -57,7 +57,7 @@ func (c *ctx) del(k kid, key string) (nn *node, found bool, err error) {
 		if !found {
 			return n, false, nil
 		}
-		return c.with(n, s.remove(n.enc), nil), true, nil
+		return c.with(n, s.remove(c, n.enc), nil), true, nil
 	}
 	idx := n.childIndex(key)
 	nk, found, err := c.del(n.kids[idx], key)

@@ -25,7 +25,7 @@ func (t *Tree) PutErr(key string, val []byte) (*Tree, error) {
 func (t *Tree) putCtx(c *ctx, key string, val []byte) (*Tree, error) {
 	if t.root == (kid{}) {
 		s, _ := find(emptyLeaf, key)
-		root := c.node(true, s.insert(emptyLeaf, key, val), nil)
+		root := c.node(true, s.insert(c, emptyLeaf, key, val), nil)
 		return t.next(kid{n: root}, t.resized(1)), nil
 	}
 	nr, added, err := c.put(t.root, key, val)
@@ -81,9 +81,9 @@ func (c *ctx) put(k kid, key string, val []byte) (nn *node, added bool, err erro
 	if n.leaf {
 		s, found := find(n.enc, key)
 		if found {
-			return c.with(n, s.overwrite(n.enc, val), nil), false, nil
+			return c.with(n, s.overwrite(c, n.enc, val), nil), false, nil
 		}
-		return c.with(n, s.insert(n.enc, key, val), nil), true, nil
+		return c.with(n, s.insert(c, n.enc, key, val), nil), true, nil
 	}
 	idx := n.childIndex(key)
 	nk, added, err := c.put(n.kids[idx], key, val)

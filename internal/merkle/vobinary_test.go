@@ -153,7 +153,7 @@ func internalNode(keys []string, kids ...[]byte) []byte {
 // ample wraps b as a VO with the largest counts b could back, whatever
 // b holds: an expanded node takes at least two bytes, a pruned one 33.
 func ample(b []byte) *VO {
-	return &VO{enc: b, nodes: len(b) / 2, digests: len(b) / (1 + digest.Size)}
+	return &VO{enc: b, nodes: int32(len(b) / 2), digests: int32(len(b) / (1 + digest.Size))}
 }
 
 // shortTrailingDigest is a VO whose last pruned node ends the input

@@ -95,7 +95,8 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 	})
 
 	// One update VO over a connection's codec pair: encode, frame,
-	// unframe, decode — the frame buffer and the VO that points into it.
+	// unframe, decode — the VO that points into the frame buffer, which
+	// the Decoder reuses (two when every frame had a buffer of its own).
 	op := kvOp(1)
 	ans, vo, err := seededDB(t, 10_000).Apply(op)
 	if err != nil {
@@ -103,7 +104,7 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 	}
 	var link bytes.Buffer
 	enc, dec := wire.NewEncoder(&link), wire.NewDecoder(&link)
-	budget("VO wire round trip", 3, func() {
+	budget("VO wire round trip", 2, func() {
 		if err := enc.Encode(vo); err != nil {
 			t.Fatal(err)
 		}
@@ -117,13 +118,14 @@ func TestVerifiedOpAllocationBudget(t *testing.T) {
 	})
 
 	// What one verified operation puts on the wire, both directions:
-	// the request decodes into its frame buffer, the request, the op,
-	// its put slice and the key; the response into its frame buffer,
-	// the response and the VO. Values, answer and VO bytes stay where
+	// the request decodes into the request, the op, its put slice and
+	// the key; the response into the response and the VO; both into the
+	// Decoder's reused frame buffer (eight allocations when every frame
+	// had a buffer of its own). Values, answer and VO bytes stay where
 	// the frame put them.
 	req := &core.OpRequest{User: 1, Op: op}
 	resp := &core.OpResponseII{Answer: ans, VO: vo, Ctr: 10_000, Last: 1}
-	budget("OpRequest + OpResponseII wire round trip", 9, func() {
+	budget("OpRequest + OpResponseII wire round trip", 7, func() {
 		for _, msg := range []any{req, resp} {
 			if err := enc.Encode(msg); err != nil {
 				t.Fatal(err)
@@ -220,8 +222,9 @@ func TestServerOpAllocationBudget(t *testing.T) {
 // Allocation tripwires for the content store: a push keeps one copy of
 // the revision and hashes it where it lies (the second allocation is
 // the amortized growth of the blob map and the path's index), a fetch
-// hands out one copy. An eager diff, a second full copy or a boxed hash
-// coming back on either path fails here.
+// hands out one copy, and a view — how the server serves content — none.
+// An eager diff, a second full copy or a boxed hash coming back on any
+// path fails here.
 func TestContentStoreAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops make allocation counts meaningless")
@@ -255,6 +258,13 @@ func TestContentStoreAllocationBudget(t *testing.T) {
 		}
 	}); got > 1 {
 		t.Errorf("Store.Fetch: %.0f allocations per run, budget 1", got)
+	}
+	if got := testing.AllocsPerRun(runs, func() {
+		if _, err := store.View("dir/file.txt", rev, hash); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Store.View: %.0f allocations per run, budget 0", got)
 	}
 }
 

@@ -439,6 +439,10 @@ func (h *HubServer) acceptLoop() {
 				if err != nil {
 					return
 				}
+				// The log keeps the message past the next frame, and
+				// a member may publish any registered type, windows
+				// included.
+				dec.Keep()
 				switch m := msg.(type) {
 				case *hubHello:
 					h.upgrade(hc, m)
@@ -670,6 +674,7 @@ func (c *tcpChannel) readLoop() {
 		if err != nil {
 			return
 		}
+		dec.Keep() // the consumer holds the message past the next frame
 		m, ok := msg.(*Message)
 		if !ok {
 			continue

@@ -255,6 +255,7 @@ func (c *resumeChannel) readLoop(conn net.Conn) error {
 		if err != nil {
 			return err
 		}
+		dec.Keep() // the consumer holds the message past the next frame
 		if handshake {
 			// First frame: the hub is engaged; drop back to unbounded
 			// reads (silence on an idle hub is normal from here on).

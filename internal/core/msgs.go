@@ -122,6 +122,11 @@ type ContentResponse struct {
 	Content []byte
 }
 
+// Detach copies the content, which a server serves from its store
+// uncopied, so the response shares no memory with the server
+// (transport.Detacher).
+func (m *ContentResponse) Detach() { m.Content = clone(m.Content) }
+
 // RiderRequest is an OpRequest with revision content riding along, so
 // a CVS operation is one round trip: the content of a commit's files
 // (Blobs, in CommitOp.Files order — the server stores each under the
@@ -151,11 +156,24 @@ type RiderResponse struct {
 	one [1][]byte
 }
 
-// Detach detaches the protocol response inside the envelope.
+// Detach detaches the protocol response inside the envelope and
+// copies the riders, which a server serves from its store uncopied, so
+// the response shares no memory with the server (transport.Detacher).
 func (m *RiderResponse) Detach() {
 	if d, ok := m.Resp.(interface{ Detach() }); ok {
 		d.Detach()
 	}
+	for i, blob := range m.Blobs {
+		m.Blobs[i] = clone(blob)
+	}
+}
+
+// clone copies b; nil and empty stay nil, as the wire reads them.
+func clone(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return append([]byte(nil), b...)
 }
 
 // MakeBlobs sizes m.Blobs to n empty entries for the handler to fill.

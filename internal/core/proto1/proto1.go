@@ -133,7 +133,9 @@ func (s *Server) HandleAck(ack *core.AckRequest) error {
 		return ErrNoAckDue
 	}
 	s.lastUser = ack.User
-	s.lastSig = ack.Sig
+	// ack.Sig is a window onto the request's frame, which the
+	// connection reuses for its next request.
+	s.lastSig = append(sig.Signature(nil), ack.Sig...)
 	s.ackDue = false
 	return nil
 }

@@ -3,11 +3,14 @@ package proto1
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
+	"time"
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
+	"trustedcvs/internal/wire"
 )
 
 // harness wires n users to one honest Protocol I server, in process.
@@ -298,5 +301,62 @@ func TestInitializeSignsInitialState(t *testing.T) {
 	init := Initialize(signers[0], db.Root())
 	if err := ring.Verify(init.Signer, core.StateHash(db.Root(), 0), init.Sig); err != nil {
 		t.Fatalf("init signature invalid: %v", err)
+	}
+}
+
+// TestAckSignatureOutlivesItsFrame: the server presents the last ack's
+// signature with the next operation, after the ack's request frame is
+// gone — a connection decodes every request into one buffer it reuses.
+// Two ops and acks cross one TCP connection's Serve loop, and the
+// second response's signature, the user's own from the first ack, must
+// verify.
+func TestAckSignatureOutlivesItsFrame(t *testing.T) {
+	h := newHarness(t, 1, 100)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	served := make(chan error, 1)
+	go func() {
+		c, err := lis.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer c.Close()
+		served <- wire.Serve(c, func(req any, _ time.Duration, reply func(any, error) error) error {
+			switch r := req.(type) {
+			case *core.OpRequest:
+				return reply(h.server.HandleOp(r))
+			case *core.AckRequest:
+				return reply(&core.OKResponse{}, h.server.HandleAck(r))
+			}
+			return reply(nil, fmt.Errorf("unexpected %T", req))
+		})
+	}()
+	nc, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := wire.NewConn(nc)
+	user := h.users[0]
+	for i := 0; i < 2; i++ {
+		op := put("k", fmt.Sprint(i))
+		resp, err := conn.Call(user.Request(op))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, _, err := user.HandleResponse(op, resp.(*core.OpResponseI))
+		if err != nil {
+			t.Fatalf("op %d: %v", i+1, err)
+		}
+		if _, err := conn.Call(ack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.Close()
+	if err := <-served; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -62,11 +62,10 @@ func (s *Store) Snapshot() (*StoreSnapshot, error) {
 	slices.SortFunc(hashes, func(a, b digest.Digest) int { return bytes.Compare(a[:], b[:]) })
 	snap := &StoreSnapshot{Blobs: make([][]byte, len(hashes))}
 	for i, h := range hashes {
-		content, err := verifiedCopy(s.blobs[h], h)
-		if err != nil {
+		if err := verify(s.blobs[h], h); err != nil {
 			return nil, fmt.Errorf("cvs: snapshot: %w", err)
 		}
-		snap.Blobs[i] = content
+		snap.Blobs[i] = append([]byte(nil), s.blobs[h]...)
 	}
 	return snap, nil
 }

@@ -106,8 +106,33 @@ func TestStoreRefusesTamperedBlob(t *testing.T) {
 	if got, err := s.Fetch("f", 1, hash); !errors.Is(err, rcs.ErrCorrupt) || got != nil {
 		t.Fatalf("Fetch of a tampered blob: %q %v", got, err)
 	}
+	if got, err := s.View("f", 1, hash); !errors.Is(err, rcs.ErrCorrupt) || got != nil {
+		t.Fatalf("View of a tampered blob: %q %v", got, err)
+	}
 	if _, err := s.Snapshot(); !errors.Is(err, rcs.ErrCorrupt) {
 		t.Fatalf("Snapshot over a tampered blob: %v", err)
+	}
+}
+
+// TestStoreViewServesInPlace: View hands out the stored blob itself —
+// serving copies nothing — while Fetch hands out a copy.
+func TestStoreViewServesInPlace(t *testing.T) {
+	s := NewStore()
+	content := []byte("served as stored\n")
+	hash := rcs.HashContent(content)
+	if err := s.Push("f", 1, content); err != nil {
+		t.Fatal(err)
+	}
+	view, err := s.View("f", 1, hash)
+	if err != nil || !bytes.Equal(view, content) || &view[0] != &s.blobs[hash][0] {
+		t.Fatalf("View: %q %v, not the stored blob", view, err)
+	}
+	got, err := s.Fetch("f", 1, hash)
+	if err != nil || !bytes.Equal(got, content) || &got[0] == &s.blobs[hash][0] {
+		t.Fatalf("Fetch: %q %v, not a copy", got, err)
+	}
+	if _, err := s.View("f", 2, rcs.HashContent([]byte("other"))); err == nil {
+		t.Fatal("View of a hash nobody pushed succeeded")
 	}
 }
 

@@ -31,17 +31,19 @@ type epochReportMsg struct {
 const wireEpochReportMsg = 97
 
 // The report inside the message nests as tag + body, as core
-// registered it.
+// registered it, written and read without boxing it.
 func init() {
 	wire.Register(wireEpochReportMsg, func(b []byte, m *epochReportMsg) ([]byte, error) {
 		b = binary.AppendUvarint(b, m.Report.Epoch)
 		b = binenc.AppendBool(b, m.Report.Seal)
 		b = binenc.AppendBool(b, m.Report.Retract)
-		return wire.Append(b, m.Report.Report)
+		return wire.AppendTyped(b, m.Report.Report)
 	}, func(r *binenc.Reader) *epochReportMsg {
 		m := new(epochReportMsg)
 		m.Report.Epoch, m.Report.Seal, m.Report.Retract = r.Uvarint(), r.Bool(), r.Bool()
-		m.Report.Report = wire.ReadAs[core.SyncReportII](r)
+		if !wire.ReadTyped(r, &m.Report.Report) && r.Err() == nil {
+			r.Fail("an epoch report without its register snapshot")
+		}
 		return m
 	})
 }

@@ -12,7 +12,10 @@ import (
 // NewHandler builds the server-side request router: protocol messages
 // go to the protocol server (honest or adversarial — anything
 // implementing server.Server), content messages to the content store.
-// The handler is invoked concurrently by the pipelined transport; it
+// Content responses carry the store's blobs uncopied
+// (cvs.Store.View); a transport copies them before they leave the
+// server, into the frame or by transport.Detacher. The handler is
+// invoked concurrently by the pipelined transport; it
 // needs no locking of its own because both targets synchronize
 // internally (the protocol servers around their ordered sections, the
 // content store around its blob map).
@@ -36,7 +39,7 @@ func NewHandler(srv server.Server, store *cvs.Store) transport.Handler {
 			}
 			return &core.OKResponse{}, nil
 		case *core.FetchContentRequest:
-			content, err := store.Fetch(r.Path, r.Rev, r.Hash)
+			content, err := store.View(r.Path, r.Rev, r.Hash)
 			if err != nil {
 				return nil, err
 			}
@@ -82,7 +85,7 @@ func attachContent(store *cvs.Store, op *cvs.CheckoutOp, resp any, out *core.Rid
 		if !st.Found || i >= len(out.Blobs) {
 			return
 		}
-		content, err := store.Fetch(op.Paths[i], st.Rev, st.Hash)
+		content, err := store.View(op.Paths[i], st.Rev, st.Hash)
 		if err != nil || total+len(content) > cvs.MaxRiderBytes {
 			return
 		}

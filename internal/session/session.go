@@ -62,35 +62,37 @@ func init() {
 	wire.Register(wireReport, func(b []byte, m *Report) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(m.Initiator))
 		b = binary.AppendUvarint(b, m.Round)
-		b, err := wire.Append(b, deref(m.ReportI))
+		b, err := appendOptional(b, m.ReportI)
 		if err != nil {
 			return nil, err
 		}
-		return wire.Append(b, deref(m.ReportII))
+		return appendOptional(b, m.ReportII)
 	}, func(r *binenc.Reader) *Report {
-		m := &Report{Initiator: sig.UserID(r.Uint32()), Round: r.Uvarint()}
-		m.ReportI, m.ReportII = readOptional[core.SyncReportI](r), readOptional[core.SyncReportII](r)
-		return m
+		m := &decodedReport{Report: Report{Initiator: sig.UserID(r.Uint32()), Round: r.Uvarint()}}
+		if wire.ReadTyped(r, &m.i) {
+			m.ReportI = &m.i
+		}
+		if wire.ReadTyped(r, &m.ii) {
+			m.ReportII = &m.ii
+		}
+		return &m.Report
 	})
 }
 
-func deref[T any](p *T) any {
-	if p == nil {
-		return nil
-	}
-	return *p
+// decodedReport is a decoded Report together with the nested reports
+// it points to: one allocation instead of one per report.
+type decodedReport struct {
+	Report
+	i  core.SyncReportI
+	ii core.SyncReportII
 }
 
-func readOptional[T any](r *binenc.Reader) *T {
-	switch v := wire.Read(r).(type) {
-	case nil:
-		return nil
-	case T:
-		return &v
-	default:
-		r.Fail("%T where a %T belongs", v, *new(T))
-		return nil
+// appendOptional appends *p as tag + body, or the nil byte for nil.
+func appendOptional[T any](b []byte, p *T) ([]byte, error) {
+	if p == nil {
+		return wire.Append(b, nil)
 	}
+	return wire.AppendTyped(b, *p)
 }
 
 type roundKey struct {

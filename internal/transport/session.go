@@ -45,11 +45,15 @@ type SessionTable struct {
 	tick uint64
 }
 
-// A Detacher is a response that can let go of the server state it was
-// built from. The table detaches every response it caches: the cache
+// A Detacher is a response built on server memory — a VO that writes
+// itself from the database tree it prunes, content served from the
+// store uncopied; after Detach the response shares no memory with the
+// server. The table detaches every response it caches: the cache
 // outlives the reply by a whole session window, and a response that
-// writes itself from the server's state — a VO from the database tree
-// it prunes — would keep that old version of the state alive as long.
+// writes itself from the server's state would keep that old version of
+// the state alive as long. An in-process call detaches every response
+// it returns (Inproc), since the process boundary is where a response
+// stops sharing server memory.
 type Detacher interface{ Detach() }
 
 // MaxSessions bounds the table; beyond it the least recently

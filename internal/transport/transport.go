@@ -72,7 +72,10 @@ type Inproc struct {
 func NewInproc(h Handler) *Inproc { return &Inproc{handler: h} }
 
 // Call implements Caller. Calls run concurrently, like the TCP
-// transport; only the closed check is locked.
+// transport; only the closed check is locked. A response is the
+// handler's own object, so Call detaches it (Detacher): the caller may
+// keep or modify it without reaching server memory, as a decoded frame
+// allows over TCP.
 func (c *Inproc) Call(req any) (any, error) {
 	c.mu.Lock()
 	closed := c.closed
@@ -80,7 +83,11 @@ func (c *Inproc) Call(req any) (any, error) {
 	if closed {
 		return nil, errors.New("transport: closed")
 	}
-	return c.handler(req)
+	resp, err := c.handler(req)
+	if d, ok := resp.(Detacher); ok && err == nil {
+		d.Detach()
+	}
+	return resp, err
 }
 
 // Close implements Caller.

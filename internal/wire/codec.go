@@ -32,12 +32,15 @@ const (
 	tagSession = 3
 )
 
-// codec is one row of the tag table.
+// codec is one row of the tag table. typedAppend and typedRead hold
+// the functions Register was given, for AppendTyped and ReadTyped.
 type codec struct {
-	tag    byte
-	typ    reflect.Type
-	append func(b []byte, msg any) ([]byte, error)
-	read   func(r *binenc.Reader) any
+	tag         byte
+	typ         reflect.Type
+	append      func(b []byte, msg any) ([]byte, error)
+	read        func(r *binenc.Reader) any
+	typedAppend any
+	typedRead   any
 }
 
 // byTag and byType index the table. Filled by Register at init time,
@@ -51,8 +54,10 @@ var (
 // travels: *core.OpRequest, core.SyncReportI) under tag. app appends
 // the body — no tag — to b; read consumes exactly that body, reporting
 // failures through the Reader. Byte fields that read takes with
-// ViewBytes are windows onto the frame the message arrived in, which
-// the Decoder never reuses. Called from package init functions only; a
+// ViewBytes are windows onto the frame the message arrived in, valid
+// until the next Decode on its Decoder unless the frame is kept
+// (Decoder.Keep); a field the message must own past that reads with
+// Bytes. Called from package init functions only; a
 // reserved or duplicate tag, or a type registered twice, is a
 // programming error.
 func Register[T any](tag byte, app func(b []byte, msg T) ([]byte, error), read func(r *binenc.Reader) T) {
@@ -61,10 +66,12 @@ func Register[T any](tag byte, app func(b []byte, msg T) ([]byte, error), read f
 		panic(fmt.Sprintf("wire: tag %d or type %v is reserved or already registered", tag, typ))
 	}
 	c := &codec{
-		tag:    tag,
-		typ:    typ,
-		append: func(b []byte, msg any) ([]byte, error) { return app(b, msg.(T)) },
-		read:   func(r *binenc.Reader) any { return read(r) },
+		tag:         tag,
+		typ:         typ,
+		append:      func(b []byte, msg any) ([]byte, error) { return app(b, msg.(T)) },
+		read:        func(r *binenc.Reader) any { return read(r) },
+		typedAppend: app,
+		typedRead:   read,
 	}
 	byTag[tag], byType[typ] = c, c
 }
@@ -122,6 +129,39 @@ func Read(r *binenc.Reader) any {
 	msg := c.read(r)
 	r.Leave()
 	return msg
+}
+
+// AppendTyped is Append for a message whose type the caller knows: the
+// same tag + body, written without boxing msg into an interface — what
+// a fixed-size value nested in every message of a hot path wants.
+func AppendTyped[T any](b []byte, msg T) ([]byte, error) {
+	c := byType[reflect.TypeFor[T]()]
+	if c == nil {
+		return nil, fmt.Errorf("wire: %T is not a registered message type", msg)
+	}
+	return c.typedAppend.(func([]byte, T) ([]byte, error))(append(b, c.tag), msg)
+}
+
+// ReadTyped consumes one tag + body where the enclosing layout allows a
+// T or nothing: it reads a T into *dst and reports true, or reports
+// false for the nil byte, without boxing the value. Any other tag fails
+// the Reader.
+func ReadTyped[T any](r *binenc.Reader, dst *T) bool {
+	tag := r.Byte()
+	if tag == tagNil || r.Err() != nil {
+		return false
+	}
+	c := byType[reflect.TypeFor[T]()]
+	if c == nil || c.tag != tag {
+		r.Fail("nested message tag %d where a %v belongs", tag, reflect.TypeFor[T]())
+		return false
+	}
+	if !r.Enter() {
+		return false
+	}
+	*dst = c.typedRead.(func(*binenc.Reader) T)(r)
+	r.Leave()
+	return true
 }
 
 // ReadAs consumes one tag + body where the enclosing layout fixes the

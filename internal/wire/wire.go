@@ -19,11 +19,16 @@
 // non-minimal integers, counts the frame cannot back, unknown tags,
 // trailing bytes — so a frame it accepts re-encodes byte-identically.
 //
-// Aliasing rule: the Decoder reads each frame into a buffer of its own
-// that it never reuses, and a decoded message's byte fields (answers,
-// VO encodings, put values, content blobs) are windows onto it. The
-// Encoder assembles frames in a per-connection buffer it reuses and
-// writes header and body in a single Write; that buffer never escapes.
+// Aliasing rule: a decoded message's byte fields (answers, VO
+// encodings, put values, content blobs) are windows onto the frame it
+// arrived in, and the Decoder reads every frame into one buffer it
+// reuses. A message is therefore valid until the next Decode on its
+// Decoder, unless the caller takes its frame with Keep first: Conn
+// keeps every response, so a client's response owns its frame; Serve
+// keeps none, so a request is valid until its reply is on the wire and
+// a handler that holds request bytes past that copies them. The Encoder
+// assembles frames in a per-connection buffer it reuses and writes
+// header and body in a single Write; that buffer never escapes.
 package wire
 
 import (
@@ -263,6 +268,7 @@ func (e *Encoder) EncodeBudget(msg any, budget time.Duration) error {
 type Decoder struct {
 	r      *bufio.Reader
 	rd     binenc.Reader // reset per frame, so decoding allocates no reader
+	buf    []byte        // the frame buffer the next frame is read into; nil after Keep
 	hdr    [4]byte
 	budget uint32 // microsecond budget from the last frame's header, 0 = none
 }
@@ -278,11 +284,14 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{r: br}
 }
 
-// Decode reads the next message. It returns io.EOF when the stream
-// ends cleanly at a frame boundary and io.ErrUnexpectedEOF (wrapped)
-// when it ends anywhere inside a frame. The input is the untrusted
-// peer's: every refusal is ErrFormat, ErrTooLarge or ErrMalformed.
+// Decode reads the next message into the Decoder's frame buffer, which
+// the previous message's windows then no longer own (see Keep). It
+// returns io.EOF when the stream ends cleanly at a frame boundary and
+// io.ErrUnexpectedEOF (wrapped) when it ends anywhere inside a frame.
+// The input is the untrusted peer's: every refusal is ErrFormat,
+// ErrTooLarge or ErrMalformed.
 func (d *Decoder) Decode() (any, error) {
+	poison(d.buf)
 	d.budget = 0
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		if err == io.EOF {
@@ -321,11 +330,25 @@ func (d *Decoder) Decode() (any, error) {
 	return msg, nil
 }
 
-// readBody reads an n-byte frame body into a buffer of its own, sized
-// exactly. A body longer than readStep is grown as it arrives, each
-// step at most doubling what the peer has already delivered.
+// Keep hands the last decoded message's frame to the caller: its
+// windows stay valid for as long as the message lives, and the next
+// Decode reads into a new buffer. It is the one way a message outlives
+// the next Decode.
+func (d *Decoder) Keep() { d.buf = nil }
+
+// readBody reads an n-byte frame body into the Decoder's frame buffer,
+// which never grows past readStep: a buffer too small for the body's
+// first readStep bytes is replaced by one at least twice its size
+// (exactly that size when there was none, so a kept frame holds no
+// slack). A body longer than readStep continues in buffers of its own,
+// each at most doubling what the peer has already delivered, so one
+// large frame pins nothing once its message is dropped.
 func (d *Decoder) readBody(n int) ([]byte, error) {
-	body := make([]byte, min(n, readStep))
+	first := min(n, readStep)
+	if cap(d.buf) < first {
+		d.buf = make([]byte, first, max(first, min(2*cap(d.buf), readStep)))
+	}
+	body := d.buf[:first]
 	if _, err := io.ReadFull(d.r, body); err != nil {
 		return nil, err
 	}
@@ -395,6 +418,7 @@ func (c *Conn) CallBudget(req any, budget time.Duration) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.dec.Keep() // the response outlives the next call
 	if e, ok := resp.(*ErrorReply); ok {
 		return nil, remoteError(e)
 	}
@@ -413,7 +437,10 @@ func (c *Conn) Close() error {
 // message is passed to handler along with the deadline budget carried
 // in its frame header (0 if none), anchored at decode time, and a
 // reply function that writes the result (or an ErrorReply) back.
-// handler calls reply exactly once and returns what it returned, so
+// Every request is decoded into the connection's one frame buffer: it
+// is valid until handler returns, and a handler that keeps any of its
+// bytes longer copies them. handler calls reply exactly once and
+// returns what it returned, so
 // whatever the handler holds for the request — in-flight accounting, a
 // lock — can last until the response frame is on the wire. Typed
 // refusals (ErrDeadlineExceeded, ErrOverloaded) passed to reply cross

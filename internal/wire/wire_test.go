@@ -336,16 +336,17 @@ func TestStreamingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodedMessageOwnsItsFrame pins the aliasing rule: byte fields of
-// a decoded message are windows onto the frame buffer (no second copy),
-// capacity-clipped so an append cannot run into a neighbour, and the
-// Decoder never touches that buffer again.
+// TestDecodedMessageOwnsItsFrame pins the aliasing rule for a kept
+// frame: byte fields of a decoded message are windows onto the frame
+// buffer (no second copy), capacity-clipped so an append cannot run
+// into a neighbour, and after Keep the Decoder never touches that
+// buffer again.
 func TestDecodedMessageOwnsItsFrame(t *testing.T) {
 	var buf bytes.Buffer
 	enc := wire.NewEncoder(&buf)
 	first := &vdb.WriteOp{Puts: []vdb.KV{{Key: "a", Val: []byte("first-value")}, {Key: "b", Val: []byte("neighbour")}}}
-	second := &vdb.WriteOp{Puts: []vdb.KV{{Key: "a", Val: []byte("SECOND-VALUE")}, {Key: "b", Val: []byte("NEIGHBOUR")}}}
-	for _, op := range []*vdb.WriteOp{first, second} {
+	second := &vdb.WriteOp{Puts: []vdb.KV{{Key: "a", Val: []byte("SECOND-VALU")}, {Key: "b", Val: []byte("NEIGHBOUR")}}}
+	for _, op := range []*vdb.WriteOp{first, second, second} {
 		if err := enc.Encode(&core.OpRequest{User: 1, Op: op}); err != nil {
 			t.Fatal(err)
 		}
@@ -355,16 +356,120 @@ func TestDecodedMessageOwnsItsFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dec.Keep()
 	puts := m1.(*core.OpRequest).Op.(*vdb.WriteOp).Puts
 	if cap(puts[0].Val) != len(puts[0].Val) {
 		t.Fatalf("window not capacity-clipped: len %d cap %d", len(puts[0].Val), cap(puts[0].Val))
 	}
 	_ = append(puts[0].Val, "overrun"...)
+	for i := 0; i < 2; i++ {
+		if _, err := dec.Decode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(puts[0].Val) != "first-value" || string(puts[1].Val) != "neighbour" {
+		t.Fatalf("a kept message changed after later frames were decoded: %q %q", puts[0].Val, puts[1].Val)
+	}
+}
+
+// TestWindowsLastUntilTheNextDecode: without Keep, a message's windows
+// are valid until the next Decode, which reads its frame into the same
+// buffer — the second frame's bytes, or under the race detector the
+// poison written before it, show through a window kept too long.
+func TestWindowsLastUntilTheNextDecode(t *testing.T) {
+	var buf bytes.Buffer
+	enc := wire.NewEncoder(&buf)
+	for _, v := range []string{"first-value", "other-value"} {
+		if err := enc.Encode(&core.PushContentRequest{Path: "f", Content: []byte(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec := wire.NewDecoder(&buf)
+	m1, err := dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := m1.(*core.PushContentRequest).Content
+	if string(content) != "first-value" {
+		t.Fatalf("decoded %q", content)
+	}
+	m2, err := dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(m2.(*core.PushContentRequest).Content); got != "other-value" {
+		t.Fatalf("second message decoded %q", got)
+	}
+	if string(content) == "first-value" {
+		t.Fatal("the second frame was not read into the first frame's buffer")
+	}
+}
+
+// TestLargeFrameIsNotRetained: the frame buffer the Decoder keeps for
+// the next frame never exceeds readStep, so a frame as large as
+// MaxMessage allows pins nothing once its message is dropped; Keep
+// hands the buffer away.
+func TestLargeFrameIsNotRetained(t *testing.T) {
+	var buf bytes.Buffer
+	enc := wire.NewEncoder(&buf)
+	for _, n := range []int{100, 4 * wire.ReadStep, 100, 100} {
+		if err := enc.Encode(&core.PushContentRequest{Content: make([]byte, n)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec := wire.NewDecoder(&buf)
+	decode := func() {
+		t.Helper()
+		if _, err := dec.Decode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if c := wire.FrameBufferCap(dec); c == 0 || c > wire.ReadStep {
+		t.Fatalf("after a small frame the buffer holds %d bytes", c)
+	}
+	decode()
+	if c := wire.FrameBufferCap(dec); c > wire.ReadStep {
+		t.Fatalf("a %d-byte frame left a %d-byte buffer behind", 4*wire.ReadStep, c)
+	}
+	decode()
+	if c := wire.FrameBufferCap(dec); c == 0 || c > wire.ReadStep {
+		t.Fatalf("after a small frame the buffer holds %d bytes", c)
+	}
+	dec.Keep()
+	if c := wire.FrameBufferCap(dec); c != 0 {
+		t.Fatalf("Keep left the Decoder a %d-byte buffer", c)
+	}
+	decode()
+}
+
+// TestSmallFramesReuseOneBuffer: a stream of small frames allocates a
+// body buffer for the first frame only. The frames here decode to
+// messages that allocate nothing themselves (nil, an empty struct), in
+// sizes no larger than the first.
+func TestSmallFramesReuseOneBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes allocation counts meaningless")
+	}
+	const runs = 100
+	var buf bytes.Buffer
+	enc := wire.NewEncoder(&buf)
+	for i := 0; i <= runs; i++ {
+		msgs := []any{&core.OKResponse{}, nil}
+		if err := enc.EncodeBudget(msgs[i%2], time.Duration(i%3)*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec := wire.NewDecoder(bytes.NewReader(append([]byte(nil), buf.Bytes()...)))
 	if _, err := dec.Decode(); err != nil {
 		t.Fatal(err)
 	}
-	if string(puts[0].Val) != "first-value" || string(puts[1].Val) != "neighbour" {
-		t.Fatalf("first message changed after the second was decoded: %q %q", puts[0].Val, puts[1].Val)
+	if got := testing.AllocsPerRun(runs-1, func() {
+		if _, err := dec.Decode(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("decoding a small frame allocated %.1f times", got)
 	}
 }
 

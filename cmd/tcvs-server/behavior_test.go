@@ -10,11 +10,18 @@ import (
 
 // TestParseBehaviorRefusesUnknownName: the -behavior flag refuses a
 // name no adversary behavior has with the error type the library's
-// Malice.Behavior uses, and accepts every known name.
+// Malice.Behavior uses, and accepts every known name. A fork with no
+// -group-b is refused with an error too, not an exit from inside the
+// parser.
 func TestParseBehaviorRefusesUnknownName(t *testing.T) {
 	var ube *adversary.UnknownBehaviorError
 	if _, err := parseBehavior("nonsense", 1, "", 0); !errors.As(err, &ube) || ube.Behavior != "nonsense" {
 		t.Fatalf("parseBehavior(nonsense) error = %v, want *adversary.UnknownBehaviorError", err)
+	}
+	for _, groupB := range []string{"", " , "} {
+		if _, err := parseBehavior("fork", 1, groupB, 0); err == nil {
+			t.Errorf("parseBehavior(fork, -group-b %q) accepted an empty group B", groupB)
+		}
 	}
 	for k := adversary.Honest; k <= adversary.WithholdBackup; k++ {
 		cfg, err := parseBehavior(k.String(), 1, "1", 0)

@@ -2,11 +2,14 @@
 // authenticated database, the content store, and — for demonstration —
 // any of the paper's malicious behaviors.
 //
-// It can also host the users' broadcast hub (-hub). In a real
-// deployment the hub belongs to the users, not the server; hosting it
-// here is a convenience for demos and changes nothing about the
-// security argument, because hub traffic is only ever *verified* by
-// users against each other's reports.
+// It can also host the users' broadcast hub (-hub), for demos only. In
+// a real deployment the hub is the users' external channel, not the
+// server's. The hub authenticates nothing: a report carries no
+// signature, so whoever reaches the hub can publish one in any user's
+// name, and a server hosting it can close a forked sync round with a
+// forged report. Until hub reports are signed (ROADMAP item 16), a
+// hosted hub weakens the security argument rather than leaving it
+// unchanged.
 //
 // Usage:
 //
@@ -53,7 +56,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "server listen address")
-		hubAddr  = flag.String("hub", "", "also host a broadcast hub on this address (demo convenience)")
+		hubAddr  = flag.String("hub", "", "also host a broadcast hub on this address (demos only: the hub authenticates no report, so the server hosting it can forge one)")
 		proto    = flag.String("proto", "2", "protocol: 1, 2 or 3")
 		order    = flag.Int("order", 0, "Merkle branching factor (0 = default)")
 		users    = flag.Int("users", 8, "user population (key ring size, protocol 1 only)")
@@ -95,8 +98,10 @@ func main() {
 	// Epoch-audit mode is a client-side choice (see internal/audit);
 	// the server's share of it is pinning the witness commitment
 	// cadence to the epoch grid so every closure check can compare
-	// against a commitment from its own window.
-	epochAudit := false
+	// against a commitment from its own window. Under -audit sync the
+	// publisher sees no epoch: there -epoch-len only sizes the op
+	// journal's fsync batch.
+	var pubEpoch uint64
 	switch *auditMode {
 	case "sync":
 	case "epoch":
@@ -106,7 +111,7 @@ func main() {
 		if *epochLen == 0 {
 			log.Fatal("-audit epoch needs -epoch-len")
 		}
-		epochAudit = true
+		pubEpoch = *epochLen
 		log.Printf("provisioned for epoch-batched audit: N=%d (detection within one epoch)", *epochLen)
 	default:
 		log.Fatalf("-audit %q: want sync or epoch", *auditMode)
@@ -205,14 +210,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		every := *commitEvery
-		if epochAudit && every == 0 {
-			every = *epochLen
-		}
-		pub = witness.NewPublisher(wid, every)
-		if epochAudit {
-			pub.Align()
-		}
+		pub = witness.NewPublisher(wid, *commitEvery, pubEpoch)
 		count := 0
 		for _, w := range strings.Split(*witnesses, ",") {
 			w = strings.TrimSpace(w)
@@ -348,7 +346,7 @@ func main() {
 	if err := ts.Shutdown(5 * time.Second); err != nil {
 		log.Printf("shutdown: %v", err)
 	}
-	if epochAudit && pub != nil {
+	if pubEpoch > 0 && pub != nil {
 		pub.Flush()
 		log.Printf("witness commitments flushed")
 	}
@@ -464,8 +462,7 @@ func parseBehavior(name string, trigger uint64, groupB string, target sig.UserID
 			cfg.GroupB[sig.UserID(id)] = true
 		}
 		if len(cfg.GroupB) == 0 {
-			fmt.Fprintln(os.Stderr, "fork behavior needs -group-b")
-			os.Exit(2)
+			return cfg, errors.New("fork behavior needs -group-b")
 		}
 	}
 	return cfg, nil

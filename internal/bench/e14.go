@@ -9,6 +9,7 @@ import (
 	"trustedcvs/internal/adversary"
 	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core"
+	"trustedcvs/internal/deploy"
 	"trustedcvs/internal/driver"
 	"trustedcvs/internal/fault"
 	"trustedcvs/internal/server"
@@ -97,7 +98,7 @@ type E14Data struct {
 // client a resilient reconnecting caller plus a resumable hub
 // subscription, each through its own seeded fault injector.
 type faultyNet struct {
-	*deployment
+	*deploy.Deployment
 	sessions *transport.SessionTable
 	injs     []*fault.Injector
 	callers  []*transport.ResilientClient
@@ -107,15 +108,15 @@ type faultyNet struct {
 // deployFaulty deploys cfg behind fault injection. seed derives every
 // injector's and every client's jitter seed: same seed, same fault
 // schedule. backupAddr, if set, is every client's second endpoint.
-func deployFaulty(cfg deployConfig, seed int64, resetProb, truncateProb float64, backupAddr string) (*faultyNet, error) {
+func deployFaulty(cfg deploy.Config, seed int64, resetProb, truncateProb float64, backupAddr string) (*faultyNet, error) {
 	n := &faultyNet{sessions: transport.NewSessionTable()}
 	injector := func(s uint64) *fault.Injector {
 		inj := fault.NewInjector(fault.Config{Seed: s, After: 8, ResetProb: resetProb, TruncateProb: truncateProb})
 		n.injs = append(n.injs, inj)
 		return inj
 	}
-	cfg.opts.Sessions = n.sessions
-	cfg.dial = func(i int, addr string) (transport.Caller, error) {
+	cfg.Options.Sessions = n.sessions
+	cfg.Dial = func(i int, addr string) (transport.Caller, error) {
 		inj := injector(uint64(seed) + uint64(i))
 		eps := []transport.Endpoint{{Name: "primary", Dial: fault.Dialer(addr, inj)}}
 		if backupAddr != "" {
@@ -127,13 +128,13 @@ func deployFaulty(cfg deployConfig, seed int64, resetProb, truncateProb float64,
 		n.callers = append(n.callers, c)
 		return c, nil
 	}
-	cfg.join = func(i int, hubAddr string) broadcast.Channel {
+	cfg.Join = func(i int, hubAddr string) broadcast.Channel {
 		ch := broadcast.DialHubResumeFunc(fault.Dialer(hubAddr, injector(uint64(seed)+1000+uint64(i))))
 		n.channels = append(n.channels, ch)
 		return ch
 	}
 	var err error
-	n.deployment, err = deploy(cfg)
+	n.Deployment, err = deployTCP(cfg)
 	return n, err
 }
 
@@ -159,7 +160,7 @@ func (n *faultyNet) checkpointCut() (*server.P2Snapshot, error) {
 	var snap *server.P2Snapshot
 	var err error
 	n.sessions.Freeze(func(ss *transport.SessionsSnapshot) {
-		if snap, err = server.CheckpointP2(n.srv, n.store); err == nil {
+		if snap, err = server.CheckpointP2(n.Server, n.Store); err == nil {
 			snap.Sessions = ss
 		}
 	})
@@ -234,25 +235,25 @@ func RunE14(cfg E14Config) (*E14Data, error) {
 	}
 
 	// ---- Phase 1: honest server, kill/restart mid-workload ----
-	dep, err := deployFaulty(deployConfig{srv: server.NewP2(seedDB(cfg.DBSize)), users: cfg.Users, k: cfg.K},
+	dep, err := deployFaulty(deploy.Config{Server: server.NewP2(seedDB(cfg.DBSize)), Users: cfg.Users, K: cfg.K},
 		cfg.Seed, cfg.ResetProb, cfg.TruncateProb, "")
 	if err != nil {
 		return nil, err
 	}
-	defer dep.close()
-	run := startFailoverRun(dep.clients, cfg.OpsPerUser, cfg.DBSize)
+	defer dep.Close()
+	run := startFailoverRun(dep.Clients, cfg.OpsPerUser, cfg.DBSize)
 
 	// Kill the server once the workload is half done.
 	if err := run.awaitHalf(); err != nil {
 		return nil, fmt.Errorf("E14: %w", err)
 	}
-	addr := dep.ts.Addr()
-	dep.ts.Close()
+	addr := dep.TCP.Addr()
+	dep.TCP.Close()
 	snap, err := dep.checkpointCut()
 	if err != nil {
 		return nil, fmt.Errorf("E14 checkpoint: %w", err)
 	}
-	cutRoot := dep.srv.DB().Root()
+	cutRoot := dep.Server.DB().Root()
 	time.Sleep(cfg.Outage)
 
 	// Restart: restore the snapshot into a fresh process-worth of state
@@ -270,13 +271,13 @@ func RunE14(cfg E14Config) (*E14Data, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E14 rebind %s: %w", addr, err)
 	}
-	dep.ts = transport.ServeListener(lis2, driver.NewHandler(srv2, store2), transport.Options{Sessions: dep.sessions})
+	dep.TCP = transport.ServeListener(lis2, driver.NewHandler(srv2, store2), transport.Options{Sessions: dep.sessions})
 	run.resumed()
 
 	if err := run.wait(); err != nil {
 		return nil, fmt.Errorf("E14 phase 1 must complete cleanly: %w", err)
 	}
-	d.FalseAlarms = dep.drain(10 * time.Second)
+	d.FalseAlarms = dep.Drain(10 * time.Second)
 	if t := run.recoveredAt(); t > 0 {
 		d.RecoveryMillis = float64(t-run.resumedAt.Load()) / 1e6
 	}
@@ -308,14 +309,14 @@ func RunE14(cfg E14Config) (*E14Data, error) {
 func runE14Adversary(cfg E14Config) (class string, faults uint64, err error) {
 	trigger := uint64(cfg.Users)*uint64(cfg.OpsPerUser)/4 + 1
 	srv := adversary.Wrap(server.NewP2(seedDB(cfg.DBSize)), adversary.Config{Kind: adversary.TamperAnswer, TriggerOp: trigger})
-	dep, err := deployFaulty(deployConfig{srv: srv, users: cfg.Users, k: cfg.K},
+	dep, err := deployFaulty(deploy.Config{Server: srv, Users: cfg.Users, K: cfg.K},
 		cfg.Seed, cfg.ResetProb, cfg.TruncateProb, "")
 	if err != nil {
 		return "", 0, err
 	}
-	defer dep.close()
+	defer dep.Close()
 
-	res := load{workers: cfg.Users, ops: cfg.OpsPerUser, op: clientOp(dep.clients, cfg.DBSize)}.run()
+	res := load{workers: cfg.Users, ops: cfg.OpsPerUser, op: clientOp(dep.Clients, cfg.DBSize)}.run()
 	var de *core.DetectionError
 	others := ""
 	for _, werr := range res.errs {

@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"trustedcvs/internal/deploy"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/driver"
 	"trustedcvs/internal/forensics"
@@ -126,15 +127,15 @@ func runE15Failover(cfg E15Config, d *E15Data) error {
 	addrB := lisB.Addr().String()
 	lisB.Close()
 
-	dep, err := deployFaulty(deployConfig{
-		srv: server.NewP2(seedDB(cfg.DBSize)), users: cfg.Users, k: cfg.K,
-		witnesses: cfg.Witnesses, pubEvery: cfg.CommitEvery,
+	dep, err := deployFaulty(deploy.Config{
+		Server: server.NewP2(seedDB(cfg.DBSize)), Users: cfg.Users, K: cfg.K,
+		Witnesses: cfg.Witnesses, CommitEvery: cfg.CommitEvery,
 	}, cfg.Seed, cfg.ResetProb, cfg.TruncateProb, addrB)
 	if err != nil {
 		return err
 	}
-	defer dep.close()
-	run := startFailoverRun(dep.clients, cfg.OpsPerUser, cfg.DBSize)
+	defer dep.Close()
+	run := startFailoverRun(dep.Clients, cfg.OpsPerUser, cfg.DBSize)
 
 	// Kill the primary once the workload is half done. As in E14 the
 	// transport drains first, then the checkpoint cut is taken. The cut
@@ -145,20 +146,20 @@ func runE15Failover(cfg E15Config, d *E15Data) error {
 		return fmt.Errorf("E15: %w", err)
 	}
 	killStart := time.Now()
-	dep.ts.Close()
+	dep.TCP.Close()
 	snap, err := dep.checkpointCut()
 	if err != nil {
 		return fmt.Errorf("E15 checkpoint: %w", err)
 	}
-	if err := dep.pub.ShipSnapshot(snap); err != nil {
+	if err := dep.Publisher.ShipSnapshot(snap); err != nil {
 		return fmt.Errorf("E15 ship snapshot: %w", err)
 	}
-	cutRoot := dep.srv.DB().Root()
+	cutRoot := dep.Server.DB().Root()
 
 	// Promote a witness: it re-verifies the envelope checksum, restores
 	// the database, and cross-checks the restored head against the
 	// signed commitment it holds for that counter.
-	prom, err := witness.Promote(dep.nodes[0], "primary")
+	prom, err := witness.Promote(dep.Witnesses[0], "primary")
 	if err != nil {
 		return fmt.Errorf("E15 promote: %w", err)
 	}
@@ -167,14 +168,14 @@ func runE15Failover(cfg E15Config, d *E15Data) error {
 	if err != nil {
 		return fmt.Errorf("E15 rebind %s: %w", addrB, err)
 	}
-	dep.ts = transport.ServeListener(lis2, driver.NewHandler(prom.Server, prom.Store), transport.Options{Sessions: prom.Sessions})
+	dep.TCP = transport.ServeListener(lis2, driver.NewHandler(prom.Server, prom.Store), transport.Options{Sessions: prom.Sessions})
 	run.resumed()
 
 	if err := run.wait(); err != nil {
 		return fmt.Errorf("E15 phase 1 must complete cleanly: %w", err)
 	}
-	d.FalseAlarms = dep.drain(10 * time.Second)
-	for _, cl := range dep.clients {
+	d.FalseAlarms = dep.Drain(10 * time.Second)
+	for _, cl := range dep.Clients {
 		d.NoQuorumSkips += cl.NoQuorumSkips()
 	}
 	if t := run.recoveredAt(); t > 0 {
@@ -231,12 +232,8 @@ func runE15Fork(d *E15Data) error {
 	if err != nil {
 		return err
 	}
-	w1 := witness.NewNode("w1")
-	w2 := witness.NewNode("w2")
-	w1.AddPeer("w2", inprocWitness(w2))
-	w2.AddPeer("w1", inprocWitness(w1))
-	w1.Pin("primary", wid.Public())
-	w2.Pin("primary", wid.Public())
+	mesh := witness.Mesh(2, wid)
+	w1, w2 := mesh[0], mesh[1]
 
 	// Shared prefix (seq 1, 2), then the histories diverge at seq 3.
 	shared := e15Chain(wid, 'S', 1, 2, digest.Zero)
@@ -282,19 +279,7 @@ func runE15BenignGossip(d *E15Data) error {
 	if err != nil {
 		return err
 	}
-	nodes := make([]*witness.Node, 3)
-	for i := range nodes {
-		nodes[i] = witness.NewNode(fmt.Sprintf("b%d", i))
-		nodes[i].Pin("primary", wid.Public())
-	}
-	for i, n := range nodes {
-		for j, p := range nodes {
-			if i == j {
-				continue
-			}
-			n.AddPeer(p.Name(), inprocWitness(p))
-		}
-	}
+	nodes := witness.Mesh(3, wid)
 	for i, c := range e15Chain(wid, 'H', 1, 9, digest.Zero) {
 		if err := submitCommits(nodes[(i+1)%3], wid, c); err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 
 	"trustedcvs/internal/adversary"
 	"trustedcvs/internal/audit"
+	"trustedcvs/internal/deploy"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
@@ -89,30 +90,30 @@ type E17Data struct {
 // against the full deployment (TCP transport, broadcast hub, witness
 // quorum), then the audit drain — seal and final closure check.
 func e17Control(cfg E17Config) (E17Control, error) {
-	dep, err := deploy(deployConfig{
-		srv: server.NewP2(vdb.New(0)), users: cfg.Users, epochLen: cfg.EpochLen,
-		witnesses: cfg.Witnesses, opts: transport.Options{IdleTimeout: -1},
+	dep, err := deployTCP(deploy.Config{
+		Server: server.NewP2(vdb.New(0)), Users: cfg.Users, EpochLen: cfg.EpochLen,
+		Witnesses: cfg.Witnesses, Options: transport.Options{IdleTimeout: -1},
 	})
 	if err != nil {
 		return E17Control{}, err
 	}
-	defer dep.close()
+	defer dep.Close()
 
 	res := load{
 		workers: cfg.Users, ops: cfg.OpsPerUser,
 		op: func(a arrival) (bool, error) {
-			_, err := dep.clients[a.worker].Do(putOp(fmt.Sprintf("h-%d-%d", a.worker, a.seq)))
+			_, err := dep.Clients[a.worker].Do(putOp(fmt.Sprintf("h-%d-%d", a.worker, a.seq)))
 			return false, err
 		},
 		// A finished client must seal or peers stall at admission
 		// waiting for its boundary reports.
-		finish: func(w int) { dep.clients[w].Seal() },
+		finish: func(w int) { dep.Clients[w].Seal() },
 	}.run()
 	if err := res.err(); err != nil {
 		return E17Control{}, fmt.Errorf("E17 honest control: %w", err)
 	}
-	c := E17Control{FalseAlarms: dep.drain(60 * time.Second), Ops: dep.srv.DB().Ctr()}
-	for _, dc := range dep.clients {
+	c := E17Control{FalseAlarms: dep.Drain(60 * time.Second), Ops: dep.Server.DB().Ctr()}
+	for _, dc := range dep.Clients {
 		st := dc.Audit().Stats()
 		c.QueueCap = st.QueueCap
 		c.QueueHighWater = max(c.QueueHighWater, st.HighWater)
@@ -128,14 +129,14 @@ func e17Fork(trigger uint64, cfg E17Config) (E17Trial, error) {
 	epochLen := cfg.EpochLen
 	acfg := adversary.Config{Kind: adversary.Fork, TriggerOp: trigger, GroupB: map[sig.UserID]bool{sig.UserID(users - 1): true}}
 	adv := adversary.Wrap(server.NewP2(vdb.New(0)), acfg)
-	dep, err := deploy(deployConfig{srv: adv, users: users, epochLen: epochLen, opts: transport.Options{IdleTimeout: -1}})
+	dep, err := deployTCP(deploy.Config{Server: adv, Users: users, EpochLen: epochLen, Options: transport.Options{IdleTimeout: -1}})
 	if err != nil {
 		return E17Trial{}, err
 	}
-	defer dep.close()
+	defer dep.Close()
 
 	perUser := int(trigger+2*epochLen) / users
-	wdone := trialWorkload(dep.clients, perUser, func(w, j int) vdb.Op {
+	wdone := trialWorkload(dep.Clients, perUser, func(w, j int) vdb.Op {
 		return putOp(fmt.Sprintf("t-%d", w*perUser+j))
 	})
 	eaf, err := awaitConviction(dep, wdone, 60*time.Second)
@@ -176,20 +177,20 @@ func e17Divergence(cfg E17Config) (E17Trial, error) {
 	epochLen := cfg.EpochLen
 	// Commit cadence effectively never: the only commitment the
 	// witnesses will hold is the forged one below.
-	dep, err := deploy(deployConfig{
-		srv: server.NewP2(vdb.New(0)), users: 2, epochLen: epochLen,
-		witnesses: 3, pubEvery: 1 << 60, opts: transport.Options{IdleTimeout: -1},
+	dep, err := deployTCP(deploy.Config{
+		Server: server.NewP2(vdb.New(0)), Users: 2, EpochLen: epochLen,
+		Witnesses: 3, CommitEvery: 1 << 60, Options: transport.Options{IdleTimeout: -1},
 	})
 	if err != nil {
 		return E17Trial{}, err
 	}
-	defer dep.close()
+	defer dep.Close()
 
 	half := int(epochLen) / 2
-	if err := writeRoundRobin(dep.clients, "w", 0, half, 1); err != nil {
+	if err := writeRoundRobin(dep.Clients, "w", 0, half, 1); err != nil {
 		return E17Trial{}, err
 	}
-	for _, dc := range dep.clients {
+	for _, dc := range dep.Clients {
 		if err := dc.WaitAudited(30 * time.Second); err != nil {
 			return E17Trial{}, err
 		}
@@ -197,11 +198,11 @@ func e17Divergence(cfg E17Config) (E17Trial, error) {
 	// Forge: a validly signed commitment for a counter the clients
 	// verified, naming a root that was never on their history.
 	forged := uint64(half / 2)
-	dep.pub.CommitNow(forged, digest.Digest{0xde, 0xad, 0xbe, 0xef})
-	dep.pub.Flush()
+	dep.Publisher.CommitNow(forged, digest.Digest{0xde, 0xad, 0xbe, 0xef})
+	dep.Publisher.Flush()
 	// An error here is the conviction reaching the hot path.
-	_ = writeRoundRobin(dep.clients, "w", half, int(2*epochLen), 1)
-	eaf, err := sealAndConvict(dep.clients, 60*time.Second)
+	_ = writeRoundRobin(dep.Clients, "w", half, int(2*epochLen), 1)
+	eaf, err := sealAndConvict(dep.Clients, 60*time.Second)
 	if err != nil {
 		return E17Trial{}, fmt.Errorf("E17 witness-divergence: %w", err)
 	}

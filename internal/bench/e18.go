@@ -10,6 +10,7 @@ import (
 	"trustedcvs/internal/adversary"
 	"trustedcvs/internal/audit"
 	"trustedcvs/internal/core"
+	"trustedcvs/internal/deploy"
 	"trustedcvs/internal/durable"
 	"trustedcvs/internal/fault"
 	"trustedcvs/internal/server"
@@ -206,12 +207,12 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 		ffs = &fault.FaultyFS{CrashAtRemove: 1}
 	}
 	restarted := false
-	dep, err := deploy(deployConfig{
-		srv: srv, users: users, epochLen: epochLen, opts: transport.Options{IdleTimeout: -1},
+	dep, err := deployTCP(deploy.Config{
+		Server: srv, Users: users, EpochLen: epochLen, Options: transport.Options{IdleTimeout: -1},
 		// Client 0's first incarnation journals through the
 		// fault-scheduled filesystem; its restart gets a healthy disk,
 		// as after a real reboot.
-		journal: func(i int) (string, durable.FS) {
+		AuditWAL: func(i int) (string, durable.FS) {
 			if ffs != nil && i == 0 && !restarted {
 				return userDir(i), ffs
 			}
@@ -221,13 +222,13 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 	if err != nil {
 		return cell, err
 	}
-	defer dep.close()
+	defer dep.Close()
 
 	// Phase 1: the doomed deployment.
-	if err := writeRoundRobin(dep.clients, "e18", 0, pt.preOps, max(pt.valLen, 1)); err != nil {
+	if err := writeRoundRobin(dep.Clients, "e18", 0, pt.preOps, max(pt.valLen, 1)); err != nil {
 		return cell, fmt.Errorf("E18 %s pre-%w", pt.name, err)
 	}
-	for _, dc := range dep.clients {
+	for _, dc := range dep.Clients {
 		// A failed client falls through to WaitAudited, which reports it.
 		if !pollUntil(30*time.Second, time.Millisecond, func() bool { return dc.Err() != nil || dc.Audit().Completed() >= 1 }) {
 			return cell, fmt.Errorf("E18 %s: epoch 0 not closed before deadline", pt.name)
@@ -237,9 +238,9 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 		}
 	}
 	if pt.sealOne {
-		dep.clients[0].Seal() // in flight at the kill; never journaled
+		dep.Clients[0].Seal() // in flight at the kill; never journaled
 	}
-	for _, dc := range dep.clients {
+	for _, dc := range dep.Clients {
 		if dc.Err() != nil {
 			cell.FalseAlarms++
 		}
@@ -247,10 +248,10 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 	}
 	// Kill. Stop drops the unverified queue on the floor — the journal
 	// is the only survivor, exactly as in a real crash.
-	victim := dep.clients[0]
-	for i, dc := range dep.clients {
+	victim := dep.Clients[0]
+	for i, dc := range dep.Clients {
 		dc.Close()
-		dep.clients[i] = nil
+		dep.Clients[i] = nil
 	}
 	if pt.truncFS {
 		if !ffs.Crashed() {
@@ -262,7 +263,7 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 		}
 	}
 	if tampered {
-		if err := e18Plant(dep.ts.Addr(), userDir(0), plantG, epochLen); err != nil {
+		if err := e18Plant(dep.TCP.Addr(), userDir(0), plantG, epochLen); err != nil {
 			return cell, fmt.Errorf("E18 %s plant: %w", pt.name, err)
 		}
 	}
@@ -279,16 +280,16 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 	// conviction must come from its own journal replay, no peer help.
 	restarted = true
 	t0 := time.Now()
-	for i := range dep.clients {
+	for i := range dep.Clients {
 		if tampered && i > 0 {
 			break
 		}
-		if dep.clients[i], err = dep.startClient(i); err != nil {
+		if dep.Clients[i], err = dep.StartClient(i); err != nil {
 			return cell, fmt.Errorf("E18 %s restart: %w", pt.name, err)
 		}
 	}
 	if tampered {
-		aud := dep.clients[0].Audit()
+		aud := dep.Clients[0].Audit()
 		if !pollUntil(cfg.ReplayBudget, time.Millisecond, func() bool { return aud.Err() != nil }) {
 			return cell, fmt.Errorf("E18 %s: tampered record not convicted within the replay budget", pt.name)
 		}
@@ -308,7 +309,7 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 	// workload and close every epoch.
 	if !pollUntil(cfg.ReplayBudget, time.Millisecond, func() bool {
 		cell.Replayed = 0
-		for _, dc := range dep.clients {
+		for _, dc := range dep.Clients {
 			cell.Replayed += dc.Audit().Stats().Replayed
 		}
 		return cell.Replayed >= uint64(cell.ExpectedReplay)
@@ -316,7 +317,7 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 		return cell, fmt.Errorf("E18 %s: replayed %d of %d journaled obligations within the budget",
 			pt.name, cell.Replayed, cell.ExpectedReplay)
 	}
-	for _, dc := range dep.clients {
+	for _, dc := range dep.Clients {
 		if err := dc.WaitAudited(cfg.ReplayBudget); err != nil {
 			cell.FalseAlarms++
 		}
@@ -324,14 +325,14 @@ func e18Cell(pt e18Point, tampered bool, cfg E18Config) (E18Cell, error) {
 	cell.ReplayMillis = float64(time.Since(t0)) / float64(time.Millisecond)
 	cell.ZeroLoss = cell.Replayed == uint64(cell.ExpectedReplay)
 
-	if err := writeRoundRobin(dep.clients, "e18-post", 0, pt.postOps, 1); err != nil {
+	if err := writeRoundRobin(dep.Clients, "e18-post", 0, pt.postOps, 1); err != nil {
 		cell.FalseAlarms++
 		return cell, nil
 	}
-	for _, dc := range dep.clients {
+	for _, dc := range dep.Clients {
 		dc.Seal()
 	}
-	cell.FalseAlarms += dep.drain(cfg.ReplayBudget)
+	cell.FalseAlarms += dep.Drain(cfg.ReplayBudget)
 	return cell, nil
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"trustedcvs/internal/adversary"
 	"trustedcvs/internal/core"
+	"trustedcvs/internal/deploy"
 	"trustedcvs/internal/driver"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
@@ -185,7 +186,7 @@ type E21Data struct {
 // governor pinned to a fixed-limit FIFO: limit MaxConcurrent, a queue
 // deeper than every generator connection can fill, so it never sheds,
 // and no classifier (clients send no budgets).
-func e21Deploy(cfg E21Config, hs server.Server, protected bool, users int, epochLen uint64) (*deployment, error) {
+func e21Deploy(cfg E21Config, hs server.Server, protected bool, users int, epochLen uint64) (*deploy.Deployment, error) {
 	opts := transport.Options{IdleTimeout: -1, Admission: transport.AdmissionOptions{
 		MinLimit: cfg.MaxConcurrent, MaxLimit: cfg.MaxConcurrent,
 		QueueDepth: max(cfg.Workers, 2*cfg.MaxConcurrent),
@@ -196,9 +197,9 @@ func e21Deploy(cfg E21Config, hs server.Server, protected bool, users int, epoch
 		}
 		opts.Classify = driver.Classify
 	}
-	return deploy(deployConfig{
-		srv: hs, users: users, epochLen: epochLen, opts: opts,
-		wrap: func(inner transport.Handler) transport.Handler {
+	return deployTCP(deploy.Config{
+		Server: hs, Users: users, EpochLen: epochLen, Options: opts,
+		Wrap: func(inner transport.Handler) transport.Handler {
 			return func(req any) (any, error) {
 				resp, err := inner(req)
 				if cfg.Service > 0 {
@@ -249,9 +250,9 @@ func e21Capacity(cfg E21Config) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer dep.close()
+	defer dep.Close()
 	W := 2 * cfg.MaxConcurrent
-	conns, err := e21Dial(dep.ts.Addr(), W)
+	conns, err := e21Dial(dep.TCP.Addr(), W)
 	if err != nil {
 		return 0, err
 	}
@@ -301,11 +302,11 @@ func e21Cell(cfg E21Config, protected bool, factor, capacity float64) (E21Point,
 	if err != nil {
 		return E21Point{}, err
 	}
-	defer dep.close()
+	defer dep.Close()
 
 	rate := factor * capacity
 	W := cfg.Workers
-	conns, err := e21Dial(dep.ts.Addr(), W)
+	conns, err := e21Dial(dep.TCP.Addr(), W)
 	if err != nil {
 		return E21Point{}, err
 	}
@@ -350,7 +351,7 @@ func e21Cell(cfg E21Config, protected bool, factor, capacity float64) (E21Point,
 				c.faults++ // user op rejected by the handler: not load-related
 			default:
 				c.faults++
-				return false, e21Redial(conns, a.worker, dep.ts.Addr())
+				return false, e21Redial(conns, a.worker, dep.TCP.Addr())
 			}
 			return false, nil
 		},
@@ -405,7 +406,7 @@ func e21Cell(cfg E21Config, protected bool, factor, capacity float64) (E21Point,
 	pt.UserOpSuccesses = total.delivered[transport.PriorityUser]
 	pt.AtomicSheds = pt.ServerOpsApplied == pt.UserOpSuccesses
 	if protected {
-		st := dep.ts.AdmissionStats()
+		st := dep.TCP.AdmissionStats()
 		pt.AdmissionLimit = st.Limit
 		pt.QueueHighWater = st.HighWater
 		for p := range st.Shed {
@@ -464,16 +465,16 @@ func e21TrialRun(cfg E21Config, factor, capacity float64, malicious bool) (E21Tr
 	if err != nil {
 		return E21Trial{}, err
 	}
-	defer dep.close()
+	defer dep.Close()
 
-	conns, err := e21Dial(dep.ts.Addr(), cfg.TrialFlood)
+	conns, err := e21Dial(dep.TCP.Addr(), cfg.TrialFlood)
 	if err != nil {
 		return E21Trial{}, err
 	}
 	stop, flooded := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(flooded)
-		e21Flood(cfg, conns, dep.ts.Addr(), factor*capacity, stop)
+		e21Flood(cfg, conns, dep.TCP.Addr(), factor*capacity, stop)
 	}()
 	defer func() {
 		close(stop)
@@ -482,7 +483,7 @@ func e21TrialRun(cfg E21Config, factor, capacity float64, malicious bool) (E21Tr
 	}()
 
 	perUser := int(trigger+2*epochLen)/users + 1
-	wdone := trialWorkload(dep.clients, perUser, func(w, j int) vdb.Op { return putOp(fmt.Sprintf("t%d-%d", w, j)) })
+	wdone := trialWorkload(dep.Clients, perUser, func(w, j int) vdb.Op { return putOp(fmt.Sprintf("t%d-%d", w, j)) })
 	if malicious {
 		eaf, err := awaitConviction(dep, wdone, 90*time.Second)
 		if err != nil {
@@ -491,9 +492,9 @@ func e21TrialRun(cfg E21Config, factor, capacity float64, malicious bool) (E21Tr
 		tr.Detected, tr.Class = true, detectionClass(eaf)
 	} else {
 		<-wdone
-		tr.FalseAlarm = dep.drain(90*time.Second) > 0
+		tr.FalseAlarm = dep.Drain(90*time.Second) > 0
 	}
-	for _, dc := range dep.clients {
+	for _, dc := range dep.Clients {
 		st := dc.Audit().Stats()
 		tr.Submitted += st.Submitted
 		tr.Audited += st.Audited
@@ -503,7 +504,7 @@ func e21TrialRun(cfg E21Config, factor, capacity float64, malicious bool) (E21Tr
 		// honest control demands a full drain.
 		tr.Dangling = tr.Submitted - tr.Audited
 	}
-	st := dep.ts.AdmissionStats()
+	st := dep.TCP.AdmissionStats()
 	for p := range st.Shed {
 		tr.ShedDuring += st.Shed[p] + st.Expired[p]
 	}

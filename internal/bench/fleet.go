@@ -10,6 +10,9 @@ import (
 	"trustedcvs/internal/core/proto1"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/core/proto3"
+	"trustedcvs/internal/cvs"
+	"trustedcvs/internal/driver"
+	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
@@ -23,11 +26,11 @@ import (
 // reports the operation counter the server presented.
 type schemeClient func(c transport.Caller, op vdb.Op) (ctr uint64, err error)
 
-// scheme wires up one protocol: the server handler over a fresh
-// preloaded database and a per-client user factory.
+// scheme wires up one protocol: the server over a fresh preloaded
+// database and a per-client user factory.
 type scheme struct {
 	name  string
-	setup func(size, nClients int) (transport.Handler, func(id int) schemeClient)
+	setup func(size, nClients int) (server.Server, func(id int) schemeClient)
 }
 
 // callII is the two-message exchange of every scheme but Protocol I:
@@ -80,26 +83,13 @@ func p1Do(u *proto1.User, c transport.Caller, op vdb.Op) (uint64, error) {
 	return r.Ctr, nil
 }
 
-func p1Setup(size, nClients int) (transport.Handler, func(int) schemeClient) {
+func p1Setup(size, nClients int) (server.Server, func(int) schemeClient) {
 	db := seedDB(size)
 	signers, ring, err := sig.DeterministicSigners(nClients, 13)
 	if err != nil {
 		panic(err)
 	}
-	srv := proto1.NewServer(db, proto1.Initialize(signers[0], db.Root()))
-	handler := func(req any) (any, error) {
-		switch r := req.(type) {
-		case *core.OpRequest:
-			return srv.HandleOp(r)
-		case *core.AckRequest:
-			if err := srv.HandleAck(r); err != nil {
-				return nil, err
-			}
-			return &core.OKResponse{}, nil
-		}
-		return nil, fmt.Errorf("bench: unexpected request %T", req)
-	}
-	return handler, func(id int) schemeClient {
+	return server.NewP1(db, proto1.Initialize(signers[0], db.Root())), func(id int) schemeClient {
 		u := proto1.NewUser(signers[id], ring, 1<<62)
 		return func(c transport.Caller, op vdb.Op) (uint64, error) { return p1Do(u, c, op) }
 	}
@@ -107,17 +97,10 @@ func p1Setup(size, nClients int) (transport.Handler, func(int) schemeClient) {
 
 // --- Protocol II ---
 
-func p2Setup(size, _ int) (transport.Handler, func(int) schemeClient) {
+func p2Setup(size, _ int) (server.Server, func(int) schemeClient) {
 	db := seedDB(size)
-	srv := proto2.NewServer(db)
 	root := db.Root()
-	handler := func(req any) (any, error) {
-		if r, ok := req.(*core.OpRequest); ok {
-			return srv.HandleOp(r)
-		}
-		return nil, fmt.Errorf("bench: unexpected request %T", req)
-	}
-	return handler, func(id int) schemeClient {
+	return server.NewP2(db), func(id int) schemeClient {
 		u := proto2.NewUser(sig.UserID(id), root, 1<<62)
 		return func(c transport.Caller, op vdb.Op) (uint64, error) {
 			return callII(c, u.Request(op), func(r *core.OpResponseII) error {
@@ -130,24 +113,14 @@ func p2Setup(size, _ int) (transport.Handler, func(int) schemeClient) {
 
 // --- Protocol III ---
 
-func p3Setup(size, nClients int) (transport.Handler, func(int) schemeClient) {
+func p3Setup(size, nClients int) (server.Server, func(int) schemeClient) {
 	db := seedDB(size)
 	signers, ring, err := sig.DeterministicSigners(nClients, 17)
 	if err != nil {
 		panic(err)
 	}
-	srv := proto3.NewServer(db)
 	root := db.Root()
-	handler := func(req any) (any, error) {
-		switch r := req.(type) {
-		case *core.OpRequest:
-			return srv.HandleOp(r)
-		case *core.GetBackupsRequest:
-			return srv.HandleGetBackups(r), nil
-		}
-		return nil, fmt.Errorf("bench: unexpected request %T", req)
-	}
-	return handler, func(id int) schemeClient {
+	return server.NewP3(db), func(id int) schemeClient {
 		u := proto3.NewUser(signers[id], ring, root)
 		return func(c transport.Caller, op vdb.Op) (uint64, error) {
 			return callII(c, u.Request(op), func(r *core.OpResponseII) error {
@@ -169,13 +142,14 @@ func schemes() []scheme {
 }
 
 // runFleet connects nClients protocol clients of scheme s to its
-// handler behind TCP, has each issue totalOps/nClients operations
-// closed loop, and returns per client every operation counter the
-// server presented. Writes are spread so clients touch distinct keys
-// most of the time, like independent CVS users would.
+// server behind the production request router over TCP, has each issue
+// totalOps/nClients operations closed loop, and returns per client
+// every operation counter the server presented. Writes are spread so
+// clients touch distinct keys most of the time, like independent CVS
+// users would.
 func runFleet(s scheme, size, nClients, totalOps int) ([][]uint64, error) {
-	handler, newClient := s.setup(size, nClients)
-	srv, err := transport.Listen("127.0.0.1:0", handler)
+	ps, newClient := s.setup(size, nClients)
+	srv, err := transport.Listen("127.0.0.1:0", driver.NewHandler(ps, cvs.NewStore()))
 	if err != nil {
 		return nil, err
 	}

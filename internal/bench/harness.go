@@ -13,16 +13,9 @@ import (
 	"trustedcvs/internal/backoff"
 	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core"
-	"trustedcvs/internal/core/proto2"
-	"trustedcvs/internal/cvs"
-	"trustedcvs/internal/digest"
+	"trustedcvs/internal/deploy"
 	"trustedcvs/internal/driver"
-	"trustedcvs/internal/durable"
-	"trustedcvs/internal/server"
-	"trustedcvs/internal/sig"
-	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
-	"trustedcvs/internal/witness"
 )
 
 // The substrate the measured experiments (E14 onward) and the stress
@@ -207,187 +200,21 @@ func pollUntil(timeout, tick time.Duration, cond func() bool) bool {
 
 // ---- deployment builder ----
 
-// deployConfig describes one full Protocol II deployment: a server
-// behind TCP, a TCP broadcast hub, and a population of driver clients.
-type deployConfig struct {
-	// srv is the server to deploy, honest or adversary-wrapped.
-	srv   server.Server
-	users int
-	// epochLen > 0 builds epoch-audit clients (queue is the audit queue
-	// capacity, 0 = audit.DefaultQueue); otherwise the clients run the
-	// sync barrier every k of their own ops.
-	k, epochLen uint64
-	queue       int
-	// witnesses > 0 adds that many in-process witness nodes, a
-	// publisher on the server's op hook and a quorum check on every
-	// client. pubEvery overrides the publisher's commit cadence (0 =
-	// the mode's natural one: the sync period, or the aligned epoch
-	// grid).
-	witnesses int
-	pubEvery  uint64
-	opts      transport.Options
-	// wrap, if set, decorates the request handler.
-	wrap func(transport.Handler) transport.Handler
-	// Per-user hooks for the fault experiments. nil selects a plain TCP
-	// dial, a resumable hub subscription and no audit journal.
-	dial    func(i int, addr string) (transport.Caller, error)
-	join    func(i int, hubAddr string) broadcast.Channel
-	journal func(i int) (dir string, fs durable.FS)
-}
-
-// deployment is a live deployConfig.
-type deployment struct {
-	cfg     deployConfig
-	srv     server.Server // cfg.srv behind the witness hook
-	store   *cvs.Store
-	ts      *transport.Server
-	hub     *broadcast.HubServer
-	clients []*driver.Client
-	pub     *witness.Publisher
-	nodes   []*witness.Node
-	root    digest.Digest
-	once    sync.Once
-}
-
-func deploy(cfg deployConfig) (*deployment, error) {
-	if cfg.dial == nil {
-		cfg.dial = func(_ int, addr string) (transport.Caller, error) { return transport.Dial(addr) }
+// deployTCP starts cfg over localhost TCP. Its users subscribe to the
+// hub through resumable channels unless cfg.Join says otherwise: under
+// 64 concurrent sync clients the report fan-out bursts past any fixed
+// buffer, and the wire hub's replay log turns that into recovery
+// instead of a lost delivery. Epoch-audit users get k = 2^62: sync
+// scheduling is the auditor's job.
+func deployTCP(cfg deploy.Config) (*deploy.Deployment, error) {
+	cfg.TCP = true
+	if cfg.Join == nil {
+		cfg.Join = func(_ int, hubAddr string) broadcast.Channel { return broadcast.DialHubResume(hubAddr) }
 	}
-	if cfg.join == nil {
-		// Resumable hub subscribers: under 64 concurrent sync clients
-		// the report fan-out bursts past any fixed buffer, and the wire
-		// hub's replay log turns that into recovery instead of a lost
-		// delivery.
-		cfg.join = func(_ int, hubAddr string) broadcast.Channel { return broadcast.DialHubResume(hubAddr) }
+	if cfg.EpochLen > 0 {
+		cfg.K = 1 << 62
 	}
-	if cfg.journal == nil {
-		cfg.journal = func(int) (string, durable.FS) { return "", nil }
-	}
-	d := &deployment{cfg: cfg, srv: cfg.srv, store: cvs.NewStore(), root: cfg.srv.DB().Root()}
-	if cfg.witnesses > 0 {
-		wid, err := witness.NewIdentity("primary")
-		if err != nil {
-			return nil, err
-		}
-		every := cfg.k
-		if cfg.epochLen > 0 {
-			every = cfg.epochLen
-		}
-		if cfg.pubEvery > 0 {
-			every = cfg.pubEvery
-		}
-		d.pub = witness.NewPublisher(wid, every)
-		if cfg.pubEvery == 0 && cfg.epochLen > 0 {
-			d.pub.Align()
-		}
-		for i := 0; i < cfg.witnesses; i++ {
-			nd := witness.NewNode(fmt.Sprintf("w%d", i))
-			nd.Pin("primary", wid.Public())
-			d.pub.AddWitness(nd.Name(), inprocWitness(nd))
-			d.nodes = append(d.nodes, nd)
-		}
-		// The hook sits outside any adversary wrapper: a server that
-		// starts lying still publishes commitments for the history it
-		// serves, which is exactly what the witnesses convict.
-		d.srv = server.WithOpHook(cfg.srv, d.pub.OpApplied)
-	}
-	handler := driver.NewHandler(d.srv, d.store)
-	if cfg.wrap != nil {
-		handler = cfg.wrap(handler)
-	}
-	var err error
-	if d.ts, err = transport.ListenOpts("127.0.0.1:0", handler, cfg.opts); err != nil {
-		return nil, err
-	}
-	if d.hub, err = broadcast.ListenHub("127.0.0.1:0"); err != nil {
-		d.close()
-		return nil, err
-	}
-	d.clients = make([]*driver.Client, cfg.users)
-	for i := range d.clients {
-		if d.clients[i], err = d.startClient(i); err != nil {
-			d.close()
-			return nil, err
-		}
-	}
-	return d, nil
-}
-
-// startClient connects user i. deploy calls it for every user; the
-// crash experiments call it again to restart a killed client against
-// the same server and hub.
-func (d *deployment) startClient(i int) (*driver.Client, error) {
-	cfg := d.cfg
-	conn, err := cfg.dial(i, d.ts.Addr())
-	if err != nil {
-		return nil, err
-	}
-	ch := cfg.join(i, d.hub.Addr())
-	k := cfg.k
-	if cfg.epochLen > 0 {
-		k = 1 << 62 // sync scheduling is the auditor's job now
-	}
-	u := proto2.NewUser(sig.UserID(i), d.root, k)
-	var dc *driver.Client
-	if cfg.epochLen > 0 {
-		dir, fs := cfg.journal(i)
-		if dc, err = driver.NewP2EpochWAL(u, conn, ch, cfg.users, cfg.epochLen, cfg.queue, dir, fs); err != nil {
-			return nil, err
-		}
-	} else {
-		dc = driver.NewP2(u, conn, ch, cfg.users)
-	}
-	if d.pub != nil {
-		chk := witness.NewCheck("primary", d.pub.Identity().Public(), 0)
-		for _, nd := range d.nodes {
-			chk.AddWitness(nd.Name(), inprocWitness(nd))
-		}
-		chk.SetEpochLen(cfg.epochLen)
-		dc.SetWitnessCheck(chk)
-	}
-	return dc, nil
-}
-
-// drain waits until every client's verification has caught up with its
-// answers — the final closure check in epoch mode (the clients must
-// have sealed), the residual sync round otherwise — and counts the
-// clients that ended with a deviation report: on an honest run, the
-// false alarms.
-func (d *deployment) drain(timeout time.Duration) (alarms int) {
-	for _, dc := range d.clients {
-		wait := dc.WaitIdle
-		if d.cfg.epochLen > 0 {
-			wait = dc.WaitSealed
-		}
-		if wait(timeout) != nil || dc.Err() != nil {
-			alarms++
-		}
-	}
-	return alarms
-}
-
-// close tears the deployment down; killed clients are nil.
-func (d *deployment) close() {
-	d.once.Do(func() {
-		for _, dc := range d.clients {
-			if dc != nil {
-				dc.Close()
-			}
-		}
-		if d.hub != nil {
-			d.hub.Close()
-		}
-		if d.ts != nil {
-			d.ts.Close()
-		}
-	})
-}
-
-// inprocWitness returns a DialFunc serving n in-process.
-func inprocWitness(n *witness.Node) witness.DialFunc {
-	return func() (transport.Caller, error) {
-		return transport.NewInproc(n.Handler()), nil
-	}
+	return deploy.Start(cfg)
 }
 
 // ---- workloads ----
@@ -482,8 +309,8 @@ func auditFailure(clients []*driver.Client) *audit.EpochAuditFailure {
 // measurement is made: the workload gets a short grace to finish, then
 // the deployment is torn down under the stalled clients. A workload
 // that runs to completion undetected is left to sealAndConvict.
-func awaitConviction(d *deployment, wdone <-chan struct{}, timeout time.Duration) (*audit.EpochAuditFailure, error) {
-	clients := d.clients
+func awaitConviction(d *deploy.Deployment, wdone <-chan struct{}, timeout time.Duration) (*audit.EpochAuditFailure, error) {
+	clients := d.Clients
 	var eaf *audit.EpochAuditFailure
 	finished := false
 	pollUntil(timeout, 5*time.Millisecond, func() bool {
@@ -502,7 +329,7 @@ func awaitConviction(d *deployment, wdone <-chan struct{}, timeout time.Duration
 		select {
 		case <-wdone:
 		case <-time.After(2 * time.Second):
-			d.close()
+			d.Close()
 			<-wdone
 		}
 	default:

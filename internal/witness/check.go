@@ -62,19 +62,23 @@ func NewCheck(serverName string, pub ed25519.PublicKey, quorum int) *Check {
 	}
 }
 
-// SetEpochLen sizes the remembered-roots window for an epoch-audit
-// deployment with epoch length n: 4·n when that exceeds
+// CheckFor returns a client's cross-check against the commitments
+// primary publishes to nodes, with a majority quorum. epochLen is the
+// deployment's epoch length (0 = synchronous audit): the
+// remembered-roots window grows to 4·epochLen when that exceeds
 // DefaultCheckWindow. With commitments on the epoch grid and
 // verification lagging up to one pipelined epoch behind, a window of
 // one epoch can evict the boundary commitment's root before the check
-// runs, silently degrading it to signature-only. n = 0 (synchronous
-// audit) keeps the default. Call before the first operation.
-func (c *Check) SetEpochLen(n uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if 4*n > uint64(DefaultCheckWindow) {
-		c.window = int(4 * n)
+// runs, silently degrading it to signature-only.
+func CheckFor(primary *Identity, nodes []*Node, epochLen uint64) *Check {
+	c := NewCheck(primary.Name(), primary.Public(), 0)
+	if 4*epochLen > uint64(DefaultCheckWindow) {
+		c.window = int(4 * epochLen)
 	}
+	for _, nd := range nodes {
+		c.AddWitness(nd.Name(), nd.Dial())
+	}
+	return c
 }
 
 // AddWitness registers a witness endpoint to query.

@@ -147,6 +147,30 @@ func (n *Node) AddPeer(name string, dial DialFunc) {
 	n.peers[name] = dial
 }
 
+// Dial returns a DialFunc that serves n in-process.
+func (n *Node) Dial() DialFunc {
+	return func() (transport.Caller, error) { return transport.NewInproc(n.Handler()), nil }
+}
+
+// Mesh returns n in-process witness nodes, witness-0 … witness-(n-1),
+// each pinned to primary's key and gossiping with every other: the
+// full mesh in which one gossip round converges every view.
+func Mesh(n int, primary *Identity) []*Node {
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nodes[i] = NewNode(fmt.Sprintf("witness-%d", i))
+		nodes[i].Pin(primary.Name(), primary.Public())
+	}
+	for _, nd := range nodes {
+		for _, peer := range nodes {
+			if peer != nd {
+				nd.AddPeer(peer.Name(), peer.Dial())
+			}
+		}
+	}
+	return nodes
+}
+
 // Handler returns the transport handler serving the witness wire
 // protocol.
 func (n *Node) Handler() transport.Handler {

@@ -71,35 +71,30 @@ type witnessLane struct {
 }
 
 // NewPublisher creates a publisher for the given identity. every is
-// the commitment cadence in operations (0 = DefaultCommitEvery).
-func NewPublisher(id *Identity, every uint64) *Publisher {
+// the commitment cadence in operations; 0 selects epochLen, or
+// DefaultCommitEvery in a synchronous deployment (epochLen = 0). With
+// epochLen > 0 the cadence is aligned: the commitment after the one
+// covering ctr lands at the first head past ctr-ctr%every+every, so
+// every epoch boundary has one at (or just past) it and the auditor's
+// per-epoch quorum check compares against a root from its own window.
+func NewPublisher(id *Identity, every, epochLen uint64) *Publisher {
+	if every == 0 {
+		every = epochLen
+	}
 	if every == 0 {
 		every = DefaultCommitEvery
 	}
 	return &Publisher{
-		id:     id,
-		every:  every,
-		nextAt: every,
-		lanes:  make(map[string]*witnessLane),
+		id:      id,
+		every:   every,
+		aligned: epochLen > 0,
+		nextAt:  every,
+		lanes:   make(map[string]*witnessLane),
 	}
 }
 
 // Identity returns the publisher's signing identity.
 func (p *Publisher) Identity() *Identity { return p.id }
-
-// Align pins the commitment cadence to exact multiples of the cadence
-// period instead of "every period since the last commit": the next
-// commitment after the one covering ctr lands at the first head past
-// ctr-ctr%every+every. Epoch-audit deployments call this with the
-// cadence set to the epoch length, so every epoch boundary has a
-// signed commitment at (or just past) it and the auditor's per-epoch
-// quorum check compares against a root from its own epoch window.
-// Call before the first operation.
-func (p *Publisher) Align() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.aligned = true
-}
 
 // AddWitness registers a witness endpoint.
 func (p *Publisher) AddWitness(name string, dial DialFunc) {

@@ -27,7 +27,7 @@ func TestLaneBreakerDeadWitnessOneDialPerCooldown(t *testing.T) {
 	down.Store(true)
 	var mu sync.Mutex
 	var dials []time.Time
-	p := NewPublisher(testIdentity(t, "primary", 1), 0)
+	p := NewPublisher(testIdentity(t, "primary", 1), 0, 0)
 	p.AddWitness("w1", func() (transport.Caller, error) {
 		mu.Lock()
 		dials = append(dials, time.Now())
@@ -98,5 +98,34 @@ func TestLaneBreakerDeadWitnessOneDialPerCooldown(t *testing.T) {
 	}
 	if latest := n.Latest("primary"); latest == nil || latest.Ctr != ctr {
 		t.Fatalf("witness holds %+v, want the commitment at ctr %d", latest, ctr)
+	}
+}
+
+// TestNewPublisherCadenceRule: one rule sets the commitment cadence
+// and its alignment from the caller's cadence and the deployment's
+// epoch length. A synchronous deployment (epochLen 0) keeps a drifting
+// cadence however often it commits, and an epoch-audit one aligns to
+// the epoch grid, by default at one commitment per epoch.
+func TestNewPublisherCadenceRule(t *testing.T) {
+	id := testIdentity(t, "primary", 1)
+	for _, tc := range []struct {
+		name            string
+		every, epochLen uint64
+		cadence         uint64
+		aligned         bool
+	}{
+		// Also tcvs-server -audit sync -epoch-len 64: there the flag
+		// sizes the op journal's batch, and the publisher gets no epoch.
+		{"sync default", 0, 0, DefaultCommitEvery, false},
+		{"sync explicit", 4, 0, 4, false},
+		{"epoch default", 0, 32, 32, true},
+		{"epoch explicit", 4, 32, 4, true},
+		{"epoch never", 1 << 60, 32, 1 << 60, true},
+	} {
+		p := NewPublisher(id, tc.every, tc.epochLen)
+		if p.every != tc.cadence || p.aligned != tc.aligned {
+			t.Errorf("%s: NewPublisher(%d, %d) cadence %d aligned %v, want %d %v",
+				tc.name, tc.every, tc.epochLen, p.every, p.aligned, tc.cadence, tc.aligned)
+		}
 	}
 }

@@ -33,12 +33,6 @@ func root(b byte) digest.Digest {
 	return d
 }
 
-func inproc(n *Node) DialFunc {
-	return func() (transport.Caller, error) {
-		return transport.NewInproc(n.Handler()), nil
-	}
-}
-
 func TestLogAcceptsHonestStream(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
 	l := NewLog("primary", nil, 4)
@@ -150,8 +144,8 @@ func TestGossipDetectsForkWithinOneRound(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
 	w1 := NewNode("w1")
 	w2 := NewNode("w2")
-	w1.AddPeer("w2", inproc(w2))
-	w2.AddPeer("w1", inproc(w1))
+	w1.AddPeer("w2", w2.Dial())
+	w2.AddPeer("w1", w1.Dial())
 
 	// Common prefix to both, then the fork: branch A to w1, branch B to w2.
 	common := id.Commit(1, 8, root(1), digest.Zero)
@@ -192,7 +186,7 @@ func TestGossipBenignConvergenceNoFalseAlarms(t *testing.T) {
 	for i, n := range nodes {
 		for j, p := range nodes {
 			if i != j {
-				n.AddPeer(p.Name(), inproc(p))
+				n.AddPeer(p.Name(), p.Dial())
 			}
 		}
 	}
@@ -226,8 +220,8 @@ func TestGossipBenignConvergenceNoFalseAlarms(t *testing.T) {
 func TestPublisherCadenceAndChain(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
 	n := NewNode("w1")
-	p := NewPublisher(id, 4)
-	p.AddWitness("w1", inproc(n))
+	p := NewPublisher(id, 4, 0)
+	p.AddWitness("w1", n.Dial())
 	for ctr := uint64(1); ctr <= 12; ctr++ {
 		p.OpApplied(ctr, root(byte(ctr)))
 	}
@@ -282,8 +276,8 @@ func buildP2(t *testing.T) (server.Server, *cvs.Store, *transport.SessionTable) 
 func TestShipSnapshotAndPromote(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
 	n := NewNode("w1")
-	p := NewPublisher(id, 0)
-	p.AddWitness("w1", inproc(n))
+	p := NewPublisher(id, 0, 0)
+	p.AddWitness("w1", n.Dial())
 
 	srv, store, sessions := buildP2(t)
 	snap, err := server.CheckpointP2(srv, store)
@@ -330,8 +324,8 @@ func TestShipSnapshotAndPromote(t *testing.T) {
 func TestPromoteRefusesTamperedSnapshot(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
 	n := NewNode("w1")
-	p := NewPublisher(id, 0)
-	p.AddWitness("w1", inproc(n))
+	p := NewPublisher(id, 0, 0)
+	p.AddWitness("w1", n.Dial())
 	srv, store, _ := buildP2(t)
 	snap, err := server.CheckpointP2(srv, store)
 	if err != nil {
@@ -374,8 +368,8 @@ func TestCheckDivergenceAndBenign(t *testing.T) {
 	w1 := NewNode("w1")
 	w2 := NewNode("w2")
 	chk := NewCheck("primary", id.Public(), 0)
-	chk.AddWitness("w1", inproc(w1))
-	chk.AddWitness("w2", inproc(w2))
+	chk.AddWitness("w1", w1.Dial())
+	chk.AddWitness("w2", w2.Dial())
 
 	// Benign: client verified the same roots the primary committed.
 	c1 := id.Commit(1, 8, root(1), digest.Zero)
@@ -416,7 +410,7 @@ func TestCheckSurfacesWitnessEvidence(t *testing.T) {
 		t.Fatal("equivocation not recorded")
 	}
 	chk := NewCheck("primary", id.Public(), 1)
-	chk.AddWitness("w1", inproc(w1))
+	chk.AddWitness("w1", w1.Dial())
 	if err := chk.Verify(); !errors.Is(err, ErrDiverged) {
 		t.Fatalf("verify = %v, want ErrDiverged from witness evidence", err)
 	}
@@ -435,7 +429,7 @@ func TestCheckQuorum(t *testing.T) {
 	w1 := NewNode("w1")
 	down := func() (transport.Caller, error) { return nil, errors.New("connection refused") }
 	chk := NewCheck("primary", id.Public(), 2)
-	chk.AddWitness("w1", inproc(w1))
+	chk.AddWitness("w1", w1.Dial())
 	chk.AddWitness("w2", down)
 	chk.AddWitness("w3", down)
 	if err := chk.Verify(); !errors.Is(err, ErrNoQuorum) {
@@ -446,8 +440,8 @@ func TestCheckQuorum(t *testing.T) {
 	}
 	// One more witness up restores the quorum.
 	chk2 := NewCheck("primary", id.Public(), 2)
-	chk2.AddWitness("w1", inproc(w1))
-	chk2.AddWitness("w2", inproc(NewNode("w2")))
+	chk2.AddWitness("w1", w1.Dial())
+	chk2.AddWitness("w2", NewNode("w2").Dial())
 	chk2.AddWitness("w3", down)
 	if err := chk2.Verify(); err != nil {
 		t.Fatalf("quorum of 2/3 should pass: %v", err)

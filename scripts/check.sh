@@ -61,6 +61,16 @@ if go list -f '{{join .Imports "\n"}}' ./internal/session | grep -x -e sync -e t
     echo "internal/session imports sync or time" >&2
     exit 1
 fi
+# One place builds a witness mesh: the publisher, the per-client
+# quorum check and the gossip peering are wired by internal/witness
+# (Mesh, CheckFor), the deployment assembler and the server binary's
+# remote witnesses, and nowhere else outside tests.
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+    -e 'witness\.NewPublisher' -e 'witness\.NewCheck' -e '\.AddPeer(' . |
+    grep -v -e '^\./internal/witness/' -e '^\./internal/deploy/' -e '^\./cmd/tcvs-server/'; then
+    echo "a witness mesh is built outside internal/witness, internal/deploy and cmd/tcvs-server" >&2
+    exit 1
+fi
 # encoding/gob is retired: nothing sent, journaled or stored goes
 # through it, so no production package may link it (tcvs-lint's
 # hashdiscipline says the same per import).

@@ -12,9 +12,10 @@
 // "./..." (the default) analyzes the whole module. Exit status: 0 when
 // clean, 1 when findings were reported, 2 on load or usage errors.
 //
-// -graph dumps the interprocedural engine's view (the type-resolved
+// -graph dumps the interprocedural passes' view (the type-resolved
 // call graph or the lock-order graph) as Graphviz DOT on stdout and
-// exits — the triage companion to a verifyflow/lockorder finding.
+// exits — the triage companion to a lockorder or syncdiscipline
+// finding.
 // -time prints per-pass wall-clock timings to stderr.
 package main
 

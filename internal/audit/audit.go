@@ -302,22 +302,31 @@ func (a *Auditor) NoteEpoch(g uint64) {
 // closing (its own audit is what publishes this client's e-1 boundary
 // report, so admission cannot deadlock on it). This bounds the
 // optimistic window — and therefore detection latency — to one epoch,
-// whatever the queue's occupancy. Returns the terminal failure (or
-// ErrClosed) instead of admitting.
-func (a *Auditor) WaitAdmissible() error {
+// whatever the queue's occupancy. The Admitted it returns is what
+// Submit takes for the operation it let through. Returns the terminal
+// failure (or ErrClosed) instead of admitting.
+func (a *Auditor) WaitAdmissible() (Admitted, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for a.failed == nil && !a.closed && a.maxEpoch > a.completed+1 {
 		a.cond.Wait()
 	}
 	if a.failed != nil {
-		return a.failed
+		return Admitted{}, a.failed
 	}
 	if a.closed {
-		return ErrClosed
+		return Admitted{}, ErrClosed
 	}
-	return nil
+	return Admitted{a: a}, nil
 }
+
+// Admitted is this auditor's leave to issue one operation: only
+// WaitAdmissible makes one, so an operation whose record reaches
+// Submit has passed the one-epoch gate. The zero Admitted, or one from
+// another auditor, is refused.
+type Admitted struct{ a *Auditor }
+
+var errNotAdmitted = errors.New("audit: record of an operation this auditor did not admit")
 
 // Submit queues one record for audit, in the client's operation order
 // (callers serialize their own Submits; the driver's client lock
@@ -326,19 +335,25 @@ func (a *Auditor) WaitAdmissible() error {
 // falls back to the synchronous rate). With a journal configured the
 // record is durable on disk before Submit returns — or, if the
 // journal has failed, Submit blocks until the record has actually
-// been verified (degrade-to-sync). Returns the terminal failure, if
-// any, so the hot path stops issuing promptly.
-func (a *Auditor) Submit(rec Record) error {
+// been verified (degrade-to-sync). The Queued it returns is the one
+// source of the record's optimistic answer. adm is the admission the
+// record's operation was issued under; without one Submit queues
+// nothing. Returns the terminal failure, if any, so the hot path stops
+// issuing promptly.
+func (a *Auditor) Submit(adm Admitted, rec Record) (Queued, error) {
+	if adm.a != a {
+		return Queued{}, errNotAdmitted
+	}
 	a.mu.Lock()
 	a.waitRecoveredLocked()
 	if a.failed != nil {
 		err := a.failed
 		a.mu.Unlock()
-		return err
+		return Queued{}, err
 	}
 	if a.closed {
 		a.mu.Unlock()
-		return ErrClosed
+		return Queued{}, ErrClosed
 	}
 	syncBarrier := a.degradedSync
 	a.mu.Unlock()
@@ -354,11 +369,11 @@ func (a *Auditor) Submit(rec Record) error {
 	if a.failed != nil {
 		err := a.failed
 		a.mu.Unlock()
-		return err
+		return Queued{}, err
 	}
 	if a.closed {
 		a.mu.Unlock()
-		return ErrClosed
+		return Queued{}, ErrClosed
 	}
 	a.submitted++
 	occ := len(a.ch) + 1
@@ -380,15 +395,37 @@ func (a *Auditor) Submit(rec Record) error {
 		select {
 		case a.ch <- rec:
 		case <-a.done:
-			return ErrClosed
+			return Queued{}, ErrClosed
 		}
 	}
-	if !syncBarrier {
-		return nil
+	if syncBarrier {
+		// The record never reached the journal: hold the answer back
+		// until it has been verified, restoring the synchronous per-op
+		// barrier.
+		if err := a.waitProcessed(); err != nil {
+			return Queued{}, err
+		}
 	}
-	// The record never reached the journal: hold the answer back until
-	// it has been verified, restoring the synchronous per-op barrier.
-	return a.waitProcessed()
+	return Queued{resp: rec.Resp}, nil
+}
+
+// Queued is a record the auditor has taken on: its verification
+// obligation is queued (and, with a journal, durable), so its answer
+// may be used before the audit reaches it — the optimistic half of the
+// split, which admission bounds to one epoch. Only Submit makes one;
+// the zero Queued holds no answer.
+type Queued struct{ resp *core.OpResponseII }
+
+var errNotQueued = errors.New("audit: answer of a record that was not queued")
+
+// Answer decodes the queued response's answer. The bytes are the
+// server's, unverified yet: if they lie, the audit of this very record
+// convicts the server.
+func (q Queued) Answer() (any, error) {
+	if q.resp == nil {
+		return nil, errNotQueued
+	}
+	return vdb.DecodeAnswer(q.resp.Answer)
 }
 
 // Seal publishes this client's final registers: it has stopped
@@ -552,7 +589,7 @@ func (a *Auditor) run() {
 	if a.retract {
 		a.publishReport(Report{Retract: true, Report: a.user.SyncReport()})
 	}
-	var obs []witness.Observation
+	var obs []vdb.Head
 	for {
 		var rec Record
 		select {
@@ -595,7 +632,7 @@ func (a *Auditor) run() {
 
 // process audits one record: emit boundary snapshots it crosses, then
 // verify it against the user state machine.
-func (a *Auditor) process(r Record, obs *[]witness.Observation) {
+func (a *Auditor) process(r Record, obs *[]vdb.Head) {
 	a.mu.Lock()
 	dead := a.failed != nil
 	a.mu.Unlock()
@@ -624,8 +661,7 @@ func (a *Auditor) process(r Record, obs *[]witness.Observation) {
 		a.fail(&EpochAuditFailure{Epoch: uint64(e), Ctr: g, Cause: err})
 		return
 	}
-	ctr, root := a.user.VerifiedRoot()
-	*obs = append(*obs, witness.Observation{Ctr: ctr, Root: root})
+	*obs = append(*obs, a.user.VerifiedRoot())
 }
 
 // publishReport broadcasts one of this client's own reports.

@@ -25,6 +25,55 @@ func loopback(ap **Auditor) func(Report) error {
 	}
 }
 
+// admit is the admission a test submits under when it drives the
+// queue past the gate on purpose, or checks a refusal that comes
+// before the gate matters.
+func admit(a *Auditor) Admitted { return Admitted{a: a} }
+
+// TestSubmitRefusesUnadmitted pins the admission half of Submit's
+// contract: a record under the zero Admitted, or under another
+// auditor's admission, is refused before anything is queued, and
+// yields no answer.
+func TestSubmitRefusesUnadmitted(t *testing.T) {
+	db := vdb.New(0)
+	srv := proto2.NewServer(db)
+	newAuditor := func() *Auditor {
+		var aud *Auditor
+		a, err := New(Config{User: proto2.NewUser(1, db.Root(), 1<<20), Epoch: 4, Users: 1, Publish: loopback(&aud)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		aud = a
+		t.Cleanup(a.Stop)
+		return a
+	}
+	a, other := newAuditor(), newAuditor()
+	otherAdm, err := other.WaitAdmissible()
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := put("k", "v")
+	resp, err := srv.HandleOp(proto2.NewUser(1, db.Root(), 1<<20).Request(op))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, adm := range map[string]Admitted{"zero": {}, "another auditor's": otherAdm} {
+		q, err := a.Submit(adm, Record{Op: op, Resp: resp})
+		if !errors.Is(err, errNotAdmitted) {
+			t.Fatalf("%s admission: Submit returned %v, want errNotAdmitted", name, err)
+		}
+		if ans, err := q.Answer(); err == nil {
+			t.Fatalf("%s admission yielded answer %v", name, ans)
+		}
+	}
+	if st := a.Stats(); st.Submitted != 0 {
+		t.Fatalf("refused records were counted: %d submitted", st.Submitted)
+	}
+	if err := a.Err(); err != nil {
+		t.Fatalf("a refused Submit failed the auditor: %v", err)
+	}
+}
+
 func TestEpochOf(t *testing.T) {
 	a := &Auditor{epoch: 4}
 	cases := map[uint64]uint64{0: 0, 1: 0, 4: 0, 5: 1, 8: 1, 9: 2}
@@ -68,7 +117,8 @@ func TestHonestEpochRun(t *testing.T) {
 	defer a.Stop()
 
 	for i := 0; i < 10; i++ {
-		if err := a.WaitAdmissible(); err != nil {
+		adm, err := a.WaitAdmissible()
+		if err != nil {
 			t.Fatalf("op %d: WaitAdmissible: %v", i, err)
 		}
 		op := put(fmt.Sprintf("k%d", i), "v")
@@ -76,7 +126,7 @@ func TestHonestEpochRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Submit(Record{Op: op, Resp: resp}); err != nil {
+		if _, err := a.Submit(adm, Record{Op: op, Resp: resp}); err != nil {
 			t.Fatalf("op %d: Submit: %v", i, err)
 		}
 		a.NoteEpoch(resp.Ctr + 1)
@@ -131,7 +181,7 @@ func TestMidEpochFailureIsTyped(t *testing.T) {
 			resp.Answer = append([]byte(nil), resp.Answer...)
 			resp.Answer[0] ^= 0xff // lie about the answer, post-hoc
 		}
-		if err := a.Submit(Record{Op: op, Resp: resp}); err != nil {
+		if _, err := a.Submit(admit(a), Record{Op: op, Resp: resp}); err != nil {
 			break // terminal failure already visible to the hot path
 		}
 	}
@@ -151,11 +201,14 @@ func TestMidEpochFailureIsTyped(t *testing.T) {
 	if _, ok := core.AsDetection(a.Err()); !ok {
 		t.Fatalf("detection class lost: %v", a.Err())
 	}
-	// Submits after a terminal failure must report it, not enqueue.
-	if err := a.Submit(Record{}); err == nil {
+	// Submits after a terminal failure must report it, not enqueue,
+	// and hand out nothing an answer could be decoded from.
+	if q, err := a.Submit(admit(a), Record{}); err == nil {
 		t.Fatal("Submit after failure returned nil")
+	} else if ans, err := q.Answer(); err == nil {
+		t.Fatalf("a refused Submit yielded answer %v", ans)
 	}
-	if err := a.WaitAdmissible(); err == nil {
+	if _, err := a.WaitAdmissible(); err == nil {
 		t.Fatal("WaitAdmissible after failure returned nil")
 	}
 }
@@ -204,11 +257,14 @@ func TestQueueFullDegradesNeverDrops(t *testing.T) {
 		}
 		recs[i] = Record{Op: op, Resp: resp}
 	}
-	if err := a.Submit(recs[0]); err != nil {
+	if _, err := a.Submit(admit(a), recs[0]); err != nil {
 		t.Fatal(err)
 	}
 	submitted := make(chan error, 1)
-	go func() { submitted <- a.Submit(recs[1]) }()
+	go func() {
+		_, err := a.Submit(admit(a), recs[1])
+		submitted <- err
+	}()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for a.Stats().Degraded == 0 {
@@ -293,10 +349,10 @@ func TestSkippedEpochBoundaries(t *testing.T) {
 	r2 := do0(1) // g=6
 	a.NoteEpoch(6)
 
-	if err := a.Submit(r1); err != nil {
+	if _, err := a.Submit(admit(a), r1); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Submit(r2); err != nil {
+	if _, err := a.Submit(admit(a), r2); err != nil {
 		t.Fatal(err)
 	}
 	a.Seal()
@@ -340,7 +396,7 @@ func TestWaitAdmissibleGatesOneEpochAhead(t *testing.T) {
 				t.Fatalf("setup: %v", err)
 			}
 			done := make(chan error, 1)
-			go func() { done <- a.WaitAdmissible() }()
+			go func() { _, err := a.WaitAdmissible(); done <- err }()
 			select {
 			case <-done:
 				t.Fatal("WaitAdmissible admitted past an unclosed epoch")
@@ -375,7 +431,7 @@ func gateIdle(t *testing.T) (*Auditor, func()) {
 	t.Cleanup(a.Stop)
 	a.NoteEpoch(2) // epoch 0: nothing closed yet, but still in-window — admissible
 	done := make(chan error, 1)
-	go func() { done <- a.WaitAdmissible() }()
+	go func() { _, err := a.WaitAdmissible(); done <- err }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -427,7 +483,8 @@ func gateUnderPressure(t *testing.T) (*Auditor, func()) {
 			t.Fatal(err)
 		}
 		a.NoteEpoch(resp.Ctr + 1)
-		return a.Submit(Record{Op: op, Resp: resp})
+		_, err = a.Submit(admit(a), Record{Op: op, Resp: resp})
+		return err
 	}
 	n := 0
 	for ; n <= epoch; n++ { // epoch 0 and the op that crosses into epoch 1
@@ -474,7 +531,7 @@ func TestStopUnblocksWaiters(t *testing.T) {
 
 	a.NoteEpoch(5) // two epochs ahead: admission blocks
 	done := make(chan error, 1)
-	go func() { done <- a.WaitAdmissible() }()
+	go func() { _, err := a.WaitAdmissible(); done <- err }()
 	time.Sleep(10 * time.Millisecond)
 	a.Stop()
 	select {
@@ -485,7 +542,7 @@ func TestStopUnblocksWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop left WaitAdmissible hanging")
 	}
-	if err := a.Submit(Record{}); !errors.Is(err, ErrClosed) {
+	if _, err := a.Submit(admit(a), Record{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Stop: %v, want ErrClosed", err)
 	}
 	a.Stop() // idempotent
@@ -553,7 +610,8 @@ func TestStatsSafeWhileAuditing(t *testing.T) {
 	}()
 	const ops = 200
 	for i := 0; i < ops; i++ {
-		if err := a.WaitAdmissible(); err != nil {
+		adm, err := a.WaitAdmissible()
+		if err != nil {
 			t.Fatalf("op %d: WaitAdmissible: %v", i, err)
 		}
 		op := put(fmt.Sprintf("k%d", i), "v")
@@ -561,7 +619,7 @@ func TestStatsSafeWhileAuditing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Submit(Record{Op: op, Resp: resp}); err != nil {
+		if _, err := a.Submit(adm, Record{Op: op, Resp: resp}); err != nil {
 			t.Fatalf("op %d: Submit: %v", i, err)
 		}
 		a.NoteEpoch(resp.Ctr + 1)

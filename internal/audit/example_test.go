@@ -36,7 +36,8 @@ func Example() {
 	defer a.Stop()
 
 	for i := 0; i < 10; i++ {
-		if err := a.WaitAdmissible(); err != nil { // at most one epoch ahead
+		adm, err := a.WaitAdmissible() // at most one epoch ahead
+		if err != nil {
 			fmt.Println(err)
 			return
 		}
@@ -46,13 +47,18 @@ func Example() {
 			fmt.Println(err)
 			return
 		}
-		// The answer in resp is usable right now; the proof obligation
-		// is queued behind it.
-		if err := a.Submit(audit.Record{Op: op, Resp: resp}); err != nil {
+		// Once the proof obligation is queued, the answer Submit hands
+		// back is usable right now.
+		q, err := a.Submit(adm, audit.Record{Op: op, Resp: resp})
+		if err != nil {
 			fmt.Println(err)
 			return
 		}
 		a.NoteEpoch(resp.Ctr + 1)
+		if _, err := q.Answer(); err != nil {
+			fmt.Println(err)
+			return
+		}
 	}
 	a.Seal() // stopped operating: publish final registers
 	if err := a.WaitSealed(10 * time.Second); err != nil {
@@ -88,6 +94,10 @@ func Example_detection() {
 	defer a.Stop()
 
 	for i := 0; i < 3; i++ {
+		adm, err := a.WaitAdmissible()
+		if err != nil {
+			break // terminal failure already visible to the hot path
+		}
 		op := &vdb.WriteOp{Puts: []vdb.KV{{Key: fmt.Sprintf("k%d", i), Val: []byte("v")}}}
 		resp, err := srv.HandleOp(user.Request(op))
 		if err != nil {
@@ -98,7 +108,7 @@ func Example_detection() {
 			resp.Answer = append([]byte(nil), resp.Answer...)
 			resp.Answer[0] ^= 0xff
 		}
-		if err := a.Submit(audit.Record{Op: op, Resp: resp}); err != nil {
+		if _, err := a.Submit(adm, audit.Record{Op: op, Resp: resp}); err != nil {
 			break // terminal failure already visible to the hot path
 		}
 	}

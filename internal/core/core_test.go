@@ -8,6 +8,7 @@ import (
 
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/sig"
+	"trustedcvs/internal/vdb"
 )
 
 func d(s string) digest.Digest { return digest.OfBytes(digest.DomainState, []byte(s)) }
@@ -40,6 +41,55 @@ func TestGenesisState(t *testing.T) {
 	}
 }
 
+// TestAbsorbFoldsOnlyVerified pins the trust boundary of the registers:
+// a chain of real verified writes by three users folds as its tagged
+// transitions (σ accumulates each user's old ⊕ new, written out here
+// without Registers), and the zero Verified, which any code can write,
+// folds nothing, before the first operation or in the middle of the
+// chain.
+func TestAbsorbFoldsOnlyVerified(t *testing.T) {
+	const users, ops = 3, 7
+	db := vdb.New(0)
+	var vf vdb.Verifier
+	initial := GenesisState(digest.Empty())
+	regs := make([]Registers, users)
+	sigma := make([]digest.Digest, users)
+	for i := range regs {
+		regs[i].Last = initial
+	}
+	state, last := initial, sig.GenesisID
+	for c := uint64(0); c < ops; c++ {
+		u := sig.UserID(c % users)
+		before := regs[u]
+		if oldState, newState := regs[u].Absorb(vdb.Verified{}, c, last, u); regs[u] != before || oldState != digest.Zero || newState != digest.Zero {
+			t.Fatalf("op %d: the zero Verified folded: registers %+v, states %s %s", c, regs[u], oldState.Short(), newState.Short())
+		}
+		op := &vdb.WriteOp{Puts: []vdb.KV{{Key: fmt.Sprintf("k%d", c), Val: []byte("v")}}}
+		ans, vo, err := db.Apply(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := vf.VerifyDerive(op, ans, vo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := TaggedStateHash(db.Root(), c+1, u)
+		oldState, newState := regs[u].Absorb(v, c, last, u)
+		if oldState != state || newState != next {
+			t.Fatalf("op %d: Absorb returned states %s → %s, want %s → %s", c, oldState.Short(), newState.Short(), state.Short(), next.Short())
+		}
+		sigma[u] = sigma[u].Xor(state).Xor(next)
+		want := Registers{Sigma: sigma[u], Last: next, LastCtr: c + 1, GCtr: c + 1, Ops: before.Ops + 1}
+		if regs[u] != want {
+			t.Fatalf("op %d: user %d registers %+v, want %+v", c, u, regs[u], want)
+		}
+		state, last = next, u
+	}
+	if got := CheckSyncII(initial, reportsII(regs)); got != int(last) {
+		t.Fatalf("the verified chain closes at report %d, want the last writer %d", got, last)
+	}
+}
+
 // linearHistory simulates n ops by randomly chosen users over an
 // honest linear state chain, returning per-user registers.
 func linearHistory(rng *rand.Rand, users int, ops int, initial digest.Digest) []Registers {
@@ -51,7 +101,7 @@ func linearHistory(rng *rand.Rand, users int, ops int, initial digest.Digest) []
 	for c := uint64(1); c <= uint64(ops); c++ {
 		u := rng.Intn(users)
 		next := TaggedStateHash(d(fmt.Sprintf("root-%d", c)), c, sig.UserID(u))
-		regs[u].Absorb(state, next, c)
+		regs[u].fold(state, next, c)
 		state = next
 	}
 	return regs
@@ -99,7 +149,7 @@ func TestCheckSyncIIDetectsFork(t *testing.T) {
 			c++
 			u := rng.Intn(4)
 			next := TaggedStateHash(d(fmt.Sprintf("pre-%d", c)), c, sig.UserID(u))
-			regs[u].Absorb(state, next, c)
+			regs[u].fold(state, next, c)
 			state = next
 		}
 		forkPoint := state
@@ -110,7 +160,7 @@ func TestCheckSyncIIDetectsFork(t *testing.T) {
 			ca++
 			u := rng.Intn(2)
 			next := TaggedStateHash(d(fmt.Sprintf("a-%d", ca)), ca, sig.UserID(u))
-			regs[u].Absorb(sa, next, ca)
+			regs[u].fold(sa, next, ca)
 			sa = next
 		}
 		// Branch B (the server replays the fork point to group B).
@@ -119,7 +169,7 @@ func TestCheckSyncIIDetectsFork(t *testing.T) {
 			cb++
 			u := 2 + rng.Intn(2)
 			next := TaggedStateHash(d(fmt.Sprintf("b-%d", cb)), cb, sig.UserID(u))
-			regs[u].Absorb(sb, next, cb)
+			regs[u].fold(sb, next, cb)
 			sb = next
 		}
 		return CheckSyncII(initial, reportsII(regs)) < 0
@@ -150,7 +200,7 @@ func TestCheckSyncIIFigure3Replay(t *testing.T) {
 			regs[i].Last = initial
 		}
 		absorb := func(u sig.UserID, from, to digest.Digest, c uint64) {
-			regs[u].Absorb(from, to, c)
+			regs[u].fold(from, to, c)
 		}
 		d1 := state("D1", 1)
 		d2 := state("D2", 2)

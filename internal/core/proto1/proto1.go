@@ -152,7 +152,7 @@ type User struct {
 	gctr      uint64
 	sinceSync uint64
 	journal   *forensics.Journal
-	lastRoot  digest.Digest
+	head      vdb.Head // the post-state of the last verified response
 	// verifier is the memory every response is verified in; between
 	// responses it holds no pointer into any of them (vdb.Verifier).
 	verifier vdb.Verifier
@@ -183,12 +183,10 @@ func (u *User) ID() sig.UserID { return u.signer.ID() }
 // LCtr returns lctrᵢ, the user's completed-operation count.
 func (u *User) LCtr() uint64 { return u.lctr }
 
-// VerifiedRoot returns the (ctr, root) pair this user most recently
-// verified through a VO, for cross-checking against witness
-// commitments. Zero (0, Zero) before any operation.
-func (u *User) VerifiedRoot() (uint64, digest.Digest) {
-	return u.gctr, u.lastRoot
-}
+// VerifiedRoot returns the head this user most recently verified
+// through a VO, for cross-checking against witness commitments. The
+// zero Head before any operation.
+func (u *User) VerifiedRoot() vdb.Head { return u.head }
 
 // Request builds the operation request for op.
 func (u *User) Request(op vdb.Op) *core.OpRequest {
@@ -202,27 +200,27 @@ func (u *User) HandleResponse(op vdb.Op, resp *core.OpResponseI) (*core.AckReque
 	if resp == nil || resp.VO == nil {
 		return nil, nil, core.Detect(core.ProtocolViolation, u.ID(), u.lctr, errors.New("missing response or VO"))
 	}
-	oldRoot, newRoot, err := u.verifier.VerifyDerive(op, resp.Answer, resp.VO)
+	v, err := u.verifier.VerifyDerive(op, resp.Answer, resp.VO)
 	if err != nil {
 		return nil, nil, core.Detect(classify(err), u.ID(), u.lctr, err)
 	}
 	// Step 4: verify that sig is legitimate — the named user's
 	// signature over h(M(D)‖ctr) for the VO-derived M(D).
-	if err := u.ring.Verify(resp.Signer, core.StateHash(oldRoot, resp.Ctr), resp.Sig); err != nil {
+	if err := u.ring.Verify(resp.Signer, core.StateHash(v.OldRoot(), resp.Ctr), resp.Sig); err != nil {
 		return nil, nil, core.Detect(core.BadSignature, u.ID(), u.lctr, err)
 	}
 	u.lctr++
 	u.gctr = resp.Ctr + 1
 	u.sinceSync++
-	u.lastRoot = newRoot
+	u.head = v.At(resp.Ctr + 1)
 	if u.journal != nil {
-		u.journal.Record(resp.Ctr+1, core.StateHash(oldRoot, resp.Ctr), core.StateHash(newRoot, resp.Ctr+1))
+		u.journal.Record(resp.Ctr+1, core.StateHash(v.OldRoot(), resp.Ctr), core.StateHash(v.NewRoot(), resp.Ctr+1))
 	}
 	ack := &core.AckRequest{
 		User: u.ID(),
-		Sig:  u.signer.Sign(core.StateHash(newRoot, resp.Ctr+1)),
+		Sig:  u.signer.Sign(core.StateHash(v.NewRoot(), resp.Ctr+1)),
 	}
-	ans, err := vdb.DecodeAnswer(resp.Answer)
+	ans, err := v.Answer()
 	if err != nil {
 		return nil, nil, core.Detect(core.ProtocolViolation, u.ID(), u.lctr, err)
 	}

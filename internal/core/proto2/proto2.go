@@ -129,8 +129,7 @@ type User struct {
 	regs         core.Registers
 	initialState digest.Digest
 	journal      *forensics.Journal
-	lastCtr      uint64
-	lastRoot     digest.Digest
+	head         vdb.Head // the post-state of the last verified response
 
 	// chain is the audit batcher's shared-path cache (nil unless
 	// EnableReplayChain was called). See replayChain.
@@ -206,12 +205,10 @@ func (u *User) LCtr() uint64 { return u.regs.Ops }
 // measuring state size and for Protocol III, which embeds this type).
 func (u *User) Registers() core.Registers { return u.regs }
 
-// VerifiedRoot returns the (ctr, root) pair this user most recently
-// verified through a VO — the local truth a witness commitment for the
-// same ctr must agree with. Zero (0, Zero) before any operation.
-func (u *User) VerifiedRoot() (uint64, digest.Digest) {
-	return u.lastCtr, u.lastRoot
-}
+// VerifiedRoot returns the head this user most recently verified
+// through a VO — the local truth a witness commitment for the same ctr
+// must agree with. The zero Head before any operation.
+func (u *User) VerifiedRoot() vdb.Head { return u.head }
 
 // Request builds the operation request for op.
 func (u *User) Request(op vdb.Op) *core.OpRequest {
@@ -222,10 +219,15 @@ func (u *User) Request(op vdb.Op) *core.OpRequest {
 // transition into the registers, and returns the decoded answer. On
 // deviation it returns a *core.DetectionError.
 func (u *User) HandleResponse(op vdb.Op, resp *core.OpResponseII) (any, error) {
-	if err := u.VerifyResponse(op, resp); err != nil {
+	v, err := u.verify(op, resp)
+	if err != nil {
 		return nil, err
 	}
-	return u.decodeAnswer(resp.Answer)
+	ans, err := v.Answer()
+	if err != nil {
+		return nil, core.Detect(core.ProtocolViolation, u.id, u.regs.Ops, err)
+	}
+	return ans, nil
 }
 
 // VerifyResponse is HandleResponse without the answer decode: it
@@ -234,20 +236,26 @@ func (u *User) HandleResponse(op vdb.Op, resp *core.OpResponseII) (any, error) {
 // the answer was already decoded optimistically on the hot path, so
 // re-decoding it at audit time would be pure waste.
 func (u *User) VerifyResponse(op vdb.Op, resp *core.OpResponseII) error {
+	_, err := u.verify(op, resp)
+	return err
+}
+
+// verify checks resp, folds the transition into the registers and
+// returns the Verified the answer is decoded from.
+func (u *User) verify(op vdb.Op, resp *core.OpResponseII) (vdb.Verified, error) {
 	if resp == nil || resp.VO == nil {
-		return core.Detect(core.ProtocolViolation, u.id, u.regs.Ops, errors.New("missing response or VO"))
+		return vdb.Verified{}, core.Detect(core.ProtocolViolation, u.id, u.regs.Ops, errors.New("missing response or VO"))
 	}
 	// Step 4 (with the strict inequality; see DESIGN.md errata): the
 	// server may never show this user a counter below one it has
 	// already seen — that is a replay.
 	if resp.Ctr < u.regs.GCtr {
-		return core.Detect(core.CounterReplay, u.id, u.regs.Ops,
+		return vdb.Verified{}, core.Detect(core.CounterReplay, u.id, u.regs.Ops,
 			fmt.Errorf("server presented ctr %d after gctr %d", resp.Ctr, u.regs.GCtr))
 	}
 	var (
-		oldRoot, newRoot digest.Digest
-		post             *merkle.Tree
-		chained          bool
+		v    vdb.Verified
+		post *merkle.Tree
 	)
 	// Shared-path fast path: the response claims to extend this user's
 	// own last verified state (same counter, this user as the last
@@ -255,29 +263,27 @@ func (u *User) VerifyResponse(op vdb.Op, resp *core.OpResponseII) error {
 	// the VO entirely. Any replay failure (pruned path, answer
 	// mismatch) falls back to the full VO so the error class is always
 	// the one the full check assigns.
-	if c := u.chain; c != nil && c.tree != nil && resp.Ctr == u.lastCtr && resp.Last == u.id {
-		if nr, nt, err := vdb.ReplayOn(c.tree, op, resp.Answer); err == nil {
-			oldRoot, newRoot, post, chained = u.lastRoot, nr, nt, true
+	if c := u.chain; c != nil && c.tree != nil && resp.Ctr == u.head.Ctr() && resp.Last == u.id {
+		if cv, nt, err := vdb.ReplayOn(c.tree, op, resp.Answer); err == nil {
+			v, post = cv, nt
 			c.hits++
 		} else {
 			c.misses++
 		}
 	}
-	if !chained {
+	if !v.OK() {
 		var err error
 		if u.chain != nil {
-			oldRoot, newRoot, post, err = vdb.VerifyDeriveTree(op, resp.Answer, resp.VO)
+			v, post, err = vdb.VerifyDeriveTree(op, resp.Answer, resp.VO)
 		} else {
-			oldRoot, newRoot, err = u.verifier.VerifyDerive(op, resp.Answer, resp.VO)
+			v, err = u.verifier.VerifyDerive(op, resp.Answer, resp.VO)
 		}
 		if err != nil {
-			return core.Detect(classify(err), u.id, u.regs.Ops, err)
+			return vdb.Verified{}, core.Detect(classify(err), u.id, u.regs.Ops, err)
 		}
 	}
-	oldState := core.TaggedStateHash(oldRoot, resp.Ctr, resp.Last)
-	newState := core.TaggedStateHash(newRoot, resp.Ctr+1, u.id)
-	u.regs.Absorb(oldState, newState, resp.Ctr+1)
-	u.lastCtr, u.lastRoot = resp.Ctr+1, newRoot
+	oldState, newState := u.regs.Absorb(v, resp.Ctr, resp.Last, u.id)
+	u.head = v.At(resp.Ctr + 1)
 	if u.chain != nil {
 		u.chain.tree = post
 	}
@@ -285,17 +291,7 @@ func (u *User) VerifyResponse(op vdb.Op, resp *core.OpResponseII) error {
 		u.journal.Record(resp.Ctr+1, oldState, newState)
 	}
 	u.sinceSync++
-	return nil
-}
-
-// decodeAnswer decodes claimed answer bytes, wrapping failures as
-// protocol violations.
-func (u *User) decodeAnswer(b []byte) (any, error) {
-	ans, err := vdb.DecodeAnswer(b)
-	if err != nil {
-		return nil, core.Detect(core.ProtocolViolation, u.id, u.regs.Ops, err)
-	}
-	return ans, nil
+	return v, nil
 }
 
 // NeedsSync reports whether this user must announce a sync-up.

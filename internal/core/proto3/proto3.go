@@ -186,8 +186,7 @@ type User struct {
 	// it is detected. Nil disables the check.
 	LocalEpoch func() uint64
 	journal    *forensics.Journal
-	lastCtr    uint64
-	lastRoot   digest.Digest
+	head       vdb.Head // the post-state of the last verified response
 	// verifier is the memory every response is verified in; between
 	// responses it holds no pointer into any of them (vdb.Verifier).
 	verifier vdb.Verifier
@@ -204,12 +203,10 @@ func (u *User) EnableJournal(cap int) {
 // Journal returns the user's transition journal (nil if not enabled).
 func (u *User) Journal() *forensics.Journal { return u.journal }
 
-// VerifiedRoot returns the (ctr, root) pair this user most recently
-// verified through a VO, for cross-checking against witness
-// commitments. Zero (0, Zero) before any operation.
-func (u *User) VerifiedRoot() (uint64, digest.Digest) {
-	return u.lastCtr, u.lastRoot
-}
+// VerifiedRoot returns the head this user most recently verified
+// through a VO, for cross-checking against witness commitments. The
+// zero Head before any operation.
+func (u *User) VerifiedRoot() vdb.Head { return u.head }
 
 // NewUser creates the user state machine. initialRoot is M(D₀); users
 // is the full (sorted) membership.
@@ -282,7 +279,7 @@ func (u *User) HandleResponse(op vdb.Op, resp *core.OpResponseII) (Outcome, erro
 				fmt.Errorf("server epoch %d vs local estimate %d", resp.Epoch, local))
 		}
 	}
-	oldRoot, newRoot, err := u.verifier.VerifyDerive(op, resp.Answer, resp.VO)
+	v, err := u.verifier.VerifyDerive(op, resp.Answer, resp.VO)
 	if err != nil {
 		return out, core.Detect(classify(err), u.ID(), u.regs.Ops, err)
 	}
@@ -317,15 +314,13 @@ func (u *User) HandleResponse(op vdb.Op, resp *core.OpResponseII) (Outcome, erro
 		}
 	}
 
-	oldState := core.TaggedStateHash(oldRoot, resp.Ctr, resp.Last)
-	newState := core.TaggedStateHash(newRoot, resp.Ctr+1, u.ID())
-	u.regs.Absorb(oldState, newState, resp.Ctr+1)
+	oldState, newState := u.regs.Absorb(v, resp.Ctr, resp.Last, u.ID())
 	if u.journal != nil {
 		u.journal.Record(resp.Ctr+1, oldState, newState)
 	}
-	u.lastCtr, u.lastRoot = resp.Ctr+1, newRoot
+	u.head = v.At(resp.Ctr + 1)
 
-	out.Answer, err = vdb.DecodeAnswer(resp.Answer)
+	out.Answer, err = v.Answer()
 	if err != nil {
 		return Outcome{}, core.Detect(core.ProtocolViolation, u.ID(), u.regs.Ops, err)
 	}

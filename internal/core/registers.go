@@ -3,6 +3,7 @@ package core
 import (
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/sig"
+	"trustedcvs/internal/vdb"
 )
 
 // Registers is the constant-size per-user protocol state of Protocols
@@ -18,13 +19,29 @@ type Registers struct {
 	Ops     uint64
 }
 
-// Absorb folds one verified transition (oldState → newState) into the
-// registers: σᵢ ⊕= old ⊕ new, lastᵢ = new (Protocol II, step 6).
-func (r *Registers) Absorb(oldState, newState digest.Digest, newCtr uint64) {
-	r.Sigma = r.Sigma.Xor(oldState).Xor(newState)
-	r.Last = newState
-	r.LastCtr = newCtr
-	r.GCtr = newCtr
+// Absorb folds one verified transition into the registers (Protocol
+// II, step 6). ctr is the counter the server presented with the
+// response and last the user it named as the pre-state's author; self
+// is this user. The transition runs from old = h(M(D)‖ctr‖last) to
+// new = h(M(D′)‖ctr+1‖self), with both roots taken from v, and folds
+// as σᵢ ⊕= old ⊕ new, lastᵢ = new. It returns the two tagged states
+// for the user's journal. A Verified no verifier made folds nothing:
+// the registers are unchanged and both states are zero.
+func (r *Registers) Absorb(v vdb.Verified, ctr uint64, last, self sig.UserID) (oldState, newState digest.Digest) {
+	if !v.OK() {
+		return digest.Zero, digest.Zero
+	}
+	oldState = TaggedStateHash(v.OldRoot(), ctr, last)
+	newState = TaggedStateHash(v.NewRoot(), ctr+1, self)
+	r.fold(oldState, newState, ctr+1)
+	return oldState, newState
+}
+
+// fold is Absorb's algebra on two tagged states: σ ⊕= from ⊕ to, and
+// to, at counter c, becomes the user's last state.
+func (r *Registers) fold(from, to digest.Digest, c uint64) {
+	r.Sigma = r.Sigma.Xor(from).Xor(to)
+	r.Last, r.LastCtr, r.GCtr = to, c, c
 	r.Ops++
 }
 

@@ -23,11 +23,12 @@ type Doer interface {
 
 // A ContentTransfer moves revision content to and from the server's
 // unauthenticated content store, a map from content hash to bytes.
-// Content is always re-verified against the authenticated hash on the
-// way back, so this channel needs no protection of its own. Fetch
-// carries that hash — it is the key; path and rev, on both calls, are
-// labels for error messages and choose nothing. Push must be complete
-// before the commit naming the content is issued.
+// What Fetch returns is unverified, as riders are: the Client checks
+// it against the authenticated hash, so this channel needs no
+// protection of its own. Fetch carries that hash — it is the key; path
+// and rev, on both calls, are labels for error messages and choose
+// nothing. Push must be complete before the commit naming the content
+// is issued.
 type ContentTransfer interface {
 	Push(path string, rev uint64, content []byte) error
 	Fetch(path string, rev uint64, hash digest.Digest) ([]byte, error)
@@ -142,17 +143,20 @@ func (c *Client) Commit(files map[string][]byte, logMsg string, baseRevs map[str
 // Checkout fetches the head content of the given paths, verified
 // end to end.
 func (c *Client) Checkout(paths ...string) (map[string][]byte, error) {
-	return c.checkout(&CheckoutOp{Paths: paths})
+	files, err := c.checkout(&CheckoutOp{Paths: paths})
+	return files.Map(), err
 }
 
 // CheckoutRev fetches the given revision of the given paths.
 func (c *Client) CheckoutRev(rev uint64, paths ...string) (map[string][]byte, error) {
-	return c.checkout(&CheckoutOp{Paths: paths, Rev: rev})
+	files, err := c.checkout(&CheckoutOp{Paths: paths, Rev: rev})
+	return files.Map(), err
 }
 
 // CheckoutTag fetches the revisions pinned under tag.
 func (c *Client) CheckoutTag(tag string, paths ...string) (map[string][]byte, error) {
-	return c.checkout(&CheckoutOp{Paths: paths, Tag: tag})
+	files, err := c.checkout(&CheckoutOp{Paths: paths, Tag: tag})
+	return files.Map(), err
 }
 
 // do runs op with content riding along when the Doer can carry it.
@@ -164,22 +168,25 @@ func (c *Client) do(op vdb.Op, push [][]byte, want bool) (any, [][]byte, error) 
 	return ans, nil, err
 }
 
-func (c *Client) checkout(op *CheckoutOp) (map[string][]byte, error) {
+// checkout runs op and checks every file's content, rider or fetched,
+// against the hash in the verified answer: its result takes nothing
+// but what that check returns.
+func (c *Client) checkout(op *CheckoutOp) (rcs.Files, error) {
 	ans, riders, err := c.do(op, nil, true)
 	if err != nil {
-		return nil, err
+		return rcs.Files{}, err
 	}
 	ca, ok := ans.(CheckoutAnswer)
 	if !ok {
-		return nil, fmt.Errorf("cvs: checkout returned %T", ans)
+		return rcs.Files{}, fmt.Errorf("cvs: checkout returned %T", ans)
 	}
-	out := make(map[string][]byte, len(ca.Files))
+	out := rcs.NewFiles(len(ca.Files))
 	for i, st := range ca.Files {
 		if !st.Found {
-			return nil, fmt.Errorf("%w: %s", ErrNoFile, st.Path)
+			return rcs.Files{}, fmt.Errorf("%w: %s", ErrNoFile, st.Path)
 		}
 		if st.Dead && op.Rev == 0 && op.Tag == "" {
-			return nil, fmt.Errorf("%w: %s (removed at revision %d)", ErrNoFile, st.Path, st.Rev)
+			return rcs.Files{}, fmt.Errorf("%w: %s (removed at revision %d)", ErrNoFile, st.Path, st.Rev)
 		}
 		// A rider and a fetched blob are the same thing — bytes the
 		// server chose — and pass the same check against the verified
@@ -188,12 +195,15 @@ func (c *Client) checkout(op *CheckoutOp) (map[string][]byte, error) {
 		if i < len(riders) && len(riders[i]) > 0 {
 			content = riders[i]
 		} else if content, err = c.content.Fetch(st.Path, st.Rev, st.Hash); err != nil {
-			return nil, fmt.Errorf("cvs: fetch %s@%d: %w", st.Path, st.Rev, err)
+			return rcs.Files{}, fmt.Errorf("cvs: fetch %s@%d: %w", st.Path, st.Rev, err)
 		}
-		if err := rcs.CheckContent(content, st.Hash); err != nil {
-			return nil, fmt.Errorf("%w: %s@%d", ErrContentTampered, st.Path, st.Rev)
+		checked, err := rcs.CheckContent(content, st.Hash)
+		if err != nil {
+			return rcs.Files{}, fmt.Errorf("%w: %s@%d", ErrContentTampered, st.Path, st.Rev)
 		}
-		out[st.Path] = content
+		if err := out.Add(st.Path, checked); err != nil {
+			return rcs.Files{}, err
+		}
 	}
 	return out, nil
 }

@@ -40,7 +40,6 @@ import (
 	"trustedcvs/internal/core/proto3"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/forensics"
-	"trustedcvs/internal/rcs"
 	"trustedcvs/internal/session"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
@@ -224,7 +223,8 @@ func (c *Client) DoWithContent(op vdb.Op, push [][]byte, want bool) (any, [][]by
 	if c.aud != nil {
 		// Admission first, without mu: the gate is released by the
 		// auditor, never by this client's own lock holders.
-		if err := c.aud.WaitAdmissible(); err != nil {
+		adm, err := c.aud.WaitAdmissible()
+		if err != nil {
 			if !errors.Is(err, audit.ErrClosed) {
 				c.mirrorAuditFailure(err)
 			}
@@ -239,7 +239,7 @@ func (c *Client) DoWithContent(op vdb.Op, push [][]byte, want bool) (any, [][]by
 		if err != nil {
 			return nil, nil, err
 		}
-		ans, err := c.finishEpochLocked(op, raw)
+		ans, err := c.finishEpochLocked(adm, op, raw)
 		return ans, riders, err
 	}
 	c.mu.Lock()
@@ -381,9 +381,10 @@ func (c *Client) recvLoop() {
 		case *epochReportMsg:
 			// Straight to the auditor, never touching c.mu: epoch
 			// assembly must make progress while a Do holds the client
-			// lock across a server call.
+			// lock across a server call. The report is unsigned and
+			// reaches the auditor unverified, as a sync-mode report
+			// reaches the session: the open crossing of AUDIT.md §8.
 			if c.aud != nil {
-				//lint:ignore verifyflow the hub is the paper's assumed user-only reliable channel (Theorem 3.1 external communication; broadcast package doc) — the untrusted server never sees it, and the auditor's closure check is itself the verifier these reports feed
 				c.aud.SubmitReport(p.Report)
 			}
 		}
@@ -471,7 +472,10 @@ func (c *Client) Push(path string, rev uint64, content []byte) error {
 	return nil
 }
 
-// Fetch implements cvs.ContentTransfer over the server connection.
+// Fetch implements cvs.ContentTransfer over the server connection. The
+// returned bytes are the server's word alone, exactly as riders are:
+// cvs.Client checks them against the hash in the verified answer, the
+// one place fetched content is hashed.
 func (c *Client) Fetch(path string, rev uint64, hash digest.Digest) ([]byte, error) {
 	resp, err := c.conn.Call(&core.FetchContentRequest{Path: path, Rev: rev, Hash: hash})
 	if err != nil {
@@ -480,13 +484,6 @@ func (c *Client) Fetch(path string, rev uint64, hash digest.Digest) ([]byte, err
 	cr, ok := resp.(*core.ContentResponse)
 	if !ok {
 		return nil, fmt.Errorf("driver: fetch returned %T", resp)
-	}
-	// The blob bytes are the server's word alone until they hash to the
-	// authenticated revision hash; verify before handing them up (the
-	// cvs layer re-checks, but this transfer must not be the one path
-	// that delivers unverified bytes).
-	if err := rcs.CheckContent(cr.Content, hash); err != nil {
-		return nil, err
 	}
 	return cr.Content, nil
 }

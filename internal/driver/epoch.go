@@ -115,10 +115,11 @@ func NewP2EpochWAL(user *proto2.User, conn transport.Caller, bc broadcast.Channe
 func (c *Client) Audit() *audit.Auditor { return c.aud }
 
 // finishEpochLocked is the epoch-mode hot path past the exchange:
-// decode the answer optimistically and queue the verification
-// obligation. Everything slow — VO replay, hashing, the closure check —
-// happens on the auditor.
-func (c *Client) finishEpochLocked(op vdb.Op, raw any) (any, error) {
+// queue the verification obligation under the operation's admission
+// and decode the answer out of what the auditor returns for it.
+// Everything slow — VO replay, hashing, the closure check — happens on
+// the auditor.
+func (c *Client) finishEpochLocked(adm audit.Admitted, op vdb.Op, raw any) (any, error) {
 	resp, ok := raw.(*core.OpResponseII)
 	if !ok {
 		// lctr 0: the user's op count is auditor-owned state in epoch
@@ -127,19 +128,20 @@ func (c *Client) finishEpochLocked(op vdb.Op, raw any) (any, error) {
 		c.recordFailure(err)
 		return nil, err
 	}
-	ans, decErr := vdb.DecodeAnswer(resp.Answer)
-	if err := c.aud.Submit(audit.Record{Op: op, Resp: resp}); err != nil {
+	q, err := c.aud.Submit(adm, audit.Record{Op: op, Resp: resp})
+	if err != nil {
 		if !errors.Is(err, audit.ErrClosed) {
 			c.recordFailure(err)
 		}
 		return nil, err
 	}
 	c.aud.NoteEpoch(resp.Ctr + 1)
-	if decErr != nil {
+	ans, err := q.Answer()
+	if err != nil {
 		// The answer bytes are garbage. The obligation is already
 		// queued — the audit will convict the server over the same
 		// bytes — so surface a plain error without advancing anything.
-		return nil, fmt.Errorf("driver: optimistic answer decode: %w", decErr)
+		return nil, fmt.Errorf("driver: optimistic answer decode: %w", err)
 	}
 	return ans, nil
 }

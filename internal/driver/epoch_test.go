@@ -226,6 +226,46 @@ func TestEpochAuditForkDetectedAtClosure(t *testing.T) {
 	}
 }
 
+// TestEpochAuditAdmissionStallsOneEpochAhead pins the detection bound
+// at the driver: with a silent peer, epoch 0 cannot close, so Do runs
+// through epoch 0 and the op that crosses into epoch 1, and the next
+// Do blocks until the peer's seal closes epoch 0.
+func TestEpochAuditAdmissionStallsOneEpochAhead(t *testing.T) {
+	const epochLen = 4
+	cl := newEpochCluster(t, server.NewP2(vdb.New(0)), 2, epochLen)
+	c := cl.clients[0]
+	for i := 0; i <= epochLen; i++ { // g = 1..5: epoch 0, then the crossing op
+		if _, err := c.Do(put(fmt.Sprintf("k%d", i), "v")); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Do(put("ahead", "v"))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("Do ran two epochs ahead of the audit (err %v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if got := c.Audit().Completed(); got != 0 {
+		t.Fatalf("%d epochs closed with the peer silent, want 0", got)
+	}
+	cl.clients[1].Seal() // the peer's final registers close epoch 0
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Do after epoch 0 closed: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Do still blocked after the peer sealed")
+	}
+	if err := cl.sealAll(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEpochAuditCheckpointRestore restarts the server from a
 // checkpoint twice — once cut exactly on an epoch boundary, once cut
 // mid-epoch with the audit window still open — and the audit must stay

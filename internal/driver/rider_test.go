@@ -203,6 +203,45 @@ func TestLiveRiderTamperDetected(t *testing.T) {
 	}
 }
 
+// TestLiveFetchTamperDetected: a server that strips the riders and then
+// serves wrong bytes to the Fetch the checkout falls back on is
+// convicted exactly as for a tampered rider — Fetch hands the bytes up
+// unchecked and the checkout's one content check refuses them as
+// cvs.ErrContentTampered.
+func TestLiveFetchTamperDetected(t *testing.T) {
+	var tamper atomic.Bool
+	rig := newRiderRig(t, "p2", func(h transport.Handler) transport.Handler {
+		return func(req any) (any, error) {
+			resp, err := h(req)
+			if !tamper.Load() {
+				return resp, err
+			}
+			switch r := resp.(type) {
+			case *core.RiderResponse:
+				r.Blobs = nil
+			case *core.ContentResponse:
+				r.Content = []byte("evil\n") // a new slice: the store's blob is untouched
+			}
+			return resp, err
+		}
+	})
+	if _, err := rig.repo.Commit(map[string][]byte{"f": []byte("genuine\n")}, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	rig.conn.take()
+	tamper.Store(true)
+	got, err := rig.repo.Checkout("f")
+	if !errors.Is(err, cvs.ErrContentTampered) || got != nil {
+		t.Fatalf("tampered fetch: %q, %v; want cvs.ErrContentTampered", got, err)
+	}
+	if sent := rig.conn.take(); sent != "RiderRequest×1 FetchContentRequest×1" {
+		t.Fatalf("traffic %q, want one rider request and one fetch", sent)
+	}
+	if err := rig.dc.Err(); err != nil {
+		t.Fatalf("protocol state failed over fetched content: %v", err)
+	}
+}
+
 // TestLiveRiderAbsentCostsAFetch: a server that answers a RiderRequest
 // with riders stripped, or with the bare protocol response, costs the
 // client a Fetch and nothing else.

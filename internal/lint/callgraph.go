@@ -10,8 +10,9 @@ import (
 )
 
 // This file builds the module's type-resolved static call graph — the
-// shared substrate under the interprocedural passes (verifyflow,
-// lockorder, and panicfree's successor analyses). Nodes are the
+// shared substrate under the interprocedural passes lockorder and
+// syncdiscipline (panicfree walks a static-calls-only graph of its
+// own). Nodes are the
 // declared functions and methods of the module; edges are
 //
 //   - direct static calls (pkg.F(), recv.Method()),
@@ -23,9 +24,8 @@ import (
 //     concrete type whose method set satisfies the interface.
 //
 // Calls through bare function-typed variables and parameters are the
-// one dynamic feature with no static callee at all; passes that need
-// the untrusted transport boundary model it declaratively instead
-// (see verifyflow's entry-point table).
+// one dynamic feature with no static callee at all; the graph has no
+// edge for them.
 
 // CGEdge is one call site (or function-value reference) with its
 // statically resolved callee set.
@@ -196,8 +196,7 @@ func ifaceRecv(fn *types.Func) *types.Interface {
 // fmt.Stringer, error — match half the module by accident and would
 // drown the analyses in phantom edges (every Close() method reachable
 // from every io.Closer call site). Calls through stdlib interfaces
-// are instead modeled declaratively (verifyflow's source table keys
-// on the interface method itself) or conservatively (unknown callee).
+// are left with no module callee.
 func (g *CallGraph) implementers(method *types.Func, iface *types.Interface) []*types.Func {
 	if pkg := method.Pkg(); pkg == nil || !g.m.inModule(pkg.Path()) {
 		return nil
@@ -224,10 +223,6 @@ func (g *CallGraph) implementers(method *types.Func, iface *types.Interface) []*
 func (m *Module) inModule(path string) bool {
 	return path == m.Path || strings.HasPrefix(path, m.Path+"/")
 }
-
-// node returns the graph node for fn (nil if fn has no body in the
-// module — stdlib, interface methods, bodyless decls).
-func (g *CallGraph) node(fn *types.Func) *CGNode { return g.Nodes[fn] }
 
 // CallGraphDOT renders the module call graph in Graphviz DOT form for
 // triage (`tcvs-lint -graph call`). Nodes outside the module (stdlib

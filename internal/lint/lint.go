@@ -62,7 +62,6 @@ const (
 	nameErrDrop        = "errdrop"
 	namePanicFree      = "panicfree"
 	nameSleepRetry     = "sleepretry"
-	nameVerifyFlow     = "verifyflow"
 	nameLockOrder      = "lockorder"
 	nameSyncDiscipline = "syncdiscipline"
 	nameBoundedQueue   = "boundedqueue"
@@ -81,7 +80,6 @@ func Passes() []*Pass {
 		passErrDrop,
 		passPanicFree,
 		passSleepRetry,
-		passVerifyFlow,
 		passLockOrder,
 		passSyncDiscipline,
 		passBoundedQueue,
@@ -98,7 +96,6 @@ var knownPassNames = map[string]bool{
 	nameErrDrop:        true,
 	namePanicFree:      true,
 	nameSleepRetry:     true,
-	nameVerifyFlow:     true,
 	nameLockOrder:      true,
 	nameSyncDiscipline: true,
 	nameBoundedQueue:   true,

@@ -31,16 +31,11 @@ func TestFixtureCorpus(t *testing.T) {
 		{"deadignore", "internal/codec/drop.go", 60},           // stale //lint:ignore suppressing nothing
 		{"lockscope", "internal/core/sign.go", 20},             // ed25519.Sign under Lock
 		{"hashdiscipline", "internal/cvs/rawgob.go", 8},        // encoding/gob on a connection
-		{"verifyflow", "internal/cvs/riders.go", 44},           // contract-untrusted result delivered unchecked, gated implementer notwithstanding
-		{"verifyflow", "internal/flow/flow.go", 21},            // decode→Put, no verification (direct)
-		{"verifyflow", "internal/flow/flow.go", 42},            // decode→Put through helper result summary
-		{"verifyflow", "internal/flow/flow.go", 58},            // decode→Delete through helper param-sink summary
 		{"lockorder", "internal/locks/locks.go", 33},           // Index/Journal cycle closed via lock() wrapper
 		{"randsource", "internal/merkle/clock.go", 7},          // time.Now in merkle
 		{"hashdiscipline", "internal/merkle/hash.go", 6},       // sha256 outside digest
 		{"panicfree", "internal/server/entry.go", 29},          // panic via HandleOp
 		{"hashdiscipline", "internal/server/persist.go", 5},    // encoding/gob for local state: no remainder is left
-		{"verifyflow", "internal/session/session.go", 19},      // server reply through the session's Caller→Put, no verification
 		{"randsource", "internal/sig/rand.go", 5},              // math/rand in sig
 		{"boundedqueue", "internal/transport/admitq.go", 19},   // chan capacity from a parameter
 		{"boundedqueue", "internal/transport/admitq.go", 40},   // receiver-field append with no visible bound

@@ -1,7 +1,8 @@
 // Package rcs is the revision-content discipline of a CVS-like
 // system: the content hash the authenticated revision records carry
 // (HashContent) and the check every fetched revision must pass before
-// it reaches a caller (CheckContent). The blobs themselves live in
+// it reaches a caller (CheckContent, whose Checked is the only content
+// a checkout's Files takes). The blobs themselves live in
 // internal/cvs's Store, one content-addressed map that holds every
 // revision in full. Which blob is which revision of which path is a
 // question only the authenticated database answers (internal/cvs's
@@ -37,14 +38,47 @@ func HashContent(content []byte) digest.Digest {
 	return digest.OfBytes(digest.DomainBlob, content)
 }
 
+// Checked is blob content that hashed to the authenticated hash it was
+// checked against. CheckContent is the only maker of one with its mark
+// set, so content a caller receives as Checked has met the check,
+// whichever transfer path carried it. The zero Checked, which any
+// package can write, is no content at all: Files.Add refuses it.
+type Checked struct {
+	content []byte
+	ok      bool
+}
+
+// errUnchecked is Files.Add's refusal of a Checked CheckContent did
+// not make.
+var errUnchecked = errors.New("rcs: content was not checked")
+
 // CheckContent verifies fetched blob bytes against the authenticated
-// hash the client pinned for that revision. Every transfer path that
-// hands content to a caller must run fetched bytes through this check
-// (tcvs-lint's verifyflow pass treats it as the sanitizer for blob
-// content).
-func CheckContent(content []byte, want digest.Digest) error {
+// hash the client pinned for that revision, and on success returns
+// them as Checked. Every path that hands content to a caller goes
+// through it: internal/cvs's checkout result is a Files.
+func CheckContent(content []byte, want digest.Digest) (Checked, error) {
 	if HashContent(content) != want {
-		return fmt.Errorf("rcs: content does not match authenticated hash %s", want.Short())
+		return Checked{}, fmt.Errorf("rcs: content does not match authenticated hash %s", want.Short())
 	}
+	return Checked{content: content, ok: true}, nil
+}
+
+// Files is checked content by path, the result of a checkout. Content
+// goes in only as Checked; Map hands the whole set to the caller.
+type Files struct{ m map[string][]byte }
+
+// NewFiles returns an empty set with room for n paths.
+func NewFiles(n int) Files { return Files{m: make(map[string][]byte, n)} }
+
+// Add puts c under path. It refuses, and adds nothing, a Checked
+// CheckContent did not make.
+func (f Files) Add(path string, c Checked) error {
+	if !c.ok {
+		return errUnchecked
+	}
+	f.m[path] = c.content
 	return nil
 }
+
+// Map returns the set as a map (not a copy); nil for the zero Files.
+func (f Files) Map() map[string][]byte { return f.m }

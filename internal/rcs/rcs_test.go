@@ -1,6 +1,7 @@
 package rcs
 
 import (
+	"errors"
 	"testing"
 
 	"trustedcvs/internal/digest"
@@ -26,11 +27,11 @@ func TestBlobStore(t *testing.T) {
 	if digest.OfBytes(digest.DomainRecord, content) == d {
 		t.Fatal("a blob hash equals a record digest of the same bytes")
 	}
-	if err := CheckContent(content, d); err != nil {
-		t.Fatalf("CheckContent refused the bytes it names: %v", err)
+	if c, err := CheckContent(content, d); err != nil || string(c.content) != string(content) {
+		t.Fatalf("CheckContent refused the bytes it names: %q, %v", c.content, err)
 	}
-	if err := CheckContent([]byte("missing"), d); err == nil {
-		t.Fatal("CheckContent accepted bytes another address names")
+	if c, err := CheckContent([]byte("missing"), d); err == nil || c.content != nil {
+		t.Fatalf("CheckContent accepted bytes another address names: %q", c.content)
 	}
 }
 
@@ -43,13 +44,37 @@ func TestBlobStoreRefusesCorruptBlob(t *testing.T) {
 	for i := range content {
 		bad := append([]byte(nil), content...)
 		bad[i] ^= 0xFF
-		if err := CheckContent(bad, d); err == nil {
+		if _, err := CheckContent(bad, d); err == nil {
 			t.Fatalf("CheckContent accepted a blob with byte %d flipped", i)
 		}
 	}
 	for _, bad := range [][]byte{content[:len(content)-1], append(append([]byte(nil), content...), 0), nil} {
-		if err := CheckContent(bad, d); err == nil {
+		if _, err := CheckContent(bad, d); err == nil {
 			t.Fatalf("CheckContent accepted %q", bad)
 		}
+	}
+}
+
+// TestFilesTakeOnlyChecked pins the boundary of a checkout's result:
+// Files.Add takes what CheckContent passed, the empty blob included,
+// and refuses both the zero Checked, which any package can write, and
+// what a refused check returned.
+func TestFilesTakeOnlyChecked(t *testing.T) {
+	f := NewFiles(2)
+	empty, err := CheckContent(nil, HashContent(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Add("empty", empty); err != nil {
+		t.Fatalf("Add refused a checked empty blob: %v", err)
+	}
+	refused, _ := CheckContent([]byte("tampered"), HashContent([]byte("content")))
+	for name, c := range map[string]Checked{"zero": {}, "refused": refused} {
+		if err := f.Add(name, c); !errors.Is(err, errUnchecked) {
+			t.Fatalf("Add of the %s Checked returned %v, want errUnchecked", name, err)
+		}
+	}
+	if _, ok := f.Map()["empty"]; !ok || len(f.Map()) != 1 {
+		t.Fatalf("Files holds %q, want only the checked empty blob", f.Map())
 	}
 }

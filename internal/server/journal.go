@@ -200,7 +200,6 @@ type journaled struct {
 }
 
 func (h *journaled) HandleOp(req *core.OpRequest) (any, error) {
-	//lint:ignore verifyflow the server applies client ops to its own UNtrusted store by design; integrity is enforced client-side by VO verification against pinned registers (AUDIT.md "server trusted with nothing")
 	resp, err := h.Server.HandleOp(req)
 	if err == nil {
 		h.j.record(req, resp)

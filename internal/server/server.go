@@ -107,7 +107,6 @@ type hooked struct {
 }
 
 func (h *hooked) HandleOp(req *core.OpRequest) (any, error) {
-	//lint:ignore verifyflow the server applies client ops to its own UNtrusted store by design; integrity is enforced client-side by VO verification against pinned registers (AUDIT.md "server trusted with nothing")
 	resp, err := h.Server.HandleOp(req)
 	if err == nil {
 		h.after(h.Server.DB().Head())
@@ -138,7 +137,6 @@ type p1 struct{ inner *proto1.Server }
 
 func (s *p1) Protocol() Protocol { return P1 }
 func (s *p1) HandleOp(req *core.OpRequest) (any, error) {
-	//lint:ignore verifyflow the server applies client ops to its own UNtrusted store by design; clients verify every transition via the VO
 	return s.inner.HandleOp(req)
 }
 func (s *p1) HandleAck(ack *core.AckRequest) error { return s.inner.HandleAck(ack) }
@@ -154,7 +152,6 @@ type p2 struct{ inner *proto2.Server }
 
 func (s *p2) Protocol() Protocol { return P2 }
 func (s *p2) HandleOp(req *core.OpRequest) (any, error) {
-	//lint:ignore verifyflow the server applies client ops to its own UNtrusted store by design; clients verify every transition via the VO
 	return s.inner.HandleOp(req)
 }
 func (s *p2) HandleAck(*core.AckRequest) error { return ErrUnsupported }
@@ -170,7 +167,6 @@ type p3 struct{ inner *proto3.Server }
 
 func (s *p3) Protocol() Protocol { return P3 }
 func (s *p3) HandleOp(req *core.OpRequest) (any, error) {
-	//lint:ignore verifyflow the server applies client ops to its own UNtrusted store by design; clients verify every transition via the VO
 	return s.inner.HandleOp(req)
 }
 func (s *p3) HandleAck(*core.AckRequest) error { return ErrUnsupported }

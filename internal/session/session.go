@@ -26,7 +26,6 @@ import (
 	"trustedcvs/internal/core/proto1"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/core/proto3"
-	"trustedcvs/internal/digest"
 	"trustedcvs/internal/forensics"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
@@ -110,7 +109,7 @@ type round struct {
 type machine interface {
 	ID() sig.UserID
 	LCtr() uint64
-	VerifiedRoot() (uint64, digest.Digest)
+	VerifiedRoot() vdb.Head
 	Journal() *forensics.Journal
 }
 

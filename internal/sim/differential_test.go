@@ -54,11 +54,10 @@ func TestDifferentialSimVsDriver(t *testing.T) {
 				t.Fatalf("live: %d sync rounds, %d epoch checks; sim: %d, %d", rounds, checks, res.Syncs, res.EpochChecks)
 			}
 			for i, u := range users {
-				simCtr, simRoot := s.users[i].VerifiedRoot()
-				ctr, root := u.VerifiedRoot()
-				if ctr != simCtr || root != simRoot || u.LCtr() != s.users[i].LCtr() {
+				sim, live := s.users[i].VerifiedRoot(), u.VerifiedRoot()
+				if live != sim || u.LCtr() != s.users[i].LCtr() {
 					t.Errorf("user %d: live lctr %d root (%d, %v), sim lctr %d root (%d, %v)",
-						i, u.LCtr(), ctr, root, s.users[i].LCtr(), simCtr, simRoot)
+						i, u.LCtr(), live.Ctr(), live.Root(), s.users[i].LCtr(), sim.Ctr(), sim.Root())
 				}
 				if got, want := u.SyncReport(), s.users[i].SyncReport(); !reflect.DeepEqual(got, want) {
 					t.Errorf("user %d: live report %+v, sim report %+v", i, got, want)

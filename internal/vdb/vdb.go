@@ -335,49 +335,51 @@ func (db *DB) Fork() *DB {
 // digest *derived from the VO* and the post-state root. The replayed
 // answer is checked against the server's claimed answer.
 //
-// Protocol I authenticates the derived old root with the previous
-// user's signature over h(M(D)‖ctr); Protocol II feeds it into the
-// XOR registers and authenticates the whole chain at sync time. A
-// client that instead tracks its own trusted root (single-user
-// setting) uses Verify.
+// The two digests are bare: nothing that keeps trusted state takes
+// them. The protocol users verify through a Verifier (or
+// VerifyDeriveTree and ReplayOn), whose Verified is what their
+// registers and witness checks accept. A client that instead tracks
+// its own trusted root (single-user setting) uses Verify.
 func VerifyDerive(op Op, claimedAns []byte, vo *merkle.VO) (oldRoot, newRoot digest.Digest, err error) {
-	oldRoot, newRoot, _, err = VerifyDeriveTree(op, claimedAns, vo)
-	return oldRoot, newRoot, err
+	v, _, err := VerifyDeriveTree(op, claimedAns, vo)
+	return v.oldRoot, v.newRoot, err
 }
 
-// VerifyDeriveTree is VerifyDerive that additionally returns the
-// post-state tree the replay produced. The epoch auditor caches it so
-// a directly adjacent next operation by the same user can be replayed
-// on it (ReplayOn) without unpacking and re-hashing a fresh VO — the
-// "shared path recomputation" of the audit batch.
-func VerifyDeriveTree(op Op, claimedAns []byte, vo *merkle.VO) (oldRoot, newRoot digest.Digest, post *merkle.Tree, err error) {
+// VerifyDeriveTree is VerifyDerive that returns its outcome as a
+// Verified, together with the post-state tree the replay produced.
+// The epoch auditor caches the tree so a directly adjacent next
+// operation by the same user can be replayed on it (ReplayOn) without
+// unpacking and re-hashing a fresh VO — the "shared path
+// recomputation" of the audit batch.
+func VerifyDeriveTree(op Op, claimedAns []byte, vo *merkle.VO) (Verified, *merkle.Tree, error) {
 	if vo == nil {
-		return digest.Zero, digest.Zero, nil, errMissingVO
+		return Verified{}, nil, errMissingVO
 	}
 	rec, oldRoot, err := vo.Begin()
 	if err != nil {
-		return digest.Zero, digest.Zero, nil, err
+		return Verified{}, nil, err
 	}
-	newRoot, post, _, err = replay(rec, op, claimedAns, nil)
-	return oldRoot, newRoot, post, err
+	v, post, _, err := replay(rec, oldRoot, op, claimedAns, nil)
+	return v, post, err
 }
 
-// replay runs op in rec and checks the claimed answer against it. It
+// replay runs op in rec, a pre-state whose root is oldRoot, and checks
+// the claimed answer against it: the one place a Verified is made. It
 // encodes the replayed answer into buf and returns the buffer.
-func replay(rec *merkle.Recording, op Op, claimedAns, buf []byte) (newRoot digest.Digest, post *merkle.Tree, enc []byte, err error) {
+func replay(rec *merkle.Recording, oldRoot digest.Digest, op Op, claimedAns, buf []byte) (Verified, *merkle.Tree, []byte, error) {
 	ans, err := op.Apply((*Tx)(rec))
 	if err != nil {
-		return digest.Zero, nil, buf, err
+		return Verified{}, nil, buf, err
 	}
 	if buf, err = checkClaim(ans, claimedAns, buf); err != nil {
-		return digest.Zero, nil, buf, err
+		return Verified{}, nil, buf, err
 	}
-	post = rec.Tree()
-	return post.RootDigest(), post, buf, nil
+	post := rec.Tree()
+	return Verified{oldRoot: oldRoot, newRoot: post.RootDigest(), answer: claimedAns, ok: true}, post, buf, nil
 }
 
 // A Verifier is VerifyDerive with memory of its own, for a verifier
-// that keeps nothing of a replay but its two digests — the protocol
+// that keeps nothing of a replay but its Verified — the protocol
 // users (the epoch auditor's replay chain keeps its trees, and uses
 // VerifyDeriveTree). It materializes each VO into a merkle.Arena,
 // replays in it and encodes the replayed answer into one buffer, and
@@ -393,24 +395,25 @@ type Verifier struct {
 }
 
 // VerifyDerive is the package's VerifyDerive in v's memory: the same
-// checks, the same digests and the same errors.
-func (v *Verifier) VerifyDerive(op Op, claimedAns []byte, vo *merkle.VO) (oldRoot, newRoot digest.Digest, err error) {
+// checks and the same errors, its outcome a Verified.
+func (v *Verifier) VerifyDerive(op Op, claimedAns []byte, vo *merkle.VO) (Verified, error) {
 	if vo == nil {
-		return digest.Zero, digest.Zero, errMissingVO
+		return Verified{}, errMissingVO
 	}
+	var out Verified
 	rec, oldRoot, err := v.arena.Begin(vo)
 	if err == nil {
-		newRoot, _, v.ans, err = replay(rec, op, claimedAns, v.ans)
+		out, _, v.ans, err = replay(rec, oldRoot, op, claimedAns, v.ans)
 	}
 	v.arena.End()
 	if err != nil {
 		*v = Verifier{}
-		return digest.Zero, digest.Zero, err
+		return Verified{}, err
 	}
 	if cap(v.ans) > max(4*len(v.ans), 1024) {
 		v.ans = nil
 	}
-	return oldRoot, newRoot, nil
+	return out, nil
 }
 
 var errMissingVO = errors.New("vdb: missing verification object")
@@ -421,16 +424,16 @@ var errMissingVO = errors.New("vdb: missing verification object")
 // the server's claimed pre-counter says this operation directly
 // extends the verifier's own last verified state, the pre-state is
 // already in hand and the VO need not be unpacked at all. prev is not
-// modified (trees are persistent).
+// modified (trees are persistent); the Verified's old root is prev's.
 //
 // prev is pruned to the paths the producing VO covered, so a replay
 // touching keys outside that coverage fails with merkle.ErrPruned —
 // the caller falls back to the full VO path. An answer mismatch here
 // is the same lie it is in VerifyDerive (the claimed answer is not
 // what the committed state yields).
-func ReplayOn(prev *merkle.Tree, op Op, claimedAns []byte) (newRoot digest.Digest, post *merkle.Tree, err error) {
-	newRoot, post, _, err = replay(prev.Begin(), op, claimedAns, nil)
-	return newRoot, post, err
+func ReplayOn(prev *merkle.Tree, op Op, claimedAns []byte) (Verified, *merkle.Tree, error) {
+	v, post, _, err := replay(prev.Begin(), prev.RootDigest(), op, claimedAns, nil)
+	return v, post, err
 }
 
 // checkClaim judges the server's claimed answer bytes against a

@@ -300,7 +300,8 @@ func TestQuickInPlaceReplayMatchesPersistent(t *testing.T) {
 				}
 			}
 
-			oldRoot, newRoot, post, err := VerifyDeriveTree(replayed, claimed, vo)
+			v, post, err := VerifyDeriveTree(replayed, claimed, vo)
+			oldRoot, newRoot := v.OldRoot(), v.NewRoot()
 			if refErr != nil {
 				if err == nil || err.Error() != refErr.Error() || errors.Is(err, merkle.ErrPruned) != errors.Is(refErr, merkle.ErrPruned) {
 					t.Logf("round %d: in place %v, persistent %v", round, err, refErr)

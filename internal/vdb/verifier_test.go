@@ -2,6 +2,7 @@ package vdb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -21,6 +22,11 @@ type verdict struct {
 
 func (v verdict) String() string {
 	return fmt.Sprintf("old %s new %s err %q", v.oldRoot.Short(), v.newRoot.Short(), v.err)
+}
+
+// roots unpacks a Verifier's outcome into VerifyDerive's digests.
+func roots(v Verified, err error) (oldRoot, newRoot digest.Digest, _ error) {
+	return v.OldRoot(), v.NewRoot(), err
 }
 
 func judge(oldRoot, newRoot digest.Digest, err error) verdict {
@@ -68,7 +74,7 @@ func TestVerifierReuseMatchesFresh(t *testing.T) {
 			refused := 0
 			check := func(what string, op Op, ans []byte, vo *merkle.VO) verdict {
 				t.Helper()
-				got := judge(reused.VerifyDerive(op, ans, vo))
+				got := judge(roots(reused.VerifyDerive(op, ans, vo)))
 				want := judge(VerifyDerive(op, ans, vo))
 				if got != want {
 					t.Fatalf("%s %v: reused memory %v, fresh memory %v", what, op, got, want)
@@ -175,7 +181,7 @@ func TestVerifierPerGoroutine(t *testing.T) {
 			var v Verifier
 			for i := range rs {
 				r := &rs[(i+g*16)%len(rs)]
-				old, new, err := v.VerifyDerive(r.op, r.ans, r.vo)
+				old, new, err := roots(v.VerifyDerive(r.op, r.ans, r.vo))
 				if err != nil || old != r.old || new != r.new {
 					t.Errorf("goroutine %d, response %d: %s %s %v", g, i, old.Short(), new.Short(), err)
 					return
@@ -184,6 +190,22 @@ func TestVerifierPerGoroutine(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestZeroVerifiedVouchesForNothing: only a verifier marks a Verified;
+// the zero value, which any code can write, yields no answer and no
+// head a witness check would compare.
+func TestZeroVerifiedVouchesForNothing(t *testing.T) {
+	var v Verified
+	if v.OK() {
+		t.Fatal("the zero Verified is marked verified")
+	}
+	if ans, err := v.Answer(); !errors.Is(err, errUnverified) {
+		t.Fatalf("zero Verified answered %v, %v; want errUnverified", ans, err)
+	}
+	if h := v.At(7); h != (Head{}) {
+		t.Fatalf("zero Verified made head (%d, %s)", h.Ctr(), h.Root().Short())
+	}
 }
 
 // TestVerifierPinsNoFrame: once VerifyDerive returns, the Verifier holds
@@ -211,7 +233,7 @@ func TestVerifierPinsNoFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotOld, gotNew, err := v.VerifyDerive(op, ans, received); err != nil || gotOld != old || gotNew != db.Root() {
+		if gotOld, gotNew, err := roots(v.VerifyDerive(op, ans, received)); err != nil || gotOld != old || gotNew != db.Root() {
 			t.Fatalf("honest write: %s %s %v", gotOld.Short(), gotNew.Short(), err)
 		}
 	}()

@@ -8,6 +8,7 @@ import (
 
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/forensics"
+	"trustedcvs/internal/vdb"
 )
 
 // ErrDiverged is wrapped by Check.Verify when the witness quorum's
@@ -31,7 +32,7 @@ var ErrNoQuorum = errors.New("witness: quorum not reachable")
 const DefaultCheckWindow = 1024
 
 // Check is the client-side witness cross-check: it accumulates the
-// roots this client verified through VOs (Observe) and compares them
+// heads this client verified through VOs (Observe) and compares them
 // against the signed commitments the witness quorum holds (Verify).
 // Safe for concurrent use by a driver's report goroutines.
 type Check struct {
@@ -88,35 +89,30 @@ func (c *Check) AddWitness(name string, dial DialFunc) {
 	c.witnesses[name] = dial
 }
 
-// Observe records a (ctr, root) pair this client verified through a
-// VO. Old pairs are evicted once the window fills.
-func (c *Check) Observe(ctr uint64, root digest.Digest) {
+// Observe records a head this client verified through a VO, as a
+// protocol user hands it out (VerifiedRoot). Old heads are evicted
+// once the window fills.
+func (c *Check) Observe(h vdb.Head) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.observeLocked(ctr, root)
+	c.observeLocked(h)
 }
 
-// Observation is one verified (ctr, root) pair, the batch element of
-// ObserveBatch.
-type Observation struct {
-	Ctr  uint64
-	Root digest.Digest
-}
-
-// ObserveBatch records a batch of verified pairs under one lock
+// ObserveBatch records a batch of verified heads under one lock
 // hand-off — the epoch auditor's per-batch amortization of Observe.
-func (c *Check) ObserveBatch(obs []Observation) {
-	if len(obs) == 0 {
+func (c *Check) ObserveBatch(heads []vdb.Head) {
+	if len(heads) == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, o := range obs {
-		c.observeLocked(o.Ctr, o.Root)
+	for _, h := range heads {
+		c.observeLocked(h)
 	}
 }
 
-func (c *Check) observeLocked(ctr uint64, root digest.Digest) {
+func (c *Check) observeLocked(h vdb.Head) {
+	ctr, root := h.Ctr(), h.Root()
 	if ctr == 0 {
 		return
 	}

@@ -194,7 +194,6 @@ func (n *Node) handleSubmit(r *SubmitRequest) (*SubmitReply, error) {
 	if r.Commit == nil {
 		return nil, errors.New("witness: submit without commitment")
 	}
-	//lint:ignore verifyflow Log.Append is the guarded boundary: it pins the server key on first contact and verifies every commitment signature against it before storing (witness.Log.Append), which callers cannot do earlier
 	if err := n.absorb(r.Commit, r.Pub); err != nil {
 		return nil, err
 	}
@@ -269,7 +268,6 @@ func (n *Node) handleGossip(r *GossipRequest) (*GossipReply, error) {
 		}
 		// A peer relaying garbage (bad signature, key conflict) is its
 		// own problem; drop the entry and keep merging the rest.
-		//lint:ignore verifyflow Log.Append is the guarded boundary: it verifies every commitment signature against the pinned server key before storing
 		_ = n.absorb(c, r.Pubs[c.Server])
 	}
 	n.mergeEvidence(r.Evidence)
@@ -345,7 +343,6 @@ func (n *Node) GossipOnce() error {
 			if c == nil {
 				continue
 			}
-			//lint:ignore verifyflow Log.Append is the guarded boundary: it verifies every commitment signature against the pinned server key before storing
 			_ = n.absorb(c, reply.Pubs[c.Server])
 		}
 		n.mergeEvidence(reply.Evidence)

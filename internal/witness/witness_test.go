@@ -363,6 +363,25 @@ func TestWitnessRejectsSnapshotWithWrongHead(t *testing.T) {
 	}
 }
 
+// verifiedHead verifies one write to a fresh database and returns its
+// post-state as the head at ctr: a test, like a client, holds a head
+// only by verifying a response.
+func verifiedHead(t *testing.T, ctr uint64, val string) vdb.Head {
+	t.Helper()
+	db := vdb.New(0)
+	op := &vdb.WriteOp{Puts: []vdb.KV{{Key: "k", Val: []byte(val)}}}
+	ans, vo, err := db.Apply(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vf vdb.Verifier
+	v, err := vf.VerifyDerive(op, ans, vo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.At(ctr)
+}
+
 func TestCheckDivergenceAndBenign(t *testing.T) {
 	id := testIdentity(t, "primary", 1)
 	w1 := NewNode("w1")
@@ -372,26 +391,27 @@ func TestCheckDivergenceAndBenign(t *testing.T) {
 	chk.AddWitness("w2", w2.Dial())
 
 	// Benign: client verified the same roots the primary committed.
-	c1 := id.Commit(1, 8, root(1), digest.Zero)
+	h1 := verifiedHead(t, 8, "one")
+	c1 := id.Commit(1, 8, h1.Root(), digest.Zero)
 	for _, n := range []*Node{w1, w2} {
 		if err := n.absorb(c1, id.Public()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	chk.Observe(8, root(1))
+	chk.Observe(h1)
 	if err := chk.Verify(); err != nil {
 		t.Fatalf("benign verify: %v", err)
 	}
 
 	// Divergence: the primary commits root(2) at ctr 16 to witnesses but
-	// showed this client root(9) there.
-	c2 := id.Commit(2, 16, root(2), root(1))
+	// showed this client another root there.
+	c2 := id.Commit(2, 16, root(2), h1.Root())
 	for _, n := range []*Node{w1, w2} {
 		if err := n.absorb(c2, id.Public()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	chk.Observe(16, root(9))
+	chk.Observe(verifiedHead(t, 16, "nine"))
 	if err := chk.Verify(); !errors.Is(err, ErrDiverged) {
 		t.Fatalf("verify = %v, want ErrDiverged", err)
 	}

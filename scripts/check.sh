@@ -1,11 +1,13 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate. Run it before every
-# commit: formatting, vet, build, the repo's own invariant analyzer
-# (tcvs-lint: hash discipline, lock narrowness, deterministic
-# verification paths, checked errors, panic-free handlers, plus the
-# interprocedural passes — verifyflow's untrusted-source → trusted-state
-# taint check and lockorder's static lock-acquisition cycle check —
-# and deadignore's stale-suppression sweep; -time prints per-pass
+# commit: formatting, vet, build, grep gates on imports and on the one
+# untyped answer decoder (the trust boundary itself is a type —
+# vdb.Verified, rcs.Checked, audit.Queued — so the compiler holds it),
+# the repo's own invariant analyzer (tcvs-lint: hash discipline, lock
+# narrowness, deterministic verification paths, checked errors,
+# panic-free handlers, sleep-free retries, bounded queues, fsync
+# discipline, lockorder's static lock-acquisition cycle check and
+# deadignore's stale-suppression sweep; -time prints per-pass
 # wall-clock so a regressing pass is visible in CI logs), the whole
 # test suite under the race detector (the pipelined server hot path
 # and the fault/recovery suite — kill/restart, reconnect, resume — are
@@ -69,6 +71,17 @@ if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
     -e 'witness\.NewPublisher' -e 'witness\.NewCheck' -e '\.AddPeer(' . |
     grep -v -e '^\./internal/witness/' -e '^\./internal/deploy/' -e '^\./cmd/tcvs-server/'; then
     echo "a witness mesh is built outside internal/witness, internal/deploy and cmd/tcvs-server" >&2
+    exit 1
+fi
+# A server answer reaches a caller only out of a value that vouches for
+# it: a protocol user's vdb.Verified, or in epoch-audit mode the
+# audit.Queued that Submit returns once the obligation is queued. The
+# untyped decoder stays exported for the trusted-server floor in
+# benchmark/, so it may be called only there, in internal/vdb (which
+# the typed values decode through) and in internal/audit.
+if grep -rnw --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -e 'DecodeAnswer' . |
+    grep -v -e '^\./internal/vdb/' -e '^\./internal/audit/' -e '^\./benchmark/'; then
+    echo "vdb.DecodeAnswer is called outside internal/vdb, internal/audit and benchmark/" >&2
     exit 1
 fi
 # encoding/gob is retired: nothing sent, journaled or stored goes

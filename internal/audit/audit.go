@@ -160,8 +160,7 @@ type Auditor struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	check      *witness.Check
-	quarantine func()
+	check *witness.Check
 
 	failed    error
 	closed    bool
@@ -263,15 +262,6 @@ func (a *Auditor) SetCheck(chk *witness.Check) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.check = chk
-}
-
-// SetQuarantine registers a callback invoked (once) when the witness
-// check convicts the server, before the failure is recorded — the
-// driver uses it to quarantine the convicted endpoint.
-func (a *Auditor) SetQuarantine(fn func()) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.quarantine = fn
 }
 
 // epochOf maps a post-operation global counter to its 0-based epoch.
@@ -780,8 +770,8 @@ func (a *Auditor) closureCheckLocked(reports []core.SyncReportII) error {
 }
 
 // witnessCheckLocked runs the per-epoch witness quorum cross-check.
-// No quorum is availability loss (skip, count); divergence quarantines
-// the convicted endpoint and is terminal.
+// No quorum is availability loss (skip, count); divergence is
+// terminal, and the driver then refuses every further server call.
 func (a *Auditor) witnessCheckLocked(epoch uint64) error {
 	if a.check == nil {
 		return nil
@@ -794,9 +784,6 @@ func (a *Auditor) witnessCheckLocked(epoch uint64) error {
 		a.noQuorum++
 		return nil
 	default:
-		if a.quarantine != nil {
-			a.quarantine()
-		}
 		return &EpochAuditFailure{
 			Epoch: epoch,
 			Cause: core.Detect(core.WitnessDivergence, a.id, a.audited, err),

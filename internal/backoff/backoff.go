@@ -110,6 +110,13 @@ func Poll(d time.Duration) *Backoff {
 	return New(Policy{Min: d, Max: d, Jitter: -1}, nil)
 }
 
+// Accept builds the schedule a listener's accept loop waits out a
+// failed Accept with (EMFILE, ECONNABORTED): 5 ms doubling to 1 s,
+// unjittered, so the loop neither spins nor gives up.
+func Accept() *Backoff {
+	return New(Policy{Min: 5 * time.Millisecond, Max: time.Second, Jitter: -1}, nil)
+}
+
 // Next returns the next delay: the exponential base doubles from Min
 // to Max, and jitter subtracts up to Jitter of it.
 func (b *Backoff) Next() time.Duration {

@@ -99,15 +99,17 @@ type E14Data struct {
 // subscription, each through its own seeded fault injector.
 type faultyNet struct {
 	*deploy.Deployment
-	sessions *transport.SessionTable
-	injs     []*fault.Injector
-	callers  []*transport.ResilientClient
-	channels []broadcast.Channel
+	sessions  *transport.SessionTable
+	injs      []*fault.Injector
+	callers   []*transport.ResilientClient
+	channels  []broadcast.Channel
+	failovers atomic.Uint64 // client dials the primary refused and backupAddr took
 }
 
 // deployFaulty deploys cfg behind fault injection. seed derives every
 // injector's and every client's jitter seed: same seed, same fault
-// schedule. backupAddr, if set, is every client's second endpoint.
+// schedule. backupAddr, if set, is where every client's dial function
+// goes when the primary refuses.
 func deployFaulty(cfg deploy.Config, seed int64, resetProb, truncateProb float64, backupAddr string) (*faultyNet, error) {
 	n := &faultyNet{sessions: transport.NewSessionTable()}
 	injector := func(s uint64) *fault.Injector {
@@ -118,11 +120,21 @@ func deployFaulty(cfg deploy.Config, seed int64, resetProb, truncateProb float64
 	cfg.Options.Sessions = n.sessions
 	cfg.Dial = func(i int, addr string) (transport.Caller, error) {
 		inj := injector(uint64(seed) + uint64(i))
-		eps := []transport.Endpoint{{Name: "primary", Dial: fault.Dialer(addr, inj)}}
+		dial := fault.Dialer(addr, inj)
 		if backupAddr != "" {
-			eps = append(eps, transport.Endpoint{Name: "backup", Dial: fault.Dialer(backupAddr, inj)})
+			primary, backup := dial, fault.Dialer(backupAddr, inj)
+			dial = func() (net.Conn, error) {
+				conn, err := primary()
+				if err == nil {
+					return conn, nil
+				}
+				if conn, err = backup(); err == nil {
+					n.failovers.Add(1)
+				}
+				return conn, err
+			}
 		}
-		c := transport.DialResilientEndpoints(eps, transport.RetryPolicy{
+		c := transport.DialResilientFunc(dial, transport.RetryPolicy{
 			CallTimeout: 5 * time.Second, MaxAttempts: 12, JitterSeed: uint64(seed)*1000 + uint64(i) + 1,
 		})
 		n.callers = append(n.callers, c)

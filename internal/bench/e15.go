@@ -117,9 +117,9 @@ func RunE15(cfg E15Config) (*E15Data, error) {
 // runE15Failover is phase 1: kill the primary mid-workload, promote a
 // witness from its stored checkpoint, and let the clients fail over.
 func runE15Failover(cfg E15Config, d *E15Data) error {
-	// Reserve the promotion address up front so every client can carry
-	// it as its second endpoint from the start (a real deployment would
-	// distribute the witness addresses the same way).
+	// Reserve the promotion address up front so every client's dial
+	// function can fall back to it from the start (a real deployment
+	// would distribute the witness addresses the same way).
 	lisB, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -186,8 +186,8 @@ func runE15Failover(cfg E15Config, d *E15Data) error {
 	d.FaultsInjected = dep.faultsInjected()
 	for _, c := range dep.callers {
 		d.TransportReconnects += c.Reconnects()
-		d.Failovers += c.Failovers()
 	}
+	d.Failovers = dep.failovers.Load()
 	return nil
 }
 
@@ -314,7 +314,7 @@ func (d *E15Data) Table() *Table {
 	t.AddRow("witnesses / commit cadence", fmt.Sprintf("%d / every %d ops", d.Witnesses, d.CommitEvery))
 	t.AddRow("faults injected", d.FaultsInjected)
 	t.AddRow("transport reconnects", d.TransportReconnects)
-	t.AddRow("failovers to promoted witness", d.Failovers)
+	t.AddRow("failover dials to promoted witness", d.Failovers)
 	t.AddRow("failover latency (kill -> all progressing)", fmt.Sprintf("%.1f ms", d.FailoverMillis))
 	t.AddRow("false deviation alarms", d.FalseAlarms)
 	t.AddRow("witness checks skipped (no quorum)", d.NoQuorumSkips)

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"trustedcvs/internal/backoff"
 	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/wire"
@@ -240,6 +241,7 @@ type HubServer struct {
 	lastPub map[uint64]uint64 // highest PubSeq logged per resumable SID
 	conns   map[*hubConn]struct{}
 	closed  bool
+	done    chan struct{} // closed with closed
 	wg      sync.WaitGroup
 
 	queueDepth int           // out-queue capacity for conns accepted after a SetLimits
@@ -325,16 +327,22 @@ func ListenHub(addr string) (*HubServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("broadcast: listen %s: %w", addr, err)
 	}
+	return serveHub(lis), nil
+}
+
+// serveHub starts a hub over an existing listener.
+func serveHub(lis net.Listener) *HubServer {
 	h := &HubServer{
 		lis:        lis,
 		lastPub:    make(map[uint64]uint64),
 		conns:      make(map[*hubConn]struct{}),
+		done:       make(chan struct{}),
 		queueDepth: hubConnBuf,
 		writeT:     DefaultHubWriteTimeout,
 	}
 	h.wg.Add(1)
 	go h.acceptLoop()
-	return h, nil
+	return h
 }
 
 // Addr returns the hub's bound address.
@@ -342,11 +350,19 @@ func (h *HubServer) Addr() string { return h.lis.Addr().String() }
 
 func (h *HubServer) acceptLoop() {
 	defer h.wg.Done()
+	// A failed Accept (EMFILE, ECONNABORTED) is waited out, never the
+	// end of the loop: a hub that stopped accepting would stall every
+	// round on the members it can no longer reach. Only Close ends it.
+	bo := backoff.Accept()
 	for {
 		conn, err := h.lis.Accept()
 		if err != nil {
-			return
+			if !bo.SleepCh(h.done) {
+				return
+			}
+			continue
 		}
+		bo.Reset()
 		h.mu.Lock()
 		if h.closed {
 			h.mu.Unlock()
@@ -636,6 +652,9 @@ func (h *HubServer) drop(hc *hubConn) {
 // Close shuts the hub down.
 func (h *HubServer) Close() error {
 	h.mu.Lock()
+	if !h.closed {
+		close(h.done)
+	}
 	h.closed = true
 	for hc := range h.conns {
 		close(hc.out)

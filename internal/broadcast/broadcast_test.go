@@ -1,6 +1,9 @@
 package broadcast
 
 import (
+	"net"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -143,5 +146,41 @@ func TestTCPHubManyMessages(t *testing.T) {
 		if got.Payload.(*core.SyncRequest).Round != i {
 			t.Fatalf("out of order at %d", i)
 		}
+	}
+}
+
+// failOnceListener fails its first Accept, as a listener out of file
+// descriptors does.
+type failOnceListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *failOnceListener) Accept() (net.Conn, error) {
+	if l.failed.CompareAndSwap(false, true) {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	return l.Listener.Accept()
+}
+
+// TestTCPHubSurvivesFailedAccept: a failed Accept is waited out, not
+// the end of the hub — a member that joins afterwards is served.
+func TestTCPHubSurvivesFailedAccept(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := serveHub(&failOnceListener{Listener: lis})
+	defer hub.Close()
+	a, err := DialHub(hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.Publish(Message{From: 3, Payload: &core.SyncRequest{Round: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, a); got.From != 3 {
+		t.Fatalf("got %+v", got)
 	}
 }

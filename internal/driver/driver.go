@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"trustedcvs/internal/audit"
@@ -56,8 +57,12 @@ type Client struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	sess   *session.Session // nil in epoch-audit mode
-	failed error
 	closed bool
+
+	// failed is the terminal detection, written once under mu and read
+	// without it, so Push and Fetch can refuse without waiting on a
+	// lock an epoch-mode Do holds across its server call.
+	failed atomic.Pointer[error]
 
 	check    *witness.Check // nil: no witness cross-check
 	noQuorum uint64         // witness checks skipped for lack of quorum
@@ -120,10 +125,9 @@ func (c *Client) ID() sig.UserID { return c.id }
 // operation the client records the root it derived, and before a sync
 // round is acknowledged it compares those roots against the witness
 // quorum's signed commitments. A divergence is a detection
-// (core.WitnessDivergence) and, when the server connection is a
-// multi-endpoint ResilientClient, the convicted endpoint is
-// quarantined so retries cannot fail over back onto the fork. Set
-// before issuing operations.
+// (core.WitnessDivergence), terminal like any other: the client then
+// sends the convicted server nothing more. Set before issuing
+// operations.
 func (c *Client) SetWitnessCheck(chk *witness.Check) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -131,15 +135,6 @@ func (c *Client) SetWitnessCheck(chk *witness.Check) {
 	if c.aud != nil {
 		// Epoch-audit mode: the auditor checks once per closed epoch.
 		c.aud.SetCheck(chk)
-		c.aud.SetQuarantine(c.quarantine)
-	}
-}
-
-// quarantine takes the current endpoint out of rotation when the
-// server connection is a multi-endpoint ResilientClient.
-func (c *Client) quarantine() {
-	if rc, ok := c.conn.(*transport.ResilientClient); ok {
-		rc.Quarantine(rc.EndpointName())
 	}
 }
 
@@ -159,13 +154,18 @@ func (c *Client) NoQuorumSkips() uint64 {
 // mode a failure the background auditor found is surfaced here too,
 // even before the next Do would trip over it.
 func (c *Client) Err() error {
-	c.mu.Lock()
-	failed := c.failed
-	c.mu.Unlock()
-	if failed == nil && c.aud != nil {
-		return c.aud.Err()
+	if err := c.detection(); err != nil || c.aud == nil {
+		return err
 	}
-	return failed
+	return c.aud.Err()
+}
+
+// detection returns the client's own recorded failure, if any.
+func (c *Client) detection() error {
+	if p := c.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Journal returns the underlying user's transition journal (nil unless
@@ -244,7 +244,7 @@ func (c *Client) DoWithContent(op vdb.Op, push [][]byte, want bool) (any, [][]by
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for (c.sess.Syncing() || c.sess.Busy()) && c.failed == nil && !c.closed {
+	for (c.sess.Syncing() || c.sess.Busy()) && c.failed.Load() == nil && !c.closed {
 		c.cond.Wait()
 	}
 	if err := c.usableLocked(); err != nil {
@@ -274,8 +274,8 @@ func (c *Client) DoWithContent(op vdb.Op, push [][]byte, want bool) (any, [][]by
 
 // usableLocked returns the error an operation must fail with, if any.
 func (c *Client) usableLocked() error {
-	if c.failed != nil {
-		return c.failed
+	if err := c.detection(); err != nil {
+		return err
 	}
 	if c.closed {
 		return errors.New("driver: client closed")
@@ -335,10 +335,8 @@ func (c *Client) verifyWitnessLocked() error {
 		c.noQuorum++
 		return nil
 	default:
-		// Divergence, with evidence in c.check.Evidence(): quarantine
-		// the endpoint so retries cannot fail back onto the fork. In
+		// Divergence, with evidence in c.check.Evidence(). In
 		// epoch-audit mode the op count is the auditor's and reads 0.
-		c.quarantine()
 		var lctr uint64
 		if c.sess != nil {
 			lctr = c.sess.LCtr()
@@ -354,8 +352,8 @@ func (c *Client) verifyWitnessLocked() error {
 func (c *Client) VerifyWitnesses() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.failed != nil {
-		return c.failed
+	if err := c.detection(); err != nil {
+		return err
 	}
 	if err := c.verifyWitnessLocked(); err != nil {
 		c.recordFailure(err)
@@ -420,10 +418,9 @@ func (c *Client) onReport(m *session.Report) {
 }
 
 // recordFailure pins the first failure; detection is terminal (the
-// paper's users "terminate and report an error").
+// paper's users "terminate and report an error"). Called with mu held.
 func (c *Client) recordFailure(err error) {
-	if c.failed == nil {
-		c.failed = err
+	if c.failed.CompareAndSwap(nil, &err) {
 		c.cond.Broadcast()
 	}
 }
@@ -440,7 +437,7 @@ func (c *Client) WaitIdle(timeout time.Duration) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var wake *time.Timer
-	for c.sess.Syncing() && c.failed == nil && !c.closed {
+	for c.sess.Syncing() && c.failed.Load() == nil && !c.closed {
 		if !time.Now().Before(deadline) {
 			return errors.New("driver: WaitIdle timeout")
 		}
@@ -457,11 +454,16 @@ func (c *Client) WaitIdle(timeout time.Duration) error {
 		}
 		c.cond.Wait()
 	}
-	return c.failed
+	return c.detection()
 }
 
-// Push implements cvs.ContentTransfer over the server connection.
+// Push implements cvs.ContentTransfer over the server connection. A
+// client that has detected a deviation refuses with the detection, as
+// Do does: it has nothing further to say to a convicted server.
 func (c *Client) Push(path string, rev uint64, content []byte) error {
+	if err := c.Err(); err != nil {
+		return err
+	}
 	resp, err := c.conn.Call(&core.PushContentRequest{Path: path, Rev: rev, Content: content})
 	if err != nil {
 		return err
@@ -475,8 +477,12 @@ func (c *Client) Push(path string, rev uint64, content []byte) error {
 // Fetch implements cvs.ContentTransfer over the server connection. The
 // returned bytes are the server's word alone, exactly as riders are:
 // cvs.Client checks them against the hash in the verified answer, the
-// one place fetched content is hashed.
+// one place fetched content is hashed. After a detection Fetch
+// refuses, as Push does.
 func (c *Client) Fetch(path string, rev uint64, hash digest.Digest) ([]byte, error) {
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
 	resp, err := c.conn.Call(&core.FetchContentRequest{Path: path, Rev: rev, Hash: hash})
 	if err != nil {
 		return nil, err

@@ -11,12 +11,14 @@ import (
 	"testing"
 	"time"
 
+	"trustedcvs/internal/adversary"
 	"trustedcvs/internal/broadcast"
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto1"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/core/proto3"
 	"trustedcvs/internal/cvs"
+	"trustedcvs/internal/digest"
 	"trustedcvs/internal/rcs"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
@@ -239,6 +241,55 @@ func TestLiveFetchTamperDetected(t *testing.T) {
 	}
 	if err := rig.dc.Err(); err != nil {
 		t.Fatalf("protocol state failed over fetched content: %v", err)
+	}
+}
+
+// TestDetectionRefusesPushAndFetch: once a client has convicted its
+// server — in the operation itself, or through the epoch auditor —
+// Push and Fetch refuse with the recorded detection, without
+// allocating, and the server sees no further request.
+func TestDetectionRefusesPushAndFetch(t *testing.T) {
+	for _, mode := range []string{"p2", "epoch"} {
+		t.Run(mode, func(t *testing.T) {
+			db := vdb.New(0)
+			hs := adversary.Wrap(server.NewP2(db), adversary.Config{Kind: adversary.TamperAnswer, TriggerOp: 2})
+			conn := &countingCaller{Caller: transport.NewInproc(NewHandler(hs, cvs.NewStore()))}
+			hub := broadcast.NewHub()
+			defer hub.Close()
+			user := proto2.NewUser(0, db.Root(), 1<<62)
+			var c *Client
+			if mode == "p2" {
+				c = NewP2(user, conn, hub.Join(), 1)
+			} else {
+				var err error
+				if c, err = NewP2EpochWAL(user, conn, hub.Join(), 1, 64, 0, "", nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer c.Close()
+			for i := 0; i < 2; i++ {
+				c.Do(put(fmt.Sprintf("k%d", i), "v")) //nolint:errcheck // the second answer is tampered
+			}
+			c.WaitIdle(10 * time.Second) //nolint:errcheck // the detection is read back below
+			detected := c.Err()
+			if _, ok := core.AsDetection(detected); !ok {
+				t.Fatalf("no detection recorded: %v", detected)
+			}
+			conn.take()
+			content := []byte("content\n")
+			if err := c.Push("f", 1, content); !errors.Is(err, detected) {
+				t.Fatalf("Push after detection: %v, want %v", err, detected)
+			}
+			if got, err := c.Fetch("f", 1, digest.Zero); got != nil || !errors.Is(err, detected) {
+				t.Fatalf("Fetch after detection: %q, %v, want %v", got, err, detected)
+			}
+			if n := testing.AllocsPerRun(100, func() { _ = c.Push("f", 1, content) }); n != 0 {
+				t.Fatalf("a refused Push allocates %v times", n)
+			}
+			if sent := conn.take(); sent != "" {
+				t.Fatalf("a convicted server still received %s", sent)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // BreakerPolicy configures a circuit breaker: one per ResilientClient
-// endpoint (RetryPolicy.Breaker) and one per witness publisher lane.
+// (RetryPolicy.Breaker) and one per witness publisher lane.
 // The zero value selects the defaults noted per field.
 type BreakerPolicy struct {
 	// Threshold is how many consecutive failures (dial errors, dropped
@@ -88,9 +88,8 @@ func (b *Breaker) Opens() uint64 { return b.opens }
 func (b *Breaker) ProbeAt() time.Time { return b.probeAt }
 
 // ProbeReady reports whether the breaker is open with an elapsed
-// cooldown — i.e. a half-open probe could be claimed. No side effects,
-// so a picker can inspect several endpoints without leaking probe
-// slots it does not use.
+// cooldown — i.e. a half-open probe could be claimed. No side effects:
+// the slot is taken only by ClaimProbe, when the probe is sent.
 func (b *Breaker) ProbeReady(now time.Time) bool {
 	return b.state == BreakerOpen && !now.Before(b.probeAt)
 }

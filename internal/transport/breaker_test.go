@@ -95,9 +95,9 @@ func okServer(t *testing.T, tag string) (*Server, *atomic.Int64) {
 	return srv, &seen
 }
 
-// TestBreakerSurfacesOverloadOnSoleEndpoint: with nowhere to fail over
-// to, a typed shed is surfaced to the caller immediately — one server
-// round trip per Call, no retry hammering the server that just shed us.
+// TestBreakerSurfacesOverloadOnSoleEndpoint: a typed shed is surfaced
+// to the caller immediately — the server counts one delivery per Call,
+// no retry hammering the server that just shed us.
 func TestBreakerSurfacesOverloadOnSoleEndpoint(t *testing.T) {
 	srv, seen := sheddingServer(t)
 	c := DialResilient(srv.Addr(), RetryPolicy{
@@ -114,42 +114,6 @@ func TestBreakerSurfacesOverloadOnSoleEndpoint(t *testing.T) {
 	}
 	if got := seen.Load(); got != n {
 		t.Fatalf("server saw %d requests for %d calls — overload was retried against the sole endpoint", got, n)
-	}
-	if got := c.Overloads(); got != n {
-		t.Fatalf("client absorbed %d overloads, want %d", got, n)
-	}
-}
-
-// TestBreakerFailsOverOnOverload: a shed from the preferred endpoint
-// with a healthy alternative available rotates the call there instead
-// of surfacing the refusal.
-func TestBreakerFailsOverOnOverload(t *testing.T) {
-	shedSrv, shedSeen := sheddingServer(t)
-	okSrv, okSeen := okServer(t, "B")
-	dial := func(addr string) func() (net.Conn, error) {
-		return func() (net.Conn, error) { return net.DialTimeout("tcp", addr, time.Second) }
-	}
-	c := DialResilientEndpoints([]Endpoint{
-		{Name: "A", Dial: dial(shedSrv.Addr())},
-		{Name: "B", Dial: dial(okSrv.Addr())},
-	}, RetryPolicy{
-		MaxAttempts: 8, BackoffMin: time.Millisecond, BackoffMax: 5 * time.Millisecond,
-		Breaker: BreakerPolicy{Threshold: 2, Cooldown: time.Minute},
-	})
-	defer c.Close()
-	resp, err := c.Call("op")
-	if err != nil {
-		t.Fatalf("call across failover: %v", err)
-	}
-	if resp != "B:op" {
-		t.Fatalf("resp = %v, want the healthy endpoint's answer", resp)
-	}
-	if shedSeen.Load() != 1 || okSeen.Load() != 1 {
-		t.Fatalf("A/B saw %d/%d requests, want 1/1 (one shed, one failover delivery)",
-			shedSeen.Load(), okSeen.Load())
-	}
-	if c.EndpointName() != "B" {
-		t.Fatalf("client still pinned to %s after the shed", c.EndpointName())
 	}
 }
 
@@ -220,31 +184,11 @@ func TestBreakerProbeStormBounded(t *testing.T) {
 	if total := dials.Load(); total > dialsDuringOutage+4 {
 		t.Fatalf("recovery produced %d extra dials, want a single claimed probe (plus slack)", total-dialsDuringOutage)
 	}
-	if st := c.BreakerStates(); st["endpoint"] != "closed" {
-		t.Fatalf("breaker = %q after recovery, want closed", st["endpoint"])
-	}
-}
-
-// TestResilientOverloadBudgetExhaustion: the end-to-end budget cuts
-// retries off with the typed deadline error instead of burning the full
-// attempt schedule against a dead endpoint.
-func TestResilientOverloadBudgetExhaustion(t *testing.T) {
-	c := DialResilientFunc(func() (net.Conn, error) {
-		return nil, errors.New("test: endpoint never comes up")
-	}, RetryPolicy{
-		CallTimeout: time.Second, MaxAttempts: 1000,
-		BackoffMin: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-		Budget: 80 * time.Millisecond,
-	})
-	defer c.Close()
-	start := time.Now()
-	_, err := c.Call("op")
-	elapsed := time.Since(start)
-	if !errors.Is(err, wire.ErrDeadlineExceeded) {
-		t.Fatalf("got %v, want typed wire.ErrDeadlineExceeded from budget exhaustion", err)
-	}
-	if elapsed < 60*time.Millisecond || elapsed > time.Second {
-		t.Fatalf("budget of 80ms cut off after %v", elapsed)
+	c.mu.Lock()
+	st := c.brk.State()
+	c.mu.Unlock()
+	if st != BreakerClosed {
+		t.Fatalf("breaker = %v after recovery, want closed", st)
 	}
 }
 

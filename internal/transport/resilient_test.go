@@ -351,33 +351,73 @@ func TestServerShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestResilientClientFailsOverAcrossEndpoints: the primary dies with a
+// call applied but unanswered, and the client's one dial function
+// switches to the backup's address once the primary refuses. The
+// backup restored the primary's frozen sessions, as a promoted witness
+// would, so the retried call — same (SID, Seq) — replays its cached
+// answer instead of being applied twice.
 func TestResilientClientFailsOverAcrossEndpoints(t *testing.T) {
-	// Two session-aware servers sharing one session table lineage: the
-	// backup restores the primary's frozen sessions, as a promoted
-	// witness would.
 	var applied atomic.Int64
-	h := func(req any) (any, error) { applied.Add(1); return req, nil }
+	entered, release := make(chan struct{}), make(chan struct{})
+	h := func(req any) (any, error) {
+		applied.Add(1)
+		if req == "lost" {
+			close(entered)
+			<-release
+		}
+		return req, nil
+	}
 	tbl := NewSessionTable()
 	primary, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: tbl})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	c := DialResilientEndpoints([]Endpoint{
-		{Name: "primary", Dial: func() (net.Conn, error) { return net.DialTimeout("tcp", primary.Addr(), time.Second) }},
-	}, RetryPolicy{CallTimeout: time.Second, MaxAttempts: 20, BackoffMin: time.Millisecond, BackoffMax: 20 * time.Millisecond})
+	var backupAddr atomic.Pointer[string]
+	var dials atomic.Int64
+	redialed := make(chan struct{})
+	c := DialResilientFunc(func() (net.Conn, error) {
+		if dials.Add(1) == 2 {
+			close(redialed)
+		}
+		conn, err := net.DialTimeout("tcp", primary.Addr(), time.Second)
+		if a := backupAddr.Load(); err != nil && a != nil {
+			return net.DialTimeout("tcp", *a, time.Second)
+		}
+		return conn, err
+	}, RetryPolicy{
+		CallTimeout: time.Second, MaxAttempts: 20, BackoffMin: time.Millisecond, BackoffMax: 20 * time.Millisecond,
+		Breaker: BreakerPolicy{Cooldown: 20 * time.Millisecond},
+	})
 	defer c.Close()
 	if _, err := c.Call("before"); err != nil {
 		t.Fatal(err)
 	}
 
-	// Promote: freeze sessions, kill the primary, start the backup with
-	// the restored table, and register it as a second endpoint.
-	var snap *SessionsSnapshot
-	tbl.Freeze(func(s *SessionsSnapshot) { snap = s })
-	if err := primary.Close(); err != nil {
+	// "lost" is applied, then the primary dies before answering: Close
+	// severs the connection first and waits for the handler, so the
+	// client is already redialing when the handler returns.
+	lost := make(chan error, 1)
+	go func() {
+		resp, err := c.Call("lost")
+		if err == nil && resp != "lost" {
+			err = fmt.Errorf("resp %v", resp)
+		}
+		lost <- err
+	}()
+	<-entered
+	closed := make(chan error, 1)
+	go func() { closed <- primary.Close() }()
+	<-redialed
+	close(release)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
+
+	// Promote: restore the frozen sessions into the backup, then let the
+	// dial function reach it.
+	var snap *SessionsSnapshot
+	tbl.Freeze(func(s *SessionsSnapshot) { snap = s })
 	tbl2 := NewSessionTable()
 	tbl2.RestoreSessions(snap)
 	backup, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: tbl2})
@@ -385,16 +425,13 @@ func TestResilientClientFailsOverAcrossEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer backup.Close()
-	c.mu.Lock()
-	c.endpoints = append(c.endpoints, &endpointState{ep: Endpoint{
-		Name: "backup",
-		Dial: func() (net.Conn, error) { return net.DialTimeout("tcp", backup.Addr(), time.Second) },
-	}, brk: NewBreaker(c.pol.Breaker)})
-	c.mu.Unlock()
+	addr := backup.Addr()
+	backupAddr.Store(&addr)
 
-	// Calls against the dead primary must fail over to the backup with
-	// the same session identity.
-	for i := 0; i < 5; i++ {
+	if err := <-lost; err != nil {
+		t.Fatalf("lost: %v", err)
+	}
+	for i := 0; i < 4; i++ {
 		if _, err := c.Call(fmt.Sprintf("after%d", i)); err != nil {
 			t.Fatalf("after%d: %v", i, err)
 		}
@@ -402,63 +439,12 @@ func TestResilientClientFailsOverAcrossEndpoints(t *testing.T) {
 	if applied.Load() != 6 {
 		t.Fatalf("applied=%d, want 6 (exactly-once across failover)", applied.Load())
 	}
-	if c.Failovers() == 0 {
-		t.Fatal("client reports no failover despite primary death")
+	tbl2.Freeze(func(s *SessionsSnapshot) { snap = s })
+	if len(snap.Sessions) != 1 || snap.Sessions[0].SID != c.sid || snap.Sessions[0].High != c.seq {
+		t.Fatalf("backup holds sessions %+v, want the one session %d up to seq %d", snap.Sessions, c.sid, c.seq)
 	}
-	if got := c.EndpointName(); got != "backup" {
-		t.Fatalf("current endpoint = %q, want backup", got)
-	}
-	if h := c.Health(); h["backup"] <= h["primary"] {
-		t.Fatalf("health scoring did not demote the dead primary: %v", h)
-	}
-}
-
-func TestResilientClientQuarantine(t *testing.T) {
-	var applied atomic.Int64
-	h := func(req any) (any, error) { applied.Add(1); return req, nil }
-	a, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: NewSessionTable()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := ListenOpts("127.0.0.1:0", h, Options{Sessions: NewSessionTable()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	dialTo := func(addr string) func() (net.Conn, error) {
-		return func() (net.Conn, error) { return net.DialTimeout("tcp", addr, time.Second) }
-	}
-	c := DialResilientEndpoints([]Endpoint{
-		{Name: "a", Dial: dialTo(a.Addr())},
-		{Name: "b", Dial: dialTo(b.Addr())},
-	}, RetryPolicy{CallTimeout: time.Second, BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond})
-	defer c.Close()
-	if _, err := c.Call("x"); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.EndpointName(); got != "a" {
-		t.Fatalf("preference order broken: on %q", got)
-	}
-	// Quarantining the live endpoint severs it and routes to b.
-	c.Quarantine("a")
-	if _, err := c.Call("y"); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.EndpointName(); got != "b" {
-		t.Fatalf("quarantined endpoint still used: on %q", got)
-	}
-	if _, ok := c.Health()["a"]; ok {
-		t.Fatal("quarantined endpoint still reported healthy")
-	}
-	// Quarantining everything fails fast, no blind retries.
-	c.Quarantine("b")
-	start := time.Now()
-	if _, err := c.Call("z"); !errors.Is(err, ErrAllQuarantined) {
-		t.Fatalf("want ErrAllQuarantined, got %v", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("all-quarantined call burned the retry budget instead of failing fast")
+	if c.Reconnects() == 0 {
+		t.Fatal("client reports no reconnect despite primary death")
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"trustedcvs/internal/backoff"
 	"trustedcvs/internal/wire"
 )
 
@@ -165,34 +166,18 @@ func (s *Server) Addr() string { return s.lis.Addr().String() }
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
-	// Transient Accept errors (EMFILE, ECONNABORTED) back off
-	// exponentially instead of busy-spinning the accept loop; any
-	// successful accept resets the delay.
-	const minDelay, maxDelay = 5 * time.Millisecond, 1 * time.Second
-	delay := time.Duration(0)
+	// A failed Accept (EMFILE, ECONNABORTED) is waited out, never the
+	// end of the loop: only Close ends it.
+	bo := backoff.Accept()
 	for {
 		conn, err := s.lis.Accept()
 		if err != nil {
-			select {
-			case <-s.closed:
+			if !bo.SleepCh(s.closed) {
 				return
-			default:
-			}
-			if delay == 0 {
-				delay = minDelay
-			} else if delay *= 2; delay > maxDelay {
-				delay = maxDelay
-			}
-			timer := time.NewTimer(delay)
-			select {
-			case <-s.closed:
-				timer.Stop()
-				return
-			case <-timer.C:
 			}
 			continue
 		}
-		delay = 0
+		bo.Reset()
 		if !s.track(conn) {
 			conn.Close() // lost the race with Close
 			continue

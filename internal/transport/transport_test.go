@@ -2,7 +2,10 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -199,5 +202,39 @@ func TestServerErrorsPropagate(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Call(&core.OKResponse{}); err == nil {
 		t.Fatal("want server error")
+	}
+}
+
+// failOnceListener fails its first Accept, as a listener out of file
+// descriptors does.
+type failOnceListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *failOnceListener) Accept() (net.Conn, error) {
+	if l.failed.CompareAndSwap(false, true) {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServerSurvivesFailedAccept: a failed Accept is waited out, and a
+// client that connects afterwards is served.
+func TestServerSurvivesFailedAccept(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeListener(&failOnceListener{Listener: lis}, echoHandler, Options{})
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resp, err := c.Call(&core.SyncRequest{Round: 4})
+	if err != nil || resp.(*core.SyncRequest).Round != 8 {
+		t.Fatalf("call after a failed accept: %v, %v", resp, err)
 	}
 }

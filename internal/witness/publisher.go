@@ -257,8 +257,8 @@ func (p *Publisher) FanoutStats() (delivered, skipped, tripped uint64) {
 }
 
 // LaneStates snapshots each witness lane's delivery-breaker state
-// ("closed", "open" or "half-open", as ResilientClient.BreakerStates
-// names them), for the -stats-addr debug endpoint.
+// ("closed", "open" or "half-open", as transport.BreakerState names
+// them), for the -stats-addr debug endpoint.
 func (p *Publisher) LaneStates() map[string]string {
 	lanes := p.snapshotLanes()
 	m := make(map[string]string, len(lanes))

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate. Run it before every
-# commit: formatting, vet, build, grep gates on imports and on the one
-# untyped answer decoder (the trust boundary itself is a type —
+# commit: formatting, vet, build, grep gates on imports, on the one
+# untyped answer decoder and on concrete-type assertions of a
+# transport.Caller (the trust boundary itself is a type —
 # vdb.Verified, rcs.Checked, audit.Queued — so the compiler holds it),
 # the repo's own invariant analyzer (tcvs-lint: hash discipline, lock
 # narrowness, deterministic verification paths, checked errors,
@@ -82,6 +83,18 @@ fi
 if grep -rnw --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -e 'DecodeAnswer' . |
     grep -v -e '^\./internal/vdb/' -e '^\./internal/audit/' -e '^\./benchmark/'; then
     echo "vdb.DecodeAnswer is called outside internal/vdb, internal/audit and benchmark/" >&2
+    exit 1
+fi
+# A transport.Caller is used through its two methods and nothing more:
+# what stands behind it (one address, a dial function that fails over,
+# an in-process handler) is decided where it is built, and a detection
+# stops a convicted client without reaching into its connection. So
+# nothing outside internal/transport asserts or switches a Caller to a
+# concrete *transport. type.
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+    -e '\.\(\*transport\.' -e '^\s*case .*\*transport\.' . |
+    grep -v -e '^\./internal/transport/'; then
+    echo "a transport.Caller is asserted to a concrete *transport. type outside internal/transport" >&2
     exit 1
 fi
 # encoding/gob is retired: nothing sent, journaled or stored goes

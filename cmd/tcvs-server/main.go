@@ -16,6 +16,15 @@
 //	tcvs-server -addr :7070 -hub :7071 -proto 2
 //	tcvs-server -addr :7070 -proto 2 -behavior fork -trigger 5 -group-b 1,2
 //
+// Persistence: -data PATH names an honest Protocol II server's durable
+// record (server.Durable): the snapshot at PATH, its previous
+// generation at PATH.1, and the op journal in PATH.journal/. Every
+// acknowledged op and content push is journaled; a restart loads the
+// newest verifiable snapshot and replays the journal over it, so an
+// honest crash costs at most the journal's unflushed epoch:
+//
+//	tcvs-server -addr :7070 -proto 2 -data state.bin -save-interval 30s
+//
 // Witness replication: -witnesses makes the primary publish signed
 // epoch root commitments to remote witness nodes; -witness runs this
 // process as one of those witnesses instead:
@@ -29,7 +38,6 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -41,11 +49,9 @@ import (
 
 	"trustedcvs/internal/adversary"
 	"trustedcvs/internal/broadcast"
-	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto1"
 	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/driver"
-	"trustedcvs/internal/durable"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
@@ -66,8 +72,8 @@ func main() {
 		trigger  = flag.Uint64("trigger", 0, "operation index at which the behavior activates")
 		groupB   = flag.String("group-b", "", "comma-separated user IDs served from the fork")
 		target   = flag.Uint("target", 0, "victim user for replay-stale / withhold-backup")
-		dataFile = flag.String("data", "", "persistence file (protocol 2 only): loaded at start, saved periodically")
-		saveIvl  = flag.Duration("save-interval", 30*time.Second, "how often to persist -data")
+		dataFile = flag.String("data", "", "durable record (protocol 2, honest only): snapshot file, with its op journal in PATH.journal; restored at start, checkpointed periodically")
+		saveIvl  = flag.Duration("save-interval", 30*time.Second, "how often to checkpoint -data")
 
 		witnessMode = flag.Bool("witness", false, "run as a witness node instead of the primary")
 		witnessName = flag.String("witness-name", "", "witness node name (default derived from -addr)")
@@ -78,7 +84,6 @@ func main() {
 
 		auditMode = flag.String("audit", "sync", "client audit mode this deployment is provisioned for: sync (per-op barrier) or epoch (async epoch-batched audit)")
 		epochLen  = flag.Uint64("epoch-len", 0, "epoch length in global operations (-audit epoch; clients must use the same value)")
-		auditWAL  = flag.String("audit-wal", "", "durable op journal directory (protocol 2, honest only): applied ops and accepted content pushes are journaled with epoch-batched fsync and replayed over the -data snapshot on start")
 
 		overloadTarget = flag.Duration("overload-target", 0, "per-request latency target the adaptive limit steers toward (0 = package default)")
 		overloadQueue  = flag.Int("overload-queue", 0, "admission queue depth across all priority classes (0 = package default)")
@@ -116,21 +121,23 @@ func main() {
 	default:
 		log.Fatalf("-audit %q: want sync or epoch", *auditMode)
 	}
-	if *auditWAL != "" {
+	if *dataFile != "" {
 		if p != server.P2 {
-			log.Fatal("-audit-wal needs -proto 2")
+			log.Fatal("-data needs -proto 2 (only a Protocol II server is persisted)")
 		}
 		if *behavior != "honest" {
-			log.Fatal("-audit-wal needs -behavior honest (a fork's history is not ours to preserve)")
+			log.Fatal("-data needs -behavior honest (a fork's history is not ours to preserve)")
 		}
 	}
 	db := vdb.New(*order)
 	// The session table gives reconnecting clients exactly-once retry
-	// semantics; it is checkpointed and restored alongside the database
-	// so retries from before a crash still replay instead of re-applying.
+	// semantics; the durable record checkpoints and restores it
+	// alongside the database, so retries from before a crash still
+	// replay instead of re-applying.
 	sessions := transport.NewSessionTable()
+	store := cvs.NewStore()
 	var honest server.Server
-	var loadedStore *cvs.Store
+	var rec *server.Durable
 	switch p {
 	case server.P1:
 		signers, _, err := sig.DeterministicSigners(*users, *seed)
@@ -139,59 +146,28 @@ func main() {
 		}
 		honest = server.NewP1(db, proto1.Initialize(signers[0], db.Root()))
 	case server.P2:
-		if *dataFile != "" {
-			snap, from, err := server.LoadP2Auto(*dataFile)
-			switch {
-			case err == nil:
-				honest, loadedStore, err = server.RestoreP2(snap)
-				if err != nil {
-					log.Fatalf("restore %s: %v", from, err)
-				}
-				sessions.RestoreSessions(snap.Sessions)
-				log.Printf("restored state from %s: %d ops, root %s",
-					from, honest.DB().Ctr(), honest.DB().Root().Short())
-			case errors.Is(err, server.ErrNoSnapshot):
-				// First boot: start from the empty repository.
-			default:
-				log.Fatalf("load %s: %v", *dataFile, err)
-			}
-		}
-		if honest == nil {
+		if *dataFile == "" {
 			honest = server.NewP2(db)
+			break
 		}
+		// The record restores and replays BEFORE any decoration and
+		// before the transport serves.
+		rec, err = server.OpenDurable(*dataFile, *order, *epochLen)
+		if err != nil {
+			log.Fatalf("load %s: %v", *dataFile, err)
+		}
+		honest, store, sessions = rec.Server(), rec.Store(), rec.Sessions()
+		from, ops, pushes := rec.Recovered()
+		if from != "" {
+			log.Printf("restored state from %s: %d ops", from, honest.DB().Ctr()-uint64(ops))
+		}
+		if ops > 0 || pushes > 0 {
+			log.Printf("op journal: replayed %d acked op(s) and %d content push(es) past the snapshot; head now %d, root %s",
+				ops, pushes, honest.DB().Ctr(), honest.DB().Root().Short())
+		}
+		log.Printf("durable record at %s, op journal in %s.journal", *dataFile, *dataFile)
 	case server.P3:
 		honest = server.NewP3(db)
-	}
-
-	store := loadedStore
-	if store == nil {
-		store = cvs.NewStore()
-	}
-
-	// The op journal replays its tail over the restored snapshot BEFORE
-	// any decoration and before the transport serves: recovery re-applies
-	// exactly the acked operations (and re-pushes the content blobs) the
-	// periodic checkpoint missed.
-	var journal *server.OpJournal
-	if *auditWAL != "" {
-		applied, pushed, err := server.ReplayOpJournal(*auditWAL, honest, store)
-		if err != nil {
-			log.Fatalf("replay op journal %s: %v", *auditWAL, err)
-		}
-		if applied > 0 || pushed > 0 {
-			log.Printf("op journal: replayed %d acked op(s) and %d content push(es) past the snapshot; head now %d, root %s",
-				applied, pushed, honest.DB().Ctr(), honest.DB().Root().Short())
-		}
-		journal, err = server.OpenOpJournal(*auditWAL, durable.OS, *epochLen)
-		if err != nil {
-			log.Fatal(err)
-		}
-		honest = server.WithOpJournal(honest, journal)
-		batch := *epochLen
-		if batch == 0 {
-			batch = server.DefaultJournalEpoch
-		}
-		log.Printf("op journal at %s (fsync batched every %d ops)", *auditWAL, batch)
 	}
 
 	srv := honest
@@ -238,30 +214,15 @@ func main() {
 	}
 
 	handler := driver.NewHandler(srv, store)
-	if journal != nil {
-		// Content bypasses the protocol server, so the decorator on srv
-		// never sees it; journal it at the handler instead.
-		handler = journalPushes(handler, journal, srv)
-	}
-	// The saver runs beside live traffic: SaveP2 checkpoints the
-	// protocol state through its own ordered section (an O(1) fork of
-	// the copy-on-write database) and the content store snapshots under
-	// its own lock, so persistence never stalls the pipelined hot path.
-	persisting := *dataFile != "" && p == server.P2 && *behavior == "honest"
-	if persisting {
+	if rec != nil {
+		handler = rec.Handler(handler)
+		// The saver runs beside live traffic: the session freeze
+		// quiesces dispatch only for the O(1) capture, and encoding and
+		// disk I/O run after traffic has resumed.
 		go func() {
 			for range time.Tick(*saveIvl) {
-				ctr, err := saveState(*dataFile, srv, store, sessions)
-				if err != nil {
+				if _, err := rec.Checkpoint(); err != nil {
 					log.Printf("persist: %v", err)
-					continue
-				}
-				// Journal epochs fully covered by the durable checkpoint
-				// are dead weight; drop them.
-				if journal != nil {
-					if err := journal.TruncateThrough(ctr); err != nil {
-						log.Printf("journal truncate: %v", err)
-					}
 				}
 			}
 		}()
@@ -302,9 +263,9 @@ func main() {
 		}
 		src.WALMode = func() string {
 			switch {
-			case journal == nil:
+			case rec == nil:
 				return "none"
-			case journal.Err() != nil:
+			case rec.Err() != nil:
 				return "degraded"
 			default:
 				return "epoch-batched"
@@ -332,9 +293,9 @@ func main() {
 	//     checkpoint, or a clean shutdown would leave the final epochs'
 	//     closure checks without a commitment to quorum against (the
 	//     unaudited tail the PR4-era drain→checkpoint path left behind).
-	//  3. Checkpoint, then truncate and close the op journal: the
-	//     snapshot now covers everything the journal holds, and Close
-	//     fsyncs whatever tail batching deferred.
+	//  3. Close the durable record: checkpoint under the session
+	//     freeze, then seal the op journal, fsyncing whatever tail
+	//     batching deferred.
 	//
 	// Any other order lets an acked or commitment-pending tail slip past
 	// the durable cut; on restart clients would — correctly, but
@@ -350,25 +311,14 @@ func main() {
 		pub.Flush()
 		log.Printf("witness commitments flushed")
 	}
-	if persisting {
-		ctr, err := saveState(*dataFile, srv, store, sessions)
-		if err != nil {
-			log.Fatalf("final checkpoint: %v", err)
-		}
-		log.Printf("state saved to %s (%d ops)", *dataFile, ctr)
-		if journal != nil {
-			if err := journal.TruncateThrough(ctr); err != nil {
-				log.Printf("journal truncate: %v", err)
-			}
-		}
-	}
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			log.Printf("journal close: %v", err)
-		}
-		if err := journal.Err(); err != nil {
+	if rec != nil {
+		if err := rec.Err(); err != nil {
 			log.Printf("journal had degraded: %v", err)
 		}
+		if err := rec.Close(); err != nil {
+			log.Fatalf("close %s: %v", *dataFile, err)
+		}
+		log.Printf("state saved to %s (%d ops)", *dataFile, honest.DB().Ctr())
 	}
 }
 
@@ -412,30 +362,6 @@ func runWitness(addr, name, peers string, gossipIvl time.Duration) {
 	ts.Close()
 }
 
-// saveState persists the Protocol II server + store + session cache as
-// one crash-safe generation and returns the checkpointed op counter
-// (the op-journal truncation horizon). The session freeze quiesces
-// dispatch for only as long as the O(1) state capture takes; encoding
-// and disk I/O run after traffic has resumed.
-func saveState(path string, srv server.Server, store *cvs.Store, sessions *transport.SessionTable) (uint64, error) {
-	var snap *server.P2Snapshot
-	var ctr uint64
-	var cerr error
-	sessions.Freeze(func(ss *transport.SessionsSnapshot) {
-		snap, cerr = server.CheckpointP2(srv, store)
-		if cerr == nil {
-			snap.Sessions = ss
-			ctr = srv.DB().Ctr() // quiesced: this IS the snapshot's counter
-		}
-	})
-	if cerr != nil {
-		return 0, cerr
-	}
-	return ctr, durable.WriteFileAtomic(durable.OS, path, true, func(w io.Writer) error {
-		return server.EncodeP2Snapshot(w, snap)
-	})
-}
-
 // behaviorUsage is the -behavior flag's help text, spelled from the
 // adversary package's one table of names.
 func behaviorUsage() string {
@@ -466,27 +392,4 @@ func parseBehavior(name string, trigger uint64, groupB string, target sig.UserID
 		}
 	}
 	return cfg, nil
-}
-
-// journalPushes wraps the request handler so every accepted content
-// push is journaled before its acknowledgement is released, whichever
-// way it travelled: on its own, or riding with the commit that names
-// it — recorded as the same PushContentRequest entries either way, so
-// a crash after an acked commit replays its content.
-func journalPushes(inner transport.Handler, journal *server.OpJournal, srv server.Server) transport.Handler {
-	return func(req any) (any, error) {
-		resp, err := inner(req)
-		if err != nil {
-			return resp, err
-		}
-		switch r := req.(type) {
-		case *core.PushContentRequest:
-			journal.RecordPush(r, srv.DB().Ctr())
-		case *core.RiderRequest:
-			for _, blob := range r.Blobs {
-				journal.RecordPush(&core.PushContentRequest{Content: blob}, srv.DB().Ctr())
-			}
-		}
-		return resp, err
-	}
 }

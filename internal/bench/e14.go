@@ -158,27 +158,6 @@ func (n *faultyNet) faultsInjected() uint64 {
 	return t
 }
 
-// checkpointCut takes the consistent cut a dead primary is restored
-// (or a witness promoted) from. The caller severs the transport FIRST:
-// Close waits for in-flight handlers to drain, so once it returns
-// nothing can execute or acknowledge another op — every acked op is
-// inside the cut, and an ack that died with its connection is retried
-// and replayed from the restored session table. (Severing inside the
-// freeze deadlocks: Close waits on a handler that is itself waiting on
-// the frozen session table.) An acked-but-unpersisted tail would
-// (correctly) alarm on restart, and these experiments are about
-// proving the absence of false alarms.
-func (n *faultyNet) checkpointCut() (*server.P2Snapshot, error) {
-	var snap *server.P2Snapshot
-	var err error
-	n.sessions.Freeze(func(ss *transport.SessionsSnapshot) {
-		if snap, err = server.CheckpointP2(n.Server, n.Store); err == nil {
-			snap.Sessions = ss
-		}
-	})
-	return snap, err
-}
-
 // failoverRun is a client workload running in the background across a
 // server outage, instrumented to time the recovery.
 type failoverRun struct {
@@ -259,9 +238,18 @@ func RunE14(cfg E14Config) (*E14Data, error) {
 	if err := run.awaitHalf(); err != nil {
 		return nil, fmt.Errorf("E14: %w", err)
 	}
+	// Sever the transport FIRST, then cut: Close waits for in-flight
+	// handlers to drain, so once it returns nothing can execute or
+	// acknowledge another op — every acked op is inside the cut, and an
+	// ack that died with its connection is retried and replayed from
+	// the restored session table. (Cutting first deadlocks: Close waits
+	// on a handler that is itself waiting on the frozen session table.)
+	// An acked-but-unpersisted tail would (correctly) alarm on restart,
+	// and these experiments are about proving the absence of false
+	// alarms.
 	addr := dep.TCP.Addr()
 	dep.TCP.Close()
-	snap, err := dep.checkpointCut()
+	snap, err := server.CheckpointP2(dep.Server, dep.Store, dep.sessions)
 	if err != nil {
 		return nil, fmt.Errorf("E14 checkpoint: %w", err)
 	}
@@ -270,11 +258,10 @@ func RunE14(cfg E14Config) (*E14Data, error) {
 
 	// Restart: restore the snapshot into a fresh process-worth of state
 	// and rebind the same address (clients are retrying against it).
-	srv2, store2, err := server.RestoreP2(snap)
+	srv2, store2, sessions2, err := server.RestoreP2(snap)
 	if err != nil {
 		return nil, fmt.Errorf("E14 restore: %w", err)
 	}
-	dep.sessions.RestoreSessions(snap.Sessions)
 	if srv2.DB().Root() != cutRoot {
 		return nil, fmt.Errorf("E14: restored root %s != checkpoint root %s", srv2.DB().Root().Short(), cutRoot.Short())
 	}
@@ -283,7 +270,7 @@ func RunE14(cfg E14Config) (*E14Data, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E14 rebind %s: %w", addr, err)
 	}
-	dep.TCP = transport.ServeListener(lis2, driver.NewHandler(srv2, store2), transport.Options{Sessions: dep.sessions})
+	dep.TCP = transport.ServeListener(lis2, driver.NewHandler(srv2, store2), transport.Options{Sessions: sessions2})
 	run.resumed()
 
 	if err := run.wait(); err != nil {

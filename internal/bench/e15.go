@@ -147,7 +147,7 @@ func runE15Failover(cfg E15Config, d *E15Data) error {
 	}
 	killStart := time.Now()
 	dep.TCP.Close()
-	snap, err := dep.checkpointCut()
+	snap, err := server.CheckpointP2(dep.Server, dep.Store, dep.sessions)
 	if err != nil {
 		return fmt.Errorf("E15 checkpoint: %w", err)
 	}

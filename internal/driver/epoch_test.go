@@ -276,11 +276,11 @@ func TestEpochAuditCheckpointRestore(t *testing.T) {
 	cl := newEpochCluster(t, sw, 2, 4)
 
 	restart := func() {
-		snap, err := server.CheckpointP2(sw.get(), cl.store)
+		snap, err := server.CheckpointP2(sw.get(), cl.store, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, _, err := server.RestoreP2(snap)
+		restored, _, _, err := server.RestoreP2(snap)
 		if err != nil {
 			t.Fatal(err)
 		}

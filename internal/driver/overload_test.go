@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
 	"trustedcvs/internal/cvs"
+	"trustedcvs/internal/durable"
 	"trustedcvs/internal/fault"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/sig"
@@ -29,14 +32,13 @@ import (
 // exactly the delivered ops — a phantom entry for a refused op would
 // resurrect state no client was ever answered for.
 func TestOverloadShedNotJournaled(t *testing.T) {
-	dir := t.TempDir()
-	j, err := server.OpenOpJournal(dir, nil, 4)
+	path := filepath.Join(t.TempDir(), "state.bin")
+	rec, err := server.OpenDurable(path, 0, 4)
 	if err != nil {
-		t.Fatalf("open journal: %v", err)
+		t.Fatalf("open record: %v", err)
 	}
-	db := vdb.New(0)
-	hs := server.WithOpJournal(server.NewP2(db), j)
-	inner := NewHandler(hs, cvs.NewStore())
+	db := rec.Server().DB()
+	inner := rec.Handler(NewHandler(rec.Server(), rec.Store()))
 	// SyncRequests park on the release gate, so one of them can pin the
 	// single admission slot for as long as the test needs.
 	release := make(chan struct{})
@@ -104,19 +106,26 @@ func TestOverloadShedNotJournaled(t *testing.T) {
 	if got := db.Ctr(); got != 1 {
 		t.Fatalf("counter = %d, want exactly the one delivered op", got)
 	}
-	if err := j.Err(); err != nil {
+	if err := rec.Err(); err != nil {
 		t.Fatalf("journal degraded during refusals: %v", err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("close journal: %v", err)
+	if err := rec.Close(); err != nil {
+		t.Fatalf("close record: %v", err)
 	}
-	// Replay over a fresh server: exactly one op comes back.
-	db2 := vdb.New(0)
-	applied, pushes, err := server.ReplayOpJournal(dir, server.NewP2(db2), cvs.NewStore())
+	// Replay the journal alone over a fresh server (both snapshot
+	// generations gone): exactly one op comes back.
+	for _, gen := range []string{path, durable.PrevPath(path)} {
+		if err := os.Remove(gen); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+	}
+	rec2, err := server.OpenDurable(path, 0, 4)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if applied != 1 || pushes != 0 || db2.Ctr() != 1 {
+	defer rec2.Close()
+	_, applied, pushes := rec2.Recovered()
+	if db2 := rec2.Server().DB(); applied != 1 || pushes != 0 || db2.Ctr() != 1 {
 		t.Fatalf("replay applied %d ops / %d pushes (ctr %d), want exactly the 1 delivered op",
 			applied, pushes, db2.Ctr())
 	}

@@ -120,7 +120,7 @@ func PrevPath(path string) string { return path + ".1" }
 // never a half-written hybrid under path. With keepPrev the displaced
 // file survives as PrevPath(path), so a crash between the two renames
 // still leaves the old generation under its rotated name and a reader
-// that falls back to it (server.LoadP2Auto) loses nothing; without it
+// that falls back to it (server.OpenDurable) loses nothing; without it
 // the rename replaces path in one step. The rename dance cannot catch
 // a lying disk that tears the bytes it claims to have written — wrap
 // the payload in WriteEnvelope for that.

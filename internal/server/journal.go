@@ -5,25 +5,21 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/cvs"
-	"trustedcvs/internal/durable"
 	"trustedcvs/internal/wal"
 	"trustedcvs/internal/wire"
 )
 
-// The op journal is the server-side half of the crash-durable story:
-// the periodic snapshot (persist.go) loses every operation applied
-// after the last save, and on restart each client's next sync would —
-// correctly, but needlessly — raise a rollback alarm over that acked
-// tail. Journaling every applied request (and every accepted content
-// push — the blobs of acked commits must survive alongside their
-// authenticated records) lets recovery re-apply the tail on top of
-// the restored snapshot, shrinking the rollback window from one save
-// interval to at most one journal epoch.
+// The op journal is the server's record: every acknowledged operation
+// and every accepted content push (the blobs of acked commits must
+// survive alongside their authenticated records), in an internal/wal
+// journal beside the snapshot. The snapshot is a cached, checkable
+// prefix of it — recovery re-applies the journal's tail on top of the
+// newest verifiable generation, so an honest crash costs at most the
+// journal's unflushed epoch instead of one save interval.
 //
 // The journal deliberately does NOT fsync per operation: frames are
 // batched and flushed once per epoch, by the first append of the next
@@ -34,17 +30,14 @@ import (
 // durable record of their own obligations; the server journal only
 // narrows the honest-crash rollback window.
 
-// DefaultJournalEpoch is the flush batch for deployments that
-// do not run epoch-batched audit (no -epoch-len to align with).
-const DefaultJournalEpoch = 64
+// defaultJournalEpoch is the flush batch for deployments that do not
+// run epoch-batched audit (no -epoch-len to align with).
+const defaultJournalEpoch = 64
 
 // journalEntry is one applied operation as the journal records it: the
 // request plus the global counter its apply landed on. The counter
 // keys replay ordering — concurrent handlers append out of order.
-// Alternatively (Push set, G zero) it is one accepted content push:
-// the blobs of acked commits must survive the same crashes their
-// authenticated records do, or recovery restores a history whose
-// content is gone.
+// Alternatively (Push set, G zero) it is one accepted content push.
 type journalEntry struct {
 	G    uint64
 	Req  *core.OpRequest
@@ -95,126 +88,12 @@ func decodeEntry(b []byte) (journalEntry, error) {
 	return e, nil
 }
 
-// OpJournal appends every successfully applied operation to a
-// segmented WAL (internal/wal), batching flushes per epoch.
-// Append failures are sticky: the journal disables itself rather than
-// stalling or crashing the serving path, and Err exposes the
-// degradation so the operator can see durability has narrowed back to
-// checkpoint cadence.
-type OpJournal struct {
-	epochLen uint64
-
-	mu  sync.Mutex
-	w   *wal.WAL
-	er  error
-	buf []byte // entry-assembly buffer, reused under mu
-}
-
-// OpenOpJournal opens (creating or repairing) the op journal at dir.
-// epochLen aligns fsync batching and truncation with the deployment's
-// audit epochs (0 = DefaultJournalEpoch). fs is the filesystem to
-// journal through (nil = the real one).
-func OpenOpJournal(dir string, fs durable.FS, epochLen uint64) (*OpJournal, error) {
-	if epochLen == 0 {
-		epochLen = DefaultJournalEpoch
-	}
-	w, err := wal.Open(wal.Options{Dir: dir, FS: fs, Sync: wal.SyncOnRotate})
-	if err != nil {
-		return nil, fmt.Errorf("server: open op journal: %w", err)
-	}
-	return &OpJournal{epochLen: epochLen, w: w}, nil
-}
-
-// record journals one applied operation. Called by the decorator after
-// the protocol server has acked the op; errors flip the sticky degrade
-// state instead of failing the operation (the client already holds its
-// own durable obligation record).
-func (j *OpJournal) record(req *core.OpRequest, resp any) {
-	g := appliedG(resp)
-	if g == 0 {
-		return // not a Protocol II response; nothing to key replay on
-	}
-	j.append((g-1)/j.epochLen, g, req)
-}
-
-// RecordPush journals one accepted content push. ctr is the database
-// counter at record time; it only keys fsync batching and truncation —
-// a push journaled at counter c lands in an epoch no checkpoint below
-// c can truncate, and a checkpoint above c snapshots the store with
-// the push already in it, so either the snapshot or the journal holds
-// every acked blob. Errors degrade exactly as record's do.
-func (j *OpJournal) RecordPush(req *core.PushContentRequest, ctr uint64) {
-	j.append(ctr/j.epochLen, 0, req)
-}
-
-// append encodes one entry into the journal's buffer and appends it;
-// the WAL copies the payload into its own frame, so the buffer is free
-// again when the lock drops.
-func (j *OpJournal) append(epoch, g uint64, req any) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.er != nil {
-		return
-	}
-	payload, err := appendEntry(j.buf, g, req)
-	if err != nil {
-		j.er = fmt.Errorf("server: encode journal entry: %w", err)
-		return
-	}
-	j.buf = binenc.Recycle(payload)
-	if err := j.w.Append(epoch, payload); err != nil {
-		j.er = err
-	}
-}
-
-// Err reports the sticky failure that disabled the journal, if any.
-func (j *OpJournal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.er
-}
-
-// TruncateThrough drops journal segments fully covered by a durable
-// checkpoint at global counter ctr. Epoch e holds counters
-// (e·len, (e+1)·len], so only epochs whose last counter is ≤ ctr go.
-func (j *OpJournal) TruncateThrough(ctr uint64) error {
-	if ctr < j.epochLen {
-		return nil
-	}
-	return j.w.TruncateThrough(ctr/j.epochLen - 1)
-}
-
-// Close seals the journal, fsyncing any batched tail.
-func (j *OpJournal) Close() error { return j.w.Close() }
-
-// WithOpJournal decorates a server so every successfully applied
-// operation is recorded in j before the response is released. Composes
-// with WithOpHook; wrap the honest server (checkpointing unwraps both).
-func WithOpJournal(s Server, j *OpJournal) Server {
-	return &journaled{Server: s, j: j}
-}
-
-type journaled struct {
-	Server
-	j *OpJournal
-}
-
-func (h *journaled) HandleOp(req *core.OpRequest) (any, error) {
-	resp, err := h.Server.HandleOp(req)
-	if err == nil {
-		h.j.record(req, resp)
-	}
-	return resp, err
-}
-
-// Fork drops the journal: a fork's history is the adversary's private
-// fiction, and replaying it over the honest snapshot would corrupt the
-// very state the journal exists to protect.
-func (h *journaled) Fork() Server { return h.Server.Fork() }
-
-// appliedG extracts the post-apply counter from a Protocol II response
-// (Ctr is the pre-op counter).
+// appliedG extracts the post-apply counter from a Protocol II response,
+// bare or carried in a RiderResponse (Ctr is the pre-op counter).
 func appliedG(resp any) uint64 {
+	if rr, ok := resp.(*core.RiderResponse); ok {
+		resp = rr.Resp
+	}
 	r, ok := resp.(*core.OpResponseII)
 	if !ok {
 		return 0
@@ -222,19 +101,17 @@ func appliedG(resp any) uint64 {
 	return r.Ctr + 1
 }
 
-// ReplayOpJournal re-applies, in counter order, every journaled
-// operation above the restored server's head, and re-pushes every
-// journaled content blob into store. Op replay stops cleanly at the
-// first counter gap: everything past a lost frame was never made
-// durable as a batch, and applying it out of order would fabricate a
-// history no client ever acked. Push replay is unconditional — the
-// store is a content-addressed map and a push's path and revision are
-// labels, so re-pushing what the snapshot already holds is a no-op and
-// a stray blob past a gap is unreferenced storage, never state.
-// Returns how many operations and pushes were re-applied. Call before
-// opening the journal for appending and before the transport starts
-// serving.
-func ReplayOpJournal(dir string, s Server, store *cvs.Store) (int, int, error) {
+// replayJournal re-applies, in counter order, every journaled
+// operation above the server's head, and re-pushes every journaled
+// content blob into store. Op replay stops cleanly at the first
+// counter gap: everything past a lost frame was never made durable as
+// a batch, and applying it out of order would fabricate a history no
+// client ever acked. Push replay is unconditional — the store is a
+// content-addressed map and a push's path and revision are labels, so
+// re-pushing what the snapshot already holds is a no-op and a stray
+// blob past a gap is unreferenced storage, never state. Returns how
+// many operations and pushes were re-applied.
+func replayJournal(dir string, s Server, store *cvs.Store) (int, int, error) {
 	from := s.DB().Ctr()
 	var entries []journalEntry
 	pushes := 0

@@ -9,7 +9,6 @@ import (
 
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/cvs"
-	"trustedcvs/internal/rcs"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
 	"trustedcvs/internal/wal"
@@ -23,141 +22,12 @@ func journalOp(i int) *core.OpRequest {
 	}
 }
 
-// TestOpJournalRecoveryReplay: every op applied through the journaled
-// server is re-applied on a fresh server from the journal alone,
-// reproducing the exact head.
-func TestOpJournalRecoveryReplay(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenOpJournal(dir, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := WithOpJournal(NewP2(vdb.New(0)), j)
-	for i := 0; i < 10; i++ {
-		if _, err := srv.HandleOp(journalOp(i)); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	if err := j.Err(); err != nil {
-		t.Fatalf("journal degraded: %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh := NewP2(vdb.New(0))
-	applied, _, err := ReplayOpJournal(dir, fresh, cvs.NewStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 10 {
-		t.Fatalf("replayed %d ops, want 10", applied)
-	}
-	if got, want := fresh.DB().Root(), srv.DB().Root(); got != want {
-		t.Fatalf("replayed root %s != live root %s", got.Short(), want.Short())
-	}
-}
-
-// TestOpJournalRecoveryFromSnapshot: replay skips everything a
-// restored snapshot already covers and re-applies only the tail.
-func TestOpJournalRecoveryFromSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenOpJournal(dir, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := WithOpJournal(NewP2(vdb.New(0)), j)
-	for i := 0; i < 10; i++ {
-		if _, err := srv.HandleOp(journalOp(i)); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A "restored snapshot" that saw the first 6 ops.
-	restored := NewP2(vdb.New(0))
-	for i := 0; i < 6; i++ {
-		if _, err := restored.HandleOp(journalOp(i)); err != nil {
-			t.Fatalf("snapshot op %d: %v", i, err)
-		}
-	}
-	applied, _, err := ReplayOpJournal(dir, restored, cvs.NewStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 4 {
-		t.Fatalf("replayed %d ops, want 4", applied)
-	}
-	if got, want := restored.DB().Root(), srv.DB().Root(); got != want {
-		t.Fatalf("recovered root %s != live root %s", got.Short(), want.Short())
-	}
-}
-
-// TestOpJournalRecoveryReplaysPushes: content pushes recorded in the
-// journal are re-pushed into the store on replay — an acked commit's
-// blob must survive the same crash its authenticated record does —
-// and replaying a push the restored snapshot already holds is a no-op
-// (the store is a content-addressed map).
-func TestOpJournalRecoveryReplaysPushes(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenOpJournal(dir, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := WithOpJournal(NewP2(vdb.New(0)), j)
-	live := cvs.NewStore()
-	push := func(path string, rev uint64, content string) {
-		if err := live.Push(path, rev, []byte(content)); err != nil {
-			t.Fatalf("push %s@%d: %v", path, rev, err)
-		}
-		j.RecordPush(&core.PushContentRequest{Path: path, Rev: rev, Content: []byte(content)}, srv.DB().Ctr())
-	}
-	push("a.txt", 1, "one")
-	if _, err := srv.HandleOp(journalOp(0)); err != nil {
-		t.Fatal(err)
-	}
-	push("a.txt", 2, "two")
-	push("b.txt", 1, "bee")
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A "restored snapshot" of the store that already saw a.txt@1.
-	store := cvs.NewStore()
-	if err := store.Push("a.txt", 1, []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewP2(vdb.New(0))
-	applied, pushes, err := ReplayOpJournal(dir, fresh, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 1 || pushes != 3 {
-		t.Fatalf("replayed %d ops / %d pushes, want 1 / 3", applied, pushes)
-	}
-	for _, want := range []struct {
-		path    string
-		rev     uint64
-		content string
-	}{{"a.txt", 1, "one"}, {"a.txt", 2, "two"}, {"b.txt", 1, "bee"}} {
-		got, err := store.Fetch(want.path, want.rev, rcs.HashContent([]byte(want.content)))
-		if err != nil {
-			t.Fatalf("after replay, fetch %s@%d: %v", want.path, want.rev, err)
-		}
-		if string(got) != want.content {
-			t.Fatalf("after replay, %s@%d = %q, want %q", want.path, want.rev, got, want.content)
-		}
-	}
-}
-
 // TestOpJournalRecoveryStopsAtGap: a lost frame severs the replayable
 // prefix; nothing past the gap may be applied (it would fabricate a
 // history whose intermediate op never happened).
 func TestOpJournalRecoveryStopsAtGap(t *testing.T) {
-	dir := t.TempDir()
-	w, err := wal.Open(wal.Options{Dir: dir})
+	path := filepath.Join(t.TempDir(), "state.bin")
+	w, err := wal.Open(wal.Options{Dir: path + ".journal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,15 +43,15 @@ func TestOpJournalRecoveryStopsAtGap(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewP2(vdb.New(0))
-	applied, _, err := ReplayOpJournal(dir, fresh, cvs.NewStore())
+	d, err := OpenDurable(path, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != 2 {
+	defer d.Close()
+	if _, applied, _ := d.Recovered(); applied != 2 {
 		t.Fatalf("replayed %d ops, want 2 (stop at the gap)", applied)
 	}
-	if ctr := fresh.DB().Ctr(); ctr != 2 {
+	if ctr := d.Server().DB().Ctr(); ctr != 2 {
 		t.Fatalf("head ctr %d, want 2", ctr)
 	}
 }
@@ -232,17 +102,24 @@ func TestOldFormatOpJournalRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "state.bin")
+	dir := path + ".journal"
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, "seg-0000000000000001.wal"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fresh := NewP2(vdb.New(0))
 	store := cvs.NewStore()
-	applied, pushes, err := ReplayOpJournal(dir, fresh, store)
+	applied, pushes, err := replayJournal(dir, fresh, store)
 	if !errors.Is(err, ErrJournalFormat) {
-		t.Fatalf("ReplayOpJournal = %v, want ErrJournalFormat", err)
+		t.Fatalf("replayJournal = %v, want ErrJournalFormat", err)
 	}
 	if applied != 0 || pushes != 0 || fresh.DB().Ctr() != 0 {
 		t.Fatalf("old-format journal reached the server: %d ops, %d pushes, ctr %d", applied, pushes, fresh.DB().Ctr())
+	}
+	if _, err := OpenDurable(path, 0, 0); !errors.Is(err, ErrJournalFormat) {
+		t.Fatalf("OpenDurable over an old-format journal = %v, want ErrJournalFormat", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 	"trustedcvs/internal/wire/wiretest"
 )
 
-// FuzzSnapshotLoad drives both snapshot loaders with arbitrary bytes.
+// FuzzSnapshotLoad drives the snapshot loader with arbitrary bytes.
 // The properties are totality and one spelling: a checkpoint file is
 // the one input the server reads with no adversary model in front of
 // it (and a witness reads the primary's) — a corrupt or hostile file
@@ -41,9 +42,8 @@ func FuzzSnapshotLoad(f *testing.F) {
 				if err := EncodeP2Snapshot(&again, snap); err != nil || !bytes.Equal(again.Bytes(), file) {
 					t.Fatalf("accepted P2 input re-encodes differently (err %v)", err)
 				}
-				_, _, _ = RestoreP2(snap)
+				_, _, _, _ = RestoreP2(snap)
 			}
-			_, _, _ = LoadP3(bytes.NewReader(file))
 		}
 	})
 }
@@ -54,8 +54,9 @@ type fuzzSeed struct {
 }
 
 // snapshotFuzzSeeds are the inputs pinned under
-// testdata/fuzz/FuzzSnapshotLoad: honest snapshots of both protocols
-// and the ways a file rots.
+// testdata/fuzz/FuzzSnapshotLoad: an honest snapshot, a Protocol III
+// snapshot of the retired 0x8D layout (which must be refused), and the
+// ways a file rots.
 func snapshotFuzzSeeds(t testing.TB) []fuzzSeed {
 	_, snap := goldenP2Single(t)
 	var buf bytes.Buffer
@@ -63,9 +64,8 @@ func snapshotFuzzSeeds(t testing.TB) []fuzzSeed {
 		t.Fatal(err)
 	}
 	honest := bytes.Clone(buf.Bytes())
-	buf.Reset()
-	p3srv, p3store := goldenP3(t)
-	if err := SaveP3(&buf, p3srv, p3store); err != nil {
+	p3, err := os.ReadFile(filepath.Join(goldenDir, "p3-snapshot-backups.snap"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	flipped := bytes.Clone(honest)
@@ -76,9 +76,9 @@ func snapshotFuzzSeeds(t testing.TB) []fuzzSeed {
 	payload := func(file []byte) []byte { return file[len(snapMagic)+8 : len(file)-digest.Size] }
 	return []fuzzSeed{
 		{"seed-honest-snapshot", honest},
-		{"seed-honest-p3", buf.Bytes()},
+		{"seed-honest-p3", p3},
 		{"seed-payload-p2", payload(honest)},
-		{"seed-payload-p3", payload(buf.Bytes())},
+		{"seed-payload-p3", payload(p3)},
 		{"seed-truncated", honest[:len(honest)/2]},
 		{"seed-flipped-payload", flipped},
 		{"seed-bare-magic", []byte(snapMagic)},

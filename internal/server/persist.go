@@ -8,16 +8,13 @@ import (
 	"os"
 
 	"trustedcvs/internal/binenc"
-	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto2"
-	"trustedcvs/internal/core/proto3"
 	"trustedcvs/internal/cvs"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/durable"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/transport"
 	"trustedcvs/internal/vdb"
-	"trustedcvs/internal/wire"
 )
 
 // Snapshots travel in the durable envelope (durable.WriteEnvelope):
@@ -31,91 +28,87 @@ import (
 // just corrupt data but raise deviation alarms on every running
 // client. The payload is a format byte and a binenc body, each part
 // written and read by the package that owns it (vdb, cvs and transport
-// AppendSnapshot; an EpochBackup nests as on the wire):
+// AppendSnapshot):
 //
-//	P2 = 0x8C | db | store | lastUser | 00 | sessions
-//	P3 = 0x8D | db | store | lastUser | epoch | uvarint(n) n×EpochBackup
+//	0x8C | db | store | lastUser | 00 | sessions
 //
-// P2's 00 is the meta count of the retired sharded layout, which a
+// The 00 is the meta count of the retired sharded layout, which a
 // single tree always wrote as zero; a nonzero one, or a sharded db
 // section (vdb.ErrForestSnapshot), is refused with ErrSnapshotFormat.
 //
 // The bytes may come from a peer — a witness reads the primary's — so
 // every count is bounded by the bytes behind it and nothing is trusted
-// before RestoreP2 has re-checked it. The format bytes lie in
+// before RestoreP2 has re-checked it. The format byte lies in
 // 0x80–0xF7, where no gob stream — the payload of the earliest
-// binaries — can start; 0x85 and 0x86 were these two layouts while the
-// store section still carried a per-path revision index.
+// binaries — can start. Retired format bytes are refused like gob:
+// 0x85 was this layout while the store section still carried a
+// per-path revision index, and 0x86 and 0x8D were Protocol III
+// snapshots, which no binary restores any more.
 const (
 	snapMagic    = "TCVSSNAP1\n"
 	snapFormatP2 = 0x8C
-	snapFormatP3 = 0x8D
 )
 
 // maxSnapshotBytes bounds the payload length a snapshot header may
 // declare.
 const maxSnapshotBytes = 1 << 30
 
-// ErrNoSnapshot reports that no snapshot generation exists on disk at
+// errNoSnapshot reports that no snapshot generation exists on disk at
 // all — a first boot, as opposed to a boot over corrupt checkpoints.
-var ErrNoSnapshot = errors.New("server: no snapshot on disk")
+var errNoSnapshot = errors.New("server: no snapshot on disk")
 
 // ErrSnapshotFormat is returned for a snapshot whose envelope verifies
 // but whose payload is not in this binary's format: written by an
-// older binary, or for the other protocol. It is refused, never
-// converted; restore it with the binary that wrote it.
+// older binary, or for Protocol III. It is refused, never converted;
+// restore it with the binary that wrote it.
 var ErrSnapshotFormat = errors.New("server: snapshot is not in this binary's format; restore it with the binary that wrote it")
-
-// readPayload verifies one snapshot envelope and returns a Reader over
-// the body behind format.
-func readPayload(r io.Reader, format byte) (*binenc.Reader, error) {
-	payload, err := durable.ReadEnvelope(r, snapMagic, digest.DomainSnapshot, maxSnapshotBytes)
-	if err != nil {
-		return nil, fmt.Errorf("server: snapshot: %w", err)
-	}
-	if len(payload) == 0 || payload[0] != format {
-		return nil, ErrSnapshotFormat
-	}
-	return binenc.NewReader(payload[1:]), nil
-}
 
 // P2Snapshot bundles everything a Protocol II deployment needs to
 // survive a restart: the authenticated database (with its operation
-// counter), the protocol's last-user marker, the content store, and —
-// when the transport runs a session table — the cached per-session
-// outcomes. Restoring reproduces the exact root digest, so running
-// clients — whose registers commit to that root — continue seamlessly,
-// and restored session state lets their in-flight retries replay
-// instead of double-applying.
+// counter), the protocol's last-user marker, the content store, and
+// the session table's cached per-session outcomes. Restoring
+// reproduces the exact root digest, so running clients — whose
+// registers commit to that root — continue seamlessly, and restored
+// session state lets their in-flight retries replay instead of
+// double-applying.
 type P2Snapshot struct {
 	DB       *vdb.DBSnapshot
 	LastUser sig.UserID
 	Store    *cvs.StoreSnapshot
-	// Sessions is empty unless the caller froze a session table.
 	Sessions *transport.SessionsSnapshot
 }
 
-// CheckpointP2 captures a Protocol II server's state. The capture
-// itself is O(1) on the live structures (the database walk runs on a
-// copy-on-write fork during encoding), so calling it inside a
-// transport quiesce window — transport.SessionTable.Freeze — is cheap;
-// that is how (db, sessions) become one consistent cut.
-func CheckpointP2(srv Server, store *cvs.Store) (*P2Snapshot, error) {
+// CheckpointP2 cuts a Protocol II server's state. With a session
+// table it is a consistent cut: the capture runs inside the table's
+// freeze (transport.SessionTable.Freeze), so nothing is mid-application
+// and every acknowledged op is inside it. The capture itself is O(1)
+// on the live structures (the database walk runs on a copy-on-write
+// fork during encoding), so the freeze stalls dispatch only briefly. A
+// nil table captures no sessions.
+func CheckpointP2(srv Server, store *cvs.Store, sessions *transport.SessionTable) (*P2Snapshot, error) {
 	p2srv, ok := unhook(srv).(*p2)
 	if !ok {
 		return nil, fmt.Errorf("server: CheckpointP2 needs an honest Protocol II server, got %v", srv.Protocol())
 	}
-	storeSnap, err := store.Snapshot()
+	snap := &P2Snapshot{Sessions: &transport.SessionsSnapshot{}}
+	var err error
+	// The database first: content is stored before the op that names
+	// it, so a store captured after the database holds the blob of
+	// every op in it, even for a request no session table quiesced.
+	capture := func() {
+		dbAt, lastUser := p2srv.inner.Checkpoint()
+		snap.DB, snap.LastUser = dbAt.Snapshot(), lastUser
+		snap.Store, err = store.Snapshot()
+	}
+	if sessions == nil {
+		capture()
+	} else {
+		sessions.Freeze(func(ss *transport.SessionsSnapshot) { snap.Sessions = ss; capture() })
+	}
 	if err != nil {
 		return nil, err
 	}
-	dbAt, lastUser := p2srv.inner.Checkpoint()
-	return &P2Snapshot{
-		DB:       dbAt.Snapshot(),
-		LastUser: lastUser,
-		Store:    storeSnap,
-		Sessions: &transport.SessionsSnapshot{},
-	}, nil
+	return snap, nil
 }
 
 // EncodeP2Snapshot writes snap in the checksummed envelope.
@@ -131,10 +124,14 @@ func EncodeP2Snapshot(w io.Writer, snap *P2Snapshot) error {
 
 // DecodeP2Snapshot reads and verifies one Protocol II snapshot.
 func DecodeP2Snapshot(rd io.Reader) (*P2Snapshot, error) {
-	r, err := readPayload(rd, snapFormatP2)
+	payload, err := durable.ReadEnvelope(rd, snapMagic, digest.DomainSnapshot, maxSnapshotBytes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: snapshot: %w", err)
 	}
+	if len(payload) == 0 || payload[0] != snapFormatP2 {
+		return nil, ErrSnapshotFormat
+	}
+	r := binenc.NewReader(payload[1:])
 	db, err := vdb.ReadSnapshot(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
@@ -150,49 +147,29 @@ func DecodeP2Snapshot(rd io.Reader) (*P2Snapshot, error) {
 	return snap, nil
 }
 
-// RestoreP2 rebuilds the server and content store from a decoded
-// snapshot. Session state, if present, is the caller's to feed into
-// its transport table (transport.SessionTable.RestoreSessions).
-func RestoreP2(snap *P2Snapshot) (Server, *cvs.Store, error) {
+// RestoreP2 rebuilds the server, the content store and the session
+// table from a decoded snapshot.
+func RestoreP2(snap *P2Snapshot) (Server, *cvs.Store, *transport.SessionTable, error) {
 	db, err := vdb.RestoreDB(snap.DB)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	store, err := cvs.RestoreStore(snap.Store)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return &p2{inner: proto2.NewServerAt(db, snap.LastUser)}, store, nil
+	sessions := transport.NewSessionTable()
+	sessions.RestoreSessions(snap.Sessions)
+	return &p2{inner: proto2.NewServerAt(db, snap.LastUser)}, store, sessions, nil
 }
 
-// SaveP2 writes a Protocol II server's full state (without session
-// state — use CheckpointP2 + EncodeP2Snapshot under a transport freeze
-// for that). srv must be an honest Protocol II server created by
-// NewP2.
-func SaveP2(w io.Writer, srv Server, store *cvs.Store) error {
-	snap, err := CheckpointP2(srv, store)
-	if err != nil {
-		return err
-	}
-	return EncodeP2Snapshot(w, snap)
-}
-
-// LoadP2 restores a Protocol II server and content store.
-func LoadP2(r io.Reader) (Server, *cvs.Store, error) {
-	snap, err := DecodeP2Snapshot(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RestoreP2(snap)
-}
-
-// LoadP2Auto loads the newest verifiable Protocol II snapshot
-// generation: path first, then path+".1" if the current file is
-// missing (crash between rotate and install) or fails verification
-// (torn or rotted write). It returns the snapshot and the file it came
-// from; the error wraps ErrNoSnapshot when no generation exists at
-// all, and otherwise carries per-generation diagnostics.
-func LoadP2Auto(path string) (*P2Snapshot, string, error) {
+// loadNewest loads the newest verifiable snapshot generation: path
+// first, then durable.PrevPath(path) if the current file is missing
+// (crash between rotate and install) or fails verification (torn or
+// rotted write). It returns the snapshot and the file it came from;
+// the error wraps errNoSnapshot when no generation exists at all, and
+// otherwise carries per-generation diagnostics.
+func loadNewest(path string) (*P2Snapshot, string, error) {
 	var errs []error
 	missing := 0
 	for _, cand := range []string{path, durable.PrevPath(path)} {
@@ -212,61 +189,7 @@ func LoadP2Auto(path string) (*P2Snapshot, string, error) {
 		errs = append(errs, fmt.Errorf("%s: %w", cand, derr))
 	}
 	if missing == 2 {
-		return nil, "", fmt.Errorf("%w: %s", ErrNoSnapshot, path)
+		return nil, "", fmt.Errorf("%w: %s", errNoSnapshot, path)
 	}
 	return nil, "", fmt.Errorf("server: no loadable snapshot generation: %w", errors.Join(errs...))
-}
-
-// SaveP3 writes a Protocol III server's full state: the database, the
-// content store, and the epoch machinery including the stored signed
-// backups.
-func SaveP3(w io.Writer, srv Server, store *cvs.Store) error {
-	p3srv, ok := unhook(srv).(*p3)
-	if !ok {
-		return fmt.Errorf("server: SaveP3 needs an honest Protocol III server, got %v", srv.Protocol())
-	}
-	storeSnap, err := store.Snapshot()
-	if err != nil {
-		return err
-	}
-	dbAt, state := p3srv.inner.Checkpoint()
-	b := cvs.AppendSnapshot(vdb.AppendSnapshot([]byte{snapFormatP3}, dbAt.Snapshot()), storeSnap)
-	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(state.LastUser)), state.Epoch)
-	b = binary.AppendUvarint(b, uint64(len(state.Backups)))
-	for _, bk := range state.Backups {
-		if b, err = wire.Append(b, bk); err != nil {
-			return fmt.Errorf("server: encode snapshot: %w", err)
-		}
-	}
-	return durable.WriteEnvelope(w, snapMagic, digest.DomainSnapshot, b)
-}
-
-// LoadP3 restores a Protocol III server and content store.
-func LoadP3(rd io.Reader) (Server, *cvs.Store, error) {
-	r, err := readPayload(rd, snapFormatP3)
-	if err != nil {
-		return nil, nil, err
-	}
-	dbSnap, err := vdb.ReadSnapshot(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
-	}
-	storeSnap := cvs.ReadSnapshot(r)
-	state := proto3.ServerState{LastUser: sig.UserID(r.Uint32()), Epoch: r.Uvarint()}
-	state.Backups = make([]*core.EpochBackup, r.Count(2))
-	for i := range state.Backups {
-		state.Backups[i] = wire.ReadAs[*core.EpochBackup](r)
-	}
-	if err := r.Close(); err != nil {
-		return nil, nil, fmt.Errorf("server: decode snapshot: %w", err)
-	}
-	db, err := vdb.RestoreDB(dbSnap)
-	if err != nil {
-		return nil, nil, err
-	}
-	store, err := cvs.RestoreStore(storeSnap)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &p3{inner: proto3.NewServerFromState(db, state)}, store, nil
 }

@@ -48,12 +48,12 @@ func TestP2SaveLoadRestartContinuity(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := SaveP2(&buf, srv, store); err != nil {
+	if err := saveP2(&buf, srv, store); err != nil {
 		t.Fatal(err)
 	}
 
 	// "Restart": brand-new process state from the snapshot.
-	srv2, store2, err := LoadP2(&buf)
+	srv2, store2, err := loadP2(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,13 @@ func TestP2SaveLoadRestartContinuity(t *testing.T) {
 
 func TestSaveP2RejectsWrongProtocol(t *testing.T) {
 	db := vdb.New(0)
-	if err := SaveP2(&bytes.Buffer{}, NewP3(db), cvs.NewStore()); err == nil {
-		t.Fatal("SaveP2 must reject non-P2 servers")
+	if _, err := CheckpointP2(NewP3(db), cvs.NewStore(), nil); err == nil {
+		t.Fatal("a checkpoint must reject non-P2 servers")
 	}
 }
 
 func TestLoadP2RejectsGarbage(t *testing.T) {
-	if _, _, err := LoadP2(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("LoadP2 must reject garbage")
+	if _, err := DecodeP2Snapshot(bytes.NewReader([]byte("junk"))); err == nil {
+		t.Fatal("the snapshot loader must reject garbage")
 	}
 }

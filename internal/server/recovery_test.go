@@ -44,10 +44,29 @@ func p2WithHistory(t *testing.T, commits int) (Server, *cvs.Store, []byte) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := SaveP2(&buf, srv, store); err != nil {
+	if err := saveP2(&buf, srv, store); err != nil {
 		t.Fatal(err)
 	}
 	return srv, store, buf.Bytes()
+}
+
+// saveP2 writes a checkpoint of srv and store, without sessions.
+func saveP2(w io.Writer, srv Server, store *cvs.Store) error {
+	snap, err := CheckpointP2(srv, store, nil)
+	if err != nil {
+		return err
+	}
+	return EncodeP2Snapshot(w, snap)
+}
+
+// loadP2 decodes and restores one snapshot.
+func loadP2(r io.Reader) (Server, *cvs.Store, error) {
+	snap, err := DecodeP2Snapshot(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv, store, _, err := RestoreP2(snap)
+	return srv, store, err
 }
 
 // TestLoadP2RejectsCorruptSnapshots: every way a checkpoint can rot on
@@ -56,7 +75,7 @@ func p2WithHistory(t *testing.T, commits int) (Server, *cvs.Store, []byte) {
 // client whose registers commit to the real history).
 func TestLoadP2RejectsCorruptSnapshots(t *testing.T) {
 	_, _, good := p2WithHistory(t, 3)
-	if _, _, err := LoadP2(bytes.NewReader(good)); err != nil {
+	if _, _, err := loadP2(bytes.NewReader(good)); err != nil {
 		t.Fatalf("pristine snapshot must load: %v", err)
 	}
 
@@ -73,31 +92,7 @@ func TestLoadP2RejectsCorruptSnapshots(t *testing.T) {
 		cases[fmt.Sprintf("bit flip at %d", i)] = flipped
 	}
 	for name, b := range cases {
-		if _, _, err := LoadP2(bytes.NewReader(b)); err == nil {
-			t.Errorf("%s: corrupt snapshot loaded without error", name)
-		}
-	}
-}
-
-func TestLoadP3RejectsCorruptSnapshots(t *testing.T) {
-	db := vdb.New(0)
-	srv := NewP3(db)
-	var buf bytes.Buffer
-	if err := SaveP3(&buf, srv, cvs.NewStore()); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	if _, _, err := LoadP3(bytes.NewReader(good)); err != nil {
-		t.Fatalf("pristine snapshot must load: %v", err)
-	}
-	flipped := append([]byte(nil), good...)
-	flipped[len(flipped)/2] ^= 0x01
-	for name, b := range map[string][]byte{
-		"zero-length": {},
-		"truncated":   good[:len(good)/3],
-		"bit flip":    flipped,
-	} {
-		if _, _, err := LoadP3(bytes.NewReader(b)); err == nil {
+		if _, _, err := loadP2(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s: corrupt snapshot loaded without error", name)
 		}
 	}
@@ -106,7 +101,7 @@ func TestLoadP3RejectsCorruptSnapshots(t *testing.T) {
 func writeGen(t *testing.T, fs durable.FS, path string, srv Server, store *cvs.Store) error {
 	t.Helper()
 	return durable.WriteFileAtomic(fs, path, true, func(w io.Writer) error {
-		return SaveP2(w, srv, store)
+		return saveP2(w, srv, store)
 	})
 }
 
@@ -114,8 +109,8 @@ func TestWriteSnapshotFileRotatesAndAutoLoads(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.snap")
 
-	if _, _, err := LoadP2Auto(path); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("empty dir: want ErrNoSnapshot, got %v", err)
+	if _, _, err := loadNewest(path); !errors.Is(err, errNoSnapshot) {
+		t.Fatalf("empty dir: want errNoSnapshot, got %v", err)
 	}
 
 	srv, store, _ := p2WithHistory(t, 2)
@@ -129,14 +124,14 @@ func TestWriteSnapshotFileRotatesAndAutoLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, from, err := LoadP2Auto(path)
+	snap, from, err := loadNewest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if from != path {
 		t.Fatalf("loaded from %s, want current generation", from)
 	}
-	restored, _, err := RestoreP2(snap)
+	restored, _, _, err := RestoreP2(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +149,14 @@ func TestWriteSnapshotFileRotatesAndAutoLoads(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	snap, from, err = LoadP2Auto(path)
+	snap, from, err = loadNewest(path)
 	if err != nil {
 		t.Fatalf("fallback load: %v", err)
 	}
 	if from != durable.PrevPath(path) {
 		t.Fatalf("loaded from %s, want previous generation", from)
 	}
-	restored, _, err = RestoreP2(snap)
+	restored, _, _, err = RestoreP2(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +167,7 @@ func TestWriteSnapshotFileRotatesAndAutoLoads(t *testing.T) {
 
 // TestWriteSnapshotFileCrashWindows covers the snapshot-specific half
 // of crash recovery: when a crash (or a lying disk) leaves the current
-// generation missing or unverifiable, LoadP2Auto falls back to the
+// generation missing or unverifiable, loadNewest falls back to the
 // rotated previous one and restores the exact pre-crash root. The
 // crash points of the replace sequence itself are enumerated once, in
 // internal/durable's TestWriteFileAtomicCrashPoints.
@@ -191,14 +186,14 @@ func TestWriteSnapshotFileCrashWindows(t *testing.T) {
 		if err := writeGen(t, ffs, path, srvNew, storeNew); !errors.Is(err, fault.ErrCrashed) {
 			t.Fatalf("want simulated crash, got %v", err)
 		}
-		snap, from, err := LoadP2Auto(path)
+		snap, from, err := loadNewest(path)
 		if err != nil {
 			t.Fatalf("recovery after rotate-window crash: %v", err)
 		}
 		if from != durable.PrevPath(path) {
 			t.Fatalf("loaded from %s, want rotated previous generation", from)
 		}
-		restored, _, err := RestoreP2(snap)
+		restored, _, _, err := RestoreP2(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,14 +214,14 @@ func TestWriteSnapshotFileCrashWindows(t *testing.T) {
 		if err := writeGen(t, ffs, path, srvNew, storeNew); err != nil {
 			t.Fatalf("torn write is silent by design, got %v", err)
 		}
-		snap, from, err := LoadP2Auto(path)
+		snap, from, err := loadNewest(path)
 		if err != nil {
 			t.Fatalf("recovery after torn write: %v", err)
 		}
 		if from != durable.PrevPath(path) {
 			t.Fatalf("loaded from %s, want fallback to previous generation", from)
 		}
-		restored, _, err := RestoreP2(snap)
+		restored, _, _, err := RestoreP2(snap)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,18 +118,15 @@ func (h *hooked) HandleOp(req *core.OpRequest) (any, error) {
 // keeps committing is exactly the equivocation the witnesses convict.
 func (h *hooked) Fork() Server { return &hooked{Server: h.Server.Fork(), after: h.after} }
 
-// unhook strips op-hook and op-journal decoration for code
-// (checkpointing) that needs the concrete protocol server underneath.
+// unhook strips op-hook decoration for code (checkpointing) that
+// needs the concrete protocol server underneath.
 func unhook(s Server) Server {
 	for {
-		switch h := s.(type) {
-		case *hooked:
-			s = h.Server
-		case *journaled:
-			s = h.Server
-		default:
+		h, ok := s.(*hooked)
+		if !ok {
 			return s
 		}
+		s = h.Server
 	}
 }
 

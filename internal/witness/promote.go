@@ -44,7 +44,7 @@ func Promote(n *Node, serverName string) (*Promotion, error) {
 	if err != nil {
 		return nil, fmt.Errorf("witness %s: promote %q: %w", n.name, serverName, err)
 	}
-	srv, store, err := server.RestoreP2(snap)
+	srv, store, sessions, err := server.RestoreP2(snap)
 	if err != nil {
 		return nil, fmt.Errorf("witness %s: promote %q: %w", n.name, serverName, err)
 	}
@@ -60,7 +60,5 @@ func Promote(n *Node, serverName string) (*Promotion, error) {
 		return nil, fmt.Errorf("witness %s: promote %q: checkpoint root %s contradicts committed root %s at ctr %d",
 			n.name, serverName, root.Short(), c.Root.Short(), ctr)
 	}
-	sessions := transport.NewSessionTable()
-	sessions.RestoreSessions(snap.Sessions)
 	return &Promotion{Server: srv, Store: store, Sessions: sessions, Ctr: gotCtr, Root: gotRoot}, nil
 }

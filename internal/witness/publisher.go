@@ -11,6 +11,7 @@ import (
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/server"
 	"trustedcvs/internal/transport"
+	"trustedcvs/internal/vdb"
 )
 
 // DefaultCommitEvery is the commitment cadence (in database
@@ -296,8 +297,8 @@ func (p *Publisher) Flush() { p.wg.Wait() }
 
 // ShipSnapshot encodes a checkpoint and delivers it, with a fresh
 // commitment over the same head, to every witness synchronously. The
-// snapshot must have been cut under a transport freeze (see
-// server.CheckpointP2); err aggregates per-witness failures, and the
+// snapshot must be a consistent cut (server.CheckpointP2 with the
+// session table); err aggregates per-witness failures, and the
 // shipment counts as delivered if at least one witness accepted —
 // the quorum read at promotion time tolerates stragglers.
 func (p *Publisher) ShipSnapshot(snap *server.P2Snapshot) error {
@@ -308,11 +309,11 @@ func (p *Publisher) ShipSnapshot(snap *server.P2Snapshot) error {
 	// Re-derive the head from the snapshot itself rather than trusting a
 	// caller-supplied pair: the publisher never commits to a head it did
 	// not read out of the bytes being shipped.
-	srv, _, err := server.RestoreP2(snap)
+	db, err := vdb.RestoreDB(snap.DB)
 	if err != nil {
 		return err
 	}
-	ctr, root := srv.DB().Head()
+	ctr, root := db.Head()
 	p.CommitNow(ctr, root)
 	put := &SnapshotPut{Server: p.id.Name(), Ctr: ctr, Root: root, Data: buf.Bytes()}
 

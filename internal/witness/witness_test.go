@@ -280,11 +280,10 @@ func TestShipSnapshotAndPromote(t *testing.T) {
 	p.AddWitness("w1", n.Dial())
 
 	srv, store, sessions := buildP2(t)
-	snap, err := server.CheckpointP2(srv, store)
+	snap, err := server.CheckpointP2(srv, store, sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessions.Freeze(func(ss *transport.SessionsSnapshot) { snap.Sessions = ss })
 	if err := p.ShipSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +326,7 @@ func TestPromoteRefusesTamperedSnapshot(t *testing.T) {
 	p := NewPublisher(id, 0, 0)
 	p.AddWitness("w1", n.Dial())
 	srv, store, _ := buildP2(t)
-	snap, err := server.CheckpointP2(srv, store)
+	snap, err := server.CheckpointP2(srv, store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +347,7 @@ func TestPromoteRefusesTamperedSnapshot(t *testing.T) {
 func TestWitnessRejectsSnapshotWithWrongHead(t *testing.T) {
 	n := NewNode("w1")
 	srv, store, _ := buildP2(t)
-	snap, err := server.CheckpointP2(srv, store)
+	snap, err := server.CheckpointP2(srv, store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate. Run it before every
 # commit: formatting, vet, build, grep gates on imports, on the one
-# untyped answer decoder and on concrete-type assertions of a
+# untyped answer decoder, on the one owner of the consistent cut
+# (session-table freeze and restore) and on concrete-type assertions of a
 # transport.Caller (the trust boundary itself is a type —
 # vdb.Verified, rcs.Checked, audit.Queued — so the compiler holds it),
 # the repo's own invariant analyzer (tcvs-lint: hash discipline, lock
@@ -83,6 +84,17 @@ fi
 if grep -rnw --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -e 'DecodeAnswer' . |
     grep -v -e '^\./internal/vdb/' -e '^\./internal/audit/' -e '^\./benchmark/'; then
     echo "vdb.DecodeAnswer is called outside internal/vdb, internal/audit and benchmark/" >&2
+    exit 1
+fi
+# The consistent cut has one owner: a checkpoint freezes the session
+# table, and a restore rebuilds it, inside internal/server
+# (CheckpointP2, RestoreP2 and the server.Durable record built on
+# them), over the table's own package. Nothing else outside tests
+# freezes or restores a session table.
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+    -e '\.Freeze(' -e 'RestoreSessions(' . |
+    grep -v -e '^\./internal/transport/' -e '^\./internal/server/'; then
+    echo "a session table is frozen or restored outside internal/transport and internal/server" >&2
     exit 1
 fi
 # A transport.Caller is used through its two methods and nothing more:

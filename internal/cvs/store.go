@@ -49,6 +49,14 @@ func (s *Store) Push(path string, rev uint64, content []byte) error {
 	return nil
 }
 
+// Has reports whether the store holds content under hash.
+func (s *Store) Has(hash digest.Digest) bool {
+	s.mu.RLock()
+	_, ok := s.blobs[hash]
+	s.mu.RUnlock()
+	return ok
+}
+
 // View returns the stored content whose hash matches, re-hashed but
 // not copied: the blob itself, which the caller must not modify. It is
 // how the server's own handlers serve content.

@@ -10,10 +10,9 @@ import (
 )
 
 // This file builds the module's type-resolved static call graph — the
-// shared substrate under the interprocedural passes lockorder and
-// syncdiscipline (panicfree walks a static-calls-only graph of its
-// own). Nodes are the
-// declared functions and methods of the module; edges are
+// one substrate under the interprocedural passes lockscope, lockorder
+// (both through the lock graph), panicfree and syncdiscipline. Nodes
+// are the declared functions and methods of the module; edges are
 //
 //   - direct static calls (pkg.F(), recv.Method()),
 //   - method values and function values referenced without being
@@ -49,7 +48,7 @@ type CallGraph struct {
 	m     *Module
 	Nodes map[*types.Func]*CGNode
 
-	order []*types.Func // deterministic iteration order (by FullName)
+	order []*types.Func // deterministic iteration order (by FullName, then position)
 
 	named     []*types.Named                // module-local concrete named types
 	implCache map[*types.Func][]*types.Func // interface method -> implementations
@@ -87,7 +86,19 @@ func (m *Module) callGraph() *CallGraph {
 	for fn := range g.Nodes {
 		g.order = append(g.order, fn)
 	}
-	sort.Slice(g.order, func(i, j int) bool { return g.order[i].FullName() < g.order[j].FullName() })
+	// FullName ties between a package's init functions; their source
+	// positions break it.
+	sort.Slice(g.order, func(i, j int) bool {
+		a, b := g.order[i], g.order[j]
+		if an, bn := a.FullName(), b.FullName(); an != bn {
+			return an < bn
+		}
+		pa, pb := m.Fset.Position(a.Pos()), m.Fset.Position(b.Pos())
+		if pa.Filename != pb.Filename {
+			return pa.Filename < pb.Filename
+		}
+		return pa.Offset < pb.Offset
+	})
 	m.cg = g
 	return g
 }

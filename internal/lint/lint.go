@@ -1,17 +1,22 @@
 // Package lint implements tcvs-lint, the repo's stdlib-only invariant
 // analyzer. The protocols' security argument rests on conventions the
-// compiler cannot enforce — every hash goes through internal/digest's
-// domain-separated helpers, the pipelined servers' serial sections stay
-// narrow, encoding/gob stays out of the module (internal/wire's tagged
-// binary codec owns the wire, the journals and the state files),
-// verification paths stay deterministic, and error-carrying
-// verification results are never dropped. This package machine-checks those conventions on every
-// commit (scripts/check.sh runs `tcvs-lint ./...` as a hard gate).
+// compiler cannot enforce — the pipelined servers' serial sections stay
+// narrow and their locks acyclic, error-carrying verification results
+// are never dropped, a remote request cannot reach a panic, retries do
+// not sleep, queues are bounded, and a durable artifact is published
+// only after the data it makes reachable is synced. This package
+// machine-checks those conventions on every commit (scripts/check.sh
+// runs `tcvs-lint ./...` as a hard gate). Conventions an import list
+// states — hashing only through internal/digest, no encoding/gob, no
+// math/rand beside signatures and protocol state, no clock in the
+// verification paths — are `go list` rules in scripts/check.sh.
 //
-// The analyzer is deliberately built on nothing but the standard
-// library (go/parser, go/ast, go/types, go/importer): it must run in
-// the same sandboxed environments as the tests, with no module
-// downloads.
+// The interprocedural passes share one call graph (callgraph.go) and
+// one held-lock walker over it (lockgraph.go). The analyzer is built on
+// nothing but the standard library (go/parser, go/ast, go/types,
+// go/importer) and the go command, which locates the standard
+// library's export data: it must run in the same sandboxed
+// environments as the tests, with no module downloads.
 //
 // # Suppressions
 //
@@ -56,9 +61,7 @@ type Pass struct {
 // Pass names (referenced by run functions; keeping them as constants
 // avoids initialization cycles through the Pass variables).
 const (
-	nameHashDiscipline = "hashdiscipline"
 	nameLockScope      = "lockscope"
-	nameRandSource     = "randsource"
 	nameErrDrop        = "errdrop"
 	namePanicFree      = "panicfree"
 	nameSleepRetry     = "sleepretry"
@@ -74,9 +77,7 @@ const (
 // reorders it to the end regardless of the list it is given).
 func Passes() []*Pass {
 	return []*Pass{
-		passHashDiscipline,
 		passLockScope,
-		passRandSource,
 		passErrDrop,
 		passPanicFree,
 		passSleepRetry,
@@ -90,9 +91,7 @@ func Passes() []*Pass {
 // knownPassNames mirrors Passes() as plain constants so deadignore can
 // consult it without an initialization cycle through the Pass vars.
 var knownPassNames = map[string]bool{
-	nameHashDiscipline: true,
 	nameLockScope:      true,
-	nameRandSource:     true,
 	nameErrDrop:        true,
 	namePanicFree:      true,
 	nameSleepRetry:     true,

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -8,9 +9,12 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -25,9 +29,8 @@ type Module struct {
 
 	pkgs      map[string]*Package // every loaded package, including dependencies
 	slowCalls map[string]bool     // lockscope's slow-call set, keyed by (*types.Func).FullName
-	loading   map[string]bool     // cycle guard
-	stdGC     types.Importer      // gc export-data importer for the standard library
-	stdSrc    types.Importer      // source-importer fallback
+	checking  map[string]bool     // cycle guard
+	std       types.Importer      // the standard library, from export data
 	ignores   map[string][]*ignoreDirective
 	ranPasses map[string]bool // passes executed by Run (read by deadignore)
 	cg        *CallGraph      // lazily built by callGraph()
@@ -48,7 +51,9 @@ type Package struct {
 // type-checks the packages matched by patterns (each pattern is a
 // directory relative to dir, optionally ending in "/..."; "./..."
 // loads the whole module). Dependencies inside the module are loaded
-// transitively; the standard library is imported from export data.
+// transitively; the standard library is imported from export data,
+// which one `go list -export` run locates for every standard package
+// the parsed files import.
 func LoadModule(dir string, patterns []string) (*Module, error) {
 	absDir, err := filepath.Abs(dir)
 	if err != nil {
@@ -64,7 +69,7 @@ func LoadModule(dir string, patterns []string) (*Module, error) {
 		Fset:      token.NewFileSet(),
 		slowCalls: defaultSlowCalls(path),
 		pkgs:      make(map[string]*Package),
-		loading:   make(map[string]bool),
+		checking:  make(map[string]bool),
 		ignores:   make(map[string][]*ignoreDirective),
 	}
 	dirs, err := m.expand(absDir, patterns)
@@ -74,16 +79,25 @@ func LoadModule(dir string, patterns []string) (*Module, error) {
 	if len(dirs) == 0 {
 		return nil, fmt.Errorf("lint: no Go packages matched %v", patterns)
 	}
+	std := make(map[string]bool)
 	for _, d := range dirs {
 		ip, err := m.importPathFor(d)
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := m.load(ip)
+		pkg, err := m.parse(ip, std)
 		if err != nil {
 			return nil, err
 		}
 		m.Pkgs = append(m.Pkgs, pkg)
+	}
+	if m.std, err = stdImporter(m.Fset, std); err != nil {
+		return nil, err
+	}
+	for _, pkg := range m.Pkgs {
+		if err := m.check(pkg); err != nil {
+			return nil, err
+		}
 	}
 	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].ImportPath < m.Pkgs[j].ImportPath })
 	return m, nil
@@ -231,17 +245,12 @@ func (m *Module) importPathFor(dir string) (string, error) {
 	return m.Path + "/" + filepath.ToSlash(rel), nil
 }
 
-// load parses and type-checks one module package (cached).
-func (m *Module) load(importPath string) (*Package, error) {
+// parse parses one module package (cached) and, transitively, the
+// module packages it imports, adding every other import to std.
+func (m *Module) parse(importPath string, std map[string]bool) (*Package, error) {
 	if p, ok := m.pkgs[importPath]; ok {
 		return p, nil
 	}
-	if m.loading[importPath] {
-		return nil, fmt.Errorf("lint: import cycle through %s", importPath)
-	}
-	m.loading[importPath] = true
-	defer delete(m.loading, importPath)
-
 	rel := strings.TrimPrefix(strings.TrimPrefix(importPath, m.Path), "/")
 	dir := filepath.Join(m.Root, filepath.FromSlash(rel))
 	names, err := goFilesIn(dir)
@@ -251,15 +260,43 @@ func (m *Module) load(importPath string) (*Package, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	var files []*ast.File
+	pkg := &Package{ImportPath: importPath, Rel: rel, Dir: dir}
 	for _, name := range names {
 		f, err := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, f)
+		pkg.Files = append(pkg.Files, f)
 	}
-	m.collectIgnores(files)
+	m.collectIgnores(pkg.Files)
+	m.pkgs[importPath] = pkg
+	for _, f := range pkg.Files {
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			switch {
+			case err != nil || path == "unsafe":
+			case m.inModule(path):
+				if _, err := m.parse(path, std); err != nil {
+					return nil, err
+				}
+			default:
+				std[path] = true
+			}
+		}
+	}
+	return pkg, nil
+}
+
+// check type-checks a parsed package, its module imports first.
+func (m *Module) check(pkg *Package) error {
+	if pkg.Types != nil {
+		return nil
+	}
+	if m.checking[pkg.ImportPath] {
+		return fmt.Errorf("lint: import cycle through %s", pkg.ImportPath)
+	}
+	m.checking[pkg.ImportPath] = true
+	defer delete(m.checking, pkg.ImportPath)
 
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -273,56 +310,83 @@ func (m *Module) load(importPath string) (*Package, error) {
 		Importer: moduleImporter{m},
 		Error:    func(err error) { terrs = append(terrs, err) },
 	}
-	tpkg, _ := conf.Check(importPath, m.Fset, files, info)
+	tpkg, _ := conf.Check(pkg.ImportPath, m.Fset, pkg.Files, info)
 	if len(terrs) > 0 {
 		if len(terrs) > 3 {
 			terrs = terrs[:3]
 		}
-		return nil, fmt.Errorf("lint: type-checking %s: %v", importPath, terrs)
+		return fmt.Errorf("lint: type-checking %s: %v", pkg.ImportPath, terrs)
 	}
-	pkg := &Package{
-		ImportPath: importPath,
-		Rel:        rel,
-		Dir:        dir,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}
-	m.pkgs[importPath] = pkg
-	return pkg, nil
+	pkg.Types, pkg.Info = tpkg, info
+	return nil
 }
 
 // moduleImporter routes module-internal imports back through the
-// loader and everything else to the standard-library importers.
+// checker and everything else to the standard-library importer.
 type moduleImporter struct{ m *Module }
 
 func (mi moduleImporter) Import(path string) (*types.Package, error) {
-	return mi.m.importPkg(path)
-}
-
-func (m *Module) importPkg(path string) (*types.Package, error) {
+	m := mi.m
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if path == m.Path || strings.HasPrefix(path, m.Path+"/") {
-		p, err := m.load(path)
-		if err != nil {
-			return nil, err
+	if !m.inModule(path) {
+		return m.std.Import(path)
+	}
+	pkg := m.pkgs[path]
+	if pkg == nil {
+		return nil, fmt.Errorf("lint: %s was not parsed", path)
+	}
+	if err := m.check(pkg); err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
+}
+
+// stdImporter imports the standard library from the gc export data of
+// the packages in paths, located by one `go list -export` run of the
+// toolchain go/importer itself would ask (GOROOT's go command, run in
+// GOROOT, so the module's own settings do not apply).
+func stdImporter(fset *token.FileSet, paths map[string]bool) (types.Importer, error) {
+	exports := make(map[string]string)
+	if len(paths) > 0 {
+		args := []string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}
+		for p := range paths {
+			args = append(args, p)
 		}
-		return p.Types, nil
+		goroot := build.Default.GOROOT
+		cmd := exec.Command(filepath.Join(goroot, "bin", "go"), args...)
+		cmd.Dir = goroot
+		cmd.Env = append(os.Environ(), "PWD="+goroot, "GOROOT="+goroot)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("lint: go list -export: %v: %s", err, stderr.Bytes())
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+				exports[path] = file
+			}
+		}
 	}
-	if m.stdGC == nil {
-		m.stdGC = importer.Default()
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: no export data for %s", path)
+		}
+		return os.Open(file)
+	}), nil
+}
+
+// targets returns the packages the load patterns named, as a set: the
+// passes that walk the whole-module graphs report only inside them.
+func (m *Module) targets() map[*Package]bool {
+	set := make(map[*Package]bool, len(m.Pkgs))
+	for _, p := range m.Pkgs {
+		set[p] = true
 	}
-	if p, err := m.stdGC.Import(path); err == nil {
-		return p, nil
-	}
-	// Fallback: type-check the dependency from source (works in
-	// environments without export data for some packages).
-	if m.stdSrc == nil {
-		m.stdSrc = importer.ForCompiler(m.Fset, "source", nil)
-	}
-	return m.stdSrc.Import(path)
+	return set
 }
 
 // diagf builds a Diag at a position.

@@ -66,20 +66,45 @@ type LockGraph struct {
 	m     *Module
 	sums  map[*types.Func]*lockSummary
 	Edges []LockEdge
+	held  []heldCall // every other call made while a lock is held (lockscope's view)
 
 	edgeSeen map[string]bool
 }
 
-// Mutex acquisition calls including the Try variants (a TryLock still
-// orders against held locks when it succeeds).
-var lockAcqFuncs = map[string]bool{
-	"(*sync.Mutex).Lock":       true,
-	"(*sync.Mutex).TryLock":    true,
-	"(*sync.RWMutex).Lock":     true,
-	"(*sync.RWMutex).TryLock":  true,
-	"(*sync.RWMutex).RLock":    true,
-	"(*sync.RWMutex).TryRLock": true,
+// heldCall is one call, other than a lock operation, that the walker
+// reached with at least one lock held.
+type heldCall struct {
+	pkg  *Package
+	call *ast.CallExpr
+	fn   *types.Func // the static callee
+	lock heldEntry   // the innermost lock held
 }
+
+// Mutex acquisition calls including the Try variants (a TryLock still
+// orders against held locks when it succeeds), and the releases.
+var (
+	lockAcqFuncs = map[string]bool{
+		"(*sync.Mutex).Lock":       true,
+		"(*sync.Mutex).TryLock":    true,
+		"(*sync.RWMutex).Lock":     true,
+		"(*sync.RWMutex).TryLock":  true,
+		"(*sync.RWMutex).RLock":    true,
+		"(*sync.RWMutex).TryRLock": true,
+	}
+	unlockFuncs = map[string]bool{
+		"(*sync.Mutex).Unlock":    true,
+		"(*sync.RWMutex).Unlock":  true,
+		"(*sync.RWMutex).RUnlock": true,
+	}
+)
+
+type lockOpKind int
+
+const (
+	opNone lockOpKind = iota
+	opLock
+	opUnlock
+)
 
 // lockGraph builds (and caches) the module's lock graph.
 func (m *Module) lockGraph() *LockGraph {
@@ -259,10 +284,11 @@ type heldEntry struct {
 	pos token.Pos
 }
 
-// lockWalker performs the lexical held-set scan that records edges.
-// The recursion mirrors lockscope's scanner: nested blocks see a copy
-// of the held set, defer mu.Unlock() keeps the section open to the end
-// of the function, go statements run on their own schedule.
+// lockWalker performs the lexical held-set scan that records edges and
+// held calls: nested blocks see a copy of the held set (lock state
+// changes inside them do not leak out), defer mu.Unlock() keeps the
+// section open to the end of the function, go statements run on their
+// own schedule.
 type lockWalker struct {
 	g    *LockGraph
 	node *CGNode
@@ -337,11 +363,12 @@ func (w *lockWalker) scan(stmts []ast.Stmt, held []heldEntry) {
 func (w *lockWalker) call(e ast.Expr, held []heldEntry, mutate bool) []heldEntry {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
-		w.nested(&ast.ExprStmt{X: e}, held)
+		w.nested(e, held)
 		return held
 	}
+	w.nested(call.Fun, held)
 	for _, arg := range call.Args {
-		w.nested(&ast.ExprStmt{X: arg}, held)
+		w.nested(arg, held)
 	}
 	if cls, kind, ok := w.g.directOp(w.node, call); ok {
 		if kind == opLock {
@@ -354,6 +381,7 @@ func (w *lockWalker) call(e ast.Expr, held []heldEntry, mutate bool) []heldEntry
 		}
 		return held
 	}
+	w.record(call, held)
 	for _, callee := range w.g.callees(w.node, call) {
 		sum := w.g.sums[callee]
 		if sum == nil {
@@ -389,6 +417,7 @@ func (w *lockWalker) nested(node ast.Node, held []heldEntry) {
 				}
 				return true
 			}
+			w.record(v, held)
 			for _, callee := range w.g.callees(w.node, v) {
 				if sum := w.g.sums[callee]; sum != nil {
 					for _, cls := range sortedClasses(sum.acq) {
@@ -399,6 +428,16 @@ func (w *lockWalker) nested(node ast.Node, held []heldEntry) {
 		}
 		return true
 	})
+}
+
+// record notes a call made while locks are held.
+func (w *lockWalker) record(call *ast.CallExpr, held []heldEntry) {
+	if len(held) == 0 {
+		return
+	}
+	if fn := calleeFunc(w.node.Pkg.Info, call); fn != nil {
+		w.g.held = append(w.g.held, heldCall{pkg: w.node.Pkg, call: call, fn: fn, lock: held[len(held)-1]})
+	}
 }
 
 func (w *lockWalker) nestedParts(held []heldEntry, parts ...ast.Stmt) {
@@ -423,6 +462,13 @@ func (w *lockWalker) addEdges(held []heldEntry, to lockClass, pos token.Pos, via
 		w.g.edgeSeen[key] = true
 		w.g.Edges = append(w.g.Edges, LockEdge{From: h.cls, To: to, Pos: pos, Fn: w.node.Fn, Via: via})
 	}
+}
+
+func wrapExpr(e ast.Expr) ast.Stmt {
+	if e == nil {
+		return nil
+	}
+	return &ast.ExprStmt{X: e}
 }
 
 func removeHeld(held []heldEntry, cls lockClass) []heldEntry {

@@ -5,15 +5,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// passPanicFree proves (statically, over the module's static call
-// graph) that no panic is reachable from the exported server and
-// handler entry points — the surface a remote peer can drive. A panic
-// there is a remote denial-of-service: one hostile request takes down
-// the server for every honest user.
+// passPanicFree proves (statically, over the static-call edges of the
+// module's call graph, callgraph.go) that no panic is reachable from
+// the exported server and handler entry points — the surface a remote
+// peer can drive. A panic there is a remote denial-of-service: one
+// hostile request takes down the server for every honest user.
 //
 // Entry points are the exported functions and methods of
 // internal/server, internal/driver, and internal/transport. Edges are
@@ -31,53 +30,15 @@ var passPanicFree = &Pass{
 
 var panicEntryScope = []string{"internal/server", "internal/driver", "internal/transport"}
 
-type pfNode struct {
-	fn     *types.Func
-	pkg    *Package
-	panics []token.Pos
-	calls  []*types.Func
-}
-
 func runPanicFree(m *Module) []Diag {
-	nodes := make(map[*types.Func]*pfNode)
+	g := m.callGraph()
+	targets := m.targets()
 	var entries []*types.Func
-	for _, pkg := range m.Pkgs {
-		isEntryPkg := underAny(pkg.Rel, panicEntryScope...)
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				node := &pfNode{fn: obj, pkg: pkg}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-						if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-							node.panics = append(node.panics, call.Pos())
-							return true
-						}
-					}
-					if callee := calleeFunc(pkg.Info, call); callee != nil {
-						node.calls = append(node.calls, callee)
-					}
-					return true
-				})
-				nodes[obj] = node
-				if isEntryPkg && obj.Exported() {
-					entries = append(entries, obj)
-				}
-			}
+	for _, fn := range g.order {
+		if pkg := g.Nodes[fn].Pkg; targets[pkg] && underAny(pkg.Rel, panicEntryScope...) && fn.Exported() {
+			entries = append(entries, fn)
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].FullName() < entries[j].FullName() })
 
 	// BFS over static edges from all entries, remembering one shortest
 	// path per function for the report.
@@ -95,12 +56,9 @@ func runPanicFree(m *Module) []Diag {
 	for len(queue) > 0 {
 		fn := queue[0]
 		queue = queue[1:]
-		node := nodes[fn]
-		if node == nil {
-			continue // defined outside the loaded module (or no body)
-		}
+		node := g.Nodes[fn]
 		if !vettedPanicker(fn.Name()) {
-			for _, p := range node.panics {
+			for _, p := range panicSites(node) {
 				if reported[p] {
 					continue
 				}
@@ -110,8 +68,12 @@ func runPanicFree(m *Module) []Diag {
 					callPath(parent, fn)))
 			}
 		}
-		for _, callee := range node.calls {
-			if nodes[callee] == nil || visited[callee] {
+		for _, e := range node.Edges {
+			if e.Call == nil || e.Dynamic {
+				continue // only static calls extend a path
+			}
+			callee := e.Callees[0]
+			if n := g.Nodes[callee]; n == nil || !targets[n.Pkg] || visited[callee] {
 				continue
 			}
 			visited[callee] = true
@@ -120,6 +82,22 @@ func runPanicFree(m *Module) []Diag {
 		}
 	}
 	return out
+}
+
+// panicSites lists the builtin panic calls in a function body.
+func panicSites(node *CGNode) []token.Pos {
+	var sites []token.Pos
+	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+				if _, isBuiltin := node.Pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
+					sites = append(sites, call.Pos())
+				}
+			}
+		}
+		return true
+	})
+	return sites
 }
 
 // vettedPanicker reports whether a function is a vetted constructor

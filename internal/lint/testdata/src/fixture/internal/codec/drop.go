@@ -4,7 +4,7 @@ package codec
 
 import (
 	"bytes"
-	"encoding/gob" //lint:ignore hashdiscipline fixture: gob is the error-returning codec errdrop is exercised on
+	"encoding/gob"
 )
 
 // Checkpointer is a stand-in for the persistence layer.

@@ -1,10 +1,10 @@
-// Package vdb exercises lockscope: gob work between Lock and a
-// deferred Unlock is flagged; the narrowed variant is not.
+// Package vdb exercises lockscope: gob work inside a section, opened
+// directly or by a lock() wrapper, is flagged; the narrowed one is not.
 package vdb
 
 import (
 	"bytes"
-	"encoding/gob" //lint:ignore hashdiscipline fixture: gob encoding is the slow call lockscope is exercised on
+	"encoding/gob"
 	"sync"
 )
 
@@ -27,5 +27,16 @@ func (db *DB) EncodeOutsideLock(v any) error {
 	db.mu.Lock()
 	db.buf.Reset()
 	db.mu.Unlock()
+	return gob.NewEncoder(&db.buf).Encode(v)
+}
+
+func (db *DB) lock()   { db.mu.Lock() }
+func (db *DB) unlock() { db.mu.Unlock() }
+
+// EncodeUnderWrapper takes the lock through a module method that
+// returns holding it: the section is as critical as a direct Lock.
+func (db *DB) EncodeUnderWrapper(v any) error {
+	db.lock()
+	defer db.unlock()
 	return gob.NewEncoder(&db.buf).Encode(v)
 }

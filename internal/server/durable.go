@@ -55,8 +55,8 @@ var errDurableClosed = errors.New("server: durable record closed")
 // path: it loads the newest verifiable generation (or, when none exists
 // at all, starts from an empty database of the given Merkle order),
 // restores the session table with it, replays the journal over it — ops
-// in counter order, pushes unconditionally — and opens the journal for
-// appending. epochLen batches the journal's fsyncs and keys its
+// in counter order, and every pushed blob the store lacks — and opens
+// the journal for appending. epochLen batches the journal's fsyncs and keys its
 // truncation (0 = 64 ops). Generations that exist but none of which
 // verifies, or an older-format snapshot or journal, are refused: they
 // are never taken for a first boot.

@@ -108,8 +108,8 @@ func TestOpJournalRecoveryFromSnapshot(t *testing.T) {
 // TestOpJournalRecoveryReplaysPushes: content pushes recorded in the
 // journal are re-pushed into the store on replay — an acked commit's
 // blob must survive the same crash its authenticated record does —
-// and replaying a push the restored snapshot already holds is a no-op
-// (the store is a content-addressed map).
+// and a push whose blob the restored snapshot already holds is
+// skipped, not counted.
 func TestOpJournalRecoveryReplaysPushes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.bin")
 	d, h := openRecord(t, path, 4)
@@ -132,8 +132,8 @@ func TestOpJournalRecoveryReplaysPushes(t *testing.T) {
 
 	fresh, _ := openRecord(t, path, 4)
 	defer fresh.Close()
-	if _, applied, pushes := fresh.Recovered(); applied != 1 || pushes != 3 {
-		t.Fatalf("replayed %d ops / %d pushes, want 1 / 3", applied, pushes)
+	if _, applied, pushes := fresh.Recovered(); applied != 1 || pushes != 2 {
+		t.Fatalf("replayed %d ops / %d pushes, want 1 / 2 (a.txt@1 is in the snapshot)", applied, pushes)
 	}
 	for _, want := range []struct {
 		path    string
@@ -147,6 +147,52 @@ func TestOpJournalRecoveryReplaysPushes(t *testing.T) {
 		if string(got) != want.content {
 			t.Fatalf("after replay, %s@%d = %q, want %q", want.path, want.rev, got, want.content)
 		}
+	}
+}
+
+// TestReopenSkipsSnapshottedPushes: after a clean stop the snapshot
+// holds every journaled blob, so reopening replays no push and still
+// serves both; after a crash with no snapshot, both are replayed.
+func TestReopenSkipsSnapshottedPushes(t *testing.T) {
+	one, two := []byte("one\n"), []byte("two\n")
+	for _, tc := range []struct {
+		name   string
+		stop   func(*server.Durable) error
+		pushes int
+	}{
+		{"close", (*server.Durable).Close, 0},
+		{"kill", (*server.Durable).Kill, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "state.bin")
+			d, h := openRecord(t, path, 4)
+			for _, req := range []any{
+				&core.PushContentRequest{Path: "a", Rev: 1, Content: one},
+				&core.PushContentRequest{Path: "b", Rev: 1, Content: two},
+				&core.OpRequest{Op: &cvs.CommitOp{Files: []cvs.CommitFile{
+					{Path: "a", Hash: rcs.HashContent(one)},
+					{Path: "b", Hash: rcs.HashContent(two)},
+				}, Author: "alice"}},
+			} {
+				if _, err := h(req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tc.stop(d); err != nil {
+				t.Fatal(err)
+			}
+
+			re, _ := openRecord(t, path, 4)
+			defer re.Close()
+			if _, applied, pushes := re.Recovered(); pushes != tc.pushes {
+				t.Fatalf("reopen replayed %d ops and %d pushes, want %d pushes", applied, pushes, tc.pushes)
+			}
+			for _, want := range [][]byte{one, two} {
+				if got, err := re.Store().Fetch("", 0, rcs.HashContent(want)); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%q after reopen: %q %v", want, got, err)
+				}
+			}
+		})
 	}
 }
 

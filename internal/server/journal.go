@@ -9,6 +9,7 @@ import (
 	"trustedcvs/internal/binenc"
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/cvs"
+	"trustedcvs/internal/rcs"
 	"trustedcvs/internal/wal"
 	"trustedcvs/internal/wire"
 )
@@ -103,14 +104,15 @@ func appliedG(resp any) uint64 {
 
 // replayJournal re-applies, in counter order, every journaled
 // operation above the server's head, and re-pushes every journaled
-// content blob into store. Op replay stops cleanly at the first
+// content blob the store lacks. Op replay stops cleanly at the first
 // counter gap: everything past a lost frame was never made durable as
 // a batch, and applying it out of order would fabricate a history no
-// client ever acked. Push replay is unconditional — the store is a
+// client ever acked. Push replay is not cut at a gap — the store is a
 // content-addressed map and a push's path and revision are labels, so
-// re-pushing what the snapshot already holds is a no-op and a stray
-// blob past a gap is unreferenced storage, never state. Returns how
-// many operations and pushes were re-applied.
+// a stray blob past a gap is unreferenced storage, never state — and a
+// blob the restored snapshot already holds is skipped, so a restart
+// after a clean stop copies nothing. Returns how many operations and
+// pushes were re-applied.
 func replayJournal(dir string, s Server, store *cvs.Store) (int, int, error) {
 	from := s.DB().Ctr()
 	var entries []journalEntry
@@ -121,6 +123,9 @@ func replayJournal(dir string, s Server, store *cvs.Store) (int, int, error) {
 			return err
 		}
 		if e.Push != nil {
+			if store.Has(rcs.HashContent(e.Push.Content)) {
+				return nil
+			}
 			if err := store.Push(e.Push.Path, e.Push.Rev, e.Push.Content); err != nil {
 				return fmt.Errorf("server: replay journal push %s@%d: %w", e.Push.Path, e.Push.Rev, err)
 			}

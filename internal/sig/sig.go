@@ -14,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	//lint:ignore randsource used only by DeterministicSigners for test/bench keys; production keys come from crypto/rand via NewSigner
-	mrand "math/rand"
 	"sort"
 
 	"trustedcvs/internal/digest"
@@ -142,20 +140,4 @@ func (r *Ring) Verify(id UserID, d digest.Digest, s Signature) error {
 		return fmt.Errorf("%w: by %v over %s", ErrBadSignature, id, d.Short())
 	}
 	return nil
-}
-
-// DeterministicSigners generates n signers with IDs 0..n-1 from a
-// seeded PRNG. Only for tests, simulations and benchmarks — never for
-// production keys.
-func DeterministicSigners(n int, seed int64) ([]*Signer, *Ring, error) {
-	rng := mrand.New(mrand.NewSource(seed))
-	signers := make([]*Signer, n)
-	for i := range signers {
-		s, err := NewSignerFrom(UserID(i), rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		signers[i] = s
-	}
-	return signers, NewRing(signers...), nil
 }

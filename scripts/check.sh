@@ -5,13 +5,15 @@
 # (session-table freeze and restore) and on concrete-type assertions of a
 # transport.Caller (the trust boundary itself is a type —
 # vdb.Verified, rcs.Checked, audit.Queued — so the compiler holds it),
-# the repo's own invariant analyzer (tcvs-lint: hash discipline, lock
-# narrowness, deterministic verification paths, checked errors,
-# panic-free handlers, sleep-free retries, bounded queues, fsync
-# discipline, lockorder's static lock-acquisition cycle check and
-# deadignore's stale-suppression sweep; -time prints per-pass
-# wall-clock so a regressing pass is visible in CI logs), the whole
-# test suite under the race detector (the pipelined server hot path
+# the import rules (hashing only through internal/digest, no
+# encoding/gob, no math/rand in the signature, protocol and wire
+# packages, no clock in the verification paths), the repo's own
+# invariant analyzer (tcvs-lint's eight passes: lock narrowness,
+# checked errors, panic-free handlers, sleep-free retries, lockorder's
+# static lock-acquisition cycle check, fsync discipline, bounded
+# queues and deadignore's stale-suppression sweep; -time prints
+# per-pass wall-clock so a regressing pass is visible in CI logs), the
+# whole test suite under the race detector (the pipelined server hot path
 # and the fault/recovery suite — kill/restart, reconnect, resume — are
 # only trustworthy race-clean), and a fuzz smoke over the seven
 # untrusted-input surfaces (wire frames, verification objects and
@@ -109,13 +111,50 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
     echo "a transport.Caller is asserted to a concrete *transport. type outside internal/transport" >&2
     exit 1
 fi
-# encoding/gob is retired: nothing sent, journaled or stored goes
-# through it, so no production package may link it (tcvs-lint's
-# hashdiscipline says the same per import).
-if go list -deps ./... | grep -x encoding/gob; then
-    echo "a package of the module depends on encoding/gob" >&2
+# Import rules (BEGIN deps rules). What a package may import is a
+# `go list` question, so these conventions are stated here rather than
+# in tcvs-lint. The first two hold over the root module and the nested
+# benchmark module; the rest name root-module packages only.
+#
+# Hashing goes through internal/digest's domain-separated helpers: a
+# raw sha256.Sum256 anywhere else bypasses domain separation and
+# silently breaks the VO algebra Protocols II/III build their XOR
+# registers on. encoding/gob is retired: nothing sent, journaled or
+# stored goes through it (internal/wire's tag table and internal/binenc
+# own every encoding), and a gob decoder over a peer's bytes hands the
+# peer an unbounded allocation, so no package may link it.
+for mod in . benchmark; do
+    if go -C "$mod" list -f '{{.ImportPath}} {{join .Imports " "}}' ./... |
+        grep -E ' crypto/sha(256|512)( |$)' | grep -v '^trustedcvs/internal/digest '; then
+        echo "a package of $mod other than internal/digest imports crypto/sha256 or crypto/sha512" >&2
+        exit 1
+    fi
+    if go -C "$mod" list -deps ./... | grep -x encoding/gob; then
+        echo "a package of $mod depends on encoding/gob" >&2
+        exit 1
+    fi
+done
+# Key material and protocol nonces come from crypto/rand: the protocol
+# state machines and the wire codec import no deterministic PRNG, and
+# in internal/sig only deterministic.go does, whose DeterministicSigners
+# makes repeatable test and benchmark keys.
+if go list -f '{{join .Imports "\n"}}' ./internal/core/... ./internal/wire/... | grep -x -e math/rand -e math/rand/v2; then
+    echo "internal/core or internal/wire imports math/rand" >&2
     exit 1
 fi
+if grep -rlE --include='*.go' --exclude='*_test.go' '"math/rand(/v2)?"' internal/sig |
+    grep -vx internal/sig/deterministic.go; then
+    echo "internal/sig imports math/rand outside deterministic.go" >&2
+    exit 1
+fi
+# A verifier replays the server's computation exactly (the paper's
+# v(Q,D) check), so the verification paths read no clock: internal/merkle
+# and internal/vdb import no time at all.
+if go list -f '{{join .Imports "\n"}}' ./internal/merkle/... ./internal/vdb/... | grep -x time; then
+    echo "internal/merkle or internal/vdb imports time" >&2
+    exit 1
+fi
+# (END deps rules)
 # The benchmark is a nested module root go vet/test ./... skip; an
 # internal/* signature change that breaks benchmark/layers.go fails here.
 go -C benchmark vet .

@@ -180,10 +180,6 @@ type Auditor struct {
 	highWater int
 	degraded  uint64
 	noQuorum  uint64
-	// chainHits/chainMisses mirror user.ChainStats as of the last
-	// audited batch; the worker publishes them so Stats never reads
-	// the user state machine it is mutating.
-	chainHits, chainMisses uint64
 
 	// Durability state (durable.go). degradedSync, recovering, walErr,
 	// and replayed are gate-guarded; recBuf belongs to Submit's
@@ -240,7 +236,6 @@ func New(cfg Config) (*Auditor, error) {
 		seals:     make(map[sig.UserID]core.SyncReportII),
 	}
 	a.cond = sync.NewCond(&a.mu)
-	a.user.EnableReplayChain()
 	if cfg.WALDir != "" {
 		if err := a.initDurable(cfg.WALDir, cfg.WALFS); err != nil {
 			return nil, err
@@ -476,8 +471,10 @@ type Stats struct {
 	HighWater int    // max queue occupancy observed at submit time
 	Degraded  uint64 // submits that found the queue full and blocked
 	Epochs    uint64 // epochs whose closure check passed
-	// ChainHits/ChainMisses: shared-path replays vs full VO
-	// verifications.
+	// ChainHits and ChainMisses are always 0: every record is
+	// verified in the user's own vdb.Verifier, and nothing replays on
+	// a cached tree. They remain only because the benchmark's epoch
+	// metrics read them.
 	ChainHits   uint64
 	ChainMisses uint64
 	// Durability is the crash-durability mode (volatile / wal /
@@ -488,9 +485,8 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the auditor's counters; safe to call
-// while the auditor runs. The chain counters are the worker's
-// publication as of the last audited batch (the user state machine is
-// the worker's alone), so they are exact whenever Audited is.
+// while the auditor runs. It never reads the user state machine,
+// which is the worker's alone.
 func (a *Auditor) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -505,8 +501,7 @@ func (a *Auditor) Stats() Stats {
 		Submitted: a.submitted, Audited: a.audited,
 		Batches: a.batches, MaxBatch: a.maxBatch,
 		QueueCap: cap(a.ch), HighWater: a.highWater, Degraded: a.degraded,
-		Epochs:    uint64(a.completed + 1),
-		ChainHits: a.chainHits, ChainMisses: a.chainMisses,
+		Epochs:     uint64(a.completed + 1),
 		Durability: dur, Replayed: a.replayed,
 	}
 }
@@ -589,8 +584,7 @@ func (a *Auditor) run() {
 		}
 		// Batch drain: everything already queued is verified in one
 		// sweep, amortizing the witness-observation lock and the gate
-		// update — and giving the shared-path replay chain consecutive
-		// records to chain across.
+		// update.
 		batch := []Record{rec}
 		for n := len(a.ch); n > 0; n-- {
 			batch = append(batch, <-a.ch)
@@ -607,7 +601,6 @@ func (a *Auditor) run() {
 		}
 		a.mu.Lock()
 		a.audited += uint64(len(batch))
-		a.chainHits, a.chainMisses = a.user.ChainStats()
 		a.batches++
 		if len(batch) > a.maxBatch {
 			a.maxBatch = len(batch)

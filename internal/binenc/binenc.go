@@ -52,12 +52,19 @@ func AppendString(b []byte, s string) []byte {
 // levels.
 const maxDepth = 8
 
-// Recycle returns b emptied for the next encoding, or nil once a large
-// message has grown it past 1 MiB: the encoders that keep a buffer
-// between messages (a connection's, a journal's) must not let one
-// giant blob pin memory for their lifetime.
+// Oversized is the retention rule of every buffer kept between
+// messages: one of capacity c that has just carried an n-byte message
+// is dropped when c is more than four times n and over 16 KiB, so a
+// buffer holds at most four times what its owner carries now, never
+// the largest message it ever carried.
+func Oversized(c, n int) bool { return c > max(4*n, 16<<10) }
+
+// Recycle returns b, the encoding of one message, emptied for the
+// next, or nil when b is Oversized for it: the encoders that keep a
+// buffer between messages (a connection's, a journal's) must not let
+// one large message pin memory for their lifetime.
 func Recycle(b []byte) []byte {
-	if cap(b) > 1<<20 {
+	if Oversized(cap(b), len(b)) {
 		return nil
 	}
 	return b[:0]

@@ -102,3 +102,24 @@ func TestRejects(t *testing.T) {
 		t.Error("reads after a failure are not inert")
 	}
 }
+
+// TestRecycleFollowsTheMessage: a buffer is kept for the next message
+// unless it is more than four times the one it just carried and over
+// 16 KiB.
+func TestRecycleFollowsTheMessage(t *testing.T) {
+	for _, c := range []struct {
+		cap, len int
+		kept     bool
+	}{
+		{16 << 10, 0, true},        // at the floor
+		{16<<10 + 1, 0, false},     // over it, nothing carried
+		{64 << 10, 16 << 10, true}, // exactly four times
+		{64 << 10, 100, false},     // one large message, then a small one
+		{4 << 20, 2 << 20, true},   // a large message carried now
+	} {
+		b := Recycle(make([]byte, c.len, c.cap))
+		if kept := b != nil; kept != c.kept || len(b) != 0 {
+			t.Errorf("cap %d after %d bytes: kept %v (len %d), want %v", c.cap, c.len, kept, len(b), c.kept)
+		}
+	}
+}

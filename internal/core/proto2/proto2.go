@@ -25,7 +25,6 @@ import (
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/forensics"
-	"trustedcvs/internal/merkle"
 	"trustedcvs/internal/sig"
 	"trustedcvs/internal/vdb"
 )
@@ -131,44 +130,9 @@ type User struct {
 	journal      *forensics.Journal
 	head         vdb.Head // the post-state of the last verified response
 
-	// chain is the audit batcher's shared-path cache (nil unless
-	// EnableReplayChain was called). See replayChain.
-	chain *replayChain
-	// verifier is the memory every response is verified in when no
-	// chain keeps the replay's tree; between responses it holds no
-	// pointer into any of them (vdb.Verifier).
+	// verifier is the memory every response is verified in; between
+	// responses it holds no pointer into any of them (vdb.Verifier).
 	verifier vdb.Verifier
-}
-
-// replayChain caches the post-state tree of this user's most recently
-// verified operation. When the next response claims to extend exactly
-// that state (same counter, this user as the last tag), the operation
-// is replayed directly on the cached tree instead of unpacking and
-// re-hashing a fresh VO — the audit batch's shared path recomputation.
-// The cached tree is pruned to the coverage of the VO that produced
-// it, so a replay that reaches outside falls back to the full VO path
-// (a miss, never an error). Detection is unweakened either way: the
-// chained transition is derived from the user's own verified state,
-// and any server lie about adjacency surfaces at the epoch closure
-// check exactly as a forged VO would.
-type replayChain struct {
-	tree   *merkle.Tree
-	hits   uint64
-	misses uint64
-}
-
-// EnableReplayChain arms the shared-path replay cache. Call before
-// the first response is handled.
-func (u *User) EnableReplayChain() { u.chain = &replayChain{} }
-
-// ChainStats reports how many responses were verified on the chained
-// fast path vs how many fell back to full VO verification. Both zero
-// unless EnableReplayChain was called.
-func (u *User) ChainStats() (hits, misses uint64) {
-	if u.chain == nil {
-		return 0, 0
-	}
-	return u.chain.hits, u.chain.misses
 }
 
 // EnableJournal attaches a bounded transition journal of the given
@@ -253,40 +217,12 @@ func (u *User) verify(op vdb.Op, resp *core.OpResponseII) (vdb.Verified, error) 
 		return vdb.Verified{}, core.Detect(core.CounterReplay, u.id, u.regs.Ops,
 			fmt.Errorf("server presented ctr %d after gctr %d", resp.Ctr, u.regs.GCtr))
 	}
-	var (
-		v    vdb.Verified
-		post *merkle.Tree
-	)
-	// Shared-path fast path: the response claims to extend this user's
-	// own last verified state (same counter, this user as the last
-	// tag), so the pre-state is already in hand — replay on it and skip
-	// the VO entirely. Any replay failure (pruned path, answer
-	// mismatch) falls back to the full VO so the error class is always
-	// the one the full check assigns.
-	if c := u.chain; c != nil && c.tree != nil && resp.Ctr == u.head.Ctr() && resp.Last == u.id {
-		if cv, nt, err := vdb.ReplayOn(c.tree, op, resp.Answer); err == nil {
-			v, post = cv, nt
-			c.hits++
-		} else {
-			c.misses++
-		}
-	}
-	if !v.OK() {
-		var err error
-		if u.chain != nil {
-			v, post, err = vdb.VerifyDeriveTree(op, resp.Answer, resp.VO)
-		} else {
-			v, err = u.verifier.VerifyDerive(op, resp.Answer, resp.VO)
-		}
-		if err != nil {
-			return vdb.Verified{}, core.Detect(classify(err), u.id, u.regs.Ops, err)
-		}
+	v, err := u.verifier.VerifyDerive(op, resp.Answer, resp.VO)
+	if err != nil {
+		return vdb.Verified{}, core.Detect(classify(err), u.id, u.regs.Ops, err)
 	}
 	oldState, newState := u.regs.Absorb(v, resp.Ctr, resp.Last, u.id)
 	u.head = v.At(resp.Ctr + 1)
-	if u.chain != nil {
-		u.chain.tree = post
-	}
 	if u.journal != nil {
 		u.journal.Record(resp.Ctr+1, oldState, newState)
 	}

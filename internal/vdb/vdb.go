@@ -333,62 +333,53 @@ func (db *DB) Fork() *DB {
 // VerifyDerive replays op on the VO's pruned pre-state without a
 // prior expectation of the old root: it returns both the old root
 // digest *derived from the VO* and the post-state root. The replayed
-// answer is checked against the server's claimed answer.
+// answer is checked against the server's claimed answer. It verifies
+// in fresh memory, the reference a Verifier's reused memory is judged
+// against.
 //
 // The two digests are bare: nothing that keeps trusted state takes
-// them. The protocol users verify through a Verifier (or
-// VerifyDeriveTree and ReplayOn), whose Verified is what their
-// registers and witness checks accept. A client that instead tracks
-// its own trusted root (single-user setting) uses Verify.
+// them. The protocol users verify through a Verifier, whose Verified
+// is what their registers and witness checks accept. A client that
+// instead tracks its own trusted root (single-user setting) uses
+// Verify.
 func VerifyDerive(op Op, claimedAns []byte, vo *merkle.VO) (oldRoot, newRoot digest.Digest, err error) {
-	v, _, err := VerifyDeriveTree(op, claimedAns, vo)
-	return v.oldRoot, v.newRoot, err
-}
-
-// VerifyDeriveTree is VerifyDerive that returns its outcome as a
-// Verified, together with the post-state tree the replay produced.
-// The epoch auditor caches the tree so a directly adjacent next
-// operation by the same user can be replayed on it (ReplayOn) without
-// unpacking and re-hashing a fresh VO — the "shared path
-// recomputation" of the audit batch.
-func VerifyDeriveTree(op Op, claimedAns []byte, vo *merkle.VO) (Verified, *merkle.Tree, error) {
 	if vo == nil {
-		return Verified{}, nil, errMissingVO
+		return digest.Zero, digest.Zero, errMissingVO
 	}
 	rec, oldRoot, err := vo.Begin()
 	if err != nil {
-		return Verified{}, nil, err
+		return digest.Zero, digest.Zero, err
 	}
-	v, post, _, err := replay(rec, oldRoot, op, claimedAns, nil)
-	return v, post, err
+	v, _, err := replay(rec, oldRoot, op, claimedAns, nil)
+	return v.oldRoot, v.newRoot, err
 }
 
 // replay runs op in rec, a pre-state whose root is oldRoot, and checks
 // the claimed answer against it: the one place a Verified is made. It
 // encodes the replayed answer into buf and returns the buffer.
-func replay(rec *merkle.Recording, oldRoot digest.Digest, op Op, claimedAns, buf []byte) (Verified, *merkle.Tree, []byte, error) {
+func replay(rec *merkle.Recording, oldRoot digest.Digest, op Op, claimedAns, buf []byte) (Verified, []byte, error) {
 	ans, err := op.Apply((*Tx)(rec))
 	if err != nil {
-		return Verified{}, nil, buf, err
+		return Verified{}, buf, err
 	}
 	if buf, err = checkClaim(ans, claimedAns, buf); err != nil {
-		return Verified{}, nil, buf, err
+		return Verified{}, buf, err
 	}
 	post := rec.Tree()
-	return Verified{oldRoot: oldRoot, newRoot: post.RootDigest(), answer: claimedAns, ok: true}, post, buf, nil
+	return Verified{oldRoot: oldRoot, newRoot: post.RootDigest(), answer: claimedAns, ok: true}, buf, nil
 }
 
 // A Verifier is VerifyDerive with memory of its own, for a verifier
-// that keeps nothing of a replay but its Verified — the protocol
-// users (the epoch auditor's replay chain keeps its trees, and uses
-// VerifyDeriveTree). It materializes each VO into a merkle.Arena,
-// replays in it and encodes the replayed answer into one buffer, and
-// the next call reuses all of it: verifying allocates nothing once the
-// memory has grown to the responses verified. Between calls a Verifier
-// holds no pointer into any VO, frame or tree, only cleared memory at
-// most four times what the last verification used (or a few KB); a
-// refused response drops all of it. The zero Verifier is ready to use;
-// a Verifier is not safe for concurrent use.
+// that keeps nothing of a replay but its Verified — every protocol
+// user, the epoch auditor's included. It materializes each VO into a
+// merkle.Arena, replays in it and encodes the replayed answer into
+// one buffer, and the next call reuses all of it: verifying allocates
+// nothing once the memory has grown to the responses verified. Between
+// calls a Verifier holds no pointer into any VO, frame or tree, only
+// memory at most four times what the last verification used (or a few
+// KB; the answer buffer follows binenc.Oversized); a refused response
+// drops all of it. The zero Verifier is ready to use; a Verifier is
+// not safe for concurrent use.
 type Verifier struct {
 	arena merkle.Arena
 	ans   []byte
@@ -403,38 +394,18 @@ func (v *Verifier) VerifyDerive(op Op, claimedAns []byte, vo *merkle.VO) (Verifi
 	var out Verified
 	rec, oldRoot, err := v.arena.Begin(vo)
 	if err == nil {
-		out, _, v.ans, err = replay(rec, oldRoot, op, claimedAns, v.ans)
+		out, v.ans, err = replay(rec, oldRoot, op, claimedAns, v.ans)
 	}
 	v.arena.End()
 	if err != nil {
 		*v = Verifier{}
 		return Verified{}, err
 	}
-	if cap(v.ans) > max(4*len(v.ans), 1024) {
-		v.ans = nil
-	}
+	v.ans = binenc.Recycle(v.ans)
 	return out, nil
 }
 
 var errMissingVO = errors.New("vdb: missing verification object")
-
-// ReplayOn replays op directly on prev, a post-state tree a prior
-// VerifyDeriveTree (or ReplayOn) produced, and checks the claimed
-// answer against the replay. It is the audit batch's fast path: when
-// the server's claimed pre-counter says this operation directly
-// extends the verifier's own last verified state, the pre-state is
-// already in hand and the VO need not be unpacked at all. prev is not
-// modified (trees are persistent); the Verified's old root is prev's.
-//
-// prev is pruned to the paths the producing VO covered, so a replay
-// touching keys outside that coverage fails with merkle.ErrPruned —
-// the caller falls back to the full VO path. An answer mismatch here
-// is the same lie it is in VerifyDerive (the claimed answer is not
-// what the committed state yields).
-func ReplayOn(prev *merkle.Tree, op Op, claimedAns []byte) (Verified, *merkle.Tree, error) {
-	v, post, _, err := replay(prev.Begin(), prev.RootDigest(), op, claimedAns, nil)
-	return v, post, err
-}
 
 // checkClaim judges the server's claimed answer bytes against a
 // locally replayed answer. The encoding is canonical, so equal answers

@@ -340,13 +340,19 @@ func (d *Decoder) Keep() { d.buf = nil }
 // which never grows past readStep: a buffer too small for the body's
 // first readStep bytes is replaced by one at least twice its size
 // (exactly that size when there was none, so a kept frame holds no
-// slack). A body longer than readStep continues in buffers of its own,
-// each at most doubling what the peer has already delivered, so one
-// large frame pins nothing once its message is dropped.
+// slack), and one binenc.Oversized for the body by one exactly its
+// size, so a connection holds what it carries now, not the largest
+// frame it ever carried. A body longer than readStep continues in
+// buffers of its own, each at most doubling what the peer has already
+// delivered, so one large frame pins nothing once its message is
+// dropped.
 func (d *Decoder) readBody(n int) ([]byte, error) {
 	first := min(n, readStep)
-	if cap(d.buf) < first {
-		d.buf = make([]byte, first, max(first, min(2*cap(d.buf), readStep)))
+	switch c := cap(d.buf); {
+	case c < first:
+		d.buf = make([]byte, first, max(first, min(2*c, readStep)))
+	case binenc.Oversized(c, first):
+		d.buf = make([]byte, first)
 	}
 	body := d.buf[:first]
 	if _, err := io.ReadFull(d.r, body); err != nil {

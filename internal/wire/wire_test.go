@@ -443,6 +443,30 @@ func TestLargeFrameIsNotRetained(t *testing.T) {
 	decode()
 }
 
+// TestBuffersFollowTheMessageCarried: a connection's Encoder and
+// Decoder keep what the message they last carried needs, not the
+// largest one they ever carried — after one 64 KB frame and then a
+// small one, neither holds a 64 KB buffer.
+func TestBuffersFollowTheMessageCarried(t *testing.T) {
+	var buf bytes.Buffer
+	enc := wire.NewEncoder(&buf)
+	dec := wire.NewDecoder(&buf)
+	for _, n := range []int{64 << 10, 100} {
+		if err := enc.Encode(&core.PushContentRequest{Content: make([]byte, n)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dec.Decode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := wire.EncoderBufferCap(enc); c >= 64<<10 {
+		t.Fatalf("after a small frame the Encoder holds a %d-byte buffer", c)
+	}
+	if c := wire.FrameBufferCap(dec); c >= 64<<10 {
+		t.Fatalf("after a small frame the Decoder holds a %d-byte buffer", c)
+	}
+}
+
 // TestSmallFramesReuseOneBuffer: a stream of small frames allocates a
 // body buffer for the first frame only. The frames here decode to
 // messages that allocate nothing themselves (nil, an empty struct), in

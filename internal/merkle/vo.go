@@ -85,9 +85,8 @@ func (v *VO) Begin() (*Recording, digest.Digest, error) {
 // Each Begin reuses what the replay before it used, so a verifier that
 // keeps nothing of a replay but digests verifies without allocating
 // any of it once the arena has grown to its VOs. A tree the caller
-// keeps — the epoch auditor's replay chain — needs VO.Begin's fresh
-// memory instead. The zero Arena is ready to use; an Arena is not safe
-// for concurrent use.
+// keeps past End needs VO.Begin's fresh memory instead. The zero Arena
+// is ready to use; an Arena is not safe for concurrent use.
 type Arena struct {
 	tree  Tree
 	rec   Recording

@@ -7,11 +7,12 @@ import (
 )
 
 // Verified is the outcome of a replay that passed: the pre-state root
-// the VO (or the prior verified tree) derived, the post-state root the
-// replay computed, and the answer bytes the replay reproduced. Only
-// the verifiers make one with its mark set — a Verifier's
-// VerifyDerive, VerifyDeriveTree and ReplayOn — so a Verified in hand
-// is proof that the server's answer met a replay. It is the one form
+// the VO derived, the post-state root the replay computed, and the
+// answer bytes the replay reproduced. Only the package's one replay
+// makes one with its mark set, and only a Verifier's VerifyDerive
+// hands it out (the package func VerifyDerive returns its bare
+// digests), so a Verified in hand is proof that the server's answer
+// met a replay. It is the one form
 // in which a server answer reaches trusted state: core.Registers
 // folds nothing else, and the protocol users decode their answers
 // from it. The zero Verified, which any package can write, vouches

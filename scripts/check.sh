@@ -1,9 +1,10 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate. Run it before every
 # commit: formatting, vet, build, grep gates on imports, on the one
-# untyped answer decoder, on the one owner of the consistent cut
-# (session-table freeze and restore) and on concrete-type assertions of a
-# transport.Caller (the trust boundary itself is a type —
+# untyped answer decoder, on the fresh-memory verifier, on the one
+# owner of the consistent cut (session-table freeze and restore) and
+# on concrete-type assertions of a transport.Caller (the trust
+# boundary itself is a type —
 # vdb.Verified, rcs.Checked, audit.Queued — so the compiler holds it),
 # the import rules (hashing only through internal/digest, no
 # encoding/gob, no math/rand in the signature, protocol and wire
@@ -86,6 +87,15 @@ fi
 if grep -rnw --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -e 'DecodeAnswer' . |
     grep -v -e '^\./internal/vdb/' -e '^\./internal/audit/' -e '^\./benchmark/'; then
     echo "vdb.DecodeAnswer is called outside internal/vdb, internal/audit and benchmark/" >&2
+    exit 1
+fi
+# Every protocol user verifies in a vdb.Verifier it reuses. The
+# package-level VerifyDerive verifies in fresh memory and is the
+# reference that memory is judged against, so outside tests it is
+# called only in internal/vdb and by benchmark/'s per-layer probe.
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -e 'vdb\.VerifyDerive(' . |
+    grep -v -e '^\./internal/vdb/' -e '^\./benchmark/'; then
+    echo "the fresh-memory vdb.VerifyDerive is called outside internal/vdb and benchmark/" >&2
     exit 1
 fi
 # The consistent cut has one owner: a checkpoint freezes the session

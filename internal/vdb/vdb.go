@@ -365,8 +365,7 @@ func replay(rec *merkle.Recording, oldRoot digest.Digest, op Op, claimedAns, buf
 	if buf, err = checkClaim(ans, claimedAns, buf); err != nil {
 		return Verified{}, buf, err
 	}
-	post := rec.Tree()
-	return Verified{oldRoot: oldRoot, newRoot: post.RootDigest(), answer: claimedAns, ok: true}, buf, nil
+	return Verified{oldRoot: oldRoot, newRoot: rec.Tree().RootDigest(), answer: claimedAns, ok: true}, buf, nil
 }
 
 // A Verifier is VerifyDerive with memory of its own, for a verifier

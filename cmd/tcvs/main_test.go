@@ -13,7 +13,6 @@ import (
 	"trustedcvs/internal/core"
 	"trustedcvs/internal/core/proto1"
 	"trustedcvs/internal/core/proto2"
-	"trustedcvs/internal/core/proto3"
 	"trustedcvs/internal/digest"
 	"trustedcvs/internal/durable"
 	"trustedcvs/internal/fault"
@@ -81,7 +80,6 @@ func stateFiles(t *testing.T, dir string) map[string]func(path string) (bool, er
 	for name, marshal := range map[string]func() ([]byte, error){
 		"p1.state":        proto1.NewUser(signers[0], ring, 16).MarshalState,
 		"p2-single.state": proto2.NewUser(0, digest.Empty(), 16).MarshalState,
-		"p3.state":        proto3.NewUser(signers[0], ring, digest.Empty()).MarshalState,
 	} {
 		if err := saveUser(ownerOnly{durable.OS}, filepath.Join(dir, name), marshal); err != nil {
 			t.Fatal(err)
@@ -97,19 +95,11 @@ func stateFiles(t *testing.T, dir string) map[string]func(path string) (bool, er
 			return u != nil, err
 		},
 		"p2-single.state": load2,
-		"p3.state": func(path string) (bool, error) { // no CLI: the file layer, then proto3
-			data, err := loadState(path)
-			if err != nil {
-				return false, err
-			}
-			u, err := proto3.RestoreUser(signers[0], ring, data)
-			return u != nil, err
-		},
 	}
 }
 
-// TestRegisterFileRotIsRefused: flip each byte of a saved Protocol I,
-// II and III register file. Every one must be
+// TestRegisterFileRotIsRefused: flip each byte of a saved Protocol I
+// and II register file. Every one must be
 // refused with a typed error and no user returned: registers restored
 // from a rotted file would make this client convict an honest server —
 // a false alarm the paper rules out.

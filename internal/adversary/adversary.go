@@ -164,13 +164,6 @@ func (s *Server) DeviatedAtOp() uint64 {
 	return s.deviatedAt
 }
 
-// Ops returns the number of operations the server has handled.
-func (s *Server) Ops() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ops
-}
-
 func (s *Server) markDeviation() {
 	if s.deviatedAt == 0 {
 		s.deviatedAt = s.ops

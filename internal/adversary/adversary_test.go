@@ -29,8 +29,8 @@ func TestHonestWrapperIsTransparent(t *testing.T) {
 	if s.DeviatedAtOp() != 0 {
 		t.Fatal("honest wrapper must never deviate")
 	}
-	if s.Ops() != 5 {
-		t.Fatalf("ops: %d", s.Ops())
+	if s.ops != 5 {
+		t.Fatalf("ops: %d", s.ops)
 	}
 }
 
@@ -128,8 +128,12 @@ func TestTamperStateDefaultsItsRecord(t *testing.T) {
 		t.Fatalf("default record %q = %q", s.cfg.Key, s.cfg.Value)
 	}
 	mustOp(t, s, &core.OpRequest{Op: &vdb.ReadOp{Keys: []string{"x"}}})
-	if n := s.DB().Len(); n != 1 || s.DeviatedAtOp() != 1 {
-		t.Fatalf("after the trigger the store holds %d records, deviated at %d; want 1, 1", n, s.DeviatedAtOp())
+	want := vdb.New(0)
+	if _, err := want.ApplyPlain(&vdb.WriteOp{Puts: []vdb.KV{{Key: "planted-by-server", Val: []byte("evil")}}}); err != nil {
+		t.Fatal(err)
+	}
+	if s.DB().Root() != want.Root() || s.DeviatedAtOp() != 1 {
+		t.Fatalf("after the trigger the store is not the one planted record, or deviated at %d; want 1", s.DeviatedAtOp())
 	}
 }
 

@@ -259,22 +259,6 @@ type HubServer struct {
 // the log, losing nothing.
 const DefaultHubWriteTimeout = 10 * time.Second
 
-// SetLimits tunes the hub's slow-consumer guard: queue is the
-// per-connection outbound queue depth for connections accepted after
-// the call, writeTimeout the per-frame write deadline for all
-// connections. Zero keeps the current value for either. Primarily a
-// test hook; production hubs run the defaults.
-func (h *HubServer) SetLimits(queue int, writeTimeout time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if queue > 0 {
-		h.queueDepth = queue
-	}
-	if writeTimeout > 0 {
-		h.writeT = writeTimeout
-	}
-}
-
 // HubStats is a snapshot of the hub's slow-consumer accounting.
 type HubStats struct {
 	Conns     int    // currently connected subscribers

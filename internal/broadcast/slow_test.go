@@ -191,3 +191,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// SetLimits tunes the hub's slow-consumer guard: queue is the
+// per-connection outbound queue depth for connections accepted after
+// the call, writeTimeout the per-frame write deadline for all
+// connections. Zero keeps the current value for either. Production
+// hubs run the defaults; only these tests tune them.
+func (h *HubServer) SetLimits(queue int, writeTimeout time.Duration) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if queue > 0 {
+		h.queueDepth = queue
+	}
+	if writeTimeout > 0 {
+		h.writeT = writeTimeout
+	}
+}

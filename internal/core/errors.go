@@ -8,13 +8,14 @@ import (
 )
 
 // Format bytes that open a persisted user state (MarshalState of
-// proto1, proto2, proto3). Like every stored format byte (DESIGN.md
-// "State files") they lie in 0x80–0xF7, where no gob stream — what
-// earlier binaries wrote — can start.
+// proto1 and proto2). Like every stored format byte (DESIGN.md "State
+// files") they lie in 0x80–0xF7, where no gob stream — what earlier
+// binaries wrote — can start. 0x89 is retired: it opened the Protocol
+// III user state, which nothing restores any more, and no later format
+// may reuse it.
 const (
-	StateFormatI   = 0x87
-	StateFormatII  = 0x88
-	StateFormatIII = 0x89
+	StateFormatI  = 0x87
+	StateFormatII = 0x88
 )
 
 // ErrStateFormat is returned (wrapped) for a persisted user state that

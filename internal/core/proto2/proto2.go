@@ -63,14 +63,6 @@ func (s *Server) Fork() *Server {
 	return &Server{db: s.db.Fork(), lastUser: s.lastUser}
 }
 
-// LastUser returns j, the user whose operation produced the current
-// state (persisted across server restarts).
-func (s *Server) LastUser() sig.UserID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastUser
-}
-
 // Checkpoint atomically captures the server's persistent state: an
 // O(1) fork of the database (persistent tree) plus the last-user tag,
 // taken at one point of the operation order. The snapshot walk itself
@@ -164,10 +156,6 @@ func (u *User) ID() sig.UserID { return u.id }
 
 // LCtr returns lctrᵢ.
 func (u *User) LCtr() uint64 { return u.regs.Ops }
-
-// Registers returns a copy of the user's registers (for experiments
-// measuring state size and for Protocol III, which embeds this type).
-func (u *User) Registers() core.Registers { return u.regs }
 
 // VerifiedRoot returns the head this user most recently verified
 // through a VO — the local truth a witness commitment for the same ctr

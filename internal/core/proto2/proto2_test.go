@@ -235,7 +235,7 @@ func TestConstantUserState(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		h.do(i%2, put(fmt.Sprintf("k%d", i%7), fmt.Sprintf("v%d", i)))
 	}
-	r := h.users[0].Registers()
+	r := h.users[0].regs
 	// Registers is a fixed-size struct; just confirm the counters moved
 	// and the digests are live (i.e., the state is real, not growing).
 	if r.Ops != 100 || r.Sigma.IsZero() {

@@ -228,9 +228,6 @@ func (u *User) ID() sig.UserID { return u.signer.ID() }
 // LCtr returns lctrᵢ.
 func (u *User) LCtr() uint64 { return u.regs.Ops }
 
-// Epoch returns the user's current epoch.
-func (u *User) Epoch() uint64 { return u.epoch }
-
 // Request builds the operation request for op, piggybacking the
 // previous epoch's signed backup if one is waiting (this is the
 // "second operation in a new epoch" upload of the paper).

@@ -72,10 +72,6 @@ func revRangeHi(path string) string { return revPrefix + path + "\x01" }
 func headRangeLo() string { return headPrefix }
 func headRangeHi() string { return "f\x01" }
 
-// tagRangeLo/tagRangeHi bound the records of one tag.
-func tagRangeLo(tag string) string { return tagPrefix + tag + "\x00" }
-func tagRangeHi(tag string) string { return tagPrefix + tag + "\x01" }
-
 // HeadRecord is the authenticated head pointer of a file. Dead marks
 // a removed file (CVS's "Attic"): its history remains checkable and a
 // later commit resurrects it at the next revision number.

@@ -24,9 +24,6 @@ type MergeResult struct {
 // Merged returns the merged document as a string.
 func (m *MergeResult) Merged() string { return JoinLines(m.Lines) }
 
-// Clean reports whether the merge had no conflicts.
-func (m *MergeResult) Clean() bool { return m.Conflicts == 0 }
-
 // Conflict markers, one per line (newline included when rendered).
 const (
 	MarkerOurs   = "<<<<<<< ours"

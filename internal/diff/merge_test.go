@@ -13,7 +13,7 @@ func TestMergeDisjointEdits(t *testing.T) {
 	ours := "A\nb\nc\nd\ne\n"   // edit line 1
 	theirs := "a\nb\nc\nd\nE\n" // edit line 5
 	m := Merge3(base, ours, theirs)
-	if !m.Clean() {
+	if m.Conflicts != 0 {
 		t.Fatalf("disjoint edits conflicted:\n%s", m.Merged())
 	}
 	if m.Merged() != "A\nb\nc\nd\nE\n" {
@@ -25,15 +25,15 @@ func TestMergeOneSideOnly(t *testing.T) {
 	base := "a\nb\nc\n"
 	ours := "a\nX\nc\n"
 	m := Merge3(base, ours, base)
-	if !m.Clean() || m.Merged() != ours {
+	if m.Conflicts != 0 || m.Merged() != ours {
 		t.Fatalf("ours-only merge: %q (%d conflicts)", m.Merged(), m.Conflicts)
 	}
 	m = Merge3(base, base, ours)
-	if !m.Clean() || m.Merged() != ours {
+	if m.Conflicts != 0 || m.Merged() != ours {
 		t.Fatalf("theirs-only merge: %q", m.Merged())
 	}
 	m = Merge3(base, base, base)
-	if !m.Clean() || m.Merged() != base {
+	if m.Conflicts != 0 || m.Merged() != base {
 		t.Fatalf("no-op merge: %q", m.Merged())
 	}
 }
@@ -42,7 +42,7 @@ func TestMergeIdenticalChanges(t *testing.T) {
 	base := "a\nb\nc\n"
 	both := "a\nX\nc\n"
 	m := Merge3(base, both, both)
-	if !m.Clean() || m.Merged() != both {
+	if m.Conflicts != 0 || m.Merged() != both {
 		t.Fatalf("identical changes should merge cleanly: %q (%d)", m.Merged(), m.Conflicts)
 	}
 }
@@ -52,7 +52,7 @@ func TestMergeConflict(t *testing.T) {
 	ours := "a\nOURS\nc\n"
 	theirs := "a\nTHEIRS\nc\n"
 	m := Merge3(base, ours, theirs)
-	if m.Clean() || m.Conflicts != 1 {
+	if m.Conflicts != 1 {
 		t.Fatalf("want 1 conflict, got %d:\n%s", m.Conflicts, m.Merged())
 	}
 	doc := m.Merged()
@@ -74,7 +74,7 @@ func TestMergeBothDelete(t *testing.T) {
 	base := "a\nb\nc\n"
 	edited := "a\nc\n"
 	m := Merge3(base, edited, edited)
-	if !m.Clean() || m.Merged() != edited {
+	if m.Conflicts != 0 || m.Merged() != edited {
 		t.Fatalf("identical deletions: %q (%d)", m.Merged(), m.Conflicts)
 	}
 }
@@ -84,7 +84,7 @@ func TestMergeDeleteVsEdit(t *testing.T) {
 	ours := "a\nc\n"       // deleted b
 	theirs := "a\nB!\nc\n" // edited b
 	m := Merge3(base, ours, theirs)
-	if m.Clean() {
+	if m.Conflicts == 0 {
 		t.Fatalf("delete-vs-edit must conflict:\n%s", m.Merged())
 	}
 }
@@ -94,7 +94,7 @@ func TestMergeInsertionsAtSamePoint(t *testing.T) {
 	ours := "a\nours\nz\n"
 	theirs := "a\ntheirs\nz\n"
 	m := Merge3(base, ours, theirs)
-	if m.Clean() {
+	if m.Conflicts == 0 {
 		t.Fatalf("same-point insertions must conflict:\n%s", m.Merged())
 	}
 }
@@ -104,18 +104,18 @@ func TestMergeAppendsBothEnds(t *testing.T) {
 	ours := "top\nm\n"
 	theirs := "m\nbottom\n"
 	m := Merge3(base, ours, theirs)
-	if !m.Clean() || m.Merged() != "top\nm\nbottom\n" {
+	if m.Conflicts != 0 || m.Merged() != "top\nm\nbottom\n" {
 		t.Fatalf("merge: %q (%d)", m.Merged(), m.Conflicts)
 	}
 }
 
 func TestMergeEmptyBase(t *testing.T) {
 	m := Merge3("", "ours\n", "theirs\n")
-	if m.Clean() {
+	if m.Conflicts == 0 {
 		t.Fatalf("both creating different content must conflict:\n%s", m.Merged())
 	}
 	m = Merge3("", "same\n", "same\n")
-	if !m.Clean() || m.Merged() != "same\n" {
+	if m.Conflicts != 0 || m.Merged() != "same\n" {
 		t.Fatalf("identical creations: %q", m.Merged())
 	}
 }
@@ -145,15 +145,15 @@ func TestQuickMergeLaws(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		base := gen(rng, 2+rng.Intn(30))
 		x := mutateDoc(rng, base)
-		if m := Merge3(base, x, base); !m.Clean() || m.Merged() != x {
+		if m := Merge3(base, x, base); m.Conflicts != 0 || m.Merged() != x {
 			t.Logf("merge(b,x,b) != x")
 			return false
 		}
-		if m := Merge3(base, base, x); !m.Clean() || m.Merged() != x {
+		if m := Merge3(base, base, x); m.Conflicts != 0 || m.Merged() != x {
 			t.Logf("merge(b,b,x) != x")
 			return false
 		}
-		if m := Merge3(base, x, x); !m.Clean() || m.Merged() != x {
+		if m := Merge3(base, x, x); m.Conflicts != 0 || m.Merged() != x {
 			t.Logf("merge(b,x,x) != x")
 			return false
 		}
@@ -180,7 +180,7 @@ func TestQuickMergeDisjointRegions(t *testing.T) {
 		ours := strings.Replace(base, fmt.Sprintf("l%02d\n", oursIdx), "OURS\n", 1)
 		theirs := strings.Replace(base, fmt.Sprintf("l%02d\n", theirsIdx), "THEIRS\n", 1)
 		m := Merge3(base, ours, theirs)
-		return m.Clean() &&
+		return m.Conflicts == 0 &&
 			strings.Contains(m.Merged(), "OURS\n") &&
 			strings.Contains(m.Merged(), "THEIRS\n")
 	}

@@ -14,7 +14,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash"
 	"sync"
 )
@@ -45,9 +44,8 @@ const (
 	DomainBlob byte = 0x05
 	// DomainEpoch binds an epoch summary for Protocol III signatures.
 	DomainEpoch byte = 0x06
-	// DomainRecord binds a database record (key/value pair) inside a
-	// Merkle leaf.
-	DomainRecord byte = 0x07
+	// 0x07 was a per-record domain no hash ever used (leaves hash
+	// under DomainLeaf); it is never reused.
 	// DomainSnapshot is the integrity footer over a state image stored
 	// as one file — a server checkpoint, a client's register file,
 	// workspace metadata (the envelope's magic tells them apart): it
@@ -94,20 +92,6 @@ func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
 // Short returns an 8-hex-digit prefix, for logs and error messages.
 func (d Digest) Short() string { return hex.EncodeToString(d[:4]) }
-
-// Parse decodes a digest from its hex encoding.
-func Parse(s string) (Digest, error) {
-	var d Digest
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return Zero, fmt.Errorf("digest: parse %q: %w", s, err)
-	}
-	if len(b) != Size {
-		return Zero, fmt.Errorf("digest: parse %q: got %d bytes, want %d", s, len(b), Size)
-	}
-	copy(d[:], b)
-	return d, nil
-}
 
 // A Hasher incrementally builds a domain-separated digest. It
 // length-prefixes every variable-length field so concatenation

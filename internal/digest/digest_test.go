@@ -61,26 +61,6 @@ func TestXorAlgebra(t *testing.T) {
 	}
 }
 
-func TestParseRoundTrip(t *testing.T) {
-	d := OfBytes(DomainBlob, []byte("hello"))
-	got, err := Parse(d.String())
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if got != d {
-		t.Fatalf("round trip mismatch: %s != %s", got, d)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	if _, err := Parse("zz"); err == nil {
-		t.Error("want error for non-hex input")
-	}
-	if _, err := Parse("abcd"); err == nil {
-		t.Error("want error for short input")
-	}
-}
-
 func TestShort(t *testing.T) {
 	d := OfBytes(DomainBlob, []byte("hello"))
 	if len(d.Short()) != 8 {

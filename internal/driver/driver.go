@@ -335,8 +335,9 @@ func (c *Client) verifyWitnessLocked() error {
 		c.noQuorum++
 		return nil
 	default:
-		// Divergence, with evidence in c.check.Evidence(). In
-		// epoch-audit mode the op count is the auditor's and reads 0.
+		// Divergence; the error names the witness and, when one
+		// holds it, the verified fork evidence. In epoch-audit mode
+		// the op count is the auditor's and reads 0.
 		var lctr uint64
 		if c.sess != nil {
 			lctr = c.sess.LCtr()

@@ -66,28 +66,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// Listener wraps a net.Listener so every accepted connection carries
-// fault injection. Accept itself is never faulted — binding failures
-// are a different failure class than flaky established connections.
-type Listener struct {
-	net.Listener
-	inj *Injector
-}
-
-// WrapListener wraps lis with per-connection fault injection.
-func WrapListener(lis net.Listener, inj *Injector) *Listener {
-	return &Listener{Listener: lis, inj: inj}
-}
-
-// Accept accepts and wraps the next connection.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return WrapConn(c, l.inj), nil
-}
-
 // Dialer returns a dial function producing fault-injected connections
 // to addr — the shape transport.DialResilientFunc and
 // broadcast.DialHubResumeFunc expect.

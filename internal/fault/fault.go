@@ -15,8 +15,9 @@
 //
 // Two faces:
 //
-//   - Conn/Listener wrap net.Conn / net.Listener and inject network
-//     faults per I/O operation (see Config).
+//   - Conn wraps a net.Conn (WrapConn, or Dialer for each dialled
+//     connection) and injects network faults per I/O operation (see
+//     Config).
 //   - FS (fs.go) wraps the checkpoint persistence path and injects
 //     torn writes, short writes, and crash-before-rename.
 //
@@ -237,24 +238,6 @@ func (i *Injector) chance(p float64) bool {
 		return false
 	}
 	return float64(i.rand()>>11)/(1<<53) < p
-}
-
-// Ops returns the number of I/O operations observed so far.
-func (i *Injector) Ops() uint64 {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.n
-}
-
-// Counts returns how many faults of each kind have been injected.
-func (i *Injector) Counts() map[Kind]uint64 {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	out := make(map[Kind]uint64, len(i.counts))
-	for k, v := range i.counts {
-		out[k] = v
-	}
-	return out
 }
 
 // Injected returns the total number of injected faults.

@@ -146,34 +146,6 @@ func TestConnLatencyDelays(t *testing.T) {
 	}
 }
 
-func TestListenerWrapsAccepted(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := WrapListener(lis, NewInjector(Config{Script: []Event{{At: 1, Kind: Reset}}}))
-	defer fl.Close()
-	go func() {
-		c, err := net.Dial("tcp", fl.Addr().String())
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		time.Sleep(100 * time.Millisecond)
-	}()
-	sc, err := fl.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if _, ok := sc.(*Conn); !ok {
-		t.Fatalf("accepted conn is %T, want *fault.Conn", sc)
-	}
-	if _, err := sc.Write([]byte("x")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected fault on first server write, got %v", err)
-	}
-}
-
 func TestFaultyFSShortWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap")

@@ -113,3 +113,14 @@ func TestGrayScriptedSpike(t *testing.T) {
 }
 
 var _ io.ReadWriter = (*Conn)(nil)
+
+// Counts returns how many faults of each kind have been injected.
+func (i *Injector) Counts() map[Kind]uint64 {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	out := make(map[Kind]uint64, len(i.counts))
+	for k, v := range i.counts {
+		out[k] = v
+	}
+	return out
+}

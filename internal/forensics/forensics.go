@@ -63,12 +63,6 @@ func NewJournal(user sig.UserID, cap int) *Journal {
 	return j
 }
 
-// User returns the journal owner.
-func (j *Journal) User() sig.UserID { return j.user }
-
-// Cap returns the journal capacity.
-func (j *Journal) Cap() int { return j.cap }
-
 // Record appends a witnessed transition, evicting the oldest when
 // full.
 func (j *Journal) Record(ctr uint64, old, new digest.Digest) {

@@ -16,7 +16,7 @@ func st(name string) digest.Digest {
 
 func TestJournalRingBuffer(t *testing.T) {
 	j := NewJournal(1, 3)
-	if j.Cap() != 3 || j.User() != 1 {
+	if j.cap != 3 || j.user != 1 {
 		t.Fatal("journal metadata")
 	}
 	for i := 1; i <= 5; i++ {

@@ -111,22 +111,17 @@ func PassByName(name string) *Pass {
 	return nil
 }
 
-// Run executes the passes over the module, filters suppressed findings,
-// and returns the rest sorted by position.
-func Run(m *Module, passes []*Pass) []Diag {
-	out, _ := RunTimed(m, passes)
-	return out
-}
-
 // PassTiming is one pass's wall-clock cost for a RunTimed invocation.
 type PassTiming struct {
 	Name    string
 	Elapsed time.Duration
 }
 
-// RunTimed is Run plus per-pass wall-clock timings (scripts/check.sh
-// prints them so a pass that regresses into pathological cost is
-// visible in CI output, not just felt).
+// RunTimed executes the passes over the module, filters suppressed
+// findings, and returns the rest sorted by position, with per-pass
+// wall-clock timings (scripts/check.sh prints them so a pass that
+// regresses into pathological cost is visible in CI output, not just
+// felt).
 func RunTimed(m *Module, passes []*Pass) ([]Diag, []PassTiming) {
 	// deadignore always runs last: it reports directives that
 	// suppressed nothing, which is only known after the other

@@ -159,3 +159,10 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("unexpected finding on clean tree: %s", d)
 	}
 }
+
+// Run executes the passes over the module, filters suppressed findings,
+// and returns the rest sorted by position.
+func Run(m *Module, passes []*Pass) []Diag {
+	out, _ := RunTimed(m, passes)
+	return out
+}

@@ -5,22 +5,6 @@ import (
 	"slices"
 )
 
-// Delete returns a new tree without key, and whether the key was
-// present. The receiver is unchanged.
-func (t *Tree) Delete(key string) (*Tree, bool) {
-	nt, found, err := t.DeleteErr(key)
-	if err != nil {
-		panic("merkle: Delete on partial tree; use DeleteErr: " + err.Error())
-	}
-	return nt, found
-}
-
-// DeleteErr is Delete for trees that may have pruned subtrees.
-func (t *Tree) DeleteErr(key string) (*Tree, bool, error) {
-	c := t.ctx()
-	return t.deleteCtx(&c, key)
-}
-
 func (t *Tree) deleteCtx(c *ctx, key string) (*Tree, bool, error) {
 	if t.root == (kid{}) {
 		return t, false, nil

@@ -155,14 +155,6 @@ func New(order int) *Tree {
 	return &Tree{order: order}
 }
 
-// Order returns the tree's branching factor.
-func (t *Tree) Order() int { return t.order }
-
-// Len returns the number of records in the tree. Trees rebuilt from
-// verification objects, and every tree derived from one, report -1:
-// pruned subtrees hide their record counts.
-func (t *Tree) Len() int { return t.size }
-
 // ctx returns the context of a one-shot operation on t.
 func (t *Tree) ctx() ctx { return ctx{order: int32(t.order)} }
 

@@ -260,3 +260,30 @@ func TestSequentialAndReverseInsert(t *testing.T) {
 		}
 	}
 }
+
+// Observers and one-key deletes that only these tests use: production
+// code removes keys through a Recording or a transaction (deleteCtx).
+
+// Order returns the tree's branching factor.
+func (t *Tree) Order() int { return t.order }
+
+// Len returns the number of records in the tree. Trees rebuilt from
+// verification objects, and every tree derived from one, report -1:
+// pruned subtrees hide their record counts.
+func (t *Tree) Len() int { return t.size }
+
+// Delete returns a new tree without key, and whether the key was
+// present. The receiver is unchanged.
+func (t *Tree) Delete(key string) (*Tree, bool) {
+	nt, found, err := t.DeleteErr(key)
+	if err != nil {
+		panic("merkle: Delete on partial tree; use DeleteErr: " + err.Error())
+	}
+	return nt, found
+}
+
+// DeleteErr is Delete for trees that may have pruned subtrees.
+func (t *Tree) DeleteErr(key string) (*Tree, bool, error) {
+	c := t.ctx()
+	return t.deleteCtx(&c, key)
+}

@@ -24,8 +24,8 @@ func TestBlobStore(t *testing.T) {
 	if HashContent(nil) == d || HashContent(nil) != HashContent([]byte{}) {
 		t.Fatal("the empty blob's address is not its own")
 	}
-	if digest.OfBytes(digest.DomainRecord, content) == d {
-		t.Fatal("a blob hash equals a record digest of the same bytes")
+	if digest.OfBytes(digest.DomainLeaf, content) == d {
+		t.Fatal("a blob hash equals a Merkle leaf digest of the same bytes")
 	}
 	if c, err := CheckContent(content, d); err != nil || string(c.content) != string(content) {
 		t.Fatalf("CheckContent refused the bytes it names: %q, %v", c.content, err)

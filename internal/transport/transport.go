@@ -150,9 +150,6 @@ func ServeListener(lis net.Listener, h Handler, opts Options) *Server {
 	return s
 }
 
-// Sessions returns the server's session table (nil if not configured).
-func (s *Server) Sessions() *SessionTable { return s.opts.Sessions }
-
 // AdmissionStats snapshots the admission controller.
 func (s *Server) AdmissionStats() AdmissionStats { return s.adm.Stats() }
 

@@ -26,9 +26,6 @@ func NewSession(db *DB) *Session {
 	return &Session{db: db, root: db.Root()}
 }
 
-// Root returns the client-side trusted root digest.
-func (s *Session) Root() digest.Digest { return s.root }
-
 // Do applies op on the server and verifies the transition before
 // adopting the new root.
 func (s *Session) Do(op Op) (any, error) {

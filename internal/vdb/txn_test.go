@@ -107,7 +107,7 @@ func TestTransactionMatchesSingleKeyOps(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if whole.Root() != single.Root() || whole.Len() != single.Len() {
+				if whole.Root() != single.Root() {
 					t.Fatalf("%s: transaction root %s, single-key root %s", name, whole.Root().Short(), single.Root().Short())
 				}
 				if before.Root() != oldRoot || !bytes.Equal(dbImage(before), oldImage) {

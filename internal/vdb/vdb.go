@@ -31,10 +31,6 @@ import (
 // integrity violation.
 var ErrAnswerMismatch = errors.New("vdb: answer does not match verified replay")
 
-// ErrNewRootMismatch is returned when the server's claimed new root
-// digest differs from the replayed one.
-var ErrNewRootMismatch = errors.New("vdb: new root digest does not match verified replay")
-
 // A Tx gives an Op read/write access to the database state during
 // Apply. It is a merkle transaction under another name (the conversion
 // costs nothing), whichever side runs it — the server's recording one,
@@ -139,12 +135,6 @@ func (db *DB) Head() (uint64, digest.Digest) {
 	// is persistent and its root digest memoized.
 	ctr, t := db.head()
 	return ctr, t.RootDigest()
-}
-
-// Len returns the number of records.
-func (db *DB) Len() int {
-	_, t := db.head()
-	return t.Len()
 }
 
 // Apply executes op, increments ctr, and returns the canonical answer

@@ -68,8 +68,10 @@ func TestWriteDeletes(t *testing.T) {
 	if wa := ans.(WriteAnswer); wa.Deleted != 1 {
 		t.Fatalf("Deleted = %d, want 1", wa.Deleted)
 	}
-	if db.Len() != 1 {
-		t.Fatalf("Len = %d", db.Len())
+	ansBytes, _ = applyAndVerify(t, db, &ReadOp{Keys: []string{"a", "b"}})
+	ans, _ = DecodeAnswer(ansBytes)
+	if ra := ans.(ReadAnswer); ra.Results[0].Found || !ra.Results[1].Found {
+		t.Fatalf("after deleting a: %+v", ra.Results)
 	}
 }
 

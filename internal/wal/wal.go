@@ -494,21 +494,6 @@ func (w *WAL) Frees(epoch uint64) bool {
 	return false
 }
 
-// Segments reports how many sealed segments remain (observability and
-// tests; the active segment is excluded).
-func (w *WAL) Segments() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.sealed)
-}
-
-// Appended reports the total frames appended since Open.
-func (w *WAL) Appended() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.written
-}
-
 // sealSegment trims f to end, the end of its last frame, fully syncs it
 // and closes it, so a sealed segment carries no zero fill. f is closed
 // even when the trim or the sync fails.

@@ -1008,3 +1008,18 @@ func TestCursorGoldenBytes(t *testing.T) {
 		t.Fatalf("cursor bytes changed:\n got %q\nwant %q", written, golden)
 	}
 }
+
+// Segments reports how many sealed segments remain; the active segment
+// is excluded.
+func (w *WAL) Segments() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.sealed)
+}
+
+// Appended reports the total frames appended since Open.
+func (w *WAL) Appended() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.written
+}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"trustedcvs/internal/digest"
-	"trustedcvs/internal/forensics"
 	"trustedcvs/internal/vdb"
 )
 
@@ -45,7 +44,6 @@ type Check struct {
 	witnesses map[string]DialFunc
 	roots     map[uint64]digest.Digest
 	order     []uint64
-	evidence  []*forensics.Evidence
 }
 
 // NewCheck creates a check against the named server, whose commitment
@@ -200,9 +198,6 @@ func (c *Check) checkReply(name string, reply *LatestReply) error {
 		if err := ev.Verify(); err != nil {
 			continue // fabricated bundle; ignore the witness's claim
 		}
-		c.mu.Lock()
-		c.evidence = forensics.MergeEvidence(c.evidence, ev)
-		c.mu.Unlock()
 		return fmt.Errorf("%w: witness %s holds signed fork evidence: %s", ErrDiverged, name, ev.String())
 	}
 	if reply.Commit == nil {
@@ -221,11 +216,4 @@ func (c *Check) checkReply(name string, reply *LatestReply) error {
 			ErrDiverged, reply.Commit.Root.Short(), name, reply.Commit.Ctr, local.Short())
 	}
 	return nil
-}
-
-// Evidence returns the verified evidence bundles collected so far.
-func (c *Check) Evidence() []*forensics.Evidence {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*forensics.Evidence(nil), c.evidence...)
 }

@@ -210,22 +210,6 @@ func Partitionable(usersA, usersB int, k int, seed int64) (*Trace, PartitionInfo
 	return tr, info
 }
 
-// BackToBack generates the workload of Section 2.2.3's preservation
-// argument: one user performs pairs of consecutive operations while
-// the others are idle. Used to expose the token-passing baseline's
-// forced waiting.
-func BackToBack(users, pairs int) *Trace {
-	tr := &Trace{Users: users, Files: []string{"hot.c"}}
-	round := 0
-	for i := 0; i < pairs; i++ {
-		round++
-		tr.Events = append(tr.Events, Event{Round: round, User: 0, Kind: Commit, Files: []string{"hot.c"}})
-		round++
-		tr.Events = append(tr.Events, Event{Round: round, User: 0, Kind: Checkout, Files: []string{"hot.c"}})
-	}
-	return tr
-}
-
 // EveryUserTwicePerEpoch generates the Protocol III workload: epochs
 // of epochLen rounds, every user performing exactly two operations per
 // epoch at randomized offsets — never requiring two users online
@@ -262,33 +246,4 @@ func EveryUserTwicePerEpoch(users, epochs, epochLen int, seed int64) *Trace {
 		}
 	}
 	return tr
-}
-
-// Stats summarizes a trace for reports.
-type Stats struct {
-	Ops        int
-	Commits    int
-	Checkouts  int
-	Rounds     int
-	ActiveUser int // number of users with at least one op
-}
-
-// Stats computes summary statistics.
-func (t *Trace) Stats() Stats {
-	var s Stats
-	s.Ops = len(t.Events)
-	active := map[sig.UserID]bool{}
-	for _, e := range t.Events {
-		if e.Kind == Commit {
-			s.Commits++
-		} else {
-			s.Checkouts++
-		}
-		active[e.User] = true
-		if e.Round > s.Rounds {
-			s.Rounds = e.Round
-		}
-	}
-	s.ActiveUser = len(active)
-	return s
 }

@@ -124,18 +124,6 @@ func TestPartitionable(t *testing.T) {
 	}
 }
 
-func TestBackToBack(t *testing.T) {
-	tr := BackToBack(5, 10)
-	if len(tr.Events) != 20 {
-		t.Fatalf("events: %d", len(tr.Events))
-	}
-	for _, e := range tr.Events {
-		if e.User != 0 {
-			t.Fatalf("only user 0 should act: %+v", e)
-		}
-	}
-}
-
 func TestEveryUserTwicePerEpoch(t *testing.T) {
 	const users, epochs, epochLen = 3, 4, 20
 	tr := EveryUserTwicePerEpoch(users, epochs, epochLen, 2)
@@ -166,4 +154,33 @@ func TestEveryUserTwicePerEpochPanicsWhenTooShort(t *testing.T) {
 		}
 	}()
 	EveryUserTwicePerEpoch(5, 1, 8, 1)
+}
+
+// Stats summarizes a trace for the assertions below.
+type Stats struct {
+	Ops        int
+	Commits    int
+	Checkouts  int
+	Rounds     int
+	ActiveUser int // number of users with at least one op
+}
+
+// Stats computes summary statistics.
+func (t *Trace) Stats() Stats {
+	var s Stats
+	s.Ops = len(t.Events)
+	active := map[sig.UserID]bool{}
+	for _, e := range t.Events {
+		if e.Kind == Commit {
+			s.Commits++
+		} else {
+			s.Checkouts++
+		}
+		active[e.User] = true
+		if e.Round > s.Rounds {
+			s.Rounds = e.Round
+		}
+	}
+	s.ActiveUser = len(active)
+	return s
 }
